@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the tier-1 gate run before merging.
 
-.PHONY: check test bench bench-compare
+.PHONY: check test bench
 
 check:
 	./scripts/check.sh
@@ -10,10 +10,3 @@ test:
 
 bench:
 	go test -run XXX -bench . -benchtime 1x ./...
-
-# Compare the hot-path benchmarks against a baseline git ref and fail on
-# >10% ns/op regression (best-of-5, benchstat-style table). Knobs:
-#   make bench-compare BASELINE=main BENCH_THRESHOLD=5
-BASELINE ?= HEAD
-bench-compare:
-	./scripts/bench_compare.sh $(BASELINE)

@@ -35,21 +35,21 @@ func runLRParts(t *testing.T, ds *data.ClassifyDataset, cfg lr.Config, parts int
 	return loss, float64(end), engine
 }
 
-// TestCachedTrainingBitIdenticalAtStalenessZero is the exactness contract:
+// TestCachedTrainingBitIdenticalAtClockBoundZero is the exactness contract:
 // with staleness 0 and combining off, every cached value is revalidated
 // against the server's version stamps before use, so the trained model —
 // and hence the final full-data loss — must be bit-identical to the
-// uncached run's. Staleness 0 is the correctness arm, not the performance
+// uncached run's. Bound 0 is the correctness arm, not the performance
 // arm: in LR every feature a task pulls receives that task's own gradient
 // in the same iteration, so each cached entry is invalidated by the very
 // step that follows it and no bytes can be saved without staleness (the
 // savings arms are the next test and the ext-cache experiment).
-func TestCachedTrainingBitIdenticalAtStalenessZero(t *testing.T) {
+func TestCachedTrainingBitIdenticalAtClockBoundZero(t *testing.T) {
 	ds, cfg := lrSoakConfig()
 	uncachedLoss, _, _ := runLR(t, ds, cfg, nil)
 
 	ccfg := cfg
-	ccfg.Cache = &CacheConfig{Staleness: 0}
+	ccfg.Cache = &CacheConfig{}
 	cachedLoss, _, engine := runLR(t, ds, ccfg, nil)
 
 	if cachedLoss != uncachedLoss {
@@ -62,7 +62,7 @@ func TestCachedTrainingBitIdenticalAtStalenessZero(t *testing.T) {
 	}
 }
 
-// TestCachedTrainingSavesBytesWithStaleness is the performance contract on
+// TestCachedTrainingSavesBytesWithClockBound is the performance contract on
 // a Zipf-skewed full-batch workload, where every task re-pulls its
 // partition's feature set each iteration: a staleness-2 cache must cut the
 // pulled bytes by at least 30% versus what the uncached operators would
@@ -71,14 +71,14 @@ func TestCachedTrainingBitIdenticalAtStalenessZero(t *testing.T) {
 // gradients host-side) and must cut the pushed bytes too; combining pays
 // a driver-side flush wave per iteration, so only the pull-side arm is
 // held to the wall-clock bar.
-func TestCachedTrainingSavesBytesWithStaleness(t *testing.T) {
+func TestCachedTrainingSavesBytesWithClockBound(t *testing.T) {
 	ds, cfg := lrSoakConfig()
 	cfg.BatchFraction = 1.0
 	const parts = 32
 	uncachedLoss, uncachedEnd, _ := runLRParts(t, ds, cfg, parts)
 
 	ccfg := cfg
-	ccfg.Cache = &CacheConfig{Staleness: 2}
+	ccfg.Cache = &CacheConfig{Policy: ClockBoundedPolicy(2)}
 	cachedLoss, cachedEnd, engine := runLRParts(t, ds, ccfg, parts)
 
 	if math.IsNaN(cachedLoss) {
@@ -100,7 +100,7 @@ func TestCachedTrainingSavesBytesWithStaleness(t *testing.T) {
 		t.Fatalf("cached run took %.4fs vs uncached %.4fs; not faster", cachedEnd, uncachedEnd)
 	}
 
-	ccfg.Cache = &CacheConfig{Staleness: 2, CombinePushes: true}
+	ccfg.Cache = &CacheConfig{Policy: ClockBoundedPolicy(2), CombinePushes: true}
 	combinedLoss, _, engine := runLRParts(t, ds, ccfg, parts)
 	if math.IsNaN(combinedLoss) {
 		t.Fatal("combined run produced no model")
@@ -124,7 +124,7 @@ func TestCachedTrainingSavesBytesWithStaleness(t *testing.T) {
 // detector — and requires clean-run quality and epoch-fence coherence.
 func TestCachedChaosSoak(t *testing.T) {
 	ds, cfg := lrSoakConfig()
-	cfg.Cache = &CacheConfig{Staleness: 1, CombinePushes: true}
+	cfg.Cache = &CacheConfig{Policy: ClockBoundedPolicy(1), CombinePushes: true}
 
 	cleanLoss, _, _ := runLR(t, ds, cfg, nil)
 	_, lossyEnd, _ := runLR(t, ds, cfg, &FaultPlan{LossProb: 0.02})
@@ -155,7 +155,7 @@ func TestCachedChaosSoak(t *testing.T) {
 func TestCachedChaosDeterministic(t *testing.T) {
 	ds, cfg := lrSoakConfig()
 	cfg.Iterations = 10
-	cfg.Cache = &CacheConfig{Staleness: 1, CombinePushes: true, CapacityBytes: 64 << 10}
+	cfg.Cache = &CacheConfig{Policy: ClockBoundedPolicy(1), CombinePushes: true, CapacityBytes: 64 << 10}
 	plan := func() *FaultPlan {
 		return &FaultPlan{
 			LossProb:      0.02,

@@ -1,8 +1,8 @@
 // Consistency-policy integration tests: full LR training jobs run under the
-// pluggable policy seam, checking the refactor's three end-to-end contracts —
-// an explicit clock-bounded policy is bit-identical to the legacy Staleness
-// field, a value-bounded policy pulls fewer bytes at equal final quality, and
-// adaptive runs produce byte-identical decision counters across repeats.
+// pluggable policy seam, checking its two end-to-end contracts — a
+// value-bounded policy pulls fewer bytes than a clock-bounded one at equal
+// final quality, and adaptive runs produce byte-identical decision counters
+// across repeats.
 package ps2
 
 import (
@@ -10,56 +10,21 @@ import (
 	"testing"
 )
 
-// TestClockPolicyBitIdenticalToStaleness is the refactor's exactness
-// contract: CacheConfig{Policy: ClockBoundedPolicy(s)} must reproduce
-// CacheConfig{Staleness: s} — same trained loss to the bit, same virtual
-// finish time, same wire-byte accounting. The legacy field now merely
-// selects the same policy internally, and this pins that equivalence.
-func TestClockPolicyBitIdenticalToStaleness(t *testing.T) {
-	ds, cfg := lrSoakConfig()
-	cfg.BatchFraction = 1.0
-	const parts = 32
-
-	legacy := cfg
-	legacy.Cache = &CacheConfig{Staleness: 2}
-	legacyLoss, legacyEnd, legacyEngine := runLRParts(t, ds, legacy, parts)
-
-	policy := cfg
-	policy.Cache = &CacheConfig{Policy: ClockBoundedPolicy(2)}
-	policyLoss, policyEnd, policyEngine := runLRParts(t, ds, policy, parts)
-
-	if legacyLoss != policyLoss || legacyEnd != policyEnd {
-		t.Fatalf("explicit clock policy diverged from Staleness field: loss %v vs %v, end %v vs %v",
-			legacyLoss, policyLoss, legacyEnd, policyEnd)
-	}
-	lc, pc := legacyEngine.Snapshot().Cache, policyEngine.Snapshot().Cache
-	if lc != pc {
-		t.Fatalf("cache accounting diverged:\nlegacy %+v\npolicy %+v", lc, pc)
-	}
-	cons := policyEngine.Snapshot().Consistency
-	if cons.Policy != "clock" {
-		t.Fatalf("consistency snapshot policy = %q, want clock", cons.Policy)
-	}
-	if cons.Decisions() == 0 {
-		t.Fatalf("clock policy recorded no decisions: %+v", cons)
-	}
-}
-
-// TestValueBoundedSavesBytesAtEqualLoss is the refactor's payoff contract on
-// the Zipf-skewed full-batch workload: a value-bounded policy serves cached
+// TestValueBoundedSavesBytesAtEqualLoss is the policy seam's payoff contract
+// on the Zipf-skewed full-batch workload: a value-bounded policy serves cached
 // weights while accumulated |delta| stays under the bound — regardless of
 // clock age — so as gradients shrink it keeps serving where the clock policy
 // keeps revalidating. It must pull measurably fewer bytes than clock-bounded
 // staleness 2 while converging to within a hair of the same loss. (The
-// committed ablation lives in BENCH_CONSISTENCY.json; this is the quick
-// always-on gate.)
+// committed ablation is BENCH_BASELINE.json's ext-consistency entry; this is
+// the quick always-on gate.)
 func TestValueBoundedSavesBytesAtEqualLoss(t *testing.T) {
 	ds, cfg := lrSoakConfig()
 	cfg.BatchFraction = 1.0
 	const parts = 32
 
 	clock := cfg
-	clock.Cache = &CacheConfig{Staleness: 2}
+	clock.Cache = &CacheConfig{Policy: ClockBoundedPolicy(2)}
 	clockLoss, _, clockEngine := runLRParts(t, ds, clock, parts)
 
 	value := cfg
@@ -77,6 +42,9 @@ func TestValueBoundedSavesBytesAtEqualLoss(t *testing.T) {
 	if vb.PulledMB >= 0.75*cb.PulledMB {
 		t.Fatalf("value-bounded pulled %.3f MB vs clock-bounded %.3f MB; want >= 25%% fewer bytes",
 			vb.PulledMB, cb.PulledMB)
+	}
+	if cc := clockEngine.Snapshot().Consistency; cc.Policy != "clock" || cc.Decisions() == 0 {
+		t.Fatalf("clock-bounded run's consistency snapshot = %+v, want policy clock with decisions", cc)
 	}
 	cons := valueEngine.Snapshot().Consistency
 	if cons.Policy != "value" {

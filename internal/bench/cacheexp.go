@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/consistency"
 	"repro/internal/data"
 	"repro/internal/ml/embedding"
 	"repro/internal/ml/lr"
@@ -83,11 +84,11 @@ func runExtCache(o Opts) *Result {
 	}
 
 	uncachedLoss, uncachedEnd, _ := runLR("uncached", nil)
-	exactLoss, _, _ := runLR("cache s=0 (exact)", &ps.CacheConfig{Staleness: 0})
-	runLR("cache s=1", &ps.CacheConfig{Staleness: 1})
-	_, cachedEnd, cs2 := runLR("cache s=2", &ps.CacheConfig{Staleness: 2})
-	_, _, csComb := runLR("cache s=2 + combine", &ps.CacheConfig{Staleness: 2, CombinePushes: true})
-	_, _, csCap := runLR("cache s=2, cap 8KB", &ps.CacheConfig{Staleness: 2, CapacityBytes: 8 << 10})
+	exactLoss, _, _ := runLR("cache s=0 (exact)", &ps.CacheConfig{})
+	runLR("cache s=1", &ps.CacheConfig{Policy: consistency.NewClockBounded(1)})
+	_, cachedEnd, cs2 := runLR("cache s=2", &ps.CacheConfig{Policy: consistency.NewClockBounded(2)})
+	_, _, csComb := runLR("cache s=2 + combine", &ps.CacheConfig{Policy: consistency.NewClockBounded(2), CombinePushes: true})
+	_, _, csCap := runLR("cache s=2, cap 8KB", &ps.CacheConfig{Policy: consistency.NewClockBounded(2), CapacityBytes: 8 << 10})
 
 	// DeepWalk over the PS pull/push path: embedding rows are read by every
 	// pair that touches the vertex but written only by those updates, so
@@ -124,7 +125,7 @@ func runExtCache(o Opts) *Result {
 		addCacheRow(r, "PS-DeepWalk", mode, e.Snapshot().Cache, float64(end), loss)
 	}
 	runDW("uncached", nil)
-	runDW("cache s=1 + combine", &ps.CacheConfig{Staleness: 1, CombinePushes: true})
+	runDW("cache s=1 + combine", &ps.CacheConfig{Policy: consistency.NewClockBounded(1), CombinePushes: true})
 
 	bitIdentical := exactLoss == uncachedLoss
 	r.Note("staleness 0 revalidates every cached value against server version stamps: final loss bit-identical to uncached = %v", bitIdentical)

@@ -20,12 +20,8 @@ func init() {
 // worker cache on the same Zipf-skewed full-batch LR workload as ext-cache
 // (ext-cache sweeps the clock axis; this experiment sweeps across policies).
 //
-// Three contracts are measured directly:
+// Two contracts are measured directly:
 //
-//   - Refactor exactness: the explicit clock-bounded policy arm must be
-//     bit-identical — loss, finish time, every cache counter — to the legacy
-//     CacheConfig.Staleness arm it replaced. This is the gate check.sh's
-//     policy-ablation smoke rides on.
 //   - Value-bounded payoff: at a finite bound, serving cached weights until
 //     the accumulated |delta| may exceed the bound pulls measurably fewer
 //     bytes than clock-bounded staleness at equal final loss — the clock
@@ -53,7 +49,7 @@ func runExtConsistency(o Opts) *Result {
 	cfg.BatchFraction = 1.0
 
 	r := &Result{ID: "ext-consistency",
-		Title:  "Consistency-policy ablation: decisions, pulled bytes and exactness across clock-bounded, value-bounded and adaptive policies",
+		Title:  "Consistency-policy ablation: decisions and pulled bytes across clock-bounded, value-bounded and adaptive policies",
 		Header: []string{"mode", "served", "revalidated", "hard pulls", "pulled MB", "baseline MB", "saved", "eff bound", "time (s)", "final loss"}}
 
 	type arm struct {
@@ -88,8 +84,7 @@ func runExtConsistency(o Opts) *Result {
 		return a
 	}
 
-	legacy := runArm("clock s=2 (legacy field)", &ps.CacheConfig{Staleness: 2})
-	explicit := runArm("clock s=2 (explicit policy)", &ps.CacheConfig{Policy: consistency.NewClockBounded(2)})
+	clock2 := runArm("clock s=2", &ps.CacheConfig{Policy: consistency.NewClockBounded(2)})
 	var value1 arm
 	for _, b := range []float64{0.25, 0.5, 1, 2} {
 		a := runArm(fmt.Sprintf("value b=%g", b), &ps.CacheConfig{Policy: consistency.NewValueBounded(b)})
@@ -99,10 +94,8 @@ func runExtConsistency(o Opts) *Result {
 	}
 	adaptive := runArm("adaptive base=1", &ps.CacheConfig{Policy: consistency.NewAdaptive(1)})
 
-	bitIdentical := legacy.loss == explicit.loss && legacy.end == explicit.end && legacy.cache == explicit.cache
-	r.Note("explicit clock-bounded policy bit-identical to the legacy Staleness field (loss, time, every cache counter) = %v", bitIdentical)
 	r.Note("value b=1 pulled %.1f%% fewer bytes than clock s=2 at final loss %.4g vs %.4g (delta %.2g)",
-		100*(1-value1.cache.PulledMB/legacy.cache.PulledMB), value1.loss, legacy.loss, value1.loss-legacy.loss)
+		100*(1-value1.cache.PulledMB/clock2.cache.PulledMB), value1.loss, clock2.loss, value1.loss-clock2.loss)
 	r.Note("adaptive base=1 tightened the bound %d times and relaxed it %d times, settling at %.4g",
 		adaptive.cons.Tightenings, adaptive.cons.Relaxations, adaptive.cons.EffectiveBound)
 	return r

@@ -94,9 +94,9 @@ func runExtHotpath(o Opts) *Result {
 			}
 		})
 
-	// Frame read: one buffered request crossing the TCP seam. The legacy
-	// reader returned a fresh payload slice per frame; the reuse form is what
-	// serveConn holds per connection.
+	// Frame read: one buffered request crossing the TCP seam. A nil buffer
+	// makes the reader allocate a fresh payload per frame; the reuse form is
+	// what serveConn holds per connection.
 	var frameBuf bytes.Buffer
 	if err := wire.WriteFrame(&frameBuf, wire.Frame{Op: wire.OpPushAdd, ReqID: 42, Payload: pushPayload}); err != nil {
 		panic(err)
@@ -108,7 +108,8 @@ func runExtHotpath(o Opts) *Result {
 	addArm("frame decode", fmt.Sprintf("%d B", len(frameBytes)),
 		func() {
 			rd.Reset(frameBytes)
-			if _, err := wire.ReadFrame(rd); err != nil {
+			var f wire.Frame
+			if err := wire.ReadFrameReuse(rd, &f, nil); err != nil {
 				panic(err)
 			}
 		},

@@ -181,7 +181,7 @@ func runExtServe(o Opts) *Result {
 
 		// Arm 2: hot-replica fan-out. The model is frozen between storms, so
 		// after each store's first validation every hot read is local.
-		hotReader, err := ps.NewModelReader(weights, ps.ServeConfig{Replicas: &ps.ReplicaConfig{HotCols: hot, Staleness: 0}})
+		hotReader, err := ps.NewModelReader(weights, ps.ServeConfig{Replicas: &ps.ReplicaConfig{HotCols: hot}})
 		if err != nil {
 			panic(err)
 		}
@@ -326,7 +326,7 @@ func runExtServe(o Opts) *Result {
 		for i := range allK {
 			allK[i] = i
 		}
-		reader, err := ps.NewModelReader(model.Mat, ps.ServeConfig{Replicas: &ps.ReplicaConfig{HotCols: allK, Staleness: 0}})
+		reader, err := ps.NewModelReader(model.Mat, ps.ServeConfig{Replicas: &ps.ReplicaConfig{HotCols: allK}})
 		if err != nil {
 			panic(err)
 		}

@@ -125,7 +125,7 @@ func runExtSkew(o Opts) *Result {
 	rangeArm := runLR("range (default)", nil, nil)
 	bhArm := runLR("blockhash", blockHash, nil)
 	laArm := runLR("loadaware", loadAware, nil)
-	hot := &ps.ReplicaConfig{HotCols: ps.TopKCols(freq, hotK), Staleness: 0}
+	hot := &ps.ReplicaConfig{HotCols: ps.TopKCols(freq, hotK)}
 	repArm := runLR(fmt.Sprintf("range + %d hot replicas s=0", hotK), nil, hot)
 
 	// Control: PS-style DeepWalk. Embedding columns (the dense dimensions of

@@ -258,16 +258,13 @@ func (e *Engine) Snapshot() obs.Snapshot {
 		WallSec: float64(e.Sim.Now()),
 		Events:  e.Sim.EventsProcessed(),
 		Net: obs.NetSnapshot{
-			RPCCalls:        e.PS.Net.Calls,
-			RPCAttempts:     e.PS.Net.Attempts,
-			DedupHits:       e.PS.Net.DedupHits,
-			DedupPruned:     e.PS.Net.DedupPruned,
-			Transport:       e.PS.Transport().Name(),
-			TransportSends:  e.PS.Transport().Stats().Sends,
-			TransportErrors: e.PS.Transport().Stats().SendErrors,
-			TransportMB:     e.PS.Transport().Stats().Bytes / mb,
-			DriverSentMB:    e.Cluster.Driver.BytesSent / mb,
-			DriverRecvMB:    e.Cluster.Driver.BytesRecv / mb,
+			RPCCalls:     e.PS.Net.Calls,
+			RPCAttempts:  e.PS.Net.Attempts,
+			DedupHits:    e.PS.Net.DedupHits,
+			DedupPruned:  e.PS.Net.DedupPruned,
+			TransportMB:  e.PS.Net.Bytes / mb,
+			DriverSentMB: e.Cluster.Driver.BytesSent / mb,
+			DriverRecvMB: e.Cluster.Driver.BytesRecv / mb,
 		},
 		Recovery: obs.RecoverySnapshot{
 			ServerCrashes:          e.PS.Recovery.ServerCrashes,

@@ -54,9 +54,10 @@ func (sp ShardSpan) At(i int) int {
 // zipInvoke runs fn on every logical shard of v with aligned operand slices,
 // charging request/response traffic, per-element server work, and — for
 // non-co-located operands — the server-to-server shuffle of their ranges.
-// Each shard's invocation rides the PS retry layer (ps.CallShard), so a
-// column op that races a server crash blocks until recovery and re-executes
-// against the restored shard; only exhausted retries surface as an error.
+// Each shard's invocation rides the PS retry layer under the matrix's route
+// gate (ps.CallShards), so a column op that races a server crash blocks until
+// recovery and re-executes against the restored shard; only exhausted retries
+// surface as an error.
 func (v *Vector) zipInvoke(p *simnet.Proc, from *simnet.Node, others []*Vector,
 	respBytes, workPerElem float64, fn func(span ShardSpan)) error {
 	for i, ov := range others {
@@ -74,13 +75,7 @@ func (v *Vector) zipInvoke(p *simnet.Proc, from *simnet.Node, others []*Vector,
 				i, ov.mat.Part.Fingerprint(), v.mat.Part.Fingerprint(), ErrPartitionMismatch)
 		}
 	}
-	// Register with the matrix's route gate so an elastic migration cutover
-	// cannot swap the placement while shard fan-out is in flight.
-	v.mat.BeginOp(p)
-	defer v.mat.EndOp()
 	cost := v.sess.Master.Cl.Cost
-	errs := make([]error, v.mat.Part.NumServers())
-	g := p.Sim().NewGroup()
 	// fn may mutate the target row and any co-located operand row (ZipMap's
 	// contract); shuffled operands are fetched copies, never live memory.
 	touched := []int{v.row}
@@ -89,62 +84,51 @@ func (v *Vector) zipInvoke(p *simnet.Proc, from *simnet.Node, others []*Vector,
 			touched = append(touched, ov.row)
 		}
 	}
-	for s := 0; s < v.mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("zip", func(cp *simnet.Proc) {
-			// Allocated once per shard and reused across the retry loop: the
-			// rows table and the scratch copies of shuffled operand slices
-			// used to be reallocated on every CallShard attempt.
-			rows := make([][]float64, 1+len(others))
-			var shuffled [][]float64
-			if len(others) > 0 {
-				shuffled = make([][]float64, len(others))
-			}
-			errs[s] = v.mat.CallShard(cp, from, ps.CallSpec{
-				Shard:     s,
-				ReqBytes:  cost.RequestOverheadB,
-				RespBytes: cost.RequestOverheadB + respBytes,
-				Mutates:   true,
-				Touched:   touched,
-				Fn: func(fp *simnet.Proc, sh *ps.Shard) error {
-					host := v.mat.ServerNode(s)
-					width := sh.Width()
-					rows[0] = sh.Rows[v.row]
-					for i, ov := range others {
-						if ov.mat == v.mat {
-							rows[1+i] = sh.Rows[ov.row]
-							continue
-						}
-						// Shuffle: same logical range, different physical
-						// server (or at least a different matrix whose
-						// placement is not guaranteed). Ship the operand's
-						// slice across; a dead peer makes the whole
-						// invocation retry.
-						osh, err := ov.mat.TryShard(s)
-						if err != nil {
-							return err
-						}
-						if err := ov.mat.ServerNode(s).TrySend(fp, host, cost.DenseBytes(width)); err != nil {
-							return err
-						}
-						shuffled[i] = append(shuffled[i][:0], osh.Rows[ov.row]...)
-						rows[1+i] = shuffled[i]
-					}
-					host.Compute(fp, workPerElem*float64(width)*float64(1+len(others)))
-					view := sh.View()
-					fn(ShardSpan{Shard: s, Lo: view.Lo, Hi: view.Hi, Cols: view.Cols, Rows: rows})
-					return nil
-				},
-			})
-		})
-	}
-	g.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return v.mat.CallShards(p, from, "zip", func(s int) ps.CallSpec {
+		// Allocated once per shard and reused across the retry loop: the
+		// rows table and the scratch copies of shuffled operand slices.
+		rows := make([][]float64, 1+len(others))
+		var shuffled [][]float64
+		if len(others) > 0 {
+			shuffled = make([][]float64, len(others))
 		}
-	}
-	return nil
+		return ps.CallSpec{
+			Shard:     s,
+			ReqBytes:  cost.RequestOverheadB,
+			RespBytes: cost.RequestOverheadB + respBytes,
+			Mutates:   true,
+			Touched:   touched,
+			Fn: func(fp *simnet.Proc, sh *ps.Shard) error {
+				host := v.mat.ServerNode(s)
+				width := sh.Width()
+				rows[0] = sh.Rows[v.row]
+				for i, ov := range others {
+					if ov.mat == v.mat {
+						rows[1+i] = sh.Rows[ov.row]
+						continue
+					}
+					// Shuffle: same logical range, different physical
+					// server (or at least a different matrix whose
+					// placement is not guaranteed). Ship the operand's
+					// slice across; a dead peer makes the whole
+					// invocation retry.
+					osh, err := ov.mat.TryShard(s)
+					if err != nil {
+						return err
+					}
+					if err := ov.mat.ServerNode(s).TrySend(fp, host, cost.DenseBytes(width)); err != nil {
+						return err
+					}
+					shuffled[i] = append(shuffled[i][:0], osh.Rows[ov.row]...)
+					rows[1+i] = shuffled[i]
+				}
+				host.Compute(fp, workPerElem*float64(width)*float64(1+len(others)))
+				view := sh.View()
+				fn(ShardSpan{Shard: s, Lo: view.Lo, Hi: view.Hi, Cols: view.Cols, Rows: rows})
+				return nil
+			},
+		}
+	})
 }
 
 // TryDot returns <v, other>, computed server-side: each server multiplies its

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/ps"
@@ -229,7 +230,7 @@ func TestCachedPullPushAutoFlush(t *testing.T) {
 	cfg.Mode = ModePullPush
 	cfg.Iterations = 3
 	cfg.BatchSize = 200
-	cfg.Cache = &ps.CacheConfig{Staleness: 1, CombinePushes: true, AutoFlushTarget: 0.5}
+	cfg.Cache = &ps.CacheConfig{Policy: consistency.NewClockBounded(1), CombinePushes: true, AutoFlushTarget: 0.5}
 	e.Run(func(p *simnet.Proc) {
 		prdd := rdd.FromSlices(e.RDD, data.PartitionPairs(pairs, 4)).Cache()
 		m, err := Train(p, e, prdd, 300, cfg)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
@@ -19,17 +20,6 @@ type AsyncConfig struct {
 	// Staleness bounds how many clocks apart the fastest and slowest worker
 	// may drift: 0 is BSP lockstep, large values approach fully async.
 	Staleness int
-}
-
-// cacheStaleness is the cache validity bound an SSP run uses when
-// Config.Cache doesn't pin one: a weight cached at a worker's clock c may
-// reflect updates no older than the SSP bound already admits, so the cache
-// rides the same staleness the clock grants.
-func (cfg *AsyncConfig) cacheStaleness() int {
-	if cfg.Cache.Staleness > 0 {
-		return cfg.Cache.Staleness
-	}
-	return cfg.Staleness
 }
 
 // AsyncModel is the result of SSP training. TrainAsync returns it as soon as
@@ -78,15 +68,21 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 		return nil, err
 	}
 	clock := ps.NewSSPClock(p.Sim(), len(parts))
+	// The SSP bound: worker w may start iteration it once no worker is more
+	// than cfg.Staleness clocks behind it (0 is BSP lockstep).
+	bound := consistency.NewClockBounded(cfg.Staleness)
 	cost := e.Cluster.Cost
 
 	// Optional worker-side cache: each SSP worker's cache clock ticks with
-	// its own SSPClock entry, so the cache's validity window tracks the same
-	// bounded staleness the clock grants.
+	// its own SSPClock entry. Unless Config.Cache names a policy the cache
+	// rides the SSP bound — a weight cached at a worker's clock c may reflect
+	// updates no older than the clock gate already admits.
 	var cache *ps.CachedClient
 	if cfg.Cache != nil {
 		ccfg := *cfg.Cache
-		ccfg.Staleness = cfg.cacheStaleness()
+		if ccfg.Policy == nil {
+			ccfg.Policy = bound
+		}
 		cache = ps.NewCachedClient(mat, ccfg)
 	}
 
@@ -107,7 +103,7 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 				buf = cache.NewPushBuffer()
 			}
 			for it := 0; it < cfg.Iterations; it++ {
-				clock.WaitTurn(wp, w, it, cfg.Staleness)
+				clock.WaitPolicy(wp, bound, it)
 				// Sample this worker's mini-batch.
 				batch := sampleRows(rows, cfg.BatchFraction, rng)
 				if len(batch) > 0 {

@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -22,13 +24,20 @@ func asyncDataset(t *testing.T) *data.ClassifyDataset {
 
 func runAsync(t *testing.T, ds *data.ClassifyDataset, staleness int, straggler bool) ([]float64, float64) {
 	t.Helper()
+	_, w, end := runAsyncCfg(t, ds, AsyncConfig{Config: DefaultConfig(), Staleness: staleness}, straggler)
+	return w, end
+}
+
+// runAsyncCfg trains cfg (iterations and batch fraction fixed here) on a 4+4
+// cluster and returns the engine, the final weights and the virtual end time.
+func runAsyncCfg(t *testing.T, ds *data.ClassifyDataset, cfg AsyncConfig, straggler bool) (*core.Engine, []float64, float64) {
+	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Executors, opt.Servers = 4, 4
 	e := core.NewEngine(opt)
 	if straggler {
 		e.Cluster.Executors[0].SlowDown(20)
 	}
-	cfg := AsyncConfig{Config: DefaultConfig(), Staleness: staleness}
 	cfg.Iterations = 25
 	cfg.BatchFraction = 0.4
 	var w []float64
@@ -41,7 +50,7 @@ func runAsync(t *testing.T, ds *data.ClassifyDataset, staleness int, straggler b
 		model.Wait(p)
 		w = model.FinalWeights(p, e.Driver())
 	})
-	return w, end
+	return e, w, end
 }
 
 func TestTrainAsyncConverges(t *testing.T) {
@@ -92,4 +101,31 @@ func TestTrainAsyncValidation(t *testing.T) {
 			t.Error("zero iterations accepted")
 		}
 	})
+}
+
+// TestTrainAsyncCachePolicy pins how the SSP trainer picks the cache's
+// freshness policy: a nil Cache.Policy rides the SSP bound — the run is
+// identical, decision for decision, to one that names ClockBounded(Staleness)
+// — while an explicit policy wins, including ClockBounded(0), under which a
+// value pulled in one clock is never served in the next.
+func TestTrainAsyncCachePolicy(t *testing.T) {
+	ds := asyncDataset(t)
+	run := func(cache ps.CacheConfig) (ps.ConsistencyStats, float64) {
+		cfg := AsyncConfig{Config: DefaultConfig(), Staleness: 2}
+		cfg.Cache = &cache
+		e, _, end := runAsyncCfg(t, ds, cfg, false)
+		return e.PS.Consistency, end
+	}
+	inherited, inheritedEnd := run(ps.CacheConfig{})
+	named, namedEnd := run(ps.CacheConfig{Policy: consistency.NewClockBounded(2)})
+	if inherited != named || inheritedEnd != namedEnd {
+		t.Fatalf("nil policy did not ride the SSP bound: %+v ending %v, ClockBounded(2) gives %+v ending %v",
+			inherited, inheritedEnd, named, namedEnd)
+	}
+	if inherited.ServedCached == 0 {
+		t.Fatalf("bound 2 never served a cached weight: %+v", inherited)
+	}
+	if strict, _ := run(ps.CacheConfig{Policy: consistency.NewClockBounded(0)}); strict.ServedCached != 0 || strict.Revalidated == 0 {
+		t.Fatalf("explicit ClockBounded(0) not honoured under SSP bound 2: %+v", strict)
+	}
 }

@@ -69,10 +69,10 @@ type Config struct {
 
 	// Cache, when non-nil, routes the per-task weight pulls through a
 	// worker-side parameter cache (ps.CachedClient) keyed by the driver's
-	// iteration clock: with Staleness 0 the trained model is bit-identical to
-	// the uncached run (the weight row is frozen while tasks execute), while
-	// Staleness s lets cached weights up to s iterations old serve without
-	// even a validation round trip. When Cache.CombinePushes is also set, the
+	// iteration clock: under the default ClockBounded(0) policy the trained
+	// model is bit-identical to the uncached run (the weight row is frozen
+	// while tasks execute), while ClockBounded(s) lets cached weights up to s
+	// iterations old serve without even a validation round trip. When Cache.CombinePushes is also set, the
 	// per-task gradient pushes accumulate in per-executor write-combining
 	// buffers flushed once per iteration — this regroups the floating-point
 	// summation of gradient contributions, so it is kept off the staleness-0
@@ -83,8 +83,8 @@ type Config struct {
 	// pulls through a ps.HotReplicaSet: the configured columns are
 	// replicated on every server, reads of them go to a rotating server
 	// instead of the owner, and writes invalidate through per-element
-	// version stamps. Staleness 0 keeps the trained model bit-identical
-	// (the weight row is frozen while tasks execute, exactly the cache's
+	// version stamps. The default ClockBounded(0) policy keeps the trained
+	// model bit-identical (the weight row is frozen while tasks execute, exactly the cache's
 	// argument). Mutually exclusive with Cache — both intercept the same
 	// pull, so configuring both is an error.
 	Replicas *ps.ReplicaConfig

@@ -188,12 +188,11 @@ type NetSnapshot struct {
 	DedupPruned  uint64 // dedup entries retired by the ack watermark
 	MessagesLost uint64 // messages the chaos layer dropped
 
-	// Transport is the data-plane backend's view of the same traffic: which
-	// backend carried it and its cumulative send/byte accounting.
-	Transport       string // backend name ("simnet", "tcp")
-	TransportSends  uint64 // delivered data-plane transfers
-	TransportErrors uint64 // transfers that surfaced a loss or dead endpoint
-	TransportMB     float64
+	// TransportMB is the payload of every delivered data-plane transfer
+	// (ps.NetStats.Bytes): RPC requests and responses, heartbeats, replica
+	// revalidations, checkpoint streams. benchmarks/ reads it as the simulated
+	// workload's wire bytes.
+	TransportMB float64
 
 	DriverSentMB   float64
 	DriverRecvMB   float64
@@ -405,8 +404,6 @@ func (s Snapshot) Fill(r *Registry) {
 	r.Set("", "net", "rpc.attempts", float64(s.Net.RPCAttempts))
 	r.Set("", "net", "dedup.hits", float64(s.Net.DedupHits))
 	r.Set("", "net", "dedup.pruned", float64(s.Net.DedupPruned))
-	r.Set("", "net", "transport.sends", float64(s.Net.TransportSends))
-	r.Set("", "net", "transport.errors", float64(s.Net.TransportErrors))
 	r.Set("", "net", "transport.mb", s.Net.TransportMB)
 	r.Set("", "net", "messages.lost", float64(s.Net.MessagesLost))
 	r.Set("", "net", "driver.sent.mb", s.Net.DriverSentMB)

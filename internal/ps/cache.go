@@ -7,14 +7,14 @@ package ps
 // Validity rule. Every cached value carries the shard version stamp it was
 // read at and the worker clock at which it was last known current. Whether a
 // value may be served locally is decided by the client's consistency.Policy
-// (CacheConfig.Policy): the default ClockBounded policy serves values within
-// the configured staleness bound with no RPC at all; staleness 0 means
-// "synced this clock", which in a BSP loop (the model is frozen between
-// barriers, the driver ticks the clock once per iteration) is exact — the
-// run's arithmetic is bit-identical to the uncached client's. Staleness s>0
-// lets values ride for s more clocks, the same bounded-staleness contract as
-// the SSP clock (ssp.go): async workers tick their own machine's clock via
-// TickNode next to SSPClock.Tick.
+// (CacheConfig.Policy): a ClockBounded(s) policy serves values at most s
+// clocks old with no RPC at all. The default, ClockBounded(0), means "synced
+// this clock", which in a BSP loop (the model is frozen between barriers, the
+// driver ticks the clock once per iteration) is exact — the run's arithmetic
+// is bit-identical to the uncached client's. s>0 lets values ride for s more
+// clocks, the same bounded-staleness contract as the SSP clock (ssp.go):
+// async workers tick their own machine's clock via TickNode next to
+// SSPClock.Tick.
 //
 // Value-bounded policies. A ValueBounded (or Adaptive) policy ignores age
 // and serves a value until the accumulated |delta| against it plausibly
@@ -68,16 +68,13 @@ import (
 
 // CacheConfig tunes a CachedClient.
 type CacheConfig struct {
-	// Staleness is the validity bound in worker clock ticks: a value synced
-	// at clock c serves reads until clock c+Staleness without revalidation.
-	// 0 = validate anything not synced this clock (BSP-exact).
-	Staleness int
 	// Policy decides per cached value whether it is served locally,
-	// revalidated if-modified-since, or refetched outright. nil selects
-	// clock-bounded freshness at Staleness — the historic behavior,
-	// bit-identical. Delta-consuming policies (consistency.ValueBounded,
-	// consistency.Adaptive) ignore Staleness; pair them with CombinePushes
-	// or trainer CreditPush calls so local write magnitudes are credited.
+	// revalidated if-modified-since, or refetched outright. nil means
+	// consistency.ClockBounded(0): validate anything not synced this clock
+	// (BSP-exact); ClockBounded(s) serves a value synced at clock c until
+	// clock c+s. Pair delta-consuming policies (consistency.ValueBounded,
+	// consistency.Adaptive) with CombinePushes or trainer CreditPush calls so
+	// local write magnitudes are credited.
 	Policy consistency.Policy
 	// CapacityBytes bounds the cached bytes per executor machine (LRU
 	// eviction); <= 0 means unbounded.
@@ -288,11 +285,8 @@ type CachedClient struct {
 // stamps. Multiple clients (and PushBuffers) may share one master's
 // CacheStats; each machine gets its own entries and clock.
 func NewCachedClient(mat *Matrix, cfg CacheConfig) *CachedClient {
-	if cfg.Staleness < 0 {
-		cfg.Staleness = 0
-	}
 	if cfg.Policy == nil {
-		cfg.Policy = consistency.NewClockBounded(cfg.Staleness)
+		cfg.Policy = consistency.NewClockBounded(0)
 	}
 	mat.EnableVersioning()
 	mat.master.registerPolicy(cfg.Policy)
@@ -312,7 +306,7 @@ func (cc *CachedClient) Policy() consistency.Policy { return cc.pol }
 // intercept).
 func (cc *CachedClient) Matrix() *Matrix { return cc.mat }
 
-// Config returns the client's staleness/capacity configuration.
+// Config returns the client's configuration, Policy filled in.
 func (cc *CachedClient) Config() CacheConfig { return cc.cfg }
 
 // Stats returns the master-wide cache counters.
@@ -402,30 +396,27 @@ func (cc *CachedClient) TryPullRowIndices(p *simnet.Proc, from *simnet.Node, row
 	nc := cc.node(from)
 	out := make([]float64, len(indices))
 	split := mat.Part.SplitIndices(indices)
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
+	err := mat.fanOut(p, "cache-pull", func(s int) shardBody {
 		idx := split[s]
 		if len(idx) == 0 {
-			continue
+			return nil
 		}
-		s := s
-		g.Go("cache-pull", func(cp *simnet.Proc) {
+		return func(cp *simnet.Proc) error {
 			// Fill a shard-local buffer, then scatter to each column's global
 			// position: non-contiguous placements interleave server groups in
 			// the sorted request, so the groups do not concatenate in order.
 			// The buffer comes from the arena — this runs once per shard per
 			// pull, millions of times per training run.
 			sub := arena.Floats(len(idx))
-			errs[s] = cc.pullIndicesShard(cp, from, nc, row, s, idx, sub)
+			err := cc.pullIndicesShard(cp, from, nc, row, s, idx, sub)
 			for k, col := range idx {
 				out[sort.SearchInts(indices, col)] = sub[k]
 			}
 			arena.PutFloats(sub)
-		})
-	}
-	g.Wait(p)
-	return out, firstError(errs)
+			return err
+		}
+	})
+	return out, err
 }
 
 // pullIndicesShard serves one shard's slice of a sparse pull: classify every
@@ -603,16 +594,10 @@ func (cc *CachedClient) TryPullRows(p *simnet.Proc, from *simnet.Node, rows []in
 	for i := range out {
 		out[i] = make([]float64, mat.Dim)
 	}
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("cache-pull-rows", func(cp *simnet.Proc) {
-			errs[s] = cc.pullRowsShard(cp, from, nc, rows, s, out)
-		})
-	}
-	g.Wait(p)
-	return out, firstError(errs)
+	err := mat.fanOut(p, "cache-pull-rows", func(s int) shardBody {
+		return func(cp *simnet.Proc) error { return cc.pullRowsShard(cp, from, nc, rows, s, out) }
+	})
+	return out, err
 }
 
 // pullRowsShard serves one shard's stretch of a batched row pull.

@@ -3,6 +3,7 @@ package ps
 import (
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
@@ -48,7 +49,7 @@ func BenchmarkCachedPullWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 1})
+		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(1)})
 		idx := make([]int, 256)
 		for k := range idx {
 			idx[k] = k * 16

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
@@ -29,7 +30,7 @@ func TestCachedPullMatchesUncached(t *testing.T) {
 		}
 		worker := cl.Executors[0]
 		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) * 1.5 })
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 0})
+		cc := NewCachedClient(mat, CacheConfig{})
 		idx := []int{0, 10, 30, 45, 60, 89}
 
 		check := func(label string) {
@@ -80,15 +81,15 @@ func TestCachedPullMatchesUncached(t *testing.T) {
 	})
 }
 
-// TestCachedPullStalenessBound asserts a positive staleness bound serves
+// TestCachedPullClockBound asserts a positive staleness bound serves
 // values without validation for exactly that many clocks, then revalidates.
-func TestCachedPullStalenessBound(t *testing.T) {
+func TestCachedPullClockBound(t *testing.T) {
 	sim, cl, m := testMaster(2)
 	run(sim, func(p *simnet.Proc) {
 		mat, _ := m.CreateMatrix(p, 1, 20)
 		worker := cl.Executors[0]
 		fillRow(p, mat, worker, 0, func(c int) float64 { return 1 })
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 2})
+		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(2)})
 		idx := []int{3, 12}
 
 		cc.PullRowIndices(p, worker, 0, idx) // fill at clock 0
@@ -130,7 +131,7 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 		fillRow(p, mat, worker, 1, func(c int) float64 { return float64(c) })
 		m.Checkpoint(p, mat)
 
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 0})
+		cc := NewCachedClient(mat, CacheConfig{})
 		idx := []int{1, 5, 25, 39}
 		// Warm the cache with post-checkpoint updates, in both forms.
 		sv, _ := linalg.NewSparse(idx, []float64{100, 100, 100, 100})
@@ -183,7 +184,7 @@ func TestCacheEpochFencesUnderChaosSoak(t *testing.T) {
 		worker := cl.Executors[0]
 		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) })
 		m.Checkpoint(p, mat)
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 0})
+		cc := NewCachedClient(mat, CacheConfig{})
 		idx := []int{0, 7, 20, 33, 41, 59}
 		for round := 0; round < 30; round++ {
 			sv, _ := linalg.NewSparse([]int{idx[round%len(idx)]}, []float64{1})
@@ -217,7 +218,7 @@ func TestCacheCapacityEvicts(t *testing.T) {
 			fillRow(p, mat, worker, r, func(c int) float64 { return float64(100*r + c) })
 		}
 		// Room for roughly one row's sparse entries per shard.
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 4, CapacityBytes: 256})
+		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(4), CapacityBytes: 256})
 		idx := []int{0, 5, 10, 15, 20, 25, 30, 35}
 		for round := 0; round < 3; round++ {
 			for r := 0; r < 8; r++ {
@@ -246,7 +247,7 @@ func TestCachedPullRowsHandlesDuplicates(t *testing.T) {
 			r := r
 			fillRow(p, mat, worker, r, func(c int) float64 { return float64(10*r) + float64(c)/100 })
 		}
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 0})
+		cc := NewCachedClient(mat, CacheConfig{})
 		rows := []int{2, 0, 2, 3, 0}
 		got := cc.PullRows(p, worker, rows)
 		want := mat.PullRows(p, worker, rows)

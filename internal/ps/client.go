@@ -90,25 +90,18 @@ func (mat *Matrix) TryPullRowInto(p *simnet.Proc, from *simnet.Node, row int, ou
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("pull", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "pull",
-				Shard:     s,
-				ReqBytes:  cost.RequestOverheadB,
-				RespBytes: cost.DenseBytes(mat.Part.Width(s)),
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					sh.Scatter(sh.Rows[row], out)
-					return nil
-				},
-			})
+	return mat.fanOut(p, "pull", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:      "pull",
+			Shard:     s,
+			ReqBytes:  cost.RequestOverheadB,
+			RespBytes: cost.DenseBytes(mat.Part.Width(s)),
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				sh.Scatter(sh.Rows[row], out)
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // PullRowCompressed fetches a full row but ships only the stored nonzeros of
@@ -142,28 +135,21 @@ func (mat *Matrix) TryPullRowCompressedInto(p *simnet.Proc, from *simnet.Node, r
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("pull-compressed", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:     "pull-compressed",
-				Shard:    s,
-				ReqBytes: cost.RequestOverheadB,
-				Work:     func(w int) float64 { return cost.ElemWork(w) },
-				RespBytesFn: func(sh *Shard) float64 {
-					return cost.SparseBytes(linalg.NnzDense(sh.Rows[row]))
-				},
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					sh.Scatter(sh.Rows[row], out)
-					return nil
-				},
-			})
+	return mat.fanOut(p, "pull-compressed", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:     "pull-compressed",
+			Shard:    s,
+			ReqBytes: cost.RequestOverheadB,
+			Work:     func(w int) float64 { return cost.ElemWork(w) },
+			RespBytesFn: func(sh *Shard) float64 {
+				return cost.SparseBytes(linalg.NnzDense(sh.Rows[row]))
+			},
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				sh.Scatter(sh.Rows[row], out)
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // ServerNode returns the machine hosting logical shard s (exported for the
@@ -222,37 +208,30 @@ func (mat *Matrix) TryPullRowIndicesInto(p *simnet.Proc, from *simnet.Node, row 
 func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, class Class, out []float64) error {
 	cost := mat.master.Cl.Cost
 	split := mat.Part.SplitIndices(indices)
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
+	return mat.fanOut(p, "pull-sparse", func(s int) shardBody {
 		idx := split[s]
 		if len(idx) == 0 {
-			continue
+			return nil
 		}
-		s := s
-		g.Go("pull-sparse", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:  "pull-sparse",
-				Shard: s,
-				Class: class,
-				// Request carries the indices; response carries the values.
-				ReqBytes:  cost.RequestOverheadB + 4*float64(len(idx)),
-				RespBytes: cost.RequestOverheadB + 8*float64(len(idx)),
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					// Non-contiguous placements interleave server groups in
-					// the sorted request, so map each column back to its
-					// global position rather than assuming the groups
-					// concatenate in order.
-					for _, col := range idx {
-						out[sort.SearchInts(indices, col)] = sh.Rows[row][sh.Local(col)]
-					}
-					return nil
-				},
-			})
+		return mat.call(from, CallSpec{
+			Name:  "pull-sparse",
+			Shard: s,
+			Class: class,
+			// Request carries the indices; response carries the values.
+			ReqBytes:  cost.RequestOverheadB + 4*float64(len(idx)),
+			RespBytes: cost.RequestOverheadB + 8*float64(len(idx)),
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				// Non-contiguous placements interleave server groups in
+				// the sorted request, so map each column back to its
+				// global position rather than assuming the groups
+				// concatenate in order.
+				for _, col := range idx {
+					out[sort.SearchInts(indices, col)] = sh.Rows[row][sh.Local(col)]
+				}
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // PushAdd adds a sparse delta into a row, splitting the update across the
@@ -276,37 +255,30 @@ func (mat *Matrix) TryPushAdd(p *simnet.Proc, from *simnet.Node, row int, delta 
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
 	split := mat.Part.SplitIndices(delta.Indices)
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
+	return mat.fanOut(p, "push", func(s int) shardBody {
 		idx := split[s]
 		if len(idx) == 0 {
-			continue
+			return nil
 		}
-		s := s
-		g.Go("push", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "push-add",
-				Shard:     s,
-				ReqBytes:  cost.SparseBytes(len(idx)),
-				RespBytes: cost.RequestOverheadB, // ack
-				Work:      func(int) float64 { return cost.ElemWork(len(idx)) },
-				Mutates:   true,
-				Touched:   []int{row},
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					// As in TryPullRowIndices: look up each column's global
-					// position, since non-contiguous placements interleave
-					// server groups in the sorted delta.
-					for _, col := range idx {
-						sh.Rows[row][sh.Local(col)] += delta.Values[sort.SearchInts(delta.Indices, col)]
-					}
-					return nil
-				},
-			})
+		return mat.call(from, CallSpec{
+			Name:      "push-add",
+			Shard:     s,
+			ReqBytes:  cost.SparseBytes(len(idx)),
+			RespBytes: cost.RequestOverheadB, // ack
+			Work:      func(int) float64 { return cost.ElemWork(len(idx)) },
+			Mutates:   true,
+			Touched:   []int{row},
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				// As in TryPullRowIndices: look up each column's global
+				// position, since non-contiguous placements interleave
+				// server groups in the sorted delta.
+				for _, col := range idx {
+					sh.Rows[row][sh.Local(col)] += delta.Values[sort.SearchInts(delta.Indices, col)]
+				}
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // PushAddDense adds a dense delta into a row, shipping each server its full
@@ -327,28 +299,21 @@ func (mat *Matrix) TryPushAddDense(p *simnet.Proc, from *simnet.Node, row int, d
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("push-dense", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "push-dense",
-				Shard:     s,
-				ReqBytes:  cost.DenseBytes(mat.Part.Width(s)),
-				RespBytes: cost.RequestOverheadB, // ack
-				Work:      func(w int) float64 { return cost.ElemWork(w) },
-				Mutates:   true,
-				Touched:   []int{row},
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					sh.GatherAdd(sh.Rows[row], delta)
-					return nil
-				},
-			})
+	return mat.fanOut(p, "push-dense", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:      "push-dense",
+			Shard:     s,
+			ReqBytes:  cost.DenseBytes(mat.Part.Width(s)),
+			RespBytes: cost.RequestOverheadB, // ack
+			Work:      func(w int) float64 { return cost.ElemWork(w) },
+			Mutates:   true,
+			Touched:   []int{row},
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				sh.GatherAdd(sh.Rows[row], delta)
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // SetRow overwrites a row (used to initialize models).
@@ -368,134 +333,20 @@ func (mat *Matrix) TrySetRow(p *simnet.Proc, from *simnet.Node, row int, values 
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("set-row", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "set-row",
-				Shard:     s,
-				ReqBytes:  cost.DenseBytes(mat.Part.Width(s)),
-				RespBytes: cost.RequestOverheadB,
-				Mutates:   true,
-				Touched:   []int{row},
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					sh.Gather(sh.Rows[row], values)
-					return nil
-				},
-			})
+	return mat.fanOut(p, "set-row", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:      "set-row",
+			Shard:     s,
+			ReqBytes:  cost.DenseBytes(mat.Part.Width(s)),
+			RespBytes: cost.RequestOverheadB,
+			Mutates:   true,
+			Touched:   []int{row},
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				sh.Gather(sh.Rows[row], values)
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
-}
-
-// PullRowRange fetches the columns [lo, hi) of one row, touching only the
-// servers whose shards overlap the range. It is how a pull/push-only client
-// partitions a model update across workers: worker i pulls and rewrites its
-// slice of every model vector.
-func (mat *Matrix) PullRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int) []float64 {
-	out, err := mat.TryPullRowRange(p, from, row, lo, hi)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowRange is PullRowRange returning a typed error instead of
-// panicking when a shard stays unreachable.
-func (mat *Matrix) TryPullRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int) ([]float64, error) {
-	mat.checkRow(row)
-	if lo < 0 || hi > mat.Dim || lo > hi {
-		panic(fmt.Sprintf("ps: PullRowRange [%d,%d) out of [0,%d)", lo, hi, mat.Dim))
-	}
-	mat.enterOp(p)
-	defer mat.exitOp()
-	cost := mat.master.Cl.Cost
-	out := make([]float64, hi-lo)
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		v := mat.Part.View(s)
-		a, b := rangeSpan(v, lo, hi)
-		if a >= b {
-			continue
-		}
-		s := s
-		g.Go("pull-range", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "pull-range",
-				Shard:     s,
-				ReqBytes:  cost.RequestOverheadB,
-				RespBytes: cost.DenseBytes(b - a),
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					if v.Contiguous() {
-						copy(out[v.At(a)-lo:v.At(b-1)+1-lo], sh.Rows[row][a:b])
-						return nil
-					}
-					for i := a; i < b; i++ {
-						out[v.At(i)-lo] = sh.Rows[row][i]
-					}
-					return nil
-				},
-			})
-		})
-	}
-	g.Wait(p)
-	return out, firstError(errs)
-}
-
-// SetRowRange overwrites columns [lo, hi) of one row, the mirror of
-// PullRowRange.
-func (mat *Matrix) SetRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int, values []float64) {
-	if err := mat.TrySetRowRange(p, from, row, lo, hi, values); err != nil {
-		panic(err)
-	}
-}
-
-// TrySetRowRange is SetRowRange returning a typed error instead of panicking
-// when a shard stays unreachable.
-func (mat *Matrix) TrySetRowRange(p *simnet.Proc, from *simnet.Node, row, lo, hi int, values []float64) error {
-	mat.checkRow(row)
-	if len(values) != hi-lo || lo < 0 || hi > mat.Dim || lo > hi {
-		panic(fmt.Sprintf("ps: SetRowRange got %d values for [%d,%d) of dim %d", len(values), lo, hi, mat.Dim))
-	}
-	mat.enterOp(p)
-	defer mat.exitOp()
-	cost := mat.master.Cl.Cost
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		v := mat.Part.View(s)
-		a, b := rangeSpan(v, lo, hi)
-		if a >= b {
-			continue
-		}
-		s := s
-		g.Go("set-range", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "set-range",
-				Shard:     s,
-				ReqBytes:  cost.DenseBytes(b - a),
-				RespBytes: cost.RequestOverheadB,
-				Mutates:   true,
-				Touched:   []int{row},
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					if v.Contiguous() {
-						copy(sh.Rows[row][a:b], values[v.At(a)-lo:v.At(b-1)+1-lo])
-						return nil
-					}
-					for i := a; i < b; i++ {
-						sh.Rows[row][i] = values[v.At(i)-lo]
-					}
-					return nil
-				},
-			})
-		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // PullRows fetches several whole rows in one batched request per server —
@@ -538,27 +389,20 @@ func (mat *Matrix) TryPullRowsInto(p *simnet.Proc, from *simnet.Node, rows []int
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("pull-rows", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "pull-rows",
-				Shard:     s,
-				ReqBytes:  cost.RequestOverheadB + 4*float64(len(rows)),
-				RespBytes: cost.RequestOverheadB + 8*float64(len(rows)*mat.Part.Width(s)),
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					for i, r := range rows {
-						sh.Scatter(sh.Rows[r], out[i])
-					}
-					return nil
-				},
-			})
+	return mat.fanOut(p, "pull-rows", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:      "pull-rows",
+			Shard:     s,
+			ReqBytes:  cost.RequestOverheadB + 4*float64(len(rows)),
+			RespBytes: cost.RequestOverheadB + 8*float64(len(rows)*mat.Part.Width(s)),
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				for i, r := range rows {
+					sh.Scatter(sh.Rows[r], out[i])
+				}
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // PushRowsDelta adds one dense delta per row in one batched request per
@@ -584,31 +428,23 @@ func (mat *Matrix) TryPushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []in
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("push-rows", func(cp *simnet.Proc) {
-			width := mat.Part.Width(s)
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "push-rows",
-				Shard:     s,
-				ReqBytes:  cost.RequestOverheadB + 4*float64(len(rows)) + 8*float64(len(rows)*width),
-				RespBytes: cost.RequestOverheadB,
-				Work:      func(w int) float64 { return cost.ElemWork(len(rows) * w) },
-				Mutates:   true,
-				Touched:   rows,
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					for i, r := range rows {
-						sh.GatherAdd(sh.Rows[r], deltas[i])
-					}
-					return nil
-				},
-			})
+	return mat.fanOut(p, "push-rows", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:      "push-rows",
+			Shard:     s,
+			ReqBytes:  cost.RequestOverheadB + 4*float64(len(rows)) + 8*float64(len(rows)*mat.Part.Width(s)),
+			RespBytes: cost.RequestOverheadB,
+			Work:      func(w int) float64 { return cost.ElemWork(len(rows) * w) },
+			Mutates:   true,
+			Touched:   rows,
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				for i, r := range rows {
+					sh.GatherAdd(sh.Rows[r], deltas[i])
+				}
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return firstError(errs)
+	})
 }
 
 // Invoke runs fn against every server's shard in parallel: the caller sends
@@ -660,31 +496,25 @@ func (mat *Matrix) invoke(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
 	partials := make([]float64, mat.Part.NumServers())
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
 	name := "invoke"
 	if !mutates {
 		name = "invoke-read"
 	}
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("invoke", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      name,
-				Shard:     s,
-				ReqBytes:  cost.RequestOverheadB + reqBytes,
-				RespBytes: cost.RequestOverheadB + respBytes,
-				Work:      work,
-				Mutates:   mutates,
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					partials[s] = fn(s, sh)
-					return nil
-				},
-			})
+	err := mat.fanOut(p, "invoke", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:      name,
+			Shard:     s,
+			ReqBytes:  cost.RequestOverheadB + reqBytes,
+			RespBytes: cost.RequestOverheadB + respBytes,
+			Work:      work,
+			Mutates:   mutates,
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				partials[s] = fn(s, sh)
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
-	return partials, firstError(errs)
+	})
+	return partials, err
 }
 
 // InvokeOp is one operation of a fused server-side program (see InvokeFused).
@@ -751,52 +581,46 @@ func (mat *Matrix) TryInvokeFused(p *simnet.Proc, from *simnet.Node, ops []Invok
 	for i := range partials {
 		partials[i] = make([]float64, mat.Part.NumServers())
 	}
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
 	tracer := mat.master.Cl.Sim.Tracer()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("invoke-fused", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:      "invoke-fused",
-				Shard:     s,
-				ReqBytes:  reqBytes,
-				RespBytes: respBytes,
-				Work: func(w int) float64 {
-					var total float64
-					for _, op := range ops {
-						if op.Work != nil {
-							total += op.Work(w)
-						}
+	err := mat.fanOut(p, "invoke-fused", func(s int) shardBody {
+		return mat.call(from, CallSpec{
+			Name:      "invoke-fused",
+			Shard:     s,
+			ReqBytes:  reqBytes,
+			RespBytes: respBytes,
+			Work: func(w int) float64 {
+				var total float64
+				for _, op := range ops {
+					if op.Work != nil {
+						total += op.Work(w)
 					}
-					return total
-				},
-				Mutates: mutates,
-				Touched: touched,
-				Fn: func(fp *simnet.Proc, sh *Shard) error {
-					var fb obs.Span
-					if tracer != nil {
-						node := mat.srv(s).Node
-						fb = tracer.Begin(node.ID, node.Name, obs.KFusedBatch, "fused-batch",
-							fp.TraceParent(), obs.KV{K: "ops", V: strconv.Itoa(len(ops))})
+				}
+				return total
+			},
+			Mutates: mutates,
+			Touched: touched,
+			Fn: func(fp *simnet.Proc, sh *Shard) error {
+				var fb obs.Span
+				if tracer != nil {
+					node := mat.srv(s).Node
+					fb = tracer.Begin(node.ID, node.Name, obs.KFusedBatch, "fused-batch",
+						fp.TraceParent(), obs.KV{K: "ops", V: strconv.Itoa(len(ops))})
+				}
+				for i, op := range ops {
+					if op.Fn != nil {
+						// Assign into the (op, server) slot — idempotent
+						// under re-execution after a server recovery.
+						partials[i][s] = op.Fn(s, sh)
 					}
-					for i, op := range ops {
-						if op.Fn != nil {
-							// Assign into the (op, server) slot — idempotent
-							// under re-execution after a server recovery.
-							partials[i][s] = op.Fn(s, sh)
-						}
-					}
-					fb.End()
-					return nil
-				},
-			})
+				}
+				fb.End()
+				return nil
+			},
 		})
-	}
-	g.Wait(p)
+	})
 	mat.master.Net.Batches++
 	mat.master.Net.FusedOps += uint64(len(ops))
-	return partials, firstError(errs)
+	return partials, err
 }
 
 // InvokeFused is TryInvokeFused panicking on exhausted retries, mirroring the
@@ -886,23 +710,6 @@ func (mat *Matrix) checkRow(row int) {
 	if row < 0 || row >= mat.Rows {
 		panic(fmt.Sprintf("ps: row %d out of range [0,%d) for matrix %d", row, mat.Rows, mat.ID))
 	}
-}
-
-// rangeSpan returns the local storage positions [a, b) of the view's columns
-// that fall inside the absolute column range [lo, hi). Local storage order
-// is column-ascending for every placement, so the owned columns of any
-// absolute range always form one contiguous local run.
-func rangeSpan(v ColView, lo, hi int) (a, b int) {
-	if v.Cols != nil {
-		return sort.SearchInts(v.Cols, lo), sort.SearchInts(v.Cols, hi)
-	}
-	w := v.Hi - v.Lo
-	a = min(max(lo-v.Lo, 0), w)
-	b = min(max(hi-v.Lo, 0), w)
-	if b < a {
-		b = a
-	}
-	return a, b
 }
 
 // sortedUniqueInts returns a sorted copy of xs with duplicates removed (nil

@@ -241,14 +241,11 @@ func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
 			}
 		}
 	}
-	errs := make([]error, b.mat.Part.NumServers())
-	g := p.Sim().NewGroup()
 	var framing float64 // this flush's non-payload bytes, fed to the tuner EWMA
-	for s := 0; s < b.mat.Part.NumServers(); s++ {
+	err := b.mat.fanOut(p, "flush", func(s int) shardBody {
 		if len(parts[s]) == 0 && len(denseRows) == 0 {
-			continue
+			return nil
 		}
-		s := s
 		width := b.mat.Part.Width(s)
 		framing += 2*cost.RequestOverheadB + 4*float64(len(parts[s])) + 4*float64(len(denseRows))
 		touched := append([]int(nil), denseRows...)
@@ -259,8 +256,8 @@ func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
 		reqBytes := cost.RequestOverheadB +
 			12*float64(nnz[s]) + 4*float64(len(parts[s])) + // sparse (col,val) pairs + row headers
 			8*float64(len(denseRows)*width) + 4*float64(len(denseRows)) // dense stretches + row headers
-		g.Go("flush", func(cp *simnet.Proc) {
-			errs[s] = b.mat.CallShard(cp, from, CallSpec{
+		return func(cp *simnet.Proc) error {
+			err := b.mat.CallShard(cp, from, CallSpec{
 				Name:      "push-combined",
 				Shard:     s,
 				ReqBytes:  reqBytes,
@@ -282,12 +279,12 @@ func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
 					return nil
 				},
 			})
-			if errs[s] == nil {
+			if err == nil {
 				m.Cache.FlushedBytes += reqBytes + cost.RequestOverheadB
 			}
-		})
-	}
-	g.Wait(p)
+			return err
+		}
+	})
 	m.Cache.Flushes++
 	// Adapt the tuner's framing estimate toward what this flush actually
 	// paid in overhead (smoothed, so one unusually wide or narrow flush
@@ -297,7 +294,7 @@ func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
 	} else {
 		b.framingEst = 0.75*b.framingEst + 0.25*framing
 	}
-	return firstError(errs)
+	return err
 }
 
 // creditFlush records the magnitudes of a flush's deltas against the owning

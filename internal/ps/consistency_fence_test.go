@@ -157,9 +157,9 @@ func (c *legacySSP) waitTurn(p *simnet.Proc, iter, staleness int) {
 
 // TestSSPWaitReleaseSequencesMatchLegacy replays a heterogeneous 4-worker
 // schedule through both gates and requires the exact same start sequence
-// (worker, iteration, virtual time) and the same finish time: the refactored
-// WaitTurn — a ClockBounded policy admission — is behaviorally
-// indistinguishable from the historic integer comparison.
+// (worker, iteration, virtual time) and the same finish time: a ClockBounded
+// policy admission is behaviorally indistinguishable from the historic
+// integer comparison.
 func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 	type event struct {
 		w, it int
@@ -183,7 +183,7 @@ func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 					if useLegacy {
 						legacy.waitTurn(p, it, staleness)
 					} else {
-						clock.WaitTurn(p, w, it, staleness)
+						clock.WaitPolicy(p, consistency.NewClockBounded(staleness), it)
 					}
 					trace = append(trace, event{w: w, it: it, at: p.Now()})
 					p.Sleep(d)
@@ -213,29 +213,5 @@ func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 		if legacyEnd != policyEnd {
 			t.Fatalf("staleness %d: finish time %v vs %v", staleness, legacyEnd, policyEnd)
 		}
-	}
-}
-
-// TestSSPWaitUntilMinShim pins the deprecated WaitUntilMin to its contract:
-// the waiter releases exactly when the minimum clock reaches the target, not
-// a tick earlier or later.
-func TestSSPWaitUntilMinShim(t *testing.T) {
-	sim := simnet.New()
-	clock := NewSSPClock(sim, 2)
-	released := -1
-	sim.Spawn("driver", func(p *simnet.Proc) {
-		clock.WaitUntilMin(p, 3)
-		released = clock.MinClock()
-	})
-	sim.Spawn("ticker", func(p *simnet.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(0.01)
-			clock.Tick(0)
-			clock.Tick(1)
-		}
-	})
-	sim.Run()
-	if released != 3 {
-		t.Fatalf("WaitUntilMin released at min clock %d, want exactly 3", released)
 	}
 }

@@ -114,10 +114,10 @@ func (m *Master) StartMonitor(cfg DetectorConfig) {
 			for i, srv := range m.servers {
 				i, node := i, srv.Node
 				g.Go("heartbeat", func(cp *simnet.Proc) {
-					if m.tr.Send(cp, m.Cl.Driver, node, cfg.HeartbeatBytes) != nil {
+					if m.send(cp, m.Cl.Driver, node, cfg.HeartbeatBytes) != nil {
 						return
 					}
-					if m.tr.Send(cp, node, m.Cl.Driver, cfg.HeartbeatBytes) != nil {
+					if m.send(cp, node, m.Cl.Driver, cfg.HeartbeatBytes) != nil {
 						return
 					}
 					ok[i] = true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
 
@@ -40,40 +41,41 @@ func TestTryOpsReturnServerDownOnLostShard(t *testing.T) {
 		if _, err := mat.TryPullRowCompressed(p, worker, 0); !errors.Is(err, ErrServerDown) {
 			t.Fatalf("TryPullRowCompressed: got %v, want ErrServerDown", err)
 		}
-		// A range entirely inside the dead server's shard.
+		// Columns entirely inside the dead server's shard.
 		lo, hi := mat.Part.(*Partitioner).Range(0)
-		if _, err := mat.TryPullRowRange(p, worker, 0, lo, hi); !errors.Is(err, ErrServerDown) {
-			t.Fatalf("TryPullRowRange: got %v, want ErrServerDown", err)
+		if _, err := mat.TryPullRowIndices(p, worker, 0, []int{lo, hi - 1}); !errors.Is(err, ErrServerDown) {
+			t.Fatalf("TryPullRowIndices: got %v, want ErrServerDown", err)
 		}
-		vals := make([]float64, hi-lo)
-		if err := mat.TrySetRowRange(p, worker, 0, lo, hi, vals); !errors.Is(err, ErrServerDown) {
-			t.Fatalf("TrySetRowRange: got %v, want ErrServerDown", err)
+		if err := mat.TrySetRow(p, worker, 0, make([]float64, mat.Dim)); !errors.Is(err, ErrServerDown) {
+			t.Fatalf("TrySetRow: got %v, want ErrServerDown", err)
 		}
 	})
 }
 
-// TestRangeOpsOnLiveShardSucceedDespiteDeadNeighbor asserts the range
-// operators stay usable on the surviving server: only requests that touch
-// the dead shard fail.
-func TestRangeOpsOnLiveShardSucceedDespiteDeadNeighbor(t *testing.T) {
+// TestSparseOpsOnLiveShardSucceedDespiteDeadNeighbor asserts the index
+// operators stay usable on the surviving server: they skip shards that own
+// none of the requested columns, so only requests that touch the dead shard
+// fail.
+func TestSparseOpsOnLiveShardSucceedDespiteDeadNeighbor(t *testing.T) {
 	sim, mat, worker := lostServerMaster(t)
 	run(sim, func(p *simnet.Proc) {
 		lo, hi := mat.Part.(*Partitioner).Range(1) // the live server's stretch
-		got, err := mat.TryPullRowRange(p, worker, 0, lo, hi)
+		cols := make([]int, hi-lo)
+		for k := range cols {
+			cols[k] = lo + k
+		}
+		got, err := mat.TryPullRowIndices(p, worker, 0, cols)
 		if err != nil {
-			t.Fatalf("live-shard range pull failed: %v", err)
+			t.Fatalf("live-shard sparse pull failed: %v", err)
 		}
 		for k, v := range got {
 			if v != float64(lo+k) {
 				t.Fatalf("col %d = %v, want %v", lo+k, v, float64(lo+k))
 			}
 		}
-		vals := make([]float64, hi-lo)
-		for k := range vals {
-			vals[k] = -1
-		}
-		if err := mat.TrySetRowRange(p, worker, 0, lo, hi, vals); err != nil {
-			t.Fatalf("live-shard range set failed: %v", err)
+		delta, _ := linalg.NewSparse(cols, make([]float64, len(cols)))
+		if err := mat.TryPushAdd(p, worker, 0, delta); err != nil {
+			t.Fatalf("live-shard sparse push failed: %v", err)
 		}
 	})
 }

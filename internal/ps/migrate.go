@@ -72,11 +72,11 @@ func (m *Master) DedupSettled() bool {
 // Route gate
 //
 // Top-level operators (client.go pulls/pushes, cache fills, combined-push
-// flushes, replica pulls, dcv fused batches) bracket themselves with
-// enterOp/exitOp. The cutover closes the gate, waits for active operators to
-// drain, swaps the placement in one host instant, and reopens. When the gate
-// is open, entering costs no yield, event, or virtual time — non-elastic runs
-// are bit-identical to before.
+// flushes, replica pulls, and CallShards for the dcv column operators)
+// bracket themselves with enterOp/exitOp. The cutover closes the gate, waits
+// for active operators to drain, swaps the placement in one host instant, and
+// reopens. When the gate is open, entering costs no yield, event, or virtual
+// time — non-elastic runs are bit-identical to before.
 
 func (mat *Matrix) enterOp(p *simnet.Proc) {
 	for mat.gateClosed {
@@ -91,15 +91,6 @@ func (mat *Matrix) exitOp() {
 		mat.gateDrained.Fire()
 	}
 }
-
-// BeginOp registers a caller-managed operation with the matrix's route gate,
-// blocking while a migration cutover is in progress. Code that calls
-// CallShard directly (the DCV fused-batch layer) brackets the call with
-// BeginOp/EndOp; the built-in operators do it internally.
-func (mat *Matrix) BeginOp(p *simnet.Proc) { mat.enterOp(p) }
-
-// EndOp releases a BeginOp registration.
-func (mat *Matrix) EndOp() { mat.exitOp() }
 
 // closeGate blocks new operators and waits until active ones drain. Operators
 // stuck retrying a dead server eventually return ErrServerDown, so the drain
@@ -455,7 +446,6 @@ func (m *Master) MigrateMatrix(p *simnet.Proc, mat *Matrix, target Placement, ex
 	}
 	mat.Part = target
 	mat.Offset = newOffset
-	mat.contig = contiguousPlacement(target)
 	mat.gen++
 	for tl := 0; tl < pNew; tl++ {
 		dsh := staged[tl]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
@@ -315,7 +316,7 @@ func TestCachedClientSurvivesMigration(t *testing.T) {
 			vals[c] = float64(c) * 1.5
 		}
 		mat.SetRow(p, worker, 0, vals)
-		cc := NewCachedClient(mat, CacheConfig{Staleness: 2})
+		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(2)})
 		idx := []int{0, 5, 11, 17, 23}
 		cc.PullRowIndices(p, worker, 0, idx) // warm the cache under placement A
 		if err := m.MigrateMatrix(p, mat, mustRange(24, 6), fp(mat)); err != nil {
@@ -356,7 +357,7 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 			vals[c] = float64(c) + 0.125
 		}
 		mat.SetRow(p, worker, 0, vals)
-		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3, 16, 17}, Staleness: 3})
+		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3, 16, 17}, Policy: consistency.NewClockBounded(3)})
 		if err != nil {
 			panic(err)
 		}

@@ -8,6 +8,7 @@ package ps
 // the failure detector declaring a server dead (detector.go).
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/linalg"
@@ -89,43 +90,45 @@ func TestDetectorFiresWithoutTracer(t *testing.T) {
 	})
 }
 
-// TestSimnetTransportAccounting pins the default backend's bookkeeping: the
-// master boots with the simnet transport installed, data-plane traffic lands
-// in its counters, and chaos-induced losses show up as send errors rather
-// than delivered bytes.
-func TestSimnetTransportAccounting(t *testing.T) {
-	sim, cl, m := testMaster(3)
-	if got := m.Transport().Name(); got != "simnet" {
-		t.Fatalf("default transport = %q, want simnet", got)
+// TestNetBytesCountsDeliveredTransfers pins the data-plane byte counter: in a
+// reliable run it equals the per-server load view's bytes (every request and
+// response delivered once), and under message loss dropped transfers are not
+// counted — retries raise Attempts, not Bytes per delivered call.
+func TestNetBytesCountsDeliveredTransfers(t *testing.T) {
+	push := func(lossy bool) (*Master, float64) {
+		sim, cl, m := testMaster(3)
+		if lossy {
+			sim.EnableChaos(11, 0.1, 0)
+			m.Unreliable = true
+		}
+		run(sim, func(p *simnet.Proc) {
+			mat, err := m.CreateMatrix(p, 1, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < 100; r++ {
+				sv, _ := linalg.NewSparse([]int{r % 30}, []float64{1})
+				mat.PushAdd(p, cl.Executors[0], 0, sv)
+			}
+		})
+		var load float64
+		for _, l := range m.Load {
+			load += l.Bytes
+		}
+		return m, load
 	}
-	sim.EnableChaos(11, 0.1, 0)
-	m.Unreliable = true
-	run(sim, func(p *simnet.Proc) {
-		mat, err := m.CreateMatrix(p, 1, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		worker := cl.Executors[0]
-		for r := 0; r < 100; r++ {
-			sv, _ := linalg.NewSparse([]int{r % 30}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
-		}
-		st := m.Transport().Stats()
-		if st.Sends == 0 || st.Bytes <= 0 {
-			t.Fatalf("transport recorded no delivered traffic: %+v", st)
-		}
-		if st.SendErrors == 0 {
-			t.Fatalf("10%% loss over 100 mutations produced no transport errors: %+v", st)
-		}
-	})
-}
-
-// TestSetTransportNilRestoresDefault pins the reset semantics SetTransport
-// documents: a nil argument reinstalls a fresh simnet backend.
-func TestSetTransportNilRestoresDefault(t *testing.T) {
-	_, _, m := testMaster(2)
-	m.SetTransport(nil)
-	if m.Transport() == nil || m.Transport().Name() != "simnet" {
-		t.Fatal("SetTransport(nil) did not restore the simnet backend")
+	m, load := push(false)
+	if m.Net.Bytes <= 0 || math.Abs(m.Net.Bytes-load) > 1e-9*load {
+		t.Fatalf("reliable run: Net.Bytes = %v, per-server load bytes = %v", m.Net.Bytes, load)
+	}
+	lossy, load := push(true)
+	if lossy.Net.Attempts <= lossy.Net.Calls {
+		t.Fatalf("10%% loss over 100 mutations cost no retries: %+v", lossy.Net)
+	}
+	// A failed attempt counts its request if that arrived and never its lost
+	// message, so it adds strictly less than one delivered call's bytes.
+	retries := float64(lossy.Net.Attempts - lossy.Net.Calls)
+	if hi := load + retries*load/float64(lossy.Net.Calls); lossy.Net.Bytes < load || lossy.Net.Bytes >= hi {
+		t.Fatalf("lossy run: Net.Bytes = %v outside [%v, %v)", lossy.Net.Bytes, load, hi)
 	}
 }

@@ -398,15 +398,3 @@ func splitByServer(n int, indices []int, serverOf func(int) int) [][]int {
 	}
 	return out
 }
-
-// contiguousPlacement reports whether every server's view is a dense range —
-// the condition under which range-only consumers (PullRowRange's overlap
-// arithmetic, gbdt's histogram spans) can use their fast paths.
-func contiguousPlacement(pl Placement) bool {
-	for s := 0; s < pl.NumServers(); s++ {
-		if !pl.View(s).Contiguous() {
-			return false
-		}
-	}
-	return true
-}

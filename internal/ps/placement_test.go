@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
@@ -186,7 +187,9 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 				dense[c] = float64(c%5) * 0.25
 			}
 			mat.PushAddDense(p, worker, 1, dense)
-			mat.SetRowRange(p, worker, 2, 10, 25, init[10:25])
+			part := make([]float64, dim)
+			copy(part[10:25], init[10:25])
+			mat.SetRow(p, worker, 2, part)
 			// A fused program: scale row 0, then reduce its sum — exercises
 			// the per-shard program path under every placement.
 			partials, err := mat.TryInvokeFused(p, worker, []InvokeOp{
@@ -217,7 +220,11 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			}
 			r0 := mat.PullRow(p, worker, 0)
 			r1 := mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36})
-			r2 := mat.PullRowRange(p, worker, 2, 8, 30)
+			span := make([]int, 22)
+			for i := range span {
+				span[i] = 8 + i
+			}
+			r2 := mat.PullRowIndices(p, worker, 2, span)
 			out = [][]float64{r0, r1, r2, {fusedSum}}
 		})
 		return out
@@ -318,10 +325,10 @@ func TestNonContiguousCheckpointRestore(t *testing.T) {
 	})
 }
 
-// TestHotReplicaBitIdenticalAtStalenessZero interleaves writes, clock ticks
+// TestHotReplicaBitIdenticalAtClockBoundZero interleaves writes, clock ticks
 // and replica-served reads, comparing every read against the owner-routed
 // pull: at staleness 0 the replica layer must be invisible to the values.
-func TestHotReplicaBitIdenticalAtStalenessZero(t *testing.T) {
+func TestHotReplicaBitIdenticalAtClockBoundZero(t *testing.T) {
 	sim, cl, m := testMaster(4)
 	run(sim, func(p *simnet.Proc) {
 		worker := cl.Executors[0]
@@ -329,7 +336,7 @@ func TestHotReplicaBitIdenticalAtStalenessZero(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 3, 7, 15, 31}, Staleness: 0})
+		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 3, 7, 15, 31}})
 		if err != nil {
 			panic(err)
 		}
@@ -337,7 +344,7 @@ func TestHotReplicaBitIdenticalAtStalenessZero(t *testing.T) {
 		for round := 0; round < 6; round++ {
 			sv, _ := linalg.NewSparse([]int{3, 15, 20}, []float64{float64(round) + 0.25, -1, 2})
 			mat.PushAdd(p, worker, 0, sv)
-			rs.Tick()
+			mat.TickClock()
 			// More pulls than servers: the round-robin rotation revisits
 			// stores within the clock, so later pulls must hit locally.
 			for rep := 0; rep < 8; rep++ {
@@ -378,7 +385,7 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		mat.SetRow(p, worker, 0, vals)
 		m.Checkpoint(p, mat)
-		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}, Staleness: 1})
+		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}, Policy: consistency.NewClockBounded(1)})
 		if err != nil {
 			panic(err)
 		}
@@ -388,8 +395,8 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		m.CrashServer(0) // owner of the hot prefix under range placement
 		m.RecoverServer(p, 0)
-		rs.Tick()
-		rs.Tick() // step past the staleness bound so copies revalidate
+		mat.TickClock()
+		mat.TickClock()          // step past the staleness bound so copies revalidate
 		for i := 0; i < 4; i++ { // every store must refetch and agree
 			got := rs.PullRowIndices(p, worker, 0, idx)
 			want := mat.PullRowIndices(p, worker, 0, idx)

@@ -453,44 +453,6 @@ func TestPushRowsDelta(t *testing.T) {
 	})
 }
 
-func TestPullSetRowRange(t *testing.T) {
-	sim, cl, m := testMaster(4)
-	run(sim, func(p *simnet.Proc) {
-		mat, _ := m.CreateMatrix(p, 1, 40)
-		worker := cl.Executors[0]
-		vals := make([]float64, 40)
-		for i := range vals {
-			vals[i] = float64(i)
-		}
-		mat.SetRow(p, worker, 0, vals)
-		// Range spanning two server boundaries.
-		got := mat.PullRowRange(p, worker, 0, 7, 23)
-		if len(got) != 16 {
-			t.Fatalf("range length %d", len(got))
-		}
-		for i, v := range got {
-			if v != float64(7+i) {
-				t.Fatalf("range[%d] = %v, want %v", i, v, float64(7+i))
-			}
-		}
-		repl := make([]float64, 16)
-		for i := range repl {
-			repl[i] = -1
-		}
-		mat.SetRowRange(p, worker, 0, 7, 23, repl)
-		full := mat.PullRow(p, worker, 0)
-		for i := range full {
-			want := float64(i)
-			if i >= 7 && i < 23 {
-				want = -1
-			}
-			if full[i] != want {
-				t.Fatalf("after SetRowRange, [%d] = %v, want %v", i, full[i], want)
-			}
-		}
-	})
-}
-
 func TestPullRowCompressedCheaper(t *testing.T) {
 	bytesFor := func(compressed bool) float64 {
 		sim, cl, m := testMaster(4)
@@ -514,19 +476,6 @@ func TestPullRowCompressedCheaper(t *testing.T) {
 	if c, d := bytesFor(true), bytesFor(false); c*100 > d {
 		t.Fatalf("compressed pull (%v B) not far cheaper than dense (%v B)", c, d)
 	}
-}
-
-func TestRangeOpsValidation(t *testing.T) {
-	sim, cl, m := testMaster(2)
-	run(sim, func(p *simnet.Proc) {
-		mat, _ := m.CreateMatrix(p, 1, 10)
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range PullRowRange did not panic")
-			}
-		}()
-		mat.PullRowRange(p, cl.Executors[0], 0, 5, 20)
-	})
 }
 
 func TestReleaseMatrixFreesMemory(t *testing.T) {

@@ -11,14 +11,14 @@ package ps
 // owner's element version it was fetched at, and revalidates against the
 // owner if-modified-since, shipping only values that actually changed.
 // Freshness rides the matrix's model clock (Matrix.TickClock, serve.go),
-// which trainers advance once per iteration after the optimizer step: a copy
-// validated at clock c serves reads until clock c+Staleness with no owner
-// traffic at all. Staleness 0 means "validated this clock", which in a BSP
-// loop — replicated rows mutate only at the barrier, the trainer ticks the
-// clock right after — makes replica reads bit-identical to owner reads: the
-// first read of a clock revalidates every column against the owner's live
-// value, and the row cannot change again until the next tick. Staleness s>0
-// trades the SSP bound for fewer owner round-trips, exactly the cache's
+// which trainers advance once per iteration after the optimizer step: under
+// ClockBounded(s) a copy validated at clock c serves reads until clock c+s
+// with no owner traffic at all. The default s=0 means "validated this clock",
+// which in a BSP loop — replicated rows mutate only at the barrier, the
+// trainer ticks the clock right after — makes replica reads bit-identical to
+// owner reads: the first read of a clock revalidates every column against the
+// owner's live value, and the row cannot change again until the next tick.
+// s>0 trades the SSP bound for fewer owner round-trips, exactly the cache's
 // contract.
 //
 // Load shedding. A hot read costs the client one RPC to a rotating serving
@@ -48,15 +48,10 @@ type ReplicaConfig struct {
 	// HotCols lists the replicated columns, strictly increasing. Callers
 	// typically pick the top-K of a sampled column-access profile (TopKCols).
 	HotCols []int
-	// Staleness is the validity bound in clock ticks, with the same meaning
-	// as CacheConfig.Staleness: 0 = revalidate anything not validated this
-	// clock (BSP-exact), s>0 = serve for s more ticks.
-	Staleness int
 	// Policy decides replica-copy freshness, like CacheConfig.Policy: nil
-	// selects clock-bounded freshness at Staleness (the historic behavior,
-	// bit-identical); delta-consuming policies serve copies on a learned
-	// drift-rate estimate instead of age. A per-read ReadOptions.Policy
-	// (serve.go) overrides it for that read.
+	// means consistency.ClockBounded(0), revalidate anything not validated
+	// this clock (BSP-exact); delta-consuming policies serve copies on a
+	// learned drift-rate estimate instead of age.
 	Policy consistency.Policy
 }
 
@@ -116,11 +111,8 @@ func NewHotReplicaSet(mat *Matrix, cfg ReplicaConfig) (*HotReplicaSet, error) {
 	if err := validateIndices(cfg.HotCols, mat.Dim); err != nil {
 		return nil, err
 	}
-	if cfg.Staleness < 0 {
-		cfg.Staleness = 0
-	}
 	if cfg.Policy == nil {
-		cfg.Policy = consistency.NewClockBounded(cfg.Staleness)
+		cfg.Policy = consistency.NewClockBounded(0)
 	}
 	mat.EnableVersioning()
 	mat.master.registerPolicy(cfg.Policy)
@@ -140,12 +132,6 @@ func (rs *HotReplicaSet) Matrix() *Matrix { return rs.mat }
 
 // Stats returns the master-wide replication counters.
 func (rs *HotReplicaSet) Stats() ReplicaStats { return rs.mat.master.Replica }
-
-// Tick advances the matrix's model clock. Replica freshness rides that
-// clock directly (Matrix.TickClock), and trainers tick it as part of their
-// iteration — a serving caller never needs to call this. Kept as a shim for
-// drivers that step the clock by hand.
-func (rs *HotReplicaSet) Tick() { rs.mat.TickClock() }
 
 // Clock returns the matrix model clock replica freshness is judged against.
 func (rs *HotReplicaSet) Clock() int64 { return rs.mat.clock }
@@ -378,7 +364,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols []int, vals 
 		changed := 0
 		if o != t {
 			// Revalidation request to the owner: column ids plus one stamp.
-			if err := m.tr.Send(fp, servingNode, ownerSrv.Node, cost.RequestOverheadB+4*float64(len(idx))+8); err != nil {
+			if err := m.send(fp, servingNode, ownerSrv.Node, cost.RequestOverheadB+4*float64(len(idx))+8); err != nil {
 				return err
 			}
 		}
@@ -411,7 +397,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols []int, vals 
 		}
 		if o != t {
 			// Response ships only the values that actually changed.
-			if err := m.tr.Send(fp, ownerSrv.Node, servingNode, cost.RequestOverheadB+12*float64(changed)); err != nil {
+			if err := m.send(fp, ownerSrv.Node, servingNode, cost.RequestOverheadB+12*float64(changed)); err != nil {
 				return err
 			}
 			// The owner served a revalidation: account it in the per-server

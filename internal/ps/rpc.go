@@ -120,6 +120,20 @@ type NetStats struct {
 	FusedOps    uint64
 	DedupHits   uint64 // retried mutations dropped by a server's applied-set
 	DedupPruned uint64
+	Bytes       float64 // payload bytes of delivered data-plane transfers (send)
+}
+
+// send is the data plane's fallible transfer — RPC requests and responses,
+// heartbeats, replica revalidations, checkpoint streams: the kernel's TrySend
+// plus the delivered-bytes count. Control-plane metadata RPCs (CreateMatrix,
+// membership joins) keep the kernel's infallible Send: rerouting them would
+// consume chaos draws and shift every golden trace.
+func (m *Master) send(p *simnet.Proc, from, to *simnet.Node, bytes float64) error {
+	if err := from.TrySend(p, to, bytes); err != nil {
+		return err
+	}
+	m.Net.Bytes += bytes
+	return nil
 }
 
 // nextReqID allocates a request ID for mutation dedup. Zero means "no dedup"
@@ -162,7 +176,6 @@ func (m *Master) unreliable() bool {
 // MaxRetries failed attempts.
 func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) error {
 	m := mat.master
-	tr := m.tr
 	rc := m.Retry.withDefaults()
 	m.Net.Calls++
 	var id uint64
@@ -199,19 +212,19 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 	wait := func(d float64) {
 		if t != nil {
 			ws := t.Begin(from.ID, from.Name, obs.KRPCWait, "wait", rpc)
-			tr.Sleep(p, d)
+			p.Sleep(d)
 			ws.End()
 			return
 		}
-		tr.Sleep(p, d)
+		p.Sleep(d)
 	}
 	for attempt := 0; attempt < rc.MaxRetries; attempt++ {
 		m.Net.Attempts++
-		if !tr.Up(from) {
+		if !from.Up() {
 			return fmt.Errorf("ps: client machine %q crashed: %w", from.Name, simnet.ErrNodeDown)
 		}
 		srv := mat.srv(spec.Shard)
-		if !srv.alive || !tr.Up(srv.Node) {
+		if !srv.alive || !srv.Node.Up() {
 			// Known-dead server: wait for the detector to swap in a
 			// replacement, backing off exponentially.
 			wait(backoff)
@@ -219,8 +232,8 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 			continue
 		}
 		node := srv.Node
-		if err := tr.Send(p, from, node, spec.ReqBytes); err != nil {
-			if !tr.Up(from) {
+		if err := m.send(p, from, node, spec.ReqBytes); err != nil {
+			if !from.Up() {
 				return fmt.Errorf("ps: client machine %q crashed: %w", from.Name, simnet.ErrNodeDown)
 			}
 			if errors.Is(err, simnet.ErrMsgLost) {
@@ -247,7 +260,7 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 		}
 		// The server may have crashed (and even been replaced) while the
 		// request was queued on its CPU; a handler must not touch dead state.
-		if !tr.Up(node) || srv.Node != node || srv.shards[mat.ID] != sh {
+		if !node.Up() || srv.Node != node || srv.shards[mat.ID] != sh {
 			op.End(obs.KV{K: "stale", V: "true"})
 			wait(backoff)
 			backoff = min(backoff*2, rc.MaxBackoffSec)
@@ -287,7 +300,7 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 				continue
 			}
 			// Fn may block (operand shuffle); re-validate before committing.
-			if !tr.Up(node) || srv.Node != node || srv.shards[mat.ID] != sh {
+			if !node.Up() || srv.Node != node || srv.shards[mat.ID] != sh {
 				op.End(obs.KV{K: "stale", V: "true"})
 				wait(backoff)
 				backoff = min(backoff*2, rc.MaxBackoffSec)
@@ -305,8 +318,8 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 		if spec.RespBytesFn != nil {
 			respBytes = spec.RespBytesFn(sh)
 		}
-		if err := tr.Send(p, node, from, respBytes); err != nil {
-			if !tr.Up(from) {
+		if err := m.send(p, node, from, respBytes); err != nil {
+			if !from.Up() {
 				return fmt.Errorf("ps: client machine %q crashed: %w", from.Name, simnet.ErrNodeDown)
 			}
 			// Effect applied but unacked: the applied-set makes the resend
@@ -336,7 +349,7 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 func (mat *Matrix) TryShard(s int) (*Shard, error) {
 	srv := mat.srv(s)
 	sh, ok := srv.shards[mat.ID]
-	if !ok || !srv.alive || !mat.master.tr.Up(srv.Node) {
+	if !ok || !srv.alive || !srv.Node.Up() {
 		return nil, fmt.Errorf("ps: shard %d of matrix %d unavailable: %w", s, mat.ID, ErrServerDown)
 	}
 	return sh, nil
@@ -351,20 +364,51 @@ func (m *Master) reliableSend(p *simnet.Proc, from, to *simnet.Node, bytes float
 	rc := m.Retry.withDefaults()
 	var err error
 	for i := 0; i < 10000; i++ {
-		err = m.tr.Send(p, from, to, bytes)
+		err = m.send(p, from, to, bytes)
 		if err == nil || errors.Is(err, simnet.ErrNodeDown) {
 			return err
 		}
-		m.tr.Sleep(p, rc.TimeoutSec)
+		p.Sleep(rc.TimeoutSec)
 	}
 	return err
 }
 
-func firstError(errs []error) error {
+// shardBody is one shard's share of a fan-out, run in its own child process.
+type shardBody func(cp *simnet.Proc) error
+
+// fanOut is the per-server scaffold under every operator. It asks shard for
+// each logical shard's body in ascending order — nil skips the shard: no
+// child, no traffic — spawning a child process named name per body, waits
+// for all of them and returns the lowest-numbered shard's error. Callers
+// hold the route gate, so the placement cannot change underneath it.
+func (mat *Matrix) fanOut(p *simnet.Proc, name string, shard func(s int) shardBody) error {
+	errs := make([]error, mat.Part.NumServers())
+	g := p.Sim().NewGroup()
+	for s := range errs {
+		if body := shard(s); body != nil {
+			g.Go(name, func(cp *simnet.Proc) { errs[s] = body(cp) })
+		}
+	}
+	g.Wait(p)
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// call is the common shardBody: one CallShard from machine from.
+func (mat *Matrix) call(from *simnet.Node, spec CallSpec) shardBody {
+	return func(cp *simnet.Proc) error { return mat.CallShard(cp, from, spec) }
+}
+
+// CallShards issues spec(s) to every logical shard s in parallel, in child
+// processes named name, holding the matrix's route gate for the duration so
+// an elastic migration cutover cannot swap the placement mid-fan-out — the
+// entry point for operators implemented outside this package (the DCV layer).
+func (mat *Matrix) CallShards(p *simnet.Proc, from *simnet.Node, name string, spec func(s int) CallSpec) error {
+	mat.enterOp(p)
+	defer mat.exitOp()
+	return mat.fanOut(p, name, func(s int) shardBody { return mat.call(from, spec(s)) })
 }

@@ -21,10 +21,9 @@ package ps
 //   - ModelReader: the serving fan-out. Live reads route hot columns through
 //     a HotReplicaSet (a rotating server answers from its replica store —
 //     the hot working set never hammers the owner) and cold columns fall
-//     through to their owners via the ordinary Transport-seam RPCs, so the
-//     same reader works on simnet and the TCP wire backend. Freshness rides
+//     through to their owners via the ordinary pull RPCs. Freshness rides
 //     the matrix's model clock (below), bounded per read by
-//     ReadOptions.Staleness.
+//     ReadOptions.Policy.
 //
 //   - AdmissionControl: a per-server token bucket (GCRA form) with a bounded
 //     virtual queue. A call that would queue past the bound is shed with the
@@ -35,12 +34,10 @@ package ps
 //     train+serve traffic shares one budget per server.
 //
 // The model clock. Replica freshness and snapshot pins need a notion of
-// "the model advanced". Before this file, HotReplicaSet kept a private
-// counter whose Tick() the driver had to remember to call — a footgun for
-// serving callers, who don't own the training loop. The clock now lives on
-// the Matrix (TickClock/Clock): trainers tick it once per iteration at the
-// barrier, every HotReplicaSet attached to the matrix reads it, and a
-// serving caller never ticks anything.
+// "the model advanced". It lives on the Matrix (TickClock/Clock): trainers
+// tick it once per iteration at the barrier, every HotReplicaSet attached to
+// the matrix reads it, and a serving caller — who doesn't own the training
+// loop — never ticks anything.
 
 import (
 	"errors"
@@ -244,11 +241,11 @@ func (a *AdmissionControl) admit(p *simnet.Proc, m *Master, from *simnet.Node, s
 	if t := m.Cl.Sim.Tracer(); t != nil {
 		ws := t.Begin(from.ID, from.Name, obs.KAdmit, "admit", p.TraceParent(),
 			obs.KV{K: "srv", V: fmt.Sprint(s)}, obs.KV{K: "class", V: class.String()})
-		m.tr.Sleep(p, delay)
+		p.Sleep(delay)
 		ws.End()
 		return nil
 	}
-	m.tr.Sleep(p, delay)
+	p.Sleep(delay)
 	return nil
 }
 
@@ -409,53 +406,53 @@ func (ms *ModelSnapshot) TryReadRowIndices(p *simnet.Proc, from *simnet.Node, ro
 	cost := m.Cl.Cost
 	out := make([]float64, len(indices))
 	split := mat.Part.SplitIndices(indices)
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		idx := split[s]
-		if len(idx) == 0 {
-			continue
-		}
-		s, sp := s, ms.pins[s]
-		if sp.invalid || mat.ShardEpoch(s) != sp.epoch {
+	// Check every pin before any child is spawned: a fence found mid-fan-out
+	// would return while lower-numbered shards' children are still issuing
+	// RPCs — past the caller's exitOp, which breaks the route gate's "no
+	// in-flight op during cutover" invariant.
+	for s, sp := range ms.pins {
+		if len(split[s]) > 0 && (sp.invalid || mat.ShardEpoch(s) != sp.epoch) {
 			return nil, ms.fenced(s)
 		}
-		g.Go("serve-snapshot", func(cp *simnet.Proc) {
-			errs[s] = mat.CallShard(cp, from, CallSpec{
-				Name:  "serve-snapshot",
-				Shard: s,
-				Class: ClassServe,
-				// Indices plus the pinned version stamp out, values back.
-				ReqBytes:  cost.RequestOverheadB + 4*float64(len(idx)) + 8,
-				RespBytes: cost.RequestOverheadB + 8*float64(len(idx)),
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
-					// Authoritative fence: the handler sees the live shard. A
-					// different incarnation (recovery swapped it in) or a
-					// moved epoch means the pin is dead — a non-retryable
-					// error, surfaced as-is by CallShard.
-					if sh != sp.sh || sp.invalid || mat.ShardEpoch(s) != sp.epoch {
-						return ms.fenced(s)
-					}
-					for _, col := range idx {
-						l := sh.Local(col)
-						k := sort.SearchInts(indices, col)
-						if sh.elemVer[row][l] <= sp.ver {
-							out[k] = sh.Rows[row][l] // unchanged since the pin
-						} else {
-							v, ok := sp.old[snapKey{row: row, local: l}]
-							if !ok {
-								return ms.fenced(s)
-							}
-							out[k] = v // overwritten since; serve the pre-image
-						}
-					}
-					return nil
-				},
-			})
-		})
 	}
-	g.Wait(p)
-	if err := firstError(errs); err != nil {
+	err := mat.fanOut(p, "serve-snapshot", func(s int) shardBody {
+		idx, sp := split[s], ms.pins[s]
+		if len(idx) == 0 {
+			return nil
+		}
+		return mat.call(from, CallSpec{
+			Name:  "serve-snapshot",
+			Shard: s,
+			Class: ClassServe,
+			// Indices plus the pinned version stamp out, values back.
+			ReqBytes:  cost.RequestOverheadB + 4*float64(len(idx)) + 8,
+			RespBytes: cost.RequestOverheadB + 8*float64(len(idx)),
+			Fn: func(_ *simnet.Proc, sh *Shard) error {
+				// Authoritative fence: the handler sees the live shard. A
+				// different incarnation (recovery swapped it in) or a
+				// moved epoch means the pin is dead — a non-retryable
+				// error, surfaced as-is by CallShard.
+				if sh != sp.sh || sp.invalid || mat.ShardEpoch(s) != sp.epoch {
+					return ms.fenced(s)
+				}
+				for _, col := range idx {
+					l := sh.Local(col)
+					k := sort.SearchInts(indices, col)
+					if sh.elemVer[row][l] <= sp.ver {
+						out[k] = sh.Rows[row][l] // unchanged since the pin
+					} else {
+						v, ok := sp.old[snapKey{row: row, local: l}]
+						if !ok {
+							return ms.fenced(s)
+						}
+						out[k] = v // overwritten since; serve the pre-image
+					}
+				}
+				return nil
+			},
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	m.Serve.SnapshotReads++
@@ -479,27 +476,21 @@ type ServeConfig struct {
 	ReplicaSet *HotReplicaSet
 }
 
-// ReadOptions selects the consistency point, staleness bound and admission
+// ReadOptions selects the consistency point, freshness policy and admission
 // class of one ModelReader read. The zero value is the strictest read: live,
-// exact (staleness 0), serve priority.
+// exact (ClockBounded(0)), serve priority.
 type ReadOptions struct {
 	// At pins the read to a ModelSnapshot (see ModelReader.Snapshot). nil
 	// reads the live model.
 	At *ModelSnapshot
 
-	// Staleness bounds, in model-clock ticks, how old a replica-served value
-	// may be: 0 (the default) serves only values validated against their
-	// owner this clock — bit-identical to an owner read in a BSP loop — and
-	// s > 0 trades staleness for fewer owner round-trips. Ignored for
-	// owner-routed (cold or replica-less) reads, which are always current.
-	// Staleness is clock-bounded shorthand: it is consulted only when Policy
-	// is nil.
-	Staleness int
-
-	// Policy overrides the replica set's consistency policy for this read.
-	// nil derives clock-bounded freshness from Staleness. Like Staleness it
-	// only affects replica-served values; owner-routed reads are always
-	// current.
+	// Policy decides how old a replica-served value may be, overriding the
+	// replica set's own policy for this read. nil means
+	// consistency.ClockBounded(0): serve only values validated against their
+	// owner this model clock — bit-identical to an owner read in a BSP loop;
+	// ClockBounded(s) trades s ticks of staleness for fewer owner
+	// round-trips. Owner-routed (cold or replica-less) reads are always
+	// current and ignore it.
 	Policy consistency.Policy
 
 	// Priority is the admission class the read is charged under when the
@@ -585,7 +576,7 @@ func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices 
 	case mr.rs != nil:
 		pol := opts.Policy
 		if pol == nil {
-			pol = consistency.NewClockBounded(opts.Staleness)
+			pol = consistency.NewClockBounded(0)
 		} else {
 			m.registerPolicy(pol)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/consistency"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
@@ -128,6 +129,40 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 			if got[k] != want[k] {
 				t.Fatalf("re-pinned col %d = %v, live %v", idx[k], got[k], want[k])
 			}
+		}
+	})
+}
+
+// TestFencedSnapshotReadSpawnsNoRPCs: a read that spans a live shard and a
+// fenced one must refuse before any child process exists. Returning from
+// inside the fan-out would leave the lower-numbered shard's child issuing its
+// serve-snapshot RPC after the caller's exitOp — an in-flight op the
+// migration route gate no longer knows about.
+func TestFencedSnapshotReadSpawnsNoRPCs(t *testing.T) {
+	sim, cl, m := testMaster(2)
+	run(sim, func(p *simnet.Proc) {
+		worker := cl.Executors[0]
+		mat, err := m.CreateMatrix(p, 1, 16)
+		if err != nil {
+			panic(err)
+		}
+		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) })
+		snap, err := mat.PinSnapshot(p)
+		if err != nil {
+			t.Fatalf("pin: %v", err)
+		}
+		defer snap.Close()
+		m.KillServer(1)
+		m.RecoverServer(p, 1)
+
+		before := m.Net
+		if _, err := snap.TryReadRowIndices(p, worker, 0, []int{0, 15}); !errors.Is(err, ErrSnapshotInvalid) {
+			t.Fatalf("read spanning the recovered shard: got %v, want ErrSnapshotInvalid", err)
+		}
+		p.Sleep(1) // let any leaked child run
+		if m.Net.Calls != before.Calls || m.Net.Attempts != before.Attempts {
+			t.Fatalf("fenced read issued RPCs after returning: %d calls, %d attempts",
+				m.Net.Calls-before.Calls, m.Net.Attempts-before.Attempts)
 		}
 	})
 }
@@ -344,7 +379,7 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 			panic(err)
 		}
 		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) })
-		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}, Staleness: 0})
+		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}})
 		if err != nil {
 			panic(err)
 		}
@@ -362,7 +397,7 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 			}
 		}
 		// The model changes and the trainer ticks the matrix clock — exactly
-		// what lr/deepwalk do each iteration. No rs.Tick() anywhere.
+		// what lr/deepwalk do each iteration. No mat.TickClock() anywhere.
 		sv, _ := linalg.NewSparse([]int{1, 3}, []float64{100, 100})
 		mat.PushAdd(p, worker, 0, sv)
 		mat.TickClock()
@@ -399,14 +434,14 @@ func TestModelReaderOptions(t *testing.T) {
 			panic(err)
 		}
 		fillRow(p, mat, worker, 1, func(c int) float64 { return float64(c) * 3 })
-		reader, err := NewModelReader(mat, ServeConfig{Replicas: &ReplicaConfig{HotCols: []int{0, 1}, Staleness: 2}})
+		reader, err := NewModelReader(mat, ServeConfig{Replicas: &ReplicaConfig{HotCols: []int{0, 1}, Policy: consistency.NewClockBounded(2)}})
 		if err != nil {
 			panic(err)
 		}
 		if reader.Matrix() != mat || reader.Replicas() == nil {
 			t.Fatal("reader wiring wrong")
 		}
-		row, err := reader.ReadRow(p, worker, 1, ReadOptions{Staleness: 1})
+		row, err := reader.ReadRow(p, worker, 1, ReadOptions{Policy: consistency.NewClockBounded(1)})
 		if err != nil {
 			t.Fatalf("ReadRow: %v", err)
 		}

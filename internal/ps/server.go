@@ -258,12 +258,6 @@ type Master struct {
 	outstanding map[uint64]struct{}
 	ackedTo     uint64
 
-	// tr is the data-plane transport seam (see transport.go). Every fallible
-	// send, liveness probe and retry sleep of the RPC, detector, replica and
-	// checkpoint-stream paths goes through it; the default SimnetTransport is
-	// a transparent shim over the kernel.
-	tr Transport
-
 	monitorStop *simnet.Signal
 }
 
@@ -298,7 +292,6 @@ func NewMaster(cl *cluster.Cluster) *Master {
 		Retry:            DefaultRetryConfig(),
 		DeltaCheckpoints: true,
 		outstanding:      map[uint64]struct{}{},
-		tr:               NewSimnetTransport(),
 	}
 	m.epochs = make([]uint64, len(cl.Servers))
 	m.Load = make([]ServerLoad, len(cl.Servers))
@@ -335,10 +328,6 @@ type Matrix struct {
 	// derived DCVs their co-location guarantee.
 	Offset int
 	master *Master
-
-	// contig caches whether every server's view is a dense range, the
-	// condition for the range operators' overlap fast path.
-	contig bool
 
 	// versioned is set by EnableVersioning (versions.go): shards then stamp
 	// changed elements so CachedClients can validate cheaply.
@@ -414,7 +403,7 @@ func (m *Master) CreateMatrixPlaced(p *simnet.Proc, rows, dim int, pl Placement)
 	}
 	m.nextID++
 	mat := &Matrix{ID: m.nextID, Rows: rows, Dim: dim, Part: pl,
-		Offset: (m.nextID - 1) % pl.NumServers(), master: m, contig: contiguousPlacement(pl)}
+		Offset: (m.nextID - 1) % pl.NumServers(), master: m}
 	g := p.Sim().NewGroup()
 	for s := 0; s < pl.NumServers(); s++ {
 		s := s

@@ -1,8 +1,6 @@
 package ps
 
 import (
-	"fmt"
-
 	"repro/internal/consistency"
 	"repro/internal/simnet"
 )
@@ -18,12 +16,11 @@ import (
 //
 // The admission question SSP asks — "is the slowest clock close enough to
 // mine?" — is the same question the worker cache and replica layers ask of a
-// cached value, so since the consistency refactor the wait gate delegates to
-// a consistency.Policy: a waiter is admitted once
-// Admit({CachedClock: MinClock, CurrentClock: target}) says ServeCached.
-// WaitTurn/WaitUntilMin are thin clock-bounded shims over WaitPolicy and
-// reproduce the historic wait/release sequences exactly (the waiter queue is
-// still fired in insertion order).
+// cached value, so the wait gate delegates to a consistency.Policy: a waiter
+// is admitted once Admit({CachedClock: MinClock, CurrentClock: target}) says
+// ServeCached. ClockBounded(s) is classic SSP — worker w about to run
+// iteration iter waits until iter - MinClock <= s — and waiters are released
+// in insertion order.
 type SSPClock struct {
 	sim     *simnet.Sim
 	clocks  []int
@@ -96,24 +93,4 @@ func (c *SSPClock) WaitPolicy(p *simnet.Proc, pol consistency.Policy, target int
 	wt := &sspWaiter{pol: pol, target: target, sig: c.sim.NewSignal()}
 	c.waiters = append(c.waiters, wt)
 	wt.sig.Wait(p)
-}
-
-// WaitUntilMin blocks the calling process until MinClock() >= target.
-//
-// Deprecated shim: it is WaitPolicy with a zero-slack clock-bounded policy
-// (MinClock >= target ⟺ target - MinClock <= 0). Kept for existing drivers.
-func (c *SSPClock) WaitUntilMin(p *simnet.Proc, target int) {
-	c.WaitPolicy(p, consistency.NewClockBounded(0), target)
-}
-
-// WaitTurn is the SSP admission check for worker w about to run iteration
-// iter (0-based): it blocks until no worker is more than staleness clocks
-// behind — WaitPolicy with a clock-bounded policy at that slack
-// (iter - MinClock <= staleness ⟺ MinClock >= iter - staleness). Negative
-// staleness panics; staleness 0 is BSP.
-func (c *SSPClock) WaitTurn(p *simnet.Proc, w, iter, staleness int) {
-	if staleness < 0 {
-		panic(fmt.Sprintf("ps: negative staleness %d", staleness))
-	}
-	c.WaitPolicy(p, consistency.NewClockBounded(staleness), iter)
 }

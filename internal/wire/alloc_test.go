@@ -128,30 +128,6 @@ func TestCodecRoundTripZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCodecIntoMatchesLegacy pins the reuse codecs to the legacy allocating
-// ones bit-for-bit.
-func TestCodecIntoMatchesLegacy(t *testing.T) {
-	cols := []int{3, 9, 27, 81}
-	vals := []float64{0.1, -2.5, math.Pi, 1e-12}
-	legacy := encodePushAdd(5, 11, cols, vals)
-	var buf []byte
-	reuse := AppendPushAdd(buf, 5, 11, cols, vals)
-	if !bytes.Equal(legacy, reuse) {
-		t.Fatal("AppendPushAdd bytes differ from legacy encoder")
-	}
-	var cs []int
-	var vs []float64
-	mat, row, dcols, dvals, err := DecodePushAddInto(legacy, &cs, &vs)
-	if err != nil || mat != 5 || row != 11 {
-		t.Fatalf("decode: mat=%d row=%d err=%v", mat, row, err)
-	}
-	for i := range cols {
-		if dcols[i] != cols[i] || math.Float64bits(dvals[i]) != math.Float64bits(vals[i]) {
-			t.Fatalf("entry %d: (%d,%v) != (%d,%v)", i, dcols[i], dvals[i], cols[i], vals[i])
-		}
-	}
-}
-
 // TestFusedShardParallelDeterministic: running a wide fused program with the
 // worker pool forced on must leave exactly the same bits in shard memory as
 // the serial path — the shard-parallel apply determinism contract.
@@ -161,7 +137,7 @@ func TestFusedShardParallelDeterministic(t *testing.T) {
 		s := NewServer()
 		var sc connScratch
 		if _, err := s.handle(Frame{Op: OpCreateShard, Flags: FlagMutates, ReqID: 1,
-			Payload: encodeCreateShard(1, 3, 0, dim)}, &sc); err != nil {
+			Payload: AppendCreateShard(nil, 1, 3, 0, dim)}, &sc); err != nil {
 			t.Fatal(err)
 		}
 		cols := make([]int, dim)
@@ -171,12 +147,12 @@ func TestFusedShardParallelDeterministic(t *testing.T) {
 			vals[i] = math.Sin(float64(i)) * math.Pow(10, float64(i%9)-4)
 		}
 		for r := 0; r < 3; r++ {
-			p := encodePushAdd(1, r, cols, vals)
+			p := AppendPushAdd(nil, 1, r, cols, vals)
 			if _, err := s.handle(Frame{Op: OpPushAdd, Flags: FlagMutates, ReqID: uint64(2 + r), Payload: p}, &sc); err != nil {
 				t.Fatal(err)
 			}
 		}
-		prog := encodeFused(1, []FusedOp{
+		prog := AppendFused(nil, 1, []FusedOp{
 			{Kind: FScale, Row: 0, Scale: 1.0000001},
 			{Kind: FAxpy, Dst: 2, Src: 0, Scale: -0.37},
 			{Kind: FAxpy, Dst: 1, Src: 2, Scale: 0.11},

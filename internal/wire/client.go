@@ -339,7 +339,7 @@ func (c *Client) Ping(s int, payload []byte) ([]byte, error) {
 // CreateShard allocates (idempotently) a rows × [lo,hi) shard of matrix mat
 // on server s.
 func (c *Client) CreateShard(s int, mat uint32, rows, lo, hi int) error {
-	_, err := c.Call(s, OpCreateShard, true, encodeCreateShard(mat, rows, lo, hi))
+	_, err := c.Call(s, OpCreateShard, true, AppendCreateShard(nil, mat, rows, lo, hi))
 	return err
 }
 

@@ -1,9 +1,9 @@
 package wire
 
-// The transport conformance suite: each test pins one behaviour both
-// backends of the ps transport seam must share, with one subtest driving
-// the simnet backend (ps.SimnetTransport on virtual time) and one driving
-// this package's TCP backend on real sockets.
+// The transport conformance suite: each test pins one behaviour the two
+// transports under the PS data plane must share, with one subtest driving the
+// simnet kernel's fallible send (what ps.CallShard calls, on virtual time) and
+// one driving this package's TCP backend on real sockets.
 //
 //   delivery       a send between live endpoints succeeds and is counted
 //   timeout        a lost/stalled exchange surfaces as a retryable timeout
@@ -18,12 +18,12 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -38,17 +38,16 @@ func fastRetry() Retry {
 }
 
 // simPair builds a one-executor, one-server simulated cluster and runs fn
-// on a spawned process with a fresh simnet transport.
-func simPair(t *testing.T, fn func(p *simnet.Proc, tr *ps.SimnetTransport, from, to *simnet.Node)) {
+// on a spawned process.
+func simPair(t *testing.T, fn func(p *simnet.Proc, from, to *simnet.Node)) {
 	t.Helper()
 	sim := simnet.New()
 	cfg := cluster.DefaultConfig()
 	cfg.Executors = 1
 	cfg.Servers = 1
 	cl := cluster.New(sim, cfg)
-	tr := ps.NewSimnetTransport()
 	sim.Spawn("conformance", func(p *simnet.Proc) {
-		fn(p, tr, cl.Executors[0], cl.Servers[0])
+		fn(p, cl.Executors[0], cl.Servers[0])
 	})
 	sim.Run()
 }
@@ -69,13 +68,12 @@ func startServer(t *testing.T) (*Server, string) {
 
 func TestConformanceDelivery(t *testing.T) {
 	t.Run("simnet", func(t *testing.T) {
-		simPair(t, func(p *simnet.Proc, tr *ps.SimnetTransport, from, to *simnet.Node) {
-			if err := tr.Send(p, from, to, 1024); err != nil {
+		simPair(t, func(p *simnet.Proc, from, to *simnet.Node) {
+			if err := from.TrySend(p, to, 1024); err != nil {
 				t.Errorf("send between live endpoints failed: %v", err)
 			}
-			st := tr.Stats()
-			if st.Sends != 1 || st.Bytes != 1024 {
-				t.Errorf("stats = %+v, want 1 send of 1024B", st)
+			if from.BytesSent != 1024 || to.BytesRecv != 1024 {
+				t.Errorf("NIC counters = %v sent, %v received, want 1024B each", from.BytesSent, to.BytesRecv)
 			}
 		})
 	})
@@ -107,14 +105,10 @@ func TestConformanceTimeout(t *testing.T) {
 		cfg.Servers = 1
 		cl := cluster.New(sim, cfg)
 		sim.EnableChaos(1, 1.0, 0)
-		tr := ps.NewSimnetTransport()
 		sim.Spawn("conformance", func(p *simnet.Proc) {
-			err := tr.Send(p, cl.Executors[0], cl.Servers[0], 256)
+			err := cl.Executors[0].TrySend(p, cl.Servers[0], 256)
 			if !errors.Is(err, simnet.ErrMsgLost) {
 				t.Errorf("err = %v, want ErrMsgLost", err)
-			}
-			if tr.Stats().SendErrors != 1 {
-				t.Errorf("stats = %+v, want 1 send error", tr.Stats())
 			}
 		})
 		sim.Run()
@@ -163,12 +157,12 @@ func TestConformanceTimeout(t *testing.T) {
 
 func TestConformanceEndpointDown(t *testing.T) {
 	t.Run("simnet", func(t *testing.T) {
-		simPair(t, func(p *simnet.Proc, tr *ps.SimnetTransport, from, to *simnet.Node) {
+		simPair(t, func(p *simnet.Proc, from, to *simnet.Node) {
 			to.Fail()
-			if tr.Up(to) {
+			if to.Up() {
 				t.Error("Up() true for failed node")
 			}
-			if err := tr.Send(p, from, to, 256); !errors.Is(err, simnet.ErrNodeDown) {
+			if err := from.TrySend(p, to, 256); !errors.Is(err, simnet.ErrNodeDown) {
 				t.Errorf("err = %v, want ErrNodeDown", err)
 			}
 		})
@@ -193,16 +187,16 @@ func TestConformanceEndpointDown(t *testing.T) {
 func TestConformanceLargePayload(t *testing.T) {
 	const size = 8 << 20
 	t.Run("simnet", func(t *testing.T) {
-		simPair(t, func(p *simnet.Proc, tr *ps.SimnetTransport, from, to *simnet.Node) {
+		simPair(t, func(p *simnet.Proc, from, to *simnet.Node) {
 			before := p.Now()
-			if err := tr.Send(p, from, to, size); err != nil {
+			if err := from.TrySend(p, to, size); err != nil {
 				t.Errorf("large send failed: %v", err)
 			}
 			if p.Now() <= before {
 				t.Error("large transfer advanced no virtual time")
 			}
-			if tr.Stats().Bytes != size {
-				t.Errorf("bytes = %v, want %v", tr.Stats().Bytes, float64(size))
+			if to.BytesRecv != size {
+				t.Errorf("bytes = %v, want %v", to.BytesRecv, float64(size))
 			}
 		})
 	})
@@ -245,7 +239,7 @@ func TestConformanceExactlyOnce(t *testing.T) {
 		if err := WriteFrame(conn, f); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ReadResponse(r)
+		resp, err := ReadResponseReuse(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,14 +247,14 @@ func TestConformanceExactlyOnce(t *testing.T) {
 	}
 
 	send(Frame{Op: OpCreateShard, Flags: FlagMutates, ReqID: 1,
-		Payload: encodeCreateShard(1, 1, 0, 10)})
+		Payload: AppendCreateShard(nil, 1, 1, 0, 10)})
 	push := Frame{Op: OpPushAdd, Flags: FlagMutates, ReqID: 2,
-		Payload: encodePushAdd(1, 0, []int{3}, []float64{5})}
+		Payload: AppendPushAdd(nil, 1, 0, []int{3}, []float64{5})}
 	send(push)
 	send(push) // duplicate: must dedup, not double-apply
 
-	resp := send(Frame{Op: OpPullSparse, Payload: encodePullSparseReq(1, 0, []int{3})})
-	vals, err := decodeVals(resp)
+	resp := send(Frame{Op: OpPullSparse, Payload: AppendPullSparseReq(nil, 1, 0, []int{3})})
+	vals, err := DecodeValsInto(resp, new([]float64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +268,7 @@ func TestConformanceExactlyOnce(t *testing.T) {
 	// Watermark 2 retires both entries; a replayed ID below it would
 	// re-apply, which is fine — the client guarantees it never resends
 	// acknowledged IDs. Here we only check the prune happened.
-	send(Frame{Op: OpPullSparse, AckedTo: 2, Payload: encodePullSparseReq(1, 0, []int{3})})
+	send(Frame{Op: OpPullSparse, AckedTo: 2, Payload: AppendPullSparseReq(nil, 1, 0, []int{3})})
 	srv.mu.Lock()
 	n := len(srv.applied)
 	srv.mu.Unlock()
@@ -313,6 +307,42 @@ func TestClientWatermarkAdvances(t *testing.T) {
 	for i, v := range vals {
 		if v != 5 {
 			t.Fatalf("col %d = %v, want 5", i, v)
+		}
+	}
+}
+
+// TestPushAddOutOfRangeLeavesRowUntouched: a push whose second column lies
+// outside the shard must be refused whole. ServerError is never retried, so
+// a frame that had already added its first column would leave the row torn.
+func TestPushAddOutOfRangeLeavesRowUntouched(t *testing.T) {
+	_, addr := startServer(t)
+	c := NewClient([]string{addr}, fastRetry())
+	defer c.Close()
+	if err := c.CreateShard(0, 1, 1, 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if err := c.PushAdd(0, 1, 0, all, []float64{.1, .2, .3, .4, .5, .6, .7, .8, .9, 1}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.PullSparse(0, 1, 0, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sErr *ServerError
+	if err := c.PushAdd(0, 1, 0, []int{3, 12}, []float64{5, 5}); !errors.As(err, &sErr) {
+		t.Fatalf("push [valid, invalid]: err = %v, want ServerError", err)
+	}
+	if _, err := c.PullSparse(0, 1, 0, []int{3, 12}); !errors.As(err, &sErr) {
+		t.Fatalf("pull [valid, invalid]: err = %v, want ServerError", err)
+	}
+	after, err := c.PullSparse(0, 1, 0, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range before {
+		if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("col %d = %v after the refused push, was %v: half-applied", i, after[i], before[i])
 		}
 	}
 }

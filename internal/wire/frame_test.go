@@ -18,8 +18,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFrame(&buf)
-		if err != nil {
+		var got Frame
+		if err := ReadFrameReuse(&buf, &got, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got.Op != f.Op || got.Flags != f.Flags || got.ReqID != f.ReqID || got.AckedTo != f.AckedTo {
@@ -38,7 +38,7 @@ func TestFrameRejectsBadMagic(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[0] ^= 0xFF
-	if _, err := ReadFrame(bytes.NewReader(b)); err == nil {
+	if err := ReadFrameReuse(bytes.NewReader(b), new(Frame), nil); err == nil {
 		t.Fatal("corrupted magic accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err := WriteResponse(&buf, []byte{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResponse(&buf)
+	got, err := ReadResponseReuse(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err := WriteResponse(&buf, nil, errors.New("boom")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadResponse(&buf)
+	_, err = ReadResponseReuse(&buf, nil)
 	var sErr *ServerError
 	if !errors.As(err, &sErr) || sErr.Msg != "boom" {
 		t.Fatalf("err = %v, want ServerError(boom)", err)
@@ -69,28 +69,28 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestPayloadCodecs(t *testing.T) {
 	{
-		mat, rows, lo, hi, err := decodeCreateShard(encodeCreateShard(3, 2, 100, 250))
+		mat, rows, lo, hi, err := decodeCreateShard(AppendCreateShard(nil, 3, 2, 100, 250))
 		if err != nil || mat != 3 || rows != 2 || lo != 100 || hi != 250 {
 			t.Fatalf("create shard: %v %v %v %v %v", mat, rows, lo, hi, err)
 		}
 	}
 	{
 		cols := []int{1, 5, 9}
-		mat, row, gotCols, err := decodePullSparseReq(encodePullSparseReq(7, 1, cols))
+		mat, row, gotCols, err := DecodePullSparseReqInto(AppendPullSparseReq(nil, 7, 1, cols), new([]int))
 		if err != nil || mat != 7 || row != 1 || !reflect.DeepEqual(gotCols, cols) {
 			t.Fatalf("pull sparse req: %v %v %v %v", mat, row, gotCols, err)
 		}
 	}
 	{
 		vals := []float64{1.5, -2.25, math.Pi}
-		got, err := decodeVals(encodeVals(vals))
+		got, err := DecodeValsInto(AppendVals(nil, vals), new([]float64))
 		if err != nil || !reflect.DeepEqual(got, vals) {
 			t.Fatalf("vals: %v %v", got, err)
 		}
 	}
 	{
 		cols, vals := []int{2, 4}, []float64{0.5, -0.5}
-		mat, row, gc, gv, err := decodePushAdd(encodePushAdd(1, 1, cols, vals))
+		mat, row, gc, gv, err := DecodePushAddInto(AppendPushAdd(nil, 1, 1, cols, vals), new([]int), new([]float64))
 		if err != nil || mat != 1 || row != 1 || !reflect.DeepEqual(gc, cols) || !reflect.DeepEqual(gv, vals) {
 			t.Fatalf("push add: %v %v %v %v %v", mat, row, gc, gv, err)
 		}
@@ -101,13 +101,13 @@ func TestPayloadCodecs(t *testing.T) {
 			{Kind: FZero, Row: 1},
 			{Kind: FScale, Row: 0, Scale: 0.99},
 		}
-		mat, got, err := decodeFused(encodeFused(9, ops))
+		mat, got, err := DecodeFusedInto(AppendFused(nil, 9, ops), new([]FusedOp))
 		if err != nil || mat != 9 || !reflect.DeepEqual(got, ops) {
 			t.Fatalf("fused: %v %v %v", mat, got, err)
 		}
 	}
 	{
-		lo, vals, err := decodePullRangeResp(encodePullRangeResp(40, []float64{1, 2}))
+		lo, vals, err := DecodePullRangeRespInto(AppendPullRangeResp(nil, 40, []float64{1, 2}), new([]float64))
 		if err != nil || lo != 40 || !reflect.DeepEqual(vals, []float64{1, 2}) {
 			t.Fatalf("pull range resp: %v %v %v", lo, vals, err)
 		}
@@ -122,15 +122,15 @@ func TestPayloadCodecs(t *testing.T) {
 }
 
 func TestDecodersRejectTruncation(t *testing.T) {
-	full := encodePushAdd(1, 0, []int{1, 2, 3}, []float64{1, 2, 3})
+	full := AppendPushAdd(nil, 1, 0, []int{1, 2, 3}, []float64{1, 2, 3})
 	for n := 0; n < len(full); n++ {
-		if _, _, _, _, err := decodePushAdd(full[:n]); err == nil {
+		if _, _, _, _, err := DecodePushAddInto(full[:n], new([]int), new([]float64)); err == nil {
 			t.Fatalf("truncated payload of %d bytes accepted", n)
 		}
 	}
 	// Trailing garbage must be rejected too — a length-confused encoder
 	// would otherwise silently round-trip.
-	if _, _, _, _, err := decodePushAdd(append(append([]byte{}, full...), 0)); err == nil {
+	if _, _, _, _, err := DecodePushAddInto(append(append([]byte{}, full...), 0), new([]int), new([]float64)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -140,7 +140,7 @@ func TestDecoderRejectsHugeVector(t *testing.T) {
 	e.u32(1)          // mat
 	e.u32(0)          // row
 	e.u32(0xFFFFFFFF) // claimed column count far beyond the frame cap
-	if _, _, _, err := decodePullSparseReq(e.b); err == nil {
+	if _, _, _, err := DecodePullSparseReqInto(e.b, new([]int)); err == nil {
 		t.Fatal("absurd length prefix accepted")
 	}
 }

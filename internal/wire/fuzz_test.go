@@ -1,0 +1,178 @@
+package wire
+
+// Native fuzz targets for the decoders that read attacker-shaped bytes off a
+// socket. Each target checks three properties on arbitrary input: no panic,
+// no scratch buffer grown past what the input (capped at MaxPayload) can
+// hold, and a successful decode re-encodes to exactly the bytes it consumed.
+// The seed corpus — valid encodings plus truncated and over-long variants —
+// runs under plain `go test`; `go test -fuzz FuzzX ./internal/wire` explores.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// seedVariants adds a valid encoding and its malformed neighbours: every
+// strict prefix, a trailing byte, and (when lenOff >= 0) the u32 length
+// prefix at lenOff inflated to claim far more elements than the bytes hold.
+func seedVariants(f *testing.F, valid []byte, lenOff int) {
+	f.Add(valid)
+	for n := 0; n < len(valid); n++ {
+		f.Add(valid[:n])
+	}
+	f.Add(append(append([]byte{}, valid...), 0))
+	if lenOff >= 0 {
+		for _, claim := range []uint32{uint32(len(valid)), MaxPayload / 8, math.MaxUint32} {
+			long := append([]byte{}, valid...)
+			binary.LittleEndian.PutUint32(long[lenOff:], claim)
+			f.Add(long)
+		}
+	}
+}
+
+func FuzzReadFrameReuse(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteFrame(&valid, Frame{Op: OpPushAdd, Flags: FlagMutates, ReqID: 42, AckedTo: 17,
+		Payload: AppendPushAdd(nil, 1, 0, []int{3, 9}, []float64{0.5, -2})}); err != nil {
+		f.Fatal(err)
+	}
+	seedVariants(f, valid.Bytes(), 20) // plen sits at header offset 20
+	f.Add(valid.Bytes()[:reqHeaderLen-4])
+	buf := []byte("stale scratch from the previous frame")
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var fr Frame
+		err := ReadFrameReuse(bytes.NewReader(in), &fr, &buf)
+		if cap(buf) > MaxPayload {
+			t.Fatalf("scratch grew to %d bytes, past the %d cap", cap(buf), MaxPayload)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteFrame(&out, fr); err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		if n := reqHeaderLen + len(fr.Payload); !bytes.Equal(out.Bytes(), in[:n]) {
+			t.Fatalf("re-encoded frame differs from the %d bytes consumed", n)
+		}
+	})
+}
+
+func FuzzReadResponseReuse(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteResponse(&valid, AppendVals(nil, []float64{1.5, -2.25}), nil); err != nil {
+		f.Fatal(err)
+	}
+	seedVariants(f, valid.Bytes(), 4) // plen sits at header offset 4
+	failed := append([]byte{}, valid.Bytes()...)
+	failed[2] = 1 // status: application error
+	f.Add(failed)
+	buf := []byte("stale scratch from the previous response")
+	f.Fuzz(func(t *testing.T, in []byte) {
+		payload, err := ReadResponseReuse(bytes.NewReader(in), &buf)
+		if cap(buf) > MaxPayload {
+			t.Fatalf("scratch grew to %d bytes, past the %d cap", cap(buf), MaxPayload)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteResponse(&out, payload, nil); err != nil {
+			t.Fatalf("decoded response does not re-encode: %v", err)
+		}
+		want := append([]byte{}, in[:respHeaderLen+len(payload)]...)
+		want[3] = 0 // the pad byte is not carried
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatal("re-encoded response differs from the bytes consumed")
+		}
+	})
+}
+
+// grewWithin fails the test when a decode grew its scratch (from before to
+// after elements) to more than a payload of the given size could have
+// carried at elemBytes each.
+func grewWithin(t *testing.T, what string, before, after, payloadLen, elemBytes int) {
+	t.Helper()
+	if after > before && after > payloadLen/elemBytes {
+		t.Fatalf("%s scratch grew from %d to %d elements for a %d-byte payload", what, before, after, payloadLen)
+	}
+}
+
+// staleScratch is the size of the dirty scratch each target starts from, so
+// decoders are fuzzed on the reuse path, not only on fresh buffers.
+const staleScratch = 4
+
+func FuzzDecodePushAddInto(f *testing.F) {
+	seedVariants(f, AppendPushAdd(nil, 5, 11, []int{3, 9, 27}, []float64{0.1, -2.5, math.Pi}), 8)
+	seedVariants(f, AppendPushAdd(nil, 0, 0, nil, nil), 8)
+	cols, vals := make([]int, staleScratch), make([]float64, staleScratch)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		nc, nv := cap(cols), cap(vals)
+		mat, row, c, v, err := DecodePushAddInto(in, &cols, &vals)
+		grewWithin(t, "column", nc, cap(cols), len(in), 4)
+		grewWithin(t, "value", nv, cap(vals), len(in), 8)
+		if err != nil {
+			return
+		}
+		if out := AppendPushAdd(nil, mat, row, c, v); !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, decoded from %x", out, in)
+		}
+	})
+}
+
+func FuzzDecodePullSparseReqInto(f *testing.F) {
+	seedVariants(f, AppendPullSparseReq(nil, 7, 1, []int{1, 5, 9}), 8)
+	cols := make([]int, staleScratch)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		nc := cap(cols)
+		mat, row, c, err := DecodePullSparseReqInto(in, &cols)
+		grewWithin(t, "column", nc, cap(cols), len(in), 4)
+		if err != nil {
+			return
+		}
+		if out := AppendPullSparseReq(nil, mat, row, c); !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, decoded from %x", out, in)
+		}
+	})
+}
+
+func FuzzDecodeValsInto(f *testing.F) {
+	seedVariants(f, AppendVals(nil, []float64{1.5, -2.25, math.Inf(1), math.NaN()}), 0)
+	vals := make([]float64, staleScratch)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		nv := cap(vals)
+		v, err := DecodeValsInto(in, &vals)
+		grewWithin(t, "value", nv, cap(vals), len(in), 8)
+		if err != nil {
+			return
+		}
+		if out := AppendVals(nil, v); !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, decoded from %x", out, in)
+		}
+	})
+}
+
+func FuzzDecodeFusedInto(f *testing.F) {
+	seedVariants(f, AppendFused(nil, 9, []FusedOp{
+		{Kind: FAxpy, Dst: 0, Src: 1, Scale: -0.01},
+		{Kind: FZero, Row: 1},
+		{Kind: FScale, Row: 0, Scale: 0.99},
+	}), 4)
+	unknown := AppendFused(nil, 9, []FusedOp{{Kind: FZero, Row: 1}})
+	unknown[8] = 0xEE // op kind
+	f.Add(unknown)
+	ops := make([]FusedOp, staleScratch)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		mat, o, err := DecodeFusedInto(in, &ops)
+		// Appended, so capacity is the runtime's policy; bound the count.
+		grewWithin(t, "op", 0, len(ops), len(in), 5)
+		if err != nil {
+			return
+		}
+		if out := AppendFused(nil, mat, o); !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, decoded from %x", out, in)
+		}
+	})
+}

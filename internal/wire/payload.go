@@ -2,12 +2,10 @@ package wire
 
 // Payload encodings for the PS operators, little-endian throughout. Each
 // operator has an append-style encoder (Append*, writing into a caller
-// buffer so steady-state encoding allocates nothing) and a cursor-style
-// decoder; the hot-path decoders have *Into variants that reuse caller
-// scratch. Decoders accumulate one sticky error so call sites check once at
-// the end. The unexported encode*/decode* names are the legacy
-// fresh-allocation forms, kept as thin wrappers for call sites that are not
-// on the hot path.
+// buffer so steady-state encoding allocates nothing; a nil dst allocates)
+// and a cursor-style decoder; decoders of variable-length payloads are *Into
+// forms that reuse caller scratch (a pointer to a nil slice allocates).
+// Decoders accumulate one sticky error so call sites check once at the end.
 
 import (
 	"encoding/binary"
@@ -87,15 +85,14 @@ func (d *dec) done() error {
 	return nil
 }
 
-// maxVecLen bounds decoded element counts so a corrupt length prefix cannot
-// drive a huge allocation: MaxPayload already caps the frame, so no valid
-// vector has more than MaxPayload/8 elements.
-const maxVecLen = MaxPayload / 8
-
-func (d *dec) vecLen() int {
+// vecLen reads an element count and checks the rest of the payload can hold
+// that many elements of at least elemBytes each, so a corrupt length prefix
+// cannot drive an allocation beyond the frame that carried it (itself capped
+// at MaxPayload).
+func (d *dec) vecLen(elemBytes int) int {
 	n := int(d.u32())
-	if d.err == nil && n > maxVecLen {
-		d.err = fmt.Errorf("wire: vector length %d exceeds frame cap", n)
+	if d.err == nil && n > (len(d.b)-d.off)/elemBytes {
+		d.err = fmt.Errorf("wire: vector length %d exceeds the %d payload bytes left", n, len(d.b)-d.off)
 	}
 	return n
 }
@@ -130,10 +127,6 @@ func AppendCreateShard(dst []byte, mat uint32, rows, lo, hi int) []byte {
 	return e.b
 }
 
-func encodeCreateShard(mat uint32, rows, lo, hi int) []byte {
-	return AppendCreateShard(nil, mat, rows, lo, hi)
-}
-
 func decodeCreateShard(p []byte) (mat uint32, rows, lo, hi int, err error) {
 	d := dec{b: p}
 	mat = d.u32()
@@ -157,17 +150,13 @@ func AppendPullSparseReq(dst []byte, mat uint32, row int, cols []int) []byte {
 	return e.b
 }
 
-func encodePullSparseReq(mat uint32, row int, cols []int) []byte {
-	return AppendPullSparseReq(nil, mat, row, cols)
-}
-
 // DecodePullSparseReqInto decodes a PullSparse request, reading the column
 // list into *colsBuf (grown as needed). The returned cols aliases *colsBuf.
 func DecodePullSparseReqInto(p []byte, colsBuf *[]int) (mat uint32, row int, cols []int, err error) {
 	d := dec{b: p}
 	mat = d.u32()
 	row = int(d.u32())
-	n := d.vecLen()
+	n := d.vecLen(4)
 	if d.err == nil {
 		cols = growInts(colsBuf, n)
 		for i := range cols {
@@ -175,11 +164,6 @@ func DecodePullSparseReqInto(p []byte, colsBuf *[]int) (mat uint32, row int, col
 		}
 	}
 	return mat, row, cols, d.done()
-}
-
-func decodePullSparseReq(p []byte) (mat uint32, row int, cols []int, err error) {
-	var buf []int
-	return DecodePullSparseReqInto(p, &buf)
 }
 
 // AppendVals appends a values-vector payload to dst.
@@ -192,15 +176,11 @@ func AppendVals(dst []byte, vals []float64) []byte {
 	return e.b
 }
 
-func encodeVals(vals []float64) []byte {
-	return AppendVals(nil, vals)
-}
-
 // DecodeValsInto decodes a values-vector payload into *valsBuf (grown as
 // needed). The returned slice aliases *valsBuf.
 func DecodeValsInto(p []byte, valsBuf *[]float64) ([]float64, error) {
 	d := dec{b: p}
-	n := d.vecLen()
+	n := d.vecLen(8)
 	var vals []float64
 	if d.err == nil {
 		vals = growFloats(valsBuf, n)
@@ -209,11 +189,6 @@ func DecodeValsInto(p []byte, valsBuf *[]float64) ([]float64, error) {
 		}
 	}
 	return vals, d.done()
-}
-
-func decodeVals(p []byte) ([]float64, error) {
-	var buf []float64
-	return DecodeValsInto(p, &buf)
 }
 
 // --- PushAdd: mat, row, cols, vals; empty response ---
@@ -233,17 +208,13 @@ func AppendPushAdd(dst []byte, mat uint32, row int, cols []int, vals []float64) 
 	return e.b
 }
 
-func encodePushAdd(mat uint32, row int, cols []int, vals []float64) []byte {
-	return AppendPushAdd(nil, mat, row, cols, vals)
-}
-
 // DecodePushAddInto decodes a PushAdd request reusing the caller's column
 // and value scratch. The returned slices alias the scratch.
 func DecodePushAddInto(p []byte, colsBuf *[]int, valsBuf *[]float64) (mat uint32, row int, cols []int, vals []float64, err error) {
 	d := dec{b: p}
 	mat = d.u32()
 	row = int(d.u32())
-	n := d.vecLen()
+	n := d.vecLen(12)
 	if d.err == nil {
 		cols = growInts(colsBuf, n)
 		for i := range cols {
@@ -255,12 +226,6 @@ func DecodePushAddInto(p []byte, colsBuf *[]int, valsBuf *[]float64) (mat uint32
 		}
 	}
 	return mat, row, cols, vals, d.done()
-}
-
-func decodePushAdd(p []byte) (mat uint32, row int, cols []int, vals []float64, err error) {
-	var cbuf []int
-	var vbuf []float64
-	return DecodePushAddInto(p, &cbuf, &vbuf)
 }
 
 // --- Fused: mat + op program; empty response ---
@@ -304,16 +269,12 @@ func AppendFused(dst []byte, mat uint32, ops []FusedOp) []byte {
 	return e.b
 }
 
-func encodeFused(mat uint32, ops []FusedOp) []byte {
-	return AppendFused(nil, mat, ops)
-}
-
 // DecodeFusedInto decodes a Fused request program into *opsBuf (reused,
 // grown as needed). The returned ops alias the scratch.
 func DecodeFusedInto(p []byte, opsBuf *[]FusedOp) (mat uint32, ops []FusedOp, err error) {
 	d := dec{b: p}
 	mat = d.u32()
-	n := d.vecLen()
+	n := d.vecLen(5)
 	ops = (*opsBuf)[:0]
 	for i := 0; i < n && d.err == nil; i++ {
 		var op FusedOp
@@ -337,15 +298,6 @@ func DecodeFusedInto(p []byte, opsBuf *[]FusedOp) (mat uint32, ops []FusedOp, er
 	return mat, ops, d.done()
 }
 
-func decodeFused(p []byte) (mat uint32, ops []FusedOp, err error) {
-	var buf []FusedOp
-	mat, ops, err = DecodeFusedInto(p, &buf)
-	if len(ops) == 0 {
-		ops = nil
-	}
-	return mat, ops, err
-}
-
 // --- PullRange: request mat, row; response lo, vals (the shard's stretch) ---
 
 // AppendPullRangeReq appends the PullRange request payload to dst.
@@ -354,10 +306,6 @@ func AppendPullRangeReq(dst []byte, mat uint32, row int) []byte {
 	e.u32(mat)
 	e.u32(uint32(row))
 	return e.b
-}
-
-func encodePullRangeReq(mat uint32, row int) []byte {
-	return AppendPullRangeReq(nil, mat, row)
 }
 
 func decodePullRangeReq(p []byte) (mat uint32, row int, err error) {
@@ -378,16 +326,12 @@ func AppendPullRangeResp(dst []byte, lo int, vals []float64) []byte {
 	return e.b
 }
 
-func encodePullRangeResp(lo int, vals []float64) []byte {
-	return AppendPullRangeResp(nil, lo, vals)
-}
-
 // DecodePullRangeRespInto decodes a PullRange response reusing the caller's
 // value scratch. The returned vals alias *valsBuf.
 func DecodePullRangeRespInto(p []byte, valsBuf *[]float64) (lo int, vals []float64, err error) {
 	d := dec{b: p}
 	lo = int(d.u32())
-	n := d.vecLen()
+	n := d.vecLen(8)
 	if d.err == nil {
 		vals = growFloats(valsBuf, n)
 		for i := range vals {
@@ -395,11 +339,6 @@ func DecodePullRangeRespInto(p []byte, valsBuf *[]float64) (lo int, vals []float
 		}
 	}
 	return lo, vals, d.done()
-}
-
-func decodePullRangeResp(p []byte) (lo int, vals []float64, err error) {
-	var buf []float64
-	return DecodePullRangeRespInto(p, &buf)
 }
 
 // --- Stats: empty request; response is the server's counters ---

@@ -242,6 +242,18 @@ func (sh *shardStore) row(r int) ([]float64, error) {
 	return sh.data[r], nil
 }
 
+// checkCols refuses a column list that leaves the shard's range, before any
+// of it is applied: a ServerError is never retried, so a push that failed at
+// its k-th column with the first k-1 already added would stay torn.
+func (sh *shardStore) checkCols(cols []int) error {
+	for _, c := range cols {
+		if c < sh.lo || c >= sh.hi {
+			return fmt.Errorf("wire: column %d outside shard [%d,%d)", c, sh.lo, sh.hi)
+		}
+	}
+	return nil
+}
+
 func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 	switch f.Op {
 	case OpPing:
@@ -281,11 +293,11 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := sh.checkCols(cols); err != nil {
+			return nil, err
+		}
 		vals := growFloats(&sc.vals, len(cols))
 		for i, c := range cols {
-			if c < sh.lo || c >= sh.hi {
-				return nil, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, sh.lo, sh.hi)
-			}
 			vals[i] = data[c-sh.lo]
 		}
 		sc.resp = AppendVals(sc.resp[:0], vals)
@@ -304,10 +316,10 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := sh.checkCols(cols); err != nil {
+			return nil, err
+		}
 		for i, c := range cols {
-			if c < sh.lo || c >= sh.hi {
-				return nil, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, sh.lo, sh.hi)
-			}
 			data[c-sh.lo] += vals[i]
 		}
 		return nil, nil

@@ -1,15 +1,13 @@
-// Package wire is the real-TCP backend behind the parameter-server
-// transport seam (internal/ps/transport.go): a length-prefixed binary
+// Package wire is the real-TCP parameter server: a length-prefixed binary
 // protocol carrying the PS data-plane operators — sparse pull, push-add,
 // fused update programs, range pull — between OS processes, so the LR
 // trainer that normally runs on simnet virtual time can run against real
 // sockets (cmd/ps2serve, cmd/ps2worker).
 //
-// The package deliberately does not implement the simnet-typed ps.Transport
-// interface: CallShard's request payloads are Go closures executed against
-// in-process shard memory, and a closure cannot cross a socket. Instead wire
-// speaks the concrete encodings of the operators those closures implement,
-// and maps the same at-least-once machinery onto real time:
+// The simulated ps.CallShard ships Go closures executed against in-process
+// shard memory, and a closure cannot cross a socket. Instead wire speaks the
+// concrete encodings of the operators those closures implement, and maps the
+// same at-least-once machinery onto real time:
 //
 //   - every mutating request carries a client-assigned request ID; servers
 //     keep an applied-set and replay the cached response on a duplicate,
@@ -127,18 +125,11 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// ReadFrame decodes one request from r, allocating a fresh payload.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var f Frame
-	err := ReadFrameReuse(r, &f, nil)
-	return f, err
-}
-
 // ReadFrameReuse decodes one request from r into *f. When buf is non-nil the
 // payload is read into *buf (grown as needed) and f.Payload aliases it, so a
 // connection loop can reuse one buffer across frames instead of allocating
 // per frame; the payload is only valid until the next ReadFrameReuse with the
-// same buf. With a nil buf it behaves like ReadFrame.
+// same buf. With a nil buf the payload is a fresh allocation the caller owns.
 func ReadFrameReuse(r io.Reader, f *Frame, buf *[]byte) error {
 	// Read the header through the reuse buffer: a local array would escape
 	// through the io.ReadFull interface call and cost an allocation per
@@ -205,17 +196,12 @@ func WriteResponse(w io.Writer, payload []byte, appErr error) error {
 	return err
 }
 
-// ReadResponse decodes one response from r, allocating a fresh payload. A
-// status-1 frame returns (nil, application error); transport failures return
-// the IO error.
-func ReadResponse(r io.Reader) ([]byte, error) {
-	return ReadResponseReuse(r, nil)
-}
-
-// ReadResponseReuse decodes one response from r. When buf is non-nil the
-// payload is read into *buf (grown as needed) and the returned slice aliases
-// it — valid only until the next read into the same buf; callers that keep
-// the payload must copy it out. With a nil buf it behaves like ReadResponse.
+// ReadResponseReuse decodes one response from r. A status-1 frame returns
+// (nil, *ServerError); transport failures return the IO error. When buf is
+// non-nil the payload is read into *buf (grown as needed) and the returned
+// slice aliases it — valid only until the next read into the same buf;
+// callers that keep the payload must copy it out. With a nil buf the payload
+// is a fresh allocation the caller owns.
 func ReadResponseReuse(r io.Reader, buf *[]byte) ([]byte, error) {
 	// Same header-through-buffer trick as ReadFrameReuse: a local array
 	// escapes via the io.ReadFull interface call.

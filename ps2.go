@@ -20,7 +20,7 @@
 //
 //		// Serve: one read entry point for inference traffic, safe while
 //		// training continues. Hot columns are answered from replicas, cold
-//		// ones by their owners; ReadOptions picks snapshot/staleness/priority.
+//		// ones by their owners; ReadOptions picks snapshot/policy/priority.
 //		reader, err := ps2.Serve(model.Weights.Matrix(), ps2.ServeOptions{
 //			Replicas: &ps2.ReplicaConfig{HotCols: hot},
 //		})
@@ -127,7 +127,7 @@ type RetryConfig = ps.RetryConfig
 type RecoveryStats = ps.RecoveryStats
 
 // CacheConfig tunes the worker-side parameter cache and write-combining
-// push buffer (TrainOptions.Cache): staleness bound, per-executor byte
+// push buffer (TrainOptions.Cache): consistency policy, per-executor byte
 // capacity, and whether pushes are combined.
 type CacheConfig = ps.CacheConfig
 
@@ -138,17 +138,16 @@ type CachedClient = ps.CachedClient
 
 // ConsistencyPolicy decides, per cached read, whether a cached value may be
 // served as-is, must be revalidated against its version stamp, or must be
-// hard-pulled from the owner. It is the one pluggable seam behind every
-// staleness decision in the system: CacheConfig.Policy (worker cache),
-// ReplicaConfig.Policy (hot-replica rotation) and ReadOptions.Policy
-// (serving-tier reads) all accept one. Nil always means clock-bounded at
-// the seam's Staleness field — the historic behavior, bit-identical.
+// hard-pulled from the owner. It is the one freshness knob: CacheConfig.Policy
+// (worker cache), ReplicaConfig.Policy (hot-replica rotation) and
+// ReadOptions.Policy (serving-tier reads) all accept one, and nil always
+// means ClockBoundedPolicy(0).
 type ConsistencyPolicy = consistency.Policy
 
 // ClockBoundedPolicy returns the classic bounded-staleness policy: a cached
 // value serves while it is at most staleness clock ticks old, revalidates
-// otherwise. Staleness 0 is the strictest (validate every read once the
-// clock moves); negative values clamp to 0.
+// otherwise. 0 is the strictest (validate every read once the clock moves);
+// negative values clamp to 0.
 func ClockBoundedPolicy(staleness int) ConsistencyPolicy {
 	return consistency.NewClockBounded(staleness)
 }
@@ -174,7 +173,7 @@ func AdaptivePolicy(base float64) ConsistencyPolicy {
 type Matrix = ps.Matrix
 
 // ReplicaConfig selects the hot columns replicated to every server and the
-// staleness bound replica-served reads tolerate (TrainOptions.Replicas,
+// consistency policy replica-served reads follow (TrainOptions.Replicas,
 // ServeOptions.Replicas).
 type ReplicaConfig = ps.ReplicaConfig
 
@@ -192,8 +191,8 @@ type ModelReader = ps.ModelReader
 type ModelSnapshot = ps.ModelSnapshot
 
 // ReadOptions selects the consistency point (ModelSnapshot or live), the
-// staleness bound, and the admission priority of one ModelReader read. The
-// zero value is the strictest read: live, exact, serve priority.
+// consistency policy, and the admission priority of one ModelReader read.
+// The zero value is the strictest read: live, exact, serve priority.
 type ReadOptions = ps.ReadOptions
 
 // ServeOptions configures a ModelReader: hot-column replication for the

@@ -1,17 +1,12 @@
 #!/bin/sh
-# bench_snapshot.sh — regenerate the committed benchmark snapshots.
+# bench_snapshot.sh — regenerate the committed benchmark snapshot.
 #
-# Runs the suite at -quick scale and writes JSON snapshots containing only
-# virtual (simulated) observations, so reruns on unchanged code are
-# byte-identical and `git diff` on the snapshots shows real behaviour drift
-# (volatile host-clock experiments such as ext-wire render to stdout but are
-# excluded from the JSON — see Result.Volatile):
-#
-#   BENCH_ELASTIC.json      the ext-elastic elastic-membership experiment
-#   BENCH_SERVE.json        the ext-serve online-serving-tier experiment
-#   BENCH_HOTPATH.json      the ext-hotpath allocation-trajectory experiment
-#   BENCH_CONSISTENCY.json  the ext-consistency policy ablation
-#   BENCH_BASELINE.json     every registered experiment (the baseline suite)
+# Runs every registered experiment at -quick scale and writes
+# BENCH_BASELINE.json, which holds only virtual (simulated) observations and
+# exact allocation counts, so reruns on unchanged code are byte-identical and
+# `git diff` on it shows real behaviour drift (volatile host-clock experiments
+# such as ext-wire render to stdout but are excluded from the JSON — see
+# Result.Volatile). Wall-clock numbers are benchmarks/ps2perf's job.
 #
 # Usage: scripts/bench_snapshot.sh [output-dir]   (default: repo root)
 set -eu
@@ -19,10 +14,6 @@ set -eu
 cd "$(dirname "$0")/.."
 out="${1:-.}"
 
-go run ./cmd/ps2bench -exp ext-elastic -quick -json "$out/BENCH_ELASTIC.json" >/dev/null
-go run ./cmd/ps2bench -exp ext-serve -quick -json "$out/BENCH_SERVE.json" >/dev/null
-go run ./cmd/ps2bench -exp ext-hotpath -quick -json "$out/BENCH_HOTPATH.json" >/dev/null
-go run ./cmd/ps2bench -exp ext-consistency -quick -json "$out/BENCH_CONSISTENCY.json" >/dev/null
 go run ./cmd/ps2bench -all -quick -json "$out/BENCH_BASELINE.json" >/dev/null
 
-echo "snapshots written to $out/BENCH_ELASTIC.json, $out/BENCH_SERVE.json, $out/BENCH_HOTPATH.json, $out/BENCH_CONSISTENCY.json and $out/BENCH_BASELINE.json"
+echo "snapshot written to $out/BENCH_BASELINE.json"
