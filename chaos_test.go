@@ -171,7 +171,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 			init[c] = math.Sin(float64(c)) // every column nonzero: copies must carry it
 		}
 		for r := 0; r < rows; r++ {
-			mat.SetRow(p, worker, r, init)
+			ps.MustOK(mat.SetRow(p, worker, r, init))
 		}
 		m.Checkpoint(p, mat)
 		g := p.Sim().NewGroup()
@@ -182,7 +182,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 				if err != nil {
 					panic(err)
 				}
-				mat.PushAdd(cp, engine.Cluster.Executors[1], 0, sv)
+				ps.MustOK(mat.PushAdd(cp, engine.Cluster.Executors[1], 0, sv))
 			}
 		})
 		if servers >= 8 {
@@ -216,7 +216,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 		g.Wait(p)
 		res.rows = make([][]float64, rows)
 		for r := 0; r < rows; r++ {
-			res.rows[r] = mat.PullRow(p, engine.Driver(), r)
+			res.rows[r] = ps.Must(mat.PullRow(p, engine.Driver(), r))
 		}
 		res.settled = m.DedupSettled()
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	ps2 "repro"
+	"repro/internal/ps"
 )
 
 // Example_dcv mirrors the paper's Figure 3/4 code: a weight DCV is
@@ -21,13 +22,14 @@ func Example_dcv() {
 			panic(err)
 		}
 		// val velocity = DCV.derive(weight).fill(0.0)  (and friends)
-		velocity := weight.MustDerive().Fill(p, engine.Driver(), 0)
-		gradient := weight.MustDerive().Fill(p, engine.Driver(), 1)
+		velocity, gradient := weight.MustDerive(), weight.MustDerive()
+		ps.MustOK(velocity.Fill(p, engine.Driver(), 0))
+		ps.MustOK(gradient.Fill(p, engine.Driver(), 1))
 		fmt.Println("derived co-located:", weight.Colocated(velocity))
 
 		// Server-side element-wise computation across co-located DCVs.
-		velocity.Axpy(p, engine.Driver(), 2, gradient)
-		sum := velocity.Sum(p, engine.Driver())
+		ps.MustOK(velocity.Axpy(p, engine.Driver(), 2, gradient))
+		sum := ps.Must(velocity.Sum(p, engine.Driver()))
 		fmt.Println("velocity sum after axpy:", sum)
 
 		// Figure 4's "inefficient writing": independent DCVs are not
@@ -36,9 +38,9 @@ func Example_dcv() {
 		if err != nil {
 			panic(err)
 		}
-		other.Fill(p, engine.Driver(), 3)
+		ps.MustOK(other.Fill(p, engine.Driver(), 3))
 		fmt.Println("independent co-located:", weight.Colocated(other))
-		dot := gradient.Dot(p, engine.Driver(), other)
+		dot := ps.Must(gradient.Dot(p, engine.Driver(), other))
 		fmt.Println("dot across placements:", dot)
 	})
 	// Output:

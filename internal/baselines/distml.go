@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -49,7 +48,7 @@ func TrainLRDistML(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 				return stat{}
 			}
 			// Full dense pull (no sparse support in DistML's interface)...
-			_ = mat.PullRow(tc.P, tc.Node, 0)
+			ps.Must(mat.PullRow(tc.P, tc.Node, 0))
 			// ...but the gradient is computed against the stale snapshot:
 			// other workers' pushes from this round land before this pull in
 			// wall-clock order, yet DistML's async client gives no
@@ -61,20 +60,7 @@ func TrainLRDistML(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 			// Apply the update directly with a constant step (no decay) —
 			// scaled by the batch, pushed sparse.
 			eta := cfg.LearningRate / float64(len(rows))
-			gi := make([]int, 0, len(g))
-			for i := range g {
-				gi = append(gi, i)
-			}
-			sort.Ints(gi)
-			gv := make([]float64, len(gi))
-			for k, i := range gi {
-				gv[k] = -eta * g[i]
-			}
-			sv, err := linalg.NewSparse(gi, gv)
-			if err != nil {
-				panic(err)
-			}
-			mat.PushAdd(tc.P, tc.Node, 0, sv)
+			ps.MustOK(mat.PushAdd(tc.P, tc.Node, 0, linalg.SparseFromMap(g, -eta)))
 			return stat{Loss: lossSum, N: len(rows)}
 		})
 		var lossSum float64

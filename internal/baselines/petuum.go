@@ -3,12 +3,12 @@ package baselines
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
 	"repro/internal/ml/lr"
+	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -53,25 +53,12 @@ func TrainLRPetuum(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 				return stat{}
 			}
 			// Full-model pull: the whole dense vector from every server.
-			w := mat.PullRow(tc.P, tc.Node, 0)
+			w := ps.Must(mat.PullRow(tc.P, tc.Node, 0))
 			g, lossSum := lr.BatchGradient(cfg.Objective, rows, func(i int) float64 { return w[i] })
 			tc.Charge(cost.GradWork(lr.TotalNnz(rows)))
 			tc.Commit()
 			// Sparse increment push, applied at the servers.
-			gi := make([]int, 0, len(g))
-			for i := range g {
-				gi = append(gi, i)
-			}
-			sort.Ints(gi)
-			gv := make([]float64, len(gi))
-			for k, i := range gi {
-				gv[k] = -eta * g[i]
-			}
-			sv, err := linalg.NewSparse(gi, gv)
-			if err != nil {
-				panic(err)
-			}
-			mat.PushAdd(tc.P, tc.Node, 0, sv)
+			ps.MustOK(mat.PushAdd(tc.P, tc.Node, 0, linalg.SparseFromMap(g, -eta)))
 			return stat{Loss: lossSum, N: len(rows)}
 		})
 		var lossSum float64

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcv"
 	"repro/internal/ml/lr"
+	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -42,13 +43,13 @@ func (a *PullPushAdam) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error
 	if a.velocity, err = w.Derive(); err != nil {
 		return err
 	}
-	if err := a.velocity.TryFill(p, e.Driver(), 0); err != nil {
+	if err := a.velocity.Fill(p, e.Driver(), 0); err != nil {
 		return err
 	}
 	if a.square, err = w.Derive(); err != nil {
 		return err
 	}
-	return a.square.TryFill(p, e.Driver(), 0)
+	return a.square.Fill(p, e.Driver(), 0)
 }
 
 // Step performs the pull/push-only realization of equation (1), matching the
@@ -81,9 +82,9 @@ func (a *PullPushAdam) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector,
 				vv[k] = a.Beta2*vv[k] + (1-a.Beta2)*gi
 				wv[k] -= a.LearningRate * (vv[k] / corr2) / (math.Sqrt(sv[k]/corr1) + a.Epsilon)
 			}
-			w.Set(cp, exec, wv)
-			a.velocity.Set(cp, exec, vv)
-			a.square.Set(cp, exec, sv)
+			ps.MustOK(w.Set(cp, exec, wv))
+			ps.MustOK(a.velocity.Set(cp, exec, vv))
+			ps.MustOK(a.square.Set(cp, exec, sv))
 		})
 	}
 	g.Wait(p)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcv"
 	"repro/internal/ml/lr"
+	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -44,8 +45,8 @@ func runAblationColocation(o Opts) *Result {
 			}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
-				a.Dot(p, e.Driver(), b)
-				a.Axpy(p, e.Driver(), 0.5, b)
+				ps.Must(a.Dot(p, e.Driver(), b))
+				ps.MustOK(a.Axpy(p, e.Driver(), 0.5, b))
 			}
 			elapsed = p.Now() - start
 		})
@@ -98,7 +99,7 @@ func runAblationSparsePull(o Opts) *Result {
 				for i := range idx {
 					idx[i] = i * (dim / nnz)
 				}
-				v.PullIndices(p, worker, idx)
+				ps.Must(v.PullIndices(p, worker, idx))
 			}
 			elapsed = p.Now() - start
 		})
@@ -139,7 +140,7 @@ func runAblationServers(o Opts) *Result {
 			worker := e.Cluster.Executors[0]
 			start := p.Now()
 			for i := 0; i < ops; i++ {
-				a.Dot(p, worker, b)
+				ps.Must(a.Dot(p, worker, b))
 			}
 			elapsed = p.Now() - start
 		})

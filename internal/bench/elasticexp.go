@@ -161,7 +161,7 @@ func runElasticArm(o Opts, w elasticWorkload, name string, bootServers int,
 				g.Go("task", func(cp *simnet.Proc) {
 					node := e.Cluster.Executors[k%len(e.Cluster.Executors)]
 					cols := w.cols(t, k)
-					if _, err := mat.TryPullRowIndices(cp, node, 0, cols); err != nil {
+					if _, err := mat.PullRowIndices(cp, node, 0, cols); err != nil {
 						panic(err)
 					}
 					ones := make([]float64, len(cols))
@@ -172,12 +172,12 @@ func runElasticArm(o Opts, w elasticWorkload, name string, bootServers int,
 					if err != nil {
 						panic(err)
 					}
-					mat.PushAdd(cp, node, 0, sv)
+					ps.MustOK(mat.PushAdd(cp, node, 0, sv))
 				})
 			}
 			g.Wait(p)
 		}
-		res.Final = mat.PullRow(p, e.Driver(), 0)
+		res.Final = ps.Must(mat.PullRow(p, e.Driver(), 0))
 	})
 	snap := e.Snapshot()
 	res.EndSec = float64(end)

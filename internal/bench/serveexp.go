@@ -214,7 +214,7 @@ func runExtServe(o Opts) *Result {
 					g.Go("train-push", func(cp *simnet.Proc) {
 						// Shed pushes are dropped — exactly what admission
 						// promises: bounded queueing, typed refusal.
-						if err := weights.TryPushAdd(cp, from, wrow, sv); err != nil && !errors.Is(err, ps.ErrOverload) {
+						if err := weights.PushAdd(cp, from, wrow, sv); err != nil && !errors.Is(err, ps.ErrOverload) {
 							panic(err)
 						}
 					})
@@ -250,12 +250,12 @@ func runExtServe(o Opts) *Result {
 					}
 					defer snap.Close()
 					probe := hot[:12]
-					base, err := snap.TryReadRowIndices(cp, e.Cluster.Executors[0], wrow, probe)
+					base, err := snap.ReadRowIndices(cp, e.Cluster.Executors[0], wrow, probe)
 					if err != nil {
 						panic(err)
 					}
 					for !done {
-						got, err := snap.TryReadRowIndices(cp, e.Cluster.Executors[0], wrow, probe)
+						got, err := snap.ReadRowIndices(cp, e.Cluster.Executors[0], wrow, probe)
 						if errors.Is(err, ps.ErrOverload) {
 							cp.Sleep(0.01) // shed probe: retry at our own pace
 							continue

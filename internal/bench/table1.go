@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dcv"
 	"repro/internal/linalg"
+	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -59,38 +60,38 @@ func runTable1(o Opts) *Result {
 		for i := range vals {
 			vals[i] = float64(i%100) / 100
 		}
-		v.Set(p, worker, vals)
-		w.Set(p, worker, vals)
+		ps.MustOK(v.Set(p, worker, vals))
+		ps.MustOK(w.Set(p, worker, vals))
 
 		measure("row access", "pull", func() { v.Pull(p, worker) })
 		idx := make([]int, 1000)
 		for i := range idx {
 			idx[i] = i * (dim / 1000)
 		}
-		measure("row access", "pull (sparse)", func() { v.PullIndices(p, worker, idx) })
+		measure("row access", "pull (sparse)", func() { ps.Must(v.PullIndices(p, worker, idx)) })
 		delta, err := linalg.NewSparse(idx, make([]float64, len(idx)))
 		if err != nil {
 			panic(err)
 		}
-		measure("row access", "push (add)", func() { v.Add(p, worker, delta) })
-		measure("row access", "sum", func() { v.Sum(p, worker) })
-		measure("row access", "nnz", func() { v.Nnz(p, worker) })
-		measure("row access", "norm2", func() { v.Norm2(p, worker) })
+		measure("row access", "push (add)", func() { ps.MustOK(v.Add(p, worker, delta)) })
+		measure("row access", "sum", func() { ps.Must(v.Sum(p, worker)) })
+		measure("row access", "nnz", func() { ps.Must(v.Nnz(p, worker)) })
+		measure("row access", "norm2", func() { ps.Must(v.Norm2(p, worker)) })
 
-		measure("column access", "dot", func() { v.Dot(p, worker, w) })
-		measure("column access", "axpy", func() { v.Axpy(p, driver, 0.5, w) })
-		measure("column access", "add", func() { v.AddVec(p, driver, w) })
-		measure("column access", "sub", func() { v.SubVec(p, driver, w) })
-		measure("column access", "mul", func() { v.MulVec(p, driver, w) })
-		measure("column access", "div", func() { v.DivVec(p, driver, w) })
-		measure("column access", "copy", func() { v.CopyFrom(p, driver, w) })
+		measure("column access", "dot", func() { ps.Must(v.Dot(p, worker, w)) })
+		measure("column access", "axpy", func() { ps.MustOK(v.Axpy(p, driver, 0.5, w)) })
+		measure("column access", "add", func() { ps.MustOK(v.AddVec(p, driver, w)) })
+		measure("column access", "sub", func() { ps.MustOK(v.SubVec(p, driver, w)) })
+		measure("column access", "mul", func() { ps.MustOK(v.MulVec(p, driver, w)) })
+		measure("column access", "div", func() { ps.MustOK(v.DivVec(p, driver, w)) })
+		measure("column access", "copy", func() { ps.MustOK(v.CopyFrom(p, driver, w)) })
 		measure("column access", "zip+mapPartition", func() {
-			v.ZipMap(p, driver, 2, func(lo int, rows [][]float64) {
+			ps.MustOK(v.ZipMap(p, driver, 2, func(lo int, rows [][]float64) {
 				a, b := rows[0], rows[1]
 				for i := range a {
 					a[i] += 0.1 * b[i]
 				}
-			}, w)
+			}, w))
 		})
 	})
 	r.Note("column-access operators move only commands and scalars: compare their wire KB against the row-access pull")

@@ -112,7 +112,7 @@ func (v *Vector) zipInvoke(p *simnet.Proc, from *simnet.Node, others []*Vector,
 					// placement is not guaranteed). Ship the operand's
 					// slice across; a dead peer makes the whole
 					// invocation retry.
-					osh, err := ov.mat.TryShard(s)
+					osh, err := ov.mat.LiveShard(s)
 					if err != nil {
 						return err
 					}
@@ -131,11 +131,11 @@ func (v *Vector) zipInvoke(p *simnet.Proc, from *simnet.Node, others []*Vector,
 	})
 }
 
-// TryDot returns <v, other>, computed server-side: each server multiplies its
+// Dot returns <v, other>, computed server-side: each server multiplies its
 // local stretches and returns one partial scalar. With a derived (co-located)
 // operand no vector data crosses the network; otherwise the operand's ranges
 // are shuffled between servers first.
-func (v *Vector) TryDot(p *simnet.Proc, from *simnet.Node, other *Vector) (float64, error) {
+func (v *Vector) Dot(p *simnet.Proc, from *simnet.Node, other *Vector) (float64, error) {
 	cost := v.sess.Master.Cl.Cost
 	// One slot per shard (not `total += partial`): a retried invocation
 	// re-executes fn, and assignment is idempotent where accumulation is not.
@@ -152,91 +152,40 @@ func (v *Vector) TryDot(p *simnet.Proc, from *simnet.Node, other *Vector) (float
 	return total, err
 }
 
-// Dot is TryDot panicking on operand or availability errors.
-func (v *Vector) Dot(p *simnet.Proc, from *simnet.Node, other *Vector) float64 {
-	d, err := v.TryDot(p, from, other)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// TryAxpy computes v += alpha*other server-side (the paper's iaxpy used in
+// Axpy computes v += alpha*other server-side (the paper's iaxpy used in
 // the DeepWalk update, Figure 6).
-func (v *Vector) TryAxpy(p *simnet.Proc, from *simnet.Node, alpha float64, other *Vector) error {
+func (v *Vector) Axpy(p *simnet.Proc, from *simnet.Node, alpha float64, other *Vector) error {
 	cost := v.sess.Master.Cl.Cost
 	return v.zipInvoke(p, from, []*Vector{other}, 0, cost.FlopsPerElem, func(sp ShardSpan) {
 		linalg.Axpy(alpha, sp.Rows[1], sp.Rows[0])
 	})
 }
 
-// Axpy is TryAxpy panicking on operand or availability errors.
-func (v *Vector) Axpy(p *simnet.Proc, from *simnet.Node, alpha float64, other *Vector) {
-	if err := v.TryAxpy(p, from, alpha, other); err != nil {
-		panic(err)
-	}
-}
-
-// TryAddVec computes v += other element-wise, server-side.
-func (v *Vector) TryAddVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
+// AddVec computes v += other element-wise, server-side.
+func (v *Vector) AddVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, linalg.Add)
 }
 
-// AddVec is TryAddVec panicking on operand or availability errors.
-func (v *Vector) AddVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryAddVec(p, from, other); err != nil {
-		panic(err)
-	}
-}
-
-// TrySubVec computes v -= other element-wise, server-side.
-func (v *Vector) TrySubVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
+// SubVec computes v -= other element-wise, server-side.
+func (v *Vector) SubVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, linalg.Sub)
 }
 
-// SubVec is TrySubVec panicking on operand or availability errors.
-func (v *Vector) SubVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TrySubVec(p, from, other); err != nil {
-		panic(err)
-	}
-}
-
-// TryMulVec computes v *= other element-wise, server-side.
-func (v *Vector) TryMulVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
+// MulVec computes v *= other element-wise, server-side.
+func (v *Vector) MulVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, linalg.Mul)
 }
 
-// MulVec is TryMulVec panicking on operand or availability errors.
-func (v *Vector) MulVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryMulVec(p, from, other); err != nil {
-		panic(err)
-	}
-}
-
-// TryDivVec computes v /= other element-wise, server-side. Division by zero
+// DivVec computes v /= other element-wise, server-side. Division by zero
 // follows IEEE-754 (±Inf/NaN); algorithms that can hit zero denominators add
 // an epsilon, as Adam does.
-func (v *Vector) TryDivVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
+func (v *Vector) DivVec(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, linalg.Div)
 }
 
-// DivVec is TryDivVec panicking on operand or availability errors.
-func (v *Vector) DivVec(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryDivVec(p, from, other); err != nil {
-		panic(err)
-	}
-}
-
-// TryCopyFrom overwrites v with other, server-side.
-func (v *Vector) TryCopyFrom(p *simnet.Proc, from *simnet.Node, other *Vector) error {
+// CopyFrom overwrites v with other, server-side.
+func (v *Vector) CopyFrom(p *simnet.Proc, from *simnet.Node, other *Vector) error {
 	return v.elementwise(p, from, other, func(dst, src []float64) { copy(dst, src) })
-}
-
-// CopyFrom is TryCopyFrom panicking on operand or availability errors.
-func (v *Vector) CopyFrom(p *simnet.Proc, from *simnet.Node, other *Vector) {
-	if err := v.TryCopyFrom(p, from, other); err != nil {
-		panic(err)
-	}
 }
 
 // elementwise dispatches one in-place dense kernel (dst op= src) per shard;
@@ -248,62 +197,39 @@ func (v *Vector) elementwise(p *simnet.Proc, from *simnet.Node, other *Vector, k
 	})
 }
 
-// TryScale multiplies every element by alpha, server-side, returning an error
+// Scale multiplies every element by alpha, server-side, returning an error
 // (wrapping ps.ErrServerDown or simnet.ErrNodeDown) when a shard stays
 // unreachable — in that case the vector may be partially scaled, exactly the
 // partial state the error reports.
-func (v *Vector) TryScale(p *simnet.Proc, from *simnet.Node, alpha float64) error {
+func (v *Vector) Scale(p *simnet.Proc, from *simnet.Node, alpha float64) error {
 	cost := v.sess.Master.Cl.Cost
 	return v.zipInvoke(p, from, nil, 0, cost.FlopsPerElem, func(sp ShardSpan) {
 		linalg.Scale(alpha, sp.Rows[0])
 	})
 }
 
-// Scale is TryScale panicking on exhausted retries, mirroring the plain/Try
-// split of the PS client's row operators.
-func (v *Vector) Scale(p *simnet.Proc, from *simnet.Node, alpha float64) {
-	if err := v.TryScale(p, from, alpha); err != nil {
-		panic(err)
-	}
-}
-
-// TryFill sets every element to c, server-side, returning an error when a
-// shard stays unreachable (the vector may then be partially filled).
-func (v *Vector) TryFill(p *simnet.Proc, from *simnet.Node, c float64) error {
+// Fill sets every element to c, server-side — the paper's
+// `DCV.derive(weight).fill(0.0)`. On error the vector may be partially filled.
+func (v *Vector) Fill(p *simnet.Proc, from *simnet.Node, c float64) error {
 	cost := v.sess.Master.Cl.Cost
 	return v.zipInvoke(p, from, nil, 0, cost.FlopsPerElem, func(sp ShardSpan) {
 		linalg.Fill(sp.Rows[0], c)
 	})
 }
 
-// Fill sets every element to c, server-side, and returns v for chaining —
-// the paper's `DCV.derive(weight).fill(0.0)` idiom. It panics on exhausted
-// retries; fault-tolerant callers use TryFill.
-func (v *Vector) Fill(p *simnet.Proc, from *simnet.Node, c float64) *Vector {
-	if err := v.TryFill(p, from, c); err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryZero resets the vector to zero server-side, returning an error when a
-// shard stays unreachable.
-func (v *Vector) TryZero(p *simnet.Proc, from *simnet.Node) error {
-	return v.TryFill(p, from, 0)
-}
-
 // Zero resets the vector to zero server-side — `gradient.zero()` in the
-// paper's training loops. It panics on exhausted retries; fault-tolerant
-// callers use TryZero.
-func (v *Vector) Zero(p *simnet.Proc, from *simnet.Node) { v.Fill(p, from, 0) }
+// paper's training loops.
+func (v *Vector) Zero(p *simnet.Proc, from *simnet.Node) error {
+	return v.Fill(p, from, 0)
+}
 
-// TryZipMap runs fn over every shard with all operand slices aligned in
+// ZipMap runs fn over every shard with all operand slices aligned in
 // server memory — the general server-side computation behind the paper's
 // `weight.zip(velocity, square, gradient).mapPartition{ updateModel }`
 // (Figure 3). fn may mutate any of the slices; because mutation must land in
 // live server memory, every operand is required to be co-located with v.
 // workPerElem is the caller's estimate of compute per element per vector.
-func (v *Vector) TryZipMap(p *simnet.Proc, from *simnet.Node, workPerElem float64,
+func (v *Vector) ZipMap(p *simnet.Proc, from *simnet.Node, workPerElem float64,
 	fn func(lo int, rows [][]float64), others ...*Vector) error {
 	for _, ov := range others {
 		if !v.Colocated(ov) {
@@ -313,14 +239,6 @@ func (v *Vector) TryZipMap(p *simnet.Proc, from *simnet.Node, workPerElem float6
 	return v.zipInvoke(p, from, others, 0, workPerElem, func(sp ShardSpan) {
 		fn(sp.Lo, sp.Rows)
 	})
-}
-
-// ZipMap is TryZipMap panicking on operand or availability errors.
-func (v *Vector) ZipMap(p *simnet.Proc, from *simnet.Node, workPerElem float64,
-	fn func(lo int, rows [][]float64), others ...*Vector) {
-	if err := v.TryZipMap(p, from, workPerElem, fn, others...); err != nil {
-		panic(err)
-	}
 }
 
 // ZipReduce runs fn over every shard like ZipMap and collects one result per

@@ -132,153 +132,78 @@ func (v *Vector) MustDerive() *Vector {
 
 // --- Row access operators (worker <-> server data movement) ---
 //
-// Each operator comes in two forms, following the repo-wide convention
-// documented in ARCHITECTURE.md: TryX returns a typed error when a shard's
-// server stays unreachable (wrapping ps.ErrServerDown) or the calling machine
-// is down (wrapping simnet.ErrNodeDown); the plain form delegates to TryX and
-// panics on those errors, for reliable runs and tests. Argument errors (bad
-// index slice, wrong dimension) panic in both forms.
+// Operators follow the ps client's rule (ps/client.go): each returns a typed
+// error when a shard's server stays unreachable (wrapping ps.ErrServerDown) or
+// the calling machine is down (wrapping simnet.ErrNodeDown), callers that want
+// a panic instead wrap the call in ps.Must / ps.MustOK, and argument misuse
+// (wrong dimension) panics.
 
-// TryPull fetches the whole vector to the caller's machine. For sparse DCVs
-// the transfer is charged by stored nonzeros.
-func (v *Vector) TryPull(p *simnet.Proc, from *simnet.Node) ([]float64, error) {
-	if v.sparse {
-		return v.mat.TryPullRowCompressed(p, from, v.row)
-	}
-	return v.mat.TryPullRow(p, from, v.row)
-}
-
-// Pull is TryPull panicking on availability errors.
+// Pull fetches the whole vector to the caller's machine, panicking on
+// availability errors — the one Must-style operator, kept beside MustDerive
+// for the examples and experiments that read a trained model back. For sparse
+// DCVs the transfer is charged by stored nonzeros.
 func (v *Vector) Pull(p *simnet.Proc, from *simnet.Node) []float64 {
-	row, err := v.TryPull(p, from)
-	if err != nil {
-		panic(err)
+	if v.sparse {
+		return ps.Must(v.mat.PullRowCompressed(p, from, v.row))
 	}
-	return row
+	return ps.Must(v.mat.PullRow(p, from, v.row))
 }
 
-// TryPullIndices fetches only the given strictly-increasing dimensions — the
+// PullIndices fetches only the given strictly-increasing dimensions — the
 // sparse pull used when a mini-batch touches a small feature subset.
-func (v *Vector) TryPullIndices(p *simnet.Proc, from *simnet.Node, indices []int) ([]float64, error) {
-	return v.mat.TryPullRowIndices(p, from, v.row, indices)
-}
-
-// PullIndices is TryPullIndices panicking on availability errors.
-func (v *Vector) PullIndices(p *simnet.Proc, from *simnet.Node, indices []int) []float64 {
-	vals, err := v.TryPullIndices(p, from, indices)
-	if err != nil {
-		panic(err)
-	}
-	return vals
+func (v *Vector) PullIndices(p *simnet.Proc, from *simnet.Node, indices []int) ([]float64, error) {
+	return v.mat.PullRowIndices(p, from, v.row, indices)
 }
 
 // PinSnapshot pins a snapshot-consistent view of the vector's raw matrix at
-// the current model clock (ps.ModelSnapshot): subsequent TryPullIndicesAt
+// the current model clock (ps.ModelSnapshot): subsequent PullIndicesAt
 // reads return exactly the values live at the pin, bit-identical under
 // concurrent pushes, at no bulk-copy cost. Close the snapshot when done.
 func (v *Vector) PinSnapshot(p *simnet.Proc) (*ps.ModelSnapshot, error) {
 	return v.mat.PinSnapshot(p)
 }
 
-// TryPullIndicesAt is TryPullIndices read against a pinned snapshot instead
+// PullIndicesAt is PullIndices read against a pinned snapshot instead
 // of the live model. The snapshot must pin this vector's raw matrix; reads
 // of a pin that was fenced (recovery, migration, undeclared bulk write)
 // return an error wrapping ps.ErrSnapshotInvalid, never torn values.
-func (v *Vector) TryPullIndicesAt(p *simnet.Proc, from *simnet.Node, snap *ps.ModelSnapshot, indices []int) ([]float64, error) {
+func (v *Vector) PullIndicesAt(p *simnet.Proc, from *simnet.Node, snap *ps.ModelSnapshot, indices []int) ([]float64, error) {
 	if snap == nil {
-		return v.TryPullIndices(p, from, indices)
+		return v.PullIndices(p, from, indices)
 	}
 	if snap.Matrix() != v.mat {
 		return nil, fmt.Errorf("dcv: snapshot pins matrix %d, vector lives in %d", snap.Matrix().ID, v.mat.ID)
 	}
-	return snap.TryReadRowIndices(p, from, v.row, indices)
+	return snap.ReadRowIndices(p, from, v.row, indices)
 }
 
-// TryAdd pushes a sparse delta into the vector (the DCV add used as the
+// Add pushes a sparse delta into the vector (the DCV add used as the
 // gradient push in the paper's Figure 3).
-func (v *Vector) TryAdd(p *simnet.Proc, from *simnet.Node, delta *linalg.SparseVector) error {
-	return v.mat.TryPushAdd(p, from, v.row, delta)
+func (v *Vector) Add(p *simnet.Proc, from *simnet.Node, delta *linalg.SparseVector) error {
+	return v.mat.PushAdd(p, from, v.row, delta)
 }
 
-// Add is TryAdd panicking on availability errors.
-func (v *Vector) Add(p *simnet.Proc, from *simnet.Node, delta *linalg.SparseVector) {
-	if err := v.TryAdd(p, from, delta); err != nil {
-		panic(err)
-	}
+// AddDense pushes a dense delta into the vector.
+func (v *Vector) AddDense(p *simnet.Proc, from *simnet.Node, delta []float64) error {
+	return v.mat.PushAddDense(p, from, v.row, delta)
 }
 
-// TryAddDense pushes a dense delta into the vector.
-func (v *Vector) TryAddDense(p *simnet.Proc, from *simnet.Node, delta []float64) error {
-	return v.mat.TryPushAddDense(p, from, v.row, delta)
+// Set overwrites the vector with the given values.
+func (v *Vector) Set(p *simnet.Proc, from *simnet.Node, values []float64) error {
+	return v.mat.SetRow(p, from, v.row, values)
 }
 
-// AddDense is TryAddDense panicking on availability errors.
-func (v *Vector) AddDense(p *simnet.Proc, from *simnet.Node, delta []float64) {
-	if err := v.TryAddDense(p, from, delta); err != nil {
-		panic(err)
-	}
+// Sum returns the sum of all elements, computed server-side.
+func (v *Vector) Sum(p *simnet.Proc, from *simnet.Node) (float64, error) {
+	return v.mat.RowSum(p, from, v.row)
 }
 
-// TrySet overwrites the vector with the given values.
-func (v *Vector) TrySet(p *simnet.Proc, from *simnet.Node, values []float64) error {
-	return v.mat.TrySetRow(p, from, v.row, values)
+// Nnz returns the number of nonzero elements, computed server-side.
+func (v *Vector) Nnz(p *simnet.Proc, from *simnet.Node) (int, error) {
+	return v.mat.RowNnz(p, from, v.row)
 }
 
-// Set is TrySet panicking on availability errors.
-func (v *Vector) Set(p *simnet.Proc, from *simnet.Node, values []float64) {
-	if err := v.TrySet(p, from, values); err != nil {
-		panic(err)
-	}
-}
-
-// TryPush overwrites the vector (paper terminology for writing a row).
-func (v *Vector) TryPush(p *simnet.Proc, from *simnet.Node, values []float64) error {
-	return v.TrySet(p, from, values)
-}
-
-// Push is TryPush panicking on availability errors.
-func (v *Vector) Push(p *simnet.Proc, from *simnet.Node, values []float64) {
-	v.Set(p, from, values)
-}
-
-// TrySum returns the sum of all elements, computed server-side.
-func (v *Vector) TrySum(p *simnet.Proc, from *simnet.Node) (float64, error) {
-	return v.mat.TryRowSum(p, from, v.row)
-}
-
-// Sum is TrySum panicking on availability errors.
-func (v *Vector) Sum(p *simnet.Proc, from *simnet.Node) float64 {
-	s, err := v.TrySum(p, from)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// TryNnz returns the number of nonzero elements, computed server-side.
-func (v *Vector) TryNnz(p *simnet.Proc, from *simnet.Node) (int, error) {
-	return v.mat.TryRowNnz(p, from, v.row)
-}
-
-// Nnz is TryNnz panicking on availability errors.
-func (v *Vector) Nnz(p *simnet.Proc, from *simnet.Node) int {
-	n, err := v.TryNnz(p, from)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// TryNorm2 returns the Euclidean norm, computed server-side.
-func (v *Vector) TryNorm2(p *simnet.Proc, from *simnet.Node) (float64, error) {
-	return v.mat.TryRowNorm2(p, from, v.row)
-}
-
-// Norm2 is TryNorm2 panicking on availability errors.
-func (v *Vector) Norm2(p *simnet.Proc, from *simnet.Node) float64 {
-	n, err := v.TryNorm2(p, from)
-	if err != nil {
-		panic(err)
-	}
-	return n
+// Norm2 returns the Euclidean norm, computed server-side.
+func (v *Vector) Norm2(p *simnet.Proc, from *simnet.Node) (float64, error) {
+	return v.mat.RowNorm2(p, from, v.row)
 }

@@ -92,22 +92,22 @@ func TestFillPullSetRoundTrip(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 50)
 		worker := cl.Executors[0]
-		v.Fill(p, cl.Driver, 2.5)
+		ps.MustOK(v.Fill(p, cl.Driver, 2.5))
 		got := v.Pull(p, worker)
 		for i, x := range got {
 			if x != 2.5 {
 				t.Errorf("after fill, [%d] = %v", i, x)
 			}
 		}
-		v.Set(p, worker, seq(50))
+		ps.MustOK(v.Set(p, worker, seq(50)))
 		got = v.Pull(p, worker)
 		for i, x := range got {
 			if x != float64(i) {
 				t.Errorf("after set, [%d] = %v", i, x)
 			}
 		}
-		v.Zero(p, cl.Driver)
-		if v.Sum(p, worker) != 0 {
+		ps.MustOK(v.Zero(p, cl.Driver))
+		if ps.Must(v.Sum(p, worker)) != 0 {
 			t.Error("zero did not clear the vector")
 		}
 	})
@@ -118,14 +118,14 @@ func TestRowAggregatesViaDCV(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 10)
 		w := cl.Executors[0]
-		v.Set(p, w, []float64{3, 0, 4, 0, 0, 0, 0, 0, 0, 0})
-		if got := v.Sum(p, w); got != 7 {
+		ps.MustOK(v.Set(p, w, []float64{3, 0, 4, 0, 0, 0, 0, 0, 0, 0}))
+		if got := ps.Must(v.Sum(p, w)); got != 7 {
 			t.Errorf("Sum = %v", got)
 		}
-		if got := v.Nnz(p, w); got != 2 {
+		if got := ps.Must(v.Nnz(p, w)); got != 2 {
 			t.Errorf("Nnz = %v", got)
 		}
-		if got := v.Norm2(p, w); math.Abs(got-5) > 1e-9 {
+		if got := ps.Must(v.Norm2(p, w)); math.Abs(got-5) > 1e-9 {
 			t.Errorf("Norm2 = %v", got)
 		}
 	})
@@ -137,11 +137,11 @@ func TestDotColocatedCorrect(t *testing.T) {
 		a, _ := sess.Dense(p, 64, 2)
 		b := a.MustDerive()
 		w := cl.Executors[0]
-		a.Set(p, w, seq(64))
+		ps.MustOK(a.Set(p, w, seq(64)))
 		ones := make([]float64, 64)
 		linalg.Fill(ones, 1)
-		b.Set(p, w, ones)
-		got, err := a.TryDot(p, w, b)
+		ps.MustOK(b.Set(p, w, ones))
+		got, err := a.Dot(p, w, b)
 		if err != nil {
 			t.Error(err)
 		}
@@ -166,10 +166,10 @@ func TestDotNonColocatedCorrectButCostly(t *testing.T) {
 				b, _ = sess.Dense(p, 10000, 2)
 			}
 			w := cl.Executors[0]
-			a.Set(p, w, seq(10000))
-			b.Set(p, w, seq(10000))
+			ps.MustOK(a.Set(p, w, seq(10000)))
+			ps.MustOK(b.Set(p, w, seq(10000)))
 			before := serverBytes(cl)
-			got, _ = a.TryDot(p, w, b)
+			got, _ = a.Dot(p, w, b)
 			_ = before
 		})
 		return got, serverBytes(cl)
@@ -202,11 +202,11 @@ func TestAxpy(t *testing.T) {
 		a, _ := sess.Dense(p, 30, 2)
 		b := a.MustDerive()
 		w := cl.Executors[0]
-		a.Set(p, w, seq(30))
+		ps.MustOK(a.Set(p, w, seq(30)))
 		ones := make([]float64, 30)
 		linalg.Fill(ones, 2)
-		b.Set(p, w, ones)
-		if err := a.TryAxpy(p, w, 0.5, b); err != nil {
+		ps.MustOK(b.Set(p, w, ones))
+		if err := a.Axpy(p, w, 0.5, b); err != nil {
 			t.Error(err)
 		}
 		got := a.Pull(p, w)
@@ -230,8 +230,8 @@ func TestElementwiseOps(t *testing.T) {
 			bv[i] = float64(i%4) + 1
 		}
 		reset := func() {
-			a.Set(p, w, av)
-			b.Set(p, w, bv)
+			ps.MustOK(a.Set(p, w, av))
+			ps.MustOK(b.Set(p, w, bv))
 		}
 		check := func(name string, got []float64, f func(x, y float64) float64) {
 			for i := range got {
@@ -241,27 +241,27 @@ func TestElementwiseOps(t *testing.T) {
 			}
 		}
 		reset()
-		if err := a.TryAddVec(p, w, b); err != nil {
+		if err := a.AddVec(p, w, b); err != nil {
 			t.Error(err)
 		}
 		check("add", a.Pull(p, w), func(x, y float64) float64 { return x + y })
 		reset()
-		if err := a.TrySubVec(p, w, b); err != nil {
+		if err := a.SubVec(p, w, b); err != nil {
 			t.Error(err)
 		}
 		check("sub", a.Pull(p, w), func(x, y float64) float64 { return x - y })
 		reset()
-		if err := a.TryMulVec(p, w, b); err != nil {
+		if err := a.MulVec(p, w, b); err != nil {
 			t.Error(err)
 		}
 		check("mul", a.Pull(p, w), func(x, y float64) float64 { return x * y })
 		reset()
-		if err := a.TryDivVec(p, w, b); err != nil {
+		if err := a.DivVec(p, w, b); err != nil {
 			t.Error(err)
 		}
 		check("div", a.Pull(p, w), func(x, y float64) float64 { return x / y })
 		reset()
-		if err := a.TryCopyFrom(p, w, b); err != nil {
+		if err := a.CopyFrom(p, w, b); err != nil {
 			t.Error(err)
 		}
 		check("copy", a.Pull(p, w), func(_, y float64) float64 { return y })
@@ -273,8 +273,8 @@ func TestScale(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 10)
 		w := cl.Executors[0]
-		v.Set(p, w, seq(10))
-		v.Scale(p, w, -2)
+		ps.MustOK(v.Set(p, w, seq(10)))
+		ps.MustOK(v.Scale(p, w, -2))
 		got := v.Pull(p, w)
 		for i := range got {
 			if got[i] != -2*float64(i) {
@@ -289,10 +289,10 @@ func TestDimensionMismatchRejected(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		a, _ := sess.Dense(p, 10)
 		b, _ := sess.Dense(p, 20)
-		if _, err := a.TryDot(p, cl.Executors[0], b); err == nil {
+		if _, err := a.Dot(p, cl.Executors[0], b); err == nil {
 			t.Error("dot across dimensions accepted")
 		}
-		if err := a.TryAddVec(p, cl.Executors[0], b); err == nil {
+		if err := a.AddVec(p, cl.Executors[0], b); err == nil {
 			t.Error("add across dimensions accepted")
 		}
 	})
@@ -304,16 +304,17 @@ func TestZipMapAdamStyleUpdate(t *testing.T) {
 	sim, cl, sess := testSession(4)
 	run(sim, func(p *simnet.Proc) {
 		w, _ := sess.Dense(p, 40, 4)
-		vel := w.MustDerive().Fill(p, cl.Driver, 0)
-		sq := w.MustDerive().Fill(p, cl.Driver, 0)
+		vel, sq := w.MustDerive(), w.MustDerive()
+		ps.MustOK(vel.Zero(p, cl.Driver))
+		ps.MustOK(sq.Zero(p, cl.Driver))
 		grad := w.MustDerive()
 		worker := cl.Executors[0]
 		gv := make([]float64, 40)
 		linalg.Fill(gv, 0.5)
-		grad.Set(p, worker, gv)
+		ps.MustOK(grad.Set(p, worker, gv))
 
 		driverWorkBefore := cl.Driver.WorkDone
-		err := w.TryZipMap(p, cl.Driver, 8, func(lo int, rows [][]float64) {
+		err := w.ZipMap(p, cl.Driver, 8, func(lo int, rows [][]float64) {
 			wt, v, s, g := rows[0], rows[1], rows[2], rows[3]
 			for i := range wt {
 				s[i] = 0.9*s[i] + 0.1*g[i]*g[i]
@@ -344,7 +345,7 @@ func TestZipMapRequiresColocation(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		a, _ := sess.Dense(p, 10)
 		b, _ := sess.Dense(p, 10)
-		err := a.TryZipMap(p, cl.Driver, 1, func(int, [][]float64) {}, b)
+		err := a.ZipMap(p, cl.Driver, 1, func(int, [][]float64) {}, b)
 		if err != ErrNotColocated {
 			t.Errorf("err = %v, want ErrNotColocated", err)
 		}
@@ -357,8 +358,8 @@ func TestZipReducePartials(t *testing.T) {
 		a, _ := sess.Dense(p, 40, 2)
 		b := a.MustDerive()
 		w := cl.Executors[0]
-		a.Set(p, w, seq(40))
-		b.Set(p, w, seq(40))
+		ps.MustOK(a.Set(p, w, seq(40)))
+		ps.MustOK(b.Set(p, w, seq(40)))
 		parts, err := ZipReduce(p, cl.Driver, a, 2, 16, func(sp ShardSpan) float64 {
 			var max float64 = math.Inf(-1)
 			for i := range sp.Rows[0] {
@@ -398,7 +399,7 @@ func TestSparseVectorCheaperPull(t *testing.T) {
 			}
 			w := cl.Executors[0]
 			delta, _ := linalg.NewSparse([]int{5, 500, 50000}, []float64{1, 2, 3})
-			v.Add(p, w, delta)
+			ps.MustOK(v.Add(p, w, delta))
 			cl.Executors[1].BytesRecv = 0
 			v.Pull(p, cl.Executors[1])
 		})
@@ -417,7 +418,7 @@ func TestSparsePullValuesMatchDense(t *testing.T) {
 		v, _ := sess.Sparse(p, 1000)
 		w := cl.Executors[0]
 		delta, _ := linalg.NewSparse([]int{1, 999, 500}, []float64{-1, 7, 3})
-		v.Add(p, w, delta)
+		ps.MustOK(v.Add(p, w, delta))
 		got := v.Pull(p, w)
 		if got[1] != -1 || got[500] != 3 || got[999] != 7 {
 			t.Errorf("sparse pull values wrong: %v %v %v", got[1], got[500], got[999])
@@ -467,40 +468,40 @@ func TestColumnOpsOracleProperty(t *testing.T) {
 			}
 			b := a.MustDerive()
 			w := cl.Executors[0]
-			a.Set(p, w, oa)
-			b.Set(p, w, ob)
+			ps.MustOK(a.Set(p, w, oa))
+			ps.MustOK(b.Set(p, w, ob))
 			for _, op := range ops {
 				switch op % 5 {
 				case 0:
-					if a.TryAddVec(p, w, b) != nil {
+					if a.AddVec(p, w, b) != nil {
 						good = false
 					}
 					for i := range oa {
 						oa[i] += ob[i]
 					}
 				case 1:
-					if a.TrySubVec(p, w, b) != nil {
+					if a.SubVec(p, w, b) != nil {
 						good = false
 					}
 					for i := range oa {
 						oa[i] -= ob[i]
 					}
 				case 2:
-					if a.TryMulVec(p, w, b) != nil {
+					if a.MulVec(p, w, b) != nil {
 						good = false
 					}
 					for i := range oa {
 						oa[i] *= ob[i]
 					}
 				case 3:
-					if a.TryAxpy(p, w, 0.5, b) != nil {
+					if a.Axpy(p, w, 0.5, b) != nil {
 						good = false
 					}
 					for i := range oa {
 						oa[i] += 0.5 * ob[i]
 					}
 				case 4:
-					a.Scale(p, w, 0.9)
+					ps.MustOK(a.Scale(p, w, 0.9))
 					for i := range oa {
 						oa[i] *= 0.9
 					}
@@ -531,11 +532,11 @@ func TestElementwiseAcrossIndependentMatrices(t *testing.T) {
 		a, _ := sess.Dense(p, 40)
 		b, _ := sess.Dense(p, 40) // independent: rotated placement
 		w := cl.Executors[0]
-		a.Set(p, w, seq(40))
+		ps.MustOK(a.Set(p, w, seq(40)))
 		ones := make([]float64, 40)
 		linalg.Fill(ones, 3)
-		b.Set(p, w, ones)
-		if err := a.TryAddVec(p, w, b); err != nil {
+		ps.MustOK(b.Set(p, w, ones))
+		if err := a.AddVec(p, w, b); err != nil {
 			t.Error(err)
 		}
 		got := a.Pull(p, w)
@@ -575,8 +576,8 @@ func TestPullIndicesUnderRotatedPlacement(t *testing.T) {
 		v, _ := sess.Dense(p, 1000)
 		w := cl.Executors[0]
 		delta, _ := linalg.NewSparse([]int{0, 199, 200, 500, 999}, []float64{1, 2, 3, 4, 5})
-		v.Add(p, w, delta)
-		got := v.PullIndices(p, w, []int{0, 199, 200, 500, 999})
+		ps.MustOK(v.Add(p, w, delta))
+		got := ps.Must(v.PullIndices(p, w, []int{0, 199, 200, 500, 999}))
 		want := []float64{1, 2, 3, 4, 5}
 		for i := range want {
 			if got[i] != want[i] {
@@ -594,14 +595,14 @@ func TestSumNnzNorm2OnDerived(t *testing.T) {
 		w := cl.Executors[0]
 		vals := make([]float64, 30)
 		vals[7], vals[21] = 3, -4
-		b.Set(p, w, vals)
-		if got := b.Sum(p, w); got != -1 {
+		ps.MustOK(b.Set(p, w, vals))
+		if got := ps.Must(b.Sum(p, w)); got != -1 {
 			t.Errorf("derived Sum = %v", got)
 		}
-		if got := b.Nnz(p, w); got != 2 {
+		if got := ps.Must(b.Nnz(p, w)); got != 2 {
 			t.Errorf("derived Nnz = %v", got)
 		}
-		if got := b.Norm2(p, w); math.Abs(got-5) > 1e-9 {
+		if got := ps.Must(b.Norm2(p, w)); math.Abs(got-5) > 1e-9 {
 			t.Errorf("derived Norm2 = %v", got)
 		}
 	})

@@ -2,7 +2,7 @@ package dcv
 
 // This file implements the operator-fusion layer: a Batch records a program
 // of column ops against co-located vectors and executes the whole program as
-// ONE request per server (ps.TryInvokeFused) instead of one fan-out per
+// ONE request per server (ps.InvokeFused) instead of one fan-out per
 // operator. Cost accounting: the fused request pays the per-RPC framing
 // (RequestOverheadB) once each way plus OpCommandBytes per recorded op and
 // the ops' summed result bytes and server work — so fusing k ops saves
@@ -335,7 +335,7 @@ func (b *Batch) Run(p *simnet.Proc, from *simnet.Node) error {
 			Fn:        op.run,
 		}
 	}
-	partials, err := b.mat.TryInvokeFused(p, from, ops)
+	partials, err := b.mat.InvokeFused(p, from, ops)
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,7 @@ func TestBatchMatchesUnfusedOps(t *testing.T) {
 		}
 		a := w.MustDerive()
 		g := w.MustDerive()
-		w.Set(p, driver, seq(50))
+		ps.MustOK(w.Set(p, driver, seq(50)))
 
 		b := NewBatch(w)
 		b.Fill(a, 2).Axpy(a, 3, w).Scale(a, 0.5)
@@ -170,8 +170,9 @@ func TestBatchExactlyOnceUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ones := w.MustDerive().Fill(p, cl.Driver, 1)
-		w.Set(p, cl.Driver, make([]float64, 30))
+		ones := w.MustDerive()
+		ps.MustOK(ones.Fill(p, cl.Driver, 1))
+		ps.MustOK(w.Set(p, cl.Driver, make([]float64, 30)))
 		for r := 0; r < rounds; r++ {
 			if err := NewBatch(w).Axpy(w, 1, ones).Run(p, cl.Driver); err != nil {
 				t.Fatal(err)
@@ -189,10 +190,10 @@ func TestBatchExactlyOnceUnderChaos(t *testing.T) {
 	})
 }
 
-// TestTryFillSurfacesExhaustedRetries pins the Try/plain split: with a dead
-// shard and finite retries, TryFill must return a typed error instead of
-// silently succeeding (the pre-split operators dropped it on the floor).
-func TestTryFillSurfacesExhaustedRetries(t *testing.T) {
+// TestFillSurfacesExhaustedRetries pins the operator error contract: with a
+// dead shard and finite retries, Fill must return a typed error instead of
+// silently succeeding, and ps.MustOK must panic with that same error value.
+func TestFillSurfacesExhaustedRetries(t *testing.T) {
 	sim, cl, sess := testSession(3)
 	sess.Master.Retry = ps.RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.01, MaxBackoffSec: 0.02, MaxRetries: 3}
 	run(sim, func(p *simnet.Proc) {
@@ -201,23 +202,22 @@ func TestTryFillSurfacesExhaustedRetries(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess.Master.CrashServer(0) // no monitor: stays dead
-		if err := w.TryFill(p, cl.Driver, 1); !errors.Is(err, ps.ErrServerDown) {
-			t.Fatalf("TryFill err = %v, want ErrServerDown", err)
+		if err := w.Fill(p, cl.Driver, 1); !errors.Is(err, ps.ErrServerDown) {
+			t.Fatalf("Fill err = %v, want ErrServerDown", err)
 		}
-		if err := w.TryScale(p, cl.Driver, 2); !errors.Is(err, ps.ErrServerDown) {
-			t.Fatalf("TryScale err = %v, want ErrServerDown", err)
+		if err := w.Scale(p, cl.Driver, 2); !errors.Is(err, ps.ErrServerDown) {
+			t.Fatalf("Scale err = %v, want ErrServerDown", err)
 		}
-		if err := w.TryZero(p, cl.Driver); !errors.Is(err, ps.ErrServerDown) {
-			t.Fatalf("TryZero err = %v, want ErrServerDown", err)
+		if err := w.Zero(p, cl.Driver); !errors.Is(err, ps.ErrServerDown) {
+			t.Fatalf("Zero err = %v, want ErrServerDown", err)
 		}
-		// The plain variants panic with the same error.
 		func() {
 			defer func() {
-				if r := recover(); r == nil {
-					t.Error("Fill on a dead shard did not panic")
+				if err, _ := recover().(error); !errors.Is(err, ps.ErrServerDown) {
+					t.Errorf("MustOK(Fill) on a dead shard panicked with %v, want the ErrServerDown error", err)
 				}
 			}()
-			w.Fill(p, cl.Driver, 1)
+			ps.MustOK(w.Fill(p, cl.Driver, 1))
 		}()
 	})
 }
@@ -246,13 +246,13 @@ func TestZipInvokeRejectsPartitionMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.TryAddVec(p, cl4.Driver, b); !errors.Is(err, ErrPartitionMismatch) {
+		if err := a.AddVec(p, cl4.Driver, b); !errors.Is(err, ErrPartitionMismatch) {
 			t.Fatalf("AddVec err = %v, want ErrPartitionMismatch", err)
 		}
-		if _, err := a.TryDot(p, cl4.Driver, b); !errors.Is(err, ErrPartitionMismatch) {
+		if _, err := a.Dot(p, cl4.Driver, b); !errors.Is(err, ErrPartitionMismatch) {
 			t.Fatalf("Dot err = %v, want ErrPartitionMismatch", err)
 		}
-		if err := a.TryAxpy(p, cl4.Driver, 1, b); !errors.Is(err, ErrPartitionMismatch) {
+		if err := a.Axpy(p, cl4.Driver, 1, b); !errors.Is(err, ErrPartitionMismatch) {
 			t.Fatalf("Axpy err = %v, want ErrPartitionMismatch", err)
 		}
 		// Same layout, different matrix: still allowed via the shuffle path.
@@ -260,7 +260,7 @@ func TestZipInvokeRejectsPartitionMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.TryAddVec(p, cl4.Driver, c); err != nil {
+		if err := a.AddVec(p, cl4.Driver, c); err != nil {
 			t.Fatalf("same-layout shuffle rejected: %v", err)
 		}
 	})

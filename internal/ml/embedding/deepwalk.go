@@ -98,7 +98,7 @@ type Model struct {
 
 // InputVector pulls vertex u's embedding to the caller.
 func (m *Model) InputVector(p *simnet.Proc, from *simnet.Node, u int) []float64 {
-	return m.Mat.PullRows(p, from, []int{u})[0]
+	return ps.Must(m.Mat.PullRows(p, from, []int{u}, nil))[0]
 }
 
 // Train embeds the graph behind the given skip-gram pair dataset.
@@ -180,22 +180,13 @@ func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices i
 					loss = worker.step(tc, int(pr.U), contexts, labels)
 				} else {
 					loss = pullPushStep(tc, mat, cache, buf, int(pr.U), contexts, labels, cfg, &pps)
-					// Auto-tuned mid-partition flush (opt-in via the cache
-					// config): ship the combined deltas once payload dwarfs
-					// framing instead of holding everything to partition end.
-					// Flushed deltas leave the buffer, so read-your-writes
-					// degrades to the cache's staleness bound for them — the
-					// same visibility other workers' committed updates get.
-					if buf != nil && buf.ShouldFlush() {
-						buf.Flush(tc.P, tc.Node)
-					}
 				}
 				lossSum += loss
 				count++
 			}
 			worker.flush(tc)
 			if buf != nil {
-				buf.Flush(tc.P, tc.Node)
+				ps.MustOK(buf.Flush(tc.P, tc.Node))
 			}
 			return [2]float64{lossSum, float64(count)}
 		})
@@ -362,24 +353,26 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 	// host memory) so a retried invocation after a crash stays idempotent —
 	// every successful (re)execution overwrites all nctx entries of its slot.
 	partsByServer := dw.parts
-	dotReq, dotResp := 4*float64(1+nctx), 8*float64(nctx)
-	dotWork := func(w int) float64 { return cost.ElemWork(w * nctx) }
-	dotFn := func(s int, sh *ps.Shard) float64 {
-		part := partsByServer[s]
-		u := sh.Rows[center]
-		for j, ctx := range contexts {
-			part[j] = linalg.Dot(u, sh.Rows[ctx])
-		}
-		return 0
+	dotOp := ps.InvokeOp{
+		ReqBytes:  4 * float64(1+nctx),
+		RespBytes: 8 * float64(nctx),
+		Work:      func(w int) float64 { return cost.ElemWork(w * nctx) },
+		Fn: func(s int, sh *ps.Shard) float64 {
+			part := partsByServer[s]
+			u := sh.Rows[center]
+			for j, ctx := range contexts {
+				part[j] = linalg.Dot(u, sh.Rows[ctx])
+			}
+			return 0
+		},
 	}
 	if dw.pending != nil {
-		dw.fused[0] = *dw.pending
-		dw.fused[1] = ps.InvokeOp{ReqBytes: dotReq, RespBytes: dotResp, Work: dotWork, Fn: dotFn}
+		dw.fused[0], dw.fused[1] = *dw.pending, dotOp
 		dw.pending = nil
-		mat.InvokeFused(tc.P, tc.Node, dw.fused)
+		ps.Must(mat.InvokeFused(tc.P, tc.Node, dw.fused))
 	} else {
 		// No held-back update: a pure read, outside dedup tracking.
-		mat.InvokeRead(tc.P, tc.Node, dotReq, dotResp, dotWork, dotFn)
+		ps.Must(mat.Invoke(tc.P, tc.Node, dotOp))
 	}
 	dots := dw.dots
 	linalg.Fill(dots, 0)
@@ -441,7 +434,7 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 		},
 	}
 	if cfg.NoFusion {
-		mat.Invoke(tc.P, tc.Node, update.ReqBytes, 0, update.Work, update.Fn)
+		ps.Must(mat.Invoke(tc.P, tc.Node, *update))
 	} else {
 		dw.pending = update
 	}
@@ -455,13 +448,13 @@ func (dw *dcvWorker) flush(tc *rdd.TaskContext) {
 	}
 	up := *dw.pending
 	dw.pending = nil
-	dw.mat.Invoke(tc.P, tc.Node, up.ReqBytes, 0, up.Work, up.Fn)
+	ps.Must(dw.mat.Invoke(tc.P, tc.Node, up))
 }
 
 // pullPushScratch is the per-partition steady-state scratch of the pull/push
 // arm: row-id assembly, pull destination buffers, and delta accumulators are
 // allocated once and reused across pairs. Safe because every consumer
-// (TryPullRowsInto, AddRowsDelta's host-side accumulate, PushRowsDelta's
+// (PullRows, AddRowsDelta's host-side accumulate, PushRowsDelta's
 // synchronous call) finishes with the buffers before the next pair starts.
 type pullPushScratch struct {
 	rows   []int
@@ -491,13 +484,10 @@ func pullPushStep(tc *rdd.TaskContext, mat *ps.Matrix, cache *ps.CachedClient, b
 	copy(rows[1:], contexts)
 	var vecs [][]float64
 	if cache != nil {
-		vecs = cache.PullRows(tc.P, tc.Node, rows)
+		vecs = ps.Must(cache.PullRows(tc.P, tc.Node, rows))
 		buf.ApplyPending(rows, vecs)
 	} else {
-		if err := mat.TryPullRowsInto(tc.P, tc.Node, rows, sc.vecs); err != nil {
-			panic(err)
-		}
-		vecs = sc.vecs
+		vecs = ps.Must(mat.PullRows(tc.P, tc.Node, rows, sc.vecs))
 	}
 	u := vecs[0]
 	deltas := sc.deltas
@@ -520,7 +510,7 @@ func pullPushStep(tc *rdd.TaskContext, mat *ps.Matrix, cache *ps.CachedClient, b
 	if buf != nil {
 		buf.AddRowsDelta(rows, deltas)
 	} else {
-		mat.PushRowsDelta(tc.P, tc.Node, rows, deltas)
+		ps.MustOK(mat.PushRowsDelta(tc.P, tc.Node, rows, deltas))
 	}
 	return loss
 }
@@ -545,7 +535,7 @@ func EdgeScore(p *simnet.Proc, from *simnet.Node, m *Model, pairs []data.Pair, s
 	rng := linalg.NewRNG(seed)
 	var pos, neg float64
 	for _, pr := range pairs {
-		vecs := m.Mat.PullRows(p, from, []int{int(pr.U), m.V + int(pr.V), m.V + rng.Intn(m.V)})
+		vecs := ps.Must(m.Mat.PullRows(p, from, []int{int(pr.U), m.V + int(pr.V), m.V + rng.Intn(m.V)}, nil))
 		pos += linalg.Sigmoid(linalg.Dot(vecs[0], vecs[1]))
 		neg += linalg.Sigmoid(linalg.Dot(vecs[0], vecs[2]))
 	}

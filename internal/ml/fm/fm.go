@@ -22,6 +22,7 @@ import (
 	"repro/internal/dcv"
 	"repro/internal/linalg"
 	"repro/internal/ml/lr"
+	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -61,12 +62,18 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		return nil, err
 	}
 	driver := e.Driver()
-	gradW := w.MustDerive().Fill(p, driver, 0)
+	gradW := w.MustDerive()
+	if err := gradW.Zero(p, driver); err != nil {
+		return nil, err
+	}
 	factors := make([]*dcv.Vector, k)
 	gradV := make([]*dcv.Vector, k)
 	for f := 0; f < k; f++ {
 		factors[f] = w.MustDerive()
-		gradV[f] = w.MustDerive().Fill(p, driver, 0)
+		gradV[f] = w.MustDerive()
+		if err := gradV[f].Zero(p, driver); err != nil {
+			return nil, err
+		}
 	}
 	initFactors(p, e, factors, cfg)
 
@@ -90,10 +97,10 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			}
 			// Sparse pulls: weights plus every factor row at the batch's
 			// feature indices.
-			wv := w.PullIndices(tc.P, tc.Node, idx)
+			wv := ps.Must(w.PullIndices(tc.P, tc.Node, idx))
 			vv := make([][]float64, k)
 			for f := 0; f < k; f++ {
-				vv[f] = factors[f].PullIndices(tc.P, tc.Node, idx)
+				vv[f] = ps.Must(factors[f].PullIndices(tc.P, tc.Node, idx))
 			}
 			dw := make([]float64, len(idx))
 			dv := make([][]float64, k)
@@ -151,7 +158,7 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 				if err != nil {
 					panic(err)
 				}
-				target.Add(tc.P, tc.Node, sv)
+				ps.MustOK(target.Add(tc.P, tc.Node, sv))
 			}
 			push(gradW, dw)
 			for f := 0; f < k; f++ {
@@ -170,15 +177,19 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		}
 		// Server-side SGD step on every model vector, then clear gradients.
 		eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(count)
-		if err := w.TryAxpy(p, driver, -eta, gradW); err != nil {
+		if err := w.Axpy(p, driver, -eta, gradW); err != nil {
 			return nil, err
 		}
-		gradW.Zero(p, driver)
+		if err := gradW.Zero(p, driver); err != nil {
+			return nil, err
+		}
 		for f := 0; f < k; f++ {
-			if err := factors[f].TryAxpy(p, driver, -eta, gradV[f]); err != nil {
+			if err := factors[f].Axpy(p, driver, -eta, gradV[f]); err != nil {
 				return nil, err
 			}
-			gradV[f].Zero(p, driver)
+			if err := gradV[f].Zero(p, driver); err != nil {
+				return nil, err
+			}
 		}
 		model.Trace.Add(p.Now(), lossSum/float64(count))
 	}

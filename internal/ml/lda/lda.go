@@ -385,7 +385,7 @@ func distinctWords(rows []data.Document) []int {
 // TopWords returns the n highest-count words of one topic (pulled from the
 // servers), for qualitative inspection.
 func TopWords(p *simnet.Proc, from *simnet.Node, m *Model, topic, n int) []int {
-	row := m.WordTopic.PullRow(p, from, topic)
+	row := ps.Must(m.WordTopic.PullRow(p, from, topic))
 	type wc struct {
 		w int
 		c float64

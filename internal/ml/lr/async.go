@@ -3,7 +3,6 @@ package lr
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/consistency"
 	"repro/internal/core"
@@ -110,9 +109,9 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 					idx := DistinctIndices(batch)
 					var vals []float64
 					if cache != nil {
-						vals = cache.PullRowIndices(wp, node, 0, idx)
+						vals = ps.Must(cache.PullRowIndices(wp, node, 0, idx))
 					} else {
-						vals = mat.PullRowIndices(wp, node, 0, idx)
+						vals = ps.Must(mat.PullRowIndices(wp, node, 0, idx))
 					}
 					local := make(map[int]float64, len(idx))
 					for k, i := range idx {
@@ -122,26 +121,12 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 					node.Compute(wp, cost.GradWork(TotalNnz(batch)))
 					// Apply the scaled update directly (async increment).
 					eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(len(batch)) / float64(len(parts))
-					gi := make([]int, 0, len(grad))
-					for i := range grad {
-						gi = append(gi, i)
-					}
-					sort.Ints(gi)
-					gv := make([]float64, len(gi))
-					for k, i := range gi {
-						gv[k] = -eta * grad[i]
-					}
-					sv, err := linalg.NewSparse(gi, gv)
-					if err != nil {
-						panic(err)
-					}
+					sv := linalg.SparseFromMap(grad, -eta)
 					if buf != nil {
-						if err := buf.Add(0, sv); err != nil {
-							panic(err)
-						}
-						buf.Flush(wp, node)
+						ps.MustOK(buf.Add(0, sv))
+						ps.MustOK(buf.Flush(wp, node))
 					} else {
-						mat.PushAdd(wp, node, 0, sv)
+						ps.MustOK(mat.PushAdd(wp, node, 0, sv))
 					}
 					lossByClock[it] += lossSum
 					countByClock[it] += len(batch)
@@ -184,6 +169,6 @@ func sampleRows(rows []data.Instance, fraction float64, rng *linalg.RNG) []data.
 }
 
 // FinalWeights pulls the trained async model to the caller.
-func (m *AsyncModel) FinalWeights(p *simnet.Proc, from *simnet.Node) []float64 {
+func (m *AsyncModel) FinalWeights(p *simnet.Proc, from *simnet.Node) ([]float64, error) {
 	return m.Weights.PullRow(p, from, 0)
 }

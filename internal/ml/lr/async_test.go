@@ -48,7 +48,7 @@ func runAsyncCfg(t *testing.T, ds *data.ClassifyDataset, cfg AsyncConfig, stragg
 			return
 		}
 		model.Wait(p)
-		w = model.FinalWeights(p, e.Driver())
+		w = ps.Must(model.FinalWeights(p, e.Driver()))
 	})
 	return e, w, end
 }

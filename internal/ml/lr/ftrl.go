@@ -39,13 +39,13 @@ func (f *FTRL) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
 	if f.z, err = w.Derive(); err != nil {
 		return err
 	}
-	if err := f.z.TryFill(p, e.Driver(), 0); err != nil {
+	if err := f.z.Fill(p, e.Driver(), 0); err != nil {
 		return err
 	}
 	if f.n, err = w.Derive(); err != nil {
 		return err
 	}
-	return f.n.TryFill(p, e.Driver(), 0)
+	return f.n.Fill(p, e.Driver(), 0)
 }
 
 // Step applies the FTRL-Proximal update server-side. Using the mean batch
@@ -80,7 +80,7 @@ func (f *FTRL) update(batchSize int) func(lo int, rows [][]float64) {
 }
 
 func (f *FTRL) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.TryZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*4, f.update(batchSize), f.z, f.n, grad)
+	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*4, f.update(batchSize), f.z, f.n, grad)
 }
 
 // RecordStep records the same 4-vector zip into a fused batch.

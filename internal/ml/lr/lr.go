@@ -220,7 +220,9 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		return nil, err
 	}
 	if cfg.WarmStart != nil {
-		weight.Set(p, e.Driver(), cfg.WarmStart)
+		if err := weight.Set(p, e.Driver(), cfg.WarmStart); err != nil {
+			return nil, err
+		}
 	}
 	if err := opt.Init(p, e, weight); err != nil {
 		return nil, err
@@ -229,7 +231,7 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 	if err != nil {
 		return nil, err
 	}
-	if err := grad.TryZero(p, e.Driver()); err != nil {
+	if err := grad.Zero(p, e.Driver()); err != nil {
 		return nil, err
 	}
 
@@ -272,11 +274,11 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			var vals []float64
 			switch {
 			case cache != nil:
-				vals = cache.PullRowIndices(tc.P, tc.Node, weight.Row(), idx)
+				vals = ps.Must(cache.PullRowIndices(tc.P, tc.Node, weight.Row(), idx))
 			case replicas != nil:
-				vals = replicas.PullRowIndices(tc.P, tc.Node, weight.Row(), idx)
+				vals = ps.Must(replicas.PullRowIndices(tc.P, tc.Node, weight.Row(), idx))
 			default:
-				vals = weight.PullIndices(tc.P, tc.Node, idx)
+				vals = ps.Must(weight.PullIndices(tc.P, tc.Node, idx))
 			}
 			local := make(map[int]float64, len(idx))
 			for k, i := range idx {
@@ -287,19 +289,7 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			tc.Charge(cost.GradWork(TotalNnz(rows)))
 			tc.Commit()
 			// (3) Gradient push via the DCV add operator.
-			gi := make([]int, 0, len(g))
-			for i := range g {
-				gi = append(gi, i)
-			}
-			sort.Ints(gi)
-			gv := make([]float64, len(gi))
-			for k, i := range gi {
-				gv[k] = g[i]
-			}
-			sv, err := linalg.NewSparse(gi, gv)
-			if err != nil {
-				panic(err)
-			}
+			sv := linalg.SparseFromMap(g, 1)
 			// Value-bounded accounting: the push below targets the GRAD
 			// row, but the row the cache holds is the WEIGHT row, whose
 			// eventual change is the optimizer step over this gradient.
@@ -308,12 +298,12 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			// magnitude signal; skipped entirely under the default
 			// clock-bounded policy.
 			if cache != nil && cache.Policy().UsesDeltas() {
-				mags := make([]float64, len(gv))
+				mags := make([]float64, len(sv.Values))
 				scale := cfg.LearningRate / float64(len(rows))
-				for k, v := range gv {
+				for k, v := range sv.Values {
 					mags[k] = scale * v
 				}
-				cache.CreditPush(tc.Node, weight.Row(), gi, mags)
+				cache.CreditPush(tc.Node, weight.Row(), sv.Indices, mags)
 			}
 			if gradBufs != nil {
 				// Write combining: the delta merges host-side into the
@@ -323,18 +313,9 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 					buf = cache.NewPushBuffer()
 					gradBufs[tc.Node] = buf
 				}
-				if err := buf.Add(grad.Row(), sv); err != nil {
-					panic(err)
-				}
-				// Auto-tuned mid-batch flush: when the buffer's pending
-				// payload already dwarfs the per-request framing, ship it
-				// now instead of letting it sit until the stage barrier.
-				// Off unless CacheConfig.AutoFlushTarget is set.
-				if buf.ShouldFlush() {
-					buf.Flush(tc.P, tc.Node)
-				}
+				ps.MustOK(buf.Add(grad.Row(), sv))
 			} else {
-				grad.Add(tc.P, tc.Node, sv)
+				ps.MustOK(grad.Add(tc.P, tc.Node, sv))
 			}
 			return batchStat{Loss: lossSum, Count: len(rows)}
 		})
@@ -344,15 +325,18 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 		// executor — before the optimizer reads the batch gradient.
 		if gradBufs != nil {
 			g := p.Sim().NewGroup()
-			for _, node := range e.Cluster.Executors {
-				node := node
+			errs := make([]error, len(e.Cluster.Executors))
+			for i, node := range e.Cluster.Executors {
 				if buf := gradBufs[node]; buf != nil && buf.Pending() > 0 {
 					g.Go("grad-flush", func(fp *simnet.Proc) {
-						buf.Flush(fp, node)
+						errs[i] = buf.Flush(fp, node)
 					})
 				}
 			}
 			g.Wait(p)
+			if err := errors.Join(errs...); err != nil {
+				return nil, err
+			}
 		}
 		var lossSum float64
 		var count int
@@ -379,7 +363,7 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			if err := opt.Step(p, e, weight, grad, it+1, count); err != nil {
 				return nil, err
 			}
-			if err := grad.TryZero(p, e.Driver()); err != nil {
+			if err := grad.Zero(p, e.Driver()); err != nil {
 				return nil, err
 			}
 		}
@@ -512,7 +496,7 @@ func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 			return partial{}
 		}
 		idx := DistinctIndices(rows)
-		vals := weights.PullIndices(tc.P, tc.Node, idx)
+		vals := ps.Must(weights.PullIndices(tc.P, tc.Node, idx))
 		local := make(map[int]float64, len(idx))
 		for k, i := range idx {
 			local[i] = vals[k]

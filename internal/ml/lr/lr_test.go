@@ -2,12 +2,14 @@ package lr
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
+	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -549,6 +551,28 @@ func TestWarmStartResumesTraining(t *testing.T) {
 		bad.WarmStart = make([]float64, 7)
 		if _, err := Train(p, e3, loadRDD(e3, ds), ds.Config.Dim, bad, NewSGD()); err == nil {
 			t.Error("mismatched warm start accepted")
+		}
+	})
+}
+
+// TestTrainReturnsDriverSideOperatorFailure pins the error contract of the
+// driver-side operators inside Train: with every server dead and no recovery
+// coming, the warm-start write exhausts its retry budget and Train returns
+// the wrapped ps.ErrServerDown instead of panicking the whole simulation.
+func TestTrainReturnsDriverSideOperatorFailure(t *testing.T) {
+	ds := smallDataset(t, 200, 50)
+	opt := core.DefaultOptions()
+	opt.Executors, opt.Servers = 2, 2
+	opt.RPC = ps.RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.005, MaxBackoffSec: 0.05, MaxRetries: 3}
+	e := core.NewEngine(opt)
+	cfg := DefaultConfig()
+	cfg.WarmStart = make([]float64, ds.Config.Dim)
+	e.Run(func(p *simnet.Proc) {
+		for s := 0; s < opt.Servers; s++ {
+			e.PS.KillServer(s)
+		}
+		if _, err := Train(p, e, loadRDD(e, ds), ds.Config.Dim, cfg, NewSGD()); !errors.Is(err, ps.ErrServerDown) {
+			t.Errorf("Train on a dead cluster: got %v, want ps.ErrServerDown", err)
 		}
 	})
 }

@@ -30,7 +30,7 @@ func (s *SGD) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, ba
 	if s.Decay {
 		eta /= math.Sqrt(float64(iter))
 	}
-	return w.TryAxpy(p, e.Driver(), -eta/float64(batchSize), grad)
+	return w.Axpy(p, e.Driver(), -eta/float64(batchSize), grad)
 }
 
 // RecordStep records the same axpy into a fused batch.
@@ -71,13 +71,13 @@ func (a *Adam) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
 	if a.velocity, err = w.Derive(); err != nil {
 		return err
 	}
-	if err := a.velocity.TryFill(p, e.Driver(), 0); err != nil {
+	if err := a.velocity.Fill(p, e.Driver(), 0); err != nil {
 		return err
 	}
 	if a.square, err = w.Derive(); err != nil {
 		return err
 	}
-	return a.square.TryFill(p, e.Driver(), 0)
+	return a.square.Fill(p, e.Driver(), 0)
 }
 
 // update returns the Adam update kernel shared by Step and RecordStep.
@@ -101,7 +101,7 @@ func (a *Adam) update(iter, batchSize int) func(lo int, rows [][]float64) {
 }
 
 func (a *Adam) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.TryZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*3,
+	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*3,
 		a.update(iter, batchSize), a.velocity, a.square, grad)
 }
 
@@ -131,7 +131,7 @@ func (a *Adagrad) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
 	if a.accum, err = w.Derive(); err != nil {
 		return err
 	}
-	return a.accum.TryFill(p, e.Driver(), 0)
+	return a.accum.Fill(p, e.Driver(), 0)
 }
 
 func (a *Adagrad) update(batchSize int) func(lo int, rows [][]float64) {
@@ -148,7 +148,7 @@ func (a *Adagrad) update(batchSize int) func(lo int, rows [][]float64) {
 }
 
 func (a *Adagrad) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.TryZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*2, a.update(batchSize), a.accum, grad)
+	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*2, a.update(batchSize), a.accum, grad)
 }
 
 // RecordStep records the same zip into a fused batch.
@@ -177,7 +177,7 @@ func (r *RMSProp) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
 	if r.mean, err = w.Derive(); err != nil {
 		return err
 	}
-	return r.mean.TryFill(p, e.Driver(), 0)
+	return r.mean.Fill(p, e.Driver(), 0)
 }
 
 func (r *RMSProp) update(batchSize int) func(lo int, rows [][]float64) {
@@ -194,7 +194,7 @@ func (r *RMSProp) update(batchSize int) func(lo int, rows [][]float64) {
 }
 
 func (r *RMSProp) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.TryZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*2, r.update(batchSize), r.mean, grad)
+	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*2, r.update(batchSize), r.mean, grad)
 }
 
 // RecordStep records the same zip into a fused batch.

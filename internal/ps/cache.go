@@ -86,17 +86,6 @@ type CacheConfig struct {
 	// uncached client is required; the embedding trainer always combines
 	// (it needs the buffer for read-your-writes).
 	CombinePushes bool
-	// AutoFlushTarget opts the write buffer into adaptive mid-batch flushing:
-	// a buffer reports ShouldFlush once its pending payload bytes are large
-	// enough that per-request framing would be at most (1-target) of the
-	// flush's wire bytes. 0 (or <=0) disables auto-flushing — the trainer's
-	// own flush points (clock tick, stage barrier) remain the only flushes.
-	// Values approaching 1 demand near-perfect efficiency and so flush
-	// rarely; 0.5 flushes as soon as payload merely matches framing. The
-	// framing estimate adapts to observed flushes (EWMA), so the threshold
-	// tracks how many servers and dirty rows a flush actually touches
-	// instead of assuming the worst-case fan-out.
-	AutoFlushTarget float64
 }
 
 // CacheStats accumulates cache and write-combining counters on the Master,
@@ -114,7 +103,6 @@ type CacheStats struct {
 
 	CombinedPushes     uint64  // push deltas absorbed into write buffers
 	Flushes            uint64  // coalesced buffer flushes (fan-outs)
-	AutoFlushes        uint64  // of those, triggered by the efficiency auto-tuner
 	FlushedBytes       float64 // wire bytes the flushes paid
 	FlushBaselineBytes float64 // what per-delta pushes would have paid
 }
@@ -125,12 +113,6 @@ func (cs CacheStats) HitRate() float64 {
 		return 0
 	}
 	return float64(cs.Hits) / float64(cs.Hits+cs.Misses)
-}
-
-// SavedBytes returns the total wire bytes the cache and combiner avoided
-// versus the uncached operators.
-func (cs CacheStats) SavedBytes() float64 {
-	return (cs.BaselineBytes - cs.PulledBytes) + (cs.FlushBaselineBytes - cs.FlushedBytes)
 }
 
 // sparseColBytes is the cached-bytes charge per sparse value, matching the
@@ -269,8 +251,8 @@ func (nc *nodeCache) evict(capacity float64, stats *CacheStats) {
 }
 
 // CachedClient fronts one matrix's pull operators with per-machine caches.
-// Its methods mirror the Matrix operators (same Try/plain split, same
-// semantics) and are safe for any number of concurrent simulated tasks: all
+// Its methods mirror the Matrix operators (same signatures, same error
+// contract) and are safe for any number of concurrent simulated tasks: all
 // cache bookkeeping happens in host-atomic sections between scheduler yield
 // points.
 type CachedClient struct {
@@ -375,17 +357,7 @@ func (cc *CachedClient) CreditPush(from *simnet.Node, row int, indices []int, ma
 // PullRowIndices is the cached sparse pull: values within the staleness
 // bound are served locally; the rest are validated if-modified-since or
 // fetched, one coalesced RPC per shard that has work to do.
-func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) []float64 {
-	out, err := cc.TryPullRowIndices(p, from, row, indices)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowIndices is PullRowIndices returning a typed error instead of
-// panicking when a shard stays unreachable.
-func (cc *CachedClient) TryPullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
+func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
 	mat := cc.mat
 	mat.checkRow(row)
 	if err := validateIndices(indices, mat.Dim); err != nil {
@@ -416,7 +388,10 @@ func (cc *CachedClient) TryPullRowIndices(p *simnet.Proc, from *simnet.Node, row
 			return err
 		}
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // pullIndicesShard serves one shard's slice of a sparse pull: classify every
@@ -572,17 +547,7 @@ func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc 
 // PullRows is the cached batched full-row pull (the embedding access
 // pattern): whole per-shard row stretches are cached with one stamp each and
 // validated if-modified-since at row granularity.
-func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) [][]float64 {
-	out, err := cc.TryPullRows(p, from, rows)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRows is PullRows returning a typed error instead of panicking when
-// a shard stays unreachable.
-func (cc *CachedClient) TryPullRows(p *simnet.Proc, from *simnet.Node, rows []int) ([][]float64, error) {
+func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) ([][]float64, error) {
 	mat := cc.mat
 	for _, r := range rows {
 		mat.checkRow(r)
@@ -597,7 +562,10 @@ func (cc *CachedClient) TryPullRows(p *simnet.Proc, from *simnet.Node, rows []in
 	err := mat.fanOut(p, "cache-pull-rows", func(s int) shardBody {
 		return func(cp *simnet.Proc) error { return cc.pullRowsShard(cp, from, nc, rows, s, out) }
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // pullRowsShard serves one shard's stretch of a batched row pull.

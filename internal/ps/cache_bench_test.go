@@ -55,10 +55,10 @@ func BenchmarkCachedPullWarm(b *testing.B) {
 			idx[k] = k * 16
 		}
 		node := cl.Executors[0]
-		cc.PullRowIndices(p, node, 0, idx) // warm the cache
+		Must(cc.PullRowIndices(p, node, 0, idx)) // warm the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = cc.PullRowIndices(p, node, 0, idx)
+			_ = Must(cc.PullRowIndices(p, node, 0, idx))
 		}
 	})
 }

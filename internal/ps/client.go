@@ -24,17 +24,31 @@ import (
 // that races a crash blocks in retry/backoff until the failure detector has
 // swapped in a replacement, then lands on the restored shard.
 //
-// Every operator comes in two forms, uniformly: TryX returns a typed error
-// (wrapping ErrServerDown or simnet.ErrNodeDown) when a shard stays
-// unreachable past the retry budget, and the plain X delegates to TryX and
-// panics on that error — for jobs that treat an unrecoverable cluster as
-// fatal. Argument-validation failures (bad row, wrong dimension) are
-// programming errors and panic in both forms, with one exception: a
-// malformed index list (out of range or not strictly increasing) is data,
-// not code — sparse indices typically come straight from parsed instances —
-// so the index operators validate it up front and return ErrBadIndices
-// (wrapped) from the Try form instead of panicking deep inside a server
-// handler.
+// Every operator has one form: it returns a typed error (wrapping
+// ErrServerDown or simnet.ErrNodeDown) when a shard stays unreachable past the
+// retry budget, and nil values beside it. Callers for which that is fatal —
+// rdd task bodies, where the panic is what makes rdd retry the task on another
+// executor, and examples, experiments and tests — wrap the call in Must or
+// MustOK. Argument misuse (bad row, wrong dimension) is a programming error
+// and still panics, with one exception: a malformed index list (out of range
+// or not strictly increasing) is data, not code — sparse indices typically
+// come straight from parsed instances — so the index operators validate it up
+// front and return ErrBadIndices (wrapped) instead of panicking deep inside a
+// server handler.
+
+// Must returns v, panicking with err itself when it is non-nil, so a recover
+// that tests errors.Is(rec, simnet.ErrNodeDown) sees the operator's own error.
+func Must[T any](v T, err error) T {
+	MustOK(err)
+	return v
+}
+
+// MustOK is Must for operators that return only an error.
+func MustOK(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
 
 // ErrBadIndices is returned (wrapped) by the sparse index operators when the
 // index list is out of range or not strictly increasing.
@@ -60,37 +74,15 @@ func validateIndices(indices []int, dim int) error {
 // at the caller. Every server ships its [lo,hi) stretch of the row, so the
 // transfer parallelizes over servers — the "multiple servers replace the
 // single-node driver" effect.
-func (mat *Matrix) PullRow(p *simnet.Proc, from *simnet.Node, row int) []float64 {
-	out, err := mat.TryPullRow(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRow is PullRow returning a typed error instead of panicking when a
-// shard stays unreachable.
-func (mat *Matrix) TryPullRow(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
-	out := make([]float64, mat.Dim)
-	if err := mat.TryPullRowInto(p, from, row, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TryPullRowInto is TryPullRow assembling into caller-owned out (len must be
-// Dim). Every element of out is overwritten on success — the shard views
-// partition the column space — so steady-state pulls reuse one buffer
-// without clearing it.
-func (mat *Matrix) TryPullRowInto(p *simnet.Proc, from *simnet.Node, row int, out []float64) error {
+func (mat *Matrix) PullRow(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
 	mat.checkRow(row)
-	if len(out) != mat.Dim {
-		panic(fmt.Sprintf("ps: PullRowInto buffer has %d values for dim %d", len(out), mat.Dim))
-	}
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	return mat.fanOut(p, "pull", func(s int) shardBody {
+	// The shard views partition the column space, so every element of out is
+	// written on success.
+	out := make([]float64, mat.Dim)
+	err := mat.fanOut(p, "pull", func(s int) shardBody {
 		return mat.call(from, CallSpec{
 			Name:      "pull",
 			Shard:     s,
@@ -102,40 +94,22 @@ func (mat *Matrix) TryPullRowInto(p *simnet.Proc, from *simnet.Node, row int, ou
 			},
 		})
 	})
-}
-
-// PullRowCompressed fetches a full row but ships only the stored nonzeros of
-// each shard as (index, value) pairs — the transfer a sparse server-side
-// representation would cost. Used by sparse DCVs.
-func (mat *Matrix) PullRowCompressed(p *simnet.Proc, from *simnet.Node, row int) []float64 {
-	out, err := mat.TryPullRowCompressed(p, from, row)
 	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowCompressed is PullRowCompressed returning a typed error instead
-// of panicking when a shard stays unreachable.
-func (mat *Matrix) TryPullRowCompressed(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
-	out := make([]float64, mat.Dim)
-	if err := mat.TryPullRowCompressedInto(p, from, row, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// TryPullRowCompressedInto is TryPullRowCompressed assembling into
-// caller-owned out (len must be Dim; fully overwritten on success).
-func (mat *Matrix) TryPullRowCompressedInto(p *simnet.Proc, from *simnet.Node, row int, out []float64) error {
+// PullRowCompressed fetches a full row but ships only the stored nonzeros of
+// each shard as (index, value) pairs — the transfer a sparse server-side
+// representation would cost. Used by sparse DCVs.
+func (mat *Matrix) PullRowCompressed(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
 	mat.checkRow(row)
-	if len(out) != mat.Dim {
-		panic(fmt.Sprintf("ps: PullRowCompressedInto buffer has %d values for dim %d", len(out), mat.Dim))
-	}
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	return mat.fanOut(p, "pull-compressed", func(s int) shardBody {
+	out := make([]float64, mat.Dim)
+	err := mat.fanOut(p, "pull-compressed", func(s int) shardBody {
 		return mat.call(from, CallSpec{
 			Name:     "pull-compressed",
 			Shard:    s,
@@ -150,6 +124,10 @@ func (mat *Matrix) TryPullRowCompressedInto(p *simnet.Proc, from *simnet.Node, r
 			},
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ServerNode returns the machine hosting logical shard s (exported for the
@@ -165,50 +143,28 @@ func (mat *Matrix) ShardOf(s int) *Shard { return mat.shardOn(s) }
 // row — sparse pull, the optimization the paper credits for PS2's advantage
 // over Petuum ("PS2 supports sparse communication and only pulls the needed
 // model parameters"). Returns values aligned with indices.
-func (mat *Matrix) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) []float64 {
-	out, err := mat.TryPullRowIndices(p, from, row, indices)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowIndices is PullRowIndices returning a typed error instead of
-// panicking when a shard stays unreachable.
-func (mat *Matrix) TryPullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
-	out := make([]float64, len(indices))
-	if err := mat.TryPullRowIndicesInto(p, from, row, indices, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TryPullRowIndicesInto is TryPullRowIndices assembling into caller-owned
-// out (len must equal len(indices); fully overwritten on success).
-func (mat *Matrix) TryPullRowIndicesInto(p *simnet.Proc, from *simnet.Node, row int, indices []int, out []float64) error {
+func (mat *Matrix) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
 	mat.checkRow(row)
-	if len(out) != len(indices) {
-		panic(fmt.Sprintf("ps: PullRowIndicesInto buffer has %d values for %d indices", len(out), len(indices)))
-	}
 	if err := validateIndices(indices, mat.Dim); err != nil {
-		return err
+		return nil, err
 	}
 	mat.enterOp(p)
 	defer mat.exitOp()
-	return mat.pullRowIndices(p, from, row, indices, ClassTrain, out)
+	return mat.pullRowIndices(p, from, row, indices, ClassTrain)
 }
 
-// pullRowIndices is the ungated core of TryPullRowIndices: validation and
+// pullRowIndices is the ungated core of PullRowIndices: validation and
 // gate registration already done by the caller. The HotReplicaSet's cold path
 // calls it from a child of an operator that already holds the gate — going
 // through the gated wrapper there would deadlock a migration cutover (the
 // parent can't drain until the child finishes, the child can't enter while
 // the gate is closing). class tags the calls for admission control — the
 // serving tier reads through here with ClassServe.
-func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, class Class, out []float64) error {
+func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, class Class) ([]float64, error) {
 	cost := mat.master.Cl.Cost
 	split := mat.Part.SplitIndices(indices)
-	return mat.fanOut(p, "pull-sparse", func(s int) shardBody {
+	out := make([]float64, len(indices))
+	err := mat.fanOut(p, "pull-sparse", func(s int) shardBody {
 		idx := split[s]
 		if len(idx) == 0 {
 			return nil
@@ -232,21 +188,17 @@ func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, in
 			},
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PushAdd adds a sparse delta into a row, splitting the update across the
 // owning servers. This is the DCV `add` operator used as the gradient push in
 // the paper's Figure 3 (line 18); it is also the pull/push-only baselines'
 // push primitive.
-func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *linalg.SparseVector) {
-	if err := mat.TryPushAdd(p, from, row, delta); err != nil {
-		panic(err)
-	}
-}
-
-// TryPushAdd is PushAdd returning a typed error instead of panicking when a
-// shard stays unreachable.
-func (mat *Matrix) TryPushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *linalg.SparseVector) error {
+func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *linalg.SparseVector) error {
 	mat.checkRow(row)
 	if err := validateIndices(delta.Indices, mat.Dim); err != nil {
 		return err
@@ -269,7 +221,7 @@ func (mat *Matrix) TryPushAdd(p *simnet.Proc, from *simnet.Node, row int, delta 
 			Mutates:   true,
 			Touched:   []int{row},
 			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				// As in TryPullRowIndices: look up each column's global
+				// As in PullRowIndices: look up each column's global
 				// position, since non-contiguous placements interleave
 				// server groups in the sorted delta.
 				for _, col := range idx {
@@ -283,15 +235,7 @@ func (mat *Matrix) TryPushAdd(p *simnet.Proc, from *simnet.Node, row int, delta 
 
 // PushAddDense adds a dense delta into a row, shipping each server its full
 // column range.
-func (mat *Matrix) PushAddDense(p *simnet.Proc, from *simnet.Node, row int, delta []float64) {
-	if err := mat.TryPushAddDense(p, from, row, delta); err != nil {
-		panic(err)
-	}
-}
-
-// TryPushAddDense is PushAddDense returning a typed error instead of
-// panicking when a shard stays unreachable.
-func (mat *Matrix) TryPushAddDense(p *simnet.Proc, from *simnet.Node, row int, delta []float64) error {
+func (mat *Matrix) PushAddDense(p *simnet.Proc, from *simnet.Node, row int, delta []float64) error {
 	mat.checkRow(row)
 	if len(delta) != mat.Dim {
 		panic(fmt.Sprintf("ps: PushAddDense got %d values for dim %d", len(delta), mat.Dim))
@@ -317,15 +261,7 @@ func (mat *Matrix) TryPushAddDense(p *simnet.Proc, from *simnet.Node, row int, d
 }
 
 // SetRow overwrites a row (used to initialize models).
-func (mat *Matrix) SetRow(p *simnet.Proc, from *simnet.Node, row int, values []float64) {
-	if err := mat.TrySetRow(p, from, row, values); err != nil {
-		panic(err)
-	}
-}
-
-// TrySetRow is SetRow returning a typed error instead of panicking when a
-// shard stays unreachable.
-func (mat *Matrix) TrySetRow(p *simnet.Proc, from *simnet.Node, row int, values []float64) error {
+func (mat *Matrix) SetRow(p *simnet.Proc, from *simnet.Node, row int, values []float64) error {
 	mat.checkRow(row)
 	if len(values) != mat.Dim {
 		panic(fmt.Sprintf("ps: SetRow got %d values for dim %d", len(values), mat.Dim))
@@ -351,45 +287,30 @@ func (mat *Matrix) TrySetRow(p *simnet.Proc, from *simnet.Node, row int, values 
 
 // PullRows fetches several whole rows in one batched request per server —
 // the access pattern of embedding workloads, where a worker needs the vectors
-// of one center vertex and its sampled contexts together. Returns one dense
-// vector per requested row.
-func (mat *Matrix) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) [][]float64 {
-	out, err := mat.TryPullRows(p, from, rows)
-	if err != nil {
-		panic(err)
+// of one center vertex and its sampled contexts together. It assembles into
+// out — one len-Dim buffer per requested row, each fully overwritten on
+// success, so a hot loop reuses its scratch — or into fresh buffers when out
+// is nil, and returns the buffers.
+func (mat *Matrix) PullRows(p *simnet.Proc, from *simnet.Node, rows []int, out [][]float64) ([][]float64, error) {
+	if out == nil {
+		out = make([][]float64, len(rows))
+		for i := range out {
+			out[i] = make([]float64, mat.Dim)
+		}
 	}
-	return out
-}
-
-// TryPullRows is PullRows returning a typed error instead of panicking when
-// a shard stays unreachable.
-func (mat *Matrix) TryPullRows(p *simnet.Proc, from *simnet.Node, rows []int) ([][]float64, error) {
-	out := make([][]float64, len(rows))
-	for i := range out {
-		out[i] = make([]float64, mat.Dim)
-	}
-	if err := mat.TryPullRowsInto(p, from, rows, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TryPullRowsInto is TryPullRows assembling into caller-owned out: one
-// len-Dim buffer per requested row, each fully overwritten on success.
-func (mat *Matrix) TryPullRowsInto(p *simnet.Proc, from *simnet.Node, rows []int, out [][]float64) error {
 	if len(out) != len(rows) {
-		panic(fmt.Sprintf("ps: PullRowsInto got %d buffers for %d rows", len(out), len(rows)))
+		panic(fmt.Sprintf("ps: PullRows got %d buffers for %d rows", len(out), len(rows)))
 	}
 	for i, r := range rows {
 		mat.checkRow(r)
 		if len(out[i]) != mat.Dim {
-			panic(fmt.Sprintf("ps: PullRowsInto buffer %d has %d values for dim %d", i, len(out[i]), mat.Dim))
+			panic(fmt.Sprintf("ps: PullRows buffer %d has %d values for dim %d", i, len(out[i]), mat.Dim))
 		}
 	}
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	return mat.fanOut(p, "pull-rows", func(s int) shardBody {
+	err := mat.fanOut(p, "pull-rows", func(s int) shardBody {
 		return mat.call(from, CallSpec{
 			Name:      "pull-rows",
 			Shard:     s,
@@ -403,19 +324,15 @@ func (mat *Matrix) TryPullRowsInto(p *simnet.Proc, from *simnet.Node, rows []int
 			},
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PushRowsDelta adds one dense delta per row in one batched request per
 // server — the mirror of PullRows.
-func (mat *Matrix) PushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, deltas [][]float64) {
-	if err := mat.TryPushRowsDelta(p, from, rows, deltas); err != nil {
-		panic(err)
-	}
-}
-
-// TryPushRowsDelta is PushRowsDelta returning a typed error instead of
-// panicking when a shard stays unreachable.
-func (mat *Matrix) TryPushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, deltas [][]float64) error {
+func (mat *Matrix) PushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, deltas [][]float64) error {
 	if len(rows) != len(deltas) {
 		panic(fmt.Sprintf("ps: PushRowsDelta got %d rows, %d deltas", len(rows), len(deltas)))
 	}
@@ -447,80 +364,49 @@ func (mat *Matrix) TryPushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []in
 	})
 }
 
-// Invoke runs fn against every server's shard in parallel: the caller sends
-// reqBytes to each server, the server charges work(width) compute, fn mutates
-// the shard and returns a partial scalar, and the server replies with
-// respBytes. The returned slice holds each server's partial. This is the
-// transport under every DCV column-access operator. Invocations are dedup'd
-// like pushes, so a retried invoke never double-applies a mutation; fn that
-// only reads should use InvokeRead, which skips the dedup tracking.
-func (mat *Matrix) Invoke(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
-	work func(width int) float64, fn func(s int, sh *Shard) float64) []float64 {
-	partials, err := mat.TryInvoke(p, from, reqBytes, respBytes, work, fn)
-	if err != nil {
-		panic(err)
-	}
-	return partials
-}
-
-// TryInvoke is Invoke returning a typed error instead of panicking when a
-// shard stays unreachable.
-func (mat *Matrix) TryInvoke(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
-	work func(width int) float64, fn func(s int, sh *Shard) float64) ([]float64, error) {
-	return mat.invoke(p, from, reqBytes, respBytes, work, fn, true)
-}
-
-// InvokeRead is Invoke for server-side computations that do not modify shard
-// state (reductions like RowSum). Read-only invocations are naturally
-// idempotent, so they skip request-ID allocation and applied-set tracking
-// entirely — in unreliable runs a reduction costs no dedup state.
-func (mat *Matrix) InvokeRead(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
-	work func(width int) float64, fn func(s int, sh *Shard) float64) []float64 {
-	partials, err := mat.TryInvokeRead(p, from, reqBytes, respBytes, work, fn)
-	if err != nil {
-		panic(err)
-	}
-	return partials
-}
-
-// TryInvokeRead is InvokeRead returning a typed error instead of panicking
-// when a shard stays unreachable.
-func (mat *Matrix) TryInvokeRead(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
-	work func(width int) float64, fn func(s int, sh *Shard) float64) ([]float64, error) {
-	return mat.invoke(p, from, reqBytes, respBytes, work, fn, false)
-}
-
-func (mat *Matrix) invoke(p *simnet.Proc, from *simnet.Node, reqBytes, respBytes float64,
-	work func(width int) float64, fn func(s int, sh *Shard) float64, mutates bool) ([]float64, error) {
+// Invoke runs one op against every server's shard in parallel, unfused: the
+// caller sends op.ReqBytes to each server, the server charges op.Work(width)
+// compute, op.Fn runs against the shard and returns a partial scalar, and the
+// server replies with op.RespBytes. The returned slice holds each server's
+// partial. A mutating op is dedup'd like a push, so a retried invoke never
+// double-applies it; a read-only one (op.Mutates unset — reductions like
+// RowSum) is naturally idempotent and skips request-ID allocation and
+// applied-set tracking entirely, so in unreliable runs a reduction costs no
+// dedup state.
+func (mat *Matrix) Invoke(p *simnet.Proc, from *simnet.Node, op InvokeOp) ([]float64, error) {
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
 	partials := make([]float64, mat.Part.NumServers())
 	name := "invoke"
-	if !mutates {
+	if !op.Mutates {
 		name = "invoke-read"
 	}
 	err := mat.fanOut(p, "invoke", func(s int) shardBody {
 		return mat.call(from, CallSpec{
 			Name:      name,
 			Shard:     s,
-			ReqBytes:  cost.RequestOverheadB + reqBytes,
-			RespBytes: cost.RequestOverheadB + respBytes,
-			Work:      work,
-			Mutates:   mutates,
+			ReqBytes:  cost.RequestOverheadB + op.ReqBytes,
+			RespBytes: cost.RequestOverheadB + op.RespBytes,
+			Work:      op.Work,
+			Mutates:   op.Mutates,
+			Touched:   op.DirtyRows,
 			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				partials[s] = fn(s, sh)
+				partials[s] = op.Fn(s, sh)
 				return nil
 			},
 		})
 	})
-	return partials, err
+	if err != nil {
+		return nil, err
+	}
+	return partials, nil
 }
 
-// InvokeOp is one operation of a fused server-side program (see InvokeFused).
-// ReqBytes/RespBytes are the op's payload beyond the shared per-request
-// framing; Work charges server CPU per shard; Fn runs against the shard and
-// returns this op's partial scalar.
+// InvokeOp is one server-side operation: run alone by Invoke, or as one step
+// of a fused program by InvokeFused. ReqBytes/RespBytes are the op's payload
+// beyond the per-request framing; Work charges server CPU per shard; Fn runs
+// against the shard and returns this op's partial scalar.
 type InvokeOp struct {
 	ReqBytes  float64
 	RespBytes float64
@@ -528,10 +414,10 @@ type InvokeOp struct {
 	Mutates   bool
 	Fn        func(s int, sh *Shard) float64
 
-	// DirtyRows lists the rows a mutating op writes; the fused request
-	// declares their union as CallSpec.Touched. A mutating op that leaves it
-	// nil makes the whole batch fall back to conservative (every-row)
-	// marking. Declarations also keep the consistency layer's drift
+	// DirtyRows lists the rows a mutating op writes; the request declares
+	// them (a fused request their union) as CallSpec.Touched. A mutating op
+	// that leaves it nil makes the whole request fall back to conservative
+	// (every-row) marking. Declarations also keep the consistency layer's drift
 	// accounting exact: commitMutate diffs exactly these rows into the
 	// shard's per-row |delta| watermarks (versions.go), which value-bounded
 	// policies use to certify dense cache entries without shipping them — an
@@ -540,7 +426,7 @@ type InvokeOp struct {
 	DirtyRows []int
 }
 
-// TryInvokeFused executes a program of ops in order against every server's
+// InvokeFused executes a program of ops in order against every server's
 // shard with ONE request/response per server: the request pays a single
 // RequestOverheadB plus the summed op payloads, the server charges the summed
 // work and runs every op back to back on local memory, and the response
@@ -552,7 +438,7 @@ type InvokeOp struct {
 // and a retried batch re-executes exactly once per server incarnation — the
 // ops run atomically with respect to retries. A program of pure reads skips
 // dedup tracking entirely.
-func (mat *Matrix) TryInvokeFused(p *simnet.Proc, from *simnet.Node, ops []InvokeOp) ([][]float64, error) {
+func (mat *Matrix) InvokeFused(p *simnet.Proc, from *simnet.Node, ops []InvokeOp) ([][]float64, error) {
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
@@ -620,90 +506,47 @@ func (mat *Matrix) TryInvokeFused(p *simnet.Proc, from *simnet.Node, ops []Invok
 	})
 	mat.master.Net.Batches++
 	mat.master.Net.FusedOps += uint64(len(ops))
-	return partials, err
-}
-
-// InvokeFused is TryInvokeFused panicking on exhausted retries, mirroring the
-// plain/Try split of the row operators.
-func (mat *Matrix) InvokeFused(p *simnet.Proc, from *simnet.Node, ops []InvokeOp) [][]float64 {
-	partials, err := mat.TryInvokeFused(p, from, ops)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return partials
+	return partials, nil
 }
 
-// RowSum returns the sum of a row, computed server-side with only scalars on
-// the wire.
-func (mat *Matrix) RowSum(p *simnet.Proc, from *simnet.Node, row int) float64 {
-	v, err := mat.TryRowSum(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryRowSum is RowSum returning a typed error instead of panicking when a
-// shard stays unreachable.
-func (mat *Matrix) TryRowSum(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
+// rowReduce runs partial over each shard's stretch of a row server-side, with
+// one scalar per server on the wire, and returns the sum of the partials.
+func (mat *Matrix) rowReduce(p *simnet.Proc, from *simnet.Node, row int, partial func(stretch []float64) float64) (float64, error) {
 	mat.checkRow(row)
 	cost := mat.master.Cl.Cost
-	partials, err := mat.TryInvokeRead(p, from, 8, 8,
-		func(w int) float64 { return cost.ElemWork(w) },
-		func(_ int, sh *Shard) float64 { return linalg.Sum(sh.Rows[row]) })
+	partials, err := mat.Invoke(p, from, InvokeOp{
+		ReqBytes:  8,
+		RespBytes: 8,
+		Work:      func(w int) float64 { return cost.ElemWork(w) },
+		Fn:        func(_ int, sh *Shard) float64 { return partial(sh.Rows[row]) },
+	})
 	if err != nil {
 		return 0, err
 	}
 	return linalg.Sum(partials), nil
 }
 
-// RowNnz returns the number of nonzero entries of a row, server-side.
-func (mat *Matrix) RowNnz(p *simnet.Proc, from *simnet.Node, row int) int {
-	v, err := mat.TryRowNnz(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return v
+// RowSum returns the sum of a row, computed server-side.
+func (mat *Matrix) RowSum(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
+	return mat.rowReduce(p, from, row, linalg.Sum)
 }
 
-// TryRowNnz is RowNnz returning a typed error instead of panicking when a
-// shard stays unreachable.
-func (mat *Matrix) TryRowNnz(p *simnet.Proc, from *simnet.Node, row int) (int, error) {
-	mat.checkRow(row)
-	cost := mat.master.Cl.Cost
-	partials, err := mat.TryInvokeRead(p, from, 8, 8,
-		func(w int) float64 { return cost.ElemWork(w) },
-		func(_ int, sh *Shard) float64 { return float64(linalg.NnzDense(sh.Rows[row])) })
-	if err != nil {
-		return 0, err
-	}
-	return int(linalg.Sum(partials)), nil
+// RowNnz returns the number of nonzero entries of a row, server-side.
+func (mat *Matrix) RowNnz(p *simnet.Proc, from *simnet.Node, row int) (int, error) {
+	n, err := mat.rowReduce(p, from, row, func(x []float64) float64 { return float64(linalg.NnzDense(x)) })
+	return int(n), err
 }
 
 // RowNorm2 returns the Euclidean norm of a row, server-side.
-func (mat *Matrix) RowNorm2(p *simnet.Proc, from *simnet.Node, row int) float64 {
-	v, err := mat.TryRowNorm2(p, from, row)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// TryRowNorm2 is RowNorm2 returning a typed error instead of panicking when
-// a shard stays unreachable.
-func (mat *Matrix) TryRowNorm2(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
-	mat.checkRow(row)
-	cost := mat.master.Cl.Cost
-	partials, err := mat.TryInvokeRead(p, from, 8, 8,
-		func(w int) float64 { return cost.ElemWork(w) },
-		func(_ int, sh *Shard) float64 {
-			n := linalg.Norm2(sh.Rows[row])
-			return n * n
-		})
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(linalg.Sum(partials)), nil
+func (mat *Matrix) RowNorm2(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
+	sq, err := mat.rowReduce(p, from, row, func(x []float64) float64 {
+		n := linalg.Norm2(x)
+		return n * n
+	})
+	return math.Sqrt(sq), err
 }
 
 func (mat *Matrix) checkRow(row int) {

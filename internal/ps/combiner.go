@@ -40,17 +40,6 @@ type PushBuffer struct {
 
 	adds     uint64  // deltas absorbed since the last flush
 	baseline float64 // wire bytes the unbuffered pushes would have paid
-
-	// Auto-flush tuner state (SetAutoFlushTarget / ShouldFlush). pendingBytes
-	// counts the payload a flush would ship NOW — 12 per distinct buffered
-	// sparse element, 8·Dim per dense row — maintained incrementally so
-	// ShouldFlush is O(1). framingEst is an EWMA of the framing bytes
-	// (request/ack overheads plus row headers) observed per flush; until the
-	// first flush lands, a worst-case all-servers seed is used.
-	autoTarget    float64
-	pendingBytes  float64
-	framingEst    float64
-	autoTriggered bool
 }
 
 // NewPushBuffer returns an empty write-combining buffer for mat.
@@ -59,49 +48,11 @@ func NewPushBuffer(mat *Matrix) *PushBuffer {
 }
 
 // NewPushBuffer returns a buffer for the cached client's matrix; its
-// counters land in the same master-wide CacheStats, and it inherits the
-// client's AutoFlushTarget.
+// counters land in the same master-wide CacheStats.
 func (cc *CachedClient) NewPushBuffer() *PushBuffer {
 	b := NewPushBuffer(cc.mat)
 	b.cc = cc
-	b.autoTarget = cc.cfg.AutoFlushTarget
 	return b
-}
-
-// SetAutoFlushTarget sets the payload-efficiency target for ShouldFlush
-// (see CacheConfig.AutoFlushTarget); <=0 disables auto-flushing.
-func (b *PushBuffer) SetAutoFlushTarget(target float64) { b.autoTarget = target }
-
-// ShouldFlush reports whether the buffered payload has grown past the
-// auto-tuner's threshold: pending payload bytes ≥ framingEst · t/(1−t),
-// the point where a flush issued now would be at least target-fraction
-// payload. Always false when auto-flushing is disabled or nothing is
-// buffered. The caller decides when to act on it (typically right after an
-// Add, at a point where a flush is semantically allowed).
-func (b *PushBuffer) ShouldFlush() bool {
-	if b.autoTarget <= 0 || (len(b.sparse) == 0 && len(b.dense) == 0) {
-		return false
-	}
-	t := b.autoTarget
-	if t >= 1 {
-		return true // degenerate target: framing can never be 0, flush eagerly
-	}
-	if b.pendingBytes >= b.framingEstimate()*t/(1-t) {
-		b.autoTriggered = true
-		return true
-	}
-	return false
-}
-
-// framingEstimate returns the EWMA of observed per-flush framing bytes, or a
-// worst-case seed (every server touched, one dirty row each) before any
-// flush has been observed.
-func (b *PushBuffer) framingEstimate() float64 {
-	if b.framingEst > 0 {
-		return b.framingEst
-	}
-	cost := b.mat.master.Cl.Cost
-	return float64(b.mat.Part.NumServers()) * (2*cost.RequestOverheadB + 4)
 }
 
 // Add absorbs one sparse delta into the buffer — the combining form of
@@ -119,12 +70,9 @@ func (b *PushBuffer) Add(row int, delta *linalg.SparseVector) error {
 		b.sparse[row] = r
 	}
 	for i, col := range delta.Indices {
-		if _, seen := r[col]; !seen {
-			b.pendingBytes += sparseColBytes
-		}
 		r[col] += delta.Values[i]
 	}
-	// What TryPushAdd would have put on the wire for this delta.
+	// What PushAdd would have put on the wire for this delta.
 	for _, idx := range b.mat.Part.SplitIndices(delta.Indices) {
 		if len(idx) > 0 {
 			b.baseline += cost.SparseBytes(len(idx)) + cost.RequestOverheadB
@@ -151,14 +99,13 @@ func (b *PushBuffer) AddRowsDelta(rows []int, deltas [][]float64) {
 		if acc == nil {
 			acc = make([]float64, b.mat.Dim)
 			b.dense[row] = acc
-			b.pendingBytes += 8 * float64(b.mat.Dim)
 		}
 		for c, v := range d {
 			acc[c] += v
 		}
 		b.adds++
 	}
-	// What TryPushRowsDelta would have paid: per server, framing + row ids +
+	// What PushRowsDelta would have paid: per server, framing + row ids +
 	// its width of every row, plus the ack.
 	for s := 0; s < b.mat.Part.NumServers(); s++ {
 		b.baseline += 2*cost.RequestOverheadB + 4*float64(len(rows)) + 8*float64(len(rows)*b.mat.Part.Width(s))
@@ -189,20 +136,13 @@ func (b *PushBuffer) ApplyPending(rows []int, vecs [][]float64) {
 // Pending returns the number of rows with buffered deltas.
 func (b *PushBuffer) Pending() int { return len(b.sparse) + len(b.dense) }
 
-// Flush is TryFlush panicking on exhausted retries.
-func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) {
-	if err := b.TryFlush(p, from); err != nil {
-		panic(err)
-	}
-}
-
-// TryFlush ships every buffered delta as one coalesced request per server
+// Flush ships every buffered delta as one coalesced request per server
 // that has any, applying dense then sparse deltas in sorted row/column order
 // (deterministic regardless of accumulation order). Returns the first
 // shard's error when a server stays unreachable; the buffer is cleared
 // either way — retries happen inside CallShard, and each server call is
 // dedup'd, so no delta can be double-applied.
-func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
+func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 	if len(b.sparse) == 0 && len(b.dense) == 0 {
 		return nil
 	}
@@ -215,10 +155,7 @@ func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
 	b.sparse, b.dense = map[int]map[int]float64{}, map[int][]float64{}
 	m.Cache.CombinedPushes += b.adds
 	m.Cache.FlushBaselineBytes += b.baseline
-	if b.autoTriggered {
-		m.Cache.AutoFlushes++
-	}
-	b.adds, b.baseline, b.pendingBytes, b.autoTriggered = 0, 0, 0, false
+	b.adds, b.baseline = 0, 0
 	if b.cc != nil && b.cc.deltas {
 		b.creditFlush(from, sparse, dense)
 	}
@@ -241,13 +178,11 @@ func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
 			}
 		}
 	}
-	var framing float64 // this flush's non-payload bytes, fed to the tuner EWMA
 	err := b.mat.fanOut(p, "flush", func(s int) shardBody {
 		if len(parts[s]) == 0 && len(denseRows) == 0 {
 			return nil
 		}
 		width := b.mat.Part.Width(s)
-		framing += 2*cost.RequestOverheadB + 4*float64(len(parts[s])) + 4*float64(len(denseRows))
 		touched := append([]int(nil), denseRows...)
 		for _, sp := range parts[s] {
 			touched = append(touched, sp.row)
@@ -286,14 +221,6 @@ func (b *PushBuffer) TryFlush(p *simnet.Proc, from *simnet.Node) error {
 		}
 	})
 	m.Cache.Flushes++
-	// Adapt the tuner's framing estimate toward what this flush actually
-	// paid in overhead (smoothed, so one unusually wide or narrow flush
-	// doesn't whipsaw the threshold).
-	if b.framingEst == 0 {
-		b.framingEst = framing
-	} else {
-		b.framingEst = 0.75*b.framingEst + 0.25*framing
-	}
 	return err
 }
 

@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/linalg"
@@ -62,12 +61,12 @@ func TestPushBufferCombinesDeltas(t *testing.T) {
 				vecs[0][2], vecs[0][59], want[0][2], want[0][59])
 		}
 
-		buf.Flush(p, worker)
+		MustOK(buf.Flush(p, worker))
 		if buf.Pending() != 0 {
 			t.Fatal("flush left deltas pending")
 		}
 		for row, cols := range want {
-			got := mat.PullRow(p, worker, row)
+			got := Must(mat.PullRow(p, worker, row))
 			for c := range got {
 				if got[c] != cols[c] {
 					t.Fatalf("row %d col %d = %v, want %v", row, c, got[c], cols[c])
@@ -120,11 +119,11 @@ func TestCombinedFlushExactlyOnceUnderChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			if round%4 == 3 {
-				buf.Flush(p, worker)
+				MustOK(buf.Flush(p, worker))
 			}
 		}
-		buf.Flush(p, worker)
-		got := mat.PullRow(p, worker, 0)
+		MustOK(buf.Flush(p, worker))
+		got := Must(mat.PullRow(p, worker, 0))
 		for c := range got {
 			if got[c] != total[c] {
 				t.Fatalf("col %d = %v, want exactly %v (loss rate forced retries; double-apply?)",
@@ -134,92 +133,6 @@ func TestCombinedFlushExactlyOnceUnderChaos(t *testing.T) {
 		if m.Net.Attempts <= m.Net.Calls {
 			t.Fatalf("chaos produced no retries (%d attempts / %d calls); test is vacuous",
 				m.Net.Attempts, m.Net.Calls)
-		}
-	})
-}
-
-// TestAutoFlushDisabledByDefault asserts a buffer with no AutoFlushTarget
-// never volunteers a flush, no matter how much it holds.
-func TestAutoFlushDisabledByDefault(t *testing.T) {
-	sim, _, m := testMaster(3)
-	run(sim, func(p *simnet.Proc) {
-		mat, _ := m.CreateMatrix(p, 1, 200)
-		buf := NewPushBuffer(mat)
-		for c := 0; c < 200; c++ {
-			sv, _ := linalg.NewSparse([]int{c}, []float64{1})
-			if err := buf.Add(0, sv); err != nil {
-				t.Fatal(err)
-			}
-			if buf.ShouldFlush() {
-				t.Fatal("ShouldFlush true with auto-flushing disabled")
-			}
-		}
-	})
-}
-
-// TestAutoFlushThresholdAndAdaptation asserts the tuner (a) trips exactly when
-// pending payload crosses framingEst·t/(1−t), (b) counts the flush it caused,
-// and (c) tightens its framing estimate toward what the flush actually paid.
-func TestAutoFlushThresholdAndAdaptation(t *testing.T) {
-	sim, cl, m := testMaster(3)
-	run(sim, func(p *simnet.Proc) {
-		mat, _ := m.CreateMatrix(p, 1, 3000)
-		worker := cl.Executors[0]
-		cc := NewCachedClient(mat, CacheConfig{CombinePushes: true, AutoFlushTarget: 0.5})
-		buf := cc.NewPushBuffer()
-
-		// Before any flush the tuner assumes worst-case fan-out: every server
-		// framed, one row header each. At target 0.5 the threshold is exactly
-		// that framing seed (t/(1-t) = 1).
-		seed := float64(mat.Part.NumServers()) * (2*cl.Cost.RequestOverheadB + 4)
-		wantCols := int(math.Ceil(seed / sparseColBytes))
-		col := 0
-		for !buf.ShouldFlush() {
-			sv, _ := linalg.NewSparse([]int{col}, []float64{1})
-			if err := buf.Add(0, sv); err != nil {
-				t.Fatal(err)
-			}
-			col++
-			if col > wantCols+1 {
-				t.Fatalf("no flush signal after %d distinct cols (threshold should be %d)", col, wantCols)
-			}
-		}
-		if col != wantCols {
-			t.Fatalf("tripped at %d distinct cols, want %d (seed framing %v)", col, wantCols, seed)
-		}
-		// Merging into an already-buffered element adds no payload, so the
-		// threshold counts distinct elements, not Adds.
-		sv, _ := linalg.NewSparse([]int{0}, []float64{1})
-		if err := buf.Add(0, sv); err != nil {
-			t.Fatal(err)
-		}
-		if buf.pendingBytes != float64(col)*sparseColBytes {
-			t.Fatalf("pendingBytes %v after duplicate add, want %v", buf.pendingBytes, float64(col)*sparseColBytes)
-		}
-
-		buf.Flush(p, worker)
-		if m.Cache.AutoFlushes != 1 || m.Cache.Flushes != 1 {
-			t.Fatalf("stats: %d auto of %d flushes, want 1 of 1", m.Cache.AutoFlushes, m.Cache.Flushes)
-		}
-		if buf.ShouldFlush() {
-			t.Fatal("ShouldFlush still true on an empty buffer")
-		}
-		// The low columns all live on server 0, so the flush actually framed
-		// ONE request, far below the all-servers seed. The first observation
-		// replaces the seed, tightening future thresholds by ~3x.
-		wantFraming := 2*cl.Cost.RequestOverheadB + 4 // one server, one sparse row header
-		if buf.framingEst != wantFraming {
-			t.Fatalf("framingEst %v after first flush, want observed %v", buf.framingEst, wantFraming)
-		}
-
-		// A tick-style flush (not tuner-triggered) must not count as auto.
-		sv2, _ := linalg.NewSparse([]int{1}, []float64{1})
-		if err := buf.Add(0, sv2); err != nil {
-			t.Fatal(err)
-		}
-		buf.Flush(p, worker)
-		if m.Cache.AutoFlushes != 1 || m.Cache.Flushes != 2 {
-			t.Fatalf("stats after manual flush: %d auto of %d flushes, want 1 of 2", m.Cache.AutoFlushes, m.Cache.Flushes)
 		}
 	})
 }
@@ -246,13 +159,13 @@ func TestFlushSnapshotsBufferAtStart(t *testing.T) {
 			}
 			close(done)
 		})
-		buf.Flush(p, worker)
+		MustOK(buf.Flush(p, worker))
 		<-done
 		if buf.Pending() != 1 {
 			t.Fatalf("concurrent add lost: %d pending after flush", buf.Pending())
 		}
-		buf.Flush(p, worker)
-		got := mat.PullRow(p, worker, 0)
+		MustOK(buf.Flush(p, worker))
+		got := Must(mat.PullRow(p, worker, 0))
 		if got[4] != 1 || got[9] != 5 {
 			t.Fatalf("got %v/%v at cols 4/9, want 1/5", got[4], got[9])
 		}

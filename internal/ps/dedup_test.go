@@ -37,7 +37,7 @@ func TestDedupBoundedByWatermark(t *testing.T) {
 		peak := 0
 		for r := 0; r < rounds; r++ {
 			sv, _ := linalg.NewSparse([]int{r % 30}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			MustOK(mat.PushAdd(p, worker, 0, sv))
 			if n := maxDedupSize(m); n > peak {
 				peak = n
 			}
@@ -76,12 +76,12 @@ func TestReadOnlyCallsAllocateNoIDs(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i % 5)
 		}
-		mat.SetRow(p, worker, 0, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
 		seqAfterWrite := m.reqSeq
-		mat.RowSum(p, worker, 0)
-		mat.RowNnz(p, worker, 0)
-		mat.RowNorm2(p, worker, 0)
-		if _, err := mat.TryPullRow(p, worker, 0); err != nil {
+		Must(mat.RowSum(p, worker, 0))
+		Must(mat.RowNnz(p, worker, 0))
+		Must(mat.RowNorm2(p, worker, 0))
+		if _, err := mat.PullRow(p, worker, 0); err != nil {
 			t.Fatal(err)
 		}
 		if m.reqSeq != seqAfterWrite {
@@ -104,7 +104,7 @@ func TestCrashResetsPruneWatermark(t *testing.T) {
 		worker := cl.Executors[0]
 		for r := 0; r < 10; r++ {
 			sv, _ := linalg.NewSparse([]int{r}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			MustOK(mat.PushAdd(p, worker, 0, sv))
 		}
 		m.CrashServer(0)
 		m.RecoverServer(p, 0)
@@ -116,7 +116,7 @@ func TestCrashResetsPruneWatermark(t *testing.T) {
 		}
 		for r := 0; r < 10; r++ {
 			sv, _ := linalg.NewSparse([]int{r}, []float64{1})
-			mat.PushAdd(p, worker, 0, sv)
+			MustOK(mat.PushAdd(p, worker, 0, sv))
 		}
 		if n := maxDedupSize(m); n > 16 {
 			t.Fatalf("dedup set grew to %d entries after recovery", n)

@@ -25,7 +25,7 @@ func TestMigrateValidation(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mat.SetRow(p, worker, 0, make([]float64, 16))
+		MustOK(mat.SetRow(p, worker, 0, make([]float64, 16)))
 		good, _ := NewRangePlacement(16, 2)
 
 		if err := m.MigrateMatrix(p, mat, nil, fp(mat)); !errors.Is(err, ErrBadMigration) {
@@ -81,7 +81,7 @@ func TestMigrateDeadServerErrors(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) + 0.25
 		}
-		mat.SetRow(p, worker, 0, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 
 		target, _ := NewBlockHashPlacement(16, 4, 2, 7)
@@ -91,14 +91,14 @@ func TestMigrateDeadServerErrors(t *testing.T) {
 		}
 		// Old placement still serves reads of the surviving shards: column 0
 		// lives on server 0 under range placement.
-		if got := mat.PullRowIndices(p, worker, 0, []int{0, 1})[0]; got != vals[0] {
+		if got := Must(mat.PullRowIndices(p, worker, 0, []int{0, 1}))[0]; got != vals[0] {
 			t.Fatalf("old placement read = %v, want %v", got, vals[0])
 		}
 		m.RecoverServer(p, 2)
 		if err := m.MigrateMatrix(p, mat, target, fp(mat)); err != nil {
 			t.Fatalf("retry after recovery: %v", err)
 		}
-		got := mat.PullRow(p, worker, 0)
+		got := Must(mat.PullRow(p, worker, 0))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("post-migration row[%d] = %v, want %v", c, got[c], vals[c])
@@ -126,7 +126,7 @@ func TestMigratePreservesValues(t *testing.T) {
 			for c := range oracle[r] {
 				oracle[r][c] = math.Sin(float64(r*dim + c))
 			}
-			mat.SetRow(p, worker, r, oracle[r])
+			MustOK(mat.SetRow(p, worker, r, oracle[r]))
 		}
 		weight := make([]float64, dim)
 		for c := range weight {
@@ -141,13 +141,13 @@ func TestMigratePreservesValues(t *testing.T) {
 				t.Fatalf("hop %d: %v", h, err)
 			}
 			for r := 0; r < rows; r++ {
-				got := mat.PullRow(p, worker, r)
+				got := Must(mat.PullRow(p, worker, r))
 				for c := range oracle[r] {
 					if got[c] != oracle[r][c] {
 						t.Fatalf("hop %d row %d col %d = %v, want %v", h, r, c, got[c], oracle[r][c])
 					}
 				}
-				sp := mat.PullRowIndices(p, worker, r, sparseIdx)
+				sp := Must(mat.PullRowIndices(p, worker, r, sparseIdx))
 				for k, c := range sparseIdx {
 					if sp[k] != oracle[r][c] {
 						t.Fatalf("hop %d sparse row %d col %d = %v, want %v", h, r, c, sp[k], oracle[r][c])
@@ -157,7 +157,7 @@ func TestMigratePreservesValues(t *testing.T) {
 			// Mutate through the new placement so the next hop carries a
 			// post-migration write set.
 			sv, _ := linalg.NewSparse([]int{2, 17, 36}, []float64{1, -0.5, float64(h)})
-			mat.PushAdd(p, worker, h%rows, sv)
+			MustOK(mat.PushAdd(p, worker, h%rows, sv))
 			for k, c := range []int{2, 17, 36} {
 				oracle[h%rows][c] += []float64{1, -0.5, float64(h)}[k]
 			}
@@ -194,14 +194,14 @@ func TestMigrateZeroWidthSourceHandoff(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mat.SetRow(p, worker, 0, []float64{1.5, -2.5, 3.5})
-		mat.SetRow(p, worker, 1, []float64{4, 5, 6})
+		MustOK(mat.SetRow(p, worker, 0, []float64{1.5, -2.5, 3.5}))
+		MustOK(mat.SetRow(p, worker, 1, []float64{4, 5, 6}))
 		if err := m.MigrateMatrix(p, mat, mustRange(3, 3), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
 		want := [][]float64{{1.5, -2.5, 3.5}, {4, 5, 6}}
 		for r := range want {
-			got := mat.PullRow(p, worker, r)
+			got := Must(mat.PullRow(p, worker, r))
 			for c := range want[r] {
 				if got[c] != want[r][c] {
 					t.Fatalf("row %d col %d = %v, want %v", r, c, got[c], want[r][c])
@@ -224,7 +224,7 @@ func TestMigrateUnderConcurrentTraffic(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mat.SetRow(p, worker, 0, make([]float64, dim))
+		MustOK(mat.SetRow(p, worker, 0, make([]float64, dim)))
 		startFP := fp(mat)
 		var migErr error
 		g := p.Sim().NewGroup()
@@ -234,7 +234,7 @@ func TestMigrateUnderConcurrentTraffic(t *testing.T) {
 				if (i*7+3)%dim == i%dim {
 					sv, _ = linalg.NewSparse([]int{i % dim}, []float64{2})
 				}
-				mat.PushAdd(cp, cl.Executors[1], 0, sv)
+				MustOK(mat.PushAdd(cp, cl.Executors[1], 0, sv))
 			}
 		})
 		g.Go("migrator", func(cp *simnet.Proc) {
@@ -252,7 +252,7 @@ func TestMigrateUnderConcurrentTraffic(t *testing.T) {
 			want[i%dim]++
 			want[(i*7+3)%dim]++
 		}
-		got := mat.PullRow(p, worker, 0)
+		got := Must(mat.PullRow(p, worker, 0))
 		for c := range want {
 			if got[c] != want[c] {
 				t.Fatalf("col %d = %v, want %v (pushes lost or double-applied)", c, got[c], want[c])
@@ -279,7 +279,7 @@ func TestMigrateThenCrashRecovers(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c)*0.5 + 1
 		}
-		mat.SetRow(p, worker, 0, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		if err := m.MigrateMatrix(p, mat, mustRange(32, 8), fp(mat)); err != nil {
 			t.Fatal(err)
@@ -287,7 +287,7 @@ func TestMigrateThenCrashRecovers(t *testing.T) {
 		// Crash a server that owns columns only under the NEW placement.
 		m.CrashServer(6)
 		m.RecoverServer(p, 6)
-		got := mat.PullRow(p, worker, 0)
+		got := Must(mat.PullRow(p, worker, 0))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("post-crash row[%d] = %v, want %v", c, got[c], vals[c])
@@ -315,10 +315,10 @@ func TestCachedClientSurvivesMigration(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) * 1.5
 		}
-		mat.SetRow(p, worker, 0, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
 		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(2)})
 		idx := []int{0, 5, 11, 17, 23}
-		cc.PullRowIndices(p, worker, 0, idx) // warm the cache under placement A
+		Must(cc.PullRowIndices(p, worker, 0, idx)) // warm the cache under placement A
 		if err := m.MigrateMatrix(p, mat, mustRange(24, 6), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
@@ -326,10 +326,10 @@ func TestCachedClientSurvivesMigration(t *testing.T) {
 		// still inside the staleness window: without the generation fence the
 		// stale copy would serve.
 		sv, _ := linalg.NewSparse([]int{5, 17}, []float64{100, 200})
-		mat.PushAdd(p, worker, 0, sv)
+		MustOK(mat.PushAdd(p, worker, 0, sv))
 		vals[5] += 100
 		vals[17] += 200
-		got := cc.PullRowIndices(p, worker, 0, idx)
+		got := Must(cc.PullRowIndices(p, worker, 0, idx))
 		for k, c := range idx {
 			if got[k] != vals[c] {
 				t.Fatalf("cached col %d = %v, want %v (stale cross-placement entry served)", c, got[k], vals[c])
@@ -356,14 +356,14 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) + 0.125
 		}
-		mat.SetRow(p, worker, 0, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
 		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3, 16, 17}, Policy: consistency.NewClockBounded(3)})
 		if err != nil {
 			panic(err)
 		}
 		idx := []int{0, 1, 2, 3, 9, 16, 17, 30}
 		for i := 0; i < 4; i++ { // warm every rotating store under placement A
-			rs.PullRowIndices(p, worker, 0, idx)
+			Must(rs.PullRowIndices(p, worker, 0, idx))
 		}
 		if err := m.MigrateMatrix(p, mat, mustRange(32, 8), fp(mat)); err != nil {
 			t.Fatal(err)
@@ -371,12 +371,12 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 		// Write through the new owners, then read via replicas while the old
 		// copies would still be inside the staleness bound.
 		sv, _ := linalg.NewSparse([]int{1, 16}, []float64{50, -50})
-		mat.PushAdd(p, worker, 0, sv)
+		MustOK(mat.PushAdd(p, worker, 0, sv))
 		vals[1] += 50
 		vals[16] -= 50
 		for i := 0; i < 8; i++ { // hit every post-migration store
-			got := rs.PullRowIndices(p, worker, 0, idx)
-			want := mat.PullRowIndices(p, worker, 0, idx)
+			got := Must(rs.PullRowIndices(p, worker, 0, idx))
+			want := Must(mat.PullRowIndices(p, worker, 0, idx))
 			for k, c := range idx {
 				if got[k] != want[k] || got[k] != vals[c] {
 					t.Fatalf("replica col %d = %v, owner %v, oracle %v", c, got[k], want[k], vals[c])
@@ -401,7 +401,7 @@ func TestAddRemoveServers(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c * c)
 		}
-		mat.SetRow(p, worker, 0, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
 
 		if err := m.AddServers(p, 0); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("AddServers(0): got %v, want ErrBadMigration", err)
@@ -431,7 +431,7 @@ func TestAddRemoveServers(t *testing.T) {
 		if err := m.RemoveServers(p, 4); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("RemoveServers leaving zero: got %v, want ErrBadMigration", err)
 		}
-		got := mat.PullRow(p, worker, 0)
+		got := Must(mat.PullRow(p, worker, 0))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("after scale-in row[%d] = %v, want %v", c, got[c], vals[c])

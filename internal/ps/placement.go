@@ -126,18 +126,6 @@ func SamePlacement(a, b Placement) bool {
 	return a == b || a.Fingerprint() == b.Fingerprint()
 }
 
-// TrySplitIndices validates an index list (strictly increasing, within
-// [0, NumCols())) and then splits it by owning server. A malformed list —
-// unsorted, duplicated, or out of range — returns an error wrapping
-// ErrBadIndices instead of a silent mis-split; the plain SplitIndices keeps
-// the repo's panic-on-programming-error convention.
-func TrySplitIndices(pl Placement, indices []int) ([][]int, error) {
-	if err := validateIndices(indices, pl.NumCols()); err != nil {
-		return nil, err
-	}
-	return pl.SplitIndices(indices), nil
-}
-
 // RangePlacement is the default placement: contiguous column ranges, one per
 // server. It is an alias of Partitioner, the original concrete type, so the
 // pre-placement API keeps working unchanged.

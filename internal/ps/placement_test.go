@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -120,28 +119,6 @@ func TestSamePlacementFingerprints(t *testing.T) {
 	}
 }
 
-// TestTrySplitIndicesValidates covers the typed-error path: out-of-range or
-// unsorted index lists come back as ErrBadIndices instead of a panic.
-func TestTrySplitIndicesValidates(t *testing.T) {
-	pl, _ := NewBlockHashPlacement(50, 4, 8, 0)
-	for _, bad := range [][]int{{-1}, {50}, {3, 3}, {5, 2}} {
-		if _, err := TrySplitIndices(pl, bad); !errors.Is(err, ErrBadIndices) {
-			t.Fatalf("indices %v: got %v, want ErrBadIndices", bad, err)
-		}
-	}
-	parts, err := TrySplitIndices(pl, []int{0, 7, 49})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, g := range parts {
-		n += len(g)
-	}
-	if n != 3 {
-		t.Fatalf("split dropped indices: %v", parts)
-	}
-}
-
 // TestPlacementOpsMatchOracle is the co-location property test: the same
 // operation sequence against a single-server matrix (the oracle — every op
 // trivially exact) and against each placement on six servers must read back
@@ -179,20 +156,20 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			for c := range init {
 				init[c] = math.Sin(float64(c))
 			}
-			mat.SetRow(p, worker, 0, init)
+			MustOK(mat.SetRow(p, worker, 0, init))
 			sv, _ := linalg.NewSparse([]int{1, 5, 17, 30, 36}, []float64{0.5, -2, 3.25, 1, -0.125})
-			mat.PushAdd(p, worker, 0, sv)
+			MustOK(mat.PushAdd(p, worker, 0, sv))
 			dense := make([]float64, dim)
 			for c := range dense {
 				dense[c] = float64(c%5) * 0.25
 			}
-			mat.PushAddDense(p, worker, 1, dense)
+			MustOK(mat.PushAddDense(p, worker, 1, dense))
 			part := make([]float64, dim)
 			copy(part[10:25], init[10:25])
-			mat.SetRow(p, worker, 2, part)
+			MustOK(mat.SetRow(p, worker, 2, part))
 			// A fused program: scale row 0, then reduce its sum — exercises
 			// the per-shard program path under every placement.
-			partials, err := mat.TryInvokeFused(p, worker, []InvokeOp{
+			partials, err := mat.InvokeFused(p, worker, []InvokeOp{
 				{ReqBytes: 16, Mutates: true, DirtyRows: []int{0},
 					Work: func(w int) float64 { return float64(w) },
 					Fn: func(_ int, sh *Shard) float64 {
@@ -218,13 +195,13 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			for _, x := range partials[1] {
 				fusedSum += x
 			}
-			r0 := mat.PullRow(p, worker, 0)
-			r1 := mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36})
+			r0 := Must(mat.PullRow(p, worker, 0))
+			r1 := Must(mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36}))
 			span := make([]int, 22)
 			for i := range span {
 				span[i] = 8 + i
 			}
-			r2 := mat.PullRowIndices(p, worker, 2, span)
+			r2 := Must(mat.PullRowIndices(p, worker, 2, span))
 			out = [][]float64{r0, r1, r2, {fusedSum}}
 		})
 		return out
@@ -266,10 +243,10 @@ func TestZeroWidthShards(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			mat.SetRow(p, worker, 0, []float64{1, 2, 3})
+			MustOK(mat.SetRow(p, worker, 0, []float64{1, 2, 3}))
 			sv, _ := linalg.NewSparse([]int{0, 2}, []float64{10, 30})
-			mat.PushAdd(p, worker, 0, sv)
-			if _, err := mat.TryInvokeFused(p, worker, []InvokeOp{
+			MustOK(mat.PushAdd(p, worker, 0, sv))
+			if _, err := mat.InvokeFused(p, worker, []InvokeOp{
 				{ReqBytes: 8, Mutates: true, DirtyRows: []int{0},
 					Work: func(w int) float64 { return float64(w) },
 					Fn: func(_ int, sh *Shard) float64 {
@@ -284,7 +261,7 @@ func TestZeroWidthShards(t *testing.T) {
 			m.Checkpoint(p, mat)
 			m.CrashServer(0)
 			m.RecoverServer(p, 0)
-			got := mat.PullRow(p, worker, 0)
+			got := Must(mat.PullRow(p, worker, 0))
 			want := []float64{12, 3, 34}
 			for c := range want {
 				if got[c] != want[c] {
@@ -312,11 +289,11 @@ func TestNonContiguousCheckpointRestore(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) + 0.5
 		}
-		mat.SetRow(p, worker, 1, vals)
+		MustOK(mat.SetRow(p, worker, 1, vals))
 		m.Checkpoint(p, mat)
 		m.CrashServer(2)
 		m.RecoverServer(p, 2)
-		got := mat.PullRow(p, worker, 1)
+		got := Must(mat.PullRow(p, worker, 1))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("restored row[%d] = %v, want %v", c, got[c], vals[c])
@@ -343,13 +320,13 @@ func TestHotReplicaBitIdenticalAtClockBoundZero(t *testing.T) {
 		idx := []int{0, 2, 3, 7, 12, 15, 20, 31}
 		for round := 0; round < 6; round++ {
 			sv, _ := linalg.NewSparse([]int{3, 15, 20}, []float64{float64(round) + 0.25, -1, 2})
-			mat.PushAdd(p, worker, 0, sv)
+			MustOK(mat.PushAdd(p, worker, 0, sv))
 			mat.TickClock()
 			// More pulls than servers: the round-robin rotation revisits
 			// stores within the clock, so later pulls must hit locally.
 			for rep := 0; rep < 8; rep++ {
-				got := rs.PullRowIndices(p, worker, 0, idx)
-				want := mat.PullRowIndices(p, worker, 0, idx)
+				got := Must(rs.PullRowIndices(p, worker, 0, idx))
+				want := Must(mat.PullRowIndices(p, worker, 0, idx))
 				for k := range want {
 					if got[k] != want[k] {
 						t.Fatalf("round %d rep %d: replica read col %d = %v, owner %v",
@@ -383,7 +360,7 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) * 1.25
 		}
-		mat.SetRow(p, worker, 0, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}, Policy: consistency.NewClockBounded(1)})
 		if err != nil {
@@ -391,15 +368,15 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		idx := []int{0, 1, 2, 3, 10}
 		for i := 0; i < 4; i++ { // warm every rotating store
-			rs.PullRowIndices(p, worker, 0, idx)
+			Must(rs.PullRowIndices(p, worker, 0, idx))
 		}
 		m.CrashServer(0) // owner of the hot prefix under range placement
 		m.RecoverServer(p, 0)
 		mat.TickClock()
 		mat.TickClock()          // step past the staleness bound so copies revalidate
 		for i := 0; i < 4; i++ { // every store must refetch and agree
-			got := rs.PullRowIndices(p, worker, 0, idx)
-			want := mat.PullRowIndices(p, worker, 0, idx)
+			got := Must(rs.PullRowIndices(p, worker, 0, idx))
+			want := Must(mat.PullRowIndices(p, worker, 0, idx))
 			for k := range want {
 				if got[k] != want[k] {
 					t.Fatalf("post-recovery replica read col %d = %v, owner %v", idx[k], got[k], want[k])

@@ -167,18 +167,18 @@ func TestCreatePullPushRoundTrip(t *testing.T) {
 			return
 		}
 		worker := cl.Executors[0]
-		row := mat.PullRow(p, worker, 0)
+		row := Must(mat.PullRow(p, worker, 0))
 		if len(row) != 100 || linalg.Sum(row) != 0 {
 			t.Errorf("fresh matrix row not zero: sum=%v", linalg.Sum(row))
 		}
 		sv, _ := linalg.NewSparse([]int{3, 26, 99}, []float64{1, 2, 3})
-		mat.PushAdd(p, worker, 0, sv)
-		mat.PushAdd(p, worker, 0, sv)
-		row = mat.PullRow(p, worker, 0)
+		MustOK(mat.PushAdd(p, worker, 0, sv))
+		MustOK(mat.PushAdd(p, worker, 0, sv))
+		row = Must(mat.PullRow(p, worker, 0))
 		if row[3] != 2 || row[26] != 4 || row[99] != 6 {
 			t.Errorf("push-add wrong: %v %v %v", row[3], row[26], row[99])
 		}
-		vals := mat.PullRowIndices(p, worker, 0, []int{3, 26, 99})
+		vals := Must(mat.PullRowIndices(p, worker, 0, []int{3, 26, 99}))
 		if vals[0] != 2 || vals[1] != 4 || vals[2] != 6 {
 			t.Errorf("sparse pull wrong: %v", vals)
 		}
@@ -194,11 +194,11 @@ func TestPushAddDenseAndSetRow(t *testing.T) {
 		for i := range init {
 			init[i] = float64(i)
 		}
-		mat.SetRow(p, worker, 0, init)
+		MustOK(mat.SetRow(p, worker, 0, init))
 		delta := make([]float64, 10)
 		linalg.Fill(delta, 1)
-		mat.PushAddDense(p, worker, 0, delta)
-		row := mat.PullRow(p, worker, 0)
+		MustOK(mat.PushAddDense(p, worker, 0, delta))
+		row := Must(mat.PullRow(p, worker, 0))
 		for i := range row {
 			if row[i] != float64(i)+1 {
 				t.Errorf("row[%d] = %v, want %v", i, row[i], float64(i)+1)
@@ -213,14 +213,14 @@ func TestRowAggregates(t *testing.T) {
 		mat, _ := m.CreateMatrix(p, 1, 50)
 		worker := cl.Executors[1]
 		sv, _ := linalg.NewSparse([]int{0, 10, 30, 49}, []float64{3, 4, 0, -12})
-		mat.PushAdd(p, worker, 0, sv)
-		if got := mat.RowSum(p, worker, 0); math.Abs(got-(-5)) > 1e-9 {
+		MustOK(mat.PushAdd(p, worker, 0, sv))
+		if got := Must(mat.RowSum(p, worker, 0)); math.Abs(got-(-5)) > 1e-9 {
 			t.Errorf("RowSum = %v, want -5", got)
 		}
-		if got := mat.RowNnz(p, worker, 0); got != 3 {
+		if got := Must(mat.RowNnz(p, worker, 0)); got != 3 {
 			t.Errorf("RowNnz = %v, want 3 (zero-valued push does not count)", got)
 		}
-		if got := mat.RowNorm2(p, worker, 0); math.Abs(got-13) > 1e-9 {
+		if got := Must(mat.RowNorm2(p, worker, 0)); math.Abs(got-13) > 1e-9 {
 			t.Errorf("RowNorm2 = %v, want 13", got)
 		}
 	})
@@ -237,9 +237,9 @@ func TestSparsePullCheaperThanFull(t *testing.T) {
 			worker := cl.Executors[0]
 			start := p.Now()
 			if sparse {
-				mat.PullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999})
+				Must(mat.PullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999}))
 			} else {
-				mat.PullRow(p, worker, 0)
+				Must(mat.PullRow(p, worker, 0))
 			}
 			elapsed = p.Now() - start
 		})
@@ -267,7 +267,7 @@ func TestMoreServersServeRowPullFaster(t *testing.T) {
 			start := p.Now()
 			for _, w := range cl.Executors {
 				w := w
-				g.Go("puller", func(wp *simnet.Proc) { mat.PullRow(wp, w, 0) })
+				g.Go("puller", func(wp *simnet.Proc) { Must(mat.PullRow(wp, w, 0)) })
 			}
 			g.Wait(p)
 			elapsed = p.Now() - start
@@ -288,10 +288,9 @@ func TestInvokePartials(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 40)
 		linalg.Fill(ones, 1)
-		mat.SetRow(p, worker, 0, ones)
-		partials := mat.Invoke(p, worker, 8, 8, nil, func(s int, sh *Shard) float64 {
-			return linalg.Sum(sh.Rows[0])
-		})
+		MustOK(mat.SetRow(p, worker, 0, ones))
+		partials := Must(mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, RespBytes: 8, Mutates: true,
+			Fn: func(s int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}))
 		if len(partials) != 4 {
 			t.Fatalf("partials = %v", partials)
 		}
@@ -310,13 +309,13 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i) * 0.5
 		}
-		mat.SetRow(p, worker, 0, vals)
-		mat.SetRow(p, worker, 1, vals)
+		MustOK(mat.SetRow(p, worker, 0, vals))
+		MustOK(mat.SetRow(p, worker, 1, vals))
 		m.Checkpoint(p, mat)
 
 		// Mutate after the checkpoint, then crash a server.
 		sv, _ := linalg.NewSparse([]int{0, 29}, []float64{100, 100})
-		mat.PushAdd(p, worker, 0, sv)
+		MustOK(mat.PushAdd(p, worker, 0, sv))
 		m.KillServer(1)
 		if m.Alive(1) {
 			t.Error("killed server still alive")
@@ -326,7 +325,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 			t.Error("recovered server not alive")
 		}
 
-		row := mat.PullRow(p, worker, 0)
+		row := Must(mat.PullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(1)
 		for c := lo; c < hi; c++ {
 			if row[c] != vals[c] {
@@ -347,10 +346,10 @@ func TestRecoverWithoutCheckpointZeroes(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 20)
 		linalg.Fill(ones, 1)
-		mat.SetRow(p, worker, 0, ones)
+		MustOK(mat.SetRow(p, worker, 0, ones))
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
-		row := mat.PullRow(p, worker, 0)
+		row := Must(mat.PullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(0)
 		for c := lo; c < hi; c++ {
 			if row[c] != 0 {
@@ -392,10 +391,10 @@ func TestPushPullProperty(t *testing.T) {
 				idx := int(r) % dim
 				val := float64(i%13) - 6
 				sv, _ := linalg.NewSparse([]int{idx}, []float64{val})
-				mat.PushAdd(p, worker, 0, sv)
+				MustOK(mat.PushAdd(p, worker, 0, sv))
 				oracle[idx] += val
 			}
-			got := mat.PullRow(p, worker, 0)
+			got := Must(mat.PullRow(p, worker, 0))
 			for c := range oracle {
 				if math.Abs(got[c]-oracle[c]) > 1e-9 {
 					ok = false
@@ -420,9 +419,9 @@ func TestPullRowsBatched(t *testing.T) {
 			for c := range vals {
 				vals[c] = float64(r*100 + c)
 			}
-			mat.SetRow(p, worker, r, vals)
+			MustOK(mat.SetRow(p, worker, r, vals))
 		}
-		rows := mat.PullRows(p, worker, []int{3, 0, 2})
+		rows := Must(mat.PullRows(p, worker, []int{3, 0, 2}, nil))
 		if rows[0][5] != 305 || rows[1][5] != 5 || rows[2][29] != 229 {
 			t.Errorf("PullRows wrong: %v %v %v", rows[0][5], rows[1][5], rows[2][29])
 		}
@@ -440,11 +439,11 @@ func TestPushRowsDelta(t *testing.T) {
 			d0[i] = 1
 			d2[i] = float64(i)
 		}
-		mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2})
-		mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2})
-		r0 := mat.PullRow(p, worker, 0)
-		r1 := mat.PullRow(p, worker, 1)
-		r2 := mat.PullRow(p, worker, 2)
+		MustOK(mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
+		MustOK(mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
+		r0 := Must(mat.PullRow(p, worker, 0))
+		r1 := Must(mat.PullRow(p, worker, 1))
+		r2 := Must(mat.PullRow(p, worker, 2))
 		for i := range r0 {
 			if r0[i] != 2 || r1[i] != 0 || r2[i] != 2*float64(i) {
 				t.Fatalf("PushRowsDelta wrong at %d: %v %v %v", i, r0[i], r1[i], r2[i])
@@ -460,15 +459,15 @@ func TestPullRowCompressedCheaper(t *testing.T) {
 			mat, _ := m.CreateMatrix(p, 1, 100000)
 			worker := cl.Executors[0]
 			sv, _ := linalg.NewSparse([]int{3, 70000}, []float64{1, 2})
-			mat.PushAdd(p, worker, 0, sv)
+			MustOK(mat.PushAdd(p, worker, 0, sv))
 			cl.Executors[1].BytesRecv = 0
 			if compressed {
-				got := mat.PullRowCompressed(p, cl.Executors[1], 0)
+				got := Must(mat.PullRowCompressed(p, cl.Executors[1], 0))
 				if got[3] != 1 || got[70000] != 2 {
 					t.Errorf("compressed pull values wrong")
 				}
 			} else {
-				mat.PullRow(p, cl.Executors[1], 0)
+				Must(mat.PullRow(p, cl.Executors[1], 0))
 			}
 		})
 		return cl.Executors[1].BytesRecv

@@ -153,28 +153,19 @@ func TopKCols(weight []float64, k int) []int {
 	return top
 }
 
-// PullRowIndices is TryPullRowIndices panicking on exhausted retries.
-func (rs *HotReplicaSet) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) []float64 {
-	out, err := rs.TryPullRowIndices(p, from, row, indices)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryPullRowIndices is the replica-aware sparse pull: replicated columns are
+// PullRowIndices is the replica-aware sparse pull: replicated columns are
 // served by a rotating server from its replica store (revalidating against
 // owners as the staleness bound requires) and the rest take the ordinary
 // owner-routed path. Output is aligned with indices, like the raw operator.
-func (rs *HotReplicaSet) TryPullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
-	return rs.tryPull(p, from, row, indices, rs.pol, ClassTrain)
+func (rs *HotReplicaSet) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
+	return rs.pull(p, from, row, indices, rs.pol, ClassTrain)
 }
 
-// tryPull is TryPullRowIndices with an explicit consistency policy and
+// pull is PullRowIndices with an explicit consistency policy and
 // admission class — the serving tier (ModelReader) reads through it so a
 // per-request ReadOptions can tighten or relax the configured freshness and
 // tag the traffic ClassServe.
-func (rs *HotReplicaSet) tryPull(p *simnet.Proc, from *simnet.Node, row int, indices []int, pol consistency.Policy, class Class) ([]float64, error) {
+func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indices []int, pol consistency.Policy, class Class) ([]float64, error) {
 	mat := rs.mat
 	mat.checkRow(row)
 	if err := validateIndices(indices, mat.Dim); err != nil {
@@ -203,8 +194,8 @@ func (rs *HotReplicaSet) tryPull(p *simnet.Proc, from *simnet.Node, row int, ind
 		g.Go("replica-cold", func(cp *simnet.Proc) {
 			// The ungated core: this child runs under the gate the parent
 			// already holds, so the gated wrapper would deadlock a cutover.
-			vals := make([]float64, len(coldCols))
-			if err := mat.pullRowIndices(cp, from, row, coldCols, class, vals); err != nil {
+			vals, err := mat.pullRowIndices(cp, from, row, coldCols, class)
+			if err != nil {
 				errCold = err
 				return
 			}
@@ -233,7 +224,10 @@ func (rs *HotReplicaSet) tryPull(p *simnet.Proc, from *simnet.Node, row int, ind
 	if errHot != nil {
 		return nil, errHot
 	}
-	return out, errCold
+	if errCold != nil {
+		return nil, errCold
+	}
+	return out, nil
 }
 
 // resync rebuilds the per-server replica stores after an elastic membership
@@ -356,7 +350,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols []int, vals 
 	for _, o := range owners {
 		idx := needIdx[o]
 		ownerEpoch := mat.ShardEpoch(o)
-		osh, err := mat.TryShard(o)
+		osh, err := mat.LiveShard(o)
 		if err != nil {
 			return err // owner down: retry rides the enclosing CallShard loop
 		}

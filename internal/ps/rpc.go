@@ -28,9 +28,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// ErrServerDown is returned (wrapped) by Try* operators and panicked by the
-// plain operators when a shard's server stays unreachable for MaxRetries
-// attempts.
+// ErrServerDown is returned (wrapped) by every operator when a shard's server
+// stays unreachable for MaxRetries attempts.
 var ErrServerDown = errors.New("ps: server down")
 
 // RetryConfig tunes the client-side retry loop.
@@ -116,7 +115,7 @@ type CallSpec struct {
 type NetStats struct {
 	Calls       uint64
 	Attempts    uint64
-	Batches     uint64 // fused batch executions (one per TryInvokeFused)
+	Batches     uint64 // fused batch executions (one per InvokeFused)
 	FusedOps    uint64
 	DedupHits   uint64 // retried mutations dropped by a server's applied-set
 	DedupPruned uint64
@@ -343,10 +342,10 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 		spec.Shard, mat.ID, rc.MaxRetries, ErrServerDown)
 }
 
-// TryShard returns logical shard s if its server is up and holds the data,
+// LiveShard returns logical shard s if its server is up and holds the data,
 // and an error wrapping ErrServerDown otherwise. It is the fallible sibling
 // of ShardOf, used by the DCV shuffle path to read operand slices.
-func (mat *Matrix) TryShard(s int) (*Shard, error) {
+func (mat *Matrix) LiveShard(s int) (*Shard, error) {
 	srv := mat.srv(s)
 	sh, ok := srv.shards[mat.ID]
 	if !ok || !srv.alive || !srv.Node.Up() {

@@ -316,7 +316,7 @@ func (mat *Matrix) PinSnapshot(p *simnet.Proc) (*ModelSnapshot, error) {
 	defer mat.exitOp()
 	ms := &ModelSnapshot{mat: mat, clock: mat.clock, pins: make([]*shardSnap, mat.Part.NumServers())}
 	for s := range ms.pins {
-		sh, err := mat.TryShard(s)
+		sh, err := mat.LiveShard(s)
 		if err != nil {
 			ms.Close()
 			return nil, fmt.Errorf("ps: pin snapshot of matrix %d: %w", mat.ID, err)
@@ -381,13 +381,13 @@ func (ms *ModelSnapshot) fenced(s int) error {
 		ms.mat.ID, ms.clock, s, ErrSnapshotInvalid)
 }
 
-// TryReadRowIndices reads the pinned values of the given (strictly
+// ReadRowIndices reads the pinned values of the given (strictly
 // increasing) column indices of one row — the snapshot flavor of
-// TryPullRowIndices, same wire cost plus one version stamp per request. It
+// PullRowIndices, same wire cost plus one version stamp per request. It
 // returns an error wrapping ErrSnapshotInvalid when the pin has been fenced
 // (recovery, migration, undeclared bulk write, or Close), and never a torn
 // mixture of pinned and newer values.
-func (ms *ModelSnapshot) TryReadRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
+func (ms *ModelSnapshot) ReadRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
 	mat := ms.mat
 	mat.checkRow(row)
 	if err := validateIndices(indices, mat.Dim); err != nil {
@@ -572,7 +572,7 @@ func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices 
 		if opts.At.mat != mr.mat {
 			return nil, fmt.Errorf("ps: ReadOptions.At pins matrix %d, reader serves %d", opts.At.mat.ID, mr.mat.ID)
 		}
-		out, err = opts.At.TryReadRowIndices(p, from, row, indices)
+		out, err = opts.At.ReadRowIndices(p, from, row, indices)
 	case mr.rs != nil:
 		pol := opts.Policy
 		if pol == nil {
@@ -580,15 +580,14 @@ func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices 
 		} else {
 			m.registerPolicy(pol)
 		}
-		out, err = mr.rs.tryPull(p, from, row, indices, pol, opts.Priority.class())
+		out, err = mr.rs.pull(p, from, row, indices, pol, opts.Priority.class())
 	default:
 		mr.mat.checkRow(row)
 		if err = validateIndices(indices, mr.mat.Dim); err != nil {
 			return nil, err
 		}
 		mr.mat.enterOp(p)
-		out = make([]float64, len(indices))
-		err = mr.mat.pullRowIndices(p, from, row, indices, opts.Priority.class(), out)
+		out, err = mr.mat.pullRowIndices(p, from, row, indices, opts.Priority.class())
 		mr.mat.exitOp()
 	}
 	if err != nil {

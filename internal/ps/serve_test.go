@@ -28,7 +28,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pin: %v", err)
 		}
-		base, err := snap.TryReadRowIndices(p, worker, 0, idx)
+		base, err := snap.ReadRowIndices(p, worker, 0, idx)
 		if err != nil {
 			t.Fatalf("snapshot read: %v", err)
 		}
@@ -41,8 +41,8 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 		// Storm of pushes, repeatedly overwriting pinned elements.
 		for round := 0; round < 5; round++ {
 			sv, _ := linalg.NewSparse([]int{3, 9, 20, 31}, []float64{1, -2, 0.5, float64(round)})
-			mat.PushAdd(p, worker, 0, sv)
-			got, err := snap.TryReadRowIndices(p, worker, 0, idx)
+			MustOK(mat.PushAdd(p, worker, 0, sv))
+			got, err := snap.ReadRowIndices(p, worker, 0, idx)
 			if err != nil {
 				t.Fatalf("round %d snapshot read: %v", round, err)
 			}
@@ -54,7 +54,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 			}
 		}
 		// The live model must have moved where the pushes landed.
-		live := mat.PullRowIndices(p, worker, 0, idx)
+		live := Must(mat.PullRowIndices(p, worker, 0, idx))
 		if live[1] == base[1] || live[7] == base[7] {
 			t.Fatalf("live read did not see pushes: live %v, pinned %v", live, base)
 		}
@@ -65,7 +65,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 		if snap.Valid() {
 			t.Fatal("snapshot still valid after Close")
 		}
-		if _, err := snap.TryReadRowIndices(p, worker, 0, idx); !errors.Is(err, ErrSnapshotInvalid) {
+		if _, err := snap.ReadRowIndices(p, worker, 0, idx); !errors.Is(err, ErrSnapshotInvalid) {
 			t.Fatalf("read after Close: got %v, want ErrSnapshotInvalid", err)
 		}
 		if m.Serve.SnapshotsPinned != 1 || m.Serve.SnapshotReads < 6 {
@@ -93,20 +93,20 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pin: %v", err)
 		}
-		if _, err := snap.TryReadRowIndices(p, worker, 0, idx); err != nil {
+		if _, err := snap.ReadRowIndices(p, worker, 0, idx); err != nil {
 			t.Fatalf("pre-crash snapshot read: %v", err)
 		}
 		// Push past the checkpoint, then lose and restore the first server:
 		// the restored shard no longer holds the pinned values.
 		sv, _ := linalg.NewSparse([]int{0, 5}, []float64{10, 10})
-		mat.PushAdd(p, worker, 0, sv)
+		MustOK(mat.PushAdd(p, worker, 0, sv))
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
 
 		if snap.Valid() {
 			t.Fatal("snapshot still claims valid after recovery")
 		}
-		if _, err := snap.TryReadRowIndices(p, worker, 0, idx); !errors.Is(err, ErrSnapshotInvalid) {
+		if _, err := snap.ReadRowIndices(p, worker, 0, idx); !errors.Is(err, ErrSnapshotInvalid) {
 			t.Fatalf("post-recovery snapshot read: got %v, want ErrSnapshotInvalid", err)
 		}
 		if m.Serve.SnapshotFences == 0 {
@@ -120,11 +120,11 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 			t.Fatalf("re-pin: %v", err)
 		}
 		defer snap2.Close()
-		got, err := snap2.TryReadRowIndices(p, worker, 0, idx)
+		got, err := snap2.ReadRowIndices(p, worker, 0, idx)
 		if err != nil {
 			t.Fatalf("re-pinned read: %v", err)
 		}
-		want := mat.PullRowIndices(p, worker, 0, idx)
+		want := Must(mat.PullRowIndices(p, worker, 0, idx))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("re-pinned col %d = %v, live %v", idx[k], got[k], want[k])
@@ -156,7 +156,7 @@ func TestFencedSnapshotReadSpawnsNoRPCs(t *testing.T) {
 		m.RecoverServer(p, 1)
 
 		before := m.Net
-		if _, err := snap.TryReadRowIndices(p, worker, 0, []int{0, 15}); !errors.Is(err, ErrSnapshotInvalid) {
+		if _, err := snap.ReadRowIndices(p, worker, 0, []int{0, 15}); !errors.Is(err, ErrSnapshotInvalid) {
 			t.Fatalf("read spanning the recovered shard: got %v, want ErrSnapshotInvalid", err)
 		}
 		p.Sleep(1) // let any leaked child run
@@ -183,15 +183,11 @@ func TestSnapshotInvalidatedByUndeclaredWrite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pin: %v", err)
 		}
-		sh, err := mat.TryShard(0)
-		if err != nil {
-			panic(err)
-		}
-		sh.TouchAll()
+		Must(mat.LiveShard(0)).TouchAll()
 		if snap.Valid() {
 			t.Fatal("snapshot valid after undeclared bulk write")
 		}
-		if _, err := snap.TryReadRowIndices(p, worker, 0, []int{0, 1}); !errors.Is(err, ErrSnapshotInvalid) {
+		if _, err := snap.ReadRowIndices(p, worker, 0, []int{0, 1}); !errors.Is(err, ErrSnapshotInvalid) {
 			t.Fatalf("got %v, want ErrSnapshotInvalid", err)
 		}
 		snap.Close()
@@ -217,7 +213,7 @@ func TestSnapshotChaosMigration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pin: %v", err)
 		}
-		base, err := snap.TryReadRowIndices(p, worker, 0, idx)
+		base, err := snap.ReadRowIndices(p, worker, 0, idx)
 		if err != nil {
 			t.Fatalf("baseline read: %v", err)
 		}
@@ -233,13 +229,13 @@ func TestSnapshotChaosMigration(t *testing.T) {
 		g.Go("pusher", func(cp *simnet.Proc) {
 			for i := 0; i < 20; i++ {
 				sv, _ := linalg.NewSparse([]int{4, 18, 31}, []float64{1, 1, 1})
-				mat.PushAdd(cp, cl.Executors[1], 0, sv)
+				MustOK(mat.PushAdd(cp, cl.Executors[1], 0, sv))
 				cp.Sleep(0.005)
 			}
 		})
 		g.Go("server", func(cp *simnet.Proc) {
 			for i := 0; i < 40; i++ {
-				got, err := snap.TryReadRowIndices(cp, worker, 0, idx)
+				got, err := snap.ReadRowIndices(cp, worker, 0, idx)
 				if err != nil {
 					if !errors.Is(err, ErrSnapshotInvalid) {
 						t.Errorf("read %d: got %v, want ErrSnapshotInvalid", i, err)
@@ -273,11 +269,11 @@ func TestSnapshotChaosMigration(t *testing.T) {
 			t.Fatalf("re-pin after migration: %v", err)
 		}
 		defer snap2.Close()
-		got, err := snap2.TryReadRowIndices(p, worker, 0, idx)
+		got, err := snap2.ReadRowIndices(p, worker, 0, idx)
 		if err != nil {
 			t.Fatalf("post-migration read: %v", err)
 		}
-		want := mat.PullRowIndices(p, worker, 0, idx)
+		want := Must(mat.PullRowIndices(p, worker, 0, idx))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("post-migration col %d = %v, live %v", idx[k], got[k], want[k])
@@ -322,7 +318,7 @@ func TestAdmissionShedsTypedAndBounded(t *testing.T) {
 				_, serveErrs[i] = reader.Read(cp, worker, 0, idx, ReadOptions{})
 			})
 			g.Go("train-req", func(cp *simnet.Proc) {
-				_, trainErrs[i] = mat.TryPullRowIndices(cp, worker, 0, idx)
+				_, trainErrs[i] = mat.PullRowIndices(cp, worker, 0, idx)
 			})
 		}
 		g.Wait(p)
@@ -399,7 +395,7 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 		// The model changes and the trainer ticks the matrix clock — exactly
 		// what lr/deepwalk do each iteration. No mat.TickClock() anywhere.
 		sv, _ := linalg.NewSparse([]int{1, 3}, []float64{100, 100})
-		mat.PushAdd(p, worker, 0, sv)
+		MustOK(mat.PushAdd(p, worker, 0, sv))
 		mat.TickClock()
 		if rs.Clock() != mat.Clock() {
 			t.Fatalf("replica clock %d detached from matrix clock %d", rs.Clock(), mat.Clock())

@@ -627,26 +627,6 @@ type ServerLoad struct {
 	Bytes float64
 }
 
-// LoadImbalance returns max/mean over the given per-server values — 1.0 is
-// perfectly balanced, S means one server absorbs everything. Servers that
-// saw no traffic still count toward the mean (they are idle capacity).
-func LoadImbalance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, maxV float64
-	for _, x := range xs {
-		sum += x
-		if x > maxV {
-			maxV = x
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return maxV / (sum / float64(len(xs)))
-}
-
 // LoadReport returns a copy of the per-server load counters.
 func (m *Master) LoadReport() []ServerLoad {
 	return append([]ServerLoad(nil), m.Load...)

@@ -201,9 +201,6 @@ func (mat *Matrix) EnableVersioning() {
 	}
 }
 
-// Versioned reports whether the matrix carries version stamps.
-func (mat *Matrix) Versioned() bool { return mat.versioned }
-
 // ShardEpoch returns the fencing epoch of logical shard s: the recovery
 // epoch of the physical server hosting it, mixed with the matrix's placement
 // generation. The server epoch is bumped when RecoverServer fences the old
@@ -214,6 +211,3 @@ func (mat *Matrix) Versioned() bool { return mat.versioned }
 func (mat *Matrix) ShardEpoch(s int) uint64 {
 	return mat.gen<<32 | mat.master.epochs[(s+mat.Offset)%mat.Part.NumServers()]
 }
-
-// ServerEpoch returns physical server s's recovery epoch.
-func (m *Master) ServerEpoch(s int) uint64 { return m.epochs[s] }

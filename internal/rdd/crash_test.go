@@ -3,6 +3,8 @@ package rdd
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -177,4 +179,68 @@ func TestFailureInjectionStableWhenUnrelatedStagesAdded(t *testing.T) {
 	if a, b := countFailures(false), countFailures(true); a != b {
 		t.Fatalf("target stage failed %d vs %d times depending on unrelated stages", a, b)
 	}
+}
+
+// TestTaskRetriedWhenExecutorDiesInsidePSPull covers the path every PS2
+// training stage relies on: a task body calls a parameter-server operator
+// through ps.Must, its executor dies while the pull is in flight, the
+// operator's ErrNodeDown error becomes a panic carrying that same error, and
+// runAttempt turns it into a retry on a survivor — the stage result is what
+// a fault-free run returns.
+func TestTaskRetriedWhenExecutorDiesInsidePSPull(t *testing.T) {
+	sim := simnet.New()
+	cfg := cluster.DefaultConfig()
+	cfg.Executors, cfg.Servers = 4, 2
+	cl := cluster.New(sim, cfg)
+	ctx := NewContext(cl)
+	master := ps.NewMaster(cl)
+	const dim = 1 << 16
+	doomed := cl.Executors[2]
+	runJob(sim, func(p *simnet.Proc) {
+		mat, err := master.CreateMatrix(p, 1, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, dim)
+		for c := range vals {
+			vals[c] = float64(c % 7)
+		}
+		ps.MustOK(mat.SetRow(p, cl.Driver, 0, vals))
+		// How long one pull from the doomed machine takes, so the crash can
+		// be timed to land halfway through the task's.
+		t0 := p.Now()
+		ps.Must(mat.PullRow(p, doomed, 0))
+		pullSec := p.Now() - t0
+
+		crashed := false
+		r := FromSlices(ctx, intParts(40, 8))
+		sums := RunPartitions(p, r, 8, func(tc *TaskContext, part int, rows []int) float64 {
+			if tc.Node == doomed && !crashed {
+				crashed = true
+				sim.Spawn("crash-exec-2", func(cp *simnet.Proc) {
+					cp.Sleep(pullSec / 2)
+					ctx.CrashExecutor(2)
+				})
+			}
+			w := ps.Must(mat.PullRow(tc.P, tc.Node, 0))
+			var sum float64
+			for _, i := range rows {
+				sum += w[i]
+			}
+			tc.Commit()
+			return sum
+		})
+		for part, rows := range intParts(40, 8) {
+			var want float64
+			for _, i := range rows {
+				want += vals[i]
+			}
+			if sums[part] != want {
+				t.Errorf("partition %d sum = %v after the crash, want %v", part, sums[part], want)
+			}
+		}
+		if !crashed || ctx.ExecutorFailures == 0 {
+			t.Errorf("no attempt died inside the pull (crashed=%v, executor failures=%d)", crashed, ctx.ExecutorFailures)
+		}
+	})
 }

@@ -147,9 +147,10 @@ func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, 
 }
 
 // runAttempt executes one attempt of a task body, converting the taskFailed
-// sentinel — and the node-down errors the PS client layer panics with when
-// the task's machine crashes under it — into a clean retry, while letting
-// real panics (and the simulation's shutdown unwind) propagate.
+// sentinel — and the simnet.ErrNodeDown error a PS operator returns when the
+// task's machine crashes under it, which the body re-raises through ps.Must —
+// into a clean retry, while letting real panics (and the simulation's
+// shutdown unwind) propagate.
 func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *TaskContext, part int, rows []T) U) (res U, ok bool) {
 	defer func() {
 		if rec := recover(); rec != nil {

@@ -10,10 +10,10 @@ package wire
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/data"
+	"repro/internal/linalg"
 	"repro/internal/ml/lr"
 	"repro/internal/ps"
 )
@@ -129,16 +129,8 @@ func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, e
 		grad, lossSum := lr.BatchGradient(lr.Logistic, batch, func(i int) float64 { return w[i] })
 		res.Losses = append(res.Losses, lossSum/float64(len(batch)))
 
-		cols := make([]int, 0, len(grad))
-		for c := range grad {
-			cols = append(cols, c)
-		}
-		sort.Ints(cols)
-		vals := make([]float64, len(cols))
-		for i, c := range cols {
-			vals[i] = grad[c]
-		}
-		if err := st.pushGrad(cfg.Mat, cols, vals); err != nil {
+		sv := linalg.SparseFromMap(grad, 1)
+		if err := st.pushGrad(cfg.Mat, sv.Indices, sv.Values); err != nil {
 			return nil, fmt.Errorf("iteration %d push: %w", it, err)
 		}
 		if err := st.step(cfg.Mat, -cfg.LearningRate/float64(len(batch))); err != nil {

@@ -32,7 +32,7 @@ func (st *simnetStore) create(_ uint32, rows, dim int) error {
 }
 
 func (st *simnetStore) pullWeights(_ uint32, cols []int) (map[int]float64, error) {
-	vals, err := st.mat.TryPullRowIndices(st.p, st.worker, rowWeight, cols)
+	vals, err := st.mat.PullRowIndices(st.p, st.worker, rowWeight, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func (st *simnetStore) pushGrad(_ uint32, cols []int, vals []float64) error {
 	if err != nil {
 		return err
 	}
-	return st.mat.TryPushAdd(st.p, st.worker, rowGrad, sv)
+	return st.mat.PushAdd(st.p, st.worker, rowGrad, sv)
 }
 
 func (st *simnetStore) step(_ uint32, scale float64) error {
@@ -83,12 +83,12 @@ func (st *simnetStore) step(_ uint32, scale float64) error {
 			},
 		},
 	}
-	_, err := st.mat.TryInvokeFused(st.p, st.worker, ops)
+	_, err := st.mat.InvokeFused(st.p, st.worker, ops)
 	return err
 }
 
 func (st *simnetStore) weights(_ uint32, dim int) ([]float64, error) {
-	return st.mat.TryPullRow(st.p, st.worker, rowWeight)
+	return st.mat.PullRow(st.p, st.worker, rowWeight)
 }
 
 // SimnetLRRun is the reference arm's outcome: the shared-loop result plus

@@ -9,10 +9,11 @@ go vet ./...
 go build ./...
 
 # benchmarks/ is a Go module of its own, so ./... above does not reach it: an
-# API deletion that breaks ps2perf would otherwise stay invisible until the
-# pipeline runs the benchmark. (-o /dev/null: the module's one main package
-# would otherwise be written over its own source directory's name.)
-(cd benchmarks && go vet ./... && go build -o /dev/null ./...)
+# API deletion or rename that breaks ps2perf or its helpers' unit tests would
+# otherwise stay invisible until the pipeline runs the benchmark. (-o
+# /dev/null: the module's one main package would otherwise be written over its
+# own source directory's name; -short skips the process-spawning TestSmoke.)
+(cd benchmarks && go vet ./... && go build -o /dev/null ./... && go test -short ./...)
 
 # Static analysis beyond vet. staticcheck is not vendored and must not be
 # auto-installed here (offline/sandboxed runs); CI installs a pinned
