@@ -92,9 +92,9 @@ func TestCachedTrainingSavesBytesWithClockBound(t *testing.T) {
 	if c.Hits == 0 {
 		t.Fatalf("no pure cache hits on a full-batch workload: %+v", c)
 	}
-	if c.PulledMB > 0.7*c.BaselineMB {
+	if c.PulledMB() > 0.7*c.BaselineMB() {
 		t.Fatalf("pulled %.3f MB of a %.3f MB baseline; want >= 30%% reduction",
-			c.PulledMB, c.BaselineMB)
+			c.PulledMB(), c.BaselineMB())
 	}
 	if cachedEnd >= uncachedEnd {
 		t.Fatalf("cached run took %.4fs vs uncached %.4fs; not faster", cachedEnd, uncachedEnd)
@@ -113,9 +113,9 @@ func TestCachedTrainingSavesBytesWithClockBound(t *testing.T) {
 	if cc.CombinedPushes <= cc.Flushes {
 		t.Fatalf("no pushes were merged (%d pushes over %d flushes)", cc.CombinedPushes, cc.Flushes)
 	}
-	if cc.FlushedMB > 0.7*cc.FlushBaseMB {
+	if cc.FlushedMB() > 0.7*cc.FlushBaseMB() {
 		t.Fatalf("flushed %.3f MB of a %.3f MB push baseline; want >= 30%% reduction",
-			cc.FlushedMB, cc.FlushBaseMB)
+			cc.FlushedMB(), cc.FlushBaseMB())
 	}
 }
 

@@ -39,9 +39,9 @@ func TestValueBoundedSavesBytesAtEqualLoss(t *testing.T) {
 			valueLoss, clockLoss, 100*rel)
 	}
 	cb, vb := clockEngine.Snapshot().Cache, valueEngine.Snapshot().Cache
-	if vb.PulledMB >= 0.75*cb.PulledMB {
+	if vb.PulledMB() >= 0.75*cb.PulledMB() {
 		t.Fatalf("value-bounded pulled %.3f MB vs clock-bounded %.3f MB; want >= 25%% fewer bytes",
-			vb.PulledMB, cb.PulledMB)
+			vb.PulledMB(), cb.PulledMB())
 	}
 	if cc := clockEngine.Snapshot().Consistency; cc.Policy != "clock" || cc.Decisions() == 0 {
 		t.Fatalf("clock-bounded run's consistency snapshot = %+v, want policy clock with decisions", cc)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/ml/gbdt"
 	"repro/internal/ml/lda"
 	"repro/internal/ml/lr"
 	"repro/internal/rdd"
@@ -304,39 +303,6 @@ func TestMLlibLDAConvergesAndOOMs(t *testing.T) {
 		// Huge topic count must OOM.
 		if _, err := TrainLDAMLlib(p, e, docs, 600, 100_000, 5, 0.5, 0.01, 23); !errors.Is(err, ErrOOM) {
 			t.Errorf("giant LDA did not OOM: %v", err)
-		}
-	})
-}
-
-func TestGBDTMLlibOOMOnGenderScale(t *testing.T) {
-	ds, err := data.GenerateTabular(data.TabularConfig{Rows: 40000, Features: 330, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(4, 4)
-	e.Run(func(p *simnet.Proc) {
-		if _, err := TrainGBDTMLlib(p, e, ds, gbdt.DefaultConfig()); !errors.Is(err, ErrOOM) {
-			t.Errorf("Gender-scale MLlib GBDT did not OOM: %v", err)
-		}
-	})
-}
-
-func TestGBDTMLlibWorksSmall(t *testing.T) {
-	ds, err := data.GenerateTabular(data.TabularConfig{Rows: 800, Features: 10, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(3, 3)
-	cfg := gbdt.DefaultConfig()
-	cfg.Trees = 4
-	e.Run(func(p *simnet.Proc) {
-		m, err := TrainGBDTMLlib(p, e, ds, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if m.Trace.Final() >= m.Trace.Values[0] {
-			t.Errorf("MLlib GBDT loss did not fall")
 		}
 	})
 }

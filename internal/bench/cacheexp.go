@@ -130,11 +130,11 @@ func runExtCache(o Opts) *Result {
 	bitIdentical := exactLoss == uncachedLoss
 	r.Note("staleness 0 revalidates every cached value against server version stamps: final loss bit-identical to uncached = %v", bitIdentical)
 	r.Note("staleness 2 pulled %.1f%% fewer bytes than the uncached baseline and finished %.1f%% sooner",
-		100*(1-cs2.PulledMB/cs2.BaselineMB), 100*(1-cachedEnd/uncachedEnd))
+		100*(1-cs2.PulledMB()/cs2.BaselineMB()), 100*(1-cachedEnd/uncachedEnd))
 	r.Note("write combining merged %d task pushes into %d flushes, cutting pushed bytes %.1f%% (paid as one driver flush wave per iteration)",
-		csComb.CombinedPushes, csComb.Flushes, 100*(1-csComb.FlushedMB/csComb.FlushBaseMB))
+		csComb.CombinedPushes, csComb.Flushes, 100*(1-csComb.FlushedMB()/csComb.FlushBaseMB()))
 	r.Note("the 8KB arm evicted %d entries and still saved %.1f%%: the LRU degrades, never breaks",
-		csCap.Evictions, 100*(1-csCap.PulledMB/csCap.BaselineMB))
+		csCap.Evictions, 100*(1-csCap.PulledMB()/csCap.BaselineMB()))
 	return r
 }
 
@@ -146,11 +146,11 @@ func addCacheRow(r *Result, workload, mode string, cs obs.CacheSnapshot, end, lo
 	}
 	pushed := "-"
 	if cs.Flushes > 0 {
-		pushed = fmt.Sprintf("%.2f of %.2f", cs.FlushedMB, cs.FlushBaseMB)
+		pushed = fmt.Sprintf("%.2f of %.2f", cs.FlushedMB(), cs.FlushBaseMB())
 	}
 	r.AddRow(workload, mode,
 		fmt.Sprintf("%.1f%%", 100*cs.HitRate()),
-		cs.PulledMB, cs.BaselineMB,
-		fmt.Sprintf("%.1f%%", 100*(1-cs.PulledMB/cs.BaselineMB)),
+		cs.PulledMB(), cs.BaselineMB(),
+		fmt.Sprintf("%.1f%%", 100*(1-cs.PulledMB()/cs.BaselineMB())),
 		pushed, end, loss)
 }

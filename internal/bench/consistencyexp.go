@@ -78,8 +78,8 @@ func runExtConsistency(o Opts) *Result {
 		}
 		r.AddRow(mode,
 			int(a.cons.ServedCached), int(a.cons.Revalidated), int(a.cons.HardPulled),
-			a.cache.PulledMB, a.cache.BaselineMB,
-			fmt.Sprintf("%.1f%%", 100*(1-a.cache.PulledMB/a.cache.BaselineMB)),
+			a.cache.PulledMB(), a.cache.BaselineMB(),
+			fmt.Sprintf("%.1f%%", 100*(1-a.cache.PulledMB()/a.cache.BaselineMB())),
 			effBound, a.end, a.loss)
 		return a
 	}
@@ -95,7 +95,7 @@ func runExtConsistency(o Opts) *Result {
 	adaptive := runArm("adaptive base=1", &ps.CacheConfig{Policy: consistency.NewAdaptive(1)})
 
 	r.Note("value b=1 pulled %.1f%% fewer bytes than clock s=2 at final loss %.4g vs %.4g (delta %.2g)",
-		100*(1-value1.cache.PulledMB/clock2.cache.PulledMB), value1.loss, clock2.loss, value1.loss-clock2.loss)
+		100*(1-value1.cache.PulledMB()/clock2.cache.PulledMB()), value1.loss, clock2.loss, value1.loss-clock2.loss)
 	r.Note("adaptive base=1 tightened the bound %d times and relaxed it %d times, settling at %.4g",
 		adaptive.cons.Tightenings, adaptive.cons.Relaxations, adaptive.cons.EffectiveBound)
 	return r

@@ -259,9 +259,6 @@ func (a *Adaptive) ObserveDelta(mag float64) {
 
 func (a *Adaptive) UsesDeltas() bool { return true }
 
-// Base returns the configured base bound.
-func (a *Adaptive) Base() float64 { return a.base }
-
 // EffectiveBound returns the current bound Admit enforces.
 func (a *Adaptive) EffectiveBound() float64 { return a.eff }
 

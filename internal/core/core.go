@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/dcv"
@@ -266,67 +265,15 @@ func (e *Engine) Snapshot() obs.Snapshot {
 			DriverSentMB: e.Cluster.Driver.BytesSent / mb,
 			DriverRecvMB: e.Cluster.Driver.BytesRecv / mb,
 		},
-		Recovery: obs.RecoverySnapshot{
-			ServerCrashes:          e.PS.Recovery.ServerCrashes,
-			Detections:             e.PS.Recovery.Detections,
-			DetectLatencySum:       e.PS.Recovery.DetectLatencySum,
-			Recoveries:             e.PS.Recovery.Recoveries,
-			RecoverySecSum:         e.PS.Recovery.RecoverySecSum,
-			RestoreBytes:           e.PS.Recovery.RestoreBytes,
-			ZeroRestoredShards:     e.PS.Recovery.ZeroRestoredShards,
-			CheckpointBytesWritten: e.PS.Recovery.CheckpointBytesWritten,
-			CheckpointBytesFull:    e.PS.Recovery.CheckpointBytesFull,
-		},
+		Recovery: e.PS.Recovery,
 		Fusion: obs.FusionSnapshot{
 			Batches:  e.PS.Net.Batches,
 			FusedOps: e.PS.Net.FusedOps,
 		},
-		Migration: obs.MigrationSnapshot{
-			Migrations:     e.PS.Migration.Migrations,
-			Aborts:         e.PS.Migration.Aborts,
-			ServersAdded:   e.PS.Migration.ServersAdded,
-			ServersRemoved: e.PS.Migration.ServersRemoved,
-			BulkBytes:      e.PS.Migration.BulkBytes,
-			DeltaBytes:     e.PS.Migration.DeltaBytes,
-			GateClosedSec:  e.PS.Migration.GateClosedSec,
-		},
-		Serve: obs.ServeSnapshot{
-			Reads:           e.PS.Serve.Reads,
-			ReadVals:        e.PS.Serve.ReadVals,
-			SnapshotsPinned: e.PS.Serve.SnapshotsPinned,
-			SnapshotReads:   e.PS.Serve.SnapshotReads,
-			SnapshotFences:  e.PS.Serve.SnapshotFences,
-			Admitted:        e.PS.Serve.Admitted,
-			Delayed:         e.PS.Serve.Delayed,
-			QueueDelaySec:   e.PS.Serve.QueueDelaySec,
-			MaxQueueDepth:   e.PS.Serve.MaxQueueDepth,
-			ShedServe:       e.PS.Serve.ShedServe,
-			ShedTrain:       e.PS.Serve.ShedTrain,
-		},
-		Cache: obs.CacheSnapshot{
-			Hits:           e.PS.Cache.Hits,
-			Misses:         e.PS.Cache.Misses,
-			Validations:    e.PS.Cache.Validations,
-			ValidationHits: e.PS.Cache.ValidationHits,
-			Evictions:      e.PS.Cache.Evictions,
-			EpochFences:    e.PS.Cache.EpochFences,
-			PulledMB:       e.PS.Cache.PulledBytes / mb,
-			BaselineMB:     e.PS.Cache.BaselineBytes / mb,
-			CombinedPushes: e.PS.Cache.CombinedPushes,
-			Flushes:        e.PS.Cache.Flushes,
-			FlushedMB:      e.PS.Cache.FlushedBytes / mb,
-			FlushBaseMB:    e.PS.Cache.FlushBaselineBytes / mb,
-		},
-	}
-	cons := e.PS.ConsistencyReport()
-	s.Consistency = obs.ConsistencySnapshot{
-		Policy:         cons.Policy,
-		ServedCached:   cons.ServedCached,
-		Revalidated:    cons.Revalidated,
-		HardPulled:     cons.HardPulled,
-		Tightenings:    cons.Tightenings,
-		Relaxations:    cons.Relaxations,
-		EffectiveBound: cons.EffectiveBound,
+		Cache:       e.PS.Cache,
+		Consistency: e.PS.ConsistencyReport(),
+		Migration:   e.PS.Migration,
+		Serve:       e.PS.Serve,
 	}
 	pst := par.PoolStats()
 	s.Par = obs.ParSnapshot{
@@ -414,17 +361,6 @@ func (t *Trace) TimeToReach(target float64) float64 {
 	return math.Inf(1)
 }
 
-// TimeToReachRising is TimeToReach for metrics that grow toward the target
-// (e.g. log-likelihood).
-func (t *Trace) TimeToReachRising(target float64) float64 {
-	for i, v := range t.Values {
-		if v >= target {
-			return t.Times[i]
-		}
-	}
-	return math.Inf(1)
-}
-
 // Best returns the minimum metric value seen, or NaN when empty.
 func (t *Trace) Best() float64 {
 	if len(t.Values) == 0 {
@@ -465,16 +401,6 @@ func (t *Trace) Downsample(n int) *Trace {
 	return out
 }
 
-// Speedup returns how many times faster a is than b at reaching target
-// (falling metric). Returns NaN if either never reaches it.
-func Speedup(a, b *Trace, target float64) float64 {
-	ta, tb := a.TimeToReach(target), b.TimeToReach(target)
-	if math.IsInf(ta, 1) || math.IsInf(tb, 1) || ta == 0 {
-		return math.NaN()
-	}
-	return tb / ta
-}
-
 // CommonTarget picks a loss target both traces reach: slightly above the
 // worse of the two best losses. Used by experiments to compare convergence
 // fairly when systems plateau at different levels.
@@ -486,21 +412,4 @@ func CommonTarget(traces ...*Trace) float64 {
 		}
 	}
 	return worst * 1.02
-}
-
-// SortedTimes returns the distinct sample times across traces, ascending
-// (handy for table rendering).
-func SortedTimes(traces ...*Trace) []float64 {
-	seen := map[float64]bool{}
-	var out []float64
-	for _, t := range traces {
-		for _, tm := range t.Times {
-			if !seen[tm] {
-				seen[tm] = true
-				out = append(out, tm)
-			}
-		}
-	}
-	sort.Float64s(out)
-	return out
 }

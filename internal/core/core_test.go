@@ -61,9 +61,6 @@ func TestTraceBasics(t *testing.T) {
 	if got := tr.TimeToReach(0.1); !math.IsInf(got, 1) {
 		t.Fatalf("TimeToReach(0.1) = %v, want +Inf", got)
 	}
-	if got := tr.TimeToReachRising(0.55); got != 1 {
-		t.Fatalf("TimeToReachRising = %v, want 1", got)
-	}
 	if !strings.Contains(tr.String(), "4 samples") {
 		t.Fatalf("String = %q", tr.String())
 	}
@@ -106,19 +103,6 @@ func TestDownsampleKeepsFinalSample(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	a := &Trace{Name: "fast"}
-	a.Add(1, 0.5)
-	b := &Trace{Name: "slow"}
-	b.Add(10, 0.5)
-	if got := Speedup(a, b, 0.5); got != 10 {
-		t.Fatalf("Speedup = %v, want 10", got)
-	}
-	if got := Speedup(a, b, 0.1); !math.IsNaN(got) {
-		t.Fatalf("unreachable target Speedup = %v, want NaN", got)
-	}
-}
-
 func TestCommonTarget(t *testing.T) {
 	a := &Trace{}
 	a.Add(1, 0.5)
@@ -151,25 +135,6 @@ func TestDownsample(t *testing.T) {
 	small.Add(1, 1)
 	if small.Downsample(10) != small {
 		t.Fatal("short traces should be returned unchanged")
-	}
-}
-
-func TestSortedTimes(t *testing.T) {
-	a := &Trace{}
-	a.Add(3, 1)
-	a.Add(1, 1)
-	b := &Trace{}
-	b.Add(2, 1)
-	b.Add(3, 1)
-	got := SortedTimes(a, b)
-	want := []float64{1, 2, 3}
-	if len(got) != 3 {
-		t.Fatalf("SortedTimes = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedTimes = %v, want %v", got, want)
-		}
 	}
 }
 

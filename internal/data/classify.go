@@ -10,7 +10,6 @@ package data
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/linalg"
 )
@@ -170,23 +169,4 @@ func DatasetStats(instances []Instance, dim int) Stats {
 		nnz += int64(inst.Features.Nnz())
 	}
 	return Stats{Rows: len(instances), Cols: dim, Nnz: nnz}
-}
-
-// BaselineLoss returns the loss of an all-zero model (log 2 for logistic
-// loss), a convergence reference.
-func BaselineLoss() float64 { return math.Ln2 }
-
-// Split partitions instances into train/test halves with a deterministic
-// shuffle.
-func Split(instances []Instance, testFraction float64, seed uint64) (train, test []Instance) {
-	perm := linalg.NewRNG(seed).Perm(len(instances))
-	cut := int(float64(len(instances)) * (1 - testFraction))
-	for i, p := range perm {
-		if i < cut {
-			train = append(train, instances[p])
-		} else {
-			test = append(test, instances[p])
-		}
-	}
-	return train, test
 }

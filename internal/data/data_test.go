@@ -388,33 +388,6 @@ func TestLIBSVMRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestSplitInstances(t *testing.T) {
-	ds, _ := GenerateClassify(ClassifyConfig{Rows: 100, Dim: 50, NnzPerRow: 3, WeightNnz: 10, Seed: 3})
-	train, test := Split(ds.Instances, 0.25, 9)
-	if len(train) != 75 || len(test) != 25 {
-		t.Fatalf("split sizes %d/%d", len(train), len(test))
-	}
-	// Deterministic.
-	train2, _ := Split(ds.Instances, 0.25, 9)
-	for i := range train {
-		if train[i].Features != train2[i].Features {
-			t.Fatal("split not deterministic")
-		}
-	}
-	// Different seeds shuffle differently.
-	train3, _ := Split(ds.Instances, 0.25, 10)
-	same := true
-	for i := range train {
-		if train[i].Features != train3[i].Features {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical splits")
-	}
-}
-
 func TestBiasedRandomWalksDegeneratesToUniform(t *testing.T) {
 	g, _ := GenerateGraph(GraphConfig{Vertices: 150, EdgesPerNode: 3, Seed: 7})
 	cfg := DefaultBiasedWalkConfig()

@@ -21,10 +21,9 @@ import (
 // dimensions and, for each operand vector, the aligned value slice. Under
 // the default contiguous placement the dimensions are the range [Lo, Hi) and
 // Cols is nil; under a non-contiguous placement Cols lists the absolute
-// dimensions in local storage order and Lo/Hi are 0 (consumers that need the
-// absolute index of position i use At). Rows[0] is the target vector's slice
-// and is always live server memory; Rows[i>0] are live memory for co-located
-// operands and fetched copies for shuffled ones.
+// dimensions in local storage order and Lo/Hi are 0. Rows[0] is the target
+// vector's slice and is always live server memory; Rows[i>0] are live memory
+// for co-located operands and fetched copies for shuffled ones.
 type ShardSpan struct {
 	Shard  int
 	Lo, Hi int
@@ -32,24 +31,8 @@ type ShardSpan struct {
 	Rows   [][]float64
 }
 
-// Width returns the number of dimensions in the span.
-func (sp ShardSpan) Width() int {
-	if sp.Cols != nil {
-		return len(sp.Cols)
-	}
-	return sp.Hi - sp.Lo
-}
-
 // Contiguous reports whether the span covers a dense dimension range.
 func (sp ShardSpan) Contiguous() bool { return sp.Cols == nil }
-
-// At returns the absolute dimension stored at local position i.
-func (sp ShardSpan) At(i int) int {
-	if sp.Cols != nil {
-		return sp.Cols[i]
-	}
-	return sp.Lo + i
-}
 
 // zipInvoke runs fn on every logical shard of v with aligned operand slices,
 // charging request/response traffic, per-element server work, and — for

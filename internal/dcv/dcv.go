@@ -64,9 +64,6 @@ type Vector struct {
 	sparse bool
 }
 
-// Dim returns the vector's dimension.
-func (v *Vector) Dim() int { return v.mat.Dim }
-
 // Matrix exposes the raw matrix for tests and low-level extensions.
 func (v *Vector) Matrix() *ps.Matrix { return v.mat }
 
@@ -153,28 +150,6 @@ func (v *Vector) Pull(p *simnet.Proc, from *simnet.Node) []float64 {
 // sparse pull used when a mini-batch touches a small feature subset.
 func (v *Vector) PullIndices(p *simnet.Proc, from *simnet.Node, indices []int) ([]float64, error) {
 	return v.mat.PullRowIndices(p, from, v.row, indices)
-}
-
-// PinSnapshot pins a snapshot-consistent view of the vector's raw matrix at
-// the current model clock (ps.ModelSnapshot): subsequent PullIndicesAt
-// reads return exactly the values live at the pin, bit-identical under
-// concurrent pushes, at no bulk-copy cost. Close the snapshot when done.
-func (v *Vector) PinSnapshot(p *simnet.Proc) (*ps.ModelSnapshot, error) {
-	return v.mat.PinSnapshot(p)
-}
-
-// PullIndicesAt is PullIndices read against a pinned snapshot instead
-// of the live model. The snapshot must pin this vector's raw matrix; reads
-// of a pin that was fenced (recovery, migration, undeclared bulk write)
-// return an error wrapping ps.ErrSnapshotInvalid, never torn values.
-func (v *Vector) PullIndicesAt(p *simnet.Proc, from *simnet.Node, snap *ps.ModelSnapshot, indices []int) ([]float64, error) {
-	if snap == nil {
-		return v.PullIndices(p, from, indices)
-	}
-	if snap.Matrix() != v.mat {
-		return nil, fmt.Errorf("dcv: snapshot pins matrix %d, vector lives in %d", snap.Matrix().ID, v.mat.ID)
-	}
-	return snap.ReadRowIndices(p, from, v.row, indices)
 }
 
 // Add pushes a sparse delta into the vector (the DCV add used as the

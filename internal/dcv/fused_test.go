@@ -19,12 +19,14 @@ func TestBatchMatchesUnfusedOps(t *testing.T) {
 	sim, cl, sess := testSession(4)
 	run(sim, func(p *simnet.Proc) {
 		driver := cl.Driver
-		w, err := sess.Dense(p, 50, 4)
+		w, err := sess.Dense(p, 50, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := w.MustDerive()
 		g := w.MustDerive()
+		m := w.MustDerive()
+		h := w.MustDerive()
 		ps.MustOK(w.Set(p, driver, seq(50)))
 
 		b := NewBatch(w)
@@ -39,8 +41,9 @@ func TestBatchMatchesUnfusedOps(t *testing.T) {
 				at[i] += gt[i]
 			}
 		}, g)
-		if b.Len() != 10 {
-			t.Fatalf("recorded %d ops, want 10", b.Len())
+		b.Fill(h, 4).CopyFrom(m, g).MulVec(m, a).DivVec(m, h)
+		if b.Len() != 14 {
+			t.Fatalf("recorded %d ops, want 14", b.Len())
 		}
 		if err := b.Run(p, driver); err != nil {
 			t.Fatal(err)
@@ -77,6 +80,19 @@ func TestBatchMatchesUnfusedOps(t *testing.T) {
 		}
 		if !approx(normW.Value(), wantNorm) {
 			t.Fatalf("norm2 = %v, want %v", normW.Value(), wantNorm)
+		}
+
+		// The fused mul/div against the unfused column ops on the same
+		// operands (a, g and h are final once the ZipMap above has run).
+		u := w.MustDerive()
+		ps.MustOK(u.CopyFrom(p, driver, g))
+		ps.MustOK(u.MulVec(p, driver, a))
+		ps.MustOK(u.DivVec(p, driver, h))
+		gotM, wantM := m.Pull(p, driver), u.Pull(p, driver)
+		for i := range wantM {
+			if gotM[i] != wantM[i] || !approx(gotM[i], wantG[i]*wantA[i]/4) {
+				t.Fatalf("col %d: fused g*a/h = %v, unfused %v, host %v", i, gotM[i], wantM[i], wantG[i]*wantA[i]/4)
+			}
 		}
 	})
 }

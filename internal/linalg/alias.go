@@ -72,6 +72,3 @@ func (s *AliasSampler) Sample(rng *RNG) int {
 	}
 	return int(s.alias[i])
 }
-
-// N returns the number of categories.
-func (s *AliasSampler) N() int { return len(s.prob) }

@@ -67,17 +67,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Zipf returns an integer in [0, n) drawn from an approximate Zipf
 // distribution with exponent s, used to generate skewed feature indices:
 // real CTR/recommendation datasets have a few very hot dimensions and a long

@@ -87,14 +87,6 @@ func strictlyIncreasing(idx []int) bool {
 // Nnz returns the number of stored entries.
 func (v *SparseVector) Nnz() int { return len(v.Indices) }
 
-// Clone returns a deep copy.
-func (v *SparseVector) Clone() *SparseVector {
-	return &SparseVector{
-		Indices: append([]int(nil), v.Indices...),
-		Values:  append([]float64(nil), v.Values...),
-	}
-}
-
 // DotDense returns <v, w> against a dense vector. Indices beyond len(w) are
 // ignored.
 func (v *SparseVector) DotDense(w []float64) float64 {
@@ -114,15 +106,6 @@ func (v *SparseVector) AddToDense(w []float64, alpha float64) {
 			w[i] += alpha * v.Values[k]
 		}
 	}
-}
-
-// Norm2 returns the Euclidean norm of the sparse vector.
-func (v *SparseVector) Norm2() float64 {
-	var s float64
-	for _, x := range v.Values {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Dense kernels.

@@ -260,18 +260,6 @@ func TestRNGNormStats(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGZipfSkew(t *testing.T) {
 	r := NewRNG(11)
 	n := 1000

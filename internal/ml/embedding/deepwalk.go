@@ -16,12 +16,9 @@
 package embedding
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -542,32 +539,6 @@ func EdgeScore(p *simnet.Proc, from *simnet.Node, m *Model, pairs []data.Pair, s
 	return (pos - neg) / float64(len(pairs))
 }
 
-// Neighbor is a similarity query result.
-type Neighbor struct {
-	Vertex     int
-	Similarity float64
-}
-
-// MostSimilar returns the n vertices whose input embeddings have the highest
-// cosine similarity to vertex u (host-side evaluation helper reading shard
-// memory; u itself is excluded).
-func (m *Model) MostSimilar(u, n int) []Neighbor {
-	table := m.hostInputTable()
-	base := table[u]
-	out := make([]Neighbor, 0, m.V-1)
-	for v := 0; v < m.V; v++ {
-		if v == u {
-			continue
-		}
-		out = append(out, Neighbor{Vertex: v, Similarity: Similarity(base, table[v])})
-	}
-	sortNeighbors(out)
-	if n > len(out) {
-		n = len(out)
-	}
-	return out[:n]
-}
-
 // hostInputTable assembles all V input embeddings from shard memory.
 func (m *Model) hostInputTable() [][]float64 {
 	table := make([][]float64, m.V)
@@ -581,86 +552,6 @@ func (m *Model) hostInputTable() [][]float64 {
 		}
 	}
 	return table
-}
-
-func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(a, b int) bool {
-		if ns[a].Similarity != ns[b].Similarity {
-			return ns[a].Similarity > ns[b].Similarity
-		}
-		return ns[a].Vertex < ns[b].Vertex
-	})
-}
-
-// SaveText writes the input embeddings in word2vec's text format:
-// a "V K" header followed by one "<vertex> <v1> ... <vK>" line per vertex.
-func (m *Model) SaveText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", m.V, m.K); err != nil {
-		return err
-	}
-	table := m.hostInputTable()
-	for v, vec := range table {
-		if _, err := fmt.Fprintf(bw, "%d", v); err != nil {
-			return err
-		}
-		for _, x := range vec {
-			if _, err := fmt.Fprintf(bw, " %g", x); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString("\n"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// LoadText reads embeddings written by SaveText, returning the table indexed
-// by vertex id.
-func LoadText(r io.Reader) ([][]float64, error) {
-	br := bufio.NewScanner(r)
-	br.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	if !br.Scan() {
-		return nil, fmt.Errorf("embedding: missing header")
-	}
-	var v, k int
-	if _, err := fmt.Sscanf(br.Text(), "%d %d", &v, &k); err != nil {
-		return nil, fmt.Errorf("embedding: bad header %q: %w", br.Text(), err)
-	}
-	if v <= 0 || k <= 0 {
-		return nil, fmt.Errorf("embedding: implausible header V=%d K=%d", v, k)
-	}
-	table := make([][]float64, v)
-	for br.Scan() {
-		fields := strings.Fields(br.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != k+1 {
-			return nil, fmt.Errorf("embedding: row has %d fields, want %d", len(fields), k+1)
-		}
-		var id int
-		if _, err := fmt.Sscanf(fields[0], "%d", &id); err != nil || id < 0 || id >= v {
-			return nil, fmt.Errorf("embedding: bad vertex id %q", fields[0])
-		}
-		vec := make([]float64, k)
-		for i := 0; i < k; i++ {
-			if _, err := fmt.Sscanf(fields[1+i], "%g", &vec[i]); err != nil {
-				return nil, fmt.Errorf("embedding: bad value %q: %w", fields[1+i], err)
-			}
-		}
-		table[id] = vec
-	}
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	for id, vec := range table {
-		if vec == nil {
-			return nil, fmt.Errorf("embedding: vertex %d missing", id)
-		}
-	}
-	return table, nil
 }
 
 // LinkPredictionAUC evaluates the embedding as a link predictor: it scores

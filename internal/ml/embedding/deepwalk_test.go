@@ -1,7 +1,6 @@
 package embedding
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -261,89 +260,6 @@ func TestUniformNegativesStillSupported(t *testing.T) {
 			t.Error(err)
 		}
 	})
-}
-
-func TestMostSimilarFavorsNeighbors(t *testing.T) {
-	g, pairs := testGraphPairs(t)
-	e := newEngine(4, 2)
-	cfg := DefaultConfig()
-	cfg.K = 32
-	cfg.Iterations = 10
-	cfg.BatchSize = 400
-	cfg.LearningRate = 0.3
-	var model *Model
-	e.Run(func(p *simnet.Proc) {
-		prdd := rdd.FromSlices(e.RDD, data.PartitionPairs(pairs, 4)).Cache()
-		m, err := Train(p, e, prdd, g.Vertices(), cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		model = m
-	})
-	// For a sample of vertices, the top-5 most similar should contain real
-	// graph neighbours more often than 5 random vertices would.
-	hits, expect := 0, 0.0
-	samples := 30
-	for u := 0; u < samples; u++ {
-		nbrs := map[int]bool{}
-		for _, v := range g.Adj[u] {
-			nbrs[int(v)] = true
-		}
-		if len(nbrs) == 0 {
-			continue
-		}
-		expect += 5 * float64(len(nbrs)) / float64(g.Vertices()-1)
-		for _, cand := range model.MostSimilar(u, 5) {
-			if nbrs[cand.Vertex] {
-				hits++
-			}
-		}
-	}
-	if float64(hits) < 3*expect {
-		t.Fatalf("top-5 similarity found %d neighbour hits; random baseline expectation %.1f", hits, expect)
-	}
-}
-
-func TestSaveLoadTextRoundTrip(t *testing.T) {
-	_, pairs := testGraphPairs(t)
-	e := newEngine(2, 2)
-	cfg := DefaultConfig()
-	cfg.K = 8
-	cfg.Iterations = 2
-	cfg.BatchSize = 50
-	var model *Model
-	e.Run(func(p *simnet.Proc) {
-		prdd := rdd.FromSlices(e.RDD, data.PartitionPairs(pairs, 2))
-		m, err := Train(p, e, prdd, 300, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		model = m
-	})
-	var buf bytes.Buffer
-	if err := model.SaveText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	table, err := LoadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table) != 300 || len(table[0]) != 8 {
-		t.Fatalf("table shape %dx%d", len(table), len(table[0]))
-	}
-	orig := model.hostInputTable()
-	for v := range table {
-		for i := range table[v] {
-			if math.Abs(table[v][i]-orig[v][i]) > 1e-12 {
-				t.Fatalf("vertex %d dim %d: %v != %v", v, i, table[v][i], orig[v][i])
-			}
-		}
-	}
-	if _, err := LoadText(bytes.NewReader([]byte("bogus"))); err == nil {
-		t.Fatal("garbage header accepted")
-	}
 }
 
 func TestLinkPredictionAUC(t *testing.T) {

@@ -2,13 +2,8 @@ package gbdt
 
 import (
 	"math"
-	"sort"
 
-	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/linalg"
-	"repro/internal/rdd"
-	"repro/internal/simnet"
 )
 
 // FeatureImportance returns each feature's total split gain across the
@@ -32,34 +27,6 @@ func (m *Model) FeatureImportance() []float64 {
 	return imp
 }
 
-// TopFeatures returns the indices of the n most important features,
-// descending.
-func (m *Model) TopFeatures(n int) []int {
-	imp := m.FeatureImportance()
-	idx := make([]int, len(imp))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return imp[idx[a]] > imp[idx[b]] })
-	if n > len(idx) {
-		n = len(idx)
-	}
-	return idx[:n]
-}
-
-// StagedPredict returns the margin of x after each tree — the standard tool
-// for picking an early-stopping point.
-func (m *Model) StagedPredict(x []float64) []float64 {
-	bins := BinRow(x, m.Edges)
-	out := make([]float64, len(m.Trees))
-	var f float64
-	for i := range m.Trees {
-		f += m.Trees[i].Predict(bins)
-		out[i] = f
-	}
-	return out
-}
-
 // Evaluate computes logloss and accuracy of the ensemble on a dataset.
 func (m *Model) Evaluate(X [][]float64, Y []float64) (logloss, accuracy float64) {
 	if len(X) == 0 {
@@ -78,106 +45,4 @@ func (m *Model) Evaluate(X [][]float64, Y []float64) (logloss, accuracy float64)
 		}
 	}
 	return logloss / float64(len(X)), float64(correct) / float64(len(X))
-}
-
-// BestIteration scans staged validation losses and returns the tree count
-// minimizing held-out logloss — how many trees early stopping would keep.
-func (m *Model) BestIteration(X [][]float64, Y []float64) int {
-	if len(m.Trees) == 0 || len(X) == 0 {
-		return 0
-	}
-	losses := make([]float64, len(m.Trees))
-	for i, x := range X {
-		staged := m.StagedPredict(x)
-		for t, z := range staged {
-			losses[t] += linalg.LogLoss(z, Y[i])
-		}
-	}
-	best := 0
-	for t := 1; t < len(losses); t++ {
-		if losses[t] < losses[best] {
-			best = t
-		}
-	}
-	return best + 1
-}
-
-// SplitDataset partitions a tabular dataset into train and test halves with
-// a deterministic shuffle — the usual evaluation harness companion.
-func SplitDataset(ds *data.TabularDataset, testFraction float64, seed uint64) (train, test *data.TabularDataset) {
-	n := len(ds.X)
-	perm := linalg.NewRNG(seed).Perm(n)
-	cut := int(float64(n) * (1 - testFraction))
-	train = &data.TabularDataset{Config: ds.Config}
-	test = &data.TabularDataset{Config: ds.Config}
-	for i, p := range perm {
-		if i < cut {
-			train.X = append(train.X, ds.X[p])
-			train.Y = append(train.Y, ds.Y[p])
-		} else {
-			test.X = append(test.X, ds.X[p])
-			test.Y = append(test.Y, ds.Y[p])
-		}
-	}
-	return train, test
-}
-
-// ClusterMetrics is the result of distributed scoring.
-type ClusterMetrics struct {
-	Logloss  float64
-	Accuracy float64
-	Rows     int
-}
-
-// EvalOnCluster scores a binned dataset distributedly: the driver broadcasts
-// the serialized ensemble to every executor, each partition scores locally,
-// and only scalar partials return. modelBytes is charged for the broadcast
-// (roughly 32 bytes per tree node).
-func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[Row], m *Model) ClusterMetrics {
-	nodes := 0
-	for i := range m.Trees {
-		nodes += len(m.Trees[i].Nodes)
-	}
-	e.RDD.Broadcast(p, float64(nodes)*32+e.Cluster.Cost.RequestOverheadB)
-	type partial struct {
-		Loss    float64
-		Correct int
-		Rows    int
-	}
-	cost := e.Cluster.Cost
-	parts := rdd.RunPartitions(p, dataset, 24, func(tc *rdd.TaskContext, part int, rows []Row) partial {
-		var out partial
-		for i := range rows {
-			var z float64
-			for tr := range m.Trees {
-				z += m.Trees[tr].Predict(rows[i].Bins)
-			}
-			out.Loss += linalg.LogLoss(z, rows[i].Label)
-			pred := 0.0
-			if z > 0 {
-				pred = 1
-			}
-			if pred == rows[i].Label {
-				out.Correct++
-			}
-			out.Rows++
-		}
-		tc.Charge(cost.ElemWork(len(rows) * nodes))
-		tc.Commit()
-		return out
-	})
-	var total partial
-	for _, pt := range parts {
-		total.Loss += pt.Loss
-		total.Correct += pt.Correct
-		total.Rows += pt.Rows
-	}
-	if total.Rows == 0 {
-		return ClusterMetrics{Logloss: math.NaN(), Accuracy: math.NaN()}
-	}
-	return ClusterMetrics{
-		Logloss:  total.Loss / float64(total.Rows),
-		Accuracy: float64(total.Correct) / float64(total.Rows),
-		Rows:     total.Rows,
-	}
 }

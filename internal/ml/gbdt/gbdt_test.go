@@ -1,7 +1,6 @@
 package gbdt
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -308,37 +307,16 @@ func TestFeatureImportanceFindsSignal(t *testing.T) {
 	if signal < 0.8 {
 		t.Fatalf("only %v of importance on the true signal features", signal)
 	}
-	top := model.TopFeatures(3)
-	for _, f := range top {
-		if f > 4 {
-			t.Fatalf("top features %v include a noise feature", top)
-		}
-	}
 }
 
-func TestStagedPredictMonotoneAccumulation(t *testing.T) {
-	model, ds, _ := trainBackend(t, BackendPS2, 1000)
-	staged := model.StagedPredict(ds.X[0])
-	if len(staged) != len(model.Trees) {
-		t.Fatalf("staged length %d", len(staged))
-	}
-	if math.Abs(staged[len(staged)-1]-model.PredictRaw(ds.X[0])) > 1e-12 {
-		t.Fatal("final staged margin != PredictRaw")
-	}
-}
-
-func TestEvaluateAndEarlyStopping(t *testing.T) {
+func TestEvaluateHeldOut(t *testing.T) {
 	full, err := data.GenerateTabular(data.TabularConfig{Rows: 3000, Features: 12, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := SplitDataset(full, 0.3, 4)
-	if len(train.X)+len(test.X) != 3000 {
-		t.Fatalf("split lost rows: %d + %d", len(train.X), len(test.X))
-	}
-	if len(test.X) < 800 || len(test.X) > 1000 {
-		t.Fatalf("test fraction off: %d", len(test.X))
-	}
+	// Rows are drawn i.i.d., so a prefix/suffix cut is a fair held-out split.
+	train := &data.TabularDataset{Config: full.Config, X: full.X[:2100], Y: full.Y[:2100]}
+	test := &data.TabularDataset{Config: full.Config, X: full.X[2100:], Y: full.Y[2100:]}
 	e := newEngine(4, 4)
 	cfg := DefaultConfig()
 	cfg.Trees = 10
@@ -360,10 +338,6 @@ func TestEvaluateAndEarlyStopping(t *testing.T) {
 	}
 	if testLoss < trainLoss*0.8 {
 		t.Fatalf("test loss %v implausibly below train loss %v", testLoss, trainLoss)
-	}
-	best := model.BestIteration(test.X, test.Y)
-	if best < 1 || best > len(model.Trees) {
-		t.Fatalf("BestIteration = %d out of range", best)
 	}
 }
 
@@ -429,52 +403,5 @@ func TestColsampleRestrictsSplits(t *testing.T) {
 	sampled := train(0.25)
 	if len(sampled) <= len(full) {
 		t.Fatalf("colsample did not diversify roots: full=%v sampled=%v", full, sampled)
-	}
-}
-
-func TestEvalOnClusterMatchesHost(t *testing.T) {
-	ds := smallTabular(t, 1500)
-	e := newEngine(4, 4)
-	cfg := DefaultConfig()
-	cfg.Trees = 6
-	cfg.MaxDepth = 3
-	e.Run(func(p *simnet.Proc) {
-		r, edges := PrepareRDD(p, e, ds, cfg)
-		model, err := Train(p, e, r, ds.Config.Features, edges, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		metrics := EvalOnCluster(p, e, r, model)
-		hostLoss, hostAcc := model.Evaluate(ds.X, ds.Y)
-		if metrics.Rows != len(ds.X) {
-			t.Errorf("rows = %d", metrics.Rows)
-		}
-		if math.Abs(metrics.Logloss-hostLoss) > 1e-9 || math.Abs(metrics.Accuracy-hostAcc) > 1e-12 {
-			t.Errorf("cluster metrics (%v, %v) != host (%v, %v)", metrics.Logloss, metrics.Accuracy, hostLoss, hostAcc)
-		}
-	})
-}
-
-func TestModelSaveLoadRoundTrip(t *testing.T) {
-	model, ds, _ := trainBackend(t, BackendPS2, 1000)
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range ds.X[:300] {
-		if math.Abs(model.PredictRaw(x)-back.PredictRaw(x)) > 1e-12 {
-			t.Fatal("loaded model predicts differently")
-		}
-	}
-	if _, err := LoadModel(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadModel(bytes.NewReader([]byte(`{"version":9}`))); err == nil {
-		t.Fatal("bad version accepted")
 	}
 }

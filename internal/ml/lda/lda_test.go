@@ -1,7 +1,6 @@
 package lda
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -408,36 +407,5 @@ func TestSparseSamplerCheaperAtLargeK(t *testing.T) {
 	sparse := workFor(SamplerSparse)
 	if sparse*2 > std {
 		t.Fatalf("sparse sampler work (%v) not well below standard (%v) at K=200", sparse, std)
-	}
-}
-
-func TestModelSaveLoadRoundTrip(t *testing.T) {
-	model, _, _, _ := trainSmall(t, 5)
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Topics != model.Topics || back.Vocab != model.Vocab {
-		t.Fatalf("shape mismatch: %dx%d", back.Topics, back.Vocab)
-	}
-	// Phi from the saved model must match the live model's Phi.
-	livePhi := model.Phi(0.01)
-	savedPhi := back.Phi(0.01)
-	for k := range livePhi {
-		for w := range livePhi[k] {
-			if math.Abs(livePhi[k][w]-savedPhi[k][w]) > 1e-12 {
-				t.Fatalf("phi[%d][%d] = %v vs %v", k, w, savedPhi[k][w], livePhi[k][w])
-			}
-		}
-	}
-	if _, err := Load(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Load(bytes.NewReader([]byte(`{"version":1,"topics":1,"vocab":2,"totals":[1],"words":[[5]],"counts":[[1]]}`))); err == nil {
-		t.Fatal("out-of-vocab word accepted")
 	}
 }

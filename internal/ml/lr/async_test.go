@@ -7,6 +7,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/ps"
 	"repro/internal/simnet"
 )
@@ -110,7 +111,7 @@ func TestTrainAsyncValidation(t *testing.T) {
 // value pulled in one clock is never served in the next.
 func TestTrainAsyncCachePolicy(t *testing.T) {
 	ds := asyncDataset(t)
-	run := func(cache ps.CacheConfig) (ps.ConsistencyStats, float64) {
+	run := func(cache ps.CacheConfig) (obs.ConsistencySnapshot, float64) {
 		cfg := AsyncConfig{Config: DefaultConfig(), Staleness: 2}
 		cfg.Cache = &cache
 		e, _, end := runAsyncCfg(t, ds, cfg, false)

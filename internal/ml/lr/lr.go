@@ -43,9 +43,6 @@ type Config struct {
 	Beta2   float64
 	Epsilon float64
 
-	// L2 regularization applied in the optimizer update.
-	Lambda float64
-
 	// CheckpointEvery, when positive, checkpoints the model matrix to the
 	// reliable store every that-many iterations (the paper's Section 5.3
 	// server fault tolerance: "PS2 periodically checkpoints the model
@@ -425,12 +422,6 @@ func Accuracy(instances []data.Instance, w []float64) float64 {
 		}
 	}
 	return float64(correct) / float64(len(instances))
-}
-
-// PredictProb returns the predicted positive-class probability of one
-// instance under pulled weights.
-func PredictProb(inst data.Instance, w []float64) float64 {
-	return linalg.Sigmoid(inst.Features.DotDense(w))
 }
 
 // AUC computes the area under the ROC curve of pulled weights over a

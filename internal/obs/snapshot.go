@@ -2,8 +2,10 @@ package obs
 
 // Snapshot is the single reporting surface of a run. Engine.Snapshot()
 // assembles one from the cluster counters, the PS master's stats and (when
-// tracing is on) the tracer's phase aggregates. The sub-structs are plain
-// data so obs stays a leaf package.
+// tracing is on) the tracer's phase aggregates. The Recovery, Cache,
+// Consistency, Migration and Serve sections are declared here once and held
+// live on ps.Master, whose layers increment them; Snapshot copies them whole.
+// The sub-structs are plain data so obs stays a leaf package.
 
 import (
 	"fmt"
@@ -27,12 +29,15 @@ type Snapshot struct {
 	Phases      PhaseSnapshot
 }
 
-// ConsistencySnapshot is the freshness-decision view, mirroring
-// ps.ConsistencyStats: per-value verdicts issued by the consistency policy
-// across the cache, replica and serving layers, plus the adaptive policy's
-// bound movements. All fields are zero when no policy-decided layer ran.
+// ConsistencySnapshot is the freshness-decision view: per-value verdicts
+// issued by the consistency policy across the cache, replica and serving
+// layers (each increments its counter at the Admit call), plus the adaptive
+// policy's bound movements, which ps.Master.ConsistencyReport folds in. All
+// fields are zero when no policy-decided layer ran.
 type ConsistencySnapshot struct {
-	Policy string // governing policy name ("clock", "value", "adaptive")
+	// Policy names the governing policy: the first non-clock policy
+	// registered, or "clock" when only clock-bounded freshness ran.
+	Policy string
 
 	ServedCached uint64 // values served locally on a policy verdict
 	Revalidated  uint64 // values revalidated if-modified-since
@@ -73,20 +78,9 @@ type ParSnapshot struct {
 	MaxWidth uint64 // widest single call observed
 }
 
-// MeanWidth returns the average width of Range/Reduce calls, or 0.
-func (p ParSnapshot) MeanWidth() float64 {
-	if p.Calls == 0 {
-		return 0
-	}
-	return float64(p.WidthSum) / float64(p.Calls)
-}
-
-// Active reports whether the pool saw any calls.
-func (p ParSnapshot) Active() bool { return p.Calls > 0 }
-
-// ServeSnapshot is the serving-tier view, mirroring ps.ServeStats: reads
-// through ModelReader, snapshot pins/fences, and admission-control queueing
-// and shedding. All fields are zero when the run never served.
+// ServeSnapshot is the serving-tier view: reads through ModelReader,
+// snapshot pins/fences, and admission-control queueing and shedding. All
+// fields are zero when the run never served.
 type ServeSnapshot struct {
 	Reads    uint64 // ModelReader read operators completed
 	ReadVals uint64 // values those reads returned
@@ -202,18 +196,13 @@ type NetSnapshot struct {
 	ServerRecvMB   float64
 }
 
-// TotalMB returns all bytes put on the wire, in MB.
-func (n NetSnapshot) TotalMB() float64 {
-	return n.DriverSentMB + n.ExecutorSentMB + n.ServerSentMB
-}
-
 // RecoverySnapshot is the self-healing view: crashes, detection latency,
 // recovery time, checkpoint and restore traffic.
 type RecoverySnapshot struct {
 	ServerCrashes    int     // environment-injected server crashes
 	Detections       int     // servers the monitor declared dead
 	DetectLatencySum float64 // seconds from crash to declaration, summed
-	Recoveries       int     // completed recovery runs
+	Recoveries       int     // completed RecoverServer runs
 	RecoverySecSum   float64 // seconds spent restoring, summed
 
 	RestoreBytes       float64 // checkpoint bytes replayed store → replacement
@@ -247,7 +236,8 @@ type FusionSnapshot struct {
 }
 
 // CacheSnapshot is the worker-side parameter cache and write-combining view,
-// mirroring ps.CacheStats. All fields are zero when no CachedClient was used.
+// shared by every CachedClient and PushBuffer of a master's matrices. All
+// fields are zero when no CachedClient was used.
 type CacheSnapshot struct {
 	Hits           uint64 // pulls served entirely from cache, no RPC
 	Misses         uint64 // pulls that needed a fetch/validate round trip
@@ -256,14 +246,26 @@ type CacheSnapshot struct {
 	Evictions      uint64 // entries dropped by the byte-capacity LRU
 	EpochFences    uint64 // entries fenced after a server recovery epoch bump
 
-	PulledMB   float64 // bytes cached pulls actually moved
-	BaselineMB float64 // bytes the same pulls would have moved uncached
+	PulledBytes   float64 // wire bytes the cached pull path actually paid
+	BaselineBytes float64 // what the uncached pull operators would have paid
 
-	CombinedPushes uint64  // deltas absorbed by write-combining buffers
-	Flushes        uint64  // coalesced flush rounds
-	FlushedMB      float64 // bytes the coalesced flushes moved
-	FlushBaseMB    float64 // bytes the unbuffered pushes would have moved
+	CombinedPushes     uint64  // deltas absorbed by write-combining buffers
+	Flushes            uint64  // coalesced flush rounds
+	FlushedBytes       float64 // wire bytes the flushes paid
+	FlushBaselineBytes float64 // what per-delta pushes would have paid
 }
+
+// PulledMB returns the bytes cached pulls actually moved, in MB.
+func (c CacheSnapshot) PulledMB() float64 { return c.PulledBytes / 1e6 }
+
+// BaselineMB returns the bytes the same pulls would have moved uncached, in MB.
+func (c CacheSnapshot) BaselineMB() float64 { return c.BaselineBytes / 1e6 }
+
+// FlushedMB returns the bytes the coalesced flushes moved, in MB.
+func (c CacheSnapshot) FlushedMB() float64 { return c.FlushedBytes / 1e6 }
+
+// FlushBaseMB returns the bytes the unbuffered pushes would have moved, in MB.
+func (c CacheSnapshot) FlushBaseMB() float64 { return c.FlushBaselineBytes / 1e6 }
 
 // HitRate returns the fraction of cached pulls served without a round trip.
 func (c CacheSnapshot) HitRate() float64 {
@@ -274,7 +276,7 @@ func (c CacheSnapshot) HitRate() float64 {
 }
 
 // SavedMB returns the pull traffic the cache avoided, in MB.
-func (c CacheSnapshot) SavedMB() float64 { return c.BaselineMB - c.PulledMB }
+func (c CacheSnapshot) SavedMB() float64 { return c.BaselineMB() - c.PulledMB() }
 
 // Active reports whether any cached pull or combined push happened.
 func (c CacheSnapshot) Active() bool {
@@ -340,13 +342,13 @@ func (s Snapshot) String() string {
 		fmt.Fprintf(&b, "cache: %.1f%% hit rate (%d hits, %d misses), %d revalidations (%d current), %.1f of %.1f MB pulled (%.1f saved)",
 			100*s.Cache.HitRate(), s.Cache.Hits, s.Cache.Misses,
 			s.Cache.Validations, s.Cache.ValidationHits,
-			s.Cache.PulledMB, s.Cache.BaselineMB, s.Cache.SavedMB())
+			s.Cache.PulledMB(), s.Cache.BaselineMB(), s.Cache.SavedMB())
 		if s.Cache.Evictions > 0 || s.Cache.EpochFences > 0 {
 			fmt.Fprintf(&b, ", %d evictions, %d epoch fences", s.Cache.Evictions, s.Cache.EpochFences)
 		}
 		if s.Cache.CombinedPushes > 0 {
 			fmt.Fprintf(&b, "; combined %d pushes into %d flushes (%.1f of %.1f MB)",
-				s.Cache.CombinedPushes, s.Cache.Flushes, s.Cache.FlushedMB, s.Cache.FlushBaseMB)
+				s.Cache.CombinedPushes, s.Cache.Flushes, s.Cache.FlushedMB(), s.Cache.FlushBaseMB())
 		}
 		b.WriteByte('\n')
 	}
@@ -389,105 +391,4 @@ func (s Snapshot) String() string {
 	}
 	fmt.Fprintf(&b, "phases: %s", s.Phases.Summary(s.WallSec))
 	return b.String()
-}
-
-// Fill writes the snapshot's scalar fields into a registry under run-wide
-// keys (Node == ""), the flat form the metrics dump and sidecar files use.
-func (s Snapshot) Fill(r *Registry) {
-	if r == nil {
-		return
-	}
-	r.Set("", "run", "wall.sec", s.WallSec)
-	r.Set("", "run", "events", float64(s.Events))
-
-	r.Set("", "net", "rpc.calls", float64(s.Net.RPCCalls))
-	r.Set("", "net", "rpc.attempts", float64(s.Net.RPCAttempts))
-	r.Set("", "net", "dedup.hits", float64(s.Net.DedupHits))
-	r.Set("", "net", "dedup.pruned", float64(s.Net.DedupPruned))
-	r.Set("", "net", "transport.mb", s.Net.TransportMB)
-	r.Set("", "net", "messages.lost", float64(s.Net.MessagesLost))
-	r.Set("", "net", "driver.sent.mb", s.Net.DriverSentMB)
-	r.Set("", "net", "driver.recv.mb", s.Net.DriverRecvMB)
-	r.Set("", "net", "executor.sent.mb", s.Net.ExecutorSentMB)
-	r.Set("", "net", "executor.recv.mb", s.Net.ExecutorRecvMB)
-	r.Set("", "net", "server.sent.mb", s.Net.ServerSentMB)
-	r.Set("", "net", "server.recv.mb", s.Net.ServerRecvMB)
-
-	r.Set("", "fusion", "batches", float64(s.Fusion.Batches))
-	r.Set("", "fusion", "fused.ops", float64(s.Fusion.FusedOps))
-
-	r.Set("", "cache", "hits", float64(s.Cache.Hits))
-	r.Set("", "cache", "misses", float64(s.Cache.Misses))
-	r.Set("", "cache", "validations", float64(s.Cache.Validations))
-	r.Set("", "cache", "validation.hits", float64(s.Cache.ValidationHits))
-	r.Set("", "cache", "evictions", float64(s.Cache.Evictions))
-	r.Set("", "cache", "epoch.fences", float64(s.Cache.EpochFences))
-	r.Set("", "cache", "pulled.mb", s.Cache.PulledMB)
-	r.Set("", "cache", "baseline.mb", s.Cache.BaselineMB)
-	r.Set("", "cache", "combined.pushes", float64(s.Cache.CombinedPushes))
-	r.Set("", "cache", "flushes", float64(s.Cache.Flushes))
-	r.Set("", "cache", "flushed.mb", s.Cache.FlushedMB)
-	r.Set("", "cache", "flush.baseline.mb", s.Cache.FlushBaseMB)
-
-	if s.Consistency.Active() {
-		r.Set("", "consistency", "served.cached", float64(s.Consistency.ServedCached))
-		r.Set("", "consistency", "revalidated", float64(s.Consistency.Revalidated))
-		r.Set("", "consistency", "hard.pulled", float64(s.Consistency.HardPulled))
-		r.Set("", "consistency", "tightenings", float64(s.Consistency.Tightenings))
-		r.Set("", "consistency", "relaxations", float64(s.Consistency.Relaxations))
-		r.Set("", "consistency", "effective.bound", s.Consistency.EffectiveBound)
-	}
-	if s.Par.Active() {
-		r.Set("", "par", "calls", float64(s.Par.Calls))
-		r.Set("", "par", "inline", float64(s.Par.Inline))
-		r.Set("", "par", "parallel", float64(s.Par.Parallel))
-		r.Set("", "par", "mean.width", s.Par.MeanWidth())
-		r.Set("", "par", "max.width", float64(s.Par.MaxWidth))
-	}
-
-	r.Set("", "load", "ops.imbalance", s.Load.OpsImbalance())
-	r.Set("", "load", "bytes.imbalance", s.Load.BytesImbalance())
-	for i := range s.Load.Ops {
-		node := fmt.Sprintf("server-%d", i)
-		r.Set(node, "load", "ops", s.Load.Ops[i])
-		r.Set(node, "load", "bytes", s.Load.Bytes[i])
-	}
-
-	r.Set("", "migration", "migrations", float64(s.Migration.Migrations))
-	r.Set("", "migration", "aborts", float64(s.Migration.Aborts))
-	r.Set("", "migration", "servers.added", float64(s.Migration.ServersAdded))
-	r.Set("", "migration", "servers.removed", float64(s.Migration.ServersRemoved))
-	r.Set("", "migration", "bulk.bytes", s.Migration.BulkBytes)
-	r.Set("", "migration", "delta.bytes", s.Migration.DeltaBytes)
-	r.Set("", "migration", "gate.closed.sec", s.Migration.GateClosedSec)
-
-	r.Set("", "serve", "reads", float64(s.Serve.Reads))
-	r.Set("", "serve", "read.vals", float64(s.Serve.ReadVals))
-	r.Set("", "serve", "snapshots.pinned", float64(s.Serve.SnapshotsPinned))
-	r.Set("", "serve", "snapshot.reads", float64(s.Serve.SnapshotReads))
-	r.Set("", "serve", "snapshot.fences", float64(s.Serve.SnapshotFences))
-	r.Set("", "serve", "admitted", float64(s.Serve.Admitted))
-	r.Set("", "serve", "delayed", float64(s.Serve.Delayed))
-	r.Set("", "serve", "queue.delay.sec", s.Serve.QueueDelaySec)
-	r.Set("", "serve", "queue.max.depth", float64(s.Serve.MaxQueueDepth))
-	r.Set("", "serve", "shed.serve", float64(s.Serve.ShedServe))
-	r.Set("", "serve", "shed.train", float64(s.Serve.ShedTrain))
-
-	r.Set("", "recovery", "crashes", float64(s.Recovery.ServerCrashes))
-	r.Set("", "recovery", "detections", float64(s.Recovery.Detections))
-	r.Set("", "recovery", "recoveries", float64(s.Recovery.Recoveries))
-	r.Set("", "recovery", "detect.latency.sec", s.Recovery.DetectLatencySum)
-	r.Set("", "recovery", "recovery.sec", s.Recovery.RecoverySecSum)
-	r.Set("", "recovery", "restore.bytes", s.Recovery.RestoreBytes)
-	r.Set("", "recovery", "zero.restored.shards", float64(s.Recovery.ZeroRestoredShards))
-	r.Set("", "recovery", "checkpoint.bytes.written", s.Recovery.CheckpointBytesWritten)
-	r.Set("", "recovery", "checkpoint.bytes.full", s.Recovery.CheckpointBytesFull)
-
-	r.Set("", "phases", "executor.core.sec", s.Phases.ExecutorCoreSec)
-	r.Set("", "phases", "server.core.sec", s.Phases.ServerCoreSec)
-	if s.Phases.Traced {
-		r.Set("", "phases", "comm.sec", s.Phases.CommSec)
-		r.Set("", "phases", "wait.sec", s.Phases.WaitSec)
-		r.Set("", "phases", "recovery.sec", s.Phases.RecoverySec)
-	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the PS2 reproduction: a
-// deterministic, virtual-time-native span tracer, a metrics registry, and
-// exporters (Chrome-trace JSON for chrome://tracing / Perfetto, a compact
-// per-phase summary, and a flat metrics dump).
+// deterministic, virtual-time-native span tracer with its exporters
+// (Chrome-trace JSON for chrome://tracing / Perfetto, a compact per-phase
+// summary) and the Snapshot every run reports through.
 //
 // Everything in this package is keyed by *virtual* time and node identity, so
 // two runs with the same seed and fault plan export byte-identical traces —
@@ -9,12 +9,10 @@
 //
 // The package is a leaf: it imports only the standard library, so every layer
 // of the system (simnet, ps, dcv, rdd, core) can emit into it. All entry
-// points are nil-safe: a nil *Tracer or *Registry turns every call into a
+// points are nil-safe: a nil *Tracer turns every call into a
 // cheap no-op, which is the "tracing disabled" fast path — instrumented hot
 // paths pay one pointer comparison and nothing else.
 package obs
-
-import "sort"
 
 // Kind classifies a span or instant event. Kinds map onto the phase taxonomy
 // the paper's evaluation reasons about (where time goes: compute vs
@@ -63,7 +61,7 @@ var kindNames = [...]string{
 	KDetect: "ps.detect", KDedupHit: "ps.dedup-hit", KTaskRetry: "rdd.retry",
 	KMsgLost: "net.lost", KFault: "chaos.fault", KMark: "mark",
 	KMigration: "ps.migration", KMigrateStream: "ps.migrate-stream",
-	KCutover: "ps.cutover",
+	KCutover:   "ps.cutover",
 	KServeRead: "serve.read", KAdmit: "ps.admit",
 }
 
@@ -385,29 +383,4 @@ func (t *Tracer) Phases() PhaseBreakdown {
 		}
 	}
 	return p
-}
-
-// Fill writes the tracer's per-lane, per-kind aggregates into a registry:
-// counter "<kind> spans" and gauge "<kind> sec" under subsystem "trace",
-// keyed by lane name. A nil tracer or registry is a no-op.
-func (t *Tracer) Fill(r *Registry) {
-	if t == nil || r == nil {
-		return
-	}
-	keys := make([]aggKey, 0, len(t.agg))
-	for k := range t.agg {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].lane != keys[j].lane {
-			return keys[i].lane < keys[j].lane
-		}
-		return keys[i].kind < keys[j].kind
-	})
-	for _, k := range keys {
-		v := t.agg[k]
-		lane := t.lanes[k.lane].Name
-		r.Add(lane, "trace", k.kind.String()+".count", float64(v.count))
-		r.Set(lane, "trace", k.kind.String()+".sec", v.dur)
-	}
 }

@@ -26,7 +26,6 @@ func TestNilTracerNoOps(t *testing.T) {
 	if p := tr.Phases(); p != (PhaseBreakdown{}) {
 		t.Fatalf("nil Phases = %+v", p)
 	}
-	tr.Fill(NewRegistry()) // must not panic
 }
 
 func TestSpanNestingAndTracks(t *testing.T) {
@@ -142,26 +141,6 @@ func TestPhases(t *testing.T) {
 	want := PhaseBreakdown{CommSec: 1, WaitSec: 2, ComputeSec: 7, RecoverySec: 5}
 	if p != want {
 		t.Fatalf("Phases = %+v, want %+v", p, want)
-	}
-}
-
-func TestTracerFillRegistry(t *testing.T) {
-	c := &fakeClock{}
-	tr := New(c.now)
-	s := tr.Begin(3, "server-3", KServerOp, "pull", Span{})
-	c.advance(2)
-	s.End()
-	tr.Instant(3, "server-3", KDedupHit, "pull")
-	r := NewRegistry()
-	tr.Fill(r)
-	if got := r.Counter("server-3", "trace", "ps.op.count"); got != 1 {
-		t.Fatalf("ps.op.count = %v, want 1", got)
-	}
-	if got := r.Gauge("server-3", "trace", "ps.op.sec"); got != 2 {
-		t.Fatalf("ps.op.sec = %v, want 2", got)
-	}
-	if got := r.Counter("server-3", "trace", "ps.dedup-hit.count"); got != 1 {
-		t.Fatalf("dedup-hit count = %v, want 1", got)
 	}
 }
 

@@ -63,6 +63,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/consistency"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -86,33 +87,6 @@ type CacheConfig struct {
 	// uncached client is required; the embedding trainer always combines
 	// (it needs the buffer for read-your-writes).
 	CombinePushes bool
-}
-
-// CacheStats accumulates cache and write-combining counters on the Master,
-// shared by every CachedClient and PushBuffer of its matrices.
-type CacheStats struct {
-	Hits           uint64 // shard-pulls served entirely from cache (zero RPC)
-	Misses         uint64 // shard-pulls that needed a validation/fetch RPC
-	Validations    uint64 // cached values revalidated if-modified-since
-	ValidationHits uint64 // of those, unchanged (no value bytes shipped)
-	Evictions      uint64 // entries dropped by the capacity LRU
-	EpochFences    uint64 // entries discarded on a recovery epoch mismatch
-
-	PulledBytes   float64 // wire bytes the cached pull path actually paid
-	BaselineBytes float64 // what the uncached pull operators would have paid
-
-	CombinedPushes     uint64  // push deltas absorbed into write buffers
-	Flushes            uint64  // coalesced buffer flushes (fan-outs)
-	FlushedBytes       float64 // wire bytes the flushes paid
-	FlushBaselineBytes float64 // what per-delta pushes would have paid
-}
-
-// HitRate returns the fraction of shard-pulls served without any RPC.
-func (cs CacheStats) HitRate() float64 {
-	if cs.Hits+cs.Misses == 0 {
-		return 0
-	}
-	return float64(cs.Hits) / float64(cs.Hits+cs.Misses)
 }
 
 // sparseColBytes is the cached-bytes charge per sparse value, matching the
@@ -236,7 +210,7 @@ func (nc *nodeCache) put(e *cacheEntry, col int, cv cachedVal) {
 }
 
 // evict drops LRU entries until the byte budget holds.
-func (nc *nodeCache) evict(capacity float64, stats *CacheStats) {
+func (nc *nodeCache) evict(capacity float64, stats *obs.CacheSnapshot) {
 	if capacity <= 0 {
 		return
 	}
@@ -283,16 +257,6 @@ func NewCachedClient(mat *Matrix, cfg CacheConfig) *CachedClient {
 
 // Policy returns the consistency policy governing this client's decisions.
 func (cc *CachedClient) Policy() consistency.Policy { return cc.pol }
-
-// Matrix returns the underlying matrix (for the operators the cache does not
-// intercept).
-func (cc *CachedClient) Matrix() *Matrix { return cc.mat }
-
-// Config returns the client's configuration, Policy filled in.
-func (cc *CachedClient) Config() CacheConfig { return cc.cfg }
-
-// Stats returns the master-wide cache counters.
-func (cc *CachedClient) Stats() CacheStats { return cc.mat.master.Cache }
 
 func (cc *CachedClient) node(n *simnet.Node) *nodeCache {
 	nc := cc.nodes[n]

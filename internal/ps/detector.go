@@ -49,40 +49,6 @@ func (cfg DetectorConfig) withDefaults() DetectorConfig {
 	return cfg
 }
 
-// RecoveryStats accumulates the self-healing subsystem's metrics.
-type RecoveryStats struct {
-	ServerCrashes    int     // environment-injected server crashes
-	Detections       int     // servers the monitor declared dead
-	DetectLatencySum float64 // seconds from crash to declaration, summed
-	Recoveries       int     // completed RecoverServer runs
-	RecoverySecSum   float64 // seconds spent restoring, summed
-
-	RestoreBytes       float64 // checkpoint bytes replayed store → replacement
-	ZeroRestoredShards int     // shards reallocated as zeros (no checkpoint)
-
-	// Checkpoint traffic: Written is what actually crossed the wire (deltas
-	// when enabled), Full what full snapshots would have cost.
-	CheckpointBytesWritten float64
-	CheckpointBytesFull    float64
-}
-
-// MeanDetectLatency returns the average crash-to-detection latency in
-// seconds, or 0 when nothing was detected.
-func (r RecoveryStats) MeanDetectLatency() float64 {
-	if r.Detections == 0 {
-		return 0
-	}
-	return r.DetectLatencySum / float64(r.Detections)
-}
-
-// MeanRecoverySec returns the average restore duration in seconds, or 0.
-func (r RecoveryStats) MeanRecoverySec() float64 {
-	if r.Recoveries == 0 {
-		return 0
-	}
-	return r.RecoverySecSum / float64(r.Recoveries)
-}
-
 // StartMonitor spawns the failure-detector process. Each round it pings every
 // server (ping + ack, both fallible); a server that misses cfg.Misses
 // consecutive rounds is declared dead and — with AutoRecover — recovered

@@ -49,17 +49,6 @@ var ErrStaleMigration = errors.New("ps: stale migration fingerprint")
 // retry once the cluster is healthy.
 var ErrMigrationAborted = errors.New("ps: migration aborted")
 
-// MigrationStats counts the elastic-membership subsystem's activity.
-type MigrationStats struct {
-	Migrations     int     // completed placement swaps
-	Aborts         int     // migrations rolled back on a fault
-	ServersAdded   int     // servers joined via AddServers
-	ServersRemoved int     // servers retired via RemoveServers
-	BulkBytes      float64 // bytes streamed by bulk copies (gate open)
-	DeltaBytes     float64 // bytes streamed by cutover deltas (gate closed)
-	GateClosedSec  float64 // total virtual time the route gate was closed
-}
-
 // DedupSettled reports whether every mutating request ever issued has fully
 // settled: no request is outstanding and the acknowledgement watermark has
 // caught up. Chaos tests use it as the exactly-once oracle — after a run

@@ -88,8 +88,3 @@ func (pt *Partitioner) SplitIndices(indices []int) [][]int {
 	}
 	return out
 }
-
-// Same reports whether two partitioners place columns identically.
-func (pt *Partitioner) Same(other *Partitioner) bool {
-	return other != nil && pt.Dim == other.Dim && pt.Servers == other.Servers
-}

@@ -6,30 +6,10 @@ package ps
 // policy objects so adaptive bound movements can be folded into the
 // end-of-run report. All host-side; no virtual cost.
 
-import "repro/internal/consistency"
-
-// ConsistencyStats accumulates freshness-decision counters on the Master.
-// The decision counters are incremented by the layers at each Admit call;
-// the adaptive counters are folded in from registered policies by
-// ConsistencyReport.
-type ConsistencyStats struct {
-	// Policy names the governing policy: the first non-clock policy
-	// registered, or "clock" when only clock-bounded freshness ran.
-	Policy string
-
-	ServedCached uint64 // cached values served with no RPC on a policy verdict
-	Revalidated  uint64 // values sent for if-modified-since validation
-	HardPulled   uint64 // values refetched outright (stamp could not match)
-
-	Tightenings    uint64  // adaptive effective-bound shrinks
-	Relaxations    uint64  // adaptive effective-bound growths
-	EffectiveBound float64 // the adaptive bound at snapshot time (0 when none)
-}
-
-// Decisions returns the total policy verdicts issued.
-func (cs ConsistencyStats) Decisions() uint64 {
-	return cs.ServedCached + cs.Revalidated + cs.HardPulled
-}
+import (
+	"repro/internal/consistency"
+	"repro/internal/obs"
+)
 
 // registerPolicy remembers a policy attached to this master so its adaptive
 // counters can be reported. Pure clock-bounded policies carry no state worth
@@ -66,9 +46,8 @@ func (m *Master) deltasWanted() bool {
 }
 
 // ConsistencyReport returns the decision counters with the adaptive
-// policies' bound movements folded in — the view Engine.Snapshot surfaces
-// as obs.ConsistencySnapshot.
-func (m *Master) ConsistencyReport() ConsistencyStats {
+// policies' bound movements folded in — the view Engine.Snapshot surfaces.
+func (m *Master) ConsistencyReport() obs.ConsistencySnapshot {
 	cs := m.Consistency
 	if cs.Policy == "" && cs.Decisions() > 0 {
 		cs.Policy = "clock"

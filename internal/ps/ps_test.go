@@ -477,29 +477,6 @@ func TestPullRowCompressedCheaper(t *testing.T) {
 	}
 }
 
-func TestReleaseMatrixFreesMemory(t *testing.T) {
-	sim, _, m := testMaster(3)
-	run(sim, func(p *simnet.Proc) {
-		mat, _ := m.CreateMatrix(p, 4, 300)
-		m.Checkpoint(p, mat)
-		before := m.Stats()
-		var elems int64
-		for _, st := range before {
-			elems += st.Elements
-		}
-		if elems != 4*300 {
-			t.Fatalf("elements before release = %d", elems)
-		}
-		m.ReleaseMatrix(p, mat)
-		after := m.Stats()
-		for _, st := range after {
-			if st.Shards != 0 || st.Elements != 0 {
-				t.Fatalf("server %d still holds %d shards / %d elements", st.Server, st.Shards, st.Elements)
-			}
-		}
-	})
-}
-
 func TestStatsBalancedAcrossServers(t *testing.T) {
 	sim, _, m := testMaster(4)
 	run(sim, func(p *simnet.Proc) {

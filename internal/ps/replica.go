@@ -127,9 +127,6 @@ func NewHotReplicaSet(mat *Matrix, cfg ReplicaConfig) (*HotReplicaSet, error) {
 	return rs, nil
 }
 
-// Matrix returns the underlying matrix.
-func (rs *HotReplicaSet) Matrix() *Matrix { return rs.mat }
-
 // Stats returns the master-wide replication counters.
 func (rs *HotReplicaSet) Stats() ReplicaStats { return rs.mat.master.Replica }
 

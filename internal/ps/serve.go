@@ -97,24 +97,6 @@ func (pr Priority) class() Class {
 	return ClassServe
 }
 
-// ServeStats accumulates the serving tier's counters on the Master —
-// Engine.Snapshot().Serve is the end-of-run view.
-type ServeStats struct {
-	Reads    uint64 // ModelReader read operators completed
-	ReadVals uint64 // values those reads returned
-
-	SnapshotsPinned uint64 // ModelSnapshot pins
-	SnapshotReads   uint64 // reads served at a pinned clock
-	SnapshotFences  uint64 // snapshot reads refused because the pin was epoch-fenced
-
-	Admitted      uint64  // calls admission control let through
-	Delayed       uint64  // of those, calls that waited in the queue
-	QueueDelaySec float64 // total virtual time calls spent queued
-	MaxQueueDepth int     // deepest queue observed (in waiting calls)
-	ShedServe     uint64  // serve-class calls shed with ErrOverload
-	ShedTrain     uint64  // train-class calls shed with ErrOverload
-}
-
 // ---------------------------------------------------------------------------
 // Model clock
 
@@ -186,9 +168,6 @@ func NewAdmissionControl(cfg AdmissionConfig) (*AdmissionControl, error) {
 	}
 	return &AdmissionControl{cfg: cfg}, nil
 }
-
-// Config returns the validated configuration.
-func (a *AdmissionControl) Config() AdmissionConfig { return a.cfg }
 
 // SetAdmission installs (or, with nil, removes) admission control on every
 // data-plane call of this master. Installing mid-run is fine — benchmarks
@@ -328,12 +307,6 @@ func (mat *Matrix) PinSnapshot(p *simnet.Proc) (*ModelSnapshot, error) {
 	mat.master.Serve.SnapshotsPinned++
 	return ms, nil
 }
-
-// Matrix returns the matrix the snapshot pins.
-func (ms *ModelSnapshot) Matrix() *Matrix { return ms.mat }
-
-// Clock returns the model clock the snapshot was pinned at.
-func (ms *ModelSnapshot) Clock() int64 { return ms.clock }
 
 // Valid reports whether the snapshot can still serve reads: open, not torn
 // by an undeclared mutation, and every pinned shard incarnation and epoch
@@ -533,9 +506,6 @@ func NewModelReader(mat *Matrix, cfg ServeConfig) (*ModelReader, error) {
 
 // Matrix returns the served matrix.
 func (mr *ModelReader) Matrix() *Matrix { return mr.mat }
-
-// Clock returns the served matrix's model clock.
-func (mr *ModelReader) Clock() int64 { return mr.mat.clock }
 
 // Replicas returns the reader's hot-replica set, or nil when reads are
 // purely owner-routed.

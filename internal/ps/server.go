@@ -69,9 +69,6 @@ func (sh *Shard) View() ColView { return sh.view }
 // Width returns the shard's column count.
 func (sh *Shard) Width() int { return sh.view.Width() }
 
-// Contiguous reports whether the shard stores a dense column range.
-func (sh *Shard) Contiguous() bool { return sh.view.Contiguous() }
-
 // ColAt returns the absolute column stored at local position i.
 func (sh *Shard) ColAt(i int) int { return sh.view.At(i) }
 
@@ -198,7 +195,7 @@ type Master struct {
 	Unreliable bool
 
 	// Recovery accumulates the self-healing subsystem's metrics.
-	Recovery RecoveryStats
+	Recovery obs.RecoverySnapshot
 
 	// Net counts data-plane RPC activity (logical calls, attempts including
 	// retries, fused-op payloads) — the observability the ext-fusion
@@ -208,7 +205,7 @@ type Master struct {
 	// Cache accumulates worker-side cache and write-combining counters from
 	// every CachedClient and PushBuffer attached to this master's matrices
 	// (see cache.go) — the observability the ext-cache benchmark reads.
-	Cache CacheStats
+	Cache obs.CacheSnapshot
 
 	// Replica accumulates hot-column replication counters from every
 	// HotReplicaSet attached to this master's matrices (see replica.go).
@@ -216,16 +213,16 @@ type Master struct {
 
 	// Migration accumulates the elastic-membership subsystem's counters
 	// (see migrate.go) — the observability the ext-elastic benchmark reads.
-	Migration MigrationStats
+	Migration obs.MigrationSnapshot
 
 	// Serve accumulates the serving tier's counters (see serve.go) — reads,
 	// snapshot pins/fences, admission queueing and shed rates.
-	Serve ServeStats
+	Serve obs.ServeSnapshot
 
 	// Consistency accumulates freshness-decision counters from every layer
 	// that consults a consistency.Policy (see policy.go); read it through
 	// ConsistencyReport, which folds in adaptive bound movements.
-	Consistency ConsistencyStats
+	Consistency obs.ConsistencySnapshot
 
 	// policies lists the non-clock consistency policies attached to this
 	// master's matrices (registerPolicy), for the report fold.
@@ -599,24 +596,6 @@ func (m *Master) RecoverServer(p *simnet.Proc, s int) {
 
 // Alive reports whether server s holds live state.
 func (m *Master) Alive(s int) bool { return m.servers[s].alive }
-
-// ReleaseMatrix frees a matrix's shards on every server (one metadata RPC
-// each) and drops its checkpoints. Training jobs that allocate scratch
-// matrices (async LR, DistML-style baselines) use it to return server memory.
-func (m *Master) ReleaseMatrix(p *simnet.Proc, mat *Matrix) {
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		srv := mat.srv(s)
-		g.Go("release-shard", func(cp *simnet.Proc) {
-			m.Cl.Driver.Send(cp, srv.Node, m.Cl.Cost.RequestOverheadB)
-			delete(srv.shards, mat.ID)
-			srv.Node.Send(cp, m.Cl.Driver, m.Cl.Cost.RequestOverheadB)
-		})
-	}
-	g.Wait(p)
-	delete(m.matrices, mat.ID)
-	delete(m.checkpoints, mat.ID)
-}
 
 // ServerLoad counts the data-plane traffic one physical server absorbed:
 // successful CallShard requests and their total wire bytes (request plus

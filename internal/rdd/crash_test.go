@@ -48,11 +48,11 @@ func TestCrashExecutorMidStage(t *testing.T) {
 	// attempts on the dead machine abort and the driver reschedules them on
 	// survivors, so the stage still completes with the right answer.
 	sim, ctx := testCluster(4)
-	r := FromSlices(ctx, intParts(40, 8))
-	slow := MapPartitions(r, func(tc *TaskContext, part int, in []int) []int {
+	parts := intParts(40, 8)
+	slow := Source(ctx, len(parts), func(tc *TaskContext, part int) []int {
 		tc.Charge(1e9) // long enough that the crash lands mid-task
-		out := make([]int, len(in))
-		for i, v := range in {
+		out := make([]int, len(parts[part]))
+		for i, v := range parts[part] {
 			out[i] = v * 2
 		}
 		return out

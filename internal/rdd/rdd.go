@@ -8,13 +8,12 @@
 // of Spark's code.
 //
 // The package is deliberately small: it implements exactly the surface MLlib
-// -style training loops and PS2 jobs need (sources, map/filter/sample,
-// mapPartitions, cache, aggregate/collect/count/foreachPartition, broadcast).
+// -style training loops and PS2 jobs need (sources, map, sample, cache,
+// runPartitions, aggregate/treeAggregate/collect/count, reduceByKey,
+// broadcast).
 package rdd
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
@@ -146,9 +145,6 @@ func newRDD[T any](ctx *Context, parts int, compute func(tc *TaskContext, part i
 // Partitions returns the number of partitions.
 func (r *RDD[T]) Partitions() int { return r.parts }
 
-// Context returns the owning application context.
-func (r *RDD[T]) Context() *Context { return r.ctx }
-
 // Cache marks the dataset to be kept in executor memory after first
 // materialization. Returns r for chaining.
 func (r *RDD[T]) Cache() *RDD[T] {
@@ -219,28 +215,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	})
 }
 
-// MapPartitions applies f to each whole partition. f may charge compute cost
-// through tc.
-func MapPartitions[T, U any](r *RDD[T], f func(tc *TaskContext, part int, in []T) []U) *RDD[U] {
-	return newRDD(r.ctx, r.parts, func(tc *TaskContext, part int) []U {
-		return f(tc, part, r.materialize(tc, part))
-	})
-}
-
-// Filter keeps the elements for which pred is true.
-func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
-	return newRDD(r.ctx, r.parts, func(tc *TaskContext, part int) []T {
-		in := r.materialize(tc, part)
-		out := make([]T, 0, len(in))
-		for _, v := range in {
-			if pred(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	})
-}
-
 // Sample takes a Bernoulli sample of the dataset with the given fraction.
 // The draw is deterministic in (seed, partition), so different seeds give
 // different mini-batches while reruns of a failed task resample identically —
@@ -257,50 +231,6 @@ func (r *RDD[T]) Sample(fraction float64, seed uint64) *RDD[T] {
 			if rng.Float64() < fraction {
 				out = append(out, v)
 			}
-		}
-		return out
-	})
-}
-
-// Union concatenates two datasets partition-wise if they have the same
-// partition count, otherwise appends partitions.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.ctx != b.ctx {
-		panic("rdd: Union across contexts")
-	}
-	if a.parts == b.parts {
-		return newRDD(a.ctx, a.parts, func(tc *TaskContext, part int) []T {
-			out := append([]T(nil), a.materialize(tc, part)...)
-			return append(out, b.materialize(tc, part)...)
-		})
-	}
-	total := a.parts + b.parts
-	return newRDD(a.ctx, total, func(tc *TaskContext, part int) []T {
-		if part < a.parts {
-			return a.materialize(tc, part)
-		}
-		return b.materialize(tc, part-a.parts)
-	})
-}
-
-func (c *Context) String() string {
-	return fmt.Sprintf("rdd.Context{executors: %d, failProb: %g}", c.NumExecutors(), c.FailProb)
-}
-
-// Coalesce returns a dataset with n partitions by concatenating groups of
-// the parent's partitions (no shuffle; partition i of the result holds the
-// parent partitions congruent to i mod n). Useful after heavy filtering.
-func (r *RDD[T]) Coalesce(n int) *RDD[T] {
-	if n < 1 {
-		n = 1
-	}
-	if n >= r.parts {
-		return r
-	}
-	return newRDD(r.ctx, n, func(tc *TaskContext, part int) []T {
-		var out []T
-		for src := part; src < r.parts; src += n {
-			out = append(out, r.materialize(tc, src)...)
 		}
 		return out
 	})

@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -54,22 +55,21 @@ func TestCollectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMapAndFilter(t *testing.T) {
+func TestMap(t *testing.T) {
 	sim, ctx := testCluster(3)
 	var got []int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(10, 3))
-		doubled := Map(r, func(v int) int { return v * 2 })
-		evens := doubled.Filter(func(v int) bool { return v%4 == 0 })
-		got = Collect(p, evens, 8)
+		got = Collect(p, Map(r, func(v int) int { return v * 2 }), 8)
 	})
-	for _, v := range got {
-		if v%4 != 0 {
-			t.Fatalf("filter leaked %d", v)
+	sort.Ints(got)
+	for i, v := range got {
+		if v != 2*i {
+			t.Fatalf("mapped rows = %v, want 0,2,…,18", got)
 		}
 	}
-	if len(got) != 5 { // 0,4,8,12,16
-		t.Fatalf("got %d rows, want 5: %v", len(got), got)
+	if len(got) != 10 {
+		t.Fatalf("got %d rows, want 10: %v", len(got), got)
 	}
 }
 
@@ -82,18 +82,6 @@ func TestCount(t *testing.T) {
 	})
 	if n != 37 {
 		t.Fatalf("count = %d, want 37", n)
-	}
-}
-
-func TestSumFloat(t *testing.T) {
-	sim, ctx := testCluster(2)
-	var s float64
-	runJob(sim, func(p *simnet.Proc) {
-		r := FromSlices(ctx, [][]float64{{1, 2, 3}, {4, 5}})
-		s = SumFloat(p, r)
-	})
-	if s != 15 {
-		t.Fatalf("sum = %v, want 15", s)
 	}
 }
 
@@ -246,8 +234,10 @@ func TestTaskFailureCostsTime(t *testing.T) {
 		runJob(sim, func(p *simnet.Proc) {
 			r := FromSlices(ctx, intParts(40, 4))
 			for i := 0; i < 20; i++ {
-				ForeachPartition(p, r, func(tc *TaskContext, part int, rows []int) {
+				RunPartitions(p, r, 0, func(tc *TaskContext, part int, rows []int) struct{} {
 					tc.Charge(1e6)
+					tc.Commit()
+					return struct{}{}
 				})
 			}
 			end = p.Now()
@@ -299,43 +289,13 @@ func TestBroadcastSerializesOnDriverEgress(t *testing.T) {
 	}
 }
 
-func TestUnionSamePartitionCount(t *testing.T) {
-	sim, ctx := testCluster(2)
-	var n int
-	runJob(sim, func(p *simnet.Proc) {
-		a := FromSlices(ctx, intParts(10, 2))
-		b := FromSlices(ctx, intParts(6, 2))
-		n = Count(p, Union(a, b))
-	})
-	if n != 16 {
-		t.Fatalf("union count = %d, want 16", n)
-	}
-}
-
-func TestUnionDifferentPartitionCount(t *testing.T) {
-	sim, ctx := testCluster(2)
-	var n int
-	runJob(sim, func(p *simnet.Proc) {
-		a := FromSlices(ctx, intParts(10, 2))
-		b := FromSlices(ctx, intParts(6, 3))
-		u := Union(a, b)
-		if u.Partitions() != 5 {
-			t.Errorf("union partitions = %d, want 5", u.Partitions())
-		}
-		n = Count(p, u)
-	})
-	if n != 16 {
-		t.Fatalf("union count = %d, want 16", n)
-	}
-}
-
-func TestMapPartitionsChargesOwner(t *testing.T) {
+func TestSourceChargesOwner(t *testing.T) {
 	sim, ctx := testCluster(2)
 	runJob(sim, func(p *simnet.Proc) {
-		r := FromSlices(ctx, intParts(4, 2))
-		work := MapPartitions(r, func(tc *TaskContext, part int, in []int) []int {
+		parts := intParts(4, 2)
+		work := Source(ctx, len(parts), func(tc *TaskContext, part int) []int {
 			tc.Charge(1e8) // 1 core-second
-			return in
+			return parts[part]
 		})
 		Count(p, work)
 	})
@@ -422,52 +382,5 @@ func TestDeterministicTiming(t *testing.T) {
 	a, b := run(), run()
 	if math.Abs(a-b) != 0 {
 		t.Fatalf("two identical runs ended at different times: %v vs %v", a, b)
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	sim, ctx := testCluster(4)
-	var n int
-	var got []int
-	runJob(sim, func(p *simnet.Proc) {
-		r := FromSlices(ctx, intParts(20, 8))
-		c := r.Coalesce(3)
-		if c.Partitions() != 3 {
-			t.Errorf("coalesced partitions = %d", c.Partitions())
-		}
-		n = Count(p, c)
-		got = Collect(p, c, 8)
-		// Coalescing beyond the current count is a no-op.
-		if r.Coalesce(100) != r {
-			t.Error("widening coalesce should return the receiver")
-		}
-	})
-	if n != 20 || len(got) != 20 {
-		t.Fatalf("coalesce lost rows: count=%d collected=%d", n, len(got))
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	sim, ctx := testCluster(3)
-	var got []int
-	runJob(sim, func(p *simnet.Proc) {
-		parts := [][]int{{1, 2, 2, 3}, {3, 4, 1}, {5, 5, 4}}
-		r := FromSlices(ctx, parts)
-		got = Collect(p, Distinct(p, r, 3, 8, func(v int) int { return v }), 8)
-	})
-	if len(got) != 5 {
-		t.Fatalf("distinct produced %d values: %v", len(got), got)
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("duplicate %d survived: %v", v, got)
-		}
-		seen[v] = true
-	}
-	for v := 1; v <= 5; v++ {
-		if !seen[v] {
-			t.Fatalf("value %d missing: %v", v, got)
-		}
 	}
 }

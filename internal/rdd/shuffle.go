@@ -14,18 +14,6 @@ import (
 // (the paper's reference [34]) builds on — reproduced here as an extension
 // baseline.
 
-// FlatMap applies f to every element and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return newRDD(r.ctx, r.parts, func(tc *TaskContext, part int) []U {
-		in := r.materialize(tc, part)
-		var out []U
-		for _, v := range in {
-			out = append(out, f(v)...)
-		}
-		return out
-	})
-}
-
 // Pair is a keyed record for shuffle operators.
 type Pair[K comparable, V any] struct {
 	Key   K
@@ -177,101 +165,4 @@ func TreeAggregate[T, U any](p *simnet.Proc, r *RDD[T], spec AggSpec[T, U]) U {
 	})
 	g.Wait(p)
 	return partials[root]
-}
-
-// Distinct returns the dataset's distinct elements via a ReduceByKey
-// shuffle, exactly how Spark implements it: every element is keyed by itself
-// and duplicates collapse map-side and reduce-side. bytesPerRecord is the
-// element's wire size; hash routes elements to reduce partitions.
-func Distinct[T comparable](p *simnet.Proc, r *RDD[T], numParts int,
-	bytesPerRecord float64, hash func(T) int) *RDD[T] {
-	keyed := Map(r, func(v T) Pair[T, struct{}] { return Pair[T, struct{}]{Key: v} })
-	reduced := ReduceByKey(p, keyed, numParts, bytesPerRecord, hash,
-		func(a, b struct{}) struct{} { return a })
-	return Map(reduced, func(kv Pair[T, struct{}]) T { return kv.Key })
-}
-
-// JoinedRow is one inner-join result.
-type JoinedRow[K comparable, V, W any] struct {
-	Key   K
-	Left  V
-	Right W
-}
-
-// Join computes the inner join of two keyed datasets with a full shuffle of
-// both sides: each dataset's records are bucketed by hash onto numParts
-// reduce partitions, transferred executor-to-executor, and matched there.
-// Keys must be unique within each side (pre-reduce with ReduceByKey when
-// they are not).
-func Join[K comparable, V, W any](p *simnet.Proc, a *RDD[Pair[K, V]], b *RDD[Pair[K, W]],
-	numParts int, bytesPerRecord float64, hash func(K) int) *RDD[JoinedRow[K, V, W]] {
-	ctx := a.ctx
-	if numParts < 1 {
-		numParts = ctx.NumExecutors()
-	}
-	bucketOf := func(k K) int { return ((hash(k) % numParts) + numParts) % numParts }
-
-	left := make([]map[K]V, numParts)
-	right := make([]map[K]W, numParts)
-	for i := 0; i < numParts; i++ {
-		left[i] = map[K]V{}
-		right[i] = map[K]W{}
-	}
-	shuffleSide := func(counts [][]int) {
-		g := p.Sim().NewGroup()
-		for mapPart := range counts {
-			src := ctx.Owner(mapPart)
-			for bucket, n := range counts[mapPart] {
-				if n == 0 {
-					continue
-				}
-				dst := ctx.Owner(bucket)
-				n := n
-				g.Go("join-shuffle", func(sp *simnet.Proc) {
-					src.Send(sp, dst, ctx.Cl.Cost.RequestOverheadB+float64(n)*bytesPerRecord)
-				})
-			}
-		}
-		g.Wait(p)
-	}
-	countsA := runTasks(p, a, func(c []int) float64 { return 8 * float64(len(c)) },
-		func(tc *TaskContext, part int, rows []Pair[K, V]) []int {
-			tc.Commit()
-			c := make([]int, numParts)
-			for _, kv := range rows {
-				bkt := bucketOf(kv.Key)
-				left[bkt][kv.Key] = kv.Value
-				c[bkt]++
-			}
-			return c
-		})
-	shuffleSide(countsA)
-	countsB := runTasks(p, b, func(c []int) float64 { return 8 * float64(len(c)) },
-		func(tc *TaskContext, part int, rows []Pair[K, W]) []int {
-			tc.Commit()
-			c := make([]int, numParts)
-			for _, kv := range rows {
-				bkt := bucketOf(kv.Key)
-				right[bkt][kv.Key] = kv.Value
-				c[bkt]++
-			}
-			return c
-		})
-	shuffleSide(countsB)
-
-	out := make([][]JoinedRow[K, V, W], numParts)
-	return Source(ctx, numParts, func(tc *TaskContext, part int) []JoinedRow[K, V, W] {
-		if out[part] == nil {
-			rows := make([]JoinedRow[K, V, W], 0)
-			for k, v := range left[part] {
-				if w, ok := right[part][k]; ok {
-					rows = append(rows, JoinedRow[K, V, W]{Key: k, Left: v, Right: w})
-				}
-			}
-			sort.Slice(rows, func(x, y int) bool { return lessAny(rows[x].Key, rows[y].Key) })
-			tc.Charge(tc.Ctx.Cl.Cost.ElemWork(len(left[part]) + len(right[part])))
-			out[part] = rows
-		}
-		return out[part]
-	})
 }

@@ -7,19 +7,6 @@ import (
 	"repro/internal/simnet"
 )
 
-func TestFlatMap(t *testing.T) {
-	sim, ctx := testCluster(2)
-	var got []int
-	runJob(sim, func(p *simnet.Proc) {
-		r := FromSlices(ctx, intParts(5, 2))
-		doubled := FlatMap(r, func(v int) []int { return []int{v, v} })
-		got = Collect(p, doubled, 8)
-	})
-	if len(got) != 10 {
-		t.Fatalf("flatmap produced %d rows, want 10", len(got))
-	}
-}
-
 func TestReduceByKeyCounts(t *testing.T) {
 	sim, ctx := testCluster(3)
 	var got []Pair[int, int]
@@ -165,63 +152,6 @@ func TestTreeAggregateSinglePartition(t *testing.T) {
 	})
 	if got != 10 {
 		t.Fatalf("got %d, want 10", got)
-	}
-}
-
-func TestJoin(t *testing.T) {
-	sim, ctx := testCluster(3)
-	var got []JoinedRow[int, string, float64]
-	runJob(sim, func(p *simnet.Proc) {
-		a := FromSlices(ctx, [][]Pair[int, string]{
-			{{Key: 1, Value: "a"}, {Key: 2, Value: "b"}},
-			{{Key: 3, Value: "c"}},
-		})
-		b := FromSlices(ctx, [][]Pair[int, float64]{
-			{{Key: 2, Value: 2.5}},
-			{{Key: 3, Value: 3.5}, {Key: 4, Value: 4.5}},
-		})
-		joined := Join(p, a, b, 3, 32, func(k int) int { return k })
-		got = Collect(p, joined, 32)
-	})
-	if len(got) != 2 {
-		t.Fatalf("join produced %d rows: %v", len(got), got)
-	}
-	byKey := map[int]JoinedRow[int, string, float64]{}
-	for _, r := range got {
-		byKey[r.Key] = r
-	}
-	if byKey[2].Left != "b" || byKey[2].Right != 2.5 {
-		t.Fatalf("key 2 joined wrong: %+v", byKey[2])
-	}
-	if byKey[3].Left != "c" || byKey[3].Right != 3.5 {
-		t.Fatalf("key 3 joined wrong: %+v", byKey[3])
-	}
-}
-
-func TestJoinMovesShuffleBytes(t *testing.T) {
-	sim, ctx := testCluster(4)
-	runJob(sim, func(p *simnet.Proc) {
-		var pa [][]Pair[int, int]
-		var pb [][]Pair[int, int]
-		pa = make([][]Pair[int, int], 4)
-		pb = make([][]Pair[int, int], 4)
-		for i := 0; i < 200; i++ {
-			pa[i%4] = append(pa[i%4], Pair[int, int]{Key: i, Value: i})
-			pb[(i+1)%4] = append(pb[(i+1)%4], Pair[int, int]{Key: i, Value: -i})
-		}
-		a := FromSlices(ctx, pa)
-		b := FromSlices(ctx, pb)
-		joined := Join(p, a, b, 4, 100, func(k int) int { return k * 31 })
-		if n := Count(p, joined); n != 200 {
-			t.Errorf("join count = %d, want 200", n)
-		}
-	})
-	var execBytes float64
-	for _, n := range ctx.Cl.Executors {
-		execBytes += n.BytesSent
-	}
-	if execBytes < 20000 {
-		t.Fatalf("join moved only %v executor bytes", execBytes)
 	}
 }
 

@@ -169,17 +169,6 @@ func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *Ta
 	return body(tc, part, rows), true
 }
 
-// ForeachPartition runs f over every partition for its side effects (such as
-// pushing updates to parameter servers) and barriers until all tasks finish —
-// the `.foreach()` at the end of the paper's Figure 3 training loop.
-func ForeachPartition[T any](p *simnet.Proc, r *RDD[T], f func(tc *TaskContext, part int, rows []T)) {
-	runTasks(p, r, nil, func(tc *TaskContext, part int, rows []T) struct{} {
-		f(tc, part, rows)
-		tc.Commit()
-		return struct{}{}
-	})
-}
-
 // RunPartitions runs f over every partition and returns its per-partition
 // results at the driver (each costing resultBytes on the wire). Unlike
 // Aggregate it gives f the whole partition at once, so f can batch
@@ -249,24 +238,6 @@ func Count[T any](p *simnet.Proc, r *RDD[T]) int {
 	total := 0
 	for _, c := range counts {
 		total += c
-	}
-	return total
-}
-
-// SumFloat sums a float-valued dataset, a convenience action used by the
-// DeepWalk loss computation in the paper's Figure 6 (`.sum()`).
-func SumFloat(p *simnet.Proc, r *RDD[float64]) float64 {
-	sums := runTasks(p, r, func(float64) float64 { return 8 }, func(tc *TaskContext, part int, rows []float64) float64 {
-		var s float64
-		for _, v := range rows {
-			s += v
-		}
-		tc.Commit()
-		return s
-	})
-	var total float64
-	for _, s := range sums {
-		total += s
 	}
 	return total
 }

@@ -122,9 +122,6 @@ func (n *Node) Compute(p *Proc, work float64) {
 	n.cpu.Use(p, work/n.rate)
 }
 
-// Latency returns the node's configured one-way latency.
-func (n *Node) Latency() Time { return n.latency }
-
 // SlowDown divides the node's compute rate by factor — straggler injection.
 // Affects only Compute charges issued after the call.
 func (n *Node) SlowDown(factor float64) {
@@ -136,6 +133,3 @@ func (n *Node) SlowDown(factor float64) {
 
 // WorkRate returns the node's current per-core compute rate.
 func (n *Node) WorkRate() float64 { return n.rate }
-
-// Bandwidth returns the node's NIC bandwidth in bytes per second.
-func (n *Node) Bandwidth() float64 { return n.outBW }

@@ -116,9 +116,6 @@ type wakeMsg struct{ stop bool }
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
 
-// Name returns the debug name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 

@@ -107,9 +107,6 @@ type Mailbox struct {
 // NewMailbox creates an empty mailbox.
 func (s *Sim) NewMailbox() *Mailbox { return &Mailbox{sim: s} }
 
-// Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.queue) }
-
 // Put enqueues a message and wakes the oldest waiting receiver, if any.
 func (m *Mailbox) Put(msg any) {
 	m.queue = append(m.queue, msg)
@@ -131,17 +128,6 @@ func (m *Mailbox) Get(p *Proc) any {
 	m.queue[0] = nil
 	m.queue = m.queue[1:]
 	return msg
-}
-
-// TryGet dequeues the oldest message if one is available.
-func (m *Mailbox) TryGet() (any, bool) {
-	if len(m.queue) == 0 {
-		return nil, false
-	}
-	msg := m.queue[0]
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	return msg, true
 }
 
 // Group runs a set of child processes and lets the parent wait for all of

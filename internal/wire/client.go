@@ -343,19 +343,10 @@ func (c *Client) CreateShard(s int, mat uint32, rows, lo, hi int) error {
 	return err
 }
 
-// PullSparse reads the given columns of one row from server s. Columns must
-// lie inside the server's shard range.
-func (c *Client) PullSparse(s int, mat uint32, row int, cols []int) ([]float64, error) {
-	var out []float64
-	if err := c.PullSparseInto(s, mat, row, cols, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PullSparseInto is PullSparse decoding into caller scratch: *valsBuf is
-// grown as needed and resized to len(cols). Steady-state calls with a warm
-// buffer allocate nothing beyond the pooled request payload.
+// PullSparseInto reads the given columns of one row from server s into
+// caller scratch: *valsBuf is grown as needed and resized to len(cols).
+// Columns must lie inside the server's shard range. Steady-state calls with a
+// warm buffer allocate nothing beyond the pooled request payload.
 func (c *Client) PullSparseInto(s int, mat uint32, row int, cols []int, valsBuf *[]float64) error {
 	req := AppendPullSparseReq(arena.Bytes(0), mat, row, cols)
 	defer arena.PutBytes(req)

@@ -300,8 +300,8 @@ func TestClientWatermarkAdvances(t *testing.T) {
 	if n > 1 {
 		t.Fatalf("applied-set has %d entries after 51 sequential mutations, want ≤ 1", n)
 	}
-	vals, err := c.PullSparse(0, 1, 0, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	if err != nil {
+	var vals []float64
+	if err := c.PullSparseInto(0, 1, 0, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, &vals); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
@@ -325,19 +325,18 @@ func TestPushAddOutOfRangeLeavesRowUntouched(t *testing.T) {
 	if err := c.PushAdd(0, 1, 0, all, []float64{.1, .2, .3, .4, .5, .6, .7, .8, .9, 1}); err != nil {
 		t.Fatal(err)
 	}
-	before, err := c.PullSparse(0, 1, 0, all)
-	if err != nil {
+	var before, after, refused []float64
+	if err := c.PullSparseInto(0, 1, 0, all, &before); err != nil {
 		t.Fatal(err)
 	}
 	var sErr *ServerError
 	if err := c.PushAdd(0, 1, 0, []int{3, 12}, []float64{5, 5}); !errors.As(err, &sErr) {
 		t.Fatalf("push [valid, invalid]: err = %v, want ServerError", err)
 	}
-	if _, err := c.PullSparse(0, 1, 0, []int{3, 12}); !errors.As(err, &sErr) {
+	if err := c.PullSparseInto(0, 1, 0, []int{3, 12}, &refused); !errors.As(err, &sErr) {
 		t.Fatalf("pull [valid, invalid]: err = %v, want ServerError", err)
 	}
-	after, err := c.PullSparse(0, 1, 0, all)
-	if err != nil {
+	if err := c.PullSparseInto(0, 1, 0, all, &after); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {

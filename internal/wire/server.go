@@ -83,16 +83,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address, or "" before Listen.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Serve accepts connections until Close; each connection is served by its
 // own goroutine, one frame at a time. It returns nil after Close, or the
 // accept error otherwise.

@@ -110,10 +110,6 @@ type CrashEvent = core.CrashEvent
 // (e.g. degrading the stream routes of an elastic migration).
 type LinkFault = core.LinkFault
 
-// MigrationStats reports the elastic-membership subsystem's counters; see
-// Engine.Snapshot().Migration for the end-of-run view.
-type MigrationStats = ps.MigrationStats
-
 // DetectorConfig tunes the master's heartbeat failure detector
 // (Options.Detector).
 type DetectorConfig = ps.DetectorConfig
@@ -121,10 +117,6 @@ type DetectorConfig = ps.DetectorConfig
 // RetryConfig tunes the PS client's retry/timeout/backoff policy
 // (Options.RPC).
 type RetryConfig = ps.RetryConfig
-
-// RecoveryStats reports the self-healing subsystem's metrics for a run; see
-// Engine.Snapshot().Recovery for the end-of-run view.
-type RecoveryStats = ps.RecoveryStats
 
 // CacheConfig tunes the worker-side parameter cache and write-combining
 // push buffer (TrainOptions.Cache): consistency policy, per-executor byte
