@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dcv"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
@@ -274,14 +273,6 @@ func (e *Engine) Snapshot() obs.Snapshot {
 		Consistency: e.PS.ConsistencyReport(),
 		Migration:   e.PS.Migration,
 		Serve:       e.PS.Serve,
-	}
-	pst := par.PoolStats()
-	s.Par = obs.ParSnapshot{
-		Calls:    pst.Calls,
-		Inline:   pst.Inline,
-		Parallel: pst.Parallel,
-		WidthSum: pst.WidthSum,
-		MaxWidth: pst.MaxWidth,
 	}
 	if c := e.Sim.Chaos(); c != nil {
 		s.Net.MessagesLost = c.MessagesLost

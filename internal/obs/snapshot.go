@@ -25,7 +25,6 @@ type Snapshot struct {
 	Load        LoadSnapshot
 	Migration   MigrationSnapshot
 	Serve       ServeSnapshot
-	Par         ParSnapshot
 	Phases      PhaseSnapshot
 }
 
@@ -64,19 +63,6 @@ func (c ConsistencySnapshot) ServeRate() float64 {
 
 // Active reports whether any policy verdict was issued.
 func (c ConsistencySnapshot) Active() bool { return c.Decisions() > 0 }
-
-// ParSnapshot is the host-parallelism view, mirroring the internal/par pool
-// counters: how many Range/Reduce calls ran, how many went inline versus
-// fanned out, and the row widths observed — the evidence behind the
-// MinParallel threshold (ROADMAP item 2). Counters only; nothing here feeds
-// back into behavior.
-type ParSnapshot struct {
-	Calls    uint64 // Range/Reduce invocations
-	Inline   uint64 // of those, run inline (below MinParallel or 1 worker)
-	Parallel uint64 // of those, fanned out to the worker pool
-	WidthSum uint64 // sum of observed widths (n), for the mean
-	MaxWidth uint64 // widest single call observed
-}
 
 // ServeSnapshot is the serving-tier view: reads through ModelReader,
 // snapshot pins/fences, and admission-control queueing and shedding. All

@@ -1,11 +1,128 @@
 package ps
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
+
+// minScanLedger is the reference the Ledger must match: it recomputes the
+// watermark from scratch after every settle — the last ID issued when nothing
+// is in flight, one below the smallest in-flight ID otherwise.
+type minScanLedger struct {
+	seq, acked uint64
+	inFlight   map[uint64]bool
+}
+
+func (r *minScanLedger) next() uint64 {
+	r.seq++
+	r.inFlight[r.seq] = true
+	return r.seq
+}
+
+func (r *minScanLedger) settle(seq uint64) {
+	delete(r.inFlight, seq)
+	if len(r.inFlight) == 0 {
+		r.acked = r.seq
+		return
+	}
+	min := r.seq
+	for s := range r.inFlight {
+		if s < min {
+			min = s
+		}
+	}
+	r.acked = min - 1
+}
+
+// TestLedgerMatchesMinScanReference runs seeded schedules of interleaved
+// Next and out-of-order Settle calls and checks the incremental watermark
+// against the min-scan reference after every step.
+func TestLedgerMatchesMinScanReference(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		session := uint32(seed % 3) // session 0 is the simulated master's
+		hi := uint64(session) << 32
+		l := NewLedger(session)
+		ref := minScanLedger{inFlight: map[uint64]bool{}}
+		var open []uint64
+		for step := 0; step < 100; step++ {
+			if len(open) == 0 || rng.Intn(5) < 2 {
+				id := l.Next()
+				if want := hi | ref.next(); id != want {
+					t.Fatalf("seed %d step %d: Next = %#x, want %#x", seed, step, id, want)
+				}
+				open = append(open, id)
+			} else {
+				i := rng.Intn(len(open))
+				id := open[i]
+				open = append(open[:i], open[i+1:]...)
+				l.Settle(id)
+				ref.settle(id - hi)
+			}
+			if got, want := l.Watermark(), hi|ref.acked; got != want {
+				t.Fatalf("seed %d step %d: Watermark = %#x, want %#x", seed, step, got, want)
+			}
+			if got, want := l.Settled(), len(ref.inFlight) == 0; got != want {
+				t.Fatalf("seed %d step %d: Settled = %v, want %v", seed, step, got, want)
+			}
+		}
+	}
+}
+
+// TestAppliedSetRetiresOwnSessionOnly: a watermark drops exactly its own
+// session's entries at or below it and reports how many; one that did not
+// advance past the session's last watermark changes nothing.
+func TestAppliedSetRetiresOwnSessionOnly(t *testing.T) {
+	const a, b = uint64(7) << 32, uint64(9) << 32
+	var set AppliedSet
+	for seq := uint64(1); seq <= 10; seq++ {
+		set.Record(a|seq, []byte{byte(seq)})
+		set.Record(b|seq, nil)
+	}
+	if got := set.Retire(a | 4); got != 4 {
+		t.Fatalf("Retire(a|4) dropped %d entries, want 4", got)
+	}
+	for seq := uint64(1); seq <= 10; seq++ {
+		resp, ok := set.Lookup(a | seq)
+		if ok != (seq > 4) {
+			t.Fatalf("a|%d present = %v after Retire(a|4)", seq, ok)
+		}
+		if ok && !bytes.Equal(resp, []byte{byte(seq)}) {
+			t.Fatalf("a|%d replays %v, want [%d]", seq, resp, seq)
+		}
+		if _, ok := set.Lookup(b | seq); !ok {
+			t.Fatalf("b|%d retired by session a's watermark", seq)
+		}
+	}
+	if set.Len() != 16 {
+		t.Fatalf("Len = %d, want 16", set.Len())
+	}
+
+	// An entry recorded at or below the session's retired watermark survives
+	// every watermark that does not advance past the last one.
+	set.Record(a|2, nil)
+	for _, w := range []uint64{a | 4, a | 3, a} {
+		if got := set.Retire(w); got != 0 {
+			t.Fatalf("Retire(%#x) without advancing dropped %d entries", w, got)
+		}
+	}
+	if set.Len() != 17 {
+		t.Fatalf("Len = %d after non-advancing retires, want 17", set.Len())
+	}
+	if got := set.Retire(a | 6); got != 3 {
+		t.Fatalf("Retire(a|6) dropped %d entries, want 3 (a|2, a|5, a|6)", got)
+	}
+	if got := set.Retire(b | 10); got != 10 {
+		t.Fatalf("Retire(b|10) dropped %d entries, want 10", got)
+	}
+	if set.Len() != 4 {
+		t.Fatalf("Len = %d, want 4 (a|7..a|10)", set.Len())
+	}
+}
 
 // maxDedupSize returns the largest applied-set across servers.
 func maxDedupSize(m *Master) int {
@@ -50,11 +167,8 @@ func TestDedupBoundedByWatermark(t *testing.T) {
 		if m.Net.DedupPruned == 0 {
 			t.Fatal("no dedup entries were ever pruned")
 		}
-		if len(m.outstanding) != 0 {
-			t.Fatalf("%d request IDs still outstanding after all calls returned", len(m.outstanding))
-		}
-		if m.ackedTo != m.reqSeq {
-			t.Fatalf("watermark %d lags reqSeq %d with nothing in flight", m.ackedTo, m.reqSeq)
+		if !m.ledger.Settled() {
+			t.Fatalf("watermark %d lags the last ID %d after all calls returned", m.ledger.Watermark(), m.ledger.seq)
 		}
 	})
 }
@@ -77,15 +191,15 @@ func TestReadOnlyCallsAllocateNoIDs(t *testing.T) {
 			vals[i] = float64(i % 5)
 		}
 		MustOK(mat.SetRow(p, worker, 0, vals))
-		seqAfterWrite := m.reqSeq
+		seqAfterWrite := m.ledger.seq
 		Must(mat.RowSum(p, worker, 0))
 		Must(mat.RowNnz(p, worker, 0))
 		Must(mat.RowNorm2(p, worker, 0))
 		if _, err := mat.PullRow(p, worker, 0); err != nil {
 			t.Fatal(err)
 		}
-		if m.reqSeq != seqAfterWrite {
-			t.Fatalf("read-only operators allocated %d request IDs", m.reqSeq-seqAfterWrite)
+		if m.ledger.seq != seqAfterWrite {
+			t.Fatalf("read-only operators allocated %d request IDs", m.ledger.seq-seqAfterWrite)
 		}
 	})
 }
@@ -108,8 +222,8 @@ func TestCrashResetsPruneWatermark(t *testing.T) {
 		}
 		m.CrashServer(0)
 		m.RecoverServer(p, 0)
-		if got := m.Server(0).prunedTo; got != 0 {
-			t.Fatalf("recovered server prune cursor = %d, want 0", got)
+		if got := len(m.Server(0).applied.retiredTo); got != 0 {
+			t.Fatalf("recovered server kept %d sessions' prune cursors, want none", got)
 		}
 		if got := m.Server(0).DedupSize(); got != 0 {
 			t.Fatalf("recovered server applied set has %d entries, want 0", got)

@@ -53,9 +53,7 @@ var ErrMigrationAborted = errors.New("ps: migration aborted")
 // settled: no request is outstanding and the acknowledgement watermark has
 // caught up. Chaos tests use it as the exactly-once oracle — after a run
 // settles, the single-server replay and the migrated matrix must agree.
-func (m *Master) DedupSettled() bool {
-	return len(m.outstanding) == 0 && m.ackedTo == m.reqSeq
-}
+func (m *Master) DedupSettled() bool { return m.ledger.Settled() }
 
 // ---------------------------------------------------------------------------
 // Route gate
@@ -118,7 +116,7 @@ func (m *Master) AddServers(p *simnet.Proc, n int) error {
 		node := m.Cl.AddServer()
 		m.servers = append(m.servers, &Server{
 			Index: len(m.servers), Node: node, shards: map[int]*Shard{},
-			alive: true, failedAt: -1, applied: map[uint64]bool{},
+			alive: true, failedAt: -1,
 		})
 		m.epochs = append(m.epochs, 0)
 		m.Load = append(m.Load, ServerLoad{})
@@ -294,7 +292,7 @@ func (m *Master) MigrateMatrix(p *simnet.Proc, mat *Matrix, target Placement, ex
 	// every post-copy mutation is stamped above the pair's recorded version.
 	staged := make([]*Shard, pNew)
 	for tl := 0; tl < pNew; tl++ {
-		staged[tl] = newShard(mat.Rows, target.View(tl))
+		staged[tl] = NewShard(mat.Rows, target.View(tl))
 		staged[tl].enableVersions()
 	}
 	elemB := m.Cl.Cost.BytesPerFloat

@@ -13,11 +13,12 @@ package ps
 //     pre-fault-tolerance behaviour of panicking the whole simulation.
 //
 // Delivery is at-least-once; *effects* are exactly-once per server
-// incarnation: when the run is unreliable, every mutating request carries a
-// unique ID and servers keep an applied-set, so a retry after a lost
-// response does not double-apply a gradient. The applied-set dies with the
-// server — state restored from a checkpoint may re-apply a pre-crash update,
-// which matches the paper's loss-since-checkpoint recovery semantics.
+// incarnation: when the run is unreliable, every mutating request takes an
+// ID from the master's Ledger and servers filter it through their
+// AppliedSet (dedup.go), so a retry after a lost response does not
+// double-apply a gradient. The applied-set dies with the server — state
+// restored from a checkpoint may re-apply a pre-crash update, which matches
+// the paper's loss-since-checkpoint recovery semantics.
 
 import (
 	"errors"
@@ -111,7 +112,7 @@ type CallSpec struct {
 // of logical CallShard invocations (one per shard touched per operator);
 // Attempts includes retries. FusedOps counts column ops that travelled inside
 // fused batch requests, and DedupPruned counts applied-set entries retired by
-// the acknowledgement watermark (see retireReq).
+// the acknowledgement watermark (see dedup.go).
 type NetStats struct {
 	Calls       uint64
 	Attempts    uint64
@@ -135,33 +136,6 @@ func (m *Master) send(p *simnet.Proc, from, to *simnet.Node, bytes float64) erro
 	return nil
 }
 
-// nextReqID allocates a request ID for mutation dedup. Zero means "no dedup"
-// and is used while the run is reliable, so clean runs pay no tracking. The
-// ID is tracked as outstanding until the call completes (retireReq), which
-// drives the acknowledgement watermark that lets servers prune applied-sets.
-func (m *Master) nextReqID() uint64 {
-	m.reqSeq++
-	m.outstanding[m.reqSeq] = struct{}{}
-	return m.reqSeq
-}
-
-// retireReq marks a request ID as fully settled: the client will never resend
-// it (the call returned — success, server-down, or client crash — and its
-// CallShard loop exited). The watermark ackedTo advances to the highest ID
-// with every ID at or below it settled; clients piggyback it on subsequent
-// requests and servers drop applied-set entries at or below it, which keeps
-// the dedup map bounded by the number of in-flight mutations instead of
-// growing for the whole run.
-func (m *Master) retireReq(id uint64) {
-	delete(m.outstanding, id)
-	for m.ackedTo < m.reqSeq {
-		if _, inFlight := m.outstanding[m.ackedTo+1]; inFlight {
-			break
-		}
-		m.ackedTo++
-	}
-}
-
 // unreliable reports whether failures can occur in this run: a fault has
 // already been injected, or the chaos layer is armed.
 func (m *Master) unreliable() bool {
@@ -177,10 +151,12 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 	m := mat.master
 	rc := m.Retry.withDefaults()
 	m.Net.Calls++
+	// Zero means "no dedup": clean runs pay no tracking. The ID settles when
+	// this loop exits, whatever the outcome.
 	var id uint64
 	if spec.Mutates && m.unreliable() {
-		id = m.nextReqID()
-		defer m.retireReq(id)
+		id = m.ledger.Next()
+		defer m.ledger.Settle(id)
 	}
 	if spec.Name == "" {
 		spec.Name = "rpc"
@@ -268,9 +244,9 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 		if id != 0 {
 			// The request piggybacks the master's acknowledgement watermark;
 			// the server drops dedup entries for IDs that can never be resent.
-			srv.pruneApplied(m)
+			m.Net.DedupPruned += uint64(srv.applied.Retire(m.ledger.Watermark()))
 		}
-		dedupHit := id != 0 && srv.applied[id]
+		_, dedupHit := srv.applied.Lookup(id)
 		if dedupHit {
 			m.Net.DedupHits++
 			if t != nil {
@@ -306,7 +282,7 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 				continue
 			}
 			if id != 0 {
-				srv.applied[id] = true
+				srv.applied.Record(id, nil)
 			}
 			if spec.Mutates {
 				sh.commitMutate(spec.Touched, snap)

@@ -49,7 +49,8 @@ type Shard struct {
 	snaps []*shardSnap
 }
 
-func newShard(rows int, v ColView) *Shard {
+// NewShard allocates a zeroed rows × v shard.
+func NewShard(rows int, v ColView) *Shard {
 	sh := &Shard{view: v, Rows: make([][]float64, rows), dirty: make([]bool, rows)}
 	if !v.Contiguous() {
 		sh.off = make(map[int]int, len(v.Cols))
@@ -154,12 +155,7 @@ type Server struct {
 	failedAt simnet.Time
 
 	// applied dedups mutating RPCs (see rpc.go). It dies with the server.
-	// Entries at or below the master's acknowledgement watermark are pruned
-	// on request arrival (pruneApplied), so the map stays bounded by the
-	// number of in-flight mutations.
-	applied map[uint64]bool
-	// prunedTo is the watermark this server last pruned applied against.
-	prunedTo uint64
+	applied AppliedSet
 
 	// CarrySent/CarryRecv accumulate traffic counters of this logical
 	// server's previous machine incarnations, so Stats stays monotonic
@@ -248,37 +244,15 @@ type Master struct {
 	// they were filled under and are discarded on mismatch (versions.go).
 	epochs []uint64
 
-	reqSeq uint64
-	// outstanding holds mutation request IDs whose CallShard loop has not
-	// exited yet; ackedTo is the acknowledgement watermark: every ID at or
-	// below it is settled and will never be resent (see rpc.go).
-	outstanding map[uint64]struct{}
-	ackedTo     uint64
+	// ledger issues the IDs of mutating requests in session 0 (rpc.go).
+	ledger Ledger
 
 	monitorStop *simnet.Signal
 }
 
-// pruneApplied drops the server's dedup entries for request IDs at or below
-// the master's acknowledgement watermark: those calls have completed, so
-// their IDs can never be resent. Called on request arrival (the watermark
-// rides the request), it bounds the applied-set by the number of in-flight
-// mutations.
-func (srv *Server) pruneApplied(m *Master) {
-	if m.ackedTo <= srv.prunedTo {
-		return
-	}
-	for id := range srv.applied {
-		if id <= m.ackedTo {
-			delete(srv.applied, id)
-			m.Net.DedupPruned++
-		}
-	}
-	srv.prunedTo = m.ackedTo
-}
-
 // DedupSize reports the current applied-set size (exported so tests can
 // assert the map stays bounded over long unreliable runs).
-func (srv *Server) DedupSize() int { return len(srv.applied) }
+func (srv *Server) DedupSize() int { return srv.applied.Len() }
 
 // NewMaster starts a PS application over every server machine in cl.
 func NewMaster(cl *cluster.Cluster) *Master {
@@ -288,14 +262,14 @@ func NewMaster(cl *cluster.Cluster) *Master {
 		checkpoints:      map[int][]*Shard{},
 		Retry:            DefaultRetryConfig(),
 		DeltaCheckpoints: true,
-		outstanding:      map[uint64]struct{}{},
+		ledger:           NewLedger(0),
 	}
 	m.epochs = make([]uint64, len(cl.Servers))
 	m.Load = make([]ServerLoad, len(cl.Servers))
 	for i, node := range cl.Servers {
 		m.servers = append(m.servers, &Server{
 			Index: i, Node: node, shards: map[int]*Shard{}, alive: true,
-			failedAt: -1, applied: map[uint64]bool{},
+			failedAt: -1,
 		})
 	}
 	return m
@@ -407,7 +381,7 @@ func (m *Master) CreateMatrixPlaced(p *simnet.Proc, rows, dim int, pl Placement)
 		srv := mat.srv(s)
 		g.Go("create-shard", func(cp *simnet.Proc) {
 			m.Cl.Driver.Send(cp, srv.Node, m.Cl.Cost.RequestOverheadB)
-			srv.shards[mat.ID] = newShard(rows, pl.View(s))
+			srv.shards[mat.ID] = NewShard(rows, pl.View(s))
 			srv.Node.Send(cp, m.Cl.Driver, m.Cl.Cost.RequestOverheadB)
 		})
 	}
@@ -493,8 +467,7 @@ func (m *Master) CrashServer(s int) {
 	srv.failedAt = m.Cl.Sim.Now()
 	srv.Node.Fail()
 	srv.shards = map[int]*Shard{}
-	srv.applied = map[uint64]bool{}
-	srv.prunedTo = 0
+	srv.applied = AppliedSet{}
 	m.Unreliable = true
 	m.Recovery.ServerCrashes++
 }
@@ -539,8 +512,7 @@ func (m *Master) RecoverServer(p *simnet.Proc, s int) {
 	srv.CarryRecv += old.BytesRecv
 	srv.Node = m.Cl.ReplaceServer(s)
 	srv.shards = map[int]*Shard{}
-	srv.applied = map[uint64]bool{}
-	srv.prunedTo = 0
+	srv.applied = AppliedSet{}
 	fence.End()
 
 	// Sorted matrix order keeps the simulation deterministic (map iteration
@@ -577,7 +549,7 @@ func (m *Master) RecoverServer(p *simnet.Proc, s int) {
 				srv.shards[id] = snaps[logical].clone()
 				m.Recovery.RestoreBytes += b
 			} else {
-				srv.shards[id] = newShard(mat.Rows, mat.Part.View(logical))
+				srv.shards[id] = NewShard(mat.Rows, mat.Part.View(logical))
 				m.Recovery.ZeroRestoredShards++
 			}
 			if mat.versioned {

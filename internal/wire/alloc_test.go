@@ -175,8 +175,8 @@ func TestFusedShardParallelDeterministic(t *testing.T) {
 	par.MinParallel = old
 
 	for r := 0; r < 3; r++ {
-		a := serial.mats[1].data[r]
-		b := parallel.mats[1].data[r]
+		a := serial.mats[1].Rows[r]
+		b := parallel.mats[1].Rows[r]
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("row %d col %d: serial %v != parallel %v", r, i, a[i], b[i])

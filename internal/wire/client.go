@@ -1,8 +1,8 @@
 package wire
 
 // Client is the worker side of the protocol: one logical endpoint per PS
-// server address, each with a small connection pool, request-ID allocation
-// and the acknowledgement watermark, and a deadline-based retry loop that
+// server address, each with a small connection pool, a ps.Ledger for request
+// IDs and the acknowledgement watermark, and a deadline-based retry loop that
 // maps ps.RetryConfig's virtual-time schedule onto wall-clock time:
 //
 //	simnet backend                      wire backend
@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -85,11 +86,9 @@ type Client struct {
 	eps   []*endpoint
 	retry Retry
 
-	mu          sync.Mutex
-	reqSeq      uint64
-	outstanding map[uint64]struct{}
-	ackedTo     uint64
-	stats       ClientStats
+	mu     sync.Mutex
+	ledger ps.Ledger
+	stats  ClientStats
 }
 
 // poolSize bounds idle connections kept per endpoint; concurrent calls
@@ -97,12 +96,17 @@ type Client struct {
 const poolSize = 4
 
 // NewClient returns a client for the given endpoints. Connections are
-// dialed lazily on first use.
+// dialed lazily on first use. The client draws a random non-zero session, so
+// its request IDs never collide with another client's on a shared server.
 func NewClient(addrs []string, retry Retry) *Client {
+	session := rand.Uint32()
+	for session == 0 {
+		session = rand.Uint32()
+	}
 	c := &Client{
-		eps:         make([]*endpoint, len(addrs)),
-		retry:       retry,
-		outstanding: make(map[uint64]struct{}),
+		eps:    make([]*endpoint, len(addrs)),
+		retry:  retry,
+		ledger: ps.NewLedger(session),
 	}
 	for i, a := range addrs {
 		c.eps[i] = &endpoint{addr: a, pool: make(chan *poolConn, poolSize)}
@@ -143,33 +147,19 @@ func (c *Client) begin(mutates bool) (reqID, ackedTo uint64) {
 	defer c.mu.Unlock()
 	c.stats.Calls++
 	if mutates {
-		c.reqSeq++
-		reqID = c.reqSeq
-		c.outstanding[reqID] = struct{}{}
+		reqID = c.ledger.Next()
 	}
-	return reqID, c.ackedTo
+	return reqID, c.ledger.Watermark()
 }
 
-// finish retires a mutating call's ID and advances the watermark to the
-// highest ID below which nothing is in flight.
+// finish settles a mutating call's ID, advancing the watermark.
 func (c *Client) finish(reqID uint64) {
 	if reqID == 0 {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.outstanding, reqID)
-	if len(c.outstanding) == 0 {
-		c.ackedTo = c.reqSeq
-		return
-	}
-	min := c.reqSeq
-	for id := range c.outstanding {
-		if id < min {
-			min = id
-		}
-	}
-	c.ackedTo = min - 1
+	c.ledger.Settle(reqID)
+	c.mu.Unlock()
 }
 
 func (c *Client) count(f func(st *ClientStats)) {

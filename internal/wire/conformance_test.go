@@ -20,6 +20,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,7 +271,7 @@ func TestConformanceExactlyOnce(t *testing.T) {
 	// acknowledged IDs. Here we only check the prune happened.
 	send(Frame{Op: OpPullSparse, AckedTo: 2, Payload: AppendPullSparseReq(nil, 1, 0, []int{3})})
 	srv.mu.Lock()
-	n := len(srv.applied)
+	n := srv.applied.Len()
 	srv.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("applied-set has %d entries after watermark prune, want 0", n)
@@ -293,7 +294,7 @@ func TestClientWatermarkAdvances(t *testing.T) {
 		}
 	}
 	srv.mu.Lock()
-	n := len(srv.applied)
+	n := srv.applied.Len()
 	srv.mu.Unlock()
 	// Sequential calls: at most the latest entry survives (its ack rides
 	// the next request).
@@ -308,6 +309,142 @@ func TestClientWatermarkAdvances(t *testing.T) {
 		if v != 5 {
 			t.Fatalf("col %d = %v, want 5", i, v)
 		}
+	}
+}
+
+// TestFreshClientsPushesApply: every client numbers its requests from 1, so
+// two fresh clients' first pushes — and the setup client's CreateShard before
+// them — share a sequence number. Each must still apply exactly once.
+func TestFreshClientsPushesApply(t *testing.T) {
+	srv, addr := startServer(t)
+	setup := NewClient([]string{addr}, fastRetry())
+	defer setup.Close()
+	if err := setup.CreateShard(0, 1, 1, 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		c := NewClient([]string{addr}, fastRetry())
+		if err := c.PushAdd(0, 1, 0, []int{3}, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	var vals []float64
+	if err := setup.PullSparseInto(0, 1, 0, []int{3}, &vals); err != nil {
+		t.Fatal(err)
+	}
+	if vals[0] != 2 {
+		t.Fatalf("col 3 = %v after two clients pushed +1 each, want 2", vals[0])
+	}
+	if hits := srv.Stats().DedupHits; hits != 0 {
+		t.Fatalf("DedupHits = %d with no resend, want 0", hits)
+	}
+}
+
+// TestWatermarkRetiresOwnSessionOnly: session A's entry survives a higher
+// watermark from session B, so resending A's push is a dedup hit, not a
+// second add.
+func TestWatermarkRetiresOwnSessionOnly(t *testing.T) {
+	const a, b = uint64(1) << 32, uint64(2) << 32
+	srv, addr := startServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	send := func(f Frame) []byte {
+		t.Helper()
+		if err := WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ReadResponseReuse(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	send(Frame{Op: OpCreateShard, Flags: FlagMutates, ReqID: b | 1,
+		Payload: AppendCreateShard(nil, 1, 1, 0, 10)})
+	push := Frame{Op: OpPushAdd, Flags: FlagMutates, ReqID: a | 1,
+		Payload: AppendPushAdd(nil, 1, 0, []int{3}, []float64{5})}
+	send(push)
+	send(Frame{Op: OpPing, AckedTo: b | 5})
+	send(push) // A never settled it: a resend must replay, not re-add
+
+	resp := send(Frame{Op: OpPullSparse, Payload: AppendPullSparseReq(nil, 1, 0, []int{3})})
+	vals, err := DecodeValsInto(resp, new([]float64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals[0] != 5 {
+		t.Fatalf("col 3 = %v after resending A's push past B's watermark, want 5", vals[0])
+	}
+	if hits := srv.Stats().DedupHits; hits != 1 {
+		t.Fatalf("DedupHits = %d, want 1", hits)
+	}
+}
+
+// TestConcurrentClientsExactSum: four clients push concurrently into one
+// shard. The sum is exact, and once nothing is in flight one frame from each
+// client (carrying its final watermark) empties the applied-set.
+func TestConcurrentClientsExactSum(t *testing.T) {
+	const clients, goroutines, perGoroutine, width = 4, 8, 25, 10
+	srv, addr := startServer(t)
+	retry := fastRetry()
+	retry.Timeout = 5 * time.Second // the race detector slows every exchange
+	cs := make([]*Client, clients)
+	for i := range cs {
+		cs[i] = NewClient([]string{addr}, retry)
+		defer cs[i].Close()
+	}
+	if err := cs[0].CreateShard(0, 1, 1, 0, width); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*goroutines)
+	for _, c := range cs {
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(c *Client, g int) {
+				defer wg.Done()
+				for k := 0; k < perGoroutine; k++ {
+					if err := c.PushAdd(0, 1, 0, []int{(g + k) % width}, []float64{1}); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(c, g)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, c := range cs {
+		if _, err := c.Ping(0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.mu.Lock()
+	n := srv.applied.Len()
+	srv.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("applied-set has %d entries with nothing in flight, want 0", n)
+	}
+	var vals []float64
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if err := cs[0].PullSparseInto(0, 1, 0, all, &vals); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, v := range vals {
+		sum += v
+	}
+	if want := float64(clients * goroutines * perGoroutine); sum != want {
+		t.Fatalf("sum over the row = %v, want %v (%v)", sum, want, vals)
 	}
 }
 

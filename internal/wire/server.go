@@ -1,20 +1,21 @@
 package wire
 
 // Server is the real-socket counterpart of a ps server process: a TCP
-// listener owning a set of column-range matrix shards, applying the decoded
-// operators against local memory under one mutex, with the same
-// exactly-once contract rpc.go gives the simulated servers — an applied-set
-// keyed by request ID whose entries replay their cached response on a
-// duplicate and are pruned by the client's acknowledgement watermark.
+// listener owning a set of column-range ps.Shards, applying the decoded
+// operators against local memory under one mutex, with the exactly-once
+// contract of the simulated servers — the same ps.AppliedSet, replaying a
+// duplicate's cached response and retired by each client's watermark.
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 
 	"repro/internal/linalg"
+	"repro/internal/ps"
 )
 
 // connScratch is per-connection reusable buffers: the frame payload, decode
@@ -40,19 +41,12 @@ type ServerStats struct {
 	BytesOut  uint64
 }
 
-// shardStore is one matrix shard: rows × the server's column range [lo, hi),
-// stored dense and column-shifted like ps.Shard's contiguous layout.
-type shardStore struct {
-	rows, lo, hi int
-	data         [][]float64 // data[r][c-lo]
-}
-
 // Server serves the wire protocol on one listener. Zero value is not ready;
 // use NewServer.
 type Server struct {
 	mu      sync.Mutex
-	mats    map[uint32]*shardStore
-	applied map[uint64][]byte // reqID → cached response payload
+	mats    map[uint32]*ps.Shard // contiguous views: Rows[r][c-Lo]
+	applied ps.AppliedSet
 	stats   ServerStats
 
 	ln     net.Listener
@@ -64,9 +58,8 @@ type Server struct {
 // NewServer returns a server with no shards; CreateShard allocates them.
 func NewServer() *Server {
 	return &Server{
-		mats:    make(map[uint32]*shardStore),
-		applied: make(map[uint64][]byte),
-		conns:   make(map[net.Conn]struct{}),
+		mats:  make(map[uint32]*ps.Shard),
+		conns: make(map[net.Conn]struct{}),
 	}
 }
 
@@ -189,15 +182,9 @@ func (s *Server) handle(f Frame, sc *connScratch) (resp []byte, appErr error) {
 	s.stats.Requests++
 
 	// Retire dedup entries the client can never resend.
-	if f.AckedTo > 0 {
-		for id := range s.applied {
-			if id <= f.AckedTo {
-				delete(s.applied, id)
-			}
-		}
-	}
+	s.applied.Retire(f.AckedTo)
 	if f.Mutates() && f.ReqID != 0 {
-		if cached, ok := s.applied[f.ReqID]; ok {
+		if cached, ok := s.applied.Lookup(f.ReqID); ok {
 			s.stats.DedupHits++
 			return cached, nil
 		}
@@ -208,16 +195,12 @@ func (s *Server) handle(f Frame, sc *connScratch) (resp []byte, appErr error) {
 		// The response may alias connection scratch that the next frame will
 		// overwrite; the dedup cache needs its own copy (arena rule: never
 		// retain an aliased buffer).
-		cached := resp
-		if len(resp) > 0 {
-			cached = append([]byte(nil), resp...)
-		}
-		s.applied[f.ReqID] = cached
+		s.applied.Record(f.ReqID, bytes.Clone(resp))
 	}
 	return resp, appErr
 }
 
-func (s *Server) shard(mat uint32) (*shardStore, error) {
+func (s *Server) shard(mat uint32) (*ps.Shard, error) {
 	sh, ok := s.mats[mat]
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown matrix %d", mat)
@@ -225,23 +208,32 @@ func (s *Server) shard(mat uint32) (*shardStore, error) {
 	return sh, nil
 }
 
-func (sh *shardStore) row(r int) ([]float64, error) {
-	if r < 0 || r >= sh.rows {
-		return nil, fmt.Errorf("wire: row %d out of range [0,%d)", r, sh.rows)
+func row(sh *ps.Shard, r int) ([]float64, error) {
+	if r < 0 || r >= len(sh.Rows) {
+		return nil, fmt.Errorf("wire: row %d out of range [0,%d)", r, len(sh.Rows))
 	}
-	return sh.data[r], nil
+	return sh.Rows[r], nil
 }
 
-// checkCols refuses a column list that leaves the shard's range, before any
-// of it is applied: a ServerError is never retried, so a push that failed at
-// its k-th column with the first k-1 already added would stay torn.
-func (sh *shardStore) checkCols(cols []int) error {
+// shardRow returns row r of matrix mat and the shard's first column. It
+// refuses a column list that leaves the shard's range before any of it is
+// applied: a ServerError is never retried, so a push that failed at its k-th
+// column with the first k-1 already added would stay torn.
+func (s *Server) shardRow(mat uint32, r int, cols []int) (data []float64, lo int, err error) {
+	sh, err := s.shard(mat)
+	if err != nil {
+		return nil, 0, err
+	}
+	if data, err = row(sh, r); err != nil {
+		return nil, 0, err
+	}
+	v := sh.View()
 	for _, c := range cols {
-		if c < sh.lo || c >= sh.hi {
-			return fmt.Errorf("wire: column %d outside shard [%d,%d)", c, sh.lo, sh.hi)
+		if c < v.Lo || c >= v.Hi {
+			return nil, 0, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, v.Lo, v.Hi)
 		}
 	}
-	return nil
+	return data, v.Lo, nil
 }
 
 func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
@@ -258,59 +250,41 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 			return nil, fmt.Errorf("wire: bad shard shape rows=%d range=[%d,%d)", rows, lo, hi)
 		}
 		if sh, ok := s.mats[mat]; ok {
-			if sh.rows == rows && sh.lo == lo && sh.hi == hi {
+			if v := sh.View(); len(sh.Rows) == rows && v.Lo == lo && v.Hi == hi {
 				return nil, nil // idempotent re-create
 			}
 			return nil, fmt.Errorf("wire: matrix %d exists with different shape", mat)
 		}
-		sh := &shardStore{rows: rows, lo: lo, hi: hi, data: make([][]float64, rows)}
-		for r := range sh.data {
-			sh.data[r] = make([]float64, hi-lo)
-		}
-		s.mats[mat] = sh
+		s.mats[mat] = ps.NewShard(rows, ps.ColView{Lo: lo, Hi: hi})
 		return nil, nil
 
 	case OpPullSparse:
-		mat, row, cols, err := DecodePullSparseReqInto(f.Payload, &sc.cols)
+		mat, r, cols, err := DecodePullSparseReqInto(f.Payload, &sc.cols)
 		if err != nil {
 			return nil, err
 		}
-		sh, err := s.shard(mat)
+		data, lo, err := s.shardRow(mat, r, cols)
 		if err != nil {
-			return nil, err
-		}
-		data, err := sh.row(row)
-		if err != nil {
-			return nil, err
-		}
-		if err := sh.checkCols(cols); err != nil {
 			return nil, err
 		}
 		vals := growFloats(&sc.vals, len(cols))
 		for i, c := range cols {
-			vals[i] = data[c-sh.lo]
+			vals[i] = data[c-lo]
 		}
 		sc.resp = AppendVals(sc.resp[:0], vals)
 		return sc.resp, nil
 
 	case OpPushAdd:
-		mat, row, cols, vals, err := DecodePushAddInto(f.Payload, &sc.cols, &sc.vals)
+		mat, r, cols, vals, err := DecodePushAddInto(f.Payload, &sc.cols, &sc.vals)
 		if err != nil {
 			return nil, err
 		}
-		sh, err := s.shard(mat)
+		data, lo, err := s.shardRow(mat, r, cols)
 		if err != nil {
-			return nil, err
-		}
-		data, err := sh.row(row)
-		if err != nil {
-			return nil, err
-		}
-		if err := sh.checkCols(cols); err != nil {
 			return nil, err
 		}
 		for i, c := range cols {
-			data[c-sh.lo] += vals[i]
+			data[c-lo] += vals[i]
 		}
 		return nil, nil
 
@@ -326,18 +300,15 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		// Validate the whole program before running any step: a retried
 		// half-applied program would break the exactly-once contract.
 		for _, op := range ops {
-			switch op.Kind {
-			case FAxpy:
-				if _, err := sh.row(op.Dst); err != nil {
-					return nil, err
-				}
-				if _, err := sh.row(op.Src); err != nil {
-					return nil, err
-				}
-			case FZero, FScale:
-				if _, err := sh.row(op.Row); err != nil {
-					return nil, err
-				}
+			a, b := op.Row, op.Row // FZero and FScale touch one row
+			if op.Kind == FAxpy {
+				a, b = op.Dst, op.Src
+			}
+			if _, err := row(sh, a); err != nil {
+				return nil, err
+			}
+			if _, err := row(sh, b); err != nil {
+				return nil, err
 			}
 		}
 		// The linalg kernels fan wide rows out over the shared worker pool
@@ -346,31 +317,27 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		for _, op := range ops {
 			switch op.Kind {
 			case FAxpy:
-				linalg.Axpy(op.Scale, sh.data[op.Src], sh.data[op.Dst])
+				linalg.Axpy(op.Scale, sh.Rows[op.Src], sh.Rows[op.Dst])
 			case FZero:
-				linalg.Fill(sh.data[op.Row], 0)
+				linalg.Fill(sh.Rows[op.Row], 0)
 			case FScale:
-				linalg.Scale(op.Scale, sh.data[op.Row])
+				linalg.Scale(op.Scale, sh.Rows[op.Row])
 			}
 		}
 		return nil, nil
 
 	case OpPullRange:
-		mat, row, err := decodePullRangeReq(f.Payload)
+		mat, r, err := decodePullRangeReq(f.Payload)
 		if err != nil {
 			return nil, err
 		}
-		sh, err := s.shard(mat)
-		if err != nil {
-			return nil, err
-		}
-		data, err := sh.row(row)
+		data, lo, err := s.shardRow(mat, r, nil)
 		if err != nil {
 			return nil, err
 		}
 		// Encode straight from shard memory (still under s.mu); the old
 		// intermediate copy bought nothing.
-		sc.resp = AppendPullRangeResp(sc.resp[:0], sh.lo, data)
+		sc.resp = AppendPullRangeResp(sc.resp[:0], lo, data)
 		return sc.resp, nil
 
 	case OpStats:

@@ -6,15 +6,15 @@
 //
 // The simulated ps.CallShard ships Go closures executed against in-process
 // shard memory, and a closure cannot cross a socket. Instead wire speaks the
-// concrete encodings of the operators those closures implement, and maps the
-// same at-least-once machinery onto real time:
+// concrete encodings of the operators those closures implement, and runs the
+// same at-least-once machinery on real time:
 //
-//   - every mutating request carries a client-assigned request ID; servers
-//     keep an applied-set and replay the cached response on a duplicate,
-//     so lost responses never double-apply an update (mirrors rpc.go);
-//   - every request carries the client's acknowledgement watermark — the
-//     highest request ID below which nothing is still in flight — and the
-//     server prunes applied entries at or below it (mirrors pruneApplied);
+//   - exactly-once is the simulated servers' own core (ps/dedup.go): every
+//     mutating request carries an ID from the client's ps.Ledger, every
+//     request its watermark, and the server's ps.AppliedSet replays
+//     duplicates and retires entries the watermark has passed. Each client
+//     numbers in a random session of its own (the IDs' upper 32 bits), so
+//     clients sharing a server never collide;
 //   - a lost or stalled exchange surfaces as a connection deadline expiry,
 //     which the client maps onto the same RetryConfig schedule the simnet
 //     backend uses: resend after TimeoutSec, exponential backoff capped at
@@ -26,8 +26,8 @@
 //	magic   uint16  0x5053 ("PS")
 //	op      uint8   opcode, Op* below
 //	flags   uint8   bit 0: request mutates server state (dedup applies)
-//	reqID   uint64  dedup ID; 0 for read-only requests
-//	ackedTo uint64  client's acknowledgement watermark
+//	reqID   uint64  dedup ID (session<<32 | sequence); 0 for read-only requests
+//	ackedTo uint64  client's acknowledgement watermark (session<<32 | sequence)
 //	plen    uint32  payload length, ≤ MaxPayload
 //	payload [plen]byte
 //
