@@ -73,11 +73,10 @@ func main() {
 	}
 }
 
-// writeJSON snapshots the result tables as one JSON document. Only virtual
-// observations go in — no host times or dates — so a rerun on the same code
-// produces a byte-identical file and `git diff` shows real regressions.
-// Volatile results (host wall-clock tables like ext-wire) are skipped for
-// the same reason; they still render to stdout.
+// writeJSON snapshots the result tables as one JSON document. Every
+// experiment observes virtual time only, and the host time runOne prints is
+// left out, so a rerun on the same code produces a byte-identical file and
+// `git diff` shows real regressions.
 func writeJSON(path string, o bench.Opts, results []*bench.Result) error {
 	type jsonResult struct {
 		ID     string     `json:"id"`
@@ -90,12 +89,7 @@ func writeJSON(path string, o bench.Opts, results []*bench.Result) error {
 		Quick   bool         `json:"quick"`
 		Results []jsonResult `json:"results"`
 	}{Quick: o.Quick}
-	skipped := 0
 	for _, res := range results {
-		if res.Volatile {
-			skipped++
-			continue
-		}
 		doc.Results = append(doc.Results, jsonResult{
 			ID: res.ID, Title: res.Title, Header: res.Header,
 			Rows: res.Rows, Notes: res.Notes,
@@ -108,12 +102,7 @@ func writeJSON(path string, o bench.Opts, results []*bench.Result) error {
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	if skipped > 0 {
-		fmt.Printf("wrote %s (%d results; %d volatile host-clock results skipped)\n",
-			path, len(doc.Results), skipped)
-	} else {
-		fmt.Printf("wrote %s (%d results)\n", path, len(doc.Results))
-	}
+	fmt.Printf("wrote %s (%d results)\n", path, len(doc.Results))
 	return nil
 }
 

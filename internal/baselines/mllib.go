@@ -74,44 +74,7 @@ func TrainLRMLlib(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance
 		batch := dataset.Sample(cfg.BatchFraction, cfg.Seed+uint64(it))
 		// (2)+(3) Gradient calculation and aggregation: every partition's
 		// full dense gradient travels to the driver.
-		agg := rdd.Aggregate(p, batch, rdd.AggSpec[data.Instance, *mllibAgg]{
-			Zero: func() *mllibAgg { return &mllibAgg{Grad: make([]float64, dim)} },
-			Seq: func(tc *rdd.TaskContext, acc *mllibAgg, inst data.Instance) *mllibAgg {
-				z := inst.Features.DotDense(w)
-				var g float64
-				switch cfg.Objective {
-				case lr.Logistic:
-					g = linalg.Sigmoid(z) - inst.Label
-					acc.Loss += linalg.LogLoss(z, inst.Label)
-				case lr.Hinge:
-					y := 2*inst.Label - 1
-					if y*z < 1 {
-						g = -y
-						acc.Loss += 1 - y*z
-					}
-				}
-				if g != 0 {
-					inst.Features.AddToDense(acc.Grad, g)
-				}
-				tc.Charge(cost.GradWork(inst.Features.Nnz()))
-				acc.N++
-				return acc
-			},
-			Comb: func(a, b *mllibAgg) *mllibAgg {
-				if a.N == 0 {
-					return b
-				}
-				if b.N == 0 {
-					return a
-				}
-				linalg.Axpy(1, b.Grad, a.Grad)
-				a.Loss += b.Loss
-				a.N += b.N
-				return a
-			},
-			Bytes:    func(*mllibAgg) float64 { return cost.DenseBytes(dim) },
-			CombWork: cost.ElemWork(dim),
-		})
+		agg := rdd.Aggregate(p, batch, gradAggSpec(e, dim, cfg, w))
 		if agg.N == 0 {
 			continue
 		}

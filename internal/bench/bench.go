@@ -2,7 +2,7 @@
 // of the paper's evaluation (Section 6), each regenerating the corresponding
 // rows or series on the simulated cluster, plus ablations for the design
 // choices DESIGN.md calls out. `cmd/ps2bench` runs them from the command
-// line; the repository-root bench_test.go wraps them as testing.B benchmarks.
+// line, and `scripts/bench_snapshot.sh` records them in BENCH_BASELINE.json.
 package bench
 
 import (
@@ -40,12 +40,6 @@ type Result struct {
 	// Phases carries the matching compute/comm/wait/recovery summaries.
 	Spans  []obs.NamedTrace
 	Phases []string
-
-	// Volatile marks a result whose rows measure the host machine (wall
-	// clock, real sockets) rather than the simulation. Volatile results
-	// render normally but are excluded from JSON snapshots, which promise
-	// byte-identical reruns on unchanged code.
-	Volatile bool
 }
 
 // AddRow appends one table row, stringifying the cells.

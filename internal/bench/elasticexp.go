@@ -120,14 +120,12 @@ func (w elasticWorkload) profile(from, to int) []float64 {
 // hence order-independent and bit-exact under any placement or migration.
 func (w elasticWorkload) oracle() []float64 { return w.profile(0, w.Iters) }
 
-// elasticArmResult is one arm's observations, consumed by the table renderer
-// and the in-package acceptance test.
+// elasticArmResult is one arm's observations, consumed by the table renderer.
 type elasticArmResult struct {
 	Name       string
 	EndSec     float64
 	Final      []float64
 	Migrations int
-	Aborts     int
 	MovedMB    float64
 	GateSec    float64
 	BytesImb   float64
@@ -139,7 +137,7 @@ type elasticHook func(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, boundary, 
 
 // runElasticArm replays the workload on one cluster/placement policy. All
 // pushes carry integer deltas, so final values are placement-independent and
-// the acceptance test can compare them bit-wise against the oracle.
+// the table's exact column compares them bit-wise against the oracle.
 func runElasticArm(o Opts, w elasticWorkload, name string, bootServers int,
 	initial ps.Placement, hook elasticHook) elasticArmResult {
 	e := tracedEngine(o, 8, bootServers)
@@ -182,7 +180,6 @@ func runElasticArm(o Opts, w elasticWorkload, name string, bootServers int,
 	snap := e.Snapshot()
 	res.EndSec = float64(end)
 	res.Migrations = snap.Migration.Migrations
-	res.Aborts = snap.Migration.Aborts
 	res.MovedMB = snap.Migration.MovedMB()
 	res.GateSec = snap.Migration.GateClosedSec
 	res.BytesImb = snap.Load.BytesImbalance()
@@ -201,7 +198,8 @@ func elasticLoadAware(w elasticWorkload, n int, weight []float64) ps.Placement {
 
 // rebalanceHook re-profiles the upcoming phase and CAS-migrates the matrix
 // onto a fresh load-aware placement over n servers. A no-op migration (the
-// packing did not change) is fine; a genuine failure is a bench bug.
+// packing did not change) is fine; a genuine failure, an abort included, is a
+// bench bug and panics the run.
 func rebalanceHook(w elasticWorkload, n int) elasticHook {
 	perPhase := w.Iters / w.Phases
 	return func(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, _, firstIter int) {
@@ -212,9 +210,10 @@ func rebalanceHook(w elasticWorkload, n int) elasticHook {
 	}
 }
 
-// runElasticArms executes every arm of the elastic experiment and returns
-// the raw observations (the acceptance test consumes these directly).
-func runElasticArms(o Opts) (elasticWorkload, []elasticArmResult) {
+// runExtElastic renders the elastic-membership experiment: virtual
+// completion time, per-server load imbalance and migration accounting for
+// static placements vs live rebalancing, scale-out and scale-in.
+func runExtElastic(o Opts) *Result {
 	w := elasticScale(o)
 	perPhase := w.Iters / w.Phases
 	profile0 := w.profile(0, perPhase) // the "profiling prefix" statics key off
@@ -264,14 +263,7 @@ func runElasticArms(o Opts) (elasticWorkload, []elasticArmResult) {
 				}
 			}),
 	}
-	return w, arms
-}
 
-// runExtElastic renders the elastic-membership experiment: virtual
-// completion time, per-server load imbalance and migration accounting for
-// static placements vs live rebalancing, scale-out and scale-in.
-func runExtElastic(o Opts) *Result {
-	w, arms := runElasticArms(o)
 	r := &Result{ID: "ext-elastic",
 		Title:  "Elastic membership: drifting-Zipf workload under static placements vs live migration (rebalance, 4→8 scale-out, 8→4 scale-in)",
 		Header: []string{"arm", "time (s)", "bytes imb", "migrations", "moved MB", "gate closed (µs)", "exact"}}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -10,40 +9,6 @@ import (
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
-
-// TestExtSkewShape pins the placement experiment's acceptance bars: the
-// load-aware placement must cut the bytes imbalance the range placement
-// suffers on the frequency-sorted Zipf workload, and the hot-replica arm at
-// staleness 0 must train to the same loss as plain range.
-func TestExtSkewShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shape checks run full experiments")
-	}
-	res := runExtSkew(Opts{Quick: true})
-	rows := map[string][]string{}
-	for _, row := range res.Rows {
-		if row[0] == "LR-SGD zipf" {
-			rows[row[1]] = row
-		}
-	}
-	rangeRow, laRow := rows["range (default)"], rows["loadaware"]
-	var repRow []string
-	for mode, row := range rows {
-		if strings.Contains(mode, "hot replicas") {
-			repRow = row
-		}
-	}
-	if rangeRow == nil || laRow == nil || repRow == nil {
-		t.Fatalf("missing LR arms in %v", res.Rows)
-	}
-	rangeImb, laImb := parseNum(t, rangeRow[3]), parseNum(t, laRow[3])
-	if laImb >= rangeImb {
-		t.Fatalf("loadaware bytes imbalance %v not below range %v", laImb, rangeImb)
-	}
-	if repRow[6] != rangeRow[6] {
-		t.Fatalf("hot-replica loss %q != range loss %q (staleness 0 must be bit-identical)", repRow[6], rangeRow[6])
-	}
-}
 
 // TestSkewMathInvariance checks that non-contiguous placements permute only
 // ownership, never the update math: with one partition per iteration the

@@ -197,8 +197,6 @@ func TestNewSparseFastPath(t *testing.T) {
 	}
 }
 
-// TestNewSparseSortedNoSortAllocs: the fast path performs exactly the two
-// result-copy allocations plus the struct itself.
 func TestSparseFromMap(t *testing.T) {
 	m := map[int]float64{40: 4, 2: 1, 9: -3, 5: 0.5}
 	sv := SparseFromMap(m, -2)
@@ -216,6 +214,8 @@ func TestSparseFromMap(t *testing.T) {
 	}
 }
 
+// TestNewSparseSortedNoSortAllocs: the fast path performs exactly the two
+// result-copy allocations plus the struct itself.
 func TestNewSparseSortedNoSortAllocs(t *testing.T) {
 	idx := make([]int, 512)
 	val := make([]float64, 512)

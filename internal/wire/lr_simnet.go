@@ -92,8 +92,8 @@ func (st *simnetStore) weights(_ uint32, dim int) ([]float64, error) {
 }
 
 // SimnetLRRun is the reference arm's outcome: the shared-loop result plus
-// the simulated cluster's clock and RPC accounting, for the ext-wire
-// benchmark's comparison table.
+// the simulated cluster's clock and RPC accounting, which
+// `ps2worker -compare-simnet` prints beside the TCP run it checks.
 type SimnetLRRun struct {
 	Result   *LRResult
 	WallSec  float64 // virtual seconds the run took

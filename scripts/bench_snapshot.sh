@@ -2,11 +2,9 @@
 # bench_snapshot.sh — regenerate the committed benchmark snapshot.
 #
 # Runs every registered experiment at -quick scale and writes
-# BENCH_BASELINE.json, which holds only virtual (simulated) observations and
-# exact allocation counts, so reruns on unchanged code are byte-identical and
-# `git diff` on it shows real behaviour drift (volatile host-clock experiments
-# such as ext-wire render to stdout but are excluded from the JSON — see
-# Result.Volatile). Wall-clock numbers are benchmarks/ps2perf's job.
+# BENCH_BASELINE.json, which holds only virtual (simulated) observations, so
+# reruns on unchanged code are byte-identical and `git diff` on it shows real
+# behaviour drift. Wall-clock numbers are benchmarks/ps2perf's job.
 #
 # Usage: scripts/bench_snapshot.sh [output-dir]   (default: repo root)
 set -eu

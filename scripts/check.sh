@@ -32,9 +32,9 @@ fi
 # disabled-tracer regression trips here before any timing could show it).
 go test -race -count=1 -run 'TestNilTracer|TestTracerObservesWithoutPerturbing' ./internal/obs/ .
 
-# The race detector makes the bench package's per-figure smoke tests run
-# several minutes; keep headroom over go test's 10m default so slow CI
-# runners don't hit the per-package timeout.
+# The race detector makes the bench package's per-experiment runs take
+# minutes; keep headroom over go test's 10m default so slow CI runners don't
+# hit the per-package timeout.
 go test -race -timeout 20m ./...
 
 # Multi-process transport gate: real ps2serve/ps2worker processes over
@@ -42,21 +42,16 @@ go test -race -timeout 20m ./...
 # trajectory (see scripts/smoke_wire.sh).
 ./scripts/smoke_wire.sh
 
-# Serving-tier smoke gate: the ext-serve experiment end to end at quick
-# scale (snapshot reads under a push storm, replica fan-out, admission
-# shedding). The acceptance gates themselves are pinned by TestExtServeShape
-# in the suite above; this line keeps the CLI path itself from rotting.
-go run ./cmd/ps2bench -exp ext-serve -quick >/dev/null
-
-# Consistency-policy ablation smoke gate: ext-consistency end to end at
-# quick scale. Its acceptance bar is pinned by TestExtConsistencyShape in the
-# suite above; this line keeps the CLI path from rotting.
-go run ./cmd/ps2bench -exp ext-consistency -quick >/dev/null
+# ps2bench CLI smoke gate: every experiment already ran once in the suite
+# above (TestAllExperimentsRunQuick, with its shape checks); this line runs
+# one cheap experiment through the CLI and its JSON writer so that path
+# cannot rot.
+go run ./cmd/ps2bench -exp table3 -quick -json "$(mktemp)" >/dev/null
 
 # Hot-path allocation contract, re-run WITHOUT the race detector: the
 # zero-alloc guards promise exact counts in the instrumentation-free build
 # that production runs, and -race (above) measures the instrumented build.
-go test -count=1 -run 'ZeroAlloc|TestExtHotpathShape' ./internal/wire/ ./internal/linalg/ ./internal/bench/
+go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linalg/
 
 # Benchmark smoke gate: every benchmark in the repo must still run to
 # completion (one iteration each) so `make bench` cannot rot unnoticed.
