@@ -78,22 +78,9 @@ func main() {
 // left out, so a rerun on the same code produces a byte-identical file and
 // `git diff` shows real regressions.
 func writeJSON(path string, o bench.Opts, results []*bench.Result) error {
-	type jsonResult struct {
-		ID     string     `json:"id"`
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-		Notes  []string   `json:"notes,omitempty"`
-	}
-	doc := struct {
-		Quick   bool         `json:"quick"`
-		Results []jsonResult `json:"results"`
-	}{Quick: o.Quick}
+	doc := bench.Snapshot{Quick: o.Quick}
 	for _, res := range results {
-		doc.Results = append(doc.Results, jsonResult{
-			ID: res.ID, Title: res.Title, Header: res.Header,
-			Rows: res.Rows, Notes: res.Notes,
-		})
+		doc.Results = append(doc.Results, res.Entry())
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -42,6 +42,28 @@ type Result struct {
 	Phases []string
 }
 
+// SnapshotEntry is one experiment's record in BENCH_BASELINE.json: the
+// result table alone, without host time, curves or spans, so a rerun on
+// unchanged code is byte-identical.
+type SnapshotEntry struct {
+	ID     string     `json:"id"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes,omitempty"`
+}
+
+// Snapshot is the whole BENCH_BASELINE.json document.
+type Snapshot struct {
+	Quick   bool            `json:"quick"`
+	Results []SnapshotEntry `json:"results"`
+}
+
+// Entry returns the result's snapshot record.
+func (r *Result) Entry() SnapshotEntry {
+	return SnapshotEntry{ID: r.ID, Title: r.Title, Header: r.Header, Rows: r.Rows, Notes: r.Notes}
+}
+
 // AddRow appends one table row, stringifying the cells.
 func (r *Result) AddRow(cells ...any) {
 	row := make([]string, len(cells))

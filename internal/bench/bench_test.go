@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,11 +12,13 @@ import (
 
 // TestAllExperimentsRunQuick runs every registered experiment exactly once at
 // quick scale, each in its own parallel subtest, checks the output renders,
-// and applies that experiment's shapeChecks entry to the same Result.
+// applies that experiment's shapeChecks entry to the same Result, and
+// compares its table with the committed BENCH_BASELINE.json.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick sweep still takes tens of seconds")
 	}
+	snap := committedSnapshot(t)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -34,8 +38,44 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if check, ok := shapeChecks[e.ID]; ok {
 				t.Run("shape", func(t *testing.T) { check(t, res) })
 			}
+			t.Run("snapshot", func(t *testing.T) {
+				// Marshalling string fields cannot fail.
+				got, _ := json.Marshal(res.Entry())
+				want, _ := json.Marshal(snap[e.ID])
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s differs from %s; if the change is intended, run scripts/bench_snapshot.sh\ngot  %s\nwant %s",
+						e.ID, snapshotPath, got, want)
+				}
+			})
 		})
 	}
+}
+
+// snapshotPath is the quick-scale snapshot scripts/bench_snapshot.sh writes.
+const snapshotPath = "../../BENCH_BASELINE.json"
+
+// committedSnapshot reads the committed snapshot, keyed by experiment id.
+func committedSnapshot(t *testing.T) map[string]SnapshotEntry {
+	t.Helper()
+	buf, err := os.ReadFile(snapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc Snapshot
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatalf("%s: %v", snapshotPath, err)
+	}
+	if !doc.Quick {
+		t.Fatalf("%s is not a quick-scale snapshot", snapshotPath)
+	}
+	byID := make(map[string]SnapshotEntry, len(doc.Results))
+	for _, r := range doc.Results {
+		if _, dup := byID[r.ID]; dup {
+			t.Fatalf("%s lists %q twice", snapshotPath, r.ID)
+		}
+		byID[r.ID] = r
+	}
+	return byID
 }
 
 // TestShapeChecksNameExperiments keeps shapeChecks keyed by registered ids,
@@ -335,26 +375,19 @@ func parseNum(t *testing.T, cell string) float64 {
 	return v
 }
 
+// TestRegistryComplete keeps the registry and the committed snapshot naming
+// the same experiments.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"fig1a", "fig1b", "table1", "table2", "table3", "table4",
-		"fig9a", "fig9b", "fig9c", "fig9d",
-		"fig10a", "fig10b", "fig11",
-		"fig12a", "fig12b", "fig12c",
-		"fig13a", "fig13b", "fig13c",
-		"ablation-colocation", "ablation-sparsepull", "ablation-servers", "ablation-batching",
-		"ablation-checkpoint",
-		"ext-treeagg", "ext-mllibstar", "ext-ssp", "ext-fm", "ext-node2vec",
-		"ext-recovery", "ext-chaos", "ext-fusion", "ext-cache", "ext-skew",
-		"ext-elastic", "ext-serve", "ext-consistency",
-	}
-	for _, id := range want {
-		if _, ok := ByID(id); !ok {
-			t.Fatalf("experiment %q not registered", id)
+	snap := committedSnapshot(t)
+	for _, e := range All() {
+		if _, ok := snap[e.ID]; !ok {
+			t.Errorf("experiment %q has no entry in %s; run scripts/bench_snapshot.sh", e.ID, snapshotPath)
 		}
 	}
-	if len(All()) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(All()), len(want))
+	for id := range snap {
+		if _, ok := ByID(id); !ok {
+			t.Errorf("%s entry %q names no registered experiment", snapshotPath, id)
+		}
 	}
 }
 
