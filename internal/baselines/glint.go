@@ -2,12 +2,10 @@ package baselines
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/linalg"
+	"repro/internal/ml/lda"
 	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
@@ -32,54 +30,29 @@ func TrainLDAGlint(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document],
 	}
 	trace := &core.Trace{Name: "Glint"}
 	cost := e.Cluster.Cost
-
+	cfg := lda.Config{Topics: topics, Alpha: alpha, Beta: beta, Seed: seed}
 	totals := make([]float64, topics)
-	type st struct {
-		z   [][]int32
-		ndk [][]int32
-	}
-	states := map[int]*st{}
+	states := map[int]*lda.State{}
 
 	// Initialization with batched pushes (one-time setup is not the
 	// bottleneck in any system).
 	rdd.RunPartitions(p, docs, 8, func(tc *rdd.TaskContext, part int, rows []data.Document) struct{} {
 		tc.Commit()
-		state := &st{z: make([][]int32, len(rows)), ndk: make([][]int32, len(rows))}
-		states[part] = state
-		rng := linalg.NewRNG(seed*31 + uint64(part))
-		n := 0
-		for d, doc := range rows {
-			state.z[d] = make([]int32, len(doc.Words))
-			state.ndk[d] = make([]int32, topics)
-			for t, w := range doc.Words {
-				k := rng.Intn(topics)
-				state.z[d][t] = int32(k)
-				state.ndk[d][k]++
-				sh := mat.ShardOf(mat.Part.ServerOf(int(w)))
-				sh.Rows[k][sh.Local(int(w))]++
-				totals[k]++
-				n++
-			}
-		}
-		tc.Node.Send(tc.P, e.Cluster.Servers[0], cost.SparseBytes(n))
+		st, init := lda.NewState(rows, cfg, vocab, part)
+		states[part] = st
+		addToShards(mat, totals, init)
+		tc.Node.Send(tc.P, e.Cluster.Servers[0], cost.SparseBytes(init.Tokens))
 		return struct{}{}
 	})
 
-	vb := float64(vocab) * beta
-	alphaSum := alpha * float64(topics)
 	for it := 0; it < iterations; it++ {
-		type res struct {
-			logLik float64
-			tokens int
-		}
-		results := rdd.RunPartitions(p, docs, 16, func(tc *rdd.TaskContext, part int, rows []data.Document) res {
-			words := glintDistinctWords(rows)
+		passes := rdd.RunPartitions(p, docs, 16, func(tc *rdd.TaskContext, part int, rows []data.Document) lda.Pass {
 			// Per-word pulls: one RPC per word, uncompressed K counts back.
 			// The per-word requests to one server are charged as one stream
 			// whose size includes every request's framing overhead (the
 			// transfers serialize on the NICs either way).
 			counts := map[int][]float64{}
-			split := mat.Part.SplitIndices(words)
+			split := mat.Part.SplitIndices(lda.DistinctWords(rows))
 			g := tc.P.Sim().NewGroup()
 			for s := range split {
 				if len(split[s]) == 0 {
@@ -106,117 +79,43 @@ func TrainLDAGlint(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document],
 			g.Wait(tc.P)
 			tc.Commit()
 
-			state := states[part]
-			rng := linalg.NewRNG(seed*101 + uint64(part)*13 + uint64(tc.Attempt) + uint64(it)*7)
-			snapshot := append([]float64(nil), totals...)
-			ltot := append([]float64(nil), totals...)
-			probs := make([]float64, topics)
-			r := res{}
-			touched := map[int]bool{}
-			type kw struct{ k, w int }
-			delta := map[kw]float64{}
-			for d, doc := range rows {
-				docLen := float64(len(doc.Words))
-				for t, w := range doc.Words {
-					wc := counts[int(w)]
-					old := int(state.z[d][t])
-					state.ndk[d][old]--
-					wc[old]--
-					ltot[old]--
-					delta[kw{old, int(w)}]--
-					var sum float64
-					for k := 0; k < topics; k++ {
-						pk := (float64(state.ndk[d][k]) + alpha) * (wc[k] + beta) / (ltot[k] + vb)
-						if pk < 0 {
-							pk = 0
-						}
-						probs[k] = pk
-						sum += pk
-					}
-					u := rng.Float64() * sum
-					newK := topics - 1
-					acc := 0.0
-					for k := 0; k < topics; k++ {
-						acc += probs[k]
-						if u <= acc {
-							newK = k
-							break
-						}
-					}
-					r.logLik += math.Log(sum / (docLen - 1 + alphaSum))
-					state.z[d][t] = int32(newK)
-					state.ndk[d][newK]++
-					wc[newK]++
-					ltot[newK]++
-					delta[kw{newK, int(w)}]++
-					touched[int(w)] = true
-					r.tokens++
-				}
-			}
-			tc.Charge(cost.ElemWork(r.tokens * topics))
-			for k := 0; k < topics; k++ {
-				totals[k] += ltot[k] - snapshot[k]
-			}
-			for kwk, v := range delta {
-				if v != 0 {
-					applyShardDelta(mat, kwk.k, kwk.w, v)
-				}
-			}
-			// Per-word delta pushes, uncompressed, charged the same way.
-			pushWords := make([]int, 0, len(touched))
-			for w := range touched {
-				pushWords = append(pushWords, w)
-			}
-			sort.Ints(pushWords)
-			pushSplit := mat.Part.SplitIndices(pushWords)
+			pass := states[part].Sweep(rows, tc.Attempt, it, counts, totals)
+			tc.Charge(cost.ElemWork(pass.Work))
+			addToShards(mat, totals, pass)
+			// Per-word delta pushes, uncompressed, charged the same way. Every
+			// pulled word had its tokens resampled, so every one is pushed.
 			g2 := tc.P.Sim().NewGroup()
-			for s := range pushSplit {
-				if len(pushSplit[s]) == 0 {
+			for s := range split {
+				if len(split[s]) == 0 {
 					continue
 				}
 				s := s
 				g2.Go("glint-push", func(cp *simnet.Proc) {
-					n := float64(len(pushSplit[s]))
+					n := float64(len(split[s]))
 					srv := mat.ServerNode(s)
 					tc.Node.Send(cp, srv, n*(cost.RequestOverheadB+float64(topics)*8))
-					srv.Compute(cp, n*cost.RequestHandleWork+cost.ElemWork(len(pushSplit[s])*topics))
+					srv.Compute(cp, n*cost.RequestHandleWork+cost.ElemWork(len(split[s])*topics))
 					srv.Send(cp, tc.Node, n*cost.RequestOverheadB)
 				})
 			}
 			g2.Wait(tc.P)
-			return r
+			return pass
 		})
-		var logLik float64
-		var tokens int
-		for _, r := range results {
-			logLik += r.logLik
-			tokens += r.tokens
-		}
-		if tokens > 0 {
-			trace.Add(p.Now(), logLik/float64(tokens))
-		}
+		lda.RecordLogLik(trace, p.Now(), passes)
 	}
 	return trace, nil
 }
 
-// applyShardDelta mutates one count in shard memory (the wire cost is
-// charged by the surrounding per-word pushes).
-func applyShardDelta(mat *ps.Matrix, k, w int, v float64) {
-	sh := mat.ShardOf(mat.Part.ServerOf(w))
-	sh.Rows[k][sh.Local(w)] += v
-}
-
-func glintDistinctWords(rows []data.Document) []int {
-	seen := map[int32]bool{}
-	for _, doc := range rows {
-		for _, w := range doc.Words {
-			seen[w] = true
+// addToShards applies one partition's count changes to shard memory and the
+// topic totals (the wire cost is charged by the surrounding pushes).
+func addToShards(mat *ps.Matrix, totals []float64, pass lda.Pass) {
+	for k, words := range pass.Deltas {
+		for w, v := range words {
+			sh := mat.ShardOf(mat.Part.ServerOf(w))
+			sh.Rows[k][sh.Local(w)] += v
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for w := range seen {
-		out = append(out, int(w))
+	for k, v := range pass.Totals {
+		totals[k] += v
 	}
-	sort.Ints(out)
-	return out
 }

@@ -10,12 +10,11 @@ package baselines
 import (
 	"errors"
 	"fmt"
-
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/linalg"
+	"repro/internal/ml/lda"
 	"repro/internal/ml/lr"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
@@ -130,148 +129,78 @@ func TrainLDAMLlib(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document],
 	}
 	cost := e.Cluster.Cost
 	trace := &core.Trace{Name: "MLlib-LDA"}
-
-	nwt := make([][]float64, topics) // driver-held topic-word counts
-	for k := range nwt {
-		nwt[k] = make([]float64, vocab)
-	}
-	totals := make([]float64, topics)
-
-	type st struct {
-		z   [][]int32
-		ndk [][]int32
-	}
-	states := map[int]*st{}
+	cfg := lda.Config{Topics: topics, Alpha: alpha, Beta: beta, Seed: seed}
+	nwt := newWordTopic(topics, vocab) // driver-held
+	states := map[int]*lda.State{}
 
 	// Init: random assignments, aggregated at the driver.
 	rdd.RunPartitions(p, docs, 8, func(tc *rdd.TaskContext, part int, rows []data.Document) struct{} {
 		tc.Commit() // before mutating shared counts: retries must not double-add
-		state := &st{z: make([][]int32, len(rows)), ndk: make([][]int32, len(rows))}
-		states[part] = state
-		rng := linalg.NewRNG(seed*31 + uint64(part))
-		for d, doc := range rows {
-			state.z[d] = make([]int32, len(doc.Words))
-			state.ndk[d] = make([]int32, topics)
-			for t, w := range doc.Words {
-				k := rng.Intn(topics)
-				state.z[d][t] = int32(k)
-				state.ndk[d][k]++
-				nwt[k][w]++
-				totals[k]++
-			}
-		}
+		st, init := lda.NewState(rows, cfg, vocab, part)
+		states[part] = st
+		nwt.add(init)
 		tc.Node.Send(tc.P, e.Cluster.Driver, cost.DenseBytes(topics*vocab))
 		return struct{}{}
 	})
 
-	vb := float64(vocab) * beta
-	alphaSum := alpha * float64(topics)
 	for it := 0; it < iterations; it++ {
 		// Broadcast the full model.
 		e.RDD.Broadcast(p, modelBytes)
-		type res struct {
-			logLik float64
-			tokens int
-			delta  map[int]map[int]float64
-			tdelta []float64
-		}
-		results := rdd.RunPartitions(p, docs, cost.DenseBytes(topics*vocab),
-			func(tc *rdd.TaskContext, part int, rows []data.Document) res {
+		passes := rdd.RunPartitions(p, docs, cost.DenseBytes(topics*vocab),
+			func(tc *rdd.TaskContext, part int, rows []data.Document) lda.Pass {
 				tc.Commit()
-				state := states[part]
-				rng := linalg.NewRNG(seed*101 + uint64(part)*13 + uint64(tc.Attempt) + uint64(it)*7)
-				// Local snapshot of word counts for the partition's words.
-				local := map[int][]float64{}
-				snapshot := func(w int) []float64 {
-					vec, ok := local[w]
-					if !ok {
-						vec = append([]float64(nil), nwtColumn(nwt, w)...)
-						local[w] = vec
-					}
-					return vec
-				}
-				ltot := append([]float64(nil), totals...)
-				r := res{delta: map[int]map[int]float64{}, tdelta: make([]float64, topics)}
-				probs := make([]float64, topics)
-				for d, doc := range rows {
-					docLen := float64(len(doc.Words))
-					for t, w := range doc.Words {
-						wc := snapshot(int(w))
-						old := int(state.z[d][t])
-						state.ndk[d][old]--
-						wc[old]--
-						ltot[old]--
-						addTo(r.delta, old, int(w), -1)
-						var sum float64
-						for k := 0; k < topics; k++ {
-							pk := (float64(state.ndk[d][k]) + alpha) * (wc[k] + beta) / (ltot[k] + vb)
-							if pk < 0 {
-								pk = 0
-							}
-							probs[k] = pk
-							sum += pk
-						}
-						u := rng.Float64() * sum
-						newK := topics - 1
-						acc := 0.0
-						for k := 0; k < topics; k++ {
-							acc += probs[k]
-							if u <= acc {
-								newK = k
-								break
-							}
-						}
-						r.logLik += math.Log(sum / (docLen - 1 + alphaSum))
-						state.z[d][t] = int32(newK)
-						state.ndk[d][newK]++
-						wc[newK]++
-						ltot[newK]++
-						addTo(r.delta, newK, int(w), +1)
-						r.tokens++
-					}
-				}
-				tc.Charge(cost.ElemWork(r.tokens * topics))
-				for k := 0; k < topics; k++ {
-					r.tdelta[k] = ltot[k] - totals[k]
-				}
-				return r
+				pass := states[part].Sweep(rows, tc.Attempt, it, nwt.columns(rows), nwt.totals)
+				tc.Charge(cost.ElemWork(pass.Work))
+				return pass
 			})
-		var logLik float64
-		var tokens int
-		for _, r := range results {
-			logLik += r.logLik
-			tokens += r.tokens
+		for _, pass := range passes {
 			// Apply deltas at the driver.
 			e.Driver().Compute(p, cost.ElemWork(topics*vocab/8))
-			for k, words := range r.delta {
-				for w, v := range words {
-					nwt[k][w] += v
-				}
-			}
-			for k := 0; k < topics; k++ {
-				totals[k] += r.tdelta[k]
-			}
+			nwt.add(pass)
 		}
-		if tokens > 0 {
-			trace.Add(p.Now(), logLik/float64(tokens))
-		}
+		lda.RecordLogLik(trace, p.Now(), passes)
 	}
 	return trace, nil
 }
 
-func nwtColumn(nwt [][]float64, w int) []float64 {
-	col := make([]float64, len(nwt))
-	for k := range nwt {
-		col[k] = nwt[k][w]
-	}
-	return col
+// wordTopic is a whole K×V topic-word count table and its topic totals in
+// one place: MLlib's driver, or the memory of Petuum's servers.
+type wordTopic struct {
+	n      [][]float64
+	totals []float64
 }
 
-func addTo(delta map[int]map[int]float64, k, w int, v float64) {
-	m, ok := delta[k]
-	if !ok {
-		m = map[int]float64{}
-		delta[k] = m
+func newWordTopic(topics, vocab int) *wordTopic {
+	t := &wordTopic{n: make([][]float64, topics), totals: make([]float64, topics)}
+	for k := range t.n {
+		t.n[k] = make([]float64, vocab)
 	}
-	m[w] += v
+	return t
+}
+
+// add applies one partition's count changes.
+func (t *wordTopic) add(pass lda.Pass) {
+	for k, words := range pass.Deltas {
+		for w, v := range words {
+			t.n[k][w] += v
+		}
+	}
+	for k, v := range pass.Totals {
+		t.totals[k] += v
+	}
+}
+
+// columns copies out the topic counts of every word in rows: a sampler's
+// private snapshot.
+func (t *wordTopic) columns(rows []data.Document) map[int][]float64 {
+	words := lda.DistinctWords(rows)
+	out := make(map[int][]float64, len(words))
+	for _, w := range words {
+		col := make([]float64, len(t.n))
+		for k := range t.n {
+			col[k] = t.n[k][w]
+		}
+		out[w] = col
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
+	"repro/internal/ml/lda"
 	"repro/internal/ml/lr"
 	"repro/internal/ps"
 	"repro/internal/rdd"
@@ -89,53 +90,25 @@ func TrainLDAPetuum(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]
 	}
 	trace := &core.Trace{Name: "Petuum-LDA"}
 	cost := e.Cluster.Cost
-
-	nwt := make([][]float64, topics)
-	for k := range nwt {
-		nwt[k] = make([]float64, vocab)
-	}
-	totals := make([]float64, topics)
+	cfg := lda.Config{Topics: topics, Alpha: alpha, Beta: beta, Seed: seed}
+	nwt := newWordTopic(topics, vocab)
 	hostOf := func(k int) *simnet.Node { return servers[k%len(servers)] }
-
-	type st struct {
-		z   [][]int32
-		ndk [][]int32
-	}
-	states := map[int]*st{}
+	states := map[int]*lda.State{}
 	rowBytes := cost.DenseBytes(vocab)
 
 	rdd.RunPartitions(p, docs, 8, func(tc *rdd.TaskContext, part int, rows []data.Document) struct{} {
 		tc.Commit()
-		state := &st{z: make([][]int32, len(rows)), ndk: make([][]int32, len(rows))}
-		states[part] = state
-		rng := linalg.NewRNG(seed*31 + uint64(part))
-		deltaBytes := 0
-		for d, doc := range rows {
-			state.z[d] = make([]int32, len(doc.Words))
-			state.ndk[d] = make([]int32, topics)
-			for t, w := range doc.Words {
-				k := rng.Intn(topics)
-				state.z[d][t] = int32(k)
-				state.ndk[d][k]++
-				nwt[k][w]++
-				totals[k]++
-				deltaBytes++
-			}
-		}
+		st, init := lda.NewState(rows, cfg, vocab, part)
+		states[part] = st
+		nwt.add(init)
 		for k := 0; k < topics; k++ {
-			tc.Node.Send(tc.P, hostOf(k), cost.SparseBytes(deltaBytes/topics))
+			tc.Node.Send(tc.P, hostOf(k), cost.SparseBytes(init.Tokens/topics))
 		}
 		return struct{}{}
 	})
 
-	vb := float64(vocab) * beta
-	alphaSum := alpha * float64(topics)
 	for it := 0; it < iterations; it++ {
-		type res struct {
-			logLik float64
-			tokens int
-		}
-		results := rdd.RunPartitions(p, docs, 16, func(tc *rdd.TaskContext, part int, rows []data.Document) res {
+		passes := rdd.RunPartitions(p, docs, 16, func(tc *rdd.TaskContext, part int, rows []data.Document) lda.Pass {
 			// Full-matrix pull: each topic row whole from its hosting server.
 			g := tc.P.Sim().NewGroup()
 			for k := 0; k < topics; k++ {
@@ -148,88 +121,19 @@ func TrainLDAPetuum(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]
 			g.Wait(tc.P)
 			tc.Commit()
 
-			state := states[part]
-			rng := linalg.NewRNG(seed*101 + uint64(part)*13 + uint64(tc.Attempt) + uint64(it)*7)
 			// Sample against the pulled snapshot (the same approximate
 			// distributed-LDA consistency PS2 uses); deltas apply at push.
-			local := map[int][]float64{}
-			col := func(w int) []float64 {
-				vec, ok := local[w]
-				if !ok {
-					vec = nwtColumn(nwt, w)
-					local[w] = vec
-				}
-				return vec
-			}
-			snapshot := append([]float64(nil), totals...)
-			ltot := append([]float64(nil), totals...)
-			probs := make([]float64, topics)
-			r := res{}
-			delta := map[int]map[int]float64{}
-			deltas := 0
-			for d, doc := range rows {
-				docLen := float64(len(doc.Words))
-				for t, w := range doc.Words {
-					wc := col(int(w))
-					old := int(state.z[d][t])
-					state.ndk[d][old]--
-					wc[old]--
-					ltot[old]--
-					addTo(delta, old, int(w), -1)
-					var sum float64
-					for k := 0; k < topics; k++ {
-						pk := (float64(state.ndk[d][k]) + alpha) * (wc[k] + beta) / (ltot[k] + vb)
-						if pk < 0 {
-							pk = 0
-						}
-						probs[k] = pk
-						sum += pk
-					}
-					u := rng.Float64() * sum
-					newK := topics - 1
-					acc := 0.0
-					for k := 0; k < topics; k++ {
-						acc += probs[k]
-						if u <= acc {
-							newK = k
-							break
-						}
-					}
-					r.logLik += math.Log(sum / (docLen - 1 + alphaSum))
-					state.z[d][t] = int32(newK)
-					state.ndk[d][newK]++
-					wc[newK]++
-					ltot[newK]++
-					addTo(delta, newK, int(w), +1)
-					r.tokens++
-					deltas += 2
-				}
-			}
-			tc.Charge(cost.ElemWork(r.tokens * topics))
+			pass := states[part].Sweep(rows, tc.Attempt, it, nwt.columns(rows), nwt.totals)
+			tc.Charge(cost.ElemWork(pass.Work))
 			// Sparse delta push, uncompressed (8B values), applied at the
-			// hosting servers.
-			for k, words := range delta {
-				for w, v := range words {
-					nwt[k][w] += v
-				}
-			}
+			// hosting servers: a removal and an insertion per token.
+			nwt.add(pass)
 			for k := 0; k < topics; k++ {
-				totals[k] += ltot[k] - snapshot[k]
+				tc.Node.Send(tc.P, hostOf(k), cost.RequestOverheadB+float64(2*pass.Tokens/topics)*(8+8))
 			}
-			for k := 0; k < topics; k++ {
-				tc.Node.Send(tc.P, hostOf(k), cost.RequestOverheadB+float64(deltas/topics)*(8+8))
-			}
-			return r
+			return pass
 		})
-		var logLik float64
-		var tokens int
-		for _, r := range results {
-			logLik += r.logLik
-			tokens += r.tokens
-		}
-		if tokens > 0 {
-			trace.Add(p.Now(), logLik/float64(tokens))
-		}
+		lda.RecordLogLik(trace, p.Now(), passes)
 	}
 	return trace, nil
 }

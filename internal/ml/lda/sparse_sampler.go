@@ -1,6 +1,9 @@
 package lda
 
 import (
+	"math"
+
+	"repro/internal/data"
 	"repro/internal/linalg"
 )
 
@@ -19,6 +22,33 @@ import (
 // draws from exactly the same distribution as the standard one — only the
 // arithmetic is reorganized — so statistical behaviour is unchanged while
 // large-K sampling gets much cheaper.
+
+// sparseSweep is Sweep's SparseLDA variant: identical distribution,
+// bucketized arithmetic, work counted by the operations actually walked. It
+// updates ltot, the caller's copy of the topic totals, in place.
+func (st *State) sparseSweep(rows []data.Document, rng *linalg.RNG, counts map[int][]float64, ltot []float64) Pass {
+	K := st.cfg.Topics
+	alphaSum := st.cfg.Alpha * float64(K)
+	sw := newSparseSweeper(K, st.cfg.Alpha, st.cfg.Beta, st.vb, counts, ltot)
+	pass := newPass(K)
+	for d, doc := range rows {
+		dIdx := newNZIndexInt(st.ndk[d], K)
+		sw.beginDoc(st.ndk[d], dIdx)
+		pass.Work += K
+		docLen := float64(len(doc.Words))
+		for t, w := range doc.Words {
+			old := int(st.z[d][t])
+			sw.remove(int(w), old)
+			newK, total := sw.sample(rng, int(w))
+			pass.Work += len(sw.wordIdx[int(w)].items) + len(dIdx.items) + 4
+			pass.LogLik += math.Log(total / (docLen - 1 + alphaSum))
+			sw.insert(int(w), newK)
+			st.z[d][t] = int32(newK)
+			pass.move(int(w), old, newK)
+		}
+	}
+	return pass
+}
 
 // nzIndex tracks the nonzero entries of a K-vector of counts as a compact
 // list for O(nnz) iteration with O(1) add/remove.
