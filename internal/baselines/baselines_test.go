@@ -234,15 +234,21 @@ func TestPullPushAdamMatchesZipAdam(t *testing.T) {
 	}
 }
 
-func TestLDABaselineOrdering(t *testing.T) {
-	// Fig 12(a)'s shape: PS2 < Petuum < Glint in time for the same number of
-	// Gibbs iterations.
+func ldaCorpus(t *testing.T) *data.Corpus {
+	t.Helper()
 	corpus, err := data.GenerateCorpus(data.CorpusConfig{
 		Docs: 600, Vocab: 2000, MeanDocLen: 60, TrueTopics: 10, Concentrate: 0.05, Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return corpus
+}
+
+func TestLDABaselineOrdering(t *testing.T) {
+	// Fig 12(a)'s shape: PS2 < Petuum < Glint in time for the same number of
+	// Gibbs iterations.
+	corpus := ldaCorpus(t)
 	iters := 4
 	topics := 20
 
@@ -279,6 +285,64 @@ func TestLDABaselineOrdering(t *testing.T) {
 	ps2, petuum, glint := timePS2(), timePetuum(), timeGlint()
 	if !(ps2 < petuum && petuum < glint) {
 		t.Fatalf("ordering violated: PS2=%v Petuum=%v Glint=%v", ps2, petuum, glint)
+	}
+}
+
+// TestLDATrainersSampleAlike runs the four LDA trainers from one seed. They
+// share one sampler and differ only in how counts move, so every iteration's
+// log-likelihood must be bit-identical across them.
+func TestLDATrainersSampleAlike(t *testing.T) {
+	corpus := ldaCorpus(t)
+	vocab := corpus.Config.Vocab
+	const topics, iters = 20, 6
+	type trainer func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error)
+	run := func(servers int, train trainer) []float64 {
+		e := newEngine(4, servers)
+		var tr *core.Trace
+		e.Run(func(p *simnet.Proc) {
+			docs := rdd.FromSlices(e.RDD, data.PartitionDocs(corpus.Docs, 4)).Cache()
+			var err error
+			if tr, err = train(p, e, docs); err != nil {
+				t.Error(err)
+			}
+		})
+		if tr == nil {
+			t.FailNow()
+		}
+		return tr.Values
+	}
+	traces := map[string][]float64{
+		"PS2": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+			cfg := lda.DefaultConfig()
+			cfg.Topics = topics
+			cfg.Iterations = iters
+			m, err := lda.Train(p, e, docs, vocab, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return m.Trace, nil
+		}),
+		"MLlib": run(0, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+			return TrainLDAMLlib(p, e, docs, vocab, topics, iters, 0.5, 0.01, 23)
+		}),
+		"Petuum": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+			return TrainLDAPetuum(p, e, docs, vocab, topics, iters, 0.5, 0.01, 23)
+		}),
+		"Glint": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+			return TrainLDAGlint(p, e, docs, vocab, topics, iters, 0.5, 0.01, 23)
+		}),
+	}
+	want := traces["MLlib"]
+	if len(want) != iters {
+		t.Fatalf("MLlib trace has %d iterations, want %d", len(want), iters)
+	}
+	for name, got := range traces {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Errorf("%s diverges from MLlib at iteration %d: %v vs %v", name, i, got, want)
+				break
+			}
+		}
 	}
 }
 
