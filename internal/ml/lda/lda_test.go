@@ -165,41 +165,6 @@ func TestTrainValidation(t *testing.T) {
 	})
 }
 
-func TestCompressionReducesBytes(t *testing.T) {
-	bytesFor := func(perCount float64) float64 {
-		c := smallCorpus(t)
-		e := newEngine(4, 4)
-		cfg := DefaultConfig()
-		cfg.Topics = 8
-		cfg.Iterations = 3
-		cfg.CompressedBytesPerCount = perCount
-		e.Run(func(p *simnet.Proc) {
-			docs := rdd.FromSlices(e.RDD, data.PartitionDocs(c.Docs, 4)).Cache()
-			if _, err := Train(p, e, docs, c.Config.Vocab, cfg); err != nil {
-				t.Error(err)
-			}
-		})
-		return e.Cluster.TotalBytesOnWire()
-	}
-	compressed := bytesFor(4)
-	raw := bytesFor(8)
-	if compressed >= raw {
-		t.Fatalf("compression moved more bytes: %v vs %v", compressed, raw)
-	}
-}
-
-func TestGibbsSweepSamplesValidTopics(t *testing.T) {
-	model, _, _, _ := trainSmall(t, 3)
-	_ = model
-	// Covered implicitly by the conservation invariant; additionally ensure
-	// totals are all positive (every topic still holds tokens or zero).
-	for k, v := range model.Totals {
-		if v < 0 {
-			t.Fatalf("topic %d total negative: %v", k, v)
-		}
-	}
-}
-
 func TestRNGIndependentOfHostState(t *testing.T) {
 	// Guard against accidental use of global randomness: two engines built
 	// back to back must produce identical virtual end times.
