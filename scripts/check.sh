@@ -43,7 +43,7 @@ go test -race -timeout 20m ./...
 ./scripts/smoke_wire.sh
 
 # ps2bench CLI smoke gate: every experiment already ran once in the suite
-# above (TestAllExperimentsRunQuick, with its shape checks); this line runs
+# above (TestAllExperimentsRunQuick, with its shape and snapshot checks); this line runs
 # one cheap experiment through the CLI and its JSON writer so that path
 # cannot rot.
 go run ./cmd/ps2bench -exp table3 -quick -json "$(mktemp)" >/dev/null
