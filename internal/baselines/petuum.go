@@ -14,67 +14,53 @@ import (
 	"repro/internal/simnet"
 )
 
-// TrainLRPetuum trains LR on a Petuum-style parameter server. The weight
+type petuum struct {
+	e        *core.Engine
+	cfg      lr.Config
+	mat      *ps.Matrix
+	expected float64 // the expected global batch
+}
+
+// Petuum returns the strategy of a Petuum-style parameter server. The weight
 // vector is chunked over the servers as a Petuum table, but the client
 // interface has no sparse pull: every worker fetches the entire dense model
 // each iteration (paper Section 6.3.1: "Petuum has to pull all of the
 // model", against PS2's pull of only the batch's features). Updates are
 // sparse increments applied server-side, the same synchronous SGD step the
 // PS2 trainer computes.
-func TrainLRPetuum(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg lr.Config) (*core.Trace, []float64, error) {
-	if cfg.Iterations <= 0 {
-		return nil, nil, fmt.Errorf("baselines: iterations must be positive")
-	}
+func Petuum() lr.Strategy { return &petuum{} }
+
+func (s *petuum) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg lr.Config) error {
 	if len(e.Cluster.Servers) == 0 {
-		return nil, nil, fmt.Errorf("baselines: Petuum needs at least one server")
+		return fmt.Errorf("baselines: Petuum needs at least one server")
 	}
-	mat, err := e.PS.CreateMatrix(p, 1, dim)
-	if err != nil {
-		return nil, nil, err
+	var err error
+	if s.mat, err = e.PS.CreateMatrix(p, 1, dim); err != nil {
+		return err
 	}
-	trace := &core.Trace{Name: "Petuum"}
-	cost := e.Cluster.Cost
+	s.e, s.cfg = e, cfg
 	// Synchronous SGD with server-side increments needs the batch size up
 	// front; the expected global batch is fraction × |dataset|.
-	totalRows := rdd.Count(p, dataset)
-
-	type stat struct {
-		Loss float64
-		N    int
-	}
-	for it := 0; it < cfg.Iterations; it++ {
-		batch := dataset.Sample(cfg.BatchFraction, cfg.Seed+uint64(it))
-		expected := float64(totalRows) * cfg.BatchFraction
-		if cfg.BatchFraction >= 1 {
-			expected = float64(totalRows)
-		}
-		eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / expected
-		stats := rdd.RunPartitions(p, batch, 24, func(tc *rdd.TaskContext, part int, rows []data.Instance) stat {
-			if len(rows) == 0 {
-				return stat{}
-			}
-			// Full-model pull: the whole dense vector from every server.
-			w := ps.Must(mat.PullRow(tc.P, tc.Node, 0))
-			g, lossSum := lr.BatchGradient(cfg.Objective, rows, func(i int) float64 { return w[i] })
-			tc.Charge(cost.GradWork(lr.TotalNnz(rows)))
-			tc.Commit()
-			// Sparse increment push, applied at the servers.
-			ps.MustOK(mat.PushAdd(tc.P, tc.Node, 0, linalg.SparseFromMap(g, -eta)))
-			return stat{Loss: lossSum, N: len(rows)}
-		})
-		var lossSum float64
-		var count int
-		for _, st := range stats {
-			lossSum += st.Loss
-			count += st.N
-		}
-		if count == 0 {
-			continue
-		}
-		trace.Add(p.Now(), lossSum/float64(count))
-	}
-	return trace, hostRow(mat), nil
+	s.expected = float64(rdd.Count(p, dataset)) * min(cfg.BatchFraction, 1)
+	return nil
 }
+
+// Round pulls the full model and pushes sparse increments, applied at the
+// servers.
+func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []lr.Summary {
+	eta := s.cfg.LearningRate / math.Sqrt(float64(it+1)) / s.expected
+	return lr.GradientStage(p, s.e, batch, s.cfg.Objective,
+		func(tc *rdd.TaskContext, _ []data.Instance) func(int) float64 {
+			w := ps.Must(s.mat.PullRow(tc.P, tc.Node, 0))
+			return func(i int) float64 { return w[i] }
+		},
+		func(tc *rdd.TaskContext, _ []data.Instance, g map[int]float64) {
+			ps.MustOK(s.mat.PushAdd(tc.P, tc.Node, 0, linalg.SparseFromMap(g, -eta)))
+		})
+}
+
+// Barrier has nothing to do: the servers applied every increment.
+func (s *petuum) Barrier(*simnet.Proc, int, int) error { return nil }
 
 // TrainLDAPetuum runs the collapsed-Gibbs LDA of internal/ml/lda with
 // Petuum's communication: the K×V count matrix is row-partitioned (each

@@ -40,12 +40,10 @@ func runExtTreeAgg(o Opts) *Result {
 	}
 	systems := []system{
 		{"MLlib", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
-			tr, _, err := baselines.TrainLRMLlib(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg, false)
-			return tr, err
+			return lr.Run(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg, baselines.MLlib(lr.NewSGD()))
 		}},
 		{"MLlib+treeAgg", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
-			tr, _, err := baselines.TrainLRMLlibTree(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg)
-			return tr, err
+			return lr.Run(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg, baselines.MLlibTree())
 		}},
 		{"PS2", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
 			m, err := lr.Train(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg, lr.NewSGD())
@@ -97,18 +95,20 @@ func runExtMLlibStar(o Opts) *Result {
 
 	e1 := paperEngine(20, 20)
 	mllibT = e1.Run(func(p *simnet.Proc) {
-		tr, _, err := baselines.TrainLRMLlib(p, e1, instancesRDD(e1, ds), ds.Config.Dim, cfg, false)
+		tr, err := lr.Run(p, e1, instancesRDD(e1, ds), ds.Config.Dim, cfg, baselines.MLlib(lr.NewSGD()))
 		if err != nil {
 			panic(err)
 		}
+		tr.Name = "MLlib"
 		mllib = tr
 	})
 	e2 := paperEngine(20, 20)
 	starT = e2.Run(func(p *simnet.Proc) {
-		tr, _, err := baselines.TrainLRMLlibStar(p, e2, instancesRDD(e2, ds), ds.Config.Dim, cfg, 4)
+		tr, err := lr.Run(p, e2, instancesRDD(e2, ds), ds.Config.Dim, cfg, baselines.MLlibStar(4))
 		if err != nil {
 			panic(err)
 		}
+		tr.Name = "MLlib*"
 		star = tr
 	})
 	e3 := paperEngine(20, 20)

@@ -175,7 +175,9 @@ func runAdamTriple(o Opts, id, dsName string, ds *data.ClassifyDataset) *Result 
 
 	eSpark := paperEngine(20, 20)
 	eSpark.Run(func(p *simnet.Proc) {
-		tr, _, err := baselines.TrainLRMLlib(p, eSpark, instancesRDD(eSpark, ds), ds.Config.Dim, cfg, true)
+		adam := lr.NewAdam()
+		adam.LearningRate = cfg.LearningRate
+		tr, err := lr.Run(p, eSpark, instancesRDD(eSpark, ds), ds.Config.Dim, cfg, baselines.MLlib(adam))
 		if err != nil {
 			panic(err)
 		}
@@ -185,7 +187,7 @@ func runAdamTriple(o Opts, id, dsName string, ds *data.ClassifyDataset) *Result 
 	ePP := paperEngine(20, 20)
 	ePP.Run(func(p *simnet.Proc) {
 		opt := baselines.NewPullPushAdam()
-		opt.LearningRate = cfg.LearningRate
+		opt.Adam.LearningRate = cfg.LearningRate
 		m, err := lr.Train(p, ePP, instancesRDD(ePP, ds), ds.Config.Dim, cfg, opt)
 		if err != nil {
 			panic(err)
@@ -255,18 +257,14 @@ func runFig10(o Opts, id string, ds *data.ClassifyDataset, dsName string) *Resul
 		}
 		return m.Trace, nil
 	})
-	mllib := run("MLlib", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
-		tr, _, err := baselines.TrainLRMLlib(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg, false)
-		return tr, err
-	})
-	distml := run("DistML", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
-		tr, _, err := baselines.TrainLRDistML(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg)
-		return tr, err
-	})
-	petuum := run("Petuum", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
-		tr, _, err := baselines.TrainLRPetuum(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg)
-		return tr, err
-	})
+	baseline := func(s lr.Strategy) func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
+		return func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
+			return lr.Run(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg, s)
+		}
+	}
+	mllib := run("MLlib", baseline(baselines.MLlib(lr.NewSGD())))
+	distml := run("DistML", baseline(baselines.DistML()))
+	petuum := run("Petuum", baseline(baselines.Petuum()))
 
 	// DistML may diverge (the paper's Figure 10(a) observation); pick the
 	// target from the systems that do converge.

@@ -113,11 +113,7 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 					} else {
 						vals = ps.Must(mat.PullRowIndices(wp, node, 0, idx))
 					}
-					local := make(map[int]float64, len(idx))
-					for k, i := range idx {
-						local[i] = vals[k]
-					}
-					grad, lossSum := BatchGradient(cfg.Objective, batch, func(i int) float64 { return local[i] })
+					grad, lossSum := BatchGradient(cfg.Objective, batch, byIndex(idx, vals))
 					node.Compute(wp, cost.GradWork(TotalNnz(batch)))
 					// Apply the scaled update directly (async increment).
 					eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(len(batch)) / float64(len(parts))

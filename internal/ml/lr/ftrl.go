@@ -35,17 +35,7 @@ func (f *FTRL) Name() string { return "FTRL" }
 func (f *FTRL) AuxVectors() int { return 2 }
 
 func (f *FTRL) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	var err error
-	if f.z, err = w.Derive(); err != nil {
-		return err
-	}
-	if err := f.z.Fill(p, e.Driver(), 0); err != nil {
-		return err
-	}
-	if f.n, err = w.Derive(); err != nil {
-		return err
-	}
-	return f.n.Fill(p, e.Driver(), 0)
+	return zeroed(p, e, w, &f.z, &f.n)
 }
 
 // Step applies the FTRL-Proximal update server-side. Using the mean batch

@@ -64,28 +64,17 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 	next := 0  // ring-buffer position
 
 	trace := &core.Trace{Name: "PS2-LBFGS"}
-	cost := e.Cluster.Cost
 	total := 0
 
 	fullGradient := func() (float64, error) {
 		if err := grad.Zero(p, driver); err != nil {
 			return 0, err
 		}
-		stats := rdd.RunPartitions(p, dataset, 24, func(tc *rdd.TaskContext, part int, rows []data.Instance) batchStat {
-			if len(rows) == 0 {
-				return batchStat{}
-			}
+		stats := GradientStage(p, e, dataset, Logistic, func(tc *rdd.TaskContext, rows []data.Instance) func(int) float64 {
 			idx := DistinctIndices(rows)
-			vals := ps.Must(w.PullIndices(tc.P, tc.Node, idx))
-			local := make(map[int]float64, len(idx))
-			for k, i := range idx {
-				local[i] = vals[k]
-			}
-			g, lossSum := BatchGradient(Logistic, rows, func(i int) float64 { return local[i] })
-			tc.Charge(cost.GradWork(TotalNnz(rows)))
-			tc.Commit()
+			return byIndex(idx, ps.Must(w.PullIndices(tc.P, tc.Node, idx)))
+		}, func(tc *rdd.TaskContext, _ []data.Instance, g map[int]float64) {
 			ps.MustOK(grad.Add(tc.P, tc.Node, linalg.SparseFromMap(g, 1)))
-			return batchStat{Loss: lossSum, Count: len(rows)}
 		})
 		var lossSum float64
 		total = 0

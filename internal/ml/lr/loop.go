@@ -1,0 +1,88 @@
+package lr
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/rdd"
+	"repro/internal/simnet"
+)
+
+// Summary is one task's share of an iteration's mean batch loss.
+type Summary struct {
+	Loss  float64
+	Count int
+}
+
+// SummaryBytes is what a Summary costs on the wire back to the driver.
+const SummaryBytes = 24
+
+// Strategy is what one system brings to the training loop (Run): where the
+// model lives, how a task reads weights and returns its gradient, and what
+// the driver does at the stage barrier. PS2 (Train) and the LR baselines are
+// strategies; the paper credits every speedup between them to these choices.
+type Strategy interface {
+	// Setup places the model before the first iteration.
+	Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg Config) error
+	// Round runs iteration it over its mini-batch; one summary per task.
+	Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []Summary
+	// Barrier is the driver's work after a round whose batch held count
+	// examples; Run skips it for an empty batch.
+	Barrier(p *simnet.Proc, it, count int) error
+}
+
+// checkpointer is a strategy with work after the trace point: PS2's.
+type checkpointer interface {
+	checkpoint(p *simnet.Proc, it int)
+}
+
+// Run is the one LR training loop. Every strategy draws iteration it's
+// mini-batch from the same seed, so systems compared from one seed see the
+// same rows, and records the same mean batch loss after its barrier.
+func Run(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg Config, s Strategy) (*core.Trace, error) {
+	if cfg.Iterations <= 0 {
+		return nil, fmt.Errorf("lr: iterations must be positive")
+	}
+	if err := s.Setup(p, e, dataset, dim, cfg); err != nil {
+		return nil, err
+	}
+	trace := &core.Trace{}
+	for it := 0; it < cfg.Iterations; it++ {
+		loss, count := 0.0, 0
+		for _, st := range s.Round(p, dataset.Sample(cfg.BatchFraction, cfg.Seed+uint64(it)), it) {
+			loss += st.Loss
+			count += st.Count
+		}
+		if count == 0 {
+			continue
+		}
+		if err := s.Barrier(p, it, count); err != nil {
+			return nil, err
+		}
+		trace.Add(p.Now(), loss/float64(count))
+		if c, ok := s.(checkpointer); ok {
+			c.checkpoint(p, it)
+		}
+	}
+	return trace, nil
+}
+
+// GradientStage is the stage every parameter-server strategy runs: each task
+// reads its weights, computes the batch gradient, pays for it, commits and
+// ships it.
+func GradientStage(p *simnet.Proc, e *core.Engine, batch *rdd.RDD[data.Instance], obj Objective,
+	weights func(tc *rdd.TaskContext, rows []data.Instance) func(int) float64,
+	ship func(tc *rdd.TaskContext, rows []data.Instance, grad map[int]float64)) []Summary {
+	cost := e.Cluster.Cost
+	return rdd.RunPartitions(p, batch, SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) Summary {
+		if len(rows) == 0 {
+			return Summary{}
+		}
+		g, loss := BatchGradient(obj, rows, weights(tc, rows))
+		tc.Charge(cost.GradWork(TotalNnz(rows)))
+		tc.Commit()
+		ship(tc, rows, g)
+		return Summary{Loss: loss, Count: len(rows)}
+	})
+}

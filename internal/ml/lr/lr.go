@@ -7,7 +7,6 @@ package lr
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -30,32 +29,36 @@ const (
 	Hinge
 )
 
+// Loss returns one example's loss at z = w·x and dz, the loss's derivative
+// in z. active is false for a hinge example past the margin, which adds
+// neither loss nor gradient.
+func (o Objective) Loss(z, label float64) (loss, dz float64, active bool) {
+	if o == Hinge {
+		y := 2*label - 1
+		if m := y * z; m < 1 {
+			return 1 - m, -y, true
+		}
+		return 0, 0, false
+	}
+	return linalg.LogLoss(z, label), linalg.Sigmoid(z) - label, true
+}
+
 // Config holds the training hyperparameters; defaults follow the paper's
-// Table 4.
+// Table 4. CheckpointEvery, NoFusion, Cache and Replicas configure the PS2
+// strategy (Train) only.
 type Config struct {
+	// LearningRate steps MLlib*, Petuum and DistML; PS2 and MLlib step with
+	// their optimizer's (PS2's value-bounded cache credit still reads it).
 	LearningRate  float64
 	BatchFraction float64
 	Iterations    int
 	Objective     Objective
-
-	// Adam/RMSProp parameters.
-	Beta1   float64
-	Beta2   float64
-	Epsilon float64
 
 	// CheckpointEvery, when positive, checkpoints the model matrix to the
 	// reliable store every that-many iterations (the paper's Section 5.3
 	// server fault tolerance: "PS2 periodically checkpoints the model
 	// parameters on each server").
 	CheckpointEvery int
-
-	// TargetLoss, when positive, stops training once the mini-batch loss
-	// reaches it — the paper's experiments all run "to an objective value".
-	TargetLoss float64
-
-	// WarmStart, when non-nil, initializes the weight vector instead of
-	// zeros (fine-tuning / continued training). Must have length dim.
-	WarmStart []float64
 
 	// NoFusion disables operator fusion: the optimizer step and the gradient
 	// reset go out as separate per-operator fan-outs instead of one fused
@@ -69,11 +72,11 @@ type Config struct {
 	// iteration clock: under the default ClockBounded(0) policy the trained
 	// model is bit-identical to the uncached run (the weight row is frozen
 	// while tasks execute), while ClockBounded(s) lets cached weights up to s
-	// iterations old serve without even a validation round trip. When Cache.CombinePushes is also set, the
-	// per-task gradient pushes accumulate in per-executor write-combining
-	// buffers flushed once per iteration — this regroups the floating-point
-	// summation of gradient contributions, so it is kept off the staleness-0
-	// bit-identity arm.
+	// iterations old serve without even a validation round trip. When
+	// Cache.CombinePushes is also set, the per-task gradient pushes
+	// accumulate in per-executor write-combining buffers flushed once per
+	// iteration — this regroups the floating-point summation of gradient
+	// contributions, so it is kept off the staleness-0 bit-identity arm.
 	Cache *ps.CacheConfig
 
 	// Replicas, when non-nil, serves the hot-column subset of the weight
@@ -81,9 +84,9 @@ type Config struct {
 	// replicated on every server, reads of them go to a rotating server
 	// instead of the owner, and writes invalidate through per-element
 	// version stamps. The default ClockBounded(0) policy keeps the trained
-	// model bit-identical (the weight row is frozen while tasks execute, exactly the cache's
-	// argument). Mutually exclusive with Cache — both intercept the same
-	// pull, so configuring both is an error.
+	// model bit-identical (the weight row is frozen while tasks execute,
+	// exactly the cache's argument). Mutually exclusive with Cache — both
+	// intercept the same pull, so configuring both is an error.
 	Replicas *ps.ReplicaConfig
 
 	Seed uint64
@@ -91,21 +94,7 @@ type Config struct {
 
 // DefaultConfig returns the Table 4 hyperparameters for LR.
 func DefaultConfig() Config {
-	return Config{
-		LearningRate:  0.618,
-		BatchFraction: 0.01,
-		Iterations:    60,
-		Beta1:         0.9,
-		Beta2:         0.999,
-		Epsilon:       1e-8,
-		Seed:          42,
-	}
-}
-
-// batchStat is the per-task summary returned from each training stage.
-type batchStat struct {
-	Loss  float64
-	Count int
+	return Config{LearningRate: 0.618, BatchFraction: 0.01, Iterations: 60, Seed: 42}
 }
 
 // BatchGradient computes the sparse mini-batch gradient and loss sum for a
@@ -121,23 +110,13 @@ func BatchGradient(obj Objective, rows []data.Instance, weight func(idx int) flo
 		for k, idx := range fv.Indices {
 			z += fv.Values[k] * weight(idx)
 		}
-		switch obj {
-		case Logistic:
-			p := linalg.Sigmoid(z)
-			lossSum += linalg.LogLoss(z, inst.Label)
-			g := p - inst.Label
-			for k, idx := range fv.Indices {
-				grad[idx] += g * fv.Values[k]
-			}
-		case Hinge:
-			y := 2*inst.Label - 1
-			margin := y * z
-			if margin < 1 {
-				lossSum += 1 - margin
-				for k, idx := range fv.Indices {
-					grad[idx] -= y * fv.Values[k]
-				}
-			}
+		loss, dz, active := obj.Loss(z, inst.Label)
+		if !active {
+			continue
+		}
+		lossSum += loss
+		for k, idx := range fv.Indices {
+			grad[idx] += dz * fv.Values[k]
 		}
 	}
 	return grad, lossSum
@@ -158,6 +137,15 @@ func DistinctIndices(rows []data.Instance) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// byIndex serves the weights vals pulled for indices idx by feature index.
+func byIndex(idx []int, vals []float64) func(int) float64 {
+	local := make(map[int]float64, len(idx))
+	for k, i := range idx {
+		local[i] = vals[k]
+	}
+	return func(i int) float64 { return local[i] }
 }
 
 // TotalNnz counts feature entries across rows (the compute charge unit).
@@ -199,189 +187,176 @@ type FusedOptimizer interface {
 }
 
 // Train runs mini-batch training of the configured objective on PS2: the
-// execution flow of the paper's Section 3.3 / Figure 3.
+// execution flow of the paper's Section 3.3 / Figure 3, as the PS2 strategy
+// of the shared loop.
 func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg Config, opt Optimizer) (*Model, error) {
-	if cfg.Iterations <= 0 {
-		return nil, fmt.Errorf("lr: iterations must be positive")
-	}
 	if opt == nil {
 		opt = NewSGD()
 	}
-	if cfg.WarmStart != nil && len(cfg.WarmStart) != dim {
-		return nil, fmt.Errorf("lr: warm start has %d weights for dim %d", len(cfg.WarmStart), dim)
+	s := &ps2{opt: opt}
+	trace, err := Run(p, e, dataset, dim, cfg, s)
+	if err != nil {
+		return nil, err
 	}
+	trace.Name = "PS2-" + opt.Name()
+	return &Model{Weights: s.weight, Trace: trace}, nil
+}
+
+// ps2 is PS2's strategy: the model is co-located DCVs on the servers, a task
+// sparse-pulls exactly its batch's features and pushes its gradient with a
+// DCV add, and the driver runs the optimizer server-side at the barrier.
+type ps2 struct {
+	opt Optimizer
+	e   *core.Engine
+	cfg Config
+
+	weight, grad *dcv.Vector
+	pullRow      func(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error)
+	cache        *ps.CachedClient
+	gradBufs     map[*simnet.Node]*ps.PushBuffer
+}
+
+func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], dim int, cfg Config) error {
+	s.e, s.cfg = e, cfg
 	// Allocate the weight DCV; the optimizer derives its auxiliary vectors
 	// and the gradient from it so everything is dimension co-located.
-	weight, err := e.DCV.Dense(p, dim, 2+opt.AuxVectors())
-	if err != nil {
-		return nil, err
+	var err error
+	if s.weight, err = e.DCV.Dense(p, dim, 2+s.opt.AuxVectors()); err != nil {
+		return err
 	}
-	if cfg.WarmStart != nil {
-		if err := weight.Set(p, e.Driver(), cfg.WarmStart); err != nil {
-			return nil, err
-		}
+	if err := s.opt.Init(p, e, s.weight); err != nil {
+		return err
 	}
-	if err := opt.Init(p, e, weight); err != nil {
-		return nil, err
+	if s.grad, err = s.weight.Derive(); err != nil {
+		return err
 	}
-	grad, err := weight.Derive()
-	if err != nil {
-		return nil, err
+	if err := s.grad.Zero(p, e.Driver()); err != nil {
+		return err
 	}
-	if err := grad.Zero(p, e.Driver()); err != nil {
-		return nil, err
-	}
+	s.pullRow = s.weight.Matrix().PullRowIndices
 
 	// Optional worker-side cache: one CachedClient over the shared raw
 	// matrix, and (when combining is on) one write-combining gradient buffer
 	// per executor machine, flushed by the driver at the stage barrier.
-	var cache *ps.CachedClient
-	var gradBufs map[*simnet.Node]*ps.PushBuffer
 	if cfg.Cache != nil {
 		if cfg.Replicas != nil {
-			return nil, errors.New("lr: Cache and Replicas both intercept the weight pull; configure one")
+			return errors.New("lr: Cache and Replicas both intercept the weight pull; configure one")
 		}
-		cache = ps.NewCachedClient(weight.Matrix(), *cfg.Cache)
+		s.cache = ps.NewCachedClient(s.weight.Matrix(), *cfg.Cache)
+		s.pullRow = s.cache.PullRowIndices
 		if cfg.Cache.CombinePushes {
-			gradBufs = map[*simnet.Node]*ps.PushBuffer{}
+			s.gradBufs = map[*simnet.Node]*ps.PushBuffer{}
 		}
 	}
 	// Optional hot-parameter replication: reads of the configured hot
 	// columns spread over all servers instead of hammering their owners.
-	var replicas *ps.HotReplicaSet
 	if cfg.Replicas != nil {
-		var err error
-		replicas, err = ps.NewHotReplicaSet(weight.Matrix(), *cfg.Replicas)
+		replicas, err := ps.NewHotReplicaSet(s.weight.Matrix(), *cfg.Replicas)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		s.pullRow = replicas.PullRowIndices
 	}
+	return nil
+}
 
-	trace := &core.Trace{Name: "PS2-" + opt.Name()}
-	cost := e.Cluster.Cost
-	for it := 0; it < cfg.Iterations; it++ {
-		batch := dataset.Sample(cfg.BatchFraction, cfg.Seed+uint64(it))
-		stats := rdd.RunPartitions(p, batch, 24, func(tc *rdd.TaskContext, part int, rows []data.Instance) batchStat {
-			if len(rows) == 0 {
-				return batchStat{}
-			}
-			// (1) Model pull: sparse pull of exactly the batch's features,
-			// served from the executor's cache when one is configured.
-			idx := DistinctIndices(rows)
-			var vals []float64
-			switch {
-			case cache != nil:
-				vals = ps.Must(cache.PullRowIndices(tc.P, tc.Node, weight.Row(), idx))
-			case replicas != nil:
-				vals = ps.Must(replicas.PullRowIndices(tc.P, tc.Node, weight.Row(), idx))
-			default:
-				vals = ps.Must(weight.PullIndices(tc.P, tc.Node, idx))
-			}
-			local := make(map[int]float64, len(idx))
-			for k, i := range idx {
-				local[i] = vals[k]
-			}
-			// (2) Gradient calculation.
-			g, lossSum := BatchGradient(cfg.Objective, rows, func(i int) float64 { return local[i] })
-			tc.Charge(cost.GradWork(TotalNnz(rows)))
-			tc.Commit()
-			// (3) Gradient push via the DCV add operator.
-			sv := linalg.SparseFromMap(g, 1)
-			// Value-bounded accounting: the push below targets the GRAD
-			// row, but the row the cache holds is the WEIGHT row, whose
-			// eventual change is the optimizer step over this gradient.
-			// Credit the cache with the SGD-flavored estimate lr·|g|/batch
-			// so value-bounded and adaptive policies see a per-element
-			// magnitude signal; skipped entirely under the default
-			// clock-bounded policy.
-			if cache != nil && cache.Policy().UsesDeltas() {
-				mags := make([]float64, len(sv.Values))
-				scale := cfg.LearningRate / float64(len(rows))
-				for k, v := range sv.Values {
-					mags[k] = scale * v
-				}
-				cache.CreditPush(tc.Node, weight.Row(), sv.Indices, mags)
-			}
-			if gradBufs != nil {
-				// Write combining: the delta merges host-side into the
-				// executor's buffer; the wire cost is paid at flush.
-				buf := gradBufs[tc.Node]
-				if buf == nil {
-					buf = cache.NewPushBuffer()
-					gradBufs[tc.Node] = buf
-				}
-				ps.MustOK(buf.Add(grad.Row(), sv))
-			} else {
-				ps.MustOK(grad.Add(tc.P, tc.Node, sv))
-			}
-			return batchStat{Loss: lossSum, Count: len(rows)}
-		})
-		// Global barrier happened inside RunPartitions (Spark's foreach).
-		// Flush the combined gradients — one coalesced push per executor, in
-		// parallel so the flush wave costs one round trip, not one per
-		// executor — before the optimizer reads the batch gradient.
-		if gradBufs != nil {
-			g := p.Sim().NewGroup()
-			errs := make([]error, len(e.Cluster.Executors))
-			for i, node := range e.Cluster.Executors {
-				if buf := gradBufs[node]; buf != nil && buf.Pending() > 0 {
-					g.Go("grad-flush", func(fp *simnet.Proc) {
-						errs[i] = buf.Flush(fp, node)
-					})
-				}
-			}
-			g.Wait(p)
-			if err := errors.Join(errs...); err != nil {
-				return nil, err
+func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []Summary {
+	return GradientStage(p, s.e, batch, s.cfg.Objective, s.pull, s.push)
+}
+
+// pull is the model pull: a sparse pull of exactly the batch's features.
+func (s *ps2) pull(tc *rdd.TaskContext, rows []data.Instance) func(int) float64 {
+	idx := DistinctIndices(rows)
+	return byIndex(idx, ps.Must(s.pullRow(tc.P, tc.Node, s.weight.Row(), idx)))
+}
+
+// push is the gradient push via the DCV add operator.
+func (s *ps2) push(tc *rdd.TaskContext, rows []data.Instance, g map[int]float64) {
+	sv := linalg.SparseFromMap(g, 1)
+	// Value-bounded accounting: the push below targets the GRAD row, but the
+	// row the cache holds is the WEIGHT row, whose eventual change is the
+	// optimizer step over this gradient. Credit the cache with the
+	// SGD-flavored estimate lr·|g|/batch so value-bounded and adaptive
+	// policies see a per-element magnitude signal; skipped entirely under
+	// the default clock-bounded policy.
+	if s.cache != nil && s.cache.Policy().UsesDeltas() {
+		mags := make([]float64, len(sv.Values))
+		scale := s.cfg.LearningRate / float64(len(rows))
+		for k, v := range sv.Values {
+			mags[k] = scale * v
+		}
+		s.cache.CreditPush(tc.Node, s.weight.Row(), sv.Indices, mags)
+	}
+	if s.gradBufs != nil {
+		// Write combining: the delta merges host-side into the executor's
+		// buffer; the wire cost is paid at flush.
+		buf := s.gradBufs[tc.Node]
+		if buf == nil {
+			buf = s.cache.NewPushBuffer()
+			s.gradBufs[tc.Node] = buf
+		}
+		ps.MustOK(buf.Add(s.grad.Row(), sv))
+	} else {
+		ps.MustOK(s.grad.Add(tc.P, tc.Node, sv))
+	}
+}
+
+func (s *ps2) Barrier(p *simnet.Proc, it, count int) error {
+	// Flush the combined gradients — one coalesced push per executor, in
+	// parallel so the flush wave costs one round trip, not one per
+	// executor — before the optimizer reads the batch gradient.
+	if s.gradBufs != nil {
+		g := p.Sim().NewGroup()
+		errs := make([]error, len(s.e.Cluster.Executors))
+		for i, node := range s.e.Cluster.Executors {
+			if buf := s.gradBufs[node]; buf != nil && buf.Pending() > 0 {
+				g.Go("grad-flush", func(fp *simnet.Proc) {
+					errs[i] = buf.Flush(fp, node)
+				})
 			}
 		}
-		var lossSum float64
-		var count int
-		for _, st := range stats {
-			lossSum += st.Loss
-			count += st.Count
-		}
-		if count == 0 {
-			continue
-		}
-		// (4) Model update: server-side computation across co-located DCVs.
-		// With fusion (the default) the optimizer step and the gradient
-		// reset ride one request per server; the per-server op order (step,
-		// then zero) matches the unfused sequence, so the trained model is
-		// bit-identical.
-		if fopt, ok := opt.(FusedOptimizer); ok && !cfg.NoFusion {
-			b := dcv.NewBatch(weight)
-			fopt.RecordStep(e, b, weight, grad, it+1, count)
-			b.Zero(grad)
-			if err := b.Run(p, e.Driver()); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := opt.Step(p, e, weight, grad, it+1, count); err != nil {
-				return nil, err
-			}
-			if err := grad.Zero(p, e.Driver()); err != nil {
-				return nil, err
-			}
-		}
-		// The optimizer step mutated the weight row: advance the matrix's
-		// model clock — replica freshness and any serving-tier reader attached
-		// to the weights ride it (ps/serve.go) — and every executor's cache
-		// clock, so staleness-0 entries stop serving until revalidated against
-		// the new version stamps.
-		weight.Matrix().TickClock()
-		if cache != nil {
-			cache.Tick()
-		}
-		trace.Add(p.Now(), lossSum/float64(count))
-		if cfg.CheckpointEvery > 0 && (it+1)%cfg.CheckpointEvery == 0 {
-			e.PS.Checkpoint(p, weight.Matrix())
-		}
-		if cfg.TargetLoss > 0 && lossSum/float64(count) <= cfg.TargetLoss {
-			break
+		g.Wait(p)
+		if err := errors.Join(errs...); err != nil {
+			return err
 		}
 	}
-	return &Model{Weights: weight, Trace: trace}, nil
+	// Model update: server-side computation across co-located DCVs. With
+	// fusion (the default) the optimizer step and the gradient reset ride
+	// one request per server; the per-server op order (step, then zero)
+	// matches the unfused sequence, so the trained model is bit-identical.
+	if fopt, ok := s.opt.(FusedOptimizer); ok && !s.cfg.NoFusion {
+		b := dcv.NewBatch(s.weight)
+		fopt.RecordStep(s.e, b, s.weight, s.grad, it+1, count)
+		b.Zero(s.grad)
+		if err := b.Run(p, s.e.Driver()); err != nil {
+			return err
+		}
+	} else {
+		if err := s.opt.Step(p, s.e, s.weight, s.grad, it+1, count); err != nil {
+			return err
+		}
+		if err := s.grad.Zero(p, s.e.Driver()); err != nil {
+			return err
+		}
+	}
+	// The optimizer step mutated the weight row: advance the matrix's model
+	// clock — replica freshness and any serving-tier reader attached to the
+	// weights ride it (ps/serve.go) — and every executor's cache clock, so
+	// staleness-0 entries stop serving until revalidated against the new
+	// version stamps.
+	s.weight.Matrix().TickClock()
+	if s.cache != nil {
+		s.cache.Tick()
+	}
+	return nil
+}
+
+// checkpoint runs after the trace point, so an iteration's recorded time
+// leaves its own checkpoint out.
+func (s *ps2) checkpoint(p *simnet.Proc, it int) {
+	if s.cfg.CheckpointEvery > 0 && (it+1)%s.cfg.CheckpointEvery == 0 {
+		s.e.PS.Checkpoint(p, s.weight.Matrix())
+	}
 }
 
 // EvalLoss computes the mean loss of a pulled weight vector over a dataset —
@@ -392,16 +367,8 @@ func EvalLoss(obj Objective, instances []data.Instance, w []float64) float64 {
 	}
 	var total float64
 	for _, inst := range instances {
-		z := inst.Features.DotDense(w)
-		switch obj {
-		case Logistic:
-			total += linalg.LogLoss(z, inst.Label)
-		case Hinge:
-			y := 2*inst.Label - 1
-			if m := y * z; m < 1 {
-				total += 1 - m
-			}
-		}
+		loss, _, _ := obj.Loss(inst.Features.DotDense(w), inst.Label)
+		total += loss
 	}
 	return total / float64(len(instances))
 }
@@ -487,26 +454,15 @@ func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 			return partial{}
 		}
 		idx := DistinctIndices(rows)
-		vals := ps.Must(weights.PullIndices(tc.P, tc.Node, idx))
-		local := make(map[int]float64, len(idx))
-		for k, i := range idx {
-			local[i] = vals[k]
-		}
+		w := byIndex(idx, ps.Must(weights.PullIndices(tc.P, tc.Node, idx)))
 		var out partial
 		for _, inst := range rows {
 			var z float64
 			for k, i := range inst.Features.Indices {
-				z += inst.Features.Values[k] * local[i]
+				z += inst.Features.Values[k] * w(i)
 			}
-			switch obj {
-			case Logistic:
-				out.Loss += linalg.LogLoss(z, inst.Label)
-			case Hinge:
-				y := 2*inst.Label - 1
-				if m := y * z; m < 1 {
-					out.Loss += 1 - m
-				}
-			}
+			loss, _, _ := obj.Loss(z, inst.Label)
+			out.Loss += loss
 			pred := 0.0
 			if z > 0 {
 				pred = 1

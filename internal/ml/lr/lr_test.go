@@ -502,62 +502,9 @@ func TestWeightsSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWarmStartResumesTraining(t *testing.T) {
-	ds := smallDataset(t, 1000, 300)
-	cfg := DefaultConfig()
-	cfg.Iterations = 15
-	cfg.BatchFraction = 0.4
-
-	// Phase 1: train, pull weights.
-	e1 := newEngine(4, 4)
-	var w1 []float64
-	e1.Run(func(p *simnet.Proc) {
-		m, err := Train(p, e1, loadRDD(e1, ds), ds.Config.Dim, cfg, NewSGD())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		w1 = m.Weights.Pull(p, e1.Driver())
-	})
-	phase1 := EvalLoss(Logistic, ds.Instances, w1)
-
-	// Phase 2: resume from the phase-1 weights on a fresh engine.
-	e2 := newEngine(4, 4)
-	cfg2 := cfg
-	cfg2.WarmStart = w1
-	cfg2.Seed = 99 // different batches
-	var w2 []float64
-	var firstBatchLoss float64
-	e2.Run(func(p *simnet.Proc) {
-		m, err := Train(p, e2, loadRDD(e2, ds), ds.Config.Dim, cfg2, NewSGD())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		firstBatchLoss = m.Trace.Values[0]
-		w2 = m.Weights.Pull(p, e2.Driver())
-	})
-	if firstBatchLoss >= 0.9*math.Ln2 {
-		t.Fatalf("warm start ignored: first batch loss %v near ln2", firstBatchLoss)
-	}
-	if phase2 := EvalLoss(Logistic, ds.Instances, w2); phase2 > phase1 {
-		t.Fatalf("resumed training regressed: %v -> %v", phase1, phase2)
-	}
-
-	// Bad warm start rejected.
-	e3 := newEngine(2, 2)
-	e3.Run(func(p *simnet.Proc) {
-		bad := cfg
-		bad.WarmStart = make([]float64, 7)
-		if _, err := Train(p, e3, loadRDD(e3, ds), ds.Config.Dim, bad, NewSGD()); err == nil {
-			t.Error("mismatched warm start accepted")
-		}
-	})
-}
-
 // TestTrainReturnsDriverSideOperatorFailure pins the error contract of the
 // driver-side operators inside Train: with every server dead and no recovery
-// coming, the warm-start write exhausts its retry budget and Train returns
+// coming, the gradient reset exhausts its retry budget and Train returns
 // the wrapped ps.ErrServerDown instead of panicking the whole simulation.
 func TestTrainReturnsDriverSideOperatorFailure(t *testing.T) {
 	ds := smallDataset(t, 200, 50)
@@ -566,7 +513,6 @@ func TestTrainReturnsDriverSideOperatorFailure(t *testing.T) {
 	opt.RPC = ps.RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.005, MaxBackoffSec: 0.05, MaxRetries: 3}
 	e := core.NewEngine(opt)
 	cfg := DefaultConfig()
-	cfg.WarmStart = make([]float64, ds.Config.Dim)
 	e.Run(func(p *simnet.Proc) {
 		for s := 0; s < opt.Servers; s++ {
 			e.PS.KillServer(s)
@@ -575,28 +521,4 @@ func TestTrainReturnsDriverSideOperatorFailure(t *testing.T) {
 			t.Errorf("Train on a dead cluster: got %v, want ps.ErrServerDown", err)
 		}
 	})
-}
-
-func TestTargetLossStopsEarly(t *testing.T) {
-	ds := smallDataset(t, 1000, 300)
-	e := newEngine(4, 4)
-	cfg := DefaultConfig()
-	cfg.Iterations = 200
-	cfg.BatchFraction = 0.4
-	cfg.TargetLoss = 0.5
-	var trace *core.Trace
-	e.Run(func(p *simnet.Proc) {
-		m, err := Train(p, e, loadRDD(e, ds), ds.Config.Dim, cfg, NewSGD())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		trace = m.Trace
-	})
-	if trace.Len() >= 200 {
-		t.Fatalf("target loss did not stop training: %d iterations", trace.Len())
-	}
-	if trace.Final() > 0.5 {
-		t.Fatalf("stopped above target: %v", trace.Final())
-	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dcv"
+	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
 
@@ -25,21 +26,29 @@ func (s *SGD) AuxVectors() int { return 0 }
 
 func (s *SGD) Init(*simnet.Proc, *core.Engine, *dcv.Vector) error { return nil }
 
-func (s *SGD) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
+// scale is the step's coefficient on the summed batch gradient.
+func (s *SGD) scale(iter, batchSize int) float64 {
 	eta := s.LearningRate
 	if s.Decay {
 		eta /= math.Sqrt(float64(iter))
 	}
-	return w.Axpy(p, e.Driver(), -eta/float64(batchSize), grad)
+	return -eta / float64(batchSize)
+}
+
+func (s *SGD) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
+	return w.Axpy(p, e.Driver(), s.scale(iter, batchSize), grad)
 }
 
 // RecordStep records the same axpy into a fused batch.
 func (s *SGD) RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int) {
-	eta := s.LearningRate
-	if s.Decay {
-		eta /= math.Sqrt(float64(iter))
-	}
-	b.Axpy(w, -eta/float64(batchSize), grad)
+	b.Axpy(w, s.scale(iter, batchSize), grad)
+}
+
+// Update returns the same axpy as a kernel over the rows (weight,
+// gradient): Spark-SGD's step on the driver's model.
+func (s *SGD) Update(iter, batchSize int) func(lo int, rows [][]float64) {
+	scale := s.scale(iter, batchSize)
+	return func(_ int, rows [][]float64) { linalg.Axpy(scale, rows[1], rows[0]) }
 }
 
 // Adam implements the paper's Section 3.1 Example 1: the model is four
@@ -58,8 +67,7 @@ type Adam struct {
 
 // NewAdam returns Adam with the paper's Table 4 hyperparameters.
 func NewAdam() *Adam {
-	cfg := DefaultConfig()
-	return &Adam{LearningRate: cfg.LearningRate, Beta1: cfg.Beta1, Beta2: cfg.Beta2, Epsilon: cfg.Epsilon}
+	return &Adam{LearningRate: DefaultConfig().LearningRate, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
 func (a *Adam) Name() string { return "Adam" }
@@ -67,21 +75,16 @@ func (a *Adam) Name() string { return "Adam" }
 func (a *Adam) AuxVectors() int { return 2 }
 
 func (a *Adam) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	var err error
-	if a.velocity, err = w.Derive(); err != nil {
-		return err
-	}
-	if err := a.velocity.Fill(p, e.Driver(), 0); err != nil {
-		return err
-	}
-	if a.square, err = w.Derive(); err != nil {
-		return err
-	}
-	return a.square.Fill(p, e.Driver(), 0)
+	return zeroed(p, e, w, &a.velocity, &a.square)
 }
 
-// update returns the Adam update kernel shared by Step and RecordStep.
-func (a *Adam) update(iter, batchSize int) func(lo int, rows [][]float64) {
+// Moments returns the velocity and square DCVs Init derived.
+func (a *Adam) Moments() (velocity, square *dcv.Vector) { return a.velocity, a.square }
+
+// Update returns the Adam update kernel over the rows (weight, velocity,
+// square, gradient). Step and RecordStep run it on the servers, PS-Adam on
+// pulled copies and Spark-Adam on the driver's model.
+func (a *Adam) Update(iter, batchSize int) func(lo int, rows [][]float64) {
 	t := float64(iter)
 	scale := 1.0 / float64(batchSize)
 	corr1 := 1 - math.Pow(a.Beta1, t)
@@ -102,12 +105,12 @@ func (a *Adam) update(iter, batchSize int) func(lo int, rows [][]float64) {
 
 func (a *Adam) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
 	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*3,
-		a.update(iter, batchSize), a.velocity, a.square, grad)
+		a.Update(iter, batchSize), a.velocity, a.square, grad)
 }
 
 // RecordStep records the same 4-vector zip into a fused batch.
 func (a *Adam) RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int) {
-	b.ZipMap(w, e.Cluster.Cost.FlopsPerElem*3, a.update(iter, batchSize), a.velocity, a.square, grad)
+	b.ZipMap(w, e.Cluster.Cost.FlopsPerElem*3, a.Update(iter, batchSize), a.velocity, a.square, grad)
 }
 
 // Adagrad keeps a per-dimension accumulated squared gradient (paper Section
@@ -127,11 +130,7 @@ func (a *Adagrad) Name() string { return "Adagrad" }
 func (a *Adagrad) AuxVectors() int { return 1 }
 
 func (a *Adagrad) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	var err error
-	if a.accum, err = w.Derive(); err != nil {
-		return err
-	}
-	return a.accum.Fill(p, e.Driver(), 0)
+	return zeroed(p, e, w, &a.accum)
 }
 
 func (a *Adagrad) update(batchSize int) func(lo int, rows [][]float64) {
@@ -173,11 +172,7 @@ func (r *RMSProp) Name() string { return "RMSProp" }
 func (r *RMSProp) AuxVectors() int { return 1 }
 
 func (r *RMSProp) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	var err error
-	if r.mean, err = w.Derive(); err != nil {
-		return err
-	}
-	return r.mean.Fill(p, e.Driver(), 0)
+	return zeroed(p, e, w, &r.mean)
 }
 
 func (r *RMSProp) update(batchSize int) func(lo int, rows [][]float64) {
@@ -200,6 +195,21 @@ func (r *RMSProp) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter
 // RecordStep records the same zip into a fused batch.
 func (r *RMSProp) RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int) {
 	b.ZipMap(w, e.Cluster.Cost.FlopsPerElem*2, r.update(batchSize), r.mean, grad)
+}
+
+// zeroed derives each auxiliary vector co-located with w and fills it with
+// zeros, one after the other: every optimizer's Init.
+func zeroed(p *simnet.Proc, e *core.Engine, w *dcv.Vector, aux ...**dcv.Vector) error {
+	for _, v := range aux {
+		var err error
+		if *v, err = w.Derive(); err != nil {
+			return err
+		}
+		if err := (*v).Fill(p, e.Driver(), 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 var (

@@ -26,10 +26,11 @@ fi
 
 # Observability cost gate, run by name so a regression fails loudly on its
 # own line: the disabled tracer must allocate nothing on the nil fast path,
-# and an untraced fixed workload must not drift >2% from the committed
-# virtual-cost baseline (the deterministic stand-in for a wall-clock
-# overhead benchmark — virtual seconds and event counts are exact, so a
-# disabled-tracer regression trips here before any timing could show it).
+# and an untraced fixed workload must match the committed virtual-cost
+# baseline exactly (the deterministic stand-in for a wall-clock overhead
+# benchmark — virtual seconds and event counts are exact, so a
+# disabled-tracer regression, or a reordering of the PS2 training loop's
+# events, trips here before any timing could show it).
 go test -race -count=1 -run 'TestNilTracer|TestTracerObservesWithoutPerturbing' ./internal/obs/ .
 
 # The race detector makes the bench package's per-experiment runs take

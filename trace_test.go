@@ -134,19 +134,20 @@ func TestTracerObservesWithoutPerturbing(t *testing.T) {
 		t.Fatal("traced engine recorded nothing")
 	}
 	// The virtual-cost baseline for the untraced workload. These constants
-	// are the committed reference the CI gate checks against: if disabled-
-	// tracer instrumentation ever adds simulation events or virtual time,
-	// this trips before any wall-clock benchmark could.
+	// are the committed reference the CI gate checks against, and they are
+	// exact: if disabled-tracer instrumentation ever adds simulation events
+	// or virtual time, or the PS2 training loop reorders its events, this
+	// trips before any wall-clock benchmark could.
 	const (
 		baselineEnd    = 0.018210692
 		baselineEvents = 11684
 	)
-	if rel := math.Abs(endOff-baselineEnd) / baselineEnd; rel > 0.02 {
-		t.Fatalf("untraced finish time %v drifted %.1f%% from baseline %v (update the baseline if intentional)",
-			endOff, 100*rel, baselineEnd)
+	if rel := math.Abs(endOff-baselineEnd) / baselineEnd; rel > 1e-9 {
+		t.Fatalf("untraced finish time %v differs from baseline %v (update the baseline if intentional)",
+			endOff, baselineEnd)
 	}
-	if rel := math.Abs(float64(engOff.Sim.EventsProcessed())-baselineEvents) / baselineEvents; rel > 0.02 {
-		t.Fatalf("untraced event count %d drifted %.1f%% from baseline %d (update the baseline if intentional)",
-			engOff.Sim.EventsProcessed(), 100*rel, baselineEvents)
+	if n := engOff.Sim.EventsProcessed(); n != baselineEvents {
+		t.Fatalf("untraced event count %d differs from baseline %d (update the baseline if intentional)",
+			n, baselineEvents)
 	}
 }
