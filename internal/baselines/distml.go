@@ -41,13 +41,23 @@ func (s *distML) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance]
 // consistency guarantee, which we model as one round of staleness.
 func (s *distML) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []lr.Summary {
 	return lr.GradientStage(p, s.e, batch, s.cfg.Objective,
-		func(tc *rdd.TaskContext, _ []data.Instance) func(int) float64 {
+		func(tc *rdd.TaskContext, indices []int) []float64 {
 			ps.Must(s.mat.PullRow(tc.P, tc.Node, 0))
-			return func(i int) float64 { return s.view[i] }
+			return gather(s.view, indices)
 		},
-		func(tc *rdd.TaskContext, rows []data.Instance, g map[int]float64) {
-			ps.MustOK(s.mat.PushAdd(tc.P, tc.Node, 0, linalg.SparseFromMap(g, -s.cfg.LearningRate/float64(len(rows)))))
+		func(tc *rdd.TaskContext, rows []data.Instance, g *linalg.SparseVector) {
+			linalg.Scale(-s.cfg.LearningRate/float64(len(rows)), g.Values)
+			ps.MustOK(s.mat.PushAdd(tc.P, tc.Node, 0, g))
 		})
+}
+
+// gather returns full's values at indices, aligned with them.
+func gather(full []float64, indices []int) []float64 {
+	out := make([]float64, len(indices))
+	for k, i := range indices {
+		out[k] = full[i]
+	}
+	return out
 }
 
 // Barrier lets the stale view catch up after the round.

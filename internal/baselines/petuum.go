@@ -50,12 +50,12 @@ func (s *petuum) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Ins
 func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []lr.Summary {
 	eta := s.cfg.LearningRate / math.Sqrt(float64(it+1)) / s.expected
 	return lr.GradientStage(p, s.e, batch, s.cfg.Objective,
-		func(tc *rdd.TaskContext, _ []data.Instance) func(int) float64 {
-			w := ps.Must(s.mat.PullRow(tc.P, tc.Node, 0))
-			return func(i int) float64 { return w[i] }
+		func(tc *rdd.TaskContext, indices []int) []float64 {
+			return gather(ps.Must(s.mat.PullRow(tc.P, tc.Node, 0)), indices)
 		},
-		func(tc *rdd.TaskContext, _ []data.Instance, g map[int]float64) {
-			ps.MustOK(s.mat.PushAdd(tc.P, tc.Node, 0, linalg.SparseFromMap(g, -eta)))
+		func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) {
+			linalg.Scale(-eta, g.Values)
+			ps.MustOK(s.mat.PushAdd(tc.P, tc.Node, 0, g))
 		})
 }
 

@@ -197,23 +197,6 @@ func TestNewSparseFastPath(t *testing.T) {
 	}
 }
 
-func TestSparseFromMap(t *testing.T) {
-	m := map[int]float64{40: 4, 2: 1, 9: -3, 5: 0.5}
-	sv := SparseFromMap(m, -2)
-	wantIdx, wantVal := []int{2, 5, 9, 40}, []float64{-2, -1, 6, -8}
-	if len(sv.Indices) != len(wantIdx) || len(sv.Values) != len(wantVal) {
-		t.Fatalf("got %v %v", sv.Indices, sv.Values)
-	}
-	for k := range wantIdx {
-		if sv.Indices[k] != wantIdx[k] || sv.Values[k] != wantVal[k] {
-			t.Fatalf("entry %d = (%d,%v), want (%d,%v)", k, sv.Indices[k], sv.Values[k], wantIdx[k], wantVal[k])
-		}
-	}
-	if sv := SparseFromMap(nil, 1); sv.Nnz() != 0 {
-		t.Fatalf("nil map gave %d entries", sv.Nnz())
-	}
-}
-
 // TestNewSparseSortedNoSortAllocs: the fast path performs exactly the two
 // result-copy allocations plus the struct itself.
 func TestNewSparseSortedNoSortAllocs(t *testing.T) {

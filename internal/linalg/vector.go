@@ -57,22 +57,6 @@ func NewSparse(indices []int, values []float64) (*SparseVector, error) {
 	return sv, nil
 }
 
-// SparseFromMap returns scale·m as a sparse vector: the map's keys in
-// ascending order, each value scale*m[key] — the shape a per-batch gradient
-// map takes on its way into a push. Map keys are distinct, so the result
-// needs no validation; scale 1 copies the values exactly.
-func SparseFromMap(m map[int]float64, scale float64) *SparseVector {
-	sv := &SparseVector{Indices: make([]int, 0, len(m)), Values: make([]float64, len(m))}
-	for i := range m {
-		sv.Indices = append(sv.Indices, i)
-	}
-	sort.Ints(sv.Indices)
-	for k, i := range sv.Indices {
-		sv.Values[k] = scale * m[i]
-	}
-	return sv
-}
-
 // strictlyIncreasing reports whether idx is already in strictly ascending
 // order (no duplicates), i.e. already a valid SparseVector index list.
 func strictlyIncreasing(idx []int) bool {

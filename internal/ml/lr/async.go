@@ -101,23 +101,28 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 			if cache != nil && cfg.Cache.CombinePushes {
 				buf = cache.NewPushBuffer()
 			}
+			var bi BatchIndex
+			var grad []float64
 			for it := 0; it < cfg.Iterations; it++ {
 				clock.WaitPolicy(wp, bound, it)
 				// Sample this worker's mini-batch.
 				batch := sampleRows(rows, cfg.BatchFraction, rng)
 				if len(batch) > 0 {
-					idx := DistinctIndices(batch)
+					bi.Build(batch)
 					var vals []float64
 					if cache != nil {
-						vals = ps.Must(cache.PullRowIndices(wp, node, 0, idx))
+						vals = ps.Must(cache.PullRowIndices(wp, node, 0, bi.Indices))
 					} else {
-						vals = ps.Must(mat.PullRowIndices(wp, node, 0, idx))
+						vals = ps.Must(mat.PullRowIndices(wp, node, 0, bi.Indices))
 					}
-					grad, lossSum := BatchGradient(cfg.Objective, batch, byIndex(idx, vals))
+					grad = fit(grad, len(bi.Indices))
+					lossSum := bi.Gradient(cfg.Objective, batch, vals, grad)
 					node.Compute(wp, cost.GradWork(TotalNnz(batch)))
 					// Apply the scaled update directly (async increment).
 					eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(len(batch)) / float64(len(parts))
-					sv := linalg.SparseFromMap(grad, -eta)
+					idx, g := bi.Sparse(grad)
+					linalg.Scale(-eta, g)
+					sv := &linalg.SparseVector{Indices: idx, Values: g}
 					if buf != nil {
 						ps.MustOK(buf.Add(0, sv))
 						ps.MustOK(buf.Flush(wp, node))

@@ -70,11 +70,10 @@ func TrainLBFGS(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance],
 		if err := grad.Zero(p, driver); err != nil {
 			return 0, err
 		}
-		stats := GradientStage(p, e, dataset, Logistic, func(tc *rdd.TaskContext, rows []data.Instance) func(int) float64 {
-			idx := DistinctIndices(rows)
-			return byIndex(idx, ps.Must(w.PullIndices(tc.P, tc.Node, idx)))
-		}, func(tc *rdd.TaskContext, _ []data.Instance, g map[int]float64) {
-			ps.MustOK(grad.Add(tc.P, tc.Node, linalg.SparseFromMap(g, 1)))
+		stats := GradientStage(p, e, dataset, Logistic, func(tc *rdd.TaskContext, indices []int) []float64 {
+			return ps.Must(w.PullIndices(tc.P, tc.Node, indices))
+		}, func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) {
+			ps.MustOK(grad.Add(tc.P, tc.Node, g))
 		})
 		var lossSum float64
 		total = 0

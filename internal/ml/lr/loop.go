@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/linalg"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -69,20 +70,25 @@ func Run(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim in
 }
 
 // GradientStage is the stage every parameter-server strategy runs: each task
-// reads its weights, computes the batch gradient, pays for it, commits and
-// ships it.
+// indexes its rows, reads the weights of the index's features (weights
+// returns them aligned with indices), computes the batch gradient, pays for
+// it, commits and ships it. ship owns grad.
 func GradientStage(p *simnet.Proc, e *core.Engine, batch *rdd.RDD[data.Instance], obj Objective,
-	weights func(tc *rdd.TaskContext, rows []data.Instance) func(int) float64,
-	ship func(tc *rdd.TaskContext, rows []data.Instance, grad map[int]float64)) []Summary {
+	weights func(tc *rdd.TaskContext, indices []int) []float64,
+	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector)) []Summary {
 	cost := e.Cluster.Cost
 	return rdd.RunPartitions(p, batch, SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) Summary {
 		if len(rows) == 0 {
 			return Summary{}
 		}
-		g, loss := BatchGradient(obj, rows, weights(tc, rows))
+		var b BatchIndex
+		b.Build(rows)
+		g := make([]float64, len(b.Indices))
+		loss := b.Gradient(obj, rows, weights(tc, b.Indices), g)
 		tc.Charge(cost.GradWork(TotalNnz(rows)))
 		tc.Commit()
-		ship(tc, rows, g)
+		idx, vals := b.Sparse(g)
+		ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
 		return Summary{Loss: loss, Count: len(rows)}
 	})
 }

@@ -98,26 +98,21 @@ func DefaultConfig() Config {
 }
 
 // BatchGradient computes the sparse mini-batch gradient and loss sum for a
-// set of rows against local weight values. weights maps feature index to
-// current weight for every feature appearing in rows. It is shared by the
-// PS2 trainer and the baseline systems so every system optimizes the exact
-// same objective.
+// set of rows, reading feature i's weight as weight(i): BatchIndex.Gradient
+// with the result keyed by feature.
 func BatchGradient(obj Objective, rows []data.Instance, weight func(idx int) float64) (grad map[int]float64, lossSum float64) {
-	grad = make(map[int]float64, len(rows)*4)
-	for _, inst := range rows {
-		var z float64
-		fv := inst.Features
-		for k, idx := range fv.Indices {
-			z += fv.Values[k] * weight(idx)
-		}
-		loss, dz, active := obj.Loss(z, inst.Label)
-		if !active {
-			continue
-		}
-		lossSum += loss
-		for k, idx := range fv.Indices {
-			grad[idx] += dz * fv.Values[k]
-		}
+	var b BatchIndex
+	b.Build(rows)
+	w := make([]float64, len(b.Indices))
+	for k, i := range b.Indices {
+		w[k] = weight(i)
+	}
+	g := make([]float64, len(b.Indices))
+	lossSum = b.Gradient(obj, rows, w, g)
+	idx, vals := b.Sparse(g)
+	grad = make(map[int]float64, len(idx))
+	for k, i := range idx {
+		grad[i] = vals[k]
 	}
 	return grad, lossSum
 }
@@ -125,27 +120,9 @@ func BatchGradient(obj Objective, rows []data.Instance, weight func(idx int) flo
 // DistinctIndices returns the sorted distinct feature indices of a batch —
 // the index set a sparse pull fetches.
 func DistinctIndices(rows []data.Instance) []int {
-	seen := map[int]bool{}
-	for _, inst := range rows {
-		for _, idx := range inst.Features.Indices {
-			seen[idx] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for idx := range seen {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// byIndex serves the weights vals pulled for indices idx by feature index.
-func byIndex(idx []int, vals []float64) func(int) float64 {
-	local := make(map[int]float64, len(idx))
-	for k, i := range idx {
-		local[i] = vals[k]
-	}
-	return func(i int) float64 { return local[i] }
+	var b BatchIndex
+	b.Build(rows)
+	return b.Indices
 }
 
 // TotalNnz counts feature entries across rows (the compute charge unit).
@@ -265,14 +242,12 @@ func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []Sum
 }
 
 // pull is the model pull: a sparse pull of exactly the batch's features.
-func (s *ps2) pull(tc *rdd.TaskContext, rows []data.Instance) func(int) float64 {
-	idx := DistinctIndices(rows)
-	return byIndex(idx, ps.Must(s.pullRow(tc.P, tc.Node, s.weight.Row(), idx)))
+func (s *ps2) pull(tc *rdd.TaskContext, indices []int) []float64 {
+	return ps.Must(s.pullRow(tc.P, tc.Node, s.weight.Row(), indices))
 }
 
 // push is the gradient push via the DCV add operator.
-func (s *ps2) push(tc *rdd.TaskContext, rows []data.Instance, g map[int]float64) {
-	sv := linalg.SparseFromMap(g, 1)
+func (s *ps2) push(tc *rdd.TaskContext, rows []data.Instance, sv *linalg.SparseVector) {
 	// Value-bounded accounting: the push below targets the GRAD row, but the
 	// row the cache holds is the WEIGHT row, whose eventual change is the
 	// optimizer step over this gradient. Credit the cache with the
@@ -453,18 +428,16 @@ func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 		if len(rows) == 0 {
 			return partial{}
 		}
-		idx := DistinctIndices(rows)
-		w := byIndex(idx, ps.Must(weights.PullIndices(tc.P, tc.Node, idx)))
+		var b BatchIndex
+		b.Build(rows)
+		z := make([]float64, len(rows))
+		b.margins(rows, ps.Must(weights.PullIndices(tc.P, tc.Node, b.Indices)), z)
 		var out partial
-		for _, inst := range rows {
-			var z float64
-			for k, i := range inst.Features.Indices {
-				z += inst.Features.Values[k] * w(i)
-			}
-			loss, _, _ := obj.Loss(z, inst.Label)
+		for r, inst := range rows {
+			loss, _, _ := obj.Loss(z[r], inst.Label)
 			out.Loss += loss
 			pred := 0.0
-			if z > 0 {
+			if z[r] > 0 {
 				pred = 1
 			}
 			if pred == inst.Label {

@@ -277,81 +277,6 @@ func TestHingeGradientZeroWhenMarginMet(t *testing.T) {
 	}
 }
 
-func TestTrainFTRLConvergesAndSparsifies(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Iterations = 60
-	cfg.BatchFraction = 0.3
-	_, w, ds := trainWith(t, NewFTRL(), cfg)
-	final := EvalLoss(Logistic, ds.Instances, w)
-	if final >= math.Ln2 {
-		t.Fatalf("FTRL did not improve: %v", final)
-	}
-	// FTRL's L1 must produce exact zeros on a meaningful share of the
-	// dimensions (the model is sparser than the SGD one).
-	zeros := 0
-	for _, v := range w {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < len(w)/10 {
-		t.Fatalf("FTRL produced only %d/%d exact zeros; L1 not biting", zeros, len(w))
-	}
-}
-
-func TestFTRLMatchesSingleNodeReference(t *testing.T) {
-	ds := smallDataset(t, 200, 80)
-	iters := 4
-	cfg := DefaultConfig()
-	cfg.Iterations = iters
-	cfg.BatchFraction = 1.0
-
-	e := newEngine(3, 4)
-	opt := NewFTRL()
-	var got []float64
-	e.Run(func(p *simnet.Proc) {
-		model, err := Train(p, e, loadRDD(e, ds), ds.Config.Dim, cfg, opt)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got = model.Weights.Pull(p, e.Driver())
-	})
-
-	dim := ds.Config.Dim
-	w := make([]float64, dim)
-	z := make([]float64, dim)
-	n := make([]float64, dim)
-	for it := 0; it < iters; it++ {
-		grad := make([]float64, dim)
-		for _, inst := range ds.Instances {
-			pr := linalg.Sigmoid(inst.Features.DotDense(w))
-			inst.Features.AddToDense(grad, pr-inst.Label)
-		}
-		scale := 1.0 / float64(len(ds.Instances))
-		for i := 0; i < dim; i++ {
-			gi := grad[i] * scale
-			sigma := (math.Sqrt(n[i]+gi*gi) - math.Sqrt(n[i])) / opt.Alpha
-			z[i] += gi - sigma*w[i]
-			n[i] += gi * gi
-			if math.Abs(z[i]) <= opt.Lambda1 {
-				w[i] = 0
-				continue
-			}
-			sign := 1.0
-			if z[i] < 0 {
-				sign = -1
-			}
-			w[i] = -(z[i] - sign*opt.Lambda1) / ((opt.Beta+math.Sqrt(n[i]))/opt.Alpha + opt.Lambda2)
-		}
-	}
-	for i := range w {
-		if math.Abs(got[i]-w[i]) > 1e-9 {
-			t.Fatalf("FTRL weight[%d] = %v, reference %v", i, got[i], w[i])
-		}
-	}
-}
-
 func TestServerCrashMidTrainingRecoversFromCheckpoint(t *testing.T) {
 	// The paper's Section 5.3 server-failure story, end to end: train with
 	// periodic checkpoints, crash a server halfway, recover it from the

@@ -7,7 +7,7 @@ import (
 )
 
 // weightsFile is the on-disk JSON layout for a linear model: only nonzero
-// weights are stored, so FTRL's L1-sparse models serialize compactly.
+// weights are stored, so sparse models serialize compactly.
 type weightsFile struct {
 	Version int       `json:"version"`
 	Dim     int       `json:"dim"`

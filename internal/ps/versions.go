@@ -97,8 +97,8 @@ func (sh *Shard) preMutate(rows []int) [][]float64 {
 // commitMutate records the effects of a mutating handler that declared the
 // given rows (nil = undeclared, touch everything). Dirty flags are always
 // maintained; version stamps only when the shard is versioned, by diffing
-// against the preMutate snapshot so recompute-same-value writes (FTRL does
-// this) don't invalidate cache entries.
+// against the preMutate snapshot so writes that recompute the same value
+// don't invalidate cache entries.
 func (sh *Shard) commitMutate(rows []int, snap [][]float64) {
 	if rows == nil {
 		sh.touchAll()

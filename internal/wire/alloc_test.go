@@ -7,7 +7,9 @@ package wire
 // perturbs allocation counts).
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math"
 	"testing"
 
@@ -39,6 +41,45 @@ func TestReadFrameReuseZeroAlloc(t *testing.T) {
 	}
 	if f.ReqID != 7 || len(f.Payload) != len(payload) {
 		t.Fatalf("frame decoded wrong: reqID=%d plen=%d", f.ReqID, len(f.Payload))
+	}
+}
+
+// TestWriteFrameZeroAlloc: a request written through the client's buffered
+// writer, or into a warm bytes.Buffer, must not allocate for its header.
+func TestWriteFrameZeroAlloc(t *testing.T) {
+	f := Frame{Op: OpPushAdd, Flags: FlagMutates, ReqID: 7, AckedTo: 3, Payload: make([]byte, 300)}
+	bw := bufio.NewWriter(io.Discard)
+	var buf bytes.Buffer
+	for _, c := range []struct {
+		name string
+		w    io.Writer
+		done func() error
+	}{
+		{"bufio.Writer", bw, bw.Flush},
+		{"bytes.Buffer", &buf, func() error { buf.Reset(); return nil }},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := WriteFrame(c.w, f); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.done(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("WriteFrame into %s: %v allocs/op, want 0", c.name, allocs)
+		}
+	}
+	// The header the spare capacity carried must still read back intact.
+	if err := WriteFrame(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	var got Frame
+	if err := ReadFrameReuse(&buf, &got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got.Op != f.Op || got.Flags != f.Flags || got.ReqID != f.ReqID || got.AckedTo != f.AckedTo || len(got.Payload) != len(f.Payload) {
+		t.Fatalf("frame read back as %+v", got)
 	}
 }
 

@@ -7,13 +7,18 @@ package wire
 // so the wall-clock run's loss trajectory can be checked against the
 // simulated one to tight tolerance, which is the acceptance gate for the
 // real transport: same algorithm, same numbers, different bytes-mover.
+//
+// Each iteration indexes its batch once (lr.BatchIndex): the sorted distinct
+// features are the pull list and the push list, and weights and gradient are
+// slices aligned with them. The TCP store splits that list by server with
+// ps.Partitioner.SplitIndices and decodes each server's values straight into
+// its stretch of the weight slice, so neither backend builds a per-batch map.
 
 import (
 	"fmt"
 	"sync"
 
 	"repro/internal/data"
-	"repro/internal/linalg"
 	"repro/internal/ml/lr"
 	"repro/internal/ps"
 )
@@ -83,8 +88,9 @@ type LRResult struct {
 // rowWeight and rowGrad of one dim-column matrix.
 type lrStore interface {
 	create(mat uint32, rows, dim int) error
-	// pullWeights reads the weight values at cols (sorted, distinct).
-	pullWeights(mat uint32, cols []int) (map[int]float64, error)
+	// pullWeights reads the weight values at cols (sorted, distinct) into w,
+	// aligned with cols.
+	pullWeights(mat uint32, cols []int, w []float64) error
 	// pushGrad adds the sparse gradient into the grad row.
 	pushGrad(mat uint32, cols []int, vals []float64) error
 	// step applies w += scale·grad and zeroes grad, atomically per server.
@@ -108,7 +114,9 @@ func (r *batchRNG) next() uint64 {
 
 func (r *batchRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// runLRLoop drives the shared mini-batch SGD loop against st.
+// runLRLoop drives the shared mini-batch SGD loop against st. One batch index
+// and the aligned buffers w and grad serve every iteration, so a warm
+// iteration builds no map and sorts nothing.
 func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, error) {
 	dim := ds.Config.Dim
 	if err := st.create(cfg.Mat, 2, dim); err != nil {
@@ -117,20 +125,23 @@ func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, e
 	rng := batchRNG{s: ds.Config.Seed}
 	res := &LRResult{}
 	batch := make([]data.Instance, cfg.BatchSize)
+	var bi lr.BatchIndex
+	var w, grad []float64
 	for it := 0; it < cfg.Iterations; it++ {
 		for i := range batch {
 			batch[i] = ds.Instances[rng.intn(len(ds.Instances))]
 		}
-		idx := lr.DistinctIndices(batch)
-		w, err := st.pullWeights(cfg.Mat, idx)
-		if err != nil {
+		bi.Build(batch)
+		growFloats(&w, len(bi.Indices))
+		growFloats(&grad, len(bi.Indices))
+		if err := st.pullWeights(cfg.Mat, bi.Indices, w); err != nil {
 			return nil, fmt.Errorf("iteration %d pull: %w", it, err)
 		}
-		grad, lossSum := lr.BatchGradient(lr.Logistic, batch, func(i int) float64 { return w[i] })
+		lossSum := bi.Gradient(lr.Logistic, batch, w, grad)
 		res.Losses = append(res.Losses, lossSum/float64(len(batch)))
 
-		sv := linalg.SparseFromMap(grad, 1)
-		if err := st.pushGrad(cfg.Mat, sv.Indices, sv.Values); err != nil {
+		cols, vals := bi.Sparse(grad)
+		if err := st.pushGrad(cfg.Mat, cols, vals); err != nil {
 			return nil, fmt.Errorf("iteration %d push: %w", it, err)
 		}
 		if err := st.step(cfg.Mat, -cfg.LearningRate/float64(len(batch))); err != nil {
@@ -153,9 +164,6 @@ func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, e
 type wireStore struct {
 	c  *Client
 	pt *ps.Partitioner
-	// pullBufs is per-server PullSparseInto scratch, reused across
-	// iterations; slot s is only touched by server s's fan-out goroutine.
-	pullBufs [][]float64
 }
 
 func newWireStore(c *Client, dim int) (*wireStore, error) {
@@ -163,7 +171,7 @@ func newWireStore(c *Client, dim int) (*wireStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &wireStore{c: c, pt: pt, pullBufs: make([][]float64, c.Servers())}, nil
+	return &wireStore{c: c, pt: pt}, nil
 }
 
 // eachServer runs fn(s) concurrently for every server and returns the
@@ -194,55 +202,34 @@ func (st *wireStore) create(mat uint32, rows, dim int) error {
 	})
 }
 
-// split groups sorted columns (and optional aligned values) into per-server
-// runs using the contiguous range placement.
-func (st *wireStore) split(cols []int, vals []float64) (perCols [][]int, perVals [][]float64) {
-	perCols = make([][]int, st.pt.Servers)
-	perVals = make([][]float64, st.pt.Servers)
-	start := 0
-	for start < len(cols) {
-		s := st.pt.ServerOf(cols[start])
-		_, hi := st.pt.Range(s)
-		end := start
-		for end < len(cols) && cols[end] < hi {
-			end++
-		}
-		perCols[s] = cols[start:end]
-		if vals != nil {
-			perVals[s] = vals[start:end]
-		}
-		start = end
-	}
-	return perCols, perVals
-}
-
-func (st *wireStore) pullWeights(mat uint32, cols []int) (map[int]float64, error) {
-	perCols, _ := st.split(cols, nil)
-	err := st.eachServer(func(s int) error {
-		if len(perCols[s]) == 0 {
+// eachRun runs fn concurrently for every server owning some of cols (sorted),
+// with that server's run of cols and where the run starts in cols. The range
+// placement makes the runs consecutive stretches of cols.
+func (st *wireStore) eachRun(cols []int, fn func(s, lo int, run []int) error) error {
+	runs := st.pt.SplitIndices(cols)
+	return st.eachServer(func(s int) error {
+		if len(runs[s]) == 0 {
 			return nil
 		}
-		return st.c.PullSparseInto(s, mat, rowWeight, perCols[s], &st.pullBufs[s])
-	})
-	if err != nil {
-		return nil, err
-	}
-	w := make(map[int]float64, len(cols))
-	for s, sc := range perCols {
-		for i, c := range sc {
-			w[c] = st.pullBufs[s][i]
+		lo := 0
+		for _, r := range runs[:s] {
+			lo += len(r)
 		}
-	}
-	return w, nil
+		return fn(s, lo, runs[s])
+	})
+}
+
+// pullWeights decodes each server's values straight into its stretch of w.
+func (st *wireStore) pullWeights(mat uint32, cols []int, w []float64) error {
+	return st.eachRun(cols, func(s, lo int, run []int) error {
+		dst := w[lo : lo+len(run) : lo+len(run)]
+		return st.c.PullSparseInto(s, mat, rowWeight, run, &dst)
+	})
 }
 
 func (st *wireStore) pushGrad(mat uint32, cols []int, vals []float64) error {
-	perCols, perVals := st.split(cols, vals)
-	return st.eachServer(func(s int) error {
-		if len(perCols[s]) == 0 {
-			return nil
-		}
-		return st.c.PushAdd(s, mat, rowGrad, perCols[s], perVals[s])
+	return st.eachRun(cols, func(s, lo int, run []int) error {
+		return st.c.PushAdd(s, mat, rowGrad, run, vals[lo:lo+len(run)])
 	})
 }
 

@@ -3,8 +3,10 @@ package wire
 // The simnet twin of the wire LR job: the same runLRLoop driven through the
 // simulated parameter server, so a real-TCP run has a deterministic
 // reference trajectory to be checked against. The two arms share batch
-// selection, gradient math and update order; only the bytes-mover differs —
-// which is exactly the claim the transport seam makes.
+// selection, the batch index with its weight-aligned pull and gradient, and
+// update order; only the bytes-mover differs — which is exactly the claim the
+// transport seam makes. Here the aligned pull is one PullRowIndices copied
+// into the loop's weight slice.
 
 import (
 	"repro/internal/cluster"
@@ -31,16 +33,10 @@ func (st *simnetStore) create(_ uint32, rows, dim int) error {
 	return nil
 }
 
-func (st *simnetStore) pullWeights(_ uint32, cols []int) (map[int]float64, error) {
+func (st *simnetStore) pullWeights(_ uint32, cols []int, w []float64) error {
 	vals, err := st.mat.PullRowIndices(st.p, st.worker, rowWeight, cols)
-	if err != nil {
-		return nil, err
-	}
-	w := make(map[int]float64, len(cols))
-	for i, c := range cols {
-		w[c] = vals[i]
-	}
-	return w, nil
+	copy(w, vals)
+	return err
 }
 
 func (st *simnetStore) pushGrad(_ uint32, cols []int, vals []float64) error {

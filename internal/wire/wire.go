@@ -106,19 +106,27 @@ type Frame struct {
 // Mutates reports whether the request's effects need dedup tracking.
 func (f Frame) Mutates() bool { return f.Flags&FlagMutates != 0 }
 
-// WriteFrame serializes one request onto w.
+// WriteFrame serializes one request onto w. A writer with an
+// AvailableBuffer method (bufio.Writer, bytes.Buffer) takes the header in its
+// own spare capacity, so the call allocates nothing; a local header array
+// would escape through the io.Writer call and cost an allocation per frame.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("wire: payload %d exceeds cap %d", len(f.Payload), MaxPayload)
 	}
-	var h [reqHeaderLen]byte
-	binary.LittleEndian.PutUint16(h[0:], Magic)
-	h[2] = f.Op
-	h[3] = f.Flags
-	binary.LittleEndian.PutUint64(h[4:], f.ReqID)
-	binary.LittleEndian.PutUint64(h[12:], f.AckedTo)
-	binary.LittleEndian.PutUint32(h[20:], uint32(len(f.Payload)))
-	if _, err := w.Write(h[:]); err != nil {
+	var h []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		h = ab.AvailableBuffer()
+	}
+	if cap(h) < reqHeaderLen {
+		h = make([]byte, 0, reqHeaderLen)
+	}
+	h = binary.LittleEndian.AppendUint16(h, Magic)
+	h = append(h, f.Op, f.Flags)
+	h = binary.LittleEndian.AppendUint64(h, f.ReqID)
+	h = binary.LittleEndian.AppendUint64(h, f.AckedTo)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(f.Payload)))
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
 	_, err := w.Write(f.Payload)

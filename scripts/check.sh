@@ -52,7 +52,7 @@ go run ./cmd/ps2bench -exp table3 -quick -json "$(mktemp)" >/dev/null
 # Hot-path allocation contract, re-run WITHOUT the race detector: the
 # zero-alloc guards promise exact counts in the instrumentation-free build
 # that production runs, and -race (above) measures the instrumented build.
-go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linalg/
+go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linalg/ ./internal/ml/lr/
 
 # Benchmark smoke gate: every benchmark in the repo must still run to
 # completion (one iteration each) so `make bench` cannot rot unnoticed.

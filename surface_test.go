@@ -65,7 +65,6 @@ var surfaceAllow = map[string]string{
 	"dcv.Batch.Len":                "paper",
 	"lr.TrainLBFGS":                "paper",
 	"lr.DefaultLBFGSConfig":        "paper",
-	"lr.NewFTRL":                   "paper",
 }
 
 // TestInternalSurfaceIsReached type-checks every package of the repository
