@@ -96,6 +96,19 @@ func TestMLlibLROOM(t *testing.T) {
 	})
 }
 
+// TestMLlibLRFitsFigure1 pins what the heap bound counts: the model the
+// driver keeps, not the round's aggregated gradient, so SGD at full-scale
+// Figure 1's largest model (48 MB of weights) sets up.
+func TestMLlibLRFitsFigure1(t *testing.T) {
+	e := newEngine(1, 0)
+	e.Run(func(p *simnet.Proc) {
+		err := MLlib(lr.NewSGD()).Setup(p, e, nil, 6_000_000, lr.DefaultConfig())
+		if err != nil {
+			t.Errorf("Setup at 6,000,000 features: %v", err)
+		}
+	})
+}
+
 func TestMLlibSlowerThanPS2AtLargeDim(t *testing.T) {
 	// The heart of the paper: at large model dimensions, driver aggregation
 	// loses badly to the parameter-server path.

@@ -74,10 +74,12 @@ func MLlibTree() lr.Strategy {
 }
 
 func (m *mllib) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], dim int, cfg lr.Config) error {
-	m.rows = make([][]float64, 2+m.opt.AuxVectors())
-	if float64(dim*8*len(m.rows)) > MLlibMaxModelBytes {
+	// The heap limit counts the model the driver keeps, not the round's
+	// aggregated gradient.
+	if float64(dim*8*(1+m.opt.AuxVectors())) > MLlibMaxModelBytes {
 		return ErrOOM
 	}
+	m.rows = make([][]float64, 2+m.opt.AuxVectors())
 	for i := range m.rows[:len(m.rows)-1] {
 		m.rows[i] = make([]float64, dim)
 	}

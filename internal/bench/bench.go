@@ -64,6 +64,17 @@ func (r *Result) Entry() SnapshotEntry {
 	return SnapshotEntry{ID: r.ID, Title: r.Title, Header: r.Header, Rows: r.Rows, Notes: r.Notes}
 }
 
+// attachTrace records a traced engine run's spans and phase summary under
+// name, when the harness was run with -trace.
+func (r *Result) attachTrace(o Opts, name string, e *core.Engine) {
+	if !o.Trace {
+		return
+	}
+	rep := e.Snapshot()
+	r.Spans = append(r.Spans, obs.NamedTrace{Name: name, Tracer: e.Tracer()})
+	r.Phases = append(r.Phases, name+": "+rep.Phases.Summary(rep.WallSec))
+}
+
 // AddRow appends one table row, stringifying the cells.
 func (r *Result) AddRow(cells ...any) {
 	row := make([]string, len(cells))

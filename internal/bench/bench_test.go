@@ -116,6 +116,33 @@ var shapeChecks = map[string]func(*testing.T, *Result){
 		}
 	},
 
+	"fig1b": func(t *testing.T, res *Result) {
+		// Rows: #features, broadcast%, gradient%, aggregate%, update%. The
+		// shares tile each iteration, and at the largest model the driver's
+		// two transfers outweigh the executors' compute and the update.
+		var sh [4]float64
+		for _, row := range res.Rows {
+			var sum float64
+			for k := range sh {
+				sh[k] = parseNum(t, row[1+k])
+				sum += sh[k]
+			}
+			if math.Abs(sum-100) > 0.2 {
+				t.Fatalf("%s features: shares sum to %v%%, want 100", row[0], sum)
+			}
+		}
+		if sh[0]+sh[2] <= sh[1]+sh[3] {
+			t.Fatalf("largest model: broadcast+aggregate %v%% not above gradient+update %v%%", sh[0]+sh[2], sh[1]+sh[3])
+		}
+	},
+
+	"fig13b": func(t *testing.T, res *Result) {
+		last := res.Rows[len(res.Rows)-1]
+		if mllib, ps2 := parseSpeed(t, last[3]), parseSpeed(t, last[4]); mllib <= ps2 {
+			t.Fatalf("largest model: MLlib grew %vx, PS2 %vx; MLlib must degrade faster", mllib, ps2)
+		}
+	},
+
 	"fig13c": func(t *testing.T, res *Result) {
 		t0 := parseNum(t, res.Rows[0][1])
 		t10 := parseNum(t, res.Rows[2][1])

@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/ml/embedding"
 	"repro/internal/ml/lr"
-	"repro/internal/obs"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -43,11 +40,7 @@ func runExtFusion(o Opts) *Result {
 		rep := e.Snapshot()
 		r.AddRow(workload, mode, int(rep.Net.RPCCalls), int(rep.Fusion.FusedOps),
 			e.Cluster.TotalBytesOnWire()/1e6, float64(end), loss)
-		if o.Trace {
-			r.Spans = append(r.Spans, obs.NamedTrace{Name: workload + "-" + mode, Tracer: e.Tracer()})
-			r.Phases = append(r.Phases, fmt.Sprintf("%s/%s: %s", workload, mode,
-				rep.Phases.Summary(rep.WallSec)))
-		}
+		r.attachTrace(o, workload+"-"+mode, e)
 	}
 
 	runLR := func(workload string, newOpt func() lr.Optimizer, fused bool) {

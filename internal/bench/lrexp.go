@@ -7,9 +7,8 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/linalg"
 	"repro/internal/ml/lr"
-	"repro/internal/rdd"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -38,69 +37,8 @@ func featureSweepDims(o Opts) []int {
 	return []int{4_000, 300_000, 3_000_000, 6_000_000}
 }
 
-// mllibPhases is one iteration's four-step timing (Figure 1(b)).
-type mllibPhases struct {
-	Broadcast float64
-	Gradient  float64
-	Aggregate float64
-	Update    float64
-}
-
-func (ph mllibPhases) total() float64 { return ph.Broadcast + ph.Gradient + ph.Aggregate + ph.Update }
-
-// mllibInstrumentedIteration runs MLlib's four execution steps sequentially
-// so each can be timed in isolation: broadcast, gradient calculation (with a
-// barrier), gradient aggregation (every partition's dense gradient to the
-// driver), model update. The total matches MLlib's cost; only the overlap
-// between late computers and early senders is lost, which is what the
-// paper's own step-profiling does too.
-func mllibInstrumentedIteration(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, w []float64, fraction float64, seed uint64) mllibPhases {
-	cost := e.Cluster.Cost
-	var ph mllibPhases
-	t0 := p.Now()
-	e.RDD.Broadcast(p, cost.DenseBytes(dim))
-	t1 := p.Now()
-	ph.Broadcast = t1 - t0
-
-	batch := dataset.Sample(fraction, seed)
-	grads := rdd.RunPartitions(p, batch, 0, func(tc *rdd.TaskContext, part int, rows []data.Instance) []float64 {
-		grad := make([]float64, dim)
-		for _, inst := range rows {
-			g := linalg.Sigmoid(inst.Features.DotDense(w)) - inst.Label
-			inst.Features.AddToDense(grad, g)
-		}
-		tc.Charge(cost.GradWork(lr.TotalNnz(rows)) + cost.ElemWork(dim))
-		tc.Commit()
-		return grad
-	})
-	t2 := p.Now()
-	ph.Gradient = t2 - t1
-
-	// Aggregation: every partition's full dense gradient to the one driver.
-	g := p.Sim().NewGroup()
-	for part := range grads {
-		node := e.RDD.Owner(part)
-		g.Go("ship-grad", func(cp *simnet.Proc) {
-			node.Send(cp, e.Cluster.Driver, cost.DenseBytes(dim))
-		})
-	}
-	g.Wait(p)
-	agg := make([]float64, dim)
-	for _, grad := range grads {
-		e.Cluster.Driver.Compute(p, cost.ElemWork(dim))
-		linalg.Axpy(1, grad, agg)
-	}
-	t3 := p.Now()
-	ph.Aggregate = t3 - t2
-
-	e.Cluster.Driver.Compute(p, cost.ElemWork(dim))
-	linalg.Axpy(-0.1, agg, w)
-	ph.Update = p.Now() - t3
-	return ph
-}
-
-// sweepMLlibPhases measures average per-iteration phases at one dimension.
-func sweepMLlibPhases(o Opts, dim int) mllibPhases {
+// sweepData is the model-size sweep's dataset at one dimension.
+func sweepData(o Opts, dim int) *data.ClassifyDataset {
 	rows := 20000
 	if o.Quick {
 		rows = 4000
@@ -111,32 +49,103 @@ func sweepMLlibPhases(o Opts, dim int) mllibPhases {
 	if err != nil {
 		panic(err)
 	}
-	e := paperEngine(20, 0)
-	iters := 2
-	var sum mllibPhases
+	return ds
+}
+
+// fig1Run trains Figure 1's configuration, MLlib's SGD on 20 executors for
+// 2 iterations at batch fraction 0.01, on a fresh engine.
+func fig1Run(ds *data.ClassifyDataset, trace bool) (*core.Trace, *core.Engine) {
+	e := tracedEngine(Opts{Trace: trace}, 20, 0)
+	cfg := lr.DefaultConfig()
+	cfg.Iterations = 2
+	cfg.BatchFraction = 0.01
+	var tr *core.Trace
 	e.Run(func(p *simnet.Proc) {
-		dataset := instancesRDD(e, ds)
-		w := make([]float64, dim)
-		for it := 0; it < iters; it++ {
-			ph := mllibInstrumentedIteration(p, e, dataset, dim, w, 0.01, uint64(it))
-			sum.Broadcast += ph.Broadcast
-			sum.Gradient += ph.Gradient
-			sum.Aggregate += ph.Aggregate
-			sum.Update += ph.Update
+		var err error
+		if tr, err = lr.Run(p, e, instancesRDD(e, ds), ds.Config.Dim, cfg, baselines.MLlib(lr.NewSGD())); err != nil {
+			panic(err)
 		}
 	})
-	n := float64(iters)
-	return mllibPhases{sum.Broadcast / n, sum.Gradient / n, sum.Aggregate / n, sum.Update / n}
+	return tr, e
+}
+
+// mllibSteps reads Figure 1(b)'s four steps (broadcast, gradient, aggregate,
+// update; virtual seconds) off a traced MLlib lr.Run, one entry per
+// iteration. Each instant of an iteration belongs to the step the driver is
+// waiting on:
+//   - broadcast is the rdd broadcast span;
+//   - gradient runs from its end to the end of the last task under the
+//     round's stages;
+//   - aggregate is the rest of the round: results in flight and the driver's
+//     combine;
+//   - update is the barrier.
+//
+// So the steps tile the round and the barrier, which tile the iteration.
+func mllibSteps(t *obs.Tracer) [][4]float64 {
+	type spans struct {
+		round, barrier, broadcast obs.Event
+		lastTask                  float64
+	}
+	var iters []spans
+	in := map[uint64]int{} // iteration, round and stage span IDs → iteration
+	for _, ev := range t.Events() {
+		i, ok := in[ev.Parent]
+		switch {
+		case ev.Kind == obs.KIteration:
+			in[ev.ID] = len(iters)
+			iters = append(iters, spans{})
+		case !ok:
+		case ev.Kind == obs.KLoopPhase && ev.Name == "round":
+			in[ev.ID] = i
+			iters[i].round = ev
+		case ev.Kind == obs.KLoopPhase && ev.Name == "barrier":
+			iters[i].barrier = ev
+		case ev.Kind == obs.KStage && ev.Name == "broadcast":
+			iters[i].broadcast = ev
+		case ev.Kind == obs.KStage:
+			in[ev.ID] = i
+		case ev.Kind == obs.KTask:
+			iters[i].lastTask = math.Max(iters[i].lastTask, ev.End)
+		}
+	}
+	steps := make([][4]float64, len(iters))
+	for i, it := range iters {
+		steps[i] = [4]float64{
+			it.broadcast.Dur(),
+			it.lastTask - it.broadcast.End,
+			it.round.End - it.lastTask,
+			it.barrier.Dur(),
+		}
+	}
+	return steps
+}
+
+// mllibSweep runs Figure 1 at one point of the sweep, attaches its spans to
+// r, and returns seconds per iteration and each step's percent of it, read
+// off the spans.
+func mllibSweep(r *Result, o Opts, ds *data.ClassifyDataset) (secPerIter float64, shares [4]float64) {
+	_, e := fig1Run(ds, true)
+	r.attachTrace(o, fmt.Sprintf("mllib-%d", ds.Config.Dim), e)
+	steps := mllibSteps(e.Tracer())
+	var total float64
+	for _, st := range steps {
+		for k, v := range st {
+			shares[k] += v
+			total += v
+		}
+	}
+	for k := range shares {
+		shares[k] *= 100 / total
+	}
+	return total / float64(len(steps)), shares
 }
 
 func runFig1a(o Opts) *Result {
 	r := &Result{ID: "fig1a", Title: "MLlib time per iteration vs #features (20 executors, batch fraction 0.01)",
 		Header: []string{"#features", "sec/iter", "slowdown vs smallest"}}
-	dims := featureSweepDims(o)
 	var base float64
-	for i, dim := range dims {
-		ph := sweepMLlibPhases(o, dim)
-		t := ph.total()
+	for i, dim := range featureSweepDims(o) {
+		t, _ := mllibSweep(r, o, sweepData(o, dim))
 		if i == 0 {
 			base = t
 		}
@@ -150,13 +159,9 @@ func runFig1b(o Opts) *Result {
 	r := &Result{ID: "fig1b", Title: "MLlib per-iteration step breakdown",
 		Header: []string{"#features", "broadcast%", "gradient%", "aggregate%", "update%"}}
 	for _, dim := range featureSweepDims(o) {
-		ph := sweepMLlibPhases(o, dim)
-		t := ph.total()
-		r.AddRow(dim,
-			fmt.Sprintf("%.1f", 100*ph.Broadcast/t),
-			fmt.Sprintf("%.1f", 100*ph.Gradient/t),
-			fmt.Sprintf("%.1f", 100*ph.Aggregate/t),
-			fmt.Sprintf("%.1f", 100*ph.Update/t))
+		_, sh := mllibSweep(r, o, sweepData(o, dim))
+		r.AddRow(dim, fmt.Sprintf("%.1f", sh[0]), fmt.Sprintf("%.1f", sh[1]),
+			fmt.Sprintf("%.1f", sh[2]), fmt.Sprintf("%.1f", sh[3]))
 	}
 	r.Note("paper: gradient aggregation occupies most of an iteration at high dimension")
 	return r
@@ -333,19 +338,10 @@ func runFig13b(o Opts) *Result {
 		Header: []string{"#features", "MLlib s/iter", "PS2 s/iter", "MLlib growth", "PS2 growth"}}
 	dims := featureSweepDims(o)
 	var mllibBase, ps2Base float64
-	rows := 20000
-	if o.Quick {
-		rows = 4000
-	}
 	for i, dim := range dims {
-		mllibT := sweepMLlibPhases(o, dim).total()
+		ds := sweepData(o, dim)
+		mllibT, _ := mllibSweep(r, o, ds)
 
-		ds, err := data.GenerateClassify(data.ClassifyConfig{
-			Rows: rows, Dim: dim, NnzPerRow: 30, Skew: 1.1, WeightNnz: dim / 10, Seed: 3,
-		})
-		if err != nil {
-			panic(err)
-		}
 		e := paperEngine(20, 20)
 		iters := 3
 		cfg := lr.DefaultConfig()

@@ -50,19 +50,14 @@ func ctrData(o Opts) *data.ClassifyDataset {
 
 // paperEngine builds the paper's standard 20-executor / 20-server cluster.
 func paperEngine(executors, servers int) *core.Engine {
-	opt := core.DefaultOptions()
-	opt.Executors = executors
-	opt.Servers = servers
-	return core.NewEngine(opt)
+	return tracedEngine(Opts{}, executors, servers)
 }
 
-// tracedEngine is paperEngine with the span tracer armed when the harness
-// was run with -trace.
+// tracedEngine is paperEngine with the span tracer armed when o.Trace is
+// set (the harness was run with -trace).
 func tracedEngine(o Opts, executors, servers int) *core.Engine {
 	opt := core.DefaultOptions()
-	opt.Executors = executors
-	opt.Servers = servers
-	opt.Trace = o.Trace
+	opt.Executors, opt.Servers, opt.Trace = executors, servers, o.Trace
 	return core.NewEngine(opt)
 }
 

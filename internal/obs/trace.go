@@ -50,6 +50,8 @@ const (
 	KCutover       // migration cutover: gate closed, deltas shipped, routing swapped
 	KServeRead     // one serving-tier read (ModelReader.Read), container over its RPCs
 	KAdmit         // admission-control queue wait before a data-plane call
+	KIteration     // one iteration of a training loop on the driver
+	KLoopPhase     // one phase (round, barrier) of a training-loop iteration
 )
 
 var kindNames = [...]string{
@@ -63,6 +65,7 @@ var kindNames = [...]string{
 	KMigration: "ps.migration", KMigrateStream: "ps.migrate-stream",
 	KCutover:   "ps.cutover",
 	KServeRead: "serve.read", KAdmit: "ps.admit",
+	KIteration: "loop.iter", KLoopPhase: "loop.phase",
 }
 
 func (k Kind) String() string {
@@ -98,8 +101,8 @@ func (k Kind) Phase() Phase {
 	case KCheckpoint, KRecovery, KFence, KRestore, KDetectWin, KCutover:
 		return PhaseRecovery
 	}
-	// KMigration, KMigrateStream and KServeRead are containers: their time
-	// overlaps the net.send / cutover / rpc spans nested inside them.
+	// KMigration, KMigrateStream, KServeRead, KIteration and KLoopPhase are
+	// containers: their time overlaps the spans nested inside them.
 	return PhaseOther
 }
 

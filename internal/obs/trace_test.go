@@ -162,9 +162,17 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KNetSend; k <= KMark; k++ {
+	for k := KNetSend; k <= KLoopPhase; k++ {
 		if k.String() == "unknown" || k.String() == "" {
 			t.Fatalf("kind %d has no name", k)
+		}
+	}
+	if int(KLoopPhase) != len(kindNames)-1 {
+		t.Fatalf("KLoopPhase = %d is not the last named kind (%d names)", KLoopPhase, len(kindNames))
+	}
+	for _, k := range []Kind{KIteration, KLoopPhase} {
+		if k.Phase() != PhaseOther {
+			t.Fatalf("%s is a container but reports phase %d", k, k.Phase())
 		}
 	}
 	if Kind(200).String() != "unknown" {

@@ -245,11 +245,20 @@ func Count[T any](p *simnet.Proc, r *RDD[T]) int {
 // Broadcast models the driver shipping `bytes` of read-only state (e.g. the
 // current model in MLlib) to every executor. The transfers serialize on the
 // driver's egress NIC — the first half of MLlib's single-node bottleneck.
+// A traced run records it as a driver-lane stage span named "broadcast", the
+// parent of its transfers.
 func (c *Context) Broadcast(p *simnet.Proc, bytes float64) {
+	var span obs.Span
+	if t := p.Sim().Tracer(); t != nil {
+		span = t.Begin(c.Cl.Driver.ID, c.Cl.Driver.Name, obs.KStage, "broadcast", p.TraceParent(),
+			obs.KV{K: "bytes", V: strconv.FormatFloat(bytes, 'g', -1, 64)})
+		defer span.End()
+	}
 	g := p.Sim().NewGroup()
 	for _, exec := range c.Cl.Executors {
 		exec := exec
 		g.Go("broadcast", func(bp *simnet.Proc) {
+			bp.SetTraceParent(span)
 			c.Cl.Driver.Send(bp, exec, bytes)
 		})
 	}

@@ -45,9 +45,9 @@ go test -race -timeout 20m ./...
 
 # ps2bench CLI smoke gate: every experiment already ran once in the suite
 # above (TestAllExperimentsRunQuick, with its shape and snapshot checks); this line runs
-# one cheap experiment through the CLI and its JSON writer so that path
-# cannot rot.
-go run ./cmd/ps2bench -exp table3 -quick -json "$(mktemp)" >/dev/null
+# one cheap traced experiment through the CLI, its JSON writer and its trace
+# writer (with the .phases.txt sidecar) so those paths cannot rot.
+go run ./cmd/ps2bench -exp fig1b -quick -json "$(mktemp)" -trace "$(mktemp)" >/dev/null
 
 # Hot-path allocation contract, re-run WITHOUT the race detector: the
 # zero-alloc guards promise exact counts in the instrumentation-free build

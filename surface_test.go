@@ -36,7 +36,6 @@ var surfaceAllow = map[string]string{
 	"ps.ModelReader.Replicas":      "oracle",
 	"ps.ModelReader.Snapshot":      "oracle",
 	"ps.ModelSnapshot.Valid":       "oracle",
-	"obs.Tracer.Events":            "oracle",
 	"obs.Tracer.Len":               "oracle",
 	"obs.Tracer.Lanes":             "oracle",
 	"obs.Tracer.Enabled":           "oracle",
