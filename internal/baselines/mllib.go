@@ -87,7 +87,7 @@ func (m *mllib) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance],
 	return nil
 }
 
-func (m *mllib) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []lr.Summary {
+func (m *mllib) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
 	// (1) Model broadcast: full dense model from the one driver to every
 	// executor, serializing on the driver's egress NIC.
 	m.e.RDD.Broadcast(p, m.e.Cluster.Cost.DenseBytes(len(m.rows[0])))
@@ -95,7 +95,7 @@ func (m *mllib) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []l
 	// full dense gradient travels to the driver.
 	agg := m.aggregate(p, batch, m.spec)
 	m.rows[len(m.rows)-1] = agg.Grad
-	return []lr.Summary{{Loss: agg.Loss, Count: agg.N}}
+	return []core.Summary{{Loss: agg.Loss, Count: agg.N}}
 }
 
 // Barrier is step (4), the model update on the driver.

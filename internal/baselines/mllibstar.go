@@ -35,13 +35,13 @@ func (m *mllibStar) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.
 	return nil
 }
 
-func (m *mllibStar) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []lr.Summary {
+func (m *mllibStar) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
 	eta := m.cfg.LearningRate / math.Sqrt(float64(it+1))
 	cost := m.e.Cluster.Cost
-	return rdd.RunPartitions(p, batch, lr.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) lr.Summary {
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) core.Summary {
 		tc.Commit()
 		if len(rows) == 0 {
-			return lr.Summary{}
+			return core.Summary{}
 		}
 		local := m.models[part]
 		var lossSum float64
@@ -56,7 +56,7 @@ func (m *mllibStar) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int)
 			}
 		}
 		tc.Charge(cost.GradWork(lr.TotalNnz(rows)))
-		return lr.Summary{Loss: lossSum, Count: len(rows)}
+		return core.Summary{Loss: lossSum, Count: len(rows)}
 	})
 }
 

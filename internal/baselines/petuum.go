@@ -47,7 +47,7 @@ func (s *petuum) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Ins
 
 // Round pulls the full model and pushes sparse increments, applied at the
 // servers.
-func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []lr.Summary {
+func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
 	eta := s.cfg.LearningRate / math.Sqrt(float64(it+1)) / s.expected
 	return lr.GradientStage(p, s.e, batch, s.cfg.Objective,
 		func(tc *rdd.TaskContext, indices []int) []float64 {

@@ -98,7 +98,8 @@ func (m *Model) InputVector(p *simnet.Proc, from *simnet.Node, u int) []float64 
 	return ps.Must(m.Mat.PullRows(p, from, []int{u}, nil))[0]
 }
 
-// Train embeds the graph behind the given skip-gram pair dataset.
+// Train embeds the graph behind the given skip-gram pair dataset, as a
+// strategy of the shared loop.
 func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices int, cfg Config) (*Model, error) {
 	if vertices <= 0 || cfg.K <= 0 || cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("embedding: invalid config V=%d %+v", vertices, cfg)
@@ -110,103 +111,97 @@ func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices i
 		return nil, err
 	}
 	initEmbeddings(p, e, mat, vertices, cfg)
-
-	// Optional worker-side cache for the pull/push path (the mode that ships
-	// whole vectors and so has something to save).
-	var cache *ps.CachedClient
-	if cfg.Cache != nil && cfg.Mode == ModePullPush {
-		cache = ps.NewCachedClient(mat, *cfg.Cache)
+	// The mode picks the per-pair step once. The pull/push mode, which ships
+	// whole vectors and so has something to save, may read through a cache.
+	s := &deepWalk{mat: mat, cfg: cfg, vertices: vertices}
+	s.worker = func() pairWorker { return &dcvWorker{mat: mat, cfg: cfg} }
+	if cfg.Mode == ModePullPush {
+		if cfg.Cache != nil {
+			s.cache = ps.NewCachedClient(mat, *cfg.Cache)
+		}
+		s.worker = func() pairWorker { return &pullPushWorker{mat: mat, cache: s.cache, cfg: cfg} }
 	}
-
-	model := &Model{Mat: mat, V: vertices, K: cfg.K, Trace: &core.Trace{Name: cfg.Mode.String() + "-DeepWalk"}}
 	totalPairs := rdd.Count(p, pairs)
 	if totalPairs == 0 {
 		return nil, fmt.Errorf("embedding: empty pair dataset")
 	}
-	parts := pairs.Partitions()
-	fraction := float64(cfg.BatchSize*parts) / float64(totalPairs)
+	fraction := float64(cfg.BatchSize*pairs.Partitions()) / float64(totalPairs)
 
 	// Negative-sample distribution: word2vec's unigram^0.75 over context
 	// frequencies, aggregated once across the partitions and broadcast.
-	var negSampler *linalg.AliasSampler
 	if !cfg.UniformNegatives {
-		var err error
-		negSampler, err = buildNoiseSampler(p, e, pairs, vertices)
-		if err != nil {
+		if s.negSampler, err = buildNoiseSampler(p, e, pairs, vertices); err != nil {
 			return nil, err
 		}
 	}
-
-	for it := 0; it < cfg.Iterations; it++ {
-		batch := pairs.Sample(fraction, cfg.Seed+uint64(it))
-		losses := rdd.RunPartitions(p, batch, 16, func(tc *rdd.TaskContext, part int, rows []data.Pair) [2]float64 {
-			tc.Commit()
-			var lossSum float64
-			var count int
-			rng := tc.RNG()
-			worker := &dcvWorker{mat: mat, cfg: cfg}
-			var buf *ps.PushBuffer
-			if cache != nil {
-				buf = cache.NewPushBuffer()
-			}
-			// Pair-parity context/label scratch. Two generations alternate
-			// because with fusion on, pair k's held-back update op executes
-			// inside pair k+1's request and still reads pair k's contexts —
-			// a single reused buffer would be overwritten out from under it.
-			var ctxScratch [2][]int
-			var lblScratch [2][]float64
-			for g := range ctxScratch {
-				ctxScratch[g] = make([]int, 1+cfg.Negatives)
-				lblScratch[g] = make([]float64, 1+cfg.Negatives)
-			}
-			var pps pullPushScratch
-			for pi, pr := range rows {
-				contexts, labels := ctxScratch[pi&1], lblScratch[pi&1]
-				contexts[0] = vertices + int(pr.V) // positive context
-				labels[0] = 1
-				for n := 0; n < cfg.Negatives; n++ {
-					if negSampler != nil {
-						contexts[1+n] = vertices + negSampler.Sample(rng)
-					} else {
-						contexts[1+n] = vertices + rng.Intn(vertices)
-					}
-					labels[1+n] = 0
-				}
-				var loss float64
-				if cfg.Mode == ModeDCV {
-					loss = worker.step(tc, int(pr.U), contexts, labels)
-				} else {
-					loss = pullPushStep(tc, mat, cache, buf, int(pr.U), contexts, labels, cfg, &pps)
-				}
-				lossSum += loss
-				count++
-			}
-			worker.flush(tc)
-			if buf != nil {
-				ps.MustOK(buf.Flush(tc.P, tc.Node))
-			}
-			return [2]float64{lossSum, float64(count)}
-		})
-		var lossSum, count float64
-		for _, l := range losses {
-			lossSum += l[0]
-			count += l[1]
-		}
-		if count > 0 {
-			model.Trace.Add(p.Now(), lossSum/count)
-		}
-		// The iteration mutated the embeddings: advance the matrix's model
-		// clock (serving-tier replica freshness rides it, ps/serve.go) and the
-		// executor cache clocks.
-		mat.TickClock()
-		if cache != nil {
-			cache.Tick()
-		}
-		if cfg.CheckpointEvery > 0 && (it+1)%cfg.CheckpointEvery == 0 {
-			e.PS.Checkpoint(p, mat)
-		}
+	trace, err := core.Run(p, e, pairs, fraction, cfg.Seed, cfg.Iterations, s)
+	if err != nil {
+		return nil, err
 	}
-	return model, nil
+	trace.Name = cfg.Mode.String() + "-DeepWalk"
+	return &Model{Mat: mat, V: vertices, K: cfg.K, Trace: trace}, nil
+}
+
+// deepWalk is DeepWalk's strategy: each task draws its pairs' negatives and
+// runs the mode's per-pair step; the pair updates already changed the
+// embeddings, so the barrier has nothing to do.
+type deepWalk struct {
+	mat        *ps.Matrix
+	cfg        Config
+	vertices   int
+	cache      *ps.CachedClient
+	negSampler *linalg.AliasSampler // nil: uniform negatives
+	worker     func() pairWorker    // one partition's per-pair step
+}
+
+// pairWorker runs one partition's pairs: step updates the embeddings for one
+// pair and returns its loss, flush ships what the partition still holds back.
+type pairWorker interface {
+	step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) float64
+	flush(tc *rdd.TaskContext)
+}
+
+func (s *deepWalk) Round(p *simnet.Proc, batch *rdd.RDD[data.Pair], it int) []core.Summary {
+	return rdd.RunPartitions(p, batch, 16, func(tc *rdd.TaskContext, part int, rows []data.Pair) core.Summary {
+		tc.Commit()
+		var lossSum float64
+		rng := tc.RNG()
+		worker := s.worker()
+		// Pair-parity context/label scratch. Two generations alternate
+		// because with fusion on, pair k's held-back update op executes
+		// inside pair k+1's request and still reads pair k's contexts — a
+		// single reused buffer would be overwritten out from under it.
+		var ctxScratch [2][]int
+		var lblScratch [2][]float64
+		for g := range ctxScratch {
+			ctxScratch[g] = make([]int, 1+s.cfg.Negatives)
+			lblScratch[g] = make([]float64, 1+s.cfg.Negatives)
+		}
+		for pi, pr := range rows {
+			contexts, labels := ctxScratch[pi&1], lblScratch[pi&1]
+			contexts[0] = s.vertices + int(pr.V) // positive context
+			labels[0] = 1
+			for n := 0; n < s.cfg.Negatives; n++ {
+				if s.negSampler != nil {
+					contexts[1+n] = s.vertices + s.negSampler.Sample(rng)
+				} else {
+					contexts[1+n] = s.vertices + rng.Intn(s.vertices)
+				}
+				labels[1+n] = 0
+			}
+			lossSum += worker.step(tc, int(pr.U), contexts, labels)
+		}
+		worker.flush(tc)
+		return core.Summary{Loss: lossSum, Count: len(rows)}
+	})
+}
+
+// Barrier has nothing to do: the round's pair updates changed the embeddings.
+func (s *deepWalk) Barrier(*simnet.Proc, int, int) error { return nil }
+
+// Epilogue hands the loop the embedding matrix and the pull/push cache.
+func (s *deepWalk) Epilogue() (*ps.Matrix, *ps.CachedClient, int) {
+	return s.mat, s.cache, s.cfg.CheckpointEvery
 }
 
 // buildNoiseSampler counts context-vertex frequencies across the pair
@@ -448,46 +443,57 @@ func (dw *dcvWorker) flush(tc *rdd.TaskContext) {
 	ps.Must(dw.mat.Invoke(tc.P, tc.Node, up))
 }
 
-// pullPushScratch is the per-partition steady-state scratch of the pull/push
-// arm: row-id assembly, pull destination buffers, and delta accumulators are
-// allocated once and reused across pairs. Safe because every consumer
-// (PullRows, AddRowsDelta's host-side accumulate, PushRowsDelta's
-// synchronous call) finishes with the buffers before the next pair starts.
-type pullPushScratch struct {
+// pullPushWorker runs the PS-DeepWalk baseline for one partition. With a
+// cache, pulls come from the executor's cache with the partition's pending
+// deltas merged in (read-your-writes), and pushes accumulate in a
+// write-combining buffer that flush ships at partition end.
+//
+// The row ids, pull destinations and delta accumulators are steady-state
+// scratch, allocated once per partition and reused across pairs. That is
+// safe because every consumer (PullRows, AddRowsDelta's host-side
+// accumulate, PushRowsDelta's synchronous call) finishes with the buffers
+// before the next pair starts.
+type pullPushWorker struct {
+	mat    *ps.Matrix
+	cache  *ps.CachedClient
+	buf    *ps.PushBuffer // the partition's, once it pulled through a cache
+	cfg    Config
 	rows   []int
 	vecs   [][]float64
 	deltas [][]float64
 }
 
-// pullPushStep is the PS-DeepWalk baseline: pull all vectors, update locally,
-// push the deltas back — full vector data over the network in both
-// directions. With a cache, the pull is served from the executor's cache
-// (pending buffered deltas merged in for read-your-writes) and the push
-// accumulates in the write-combining buffer instead of going to the wire.
-func pullPushStep(tc *rdd.TaskContext, mat *ps.Matrix, cache *ps.CachedClient, buf *ps.PushBuffer, center int, contexts []int, labels []float64, cfg Config, sc *pullPushScratch) float64 {
+// step is one pair of the PS-DeepWalk baseline: pull all vectors, update
+// locally, push the deltas back — full vector data over the network in both
+// directions.
+func (w *pullPushWorker) step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) float64 {
 	cost := tc.Ctx.Cl.Cost
+	cfg := w.cfg
 	n := 1 + len(contexts)
-	if len(sc.rows) != n {
-		sc.rows = make([]int, n)
-		sc.vecs = make([][]float64, n)
-		sc.deltas = make([][]float64, n)
+	if len(w.rows) != n {
+		w.rows = make([]int, n)
+		w.vecs = make([][]float64, n)
+		w.deltas = make([][]float64, n)
 		for i := 0; i < n; i++ {
-			sc.vecs[i] = make([]float64, cfg.K)
-			sc.deltas[i] = make([]float64, cfg.K)
+			w.vecs[i] = make([]float64, cfg.K)
+			w.deltas[i] = make([]float64, cfg.K)
 		}
 	}
-	rows := sc.rows
+	rows := w.rows
 	rows[0] = center
 	copy(rows[1:], contexts)
 	var vecs [][]float64
-	if cache != nil {
-		vecs = ps.Must(cache.PullRows(tc.P, tc.Node, rows))
-		buf.ApplyPending(rows, vecs)
+	if w.cache != nil {
+		if w.buf == nil {
+			w.buf = w.cache.NewPushBuffer()
+		}
+		vecs = ps.Must(w.cache.PullRows(tc.P, tc.Node, rows))
+		w.buf.ApplyPending(rows, vecs)
 	} else {
-		vecs = ps.Must(mat.PullRows(tc.P, tc.Node, rows, sc.vecs))
+		vecs = ps.Must(w.mat.PullRows(tc.P, tc.Node, rows, w.vecs))
 	}
 	u := vecs[0]
-	deltas := sc.deltas
+	deltas := w.deltas
 	for i := range deltas {
 		linalg.Fill(deltas[i], 0)
 	}
@@ -504,12 +510,19 @@ func pullPushStep(tc *rdd.TaskContext, mat *ps.Matrix, cache *ps.CachedClient, b
 		}
 	}
 	tc.Charge(cost.ElemWork(cfg.K * len(contexts) * 2))
-	if buf != nil {
-		buf.AddRowsDelta(rows, deltas)
+	if w.buf != nil {
+		w.buf.AddRowsDelta(rows, deltas)
 	} else {
-		ps.MustOK(mat.PushRowsDelta(tc.P, tc.Node, rows, deltas))
+		ps.MustOK(w.mat.PushRowsDelta(tc.P, tc.Node, rows, deltas))
 	}
 	return loss
+}
+
+// flush ships the partition's combined deltas.
+func (w *pullPushWorker) flush(tc *rdd.TaskContext) {
+	if w.buf != nil {
+		ps.MustOK(w.buf.Flush(tc.P, tc.Node))
+	}
 }
 
 // Similarity computes the cosine similarity between the input embeddings of

@@ -109,39 +109,59 @@ func TestDCVModeFasterWithFewServers(t *testing.T) {
 	}
 }
 
+// TestModesComputeSameUpdateGivenSameDraws trains the same pairs from the same
+// initialisation in the three arms of Fig 9(c)/(d) and ext-fusion, on one
+// executor and one partition for several iterations, so every arm draws the
+// same negatives and applies the pairs in the same order.
+//   - Fused and unfused DCV agree bit for bit: fusion only moves pair k's
+//     update into pair k+1's request, and each server still runs update k
+//     before dot k+1.
+//   - Pull/push agrees to 1e-9: it sums a pair's dots over whole vectors
+//     where DCV sums per-server partial dots, and it adds a repeated
+//     negative's deltas one context at a time where DCV groups them per row
+//     first.
 func TestModesComputeSameUpdateGivenSameDraws(t *testing.T) {
-	// Both modes implement the same math: starting from identical
-	// initialization and applying the same single pair update must produce
-	// identical embeddings (up to float noise).
-	runOne := func(mode Mode) []float64 {
+	const vertices = 10
+	pairs := []data.Pair{{U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 1}, {U: 4, V: 5}, {U: 5, V: 1}, {U: 6, V: 2}}
+	runOne := func(mode Mode, noFusion bool) [][]float64 {
 		e := newEngine(1, 3)
 		cfg := DefaultConfig()
 		cfg.K = 16
 		cfg.Mode = mode
-		cfg.Iterations = 1
-		cfg.BatchSize = 1
+		cfg.NoFusion = noFusion
+		cfg.Iterations = 3
+		cfg.BatchSize = len(pairs) // fraction 1: every iteration trains every pair
 		cfg.Negatives = 2
-		var vec []float64
+		var rows [][]float64
 		e.Run(func(p *simnet.Proc) {
-			pairs := []data.Pair{{U: 1, V: 2}}
 			prdd := rdd.FromSlices(e.RDD, [][]data.Pair{pairs})
-			m, err := Train(p, e, prdd, 10, cfg)
+			m, err := Train(p, e, prdd, vertices, cfg)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			vec = m.InputVector(p, e.Driver(), 1)
+			if m.Trace.Len() != cfg.Iterations {
+				t.Errorf("%v: %d trace points, want %d", mode, m.Trace.Len(), cfg.Iterations)
+			}
+			ids := make([]int, 2*vertices)
+			for i := range ids {
+				ids[i] = i
+			}
+			rows = ps.Must(m.Mat.PullRows(p, e.Driver(), ids, nil))
 		})
-		return vec
+		return rows
 	}
-	a := runOne(ModeDCV)
-	b := runOne(ModePullPush)
-	if len(a) != len(b) {
-		t.Fatal("dimension mismatch")
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatalf("modes diverge at %d: %v vs %v", i, a[i], b[i])
+	fused := runOne(ModeDCV, false)
+	unfused := runOne(ModeDCV, true)
+	pullPush := runOne(ModePullPush, false)
+	for r := range fused {
+		for i := range fused[r] {
+			if fused[r][i] != unfused[r][i] {
+				t.Fatalf("fused and unfused DCV differ at row %d col %d: %v vs %v", r, i, fused[r][i], unfused[r][i])
+			}
+			if math.Abs(fused[r][i]-pullPush[r][i]) > 1e-9 {
+				t.Fatalf("DCV and pull/push diverge at row %d col %d: %v vs %v", r, i, fused[r][i], pullPush[r][i])
+			}
 		}
 	}
 }

@@ -15,7 +15,6 @@ package fm
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -50,7 +49,7 @@ type Model struct {
 	Trace   *core.Trace
 }
 
-// Train fits the FM on PS2.
+// Train fits the FM on PS2, as a strategy of the shared loop.
 func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg Config) (*Model, error) {
 	if cfg.Factors < 1 || cfg.Iterations <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("fm: invalid config K=%d iters=%d dim=%d", cfg.Factors, cfg.Iterations, dim)
@@ -61,150 +60,138 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 	if err != nil {
 		return nil, err
 	}
+	m := &fm{e: e, cfg: cfg, w: w, gradW: w.MustDerive(), factors: make([]*dcv.Vector, k), gradV: make([]*dcv.Vector, k)}
 	driver := e.Driver()
-	gradW := w.MustDerive()
-	if err := gradW.Zero(p, driver); err != nil {
+	if err := m.gradW.Zero(p, driver); err != nil {
 		return nil, err
 	}
-	factors := make([]*dcv.Vector, k)
-	gradV := make([]*dcv.Vector, k)
 	for f := 0; f < k; f++ {
-		factors[f] = w.MustDerive()
-		gradV[f] = w.MustDerive()
-		if err := gradV[f].Zero(p, driver); err != nil {
+		m.factors[f] = w.MustDerive()
+		m.gradV[f] = w.MustDerive()
+		if err := m.gradV[f].Zero(p, driver); err != nil {
 			return nil, err
 		}
 	}
-	initFactors(p, e, factors, cfg)
-
-	model := &Model{Weights: w, Factors: factors, Trace: &core.Trace{Name: "PS2-FM"}}
-	cost := e.Cluster.Cost
-
-	type stat struct {
-		Loss float64
-		N    int
+	initFactors(p, e, m.factors, cfg)
+	trace, err := core.Run(p, e, dataset, cfg.BatchFraction, cfg.Seed, cfg.Iterations, m)
+	if err != nil {
+		return nil, err
 	}
-	for it := 0; it < cfg.Iterations; it++ {
-		batch := dataset.Sample(cfg.BatchFraction, cfg.Seed+uint64(it))
-		stats := rdd.RunPartitions(p, batch, 24, func(tc *rdd.TaskContext, part int, rows []data.Instance) stat {
-			if len(rows) == 0 {
-				return stat{}
-			}
-			idx := lr.DistinctIndices(rows)
-			pos := make(map[int]int, len(idx))
-			for i, ix := range idx {
-				pos[ix] = i
-			}
-			// Sparse pulls: weights plus every factor row at the batch's
-			// feature indices.
-			wv := ps.Must(w.PullIndices(tc.P, tc.Node, idx))
-			vv := make([][]float64, k)
-			for f := 0; f < k; f++ {
-				vv[f] = ps.Must(factors[f].PullIndices(tc.P, tc.Node, idx))
-			}
-			dw := make([]float64, len(idx))
-			dv := make([][]float64, k)
-			for f := range dv {
-				dv[f] = make([]float64, len(idx))
-			}
-			var lossSum float64
-			sums := make([]float64, k)
-			for _, inst := range rows {
-				fv := inst.Features
-				// Margin.
-				var z float64
-				for t, ix := range fv.Indices {
-					z += wv[pos[ix]] * fv.Values[t]
-				}
-				for f := 0; f < k; f++ {
-					var s, s2 float64
-					for t, ix := range fv.Indices {
-						vx := vv[f][pos[ix]] * fv.Values[t]
-						s += vx
-						s2 += vx * vx
-					}
-					sums[f] = s
-					z += 0.5 * (s*s - s2)
-				}
-				g := linalg.Sigmoid(z) - inst.Label
-				lossSum += linalg.LogLoss(z, inst.Label)
-				// Gradients.
-				for t, ix := range fv.Indices {
-					i := pos[ix]
-					x := fv.Values[t]
-					dw[i] += g * x
-					for f := 0; f < k; f++ {
-						dv[f][i] += g * x * (sums[f] - vv[f][i]*x)
-					}
-				}
-			}
-			tc.Charge(cost.GradWork(lr.TotalNnz(rows) * (k + 1)))
-			tc.Commit()
-			// Push gradients with DCV add.
-			push := func(target *dcv.Vector, vals []float64) {
-				gi := make([]int, 0, len(idx))
-				gv := make([]float64, 0, len(idx))
-				for i, ix := range idx {
-					if vals[i] != 0 {
-						gi = append(gi, ix)
-						gv = append(gv, vals[i])
-					}
-				}
-				if len(gi) == 0 {
-					return
-				}
-				sort.Sort(byIndex{gi, gv})
-				sv, err := linalg.NewSparse(gi, gv)
-				if err != nil {
-					panic(err)
-				}
-				ps.MustOK(target.Add(tc.P, tc.Node, sv))
-			}
-			push(gradW, dw)
-			for f := 0; f < k; f++ {
-				push(gradV[f], dv[f])
-			}
-			return stat{Loss: lossSum, N: len(rows)}
-		})
-		var lossSum float64
-		var count int
-		for _, st := range stats {
-			lossSum += st.Loss
-			count += st.N
+	trace.Name = "PS2-FM"
+	return &Model{Weights: w, Factors: m.factors, Trace: trace}, nil
+}
+
+// fm is the FM's strategy: a task sparse-pulls its batch's features from
+// every model row and pushes their gradients with DCV adds; the driver steps
+// every row server-side at the barrier.
+type fm struct {
+	e              *core.Engine
+	cfg            Config
+	w, gradW       *dcv.Vector
+	factors, gradV []*dcv.Vector
+}
+
+func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
+	cost := m.e.Cluster.Cost
+	k := m.cfg.Factors
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) core.Summary {
+		if len(rows) == 0 {
+			return core.Summary{}
 		}
-		if count == 0 {
-			continue
+		idx := lr.DistinctIndices(rows)
+		pos := make(map[int]int, len(idx))
+		for i, ix := range idx {
+			pos[ix] = i
 		}
-		// Server-side SGD step on every model vector, then clear gradients.
-		eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(count)
-		if err := w.Axpy(p, driver, -eta, gradW); err != nil {
-			return nil, err
-		}
-		if err := gradW.Zero(p, driver); err != nil {
-			return nil, err
-		}
+		// Sparse pulls: weights plus every factor row at the batch's
+		// feature indices.
+		wv := ps.Must(m.w.PullIndices(tc.P, tc.Node, idx))
+		vv := make([][]float64, k)
 		for f := 0; f < k; f++ {
-			if err := factors[f].Axpy(p, driver, -eta, gradV[f]); err != nil {
-				return nil, err
+			vv[f] = ps.Must(m.factors[f].PullIndices(tc.P, tc.Node, idx))
+		}
+		dw := make([]float64, len(idx))
+		dv := make([][]float64, k)
+		for f := range dv {
+			dv[f] = make([]float64, len(idx))
+		}
+		var lossSum float64
+		sums := make([]float64, k)
+		for _, inst := range rows {
+			fv := inst.Features
+			// Margin.
+			var z float64
+			for t, ix := range fv.Indices {
+				z += wv[pos[ix]] * fv.Values[t]
 			}
-			if err := gradV[f].Zero(p, driver); err != nil {
-				return nil, err
+			for f := 0; f < k; f++ {
+				var s, s2 float64
+				for t, ix := range fv.Indices {
+					vx := vv[f][pos[ix]] * fv.Values[t]
+					s += vx
+					s2 += vx * vx
+				}
+				sums[f] = s
+				z += 0.5 * (s*s - s2)
+			}
+			g := linalg.Sigmoid(z) - inst.Label
+			lossSum += linalg.LogLoss(z, inst.Label)
+			// Gradients.
+			for t, ix := range fv.Indices {
+				i := pos[ix]
+				x := fv.Values[t]
+				dw[i] += g * x
+				for f := 0; f < k; f++ {
+					dv[f][i] += g * x * (sums[f] - vv[f][i]*x)
+				}
 			}
 		}
-		model.Trace.Add(p.Now(), lossSum/float64(count))
+		tc.Charge(cost.GradWork(lr.TotalNnz(rows) * (k + 1)))
+		tc.Commit()
+		// Push gradients with DCV add; idx is sorted, and so are its nonzeros.
+		push := func(target *dcv.Vector, vals []float64) {
+			gi := make([]int, 0, len(idx))
+			gv := make([]float64, 0, len(idx))
+			for i, ix := range idx {
+				if vals[i] != 0 {
+					gi = append(gi, ix)
+					gv = append(gv, vals[i])
+				}
+			}
+			if len(gi) == 0 {
+				return
+			}
+			ps.MustOK(target.Add(tc.P, tc.Node, &linalg.SparseVector{Indices: gi, Values: gv}))
+		}
+		push(m.gradW, dw)
+		for f := 0; f < k; f++ {
+			push(m.gradV[f], dv[f])
+		}
+		return core.Summary{Loss: lossSum, Count: len(rows)}
+	})
+}
+
+// Barrier is a server-side SGD step on every model vector, then clears the
+// gradients.
+func (m *fm) Barrier(p *simnet.Proc, it, count int) error {
+	driver := m.e.Driver()
+	eta := m.cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(count)
+	if err := m.w.Axpy(p, driver, -eta, m.gradW); err != nil {
+		return err
 	}
-	return model, nil
+	if err := m.gradW.Zero(p, driver); err != nil {
+		return err
+	}
+	for f := range m.factors {
+		if err := m.factors[f].Axpy(p, driver, -eta, m.gradV[f]); err != nil {
+			return err
+		}
+		if err := m.gradV[f].Zero(p, driver); err != nil {
+			return err
+		}
+	}
+	return nil
 }
-
-// byIndex sorts parallel index/value slices by index.
-type byIndex struct {
-	i []int
-	v []float64
-}
-
-func (b byIndex) Len() int           { return len(b.i) }
-func (b byIndex) Less(x, y int) bool { return b.i[x] < b.i[y] }
-func (b byIndex) Swap(x, y int)      { b.i[x], b.i[y] = b.i[y], b.i[x]; b.v[x], b.v[y] = b.v[y], b.v[x] }
 
 // initFactors gives the factor rows small random values, server-side.
 func initFactors(p *simnet.Proc, e *core.Engine, factors []*dcv.Vector, cfg Config) {

@@ -7,6 +7,7 @@ package lr
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -163,6 +164,52 @@ type FusedOptimizer interface {
 	RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int)
 }
 
+// Strategy is what one LR system brings to the training loop (Run): Setup
+// places the model before the first iteration, and the core.Strategy methods
+// run each iteration. PS2 (Train) and the LR baselines are strategies.
+type Strategy interface {
+	core.Strategy[data.Instance]
+	// Setup places the model before the first iteration.
+	Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg Config) error
+}
+
+// Run trains LR with strategy s through the shared loop (core.Run): iteration
+// it draws Sample(BatchFraction, Seed+it), so every LR system compared from
+// one seed sees the same rows.
+func Run(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim int, cfg Config, s Strategy) (*core.Trace, error) {
+	if cfg.Iterations <= 0 {
+		return nil, fmt.Errorf("lr: iterations must be positive")
+	}
+	if err := s.Setup(p, e, dataset, dim, cfg); err != nil {
+		return nil, err
+	}
+	return core.Run(p, e, dataset, cfg.BatchFraction, cfg.Seed, cfg.Iterations, s)
+}
+
+// GradientStage is the stage every parameter-server strategy runs: each task
+// indexes its rows, reads the weights of the index's features (weights
+// returns them aligned with indices), computes the batch gradient, pays for
+// it, commits and ships it. ship owns grad.
+func GradientStage(p *simnet.Proc, e *core.Engine, batch *rdd.RDD[data.Instance], obj Objective,
+	weights func(tc *rdd.TaskContext, indices []int) []float64,
+	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector)) []core.Summary {
+	cost := e.Cluster.Cost
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) core.Summary {
+		if len(rows) == 0 {
+			return core.Summary{}
+		}
+		var b BatchIndex
+		b.Build(rows)
+		g := make([]float64, len(b.Indices))
+		loss := b.Gradient(obj, rows, weights(tc, b.Indices), g)
+		tc.Charge(cost.GradWork(TotalNnz(rows)))
+		tc.Commit()
+		idx, vals := b.Sparse(g)
+		ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
+		return core.Summary{Loss: loss, Count: len(rows)}
+	})
+}
+
 // Train runs mini-batch training of the configured objective on PS2: the
 // execution flow of the paper's Section 3.3 / Figure 3, as the PS2 strategy
 // of the shared loop.
@@ -237,7 +284,7 @@ func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], d
 	return nil
 }
 
-func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []Summary {
+func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
 	return GradientStage(p, s.e, batch, s.cfg.Objective, s.pull, s.push)
 }
 
@@ -303,35 +350,17 @@ func (s *ps2) Barrier(p *simnet.Proc, it, count int) error {
 		b := dcv.NewBatch(s.weight)
 		fopt.RecordStep(s.e, b, s.weight, s.grad, it+1, count)
 		b.Zero(s.grad)
-		if err := b.Run(p, s.e.Driver()); err != nil {
-			return err
-		}
-	} else {
-		if err := s.opt.Step(p, s.e, s.weight, s.grad, it+1, count); err != nil {
-			return err
-		}
-		if err := s.grad.Zero(p, s.e.Driver()); err != nil {
-			return err
-		}
+		return b.Run(p, s.e.Driver())
 	}
-	// The optimizer step mutated the weight row: advance the matrix's model
-	// clock — replica freshness and any serving-tier reader attached to the
-	// weights ride it (ps/serve.go) — and every executor's cache clock, so
-	// staleness-0 entries stop serving until revalidated against the new
-	// version stamps.
-	s.weight.Matrix().TickClock()
-	if s.cache != nil {
-		s.cache.Tick()
+	if err := s.opt.Step(p, s.e, s.weight, s.grad, it+1, count); err != nil {
+		return err
 	}
-	return nil
+	return s.grad.Zero(p, s.e.Driver())
 }
 
-// checkpoint runs after the trace point, so an iteration's recorded time
-// leaves its own checkpoint out.
-func (s *ps2) checkpoint(p *simnet.Proc, it int) {
-	if s.cfg.CheckpointEvery > 0 && (it+1)%s.cfg.CheckpointEvery == 0 {
-		s.e.PS.Checkpoint(p, s.weight.Matrix())
-	}
+// Epilogue hands the loop the weights, which the optimizer step mutated.
+func (s *ps2) Epilogue() (*ps.Matrix, *ps.CachedClient, int) {
+	return s.weight.Matrix(), s.cache, s.cfg.CheckpointEvery
 }
 
 // EvalLoss computes the mean loss of a pulled weight vector over a dataset —
