@@ -169,6 +169,47 @@ func TestCodecRoundTripZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSparseStepZeroAlloc: a warm PushAdd into the gradient row followed by
+// the LR step program (Axpy grad → weight, Zero grad), both applied through
+// Server.handle with request IDs and watermarks as a client sends them,
+// allocate nothing: the supports reuse their column lists.
+func TestSparseStepZeroAlloc(t *testing.T) {
+	const width = 1 << 16
+	s := NewServer()
+	var sc connScratch
+	var id uint64
+	send := func(op byte, p []byte) {
+		id++
+		if _, err := s.handle(Frame{Op: op, Flags: FlagMutates, ReqID: id, AckedTo: id - 1, Payload: p}, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(OpCreateShard, AppendCreateShard(nil, 1, 2, 0, width))
+	cols := make([]int, 512)
+	vals := make([]float64, len(cols))
+	for i := range cols {
+		cols[i] = i * 97 % width
+		vals[i] = float64(i) - 200.5
+	}
+	push := AppendPushAdd(nil, 1, rowGrad, cols, vals)
+	step := AppendFused(nil, 1, []FusedOp{
+		{Kind: FAxpy, Dst: rowWeight, Src: rowGrad, Scale: -0.01},
+		{Kind: FZero, Row: rowGrad},
+	})
+	send(OpPushAdd, push) // warm: the supports grow their column lists once
+	send(OpFused, step)
+	allocs := testing.AllocsPerRun(200, func() {
+		send(OpPushAdd, push)
+		send(OpFused, step)
+	})
+	if allocs != 0 {
+		t.Errorf("PushAdd + sparse step: %v allocs/op, want 0", allocs)
+	}
+	if sup := s.mats[1].sup; sup[rowWeight].dense || sup[rowGrad].dense || len(sup[rowGrad].cols) != 0 {
+		t.Fatalf("the step left the supports dense or the gradient's non-empty")
+	}
+}
+
 // TestFusedShardParallelDeterministic: running a wide fused program with the
 // worker pool forced on must leave exactly the same bits in shard memory as
 // the serial path — the shard-parallel apply determinism contract.

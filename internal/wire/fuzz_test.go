@@ -6,11 +6,15 @@ package wire
 // hold, and a successful decode re-encodes to exactly the bytes it consumed.
 // The seed corpus — valid encodings plus truncated and over-long variants —
 // runs under plain `go test`; `go test -fuzz FuzzX ./internal/wire` explores.
+// FuzzFusedProgram fuzzes the server's fused executor instead: its input is
+// a schedule of requests, checked against a dense reference.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -173,6 +177,48 @@ func FuzzDecodeFusedInto(f *testing.F) {
 		}
 		if out := AppendFused(nil, mat, o); !bytes.Equal(out, in) {
 			t.Fatalf("re-encoded %x, decoded from %x", out, in)
+		}
+	})
+}
+
+// FuzzFusedProgram decodes the input into a schedule of PushAdd and Fused
+// requests (one byte per choice, see schedShape.nextStep), applies each
+// through Server.handle and compares every row with the dense reference
+// after every request.
+func FuzzFusedProgram(f *testing.F) {
+	f.Add([]byte{})
+	// Push -3 into row 0, scale row 0 by +0 (the column now holds -0), then
+	// add +1 × the empty row 1 into it: the dense kernel turns that -0 into +0.
+	f.Add([]byte{0, 0, 0, 10, 7, 1, 1, 4, 0, 1, 0, 0, 0, 1, 1, 2})
+	// Push into row 0, then scale it by -1: every untouched column becomes -0.
+	f.Add([]byte{0, 0, 0, 10, 7, 1, 0, 4, 0, 0, 5})
+	rng := rand.New(rand.NewPCG(7, 7))
+	for i := 0; i < 24; i++ {
+		in := make([]byte, 64+rng.IntN(512))
+		for j := range in {
+			in[j] = byte(rng.Uint32())
+		}
+		f.Add(in)
+	}
+	shape := schedShape{rows: 3, lo: 5, width: 160}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := NewServer()
+		var sc connScratch
+		create := Frame{Op: OpCreateShard, Payload: AppendCreateShard(nil, 1, shape.rows, shape.lo, shape.lo+shape.width)}
+		if _, err := s.handle(create, &sc); err != nil {
+			t.Fatal(err)
+		}
+		ref := newDenseRef(shape)
+		p := &bytesPicker{b: in}
+		for i := 0; !p.done(); i++ {
+			st := shape.nextStep(p)
+			if _, err := s.handle(st.frame(1), &sc); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			ref.apply(st)
+			for r, row := range s.mats[1].Rows {
+				ref.checkRow(t, fmt.Sprintf("step %d", i), r, row)
+			}
 		}
 	})
 }

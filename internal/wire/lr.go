@@ -243,19 +243,22 @@ func (st *wireStore) step(mat uint32, scale float64) error {
 	})
 }
 
+// weights decodes each server's range straight into its stretch of w, as
+// pullWeights does: the stretch's capacity is exactly the range, so a reply
+// of the right length lands in place and any other length is refused.
 func (st *wireStore) weights(mat uint32, dim int) ([]float64, error) {
 	w := make([]float64, dim)
 	err := st.eachServer(func(s int) error {
-		lo, vals, err := st.c.PullRange(s, mat, rowWeight)
-		if err != nil {
+		wantLo, wantHi := st.pt.Range(s)
+		dst := w[wantLo:wantHi:wantHi]
+		var lo int
+		if err := st.c.PullRangeInto(s, mat, rowWeight, &lo, &dst); err != nil {
 			return err
 		}
-		wantLo, wantHi := st.pt.Range(s)
-		if lo != wantLo || len(vals) != wantHi-wantLo {
+		if lo != wantLo || len(dst) != wantHi-wantLo {
 			return fmt.Errorf("wire: server %d returned range [%d,+%d), want [%d,%d)",
-				s, lo, len(vals), wantLo, wantHi)
+				s, lo, len(dst), wantLo, wantHi)
 		}
-		copy(w[lo:lo+len(vals)], vals)
 		return nil
 	})
 	return w, err

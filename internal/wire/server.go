@@ -5,6 +5,14 @@ package wire
 // operators against local memory under one mutex, with the exactly-once
 // contract of the simulated servers — the same ps.AppliedSet, replaying a
 // duplicate's cached response and retired by each client's watermark.
+//
+// Beside each shard row the server keeps its support, the columns that may
+// be non-zero (support.go). PushAdd grows it, and the fused program visits
+// only the supports when that gives the dense kernels' result bit for bit,
+// so a step after a few hundred pushed columns costs a few hundred columns,
+// not the shard's width. A frame's bytes are counted under the mutex before
+// its response is written, so a client that holds its answer finds the
+// frame in the next Stats reply, whichever connection carries it.
 
 import (
 	"bufio"
@@ -14,7 +22,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/linalg"
 	"repro/internal/ps"
 )
 
@@ -45,7 +52,7 @@ type ServerStats struct {
 // use NewServer.
 type Server struct {
 	mu      sync.Mutex
-	mats    map[uint32]*ps.Shard // contiguous views: Rows[r][c-Lo]
+	mats    map[uint32]*shard // contiguous views: Rows[r][c-Lo], with supports
 	applied ps.AppliedSet
 	stats   ServerStats
 
@@ -58,7 +65,7 @@ type Server struct {
 // NewServer returns a server with no shards; CreateShard allocates them.
 func NewServer() *Server {
 	return &Server{
-		mats:  make(map[uint32]*ps.Shard),
+		mats:  make(map[uint32]*shard),
 		conns: make(map[net.Conn]struct{}),
 	}
 }
@@ -160,25 +167,30 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := w.Flush(); err != nil {
 			return
 		}
-		n := len(resp)
-		if appErr != nil {
-			n = len(appErr.Error())
-		}
-		s.mu.Lock()
-		s.stats.BytesIn += uint64(reqHeaderLen + len(f.Payload))
-		s.stats.BytesOut += uint64(respHeaderLen + n)
-		s.mu.Unlock()
 	}
 }
 
 // handle executes one frame under the store mutex and returns the response
 // payload (possibly aliasing sc's scratch — valid until the next frame on
-// this connection). Mutating frames are filtered through the applied-set
-// first: a duplicate request ID replays the cached response without touching
-// state.
-func (s *Server) handle(f Frame, sc *connScratch) (resp []byte, appErr error) {
+// this connection). The frame's bytes in both directions are counted before
+// the mutex is released, so before the response is written.
+func (s *Server) handle(f Frame, sc *connScratch) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	resp, appErr := s.dedupApply(f, sc)
+	n := len(resp)
+	if appErr != nil {
+		n = len(appErr.Error())
+	}
+	s.stats.BytesIn += uint64(reqHeaderLen + len(f.Payload))
+	s.stats.BytesOut += uint64(respHeaderLen + n)
+	return resp, appErr
+}
+
+// dedupApply filters a mutating frame through the applied-set before
+// applying it: a duplicate request ID replays the cached response without
+// touching state. The caller holds s.mu.
+func (s *Server) dedupApply(f Frame, sc *connScratch) (resp []byte, appErr error) {
 	s.stats.Requests++
 
 	// Retire dedup entries the client can never resend.
@@ -200,7 +212,7 @@ func (s *Server) handle(f Frame, sc *connScratch) (resp []byte, appErr error) {
 	return resp, appErr
 }
 
-func (s *Server) shard(mat uint32) (*ps.Shard, error) {
+func (s *Server) shard(mat uint32) (*shard, error) {
 	sh, ok := s.mats[mat]
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown matrix %d", mat)
@@ -208,23 +220,24 @@ func (s *Server) shard(mat uint32) (*ps.Shard, error) {
 	return sh, nil
 }
 
-func row(sh *ps.Shard, r int) ([]float64, error) {
+// checkRow refuses a row index outside the shard.
+func (sh *shard) checkRow(r int) error {
 	if r < 0 || r >= len(sh.Rows) {
-		return nil, fmt.Errorf("wire: row %d out of range [0,%d)", r, len(sh.Rows))
+		return fmt.Errorf("wire: row %d out of range [0,%d)", r, len(sh.Rows))
 	}
-	return sh.Rows[r], nil
+	return nil
 }
 
-// shardRow returns row r of matrix mat and the shard's first column. It
-// refuses a column list that leaves the shard's range before any of it is
-// applied: a ServerError is never retried, so a push that failed at its k-th
-// column with the first k-1 already added would stay torn.
-func (s *Server) shardRow(mat uint32, r int, cols []int) (data []float64, lo int, err error) {
-	sh, err := s.shard(mat)
-	if err != nil {
+// shardRow returns matrix mat's shard after checking it has row r, and the
+// shard's first column. It refuses a column list that leaves the shard's
+// range before any of it is applied: a ServerError is never retried, so a
+// push that failed at its k-th column with the first k-1 already added would
+// stay torn.
+func (s *Server) shardRow(mat uint32, r int, cols []int) (sh *shard, lo int, err error) {
+	if sh, err = s.shard(mat); err != nil {
 		return nil, 0, err
 	}
-	if data, err = row(sh, r); err != nil {
+	if err = sh.checkRow(r); err != nil {
 		return nil, 0, err
 	}
 	v := sh.View()
@@ -233,8 +246,13 @@ func (s *Server) shardRow(mat uint32, r int, cols []int) (data []float64, lo int
 			return nil, 0, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, v.Lo, v.Hi)
 		}
 	}
-	return data, v.Lo, nil
+	return sh, v.Lo, nil
 }
+
+// maxRowWidth is the widest shard row one PullRange response can carry:
+// the payload holds the row's first column and value count (4 bytes each)
+// and 8 bytes per value.
+const maxRowWidth = (MaxPayload - 8) / 8
 
 func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 	switch f.Op {
@@ -249,13 +267,18 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if rows <= 0 || lo < 0 || hi < lo {
 			return nil, fmt.Errorf("wire: bad shard shape rows=%d range=[%d,%d)", rows, lo, hi)
 		}
+		if hi-lo > maxRowWidth {
+			// Refused here, or every PullRange of the row would overflow its
+			// response frame and drop the connection like a dead server.
+			return nil, fmt.Errorf("wire: shard width %d exceeds %d, the widest row a PullRange response can carry", hi-lo, maxRowWidth)
+		}
 		if sh, ok := s.mats[mat]; ok {
 			if v := sh.View(); len(sh.Rows) == rows && v.Lo == lo && v.Hi == hi {
 				return nil, nil // idempotent re-create
 			}
 			return nil, fmt.Errorf("wire: matrix %d exists with different shape", mat)
 		}
-		s.mats[mat] = ps.NewShard(rows, ps.ColView{Lo: lo, Hi: hi})
+		s.mats[mat] = newShard(rows, lo, hi)
 		return nil, nil
 
 	case OpPullSparse:
@@ -263,10 +286,11 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, lo, err := s.shardRow(mat, r, cols)
+		sh, lo, err := s.shardRow(mat, r, cols)
 		if err != nil {
 			return nil, err
 		}
+		data := sh.Rows[r]
 		vals := growFloats(&sc.vals, len(cols))
 		for i, c := range cols {
 			vals[i] = data[c-lo]
@@ -279,13 +303,15 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, lo, err := s.shardRow(mat, r, cols)
+		sh, lo, err := s.shardRow(mat, r, cols)
 		if err != nil {
 			return nil, err
 		}
+		data := sh.Rows[r]
 		for i, c := range cols {
 			data[c-lo] += vals[i]
 		}
+		sh.sup[r].add(cols, lo)
 		return nil, nil
 
 	case OpFused:
@@ -304,24 +330,23 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 			if op.Kind == FAxpy {
 				a, b = op.Dst, op.Src
 			}
-			if _, err := row(sh, a); err != nil {
+			if err := sh.checkRow(a); err != nil {
 				return nil, err
 			}
-			if _, err := row(sh, b); err != nil {
+			if err := sh.checkRow(b); err != nil {
 				return nil, err
 			}
 		}
-		// The linalg kernels fan wide rows out over the shared worker pool
-		// (shard-parallel apply); their fixed chunked order keeps results
-		// bit-identical to the serial loops they replaced.
+		// Each op visits the rows' supports, or runs the linalg kernel over
+		// the whole row where that could give a different result (support.go).
 		for _, op := range ops {
 			switch op.Kind {
 			case FAxpy:
-				linalg.Axpy(op.Scale, sh.Rows[op.Src], sh.Rows[op.Dst])
+				sh.axpy(op.Scale, op.Src, op.Dst)
 			case FZero:
-				linalg.Fill(sh.Rows[op.Row], 0)
+				sh.zero(op.Row)
 			case FScale:
-				linalg.Scale(op.Scale, sh.Rows[op.Row])
+				sh.scale(op.Scale, op.Row)
 			}
 		}
 		return nil, nil
@@ -331,13 +356,13 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, lo, err := s.shardRow(mat, r, nil)
+		sh, lo, err := s.shardRow(mat, r, nil)
 		if err != nil {
 			return nil, err
 		}
 		// Encode straight from shard memory (still under s.mu); the old
 		// intermediate copy bought nothing.
-		sc.resp = AppendPullRangeResp(sc.resp[:0], lo, data)
+		sc.resp = AppendPullRangeResp(sc.resp[:0], lo, sh.Rows[r])
 		return sc.resp, nil
 
 	case OpStats:

@@ -54,6 +54,11 @@ go run ./cmd/ps2bench -exp fig1b -quick -json "$(mktemp)" -trace "$(mktemp)" >/d
 # that production runs, and -race (above) measures the instrumented build.
 go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linalg/ ./internal/ml/lr/
 
+# The wire server's sparse fused executor against its dense reference, on
+# schedules the fuzzer generates beyond the seed corpus the suite above ran;
+# bounded so the gate's run time stays fixed.
+go test -run XXX -fuzz FuzzFusedProgram -fuzztime 10s ./internal/wire/
+
 # Benchmark smoke gate: every benchmark in the repo must still run to
 # completion (one iteration each) so `make bench` cannot rot unnoticed.
 go test -run XXX -bench . -benchtime 1x ./...
