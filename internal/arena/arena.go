@@ -27,17 +27,47 @@ import "sync"
 // dropped on Put so one giant request cannot pin memory forever.
 const reuseCap = 1 << 22 // 4 MiB of bytes, 32 MiB of float64s
 
-var bytePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+// slicePool is a sync.Pool of slices. A slice travels through the pool in a
+// *[]T box; the emptied boxes are pooled too, so a Put after a Get allocates
+// nothing, where boxing the slice afresh would cost an allocation each time.
+type slicePool[T any] struct {
+	bufs    sync.Pool // boxes holding a buffer
+	boxes   sync.Pool // empty boxes
+	initCap int       // capacity of a buffer the pool makes
+}
 
-var floatPool = sync.Pool{New: func() any { s := make([]float64, 0, 256); return &s }}
+func (p *slicePool[T]) get() []T {
+	box, _ := p.bufs.Get().(*[]T)
+	if box == nil {
+		return make([]T, 0, p.initCap)
+	}
+	s := *box
+	*box = nil
+	p.boxes.Put(box)
+	return s
+}
+
+func (p *slicePool[T]) put(s []T) {
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	p.bufs.Put(box)
+}
+
+var (
+	bytePool  = slicePool[byte]{initCap: 1024}
+	floatPool = slicePool[float64]{initCap: 256}
+)
 
 // Bytes returns a []byte of length n with arbitrary contents.
 func Bytes(n int) []byte {
-	p := bytePool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
+	b := bytePool.get()
+	if cap(b) < n {
+		b = make([]byte, n)
 	}
-	return (*p)[:n]
+	return b[:n]
 }
 
 // PutBytes returns a buffer obtained from Bytes (or any buffer the caller
@@ -46,17 +76,16 @@ func PutBytes(b []byte) {
 	if b == nil || cap(b) > reuseCap {
 		return
 	}
-	b = b[:0]
-	bytePool.Put(&b)
+	bytePool.put(b)
 }
 
 // Floats returns a zeroed []float64 of length n.
 func Floats(n int) []float64 {
-	p := floatPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
+	s := floatPool.get()
+	if cap(s) < n {
+		s = make([]float64, n)
 	}
-	s := (*p)[:n]
+	s = s[:n]
 	for i := range s {
 		s[i] = 0
 	}
@@ -69,6 +98,5 @@ func PutFloats(s []float64) {
 	if s == nil || cap(s) > reuseCap/8 {
 		return
 	}
-	s = s[:0]
-	floatPool.Put(&s)
+	floatPool.put(s)
 }

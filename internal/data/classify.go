@@ -10,6 +10,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/linalg"
 )
@@ -77,8 +78,15 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 	if cfg.Rows <= 0 || cfg.Dim <= 0 || cfg.NnzPerRow <= 0 {
 		return nil, fmt.Errorf("data: invalid classify config %+v", cfg)
 	}
-	if cfg.NnzPerRow > cfg.Dim {
-		cfg.NnzPerRow = cfg.Dim
+	// A row holds at most as many distinct indices as the draws can reach:
+	// Zipf(n, s) does not return n−1 (its u < 1), so with skew one dimension
+	// is out of reach and a row asking for all of them would draw forever.
+	reachable := cfg.Dim
+	if cfg.Skew > 0 && cfg.Dim > 1 {
+		reachable = cfg.Dim - 1
+	}
+	if cfg.NnzPerRow > reachable {
+		cfg.NnzPerRow = reachable
 	}
 	if cfg.WeightNnz <= 0 || cfg.WeightNnz > cfg.Dim {
 		cfg.WeightNnz = cfg.Dim
@@ -107,7 +115,6 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 	ds.Instances = make([]Instance, cfg.Rows)
 	idxBuf := make([]int, 0, cfg.NnzPerRow)
 	for r := 0; r < cfg.Rows; r++ {
-		seen := map[int]bool{}
 		idxBuf = idxBuf[:0]
 		for len(idxBuf) < cfg.NnzPerRow {
 			var idx int
@@ -116,8 +123,9 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 			} else {
 				idx = rng.Intn(cfg.Dim)
 			}
-			if !seen[idx] {
-				seen[idx] = true
+			// A row holds NnzPerRow indices, a few dozen in every dataset
+			// here: scanning them beats hashing into a per-row map.
+			if !slices.Contains(idxBuf, idx) {
 				idxBuf = append(idxBuf, idx)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/linalg"
 )
@@ -96,6 +97,41 @@ func TestGenerateClassifyLearnable(t *testing.T) {
 func TestGenerateClassifyRejectsBadConfig(t *testing.T) {
 	if _, err := GenerateClassify(ClassifyConfig{}); err == nil {
 		t.Fatal("zero config accepted")
+	}
+}
+
+// TestGenerateClassifyReturnsWhenRowsAskForEveryDim: with skew, the last
+// dimension is out of the draws' reach, so a row asking for every dimension
+// (or more, which clamps to every dimension) gets all the others instead of
+// drawing forever.
+func TestGenerateClassifyReturnsWhenRowsAskForEveryDim(t *testing.T) {
+	for _, cfg := range []ClassifyConfig{
+		{Rows: 1, Dim: 4, NnzPerRow: 4, Skew: 1},
+		{Rows: 3, Dim: 5, NnzPerRow: 9, Skew: 1.3, SortedFeatures: true},
+		{Rows: 2, Dim: 1, NnzPerRow: 2, Skew: 1},
+	} {
+		done := make(chan *ClassifyDataset, 1)
+		go func() {
+			ds, err := GenerateClassify(cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- ds
+		}()
+		select {
+		case ds := <-done:
+			if ds == nil {
+				continue
+			}
+			want := max(cfg.Dim-1, 1)
+			for _, in := range ds.Instances {
+				if in.Features.Nnz() != want {
+					t.Errorf("%+v: a row holds %d indices, want %d", cfg, in.Features.Nnz(), want)
+				}
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%+v: GenerateClassify still running after 1 s", cfg)
+		}
 	}
 }
 

@@ -8,6 +8,19 @@ import "math"
 // bit-identical across runs; math/rand's global state is never used.
 type RNG struct {
 	s0, s1 uint64
+	zipf   zipfConsts
+}
+
+// zipfConsts are the terms of Zipf's inverse CDF that depend on (n, s) only,
+// kept for the last pair drawn from: a generator draws thousands of indices
+// over one dimension, and the terms cost a Log or a Pow each. n ≥ 2 when
+// set, so the zero value matches no draw.
+type zipfConsts struct {
+	n       int
+	s       float64
+	logN    float64 // Log(n), for s == 1
+	span    float64 // Pow(n, 1−s) − 1, for s ≠ 1
+	invExpo float64 // 1 / (1−s), for s ≠ 1
 }
 
 // NewRNG creates a generator from a seed. Distinct seeds give independent
@@ -75,12 +88,24 @@ func (r *RNG) Zipf(n int, s float64) int {
 	if n <= 1 {
 		return 0
 	}
-	// Inverse-CDF approximation for the continuous analogue.
+	// Inverse-CDF approximation for the continuous analogue. The memoized
+	// terms are the same expressions, so every draw is bit for bit what
+	// computing them afresh gives.
+	z := &r.zipf
+	if z.n != n || z.s != s {
+		*z = zipfConsts{n: n, s: s}
+		if s == 1 {
+			z.logN = math.Log(float64(n))
+		} else {
+			z.span = math.Pow(float64(n), 1-s) - 1
+			z.invExpo = 1 / (1 - s)
+		}
+	}
 	u := r.Float64()
 	if s == 1 {
-		return int(math.Min(float64(n)-1, math.Exp(u*math.Log(float64(n)))-1))
+		return int(math.Min(float64(n)-1, math.Exp(u*z.logN)-1))
 	}
-	x := math.Pow(u*(math.Pow(float64(n), 1-s)-1)+1, 1/(1-s)) - 1
+	x := math.Pow(u*z.span+1, z.invExpo) - 1
 	i := int(x)
 	if i < 0 {
 		i = 0

@@ -278,6 +278,45 @@ func TestRNGZipfSkew(t *testing.T) {
 	}
 }
 
+// zipfClosedForm is RNG.Zipf with every term computed afresh on every draw.
+func zipfClosedForm(r *RNG, n int, s float64) int {
+	if n <= 1 {
+		return 0
+	}
+	u := r.Float64()
+	if s == 1 {
+		return int(math.Min(float64(n)-1, math.Exp(u*math.Log(float64(n)))-1))
+	}
+	i := int(math.Pow(u*(math.Pow(float64(n), 1-s)-1)+1, 1/(1-s)) - 1)
+	return min(max(i, 0), n-1)
+}
+
+// TestZipfMemoMatchesClosedForm draws from interleaved and repeated (n, s)
+// pairs, so the memoized terms are both reused and replaced, and checks
+// every draw against the closed form on a second generator of the same seed.
+func TestZipfMemoMatchesClosedForm(t *testing.T) {
+	pairs := []struct {
+		n int
+		s float64
+	}{
+		{1000, 1.1}, {1000, 1.1}, {50, 1}, {50, 1}, {1000, 1.1}, {1, 1.1}, {0, 1},
+		{-3, 2}, {2, 0.5}, {4_000_000, 1.2}, {4_000_000, 1}, {7, 3}, {100, 0},
+		{1000, 1.3}, {1000, 1.1}, {50, 1},
+	}
+	memo, fresh := NewRNG(23), NewRNG(23)
+	pick := NewRNG(5)
+	for i := 0; i < 20000; i++ {
+		p := pairs[pick.Intn(len(pairs))]
+		got, want := memo.Zipf(p.n, p.s), zipfClosedForm(fresh, p.n, p.s)
+		if got != want {
+			t.Fatalf("draw %d, Zipf(%d, %v): memoized %d, closed form %d", i, p.n, p.s, got, want)
+		}
+	}
+	if memo.Uint64() != fresh.Uint64() {
+		t.Fatal("the two generators' streams drifted apart")
+	}
+}
+
 func TestAliasSamplerMatchesDistribution(t *testing.T) {
 	weights := []float64{1, 0, 3, 6}
 	s, err := NewAliasSampler(weights)

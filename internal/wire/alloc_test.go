@@ -1,16 +1,18 @@
 package wire
 
 // Allocation regression guards for the hot path (ISSUE: zero-alloc
-// contract). These assert testing.AllocsPerRun == 0 on the pool-free reuse
-// paths: connection-scoped frame/response buffers and caller-supplied codec
-// scratch. They run without -race in scripts/check.sh (the race runtime
-// perturbs allocation counts).
+// contract). These assert testing.AllocsPerRun == 0 on the reuse paths:
+// connection-scoped frame/response buffers, caller-supplied codec scratch
+// and, for a whole client call, the arena's pooled request buffers. They run
+// without -race in scripts/check.sh (the race runtime perturbs allocation
+// counts).
 
 import (
 	"bufio"
 	"bytes"
 	"io"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/par"
@@ -120,7 +122,8 @@ func TestCodecRoundTripZeroAlloc(t *testing.T) {
 		{Kind: FScale, Row: 0, Scale: 1.5},
 	}
 
-	var reqBuf, respBuf []byte
+	var reqBuf, respBuf, pieceScratch []byte
+	respReader := bytes.NewReader(nil)
 	var colsScratch []int
 	var valsScratch []float64
 	var opsScratch []FusedOp
@@ -156,7 +159,8 @@ func TestCodecRoundTripZeroAlloc(t *testing.T) {
 		}},
 		{"PullRange", func() {
 			respBuf = AppendPullRangeResp(respBuf[:0], 100, vals)
-			_, _, err := DecodePullRangeRespInto(respBuf, &valsScratch)
+			respReader.Reset(respBuf)
+			_, _, err := readPullRangeResp(respReader, len(respBuf), &pieceScratch, &valsScratch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,6 +171,66 @@ func TestCodecRoundTripZeroAlloc(t *testing.T) {
 			t.Errorf("%s round trip: %v allocs/op, want 0", c.name, allocs)
 		}
 	}
+}
+
+// TestPullRangeIntoZeroAlloc: a warm range pull of a 1 M-wide row allocates
+// nothing on either end of the socket, the pooled connection keeps no buffer
+// larger than one decode piece, and every variable-length encoder sizes a
+// cold buffer in one allocation.
+func TestPullRangeIntoZeroAlloc(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under -race sync.Pool drops a random share of Puts, so the pooled request buffer is reallocated now and then; scripts/check.sh runs this gate without -race")
+	}
+	const width = 1 << 20
+	_, c := startWideRow(t, width)
+	var lo int
+	var vals []float64
+	pull := func() {
+		if err := c.PullRangeInto(0, 1, 0, &lo, &vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull() // warm: the caller's buffer and the connection's piece
+	if allocs := testing.AllocsPerRun(10, pull); allocs != 0 {
+		t.Errorf("warm PullRangeInto of %d columns: %v allocs/op, want 0", width, allocs)
+	}
+	pc := <-c.eps[0].pool
+	if cap(pc.rbuf) > rangePiece {
+		t.Errorf("the pooled connection keeps a %d-byte buffer, more than one %d-byte piece", cap(pc.rbuf), rangePiece)
+	}
+	c.eps[0].pool <- pc
+
+	cols := make([]int, width)
+	for _, enc := range []struct {
+		name string
+		fn   func() []byte
+	}{
+		{"AppendPullRangeResp", func() []byte { return AppendPullRangeResp(nil, 0, vals) }},
+		{"AppendVals", func() []byte { return AppendVals(nil, vals) }},
+		{"AppendPushAdd", func() []byte { return AppendPushAdd(nil, 1, 0, cols, vals) }},
+		{"AppendPullSparseReq", func() []byte { return AppendPullSparseReq(nil, 1, 0, cols) }},
+	} {
+		if allocs := testing.AllocsPerRun(3, func() { encSink = enc.fn() }); allocs != 1 {
+			t.Errorf("cold %s of %d columns: %v allocs/op, want 1", enc.name, width, allocs)
+		}
+	}
+}
+
+// encSink keeps an encoder's result alive so the allocation is not elided.
+var encSink []byte
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestSparseStepZeroAlloc: a warm PushAdd into the gradient row followed by

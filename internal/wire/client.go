@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -65,7 +66,8 @@ type ClientStats struct {
 // response payload buffer, all reused across exchanges so the steady-state
 // round trip allocates nothing. The rbuf contents are only valid between an
 // exchange and the connection's release back to the pool — hence
-// callDecode's decode-before-release discipline.
+// callDecode's decode-before-release discipline. A range response is never
+// read into rbuf whole: it is decoded through it a piece at a time.
 type poolConn struct {
 	net.Conn
 	br   *bufio.Reader
@@ -180,7 +182,7 @@ func (c *Client) Call(s int, op byte, mutates bool, payload []byte) ([]byte, err
 	err := c.callDecode(s, op, mutates, payload, func(resp []byte) error {
 		out = append([]byte(nil), resp...)
 		return nil
-	})
+	}, nil)
 	return out, err
 }
 
@@ -188,7 +190,15 @@ func (c *Client) Call(s int, op byte, mutates bool, payload []byte) ([]byte, err
 // handed to decode while it still aliases the pooled connection's read
 // buffer, and the connection is only released afterwards. decode must not
 // retain the slice. It is invoked at most once, on the successful attempt.
-func (c *Client) callDecode(s int, op byte, mutates bool, payload []byte, decode func(resp []byte) error) error {
+//
+// A caller passing stream instead (decode nil) reads the payload itself:
+// stream gets the connection's reader, the payload length and the
+// connection's buffer as scratch, and must consume exactly plen bytes. A
+// read error it passes back is a transport fault and is retried; any other
+// error is its verdict on the payload and is returned as is. Either way the
+// connection is closed, not pooled, since part of the payload may be unread.
+func (c *Client) callDecode(s int, op byte, mutates bool, payload []byte, decode func(resp []byte) error,
+	stream func(r io.Reader, plen int, scratch *[]byte) error) error {
 	if s < 0 || s >= len(c.eps) {
 		return fmt.Errorf("wire: server index %d out of range [0,%d)", s, len(c.eps))
 	}
@@ -217,13 +227,10 @@ func (c *Client) callDecode(s int, op byte, mutates bool, payload []byte, decode
 		if fresh {
 			c.count(func(st *ClientStats) { st.Redials++ })
 		}
-		resp, err := c.exchange(pc, f)
+		err = c.exchange(pc, f, decode, stream)
 		if err == nil {
-			// Decode before release: resp aliases pc.rbuf, which the next
-			// user of this pooled connection will overwrite.
-			derr := decode(resp)
 			c.release(ep, pc)
-			return derr
+			return nil
 		}
 		pc.Close() // connection state is suspect after any failure
 		var appErr *appError
@@ -248,8 +255,9 @@ func (c *Client) callDecode(s int, op byte, mutates bool, payload []byte, decode
 		s, ep.addr, c.retry.MaxRetries, lastClass, lastErr)
 }
 
-// appError wraps a status-1 response so Call can tell it apart from
-// transport failures.
+// appError wraps a status-1 response, or a response payload that does not
+// decode, so Call can tell it apart from transport failures: the server
+// would answer a resend the same way.
 type appError struct{ err error }
 
 func (e *appError) Error() string { return e.err.Error() }
@@ -281,35 +289,61 @@ func (c *Client) release(ep *endpoint, pc *poolConn) {
 }
 
 // exchange runs one request/response round trip under the per-attempt
-// deadline. The returned payload aliases pc.rbuf — valid until the
-// connection's next exchange. A server-reported application error is wrapped
-// in appError.
-func (c *Client) exchange(pc *poolConn, f Frame) ([]byte, error) {
+// deadline and hands the response to decode, or to stream (see callDecode).
+// A server-reported application error, or a payload the decoder refuses, is
+// wrapped in appError.
+func (c *Client) exchange(pc *poolConn, f Frame, decode func(resp []byte) error,
+	stream func(r io.Reader, plen int, scratch *[]byte) error) error {
 	if err := pc.SetDeadline(time.Now().Add(c.retry.Timeout)); err != nil {
-		return nil, err
+		return err
 	}
 	if err := WriteFrame(pc.bw, f); err != nil {
-		return nil, err
+		return err
 	}
 	if err := pc.bw.Flush(); err != nil {
-		return nil, err
+		return err
 	}
 	c.count(func(st *ClientStats) {
 		st.Attempts++
 		st.BytesOut += uint64(reqHeaderLen + len(f.Payload))
 	})
-	resp, err := ReadResponseReuse(pc.br, &pc.rbuf)
+	var plen int
+	var resp []byte
+	var err error
+	if stream == nil {
+		resp, err = ReadResponseReuse(pc.br, &pc.rbuf)
+		plen = len(resp)
+	} else if plen, err = readResponseHeader(pc.br, &pc.rbuf); err == nil {
+		if err = stream(pc.br, plen, &pc.rbuf); err != nil && !readFailure(err) {
+			return &appError{err: err}
+		}
+	}
 	if err != nil {
 		var sErr *ServerError
 		if errors.As(err, &sErr) {
 			// The server executed the request and reported a deterministic
 			// failure; retrying cannot help.
-			return nil, &appError{err: err}
+			return &appError{err: err}
 		}
-		return nil, err // transport: timeout, reset, EOF on a stale conn
+		return err // transport: timeout, reset, EOF on a stale conn
 	}
-	c.count(func(st *ClientStats) { st.BytesIn += uint64(respHeaderLen + len(resp)) })
-	return resp, nil
+	c.count(func(st *ClientStats) { st.BytesIn += uint64(respHeaderLen + plen) })
+	if decode != nil {
+		// resp aliases pc.rbuf, which the next user of this pooled
+		// connection will overwrite: callDecode releases it only after this.
+		if err := decode(resp); err != nil {
+			return &appError{err: err}
+		}
+	}
+	return nil
+}
+
+// readFailure reports whether a stream decoder's error is the connection's —
+// a read that hit the deadline, a reset, or the end of the stream part-way
+// through the payload — rather than its verdict on the bytes it read.
+func readFailure(err error) bool {
+	var nerr net.Error
+	return errors.As(err, &nerr) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 func minDuration(a, b time.Duration) time.Duration {
@@ -349,7 +383,7 @@ func (c *Client) PullSparseInto(s int, mat uint32, row int, cols []int, valsBuf 
 			return fmt.Errorf("wire: pulled %d values for %d columns", len(vals), len(cols))
 		}
 		return nil
-	})
+	}, nil)
 }
 
 // PushAdd adds sparse deltas into one row on server s, exactly once.
@@ -359,14 +393,14 @@ func (c *Client) PushAdd(s int, mat uint32, row int, cols []int, vals []float64)
 	}
 	req := AppendPushAdd(arena.Bytes(0), mat, row, cols, vals)
 	defer arena.PutBytes(req)
-	return c.callDecode(s, OpPushAdd, true, req, func([]byte) error { return nil })
+	return c.callDecode(s, OpPushAdd, true, req, nil, nil)
 }
 
 // Fused runs an op program atomically on server s, exactly once.
 func (c *Client) Fused(s int, mat uint32, ops []FusedOp) error {
 	req := AppendFused(arena.Bytes(0), mat, ops)
 	defer arena.PutBytes(req)
-	return c.callDecode(s, OpFused, true, req, func([]byte) error { return nil })
+	return c.callDecode(s, OpFused, true, req, nil, nil)
 }
 
 // PullRange reads server s's whole stretch of one row, returning the range
@@ -376,12 +410,14 @@ func (c *Client) PullRange(s int, mat uint32, row int) (lo int, vals []float64, 
 	return lo, vals, err
 }
 
-// PullRangeInto is PullRange decoding into caller scratch.
+// PullRangeInto is PullRange decoding into caller scratch. The values are
+// decoded off the socket a piece at a time, so a warm call allocates nothing
+// and the pooled connection keeps no buffer the size of the row.
 func (c *Client) PullRangeInto(s int, mat uint32, row int, lo *int, valsBuf *[]float64) error {
 	req := AppendPullRangeReq(arena.Bytes(0), mat, row)
 	defer arena.PutBytes(req)
-	return c.callDecode(s, OpPullRange, false, req, func(resp []byte) error {
-		l, _, err := DecodePullRangeRespInto(resp, valsBuf)
+	return c.callDecode(s, OpPullRange, false, req, nil, func(r io.Reader, plen int, scratch *[]byte) error {
+		l, _, err := readPullRangeResp(r, plen, scratch, valsBuf)
 		if err != nil {
 			return err
 		}

@@ -107,7 +107,8 @@ func TestPayloadCodecs(t *testing.T) {
 		}
 	}
 	{
-		lo, vals, err := DecodePullRangeRespInto(AppendPullRangeResp(nil, 40, []float64{1, 2}), new([]float64))
+		p := AppendPullRangeResp(nil, 40, []float64{1, 2})
+		lo, vals, err := readPullRangeResp(bytes.NewReader(p), len(p), new([]byte), new([]float64))
 		if err != nil || lo != 40 || !reflect.DeepEqual(vals, []float64{1, 2}) {
 			t.Fatalf("pull range resp: %v %v %v", lo, vals, err)
 		}

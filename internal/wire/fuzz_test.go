@@ -94,6 +94,72 @@ func FuzzReadResponseReuse(f *testing.F) {
 	})
 }
 
+// FuzzPullRangeResponse feeds raw response bytes through what the client
+// runs on a range pull: the header read, then the piecewise decode with the
+// header's buffer as the piece scratch. Beyond the common properties, the
+// decode must leave unread exactly the bytes after the frame, and must not
+// hold more than one piece or the text of an error in its scratch.
+func FuzzPullRangeResponse(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteResponse(&valid, AppendPullRangeResp(nil, 40, []float64{1.5, -2.25, math.Inf(1)}), nil); err != nil {
+		f.Fatal(err)
+	}
+	seedVariants(f, valid.Bytes(), 4) // plen sits at header offset 4
+	for _, claim := range []uint32{4, MaxPayload / 8, math.MaxUint32} {
+		inflated := append([]byte{}, valid.Bytes()...)
+		binary.LittleEndian.PutUint32(inflated[respHeaderLen+4:], claim) // the value count
+		f.Add(inflated)
+	}
+	failed := append([]byte{}, valid.Bytes()...)
+	failed[2] = 1 // status: application error
+	f.Add(failed)
+	// A row wider than one piece, whole and cut inside its second piece.
+	wide := make([]float64, rangePiece/8+100)
+	for i := range wide {
+		wide[i] = float64(i) - 0.5
+	}
+	var long bytes.Buffer
+	if err := WriteResponse(&long, AppendPullRangeResp(nil, 0, wide), nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(long.Bytes())
+	f.Add(long.Bytes()[:long.Len()-8])
+
+	buf := []byte("stale scratch from the previous response")
+	vals := make([]float64, staleScratch)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := bytes.NewReader(in)
+		plen, err := readResponseHeader(r, &buf)
+		if cap(buf) > MaxPayload {
+			t.Fatalf("scratch grew to %d bytes, past the %d cap", cap(buf), MaxPayload)
+		}
+		if err != nil {
+			return
+		}
+		nb, nv := cap(buf), cap(vals)
+		lo, got, err := readPullRangeResp(r, plen, &buf, &vals)
+		if cap(buf) > max(nb, rangePiece) {
+			t.Fatalf("the decode grew its scratch from %d to %d bytes, past one piece", nb, cap(buf))
+		}
+		grewWithin(t, "value", nv, cap(vals), len(in), 8)
+		if err != nil {
+			return
+		}
+		if consumed := len(in) - r.Len(); consumed != respHeaderLen+plen {
+			t.Fatalf("decode consumed %d bytes of a %d-byte frame", consumed, respHeaderLen+plen)
+		}
+		var out bytes.Buffer
+		if err := WriteResponse(&out, AppendPullRangeResp(nil, lo, got), nil); err != nil {
+			t.Fatalf("decoded response does not re-encode: %v", err)
+		}
+		want := append([]byte{}, in[:respHeaderLen+plen]...)
+		want[3] = 0 // the pad byte is not carried
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatal("re-encoded response differs from the bytes consumed")
+		}
+	})
+}
+
 // grewWithin fails the test when a decode grew its scratch (from before to
 // after elements) to more than a payload of the given size could have
 // carried at elemBytes each.

@@ -11,11 +11,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 )
 
 // enc is an append-only payload builder.
 type enc struct{ b []byte }
+
+// reserve makes room for the n bytes about to be appended. Encoders of
+// variable-length payloads call it with the exact size first, so a cold dst
+// is allocated once: append alone grows a large slice by about 1.25× a step,
+// which costs a 32 MB range response some 25 reallocations and copies.
+func (e *enc) reserve(n int) { e.b = slices.Grow(e.b, n) }
 
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
@@ -141,6 +149,7 @@ func decodeCreateShard(p []byte) (mat uint32, rows, lo, hi int, err error) {
 // AppendPullSparseReq appends the PullSparse request payload to dst.
 func AppendPullSparseReq(dst []byte, mat uint32, row int, cols []int) []byte {
 	e := enc{b: dst}
+	e.reserve(12 + 4*len(cols))
 	e.u32(mat)
 	e.u32(uint32(row))
 	e.u32(uint32(len(cols)))
@@ -169,6 +178,7 @@ func DecodePullSparseReqInto(p []byte, colsBuf *[]int) (mat uint32, row int, col
 // AppendVals appends a values-vector payload to dst.
 func AppendVals(dst []byte, vals []float64) []byte {
 	e := enc{b: dst}
+	e.reserve(4 + 8*len(vals))
 	e.u32(uint32(len(vals)))
 	for _, v := range vals {
 		e.f64(v)
@@ -196,6 +206,7 @@ func DecodeValsInto(p []byte, valsBuf *[]float64) ([]float64, error) {
 // AppendPushAdd appends the PushAdd request payload to dst.
 func AppendPushAdd(dst []byte, mat uint32, row int, cols []int, vals []float64) []byte {
 	e := enc{b: dst}
+	e.reserve(12 + 4*len(cols) + 8*len(vals))
 	e.u32(mat)
 	e.u32(uint32(row))
 	e.u32(uint32(len(cols)))
@@ -318,6 +329,7 @@ func decodePullRangeReq(p []byte) (mat uint32, row int, err error) {
 // AppendPullRangeResp appends the PullRange response payload to dst.
 func AppendPullRangeResp(dst []byte, lo int, vals []float64) []byte {
 	e := enc{b: dst}
+	e.reserve(8 + 8*len(vals))
 	e.u32(uint32(lo))
 	e.u32(uint32(len(vals)))
 	for _, v := range vals {
@@ -326,19 +338,42 @@ func AppendPullRangeResp(dst []byte, lo int, vals []float64) []byte {
 	return e.b
 }
 
-// DecodePullRangeRespInto decodes a PullRange response reusing the caller's
-// value scratch. The returned vals alias *valsBuf.
-func DecodePullRangeRespInto(p []byte, valsBuf *[]float64) (lo int, vals []float64, err error) {
-	d := dec{b: p}
-	lo = int(d.u32())
-	n := d.vecLen(8)
-	if d.err == nil {
-		vals = growFloats(valsBuf, n)
-		for i := range vals {
-			vals[i] = d.f64()
-		}
+// rangePiece is how many payload bytes readPullRangeResp holds at a time.
+const rangePiece = 64 << 10
+
+// readPullRangeResp reads a PullRange response payload of plen bytes from r,
+// decoding it into *valsBuf (grown as needed) through piece, a scratch buffer
+// it grows to at most rangePiece bytes: a range response runs to tens of
+// megabytes, and is never held whole. The value count must account for plen
+// exactly before any value is read. Read errors come back as r returned
+// them; on any error an unknown part of the payload is left unread. The
+// returned vals alias *valsBuf.
+func readPullRangeResp(r io.Reader, plen int, piece *[]byte, valsBuf *[]float64) (lo int, vals []float64, err error) {
+	if plen < 8 {
+		return 0, nil, errShortPayload
 	}
-	return lo, vals, d.done()
+	h := grow(piece, 8)
+	if _, err := io.ReadFull(r, h); err != nil {
+		return 0, nil, err
+	}
+	lo = int(binary.LittleEndian.Uint32(h))
+	n := int(binary.LittleEndian.Uint32(h[4:]))
+	if plen != 8+8*n {
+		return 0, nil, fmt.Errorf("wire: range response of %d bytes claims %d values", plen, n)
+	}
+	vals = growFloats(valsBuf, n)
+	for rest := vals; len(rest) > 0; {
+		k := min(len(rest), rangePiece/8)
+		p := grow(piece, 8*k)
+		if _, err := io.ReadFull(r, p); err != nil {
+			return 0, nil, err
+		}
+		for i := range rest[:k] {
+			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+		rest = rest[k:]
+	}
+	return lo, vals, nil
 }
 
 // --- Stats: empty request; response is the server's counters ---

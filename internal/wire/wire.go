@@ -114,13 +114,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("wire: payload %d exceeds cap %d", len(f.Payload), MaxPayload)
 	}
-	var h []byte
-	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
-		h = ab.AvailableBuffer()
-	}
-	if cap(h) < reqHeaderLen {
-		h = make([]byte, 0, reqHeaderLen)
-	}
+	h := headerBuf(w, reqHeaderLen)
 	h = binary.LittleEndian.AppendUint16(h, Magic)
 	h = append(h, f.Op, f.Flags)
 	h = binary.LittleEndian.AppendUint64(h, f.ReqID)
@@ -131,6 +125,19 @@ func WriteFrame(w io.Writer, f Frame) error {
 	}
 	_, err := w.Write(f.Payload)
 	return err
+}
+
+// headerBuf returns an empty slice with room for an n-byte header: the
+// writer's own spare capacity when it offers some, else a fresh allocation.
+func headerBuf(w io.Writer, n int) []byte {
+	var h []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		h = ab.AvailableBuffer()
+	}
+	if cap(h) < n {
+		h = make([]byte, 0, n)
+	}
+	return h
 }
 
 // ReadFrameReuse decodes one request from r into *f. When buf is non-nil the
@@ -183,7 +190,9 @@ func grow(buf *[]byte, n int) []byte {
 }
 
 // WriteResponse serializes one response onto w. A nil appErr sends status 0
-// with the result payload; otherwise status 1 with the error text.
+// with the result payload; otherwise status 1 with the error text. The
+// header goes through headerBuf as WriteFrame's does, so a server writing
+// through a bufio.Writer allocates nothing for it.
 func WriteResponse(w io.Writer, payload []byte, appErr error) error {
 	status := byte(0)
 	if appErr != nil {
@@ -193,11 +202,11 @@ func WriteResponse(w io.Writer, payload []byte, appErr error) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("wire: response payload %d exceeds cap %d", len(payload), MaxPayload)
 	}
-	var h [respHeaderLen]byte
-	binary.LittleEndian.PutUint16(h[0:], Magic)
-	h[2] = status
-	binary.LittleEndian.PutUint32(h[4:], uint32(len(payload)))
-	if _, err := w.Write(h[:]); err != nil {
+	h := headerBuf(w, respHeaderLen)
+	h = binary.LittleEndian.AppendUint16(h, Magic)
+	h = append(h, status, 0)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(payload)))
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -211,31 +220,44 @@ func WriteResponse(w io.Writer, payload []byte, appErr error) error {
 // callers that keep the payload must copy it out. With a nil buf the payload
 // is a fresh allocation the caller owns.
 func ReadResponseReuse(r io.Reader, buf *[]byte) ([]byte, error) {
-	// Same header-through-buffer trick as ReadFrameReuse: a local array
-	// escapes via the io.ReadFull interface call.
 	if buf == nil {
 		buf = new([]byte)
 	}
-	h := grow(buf, respHeaderLen)
-	if _, err := io.ReadFull(r, h); err != nil {
+	plen, err := readResponseHeader(r, buf)
+	if err != nil {
 		return nil, err
 	}
-	if m := binary.LittleEndian.Uint16(h[0:]); m != Magic {
-		return nil, fmt.Errorf("wire: bad magic %#x", m)
-	}
-	plen := binary.LittleEndian.Uint32(h[4:])
-	status := h[2]
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("wire: response payload %d exceeds cap %d", plen, MaxPayload)
-	}
-	payload := grow(buf, int(plen))
-	if plen > 0 {
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, err
-		}
-	}
-	if status != 0 {
-		return nil, &ServerError{Msg: string(payload)}
+	payload := grow(buf, plen)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, err
 	}
 	return payload, nil
+}
+
+// readResponseHeader reads one response header from r through *buf and
+// returns the payload length, leaving the payload itself unread on r. A
+// status-1 frame has its error text read and returned as a *ServerError.
+func readResponseHeader(r io.Reader, buf *[]byte) (plen int, err error) {
+	// Same header-through-buffer trick as ReadFrameReuse: a local array
+	// escapes via the io.ReadFull interface call.
+	h := grow(buf, respHeaderLen)
+	if _, err := io.ReadFull(r, h); err != nil {
+		return 0, err
+	}
+	if m := binary.LittleEndian.Uint16(h[0:]); m != Magic {
+		return 0, fmt.Errorf("wire: bad magic %#x", m)
+	}
+	n := binary.LittleEndian.Uint32(h[4:])
+	status := h[2]
+	if n > MaxPayload {
+		return 0, fmt.Errorf("wire: response payload %d exceeds cap %d", n, MaxPayload)
+	}
+	if status != 0 {
+		msg := grow(buf, int(n))
+		if _, err := io.ReadFull(r, msg); err != nil {
+			return 0, err
+		}
+		return 0, &ServerError{Msg: string(msg)}
+	}
+	return int(n), nil
 }

@@ -59,6 +59,11 @@ go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linal
 # bounded so the gate's run time stays fixed.
 go test -run XXX -fuzz FuzzFusedProgram -fuzztime 10s ./internal/wire/
 
+# The client's piecewise range-response decode on raw response bytes beyond
+# its seed corpus: truncated, inflated and misaligned frames must fail
+# cleanly, and a frame that decodes must re-encode to the bytes it consumed.
+go test -run XXX -fuzz FuzzPullRangeResponse -fuzztime 10s ./internal/wire/
+
 # Benchmark smoke gate: every benchmark in the repo must still run to
 # completion (one iteration each) so `make bench` cannot rot unnoticed.
 go test -run XXX -bench . -benchtime 1x ./...
