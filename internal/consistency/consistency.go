@@ -76,13 +76,10 @@ type Meta struct {
 	CachedClock  int64
 	CurrentClock int64
 
-	// Version is the server version stamp the value was read at, for
-	// policies that want to reason about write recency.
-	Version uint64
-
-	// Pushed is the accumulated |delta| of locally-issued writes against the
-	// value since it was last validated — exact, because the write path
-	// (PushBuffer flushes, trainer credit calls) observes its own deltas.
+	// Pushed is the accumulated |delta| of writes the holder knows of against
+	// the value since it was last validated — exact: a worker observes its
+	// own flushed pushes (PushBuffer flushes, trainer credit calls), and a
+	// copy held on a server reads its owner's exact row drift.
 	Pushed float64
 
 	// Drift is the caller's estimate of the |delta| remote writers have

@@ -230,7 +230,7 @@ type CacheSnapshot struct {
 	Validations    uint64 // cached entries revalidated by version stamp
 	ValidationHits uint64 // revalidations where the entry was still current
 	Evictions      uint64 // entries dropped by the byte-capacity LRU
-	EpochFences    uint64 // entries fenced after a server recovery epoch bump
+	EpochFences    uint64 // copy sets and dense stretches fenced on an owner epoch change, plus one per pull retried across one
 
 	PulledBytes   float64 // wire bytes the cached pull path actually paid
 	BaselineBytes float64 // what the uncached pull operators would have paid

@@ -2,53 +2,26 @@ package ps
 
 // CachedClient is the worker-side parameter cache: a pull-through cache of
 // row ranges and sparse index sets, kept per executor machine, in front of a
-// matrix's pull operators.
+// matrix's pull operators. Its sparse form is the copy store (copies.go) on
+// each machine, which states the validity rule, drift learning,
+// if-modified-since and the epoch fence; this file adds the machine's worker
+// clock, the LRU byte budget, the dense row form and the pull's wire bytes.
 //
-// Validity rule. Every cached value carries the shard version stamp it was
-// read at and the worker clock at which it was last known current. Whether a
-// value may be served locally is decided by the client's consistency.Policy
-// (CacheConfig.Policy): a ClockBounded(s) policy serves values at most s
-// clocks old with no RPC at all. The default, ClockBounded(0), means "synced
-// this clock", which in a BSP loop (the model is frozen between barriers, the
-// driver ticks the clock once per iteration) is exact — the run's arithmetic
-// is bit-identical to the uncached client's. s>0 lets values ride for s more
-// clocks, the same bounded-staleness contract as the SSP clock (ssp.go):
-// async workers tick their own machine's clock via TickNode next to
-// SSPClock.Tick.
+// Clock. Freshness is judged against a per-machine worker clock. The BSP
+// driver ticks every machine once per iteration (Tick); async workers tick
+// their own machine's clock via TickNode next to SSPClock.Tick, so cache
+// staleness rides the same clock as the SSP bound (ssp.go).
 //
-// Value-bounded policies. A ValueBounded (or Adaptive) policy ignores age
-// and serves a value until the accumulated |delta| against it plausibly
-// exceeds a bound. The client tracks two delta signals per cached value:
-// pend, the exact magnitude of locally-flushed pushes since the last
-// validation (credited by PushBuffer flushes and trainer CreditPush calls),
-// and rate, an EWMA of remote change magnitude per clock learned from past
-// revalidations (seeded "unknown", which forces revalidation until the
-// first observation). When local pushes alone bust the bound the value is
-// hard-pulled — refetched like a missing entry, skipping the stamp bytes a
-// doomed validation would pay. On the dense row path the server goes one
-// step further: versions.go tracks the exact accumulated per-row drift, so
-// a validation in delta mode ships a changed row only when its true drift
-// since the client's watermark exceeds the bound, and merely certifies it
-// otherwise (value-bounded consistency enforced server-side). All delta
-// accounting is gated on Policy.UsesDeltas(), so clock-bounded runs do no
-// extra work and stay bit-identical to the pre-policy implementation.
+// Dense rows. PullRows caches a shard's whole [Lo,Hi) stretch of a row under
+// one stamp, validated at row granularity. Under a delta-consuming policy the
+// server goes one step further: versions.go tracks each row's exact
+// accumulated drift, so a validation ships a changed row only when its true
+// drift since the client's watermark exceeds the bound, and merely certifies
+// it otherwise (value-bounded consistency enforced server-side).
 //
-// If-modified-since. Values outside the bound are not refetched: the client
-// sends their indices plus the version stamps they were read at, and the
-// server compares against its per-element stamps (versions.go) and responds
-// with only the values that actually changed — an unchanged validation costs
-// request framing, 4 bytes per index and one 16-byte stamp per version
-// group, with an overhead-only response. On Zipf-skewed sparse workloads the
-// hot indices are pulled every iteration but only a fraction change, which
-// is where the bytes go.
-//
-// Coherence with self-healing. Entries are tagged with the recovery epoch of
-// the shard's physical server (ShardEpoch). RecoverServer bumps the epoch
-// when it fences the crashed machine, which invalidates every entry filled
-// under the old incarnation — the restored shard resets its version
-// counters, so stamp comparison alone would alias. The epoch is re-checked
-// after every cache RPC returns: a recovery that lands mid-call discards the
-// call's verdicts and the loop revalidates against the new incarnation.
+// Bytes. An unchanged sparse validation costs request framing, 4 bytes per
+// index and one 16-byte stamp per version group, with an overhead-only
+// response.
 //
 // Capacity. Entries are LRU-chained per machine and evicted when the
 // configured byte capacity is exceeded; an entry costs 12 bytes per cached
@@ -93,52 +66,32 @@ type CacheConfig struct {
 // cost model's per-sparse-entry wire size.
 const sparseColBytes = 12
 
-// cacheKey identifies one entry: a (row, logical shard) pair in sparse
-// (index-set) or dense (full row range) form.
+// cacheKey identifies one entry: a copy set in sparse (index-set) form, or
+// the dense form's full row range of the same (row, logical shard).
 type cacheKey struct {
-	row, shard int
-	dense      bool
+	copyKey
+	dense bool
 }
 
-// cachedVal is one sparse cached value: the value, the shard version it was
-// read at, and the worker clock at which it was last known current. The two
-// delta fields stay zero (and cost nothing) under clock-bounded policies:
-// pend is the accumulated |delta| of locally-flushed pushes since the last
-// validation, rate the per-clock drift EWMA learned from revalidations.
-type cachedVal struct {
-	val   float64
-	ver   uint64
-	clock int64
-	pend  float64
-	rate  float64
-}
-
-// cacheEntry is one LRU-chained cache line.
+// cacheEntry is one LRU-chained cache line: a copy set, or the dense form's
+// stretch of a row under one header.
 type cacheEntry struct {
+	copySet
 	key        cacheKey
-	epoch      uint64
 	bytes      float64
 	prev, next *cacheEntry
-
-	// Sparse form: per-column values with individual stamps.
-	vals map[int]cachedVal
-
-	// Dense form: the shard's full [Lo,Hi) stretch of the row, with one
-	// stamp for the whole stretch.
 	dense      []float64
-	denseVer   uint64
-	denseClock int64
+	stretch    stretchHdr
+}
 
-	// Dense-form delta accounting (delta-consuming policies only):
-	// densePend/denseRate mirror cachedVal.pend/rate at row granularity;
-	// denseDrift and denseDriftGen anchor the server's exact cumulative
-	// row-drift watermark (versions.go) at the point the cached copy was
-	// shipped, which lets the server certify a validation — "changed, but
-	// within your bound" — instead of shipping the row.
-	densePend     float64
-	denseRate     float64
-	denseDrift    float64
-	denseDriftGen uint64
+// stretchHdr is a dense stretch's header: one copy's stamp, clock, pend and
+// rate for the whole stretch (its val is unused), and the server's exact
+// cumulative row-drift watermark (versions.go) with its generation at the
+// point the stretch was shipped, which lets the server certify a validation
+// — "changed, but within your bound" — instead of shipping the row.
+type stretchHdr struct {
+	copyVal
+	driftMark
 }
 
 // nodeCache is the per-executor-machine cache: entries keyed by (row, shard,
@@ -160,13 +113,27 @@ func newNodeCache() *nodeCache {
 
 func (nc *nodeCache) get(k cacheKey) *cacheEntry { return nc.entries[k] }
 
-// insert links a fresh empty entry at the MRU position.
-func (nc *nodeCache) insert(k cacheKey, epoch uint64) *cacheEntry {
-	e := &cacheEntry{key: k, epoch: epoch}
-	if k.dense {
-		e.dense = nil
-	} else {
-		e.vals = map[int]cachedVal{}
+// live returns k's entry, fencing one filled under an owner epoch other than
+// epoch.
+func (nc *nodeCache) live(k cacheKey, epoch uint64, stats *obs.CacheSnapshot) *cacheEntry {
+	e := nc.entries[k]
+	if e != nil && e.epoch != epoch {
+		nc.remove(e)
+		stats.EpochFences++
+		return nil
+	}
+	return e
+}
+
+// entry returns k's entry, linking a fresh empty one filled under epoch at
+// the MRU position if there is none.
+func (nc *nodeCache) entry(k cacheKey, epoch uint64) *cacheEntry {
+	if e := nc.entries[k]; e != nil {
+		return e
+	}
+	e := &cacheEntry{key: k, copySet: copySet{epoch: epoch}}
+	if !k.dense {
+		e.vals = map[int]copyVal{}
 	}
 	nc.entries[k] = e
 	e.prev = &nc.root
@@ -195,20 +162,6 @@ func (nc *nodeCache) remove(e *cacheEntry) {
 	nc.bytes -= e.bytes
 }
 
-// put stores one sparse value, refusing to regress a concurrently refreshed
-// stamp (two tasks on one machine can pull overlapping index sets).
-func (nc *nodeCache) put(e *cacheEntry, col int, cv cachedVal) {
-	if old, ok := e.vals[col]; ok {
-		if old.ver > cv.ver || (old.ver == cv.ver && old.clock >= cv.clock) {
-			return
-		}
-	} else {
-		e.bytes += sparseColBytes
-		nc.bytes += sparseColBytes
-	}
-	e.vals[col] = cv
-}
-
 // evict drops LRU entries until the byte budget holds.
 func (nc *nodeCache) evict(capacity float64, stats *obs.CacheSnapshot) {
 	if capacity <= 0 {
@@ -232,8 +185,7 @@ func (nc *nodeCache) evict(capacity float64, stats *obs.CacheSnapshot) {
 type CachedClient struct {
 	mat    *Matrix
 	cfg    CacheConfig
-	pol    consistency.Policy
-	deltas bool // pol.UsesDeltas(): gate for all delta accounting
+	deltas bool // cfg.Policy.UsesDeltas(): gate for all delta accounting
 	nodes  map[*simnet.Node]*nodeCache
 }
 
@@ -249,14 +201,13 @@ func NewCachedClient(mat *Matrix, cfg CacheConfig) *CachedClient {
 	return &CachedClient{
 		mat:    mat,
 		cfg:    cfg,
-		pol:    cfg.Policy,
 		deltas: cfg.Policy.UsesDeltas(),
 		nodes:  map[*simnet.Node]*nodeCache{},
 	}
 }
 
 // Policy returns the consistency policy governing this client's decisions.
-func (cc *CachedClient) Policy() consistency.Policy { return cc.pol }
+func (cc *CachedClient) Policy() consistency.Policy { return cc.cfg.Policy }
 
 func (cc *CachedClient) node(n *simnet.Node) *nodeCache {
 	nc := cc.nodes[n]
@@ -297,25 +248,33 @@ func (cc *CachedClient) CreditPush(from *simnet.Node, row int, indices []int, ma
 	for i, col := range indices {
 		mag := math.Abs(mags[i])
 		sum += mag
-		if mag > maxMag {
-			maxMag = mag
-		}
-		s := cc.mat.Part.ServerOf(col)
-		if e := nc.get(cacheKey{row: row, shard: s}); e != nil {
-			if cv, ok := e.vals[col]; ok {
-				cv.pend += mag
-				e.vals[col] = cv
-			}
-		}
+		maxMag = math.Max(maxMag, mag)
+		cc.credit(nc, row, col, mag)
 	}
 	// Dense entries track one pend per row stretch; the per-call max is a
 	// conservative stand-in for the per-shard max (errs toward revalidating).
+	cc.creditStretches(nc, row, maxMag)
+	cc.cfg.Policy.ObserveDelta(sum / float64(len(indices)))
+}
+
+// credit adds mag to the pend of machine nc's copy of (row, col), reporting
+// whether one is held.
+func (cc *CachedClient) credit(nc *nodeCache, row, col int, mag float64) bool {
+	e := nc.get(cacheKey{copyKey: copyKey{row, cc.mat.Part.ServerOf(col)}})
+	return e != nil && e.credit(col, mag)
+}
+
+// creditStretches adds mag to the pend of every dense stretch of row held on
+// machine nc, reporting whether there is one.
+func (cc *CachedClient) creditStretches(nc *nodeCache, row int, mag float64) bool {
+	credited := false
 	for s := 0; s < cc.mat.Part.NumServers(); s++ {
-		if e := nc.get(cacheKey{row: row, shard: s, dense: true}); e != nil && e.dense != nil {
-			e.densePend += maxMag
+		if e := nc.get(cacheKey{copyKey{row, s}, true}); e != nil && e.dense != nil {
+			e.stretch.pend += mag
+			credited = true
 		}
 	}
-	cc.pol.ObserveDelta(sum / float64(len(indices)))
+	return credited
 }
 
 // PullRowIndices is the cached sparse pull: values within the staleness
@@ -358,61 +317,25 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 	return out, nil
 }
 
-// pullIndicesShard serves one shard's slice of a sparse pull: classify every
-// index as fresh / stale-cached / missing, serve fresh ones locally, and
-// resolve the rest with one validation+fetch RPC.
+// pullIndicesShard serves one shard's slice of a sparse pull: the copy set
+// serves what the policy admits, and one validation+fetch RPC resolves the
+// rest.
 func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc *nodeCache,
 	row, s int, idx []int, out []float64) error {
 	m := cc.mat.master
 	cost := m.Cl.Cost
 	// What the uncached sparse pull would have paid for this shard.
 	m.Cache.BaselineBytes += 2*cost.RequestOverheadB + 12*float64(len(idx))
-	key := cacheKey{row: row, shard: s}
+	key := cacheKey{copyKey: copyKey{row, s}}
 	for {
 		epoch := cc.mat.ShardEpoch(s)
-		e := nc.get(key)
-		if e != nil && e.epoch != epoch {
-			nc.remove(e)
-			m.Cache.EpochFences++
-			e = nil
+		e := nc.live(key, epoch, &m.Cache)
+		var set *copySet
+		if e != nil {
+			set = &e.copySet
 		}
-		var stale, stalePos, missing, missPos []int
-		var hardOld map[int]cachedVal
-		for k, col := range idx {
-			if e != nil {
-				if cv, ok := e.vals[col]; ok {
-					meta := consistency.Meta{CachedClock: cv.clock, CurrentClock: nc.clock, Version: cv.ver}
-					if cc.deltas {
-						meta.Pushed = cv.pend
-						meta.Drift = consistency.DriftEstimate(cv.rate, nc.clock-cv.clock)
-					}
-					switch cc.pol.Admit(meta) {
-					case consistency.ServeCached:
-						m.Consistency.ServedCached++
-						out[k] = cv.val
-					case consistency.HardPull:
-						// Local pushes alone bust the bound: a validation stamp
-						// could never match, so refetch like a miss and skip the
-						// stamp bytes. Keep the old value for drift-rate learning.
-						m.Consistency.HardPulled++
-						if hardOld == nil {
-							hardOld = map[int]cachedVal{}
-						}
-						hardOld[col] = cv
-						missing = append(missing, col)
-						missPos = append(missPos, k)
-					default:
-						m.Consistency.Revalidated++
-						stale = append(stale, col)
-						stalePos = append(stalePos, k)
-					}
-					continue
-				}
-			}
-			missing = append(missing, col)
-			missPos = append(missPos, k)
-		}
-		if len(stale) == 0 && len(missing) == 0 {
+		r := classify(m, cc.cfg.Policy, set, idx, nc.clock, out)
+		if r.pending() == 0 {
 			m.Cache.Hits++
 			nc.touch(e)
 			return nil
@@ -420,13 +343,11 @@ func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc 
 		// Validation request: the indices plus one 16-byte (version, count)
 		// stamp per distinct stored version among them.
 		verGroups := map[uint64]struct{}{}
-		for _, col := range stale {
-			verGroups[e.vals[col].ver] = struct{}{}
+		for _, k := range r.stale {
+			verGroups[set.vals[idx[k]].ver] = struct{}{}
 		}
-		reqBytes := cost.RequestOverheadB + 4*float64(len(stale)+len(missing)) + 16*float64(len(verGroups))
-		var stamp uint64
-		changed := map[int]float64{}
-		missVal := make([]float64, len(missing))
+		reqBytes := cost.RequestOverheadB + 4*float64(r.pending()) + 16*float64(len(verGroups))
+		var rep copyReply
 		err := cc.mat.CallShard(cp, from, CallSpec{
 			Name:     "cache-pull",
 			Shard:    s,
@@ -435,21 +356,10 @@ func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc 
 			// values ship as sparse (index, value) pairs, missing ones as
 			// plain values aligned with the request.
 			RespBytesFn: func(*Shard) float64 {
-				return cost.RequestOverheadB + 12*float64(len(changed)) + 8*float64(len(missing))
+				return cost.RequestOverheadB + 12*float64(len(rep.changed)) + 8*float64(len(r.missing))
 			},
 			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				stamp = sh.Ver()
-				for col := range changed { // idempotent under retry
-					delete(changed, col)
-				}
-				for _, col := range stale {
-					if sh.ElemVer(row, col) > e.vals[col].ver {
-						changed[col] = sh.Rows[row][sh.Local(col)]
-					}
-				}
-				for j, col := range missing {
-					missVal[j] = sh.Rows[row][sh.Local(col)]
-				}
+				rep = r.read(sh, row)
 				return nil
 			},
 		})
@@ -457,9 +367,8 @@ func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc 
 			return err
 		}
 		if cc.mat.ShardEpoch(s) != epoch {
-			// The server recovered while the call was in flight: the restored
-			// shard's stamps restart, so the verdicts are meaningless. Fence
-			// and redo against the new incarnation.
+			// A recovery landed mid-call: the restored shard's stamps
+			// restart, so fence and redo against the new incarnation.
 			if cur := nc.get(key); cur != nil {
 				nc.remove(cur)
 			}
@@ -467,41 +376,14 @@ func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc 
 			continue
 		}
 		m.Cache.Misses++
-		m.Cache.Validations += uint64(len(stale))
-		m.Cache.ValidationHits += uint64(len(stale) - len(changed))
-		m.Cache.PulledBytes += reqBytes + cost.RequestOverheadB + 12*float64(len(changed)) + 8*float64(len(missing))
-		// Merge into whatever entry is cached NOW (a concurrent task may
-		// have evicted or refreshed it while this call was blocked), then
-		// serve from the call's own results.
-		cur := nc.get(key)
-		if cur == nil {
-			cur = nc.insert(key, epoch)
-		}
-		for j, col := range stale {
-			v, ok := changed[col]
-			if !ok {
-				v = e.vals[col].val // validated unchanged: still current as of stamp
-			}
-			out[stalePos[j]] = v
-			nv := cachedVal{val: v, ver: stamp, clock: nc.clock}
-			if cc.deltas {
-				old := e.vals[col]
-				nv.rate = consistency.BlendRate(old.rate, v-old.val, nc.clock-old.clock)
-			}
-			nc.put(cur, col, nv)
-		}
-		for j, col := range missing {
-			out[missPos[j]] = missVal[j]
-			nv := cachedVal{val: missVal[j], ver: stamp, clock: nc.clock}
-			if cc.deltas {
-				nv.rate = consistency.UnknownRate()
-				if old, ok := hardOld[col]; ok {
-					// Hard-pulled: the old value is known; observe the change.
-					nv.rate = consistency.BlendRate(old.rate, missVal[j]-old.val, nc.clock-old.clock)
-				}
-			}
-			nc.put(cur, col, nv)
-		}
+		m.Cache.Validations += uint64(len(r.stale))
+		m.Cache.ValidationHits += uint64(len(r.stale) - len(rep.changed))
+		m.Cache.PulledBytes += reqBytes + cost.RequestOverheadB + 12*float64(len(rep.changed)) + 8*float64(len(r.missing))
+		cur := nc.entry(key, epoch)
+		n := len(cur.vals)
+		r.merge(rep, &cur.copySet, nc.clock)
+		cur.bytes += sparseColBytes * float64(len(cur.vals)-n)
+		nc.bytes += sparseColBytes * float64(len(cur.vals)-n)
 		nc.touch(cur)
 		nc.evict(cc.cfg.CapacityBytes, &m.Cache)
 		return nil
@@ -553,49 +435,26 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 	for {
 		epoch := cc.mat.ShardEpoch(s)
 		var stale, missing []int
-		staleVer := map[int]uint64{}
+		held := map[int]stretchHdr{} // each stale row's header, as classified
 		rowVals := map[int][]float64{}
-		var staleDrift map[int]float64
-		var staleGen map[int]uint64
-		if cc.deltas {
-			staleDrift = map[int]float64{}
-			staleGen = map[int]uint64{}
-		}
 		for _, r := range uniq {
-			e := nc.get(cacheKey{row: r, shard: s, dense: true})
-			if e != nil && e.epoch != epoch {
-				nc.remove(e)
-				m.Cache.EpochFences++
-				e = nil
-			}
+			e := nc.live(cacheKey{copyKey{r, s}, true}, epoch, &m.Cache)
 			if e == nil || e.dense == nil {
 				missing = append(missing, r)
 				continue
 			}
-			meta := consistency.Meta{CachedClock: e.denseClock, CurrentClock: nc.clock, Version: e.denseVer}
-			if cc.deltas {
-				meta.Pushed = e.densePend
-				meta.Drift = consistency.DriftEstimate(e.denseRate, nc.clock-e.denseClock)
-			}
-			switch cc.pol.Admit(meta) {
+			switch admit(m, cc.cfg.Policy, cc.deltas, e.stretch.copyVal, nc.clock) {
 			case consistency.ServeCached:
-				m.Consistency.ServedCached++
 				rowVals[r] = e.dense
 				nc.touch(e)
 			case consistency.HardPull:
 				// Local pushes alone bust the bound: skip the stamp and
 				// watermark bytes, refetch like a miss. The live entry stays
 				// put; merge observes the change against it after the call.
-				m.Consistency.HardPulled++
 				missing = append(missing, r)
 			default:
-				m.Consistency.Revalidated++
 				stale = append(stale, r)
-				staleVer[r] = e.denseVer
-				if cc.deltas {
-					staleDrift[r] = e.denseDrift
-					staleGen[r] = e.denseDriftGen
-				}
+				held[r] = e.stretch
 				rowVals[r] = e.dense // replaced wholesale on refresh, safe to hold
 			}
 		}
@@ -614,10 +473,9 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 			// true drift stays within it instead of shipping them.
 			reqBytes += 8*float64(len(stale)) + 8
 		}
-		var stamp uint64
+		var stamp, valGen uint64
 		fetched := map[int][]float64{}
 		var valDrift map[int]float64
-		var valGen uint64
 		if cc.deltas {
 			valDrift = map[int]float64{}
 		}
@@ -635,21 +493,17 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 			},
 			Fn: func(_ *simnet.Proc, sh *Shard) error {
 				stamp = sh.Ver()
-				for r := range fetched { // idempotent under retry
-					delete(fetched, r)
-				}
+				clear(fetched) // idempotent under retry
 				for _, r := range stale {
-					if sh.RowVer(r) <= staleVer[r] {
+					if sh.RowVer(r) <= held[r].ver {
 						continue // unchanged since the client's stamp
 					}
-					if cc.deltas && sh.DriftGen() == staleGen[r] {
-						// The row changed, but versions.go knows its exact
-						// cumulative drift: certify instead of shipping when
-						// the change since the client's value-anchor watermark
-						// stays within the policy's bound.
-						if cc.pol.Admit(consistency.Meta{Drift: sh.RowDrift(r) - staleDrift[r]}) == consistency.ServeCached {
-							continue
-						}
+					// The row changed, but versions.go knows its exact
+					// cumulative drift: certify instead of shipping when the
+					// change since the client's value-anchor watermark stays
+					// within the policy's bound.
+					if cc.deltas && sh.DriftGen() == held[r].gen && certified(cc.cfg.Policy, sh.RowDrift(r)-held[r].drift) {
+						continue
 					}
 					fetched[r] = append([]float64(nil), sh.Rows[r]...)
 				}
@@ -657,9 +511,7 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 					fetched[r] = append([]float64(nil), sh.Rows[r]...)
 				}
 				if cc.deltas {
-					for r := range valDrift { // idempotent under retry
-						delete(valDrift, r)
-					}
+					clear(valDrift)
 					for _, r := range stale {
 						valDrift[r] = sh.RowDrift(r)
 					}
@@ -676,7 +528,7 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 		}
 		if cc.mat.ShardEpoch(s) != epoch {
 			for _, r := range uniq {
-				if cur := nc.get(cacheKey{row: r, shard: s, dense: true}); cur != nil {
+				if cur := nc.get(cacheKey{copyKey{r, s}, true}); cur != nil {
 					nc.remove(cur)
 				}
 			}
@@ -691,12 +543,8 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 			m.Cache.PulledBytes += 8 * float64(len(stale)+len(missing))
 		}
 		merge := func(r int, vals []float64, shipped bool) {
-			key := cacheKey{row: r, shard: s, dense: true}
-			cur := nc.get(key)
-			if cur == nil {
-				cur = nc.insert(key, epoch)
-			}
-			if cur.dense != nil && (cur.denseVer > stamp || (cur.denseVer == stamp && cur.denseClock >= nc.clock)) {
+			cur := nc.entry(cacheKey{copyKey{r, s}, true}, epoch)
+			if cur.dense != nil && (cur.stretch.ver > stamp || (cur.stretch.ver == stamp && cur.stretch.clock >= nc.clock)) {
 				rowVals[r] = cur.dense // a concurrent task refreshed it further
 				return
 			}
@@ -705,47 +553,36 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 				nc.bytes += 8 * float64(width)
 			}
 			if cc.deltas {
-				if shipped {
-					// Observe the change magnitude for the drift-rate EWMA,
-					// then re-anchor at the watermark the value was shipped at.
-					if cur.dense != nil {
-						var maxAbs float64
-						for i := range vals {
-							d := vals[i] - cur.dense[i]
-							if d < 0 {
-								d = -d
-							}
-							if d > maxAbs {
-								maxAbs = d
-							}
-						}
-						cur.denseRate = consistency.BlendRate(cur.denseRate, maxAbs, nc.clock-cur.denseClock)
-					} else {
-						cur.denseRate = consistency.UnknownRate()
-					}
-					cur.denseDrift = valDrift[r]
-					cur.denseDriftGen = valGen
-				} else {
+				if !shipped && valGen == held[r].gen {
 					// Unchanged or server-certified: the held value stands, so
 					// its drift anchor must stand too — re-anchoring at the
 					// current watermark would let certified chunks accumulate
 					// past the bound unseen. The exact drift-so-far is still
 					// an observation for the rate EWMA.
-					if valGen == staleGen[r] {
-						cur.denseRate = consistency.BlendRate(cur.denseRate, valDrift[r]-staleDrift[r], nc.clock-cur.denseClock)
-						cur.denseDrift = staleDrift[r]
-						cur.denseDriftGen = staleGen[r]
-					} else {
-						cur.denseDrift = valDrift[r]
-						cur.denseDriftGen = valGen
+					cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, valDrift[r]-held[r].drift, nc.clock-cur.stretch.clock)
+					cur.stretch.drift, cur.stretch.gen = held[r].drift, held[r].gen
+				} else {
+					// Observe a shipped row's change magnitude for the
+					// drift-rate EWMA, then re-anchor at the watermark read.
+					if shipped && cur.dense == nil {
+						cur.stretch.rate = consistency.UnknownRate()
+					} else if shipped {
+						var maxAbs float64
+						for i := range vals {
+							if d := math.Abs(vals[i] - cur.dense[i]); d > maxAbs {
+								maxAbs = d
+							}
+						}
+						cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, maxAbs, nc.clock-cur.stretch.clock)
 					}
+					cur.stretch.drift, cur.stretch.gen = valDrift[r], valGen
 				}
 				// Any owner contact resets the local-push tally.
-				cur.densePend = 0
+				cur.stretch.pend = 0
 			}
 			cur.dense = vals
-			cur.denseVer = stamp
-			cur.denseClock = nc.clock
+			cur.stretch.ver = stamp
+			cur.stretch.clock = nc.clock
 			rowVals[r] = vals
 			nc.touch(cur)
 		}

@@ -39,26 +39,56 @@ func BenchmarkPushBufferCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkCachedPullWarm measures a 256-index sparse pull served entirely
-// from a warm clock-fresh cache: the fast path every repeated pull takes
-// under a staleness bound, which never touches the simulated network.
+// BenchmarkCachedPullWarm measures reads answered entirely from warm,
+// clock-fresh copies: the fast path every repeated read takes under a
+// staleness bound. The two cache forms never touch the simulated network;
+// the replica read pays its one RPC to the rotating serving server, whose
+// copies answer without an owner round trip.
 func BenchmarkCachedPullWarm(b *testing.B) {
-	sim, cl, m := testMaster(4)
-	run(sim, func(p *simnet.Proc) {
-		mat, err := m.CreateMatrix(p, 1, 4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(1)})
-		idx := make([]int, 256)
-		for k := range idx {
-			idx[k] = k * 16
-		}
-		node := cl.Executors[0]
-		Must(cc.PullRowIndices(p, node, 0, idx)) // warm the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = Must(cc.PullRowIndices(p, node, 0, idx))
-		}
-	})
+	idx := make([]int, 256)
+	for k := range idx {
+		idx[k] = k * 16
+	}
+	rows := []int{0, 1, 2, 3}
+	cases := []struct {
+		name string
+		open func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error
+	}{
+		{"cache-sparse", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
+			cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(1)})
+			return func() error { _, err := cc.PullRowIndices(p, node, 0, idx); return err }
+		}},
+		{"cache-rows", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
+			cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(1)})
+			return func() error { _, err := cc.PullRows(p, node, rows); return err }
+		}},
+		{"replica-hot", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
+			rs := Must(NewHotReplicaSet(mat, ReplicaConfig{HotCols: idx, Policy: consistency.NewClockBounded(1)}))
+			return func() error { _, err := rs.PullRowIndices(p, node, 0, idx); return err }
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			sim, cl, m := testMaster(4)
+			run(sim, func(p *simnet.Proc) {
+				mat, err := m.CreateMatrix(p, len(rows), 4096)
+				if err != nil {
+					b.Fatal(err)
+				}
+				read := c.open(mat, p, cl.Executors[0])
+				for i := 0; i < mat.Part.NumServers(); i++ { // warm every rotating store
+					if err := read(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := read(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }

@@ -225,8 +225,8 @@ func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 }
 
 // creditFlush records the magnitudes of a flush's deltas against the owning
-// client's cache entries on machine from (cachedVal.pend / densePend), so a
-// delta-consuming policy knows how far locally-pushed writes have moved the
+// client's copies on machine from (their pend, and each dense stretch's), so
+// a delta-consuming policy knows how far locally-pushed writes have moved the
 // values it is still serving. The mean magnitude also feeds the policy's
 // adaptive EWMA — but only when at least one live cache entry was credited:
 // a buffer flushing rows the cache never holds (LR's gradient accumulator
@@ -247,54 +247,32 @@ func (b *PushBuffer) creditFlush(from *simnet.Node, sparse map[int]map[int]float
 			mag := math.Abs(cols[col])
 			sum += mag
 			cnt++
-			if mag > rowMax {
-				rowMax = mag
-			}
-			s := cc.mat.Part.ServerOf(col)
-			if e := nc.get(cacheKey{row: row, shard: s}); e != nil {
-				if cv, ok := e.vals[col]; ok {
-					cv.pend += mag
-					e.vals[col] = cv
-					credited = true
-				}
-			}
+			rowMax = math.Max(rowMax, mag)
+			credited = cc.credit(nc, row, col, mag) || credited
 		}
-		for s := 0; s < cc.mat.Part.NumServers(); s++ {
-			if e := nc.get(cacheKey{row: row, shard: s, dense: true}); e != nil && e.dense != nil {
-				e.densePend += rowMax
-				credited = true
-			}
-		}
+		credited = cc.creditStretches(nc, row, rowMax) || credited
 	}
 	for _, row := range sortedKeys(dense) {
 		d := dense[row]
 		var rowMax float64
 		for _, v := range d {
-			mag := math.Abs(v)
-			if mag > rowMax {
-				rowMax = mag
-			}
+			rowMax = math.Max(rowMax, math.Abs(v))
 		}
 		sum += rowMax
 		cnt++
+		credited = cc.creditStretches(nc, row, rowMax) || credited
 		for s := 0; s < cc.mat.Part.NumServers(); s++ {
-			if e := nc.get(cacheKey{row: row, shard: s, dense: true}); e != nil && e.dense != nil {
-				e.densePend += rowMax
-				credited = true
-			}
-			if e := nc.get(cacheKey{row: row, shard: s}); e != nil {
+			if e := nc.get(cacheKey{copyKey: copyKey{row, s}}); e != nil {
 				// Per-column credit against sparse entries of the same row;
 				// each column's increment is independent, so map order is fine.
-				for col, cv := range e.vals {
-					cv.pend += math.Abs(d[col])
-					e.vals[col] = cv
-					credited = true
+				for col := range e.vals {
+					credited = e.credit(col, math.Abs(d[col])) || credited
 				}
 			}
 		}
 	}
 	if credited && cnt > 0 {
-		cc.pol.ObserveDelta(sum / float64(cnt))
+		cc.cfg.Policy.ObserveDelta(sum / float64(cnt))
 	}
 }
 

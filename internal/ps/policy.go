@@ -33,18 +33,6 @@ func (m *Master) registerPolicy(pol consistency.Policy) {
 	}
 }
 
-// deltasWanted reports whether any registered policy consumes push-delta
-// magnitudes — the gate for the write paths' delta accounting, kept false
-// on pure clock-bounded runs so their host work and counters are unchanged.
-func (m *Master) deltasWanted() bool {
-	for _, p := range m.policies {
-		if p.UsesDeltas() {
-			return true
-		}
-	}
-	return false
-}
-
 // ConsistencyReport returns the decision counters with the adaptive
 // policies' bound movements folded in — the view Engine.Snapshot surfaces.
 func (m *Master) ConsistencyReport() obs.ConsistencySnapshot {

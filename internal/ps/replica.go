@@ -6,20 +6,17 @@ package ps
 // served by ANY server instead of hammering the owner — NuPS-style hot-spot
 // management layered on top of whatever placement the matrix uses.
 //
-// Consistency. Replicas are invalidated by writes through the existing
-// per-element version stamps (versions.go): a replica copy remembers the
-// owner's element version it was fetched at, and revalidates against the
-// owner if-modified-since, shipping only values that actually changed.
-// Freshness rides the matrix's model clock (Matrix.TickClock, serve.go),
-// which trainers advance once per iteration after the optimizer step: under
-// ClockBounded(s) a copy validated at clock c serves reads until clock c+s
-// with no owner traffic at all. The default s=0 means "validated this clock",
-// which in a BSP loop — replicated rows mutate only at the barrier, the
-// trainer ticks the clock right after — makes replica reads bit-identical to
-// owner reads: the first read of a clock revalidates every column against the
+// Consistency. Each server holds its replicas in the copy store (copies.go),
+// which states the validity rule, drift learning, if-modified-since against
+// the owner's element versions, and the owner-epoch fence. Freshness rides the
+// matrix's model clock (Matrix.TickClock, serve.go), which trainers advance
+// once per iteration after the optimizer step, so under the default
+// ClockBounded(0) replica reads in a BSP loop are bit-identical to owner
+// reads: the first read of a clock revalidates every column against the
 // owner's live value, and the row cannot change again until the next tick.
-// s>0 trades the SSP bound for fewer owner round-trips, exactly the cache's
-// contract.
+// Under a delta-consuming policy the writes a replica knows of are the
+// owner's: every read first credits its copies with the owner's exact row
+// drift since they were read (copySet.creditTo).
 //
 // Load shedding. A hot read costs the client one RPC to a rotating serving
 // server; the serving server answers from its replica store and only the
@@ -29,16 +26,16 @@ package ps
 // request/response bytes spread over all servers — the per-server Load
 // counters show the difference.
 //
-// Fault tolerance. Replica state is fenced by recovery epochs on both ends:
-// a serving server's store dies with its machine (epoch mismatch resets it),
-// and a copy fetched from a pre-recovery owner incarnation is refetched
-// (owner epoch rides each copy). The RPC itself is a CallShard, so it
-// inherits retry/backoff/dedup wholesale.
+// Fault tolerance. A serving server's store dies with its machine: its own
+// recovery epoch rides the store, and a mismatch resets it. The RPC itself is
+// a CallShard, so it inherits retry/backoff/dedup wholesale.
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
+	"repro/internal/arena"
 	"repro/internal/consistency"
 	"repro/internal/simnet"
 )
@@ -50,8 +47,9 @@ type ReplicaConfig struct {
 	HotCols []int
 	// Policy decides replica-copy freshness, like CacheConfig.Policy: nil
 	// means consistency.ClockBounded(0), revalidate anything not validated
-	// this clock (BSP-exact); delta-consuming policies serve copies on a
-	// learned drift-rate estimate instead of age.
+	// this clock (BSP-exact); delta-consuming policies serve copies until
+	// the owner's drift since they were read, plus a learned drift-rate
+	// estimate, may exceed the bound.
 	Policy consistency.Policy
 }
 
@@ -61,22 +59,7 @@ type ReplicaStats struct {
 	LocalHits    uint64 // of those, served from a fresh replica copy
 	OwnerFetches uint64 // replica→owner revalidation round-trips
 	ChangedVals  uint64 // values the owner actually shipped (the rest validated unchanged)
-	EpochFences  uint64 // replica copies or stores discarded on a recovery epoch change
-}
-
-// repKey identifies one replicated element.
-type repKey struct{ row, col int }
-
-// repVal is one replica copy: the value, the owner element version and owner
-// recovery epoch it was fetched under, and the clock it was last validated.
-// rate is the per-clock drift EWMA learned from owner revalidations, used
-// (and maintained) only under delta-consuming policies.
-type repVal struct {
-	val        float64
-	ver        uint64
-	ownerEpoch uint64
-	clock      int64
-	rate       float64
+	EpochFences  uint64 // copy sets or stores discarded on a recovery epoch change
 }
 
 // replicaStore is one serving server's replica memory. epoch is the serving
@@ -87,7 +70,7 @@ type repVal struct {
 // for the leader's fetch and then serve locally.
 type replicaStore struct {
 	epoch         uint64
-	vals          map[repKey]*repVal
+	sets          map[copyKey]*copySet
 	inflight      *simnet.Signal
 	inflightClock int64
 }
@@ -97,7 +80,6 @@ type replicaStore struct {
 // charges are its RPCs.
 type HotReplicaSet struct {
 	mat    *Matrix
-	cfg    ReplicaConfig
 	pol    consistency.Policy
 	hot    map[int]bool
 	rr     int
@@ -116,14 +98,11 @@ func NewHotReplicaSet(mat *Matrix, cfg ReplicaConfig) (*HotReplicaSet, error) {
 	}
 	mat.EnableVersioning()
 	mat.master.registerPolicy(cfg.Policy)
-	rs := &HotReplicaSet{mat: mat, cfg: cfg, pol: cfg.Policy, hot: make(map[int]bool, len(cfg.HotCols))}
+	rs := &HotReplicaSet{mat: mat, pol: cfg.Policy, hot: make(map[int]bool, len(cfg.HotCols))}
 	for _, c := range cfg.HotCols {
 		rs.hot[c] = true
 	}
-	rs.stores = make([]*replicaStore, mat.Part.NumServers())
-	for s := range rs.stores {
-		rs.stores[s] = &replicaStore{epoch: mat.ShardEpoch(s), vals: map[repKey]*repVal{}}
-	}
+	rs.resync()
 	return rs, nil
 }
 
@@ -168,14 +147,12 @@ func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indice
 	if err := validateIndices(indices, mat.Dim); err != nil {
 		return nil, err
 	}
-	if pol == nil {
-		pol = rs.pol
-	}
 	mat.enterOp(p)
 	defer mat.exitOp()
 	rs.resync()
 	out := make([]float64, len(indices))
-	var hotCols, hotPos, coldCols, coldPos []int
+	hotCols, hotPos := make([]int, 0, len(indices)), make([]int, 0, len(indices))
+	var coldCols, coldPos []int
 	for k, col := range indices {
 		if rs.hot[col] {
 			hotCols = append(hotCols, col)
@@ -207,22 +184,25 @@ func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indice
 		t := rs.rr
 		rs.rr = (rs.rr + 1) % mat.Part.NumServers()
 		g.Go("replica-hot", func(cp *simnet.Proc) {
-			vals, err := rs.pullHot(cp, from, t, row, hotCols, pol, class)
-			if err != nil {
-				errHot = err
-				return
-			}
-			for j, k := range hotPos {
-				out[k] = vals[j]
+			cost := mat.master.Cl.Cost
+			errHot = mat.CallShard(cp, from, CallSpec{
+				Name:      "replica-pull",
+				Shard:     t,
+				Class:     class,
+				ReqBytes:  cost.RequestOverheadB + 4*float64(len(hotCols)),
+				RespBytes: cost.RequestOverheadB + 8*float64(len(hotCols)),
+				Fn: func(fp *simnet.Proc, _ *Shard) error {
+					return rs.serveHot(fp, t, row, hotCols, hotPos, out, pol)
+				},
+			})
+			if errHot == nil {
+				mat.master.Replica.Reads += uint64(len(hotCols))
 			}
 		})
 	}
 	g.Wait(p)
-	if errHot != nil {
-		return nil, errHot
-	}
-	if errCold != nil {
-		return nil, errCold
+	if err := cmp.Or(errHot, errCold); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -238,52 +218,30 @@ func (rs *HotReplicaSet) resync() {
 	if len(rs.stores) == p {
 		return
 	}
+	if rs.stores != nil {
+		rs.mat.master.Replica.EpochFences++
+	}
 	rs.stores = make([]*replicaStore, p)
 	for s := range rs.stores {
-		rs.stores[s] = &replicaStore{epoch: rs.mat.ShardEpoch(s), vals: map[repKey]*repVal{}}
+		rs.stores[s] = &replicaStore{epoch: rs.mat.ShardEpoch(s), sets: map[copyKey]*copySet{}}
 	}
-	rs.mat.master.Replica.EpochFences++
 	rs.rr %= p
 }
 
-// pullHot serves one row's hot columns from serving shard t's replica store,
-// fetching stale or missing copies from the owning shards.
-func (rs *HotReplicaSet) pullHot(cp *simnet.Proc, from *simnet.Node, t, row int, cols []int, pol consistency.Policy, class Class) ([]float64, error) {
+// serveHot runs on serving shard t, inside the client's CallShard: admitted
+// copies of the row's hot columns cols answer locally, and the rest are read
+// from their owners (one round-trip per owner shard that has work). Each
+// column's value lands in out at its position in pos. Retryable errors
+// propagate to the enclosing CallShard loop.
+func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, out []float64, pol consistency.Policy) error {
 	mat := rs.mat
 	m := mat.master
 	cost := m.Cl.Cost
-	vals := make([]float64, len(cols))
-	err := mat.CallShard(cp, from, CallSpec{
-		Name:      "replica-pull",
-		Shard:     t,
-		Class:     class,
-		ReqBytes:  cost.RequestOverheadB + 4*float64(len(cols)),
-		RespBytes: cost.RequestOverheadB + 8*float64(len(cols)),
-		Fn: func(fp *simnet.Proc, sh *Shard) error {
-			return rs.serveHot(fp, t, row, cols, vals, pol)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.Replica.Reads += uint64(len(cols))
-	return vals, nil
-}
-
-// serveHot runs on the serving server: fresh copies answer locally, the rest
-// are revalidated if-modified-since against their owners (one round-trip per
-// owner shard that has stale columns). Retryable errors propagate to the
-// enclosing CallShard loop.
-func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols []int, vals []float64, pol consistency.Policy) error {
-	mat := rs.mat
-	m := mat.master
-	cost := m.Cl.Cost
-	deltas := pol.UsesDeltas()
 	store := rs.stores[t]
 	if e := mat.ShardEpoch(t); e != store.epoch {
 		// The serving machine was replaced; its replica memory died with it.
 		store.epoch = e
-		store.vals = map[repKey]*repVal{}
+		store.sets = map[copyKey]*copySet{}
 		m.Replica.EpochFences++
 	}
 	// Single-flight: if another request is already revalidating this store
@@ -292,45 +250,40 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols []int, vals 
 	for store.inflight != nil && store.inflightClock == mat.clock {
 		store.inflight.Wait(fp)
 	}
-	// Group columns needing owner traffic by owning shard, preserving the
-	// (sorted) column order for determinism.
-	needIdx := make(map[int][]int) // owner shard → positions into cols
-	var owners []int
-	for j, col := range cols {
-		key := repKey{row: row, col: col}
-		rv := store.vals[key]
-		o := mat.Part.ServerOf(col)
-		if rv != nil && rv.ownerEpoch == mat.ShardEpoch(o) {
-			meta := consistency.Meta{CachedClock: rv.clock, CurrentClock: mat.clock, Version: rv.ver}
-			if deltas {
-				meta.Drift = consistency.DriftEstimate(rv.rate, mat.clock-rv.clock)
-			}
-			switch pol.Admit(meta) {
-			case consistency.ServeCached:
-				m.Consistency.ServedCached++
-				vals[j] = rv.val
-				m.Replica.LocalHits++
-				continue
-			case consistency.HardPull:
-				// Can only fire when the policy weighs pushed deltas it thinks
-				// doom a validation; drop the copy so the owner fetch below
-				// ships the value outright.
-				m.Consistency.HardPulled++
-				delete(store.vals, key)
-			default:
-				m.Consistency.Revalidated++
-			}
-		} else if rv != nil {
-			delete(store.vals, key)
-			m.Replica.EpochFences++
+	// Classify every owner's columns before any owner traffic, in owner
+	// order for determinism.
+	split := mat.Part.SplitIndices(cols)
+	reads := make([]copyRead, len(split))
+	buf := arena.Floats(len(cols)) // each owner's values, in owner order
+	defer arena.PutFloats(buf)
+	lead := false
+	for o, idx := range split {
+		if len(idx) == 0 {
+			continue
 		}
-		if needIdx[o] == nil {
-			owners = append(owners, o)
+		set := store.sets[copyKey{row, o}]
+		if set == nil || set.epoch != mat.ShardEpoch(o) {
+			if set != nil {
+				m.Replica.EpochFences++
+			}
+			set = &copySet{epoch: mat.ShardEpoch(o), vals: map[int]copyVal{}}
+			store.sets[copyKey{row, o}] = set
 		}
-		needIdx[o] = append(needIdx[o], j)
+		if pol.UsesDeltas() {
+			// Copies on the server tier take no local pushes, but every
+			// write lands on the owner, whose exact row drift the serving
+			// server reads host-side, like the model clock. While the owner
+			// is down the copies serve on what was last credited.
+			if osh, err := mat.LiveShard(o); err == nil {
+				set.creditTo(driftMark{osh.RowDrift(row), osh.DriftGen()})
+			}
+		}
+		reads[o] = classify(m, pol, set, idx, mat.clock, buf[:len(idx)])
+		buf = buf[len(idx):]
+		m.Replica.LocalHits += uint64(len(idx) - reads[o].pending())
+		lead = lead || reads[o].pending() > 0
 	}
-	sort.Ints(owners)
-	if len(owners) > 0 {
+	if lead {
 		// Lead a fetch: publish the in-flight signal so same-clock arrivals
 		// wait instead of duplicating the owner round trips, and release
 		// them on every exit path (an error just makes a follower lead).
@@ -344,65 +297,45 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols []int, vals 
 		}()
 	}
 	servingNode := mat.srv(t).Node
-	for _, o := range owners {
-		idx := needIdx[o]
-		ownerEpoch := mat.ShardEpoch(o)
-		osh, err := mat.LiveShard(o)
-		if err != nil {
-			return err // owner down: retry rides the enclosing CallShard loop
-		}
-		ownerSrv := mat.srv(o)
-		changed := 0
-		if o != t {
-			// Revalidation request to the owner: column ids plus one stamp.
-			if err := m.send(fp, servingNode, ownerSrv.Node, cost.RequestOverheadB+4*float64(len(idx))+8); err != nil {
-				return err
+	for o, idx := range split {
+		r := reads[o]
+		if need := r.pending(); need > 0 {
+			osh, err := mat.LiveShard(o)
+			if err != nil {
+				return err // owner down: retry rides the enclosing CallShard loop
 			}
-		}
-		for _, j := range idx {
-			col := cols[j]
-			key := repKey{row: row, col: col}
-			rv := store.vals[key]
-			ver := osh.ElemVer(row, col)
-			if rv == nil || rv.ver != ver {
-				changed++
-				nv := &repVal{}
-				nv.val = osh.Rows[row][osh.Local(col)]
-				nv.ver = ver
-				if deltas {
-					nv.rate = consistency.UnknownRate()
-					if rv != nil {
-						nv.rate = consistency.BlendRate(rv.rate, nv.val-rv.val, mat.clock-rv.clock)
-					}
+			ownerSrv := mat.srv(o)
+			if o != t {
+				// Revalidation request to the owner: column ids plus one stamp.
+				if err := m.send(fp, servingNode, ownerSrv.Node, cost.RequestOverheadB+4*float64(need)+8); err != nil {
+					return err
 				}
-				store.vals[key] = nv
-				rv = nv
-			} else if deltas {
-				// Validated unchanged: a zero-magnitude observation decays the
-				// learned drift rate.
-				rv.rate = consistency.BlendRate(rv.rate, 0, mat.clock-rv.clock)
 			}
-			rv.ownerEpoch = ownerEpoch
-			rv.clock = mat.clock
-			vals[j] = rv.val
-		}
-		if o != t {
-			// Response ships only the values that actually changed.
-			if err := m.send(fp, ownerSrv.Node, servingNode, cost.RequestOverheadB+12*float64(changed)); err != nil {
-				return err
+			rep := r.read(osh, row)
+			r.merge(rep, r.set, mat.clock)
+			changed := len(rep.changed) + len(r.missing)
+			if o != t {
+				// Response ships only the values that actually changed.
+				if err := m.send(fp, ownerSrv.Node, servingNode, cost.RequestOverheadB+12*float64(changed)); err != nil {
+					return err
+				}
+				// The owner served a revalidation: account it in the
+				// per-server load view.
+				m.Load[ownerSrv.Index].Ops++
+				m.Load[ownerSrv.Index].Bytes += 2*cost.RequestOverheadB + 4*float64(need) + 8 + 12*float64(changed)
 			}
-			// The owner served a revalidation: account it in the per-server
-			// load view.
-			m.Load[ownerSrv.Index].Ops++
-			m.Load[ownerSrv.Index].Bytes += 2*cost.RequestOverheadB + 4*float64(len(idx)) + 8 + 12*float64(changed)
+			if mat.ShardEpoch(o) != r.set.epoch || mat.ShardEpoch(t) != store.epoch {
+				// A recovery landed mid-fetch: the stamps just merged may
+				// alias the new incarnation's counters; the set is fenced on
+				// retry.
+				return fmt.Errorf("ps: replica fetch raced a recovery: %w", ErrServerDown)
+			}
+			m.Replica.OwnerFetches++
+			m.Replica.ChangedVals += uint64(changed)
 		}
-		if mat.ShardEpoch(o) != ownerEpoch || mat.ShardEpoch(t) != store.epoch {
-			// A recovery landed mid-fetch; the stamps we just recorded may
-			// alias the new incarnation's counters.
-			return fmt.Errorf("ps: replica fetch raced a recovery: %w", ErrServerDown)
+		for k, col := range idx {
+			out[pos[sort.SearchInts(cols, col)]] = r.out[k]
 		}
-		m.Replica.OwnerFetches++
-		m.Replica.ChangedVals += uint64(changed)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/consistency"
@@ -455,6 +456,75 @@ func TestModelReaderOptions(t *testing.T) {
 		}
 		if pinned[0] != 6 || pinned[1] != 15 {
 			t.Fatalf("pinned read = %v", pinned)
+		}
+
+		// Replica reads under a delta-consuming policy, on a frozen row. The
+		// serving store rotates per read, so each step reads once per store.
+		const bound = 0.5
+		vb := ReadOptions{Policy: consistency.NewValueBounded(bound)}
+		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) + 1 })
+		hot := []int{0, 1}
+		stores := len(reader.Replicas().stores)
+		readAll := func(step string, want0 float64) {
+			for i := 0; i < stores; i++ {
+				got, err := reader.Read(p, worker, 0, hot, vb)
+				if err != nil {
+					t.Fatalf("%s: value-bounded replica read: %v", step, err)
+				}
+				if got[0] != want0 || got[1] != 2 {
+					t.Fatalf("%s: value-bounded replica read = %v, want [%v 2]", step, got, want0)
+				}
+			}
+		}
+		rates := func() []float64 {
+			var out []float64
+			for _, st := range reader.Replicas().stores {
+				for _, cv := range st.sets[copyKey{0, mat.Part.ServerOf(0)}].vals {
+					out = append(out, cv.rate)
+				}
+			}
+			if len(out) != stores*len(hot) {
+				t.Fatalf("found %d replica copies, want %d", len(out), stores*len(hot))
+			}
+			return out
+		}
+		before := m.Consistency
+		readAll("first read", 1) // no copies: every store fetches
+		if m.Consistency.ServedCached != before.ServedCached || m.Consistency.Revalidated != before.Revalidated {
+			t.Fatalf("first read decided on copies it does not hold: %+v", m.Consistency)
+		}
+		for _, r := range rates() {
+			if !math.IsInf(r, 1) {
+				t.Fatalf("a fetched copy starts with rate %v, want unknown", r)
+			}
+		}
+		mat.TickClock()
+		before, changed := m.Consistency, m.Replica.ChangedVals
+		readAll("after a tick", 1) // unknown rate over one clock: revalidate
+		if got := m.Consistency.Revalidated - before.Revalidated; got != uint64(stores*len(hot)) {
+			t.Fatalf("revalidated %d copies after the tick, want %d", got, stores*len(hot))
+		}
+		if m.Replica.ChangedVals != changed {
+			t.Fatal("a frozen row shipped values on revalidation")
+		}
+		for _, r := range rates() {
+			if r != 0 {
+				t.Fatalf("unchanged revalidation learned rate %v, want 0", r)
+			}
+		}
+		mat.TickClock()
+		before = m.Consistency
+		readAll("frozen", 1) // zero drift: served from copies
+		if got := m.Consistency.ServedCached - before.ServedCached; got != uint64(stores*len(hot)) || m.Consistency.Revalidated != before.Revalidated {
+			t.Fatalf("frozen row served %d copies, want %d with no revalidation: %+v", got, stores*len(hot), m.Consistency)
+		}
+		if m.Consistency.HardPulled != 0 {
+			t.Fatalf("a replica copy was hard-pulled: %+v", m.Consistency)
+		}
+		MustOK(mat.PushAdd(p, worker, 0, Must(linalg.NewSparse([]int{0}, []float64{2 * bound}))))
+		mat.TickClock()
+		if got := Must(reader.Read(p, worker, 0, hot, vb)); got[0] != 1+2*bound {
+			t.Fatalf("read after a push past the bound = %v, want the owner's %v", got, 1+2*bound)
 		}
 		other, err := m.CreateMatrix(p, 1, 12)
 		if err != nil {
