@@ -32,7 +32,6 @@ package ps
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/arena"
 	"repro/internal/consistency"
@@ -304,8 +303,9 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 			// pull, millions of times per training run.
 			sub := arena.Floats(len(idx))
 			err := cc.pullIndicesShard(cp, from, nc, row, s, idx, sub)
+			at := cursor{all: indices}
 			for k, col := range idx {
-				out[sort.SearchInts(indices, col)] = sub[k]
+				out[at.pos(col)] = sub[k]
 			}
 			arena.PutFloats(sub)
 			return err

@@ -181,8 +181,9 @@ func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, in
 				// the sorted request, so map each column back to its
 				// global position rather than assuming the groups
 				// concatenate in order.
+				at := cursor{all: indices}
 				for _, col := range idx {
-					out[sort.SearchInts(indices, col)] = sh.Rows[row][sh.Local(col)]
+					out[at.pos(col)] = sh.Rows[row][sh.Local(col)]
 				}
 				return nil
 			},
@@ -224,8 +225,9 @@ func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *li
 				// As in PullRowIndices: look up each column's global
 				// position, since non-contiguous placements interleave
 				// server groups in the sorted delta.
+				at := cursor{all: delta.Indices}
 				for _, col := range idx {
-					sh.Rows[row][sh.Local(col)] += delta.Values[sort.SearchInts(delta.Indices, col)]
+					sh.Rows[row][sh.Local(col)] += delta.Values[at.pos(col)]
 				}
 				return nil
 			},

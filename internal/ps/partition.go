@@ -9,7 +9,10 @@
 // not "hack the core of Spark".
 package ps
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Partitioner maps the columns (dimensions) of a matrix onto servers using
 // contiguous ranges. Every row of a matrix shares the one partitioner, which
@@ -68,6 +71,26 @@ func (pt *Partitioner) ServerOf(col int) int {
 		return extra - 1 // unreachable when col < Dim, kept for safety
 	}
 	return extra + (col-boundary)/base
+}
+
+// cursor maps the columns of one SplitIndices group back to their positions
+// in the sorted list the group was split from. A group keeps the list's
+// order, so each lookup resumes at the last hit and, on a miss, binary
+// searches only the remaining suffix: a range partition's contiguous group
+// maps in O(n), and interleaved groups cost no more than one search per
+// column.
+type cursor struct {
+	all []int
+	at  int
+}
+
+// pos returns col's position in all; cols must come in increasing order.
+func (c *cursor) pos(col int) int {
+	if c.at < len(c.all) && c.all[c.at] != col {
+		c.at += sort.SearchInts(c.all[c.at:], col)
+	}
+	c.at++
+	return c.at - 1
 }
 
 // SplitIndices groups sorted column indices by owning server, returning for

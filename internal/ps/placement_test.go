@@ -202,7 +202,21 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 				span[i] = 8 + i
 			}
 			r2 := Must(mat.PullRowIndices(p, worker, 2, span))
-			out = [][]float64{r0, r1, r2, {fusedSum}}
+			// A longer list whose columns interleave the server groups of
+			// the hashed placements: pushed, then pulled back.
+			var long []int
+			for c := 0; c < dim; c++ {
+				if c%3 != 1 {
+					long = append(long, c)
+				}
+			}
+			lv := make([]float64, len(long))
+			for i := range lv {
+				lv[i] = float64(i) - 7.5
+			}
+			MustOK(mat.PushAdd(p, worker, 1, Must(linalg.NewSparse(long, lv))))
+			r3 := Must(mat.PullRowIndices(p, worker, 1, long))
+			out = [][]float64{r0, r1, r2, {fusedSum}, r3}
 		})
 		return out
 	}
@@ -213,7 +227,7 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 		pl   Placement
 	}{{"range", rp}, {"blockhash", bh}, {"loadaware", la}} {
 		got := runArm(a.pl)
-		for i := 0; i < 3; i++ { // element reads: exact under any placement
+		for _, i := range []int{0, 1, 2, 4} { // element reads: exact under any placement
 			if len(got[i]) != len(oracle[i]) {
 				t.Fatalf("%s: result %d length %d != oracle %d", a.name, i, len(got[i]), len(oracle[i]))
 			}

@@ -333,8 +333,9 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 			m.Replica.OwnerFetches++
 			m.Replica.ChangedVals += uint64(changed)
 		}
+		at := cursor{all: cols}
 		for k, col := range idx {
-			out[pos[sort.SearchInts(cols, col)]] = r.out[k]
+			out[pos[at.pos(col)]] = r.out[k]
 		}
 	}
 	return nil

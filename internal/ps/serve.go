@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/consistency"
 	"repro/internal/obs"
@@ -408,9 +407,10 @@ func (ms *ModelSnapshot) ReadRowIndices(p *simnet.Proc, from *simnet.Node, row i
 				if sh != sp.sh || sp.invalid || mat.ShardEpoch(s) != sp.epoch {
 					return ms.fenced(s)
 				}
+				at := cursor{all: indices}
 				for _, col := range idx {
 					l := sh.Local(col)
-					k := sort.SearchInts(indices, col)
+					k := at.pos(col)
 					if sh.elemVer[row][l] <= sp.ver {
 						out[k] = sh.Rows[row][l] // unchanged since the pin
 					} else {

@@ -9,13 +9,12 @@
 // behaviour of simulated NICs rather than being hard-coded formulas.
 //
 // Determinism: events are ordered by (time, sequence number); processes only
-// run one at a time and hand control back to the scheduler explicitly, so a
-// simulation with seeded randomness produces bit-identical results on every
-// run.
+// run one at a time, and a process that blocks hands control explicitly to
+// the process of the next due event, so a simulation with seeded randomness
+// produces bit-identical results on every run.
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -25,7 +24,7 @@ import (
 // Time is virtual time in seconds since the start of the simulation.
 type Time = float64
 
-// errStopped is panicked inside blocked processes to unwind them when the
+// stopUnwind is panicked inside blocked processes to unwind them when the
 // simulation shuts down. It never escapes the kernel.
 type stopUnwind struct{}
 
@@ -33,10 +32,13 @@ type stopUnwind struct{}
 // one with New.
 type Sim struct {
 	now       Time
-	events    eventHeap
+	events    eventHeap   // wake-ups due after now
+	due       fifo[*Proc] // wake-ups due at now, in the order they were made
 	seq       uint64
-	sched     chan struct{} // signalled by a process when it yields control
+	deadline  Time          // RunUntil's: no event past it is delivered
+	sched     chan struct{} // RunUntil takes control back on it when the run ends
 	live      []*Proc       // processes that have started and not yet finished
+	idle      []*worker     // goroutines parked between processes
 	stopped   bool
 	processed uint64 // events delivered so far (observability)
 	failure   any    // first panic raised by a user process, re-raised by Run
@@ -57,46 +59,114 @@ func (s *Sim) Now() Time { return s.now }
 // cheap sanity metric for how much simulated activity a run generated.
 func (s *Sim) EventsProcessed() uint64 { return s.processed }
 
+// event is a wake-up of p at time t; seq breaks ties in scheduling order.
 type event struct {
-	t         Time
-	seq       uint64
-	p         *Proc
-	cancelled bool
+	t   Time
+	seq uint64
+	p   *Proc
 }
 
-type eventHeap []*event
+func (e event) before(f event) bool {
+	return e.t < f.t || e.t == f.t && e.seq < f.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// eventHeap is a binary min-heap of events by (t, seq), held by value.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
 }
 
-// schedule enqueues a wake-up for p at time t and returns the event so the
-// caller can cancel it.
-func (s *Sim) schedule(t Time, p *Proc) *event {
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < n && q[l].before(q[least]) {
+			least = l
+		}
+		if r := l + 1; r < n && q[r].before(q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
+
+// schedule enqueues a wake-up for p at time t. A wake-up due now joins the
+// same-instant FIFO; a later one goes on the heap. Nothing cancels an event.
+func (s *Sim) schedule(t Time, p *Proc) {
 	if s.stopped {
-		return &event{cancelled: true}
+		return
 	}
-	if t < s.now {
-		t = s.now
+	if t <= s.now {
+		s.due.push(p)
+		return
 	}
 	s.seq++
-	ev := &event{t: t, seq: s.seq, p: p}
-	heap.Push(&s.events, ev)
-	return ev
+	s.events.push(event{t: t, seq: s.seq, p: p})
+}
+
+// next pops the next due event, advancing the clock to it, and returns its
+// process; nil means the run is over: no event left, the next one past the
+// deadline, or the simulation stopped.
+//
+// The order is (t, seq), as if every event were on the heap. Heap events are
+// all due after the instant they were scheduled at, so when the clock
+// reaches t every heap event at t was scheduled before any FIFO entry:
+// heap events at now go first, then the FIFO in its order.
+func (s *Sim) next() *Proc {
+	switch {
+	case s.stopped:
+		return nil
+	case s.due.len() > 0 && (len(s.events) == 0 || s.events[0].t > s.now):
+		if s.now > s.deadline {
+			return nil
+		}
+		s.processed++
+		return s.due.pop()
+	case len(s.events) > 0 && s.events[0].t <= s.deadline:
+		ev := s.events.pop()
+		s.now = ev.t
+		s.processed++
+		return ev.p
+	}
+	return nil
+}
+
+// pass hands control to the goroutine of the next due event, or back to
+// RunUntil when the run is over. When the next event is from's own process
+// it returns false without any goroutine switch; otherwise the caller must
+// block on its wake channel or end.
+func (s *Sim) pass(from *worker) bool {
+	p := s.next()
+	switch {
+	case p == nil:
+		s.sched <- struct{}{}
+	case p.w == from:
+		return false
+	default:
+		p.w.wake <- wakeMsg{}
+	}
+	return true
 }
 
 // Proc is a simulated process. All blocking operations (Sleep, resource
@@ -105,10 +175,18 @@ func (s *Sim) schedule(t Time, p *Proc) *event {
 type Proc struct {
 	sim  *Sim
 	name string
-	wake chan wakeMsg
+	w    *worker // the goroutine running the process
 	done *Signal
-	dead bool
 	span obs.Span // current trace context, see trace.go
+}
+
+// worker is a goroutine that runs processes one after another: when a
+// process function returns, the goroutine parks on the simulation's idle
+// list and the next Spawn runs on it.
+type worker struct {
+	wake chan wakeMsg
+	p    *Proc
+	fn   func(*Proc)
 }
 
 type wakeMsg struct{ stop bool }
@@ -126,55 +204,93 @@ func (p *Proc) Done() *Signal { return p.done }
 // after the currently running process (if any) next yields. The returned
 // Proc can be waited on via Done.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, wake: make(chan wakeMsg), done: s.NewSignal()}
+	p := &Proc{sim: s, name: name, done: s.NewSignal()}
 	if s.stopped {
 		// The simulation is unwinding: return an inert process that never
 		// runs. Its Done signal never fires, but nothing can wait on it
 		// anymore either.
-		p.dead = true
 		return p
 	}
 	s.live = append(s.live, p)
-	go func() {
-		if msg := <-p.wake; msg.stop {
-			s.procExit(p)
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if _, unwind := r.(stopUnwind); !unwind && s.failure == nil {
-					s.failure = fmt.Sprintf("simnet: process %q panicked: %v", name, r)
-					s.stopped = true
-				}
-			}
-			p.done.fire()
-			s.procExit(p)
-		}()
-		fn(p)
-	}()
+	var w *worker
+	if n := len(s.idle); n > 0 {
+		w = s.idle[n-1]
+		s.idle = s.idle[:n-1]
+	} else {
+		w = &worker{wake: make(chan wakeMsg)}
+		go s.work(w)
+	}
+	w.p, w.fn, p.w = p, fn, w
 	s.schedule(s.now, p)
 	return p
 }
 
-// procExit removes p from the live set and returns control to the scheduler.
-func (s *Sim) procExit(p *Proc) {
-	p.dead = true
+// work is a worker goroutine's loop: wait for a process to start, run it,
+// park. It ends when the simulation stops, and when a process calls
+// runtime.Goexit (see run).
+func (s *Sim) work(w *worker) {
+	for {
+		if msg := <-w.wake; msg.stop {
+			if w.p != nil { // spawned, never started
+				s.exit(w)
+			}
+			s.sched <- struct{}{}
+			return
+		}
+		s.run(w)
+		if s.stopped { // control goes back to RunUntil or stop
+			s.sched <- struct{}{}
+			return
+		}
+		s.idle = append(s.idle, w)
+		s.pass(nil)
+	}
+}
+
+// run executes w's process function. Its epilogue also runs when the function
+// panics or calls runtime.Goexit; in the last case the goroutine ends, so
+// the epilogue hands control on itself.
+func (s *Sim) run(w *worker) {
+	p, returned := w.p, false
+	defer func() {
+		goexit := false
+		if !returned {
+			r := recover()
+			if _, unwind := r.(stopUnwind); r != nil && !unwind && s.failure == nil {
+				s.failure = fmt.Sprintf("simnet: process %q panicked: %v", p.name, r)
+				s.stopped = true
+			}
+			goexit = r == nil
+		}
+		p.done.fire()
+		s.exit(w)
+		if goexit {
+			s.pass(nil)
+		}
+	}()
+	w.fn(p)
+	returned = true
+}
+
+// exit retires w's process: it leaves the live set and w is free.
+func (s *Sim) exit(w *worker) {
 	for i, q := range s.live {
-		if q == p {
+		if q == w.p {
 			s.live = append(s.live[:i], s.live[i+1:]...)
 			break
 		}
 	}
-	s.sched <- struct{}{}
+	w.p, w.fn = nil, nil
 }
 
-// yield hands control back to the scheduler and blocks until the process is
-// woken again. It must only be called after arranging a future wake-up
-// (a scheduled event or membership in some waiter list).
+// yield hands control on and blocks until the process is woken again. It
+// must only be called after arranging a future wake-up (a scheduled event
+// or membership in some waiter list).
 func (p *Proc) yield() {
-	p.sim.sched <- struct{}{}
-	if msg := <-p.wake; msg.stop {
-		panic(stopUnwind{})
+	if w := p.w; p.sim.pass(w) {
+		if msg := <-w.wake; msg.stop {
+			panic(stopUnwind{})
+		}
 	}
 }
 
@@ -206,18 +322,13 @@ func (s *Sim) Run() {
 // RunUntil executes events with time <= deadline, then stops the simulation:
 // remaining events are discarded and all live processes are unwound. The
 // simulation cannot be resumed afterwards.
+//
+// RunUntil only starts the run and takes control back at its end: each
+// process that yields pops the next event itself and wakes its goroutine.
 func (s *Sim) RunUntil(deadline Time) {
-	for s.events.Len() > 0 && !s.stopped {
-		ev := heap.Pop(&s.events).(*event)
-		if ev.cancelled || ev.p.dead {
-			continue
-		}
-		if ev.t > deadline {
-			break
-		}
-		s.now = ev.t
-		s.processed++
-		ev.p.wake <- wakeMsg{}
+	s.deadline = deadline
+	if p := s.next(); p != nil {
+		p.w.wake <- wakeMsg{}
 		<-s.sched
 	}
 	s.stop()
@@ -226,13 +337,46 @@ func (s *Sim) RunUntil(deadline Time) {
 	}
 }
 
-// stop unwinds all remaining live processes.
+// stop unwinds all remaining live processes, then ends the parked goroutines.
 func (s *Sim) stop() {
 	s.stopped = true
 	for len(s.live) > 0 {
-		p := s.live[0]
-		p.wake <- wakeMsg{stop: true}
+		s.live[0].w.wake <- wakeMsg{stop: true}
 		<-s.sched
 	}
-	s.events = nil
+	for _, w := range s.idle {
+		w.wake <- wakeMsg{stop: true}
+		<-s.sched
+	}
+	s.idle, s.events, s.due = nil, nil, fifo[*Proc]{}
+}
+
+// fifo is a queue that reuses its backing array: once warm, pushing and
+// popping allocate nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		// More than half the array is popped slots: slide the queue down
+		// rather than grow.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }

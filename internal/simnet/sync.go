@@ -46,7 +46,7 @@ type Resource struct {
 	sim      *Sim
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  fifo[*Proc]
 }
 
 // NewResource creates a resource with the given capacity (>= 1).
@@ -61,11 +61,11 @@ func (s *Sim) NewResource(capacity int) *Resource {
 // Units are granted in FIFO order.
 func (r *Resource) Acquire(p *Proc) {
 	p.checkStopped()
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.push(p)
 	p.yield()
 	// The releaser incremented inUse on our behalf before waking us.
 }
@@ -80,11 +80,9 @@ func (r *Resource) Release() {
 	if r.inUse < 0 {
 		panic("simnet: Resource released more times than acquired")
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	if r.waiters.len() > 0 {
 		r.inUse++
-		r.sim.schedule(r.sim.now, next)
+		r.sim.schedule(r.sim.now, r.waiters.pop())
 	}
 }
 
@@ -100,8 +98,8 @@ func (r *Resource) Use(p *Proc, hold Time) {
 // blocks; Get blocks until a message is available.
 type Mailbox struct {
 	sim     *Sim
-	queue   []any
-	waiters []*Proc
+	queue   fifo[any]
+	waiters fifo[*Proc]
 }
 
 // NewMailbox creates an empty mailbox.
@@ -109,25 +107,20 @@ func (s *Sim) NewMailbox() *Mailbox { return &Mailbox{sim: s} }
 
 // Put enqueues a message and wakes the oldest waiting receiver, if any.
 func (m *Mailbox) Put(msg any) {
-	m.queue = append(m.queue, msg)
-	if len(m.waiters) > 0 {
-		p := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		m.sim.schedule(m.sim.now, p)
+	m.queue.push(msg)
+	if m.waiters.len() > 0 {
+		m.sim.schedule(m.sim.now, m.waiters.pop())
 	}
 }
 
 // Get dequeues the oldest message, blocking until one is available.
 func (m *Mailbox) Get(p *Proc) any {
 	p.checkStopped()
-	for len(m.queue) == 0 {
-		m.waiters = append(m.waiters, p)
+	for m.queue.len() == 0 {
+		m.waiters.push(p)
 		p.yield()
 	}
-	msg := m.queue[0]
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	return msg
+	return m.queue.pop()
 }
 
 // Group runs a set of child processes and lets the parent wait for all of

@@ -52,7 +52,7 @@ go run ./cmd/ps2bench -exp fig1b -quick -json "$(mktemp)" -trace "$(mktemp)" >/d
 # Hot-path allocation contract, re-run WITHOUT the race detector: the
 # zero-alloc guards promise exact counts in the instrumentation-free build
 # that production runs, and -race (above) measures the instrumented build.
-go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linalg/ ./internal/ml/lr/
+go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linalg/ ./internal/ml/lr/ ./internal/simnet/
 
 # The wire server's sparse fused executor against its dense reference, on
 # schedules the fuzzer generates beyond the seed corpus the suite above ran;
@@ -66,4 +66,6 @@ go test -run XXX -fuzz FuzzPullRangeResponse -fuzztime 10s ./internal/wire/
 
 # Benchmark smoke gate: every benchmark in the repo must still run to
 # completion (one iteration each) so `make bench` cannot rot unnoticed.
+# BenchmarkKernel's two shapes (mailbox ping-pong, a 20-way CallShard-like
+# fan-out) print the simulator's host ns per event here.
 go test -run XXX -bench . -benchtime 1x ./...
