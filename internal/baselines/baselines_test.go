@@ -238,7 +238,7 @@ func TestPullPushAdamMatchesZipAdam(t *testing.T) {
 			return w, end
 		}
 		zipW, zipTime := run(lr.NewAdam())
-		ppW, ppTime := run(NewPullPushAdam())
+		ppW, ppTime := run(PullPush(lr.NewAdam()))
 		for i := range zipW {
 			if !(math.Abs(zipW[i]-ppW[i]) <= tc.tol) {
 				t.Fatalf("%d executors: weights diverge at %d: %v vs %v", tc.executors, i, zipW[i], ppW[i])
@@ -255,8 +255,9 @@ func TestPullPushAdamMatchesZipAdam(t *testing.T) {
 // differ only in where the model lives and how bytes move, so their weights
 // must be bit-identical: at BatchFraction 1 all of them, and at 0.5, which
 // checks that they draw the same rows, all but Petuum, which divides its step
-// by the expected batch by design. Spark-Adam, PS-Adam and PS2-Adam run one
-// Adam kernel and agree the same way.
+// by the expected batch by design. For Adam, Adagrad and RMSProp, the Spark-,
+// PS- and PS2- systems run one optimizer value's kernel and agree the same
+// way.
 func TestLRStrategiesAgree(t *testing.T) {
 	ds := classifyDataset(t)
 	train := func(cfg lr.Config, s lr.Strategy) []float64 {
@@ -307,10 +308,12 @@ func TestLRStrategiesAgree(t *testing.T) {
 			sgd["Petuum"] = train(cfg, Petuum())
 		}
 		agree(fraction, "PS2-SGD", trainPS2(cfg, lr.NewSGD()), sgd)
-		agree(fraction, "PS2-Adam", trainPS2(cfg, lr.NewAdam()), map[string][]float64{
-			"Spark-Adam": train(cfg, MLlib(lr.NewAdam())),
-			"PS-Adam":    trainPS2(cfg, NewPullPushAdam()),
-		})
+		for _, opt := range []lr.Optimizer{lr.NewAdam(), lr.NewAdagrad(), lr.NewRMSProp()} {
+			agree(fraction, "PS2-"+opt.Name(), trainPS2(cfg, opt), map[string][]float64{
+				"Spark-" + opt.Name(): train(cfg, MLlib(opt)),
+				"PS-" + opt.Name():    trainPS2(cfg, PullPush(opt)),
+			})
+		}
 	}
 }
 

@@ -39,16 +39,9 @@ type mllibAgg struct {
 	N    int
 }
 
-// DriverUpdate is an optimizer whose update kernel MLlib's driver runs on
-// its own copy of the model: lr.SGD or lr.Adam.
-type DriverUpdate interface {
-	AuxVectors() int
-	Update(iter, batchSize int) func(lo int, rows [][]float64)
-}
-
 type mllib struct {
 	aggregate func(*simnet.Proc, *rdd.RDD[data.Instance], rdd.AggSpec[data.Instance, *mllibAgg]) *mllibAgg
-	opt       DriverUpdate
+	opt       lr.Optimizer
 
 	e    *core.Engine
 	spec rdd.AggSpec[data.Instance, *mllibAgg]
@@ -61,7 +54,7 @@ type mllib struct {
 // iteration the driver broadcasts the full dense model, aggregate brings one
 // dense gradient per partition back to it, and it runs opt's update on its
 // own copy of the model.
-func MLlib(opt DriverUpdate) lr.Strategy {
+func MLlib(opt lr.Optimizer) lr.Strategy {
 	return &mllib{aggregate: rdd.Aggregate[data.Instance, *mllibAgg], opt: opt}
 }
 

@@ -8,60 +8,45 @@ import (
 	"repro/internal/simnet"
 )
 
-// PullPushAdam is the paper's "PS-Adam" (Figure 9(a)/(b)): it runs on the
-// same parameter servers as PS2-Adam but without server-side computation.
-// After the gradient push, the driver must pull all four model vectors, run
-// the Adam update locally, and push the three mutated vectors back — full
-// dense vector traffic every iteration, against PS2's scalar-only zip.
-// It implements lr.Optimizer, so the training loop is byte-for-byte the one
-// PS2-Adam uses; only the update step's communication differs.
-type PullPushAdam struct {
-	// Adam holds the hyperparameters, the auxiliary vectors and the update
-	// kernel PS2-Adam runs on the servers.
-	Adam *lr.Adam
-}
+// pullPush runs an optimizer on the parameter servers without server-side
+// computation: the paper's "PS-Adam" (Figure 9(a)/(b)) when the optimizer is
+// lr.Adam. The vectors live on the same servers PS2 uses and the kernel is
+// the one PS2 zips there; only the update step's communication differs.
+type pullPush struct{ lr.Optimizer }
 
-// NewPullPushAdam returns PS-Adam with the paper's hyperparameters.
-func NewPullPushAdam() *PullPushAdam { return &PullPushAdam{Adam: lr.NewAdam()} }
+// PullPush returns opt as a pull/push-only optimizer for lr.Train, so the
+// training loop is byte-for-byte the one PS2 runs with opt.
+func PullPush(opt lr.Optimizer) lr.Stepper { return pullPush{opt} }
 
-func (a *PullPushAdam) Name() string { return "PullPushAdam" }
-
-func (a *PullPushAdam) AuxVectors() int { return 2 }
-
-// Init derives the same auxiliary vectors PS2-Adam derives.
-func (a *PullPushAdam) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	return a.Adam.Init(p, e, w)
-}
+func (pp pullPush) Name() string { return "PullPush" + pp.Optimizer.Name() }
 
 // Step performs the pull/push-only realization of equation (1), matching the
 // paper's description word for word: each worker "has to pull the gradient
 // as well as the model onto each worker, update the model and push the model
-// back". Every worker redundantly pulls all four full vectors, runs Adam
-// locally, and writes the three mutated vectors back — 7 full-vector
-// transfers per worker per iteration, against PS2's scalar-only zip. The
-// writes are idempotent (every worker computes identical values), so the
-// redundancy costs bandwidth, not correctness.
-func (a *PullPushAdam) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	update := a.Adam.Update(iter, batchSize)
-	velocity, square := a.Adam.Moments()
+// back". Every worker redundantly pulls the weight, the auxiliary vectors and
+// the gradient in full, runs the kernel locally, and writes the weight and
+// auxiliary vectors back — for Adam 7 full-vector transfers per worker per
+// iteration, against PS2's scalar-only zip. The writes are idempotent (every
+// worker computes identical values), so the redundancy costs bandwidth, not
+// correctness.
+func (pp pullPush) Step(p *simnet.Proc, e *core.Engine, vecs []*dcv.Vector, iter, batchSize int) error {
+	update := pp.Update(iter, batchSize)
 	cost := e.Cluster.Cost
 
 	g := p.Sim().NewGroup()
 	for _, exec := range e.Cluster.Executors {
-		g.Go("ps-adam-update", func(cp *simnet.Proc) {
-			wv := w.Pull(cp, exec)
-			vv := velocity.Pull(cp, exec)
-			sv := square.Pull(cp, exec)
-			gv := grad.Pull(cp, exec)
-			exec.Compute(cp, cost.ElemWork(3*len(wv)))
-			update(0, [][]float64{wv, vv, sv, gv})
-			ps.MustOK(w.Set(cp, exec, wv))
-			ps.MustOK(velocity.Set(cp, exec, vv))
-			ps.MustOK(square.Set(cp, exec, sv))
+		g.Go("pullpush-update", func(cp *simnet.Proc) {
+			rows := make([][]float64, len(vecs))
+			for i, v := range vecs {
+				rows[i] = v.Pull(cp, exec)
+			}
+			exec.Compute(cp, cost.ElemWork((len(vecs)-1)*len(rows[0])))
+			update(0, rows)
+			for i, v := range vecs[:len(vecs)-1] {
+				ps.MustOK(v.Set(cp, exec, rows[i]))
+			}
 		})
 	}
 	g.Wait(p)
 	return nil
 }
-
-var _ lr.Optimizer = (*PullPushAdam)(nil)

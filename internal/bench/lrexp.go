@@ -174,14 +174,13 @@ func runAdamTriple(o Opts, id, dsName string, ds *data.ClassifyDataset) *Result 
 	cfg := lr.DefaultConfig()
 	cfg.Iterations = iters
 	cfg.BatchFraction = 0.1
-	cfg.LearningRate = 0.1
+	adam := lr.NewAdam()
+	adam.LearningRate = 0.1
 
 	var spark, pullpush, ps2 *core.Trace
 
 	eSpark := paperEngine(20, 20)
 	eSpark.Run(func(p *simnet.Proc) {
-		adam := lr.NewAdam()
-		adam.LearningRate = cfg.LearningRate
 		tr, err := lr.Run(p, eSpark, instancesRDD(eSpark, ds), ds.Config.Dim, cfg, baselines.MLlib(adam))
 		if err != nil {
 			panic(err)
@@ -191,9 +190,7 @@ func runAdamTriple(o Opts, id, dsName string, ds *data.ClassifyDataset) *Result 
 	})
 	ePP := paperEngine(20, 20)
 	ePP.Run(func(p *simnet.Proc) {
-		opt := baselines.NewPullPushAdam()
-		opt.Adam.LearningRate = cfg.LearningRate
-		m, err := lr.Train(p, ePP, instancesRDD(ePP, ds), ds.Config.Dim, cfg, opt)
+		m, err := lr.Train(p, ePP, instancesRDD(ePP, ds), ds.Config.Dim, cfg, baselines.PullPush(adam))
 		if err != nil {
 			panic(err)
 		}
@@ -202,9 +199,7 @@ func runAdamTriple(o Opts, id, dsName string, ds *data.ClassifyDataset) *Result 
 	})
 	ePS2 := paperEngine(20, 20)
 	ePS2.Run(func(p *simnet.Proc) {
-		opt := lr.NewAdam()
-		opt.LearningRate = cfg.LearningRate
-		m, err := lr.Train(p, ePS2, instancesRDD(ePS2, ds), ds.Config.Dim, cfg, opt)
+		m, err := lr.Train(p, ePS2, instancesRDD(ePS2, ds), ds.Config.Dim, cfg, adam)
 		if err != nil {
 			panic(err)
 		}

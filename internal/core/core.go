@@ -75,7 +75,8 @@ type CrashEvent struct {
 }
 
 // FaultPlan describes the environment's misbehaviour for a run: scheduled
-// PS-server and executor crashes, plus ambient per-message loss and delay.
+// PS-server and executor crashes, ambient per-message loss, and per-link
+// loss and delay.
 // Crashes land mid-simulation — in the middle of whatever RPCs are in
 // flight — and nothing in the job's code is told about them; detection and
 // recovery are the system's problem.
@@ -84,8 +85,6 @@ type FaultPlan struct {
 	Seed uint64
 	// LossProb is the probability that any single message is dropped.
 	LossProb float64
-	// ExtraDelaySec is the maximum uniform extra one-way delay per message.
-	ExtraDelaySec float64
 
 	ServerCrashes   []CrashEvent
 	ExecutorCrashes []CrashEvent
@@ -169,7 +168,7 @@ func NewEngine(opt Options) *Engine {
 		if seed == 0 {
 			seed = 0xfa17
 		}
-		sim.EnableChaos(seed, opt.Faults.LossProb, opt.Faults.ExtraDelaySec)
+		sim.EnableChaos(seed, opt.Faults.LossProb)
 		master.Unreliable = true
 	}
 	if opt.Trace {

@@ -178,7 +178,7 @@ func TestScalarPanicsBeforeRun(t *testing.T) {
 // requests must apply the mutation exactly once.
 func TestBatchExactlyOnceUnderChaos(t *testing.T) {
 	sim, cl, sess := testSession(3)
-	sim.EnableChaos(7, 0.15, 0)
+	sim.EnableChaos(7, 0.15)
 	sess.Master.Unreliable = true
 	const rounds = 60
 	run(sim, func(p *simnet.Proc) {

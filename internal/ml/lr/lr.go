@@ -141,27 +141,25 @@ type Model struct {
 	Trace   *core.Trace
 }
 
-// Optimizer is a server-side update rule applied after each gradient
-// aggregation.
+// Optimizer is an update rule as one stateless kernel. Update returns
+// iteration iter's step over the rows (weight, aux…, gradient), where the
+// gradient sums batchSize examples; it updates the weight and aux rows in
+// place, and the caller keeps the rows between iterations. PS2 runs the
+// kernel server-side as one zip over co-located DCVs, PS-Adam's
+// baselines.PullPush on pulled copies, and MLlib's driver on its own model.
 type Optimizer interface {
-	// Init allocates the optimizer's auxiliary DCVs, co-located with w.
-	Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error
-	// Step applies the update; grad holds the summed batch gradient and
-	// batchSize the number of examples behind it.
-	Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error
-	// AuxVectors is how many auxiliary DCVs Init will derive, so Train can
-	// size the raw matrix exactly.
-	AuxVectors() int
 	Name() string
+	// AuxVectors is how many auxiliary rows sit between weight and gradient.
+	AuxVectors() int
+	Update(iter, batchSize int) func(lo int, rows [][]float64)
 }
 
-// FusedOptimizer is implemented by optimizers whose Step can be recorded into
-// a dcv.Batch. Train uses it to coalesce the model update and the gradient
-// reset into one fused request per server per iteration instead of separate
-// per-operator fan-outs; every built-in optimizer implements it.
-type FusedOptimizer interface {
-	// RecordStep records the same update Step would apply into b.
-	RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int)
+// Stepper is an optimizer that runs its own step over the PS2 strategy's
+// vectors (weight, aux…, gradient) in place of the server-side zip:
+// baselines.PullPush.
+type Stepper interface {
+	Optimizer
+	Step(p *simnet.Proc, e *core.Engine, vecs []*dcv.Vector, iter, batchSize int) error
 }
 
 // Strategy is what one LR system brings to the training loop (Run): Setup
@@ -234,6 +232,9 @@ type ps2 struct {
 	e   *core.Engine
 	cfg Config
 
+	// vecs are the optimizer's rows (weight, aux…, gradient) as co-located
+	// DCVs; weight and grad name the ends.
+	vecs         []*dcv.Vector
 	weight, grad *dcv.Vector
 	pullRow      func(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error)
 	cache        *ps.CachedClient
@@ -242,21 +243,25 @@ type ps2 struct {
 
 func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], dim int, cfg Config) error {
 	s.e, s.cfg = e, cfg
-	// Allocate the weight DCV; the optimizer derives its auxiliary vectors
-	// and the gradient from it so everything is dimension co-located.
+	// Allocate the weight DCV, then derive the optimizer's auxiliary vectors
+	// and the gradient from it, zeroing each in turn, so everything is
+	// dimension co-located.
 	var err error
 	if s.weight, err = e.DCV.Dense(p, dim, 2+s.opt.AuxVectors()); err != nil {
 		return err
 	}
-	if err := s.opt.Init(p, e, s.weight); err != nil {
-		return err
+	s.vecs = []*dcv.Vector{s.weight}
+	for range 1 + s.opt.AuxVectors() {
+		v, err := s.weight.Derive()
+		if err != nil {
+			return err
+		}
+		if err := v.Zero(p, e.Driver()); err != nil {
+			return err
+		}
+		s.vecs = append(s.vecs, v)
 	}
-	if s.grad, err = s.weight.Derive(); err != nil {
-		return err
-	}
-	if err := s.grad.Zero(p, e.Driver()); err != nil {
-		return err
-	}
+	s.grad = s.vecs[len(s.vecs)-1]
 	s.pullRow = s.weight.Matrix().PullRowIndices
 
 	// Optional worker-side cache: one CachedClient over the shared raw
@@ -342,20 +347,28 @@ func (s *ps2) Barrier(p *simnet.Proc, it, count int) error {
 			return err
 		}
 	}
-	// Model update: server-side computation across co-located DCVs. With
-	// fusion (the default) the optimizer step and the gradient reset ride
-	// one request per server; the per-server op order (step, then zero)
-	// matches the unfused sequence, so the trained model is bit-identical.
-	if fopt, ok := s.opt.(FusedOptimizer); ok && !s.cfg.NoFusion {
-		b := dcv.NewBatch(s.weight)
-		fopt.RecordStep(s.e, b, s.weight, s.grad, it+1, count)
-		b.Zero(s.grad)
-		return b.Run(p, s.e.Driver())
+	// Model update: the optimizer's kernel as one server-side zip across
+	// the co-located DCVs. With fusion (the default) the zip and the
+	// gradient reset ride one request per server; the per-server op order
+	// (step, then zero) matches the unfused sequence, so the trained model
+	// is bit-identical.
+	// The zip charges work per element of each of its 2+aux rows.
+	d := s.e.Driver()
+	work := s.e.Cluster.Cost.FlopsPerElem * float64(1+s.opt.AuxVectors())
+	var err error
+	switch st, ok := s.opt.(Stepper); {
+	case ok:
+		err = st.Step(p, s.e, s.vecs, it+1, count)
+	case !s.cfg.NoFusion:
+		return dcv.NewBatch(s.weight).ZipMap(s.weight, work, s.opt.Update(it+1, count), s.vecs[1:]...).
+			Zero(s.grad).Run(p, d)
+	default:
+		err = s.weight.ZipMap(p, d, work, s.opt.Update(it+1, count), s.vecs[1:]...)
 	}
-	if err := s.opt.Step(p, s.e, s.weight, s.grad, it+1, count); err != nil {
+	if err != nil {
 		return err
 	}
-	return s.grad.Zero(p, s.e.Driver())
+	return s.grad.Zero(p, d)
 }
 
 // Epilogue hands the loop the weights, which the optimizer step mutated.

@@ -3,51 +3,25 @@ package lr
 import (
 	"math"
 
-	"repro/internal/core"
-	"repro/internal/dcv"
 	"repro/internal/linalg"
-	"repro/internal/simnet"
 )
 
-// SGD is plain mini-batch gradient descent: w -= lr/|B| * g, one server-side
-// axpy, no auxiliary state.
+// SGD is plain mini-batch gradient descent with 1/sqrt(t) step decay:
+// w -= lr/sqrt(t)/|B| * g, no auxiliary state.
 type SGD struct {
 	LearningRate float64
-	// Decay applies 1/sqrt(t) step decay when true (helps noisy objectives).
-	Decay bool
 }
 
 // NewSGD returns SGD with the paper's learning rate.
-func NewSGD() *SGD { return &SGD{LearningRate: DefaultConfig().LearningRate, Decay: true} }
+func NewSGD() *SGD { return &SGD{LearningRate: DefaultConfig().LearningRate} }
 
 func (s *SGD) Name() string { return "SGD" }
 
 func (s *SGD) AuxVectors() int { return 0 }
 
-func (s *SGD) Init(*simnet.Proc, *core.Engine, *dcv.Vector) error { return nil }
-
-// scale is the step's coefficient on the summed batch gradient.
-func (s *SGD) scale(iter, batchSize int) float64 {
-	eta := s.LearningRate
-	if s.Decay {
-		eta /= math.Sqrt(float64(iter))
-	}
-	return -eta / float64(batchSize)
-}
-
-func (s *SGD) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.Axpy(p, e.Driver(), s.scale(iter, batchSize), grad)
-}
-
-// RecordStep records the same axpy into a fused batch.
-func (s *SGD) RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int) {
-	b.Axpy(w, s.scale(iter, batchSize), grad)
-}
-
-// Update returns the same axpy as a kernel over the rows (weight,
-// gradient): Spark-SGD's step on the driver's model.
+// Update returns the axpy w += scale·g over the rows (weight, gradient).
 func (s *SGD) Update(iter, batchSize int) func(lo int, rows [][]float64) {
-	scale := s.scale(iter, batchSize)
+	scale := -(s.LearningRate / math.Sqrt(float64(iter))) / float64(batchSize)
 	return func(_ int, rows [][]float64) { linalg.Axpy(scale, rows[1], rows[0]) }
 }
 
@@ -60,9 +34,6 @@ type Adam struct {
 	Beta1        float64
 	Beta2        float64
 	Epsilon      float64
-
-	velocity *dcv.Vector
-	square   *dcv.Vector
 }
 
 // NewAdam returns Adam with the paper's Table 4 hyperparameters.
@@ -74,16 +45,8 @@ func (a *Adam) Name() string { return "Adam" }
 
 func (a *Adam) AuxVectors() int { return 2 }
 
-func (a *Adam) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	return zeroed(p, e, w, &a.velocity, &a.square)
-}
-
-// Moments returns the velocity and square DCVs Init derived.
-func (a *Adam) Moments() (velocity, square *dcv.Vector) { return a.velocity, a.square }
-
 // Update returns the Adam update kernel over the rows (weight, velocity,
-// square, gradient). Step and RecordStep run it on the servers, PS-Adam on
-// pulled copies and Spark-Adam on the driver's model.
+// square, gradient).
 func (a *Adam) Update(iter, batchSize int) func(lo int, rows [][]float64) {
 	t := float64(iter)
 	scale := 1.0 / float64(batchSize)
@@ -103,23 +66,11 @@ func (a *Adam) Update(iter, batchSize int) func(lo int, rows [][]float64) {
 	}
 }
 
-func (a *Adam) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*3,
-		a.Update(iter, batchSize), a.velocity, a.square, grad)
-}
-
-// RecordStep records the same 4-vector zip into a fused batch.
-func (a *Adam) RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int) {
-	b.ZipMap(w, e.Cluster.Cost.FlopsPerElem*3, a.Update(iter, batchSize), a.velocity, a.square, grad)
-}
-
 // Adagrad keeps a per-dimension accumulated squared gradient (paper Section
 // 5.2.4 lists it among the implemented optimizers).
 type Adagrad struct {
 	LearningRate float64
 	Epsilon      float64
-
-	accum *dcv.Vector
 }
 
 // NewAdagrad returns Adagrad with a standard learning rate.
@@ -129,11 +80,9 @@ func (a *Adagrad) Name() string { return "Adagrad" }
 
 func (a *Adagrad) AuxVectors() int { return 1 }
 
-func (a *Adagrad) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	return zeroed(p, e, w, &a.accum)
-}
-
-func (a *Adagrad) update(batchSize int) func(lo int, rows [][]float64) {
+// Update returns the Adagrad kernel over the rows (weight, accumulator,
+// gradient).
+func (a *Adagrad) Update(_, batchSize int) func(lo int, rows [][]float64) {
 	scale := 1.0 / float64(batchSize)
 	eta, eps := a.LearningRate, a.Epsilon
 	return func(lo int, rows [][]float64) {
@@ -146,22 +95,11 @@ func (a *Adagrad) update(batchSize int) func(lo int, rows [][]float64) {
 	}
 }
 
-func (a *Adagrad) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*2, a.update(batchSize), a.accum, grad)
-}
-
-// RecordStep records the same zip into a fused batch.
-func (a *Adagrad) RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int) {
-	b.ZipMap(w, e.Cluster.Cost.FlopsPerElem*2, a.update(batchSize), a.accum, grad)
-}
-
 // RMSProp keeps an exponentially decaying squared-gradient average.
 type RMSProp struct {
 	LearningRate float64
 	Rho          float64
 	Epsilon      float64
-
-	mean *dcv.Vector
 }
 
 // NewRMSProp returns RMSProp with standard parameters.
@@ -171,11 +109,9 @@ func (r *RMSProp) Name() string { return "RMSProp" }
 
 func (r *RMSProp) AuxVectors() int { return 1 }
 
-func (r *RMSProp) Init(p *simnet.Proc, e *core.Engine, w *dcv.Vector) error {
-	return zeroed(p, e, w, &r.mean)
-}
-
-func (r *RMSProp) update(batchSize int) func(lo int, rows [][]float64) {
+// Update returns the RMSProp kernel over the rows (weight, mean square,
+// gradient).
+func (r *RMSProp) Update(_, batchSize int) func(lo int, rows [][]float64) {
 	scale := 1.0 / float64(batchSize)
 	eta, rho, eps := r.LearningRate, r.Rho, r.Epsilon
 	return func(lo int, rows [][]float64) {
@@ -187,34 +123,3 @@ func (r *RMSProp) update(batchSize int) func(lo int, rows [][]float64) {
 		}
 	}
 }
-
-func (r *RMSProp) Step(p *simnet.Proc, e *core.Engine, w, grad *dcv.Vector, iter, batchSize int) error {
-	return w.ZipMap(p, e.Driver(), e.Cluster.Cost.FlopsPerElem*2, r.update(batchSize), r.mean, grad)
-}
-
-// RecordStep records the same zip into a fused batch.
-func (r *RMSProp) RecordStep(e *core.Engine, b *dcv.Batch, w, grad *dcv.Vector, iter, batchSize int) {
-	b.ZipMap(w, e.Cluster.Cost.FlopsPerElem*2, r.update(batchSize), r.mean, grad)
-}
-
-// zeroed derives each auxiliary vector co-located with w and fills it with
-// zeros, one after the other: every optimizer's Init.
-func zeroed(p *simnet.Proc, e *core.Engine, w *dcv.Vector, aux ...**dcv.Vector) error {
-	for _, v := range aux {
-		var err error
-		if *v, err = w.Derive(); err != nil {
-			return err
-		}
-		if err := (*v).Fill(p, e.Driver(), 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-var (
-	_ FusedOptimizer = (*SGD)(nil)
-	_ FusedOptimizer = (*Adam)(nil)
-	_ FusedOptimizer = (*Adagrad)(nil)
-	_ FusedOptimizer = (*RMSProp)(nil)
-)

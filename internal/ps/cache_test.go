@@ -176,7 +176,7 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 // agrees with the server's live state at read time.
 func TestCacheEpochFencesUnderChaosSoak(t *testing.T) {
 	sim, cl, m := testMaster(3)
-	sim.EnableChaos(7, 0.05, 0)
+	sim.EnableChaos(7, 0.05)
 	m.Unreliable = true
 	m.Retry = RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.005, MaxBackoffSec: 0.05, MaxRetries: 400}
 	run(sim, func(p *simnet.Proc) {

@@ -90,7 +90,7 @@ func TestPushBufferCombinesDeltas(t *testing.T) {
 // the final values are the exact sums.
 func TestCombinedFlushExactlyOnceUnderChaos(t *testing.T) {
 	sim, cl, m := testMaster(3)
-	sim.EnableChaos(11, 0.15, 0)
+	sim.EnableChaos(11, 0.15)
 	m.Unreliable = true
 	m.Retry = RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.005, MaxBackoffSec: 0.05, MaxRetries: 400}
 	run(sim, func(p *simnet.Proc) {

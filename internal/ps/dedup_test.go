@@ -142,7 +142,7 @@ func maxDedupSize(m *Master) int {
 // per mutation forever.
 func TestDedupBoundedByWatermark(t *testing.T) {
 	sim, cl, m := testMaster(3)
-	sim.EnableChaos(42, 0.1, 0)
+	sim.EnableChaos(42, 0.1)
 	m.Unreliable = true
 	const rounds = 200
 	run(sim, func(p *simnet.Proc) {

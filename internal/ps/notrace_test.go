@@ -24,7 +24,7 @@ func TestDedupHitWithoutTracer(t *testing.T) {
 	if sim.Tracer() != nil {
 		t.Fatal("precondition: tracer must be disabled")
 	}
-	sim.EnableChaos(7, 0.15, 0)
+	sim.EnableChaos(7, 0.15)
 	m.Unreliable = true
 	run(sim, func(p *simnet.Proc) {
 		mat, err := m.CreateMatrix(p, 1, 30)
@@ -98,7 +98,7 @@ func TestNetBytesCountsDeliveredTransfers(t *testing.T) {
 	push := func(lossy bool) (*Master, float64) {
 		sim, cl, m := testMaster(3)
 		if lossy {
-			sim.EnableChaos(11, 0.1, 0)
+			sim.EnableChaos(11, 0.1)
 			m.Unreliable = true
 		}
 		run(sim, func(p *simnet.Proc) {

@@ -378,7 +378,7 @@ func TestRecoveryUnderMessageLoss(t *testing.T) {
 	// Detection and recovery must work when the network itself is lossy:
 	// heartbeats and restore streams retry through drops.
 	sim, cl, m := testMaster(3)
-	sim.EnableChaos(99, 0.1, 0)
+	sim.EnableChaos(99, 0.1)
 	m.Unreliable = true
 	run(sim, func(p *simnet.Proc) {
 		mat, _ := m.CreateMatrix(p, 1, 30)

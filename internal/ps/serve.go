@@ -79,23 +79,6 @@ func (c Class) String() string {
 	return "train"
 }
 
-// Priority selects the admission class of a ModelReader read. The zero value
-// is PriorityServe — reads through the serving tier are serving traffic
-// unless the caller explicitly demotes them.
-type Priority uint8
-
-const (
-	PriorityServe Priority = iota // admission-classed as ClassServe (default)
-	PriorityTrain                 // rides the training class
-)
-
-func (pr Priority) class() Class {
-	if pr == PriorityTrain {
-		return ClassTrain
-	}
-	return ClassServe
-}
-
 // ---------------------------------------------------------------------------
 // Model clock
 
@@ -449,9 +432,9 @@ type ServeConfig struct {
 	ReplicaSet *HotReplicaSet
 }
 
-// ReadOptions selects the consistency point, freshness policy and admission
-// class of one ModelReader read. The zero value is the strictest read: live,
-// exact (ClockBounded(0)), serve priority.
+// ReadOptions selects the consistency point and freshness policy of one
+// ModelReader read; every read is admission-classed as serving traffic. The
+// zero value is the strictest read: live, exact (ClockBounded(0)).
 type ReadOptions struct {
 	// At pins the read to a ModelSnapshot (see ModelReader.Snapshot). nil
 	// reads the live model.
@@ -465,10 +448,6 @@ type ReadOptions struct {
 	// round-trips. Owner-routed (cold or replica-less) reads are always
 	// current and ignore it.
 	Policy consistency.Policy
-
-	// Priority is the admission class the read is charged under when the
-	// master has admission control installed. Default PriorityServe.
-	Priority Priority
 }
 
 // ModelReader is the serving tier's read handle on one matrix: the one entry
@@ -550,14 +529,14 @@ func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices 
 		} else {
 			m.registerPolicy(pol)
 		}
-		out, err = mr.rs.pull(p, from, row, indices, pol, opts.Priority.class())
+		out, err = mr.rs.pull(p, from, row, indices, pol, ClassServe)
 	default:
 		mr.mat.checkRow(row)
 		if err = validateIndices(indices, mr.mat.Dim); err != nil {
 			return nil, err
 		}
 		mr.mat.enterOp(p)
-		out, err = mr.mat.pullRowIndices(p, from, row, indices, opts.Priority.class())
+		out, err = mr.mat.pullRowIndices(p, from, row, indices, ClassServe)
 		mr.mat.exitOp()
 	}
 	if err != nil {

@@ -103,15 +103,14 @@ func (n *Node) trySend(p *Proc, dst *Node, bytes float64) error {
 }
 
 // Chaos holds the simulation's link-fault configuration: a default
-// per-message loss probability and maximum extra delay, with per-link
-// overrides. All draws come from one seeded generator, so a chaos run is as
+// per-message loss probability, per-link loss overrides and per-link maximum
+// extra delays. All draws come from one seeded generator, so a chaos run is as
 // deterministic as a clean one.
 type Chaos struct {
-	s0, s1       uint64 // xorshift128+ state
-	defaultLoss  float64
-	defaultDelay Time // max uniform extra one-way delay
-	linkLoss     map[[2]int]float64
-	linkDelay    map[[2]int]Time
+	s0, s1      uint64 // xorshift128+ state
+	defaultLoss float64
+	linkLoss    map[[2]int]float64
+	linkDelay   map[[2]int]Time // max uniform extra one-way delay
 
 	// MessagesLost counts chaos drops (observability).
 	MessagesLost uint64
@@ -119,14 +118,13 @@ type Chaos struct {
 
 // EnableChaos installs a chaos configuration on the simulation and returns
 // it for per-link tuning. lossProb is the default probability that any
-// TrySend message is dropped; extraDelay the maximum uniform extra one-way
-// delay added per message. Plain Send ignores chaos entirely.
-func (s *Sim) EnableChaos(seed uint64, lossProb float64, extraDelay Time) *Chaos {
+// TrySend message is dropped; extra delay is per link (SetLinkDelay). Plain
+// Send ignores chaos entirely.
+func (s *Sim) EnableChaos(seed uint64, lossProb float64) *Chaos {
 	c := &Chaos{
-		defaultLoss:  clamp01(lossProb),
-		defaultDelay: extraDelay,
-		linkLoss:     map[[2]int]float64{},
-		linkDelay:    map[[2]int]Time{},
+		defaultLoss: clamp01(lossProb),
+		linkLoss:    map[[2]int]float64{},
+		linkDelay:   map[[2]int]Time{},
 	}
 	// splitmix64 expansion of the seed, mirroring linalg.NewRNG.
 	z := seed
@@ -157,7 +155,7 @@ func (c *Chaos) SetLinkLoss(src, dst int, p float64) {
 	c.linkLoss[[2]int{src, dst}] = clamp01(p)
 }
 
-// SetLinkDelay overrides the maximum extra delay for messages src → dst.
+// SetLinkDelay sets the maximum extra delay for messages src → dst.
 func (c *Chaos) SetLinkDelay(src, dst int, d Time) {
 	c.linkDelay[[2]int{src, dst}] = d
 }
@@ -198,10 +196,7 @@ func (c *Chaos) lose(src, dst int) bool {
 }
 
 func (c *Chaos) delay(src, dst int) Time {
-	d := c.defaultDelay
-	if v, ok := c.linkDelay[[2]int{src, dst}]; ok {
-		d = v
-	}
+	d := c.linkDelay[[2]int{src, dst}]
 	if d <= 0 {
 		return 0
 	}

@@ -96,7 +96,7 @@ func TestFailRestoreRoundTrip(t *testing.T) {
 func TestChaosLossDropsMessages(t *testing.T) {
 	s := New()
 	a, b := faultPair(s)
-	s.EnableChaos(1, 1.0, 0) // drop everything
+	s.EnableChaos(1, 1.0) // drop everything
 	var err error
 	var end Time
 	s.Spawn("xfer", func(p *Proc) {
@@ -122,7 +122,7 @@ func TestChaosLossDropsMessages(t *testing.T) {
 func TestPlainSendIgnoresChaos(t *testing.T) {
 	s := New()
 	a, b := faultPair(s)
-	s.EnableChaos(1, 1.0, 0)
+	s.EnableChaos(1, 1.0)
 	s.Spawn("xfer", func(p *Proc) { a.Send(p, b, 100) })
 	s.Run()
 	if b.BytesRecv != 100 {
@@ -133,7 +133,7 @@ func TestPlainSendIgnoresChaos(t *testing.T) {
 func TestChaosLinkOverrides(t *testing.T) {
 	s := New()
 	a, b := faultPair(s)
-	c := s.EnableChaos(1, 1.0, 0)
+	c := s.EnableChaos(1, 1.0)
 	c.SetLinkLoss(a.ID, b.ID, 0) // this one link is clean
 	var err error
 	s.Spawn("xfer", func(p *Proc) { err = a.TrySend(p, b, 100) })
@@ -150,7 +150,7 @@ func TestChaosDelayBoundedAndDeterministic(t *testing.T) {
 	deliver := func() []Time {
 		s := New()
 		a, b := faultPair(s)
-		c := s.EnableChaos(7, 0, 2.0)
+		c := s.EnableChaos(7, 0)
 		c.SetLinkDelay(a.ID, b.ID, 2.0)
 		var times []Time
 		s.Spawn("xfer", func(p *Proc) {
@@ -187,7 +187,7 @@ func TestChaosDelayBoundedAndDeterministic(t *testing.T) {
 func TestChaosLossRateRoughlyHonored(t *testing.T) {
 	s := New()
 	a, b := faultPair(s)
-	s.EnableChaos(42, 0.3, 0)
+	s.EnableChaos(42, 0.3)
 	lost := 0
 	const n = 500
 	s.Spawn("xfer", func(p *Proc) {

@@ -105,7 +105,7 @@ func TestConformanceTimeout(t *testing.T) {
 		cfg.Executors = 1
 		cfg.Servers = 1
 		cl := cluster.New(sim, cfg)
-		sim.EnableChaos(1, 1.0, 0)
+		sim.EnableChaos(1, 1.0)
 		sim.Spawn("conformance", func(p *simnet.Proc) {
 			err := cl.Executors[0].TrySend(p, cl.Servers[0], 256)
 			if !errors.Is(err, simnet.ErrMsgLost) {

@@ -20,7 +20,7 @@
 //
 //		// Serve: one read entry point for inference traffic, safe while
 //		// training continues. Hot columns are answered from replicas, cold
-//		// ones by their owners; ReadOptions picks snapshot/policy/priority.
+//		// ones by their owners; ReadOptions picks snapshot/policy.
 //		reader, err := ps2.Serve(model.Weights.Matrix(), ps2.ServeOptions{
 //			Replicas: &ps2.ReplicaConfig{HotCols: hot},
 //		})
@@ -182,9 +182,9 @@ type ModelReader = ps.ModelReader
 // pushes land meanwhile, with no bulk copy and without ever blocking pushes.
 type ModelSnapshot = ps.ModelSnapshot
 
-// ReadOptions selects the consistency point (ModelSnapshot or live), the
-// consistency policy, and the admission priority of one ModelReader read.
-// The zero value is the strictest read: live, exact, serve priority.
+// ReadOptions selects the consistency point (ModelSnapshot or live) and the
+// consistency policy of one ModelReader read, which is always admitted as
+// serving traffic. The zero value is the strictest read: live, exact.
 type ReadOptions = ps.ReadOptions
 
 // ServeOptions configures a ModelReader: hot-column replication for the
@@ -195,13 +195,6 @@ type ServeOptions = ps.ServeConfig
 // ps.Master.SetAdmission): sustained rate, burst, the bounded queue, and
 // which class — serve or train — is favored when the queue fills.
 type AdmissionConfig = ps.AdmissionConfig
-
-// Priority values for ReadOptions.Priority: serving class (the default) or
-// the training class.
-const (
-	PriorityServe = ps.PriorityServe
-	PriorityTrain = ps.PriorityTrain
-)
 
 // Serve attaches a ModelReader to a matrix — the Engine → Train → Serve step
 // of the lifecycle. The matrix is typically a trained model's weight storage

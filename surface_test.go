@@ -55,6 +55,7 @@ var surfaceAllow = map[string]string{
 	"rdd.Context.KillExecutor":     "oracle",
 	"rdd.Context.ExecutorAlive":    "oracle",
 	"simnet.Node.Restore":          "oracle",
+	"dcv.Batch.Axpy":               "paper",
 	"dcv.Batch.AddVec":             "paper",
 	"dcv.Batch.MulVec":             "paper",
 	"dcv.Batch.DivVec":             "paper",
