@@ -8,15 +8,23 @@ package wire
 // simulated one to tight tolerance, which is the acceptance gate for the
 // real transport: same algorithm, same numbers, different bytes-mover.
 //
-// Each iteration indexes its batch once (lr.BatchIndex): the sorted distinct
-// features are the pull list and the push list, and weights and gradient are
-// slices aligned with them. The TCP store splits that list by server with
-// ps.Partitioner.SplitIndices and decodes each server's values straight into
-// its stretch of the weight slice, so neither backend builds a per-batch map.
+// Each batch is indexed once (lr.BatchIndex): the sorted distinct features
+// are the pull list and the push list, and weights and gradient are slices
+// aligned with them. The loop talks to its store in rounds: round i pushes
+// iteration i's gradient and applies its step, indexes batch i+1 while the
+// servers apply them, then pulls batch i+1's weights. Over TCP a round is
+// one pipelined exchange per server, written from the loop's goroutine: push
+// and step go out first, the pull follows on the same connection once the
+// next batch is indexed, and the three answers are read in order. The pull
+// sees the step because a server applies one connection's frames in arrival
+// order. The simnet twin makes the same three calls in sequence. The TCP
+// store cuts each list into per-server runs along the range partition and
+// decodes each server's values straight into its stretch of the weight
+// slice, so neither backend builds a per-batch map.
 
 import (
 	"fmt"
-	"sync"
+	"sort"
 
 	"repro/internal/data"
 	"repro/internal/ml/lr"
@@ -84,19 +92,28 @@ type LRResult struct {
 }
 
 // lrStore abstracts the parameter store the shared loop trains against:
-// the wire client fanning out over TCP, or the simulated matrix. Rows are
-// rowWeight and rowGrad of one dim-column matrix.
+// the wire client over TCP, or the simulated matrix. Rows are rowWeight and
+// rowGrad of one dim-column matrix.
 type lrStore interface {
 	create(mat uint32, rows, dim int) error
-	// pullWeights reads the weight values at cols (sorted, distinct) into w,
-	// aligned with cols.
-	pullWeights(mat uint32, cols []int, w []float64) error
-	// pushGrad adds the sparse gradient into the grad row.
-	pushGrad(mat uint32, cols []int, vals []float64) error
-	// step applies w += scale·grad and zeroes grad, atomically per server.
-	step(mat uint32, scale float64) error
+	// round ends one iteration and starts the next. Unless step is nil (the
+	// first round), it adds step's sparse gradient into the grad row, then
+	// applies w += scale·grad and zeroes grad, atomically per server. Then it
+	// draws the next batch from b and reads the weights at its columns into
+	// b.w, unless every batch is drawn (the last round). step's slices alias
+	// b's buffers, which the draw overwrites: the gradient must be sent (or
+	// encoded) before it.
+	round(mat uint32, step *lrStep, b *lrBatches) error
 	// weights reads the full weight vector.
 	weights(mat uint32, dim int) ([]float64, error)
+}
+
+// lrStep is the end of one iteration: the sparse gradient (sorted, distinct
+// columns) and the scale of the update it feeds.
+type lrStep struct {
+	cols  []int
+	vals  []float64
+	scale float64
 }
 
 // batchRNG is a splitmix-style generator both backends share, so the two
@@ -114,38 +131,58 @@ func (r *batchRNG) next() uint64 {
 
 func (r *batchRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// runLRLoop drives the shared mini-batch SGD loop against st. One batch index
-// and the aligned buffers w and grad serve every iteration, so a warm
-// iteration builds no map and sorts nothing.
+// lrBatches draws the loop's mini-batches and indexes each one. One index
+// and the aligned buffers w and grad serve every batch, so a warm draw
+// builds no map and sorts nothing.
+type lrBatches struct {
+	rng     batchRNG
+	from    []data.Instance // the dataset
+	rows    []data.Instance // the current batch
+	bi      lr.BatchIndex
+	w, grad []float64
+	left    int // batches still to draw
+}
+
+// next draws and indexes the next batch and returns its columns and the
+// weight slice aligned with them, or ok false once every batch is drawn.
+func (b *lrBatches) next() (cols []int, w []float64, ok bool) {
+	if b.left == 0 {
+		return nil, nil, false
+	}
+	b.left--
+	for i := range b.rows {
+		b.rows[i] = b.from[b.rng.intn(len(b.from))]
+	}
+	b.bi.Build(b.rows)
+	growFloats(&b.grad, len(b.bi.Indices))
+	return b.bi.Indices, growFloats(&b.w, len(b.bi.Indices)), true
+}
+
+// runLRLoop drives the shared mini-batch SGD loop against st: one round
+// pulls the first batch's weights, and each iteration's round pushes its
+// gradient and pulls the next batch's.
 func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, error) {
 	dim := ds.Config.Dim
 	if err := st.create(cfg.Mat, 2, dim); err != nil {
 		return nil, fmt.Errorf("create shards: %w", err)
 	}
-	rng := batchRNG{s: ds.Config.Seed}
+	b := &lrBatches{
+		rng:  batchRNG{s: ds.Config.Seed},
+		from: ds.Instances,
+		rows: make([]data.Instance, cfg.BatchSize),
+		left: cfg.Iterations,
+	}
+	if err := st.round(cfg.Mat, nil, b); err != nil {
+		return nil, fmt.Errorf("first pull: %w", err)
+	}
 	res := &LRResult{}
-	batch := make([]data.Instance, cfg.BatchSize)
-	var bi lr.BatchIndex
-	var w, grad []float64
+	step := &lrStep{scale: -cfg.LearningRate / float64(cfg.BatchSize)}
 	for it := 0; it < cfg.Iterations; it++ {
-		for i := range batch {
-			batch[i] = ds.Instances[rng.intn(len(ds.Instances))]
-		}
-		bi.Build(batch)
-		growFloats(&w, len(bi.Indices))
-		growFloats(&grad, len(bi.Indices))
-		if err := st.pullWeights(cfg.Mat, bi.Indices, w); err != nil {
-			return nil, fmt.Errorf("iteration %d pull: %w", it, err)
-		}
-		lossSum := bi.Gradient(lr.Logistic, batch, w, grad)
-		res.Losses = append(res.Losses, lossSum/float64(len(batch)))
-
-		cols, vals := bi.Sparse(grad)
-		if err := st.pushGrad(cfg.Mat, cols, vals); err != nil {
-			return nil, fmt.Errorf("iteration %d push: %w", it, err)
-		}
-		if err := st.step(cfg.Mat, -cfg.LearningRate/float64(len(batch))); err != nil {
-			return nil, fmt.Errorf("iteration %d step: %w", it, err)
+		lossSum := b.bi.Gradient(lr.Logistic, b.rows, b.w, b.grad)
+		res.Losses = append(res.Losses, lossSum/float64(len(b.rows)))
+		step.cols, step.vals = b.bi.Sparse(b.grad)
+		if err := st.round(cfg.Mat, step, b); err != nil {
+			return nil, fmt.Errorf("iteration %d: %w", it, err)
 		}
 	}
 	wFull, err := st.weights(cfg.Mat, dim)
@@ -157,13 +194,15 @@ func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, e
 	return res, nil
 }
 
-// wireStore fans the loop's operators out over the TCP client, one
-// goroutine per server per round, columns routed by the same range
-// partitioner the simulated master uses — so both backends shard the model
-// identically.
+// wireStore runs the loop's operators over the TCP client, one reusable
+// pipeline per server, columns routed by the same range partitioner the
+// simulated master uses — so both backends shard the model identically.
 type wireStore struct {
-	c  *Client
-	pt *ps.Partitioner
+	c     *Client
+	pt    *ps.Partitioner
+	pipes []*Pipeline
+	dst   [][]float64 // per server: its stretch of the slice being pulled into
+	ops   []FusedOp   // the step program; round sets its scale
 }
 
 func newWireStore(c *Client, dim int) (*wireStore, error) {
@@ -171,97 +210,104 @@ func newWireStore(c *Client, dim int) (*wireStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &wireStore{c: c, pt: pt}, nil
+	st := &wireStore{
+		c:     c,
+		pt:    pt,
+		pipes: make([]*Pipeline, c.Servers()),
+		dst:   make([][]float64, c.Servers()),
+		ops: []FusedOp{
+			{Kind: FAxpy, Dst: rowWeight, Src: rowGrad},
+			{Kind: FZero, Row: rowGrad},
+		},
+	}
+	for s := range st.pipes {
+		st.pipes[s] = c.Pipeline(s)
+	}
+	return st, nil
 }
 
-// eachServer runs fn(s) concurrently for every server and returns the
-// first error.
-func (st *wireStore) eachServer(fn func(s int) error) error {
-	errs := make([]error, st.c.Servers())
-	var wg sync.WaitGroup
-	for s := 0; s < st.c.Servers(); s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = fn(s)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+// wait reads every server's answers and returns the first error.
+func (st *wireStore) wait() error {
+	var first error
+	for _, p := range st.pipes {
+		if err := p.Wait(); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
+}
+
+// eachRun calls fn for every server owning some of cols (sorted), with that
+// server's run of cols and where the run starts in cols. The range placement
+// makes the runs consecutive stretches of cols.
+func (st *wireStore) eachRun(cols []int, fn func(s, lo int, run []int)) {
+	lo := 0
+	for s := range st.pipes {
+		_, hi := st.pt.Range(s)
+		n := sort.SearchInts(cols[lo:], hi)
+		if n > 0 {
+			fn(s, lo, cols[lo:lo+n])
+		}
+		lo += n
+	}
 }
 
 func (st *wireStore) create(mat uint32, rows, dim int) error {
-	return st.eachServer(func(s int) error {
+	for s, p := range st.pipes {
 		lo, hi := st.pt.Range(s)
-		return st.c.CreateShard(s, mat, rows, lo, hi)
-	})
-}
-
-// eachRun runs fn concurrently for every server owning some of cols (sorted),
-// with that server's run of cols and where the run starts in cols. The range
-// placement makes the runs consecutive stretches of cols.
-func (st *wireStore) eachRun(cols []int, fn func(s, lo int, run []int) error) error {
-	runs := st.pt.SplitIndices(cols)
-	return st.eachServer(func(s int) error {
-		if len(runs[s]) == 0 {
-			return nil
-		}
-		lo := 0
-		for _, r := range runs[:s] {
-			lo += len(r)
-		}
-		return fn(s, lo, runs[s])
-	})
-}
-
-// pullWeights decodes each server's values straight into its stretch of w.
-func (st *wireStore) pullWeights(mat uint32, cols []int, w []float64) error {
-	return st.eachRun(cols, func(s, lo int, run []int) error {
-		dst := w[lo : lo+len(run) : lo+len(run)]
-		return st.c.PullSparseInto(s, mat, rowWeight, run, &dst)
-	})
-}
-
-func (st *wireStore) pushGrad(mat uint32, cols []int, vals []float64) error {
-	return st.eachRun(cols, func(s, lo int, run []int) error {
-		return st.c.PushAdd(s, mat, rowGrad, run, vals[lo:lo+len(run)])
-	})
-}
-
-func (st *wireStore) step(mat uint32, scale float64) error {
-	ops := []FusedOp{
-		{Kind: FAxpy, Dst: rowWeight, Src: rowGrad, Scale: scale},
-		{Kind: FZero, Row: rowGrad},
+		p.CreateShard(mat, rows, lo, hi)
+		p.Send()
 	}
-	return st.eachServer(func(s int) error {
-		return st.c.Fused(s, mat, ops)
-	})
+	return st.wait()
+}
+
+// round writes each server its push and step, indexes the next batch while
+// they apply, then writes the pull behind them and reads all the answers.
+// Each server's pulled values decode straight into its stretch of b.w.
+func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
+	if step != nil {
+		st.eachRun(step.cols, func(s, lo int, run []int) {
+			st.pipes[s].PushAdd(mat, rowGrad, run, step.vals[lo:lo+len(run)])
+		})
+		st.ops[0].Scale = step.scale
+		for _, p := range st.pipes {
+			p.Fused(mat, st.ops)
+			p.Send()
+		}
+	}
+	if cols, w, ok := b.next(); ok {
+		st.eachRun(cols, func(s, lo int, run []int) {
+			st.dst[s] = w[lo : lo+len(run) : lo+len(run)]
+			st.pipes[s].PullSparseInto(mat, rowWeight, run, &st.dst[s])
+			st.pipes[s].Send()
+		})
+	}
+	return st.wait()
 }
 
 // weights decodes each server's range straight into its stretch of w, as
-// pullWeights does: the stretch's capacity is exactly the range, so a reply
-// of the right length lands in place and any other length is refused.
+// round does: the stretch's capacity is exactly the range, so a reply of the
+// right length lands in place and any other length is refused.
 func (st *wireStore) weights(mat uint32, dim int) ([]float64, error) {
 	w := make([]float64, dim)
-	err := st.eachServer(func(s int) error {
-		wantLo, wantHi := st.pt.Range(s)
-		dst := w[wantLo:wantHi:wantHi]
-		var lo int
-		if err := st.c.PullRangeInto(s, mat, rowWeight, &lo, &dst); err != nil {
-			return err
+	los := make([]int, len(st.pipes))
+	for s, p := range st.pipes {
+		lo, hi := st.pt.Range(s)
+		st.dst[s] = w[lo:hi:hi]
+		p.PullRangeInto(mat, rowWeight, &los[s], &st.dst[s])
+		p.Send()
+	}
+	if err := st.wait(); err != nil {
+		return nil, err
+	}
+	for s := range st.pipes {
+		lo, hi := st.pt.Range(s)
+		if los[s] != lo || len(st.dst[s]) != hi-lo {
+			return nil, fmt.Errorf("wire: server %d returned range [%d,+%d), want [%d,%d)",
+				s, los[s], len(st.dst[s]), lo, hi)
 		}
-		if lo != wantLo || len(dst) != wantHi-wantLo {
-			return fmt.Errorf("wire: server %d returned range [%d,+%d), want [%d,%d)",
-				s, lo, len(dst), wantLo, wantHi)
-		}
-		return nil
-	})
-	return w, err
+	}
+	return w, nil
 }
 
 // RunLR trains LR over the wire client against live ps2serve endpoints and

@@ -5,8 +5,8 @@ package wire
 // reference trajectory to be checked against. The two arms share batch
 // selection, the batch index with its weight-aligned pull and gradient, and
 // update order; only the bytes-mover differs — which is exactly the claim the
-// transport seam makes. Here the aligned pull is one PullRowIndices copied
-// into the loop's weight slice.
+// transport seam makes. Here a round is the three calls in sequence, and the
+// aligned pull is one PullRowIndices copied into the loop's weight slice.
 
 import (
 	"repro/internal/cluster"
@@ -33,21 +33,32 @@ func (st *simnetStore) create(_ uint32, rows, dim int) error {
 	return nil
 }
 
-func (st *simnetStore) pullWeights(_ uint32, cols []int, w []float64) error {
+// round makes the wire round's three calls in sequence: push, step, then
+// the next batch's pull, copied into its aligned weight slice.
+func (st *simnetStore) round(_ uint32, step *lrStep, b *lrBatches) error {
+	if step != nil {
+		sv, err := linalg.NewSparse(step.cols, step.vals)
+		if err != nil {
+			return err
+		}
+		if err := st.mat.PushAdd(st.p, st.worker, rowGrad, sv); err != nil {
+			return err
+		}
+		if err := st.step(step.scale); err != nil {
+			return err
+		}
+	}
+	cols, w, ok := b.next()
+	if !ok {
+		return nil
+	}
 	vals, err := st.mat.PullRowIndices(st.p, st.worker, rowWeight, cols)
 	copy(w, vals)
 	return err
 }
 
-func (st *simnetStore) pushGrad(_ uint32, cols []int, vals []float64) error {
-	sv, err := linalg.NewSparse(cols, vals)
-	if err != nil {
-		return err
-	}
-	return st.mat.PushAdd(st.p, st.worker, rowGrad, sv)
-}
-
-func (st *simnetStore) step(_ uint32, scale float64) error {
+// step applies w += scale·grad and zeroes grad as one fused invocation.
+func (st *simnetStore) step(scale float64) error {
 	cost := st.m.Cl.Cost
 	ops := []ps.InvokeOp{
 		{

@@ -60,6 +60,10 @@ func TestLROverTCPMatchesSimnet(t *testing.T) {
 	if d := math.Abs(wireRun.FinalLoss - simRun.Result.FinalLoss); d > tol {
 		t.Fatalf("final loss: wire %v vs simnet %v", wireRun.FinalLoss, simRun.Result.FinalLoss)
 	}
+	// On a clean network the pipelined rounds send every frame once.
+	if st := c.Stats(); st.Attempts != st.Calls || st.Timeouts != 0 {
+		t.Fatalf("client stats %+v: frames were resent on a clean run", st)
+	}
 	// And the run must have actually learned something.
 	if wireRun.FinalLoss >= wireRun.Losses[0] {
 		t.Fatalf("no convergence: final %v vs first %v", wireRun.FinalLoss, wireRun.Losses[0])

@@ -17,6 +17,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -84,8 +85,9 @@ func (s *Server) Listen(addr string) (string, error) {
 }
 
 // Serve accepts connections until Close; each connection is served by its
-// own goroutine, one frame at a time. It returns nil after Close, or the
-// accept error otherwise.
+// own goroutine, one frame at a time in arrival order, and the answers to
+// frames that arrived together leave in one write. It returns nil after
+// Close, or the accept error otherwise.
 func (s *Server) Serve() error {
 	s.mu.Lock()
 	ln := s.ln
@@ -152,22 +154,42 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	r := bufio.NewReader(conn)
+	r := bufio.NewReaderSize(conn, burstBuf)
 	w := bufio.NewWriter(conn)
 	var sc connScratch
 	var f Frame
 	for {
 		if err := ReadFrameReuse(r, &f, &sc.payload); err != nil {
-			return // peer hung up or spoke garbage; drop the connection
+			// Peer hung up or spoke garbage: drop the connection, but first
+			// send the answers held back while this frame looked whole. The
+			// flush error changes nothing, the connection is going anyway.
+			_ = w.Flush()
+			return
 		}
 		resp, appErr := s.handle(f, &sc)
 		if err := WriteResponse(w, resp, appErr); err != nil {
 			return
 		}
+		if nextFrameBuffered(r) {
+			continue // its answer leaves in the same write as this one
+		}
 		if err := w.Flush(); err != nil {
 			return
 		}
 	}
+}
+
+// nextFrameBuffered reports whether r already holds the whole next frame, so
+// reading and handling it cannot wait on the peer. Only then may the answer
+// before it stay unflushed: an answer is never held for a frame that has
+// only partly arrived.
+func nextFrameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < reqHeaderLen {
+		return false
+	}
+	h, err := r.Peek(reqHeaderLen)
+	return err == nil && n-reqHeaderLen >= int(binary.LittleEndian.Uint32(h[20:]))
 }
 
 // handle executes one frame under the store mutex and returns the response

@@ -21,6 +21,23 @@
 //     MaxBackoffSec when the endpoint looks dead, ErrEndpointDown after
 //     MaxRetries attempts.
 //
+// Frames on one connection are applied in arrival order, and answered in
+// that order: this is a protocol guarantee, not an accident of the server's
+// loop. A client may therefore pipeline — write several frames before
+// reading any answer (Client.Pipeline) — and a read queued behind a write on
+// the same connection sees the write applied; the LR worker's pull of the
+// next batch's weights behind its push and step relies on it. The server
+// flushes its answers when no further frame is whole in its read buffer, so
+// the answers to a burst leave together, and an answer is never held back
+// waiting for a frame that has only partly arrived.
+//
+// Within a burst, a transport failure resends only the frames not yet
+// answered, keeping their request IDs, so mutating frames stay exactly-once
+// across the cut. An application error (a status-1 answer, or an answer
+// that does not decode) fails its request alone: the frames after it in the
+// burst are still applied in order and answered, and the burst reports the
+// first such error.
+//
 // Frame layout (little-endian). Request:
 //
 //	magic   uint16  0x5053 ("PS")
@@ -93,6 +110,12 @@ const (
 	reqHeaderLen  = 24
 	respHeaderLen = 8
 )
+
+// burstBuf sizes the client's write buffer and the server's read buffer, so
+// a worker's burst of push and step leaves in one write and lands in one
+// read, and the server sees the step whole behind the push and answers both
+// at once.
+const burstBuf = 64 << 10
 
 // Frame is one decoded request.
 type Frame struct {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Multi-process smoke test for the real TCP transport: boot two ps2serve
 # processes on loopback, train a bounded LR run with ps2worker, and assert
-# (a) the loss trajectory matches the in-process simnet reference arm and
-# (b) the final loss converged below a fixed bound. Exercises the whole
+# (a) the loss trajectory matches the in-process simnet reference arm,
+# (b) the final loss converged below a fixed bound and (c) no frame was sent
+# twice. Exercises the whole
 # wire stack — frame codec, connection pooling, dedup/watermark, retry —
 # across real process boundaries, which no in-process test can.
 set -eu
@@ -36,9 +37,22 @@ S2=$!
 A1=$(pick_addr "$workdir/s1.log")
 A2=$(pick_addr "$workdir/s2.log")
 
-"$workdir/ps2worker" \
+if ! "$workdir/ps2worker" \
 	-servers "$A1,$A2" \
 	-iters 15 -batch 256 -rows 2000 -dim 5000 \
-	-compare-simnet -assert-loss 0.62
+	-compare-simnet -assert-loss 0.62 > "$workdir/worker.log" 2>&1; then
+	cat "$workdir/worker.log"
+	exit 1
+fi
+cat "$workdir/worker.log"
 
-echo "wire smoke: multi-process LR converged and matched the simnet trajectory"
+# On a clean run every frame goes out once: a pipeline that resends on the
+# happy path still trains the same model, so only the counters show it.
+rpc=$(sed -n 's/^rpc: \([0-9]*\) calls (\([0-9]*\) attempts, \([0-9]*\) timeouts).*/\1 \2 \3/p' "$workdir/worker.log")
+set -- $rpc
+if [ $# -ne 3 ] || [ "$1" != "$2" ] || [ "$3" != 0 ]; then
+	echo "wire smoke: want 'N calls (N attempts, 0 timeouts)', got: $rpc" >&2
+	exit 1
+fi
+
+echo "wire smoke: multi-process LR converged, matched the simnet trajectory and resent nothing"
