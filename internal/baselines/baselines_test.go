@@ -9,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/ml/lda"
 	"repro/internal/ml/lr"
+	"repro/internal/obs"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -351,7 +352,7 @@ func TestLDABaselineOrdering(t *testing.T) {
 		e := newEngine(4, 4)
 		return e.Run(func(p *simnet.Proc) {
 			docs := rdd.FromSlices(e.RDD, data.PartitionDocs(corpus.Docs, 4)).Cache()
-			if _, err := TrainLDAPetuum(p, e, docs, corpus.Config.Vocab, topics, iters, 0.5, 0.01, 23); err != nil {
+			if _, err := lda.Run(p, e, docs, corpus.Config.Vocab, ldaConfig(topics, iters), PetuumLDA()); err != nil {
 				t.Error(err)
 			}
 		})
@@ -360,7 +361,7 @@ func TestLDABaselineOrdering(t *testing.T) {
 		e := newEngine(4, 4)
 		return e.Run(func(p *simnet.Proc) {
 			docs := rdd.FromSlices(e.RDD, data.PartitionDocs(corpus.Docs, 4)).Cache()
-			if _, err := TrainLDAGlint(p, e, docs, corpus.Config.Vocab, topics, iters, 0.5, 0.01, 23); err != nil {
+			if _, err := lda.Run(p, e, docs, corpus.Config.Vocab, ldaConfig(topics, iters), GlintLDA()); err != nil {
 				t.Error(err)
 			}
 		})
@@ -371,9 +372,9 @@ func TestLDABaselineOrdering(t *testing.T) {
 	}
 }
 
-// TestLDATrainersSampleAlike runs the four LDA trainers from one seed. They
-// share one sampler and differ only in how counts move, so every iteration's
-// log-likelihood must be bit-identical across them.
+// TestLDATrainersSampleAlike runs the four LDA trainers from one seed, with
+// each sampler. They share one sampler and differ only in how counts move, so
+// every iteration's log-likelihood must be bit-identical across them.
 func TestLDATrainersSampleAlike(t *testing.T) {
 	corpus := ldaCorpus(t)
 	vocab := corpus.Config.Vocab
@@ -394,36 +395,135 @@ func TestLDATrainersSampleAlike(t *testing.T) {
 		}
 		return tr.Values
 	}
-	traces := map[string][]float64{
-		"PS2": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
-			cfg := lda.DefaultConfig()
-			cfg.Topics = topics
-			cfg.Iterations = iters
-			m, err := lda.Train(p, e, docs, vocab, cfg)
-			if err != nil {
-				return nil, err
+	for _, sampler := range []lda.Sampler{lda.SamplerStandard, lda.SamplerSparse} {
+		cfg := ldaConfig(topics, iters)
+		cfg.Sampler = sampler
+		traces := map[string][]float64{
+			"PS2": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+				m, err := lda.Train(p, e, docs, vocab, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return m.Trace, nil
+			}),
+			"MLlib": run(0, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+				return lda.Run(p, e, docs, vocab, cfg, MLlibLDA())
+			}),
+			"Petuum": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+				return lda.Run(p, e, docs, vocab, cfg, PetuumLDA())
+			}),
+			"Glint": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
+				return lda.Run(p, e, docs, vocab, cfg, GlintLDA())
+			}),
+		}
+		want := traces["MLlib"]
+		if len(want) != iters {
+			t.Fatalf("sampler %d: MLlib trace has %d iterations, want %d", sampler, len(want), iters)
+		}
+		for name, got := range traces {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Errorf("sampler %d: %s diverges from MLlib at iteration %d: %v vs %v", sampler, name, i, got, want)
+					break
+				}
 			}
-			return m.Trace, nil
-		}),
-		"MLlib": run(0, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
-			return TrainLDAMLlib(p, e, docs, vocab, topics, iters, 0.5, 0.01, 23)
-		}),
-		"Petuum": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
-			return TrainLDAPetuum(p, e, docs, vocab, topics, iters, 0.5, 0.01, 23)
-		}),
-		"Glint": run(4, func(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]) (*core.Trace, error) {
-			return TrainLDAGlint(p, e, docs, vocab, topics, iters, 0.5, 0.01, 23)
-		}),
+		}
 	}
-	want := traces["MLlib"]
-	if len(want) != iters {
-		t.Fatalf("MLlib trace has %d iterations, want %d", len(want), iters)
+}
+
+// ldaConfig is Table 4's LDA configuration with the given topics and
+// iterations.
+func ldaConfig(topics, iters int) lda.Config {
+	cfg := lda.DefaultConfig()
+	cfg.Topics, cfg.Iterations = topics, iters
+	return cfg
+}
+
+// ldaSystems are the four LDA systems of Figure 12 as strategies, each with
+// the servers it runs on.
+var ldaSystems = []struct {
+	name     string
+	servers  int
+	strategy func() lda.Strategy
+}{
+	{"PS2", 4, lda.PS2},
+	{"MLlib", 0, MLlibLDA},
+	{"Petuum", 4, PetuumLDA},
+	{"Glint", 4, GlintLDA},
+}
+
+// TestLDARejectsBadPriors checks that every LDA system refuses a Dirichlet
+// prior that is not positive and finite instead of training on it: a zero β
+// makes every token's likelihood log 0.
+func TestLDARejectsBadPriors(t *testing.T) {
+	corpus := ldaCorpus(t)
+	bad := []struct{ alpha, beta float64 }{
+		{0.5, 0}, {0, 0.01}, {-1, 0.01}, {0.5, -0.01},
+		{math.NaN(), 0.01}, {0.5, math.NaN()}, {math.Inf(1), 0.01}, {0.5, math.Inf(1)},
 	}
-	for name, got := range traces {
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				t.Errorf("%s diverges from MLlib at iteration %d: %v vs %v", name, i, got, want)
-				break
+	for _, sys := range ldaSystems {
+		for _, prior := range bad {
+			cfg := ldaConfig(8, 3)
+			cfg.Alpha, cfg.Beta = prior.alpha, prior.beta
+			e := newEngine(4, sys.servers)
+			e.Run(func(p *simnet.Proc) {
+				docs := rdd.FromSlices(e.RDD, data.PartitionDocs(corpus.Docs, 4)).Cache()
+				if tr, err := lda.Run(p, e, docs, corpus.Config.Vocab, cfg, sys.strategy()); err == nil {
+					t.Errorf("%s accepted alpha=%v beta=%v and trained %v", sys.name, prior.alpha, prior.beta, tr.Values)
+				}
+			})
+		}
+	}
+}
+
+// TestLDALoopSpans checks that every LDA system runs on the shared loop: a
+// traced run has one loop.iter span per iteration, tiled by its round and
+// barrier phases, and tracing moves neither the event count nor the virtual
+// end time.
+func TestLDALoopSpans(t *testing.T) {
+	corpus := ldaCorpus(t)
+	cfg := ldaConfig(8, 3)
+	for _, sys := range ldaSystems {
+		run := func(trace bool) (*core.Engine, float64) {
+			opt := core.DefaultOptions()
+			opt.Executors, opt.Servers, opt.Trace = 4, sys.servers, trace
+			e := core.NewEngine(opt)
+			end := e.Run(func(p *simnet.Proc) {
+				docs := rdd.FromSlices(e.RDD, data.PartitionDocs(corpus.Docs, 6)).Cache()
+				if _, err := lda.Run(p, e, docs, corpus.Config.Vocab, cfg, sys.strategy()); err != nil {
+					t.Error(err)
+				}
+			})
+			return e, end
+		}
+		off, endOff := run(false)
+		on, endOn := run(true)
+		if endOff != endOn {
+			t.Errorf("%s: tracing moved the virtual end time: %v vs %v", sys.name, endOff, endOn)
+		}
+		if a, b := off.Sim.EventsProcessed(), on.Sim.EventsProcessed(); a != b {
+			t.Errorf("%s: tracing moved the event count: %d vs %d", sys.name, a, b)
+		}
+		var iters []obs.Event
+		phases, names := map[uint64]float64{}, map[uint64]string{}
+		for _, ev := range on.Tracer().Events() {
+			switch ev.Kind {
+			case obs.KIteration:
+				iters = append(iters, ev)
+			case obs.KLoopPhase:
+				phases[ev.Parent] += ev.Dur()
+				names[ev.Parent] += ev.Name + " "
+			}
+		}
+		if len(iters) != cfg.Iterations {
+			t.Errorf("%s: %d loop.iter spans, want %d", sys.name, len(iters), cfg.Iterations)
+		}
+		for i, it := range iters {
+			if names[it.ID] != "round barrier " {
+				t.Errorf("%s: iteration %d has phases %q, want round then barrier", sys.name, i, names[it.ID])
+			}
+			if got := phases[it.ID]; math.Abs(got-it.Dur()) > 1e-12 {
+				t.Errorf("%s: iteration %d: round + barrier = %.15g, iteration span is %.15g", sys.name, i, got, it.Dur())
 			}
 		}
 	}
@@ -439,7 +539,7 @@ func TestMLlibLDAConvergesAndOOMs(t *testing.T) {
 	e := newEngine(3, 0)
 	e.Run(func(p *simnet.Proc) {
 		docs := rdd.FromSlices(e.RDD, data.PartitionDocs(corpus.Docs, 3)).Cache()
-		tr, err := TrainLDAMLlib(p, e, docs, corpus.Config.Vocab, 6, 5, 0.5, 0.01, 23)
+		tr, err := lda.Run(p, e, docs, corpus.Config.Vocab, ldaConfig(6, 5), MLlibLDA())
 		if err != nil {
 			t.Error(err)
 			return
@@ -448,7 +548,7 @@ func TestMLlibLDAConvergesAndOOMs(t *testing.T) {
 			t.Errorf("MLlib LDA likelihood did not rise: %v -> %v", tr.Values[0], tr.Final())
 		}
 		// Huge topic count must OOM.
-		if _, err := TrainLDAMLlib(p, e, docs, 600, 100_000, 5, 0.5, 0.01, 23); !errors.Is(err, ErrOOM) {
+		if _, err := lda.Run(p, e, docs, 600, ldaConfig(100_000, 5), MLlibLDA()); !errors.Is(err, ErrOOM) {
 			t.Errorf("giant LDA did not OOM: %v", err)
 		}
 	})

@@ -9,7 +9,6 @@ package baselines
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -88,7 +87,7 @@ func (m *mllib) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []c
 	// full dense gradient travels to the driver.
 	agg := m.aggregate(p, batch, m.spec)
 	m.rows[len(m.rows)-1] = agg.Grad
-	return []core.Summary{{Loss: agg.Loss, Count: agg.N}}
+	return []core.Summary{{Sum: agg.Loss, Weight: agg.N}}
 }
 
 // Barrier is step (4), the model update on the driver.
@@ -131,53 +130,48 @@ func gradAggSpec(e *core.Engine, dim int, obj lr.Objective, w []float64) rdd.Agg
 	}
 }
 
-// TrainLDAMLlib trains the same collapsed-Gibbs LDA as internal/ml/lda but
-// with MLlib's communication pattern: the driver broadcasts the full K×V
-// count matrix every iteration and every partition ships a full dense K×V
-// delta back to the driver. Fails with ErrOOM beyond the driver heap limit —
-// the reason the paper caps MLlib at 100 topics.
-func TrainLDAMLlib(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab, topics, iterations int, alpha, beta float64, seed uint64) (*core.Trace, error) {
-	if topics < 2 || vocab <= 0 || iterations <= 0 {
-		return nil, fmt.Errorf("baselines: invalid LDA config K=%d V=%d", topics, vocab)
-	}
-	modelBytes := float64(topics*vocab) * 8
-	if modelBytes*2 > MLlibMaxModelBytes {
-		return nil, ErrOOM
-	}
-	cost := e.Cluster.Cost
-	trace := &core.Trace{Name: "MLlib-LDA"}
-	cfg := lda.Config{Topics: topics, Alpha: alpha, Beta: beta, Seed: seed}
-	nwt := newWordTopic(topics, vocab) // driver-held
-	states := map[int]*lda.State{}
+// MLlibLDA returns the strategy of the collapsed-Gibbs LDA of
+// internal/ml/lda with MLlib's communication pattern: the driver broadcasts
+// the full K×V count matrix every iteration, every partition ships a full
+// dense K×V delta back to it, and it applies them at the barrier. Setup fails
+// with ErrOOM beyond the driver heap limit — the reason the paper caps MLlib
+// at 100 topics.
+func MLlibLDA() lda.Strategy { return &mllibLDA{} }
 
+type mllibLDA struct {
+	e      *core.Engine
+	nwt    *wordTopic // driver-held
+	size   int        // K×V
+	states []*lda.State
+	passes []lda.Pass // the round's, applied at the barrier
+}
+
+func (m *mllibLDA) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab int, cfg lda.Config) error {
+	m.size = cfg.Topics * vocab
+	if float64(m.size)*8*2 > MLlibMaxModelBytes {
+		return ErrOOM
+	}
+	m.e, m.nwt = e, newWordTopic(cfg.Topics, vocab)
 	// Init: random assignments, aggregated at the driver.
-	rdd.RunPartitions(p, docs, 8, func(tc *rdd.TaskContext, part int, rows []data.Document) struct{} {
-		tc.Commit() // before mutating shared counts: retries must not double-add
-		st, init := lda.NewState(rows, cfg, vocab, part)
-		states[part] = st
-		nwt.add(init)
-		tc.Node.Send(tc.P, e.Cluster.Driver, cost.DenseBytes(topics*vocab))
-		return struct{}{}
+	m.states, _ = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) {
+		m.nwt.add(init)
+		tc.Node.Send(tc.P, e.Cluster.Driver, e.Cluster.Cost.DenseBytes(m.size))
 	})
+	return nil
+}
 
-	for it := 0; it < iterations; it++ {
-		// Broadcast the full model.
-		e.RDD.Broadcast(p, modelBytes)
-		passes := rdd.RunPartitions(p, docs, cost.DenseBytes(topics*vocab),
-			func(tc *rdd.TaskContext, part int, rows []data.Document) lda.Pass {
-				tc.Commit()
-				pass := states[part].Sweep(rows, tc.Attempt, it, nwt.columns(rows), nwt.totals)
-				tc.Charge(cost.ElemWork(pass.Work))
-				return pass
-			})
-		for _, pass := range passes {
-			// Apply deltas at the driver.
-			e.Driver().Compute(p, cost.ElemWork(topics*vocab/8))
-			nwt.add(pass)
-		}
-		lda.RecordLogLik(trace, p.Now(), passes)
+func (m *mllibLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) []core.Summary {
+	m.e.RDD.Broadcast(p, float64(m.size)*8)
+	m.passes = lda.SweepStage(p, docs, m.states, it, m.e.Cluster.Cost.DenseBytes(m.size), m.nwt.read, nil)
+	return lda.Summaries(m.passes)
+}
+
+func (m *mllibLDA) Barrier(p *simnet.Proc, _, _ int) error {
+	for _, pass := range m.passes {
+		m.e.Driver().Compute(p, m.e.Cluster.Cost.ElemWork(m.size/8))
+		m.nwt.add(pass)
 	}
-	return trace, nil
+	return nil
 }
 
 // wordTopic is a whole K×V topic-word count table and its topic totals in
@@ -207,10 +201,9 @@ func (t *wordTopic) add(pass lda.Pass) {
 	}
 }
 
-// columns copies out the topic counts of every word in rows: a sampler's
-// private snapshot.
-func (t *wordTopic) columns(rows []data.Document) map[int][]float64 {
-	words := lda.DistinctWords(rows)
+// read copies out the topic counts of the words, a sampler's private
+// snapshot, and returns them with the totals.
+func (t *wordTopic) read(_ *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
 	out := make(map[int][]float64, len(words))
 	for _, w := range words {
 		col := make([]float64, len(t.n))
@@ -219,5 +212,5 @@ func (t *wordTopic) columns(rows []data.Document) map[int][]float64 {
 		}
 		out[w] = col
 	}
-	return out
+	return out, t.totals
 }

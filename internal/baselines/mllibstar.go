@@ -56,7 +56,7 @@ func (m *mllibStar) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int)
 			}
 		}
 		tc.Charge(cost.GradWork(lr.TotalNnz(rows)))
-		return core.Summary{Loss: lossSum, Count: len(rows)}
+		return core.Summary{Sum: lossSum, Weight: len(rows)}
 	})
 }
 

@@ -62,64 +62,62 @@ func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []
 // Barrier has nothing to do: the servers applied every increment.
 func (s *petuum) Barrier(*simnet.Proc, int, int) error { return nil }
 
-// TrainLDAPetuum runs the collapsed-Gibbs LDA of internal/ml/lda with
-// Petuum's communication: the K×V count matrix is row-partitioned (each
-// topic row whole on one server) and every worker pulls the full matrix each
-// iteration — no sparse pull, no compression.
-func TrainLDAPetuum(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab, topics, iterations int, alpha, beta float64, seed uint64) (*core.Trace, error) {
-	if topics < 2 || vocab <= 0 || iterations <= 0 {
-		return nil, fmt.Errorf("baselines: invalid LDA config")
+// PetuumLDA returns the strategy of the collapsed-Gibbs LDA of
+// internal/ml/lda with Petuum's communication: the K×V count matrix is
+// row-partitioned (each topic row whole on one server), every worker pulls
+// the full matrix each iteration — no sparse pull, no compression — and the
+// servers apply a task's deltas as it pushes them.
+func PetuumLDA() lda.Strategy { return &petuumLDA{} }
+
+type petuumLDA struct {
+	nwt      *wordTopic // the servers' memory
+	hosts    []*simnet.Node
+	rowBytes float64
+	states   []*lda.State
+}
+
+func (s *petuumLDA) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab int, cfg lda.Config) error {
+	if len(e.Cluster.Servers) == 0 {
+		return fmt.Errorf("baselines: Petuum needs servers")
 	}
-	servers := e.Cluster.Servers
-	if len(servers) == 0 {
-		return nil, fmt.Errorf("baselines: Petuum needs servers")
-	}
-	trace := &core.Trace{Name: "Petuum-LDA"}
 	cost := e.Cluster.Cost
-	cfg := lda.Config{Topics: topics, Alpha: alpha, Beta: beta, Seed: seed}
-	nwt := newWordTopic(topics, vocab)
-	hostOf := func(k int) *simnet.Node { return servers[k%len(servers)] }
-	states := map[int]*lda.State{}
-	rowBytes := cost.DenseBytes(vocab)
-
-	rdd.RunPartitions(p, docs, 8, func(tc *rdd.TaskContext, part int, rows []data.Document) struct{} {
-		tc.Commit()
-		st, init := lda.NewState(rows, cfg, vocab, part)
-		states[part] = st
-		nwt.add(init)
-		for k := 0; k < topics; k++ {
-			tc.Node.Send(tc.P, hostOf(k), cost.SparseBytes(init.Tokens/topics))
+	s.nwt, s.hosts, s.rowBytes = newWordTopic(cfg.Topics, vocab), e.Cluster.Servers, cost.DenseBytes(vocab)
+	s.states, _ = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) {
+		s.nwt.add(init)
+		for k := range cfg.Topics {
+			tc.Node.Send(tc.P, s.hostOf(k), cost.SparseBytes(init.Tokens/cfg.Topics))
 		}
-		return struct{}{}
 	})
+	return nil
+}
 
-	for it := 0; it < iterations; it++ {
-		passes := rdd.RunPartitions(p, docs, 16, func(tc *rdd.TaskContext, part int, rows []data.Document) lda.Pass {
-			// Full-matrix pull: each topic row whole from its hosting server.
+// hostOf is the server holding topic row k.
+func (s *petuumLDA) hostOf(k int) *simnet.Node { return s.hosts[k%len(s.hosts)] }
+
+// Round samples against a full pulled snapshot (the same approximate
+// distributed-LDA consistency PS2 uses) and pushes the deltas sparse but
+// uncompressed (8-byte values): a removal and an insertion per token.
+func (s *petuumLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) []core.Summary {
+	topics := len(s.nwt.n)
+	return lda.Summaries(lda.SweepStage(p, docs, s.states, it, 16,
+		func(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
 			g := tc.P.Sim().NewGroup()
-			for k := 0; k < topics; k++ {
-				k := k
+			for k := range topics {
 				g.Go("petuum-pull", func(cp *simnet.Proc) {
-					tc.Node.Send(cp, hostOf(k), cost.RequestOverheadB)
-					hostOf(k).Send(cp, tc.Node, rowBytes)
+					tc.Node.Send(cp, s.hostOf(k), tc.Ctx.Cl.Cost.RequestOverheadB)
+					s.hostOf(k).Send(cp, tc.Node, s.rowBytes)
 				})
 			}
 			g.Wait(tc.P)
-			tc.Commit()
-
-			// Sample against the pulled snapshot (the same approximate
-			// distributed-LDA consistency PS2 uses); deltas apply at push.
-			pass := states[part].Sweep(rows, tc.Attempt, it, nwt.columns(rows), nwt.totals)
-			tc.Charge(cost.ElemWork(pass.Work))
-			// Sparse delta push, uncompressed (8B values), applied at the
-			// hosting servers: a removal and an insertion per token.
-			nwt.add(pass)
-			for k := 0; k < topics; k++ {
-				tc.Node.Send(tc.P, hostOf(k), cost.RequestOverheadB+float64(2*pass.Tokens/topics)*(8+8))
+			return s.nwt.read(tc, words)
+		},
+		func(tc *rdd.TaskContext, _ []int, pass lda.Pass) {
+			s.nwt.add(pass)
+			for k := range topics {
+				tc.Node.Send(tc.P, s.hostOf(k), tc.Ctx.Cl.Cost.RequestOverheadB+float64(2*pass.Tokens/topics)*(8+8))
 			}
-			return pass
-		})
-		lda.RecordLogLik(trace, p.Now(), passes)
-	}
-	return trace, nil
+		}))
 }
+
+// Barrier has nothing to do: the servers applied every delta.
+func (s *petuumLDA) Barrier(*simnet.Proc, int, int) error { return nil }

@@ -34,6 +34,29 @@ func docsRDD(e *core.Engine, c *data.Corpus) *rdd.RDD[data.Document] {
 	return rdd.FromSlices(e.RDD, data.PartitionDocs(c.Docs, e.RDD.NumExecutors())).Cache()
 }
 
+// runLDA trains cfg on corpus c with strategy s on a fresh paper engine and
+// returns its trace, named, and the run's virtual end time.
+func runLDA(name string, workers, servers int, c *data.Corpus, cfg lda.Config, s lda.Strategy) (*core.Trace, float64) {
+	e := paperEngine(workers, servers)
+	var tr *core.Trace
+	end := e.Run(func(p *simnet.Proc) {
+		var err error
+		if tr, err = lda.Run(p, e, docsRDD(e, c), c.Config.Vocab, cfg, s); err != nil {
+			panic(err)
+		}
+	})
+	tr.Name = name
+	return tr, end
+}
+
+// ldaConfig is Table 4's LDA configuration at the given scale; every system
+// of a figure trains the same one.
+func ldaConfig(topics, iters int) lda.Config {
+	cfg := lda.DefaultConfig()
+	cfg.Topics, cfg.Iterations = topics, iters
+	return cfg
+}
+
 func runFig12a(o Opts) *Result {
 	c := pubmedCorpus(o)
 	topics := 50 // paper: 1000, scaled with the corpus
@@ -42,43 +65,10 @@ func runFig12a(o Opts) *Result {
 	if o.Quick {
 		topics, iters, workers = 20, 5, 8
 	}
-
-	runPS2 := func() (*core.Trace, float64) {
-		e := paperEngine(workers, workers)
-		cfg := lda.DefaultConfig()
-		cfg.Topics = topics
-		cfg.Iterations = iters
-		var tr *core.Trace
-		end := e.Run(func(p *simnet.Proc) {
-			m, err := lda.Train(p, e, docsRDD(e, c), c.Config.Vocab, cfg)
-			if err != nil {
-				panic(err)
-			}
-			tr = m.Trace
-		})
-		tr.Name = "PS2"
-		return tr, end
-	}
-	runBaseline := func(name string, f func(p *simnet.Proc, e *core.Engine) (*core.Trace, error)) (*core.Trace, float64) {
-		e := paperEngine(workers, workers)
-		var tr *core.Trace
-		end := e.Run(func(p *simnet.Proc) {
-			t, err := f(p, e)
-			if err != nil {
-				panic(err)
-			}
-			tr = t
-		})
-		tr.Name = name
-		return tr, end
-	}
-	ps2, ps2Time := runPS2()
-	petuum, petuumTime := runBaseline("Petuum", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
-		return baselines.TrainLDAPetuum(p, e, docsRDD(e, c), c.Config.Vocab, topics, iters, 0.5, 0.01, 23)
-	})
-	glint, glintTime := runBaseline("Glint", func(p *simnet.Proc, e *core.Engine) (*core.Trace, error) {
-		return baselines.TrainLDAGlint(p, e, docsRDD(e, c), c.Config.Vocab, topics, iters, 0.5, 0.01, 23)
-	})
+	cfg := ldaConfig(topics, iters)
+	ps2, ps2Time := runLDA("PS2", workers, workers, c, cfg, lda.PS2())
+	petuum, petuumTime := runLDA("Petuum", workers, workers, c, cfg, baselines.PetuumLDA())
+	glint, glintTime := runLDA("Glint", workers, workers, c, cfg, baselines.GlintLDA())
 
 	r := &Result{ID: "fig12a",
 		Title:  fmt.Sprintf("LDA, K=%d, %d Gibbs iterations, %d docs x vocab %d", topics, iters, len(c.Docs), c.Config.Vocab),
@@ -99,30 +89,9 @@ func runFig12b(o Opts) *Result {
 	if o.Quick {
 		topics, iters, workers = 10, 4, 8
 	}
-
-	ePS2 := paperEngine(workers, workers)
-	cfg := lda.DefaultConfig()
-	cfg.Topics = topics
-	cfg.Iterations = iters
-	var ps2 *core.Trace
-	ps2Time := ePS2.Run(func(p *simnet.Proc) {
-		m, err := lda.Train(p, ePS2, docsRDD(ePS2, c), c.Config.Vocab, cfg)
-		if err != nil {
-			panic(err)
-		}
-		ps2 = m.Trace
-		ps2.Name = "PS2"
-	})
-	eML := paperEngine(workers, 0)
-	var mllib *core.Trace
-	mllibTime := eML.Run(func(p *simnet.Proc) {
-		tr, err := baselines.TrainLDAMLlib(p, eML, docsRDD(eML, c), c.Config.Vocab, topics, iters, 0.5, 0.01, 23)
-		if err != nil {
-			panic(err)
-		}
-		mllib = tr
-		mllib.Name = "MLlib"
-	})
+	cfg := ldaConfig(topics, iters)
+	ps2, ps2Time := runLDA("PS2", workers, workers, c, cfg, lda.PS2())
+	mllib, mllibTime := runLDA("MLlib", workers, 0, c, cfg, baselines.MLlibLDA())
 
 	r := &Result{ID: "fig12b",
 		Title:  fmt.Sprintf("LDA, K=%d (MLlib's ceiling), %d iterations", topics, iters),
@@ -135,7 +104,7 @@ func runFig12b(o Opts) *Result {
 	// Demonstrate the ceiling: MLlib at the PS2-scale topic count must OOM.
 	eOOM := paperEngine(workers, 0)
 	eOOM.Run(func(p *simnet.Proc) {
-		_, err := baselines.TrainLDAMLlib(p, eOOM, docsRDD(eOOM, c), c.Config.Vocab, 100_000, 1, 0.5, 0.01, 23)
+		_, err := lda.Run(p, eOOM, docsRDD(eOOM, c), c.Config.Vocab, ldaConfig(100_000, 1), baselines.MLlibLDA())
 		if errors.Is(err, baselines.ErrOOM) {
 			r.Note("MLlib at large K: %v (as in the paper)", err)
 		} else {
@@ -158,18 +127,7 @@ func runFig12c(o Opts) *Result {
 	if err != nil {
 		panic(err)
 	}
-	e := paperEngine(workers, workers)
-	lcfg := lda.DefaultConfig()
-	lcfg.Topics = topics
-	lcfg.Iterations = iters
-	var tr *core.Trace
-	end := e.Run(func(p *simnet.Proc) {
-		m, err := lda.Train(p, e, docsRDD(e, c), c.Config.Vocab, lcfg)
-		if err != nil {
-			panic(err)
-		}
-		tr = m.Trace
-	})
+	tr, end := runLDA("PS2-LDA", workers, workers, c, ldaConfig(topics, iters), lda.PS2())
 	r := &Result{ID: "fig12c",
 		Title:  fmt.Sprintf("LDA on APP-like (%d docs, vocab %d, K=%d) — PS2 only", len(c.Docs), c.Config.Vocab, topics),
 		Header: []string{"system", "time (s)", "first loglik", "final loglik"}}

@@ -9,10 +9,11 @@ import (
 	"repro/internal/simnet"
 )
 
-// Summary is one task's share of an iteration's mean batch loss.
+// Summary is one task's share of an iteration's trace value, Sum over Weight:
+// LR's batch loss over its examples, LDA's log-likelihood over its tokens.
 type Summary struct {
-	Loss  float64
-	Count int
+	Sum    float64
+	Weight int
 }
 
 // SummaryBytes is what a Summary costs on the wire back to the driver.
@@ -24,9 +25,9 @@ const SummaryBytes = 24
 type Strategy[Row any] interface {
 	// Round runs iteration it over its mini-batch; one summary per task.
 	Round(p *simnet.Proc, batch *rdd.RDD[Row], it int) []Summary
-	// Barrier is the driver's work after a round whose batch held count
-	// examples; Run skips it for an empty batch.
-	Barrier(p *simnet.Proc, it, count int) error
+	// Barrier is the driver's work after a round whose summaries weigh
+	// weight in all (examples, tokens); Run skips it for an empty batch.
+	Barrier(p *simnet.Proc, it, weight int) error
 }
 
 // Epilogue is a strategy whose rounds change a parameter-server matrix. After
@@ -40,7 +41,7 @@ type Epilogue interface {
 // Run is the one mini-batch training loop. Iteration it trains on
 // dataset.Sample(fraction, seed+it), so systems compared from one seed see the
 // same rows; Run sums the tasks' summaries, skips the barrier of an empty
-// batch, and records the mean batch loss after the barrier.
+// batch, and records Sum over Weight after the barrier.
 //
 // A traced run records each iteration, up to its trace point, as a
 // driver-lane loop.iter span tiled by a "round" and a "barrier" loop.phase
@@ -53,21 +54,21 @@ func Run[Row any](p *simnet.Proc, e *Engine, dataset *rdd.RDD[Row], fraction flo
 	for it := 0; it < iterations; it++ {
 		spans.begin(p, it)
 		spans.phase(p, "round")
-		loss, count := 0.0, 0
+		sum, weight := 0.0, 0
 		for _, st := range s.Round(p, dataset.Sample(fraction, seed+uint64(it)), it) {
-			loss += st.Loss
-			count += st.Count
+			sum += st.Sum
+			weight += st.Weight
 		}
-		if count == 0 {
+		if weight == 0 {
 			spans.end(p)
 			continue
 		}
 		spans.phase(p, "barrier")
-		if err := s.Barrier(p, it, count); err != nil {
+		if err := s.Barrier(p, it, weight); err != nil {
 			spans.end(p)
 			return nil, err
 		}
-		trace.Add(p.Now(), loss/float64(count))
+		trace.Add(p.Now(), sum/float64(weight))
 		spans.end(p)
 		if epilogue != nil {
 			mat, cache, every := epilogue.Epilogue()

@@ -54,7 +54,7 @@ func (s *stub) Round(p *simnet.Proc, batch *rdd.RDD[int], it int) []Summary {
 	s.rounds++
 	return rdd.RunPartitions(p, batch, SummaryBytes, func(tc *rdd.TaskContext, part int, rows []int) Summary {
 		tc.Commit()
-		return Summary{Loss: float64(len(rows)), Count: len(rows)}
+		return Summary{Sum: float64(len(rows)), Weight: len(rows)}
 	})
 }
 

@@ -192,7 +192,7 @@ func (s *deepWalk) Round(p *simnet.Proc, batch *rdd.RDD[data.Pair], it int) []co
 			lossSum += worker.step(tc, int(pr.U), contexts, labels)
 		}
 		worker.flush(tc)
-		return core.Summary{Loss: lossSum, Count: len(rows)}
+		return core.Summary{Sum: lossSum, Weight: len(rows)}
 	})
 }
 

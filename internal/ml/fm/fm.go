@@ -167,7 +167,7 @@ func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core
 		for f := 0; f < k; f++ {
 			push(m.gradV[f], dv[f])
 		}
-		return core.Summary{Loss: lossSum, Count: len(rows)}
+		return core.Summary{Sum: lossSum, Weight: len(rows)}
 	})
 }
 

@@ -14,6 +14,7 @@ package lda
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -66,49 +67,147 @@ type Model struct {
 	alpha  float64
 }
 
-// Train runs collapsed Gibbs sampling over the document RDD.
-func Train(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab int, cfg Config) (*Model, error) {
+// Strategy is what one LDA system brings to the training loop (Run): Setup
+// places the topic-word counts and runs InitStage, and the core.Strategy
+// methods run each iteration, Round over SweepStage. PS2 (Train) and the LDA
+// baselines are strategies: they run one sampler and differ only in where the
+// counts live, what moving them costs and when a change becomes visible.
+type Strategy interface {
+	core.Strategy[data.Document]
+	// Setup places the counts before the first iteration.
+	Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab int, cfg Config) error
+}
+
+// Run trains LDA with strategy s through the shared loop (core.Run). Every
+// iteration sweeps every document (fraction 1), and the trace is the mean
+// per-token log-likelihood.
+func Run(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab int, cfg Config, s Strategy) (*core.Trace, error) {
 	if cfg.Topics < 2 || vocab <= 0 || cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("lda: invalid config K=%d V=%d iters=%d", cfg.Topics, vocab, cfg.Iterations)
 	}
-	mat, err := e.PS.CreateMatrix(p, cfg.Topics, vocab)
+	if !positive(cfg.Alpha) || !positive(cfg.Beta) {
+		return nil, fmt.Errorf("lda: priors must be positive and finite, got alpha=%v beta=%v", cfg.Alpha, cfg.Beta)
+	}
+	if err := s.Setup(p, e, docs, vocab, cfg); err != nil {
+		return nil, err
+	}
+	return core.Run(p, e, docs, 1, cfg.Seed, cfg.Iterations, s)
+}
+
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// InitStage is the stage every strategy's Setup runs: each task gives its
+// rows random topics (newState), commits, and place applies and pays for the
+// counts it assigned. It returns the sampler states and passes by partition.
+func InitStage(p *simnet.Proc, docs *rdd.RDD[data.Document], vocab int, cfg Config, resultBytes float64,
+	place func(tc *rdd.TaskContext, rows []data.Document, init Pass)) ([]*State, []Pass) {
+	states := make([]*State, docs.Partitions())
+	inits := rdd.RunPartitions(p, docs, resultBytes, func(tc *rdd.TaskContext, part int, rows []data.Document) Pass {
+		st, init := newState(rows, cfg, vocab, part)
+		tc.Commit()
+		states[part] = st
+		place(tc, rows, init)
+		return init
+	})
+	return states, inits
+}
+
+// SweepStage is the stage every strategy's Round runs: each task reads the
+// counts of its rows' sorted distinct words (read returns a private copy of
+// them and the topic totals they were taken with), commits, resamples every
+// token once, pays for the sampling, and ship, unless nil, moves the pass's
+// count changes. It returns one pass per partition.
+func SweepStage(p *simnet.Proc, docs *rdd.RDD[data.Document], states []*State, it int, resultBytes float64,
+	read func(tc *rdd.TaskContext, words []int) (counts map[int][]float64, totals []float64),
+	ship func(tc *rdd.TaskContext, words []int, pass Pass)) []Pass {
+	return rdd.RunPartitions(p, docs, resultBytes, func(tc *rdd.TaskContext, part int, rows []data.Document) Pass {
+		words := distinctWords(rows)
+		counts, totals := read(tc, words)
+		// Commit before mutating the worker-local sampler state: a doomed
+		// retry re-reads but must not double-apply assignment changes.
+		tc.Commit()
+		pass := states[part].sweep(rows, tc.Attempt, it, counts, totals)
+		tc.Charge(tc.Ctx.Cl.Cost.ElemWork(pass.Work))
+		if ship != nil {
+			ship(tc, words, pass)
+		}
+		return pass
+	})
+}
+
+// Summaries turns a sweep's passes into the loop's summaries: log-likelihood
+// over tokens.
+func Summaries(passes []Pass) []core.Summary {
+	out := make([]core.Summary, len(passes))
+	for i, pass := range passes {
+		out[i] = core.Summary{Sum: pass.LogLik, Weight: pass.Tokens}
+	}
+	return out
+}
+
+// Train runs collapsed Gibbs sampling over the document RDD on PS2.
+func Train(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab int, cfg Config) (*Model, error) {
+	s := &ps2{}
+	trace, err := Run(p, e, docs, vocab, cfg, s)
 	if err != nil {
 		return nil, err
 	}
-	model := &Model{WordTopic: mat, Vocab: vocab, Topics: cfg.Topics,
-		Totals: make([]float64, cfg.Topics), Trace: &core.Trace{Name: "PS2-LDA"},
-		states: make([]*State, docs.Partitions()), alpha: cfg.Alpha}
+	trace.Name = "PS2-LDA"
+	return &Model{WordTopic: s.mat, Totals: s.totals, Vocab: vocab, Topics: cfg.Topics,
+		Trace: trace, states: s.states, alpha: cfg.Alpha}, nil
+}
 
-	// Initialization: assign random topics and push the initial counts.
-	inits := rdd.RunPartitions(p, docs, 8*float64(cfg.Topics),
-		func(tc *rdd.TaskContext, part int, rows []data.Document) Pass {
-			st, init := NewState(rows, cfg, vocab, part)
-			model.states[part] = st
-			tc.Charge(e.Cluster.Cost.ElemWork(len(rows)))
-			tc.Commit()
-			pushDeltas(tc, mat, init.Deltas)
-			return init
-		})
-	addTotals(model.Totals, inits)
+// PS2 returns PS2's strategy (Train): the counts are a K×V matrix on the
+// servers, column-partitioned like every DCV. A task sparse-pulls its words'
+// counts and pushes its compressed deltas as its sweep ends; the driver folds
+// the topic totals in at the barrier and broadcasts them each iteration.
+func PS2() Strategy { return &ps2{} }
 
-	for it := 0; it < cfg.Iterations; it++ {
-		// Broadcast the topic totals (tiny).
-		e.RDD.Broadcast(p, float64(cfg.Topics)*countBytes)
-		passes := rdd.RunPartitions(p, docs, 8*float64(cfg.Topics)+16,
-			func(tc *rdd.TaskContext, part int, rows []data.Document) Pass {
-				counts := pullWordCounts(tc, mat, DistinctWords(rows))
-				// Commit before mutating the worker-local sampler state: a doomed
-				// retry re-pulls but must not double-apply assignment changes.
-				tc.Commit()
-				pass := model.states[part].Sweep(rows, tc.Attempt, it, counts, model.Totals)
-				tc.Charge(e.Cluster.Cost.ElemWork(pass.Work))
-				pushDeltas(tc, mat, pass.Deltas)
-				return pass
-			})
-		addTotals(model.Totals, passes)
-		RecordLogLik(model.Trace, p.Now(), passes)
+type ps2 struct {
+	e      *core.Engine
+	mat    *ps.Matrix
+	totals []float64 // the driver's copy
+	states []*State
+	passes []Pass // the round's, whose totals the barrier adds
+}
+
+func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document], vocab int, cfg Config) error {
+	var err error
+	if s.mat, err = e.PS.CreateMatrix(p, cfg.Topics, vocab); err != nil {
+		return err
 	}
-	return model, nil
+	s.e, s.totals = e, make([]float64, cfg.Topics)
+	var inits []Pass
+	s.states, inits = InitStage(p, docs, vocab, cfg, 8*float64(cfg.Topics),
+		func(tc *rdd.TaskContext, rows []data.Document, init Pass) {
+			tc.Charge(e.Cluster.Cost.ElemWork(len(rows)))
+			s.push(tc, nil, init)
+		})
+	addTotals(s.totals, inits)
+	return nil
+}
+
+func (s *ps2) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) []core.Summary {
+	// Broadcast the topic totals (tiny).
+	s.e.RDD.Broadcast(p, float64(len(s.totals))*countBytes)
+	s.passes = SweepStage(p, docs, s.states, it, 8*float64(len(s.totals))+16, s.pull, s.push)
+	return Summaries(s.passes)
+}
+
+func (s *ps2) Barrier(*simnet.Proc, int, int) error {
+	addTotals(s.totals, s.passes)
+	return nil
+}
+
+// pull batch-pulls the words' topic counts: one request per server carrying
+// 4-byte word ids, compressed counts back.
+func (s *ps2) pull(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
+	cost, k := tc.Ctx.Cl.Cost, s.mat.Rows
+	return PullWordCounts(tc, s.mat, words, func(cp *simnet.Proc, srv *simnet.Node, n int) {
+		tc.Node.Send(cp, srv, cost.RequestOverheadB+4*float64(n))
+		srv.Compute(cp, cost.RequestHandleWork+cost.ElemWork(n*k))
+		srv.Send(cp, tc.Node, cost.RequestOverheadB+float64(n*k)*countBytes)
+	}), s.totals
 }
 
 // addTotals folds every partition's topic-total changes into totals.
@@ -120,30 +219,29 @@ func addTotals(totals []float64, passes []Pass) {
 	}
 }
 
-// pushDeltas ships topic->word count deltas to the servers: one batched
-// request per server carrying compressed (topic, word, delta) triplets.
-func pushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, delta map[int]map[int]float64) {
-	cost := tc.Ctx.Cl.Cost
+// push ships the pass's topic->word count deltas to the servers, which apply
+// them at once: one batched request per server carrying compressed (topic,
+// word, delta) triplets.
+func (s *ps2) push(tc *rdd.TaskContext, _ []int, pass Pass) {
+	cost, mat := tc.Ctx.Cl.Cost, s.mat
 	// Group triplets by owning server.
 	type triplet struct {
 		k, w int
 		v    float64
 	}
 	byServer := make([][]triplet, mat.Part.NumServers())
-	for k, words := range delta {
+	for k, words := range pass.Deltas {
 		for w, v := range words {
-			s := mat.Part.ServerOf(w)
-			byServer[s] = append(byServer[s], triplet{k, w, v})
+			i := mat.Part.ServerOf(w)
+			byServer[i] = append(byServer[i], triplet{k, w, v})
 		}
 	}
 	g := tc.P.Sim().NewGroup()
-	for s := range byServer {
-		if len(byServer[s]) == 0 {
+	for i, trips := range byServer {
+		if len(trips) == 0 {
 			continue
 		}
-		s := s
 		g.Go("lda-push", func(cp *simnet.Proc) {
-			trips := byServer[s]
 			// Deterministic application order.
 			sort.Slice(trips, func(a, b int) bool {
 				if trips[a].k != trips[b].k {
@@ -151,10 +249,8 @@ func pushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, delta map[int]map[int]float
 				}
 				return trips[a].w < trips[b].w
 			})
-			sh := mat.ShardOf(s)
-			srv := mat.ServerNode(s)
-			bytes := cost.RequestOverheadB + float64(len(trips))*(8+countBytes)
-			tc.Node.Send(cp, srv, bytes)
+			sh, srv := mat.ShardOf(i), mat.ServerNode(i)
+			tc.Node.Send(cp, srv, cost.RequestOverheadB+float64(len(trips))*(8+countBytes))
 			srv.Compute(cp, cost.RequestHandleWork+cost.ElemWork(len(trips)))
 			for _, tr := range trips {
 				sh.Rows[tr.k][sh.Local(tr.w)] += tr.v
@@ -165,28 +261,23 @@ func pushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, delta map[int]map[int]float
 	g.Wait(tc.P)
 }
 
-// pullWordCounts batch-pulls the K-dimensional topic vectors of the given
-// sorted distinct words: one request per server, compressed values back.
-func pullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int) map[int][]float64 {
-	cost := tc.Ctx.Cl.Cost
+// PullWordCounts reads the topic counts of the sorted distinct words from
+// mat's shards, one process per server that owns any of them: charge pays
+// that server's request and reply for its n words before they are read.
+func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, charge func(cp *simnet.Proc, srv *simnet.Node, n int)) map[int][]float64 {
 	out := make(map[int][]float64, len(words))
 	split := mat.Part.SplitIndices(words)
 	g := tc.P.Sim().NewGroup()
-	for s := range split {
-		if len(split[s]) == 0 {
+	for s, idx := range split {
+		if len(idx) == 0 {
 			continue
 		}
-		s := s
 		g.Go("lda-pull", func(cp *simnet.Proc) {
-			idx := split[s]
 			sh := mat.ShardOf(s)
-			srv := mat.ServerNode(s)
-			tc.Node.Send(cp, srv, cost.RequestOverheadB+4*float64(len(idx)))
-			srv.Compute(cp, cost.RequestHandleWork+cost.ElemWork(len(idx)*mat.Rows))
-			srv.Send(cp, tc.Node, cost.RequestOverheadB+float64(len(idx)*mat.Rows)*countBytes)
+			charge(cp, mat.ServerNode(s), len(idx))
 			for _, w := range idx {
 				vec := make([]float64, mat.Rows)
-				for k := 0; k < mat.Rows; k++ {
+				for k := range vec {
 					vec[k] = sh.Rows[k][sh.Local(w)]
 				}
 				out[w] = vec

@@ -4,15 +4,14 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
 )
 
-// This file is the collapsed Gibbs sampler itself. PS2's trainer and the
-// three baseline trainers of internal/baselines all call it, so they draw
-// the same random numbers and do the same arithmetic; they differ only in
-// where the topic-word counts live and how they move.
+// This file is the collapsed Gibbs sampler itself. InitStage and SweepStage
+// run it for PS2 and the three baselines of internal/baselines alike, so they
+// draw the same random numbers and do the same arithmetic; they differ only
+// in where the topic-word counts live and how they move.
 
 // State is one partition's sampler state, kept on its executor across
 // iterations: every token's topic and every document's topic counts.
@@ -24,8 +23,8 @@ type State struct {
 	part int
 }
 
-// Pass is what one pass over a partition's tokens changed: NewState's random
-// initialisation or one Sweep. Deltas keeps a word that left a topic and came
+// Pass is what one pass over a partition's tokens changed: newState's random
+// initialisation or one sweep. Deltas keeps a word that left a topic and came
 // back as a zero entry, so it is still shipped.
 type Pass struct {
 	Deltas map[int]map[int]float64 // topic → word → count change
@@ -56,9 +55,9 @@ func (pa *Pass) move(w, from, to int) {
 	pa.Tokens++
 }
 
-// NewState gives every token of the partition's rows a random topic from the
+// newState gives every token of the partition's rows a random topic from the
 // stream seeded by (cfg.Seed, part) and returns the counts it assigned.
-func NewState(rows []data.Document, cfg Config, vocab, part int) (*State, Pass) {
+func newState(rows []data.Document, cfg Config, vocab, part int) (*State, Pass) {
 	st := &State{z: make([][]int32, len(rows)), ndk: make([][]int32, len(rows)),
 		cfg: cfg, vb: float64(vocab) * cfg.Beta, part: part}
 	rng := linalg.NewRNG(cfg.Seed*31 + uint64(part))
@@ -77,13 +76,13 @@ func NewState(rows []data.Document, cfg Config, vocab, part int) (*State, Pass) 
 	return st, init
 }
 
-// Sweep resamples every token once with the configured sampler. counts holds
+// sweep resamples every token once with the configured sampler. counts holds
 // the caller's private copy of the topic counts of every word in rows, which
 // the sweep updates in place; totals holds the topic totals those copies were
 // taken with, which it reads once and leaves alone. Each attempt of each
 // iteration draws from its own stream, seeded by (seed, partition, attempt,
 // iteration).
-func (st *State) Sweep(rows []data.Document, attempt, it int, counts map[int][]float64, totals []float64) Pass {
+func (st *State) sweep(rows []data.Document, attempt, it int, counts map[int][]float64, totals []float64) Pass {
 	rng := linalg.NewRNG(st.cfg.Seed*101 + uint64(st.part)*13 + uint64(attempt) + uint64(it)*7)
 	ltot := append([]float64(nil), totals...)
 	if st.cfg.Sampler == SamplerSparse {
@@ -138,22 +137,8 @@ func (st *State) Sweep(rows []data.Document, attempt, it int, counts map[int][]f
 	return pass
 }
 
-// RecordLogLik appends one iteration's mean per-token log-likelihood over
-// every partition's pass to trace, unless no token was sampled.
-func RecordLogLik(trace *core.Trace, now float64, passes []Pass) {
-	var logLik float64
-	var tokens int
-	for _, pass := range passes {
-		logLik += pass.LogLik
-		tokens += pass.Tokens
-	}
-	if tokens > 0 {
-		trace.Add(now, logLik/float64(tokens))
-	}
-}
-
-// DistinctWords returns the sorted distinct words of rows.
-func DistinctWords(rows []data.Document) []int {
+// distinctWords returns the sorted distinct words of rows.
+func distinctWords(rows []data.Document) []int {
 	seen := map[int32]bool{}
 	for _, doc := range rows {
 		for _, w := range doc.Words {

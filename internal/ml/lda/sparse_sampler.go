@@ -23,7 +23,7 @@ import (
 // arithmetic is reorganized — so statistical behaviour is unchanged while
 // large-K sampling gets much cheaper.
 
-// sparseSweep is Sweep's SparseLDA variant: identical distribution,
+// sparseSweep is sweep's SparseLDA variant: identical distribution,
 // bucketized arithmetic, work counted by the operations actually walked. It
 // updates ltot, the caller's copy of the topic totals, in place.
 func (st *State) sparseSweep(rows []data.Document, rng *linalg.RNG, counts map[int][]float64, ltot []float64) Pass {

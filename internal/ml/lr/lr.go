@@ -204,7 +204,7 @@ func GradientStage(p *simnet.Proc, e *core.Engine, batch *rdd.RDD[data.Instance]
 		tc.Commit()
 		idx, vals := b.Sparse(g)
 		ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
-		return core.Summary{Loss: loss, Count: len(rows)}
+		return core.Summary{Sum: loss, Weight: len(rows)}
 	})
 }
 

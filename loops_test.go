@@ -15,13 +15,9 @@ import (
 // strategy of core.Run. TestIterationLoopsAreListed fails on an entry whose
 // file has no such loop, so the list can only shrink.
 var iterationLoops = map[string]string{
-	"internal/core/loop.go":        "the loop",
-	"internal/ml/lr/async.go":      "SSP has no stage barrier",
-	"internal/ml/lda/lda.go":       "LDA, not yet a strategy",
-	"internal/baselines/mllib.go":  "MLlib's LDA",
-	"internal/baselines/petuum.go": "Petuum's LDA",
-	"internal/baselines/glint.go":  "Glint's LDA",
-	"internal/wire/lr.go":          "the TCP twin of the LR loop",
+	"internal/core/loop.go":   "the loop",
+	"internal/ml/lr/async.go": "SSP has no stage barrier",
+	"internal/wire/lr.go":     "the TCP twin of the LR loop",
 }
 
 // TestIterationLoopsAreListed parses every non-test Go file of the repository

@@ -350,7 +350,10 @@ func TrainGBDT(p *Proc, e *Engine, ds *data.TabularDataset, cfg gbdt.Config, top
 
 // TrainLDA fits a topic model with collapsed Gibbs sampling, the topic-word
 // counts living on the parameter servers. Like TrainGBDT it rejects a
-// non-zero TrainOptions rather than silently ignoring it.
+// non-zero TrainOptions rather than silently ignoring it. CheckpointEvery in
+// particular stays refused although LDA runs on the shared loop: its count
+// pushes write shard memory directly without marking rows dirty, so a delta
+// checkpoint would skip them and a restore would silently lose counts.
 func TrainLDA(p *Proc, e *Engine, docs *rdd.RDD[data.Document], vocab int, cfg lda.Config, topts ...TrainOptions) (*lda.Model, error) {
 	to, err := one(topts)
 	if err != nil {

@@ -1,9 +1,13 @@
 #!/bin/sh
-# Tier-1 gate: vet, build, and the full test suite under the race detector.
+# Tier-1 gate: gofmt, vet, build, and the full test suite under the race detector.
 # Every PR must leave this green (see ROADMAP.md).
 set -eux
 
 cd "$(dirname "$0")/.."
+
+# Formatting: every Go file in the tree, the benchmarks/ module's included,
+# is gofmt-clean.
+test -z "$(gofmt -l .)"
 
 go vet ./...
 go build ./...
