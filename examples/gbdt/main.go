@@ -1,8 +1,8 @@
 // GBDT on PS2 (paper Section 5.2.3, Figures 7 and 8): per tree node, workers
 // push first- and second-order gradient histograms into two co-located DCVs
 // and split finding runs server-side. The example trains a small ensemble,
-// prints the loss curve and the learned root splits, and cross-checks the
-// XGBoost-style AllReduce backend produces the identical model.
+// prints the loss curve and the learned root splits, and cross-checks that
+// the XGBoost-style AllReduce strategy produces the identical model.
 //
 //	go run ./examples/gbdt
 package main
@@ -13,6 +13,7 @@ import (
 	"math"
 
 	ps2 "repro"
+	"repro/internal/baselines"
 	"repro/internal/data"
 	"repro/internal/ml/gbdt"
 )
@@ -27,24 +28,24 @@ func main() {
 	cfg.Trees = 10
 	cfg.MaxDepth = 4
 
-	train := func(backend gbdt.Backend) (*gbdt.Model, float64) {
+	train := func(s gbdt.Strategy) (*gbdt.Model, float64) {
 		opt := ps2.DefaultOptions()
 		opt.Executors, opt.Servers = 8, 8
 		engine := ps2.NewEngine(opt)
-		bcfg := cfg
-		bcfg.Backend = backend
 		var model *gbdt.Model
 		end := engine.Run(func(p *ps2.Proc) {
-			m, err := ps2.TrainGBDT(p, engine, ds, bcfg)
+			r, edges, err := gbdt.PrepareRDD(p, engine, ds, cfg)
+			if err == nil {
+				model, err = gbdt.Run(p, engine, r, ds.Config.Features, edges, cfg, s)
+			}
 			if err != nil {
 				log.Fatal(err)
 			}
-			model = m
 		})
 		return model, end
 	}
 
-	model, elapsed := train(gbdt.BackendPS2)
+	model, elapsed := train(gbdt.PS2())
 	fmt.Printf("PS2 GBDT: %d trees, depth %d, %d bins, %.2fs simulated\n",
 		cfg.Trees, cfg.MaxDepth, cfg.Bins, elapsed)
 	for i, loss := range model.Trace.Values {
@@ -71,13 +72,13 @@ func main() {
 			root.Split.Feature, root.Split.BinThreshold, root.Split.Gain)
 	}
 
-	xgb, xgbTime := train(gbdt.BackendAllReduce)
+	xgb, xgbTime := train(baselines.XGBoostGBDT())
 	maxDiff := 0.0
 	for _, x := range ds.X[:500] {
 		if d := math.Abs(model.PredictRaw(x) - xgb.PredictRaw(x)); d > maxDiff {
 			maxDiff = d
 		}
 	}
-	fmt.Printf("XGBoost backend: %.2fs simulated (PS2 %.1fx faster), max prediction diff vs PS2: %.2e\n",
+	fmt.Printf("XGBoost strategy: %.2fs simulated (PS2 %.1fx faster), max prediction diff vs PS2: %.2e\n",
 		xgbTime, xgbTime/elapsed, maxDiff)
 }

@@ -476,15 +476,12 @@ func TestLDARejectsBadPriors(t *testing.T) {
 	}
 }
 
-// TestLDALoopSpans checks that every LDA system runs on the shared loop: a
-// traced run has one loop.iter span per iteration, tiled by its round and
-// barrier phases, and tracing moves neither the event count nor the virtual
-// end time.
+// TestLDALoopSpans checks that every LDA system runs on the shared loop.
 func TestLDALoopSpans(t *testing.T) {
 	corpus := ldaCorpus(t)
 	cfg := ldaConfig(8, 3)
 	for _, sys := range ldaSystems {
-		run := func(trace bool) (*core.Engine, float64) {
+		checkLoopSpans(t, sys.name, cfg.Iterations, func(trace bool) (*core.Engine, float64) {
 			opt := core.DefaultOptions()
 			opt.Executors, opt.Servers, opt.Trace = 4, sys.servers, trace
 			e := core.NewEngine(opt)
@@ -495,36 +492,44 @@ func TestLDALoopSpans(t *testing.T) {
 				}
 			})
 			return e, end
+		})
+	}
+}
+
+// checkLoopSpans checks the marks of the shared loop on system name, which
+// run runs untraced and traced: the traced run has one loop.iter span per
+// iteration, tiled by its round and barrier phases, and tracing moves neither
+// the event count nor the virtual end time.
+func checkLoopSpans(t *testing.T, name string, iterations int, run func(trace bool) (*core.Engine, float64)) {
+	t.Helper()
+	off, endOff := run(false)
+	on, endOn := run(true)
+	if endOff != endOn {
+		t.Errorf("%s: tracing moved the virtual end time: %v vs %v", name, endOff, endOn)
+	}
+	if a, b := off.Sim.EventsProcessed(), on.Sim.EventsProcessed(); a != b {
+		t.Errorf("%s: tracing moved the event count: %d vs %d", name, a, b)
+	}
+	var iters []obs.Event
+	phases, names := map[uint64]float64{}, map[uint64]string{}
+	for _, ev := range on.Tracer().Events() {
+		switch ev.Kind {
+		case obs.KIteration:
+			iters = append(iters, ev)
+		case obs.KLoopPhase:
+			phases[ev.Parent] += ev.Dur()
+			names[ev.Parent] += ev.Name + " "
 		}
-		off, endOff := run(false)
-		on, endOn := run(true)
-		if endOff != endOn {
-			t.Errorf("%s: tracing moved the virtual end time: %v vs %v", sys.name, endOff, endOn)
+	}
+	if len(iters) != iterations {
+		t.Errorf("%s: %d loop.iter spans, want %d", name, len(iters), iterations)
+	}
+	for i, it := range iters {
+		if names[it.ID] != "round barrier " {
+			t.Errorf("%s: iteration %d has phases %q, want round then barrier", name, i, names[it.ID])
 		}
-		if a, b := off.Sim.EventsProcessed(), on.Sim.EventsProcessed(); a != b {
-			t.Errorf("%s: tracing moved the event count: %d vs %d", sys.name, a, b)
-		}
-		var iters []obs.Event
-		phases, names := map[uint64]float64{}, map[uint64]string{}
-		for _, ev := range on.Tracer().Events() {
-			switch ev.Kind {
-			case obs.KIteration:
-				iters = append(iters, ev)
-			case obs.KLoopPhase:
-				phases[ev.Parent] += ev.Dur()
-				names[ev.Parent] += ev.Name + " "
-			}
-		}
-		if len(iters) != cfg.Iterations {
-			t.Errorf("%s: %d loop.iter spans, want %d", sys.name, len(iters), cfg.Iterations)
-		}
-		for i, it := range iters {
-			if names[it.ID] != "round barrier " {
-				t.Errorf("%s: iteration %d has phases %q, want round then barrier", sys.name, i, names[it.ID])
-			}
-			if got := phases[it.ID]; math.Abs(got-it.Dur()) > 1e-12 {
-				t.Errorf("%s: iteration %d: round + barrier = %.15g, iteration span is %.15g", sys.name, i, got, it.Dur())
-			}
+		if got := phases[it.ID]; math.Abs(got-it.Dur()) > 1e-12 {
+			t.Errorf("%s: iteration %d: round + barrier = %.15g, iteration span is %.15g", name, i, got, it.Dur())
 		}
 	}
 }

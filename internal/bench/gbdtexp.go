@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/data"
 	"repro/internal/ml/gbdt"
 	"repro/internal/simnet"
@@ -30,14 +31,15 @@ func runFig11(o Opts) *Result {
 		workers = 8
 	}
 
-	run := func(backend gbdt.Backend) (float64, float64) {
+	run := func(s gbdt.Strategy) (float64, float64) {
 		e := paperEngine(workers, workers)
-		bcfg := cfg
-		bcfg.Backend = backend
 		var final float64
 		end := e.Run(func(p *simnet.Proc) {
-			r, edges := gbdt.PrepareRDD(p, e, ds, bcfg)
-			m, err := gbdt.Train(p, e, r, ds.Config.Features, edges, bcfg)
+			r, edges, err := gbdt.PrepareRDD(p, e, ds, cfg)
+			if err != nil {
+				panic(err)
+			}
+			m, err := gbdt.Run(p, e, r, ds.Config.Features, edges, cfg, s)
 			if err != nil {
 				panic(err)
 			}
@@ -45,8 +47,8 @@ func runFig11(o Opts) *Result {
 		})
 		return end, final
 	}
-	ps2Time, ps2Loss := run(gbdt.BackendPS2)
-	xgbTime, xgbLoss := run(gbdt.BackendAllReduce)
+	ps2Time, ps2Loss := run(gbdt.PS2())
+	xgbTime, xgbLoss := run(baselines.XGBoostGBDT())
 
 	r := &Result{ID: "fig11",
 		Title:  fmt.Sprintf("GBDT, %d trees x depth %d, %d rows x %d features, hist size %d", cfg.Trees, cfg.MaxDepth, dcfg.Rows, dcfg.Features, cfg.Bins),

@@ -4,18 +4,17 @@
 // aggregate them; a split criterion is found over the aggregated histograms;
 // rows flow to child nodes; leaves get Newton-step values.
 //
-// Two aggregation backends reproduce the paper's Figure 11 comparison:
-//
-//   - BackendPS2: the histograms are two co-located DCVs; workers push local
-//     histograms with the DCV add operator and split finding runs
-//     server-side (the paper's max operator, footnote 5) — gradient
-//     histograms never travel back to workers.
-//   - BackendAllReduce: XGBoost's strategy — a ring AllReduce gives every
-//     worker the full histograms, each worker finds the split redundantly.
+// Boosting runs on the shared training loop (Run, over core.Run): one tree
+// is one iteration. A Strategy supplies only where a node's histograms are
+// aggregated and where its split is found; every system scans features with
+// the one split scan (Node.Scan). PS2 (Train) keeps the histograms in two
+// co-located DCVs and finds splits server-side (the paper's max operator,
+// footnote 5), so gradient histograms never travel back to workers.
 package gbdt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -24,32 +23,6 @@ import (
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
-
-// Backend selects the histogram aggregation strategy.
-type Backend int
-
-const (
-	// BackendPS2 aggregates on parameter servers with server-side split
-	// finding.
-	BackendPS2 Backend = iota
-	// BackendAllReduce aggregates with a worker ring (XGBoost).
-	BackendAllReduce
-	// BackendDriver ships every worker's full histograms to the driver and
-	// finds splits there (Spark MLlib's strategy — the single-node
-	// aggregation bottleneck).
-	BackendDriver
-)
-
-func (b Backend) String() string {
-	switch b {
-	case BackendPS2:
-		return "PS2"
-	case BackendAllReduce:
-		return "XGBoost"
-	default:
-		return "MLlib"
-	}
-}
 
 // Config holds the GBDT hyperparameters; defaults follow the paper's Table 4
 // with the histogram size scaled from 100 to 20 (matching the 10×-scaled
@@ -65,7 +38,6 @@ type Config struct {
 	// finding, so no extra counting stage is needed. For logistic loss at
 	// margin 0 one row contributes 0.25.
 	MinChildWeight float64
-	Backend        Backend
 	SampleRows     int // rows sampled to fit quantile bin edges
 	// Subsample, when in (0,1), trains each tree on a Bernoulli row sample
 	// (stochastic gradient boosting). 0 or 1 uses all rows.
@@ -90,6 +62,14 @@ func DefaultConfig() Config {
 	}
 }
 
+// check rejects a config that cannot bin or boost.
+func (c Config) check() error {
+	if c.Trees <= 0 || c.MaxDepth < 1 || c.Bins < 2 || c.Bins > 256 || c.SampleRows < 1 {
+		return fmt.Errorf("gbdt: invalid config %+v", c)
+	}
+	return nil
+}
+
 // Row is one binned training example inside the dataflow.
 type Row struct {
 	Bins  []uint8
@@ -106,6 +86,19 @@ type Split struct {
 	// histogram scan so min-child-weight is enforced without another pass
 	// over the data.
 	LeftWeight float64
+}
+
+// NoSplit is where a split search starts: every split is better.
+func NoSplit() Split { return Split{Feature: -1, Gain: math.Inf(-1)} }
+
+// better is the one rule every system picks a node's split by: the higher
+// gain, and on equal gain the lower (feature, bin), so the pick does not
+// depend on the order a system scans or merges in.
+func (s Split) better(o Split) bool {
+	if s.Gain != o.Gain {
+		return s.Gain > o.Gain
+	}
+	return s.Feature < o.Feature || s.Feature == o.Feature && s.BinThreshold < o.BinThreshold
 }
 
 // TreeNode is a node of a regression tree over binned features.
@@ -204,35 +197,16 @@ func gain(gl, hl, g, h, lambda float64) float64 {
 	return 0.5 * (gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - g*g/(h+lambda))
 }
 
-// Train boosts Config.Trees trees on the dataset. The RDD rows must be
-// pre-binned (see PrepareRDD). features is the raw feature count.
-func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[Row], features int, edges [][]float64, cfg Config) (*Model, error) {
-	if cfg.Trees <= 0 || cfg.MaxDepth < 1 || cfg.Bins < 2 || cfg.Bins > 256 {
-		return nil, fmt.Errorf("gbdt: invalid config %+v", cfg)
+// PrepareRDD checks cfg, then bins a tabular dataset and loads it as a
+// cached RDD: the driver fits quantile edges on a sample (Spark-style
+// sketch), broadcasts them, and the executors bin their partitions.
+func PrepareRDD(p *simnet.Proc, e *core.Engine, ds *data.TabularDataset, cfg Config) (*rdd.RDD[Row], [][]float64, error) {
+	if err := cfg.check(); err != nil {
+		return nil, nil, err
 	}
-	model := &Model{Edges: edges, Features: features, Bins: cfg.Bins,
-		Trace: &core.Trace{Name: cfg.Backend.String() + "-GBDT"}}
-
-	// Partition-local boosting state: current margin per row.
-	state := newTrainerState(p, e, dataset, cfg)
-
-	for t := 0; t < cfg.Trees; t++ {
-		state.computeGradients(p, t)
-		tree, err := state.growTree(p, features, t)
-		if err != nil {
-			return nil, err
-		}
-		model.Trees = append(model.Trees, *tree)
-		loss := state.applyTree(p, tree)
-		model.Trace.Add(p.Now(), loss)
+	if len(ds.X) == 0 {
+		return nil, nil, fmt.Errorf("gbdt: empty dataset")
 	}
-	return model, nil
-}
-
-// PrepareRDD bins a tabular dataset and loads it as a cached RDD: the
-// driver fits quantile edges on a sample (Spark-style sketch), broadcasts
-// them, and the executors bin their partitions.
-func PrepareRDD(p *simnet.Proc, e *core.Engine, ds *data.TabularDataset, cfg Config) (*rdd.RDD[Row], [][]float64) {
 	features := ds.Config.Features
 	sampleN := cfg.SampleRows
 	if sampleN > len(ds.X) {
@@ -263,5 +237,5 @@ func PrepareRDD(p *simnet.Proc, e *core.Engine, ds *data.TabularDataset, cfg Con
 		tc.Charge(cost.ElemWork(len(out) * features))
 		return out
 	}).Cache()
-	return r, edges
+	return r, edges, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -25,6 +26,16 @@ func smallTabular(t *testing.T, rows int) *data.TabularDataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// prepare bins ds for a config the test knows is valid; it runs on the
+// driver process, where t.Fatal cannot stop the test, so it panics instead.
+func prepare(p *simnet.Proc, e *core.Engine, ds *data.TabularDataset, cfg Config) (*rdd.RDD[Row], [][]float64) {
+	r, edges, err := PrepareRDD(p, e, ds, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r, edges
 }
 
 func TestFitBinEdgesMonotone(t *testing.T) {
@@ -89,17 +100,16 @@ func TestGainFormula(t *testing.T) {
 	}
 }
 
-func trainBackend(t *testing.T, backend Backend, rows int) (*Model, *data.TabularDataset, float64) {
+func trainPS2(t *testing.T, rows int) (*Model, *data.TabularDataset, float64) {
 	t.Helper()
 	ds := smallTabular(t, rows)
 	e := newEngine(4, 4)
 	cfg := DefaultConfig()
 	cfg.Trees = 8
 	cfg.MaxDepth = 4
-	cfg.Backend = backend
 	var model *Model
 	end := e.Run(func(p *simnet.Proc) {
-		r, edges := PrepareRDD(p, e, ds, cfg)
+		r, edges := prepare(p, e, ds, cfg)
 		m, err := Train(p, e, r, ds.Config.Features, edges, cfg)
 		if err != nil {
 			t.Error(err)
@@ -111,7 +121,7 @@ func trainBackend(t *testing.T, backend Backend, rows int) (*Model, *data.Tabula
 }
 
 func TestTrainPS2ReducesLoss(t *testing.T) {
-	model, ds, _ := trainBackend(t, BackendPS2, 2000)
+	model, ds, _ := trainPS2(t, 2000)
 	if len(model.Trees) != 8 {
 		t.Fatalf("trees = %d", len(model.Trees))
 	}
@@ -138,22 +148,6 @@ func TestTrainPS2ReducesLoss(t *testing.T) {
 	}
 }
 
-func TestBackendsAgreeOnModel(t *testing.T) {
-	// The two backends move histograms differently but compute the same
-	// math; trees and losses must agree (ties aside, the losses must match
-	// to float tolerance).
-	a, ds, _ := trainBackend(t, BackendPS2, 1500)
-	b, _, _ := trainBackend(t, BackendAllReduce, 1500)
-	if math.Abs(a.Trace.Final()-b.Trace.Final()) > 1e-9 {
-		t.Fatalf("final losses diverge: PS2=%v XGB=%v", a.Trace.Final(), b.Trace.Final())
-	}
-	for i, x := range ds.X[:200] {
-		if math.Abs(a.PredictRaw(x)-b.PredictRaw(x)) > 1e-9 {
-			t.Fatalf("row %d predictions diverge: %v vs %v", i, a.PredictRaw(x), b.PredictRaw(x))
-		}
-	}
-}
-
 func TestRootSplitMatchesBruteForce(t *testing.T) {
 	// With zero initial margins, g = 0.5 - y and h = 0.25 for every row; the
 	// root split found by the distributed pipeline must equal the braindead
@@ -166,7 +160,7 @@ func TestRootSplitMatchesBruteForce(t *testing.T) {
 	var model *Model
 	var edges [][]float64
 	e.Run(func(p *simnet.Proc) {
-		r, ed := PrepareRDD(p, e, ds, cfg)
+		r, ed := prepare(p, e, ds, cfg)
 		edges = ed
 		m, err := Train(p, e, r, ds.Config.Features, ed, cfg)
 		if err != nil {
@@ -215,38 +209,11 @@ func TestRootSplitMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestPS2FasterThanAllReduce(t *testing.T) {
-	// Fig 11's shape: with enough workers, PS histogram aggregation beats
-	// ring AllReduce.
-	timeFor := func(backend Backend) float64 {
-		ds, err := data.GenerateTabular(data.TabularConfig{Rows: 2000, Features: 80, Seed: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := newEngine(8, 8)
-		cfg := DefaultConfig()
-		cfg.Trees = 2
-		cfg.MaxDepth = 3
-		cfg.Backend = backend
-		return e.Run(func(p *simnet.Proc) {
-			r, edges := PrepareRDD(p, e, ds, cfg)
-			if _, err := Train(p, e, r, ds.Config.Features, edges, cfg); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	ps2 := timeFor(BackendPS2)
-	xgb := timeFor(BackendAllReduce)
-	if ps2 >= xgb {
-		t.Fatalf("PS2 (%vs) not faster than AllReduce (%vs)", ps2, xgb)
-	}
-}
-
 func TestTrainValidation(t *testing.T) {
 	e := newEngine(2, 2)
 	ds := smallTabular(t, 100)
 	e.Run(func(p *simnet.Proc) {
-		r, edges := PrepareRDD(p, e, ds, DefaultConfig())
+		r, edges := prepare(p, e, ds, DefaultConfig())
 		if _, err := Train(p, e, r, ds.Config.Features, edges, Config{}); err == nil {
 			t.Error("zero config accepted")
 		}
@@ -276,7 +243,7 @@ func TestMinChildWeightMakesLeaf(t *testing.T) {
 	cfg.MinChildWeight = 10 // 60 rows carry 15 hessian mass; 10+10 > 15
 	var model *Model
 	e.Run(func(p *simnet.Proc) {
-		r, edges := PrepareRDD(p, e, ds, cfg)
+		r, edges := prepare(p, e, ds, cfg)
 		m, err := Train(p, e, r, ds.Config.Features, edges, cfg)
 		if err != nil {
 			t.Error(err)
@@ -292,7 +259,7 @@ func TestMinChildWeightMakesLeaf(t *testing.T) {
 func TestFeatureImportanceFindsSignal(t *testing.T) {
 	// The tabular generator's target depends on features 0..4 only; the
 	// trained ensemble's importance mass must concentrate there.
-	model, _, _ := trainBackend(t, BackendPS2, 2500)
+	model, _, _ := trainPS2(t, 2500)
 	imp := model.FeatureImportance()
 	var signal, total float64
 	for f, v := range imp {
@@ -323,7 +290,7 @@ func TestEvaluateHeldOut(t *testing.T) {
 	cfg.MaxDepth = 4
 	var model *Model
 	e.Run(func(p *simnet.Proc) {
-		r, edges := PrepareRDD(p, e, train, cfg)
+		r, edges := prepare(p, e, train, cfg)
 		m, err := Train(p, e, r, train.Config.Features, edges, cfg)
 		if err != nil {
 			t.Error(err)
@@ -351,7 +318,7 @@ func TestSubsampleStillLearns(t *testing.T) {
 	cfg.ColsampleByTree = 0.7
 	var model *Model
 	e.Run(func(p *simnet.Proc) {
-		r, edges := PrepareRDD(p, e, ds, cfg)
+		r, edges := prepare(p, e, ds, cfg)
 		m, err := Train(p, e, r, ds.Config.Features, edges, cfg)
 		if err != nil {
 			t.Error(err)
@@ -383,7 +350,7 @@ func TestColsampleRestrictsSplits(t *testing.T) {
 		cfg.ColsampleByTree = colsample
 		var model *Model
 		e.Run(func(p *simnet.Proc) {
-			r, edges := PrepareRDD(p, e, ds, cfg)
+			r, edges := prepare(p, e, ds, cfg)
 			m, err := Train(p, e, r, ds.Config.Features, edges, cfg)
 			if err != nil {
 				t.Error(err)

@@ -11,8 +11,8 @@ import (
 )
 
 // iterationLoops lists the only non-test files allowed a training loop of
-// their own, `for it := 0; it < ….Iterations`; every other trainer is a
-// strategy of core.Run. TestIterationLoopsAreListed fails on an entry whose
+// their own, `for it := 0; it < ….Iterations` or a boosting loop `for t := 0;
+// t < ….Trees`; every other trainer is a strategy of core.Run. TestIterationLoopsAreListed fails on an entry whose
 // file has no such loop, so the list can only shrink.
 var iterationLoops = map[string]string{
 	"internal/core/loop.go":   "the loop",
@@ -66,17 +66,28 @@ func TestIterationLoopsAreListed(t *testing.T) {
 }
 
 // isIterationLoop reports whether loop is `for it := 0; it < x; …` where x
-// is a field named Iterations or a variable named iterations.
+// is a field named Iterations or a variable named iterations, or a boosting
+// loop, `for v := 0; v < x; …` over any v where x is a field named Trees.
 func isIterationLoop(loop *ast.ForStmt) bool {
 	init, ok := loop.Init.(*ast.AssignStmt)
-	if !ok || init.Tok != token.DEFINE || len(init.Lhs) != 1 || !isIdent(init.Lhs[0], "it") {
+	if !ok || init.Tok != token.DEFINE || len(init.Lhs) != 1 {
+		return false
+	}
+	v, ok := init.Lhs[0].(*ast.Ident)
+	if !ok {
 		return false
 	}
 	if zero, ok := init.Rhs[0].(*ast.BasicLit); !ok || zero.Value != "0" {
 		return false
 	}
 	cond, ok := loop.Cond.(*ast.BinaryExpr)
-	if !ok || cond.Op != token.LSS || !isIdent(cond.X, "it") {
+	if !ok || cond.Op != token.LSS || !isIdent(cond.X, v.Name) {
+		return false
+	}
+	if sel, ok := cond.Y.(*ast.SelectorExpr); ok && sel.Sel.Name == "Trees" {
+		return true
+	}
+	if v.Name != "it" {
 		return false
 	}
 	if sel, ok := cond.Y.(*ast.SelectorExpr); ok {

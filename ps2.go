@@ -344,7 +344,10 @@ func TrainGBDT(p *Proc, e *Engine, ds *data.TabularDataset, cfg gbdt.Config, top
 	if to != (TrainOptions{}) {
 		return nil, fmt.Errorf("ps2: TrainOptions is not supported by TrainGBDT")
 	}
-	r, edges := gbdt.PrepareRDD(p, e, ds, cfg)
+	r, edges, err := gbdt.PrepareRDD(p, e, ds, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return gbdt.Train(p, e, r, ds.Config.Features, edges, cfg)
 }
 

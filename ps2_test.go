@@ -89,6 +89,46 @@ func TestFacadeGBDT(t *testing.T) {
 	})
 }
 
+// TestTrainGBDTRejectsBadConfig checks that a config that cannot bin or
+// boost, or a dataset with no rows, comes back as an error from TrainGBDT,
+// before binning, and never panics the driver.
+func TestTrainGBDTRejectsBadConfig(t *testing.T) {
+	ds, err := data.GenerateTabular(data.TabularConfig{Rows: 200, Features: 6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(edit func(*gbdt.Config)) gbdt.Config {
+		cfg := gbdt.DefaultConfig()
+		edit(&cfg)
+		return cfg
+	}
+	empty := &data.TabularDataset{Config: ds.Config}
+	cases := []struct {
+		name string
+		cfg  gbdt.Config
+		ds   *data.TabularDataset
+	}{
+		{"zero config", gbdt.Config{}, ds},
+		{"SampleRows 0", with(func(c *gbdt.Config) { c.SampleRows = 0 }), ds},
+		{"Bins 1", with(func(c *gbdt.Config) { c.Bins = 1 }), ds},
+		{"Bins 300", with(func(c *gbdt.Config) { c.Bins = 300 }), ds},
+		{"no rows", gbdt.DefaultConfig(), empty},
+	}
+	for _, tc := range cases {
+		e := smallEngine()
+		e.Run(func(p *Proc) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: TrainGBDT panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := TrainGBDT(p, e, tc.ds, tc.cfg); err == nil {
+				t.Errorf("%s: TrainGBDT accepted %+v", tc.name, tc.cfg)
+			}
+		})
+	}
+}
+
 func TestFacadeLDA(t *testing.T) {
 	c, err := data.GenerateCorpus(data.CorpusConfig{
 		Docs: 120, Vocab: 400, MeanDocLen: 30, TrueTopics: 4, Concentrate: 0.05, Seed: 4,
