@@ -1,7 +1,8 @@
 package simnet
 
 // This file is the kernel's chaos layer: machine up/down state, per-link
-// message loss and extra delay, a fallible send primitive (TrySend), and a
+// message loss and extra delay, a fallible send primitive (TrySend, whose
+// checks run in the transfer steps of node.go), and a
 // FaultPlan controller that fires crash actions at scheduled virtual times.
 // Together they let the *environment* inject failures mid-RPC — the substrate
 // for the parameter server's heartbeat failure detector and automatic
@@ -10,7 +11,6 @@ package simnet
 import (
 	"errors"
 	"sort"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -47,59 +47,7 @@ func (n *Node) Restore() { n.down = false }
 // NIC); ErrNodeDown means a crashed endpoint, ErrMsgLost a chaos drop.
 // Receive-side counters only advance on delivery.
 func (n *Node) TrySend(p *Proc, dst *Node, bytes float64) error {
-	t := n.sim.tracer
-	if t == nil {
-		return n.trySend(p, dst, bytes)
-	}
-	sp := t.Begin(n.ID, n.Name, obs.KNetSend, "send "+dst.Name, p.span,
-		obs.KV{K: "bytes", V: strconv.FormatFloat(bytes, 'f', 0, 64)})
-	err := n.trySend(p, dst, bytes)
-	if err != nil {
-		sp.End(obs.KV{K: "err", V: err.Error()})
-		if err == ErrMsgLost {
-			t.Instant(n.ID, n.Name, obs.KMsgLost, "lost "+dst.Name)
-		}
-		return err
-	}
-	sp.End()
-	return nil
-}
-
-func (n *Node) trySend(p *Proc, dst *Node, bytes float64) error {
-	if bytes < 0 {
-		bytes = 0
-	}
-	if n.down {
-		return ErrNodeDown
-	}
-	n.BytesSent += bytes
-	if n == dst {
-		p.Sleep(0)
-		if n.down {
-			return ErrNodeDown
-		}
-		n.BytesRecv += bytes
-		return nil
-	}
-	n.out.Use(p, bytes/n.outBW)
-	extra := Time(0)
-	if c := n.sim.chaos; c != nil {
-		extra = c.delay(n.ID, dst.ID)
-	}
-	p.Sleep(n.latency + extra)
-	if dst.down {
-		return ErrNodeDown
-	}
-	if c := n.sim.chaos; c != nil && c.lose(n.ID, dst.ID) {
-		return ErrMsgLost
-	}
-	dst.in.Use(p, bytes/dst.inBW)
-	if dst.down {
-		// Crashed while the message was serializing on its ingress NIC.
-		return ErrNodeDown
-	}
-	dst.BytesRecv += bytes
-	return nil
+	return n.transfer(p, dst, bytes, true)
 }
 
 // Chaos holds the simulation's link-fault configuration: a default

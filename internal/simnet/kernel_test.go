@@ -142,6 +142,150 @@ func TestKernelDeliveryOrderPinned(t *testing.T) {
 	}
 }
 
+// transferLog runs one seeded network schedule and returns its delivery log:
+// a line "virtual-time process step op result bytes-received" per operation
+// any process completes, a line per fault the controller injects, a line per
+// process exit and a closing line with the clock and the event count. Five
+// nodes share slow NICs, so transfers queue on egress and ingress; most
+// messages go to node 0, an in-cast. Senders mix Send, TrySend under chaos
+// loss with per-link extra delay, local sends and Compute on node 4's two
+// cores, while a controller fails nodes at times that land mid-egress,
+// mid-propagation and mid-ingress, and restores them a moment later. Odd
+// seeds end at a RunUntil deadline mid-transfer.
+func transferLog(seed uint64) []string {
+	rng := splitmix(seed)
+	s := New()
+	nodes := make([]*Node, 5)
+	for i := range nodes {
+		nodes[i] = s.NewNode(i, NodeConfig{BandwidthBps: 1000, LatencySec: 0.02, Cores: 1 + i/4, WorkRate: 100})
+	}
+	c := s.EnableChaos(seed, 0.15)
+	c.SetLinkDelay(1, 0, 0.03)
+	c.SetLinkDelay(2, 3, 0.01)
+	c.SetLinkLoss(3, 0, 0.4)
+	var log []string
+	for i := range 7 {
+		name := "p" + strconv.Itoa(i)
+		s.Spawn(name, func(p *Proc) {
+			defer func() { log = append(log, fmt.Sprintf("%g %s exit", p.Now(), name)) }()
+			for step := range 10 {
+				src := nodes[rng.intn(len(nodes))]
+				dst := nodes[0]
+				if rng.intn(3) == 0 {
+					dst = nodes[rng.intn(len(nodes))]
+				}
+				bytes := float64(10 * (1 + rng.intn(10)))
+				var op string
+				var err error
+				switch k := rng.intn(8); {
+				case k < 3:
+					src.Send(p, dst, bytes)
+					op = fmt.Sprintf("send%d>%d", src.ID, dst.ID)
+				case k < 6:
+					err = src.TrySend(p, dst, bytes)
+					op = fmt.Sprintf("try%d>%d", src.ID, dst.ID)
+				case k == 6:
+					nodes[4].Compute(p, bytes/10)
+					op = "compute"
+					dst = nodes[4]
+				default:
+					p.Sleep(Time(rng.intn(4)) * 0.01)
+					op = "sleep"
+				}
+				log = append(log, fmt.Sprintf("%g %s %d %s %v %g", p.Now(), name, step, op, err, dst.BytesRecv))
+			}
+		})
+	}
+	s.Spawn("faults", func(p *Proc) {
+		for range 12 {
+			p.Sleep(Time(1+rng.intn(40)) * 0.003)
+			n := nodes[rng.intn(len(nodes))]
+			n.Fail()
+			log = append(log, fmt.Sprintf("%g faults fail node%d", p.Now(), n.ID))
+			p.Sleep(Time(1+rng.intn(20)) * 0.003)
+			n.Restore()
+			log = append(log, fmt.Sprintf("%g faults restore node%d", p.Now(), n.ID))
+		}
+	})
+	if seed%2 == 1 {
+		s.RunUntil(0.4 + Time(rng.intn(40))*0.0123)
+	} else {
+		s.Run()
+	}
+	return append(log, fmt.Sprintf("end %g %d", s.Now(), s.EventsProcessed()))
+}
+
+// TestTransferDeliveryOrderPinned pins the order in which transfers, their
+// faults and their results are delivered, by a hash over forty seeded
+// network schedules' logs (transferLog). The constants were recorded on
+// the kernel at commit 69cb8ec, in which every NIC step of a transfer woke
+// the sending process (egress Use, propagation Sleep, ingress Use), before
+// transfers ran their middle steps inside the event loop; the two must
+// agree event for event. A change that means to alter the order must say so and
+// re-pin; nothing else may.
+func TestTransferDeliveryOrderPinned(t *testing.T) {
+	const (
+		wantLines = 3050
+		wantHash  = "6f312bd70e106174"
+	)
+	h := sha256.New()
+	lines := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		for _, l := range transferLog(seed) {
+			fmt.Fprintln(h, l)
+			lines++
+		}
+	}
+	got := fmt.Sprintf("%x", h.Sum(nil))[:16]
+	if lines != wantLines || got != wantHash {
+		t.Fatalf("transfer log: %d lines, hash %s; pinned %d lines, hash %s", lines, got, wantLines, wantHash)
+	}
+}
+
+// TestTransferWakesOnce checks the mechanism behind a transfer's host cost,
+// not just its clock: the event loop runs a message's NIC steps itself, so
+// the sending process is resumed once per message, while the events the
+// kernel delivers stay those of the kernel that woke the sender at every
+// step (the event counts below were measured at commit 69cb8ec).
+func TestTransferWakesOnce(t *testing.T) {
+	s := New()
+	a, b := s.NewNode(0, DefaultNodeConfig()), s.NewNode(1, DefaultNodeConfig())
+	var sendWakes, tryWakes uint64
+	s.Spawn("sender", func(p *Proc) {
+		h := s.handoffs
+		a.Send(p, b, 4096)
+		sendWakes = s.handoffs - h
+		h = s.handoffs
+		if err := a.TrySend(p, b, 4096); err != nil {
+			t.Errorf("TrySend: %v", err)
+		}
+		tryWakes = s.handoffs - h
+	})
+	s.Run()
+	if sendWakes != 1 || tryWakes != 1 {
+		t.Errorf("an uncontended Send woke its process %d times and TrySend %d, want 1 each", sendWakes, tryWakes)
+	}
+	if got := s.EventsProcessed(); got != 7 {
+		t.Errorf("start, Send and TrySend delivered %d events, want 7", got)
+	}
+
+	// A 20-to-1 in-cast: every message queues on one ingress NIC, and each
+	// sender is still resumed twice, to start and when its message is in.
+	s = New()
+	sink := s.NewNode(0, DefaultNodeConfig())
+	for i := range 20 {
+		src := s.NewNode(i+1, DefaultNodeConfig())
+		s.Spawn("sender", func(p *Proc) { src.Send(p, sink, 4096) })
+	}
+	s.Run()
+	if s.handoffs != 40 {
+		t.Errorf("20 senders into one NIC made %d hand-offs, want 40", s.handoffs)
+	}
+	if got := s.EventsProcessed(); got != 99 {
+		t.Errorf("the in-cast delivered %d events, want 99", got)
+	}
+}
+
 // TestGoexitInProcessEndsRun: a process that calls runtime.Goexit (as
 // t.FailNow does) counts as finished, and the run goes on to its end
 // instead of hanging — including when the process runs on a goroutine a
@@ -242,11 +386,13 @@ func TestProcessGoroutinesDoNotLeak(t *testing.T) {
 }
 
 // TestKernelZeroAlloc is the kernel's allocation contract: once warm, a
-// Sleep, an uncontended Resource.Use and a mailbox ping-pong allocate
-// nothing per event. scripts/check.sh runs it without -race.
+// Sleep, an uncontended Resource.Use, a mailbox ping-pong, a Send and a
+// TrySend allocate nothing per event. scripts/check.sh runs it without
+// -race.
 func TestKernelZeroAlloc(t *testing.T) {
 	s := New()
 	r := s.NewResource(1)
+	a, b := s.NewNode(0, DefaultNodeConfig()), s.NewNode(1, DefaultNodeConfig())
 	ping, pong := s.NewMailbox(), s.NewMailbox()
 	ball := new(int)
 	var allocs float64
@@ -262,6 +408,10 @@ func TestKernelZeroAlloc(t *testing.T) {
 			r.Use(p, 0.25)
 			ping.Put(ball)
 			pong.Get(p)
+			a.Send(p, b, 4096)
+			if err := b.TrySend(p, a, 4096); err != nil {
+				t.Error(err)
+			}
 		}
 		for range 16 {
 			round()
@@ -277,14 +427,16 @@ func TestKernelZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkKernel measures the kernel's host cost per delivered event on
-// two shapes: a mailbox ping-pong between two processes, and a 20-way
-// fan-out in the shape of ps.CallShard — per shard a child process sends a
-// request, computes on the server and sends the reply, while the parent
-// waits on the group.
+// BenchmarkKernel measures the kernel's host cost per delivered event, and
+// the share of events that resume a process (hand-offs), on three shapes: a
+// mailbox ping-pong between two processes; a 20-way fan-out in the shape of
+// ps.CallShard — per shard a child process sends a request, computes on the
+// server and sends the reply, while the parent waits on the group; and a
+// 20-to-1 in-cast, where every sender's message queues on one ingress NIC.
 func BenchmarkKernel(b *testing.B) {
 	perEvent := func(b *testing.B, s *Sim) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EventsProcessed()), "ns/event")
+		b.ReportMetric(float64(s.handoffs)/float64(s.EventsProcessed()), "handoffs/event")
 	}
 	b.Run("pingpong", func(b *testing.B) {
 		b.ReportAllocs()
@@ -328,6 +480,23 @@ func BenchmarkKernel(b *testing.B) {
 				g.Wait(p)
 			}
 		})
+		b.ResetTimer()
+		s.Run()
+		b.StopTimer()
+		perEvent(b, s)
+	})
+	b.Run("incast20", func(b *testing.B) {
+		b.ReportAllocs()
+		s := New()
+		sink := s.NewNode(0, DefaultNodeConfig())
+		for i := range 20 {
+			src := s.NewNode(i+1, DefaultNodeConfig())
+			s.Spawn("sender", func(p *Proc) {
+				for range b.N {
+					src.Send(p, sink, 4096)
+				}
+			})
+		}
 		b.ResetTimer()
 		s.Run()
 		b.StopTimer()

@@ -84,32 +84,105 @@ func (s *Sim) NewNode(id int, cfg NodeConfig) *Node {
 
 // Send transfers bytes from n to dst, blocking the calling process for the
 // full transfer time: serialization on n's egress NIC, propagation latency,
-// then serialization on dst's ingress NIC.
+// then serialization on dst's ingress NIC. Plain Send ignores faults and
+// chaos.
 func (n *Node) Send(p *Proc, dst *Node, bytes float64) {
-	if t := n.sim.tracer; t != nil {
-		sp := t.Begin(n.ID, n.Name, obs.KNetSend, "send "+dst.Name, p.span,
-			obs.KV{K: "bytes", V: strconv.FormatFloat(bytes, 'f', 0, 64)})
-		n.send(p, dst, bytes)
-		sp.End()
-		return
-	}
-	n.send(p, dst, bytes)
+	n.transfer(p, dst, bytes, false)
 }
 
-func (n *Node) send(p *Proc, dst *Node, bytes float64) {
+// transfer is Send (try false) and TrySend (try true). A message between
+// two machines is a kernel-run operation: the egress hold, propagation, the
+// liveness and chaos-loss checks and the ingress hold run as steps in the
+// event loop (egressed, arrived, delivered), and the process is woken once,
+// when the transfer ends or fails.
+func (n *Node) transfer(p *Proc, dst *Node, bytes float64, try bool) error {
+	t := n.sim.tracer
+	if t == nil {
+		return n.move(p, dst, bytes, try)
+	}
+	sp := t.Begin(n.ID, n.Name, obs.KNetSend, "send "+dst.Name, p.span,
+		obs.KV{K: "bytes", V: strconv.FormatFloat(bytes, 'f', 0, 64)})
+	err := n.move(p, dst, bytes, try)
+	if err != nil {
+		sp.End(obs.KV{K: "err", V: err.Error()})
+		if err == ErrMsgLost {
+			t.Instant(n.ID, n.Name, obs.KMsgLost, "lost "+dst.Name)
+		}
+		return err
+	}
+	sp.End()
+	return nil
+}
+
+func (n *Node) move(p *Proc, dst *Node, bytes float64, try bool) error {
 	if bytes < 0 {
 		bytes = 0
 	}
+	if try && n.down {
+		return ErrNodeDown
+	}
 	n.BytesSent += bytes
-	dst.BytesRecv += bytes
+	if !try {
+		// Plain Send counts the bytes received up front: it cannot fail.
+		dst.BytesRecv += bytes
+	}
 	if n == dst {
 		// Local delivery costs nothing on the network.
 		p.Sleep(0)
+		if try {
+			if n.down {
+				return ErrNodeDown
+			}
+			n.BytesRecv += bytes
+		}
+		return nil
+	}
+	p.checkStopped()
+	p.src, p.dst, p.size, p.try, p.err = n, dst, bytes, try, nil
+	p.use(n.out, bytes/n.outBW, egressed)
+	p.yield()
+	return p.err
+}
+
+// egressed: the message has left the sender's NIC; it propagates for the
+// link latency plus, for TrySend, the chaos layer's extra delay.
+func egressed(p *Proc) {
+	extra := Time(0)
+	if c := p.sim.chaos; c != nil && p.try {
+		extra = c.delay(p.src.ID, p.dst.ID)
+	}
+	p.step = arrived
+	p.sim.after(p, p.src.latency+extra)
+}
+
+// arrived: the message reached the receiver. TrySend fails here if the
+// receiver is down or chaos drops the message; otherwise it queues on the
+// receiver's ingress NIC.
+func arrived(p *Proc) {
+	if p.try {
+		if p.dst.down {
+			p.err = ErrNodeDown
+			return
+		}
+		if c := p.sim.chaos; c != nil && c.lose(p.src.ID, p.dst.ID) {
+			p.err = ErrMsgLost
+			return
+		}
+	}
+	p.use(p.dst.in, p.size/p.dst.inBW, delivered)
+}
+
+// delivered: the ingress NIC has the whole message. For TrySend the
+// receiver must still be up, having possibly crashed while it serialized.
+func delivered(p *Proc) {
+	if !p.try {
 		return
 	}
-	n.out.Use(p, bytes/n.outBW)
-	p.Sleep(n.latency)
-	dst.in.Use(p, bytes/dst.inBW)
+	if p.dst.down {
+		p.err = ErrNodeDown
+		return
+	}
+	p.dst.BytesRecv += p.size
 }
 
 // Compute charges `work` abstract units against one of the node's cores,

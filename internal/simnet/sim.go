@@ -8,6 +8,17 @@
 // in-cast, parallel server service, AllReduce rings) fall out of the queueing
 // behaviour of simulated NICs rather than being hard-coded formulas.
 //
+// Events and hand-offs: an event is one scheduled wake-up of a process at a
+// virtual time, and EventsProcessed counts every one delivered. Most events
+// hand control to the process's own code (a hand-off), which costs a
+// goroutine switch whenever another process held control. A NIC step of a
+// transfer does not: Send, TrySend and Resource.Use schedule their middle
+// steps (a grant, the end of a hold, the end of propagation) as events of
+// the process like any other, but the event loop runs each step itself, on
+// whichever goroutine is passing control, and wakes the process only when
+// the operation ends. An uncontended message is three events and one
+// hand-off.
+//
 // Determinism: events are ordered by (time, sequence number); processes only
 // run one at a time, and a process that blocks hands control explicitly to
 // the process of the next due event, so a simulation with seeded randomness
@@ -37,10 +48,12 @@ type Sim struct {
 	seq       uint64
 	deadline  Time          // RunUntil's: no event past it is delivered
 	sched     chan struct{} // RunUntil takes control back on it when the run ends
-	live      []*Proc       // processes that have started and not yet finished
+	live      []*Proc       // spawned processes not yet finished, oldest first; exit leaves nil holes
+	holes     int           // nil entries in live
 	idle      []*worker     // goroutines parked between processes
 	stopped   bool
 	processed uint64 // events delivered so far (observability)
+	handoffs  uint64 // events that resumed a process's own code
 	failure   any    // first panic raised by a user process, re-raised by Run
 	chaos     *Chaos // optional link-fault injection, see fault.go
 
@@ -125,15 +138,45 @@ func (s *Sim) schedule(t Time, p *Proc) {
 	s.events.push(event{t: t, seq: s.seq, p: p})
 }
 
-// next pops the next due event, advancing the clock to it, and returns its
+// after schedules a wake-up for p in d seconds; a negative or NaN d means
+// now.
+func (s *Sim) after(p *Proc, d Time) {
+	if d < 0 || math.IsNaN(d) {
+		d = 0
+	}
+	s.schedule(s.now+d, p)
+}
+
+// next delivers due events until one resumes a process, and returns that
 // process; nil means the run is over: no event left, the next one past the
-// deadline, or the simulation stopped.
+// deadline, or the simulation stopped. An event of a process inside a
+// kernel-run operation runs the operation's next step here instead (see
+// Proc.step), and resumes the process only if that step ends the operation.
+func (s *Sim) next() *Proc {
+	for {
+		p := s.pop()
+		if p == nil {
+			return nil
+		}
+		if step := p.step; step != nil {
+			p.step = nil
+			if step(p); p.step != nil {
+				continue
+			}
+		}
+		s.handoffs++
+		return p
+	}
+}
+
+// pop pops the next due event, advancing the clock to it, and returns its
+// process, or nil when the run is over.
 //
 // The order is (t, seq), as if every event were on the heap. Heap events are
 // all due after the instant they were scheduled at, so when the clock
 // reaches t every heap event at t was scheduled before any FIFO entry:
 // heap events at now go first, then the FIFO in its order.
-func (s *Sim) next() *Proc {
+func (s *Sim) pop() *Proc {
 	switch {
 	case s.stopped:
 		return nil
@@ -176,8 +219,24 @@ type Proc struct {
 	sim  *Sim
 	name string
 	w    *worker // the goroutine running the process
+	slot int     // index in sim.live
 	done *Signal
 	span obs.Span // current trace context, see trace.go
+
+	// A kernel-run operation in progress (Resource.Use, a transfer). step,
+	// when set, runs in the event loop at the process's next event instead
+	// of resuming it; it sets the step after it, or leaves none to resume
+	// the process. Steps are top-level functions over this state, so an
+	// operation allocates nothing.
+	step func(*Proc)
+	res  *Resource   // the resource the operation waits for or holds
+	hold Time        // how long it holds res once granted
+	then func(*Proc) // runs when res is released; nil resumes the process
+	src  *Node       // a transfer's sender, receiver and size
+	dst  *Node
+	size float64
+	try  bool  // TrySend: a down endpoint or a chaos drop fails the transfer
+	err  error // the transfer's result
 }
 
 // worker is a goroutine that runs processes one after another: when a
@@ -211,6 +270,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		// anymore either.
 		return p
 	}
+	p.slot = len(s.live)
 	s.live = append(s.live, p)
 	var w *worker
 	if n := len(s.idle); n > 0 {
@@ -272,13 +332,23 @@ func (s *Sim) run(w *worker) {
 	returned = true
 }
 
-// exit retires w's process: it leaves the live set and w is free.
+// exit retires w's process: it leaves the live set and w is free. Its slot
+// becomes a hole; once holes are the majority, live is compacted in order
+// (never while stop walks it).
 func (s *Sim) exit(w *worker) {
-	for i, q := range s.live {
-		if q == w.p {
-			s.live = append(s.live[:i], s.live[i+1:]...)
-			break
+	s.live[w.p.slot] = nil
+	s.holes++
+	if !s.stopped && 2*s.holes > len(s.live) {
+		k := 0
+		for _, q := range s.live {
+			if q != nil {
+				q.slot = k
+				s.live[k] = q
+				k++
+			}
 		}
+		clear(s.live[k:])
+		s.live, s.holes = s.live[:k], 0
 	}
 	w.p, w.fn = nil, nil
 }
@@ -306,10 +376,7 @@ func (p *Proc) checkStopped() {
 // single instant.
 func (p *Proc) Sleep(d Time) {
 	p.checkStopped()
-	if d < 0 || math.IsNaN(d) {
-		d = 0
-	}
-	p.sim.schedule(p.sim.now+d, p)
+	p.sim.after(p, d)
 	p.yield()
 }
 
@@ -337,18 +404,21 @@ func (s *Sim) RunUntil(deadline Time) {
 	}
 }
 
-// stop unwinds all remaining live processes, then ends the parked goroutines.
+// stop unwinds all remaining live processes, oldest first, then ends the
+// parked goroutines.
 func (s *Sim) stop() {
 	s.stopped = true
-	for len(s.live) > 0 {
-		s.live[0].w.wake <- wakeMsg{stop: true}
-		<-s.sched
+	for _, p := range s.live {
+		if p != nil {
+			p.w.wake <- wakeMsg{stop: true}
+			<-s.sched
+		}
 	}
 	for _, w := range s.idle {
 		w.wake <- wakeMsg{stop: true}
 		<-s.sched
 	}
-	s.idle, s.events, s.due = nil, nil, fifo[*Proc]{}
+	s.live, s.holes, s.idle, s.events, s.due = nil, 0, nil, nil, fifo[*Proc]{}
 }
 
 // fifo is a queue that reuses its backing array: once warm, pushing and

@@ -143,10 +143,8 @@ func TestResourceFIFOOrder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		i := i
 		s.Spawn("user", func(p *Proc) {
-			r.Acquire(p)
+			r.Use(p, 1)
 			order = append(order, i)
-			p.Sleep(1)
-			r.Release()
 		})
 	}
 	s.Run()

@@ -41,7 +41,8 @@ func (g *Signal) Wait(p *Proc) {
 }
 
 // Resource is a counting semaphore with FIFO admission, used to model
-// serialization points such as NICs and CPU cores.
+// serialization points such as NICs and CPU cores. A process holds a unit
+// for a span of virtual time with Use.
 type Resource struct {
 	sim      *Sim
 	capacity int
@@ -57,41 +58,49 @@ func (s *Sim) NewResource(capacity int) *Resource {
 	return &Resource{sim: s, capacity: capacity}
 }
 
-// Acquire blocks until one unit of the resource is available and takes it.
-// Units are granted in FIFO order.
-func (r *Resource) Acquire(p *Proc) {
+// Use waits for a unit of the resource (units are granted in FIFO order),
+// holds it for hold seconds and returns it. It is the common pattern for
+// charging time against a serialized device. The event loop runs the grant
+// and the release (see the package doc), so the process is woken once, at
+// the end.
+func (r *Resource) Use(p *Proc, hold Time) {
 	p.checkStopped()
+	p.use(r, hold, nil)
+	p.yield()
+}
+
+// use starts a kernel-run hold of r for hold seconds: the grant (now, or at
+// an event when r is busy), the hold's end, the release, then the step then
+// (nil ends the operation). A busy grant and the hold's end are one event
+// each. The caller yields.
+func (p *Proc) use(r *Resource, hold Time, then func(*Proc)) {
+	p.res, p.hold, p.then = r, hold, then
 	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.inUse++
+		granted(p)
 		return
 	}
+	p.step = granted
 	r.waiters.push(p)
-	p.yield()
-	// The releaser incremented inUse on our behalf before waking us.
 }
 
-// Release returns one unit. If processes are queued, the head of the queue is
-// granted the unit and woken at the current virtual time.
-func (r *Resource) Release() {
-	if r.sim.stopped {
-		return
-	}
-	r.inUse--
-	if r.inUse < 0 {
-		panic("simnet: Resource released more times than acquired")
-	}
-	if r.waiters.len() > 0 {
-		r.inUse++
+// granted starts the hold of p.res, whose unit p now has.
+func granted(p *Proc) {
+	p.step = held
+	p.sim.after(p, p.hold)
+}
+
+// held ends the hold: the unit passes to the head of p.res's queue, whose
+// grant is due now, or goes back to the resource. Then p.then runs.
+func held(p *Proc) {
+	if r := p.res; r.waiters.len() > 0 {
 		r.sim.schedule(r.sim.now, r.waiters.pop())
+	} else {
+		r.inUse--
 	}
-}
-
-// Use acquires the resource, sleeps for hold seconds, and releases it. It is
-// the common pattern for charging time against a serialized device.
-func (r *Resource) Use(p *Proc, hold Time) {
-	r.Acquire(p)
-	p.Sleep(hold)
-	r.Release()
+	if p.then != nil {
+		p.then(p)
+	}
 }
 
 // Mailbox is an unbounded FIFO message queue between processes. Put never
