@@ -7,16 +7,23 @@
 // lets element-wise operators (dot, add, mul, axpy, zip) run entirely
 // server-side, with only scalars on the wire.
 //
-// The operator set mirrors the paper's Table 1:
+// The operator set mirrors the paper's Table 1 and Figure 3:
 //
-//	Row access:    Pull, Push(Add), Sum, Nnz, Norm2
-//	Column access: Axpy, Dot, Copy, Sub, Add, Mul, Div (and ZipMap/ZipReduce)
-//	Creation:      Derive, Dense, Sparse
+//	Row access:    Pull, PullIndices, Add, AddDense, Set (rows move);
+//	               Sum, Nnz, Norm2 (computed server-side)
+//	Column access: Fill, Zero, Scale, Axpy, Dot, CopyFrom, AddVec, SubVec,
+//	               MulVec, DivVec, ZipMap, ZipReduce
+//	Creation:      Dense, Sparse, Derive
+//
+// Every server-side operator, from Sum to ZipReduce, is declared once
+// (columnops.go). A Vector method runs it alone; a Batch records several and
+// runs them as one request per server (fused.go).
 package dcv
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/linalg"
 	"repro/internal/ps"
@@ -170,15 +177,17 @@ func (v *Vector) Set(p *simnet.Proc, from *simnet.Node, values []float64) error 
 
 // Sum returns the sum of all elements, computed server-side.
 func (v *Vector) Sum(p *simnet.Proc, from *simnet.Node) (float64, error) {
-	return v.mat.RowSum(p, from, v.row)
+	return v.sess.sum(v).reduce(p, from)
 }
 
 // Nnz returns the number of nonzero elements, computed server-side.
 func (v *Vector) Nnz(p *simnet.Proc, from *simnet.Node) (int, error) {
-	return v.mat.RowNnz(p, from, v.row)
+	n, err := v.sess.nnz(v).reduce(p, from)
+	return int(n), err
 }
 
 // Norm2 returns the Euclidean norm, computed server-side.
 func (v *Vector) Norm2(p *simnet.Proc, from *simnet.Node) (float64, error) {
-	return v.mat.RowNorm2(p, from, v.row)
+	sq, err := v.sess.sumSquares(v).reduce(p, from)
+	return math.Sqrt(sq), err
 }

@@ -607,3 +607,26 @@ func TestSumNnzNorm2OnDerived(t *testing.T) {
 		}
 	})
 }
+
+// TestReadsOutsideDedup asserts the column reductions go out as reads: in an
+// unreliable run, Dot (co-located and shuffled) and ZipReduce leave no entry
+// in any server's applied set, as a read needs no exactly-once filter.
+func TestReadsOutsideDedup(t *testing.T) {
+	sim, cl, sess := testSession(3)
+	sess.Master.Unreliable = true
+	run(sim, func(p *simnet.Proc) {
+		a, _ := sess.Dense(p, 30, 2)
+		b := a.MustDerive()
+		far, _ := sess.Dense(p, 30)
+		for i := 0; i < 3; i++ {
+			ps.Must(a.Dot(p, cl.Driver, b))
+			ps.Must(a.Dot(p, cl.Driver, far))
+			ps.Must(ZipReduce(p, cl.Driver, a, 1, 8, func(sp ShardSpan) float64 { return sp.Rows[1][0] }, b))
+		}
+		for s := range cl.Servers {
+			if n := sess.Master.Server(s).DedupSize(); n != 0 {
+				t.Errorf("server %d holds %d applied-set entries after reads only, want 0", s, n)
+			}
+		}
+	})
+}

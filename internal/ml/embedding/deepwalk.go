@@ -361,7 +361,7 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 	if dw.pending != nil {
 		dw.fused[0], dw.fused[1] = *dw.pending, dotOp
 		dw.pending = nil
-		ps.Must(mat.InvokeFused(tc.P, tc.Node, dw.fused))
+		ps.Must(mat.Invoke(tc.P, tc.Node, dw.fused...))
 	} else {
 		// No held-back update: a pure read, outside dedup tracking.
 		ps.Must(mat.Invoke(tc.P, tc.Node, dotOp))

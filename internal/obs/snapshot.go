@@ -217,8 +217,8 @@ func (r RecoverySnapshot) MeanRecoverySec() float64 {
 
 // FusionSnapshot is the operator-fusion view.
 type FusionSnapshot struct {
-	Batches  uint64 // fused batch executions (dcv.Batch.Run fan-outs)
-	FusedOps uint64 // column ops that rode a fused request
+	Batches  uint64 // fused programs: ps.Matrix.Invoke calls of more than one op
+	FusedOps uint64 // ops those programs carried
 }
 
 // CacheSnapshot is the worker-side parameter cache and write-combining view,

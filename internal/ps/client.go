@@ -3,7 +3,6 @@ package ps
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
@@ -366,49 +365,10 @@ func (mat *Matrix) PushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, 
 	})
 }
 
-// Invoke runs one op against every server's shard in parallel, unfused: the
-// caller sends op.ReqBytes to each server, the server charges op.Work(width)
-// compute, op.Fn runs against the shard and returns a partial scalar, and the
-// server replies with op.RespBytes. The returned slice holds each server's
-// partial. A mutating op is dedup'd like a push, so a retried invoke never
-// double-applies it; a read-only one (op.Mutates unset — reductions like
-// RowSum) is naturally idempotent and skips request-ID allocation and
-// applied-set tracking entirely, so in unreliable runs a reduction costs no
-// dedup state.
-func (mat *Matrix) Invoke(p *simnet.Proc, from *simnet.Node, op InvokeOp) ([]float64, error) {
-	mat.enterOp(p)
-	defer mat.exitOp()
-	cost := mat.master.Cl.Cost
-	partials := make([]float64, mat.Part.NumServers())
-	name := "invoke"
-	if !op.Mutates {
-		name = "invoke-read"
-	}
-	err := mat.fanOut(p, "invoke", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:      name,
-			Shard:     s,
-			ReqBytes:  cost.RequestOverheadB + op.ReqBytes,
-			RespBytes: cost.RequestOverheadB + op.RespBytes,
-			Work:      op.Work,
-			Mutates:   op.Mutates,
-			Touched:   op.DirtyRows,
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				partials[s] = op.Fn(s, sh)
-				return nil
-			},
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return partials, nil
-}
-
-// InvokeOp is one server-side operation: run alone by Invoke, or as one step
-// of a fused program by InvokeFused. ReqBytes/RespBytes are the op's payload
-// beyond the per-request framing; Work charges server CPU per shard; Fn runs
-// against the shard and returns this op's partial scalar.
+// InvokeOp is one server-side operation, the unit of an Invoke program.
+// ReqBytes/RespBytes are the op's payload beyond the per-request framing;
+// Work charges server CPU per shard; Fn runs against the shard and returns
+// this op's partial scalar.
 type InvokeOp struct {
 	ReqBytes  float64
 	RespBytes float64
@@ -417,138 +377,94 @@ type InvokeOp struct {
 	Fn        func(s int, sh *Shard) float64
 
 	// DirtyRows lists the rows a mutating op writes; the request declares
-	// them (a fused request their union) as CallSpec.Touched. A mutating op
-	// that leaves it nil makes the whole request fall back to conservative
-	// (every-row) marking. Declarations also keep the consistency layer's drift
-	// accounting exact: commitMutate diffs exactly these rows into the
-	// shard's per-row |delta| watermarks (versions.go), which value-bounded
-	// policies use to certify dense cache entries without shipping them — an
-	// undeclared mutation instead rolls the shard to a new drift generation
-	// and every anchored entry revalidates in full.
+	// their union as CallSpec.Touched. A mutating op that leaves it nil makes
+	// the whole request fall back to conservative (every-row) marking.
+	// Declarations also keep the consistency layer's drift accounting exact:
+	// commitMutate diffs exactly these rows into the shard's per-row |delta|
+	// watermarks (versions.go), which value-bounded policies use to certify
+	// dense cache entries without shipping them — an undeclared mutation
+	// instead rolls the shard to a new drift generation and every anchored
+	// entry revalidates in full.
 	DirtyRows []int
 }
 
-// InvokeFused executes a program of ops in order against every server's
-// shard with ONE request/response per server: the request pays a single
-// RequestOverheadB plus the summed op payloads, the server charges the summed
-// work and runs every op back to back on local memory, and the response
-// carries all result scalars at once. The returned partials are indexed
-// [op][server].
+// Invoke runs a program of ops, in order, against every server's shard with
+// ONE request/response per server; a lone op is a program of one. The
+// request pays a single RequestOverheadB plus the summed op payloads, the
+// server charges the summed work and runs the ops back to back on local
+// memory, and the response carries every op's result at once. The returned
+// partials are indexed [op][server].
 //
-// The whole program rides one CallShard per server, so it inherits the retry
+// The program rides one CallShard per server, so it inherits the retry
 // machinery wholesale: if any op mutates, the request carries one dedup ID
-// and a retried batch re-executes exactly once per server incarnation — the
-// ops run atomically with respect to retries. A program of pure reads skips
-// dedup tracking entirely.
-func (mat *Matrix) InvokeFused(p *simnet.Proc, from *simnet.Node, ops []InvokeOp) ([][]float64, error) {
+// and a retried program re-executes exactly once per server incarnation —
+// the ops run atomically with respect to retries. A program of reads skips
+// request-ID allocation and applied-set tracking entirely, so in unreliable
+// runs a reduction costs no dedup state. A program of more than one op is a
+// fused batch, counted in NetStats and traced as one.
+func (mat *Matrix) Invoke(p *simnet.Proc, from *simnet.Node, ops ...InvokeOp) ([][]float64, error) {
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	reqBytes, respBytes := cost.RequestOverheadB, cost.RequestOverheadB
-	mutates := false
-	var touched []int
+	spec := CallSpec{Name: "invoke", ReqBytes: cost.RequestOverheadB, RespBytes: cost.RequestOverheadB}
 	declared := true
 	for _, op := range ops {
-		reqBytes += op.ReqBytes
-		respBytes += op.RespBytes
-		mutates = mutates || op.Mutates
+		spec.ReqBytes += op.ReqBytes
+		spec.RespBytes += op.RespBytes
 		if op.Mutates {
-			if op.DirtyRows == nil {
-				declared = false
-			} else {
-				touched = append(touched, op.DirtyRows...)
-			}
+			spec.Mutates = true
+			declared = declared && op.DirtyRows != nil
+			spec.Touched = append(spec.Touched, op.DirtyRows...)
 		}
 	}
 	if !declared {
-		touched = nil // one undeclared mutation ⇒ conservative marking
-	} else {
-		touched = sortedUniqueInts(touched)
+		spec.Touched = nil // one undeclared mutation ⇒ conservative marking
+	}
+	spec.Work = func(w int) float64 {
+		var total float64
+		for _, op := range ops {
+			if op.Work != nil {
+				total += op.Work(w)
+			}
+		}
+		return total
 	}
 	partials := make([][]float64, len(ops))
 	for i := range partials {
 		partials[i] = make([]float64, mat.Part.NumServers())
 	}
+	fused := len(ops) > 1
 	tracer := mat.master.Cl.Sim.Tracer()
-	err := mat.fanOut(p, "invoke-fused", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:      "invoke-fused",
-			Shard:     s,
-			ReqBytes:  reqBytes,
-			RespBytes: respBytes,
-			Work: func(w int) float64 {
-				var total float64
-				for _, op := range ops {
-					if op.Work != nil {
-						total += op.Work(w)
-					}
+	err := mat.fanOut(p, spec.Name, func(s int) shardBody {
+		spec := spec
+		spec.Shard = s
+		spec.Fn = func(fp *simnet.Proc, sh *Shard) error {
+			var fb obs.Span
+			if fused && tracer != nil {
+				node := mat.srv(s).Node
+				fb = tracer.Begin(node.ID, node.Name, obs.KFusedBatch, "fused-batch",
+					fp.TraceParent(), obs.KV{K: "ops", V: strconv.Itoa(len(ops))})
+			}
+			for i, op := range ops {
+				if op.Fn != nil {
+					// Assign into the (op, server) slot — idempotent
+					// under re-execution after a server recovery.
+					partials[i][s] = op.Fn(s, sh)
 				}
-				return total
-			},
-			Mutates: mutates,
-			Touched: touched,
-			Fn: func(fp *simnet.Proc, sh *Shard) error {
-				var fb obs.Span
-				if tracer != nil {
-					node := mat.srv(s).Node
-					fb = tracer.Begin(node.ID, node.Name, obs.KFusedBatch, "fused-batch",
-						fp.TraceParent(), obs.KV{K: "ops", V: strconv.Itoa(len(ops))})
-				}
-				for i, op := range ops {
-					if op.Fn != nil {
-						// Assign into the (op, server) slot — idempotent
-						// under re-execution after a server recovery.
-						partials[i][s] = op.Fn(s, sh)
-					}
-				}
-				fb.End()
-				return nil
-			},
-		})
+			}
+			fb.End()
+			return nil
+		}
+		return mat.call(from, spec)
 	})
-	mat.master.Net.Batches++
-	mat.master.Net.FusedOps += uint64(len(ops))
+	if fused {
+		mat.master.Net.Batches++
+		mat.master.Net.FusedOps += uint64(len(ops))
+	}
 	if err != nil {
 		return nil, err
 	}
 	return partials, nil
-}
-
-// rowReduce runs partial over each shard's stretch of a row server-side, with
-// one scalar per server on the wire, and returns the sum of the partials.
-func (mat *Matrix) rowReduce(p *simnet.Proc, from *simnet.Node, row int, partial func(stretch []float64) float64) (float64, error) {
-	mat.checkRow(row)
-	cost := mat.master.Cl.Cost
-	partials, err := mat.Invoke(p, from, InvokeOp{
-		ReqBytes:  8,
-		RespBytes: 8,
-		Work:      func(w int) float64 { return cost.ElemWork(w) },
-		Fn:        func(_ int, sh *Shard) float64 { return partial(sh.Rows[row]) },
-	})
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Sum(partials), nil
-}
-
-// RowSum returns the sum of a row, computed server-side.
-func (mat *Matrix) RowSum(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
-	return mat.rowReduce(p, from, row, linalg.Sum)
-}
-
-// RowNnz returns the number of nonzero entries of a row, server-side.
-func (mat *Matrix) RowNnz(p *simnet.Proc, from *simnet.Node, row int) (int, error) {
-	n, err := mat.rowReduce(p, from, row, func(x []float64) float64 { return float64(linalg.NnzDense(x)) })
-	return int(n), err
-}
-
-// RowNorm2 returns the Euclidean norm of a row, server-side.
-func (mat *Matrix) RowNorm2(p *simnet.Proc, from *simnet.Node, row int) (float64, error) {
-	sq, err := mat.rowReduce(p, from, row, func(x []float64) float64 {
-		n := linalg.Norm2(x)
-		return n * n
-	})
-	return math.Sqrt(sq), err
 }
 
 func (mat *Matrix) checkRow(row int) {
@@ -557,20 +473,22 @@ func (mat *Matrix) checkRow(row int) {
 	}
 }
 
-// sortedUniqueInts returns a sorted copy of xs with duplicates removed (nil
-// in, nil out).
+// sortedUniqueInts returns xs sorted with duplicates removed (nil in, nil
+// out): xs itself when it already is, a sorted copy otherwise.
 func sortedUniqueInts(xs []int) []int {
-	if xs == nil {
-		return nil
-	}
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	n := 0
-	for i, x := range out {
-		if i == 0 || x != out[n-1] {
-			out[n] = x
-			n++
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			out := append([]int(nil), xs...)
+			sort.Ints(out)
+			n := 0
+			for i, x := range out {
+				if i == 0 || x != out[n-1] {
+					out[n] = x
+					n++
+				}
+			}
+			return out[:n]
 		}
 	}
-	return out[:n]
+	return xs
 }

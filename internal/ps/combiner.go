@@ -199,7 +199,7 @@ func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 				RespBytes: cost.RequestOverheadB, // ack
 				Work:      func(int) float64 { return cost.ElemWork(elems) },
 				Mutates:   true,
-				Touched:   sortedUniqueInts(touched),
+				Touched:   touched,
 				Fn: func(_ *simnet.Proc, sh *Shard) error {
 					for _, row := range denseRows {
 						sh.GatherAdd(sh.Rows[row], dense[row])

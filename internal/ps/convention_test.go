@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -98,6 +99,56 @@ func TestPolicyConsultedInOnePlace(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// TestColumnOpsDeclaredOnce pins the DCV operator set to one declaration per
+// op and one executor. In the DCV layer's non-test source the column-op
+// kernels are referenced only inside the op declarations — the functions
+// that return a colOp — so no operator form can carry a second copy of one;
+// and exactly one ps.Matrix method takes InvokeOps, so a lone op and a fused
+// program run through the same executor.
+func TestColumnOpsDeclaredOnce(t *testing.T) {
+	kernels := map[string]bool{
+		"Axpy": true, "Scale": true, "Fill": true, "Dot": true, "Add": true, "Sub": true,
+		"Mul": true, "Div": true, "Sum": true, "SumSquares": true, "NnzDense": true,
+	}
+	fset := token.NewFileSet()
+	sourceFiles(t, fset, []string{"../dcv"}, func(_, _ string, file *ast.File) {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Type.Results != nil && len(fn.Type.Results.List) == 1 &&
+				types.ExprString(fn.Type.Results.List[0].Type) == "colOp" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "linalg" && kernels[sel.Sel.Name] {
+					t.Errorf("%s: linalg.%s outside an op declaration; declare the op once (a func returning colOp) and run it from there",
+						fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	})
+	var executors []string
+	sourceFiles(t, fset, []string{"."}, func(_, _ string, file *ast.File) {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || types.ExprString(fn.Recv.List[0].Type) != "*Matrix" {
+				continue
+			}
+			for _, param := range fn.Type.Params.List {
+				if strings.Contains(types.ExprString(param.Type), "InvokeOp") {
+					executors = append(executors, fn.Name.Name)
+				}
+			}
+		}
+	})
+	if len(executors) != 1 {
+		t.Errorf("ps.Matrix methods taking InvokeOps: %v; want exactly one program executor", executors)
+	}
 }
 
 // sourceFiles parses the non-test Go files of each directory and calls fn

@@ -192,9 +192,9 @@ func TestReadOnlyCallsAllocateNoIDs(t *testing.T) {
 		}
 		MustOK(mat.SetRow(p, worker, 0, vals))
 		seqAfterWrite := m.ledger.seq
-		Must(mat.RowSum(p, worker, 0))
-		Must(mat.RowNnz(p, worker, 0))
-		Must(mat.RowNorm2(p, worker, 0))
+		sum := InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}
+		Must(mat.Invoke(p, worker, sum))
+		Must(mat.Invoke(p, worker, sum, sum))
 		if _, err := mat.PullRow(p, worker, 0); err != nil {
 			t.Fatal(err)
 		}

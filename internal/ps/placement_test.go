@@ -169,7 +169,7 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			MustOK(mat.SetRow(p, worker, 2, part))
 			// A fused program: scale row 0, then reduce its sum — exercises
 			// the per-shard program path under every placement.
-			partials, err := mat.InvokeFused(p, worker, []InvokeOp{
+			partials, err := mat.Invoke(p, worker, []InvokeOp{
 				{ReqBytes: 16, Mutates: true, DirtyRows: []int{0},
 					Work: func(w int) float64 { return float64(w) },
 					Fn: func(_ int, sh *Shard) float64 {
@@ -187,7 +187,7 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 						}
 						return s
 					}},
-			})
+			}...)
 			if err != nil {
 				panic(err)
 			}
@@ -260,16 +260,14 @@ func TestZeroWidthShards(t *testing.T) {
 			MustOK(mat.SetRow(p, worker, 0, []float64{1, 2, 3}))
 			sv, _ := linalg.NewSparse([]int{0, 2}, []float64{10, 30})
 			MustOK(mat.PushAdd(p, worker, 0, sv))
-			if _, err := mat.InvokeFused(p, worker, []InvokeOp{
-				{ReqBytes: 8, Mutates: true, DirtyRows: []int{0},
-					Work: func(w int) float64 { return float64(w) },
-					Fn: func(_ int, sh *Shard) float64 {
-						for i := range sh.Rows[0] {
-							sh.Rows[0][i] += 1
-						}
-						return 0
-					}},
-			}); err != nil {
+			if _, err := mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, Mutates: true, DirtyRows: []int{0},
+				Work: func(w int) float64 { return float64(w) },
+				Fn: func(_ int, sh *Shard) float64 {
+					for i := range sh.Rows[0] {
+						sh.Rows[0][i] += 1
+					}
+					return 0
+				}}); err != nil {
 				panic(err)
 			}
 			m.Checkpoint(p, mat)

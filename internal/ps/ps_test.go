@@ -207,6 +207,8 @@ func TestPushAddDenseAndSetRow(t *testing.T) {
 	})
 }
 
+// TestRowAggregates runs three row reductions as one read program: each op's
+// partials come back in its own slot and total to the row's aggregate.
 func TestRowAggregates(t *testing.T) {
 	sim, cl, m := testMaster(4)
 	run(sim, func(p *simnet.Proc) {
@@ -214,14 +216,21 @@ func TestRowAggregates(t *testing.T) {
 		worker := cl.Executors[1]
 		sv, _ := linalg.NewSparse([]int{0, 10, 30, 49}, []float64{3, 4, 0, -12})
 		MustOK(mat.PushAdd(p, worker, 0, sv))
-		if got := Must(mat.RowSum(p, worker, 0)); math.Abs(got-(-5)) > 1e-9 {
-			t.Errorf("RowSum = %v, want -5", got)
+		reduce := func(f func(x []float64) float64) InvokeOp {
+			return InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return f(sh.Rows[0]) }}
 		}
-		if got := Must(mat.RowNnz(p, worker, 0)); got != 3 {
-			t.Errorf("RowNnz = %v, want 3 (zero-valued push does not count)", got)
+		parts := Must(mat.Invoke(p, worker,
+			reduce(linalg.Sum),
+			reduce(func(x []float64) float64 { return float64(linalg.NnzDense(x)) }),
+			reduce(linalg.SumSquares)))
+		if got := linalg.Sum(parts[0]); math.Abs(got-(-5)) > 1e-9 {
+			t.Errorf("sum = %v, want -5", got)
 		}
-		if got := Must(mat.RowNorm2(p, worker, 0)); math.Abs(got-13) > 1e-9 {
-			t.Errorf("RowNorm2 = %v, want 13", got)
+		if got := linalg.Sum(parts[1]); got != 3 {
+			t.Errorf("nnz = %v, want 3 (zero-valued push does not count)", got)
+		}
+		if got := math.Sqrt(linalg.Sum(parts[2])); math.Abs(got-13) > 1e-9 {
+			t.Errorf("norm2 = %v, want 13", got)
 		}
 	})
 }
@@ -290,7 +299,7 @@ func TestInvokePartials(t *testing.T) {
 		linalg.Fill(ones, 1)
 		MustOK(mat.SetRow(p, worker, 0, ones))
 		partials := Must(mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, RespBytes: 8, Mutates: true,
-			Fn: func(s int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}))
+			Fn: func(s int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}))[0]
 		if len(partials) != 4 {
 			t.Fatalf("partials = %v", partials)
 		}
@@ -487,6 +496,35 @@ func TestStatsBalancedAcrossServers(t *testing.T) {
 		for _, st := range stats {
 			if st.Elements != 50 { // 100/4 cols x 2 rows
 				t.Fatalf("server %d holds %d elements, want 50", st.Server, st.Elements)
+			}
+		}
+	})
+}
+
+// TestDuplicateTouchedRowDriftsOnce pins CallSpec.Touched's "duplicates ok":
+// a row listed twice is one row, so its drift watermark grows by the true
+// max |delta| of the mutation, not once per listing.
+func TestDuplicateTouchedRowDriftsOnce(t *testing.T) {
+	sim, cl, m := testMaster(2)
+	run(sim, func(p *simnet.Proc) {
+		mat, err := m.CreateMatrix(p, 2, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat.EnableVersioning()
+		err = mat.CallShards(p, cl.Executors[0], "inc", func(s int) CallSpec {
+			return CallSpec{Shard: s, Mutates: true, Touched: []int{0, 1, 0},
+				Fn: func(_ *simnet.Proc, sh *Shard) error {
+					linalg.Fill(sh.Rows[0], 1)
+					return nil
+				}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 2; s++ {
+			if got := mat.ShardOf(s).RowDrift(0); got != 1 {
+				t.Errorf("shard %d: RowDrift(0) = %v after one +1 write, want 1", s, got)
 			}
 		}
 	})

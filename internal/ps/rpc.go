@@ -90,10 +90,11 @@ type CallSpec struct {
 	// server incarnation.
 	Mutates bool
 
-	// Touched lists the row indices a mutating Fn may write (duplicates ok).
-	// CallShard marks them dirty for delta checkpoints and, on versioned
-	// shards, diffs their values around Fn to stamp exactly the changed
-	// elements. nil means undeclared: every row is conservatively marked.
+	// Touched lists the row indices a mutating Fn may write, in any order,
+	// duplicates ok: CallShard diffs each distinct row once. It marks them
+	// dirty for delta checkpoints and, on versioned shards, diffs their
+	// values around Fn to stamp exactly the changed elements. nil means
+	// undeclared: every row is conservatively marked.
 	Touched []int
 
 	// Fn is the server-side handler. It may block (the DCV shuffle path
@@ -110,13 +111,14 @@ type CallSpec struct {
 
 // NetStats counts data-plane RPC activity on a master. Calls is the number
 // of logical CallShard invocations (one per shard touched per operator);
-// Attempts includes retries. FusedOps counts column ops that travelled inside
-// fused batch requests, and DedupPruned counts applied-set entries retired by
-// the acknowledgement watermark (see dedup.go).
+// Attempts includes retries. Batches counts fused programs: Invoke calls
+// carrying more than one op, and FusedOps the ops they carried. DedupPruned
+// counts applied-set entries retired by the acknowledgement watermark (see
+// dedup.go).
 type NetStats struct {
 	Calls       uint64
 	Attempts    uint64
-	Batches     uint64 // fused batch executions (one per InvokeFused)
+	Batches     uint64
 	FusedOps    uint64
 	DedupHits   uint64 // retried mutations dropped by a server's applied-set
 	DedupPruned uint64
@@ -161,6 +163,9 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 	if spec.Name == "" {
 		spec.Name = "rpc"
 	}
+	// A row listed twice is one row: diffing it twice would count its drift
+	// twice.
+	touched := sortedUniqueInts(spec.Touched)
 	t := m.Cl.Sim.Tracer()
 	var rpc obs.Span
 	if t != nil {
@@ -256,7 +261,7 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 		if spec.Fn != nil && !dedupHit {
 			var snap [][]float64
 			if spec.Mutates {
-				snap = sh.preMutate(spec.Touched)
+				snap = sh.preMutate(touched)
 			}
 			// While the handler runs, the server-op span is the process's trace
 			// context, so handler-emitted events (fused batches, operand
@@ -285,7 +290,7 @@ func (mat *Matrix) CallShard(p *simnet.Proc, from *simnet.Node, spec CallSpec) e
 				srv.applied.Record(id, nil)
 			}
 			if spec.Mutates {
-				sh.commitMutate(spec.Touched, snap)
+				sh.commitMutate(touched, snap)
 			}
 		}
 		op.End()

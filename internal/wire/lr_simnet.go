@@ -90,7 +90,7 @@ func (st *simnetStore) step(scale float64) error {
 			},
 		},
 	}
-	_, err := st.mat.InvokeFused(st.p, st.worker, ops)
+	_, err := st.mat.Invoke(st.p, st.worker, ops...)
 	return err
 }
 
