@@ -5,9 +5,10 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -33,15 +34,11 @@ func NewSparse(indices []int, values []float64) (*SparseVector, error) {
 			Values:  append([]float64(nil), values...),
 		}, nil
 	}
-	type pair struct {
-		i int
-		v float64
-	}
-	pairs := make([]pair, len(indices))
+	pairs := make([]indexValue, len(indices))
 	for k := range indices {
-		pairs[k] = pair{indices[k], values[k]}
+		pairs[k] = indexValue{indices[k], values[k]}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].i < pairs[b].i })
+	sortByIndex(pairs)
 	sv := &SparseVector{
 		Indices: make([]int, 0, len(pairs)),
 		Values:  make([]float64, 0, len(pairs)),
@@ -55,6 +52,20 @@ func NewSparse(indices []int, values []float64) (*SparseVector, error) {
 		sv.Values = append(sv.Values, p.v)
 	}
 	return sv, nil
+}
+
+// indexValue is one entry of a sparse vector under construction.
+type indexValue struct {
+	i int
+	v float64
+}
+
+// sortByIndex sorts pairs by index with slices.SortFunc: the same pdqsort,
+// and so the same permutation of equal indices, as sort.Slice, without its
+// reflection-based swapper. Merged duplicates therefore add in an unchanged
+// order.
+func sortByIndex(pairs []indexValue) {
+	slices.SortFunc(pairs, func(a, b indexValue) int { return cmp.Compare(a.i, b.i) })
 }
 
 // strictlyIncreasing reports whether idx is already in strictly ascending

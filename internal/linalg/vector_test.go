@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -403,4 +404,28 @@ func totalOf(w []float64) float64 {
 		t += v
 	}
 	return t
+}
+
+// TestSortByIndexMatchesSortSlice: NewSparse's sort yields the permutation
+// sort.Slice did, equal indices included, on random lists with duplicates —
+// so the values a duplicated index merges still add in the same order.
+func TestSortByIndexMatchesSortSlice(t *testing.T) {
+	rng := NewRNG(7)
+	for trial := range 5000 {
+		n := rng.Intn(201)
+		got := make([]indexValue, n)
+		for k := range got {
+			// Few distinct indices relative to n, so most lists repeat some;
+			// the value records the entry's original position.
+			got[k] = indexValue{i: rng.Intn(n/3 + 1), v: float64(k)}
+		}
+		want := append([]indexValue(nil), got...)
+		sort.Slice(want, func(a, b int) bool { return want[a].i < want[b].i })
+		sortByIndex(got)
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d (n=%d): entry %d is %v, sort.Slice gave %v", trial, n, k, got[k], want[k])
+			}
+		}
+	}
 }

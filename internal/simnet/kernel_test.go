@@ -11,6 +11,9 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/linalg"
+	"repro/internal/par"
 )
 
 // splitmix is a tiny seeded generator, independent of math/rand's stream.
@@ -382,6 +385,64 @@ func TestProcessGoroutinesDoNotLeak(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines before the runs, %d after", base, n)
+	}
+}
+
+// TestProcessesBlockOnHostSync: a process body may block on host
+// synchronisation while the loop has handed it control — par.Range's
+// WaitGroup when a linalg kernel is wide enough to fan out (as inside a
+// server handler), or a plain channel fed by a goroutine outside the
+// simulation. Every process still finishes with the serial result, at the
+// virtual time its sleeps add up to. scripts/check.sh runs it under -race.
+func TestProcessesBlockOnHostSync(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const procs, rounds = 4, 3
+	n := 2 * par.MinParallel
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i % 97)
+	}
+	feeds := make([]chan float64, procs)
+	for k := range feeds {
+		feeds[k] = make(chan float64)
+		go func() {
+			for r := range rounds {
+				feeds[k] <- float64(k + r + 1)
+			}
+		}()
+	}
+	ys := make([][]float64, procs)
+	fanouts := par.PoolStats().Parallel
+	s := New()
+	for k := range procs {
+		s.Spawn("axpy", func(p *Proc) {
+			y := make([]float64, n)
+			for range rounds {
+				linalg.Axpy(<-feeds[k], x, y)
+				p.Sleep(1)
+			}
+			ys[k] = y
+		})
+	}
+	s.Run()
+	if s.Now() != rounds {
+		t.Errorf("run ended at %v, want %d", s.Now(), rounds)
+	}
+	if got := par.PoolStats().Parallel - fanouts; got < procs*rounds {
+		t.Errorf("%d Axpy calls fanned out, want %d", got, procs*rounds)
+	}
+	for k, y := range ys {
+		for i := range y {
+			want := 0.0
+			for r := range rounds {
+				want += float64(k+r+1) * x[i]
+			}
+			if y[i] != want {
+				t.Fatalf("process %d: y[%d] = %v, want %v", k, i, y[i], want)
+			}
+		}
 	}
 }
 

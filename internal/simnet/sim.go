@@ -9,20 +9,21 @@
 // behaviour of simulated NICs rather than being hard-coded formulas.
 //
 // Events and hand-offs: an event is one scheduled wake-up of a process at a
-// virtual time, and EventsProcessed counts every one delivered. Most events
-// hand control to the process's own code (a hand-off), which costs a
-// goroutine switch whenever another process held control. A NIC step of a
-// transfer does not: Send, TrySend and Resource.Use schedule their middle
-// steps (a grant, the end of a hold, the end of propagation) as events of
-// the process like any other, but the event loop runs each step itself, on
-// whichever goroutine is passing control, and wakes the process only when
-// the operation ends. An uncontended message is three events and one
-// hand-off.
+// virtual time, and EventsProcessed counts every one delivered. Each process
+// runs as a coroutine (iter.Pull) that the event loop resumes and that
+// yields back to it when it blocks, so the loop is the scheduler and no Go
+// scheduler wake-up sits between two processes. Most events hand control to
+// the process's own code (a hand-off): a coroutine switch when another
+// process held control, nothing when the blocking process is itself the
+// next due. A NIC step of a transfer is not a hand-off: Send, TrySend and
+// Resource.Use schedule their middle steps (a grant, the end of a hold, the
+// end of propagation) as events of the process like any other, but the
+// event loop runs each step itself and resumes the process only when the
+// operation ends. An uncontended message is three events and one hand-off.
 //
-// Determinism: events are ordered by (time, sequence number); processes only
-// run one at a time, and a process that blocks hands control explicitly to
-// the process of the next due event, so a simulation with seeded randomness
-// produces bit-identical results on every run.
+// Determinism: events are ordered by (time, sequence number) and processes
+// run one at a time, each until it blocks, so a simulation with seeded
+// randomness produces bit-identical results on every run.
 package simnet
 
 import (
@@ -46,11 +47,11 @@ type Sim struct {
 	events    eventHeap   // wake-ups due after now
 	due       fifo[*Proc] // wake-ups due at now, in the order they were made
 	seq       uint64
-	deadline  Time          // RunUntil's: no event past it is delivered
-	sched     chan struct{} // RunUntil takes control back on it when the run ends
-	live      []*Proc       // spawned processes not yet finished, oldest first; exit leaves nil holes
-	holes     int           // nil entries in live
-	idle      []*worker     // goroutines parked between processes
+	deadline  Time      // RunUntil's: no event past it is delivered
+	handTo    *Proc     // set by a yielding process: the one the loop resumes next, nil to end the run
+	live      []*Proc   // spawned processes not yet finished, oldest first; exit leaves nil holes
+	holes     int       // nil entries in live
+	idle      []*worker // coroutines parked between processes
 	stopped   bool
 	processed uint64 // events delivered so far (observability)
 	handoffs  uint64 // events that resumed a process's own code
@@ -62,7 +63,7 @@ type Sim struct {
 
 // New creates an empty simulation at virtual time zero.
 func New() *Sim {
-	return &Sim{sched: make(chan struct{})}
+	return &Sim{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -195,30 +196,13 @@ func (s *Sim) pop() *Proc {
 	return nil
 }
 
-// pass hands control to the goroutine of the next due event, or back to
-// RunUntil when the run is over. When the next event is from's own process
-// it returns false without any goroutine switch; otherwise the caller must
-// block on its wake channel or end.
-func (s *Sim) pass(from *worker) bool {
-	p := s.next()
-	switch {
-	case p == nil:
-		s.sched <- struct{}{}
-	case p.w == from:
-		return false
-	default:
-		p.w.wake <- wakeMsg{}
-	}
-	return true
-}
-
 // Proc is a simulated process. All blocking operations (Sleep, resource
 // acquisition, mailbox receive, …) must be called from the process's own
 // goroutine, i.e. from inside the function passed to Spawn.
 type Proc struct {
 	sim  *Sim
 	name string
-	w    *worker // the goroutine running the process
+	w    *worker // the coroutine running the process
 	slot int     // index in sim.live
 	done *Signal
 	span obs.Span // current trace context, see trace.go
@@ -239,16 +223,15 @@ type Proc struct {
 	err  error // the transfer's result
 }
 
-// worker is a goroutine that runs processes one after another: when a
-// process function returns, the goroutine parks on the simulation's idle
-// list and the next Spawn runs on it.
+// worker is a coroutine that runs processes one after another: when a
+// process function returns, the worker parks on the simulation's idle list
+// and the next Spawn runs on it. newWorker creates one.
 type worker struct {
-	wake chan wakeMsg
-	p    *Proc
-	fn   func(*Proc)
+	resume  func() (struct{}, bool) // run the coroutine until it yields or ends
+	suspend func(struct{}) bool     // yield back to the loop, from inside the coroutine
+	p       *Proc
+	fn      func(*Proc)
 }
-
-type wakeMsg struct{ stop bool }
 
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
@@ -277,56 +260,44 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		w = s.idle[n-1]
 		s.idle = s.idle[:n-1]
 	} else {
-		w = &worker{wake: make(chan wakeMsg)}
-		go s.work(w)
+		w = s.newWorker()
 	}
 	w.p, w.fn, p.w = p, fn, w
 	s.schedule(s.now, p)
 	return p
 }
 
-// work is a worker goroutine's loop: wait for a process to start, run it,
-// park. It ends when the simulation stops, and when a process calls
-// runtime.Goexit (see run).
+// work is a worker coroutine's body: run a process, park on the idle list
+// and yield, run the process Spawn gives it next. Resumed once the
+// simulation has stopped, it returns (stop resumes every parked worker); a
+// process that calls runtime.Goexit ends it too, and the loop with it (see
+// RunUntil).
 func (s *Sim) work(w *worker) {
-	for {
-		if msg := <-w.wake; msg.stop {
-			if w.p != nil { // spawned, never started
-				s.exit(w)
-			}
-			s.sched <- struct{}{}
-			return
-		}
+	for !s.stopped {
 		s.run(w)
-		if s.stopped { // control goes back to RunUntil or stop
-			s.sched <- struct{}{}
-			return
-		}
 		s.idle = append(s.idle, w)
-		s.pass(nil)
+		s.handTo = s.next()
+		w.suspend(struct{}{})
+	}
+	if w.p != nil { // spawned, never started
+		s.exit(w)
 	}
 }
 
 // run executes w's process function. Its epilogue also runs when the function
-// panics or calls runtime.Goexit; in the last case the goroutine ends, so
-// the epilogue hands control on itself.
+// panics or calls runtime.Goexit.
 func (s *Sim) run(w *worker) {
 	p, returned := w.p, false
 	defer func() {
-		goexit := false
 		if !returned {
 			r := recover()
 			if _, unwind := r.(stopUnwind); r != nil && !unwind && s.failure == nil {
 				s.failure = fmt.Sprintf("simnet: process %q panicked: %v", p.name, r)
 				s.stopped = true
 			}
-			goexit = r == nil
 		}
 		p.done.fire()
 		s.exit(w)
-		if goexit {
-			s.pass(nil)
-		}
 	}()
 	w.fn(p)
 	returned = true
@@ -353,12 +324,17 @@ func (s *Sim) exit(w *worker) {
 	w.p, w.fn = nil, nil
 }
 
-// yield hands control on and blocks until the process is woken again. It
-// must only be called after arranging a future wake-up (a scheduled event
-// or membership in some waiter list).
+// yield blocks the process until it is resumed again. It must only be
+// called after arranging a future wake-up (a scheduled event or membership in
+// some waiter list). It pops the next due process itself: when that is p, p
+// goes on without a switch; otherwise p's coroutine yields to the loop, which
+// resumes that process, or ends the run if there is none.
 func (p *Proc) yield() {
-	if w := p.w; p.sim.pass(w) {
-		if msg := <-w.wake; msg.stop {
+	s := p.sim
+	if q := s.next(); q != p {
+		s.handTo = q
+		p.w.suspend(struct{}{})
+		if s.stopped { // resumed by stop to unwind
 			panic(stopUnwind{})
 		}
 	}
@@ -390,33 +366,48 @@ func (s *Sim) Run() {
 // remaining events are discarded and all live processes are unwound. The
 // simulation cannot be resumed afterwards.
 //
-// RunUntil only starts the run and takes control back at its end: each
-// process that yields pops the next event itself and wakes its goroutine.
+// The event loop (loop) is the scheduler: it resumes one process coroutine
+// at a time, and each hands control back when it blocks. It runs on a
+// goroutine of its own because iter.Pull re-raises a process's
+// runtime.Goexit in the goroutine that resumed it: that ends the loop's
+// goroutine, not RunUntil's caller, and RunUntil starts the loop again, so
+// the run goes on.
 func (s *Sim) RunUntil(deadline Time) {
 	s.deadline = deadline
-	if p := s.next(); p != nil {
-		p.w.wake <- wakeMsg{}
-		<-s.sched
+	ended := make(chan bool)
+	for done := false; !done; done = <-ended {
+		go s.loop(ended)
 	}
-	s.stop()
 	if s.failure != nil {
 		panic(s.failure)
 	}
 }
 
+// loop resumes the process of each next due event until the run is over,
+// then stops the simulation, and reports on ended whether it got that far.
+func (s *Sim) loop(ended chan<- bool) {
+	done := false
+	defer func() { ended <- done }()
+	for p := s.next(); p != nil; p = s.handTo {
+		s.handTo = nil
+		p.w.resume()
+	}
+	s.stop()
+	done = true
+}
+
 // stop unwinds all remaining live processes, oldest first, then ends the
-// parked goroutines.
+// parked coroutines: each is resumed once more, sees the simulation stopped
+// and returns.
 func (s *Sim) stop() {
 	s.stopped = true
 	for _, p := range s.live {
 		if p != nil {
-			p.w.wake <- wakeMsg{stop: true}
-			<-s.sched
+			p.w.resume()
 		}
 	}
 	for _, w := range s.idle {
-		w.wake <- wakeMsg{stop: true}
-		<-s.sched
+		w.resume()
 	}
 	s.live, s.holes, s.idle, s.events, s.due = nil, 0, nil, nil, fifo[*Proc]{}
 }

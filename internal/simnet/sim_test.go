@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -225,6 +226,31 @@ func TestGroupWaitEmpty(t *testing.T) {
 	s.Run()
 	if !ran {
 		t.Fatal("Wait on empty group blocked forever")
+	}
+}
+
+// TestGroupReusedAfterWait: a group whose Wait has returned waits again for
+// the children Go adds after it.
+func TestGroupReusedAfterWait(t *testing.T) {
+	s := New()
+	var order []string
+	s.Spawn("parent", func(p *Proc) {
+		g := s.NewGroup()
+		g.Go("a", func(c *Proc) {
+			c.Sleep(1)
+			order = append(order, "a")
+		})
+		g.Wait(p)
+		g.Go("b", func(c *Proc) {
+			c.Sleep(1)
+			order = append(order, "b")
+		})
+		g.Wait(p)
+		order = append(order, "parent after b")
+	})
+	s.Run()
+	if got, want := fmt.Sprint(order), "[a b parent after b]"; got != want {
+		t.Fatalf("order = %s, want %s", got, want)
 	}
 }
 

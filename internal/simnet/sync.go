@@ -143,8 +143,12 @@ type Group struct {
 // NewGroup creates an empty group.
 func (s *Sim) NewGroup() *Group { return &Group{sim: s, done: s.NewSignal()} }
 
-// Go spawns fn as a child process tracked by the group.
+// Go spawns fn as a child process tracked by the group. A group whose
+// children have all finished is re-armed, so a Wait after this Go waits.
 func (g *Group) Go(name string, fn func(p *Proc)) {
+	if g.pending == 0 {
+		g.done.fired = false // its waiters, if any, are already scheduled
+	}
 	g.pending++
 	g.sim.Spawn(name, func(p *Proc) {
 		defer func() {
