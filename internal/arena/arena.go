@@ -23,9 +23,10 @@ package arena
 
 import "sync"
 
-// reuseCap bounds the capacity the pools retain. Buffers beyond it are
-// dropped on Put so one giant request cannot pin memory forever.
-const reuseCap = 1 << 22 // 4 MiB of bytes, 32 MiB of float64s
+// ReuseCap bounds the capacity, in bytes, that the pools retain. Buffers
+// beyond it are dropped on Put so one giant request cannot pin memory
+// forever; per-connection scratch outside the pools follows the same rule.
+const ReuseCap = 1 << 22 // 4 MiB of bytes, 32 MiB of float64s
 
 // slicePool is a sync.Pool of slices. A slice travels through the pool in a
 // *[]T box; the emptied boxes are pooled too, so a Put after a Get allocates
@@ -73,7 +74,7 @@ func Bytes(n int) []byte {
 // PutBytes returns a buffer obtained from Bytes (or any buffer the caller
 // owns) to the pool. nil is ignored.
 func PutBytes(b []byte) {
-	if b == nil || cap(b) > reuseCap {
+	if b == nil || cap(b) > ReuseCap {
 		return
 	}
 	bytePool.put(b)
@@ -95,7 +96,7 @@ func Floats(n int) []float64 {
 // PutFloats returns a buffer obtained from Floats to the pool. nil is
 // ignored.
 func PutFloats(s []float64) {
-	if s == nil || cap(s) > reuseCap/8 {
+	if s == nil || cap(s) > ReuseCap/8 {
 		return
 	}
 	floatPool.put(s)

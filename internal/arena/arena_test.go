@@ -41,6 +41,6 @@ func TestPutNilIsSafe(t *testing.T) {
 
 func TestOversizedBuffersDropped(t *testing.T) {
 	// Must not panic; a huge buffer is simply not retained.
-	PutBytes(make([]byte, reuseCap+1))
-	PutFloats(make([]float64, reuseCap/8+1))
+	PutBytes(make([]byte, ReuseCap+1))
+	PutFloats(make([]float64, ReuseCap/8+1))
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"repro/internal/linalg"
+	"repro/internal/par"
 )
 
 // Instance is one labelled training example with sparse features.
@@ -104,13 +105,7 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 		}
 		return int((uint64(rank)*2654435761 + 97) % uint64(cfg.Dim))
 	}
-	truth := make([]float64, cfg.Dim)
-	for k := 0; k < cfg.WeightNnz; k++ {
-		// Concentrate true weights on popular features so the signal is
-		// learnable from skewed samples.
-		idx := scatter(rng.Zipf(cfg.Dim, cfg.Skew+0.2))
-		truth[idx] = rng.NormFloat64() * 2
-	}
+	truth := drawTruth(rng, cfg, scatter)
 	ds := &ClassifyDataset{Config: cfg, TrueWeights: truth}
 	ds.Instances = make([]Instance, cfg.Rows)
 	idxBuf := make([]int, 0, cfg.NnzPerRow)
@@ -148,6 +143,54 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 		ds.Instances[r] = Instance{Features: sv, Label: label}
 	}
 	return ds, nil
+}
+
+// truthBlock is how many true weights drawTruth draws at a time: enough to
+// keep both cores busy, few enough that its scratch (40 bytes a draw) stays
+// a small fraction of the weight vector.
+const truthBlock = 1 << 16
+
+// drawTruth draws the ground-truth weights: WeightNnz times, a Zipf(Dim,
+// Skew+0.2) index, scattered, gets a N(0, 4) value, a later draw
+// overwriting an earlier one at the same index. Concentrating them on
+// popular features keeps the signal learnable from skewed samples.
+//
+// The index and the value are pure functions of the uniforms (linalg.Zipf,
+// linalg.Normal), and those cost a Pow, a Log and a Cos, so a block's
+// uniforms are drawn in exactly the order RNG.Zipf and RNG.NormFloat64 would
+// draw them, the transforms run on par.Range, and the weights land in draw
+// order: the result is bit for bit that of the serial loop.
+func drawTruth(rng *linalg.RNG, cfg ClassifyConfig, scatter func(int) int) []float64 {
+	truth := linalg.Zeros(cfg.Dim)
+	zipf := linalg.NewZipf(cfg.Dim, cfg.Skew+0.2)
+	block := min(cfg.WeightNnz, truthBlock)
+	u := make([]float64, 3*block) // per draw: Zipf's uniform, then Normal's two
+	idx := make([]int, block)
+	val := make([]float64, block)
+	for done := 0; done < cfg.WeightNnz; done += block {
+		n := min(block, cfg.WeightNnz-done)
+		for k := range n {
+			d := u[3*k : 3*k+3]
+			if cfg.Dim > 1 { // RNG.Zipf draws nothing over one dimension
+				d[0] = rng.Float64()
+			}
+			d[1] = rng.Float64()
+			for d[1] == 0 { // NormFloat64 redraws a zero u1
+				d[1] = rng.Float64()
+			}
+			d[2] = rng.Float64()
+		}
+		par.Range(n, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				idx[k] = scatter(zipf.At(u[3*k]))
+				val[k] = linalg.Normal(u[3*k+1], u[3*k+2]) * 2
+			}
+		})
+		for k, i := range idx[:n] {
+			truth[i] = val[k]
+		}
+	}
+	return truth
 }
 
 // Partition splits instances round-robin into n partitions, the layout an

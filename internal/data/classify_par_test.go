@@ -1,0 +1,101 @@
+package data
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/par"
+)
+
+// pinnedConfigs are the three configurations TestGenerateClassifyPinned
+// pins: the datasets of the benchmark's tcp-lr-sparse, tcp-lr-dense and
+// sim-lr-adam workloads at seed 17.
+var pinnedConfigs = []struct {
+	name string
+	cfg  ClassifyConfig
+}{
+	{"tcp-lr-sparse", ClassifyConfig{Rows: 20000, Dim: 50000, NnzPerRow: 16, Skew: 1.0, NoiseRate: 0.02, WeightNnz: 5000, Seed: 17}},
+	{"tcp-lr-dense", ClassifyConfig{Rows: 5000, Dim: 4000000, NnzPerRow: 8, Skew: 1.0, NoiseRate: 0.02, WeightNnz: 400000, Seed: 17}},
+	{"sim-lr-adam", ClassifyConfig{Rows: 20000, Dim: 100000, NnzPerRow: 20, Skew: 1.1, NoiseRate: 0.02, WeightNnz: 10000, Seed: 17}},
+}
+
+// edgeConfigs cover the true-weight draws' corners the pinned three miss.
+var edgeConfigs = []struct {
+	name string
+	cfg  ClassifyConfig
+}{
+	{"nnz-not-block-multiple", ClassifyConfig{Rows: 300, Dim: 300000, NnzPerRow: 8, Skew: 1.1, NoiseRate: 0.05, WeightNnz: 2*truthBlock + 123, Seed: 5}},
+	{"skew-0", ClassifyConfig{Rows: 300, Dim: 200000, NnzPerRow: 8, Skew: 0, NoiseRate: 0.05, WeightNnz: truthBlock + 1, Seed: 6}},
+	{"sorted-features", ClassifyConfig{Rows: 300, Dim: 200000, NnzPerRow: 8, Skew: 1.2, NoiseRate: 0.05, WeightNnz: 100000, SortedFeatures: true, Seed: 7}},
+	{"nnz-above-dim", ClassifyConfig{Rows: 300, Dim: 70000, NnzPerRow: 8, Skew: 1.0, NoiseRate: 0.05, WeightNnz: 1000000, Seed: 8}},
+	{"dim-1", ClassifyConfig{Rows: 20, Dim: 1, NnzPerRow: 1, Skew: 1.0, WeightNnz: 1, Seed: 9}},
+}
+
+// TestGenerateClassifyParallelDraws: a dataset does not depend on whether
+// the true weights' transforms fan out. Every block runs on par.Range's
+// workers with MinParallel at 1 and inline with it out of reach, and the
+// two must hash the same.
+func TestGenerateClassifyParallelDraws(t *testing.T) {
+	old := par.MinParallel
+	t.Cleanup(func() { par.MinParallel = old })
+	for _, c := range append(pinnedConfigs, edgeConfigs...) {
+		var hashes [2]string
+		for i, minPar := range []int{1, math.MaxInt} {
+			par.MinParallel = minPar
+			ds, err := GenerateClassify(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashes[i] = classifyHash(ds)
+		}
+		if hashes[0] != hashes[1] {
+			t.Errorf("%s: dataset hash %s with every block fanned out, %s inline", c.name, hashes[0], hashes[1])
+		}
+	}
+}
+
+// TestDrawTruthMatchesSerialLoop: drawTruth leaves the true weights and the
+// generator's RNG exactly as the loop it replaced did, one RNG.Zipf and one
+// RNG.NormFloat64 per weight.
+func TestDrawTruthMatchesSerialLoop(t *testing.T) {
+	for _, c := range edgeConfigs {
+		cfg := c.cfg
+		cfg.WeightNnz = min(cfg.WeightNnz, cfg.Dim)
+		scatter := func(rank int) int {
+			if cfg.SortedFeatures {
+				return rank
+			}
+			return int((uint64(rank)*2654435761 + 97) % uint64(cfg.Dim))
+		}
+		rng, ref := linalg.NewRNG(cfg.Seed), linalg.NewRNG(cfg.Seed)
+		got := drawTruth(rng, cfg, scatter)
+		want := make([]float64, cfg.Dim)
+		for range cfg.WeightNnz {
+			idx := scatter(ref.Zipf(cfg.Dim, cfg.Skew+0.2))
+			want[idx] = ref.NormFloat64() * 2
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: truth[%d] = %v, the serial loop draws %v", c.name, i, got[i], want[i])
+			}
+		}
+		if a, b := rng.Uint64(), ref.Uint64(); a != b {
+			t.Errorf("%s: the RNG after the draws gives %#x, after the serial loop %#x", c.name, a, b)
+		}
+	}
+}
+
+// BenchmarkGenerateClassify times the generator on the three benchmark
+// datasets; on tcp-lr-dense's most of it is the 400 k true-weight draws.
+func BenchmarkGenerateClassify(b *testing.B) {
+	for _, c := range pinnedConfigs {
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				if _, err := GenerateClassify(c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consistency"
+	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -59,7 +60,7 @@ func NewShard(rows int, v ColView) *Shard {
 		}
 	}
 	for r := range sh.Rows {
-		sh.Rows[r] = make([]float64, v.Width())
+		sh.Rows[r] = linalg.Zeros(v.Width())
 	}
 	return sh
 }

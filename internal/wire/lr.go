@@ -27,6 +27,7 @@ import (
 	"sort"
 
 	"repro/internal/data"
+	"repro/internal/linalg"
 	"repro/internal/ml/lr"
 	"repro/internal/ps"
 )
@@ -289,7 +290,7 @@ func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
 // round does: the stretch's capacity is exactly the range, so a reply of the
 // right length lands in place and any other length is refused.
 func (st *wireStore) weights(mat uint32, dim int) ([]float64, error) {
-	w := make([]float64, dim)
+	w := linalg.Zeros(dim)
 	los := make([]int, len(st.pipes))
 	for s, p := range st.pipes {
 		lo, hi := st.pt.Range(s)

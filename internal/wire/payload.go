@@ -14,6 +14,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"repro/internal/linalg"
 )
 
 // enc is an append-only payload builder.
@@ -114,10 +116,12 @@ func growInts(s *[]int, n int) []int {
 	return *s
 }
 
-// growFloats resizes *s to length n reusing its capacity.
+// growFloats resizes *s to length n reusing its capacity. A new buffer can
+// be a whole range pull's values (Client.PullRange), so it comes from
+// linalg.Zeros.
 func growFloats(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
-		*s = make([]float64, n)
+		*s = linalg.Zeros(n)
 	}
 	*s = (*s)[:n]
 	return *s

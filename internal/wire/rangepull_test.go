@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/arena"
 )
 
 // wideRetry allows the time a multi-megabyte range takes on a loaded machine.
@@ -170,5 +172,46 @@ func TestPullRangeStreamedDecode(t *testing.T) {
 				t.Fatalf("BytesIn grew by %d for a %d-byte response", grew, len(good))
 			}
 		})
+	}
+}
+
+// TestWideResponseNotPinned: the server encodes a range pull wider than
+// arena.ReuseCap into a pooled buffer and lets go of it once the frame is
+// written, so the connection's scratch keeps nothing that wide; a narrow
+// pull still encodes into the connection's own buffer.
+func TestWideResponseNotPinned(t *testing.T) {
+	s := NewServer()
+	var sc connScratch
+	const narrow, wide = 1 << 10, arena.ReuseCap/8 + 1
+	for _, c := range []struct {
+		mat   uint32
+		width int
+	}{{1, narrow}, {2, wide}} {
+		if _, err := s.handle(Frame{Op: OpCreateShard, Flags: FlagMutates, ReqID: uint64(c.mat),
+			Payload: AppendCreateShard(nil, c.mat, 1, 0, c.width)}, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull := func(mat uint32, width int) {
+		t.Helper()
+		resp, err := s.handle(Frame{Op: OpPullRange, Payload: AppendPullRangeReq(nil, mat, 0)}, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 8 + 8*width; len(resp) != want {
+			t.Fatalf("matrix %d: %d-byte response, want %d", mat, len(resp), want)
+		}
+		sc.release()
+	}
+	pull(1, narrow)
+	if cap(sc.resp) == 0 || sc.wide != nil {
+		t.Errorf("narrow pull: resp cap %d, wide %v; want the connection's own buffer", cap(sc.resp), sc.wide)
+	}
+	for range 2 {
+		pull(2, wide)
+		if sc.wide != nil || cap(sc.resp) > arena.ReuseCap || cap(sc.payload) > arena.ReuseCap {
+			t.Errorf("after a wide pull the connection keeps resp cap %d, payload cap %d, wide %v",
+				cap(sc.resp), cap(sc.payload), sc.wide)
+		}
 	}
 }

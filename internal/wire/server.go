@@ -23,6 +23,8 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/arena"
+	"repro/internal/linalg"
 	"repro/internal/ps"
 )
 
@@ -38,6 +40,40 @@ type connScratch struct {
 	vals    []float64 // decoded / assembled value vectors
 	ops     []FusedOp // decoded fused programs
 	resp    []byte    // response payload encode buffer
+	wide    *[]byte   // a wide range pull's response, from wideResps
+}
+
+// wideResps holds the buffers of range-pull responses wider than
+// arena.ReuseCap (32 MB for a 4 M-wide row) between frames: a warm pull
+// reuses one, and once pulls stop the GC frees them.
+var wideResps sync.Pool
+
+// wideResp returns a pooled buffer with room for n bytes.
+func wideResp(n int) *[]byte {
+	b, _ := wideResps.Get().(*[]byte)
+	if b == nil {
+		b = new([]byte)
+	}
+	if cap(*b) < n {
+		*b = linalg.ZeroBytes(n)
+	}
+	return b
+}
+
+// release lets go of scratch wider than arena.ReuseCap once its frame is
+// written, as arena.PutBytes does, so a connection does not pin a giant
+// request or response for as long as it lives.
+func (sc *connScratch) release() {
+	if sc.wide != nil {
+		wideResps.Put(sc.wide)
+		sc.wide = nil
+	}
+	if cap(sc.payload) > arena.ReuseCap {
+		sc.payload = nil
+	}
+	if cap(sc.resp) > arena.ReuseCap {
+		sc.resp = nil
+	}
 }
 
 // ServerStats counts a server's request traffic. Bytes are payload+header
@@ -170,6 +206,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := WriteResponse(w, resp, appErr); err != nil {
 			return
 		}
+		sc.release()
 		if nextFrameBuffered(r) {
 			continue // its answer leaves in the same write as this one
 		}
@@ -384,7 +421,12 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		}
 		// Encode straight from shard memory (still under s.mu); the old
 		// intermediate copy bought nothing.
-		sc.resp = AppendPullRangeResp(sc.resp[:0], lo, sh.Rows[r])
+		row := sh.Rows[r]
+		if n := 8 + 8*len(row); n > arena.ReuseCap {
+			sc.wide = wideResp(n)
+			return AppendPullRangeResp((*sc.wide)[:0], lo, row), nil
+		}
+		sc.resp = AppendPullRangeResp(sc.resp[:0], lo, row)
 		return sc.resp, nil
 
 	case OpStats:

@@ -12,6 +12,13 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 
+# Cross-build gate: linalg's huge-page advice is Linux-only behind build tags
+# (alloc_linux.go, alloc_other.go), so build the tree for a non-Linux
+# platform and vet the package for another, or the stub could rot unseen.
+# Both use the local toolchain's standard library and need no network.
+GOOS=darwin go build ./...
+GOOS=windows go vet ./internal/linalg/
+
 # benchmarks/ is a Go module of its own, so ./... above does not reach it: an
 # API deletion or rename that breaks ps2perf or its helpers' unit tests would
 # otherwise stay invisible until the pipeline runs the benchmark. (-o
@@ -72,4 +79,7 @@ go test -run XXX -fuzz FuzzPullRangeResponse -fuzztime 10s ./internal/wire/
 # completion (one iteration each) so `make bench` cannot rot unnoticed.
 # BenchmarkKernel's two shapes (mailbox ping-pong, a 20-way CallShard-like
 # fan-out) print the simulator's host ns per event here.
+# BenchmarkGenerateClassify (the three benchmark datasets) and
+# BenchmarkWideRowFirstTouch (a fresh 4 M-wide shard row's page faults) show
+# the two fixed costs of the dense TCP workload.
 go test -run XXX -bench . -benchtime 1x ./...
