@@ -6,6 +6,11 @@
 // feature skew, label noise, graph degree distribution, topic structure — at
 // a configurable scale. EXPERIMENTS.md records the scale factor per
 // experiment.
+//
+// The rows of a generated classification dataset share one slab: their
+// feature vectors, indices and values are three allocations, and each row's
+// slices are capped at its length, so appending to one row copies it
+// instead of writing into the next.
 package data
 
 import (
@@ -108,30 +113,34 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 	truth := drawTruth(rng, cfg, scatter)
 	ds := &ClassifyDataset{Config: cfg, TrueWeights: truth}
 	ds.Instances = make([]Instance, cfg.Rows)
-	idxBuf := make([]int, 0, cfg.NnzPerRow)
-	for r := 0; r < cfg.Rows; r++ {
-		idxBuf = idxBuf[:0]
-		for len(idxBuf) < cfg.NnzPerRow {
-			var idx int
+	// The rows' slab (see the package doc): row r owns entries
+	// [r·n, (r+1)·n) of idxSlab and valSlab, and its slices are capped there.
+	n := cfg.NnzPerRow
+	vecs := make([]linalg.SparseVector, cfg.Rows)
+	idxSlab := make([]int, cfg.Rows*n)
+	valSlab := make([]float64, cfg.Rows*n)
+	for r := range ds.Instances {
+		idx := idxSlab[r*n : r*n : (r+1)*n]
+		for len(idx) < n {
+			var i int
 			if cfg.Skew > 0 {
-				idx = scatter(rng.Zipf(cfg.Dim, cfg.Skew))
+				i = scatter(rng.Zipf(cfg.Dim, cfg.Skew))
 			} else {
-				idx = rng.Intn(cfg.Dim)
+				i = rng.Intn(cfg.Dim)
 			}
 			// A row holds NnzPerRow indices, a few dozen in every dataset
 			// here: scanning them beats hashing into a per-row map.
-			if !slices.Contains(idxBuf, idx) {
-				idxBuf = append(idxBuf, idx)
+			if !slices.Contains(idx, i) {
+				idx = append(idx, i)
 			}
 		}
-		vals := make([]float64, len(idxBuf))
-		for i := range vals {
-			vals[i] = 0.5 + rng.Float64()
+		vals := valSlab[r*n : (r+1)*n : (r+1)*n]
+		for k := range vals {
+			vals[k] = 0.5 + rng.Float64()
 		}
-		sv, err := linalg.NewSparse(append([]int(nil), idxBuf...), vals)
-		if err != nil {
-			return nil, err
-		}
+		sortRow(idx, vals)
+		sv := &vecs[r]
+		*sv = linalg.SparseVector{Indices: idx, Values: vals}
 		z := sv.DotDense(truth)
 		label := 0.0
 		if rng.Float64() < linalg.Sigmoid(z) {
@@ -145,9 +154,23 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 	return ds, nil
 }
 
-// truthBlock is how many true weights drawTruth draws at a time: enough to
-// keep both cores busy, few enough that its scratch (40 bytes a draw) stays
-// a small fraction of the weight vector.
+// sortRow sorts a row's distinct indices ascending and carries each value
+// with its index. Distinct keys have one ascending order, the one
+// linalg.NewSparse gives; a row holds a few dozen features, so insertion
+// sort is the cheapest way there.
+func sortRow(idx []int, vals []float64) {
+	for i := 1; i < len(idx); i++ {
+		c, v := idx[i], vals[i]
+		j := i
+		for ; j > 0 && idx[j-1] > c; j-- {
+			idx[j], vals[j] = idx[j-1], vals[j-1]
+		}
+		idx[j], vals[j] = c, v
+	}
+}
+
+// truthBlock is how many true-weight draws drawTruth holds the uniforms of
+// at a time.
 const truthBlock = 1 << 16
 
 // drawTruth draws the ground-truth weights: WeightNnz times, a Zipf(Dim,
@@ -156,39 +179,66 @@ const truthBlock = 1 << 16
 // popular features keeps the signal learnable from skewed samples.
 //
 // The index and the value are pure functions of the uniforms (linalg.Zipf,
-// linalg.Normal), and those cost a Pow, a Log and a Cos, so a block's
-// uniforms are drawn in exactly the order RNG.Zipf and RNG.NormFloat64 would
-// draw them, the transforms run on par.Range, and the weights land in draw
-// order: the result is bit for bit that of the serial loop.
+// linalg.Normal), and those cost a Pow, a Log and a Cos. So the uniforms are
+// drawn a block at a time in exactly the order RNG.Zipf and RNG.NormFloat64
+// would draw them, and every draw's index is computed on par.Range. One
+// backward pass over a bitmap of the dimensions then finds the draw that
+// writes each index last. The uniforms are drawn again from the same RNG
+// state, and only those last draws get a value, again on par.Range: they
+// write distinct indices, and the result and the RNG's final state are bit
+// for bit those of the serial loop. Drawing twice costs about what keeping
+// every draw's two Normal uniforms would, in 16 bytes a draw less scratch:
+// it is 8 bytes a draw, one bit a dimension and one block's uniforms.
 func drawTruth(rng *linalg.RNG, cfg ClassifyConfig, scatter func(int) int) []float64 {
 	truth := linalg.Zeros(cfg.Dim)
 	zipf := linalg.NewZipf(cfg.Dim, cfg.Skew+0.2)
-	block := min(cfg.WeightNnz, truthBlock)
-	u := make([]float64, 3*block) // per draw: Zipf's uniform, then Normal's two
-	idx := make([]int, block)
-	val := make([]float64, block)
-	for done := 0; done < cfg.WeightNnz; done += block {
-		n := min(block, cfg.WeightNnz-done)
-		for k := range n {
-			d := u[3*k : 3*k+3]
+	n := cfg.WeightNnz
+	idx := make([]int, n)
+	u := make([]float64, 3*min(n, truthBlock))
+	// block draws the uniforms of the next m draws: per draw, Zipf's
+	// uniform, then Normal's two.
+	block := func(m int) []float64 {
+		d := u[:3*m]
+		for k := 0; k < len(d); k += 3 {
 			if cfg.Dim > 1 { // RNG.Zipf draws nothing over one dimension
-				d[0] = rng.Float64()
+				d[k] = rng.Float64()
 			}
-			d[1] = rng.Float64()
-			for d[1] == 0 { // NormFloat64 redraws a zero u1
-				d[1] = rng.Float64()
+			d[k+1] = rng.Float64()
+			for d[k+1] == 0 { // NormFloat64 redraws a zero u1
+				d[k+1] = rng.Float64()
 			}
-			d[2] = rng.Float64()
+			d[k+2] = rng.Float64()
 		}
-		par.Range(n, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				idx[k] = scatter(zipf.At(u[3*k]))
-				val[k] = linalg.Normal(u[3*k+1], u[3*k+2]) * 2
+		return d
+	}
+	start := *rng
+	for lo := 0; lo < n; lo += truthBlock {
+		d := block(min(truthBlock, n-lo))
+		par.Range(len(d)/3, func(a, b int) {
+			for k := a; k < b; k++ {
+				idx[lo+k] = scatter(zipf.At(d[3*k]))
 			}
 		})
-		for k, i := range idx[:n] {
-			truth[i] = val[k]
+	}
+	seen := make([]uint64, (cfg.Dim+63)/64)
+	for k := n - 1; k >= 0; k-- {
+		w, bit := idx[k]/64, uint64(1)<<(idx[k]%64)
+		if seen[w]&bit != 0 {
+			idx[k] = -1 // a later draw overwrites this one
+			continue
 		}
+		seen[w] |= bit
+	}
+	*rng = start
+	for lo := 0; lo < n; lo += truthBlock {
+		d := block(min(truthBlock, n-lo))
+		par.Range(len(d)/3, func(a, b int) {
+			for k := a; k < b; k++ {
+				if i := idx[lo+k]; i >= 0 {
+					truth[i] = linalg.Normal(d[3*k+1], d[3*k+2]) * 2
+				}
+			}
+		})
 	}
 	return truth
 }

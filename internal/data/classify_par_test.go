@@ -86,6 +86,39 @@ func TestDrawTruthMatchesSerialLoop(t *testing.T) {
 	}
 }
 
+// TestGenerateClassifySlab: a dataset's rows share one slab. The
+// generator's allocation count does not grow with Rows, and every row's
+// Indices and Values are capped at their length, so an append to one row
+// cannot write into the next.
+func TestGenerateClassifySlab(t *testing.T) {
+	cfg := ClassifyConfig{Rows: 100, Dim: 20000, NnzPerRow: 12, Skew: 1.0, NoiseRate: 0.05, WeightNnz: 2000, Seed: 11}
+	allocs := func(rows int) float64 {
+		c := cfg
+		c.Rows = rows
+		return testing.AllocsPerRun(3, func() {
+			if _, err := GenerateClassify(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(10000); small != large {
+		t.Errorf("GenerateClassify allocates %v times for 100 rows and %v for 10000: rows are allocated one by one", small, large)
+	}
+	for _, c := range append(pinnedConfigs, edgeConfigs...) {
+		ds, err := GenerateClassify(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, inst := range ds.Instances {
+			f := inst.Features
+			if cap(f.Indices) != len(f.Indices) || cap(f.Values) != len(f.Values) {
+				t.Fatalf("%s: row %d has indices len %d cap %d and values len %d cap %d: an append would reach the next row",
+					c.name, r, len(f.Indices), cap(f.Indices), len(f.Values), cap(f.Values))
+			}
+		}
+	}
+}
+
 // BenchmarkGenerateClassify times the generator on the three benchmark
 // datasets; on tcp-lr-dense's most of it is the 400 k true-weight draws.
 func BenchmarkGenerateClassify(b *testing.B) {

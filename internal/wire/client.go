@@ -62,6 +62,7 @@ type ClientStats struct {
 	Attempts uint64 // frames actually sent (> Calls under retries)
 	Timeouts uint64 // attempts killed by the per-attempt deadline
 	Redials  uint64 // attempts that had to re-establish a connection
+	Writes   uint64 // write calls on the sockets
 	BytesOut uint64
 	BytesIn  uint64
 }
@@ -70,13 +71,21 @@ type ClientStats struct {
 // response payload buffer, all reused across exchanges so the steady-state
 // round trip allocates nothing. A response is decoded out of rbuf before the
 // next one is read into it. A range response is never read into rbuf whole:
-// it is decoded through it a piece at a time, bounded by lr.
+// its values are read straight into the caller's slice, bounded by lr.
+// writes counts the write calls bw makes on the socket.
 type poolConn struct {
 	net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	rbuf []byte
-	lr   io.LimitedReader
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	rbuf   []byte
+	lr     io.LimitedReader
+	writes uint64
+}
+
+// Write writes b to the socket and counts the call.
+func (pc *poolConn) Write(b []byte) (int, error) {
+	pc.writes++
+	return pc.Conn.Write(b)
 }
 
 // endpoint is one server address plus its idle-connection pool.
@@ -169,7 +178,9 @@ func (c *Client) count(f func(st *ClientStats)) {
 
 // dial returns a pooled connection or establishes a new one; fresh reports
 // whether a new dial happened. The bufio pair lives with the connection so
-// an exchange does not rebuild its buffers per attempt.
+// an exchange does not rebuild its buffers per attempt. Both are burstBuf
+// long: a round's burst leaves in one write, and its answers, a pull of a
+// few thousand columns included, arrive in one read.
 func (c *Client) dial(ep *endpoint) (pc *poolConn, fresh bool, err error) {
 	select {
 	case pc = <-ep.pool:
@@ -180,7 +191,9 @@ func (c *Client) dial(ep *endpoint) (pc *poolConn, fresh bool, err error) {
 	if err != nil {
 		return nil, true, err
 	}
-	return &poolConn{Conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriterSize(conn, burstBuf)}, true, nil
+	pc = &poolConn{Conn: conn, br: bufio.NewReaderSize(conn, burstBuf)}
+	pc.bw = bufio.NewWriterSize(pc, burstBuf)
+	return pc, true, nil
 }
 
 // release parks the connection back into the pool, or closes it if the
@@ -288,6 +301,7 @@ func (p *Pipeline) Send() {
 	pc := p.pc
 	err := pc.SetDeadline(time.Now().Add(c.retry.Timeout))
 	var out uint64
+	writes := pc.writes
 	for i := p.sent; err == nil && i < len(p.calls); i++ {
 		f := p.calls[i].f
 		err = WriteFrame(pc.bw, f)
@@ -302,8 +316,10 @@ func (p *Pipeline) Send() {
 	}
 	n := uint64(len(p.calls) - p.sent)
 	p.sent = len(p.calls)
+	writes = pc.writes - writes
 	c.count(func(st *ClientStats) {
 		st.Attempts += n
+		st.Writes += writes
 		st.BytesOut += out
 	})
 }
@@ -453,9 +469,9 @@ func (p *Pipeline) answer(cl *call) (uint64, error) {
 	return n, nil
 }
 
-// answerRange is answer for a range pull, whose values are decoded off the
-// socket a piece at a time: a payload the decoder refuses is read off and
-// dropped.
+// answerRange is answer for a range pull, whose values are read off the
+// socket into the caller's slice: a payload the decoder refuses is read off
+// and dropped.
 func (p *Pipeline) answerRange(cl *call) (uint64, error) {
 	pc := p.pc
 	plen, err := readResponseHeader(pc.br, &pc.rbuf)
@@ -529,8 +545,8 @@ func (p *Pipeline) Fused(mat uint32, ops []FusedOp) {
 
 // PullRangeInto queues a read of the server's whole stretch of one row: its
 // first column into *lo and its values into caller scratch. The values are
-// decoded off the socket a piece at a time, so a warm read allocates nothing
-// and the pooled connection keeps no buffer the size of the row.
+// read off the socket straight into the scratch, so a warm read allocates
+// nothing and the pooled connection keeps no buffer the size of the row.
 func (p *Pipeline) PullRangeInto(mat uint32, row int, lo *int, valsBuf *[]float64) {
 	p.queue(OpPullRange, false, AppendPullRangeReq(arena.Bytes(0), mat, row), call{vals: valsBuf, lo: lo})
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -119,6 +120,78 @@ func TestPayloadCodecs(t *testing.T) {
 		if err != nil || got != in {
 			t.Fatalf("stats: %+v %v", got, err)
 		}
+	}
+}
+
+// oddFloats are values whose bits a float path could disturb: NaNs with
+// payloads (quiet, signalling, negative), −0, ±Inf, subnormals and the
+// extremes.
+var oddFloats = []uint64{
+	0x7ff8000000000000, 0x7ff8dead0000beef, 0x7ff0000000000001, 0xfff4000000000abc,
+	0x8000000000000000, 0x0000000000000000, 0x7ff0000000000000, 0xfff0000000000000,
+	0x0000000000000001, 0x800fffffffffffff, 0x0008000000000000, 0x7fefffffffffffff,
+	0x0010000000000000, 0x3ff0000000000000, 0xbfd5555555555555,
+}
+
+// TestFloatBlocksMatchPerElement: the float sections of AppendVals,
+// AppendPushAdd and AppendPullRangeResp are byte for byte the per-element
+// little-endian encoding, and DecodeValsInto, DecodePushAddInto and
+// readPullRangeResp give back every value's bits, at every length up to the
+// odd values' count and from a payload at an odd address.
+func TestFloatBlocksMatchPerElement(t *testing.T) {
+	for n := 0; n <= len(oddFloats); n++ {
+		vals := make([]float64, n)
+		cols := make([]int, n)
+		var want []byte // the values, one little-endian word each
+		for i, b := range oddFloats[:n] {
+			vals[i] = math.Float64frombits(b)
+			cols[i] = 3 * i
+			want = binary.LittleEndian.AppendUint64(want, b)
+		}
+		sameBits := func(what string, got []float64) {
+			t.Helper()
+			if len(got) != n {
+				t.Fatalf("%s, %d values: decoded %d", what, n, len(got))
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != oddFloats[i] {
+					t.Fatalf("%s, %d values: value %d decodes to %#016x, was %#016x", what, n, i, math.Float64bits(v), oddFloats[i])
+				}
+			}
+		}
+		// misalign copies p behind one byte, so the decoders read it from an
+		// odd address.
+		misalign := func(p []byte) []byte { return append([]byte{0xff}, p...)[1:] }
+
+		p := AppendVals([]byte{0xee}, vals)[1:]
+		if !bytes.Equal(p[4:], want) {
+			t.Fatalf("AppendVals, %d values: % x, want % x", n, p[4:], want)
+		}
+		got, err := DecodeValsInto(misalign(p), new([]float64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits("DecodeValsInto", got)
+
+		p = AppendPushAdd(nil, 1, 0, cols, vals)
+		if !bytes.Equal(p[12+4*n:], want) {
+			t.Fatalf("AppendPushAdd, %d values: % x, want % x", n, p[12+4*n:], want)
+		}
+		_, _, _, got, err = DecodePushAddInto(misalign(p), new([]int), new([]float64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits("DecodePushAddInto", got)
+
+		p = AppendPullRangeResp(nil, 7, vals)
+		if !bytes.Equal(p[8:], want) {
+			t.Fatalf("AppendPullRangeResp, %d values: % x, want % x", n, p[8:], want)
+		}
+		_, got, err = readPullRangeResp(bytes.NewReader(misalign(p)), len(p), new([]byte), new([]float64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits("readPullRangeResp", got)
 	}
 }
 

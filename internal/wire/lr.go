@@ -10,17 +10,18 @@ package wire
 //
 // Each batch is indexed once (lr.BatchIndex): the sorted distinct features
 // are the pull list and the push list, and weights and gradient are slices
-// aligned with them. The loop talks to its store in rounds: round i pushes
-// iteration i's gradient and applies its step, indexes batch i+1 while the
-// servers apply them, then pulls batch i+1's weights. Over TCP a round is
-// one pipelined exchange per server, written from the loop's goroutine: push
-// and step go out first, the pull follows on the same connection once the
-// next batch is indexed, and the three answers are read in order. The pull
-// sees the step because a server applies one connection's frames in arrival
-// order. The simnet twin makes the same three calls in sequence. The TCP
-// store cuts each list into per-server runs along the range partition and
-// decodes each server's values straight into its stretch of the weight
-// slice, so neither backend builds a per-batch map.
+// aligned with them. Batches are indexed a round ahead, into two buffers
+// that take turns (lrBatches). The loop talks to its store in rounds: round
+// i pushes iteration i's gradient, applies its step and pulls batch i+1's
+// weights, and indexes batch i+2 while the servers work. Over TCP a round is
+// one write per server from the loop's goroutine: push, step and pull go out
+// back to back on one connection, the next batch is indexed, and the three
+// answers are read in order. The pull sees the step because a server applies
+// one connection's frames in arrival order. The simnet twin makes the same
+// three calls in sequence and indexes the same batches in the same order.
+// The TCP store cuts each list into per-server runs along the range
+// partition and decodes each server's values straight into its stretch of
+// the weight slice, so neither backend builds a per-batch map.
 
 import (
 	"fmt"
@@ -100,10 +101,11 @@ type lrStore interface {
 	// round ends one iteration and starts the next. Unless step is nil (the
 	// first round), it adds step's sparse gradient into the grad row, then
 	// applies w += scale·grad and zeroes grad, atomically per server. Then it
-	// draws the next batch from b and reads the weights at its columns into
-	// b.w, unless every batch is drawn (the last round). step's slices alias
-	// b's buffers, which the draw overwrites: the gradient must be sent (or
-	// encoded) before it.
+	// reads the weights at the columns of b's next batch into its w, unless
+	// every batch is drawn (the last round), and turns b, which makes that
+	// batch current and indexes the one after it. step's slices alias the
+	// current batch's buffers, which the turn overwrites: the gradient must be
+	// sent (or encoded) before it.
 	round(mat uint32, step *lrStep, b *lrBatches) error
 	// weights reads the full weight vector.
 	weights(mat uint32, dim int) ([]float64, error)
@@ -132,31 +134,73 @@ func (r *batchRNG) next() uint64 {
 
 func (r *batchRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// lrBatches draws the loop's mini-batches and indexes each one. One index
-// and the aligned buffers w and grad serve every batch, so a warm draw
-// builds no map and sorts nothing.
-type lrBatches struct {
-	rng     batchRNG
-	from    []data.Instance // the dataset
-	rows    []data.Instance // the current batch
+// lrBatch is one mini-batch, indexed: its rows, the index whose sorted
+// distinct features are its pull and push lists, and the weight and
+// gradient slices aligned with them.
+type lrBatch struct {
+	rows    []data.Instance
 	bi      lr.BatchIndex
 	w, grad []float64
-	left    int // batches still to draw
+	drawn   bool // false once the run has no batch left for it
 }
 
-// next draws and indexes the next batch and returns its columns and the
-// weight slice aligned with them, or ok false once every batch is drawn.
-func (b *lrBatches) next() (cols []int, w []float64, ok bool) {
-	if b.left == 0 {
+// lrBatches draws the loop's mini-batches and indexes each one a round
+// ahead. The embedded *lrBatch is the current batch, the one the loop
+// computes on; next is the one after it, already indexed, whose weights the
+// round pulls. Two buffers take turns, and a warm draw builds no map and
+// sorts nothing.
+type lrBatches struct {
+	*lrBatch
+	next *lrBatch
+	rng  batchRNG
+	from []data.Instance // the dataset
+	left int             // batches still to draw
+}
+
+// newLRBatches returns the batches of a run of n iterations over from, the
+// first one drawn and indexed as next: the first round pulls its weights.
+func newLRBatches(from []data.Instance, size int, seed uint64, n int) *lrBatches {
+	b := &lrBatches{
+		lrBatch: &lrBatch{rows: make([]data.Instance, size)},
+		next:    &lrBatch{rows: make([]data.Instance, size)},
+		rng:     batchRNG{s: seed},
+		from:    from,
+		left:    n,
+	}
+	b.draw(b.next)
+	return b
+}
+
+// ahead returns next's columns and the weight slice aligned with them, or
+// ok false once every batch is drawn.
+func (b *lrBatches) ahead() (cols []int, w []float64, ok bool) {
+	if !b.next.drawn {
 		return nil, nil, false
 	}
-	b.left--
-	for i := range b.rows {
-		b.rows[i] = b.from[b.rng.intn(len(b.from))]
+	return b.next.bi.Indices, b.next.w, true
+}
+
+// turn makes next the current batch, and draws and indexes the batch after
+// it into the buffers of the one it replaces: the round calls it once that
+// batch's gradient is encoded.
+func (b *lrBatches) turn() {
+	b.lrBatch, b.next = b.next, b.lrBatch
+	b.draw(b.next)
+}
+
+// draw draws the next batch of the sequence into bt, if one is left.
+func (b *lrBatches) draw(bt *lrBatch) {
+	bt.drawn = b.left > 0
+	if !bt.drawn {
+		return
 	}
-	b.bi.Build(b.rows)
-	growFloats(&b.grad, len(b.bi.Indices))
-	return b.bi.Indices, growFloats(&b.w, len(b.bi.Indices)), true
+	b.left--
+	for i := range bt.rows {
+		bt.rows[i] = b.from[b.rng.intn(len(b.from))]
+	}
+	bt.bi.Build(bt.rows)
+	growFloats(&bt.grad, len(bt.bi.Indices))
+	growFloats(&bt.w, len(bt.bi.Indices))
 }
 
 // runLRLoop drives the shared mini-batch SGD loop against st: one round
@@ -167,12 +211,7 @@ func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, e
 	if err := st.create(cfg.Mat, 2, dim); err != nil {
 		return nil, fmt.Errorf("create shards: %w", err)
 	}
-	b := &lrBatches{
-		rng:  batchRNG{s: ds.Config.Seed},
-		from: ds.Instances,
-		rows: make([]data.Instance, cfg.BatchSize),
-		left: cfg.Iterations,
-	}
+	b := newLRBatches(ds.Instances, cfg.BatchSize, ds.Config.Seed, cfg.Iterations)
 	if err := st.round(cfg.Mat, nil, b); err != nil {
 		return nil, fmt.Errorf("first pull: %w", err)
 	}
@@ -262,9 +301,11 @@ func (st *wireStore) create(mat uint32, rows, dim int) error {
 	return st.wait()
 }
 
-// round writes each server its push and step, indexes the next batch while
-// they apply, then writes the pull behind them and reads all the answers.
-// Each server's pulled values decode straight into its stretch of b.w.
+// round queues each server its push, its step and its run of the next
+// batch's pull, writes them in one write per server, and indexes the batch
+// after while the servers apply them; then it reads all the answers. Each
+// server's pulled values decode straight into its stretch of the next
+// batch's w.
 func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
 	if step != nil {
 		st.eachRun(step.cols, func(s, lo int, run []int) {
@@ -273,16 +314,18 @@ func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
 		st.ops[0].Scale = step.scale
 		for _, p := range st.pipes {
 			p.Fused(mat, st.ops)
-			p.Send()
 		}
 	}
-	if cols, w, ok := b.next(); ok {
+	if cols, w, ok := b.ahead(); ok {
 		st.eachRun(cols, func(s, lo int, run []int) {
 			st.dst[s] = w[lo : lo+len(run) : lo+len(run)]
 			st.pipes[s].PullSparseInto(mat, rowWeight, run, &st.dst[s])
-			st.pipes[s].Send()
 		})
 	}
+	for _, p := range st.pipes {
+		p.Send()
+	}
+	b.turn()
 	return st.wait()
 }
 

@@ -34,7 +34,8 @@ func (st *simnetStore) create(_ uint32, rows, dim int) error {
 }
 
 // round makes the wire round's three calls in sequence: push, step, then
-// the next batch's pull, copied into its aligned weight slice.
+// the next batch's pull, copied into its aligned weight slice; then it turns
+// b, as the wire round does.
 func (st *simnetStore) round(_ uint32, step *lrStep, b *lrBatches) error {
 	if step != nil {
 		sv, err := linalg.NewSparse(step.cols, step.vals)
@@ -48,13 +49,15 @@ func (st *simnetStore) round(_ uint32, step *lrStep, b *lrBatches) error {
 			return err
 		}
 	}
-	cols, w, ok := b.next()
-	if !ok {
-		return nil
+	if cols, w, ok := b.ahead(); ok {
+		vals, err := st.mat.PullRowIndices(st.p, st.worker, rowWeight, cols)
+		if err != nil {
+			return err
+		}
+		copy(w, vals)
 	}
-	vals, err := st.mat.PullRowIndices(st.p, st.worker, rowWeight, cols)
-	copy(w, vals)
-	return err
+	b.turn()
+	return nil
 }
 
 // step applies w += scale·grad and zeroes grad as one fused invocation.

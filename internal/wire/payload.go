@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/linalg"
 )
@@ -33,6 +34,41 @@ func (e *enc) f64(v float64) {
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
 }
 func (e *enc) byte(v byte) { e.b = append(e.b, v) }
+
+// nativeLE reports whether this host keeps a float64 in memory as its
+// little-endian wire encoding. Only then does a run of values move between
+// a slice and a payload as one copy; elsewhere it moves one value at a time.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64s appends vals: on a little-endian host as one copy of their memory,
+// elsewhere one value at a time.
+func (e *enc) f64s(vals []float64) {
+	if nativeLE {
+		e.b = append(e.b, floatBytes(vals)...)
+		return
+	}
+	for _, v := range vals {
+		e.f64(v)
+	}
+}
+
+// floatBytes is vals' memory as bytes, which on a little-endian host is
+// their wire encoding.
+func floatBytes(vals []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
+// putFloats decodes the len(dst) little-endian values at the start of p
+// into dst, as one copy on a little-endian host.
+func putFloats(dst []float64, p []byte) {
+	if nativeLE {
+		copy(floatBytes(dst), p)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+}
 
 // dec is a cursor over a received payload with a sticky error.
 type dec struct {
@@ -75,6 +111,13 @@ func (d *dec) f64() float64 {
 		return math.Float64frombits(binary.LittleEndian.Uint64(s))
 	}
 	return 0
+}
+
+// f64s fills dst with the next len(dst) values.
+func (d *dec) f64s(dst []float64) {
+	if s := d.take(8 * len(dst)); s != nil {
+		putFloats(dst, s)
+	}
 }
 
 func (d *dec) byte() byte {
@@ -184,9 +227,7 @@ func AppendVals(dst []byte, vals []float64) []byte {
 	e := enc{b: dst}
 	e.reserve(4 + 8*len(vals))
 	e.u32(uint32(len(vals)))
-	for _, v := range vals {
-		e.f64(v)
-	}
+	e.f64s(vals)
 	return e.b
 }
 
@@ -198,9 +239,7 @@ func DecodeValsInto(p []byte, valsBuf *[]float64) ([]float64, error) {
 	var vals []float64
 	if d.err == nil {
 		vals = growFloats(valsBuf, n)
-		for i := range vals {
-			vals[i] = d.f64()
-		}
+		d.f64s(vals)
 	}
 	return vals, d.done()
 }
@@ -217,9 +256,7 @@ func AppendPushAdd(dst []byte, mat uint32, row int, cols []int, vals []float64) 
 	for _, c := range cols {
 		e.u32(uint32(c))
 	}
-	for _, v := range vals {
-		e.f64(v)
-	}
+	e.f64s(vals)
 	return e.b
 }
 
@@ -236,9 +273,7 @@ func DecodePushAddInto(p []byte, colsBuf *[]int, valsBuf *[]float64) (mat uint32
 			cols[i] = int(d.u32())
 		}
 		vals = growFloats(valsBuf, n)
-		for i := range vals {
-			vals[i] = d.f64()
-		}
+		d.f64s(vals)
 	}
 	return mat, row, cols, vals, d.done()
 }
@@ -336,22 +371,23 @@ func AppendPullRangeResp(dst []byte, lo int, vals []float64) []byte {
 	e.reserve(8 + 8*len(vals))
 	e.u32(uint32(lo))
 	e.u32(uint32(len(vals)))
-	for _, v := range vals {
-		e.f64(v)
-	}
+	e.f64s(vals)
 	return e.b
 }
 
-// rangePiece is how many payload bytes readPullRangeResp holds at a time.
+// rangePiece is how many payload bytes readPullRangeResp holds at a time on
+// a big-endian host.
 const rangePiece = 64 << 10
 
 // readPullRangeResp reads a PullRange response payload of plen bytes from r,
-// decoding it into *valsBuf (grown as needed) through piece, a scratch buffer
-// it grows to at most rangePiece bytes: a range response runs to tens of
-// megabytes, and is never held whole. The value count must account for plen
-// exactly before any value is read. Read errors come back as r returned
-// them; on any error an unknown part of the payload is left unread. The
-// returned vals alias *valsBuf.
+// decoding it into *valsBuf (grown as needed). The value count must account
+// for plen exactly before any value is read. On a little-endian host the
+// values are read straight into their memory; elsewhere they are decoded
+// through piece, a scratch buffer grown to at most rangePiece bytes. Either
+// way a range response, which runs to tens of megabytes, is never held
+// whole beside its values. Read errors come back as r returned them; on any
+// error an unknown part of the payload is left unread. The returned vals
+// alias *valsBuf.
 func readPullRangeResp(r io.Reader, plen int, piece *[]byte, valsBuf *[]float64) (lo int, vals []float64, err error) {
 	if plen < 8 {
 		return 0, nil, errShortPayload
@@ -366,15 +402,19 @@ func readPullRangeResp(r io.Reader, plen int, piece *[]byte, valsBuf *[]float64)
 		return 0, nil, fmt.Errorf("wire: range response of %d bytes claims %d values", plen, n)
 	}
 	vals = growFloats(valsBuf, n)
+	if nativeLE {
+		if _, err := io.ReadFull(r, floatBytes(vals)); err != nil {
+			return 0, nil, err
+		}
+		return lo, vals, nil
+	}
 	for rest := vals; len(rest) > 0; {
 		k := min(len(rest), rangePiece/8)
 		p := grow(piece, 8*k)
 		if _, err := io.ReadFull(r, p); err != nil {
 			return 0, nil, err
 		}
-		for i := range rest[:k] {
-			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-		}
+		putFloats(rest[:k], p)
 		rest = rest[k:]
 	}
 	return lo, vals, nil

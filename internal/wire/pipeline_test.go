@@ -5,7 +5,7 @@ package wire
 // application error fails its request alone; the server never holds an
 // answer for a frame that has only partly arrived; a connection released
 // after Close is closed, not pooled; and a warm pipelined LR round allocates
-// nothing.
+// nothing and is one socket write per server.
 
 import (
 	"bufio"
@@ -376,7 +376,7 @@ func TestPipelinedRoundZeroAlloc(t *testing.T) {
 	if err := st.create(cfg.Mat, 2, cfg.Dataset.Dim); err != nil {
 		t.Fatal(err)
 	}
-	b := &lrBatches{from: ds.Instances, rows: make([]data.Instance, cfg.BatchSize), left: math.MaxInt}
+	b := newLRBatches(ds.Instances, cfg.BatchSize, 0, math.MaxInt)
 	step := &lrStep{scale: -0.01}
 	// Each run replays the same batches, so the warm-up grows every buffer to
 	// its final size.
@@ -398,5 +398,55 @@ func TestPipelinedRoundZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("a warm run of 4 pipelined LR iterations: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRoundOneWritePerServer: a warm LR round over two servers queues each
+// server its push, its step and its run of the next pull, and writes them in
+// one socket write per server.
+func TestRoundOneWritePerServer(t *testing.T) {
+	cfg := LRConfig{Dataset: data.ClassifyConfig{Rows: 400, Dim: 3000}, BatchSize: 64}.withDefaults()
+	ds, err := data.GenerateClassify(cfg.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, 2)
+	for i := range addrs {
+		_, addrs[i] = startServer(t)
+	}
+	r := fastRetry()
+	r.Timeout = 5 * time.Second
+	c := NewClient(addrs, r)
+	defer c.Close()
+	st, err := newWireStore(c, cfg.Dataset.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.create(cfg.Mat, 2, cfg.Dataset.Dim); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 8
+	b := newLRBatches(ds.Instances, cfg.BatchSize, 5, rounds+2)
+	if err := st.round(cfg.Mat, nil, b); err != nil {
+		t.Fatal(err)
+	}
+	step := &lrStep{scale: -0.01}
+	before := c.Stats()
+	for k := 0; k < rounds; k++ {
+		b.bi.Gradient(lr.Logistic, b.rows, b.w, b.grad)
+		step.cols, step.vals = b.bi.Sparse(b.grad)
+		if err := st.round(cfg.Mat, step, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := c.Stats()
+	if got, want := after.Writes-before.Writes, uint64(rounds*len(addrs)); got != want {
+		t.Errorf("%d rounds over %d servers made %d socket writes, want %d", rounds, len(addrs), got, want)
+	}
+	if got, want := after.Attempts-before.Attempts, uint64(rounds*len(addrs)*3); got != want {
+		t.Errorf("%d rounds over %d servers sent %d frames, want %d: a push, a step and a pull each", rounds, len(addrs), got, want)
+	}
+	if after.Redials != before.Redials {
+		t.Errorf("the rounds redialled %d times", after.Redials-before.Redials)
 	}
 }

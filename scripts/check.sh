@@ -12,12 +12,17 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 
-# Cross-build gate: linalg's huge-page advice is Linux-only behind build tags
-# (alloc_linux.go, alloc_other.go), so build the tree for a non-Linux
-# platform and vet the package for another, or the stub could rot unseen.
-# Both use the local toolchain's standard library and need no network.
+# Cross-build gate: linalg's huge-page advice is Linux-only behind a build
+# tag (alloc_linux.go; alloc.go holds the no-op default), so build the tree
+# for a non-Linux platform and vet the package for another, or the stub could
+# rot unseen.
+# wire moves float sections as one copy on little-endian hosts only and value
+# by value elsewhere (payload.go, nativeLE), so vet it for a big-endian one
+# too. All three use the local toolchain's standard library and need no
+# network.
 GOOS=darwin go build ./...
 GOOS=windows go vet ./internal/linalg/
+GOOS=linux GOARCH=s390x go vet ./internal/wire/
 
 # benchmarks/ is a Go module of its own, so ./... above does not reach it: an
 # API deletion or rename that breaks ps2perf or its helpers' unit tests would
