@@ -40,7 +40,7 @@ func (s *distML) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance]
 // workers' pushes land before the pull, yet DistML's async client gives no
 // consistency guarantee, which we model as one round of staleness.
 func (s *distML) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
-	return lr.GradientStage(p, s.e, batch, s.cfg.Objective,
+	return lr.GradientStage(p, batch, s.cfg.Objective,
 		func(tc *rdd.TaskContext, indices []int) []float64 {
 			ps.Must(s.mat.PullRow(tc.P, tc.Node, 0))
 			return gather(s.view, indices)

@@ -49,7 +49,7 @@ func (s *petuum) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Ins
 // servers.
 func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
 	eta := s.cfg.LearningRate / math.Sqrt(float64(it+1)) / s.expected
-	return lr.GradientStage(p, s.e, batch, s.cfg.Objective,
+	return lr.GradientStage(p, batch, s.cfg.Objective,
 		func(tc *rdd.TaskContext, indices []int) []float64 {
 			return gather(ps.Must(s.mat.PullRow(tc.P, tc.Node, 0)), indices)
 		},

@@ -57,14 +57,6 @@ type Options struct {
 	// Snapshot's phase breakdown. Off by default; the disabled path costs one
 	// nil check per instrumentation site.
 	Trace bool
-
-	// Admission installs per-server admission control on the PS master from
-	// boot: every data-plane call is charged against a token bucket with a
-	// bounded, class-aware queue, and overflow is shed with ps.ErrOverload.
-	// nil (the default) admits everything at zero cost. Runs that want the
-	// gate only for a serving phase can instead install it mid-run with
-	// ps.Master.SetAdmission.
-	Admission *ps.AdmissionConfig
 }
 
 // CrashEvent schedules the crash of one machine (by role-local index) at a
@@ -150,13 +142,6 @@ func NewEngine(opt Options) *Engine {
 		master.Retry = opt.RPC
 	}
 	master.DeltaCheckpoints = !opt.FullCheckpoints
-	if opt.Admission != nil {
-		adm, err := ps.NewAdmissionControl(*opt.Admission)
-		if err != nil {
-			panic(err) // configuration error, same contract as a bad Options.Servers
-		}
-		master.SetAdmission(adm)
-	}
 	detector := opt.Detector
 	if detector == (ps.DetectorConfig{}) {
 		// A wholly unset detector config means "the defaults", not

@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"repro/internal/consistency"
 	"repro/internal/obs"
 	"repro/internal/ps"
 	"repro/internal/rdd"
@@ -49,7 +50,7 @@ type Epilogue interface {
 // and tasks it starts nest under it.
 func Run[Row any](p *simnet.Proc, e *Engine, dataset *rdd.RDD[Row], fraction float64, seed uint64, iterations int, s Strategy[Row]) (*Trace, error) {
 	trace := &Trace{}
-	spans := loopSpans{t: p.Sim().Tracer(), driver: e.Driver()}
+	spans := loopSpans{t: p.Sim().Tracer(), lane: e.Driver()}
 	epilogue, _ := s.(Epilogue)
 	for it := 0; it < iterations; it++ {
 		spans.begin(p, it)
@@ -84,21 +85,78 @@ func Run[Row any](p *simnet.Proc, e *Engine, dataset *rdd.RDD[Row], fraction flo
 	return trace, nil
 }
 
-// loopSpans opens Run's spans on the driver's lane. With the tracer off every
-// method is one nil check.
+// SSP is a run of RunSSP: the workers' clocks, and the trace of the mean
+// summary per clock, filled once every worker has run its iterations.
+type SSP struct {
+	Clock *ps.SSPClock
+	Trace *Trace
+
+	group *simnet.Group
+}
+
+// Wait blocks until every worker has run its iterations.
+func (s *SSP) Wait(p *simnet.Proc) { s.group.Wait(p) }
+
+// RunSSP is the loop's second gate: the Stale Synchronous Parallel clock in
+// place of Run's stage barrier. Worker w, a process on executor w, runs
+// iteration it once no worker is more than staleness clocks behind it (0 is
+// BSP lockstep); it then runs task with a TaskContext for its executor and
+// ticks its clock. RunSSP returns at once, while the workers run; the trace's
+// point at clock it is the summed Sum over Weight of every worker's task at
+// it, recorded after the last worker finishes.
+//
+// A traced run records each worker's iterations, from admission to the end
+// of the task, as loop.iter spans on its executor's lane.
+func RunSSP(p *simnet.Proc, e *Engine, workers, staleness, iterations int, task func(tc *rdd.TaskContext, w, it int) Summary) *SSP {
+	s := &SSP{Clock: ps.NewSSPClock(p.Sim(), workers), Trace: &Trace{}, group: p.Sim().NewGroup()}
+	bound := consistency.NewClockBounded(staleness)
+	var byClock []Summary
+	for w := 0; w < workers; w++ {
+		node := e.Cluster.Executors[w]
+		s.group.Go("ssp-worker-"+strconv.Itoa(w), func(wp *simnet.Proc) {
+			tc := &rdd.TaskContext{Ctx: e.RDD, P: wp, Node: node, Part: w, Attempt: 1}
+			spans := loopSpans{t: wp.Sim().Tracer(), lane: node}
+			for it := 0; it < iterations; it++ {
+				s.Clock.WaitPolicy(wp, bound, it)
+				spans.begin(wp, it)
+				st := task(tc, w, it)
+				spans.end(wp)
+				if it == len(byClock) {
+					byClock = append(byClock, Summary{})
+				}
+				byClock[it].Sum += st.Sum
+				byClock[it].Weight += st.Weight
+				s.Clock.Tick(w)
+			}
+		})
+	}
+	p.Sim().Spawn("ssp-trace", func(tp *simnet.Proc) {
+		s.group.Wait(tp)
+		for it, st := range byClock {
+			if st.Weight > 0 {
+				s.Trace.Add(float64(it), st.Sum/float64(st.Weight))
+			}
+		}
+	})
+	return s
+}
+
+// loopSpans opens the loop's spans on one machine's lane: the driver's for
+// Run, an executor's for an SSP worker. With the tracer off every method is
+// one nil check.
 type loopSpans struct {
-	t      *obs.Tracer
-	driver *simnet.Node
-	iter   obs.Span
-	cur    obs.Span // the open phase
-	prev   obs.Span // the driver's trace context before the iteration
+	t    *obs.Tracer
+	lane *simnet.Node
+	iter obs.Span
+	cur  obs.Span // the open phase
+	prev obs.Span // the process's trace context before the iteration
 }
 
 func (l *loopSpans) begin(p *simnet.Proc, it int) {
 	if l.t == nil {
 		return
 	}
-	l.iter = l.t.Begin(l.driver.ID, l.driver.Name, obs.KIteration, "iter "+strconv.Itoa(it), p.TraceParent())
+	l.iter = l.t.Begin(l.lane.ID, l.lane.Name, obs.KIteration, "iter "+strconv.Itoa(it), p.TraceParent())
 	l.prev = p.SetTraceParent(l.iter)
 }
 
@@ -108,7 +166,7 @@ func (l *loopSpans) phase(p *simnet.Proc, name string) {
 		return
 	}
 	l.cur.End()
-	l.cur = l.t.Begin(l.driver.ID, l.driver.Name, obs.KLoopPhase, name, l.iter)
+	l.cur = l.t.Begin(l.lane.ID, l.lane.Name, obs.KLoopPhase, name, l.iter)
 	p.SetTraceParent(l.cur)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro/internal/obs"
@@ -163,6 +164,79 @@ func TestRunClosesLoopSpans(t *testing.T) {
 		if iters != s.rounds || empty == 0 || full == 0 {
 			t.Fatalf("failing=%v: %d iterations, %d empty, %d with a barrier; want %d with some of each",
 				failing, iters, empty, full, s.rounds)
+		}
+	}
+}
+
+// TestRunSSPHoldsTheClockBound runs the SSP gate traced, with one executor
+// slowed, at staleness 0 and 2, and reads the bound off the loop's own spans:
+// every worker records exactly one loop.iter span per iteration on its
+// executor's lane, and no worker's span for iteration it begins before every
+// other worker's span for it−s−1 has ended (Dai et al.'s clock bound). At
+// staleness 2 the fast workers do run ahead of the straggler.
+func TestRunSSPHoldsTheClockBound(t *testing.T) {
+	const workers, iterations = 3, 10
+	for _, staleness := range []int{0, 2} {
+		opt := DefaultOptions()
+		opt.Executors, opt.Servers, opt.Trace = workers, 1, true
+		e := NewEngine(opt)
+		e.Cluster.Executors[0].SlowDown(5)
+		var run *SSP
+		e.Run(func(p *simnet.Proc) {
+			run = RunSSP(p, e, workers, staleness, iterations, func(tc *rdd.TaskContext, w, it int) Summary {
+				tc.Charge(e.Cluster.Cost.GradWork(1000))
+				return Summary{Sum: float64(w), Weight: 1}
+			})
+			run.Wait(p)
+		})
+		for w := 0; w < workers; w++ {
+			if got := run.Clock.Clock(w); got != iterations {
+				t.Fatalf("staleness %d: worker %d ended at clock %d, want %d", staleness, w, got, iterations)
+			}
+		}
+		if run.Trace.Len() != iterations || run.Trace.Final() != 1 {
+			t.Fatalf("staleness %d: trace %v, want %d points of mean worker index 1", staleness, run.Trace, iterations)
+		}
+		// spans[w][it] is worker w's span for iteration it.
+		lanes := e.Tracer().Lanes()
+		spans := make([][]obs.Event, workers)
+		for _, ev := range e.Tracer().Events() {
+			if ev.Kind != obs.KIteration {
+				continue
+			}
+			w := -1
+			for x, n := range e.Cluster.Executors {
+				if lanes[ev.Lane].Node == n.ID {
+					w = x
+				}
+			}
+			if w < 0 {
+				t.Fatalf("staleness %d: %s on lane %s, not an executor's", staleness, ev.Name, lanes[ev.Lane].Name)
+			}
+			if want := "iter " + strconv.Itoa(len(spans[w])); ev.Name != want {
+				t.Fatalf("staleness %d: worker %d's span %q, want %q", staleness, w, ev.Name, want)
+			}
+			spans[w] = append(spans[w], ev)
+		}
+		ahead := false
+		for w := range spans {
+			if len(spans[w]) != iterations {
+				t.Fatalf("staleness %d: worker %d recorded %d iterations, want %d", staleness, w, len(spans[w]), iterations)
+			}
+			for it := staleness + 1; it < iterations; it++ {
+				for v := range spans {
+					if begin, end := spans[w][it].Start, spans[v][it-staleness-1].End; begin < end {
+						t.Errorf("staleness %d: worker %d began iteration %d at %v, before worker %d ended iteration %d at %v",
+							staleness, w, it, begin, v, it-staleness-1, end)
+					}
+				}
+			}
+			for it := 1; it < iterations; it++ {
+				ahead = ahead || spans[w][it].Start < spans[0][it-1].End
+			}
+		}
+		if ahead != (staleness > 0) {
+			t.Errorf("staleness %d: a worker ran ahead of the straggler = %v, want %v", staleness, ahead, staleness > 0)
 		}
 	}
 }

@@ -69,11 +69,24 @@ func CTRLike() ClassifyConfig {
 	return ClassifyConfig{Rows: 40000, Dim: 600000, NnzPerRow: 40, Skew: 1.2, NoiseRate: 0.08, WeightNnz: 20000, Seed: 0xC123}
 }
 
-// ClassifyDataset is a generated dataset plus its ground truth.
+// ClassifyDataset is a generated dataset and the configuration it was drawn
+// from.
 type ClassifyDataset struct {
-	Config      ClassifyConfig
-	Instances   []Instance
-	TrueWeights []float64
+	Config    ClassifyConfig
+	Instances []Instance
+}
+
+// scatter maps a Zipf rank to a feature id. Zipf draws are rank-ordered
+// (rank 0 is the hottest); by default ranks are scattered across the index
+// space with a multiplicative hash so feature popularity is independent of
+// feature id — without this the range partitioner would pile all hot
+// dimensions onto one server. SortedFeatures keeps the rank order as the id
+// order instead, modeling frequency-sorted feature dictionaries.
+func (cfg ClassifyConfig) scatter(rank int) int {
+	if cfg.SortedFeatures {
+		return rank
+	}
+	return int((uint64(rank)*2654435761 + 97) % uint64(cfg.Dim))
 }
 
 // GenerateClassify samples a dataset: a sparse ground-truth weight vector is
@@ -98,20 +111,9 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 		cfg.WeightNnz = cfg.Dim
 	}
 	rng := linalg.NewRNG(cfg.Seed)
-	// Zipf draws are rank-ordered (rank 0 is the hottest); by default,
-	// scatter ranks across the index space with a multiplicative hash so
-	// feature popularity is independent of feature id — without this the
-	// range partitioner would pile all hot dimensions onto one server.
-	// SortedFeatures keeps the rank order as the id order instead, modeling
-	// frequency-sorted feature dictionaries.
-	scatter := func(rank int) int {
-		if cfg.SortedFeatures {
-			return rank
-		}
-		return int((uint64(rank)*2654435761 + 97) % uint64(cfg.Dim))
-	}
-	truth := drawTruth(rng, cfg, scatter)
-	ds := &ClassifyDataset{Config: cfg, TrueWeights: truth}
+	// The ground truth only labels the rows: it is garbage once they are.
+	truth := drawTruth(rng, cfg)
+	ds := &ClassifyDataset{Config: cfg}
 	ds.Instances = make([]Instance, cfg.Rows)
 	// The rows' slab (see the package doc): row r owns entries
 	// [r·n, (r+1)·n) of idxSlab and valSlab, and its slices are capped there.
@@ -124,7 +126,7 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 		for len(idx) < n {
 			var i int
 			if cfg.Skew > 0 {
-				i = scatter(rng.Zipf(cfg.Dim, cfg.Skew))
+				i = cfg.scatter(rng.Zipf(cfg.Dim, cfg.Skew))
 			} else {
 				i = rng.Intn(cfg.Dim)
 			}
@@ -189,7 +191,7 @@ const truthBlock = 1 << 16
 // for bit those of the serial loop. Drawing twice costs about what keeping
 // every draw's two Normal uniforms would, in 16 bytes a draw less scratch:
 // it is 8 bytes a draw, one bit a dimension and one block's uniforms.
-func drawTruth(rng *linalg.RNG, cfg ClassifyConfig, scatter func(int) int) []float64 {
+func drawTruth(rng *linalg.RNG, cfg ClassifyConfig) []float64 {
 	truth := linalg.Zeros(cfg.Dim)
 	zipf := linalg.NewZipf(cfg.Dim, cfg.Skew+0.2)
 	n := cfg.WeightNnz
@@ -216,7 +218,7 @@ func drawTruth(rng *linalg.RNG, cfg ClassifyConfig, scatter func(int) int) []flo
 		d := block(min(truthBlock, n-lo))
 		par.Range(len(d)/3, func(a, b int) {
 			for k := a; k < b; k++ {
-				idx[lo+k] = scatter(zipf.At(d[3*k]))
+				idx[lo+k] = cfg.scatter(zipf.At(d[3*k]))
 			}
 		})
 	}

@@ -62,17 +62,11 @@ func TestDrawTruthMatchesSerialLoop(t *testing.T) {
 	for _, c := range edgeConfigs {
 		cfg := c.cfg
 		cfg.WeightNnz = min(cfg.WeightNnz, cfg.Dim)
-		scatter := func(rank int) int {
-			if cfg.SortedFeatures {
-				return rank
-			}
-			return int((uint64(rank)*2654435761 + 97) % uint64(cfg.Dim))
-		}
 		rng, ref := linalg.NewRNG(cfg.Seed), linalg.NewRNG(cfg.Seed)
-		got := drawTruth(rng, cfg, scatter)
+		got := drawTruth(rng, cfg)
 		want := make([]float64, cfg.Dim)
 		for range cfg.WeightNnz {
-			idx := scatter(ref.Zipf(cfg.Dim, cfg.Skew+0.2))
+			idx := cfg.scatter(ref.Zipf(cfg.Dim, cfg.Skew+0.2))
 			want[idx] = ref.NormFloat64() * 2
 		}
 		for i := range want {

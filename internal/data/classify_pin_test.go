@@ -6,10 +6,13 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
-// classifyHash is an FNV-1a hash of everything a generated dataset holds:
-// each row's indices, value bits and label, then the true weights' bits.
+// classifyHash is an FNV-1a hash of a generated dataset: each row's indices,
+// value bits and label, then the bits of the true weights that labelled them,
+// drawn again from the dataset's config as GenerateClassify draws them first.
 func classifyHash(ds *ClassifyDataset) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -25,7 +28,7 @@ func classifyHash(ds *ClassifyDataset) string {
 		}
 		put(math.Float64bits(inst.Label))
 	}
-	for _, w := range ds.TrueWeights {
+	for _, w := range drawTruth(linalg.NewRNG(ds.Config.Seed), ds.Config) {
 		put(math.Float64bits(w))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -1,6 +1,7 @@
 package lr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/linalg"
 	"repro/internal/ps"
+	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
 
@@ -31,142 +33,88 @@ type AsyncModel struct {
 	Clock   *ps.SSPClock
 	Trace   *core.Trace // mean batch loss indexed by global clock
 
-	group *simnet.Group
+	run *core.SSP
 }
 
 // Wait blocks until every worker has finished its iterations.
-func (m *AsyncModel) Wait(p *simnet.Proc) { m.group.Wait(p) }
+func (m *AsyncModel) Wait(p *simnet.Proc) { m.run.Wait(p) }
 
 // UpdatesApplied returns the total number of worker iterations completed so
 // far (the sum of all SSP clocks).
 func (m *AsyncModel) UpdatesApplied() int {
 	total := 0
-	for w := 0; w < m.workers(); w++ {
+	for w := 0; w < m.Clock.Workers(); w++ {
 		total += m.Clock.Clock(w)
 	}
 	return total
 }
 
-func (m *AsyncModel) workers() int { return m.Clock.Workers() }
-
-// TrainAsync trains LR under the Stale Synchronous Parallel model: one
-// long-lived process per executor loops over its own partition's
-// mini-batches, gated only by the SSP clock — no per-iteration Spark stage
-// barrier. Updates are applied server-side as scaled increments. With a
-// straggling executor, bounded staleness lets fast workers run ahead instead
-// of idling at a barrier.
+// TrainAsync trains LR under the Stale Synchronous Parallel model: the
+// gradient task of every parameter-server strategy, run by one worker per
+// partition under the SSP gate (core.RunSSP) instead of a stage barrier.
+// Worker w Bernoulli-samples its own partition each iteration and pushes its
+// gradient, scaled by LearningRate/√(it+1), straight into the weight row.
+// With a straggling executor, bounded staleness lets fast workers run ahead
+// instead of idling at a barrier.
 func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int, cfg AsyncConfig) (*AsyncModel, error) {
-	if cfg.Iterations <= 0 {
-		return nil, fmt.Errorf("lr: iterations must be positive")
-	}
-	if len(parts) == 0 || len(parts) > len(e.Cluster.Executors) {
+	switch {
+	case cfg.Iterations <= 0:
+		return nil, errors.New("lr: iterations must be positive")
+	case len(parts) == 0 || len(parts) > len(e.Cluster.Executors):
 		return nil, fmt.Errorf("lr: need 1..%d partitions, got %d", len(e.Cluster.Executors), len(parts))
+	case cfg.CheckpointEvery != 0:
+		return nil, errors.New("lr: SSP training does not checkpoint; unset Config.CheckpointEvery")
+	case cfg.NoFusion:
+		return nil, errors.New("lr: SSP training has no optimizer step to fuse; unset Config.NoFusion")
+	case cfg.Replicas != nil:
+		return nil, errors.New("lr: SSP training does not replicate hot columns; unset Config.Replicas")
 	}
 	mat, err := e.PS.CreateMatrix(p, 1, dim)
 	if err != nil {
 		return nil, err
 	}
-	clock := ps.NewSSPClock(p.Sim(), len(parts))
-	// The SSP bound: worker w may start iteration it once no worker is more
-	// than cfg.Staleness clocks behind it (0 is BSP lockstep).
-	bound := consistency.NewClockBounded(cfg.Staleness)
-	cost := e.Cluster.Cost
-
-	// Optional worker-side cache: each SSP worker's cache clock ticks with
-	// its own SSPClock entry. Unless Config.Cache names a policy the cache
-	// rides the SSP bound — a weight cached at a worker's clock c may reflect
-	// updates no older than the clock gate already admits.
+	// Optional worker-side cache: each worker's cache clock ticks with its
+	// own SSP clock. Unless Config.Cache names a policy the cache rides the
+	// SSP bound — a weight cached at a worker's clock c may reflect updates
+	// no older than the clock gate already admits.
+	pull := mat.PullRowIndices
 	var cache *ps.CachedClient
 	if cfg.Cache != nil {
 		ccfg := *cfg.Cache
 		if ccfg.Policy == nil {
-			ccfg.Policy = bound
+			ccfg.Policy = consistency.NewClockBounded(cfg.Staleness)
 		}
 		cache = ps.NewCachedClient(mat, ccfg)
+		pull = cache.PullRowIndices
 	}
-
-	lossByClock := make([]float64, cfg.Iterations)
-	countByClock := make([]int, cfg.Iterations)
-
-	model := &AsyncModel{Weights: mat, Clock: clock}
-	g := p.Sim().NewGroup()
-	model.group = g
+	weights := func(tc *rdd.TaskContext, indices []int) []float64 {
+		return ps.Must(pull(tc.P, tc.Node, 0, indices))
+	}
+	rngs := make([]*linalg.RNG, len(parts))
 	for w := range parts {
-		w := w
-		node := e.Cluster.Executors[w]
-		rows := parts[w]
-		g.Go(fmt.Sprintf("ssp-worker-%d", w), func(wp *simnet.Proc) {
-			rng := linalg.NewRNG(cfg.Seed*13 + uint64(w))
-			var buf *ps.PushBuffer
+		rngs[w] = linalg.NewRNG(cfg.Seed*13 + uint64(w))
+	}
+	run := core.RunSSP(p, e, len(parts), cfg.Staleness, cfg.Iterations, func(tc *rdd.TaskContext, w, it int) core.Summary {
+		push := func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) {
+			eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(len(rows)) / float64(len(parts))
+			linalg.Scale(-eta, grad.Values)
 			if cache != nil && cfg.Cache.CombinePushes {
-				buf = cache.NewPushBuffer()
-			}
-			var bi BatchIndex
-			var grad []float64
-			for it := 0; it < cfg.Iterations; it++ {
-				clock.WaitPolicy(wp, bound, it)
-				// Sample this worker's mini-batch.
-				batch := sampleRows(rows, cfg.BatchFraction, rng)
-				if len(batch) > 0 {
-					bi.Build(batch)
-					var vals []float64
-					if cache != nil {
-						vals = ps.Must(cache.PullRowIndices(wp, node, 0, bi.Indices))
-					} else {
-						vals = ps.Must(mat.PullRowIndices(wp, node, 0, bi.Indices))
-					}
-					grad = fit(grad, len(bi.Indices))
-					lossSum := bi.Gradient(cfg.Objective, batch, vals, grad)
-					node.Compute(wp, cost.GradWork(TotalNnz(batch)))
-					// Apply the scaled update directly (async increment).
-					eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(len(batch)) / float64(len(parts))
-					idx, g := bi.Sparse(grad)
-					linalg.Scale(-eta, g)
-					sv := &linalg.SparseVector{Indices: idx, Values: g}
-					if buf != nil {
-						ps.MustOK(buf.Add(0, sv))
-						ps.MustOK(buf.Flush(wp, node))
-					} else {
-						ps.MustOK(mat.PushAdd(wp, node, 0, sv))
-					}
-					lossByClock[it] += lossSum
-					countByClock[it] += len(batch)
-				}
-				clock.Tick(w)
-				if cache != nil {
-					cache.TickNode(node)
-				}
-			}
-		})
-	}
-	// Note: TrainAsync does NOT wait; the workers run concurrently with the
-	// caller (use model.Wait). A separate observer process fills the trace
-	// once the workers finish.
-	trace := &core.Trace{Name: fmt.Sprintf("SSP-%d", cfg.Staleness)}
-	model.Trace = trace
-	p.Sim().Spawn("ssp-trace", func(tp *simnet.Proc) {
-		g.Wait(tp)
-		for it := 0; it < cfg.Iterations; it++ {
-			if countByClock[it] > 0 {
-				trace.Add(float64(it), lossByClock[it]/float64(countByClock[it]))
+				// Flushed at once, a buffer holds nothing from one push to the next.
+				buf := cache.NewPushBuffer()
+				ps.MustOK(buf.Add(0, grad))
+				ps.MustOK(buf.Flush(tc.P, tc.Node))
+			} else {
+				ps.MustOK(mat.PushAdd(tc.P, tc.Node, 0, grad))
 			}
 		}
+		s := gradientTask(tc, rdd.Bernoulli(parts[w], cfg.BatchFraction, rngs[w]), cfg.Objective, weights, push)
+		if cache != nil {
+			cache.TickNode(tc.Node)
+		}
+		return s
 	})
-	return model, nil
-}
-
-// sampleRows Bernoulli-samples a slice of instances.
-func sampleRows(rows []data.Instance, fraction float64, rng *linalg.RNG) []data.Instance {
-	if fraction >= 1 {
-		return rows
-	}
-	out := make([]data.Instance, 0, int(float64(len(rows))*fraction)+1)
-	for _, r := range rows {
-		if rng.Float64() < fraction {
-			out = append(out, r)
-		}
-	}
-	return out
+	run.Trace.Name = fmt.Sprintf("SSP-%d", cfg.Staleness)
+	return &AsyncModel{Weights: mat, Clock: run.Clock, Trace: run.Trace, run: run}, nil
 }
 
 // FinalWeights pulls the trained async model to the caller.

@@ -2,6 +2,7 @@ package lr
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/consistency"
@@ -100,6 +101,20 @@ func TestTrainAsyncValidation(t *testing.T) {
 		cfg := AsyncConfig{Config: Config{}}
 		if _, err := TrainAsync(p, e, [][]data.Instance{{}}, 10, cfg); err == nil {
 			t.Error("zero iterations accepted")
+		}
+		// The PS2 strategy's knobs that SSP training has no use for are
+		// refused by name, not dropped.
+		for field, set := range map[string]func(*Config){
+			"CheckpointEvery": func(c *Config) { c.CheckpointEvery = 5 },
+			"NoFusion":        func(c *Config) { c.NoFusion = true },
+			"Replicas":        func(c *Config) { c.Replicas = &ps.ReplicaConfig{HotCols: []int{0}} },
+		} {
+			cfg := AsyncConfig{Config: DefaultConfig()}
+			set(&cfg.Config)
+			_, err := TrainAsync(p, e, [][]data.Instance{{}}, 10, cfg)
+			if err == nil || !strings.Contains(err.Error(), "Config."+field) {
+				t.Errorf("Config.%s set: TrainAsync returned %v, want an error naming the field", field, err)
+			}
 		}
 	})
 }

@@ -76,7 +76,7 @@ type lbfgs struct {
 // Round sums the batch gradient into grad, which the previous barrier left
 // zero.
 func (s *lbfgs) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
-	return GradientStage(p, s.e, batch, Logistic, func(tc *rdd.TaskContext, indices []int) []float64 {
+	return GradientStage(p, batch, Logistic, func(tc *rdd.TaskContext, indices []int) []float64 {
 		return ps.Must(s.w.PullIndices(tc.P, tc.Node, indices))
 	}, func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) {
 		ps.MustOK(s.grad.Add(tc.P, tc.Node, g))

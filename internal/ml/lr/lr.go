@@ -45,8 +45,8 @@ func (o Objective) Loss(z, label float64) (loss, dz float64, active bool) {
 }
 
 // Config holds the training hyperparameters; defaults follow the paper's
-// Table 4. CheckpointEvery, NoFusion, Cache and Replicas configure the PS2
-// strategy (Train) only.
+// Table 4. CheckpointEvery, NoFusion and Replicas configure the PS2 strategy
+// (Train) only, and TrainAsync rejects them; Cache configures both.
 type Config struct {
 	// LearningRate steps MLlib*, Petuum and DistML; PS2 and MLlib step with
 	// their optimizer's (PS2's value-bounded cache credit still reads it).
@@ -184,28 +184,36 @@ func Run(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim in
 	return core.Run(p, e, dataset, cfg.BatchFraction, cfg.Seed, cfg.Iterations, s)
 }
 
-// GradientStage is the stage every parameter-server strategy runs: each task
-// indexes its rows, reads the weights of the index's features (weights
-// returns them aligned with indices), computes the batch gradient, pays for
-// it, commits and ships it. ship owns grad.
-func GradientStage(p *simnet.Proc, e *core.Engine, batch *rdd.RDD[data.Instance], obj Objective,
+// GradientStage is the stage every parameter-server strategy runs: one
+// gradient task per partition of the batch.
+func GradientStage(p *simnet.Proc, batch *rdd.RDD[data.Instance], obj Objective,
 	weights func(tc *rdd.TaskContext, indices []int) []float64,
 	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector)) []core.Summary {
-	cost := e.Cluster.Cost
-	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) core.Summary {
-		if len(rows) == 0 {
-			return core.Summary{}
-		}
-		var b BatchIndex
-		b.Build(rows)
-		g := make([]float64, len(b.Indices))
-		loss := b.Gradient(obj, rows, weights(tc, b.Indices), g)
-		tc.Charge(cost.GradWork(TotalNnz(rows)))
-		tc.Commit()
-		idx, vals := b.Sparse(g)
-		ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
-		return core.Summary{Sum: loss, Weight: len(rows)}
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, _ int, rows []data.Instance) core.Summary {
+		return gradientTask(tc, rows, obj, weights, ship)
 	})
+}
+
+// gradientTask is the one parameter-server task: it indexes its rows, reads
+// the weights of the index's features (weights returns them aligned with
+// indices), computes the batch gradient, pays for it, commits and ships it.
+// ship owns grad. GradientStage runs it under the stage barrier, TrainAsync
+// under the SSP clock.
+func gradientTask(tc *rdd.TaskContext, rows []data.Instance, obj Objective,
+	weights func(tc *rdd.TaskContext, indices []int) []float64,
+	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector)) core.Summary {
+	if len(rows) == 0 {
+		return core.Summary{}
+	}
+	var b BatchIndex
+	b.Build(rows)
+	g := make([]float64, len(b.Indices))
+	loss := b.Gradient(obj, rows, weights(tc, b.Indices), g)
+	tc.Charge(tc.Ctx.Cl.Cost.GradWork(TotalNnz(rows)))
+	tc.Commit()
+	idx, vals := b.Sparse(g)
+	ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
+	return core.Summary{Sum: loss, Weight: len(rows)}
 }
 
 // Train runs mini-batch training of the configured objective on PS2: the
@@ -290,7 +298,7 @@ func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], d
 }
 
 func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
-	return GradientStage(p, s.e, batch, s.cfg.Objective, s.pull, s.push)
+	return GradientStage(p, batch, s.cfg.Objective, s.pull, s.push)
 }
 
 // pull is the model pull: a sparse pull of exactly the batch's features.

@@ -50,7 +50,7 @@ const (
 	KCutover       // migration cutover: gate closed, deltas shipped, routing swapped
 	KServeRead     // one serving-tier read (ModelReader.Read), container over its RPCs
 	KAdmit         // admission-control queue wait before a data-plane call
-	KIteration     // one iteration of a training loop on the driver
+	KIteration     // one iteration of a training loop, on the driver or an SSP worker's executor
 	KLoopPhase     // one phase (round, barrier) of a training-loop iteration
 )
 

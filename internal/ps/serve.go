@@ -425,11 +425,6 @@ type ServeConfig struct {
 	// them are answered by a rotating serving server's local store instead of
 	// the owner. Cold columns always fall through to their owners.
 	Replicas *ReplicaConfig
-
-	// ReplicaSet reuses an existing HotReplicaSet (e.g. the one the training
-	// loop already maintains) instead of building a fresh one; it wins over
-	// Replicas.
-	ReplicaSet *HotReplicaSet
 }
 
 // ReadOptions selects the consistency point and freshness policy of one
@@ -466,14 +461,7 @@ type ModelReader struct {
 func NewModelReader(mat *Matrix, cfg ServeConfig) (*ModelReader, error) {
 	mat.EnableVersioning()
 	mr := &ModelReader{mat: mat}
-	switch {
-	case cfg.ReplicaSet != nil:
-		if cfg.ReplicaSet.mat != mat {
-			return nil, fmt.Errorf("ps: ServeConfig.ReplicaSet is attached to matrix %d, reader wants %d",
-				cfg.ReplicaSet.mat.ID, mat.ID)
-		}
-		mr.rs = cfg.ReplicaSet
-	case cfg.Replicas != nil:
+	if cfg.Replicas != nil {
 		rs, err := NewHotReplicaSet(mat, *cfg.Replicas)
 		if err != nil {
 			return nil, err

@@ -376,17 +376,11 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 			panic(err)
 		}
 		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) })
-		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}})
+		reader, err := NewModelReader(mat, ServeConfig{Replicas: &ReplicaConfig{HotCols: []int{0, 1, 2, 3}}})
 		if err != nil {
 			panic(err)
 		}
-		reader, err := NewModelReader(mat, ServeConfig{ReplicaSet: rs})
-		if err != nil {
-			panic(err)
-		}
-		if reader.Replicas() != rs {
-			t.Fatal("reader did not adopt the existing replica set")
-		}
+		rs := reader.Replicas()
 		idx := []int{0, 1, 2, 3}
 		for i := 0; i < 8; i++ { // more reads than servers: warm every store
 			if _, err := reader.Read(p, worker, 0, idx, ReadOptions{}); err != nil {

@@ -224,14 +224,21 @@ func (r *RDD[T]) Sample(fraction float64, seed uint64) *RDD[T] {
 		return r
 	}
 	return newRDD(r.ctx, r.parts, func(tc *TaskContext, part int) []T {
-		in := r.materialize(tc, part)
-		rng := linalg.NewRNG(seed*1_000_003 + uint64(part))
-		out := make([]T, 0, int(float64(len(in))*fraction)+1)
-		for _, v := range in {
-			if rng.Float64() < fraction {
-				out = append(out, v)
-			}
-		}
-		return out
+		return Bernoulli(r.materialize(tc, part), fraction, linalg.NewRNG(seed*1_000_003+uint64(part)))
 	})
+}
+
+// Bernoulli keeps each row with probability fraction, one rng.Float64 a row
+// in order; at fraction 1 or more it returns rows as they are.
+func Bernoulli[T any](rows []T, fraction float64, rng *linalg.RNG) []T {
+	if fraction >= 1 {
+		return rows
+	}
+	out := make([]T, 0, int(float64(len(rows))*fraction)+1)
+	for _, v := range rows {
+		if rng.Float64() < fraction {
+			out = append(out, v)
+		}
+	}
+	return out
 }

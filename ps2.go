@@ -191,9 +191,9 @@ type ReadOptions = ps.ReadOptions
 // serving fan-out (nil keeps reads owner-routed).
 type ServeOptions = ps.ServeConfig
 
-// AdmissionConfig tunes per-server admission control (Options.Admission or
-// ps.Master.SetAdmission): sustained rate, burst, the bounded queue, and
-// which class — serve or train — is favored when the queue fills.
+// AdmissionConfig tunes per-server admission control (ps.Master.SetAdmission):
+// sustained rate, burst, the bounded queue, and which class — serve or train —
+// is favored when the queue fills.
 type AdmissionConfig = ps.AdmissionConfig
 
 // Serve attaches a ModelReader to a matrix — the Engine → Train → Serve step

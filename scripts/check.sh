@@ -65,6 +65,12 @@ go test -race -timeout 20m ./...
 # writer (with the .phases.txt sidecar) so those paths cannot rot.
 go run ./cmd/ps2bench -exp fig1b -quick -json "$(mktemp)" -trace "$(mktemp)" >/dev/null
 
+# Example smoke gate: every examples/<name> demo runs once to completion, so a
+# runtime panic in one cannot go unseen (the suite above only builds them).
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
+
 # Hot-path allocation contract, re-run WITHOUT the race detector: the
 # zero-alloc guards promise exact counts in the instrumentation-free build
 # that production runs, and -race (above) measures the instrumented build.
