@@ -15,6 +15,7 @@ package data
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/linalg"
@@ -143,7 +144,7 @@ func GenerateClassify(cfg ClassifyConfig) (*ClassifyDataset, error) {
 		sortRow(idx, vals)
 		sv := &vecs[r]
 		*sv = linalg.SparseVector{Indices: idx, Values: vals}
-		z := sv.DotDense(truth)
+		z := truth.dot(sv)
 		label := 0.0
 		if rng.Float64() < linalg.Sigmoid(z) {
 			label = 1.0
@@ -175,6 +176,40 @@ func sortRow(idx []int, vals []float64) {
 // at a time.
 const truthBlock = 1 << 16
 
+// sparseTruth is the ground-truth weight vector, of which only a few
+// percent of the entries are non-zero (about 51 k of tcp-lr-dense's 4 M):
+// a bitmap of the indices that hold a weight, the number of them before
+// each 64-bit word, and their weights in index order. Every other entry is
+// +0.
+type sparseTruth struct {
+	seen []uint64  // bit i%64 of word i/64 is set when index i holds a weight
+	rank []int32   // rank[w] counts the set bits of seen[:w]
+	vals []float64 // the weights, in index order
+}
+
+// slot returns the position of index i's weight in vals, or -1 when i
+// holds none.
+func (t *sparseTruth) slot(i int) int {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if t.seen[w]&bit == 0 {
+		return -1
+	}
+	return int(t.rank[w]) + bits.OnesCount64(t.seen[w]&(bit-1))
+}
+
+// dot is sv·w over the dense truth w, bit for bit: the terms it skips are
+// v·(+0) = +0, and adding +0 changes no sum that starts at +0, since no
+// partial sum can then be −0.
+func (t *sparseTruth) dot(sv *linalg.SparseVector) float64 {
+	var s float64
+	for k, i := range sv.Indices {
+		if j := t.slot(i); j >= 0 {
+			s += sv.Values[k] * t.vals[j]
+		}
+	}
+	return s
+}
+
 // drawTruth draws the ground-truth weights: WeightNnz times, a Zipf(Dim,
 // Skew+0.2) index, scattered, gets a N(0, 4) value, a later draw
 // overwriting an earlier one at the same index. Concentrating them on
@@ -185,14 +220,15 @@ const truthBlock = 1 << 16
 // drawn a block at a time in exactly the order RNG.Zipf and RNG.NormFloat64
 // would draw them, and every draw's index is computed on par.Range. One
 // backward pass over a bitmap of the dimensions then finds the draw that
-// writes each index last. The uniforms are drawn again from the same RNG
-// state, and only those last draws get a value, again on par.Range: they
-// write distinct indices, and the result and the RNG's final state are bit
-// for bit those of the serial loop. Drawing twice costs about what keeping
-// every draw's two Normal uniforms would, in 16 bytes a draw less scratch:
-// it is 8 bytes a draw, one bit a dimension and one block's uniforms.
-func drawTruth(rng *linalg.RNG, cfg ClassifyConfig) []float64 {
-	truth := linalg.Zeros(cfg.Dim)
+// writes each index last, and the bitmap's ranks give each written index its
+// slot in the weights. The uniforms are drawn again from the same RNG state,
+// and only those last draws get a value, again on par.Range: they write
+// distinct slots, and the weights and the RNG's final state are bit for bit
+// those of the serial loop. Drawing twice costs about what keeping every
+// draw's two Normal uniforms would, in 16 bytes a draw less scratch: it is
+// 8 bytes a draw, a bit and a half a dimension (the bitmap and its ranks),
+// and one block's uniforms. Nothing Dim-wide holds the weights themselves.
+func drawTruth(rng *linalg.RNG, cfg ClassifyConfig) *sparseTruth {
 	zipf := linalg.NewZipf(cfg.Dim, cfg.Skew+0.2)
 	n := cfg.WeightNnz
 	idx := make([]int, n)
@@ -222,27 +258,34 @@ func drawTruth(rng *linalg.RNG, cfg ClassifyConfig) []float64 {
 			}
 		})
 	}
-	seen := make([]uint64, (cfg.Dim+63)/64)
+	t := &sparseTruth{seen: make([]uint64, (cfg.Dim+63)/64)}
 	for k := n - 1; k >= 0; k-- {
 		w, bit := idx[k]/64, uint64(1)<<(idx[k]%64)
-		if seen[w]&bit != 0 {
+		if t.seen[w]&bit != 0 {
 			idx[k] = -1 // a later draw overwrites this one
 			continue
 		}
-		seen[w] |= bit
+		t.seen[w] |= bit
 	}
+	t.rank = make([]int32, len(t.seen))
+	nnz := 0
+	for w, word := range t.seen {
+		t.rank[w] = int32(nnz)
+		nnz += bits.OnesCount64(word)
+	}
+	t.vals = make([]float64, nnz)
 	*rng = start
 	for lo := 0; lo < n; lo += truthBlock {
 		d := block(min(truthBlock, n-lo))
 		par.Range(len(d)/3, func(a, b int) {
 			for k := a; k < b; k++ {
 				if i := idx[lo+k]; i >= 0 {
-					truth[i] = linalg.Normal(d[3*k+1], d[3*k+2]) * 2
+					t.vals[t.slot(i)] = linalg.Normal(d[3*k+1], d[3*k+2]) * 2
 				}
 			}
 		})
 	}
-	return truth
+	return t
 }
 
 // Partition splits instances round-robin into n partitions, the layout an

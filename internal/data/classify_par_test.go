@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/linalg"
@@ -63,7 +64,7 @@ func TestDrawTruthMatchesSerialLoop(t *testing.T) {
 		cfg := c.cfg
 		cfg.WeightNnz = min(cfg.WeightNnz, cfg.Dim)
 		rng, ref := linalg.NewRNG(cfg.Seed), linalg.NewRNG(cfg.Seed)
-		got := drawTruth(rng, cfg)
+		got := drawTruth(rng, cfg).dense(cfg.Dim)
 		want := make([]float64, cfg.Dim)
 		for range cfg.WeightNnz {
 			idx := cfg.scatter(ref.Zipf(cfg.Dim, cfg.Skew+0.2))
@@ -110,6 +111,22 @@ func TestGenerateClassifySlab(t *testing.T) {
 					c.name, r, len(f.Indices), cap(f.Indices), len(f.Values), cap(f.Values))
 			}
 		}
+	}
+}
+
+// TestGenerateClassifyNoDimWideTruth: the ground truth is held sparse. A
+// generator that kept a Dim-wide truth vector would allocate at least 8·Dim
+// bytes for it alone, beside rows that are a few kilobytes here.
+func TestGenerateClassifyNoDimWideTruth(t *testing.T) {
+	cfg := ClassifyConfig{Rows: 100, Dim: 4000000, NnzPerRow: 8, Skew: 1.0, NoiseRate: 0.02, WeightNnz: 400000, Seed: 17}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := GenerateClassify(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*cfg.Dim); got >= limit {
+		t.Errorf("GenerateClassify allocated %d bytes for %d rows of a %d-wide dataset, want below 8·Dim = %d", got, cfg.Rows, cfg.Dim, limit)
 	}
 }
 

@@ -28,10 +28,21 @@ func classifyHash(ds *ClassifyDataset) string {
 		}
 		put(math.Float64bits(inst.Label))
 	}
-	for _, w := range drawTruth(linalg.NewRNG(ds.Config.Seed), ds.Config) {
+	for _, w := range drawTruth(linalg.NewRNG(ds.Config.Seed), ds.Config).dense(ds.Config.Dim) {
 		put(math.Float64bits(w))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// dense expands the truth into the dim-wide vector it stands for.
+func (t *sparseTruth) dense(dim int) []float64 {
+	w := make([]float64, dim)
+	for i := range w {
+		if j := t.slot(i); j >= 0 {
+			w[i] = t.vals[j]
+		}
+	}
+	return w
 }
 
 // TestGenerateClassifyPinned pins the datasets the benchmark's three LR

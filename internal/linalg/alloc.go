@@ -2,7 +2,7 @@ package linalg
 
 import "unsafe"
 
-// hugeMin is the size, in bytes, from which Zeros and ZeroBytes ask the
+// hugeMin is the size, in bytes, from which Zeros asks the
 // kernel to back a buffer with huge pages. A shard row this wide is faulted
 // in page by page as its scattered columns are first touched, and on a VM a
 // 4 KiB fault costs microseconds; one 2 MiB fault replaces 512 of them.
@@ -25,14 +25,4 @@ func Zeros(n int) []float64 {
 		adviseHuge(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*n))
 	}
 	return s
-}
-
-// ZeroBytes is Zeros for bytes: make([]byte, n), advised for huge pages from
-// 4 MiB.
-func ZeroBytes(n int) []byte {
-	b := make([]byte, n)
-	if n >= hugeMin {
-		adviseHuge(b)
-	}
-	return b
 }

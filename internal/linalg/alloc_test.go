@@ -2,10 +2,10 @@ package linalg
 
 import "testing"
 
-// TestZerosContract: Zeros and ZeroBytes are make — zeroed, with exactly
-// the length and capacity asked for — below the huge-page threshold, at it
-// and above it. Whether the kernel granted huge pages depends on the host
-// and is not asserted.
+// TestZerosContract: Zeros is make — zeroed, with exactly the length and
+// capacity asked for — below the huge-page threshold, at it and above it.
+// Whether the kernel granted huge pages depends on the host and is not
+// asserted.
 func TestZerosContract(t *testing.T) {
 	for _, n := range []int{0, 1, hugeMin/8 - 1, hugeMin / 8, 3*hugeMin/8 + 5} {
 		s := Zeros(n)
@@ -15,17 +15,6 @@ func TestZerosContract(t *testing.T) {
 		for i, v := range s {
 			if v != 0 {
 				t.Fatalf("Zeros(%d)[%d] = %v", n, i, v)
-			}
-		}
-	}
-	for _, n := range []int{0, 1, hugeMin - 1, hugeMin, 3*hugeMin + 5} {
-		b := ZeroBytes(n)
-		if len(b) != n || cap(b) != n {
-			t.Errorf("ZeroBytes(%d): len %d cap %d", n, len(b), cap(b))
-		}
-		for i, v := range b {
-			if v != 0 {
-				t.Fatalf("ZeroBytes(%d)[%d] = %v", n, i, v)
 			}
 		}
 	}

@@ -158,7 +158,7 @@ func TestCodecRoundTripZeroAlloc(t *testing.T) {
 			}
 		}},
 		{"PullRange", func() {
-			respBuf = AppendPullRangeResp(respBuf[:0], 100, vals)
+			respBuf = appendPullRangeResp(respBuf[:0], 100, vals)
 			respReader.Reset(respBuf)
 			_, _, err := readPullRangeResp(respReader, len(respBuf), &pieceScratch, &valsScratch)
 			if err != nil {
@@ -205,7 +205,6 @@ func TestPullRangeIntoZeroAlloc(t *testing.T) {
 		name string
 		fn   func() []byte
 	}{
-		{"AppendPullRangeResp", func() []byte { return AppendPullRangeResp(nil, 0, vals) }},
 		{"AppendVals", func() []byte { return AppendVals(nil, vals) }},
 		{"AppendPushAdd", func() []byte { return AppendPushAdd(nil, 1, 0, cols, vals) }},
 		{"AppendPullSparseReq", func() []byte { return AppendPullSparseReq(nil, 1, 0, cols) }},

@@ -108,7 +108,7 @@ func TestPayloadCodecs(t *testing.T) {
 		}
 	}
 	{
-		p := AppendPullRangeResp(nil, 40, []float64{1, 2})
+		p := appendPullRangeResp(nil, 40, []float64{1, 2})
 		lo, vals, err := readPullRangeResp(bytes.NewReader(p), len(p), new([]byte), new([]float64))
 		if err != nil || lo != 40 || !reflect.DeepEqual(vals, []float64{1, 2}) {
 			t.Fatalf("pull range resp: %v %v %v", lo, vals, err)
@@ -134,7 +134,7 @@ var oddFloats = []uint64{
 }
 
 // TestFloatBlocksMatchPerElement: the float sections of AppendVals,
-// AppendPushAdd and AppendPullRangeResp are byte for byte the per-element
+// AppendPushAdd and appendPullRangeResp are byte for byte the per-element
 // little-endian encoding, and DecodeValsInto, DecodePushAddInto and
 // readPullRangeResp give back every value's bits, at every length up to the
 // odd values' count and from a payload at an odd address.
@@ -183,9 +183,9 @@ func TestFloatBlocksMatchPerElement(t *testing.T) {
 		}
 		sameBits("DecodePushAddInto", got)
 
-		p = AppendPullRangeResp(nil, 7, vals)
+		p = appendPullRangeResp(nil, 7, vals)
 		if !bytes.Equal(p[8:], want) {
-			t.Fatalf("AppendPullRangeResp, %d values: % x, want % x", n, p[8:], want)
+			t.Fatalf("appendPullRangeResp, %d values: % x, want % x", n, p[8:], want)
 		}
 		_, got, err = readPullRangeResp(bytes.NewReader(misalign(p)), len(p), new([]byte), new([]float64))
 		if err != nil {

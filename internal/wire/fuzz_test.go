@@ -101,7 +101,7 @@ func FuzzReadResponseReuse(f *testing.F) {
 // hold more than one piece or the text of an error in its scratch.
 func FuzzPullRangeResponse(f *testing.F) {
 	var valid bytes.Buffer
-	if err := WriteResponse(&valid, AppendPullRangeResp(nil, 40, []float64{1.5, -2.25, math.Inf(1)}), nil); err != nil {
+	if err := WriteResponse(&valid, appendPullRangeResp(nil, 40, []float64{1.5, -2.25, math.Inf(1)}), nil); err != nil {
 		f.Fatal(err)
 	}
 	seedVariants(f, valid.Bytes(), 4) // plen sits at header offset 4
@@ -119,7 +119,7 @@ func FuzzPullRangeResponse(f *testing.F) {
 		wide[i] = float64(i) - 0.5
 	}
 	var long bytes.Buffer
-	if err := WriteResponse(&long, AppendPullRangeResp(nil, 0, wide), nil); err != nil {
+	if err := WriteResponse(&long, appendPullRangeResp(nil, 0, wide), nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(long.Bytes())
@@ -149,7 +149,7 @@ func FuzzPullRangeResponse(f *testing.F) {
 			t.Fatalf("decode consumed %d bytes of a %d-byte frame", consumed, respHeaderLen+plen)
 		}
 		var out bytes.Buffer
-		if err := WriteResponse(&out, AppendPullRangeResp(nil, lo, got), nil); err != nil {
+		if err := WriteResponse(&out, appendPullRangeResp(nil, lo, got), nil); err != nil {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
 		want := append([]byte{}, in[:respHeaderLen+plen]...)

@@ -25,7 +25,7 @@ type enc struct{ b []byte }
 // reserve makes room for the n bytes about to be appended. Encoders of
 // variable-length payloads call it with the exact size first, so a cold dst
 // is allocated once: append alone grows a large slice by about 1.25× a step,
-// which costs a 32 MB range response some 25 reallocations and copies.
+// which costs a 32 MB payload some 25 reallocations and copies.
 func (e *enc) reserve(n int) { e.b = slices.Grow(e.b, n) }
 
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
@@ -365,19 +365,50 @@ func decodePullRangeReq(p []byte) (mat uint32, row int, err error) {
 	return mat, row, d.done()
 }
 
-// AppendPullRangeResp appends the PullRange response payload to dst.
-func AppendPullRangeResp(dst []byte, lo int, vals []float64) []byte {
+// appendRangePrefix appends a PullRange response payload's first 8 bytes,
+// the range's first column and its value count, to dst. The values follow
+// as 8 little-endian bytes each; the server writes them from the row itself
+// (writeRangeResp), so no encoder builds the whole payload.
+func appendRangePrefix(dst []byte, lo, n int) []byte {
 	e := enc{b: dst}
-	e.reserve(8 + 8*len(vals))
 	e.u32(uint32(lo))
-	e.u32(uint32(len(vals)))
-	e.f64s(vals)
+	e.u32(uint32(n))
 	return e.b
 }
 
-// rangePiece is how many payload bytes readPullRangeResp holds at a time on
-// a big-endian host.
+// rangePiece is how many payload bytes writeRangeResp and readPullRangeResp
+// hold at a time on a big-endian host.
 const rangePiece = 64 << 10
+
+// writeRangeResp writes a whole PullRange response to w: the header, the
+// payload's 8-byte prefix and vals. On a little-endian host vals leave as
+// one block of their own memory; elsewhere they are encoded through piece,
+// a scratch buffer grown to at most rangePiece bytes. Either way the
+// response is never copied whole.
+func writeRangeResp(w io.Writer, prefix []byte, vals []float64, piece *[]byte) error {
+	if err := writeResponseHeader(w, 0, len(prefix)+8*len(vals)); err != nil {
+		return err
+	}
+	if _, err := w.Write(prefix); err != nil {
+		return err
+	}
+	if nativeLE {
+		_, err := w.Write(floatBytes(vals))
+		return err
+	}
+	for rest := vals; len(rest) > 0; {
+		k := min(len(rest), rangePiece/8)
+		e := enc{b: (*piece)[:0]}
+		e.reserve(8 * k)
+		e.f64s(rest[:k])
+		*piece = e.b
+		if _, err := w.Write(e.b); err != nil {
+			return err
+		}
+		rest = rest[k:]
+	}
+	return nil
+}
 
 // readPullRangeResp reads a PullRange response payload of plen bytes from r,
 // decoding it into *valsBuf (grown as needed). The value count must account

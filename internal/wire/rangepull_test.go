@@ -5,13 +5,22 @@ package wire
 // malformed or cut-short response is an error and never a hang, a
 // connection it may have left misaligned is not pooled, and the byte
 // counters count header plus payload.
+//
+// The server writes the response from the shard row itself, lent to the
+// pull until the frame is written. The tests after those pin the lease: the
+// answer is the row as it was when the pull was handled, never torn by a
+// concurrent write, and a reader that does not read holds up no one else.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"net"
+	"runtime/debug"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,6 +64,14 @@ func rawResponse(status byte, plen int, body []byte) []byte {
 	b = append(b, status, 0)
 	b = binary.LittleEndian.AppendUint32(b, uint32(plen))
 	return append(b, body...)
+}
+
+// appendPullRangeResp appends a whole PullRange response payload to dst:
+// the prefix, then the values in the encoding writeRangeResp sends.
+func appendPullRangeResp(dst []byte, lo int, vals []float64) []byte {
+	e := enc{b: appendRangePrefix(dst, lo, len(vals))}
+	e.f64s(vals)
+	return e.b
 }
 
 // scriptedServer answers every request with the current reply of its
@@ -126,7 +143,7 @@ func TestPullRangeStreamedDecode(t *testing.T) {
 	})
 
 	vals := []float64{1.5, -2, 3.25, 4}
-	payload := AppendPullRangeResp(nil, 7, vals)
+	payload := appendPullRangeResp(nil, 7, vals)
 	good := rawResponse(0, len(payload), payload)
 	for _, tc := range []struct {
 		name  string
@@ -175,43 +192,273 @@ func TestPullRangeStreamedDecode(t *testing.T) {
 	}
 }
 
-// TestWideResponseNotPinned: the server encodes a range pull wider than
-// arena.ReuseCap into a pooled buffer and lets go of it once the frame is
-// written, so the connection's scratch keeps nothing that wide; a narrow
-// pull still encodes into the connection's own buffer.
-func TestWideResponseNotPinned(t *testing.T) {
+// fillRow gives row r of matrix mat on srv distinct values in every column
+// and marks its support dense, as a push of every column would, without
+// sending one.
+func fillRow(srv *Server, mat uint32, r int) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	sh := srv.mats[mat]
+	for i := range sh.Rows[r] {
+		sh.Rows[r][i] = math.Sin(float64(i)) * math.Pow(10, float64(i%13)-6)
+	}
+	sh.sup[r].dense = true
+}
+
+// cutWriter takes n bytes, then fails every write.
+type cutWriter struct{ n int }
+
+var errCut = errors.New("connection cut")
+
+func (w *cutWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errCut
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestRangePullLease: a range pull of any width lends its shard row instead
+// of copying it. handle answers with the payload's 8-byte prefix, counts the
+// whole response in BytesOut and leaves the row itself on lease. A PushAdd
+// or a Fused step on the leased row leaves the lent bytes as they were at
+// the pull while the shard sees the write, and respond drops the lease once
+// the frame is written, also when the write fails. It replaces
+// TestWideResponseNotPinned: a pull no longer has a response buffer for a
+// connection to pin.
+func TestRangePullLease(t *testing.T) {
 	s := NewServer()
-	var sc connScratch
-	const narrow, wide = 1 << 10, arena.ReuseCap/8 + 1
-	for _, c := range []struct {
-		mat   uint32
-		width int
-	}{{1, narrow}, {2, wide}} {
-		if _, err := s.handle(Frame{Op: OpCreateShard, Flags: FlagMutates, ReqID: uint64(c.mat),
-			Payload: AppendCreateShard(nil, c.mat, 1, 0, c.width)}, &sc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pull := func(mat uint32, width int) {
+	var sc, other connScratch
+	var id uint64
+	mutate := func(op byte, p []byte) {
 		t.Helper()
-		resp, err := s.handle(Frame{Op: OpPullRange, Payload: AppendPullRangeReq(nil, mat, 0)}, &sc)
-		if err != nil {
+		id++
+		if _, err := s.handle(Frame{Op: op, Flags: FlagMutates, ReqID: id, AckedTo: id - 1, Payload: p}, &other); err != nil {
 			t.Fatal(err)
 		}
-		if want := 8 + 8*width; len(resp) != want {
-			t.Fatalf("matrix %d: %d-byte response, want %d", mat, len(resp), want)
+	}
+	// A narrow width and the widest width the server once encoded into its
+	// connection buffer, plus one.
+	for mat, width := range map[uint32]int{1: 1 << 10, 2: arena.ReuseCap/8 + 1} {
+		mutate(OpCreateShard, AppendCreateShard(nil, mat, 2, 0, width))
+		mutate(OpPushAdd, AppendPushAdd(nil, mat, 1, []int{0, width - 1}, []float64{2, 3}))
+		pull := func() []byte {
+			t.Helper()
+			before := s.Stats().BytesOut
+			resp, err := s.handle(Frame{Op: OpPullRange, Payload: AppendPullRangeReq(nil, mat, 0)}, &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := s.mats[mat].Rows[0]
+			if !bytes.Equal(resp, appendRangePrefix(nil, 0, width)) || sc.lease == nil || &sc.lent[0] != &row[0] || len(sc.lent) != width {
+				t.Fatalf("width %d: answered %d bytes, lease %v; want the 8-byte prefix and the shard's own row lent", width, len(resp), sc.lease)
+			}
+			if grew, want := s.Stats().BytesOut-before, uint64(respHeaderLen+8+8*width); grew != want {
+				t.Fatalf("width %d: BytesOut grew by %d, want header + 8 + 8·width = %d", width, grew, want)
+			}
+			return resp
 		}
-		sc.release()
-	}
-	pull(1, narrow)
-	if cap(sc.resp) == 0 || sc.wide != nil {
-		t.Errorf("narrow pull: resp cap %d, wide %v; want the connection's own buffer", cap(sc.resp), sc.wide)
-	}
-	for range 2 {
-		pull(2, wide)
-		if sc.wide != nil || cap(sc.resp) > arena.ReuseCap || cap(sc.payload) > arena.ReuseCap {
-			t.Errorf("after a wide pull the connection keeps resp cap %d, payload cap %d, wide %v",
-				cap(sc.resp), cap(sc.payload), sc.wide)
+		for _, w := range []struct {
+			name  string
+			op    byte
+			p     []byte
+			apply func(row []float64)
+		}{
+			{"push", OpPushAdd, AppendPushAdd(nil, mat, 0, []int{5}, []float64{1.5}), func(row []float64) { row[5] += 1.5 }},
+			{"fused", OpFused, AppendFused(nil, mat, []FusedOp{{Kind: FAxpy, Src: 1, Dst: 0, Scale: 2}}),
+				func(row []float64) { row[0] += 4; row[width-1] += 6 }},
+		} {
+			resp := pull()
+			l, lent := sc.lease, sc.lent
+			at := slices.Clone(lent)
+			mutate(w.op, w.p)
+			want := slices.Clone(at)
+			w.apply(want)
+			if !equalFloats(lent, at) {
+				t.Fatalf("width %d, %s: the lent row changed under the pull", width, w.name)
+			}
+			if row := s.mats[mat].Rows[0]; !equalFloats(row, want) {
+				t.Fatalf("width %d, %s: the shard does not hold the write", width, w.name)
+			}
+			var buf bytes.Buffer
+			if err := respond(&buf, resp, nil, &sc); err != nil {
+				t.Fatal(err)
+			}
+			if l.n.Load() != 0 || sc.lease != nil || sc.lent != nil {
+				t.Fatalf("width %d, %s: lease still held after the frame was written", width, w.name)
+			}
+			if want := rawResponse(0, 8+8*width, appendPullRangeResp(nil, 0, at)); !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("width %d, %s: the frame written is not the row at pull time", width, w.name)
+			}
+		}
+		// Once the lease is dropped a write goes to the row in place.
+		row := s.mats[mat].Rows[0]
+		mutate(OpPushAdd, AppendPushAdd(nil, mat, 0, []int{5}, []float64{1}))
+		if &s.mats[mat].Rows[0][0] != &row[0] {
+			t.Fatalf("width %d: a write after the lease was dropped copied the row", width)
+		}
+		resp := pull()
+		l := sc.lease
+		if err := respond(&cutWriter{n: respHeaderLen + 16}, resp, nil, &sc); !errors.Is(err, errCut) {
+			t.Fatalf("width %d: write through a cut connection returned %v", width, err)
+		}
+		if l.n.Load() != 0 || sc.lease != nil || sc.lent != nil {
+			t.Fatalf("width %d: lease still held after the write failed", width)
 		}
 	}
+}
+
+// TestWriteRangeRespPieces: a lent row leaves as the bytes its per-value
+// encoding gives, in one block and in the pieces a big-endian host writes,
+// here forced by clearing nativeLE.
+func TestWriteRangeRespPieces(t *testing.T) {
+	host := nativeLE
+	t.Cleanup(func() { nativeLE = host })
+	vals := make([]float64, 2*rangePiece/8+3)
+	want := appendRangePrefix(nil, 5, len(vals))
+	for i := range vals {
+		vals[i] = math.Sin(float64(i))
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(vals[i]))
+	}
+	want = rawResponse(0, len(want), want)
+	for _, le := range []bool{true, false} {
+		nativeLE = le
+		var buf bytes.Buffer
+		var piece []byte
+		if err := writeRangeResp(&buf, appendRangePrefix(nil, 5, len(vals)), vals, &piece); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("nativeLE %v: the frame differs from the per-value encoding", le)
+		}
+		if cap(piece) > rangePiece {
+			t.Errorf("nativeLE %v: piece scratch grew to %d bytes, past %d", le, cap(piece), rangePiece)
+		}
+	}
+}
+
+// TestRangePullNeverTorn: wide range pulls stream from the lent row while
+// another connection runs whole-row steps on it, alternately adding a row
+// of ones and negating it. Every value of a generation is the same, so a
+// pulled row with two different values is part one step, part another.
+func TestRangePullNeverTorn(t *testing.T) {
+	const width, readers, pulls = 1 << 18, 2, 20
+	_, addr := startServer(t)
+	w := NewClient([]string{addr}, wideRetry())
+	t.Cleanup(w.Close)
+	if err := w.CreateShard(0, 1, 2, 0, width); err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]int, width)
+	ones := make([]float64, width)
+	for i := range cols {
+		cols[i], ones[i] = i, 1
+	}
+	for r := range 2 {
+		if err := w.PushAdd(0, 1, r, cols, ones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var steps atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		progs := [][]FusedOp{{{Kind: FAxpy, Src: 1, Dst: 0, Scale: 1}}, {{Kind: FScale, Row: 0, Scale: -1}}}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := w.Fused(0, 1, progs[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+			steps.Add(1)
+		}
+	}()
+	r := NewClient([]string{addr}, wideRetry())
+	t.Cleanup(r.Close)
+	var readersWG sync.WaitGroup
+	for range readers {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			var vals []float64
+			var lo int
+			for range pulls {
+				if err := r.PullRangeInto(0, 1, 0, &lo, &vals); err != nil {
+					t.Error(err)
+					return
+				}
+				for i, v := range vals {
+					if math.Float64bits(v) != math.Float64bits(vals[0]) {
+						t.Errorf("torn row: column 0 holds %v, column %d holds %v", vals[0], i, v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	readersWG.Wait()
+	close(stop)
+	wg.Wait()
+	t.Logf("%d steps ran beside %d pulls", steps.Load(), readers*pulls)
+}
+
+// BenchmarkPullRangeWide times one range pull of a 4 M-wide row over
+// loopback, from a fresh server and from a warm one. The row is lent to the
+// pull and written from its own memory, so a fresh server faults in no
+// response buffer; the client decodes into a buffer it reuses. The heap is
+// handed back to the OS before each fresh pull.
+func BenchmarkPullRangeWide(b *testing.B) {
+	const width = 4000000
+	boot := func(b *testing.B) (*Server, *Client) {
+		srv := NewServer()
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		go srv.Serve()
+		c := NewClient([]string{addr}, wideRetry())
+		if err := c.CreateShard(0, 1, 1, 0, width); err != nil {
+			b.Fatal(err)
+		}
+		fillRow(srv, 1, 0)
+		return srv, c
+	}
+	vals := make([]float64, 0, width)
+	var lo int
+	pull := func(b *testing.B, c *Client) {
+		if err := c.PullRangeInto(0, 1, 0, &lo, &vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		for range b.N {
+			b.StopTimer()
+			srv, c := boot(b)
+			debug.FreeOSMemory()
+			b.StartTimer()
+			pull(b, c)
+			b.StopTimer()
+			c.Close()
+			srv.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		srv, c := boot(b)
+		defer srv.Close()
+		defer c.Close()
+		pull(b, c)
+		b.ResetTimer()
+		for range b.N {
+			pull(b, c)
+		}
+	})
 }

@@ -13,6 +13,13 @@ package wire
 // not the shard's width. A frame's bytes are counted under the mutex before
 // its response is written, so a client that holds its answer finds the
 // frame in the next Stats reply, whichever connection carries it.
+//
+// A range pull copies nothing: under the mutex it puts a lease on the row,
+// and its connection writes the row's own memory to the socket after the
+// mutex is released, so a slow reader of a wide row holds up no other
+// connection. A write to a leased row copies the row first (support.go,
+// own), so the response is the row exactly as it was when the pull was
+// handled. The mutex is never held across a socket write.
 
 import (
 	"bufio"
@@ -20,11 +27,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
 	"repro/internal/arena"
-	"repro/internal/linalg"
 	"repro/internal/ps"
 )
 
@@ -40,34 +47,18 @@ type connScratch struct {
 	vals    []float64 // decoded / assembled value vectors
 	ops     []FusedOp // decoded fused programs
 	resp    []byte    // response payload encode buffer
-	wide    *[]byte   // a wide range pull's response, from wideResps
-}
+	piece   []byte    // a lent row's values encoded a piece at a time (big-endian hosts)
 
-// wideResps holds the buffers of range-pull responses wider than
-// arena.ReuseCap (32 MB for a 4 M-wide row) between frames: a warm pull
-// reuses one, and once pulls stop the GC frees them.
-var wideResps sync.Pool
-
-// wideResp returns a pooled buffer with room for n bytes.
-func wideResp(n int) *[]byte {
-	b, _ := wideResps.Get().(*[]byte)
-	if b == nil {
-		b = new([]byte)
-	}
-	if cap(*b) < n {
-		*b = linalg.ZeroBytes(n)
-	}
-	return b
+	// A range pull's row, borrowed from its shard until the response is
+	// written, and the lease that keeps it unchanged until then.
+	lent  []float64
+	lease *lease
 }
 
 // release lets go of scratch wider than arena.ReuseCap once its frame is
 // written, as arena.PutBytes does, so a connection does not pin a giant
 // request or response for as long as it lives.
 func (sc *connScratch) release() {
-	if sc.wide != nil {
-		wideResps.Put(sc.wide)
-		sc.wide = nil
-	}
 	if cap(sc.payload) > arena.ReuseCap {
 		sc.payload = nil
 	}
@@ -203,7 +194,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		resp, appErr := s.handle(f, &sc)
-		if err := WriteResponse(w, resp, appErr); err != nil {
+		if err := respond(w, resp, appErr, &sc); err != nil {
 			return
 		}
 		sc.release()
@@ -229,15 +220,31 @@ func nextFrameBuffered(r *bufio.Reader) bool {
 	return err == nil && n-reqHeaderLen >= int(binary.LittleEndian.Uint32(h[20:]))
 }
 
+// respond writes one frame's answer to w. A range pull's answer is resp,
+// its 8-byte prefix, followed by the lent row's values; its lease is dropped
+// once the write returns, whether it succeeded or not.
+func respond(w io.Writer, resp []byte, appErr error, sc *connScratch) error {
+	if sc.lease == nil {
+		return WriteResponse(w, resp, appErr)
+	}
+	defer func() {
+		sc.lease.n.Add(-1)
+		sc.lent, sc.lease = nil, nil
+	}()
+	return writeRangeResp(w, resp, sc.lent, &sc.piece)
+}
+
 // handle executes one frame under the store mutex and returns the response
 // payload (possibly aliasing sc's scratch — valid until the next frame on
-// this connection). The frame's bytes in both directions are counted before
-// the mutex is released, so before the response is written.
+// this connection). A range pull returns only the payload's 8-byte prefix
+// and leaves its row on lease in sc.lent for respond to write. The frame's
+// bytes in both directions, the lent row's included, are counted before the
+// mutex is released, so before the response is written.
 func (s *Server) handle(f Frame, sc *connScratch) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp, appErr := s.dedupApply(f, sc)
-	n := len(resp)
+	n := len(resp) + 8*len(sc.lent)
 	if appErr != nil {
 		n = len(appErr.Error())
 	}
@@ -262,7 +269,9 @@ func (s *Server) dedupApply(f Frame, sc *connScratch) (resp []byte, appErr error
 	}
 
 	resp, appErr = s.apply(f, sc)
-	if appErr == nil && f.Mutates() && f.ReqID != 0 {
+	// A range pull flagged as mutating is not recorded: its answer is not
+	// resp alone, and a read is answered afresh as safely.
+	if appErr == nil && f.Mutates() && f.ReqID != 0 && sc.lease == nil {
 		// The response may alias connection scratch that the next frame will
 		// overwrite; the dedup cache needs its own copy (arena rule: never
 		// retain an aliased buffer).
@@ -366,6 +375,7 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		sh.own(r)
 		data := sh.Rows[r]
 		for i, c := range cols {
 			data[c-lo] += vals[i]
@@ -419,14 +429,10 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Encode straight from shard memory (still under s.mu); the old
-		// intermediate copy bought nothing.
-		row := sh.Rows[r]
-		if n := 8 + 8*len(row); n > arena.ReuseCap {
-			sc.wide = wideResp(n)
-			return AppendPullRangeResp((*sc.wide)[:0], lo, row), nil
-		}
-		sc.resp = AppendPullRangeResp(sc.resp[:0], lo, row)
+		// Lend the row instead of copying it: respond writes it out after
+		// the mutex is released.
+		sc.lent, sc.lease = sh.Rows[r], sh.borrow(r)
+		sc.resp = appendRangePrefix(sc.resp[:0], lo, len(sc.lent))
 		return sc.resp, nil
 
 	case OpStats:

@@ -16,9 +16,16 @@ package wire
 // but +0 runs the kernel over the whole row and marks the row dense (its
 // support is every column). A row is also dense once its support passes
 // 1/denseFraction of the width, and stays so until its next zero.
+//
+// A range pull's response is written from the row's own memory, outside the
+// server's mutex (server.go), so a row may be on lease while another
+// connection writes to it. Every mutating path therefore calls own first:
+// a leased row is copied once, the copy becomes the shard's row, and the
+// pulls keep writing the row exactly as it was when they were handled.
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/ps"
@@ -57,20 +64,49 @@ func (s *support) add(cols []int, lo int) {
 	s.cols, s.dense = list, len(list) > s.limit
 }
 
-// shard is a ps.Shard with the support of each of its rows.
+// shard is a ps.Shard with the support and the lease of each of its rows.
 type shard struct {
 	*ps.Shard
-	sup []support
+	sup  []support
+	lent []*lease // lent[r] counts the pulls writing Rows[r]; nil before the first
 }
+
+// lease counts the range pulls still writing one row's memory to their
+// sockets. A pull takes it under the server's mutex and drops it once its
+// frame is written, without the mutex.
+type lease struct{ n atomic.Int32 }
 
 // newShard allocates a rows × [lo,hi) shard; every row starts all +0, so
 // every support starts empty.
 func newShard(rows, lo, hi int) *shard {
-	sh := &shard{Shard: ps.NewShard(rows, ps.ColView{Lo: lo, Hi: hi}), sup: make([]support, rows)}
+	sh := &shard{Shard: ps.NewShard(rows, ps.ColView{Lo: lo, Hi: hi}), sup: make([]support, rows), lent: make([]*lease, rows)}
 	for r := range sh.sup {
 		sh.sup[r] = support{words: make([]uint64, (hi-lo+63)/64), limit: (hi - lo) / denseFraction}
 	}
 	return sh
+}
+
+// borrow leases Rows[r] to a range pull: the row's memory stays as it is
+// until the returned lease is dropped.
+func (sh *shard) borrow(r int) *lease {
+	l := sh.lent[r]
+	if l == nil {
+		l = new(lease)
+		sh.lent[r] = l
+	}
+	l.n.Add(1)
+	return l
+}
+
+// own makes Rows[r] safe to write: a row that pulls are still writing out is
+// copied, and the copy, unleased, becomes the shard's row. The pulls keep
+// the old memory, which the collector frees once they drop it.
+func (sh *shard) own(r int) {
+	if l := sh.lent[r]; l != nil && l.n.Load() > 0 {
+		row := linalg.Zeros(len(sh.Rows[r]))
+		copy(row, sh.Rows[r])
+		sh.Rows[r], sh.lent[r] = row, nil
+	}
 }
 
 // finite reports whether alpha·(+0) is a zero rather than NaN.
@@ -82,6 +118,7 @@ func finite(alpha float64) bool { return !math.IsInf(alpha, 0) && !math.IsNaN(al
 // clear dst's support is visited as well. Every column is updated once: the
 // dst pass skips src's members, which covers src == dst.
 func (sh *shard) axpy(alpha float64, src, dst int) {
+	sh.own(dst)
 	x, y := sh.Rows[src], sh.Rows[dst]
 	xs, ys := &sh.sup[src], &sh.sup[dst]
 	plus := !math.Signbit(alpha)
@@ -105,6 +142,7 @@ func (sh *shard) axpy(alpha float64, src, dst int) {
 
 // zero sets Rows[r] to +0 and empties its support.
 func (sh *shard) zero(r int) {
+	sh.own(r)
 	row, s := sh.Rows[r], &sh.sup[r]
 	if s.dense {
 		linalg.Fill(row, 0)
@@ -121,6 +159,7 @@ func (sh *shard) zero(r int) {
 // scale runs Rows[r] *= alpha. (+0)·alpha is +0 again only for a finite
 // alpha with its sign bit clear; any other alpha runs the dense kernel.
 func (sh *shard) scale(alpha float64, r int) {
+	sh.own(r)
 	row, s := sh.Rows[r], &sh.sup[r]
 	if s.dense || !finite(alpha) || math.Signbit(alpha) {
 		linalg.Scale(alpha, row)

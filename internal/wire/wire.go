@@ -222,17 +222,24 @@ func WriteResponse(w io.Writer, payload []byte, appErr error) error {
 		status = 1
 		payload = []byte(appErr.Error())
 	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("wire: response payload %d exceeds cap %d", len(payload), MaxPayload)
+	if err := writeResponseHeader(w, status, len(payload)); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// writeResponseHeader writes the header of a response whose payload of plen
+// bytes follows.
+func writeResponseHeader(w io.Writer, status byte, plen int) error {
+	if plen > MaxPayload {
+		return fmt.Errorf("wire: response payload %d exceeds cap %d", plen, MaxPayload)
 	}
 	h := headerBuf(w, respHeaderLen)
 	h = binary.LittleEndian.AppendUint16(h, Magic)
 	h = append(h, status, 0)
-	h = binary.LittleEndian.AppendUint32(h, uint32(len(payload)))
-	if _, err := w.Write(h); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	h = binary.LittleEndian.AppendUint32(h, uint32(plen))
+	_, err := w.Write(h)
 	return err
 }
 

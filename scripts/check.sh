@@ -92,5 +92,7 @@ go test -run XXX -fuzz FuzzPullRangeResponse -fuzztime 10s ./internal/wire/
 # fan-out) print the simulator's host ns per event here.
 # BenchmarkGenerateClassify (the three benchmark datasets) and
 # BenchmarkWideRowFirstTouch (a fresh 4 M-wide shard row's page faults) show
-# the two fixed costs of the dense TCP workload.
+# the two fixed costs of the dense TCP workload; BenchmarkPullRangeWide (one
+# range pull of a 4 M-wide row over loopback, fresh server against warm)
+# shows its final pull, which the server writes from the lent row.
 go test -run XXX -bench . -benchtime 1x ./...
