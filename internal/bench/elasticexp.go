@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/linalg"
@@ -89,13 +90,7 @@ func (w elasticWorkload) cols(t, task int) []int {
 			out = append(out, c)
 		}
 	}
-	// Insertion sort: sets are short and nearly sorted is irrelevant — this
-	// avoids importing sort for one call site.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

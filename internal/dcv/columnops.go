@@ -238,7 +238,7 @@ func (op colOp) shuffle(p *simnet.Proc, from *simnet.Node) ([]float64, error) {
 			RespBytes: cost.RequestOverheadB + op.result,
 			Mutates:   op.writes > 0,
 			Touched:   touched,
-			Fn: func(fp *simnet.Proc, sh *ps.Shard) error {
+			BlockingFn: func(fp *simnet.Proc, _ int, sh *ps.Shard) error {
 				host := v.mat.ServerNode(s)
 				for i, ov := range op.vecs {
 					if ov.mat == v.mat {

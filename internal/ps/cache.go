@@ -290,7 +290,7 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 	nc := cc.node(from)
 	out := make([]float64, len(indices))
 	split := mat.Part.SplitIndices(indices)
-	err := mat.fanOut(p, "cache-pull", func(s int) shardBody {
+	err := mat.fanOutProcs(p, "cache-pull", func(s int) shardBody {
 		idx := split[s]
 		if len(idx) == 0 {
 			return nil
@@ -358,7 +358,7 @@ func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc 
 			RespBytesFn: func(*Shard) float64 {
 				return cost.RequestOverheadB + 12*float64(len(rep.changed)) + 8*float64(len(r.missing))
 			},
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
+			Fn: func(_ int, sh *Shard) error {
 				rep = r.read(sh, row)
 				return nil
 			},
@@ -405,7 +405,7 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 	for i := range out {
 		out[i] = make([]float64, mat.Dim)
 	}
-	err := mat.fanOut(p, "cache-pull-rows", func(s int) shardBody {
+	err := mat.fanOutProcs(p, "cache-pull-rows", func(s int) shardBody {
 		return func(cp *simnet.Proc) error { return cc.pullRowsShard(cp, from, nc, rows, s, out) }
 	})
 	if err != nil {
@@ -491,7 +491,7 @@ func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *no
 				}
 				return b
 			},
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
+			Fn: func(_ int, sh *Shard) error {
 				stamp = sh.Ver()
 				clear(fetched) // idempotent under retry
 				for _, r := range stale {

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/linalg"
-	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -81,17 +79,17 @@ func (mat *Matrix) PullRow(p *simnet.Proc, from *simnet.Node, row int) ([]float6
 	// The shard views partition the column space, so every element of out is
 	// written on success.
 	out := make([]float64, mat.Dim)
-	err := mat.fanOut(p, "pull", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:      "pull",
-			Shard:     s,
-			ReqBytes:  cost.RequestOverheadB,
-			RespBytes: cost.DenseBytes(mat.Part.Width(s)),
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				sh.Scatter(sh.Rows[row], out)
-				return nil
-			},
-		})
+	spec := CallSpec{
+		Name:     "pull",
+		ReqBytes: cost.RequestOverheadB,
+		Fn: func(_ int, sh *Shard) error {
+			sh.Scatter(sh.Rows[row], out)
+			return nil
+		},
+	}
+	err := mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		c.RespBytes = cost.DenseBytes(mat.Part.Width(s))
+		return true
 	})
 	if err != nil {
 		return nil, err
@@ -108,21 +106,19 @@ func (mat *Matrix) PullRowCompressed(p *simnet.Proc, from *simnet.Node, row int)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
 	out := make([]float64, mat.Dim)
-	err := mat.fanOut(p, "pull-compressed", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:     "pull-compressed",
-			Shard:    s,
-			ReqBytes: cost.RequestOverheadB,
-			Work:     func(w int) float64 { return cost.ElemWork(w) },
-			RespBytesFn: func(sh *Shard) float64 {
-				return cost.SparseBytes(linalg.NnzDense(sh.Rows[row]))
-			},
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				sh.Scatter(sh.Rows[row], out)
-				return nil
-			},
-		})
-	})
+	spec := CallSpec{
+		Name:     "pull-compressed",
+		ReqBytes: cost.RequestOverheadB,
+		Work:     func(_, w int) float64 { return cost.ElemWork(w) },
+		RespBytesFn: func(sh *Shard) float64 {
+			return cost.SparseBytes(linalg.NnzDense(sh.Rows[row]))
+		},
+		Fn: func(_ int, sh *Shard) error {
+			sh.Scatter(sh.Rows[row], out)
+			return nil
+		},
+	}
+	err := mat.fanOut(p, from, spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -163,30 +159,26 @@ func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, in
 	cost := mat.master.Cl.Cost
 	split := mat.Part.SplitIndices(indices)
 	out := make([]float64, len(indices))
-	err := mat.fanOut(p, "pull-sparse", func(s int) shardBody {
-		idx := split[s]
-		if len(idx) == 0 {
+	spec := CallSpec{
+		Name:  "pull-sparse",
+		Class: class,
+		Fn: func(s int, sh *Shard) error {
+			// Non-contiguous placements interleave server groups in the
+			// sorted request, so map each column back to its global
+			// position rather than assuming the groups concatenate in order.
+			at := cursor{all: indices}
+			for _, col := range split[s] {
+				out[at.pos(col)] = sh.Rows[row][sh.Local(col)]
+			}
 			return nil
-		}
-		return mat.call(from, CallSpec{
-			Name:  "pull-sparse",
-			Shard: s,
-			Class: class,
-			// Request carries the indices; response carries the values.
-			ReqBytes:  cost.RequestOverheadB + 4*float64(len(idx)),
-			RespBytes: cost.RequestOverheadB + 8*float64(len(idx)),
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				// Non-contiguous placements interleave server groups in
-				// the sorted request, so map each column back to its
-				// global position rather than assuming the groups
-				// concatenate in order.
-				at := cursor{all: indices}
-				for _, col := range idx {
-					out[at.pos(col)] = sh.Rows[row][sh.Local(col)]
-				}
-				return nil
-			},
-		})
+		},
+	}
+	err := mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		// Request carries the indices; response carries the values.
+		n := float64(len(split[s]))
+		c.ReqBytes = cost.RequestOverheadB + 4*n
+		c.RespBytes = cost.RequestOverheadB + 8*n
+		return n > 0
 	})
 	if err != nil {
 		return nil, err
@@ -207,30 +199,26 @@ func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *li
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
 	split := mat.Part.SplitIndices(delta.Indices)
-	return mat.fanOut(p, "push", func(s int) shardBody {
-		idx := split[s]
-		if len(idx) == 0 {
+	spec := CallSpec{
+		Name:      "push-add",
+		RespBytes: cost.RequestOverheadB, // ack
+		Work:      func(s, _ int) float64 { return cost.ElemWork(len(split[s])) },
+		Mutates:   true,
+		Touched:   []int{row},
+		Fn: func(s int, sh *Shard) error {
+			// As in PullRowIndices: look up each column's global position,
+			// since non-contiguous placements interleave server groups in
+			// the sorted delta.
+			at := cursor{all: delta.Indices}
+			for _, col := range split[s] {
+				sh.Rows[row][sh.Local(col)] += delta.Values[at.pos(col)]
+			}
 			return nil
-		}
-		return mat.call(from, CallSpec{
-			Name:      "push-add",
-			Shard:     s,
-			ReqBytes:  cost.SparseBytes(len(idx)),
-			RespBytes: cost.RequestOverheadB, // ack
-			Work:      func(int) float64 { return cost.ElemWork(len(idx)) },
-			Mutates:   true,
-			Touched:   []int{row},
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				// As in PullRowIndices: look up each column's global
-				// position, since non-contiguous placements interleave
-				// server groups in the sorted delta.
-				at := cursor{all: delta.Indices}
-				for _, col := range idx {
-					sh.Rows[row][sh.Local(col)] += delta.Values[at.pos(col)]
-				}
-				return nil
-			},
-		})
+		},
+	}
+	return mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		c.ReqBytes = cost.SparseBytes(len(split[s]))
+		return len(split[s]) > 0
 	})
 }
 
@@ -244,20 +232,20 @@ func (mat *Matrix) PushAddDense(p *simnet.Proc, from *simnet.Node, row int, delt
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	return mat.fanOut(p, "push-dense", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:      "push-dense",
-			Shard:     s,
-			ReqBytes:  cost.DenseBytes(mat.Part.Width(s)),
-			RespBytes: cost.RequestOverheadB, // ack
-			Work:      func(w int) float64 { return cost.ElemWork(w) },
-			Mutates:   true,
-			Touched:   []int{row},
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				sh.GatherAdd(sh.Rows[row], delta)
-				return nil
-			},
-		})
+	spec := CallSpec{
+		Name:      "push-dense",
+		RespBytes: cost.RequestOverheadB, // ack
+		Work:      func(_, w int) float64 { return cost.ElemWork(w) },
+		Mutates:   true,
+		Touched:   []int{row},
+		Fn: func(_ int, sh *Shard) error {
+			sh.GatherAdd(sh.Rows[row], delta)
+			return nil
+		},
+	}
+	return mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		c.ReqBytes = cost.DenseBytes(mat.Part.Width(s))
+		return true
 	})
 }
 
@@ -270,19 +258,19 @@ func (mat *Matrix) SetRow(p *simnet.Proc, from *simnet.Node, row int, values []f
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	return mat.fanOut(p, "set-row", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:      "set-row",
-			Shard:     s,
-			ReqBytes:  cost.DenseBytes(mat.Part.Width(s)),
-			RespBytes: cost.RequestOverheadB,
-			Mutates:   true,
-			Touched:   []int{row},
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				sh.Gather(sh.Rows[row], values)
-				return nil
-			},
-		})
+	spec := CallSpec{
+		Name:      "set-row",
+		RespBytes: cost.RequestOverheadB,
+		Mutates:   true,
+		Touched:   []int{row},
+		Fn: func(_ int, sh *Shard) error {
+			sh.Gather(sh.Rows[row], values)
+			return nil
+		},
+	}
+	return mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		c.ReqBytes = cost.DenseBytes(mat.Part.Width(s))
+		return true
 	})
 }
 
@@ -311,19 +299,19 @@ func (mat *Matrix) PullRows(p *simnet.Proc, from *simnet.Node, rows []int, out [
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	err := mat.fanOut(p, "pull-rows", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:      "pull-rows",
-			Shard:     s,
-			ReqBytes:  cost.RequestOverheadB + 4*float64(len(rows)),
-			RespBytes: cost.RequestOverheadB + 8*float64(len(rows)*mat.Part.Width(s)),
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				for i, r := range rows {
-					sh.Scatter(sh.Rows[r], out[i])
-				}
-				return nil
-			},
-		})
+	spec := CallSpec{
+		Name:     "pull-rows",
+		ReqBytes: cost.RequestOverheadB + 4*float64(len(rows)),
+		Fn: func(_ int, sh *Shard) error {
+			for i, r := range rows {
+				sh.Scatter(sh.Rows[r], out[i])
+			}
+			return nil
+		},
+	}
+	err := mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		c.RespBytes = cost.RequestOverheadB + 8*float64(len(rows)*mat.Part.Width(s))
+		return true
 	})
 	if err != nil {
 		return nil, err
@@ -346,22 +334,22 @@ func (mat *Matrix) PushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, 
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	return mat.fanOut(p, "push-rows", func(s int) shardBody {
-		return mat.call(from, CallSpec{
-			Name:      "push-rows",
-			Shard:     s,
-			ReqBytes:  cost.RequestOverheadB + 4*float64(len(rows)) + 8*float64(len(rows)*mat.Part.Width(s)),
-			RespBytes: cost.RequestOverheadB,
-			Work:      func(w int) float64 { return cost.ElemWork(len(rows) * w) },
-			Mutates:   true,
-			Touched:   rows,
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				for i, r := range rows {
-					sh.GatherAdd(sh.Rows[r], deltas[i])
-				}
-				return nil
-			},
-		})
+	spec := CallSpec{
+		Name:      "push-rows",
+		RespBytes: cost.RequestOverheadB,
+		Work:      func(_, w int) float64 { return cost.ElemWork(len(rows) * w) },
+		Mutates:   true,
+		Touched:   rows,
+		Fn: func(_ int, sh *Shard) error {
+			for i, r := range rows {
+				sh.GatherAdd(sh.Rows[r], deltas[i])
+			}
+			return nil
+		},
+	}
+	return mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		c.ReqBytes = cost.RequestOverheadB + 4*float64(len(rows)) + 8*float64(len(rows)*mat.Part.Width(s))
+		return true
 	})
 }
 
@@ -420,7 +408,7 @@ func (mat *Matrix) Invoke(p *simnet.Proc, from *simnet.Node, ops ...InvokeOp) ([
 	if !declared {
 		spec.Touched = nil // one undeclared mutation ⇒ conservative marking
 	}
-	spec.Work = func(w int) float64 {
+	spec.Work = func(_, w int) float64 {
 		var total float64
 		for _, op := range ops {
 			if op.Work != nil {
@@ -433,31 +421,19 @@ func (mat *Matrix) Invoke(p *simnet.Proc, from *simnet.Node, ops ...InvokeOp) ([
 	for i := range partials {
 		partials[i] = make([]float64, mat.Part.NumServers())
 	}
-	fused := len(ops) > 1
-	tracer := mat.master.Cl.Sim.Tracer()
-	err := mat.fanOut(p, spec.Name, func(s int) shardBody {
-		spec := spec
-		spec.Shard = s
-		spec.Fn = func(fp *simnet.Proc, sh *Shard) error {
-			var fb obs.Span
-			if fused && tracer != nil {
-				node := mat.srv(s).Node
-				fb = tracer.Begin(node.ID, node.Name, obs.KFusedBatch, "fused-batch",
-					fp.TraceParent(), obs.KV{K: "ops", V: strconv.Itoa(len(ops))})
+	spec.Fused = len(ops)
+	spec.Fn = func(s int, sh *Shard) error {
+		for i, op := range ops {
+			if op.Fn != nil {
+				// Assign into the (op, server) slot — idempotent under
+				// re-execution after a server recovery.
+				partials[i][s] = op.Fn(s, sh)
 			}
-			for i, op := range ops {
-				if op.Fn != nil {
-					// Assign into the (op, server) slot — idempotent
-					// under re-execution after a server recovery.
-					partials[i][s] = op.Fn(s, sh)
-				}
-			}
-			fb.End()
-			return nil
 		}
-		return mat.call(from, spec)
-	})
-	if fused {
+		return nil
+	}
+	err := mat.fanOut(p, from, spec, nil)
+	if len(ops) > 1 {
 		mat.master.Net.Batches++
 		mat.master.Net.FusedOps += uint64(len(ops))
 	}

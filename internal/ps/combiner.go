@@ -178,7 +178,7 @@ func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 			}
 		}
 	}
-	err := b.mat.fanOut(p, "flush", func(s int) shardBody {
+	err := b.mat.fanOutProcs(p, "flush", func(s int) shardBody {
 		if len(parts[s]) == 0 && len(denseRows) == 0 {
 			return nil
 		}
@@ -197,10 +197,10 @@ func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 				Shard:     s,
 				ReqBytes:  reqBytes,
 				RespBytes: cost.RequestOverheadB, // ack
-				Work:      func(int) float64 { return cost.ElemWork(elems) },
+				Work:      func(int, int) float64 { return cost.ElemWork(elems) },
 				Mutates:   true,
 				Touched:   touched,
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
+				Fn: func(_ int, sh *Shard) error {
 					for _, row := range denseRows {
 						sh.GatherAdd(sh.Rows[row], dense[row])
 					}

@@ -514,7 +514,7 @@ func TestDuplicateTouchedRowDriftsOnce(t *testing.T) {
 		mat.EnableVersioning()
 		err = mat.CallShards(p, cl.Executors[0], "inc", func(s int) CallSpec {
 			return CallSpec{Shard: s, Mutates: true, Touched: []int{0, 1, 0},
-				Fn: func(_ *simnet.Proc, sh *Shard) error {
+				Fn: func(_ int, sh *Shard) error {
 					linalg.Fill(sh.Rows[0], 1)
 					return nil
 				}}

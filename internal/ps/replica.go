@@ -191,7 +191,7 @@ func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indice
 				Class:     class,
 				ReqBytes:  cost.RequestOverheadB + 4*float64(len(hotCols)),
 				RespBytes: cost.RequestOverheadB + 8*float64(len(hotCols)),
-				Fn: func(fp *simnet.Proc, _ *Shard) error {
+				BlockingFn: func(fp *simnet.Proc, _ int, _ *Shard) error {
 					return rs.serveHot(fp, t, row, hotCols, hotPos, out, pol)
 				},
 			})

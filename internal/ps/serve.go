@@ -156,27 +156,27 @@ func NewAdmissionControl(cfg AdmissionConfig) (*AdmissionControl, error) {
 // train unthrottled and arm the gate when the serving stream starts.
 func (m *Master) SetAdmission(a *AdmissionControl) { m.Admission = a }
 
-// admit charges one call against server s's bucket: immediate when a token
-// is free, queued (a virtual sleep) while the queue bound admits it, shed
-// with ErrOverload beyond that. The favored class gets MaxQueue, the other
-// LowQueue — shedding the unfavored class first is the whole priority
+// admit charges one call against server s's bucket at virtual time now:
+// admitted at once (delay 0) when a token is free, queued (admitted after
+// delay seconds, which the caller waits) while the queue bound admits it,
+// shed with ErrOverload beyond that. The favored class gets MaxQueue, the
+// other LowQueue — shedding the unfavored class first is the whole priority
 // mechanism, and it keeps admission order deterministic (no reordering).
-func (a *AdmissionControl) admit(p *simnet.Proc, m *Master, from *simnet.Node, s int, class Class) error {
+func (a *AdmissionControl) admit(m *Master, s int, class Class, now simnet.Time) (delay simnet.Time, err error) {
 	for s >= len(a.tat) {
 		a.tat = append(a.tat, 0)
 	}
-	now := p.Now()
 	interval := 1.0 / a.cfg.RatePerSec
 	tolerance := (a.cfg.Burst - 1) * interval
 	tat := a.tat[s]
 	if tat < now {
 		tat = now // idle refill, capped at one full bucket by the tolerance
 	}
-	delay := float64(tat) - tolerance - float64(now)
+	delay = float64(tat) - tolerance - float64(now)
 	if delay <= 0 {
 		a.tat[s] = tat + simnet.Time(interval)
 		m.Serve.Admitted++
-		return nil
+		return 0, nil
 	}
 	depth := int(math.Ceil(delay / interval))
 	bound := a.cfg.MaxQueue
@@ -189,7 +189,7 @@ func (a *AdmissionControl) admit(p *simnet.Proc, m *Master, from *simnet.Node, s
 		} else {
 			m.Serve.ShedTrain++
 		}
-		return fmt.Errorf("ps: server %d sheds %v call (queue depth %d > bound %d): %w",
+		return 0, fmt.Errorf("ps: server %d sheds %v call (queue depth %d > bound %d): %w",
 			s, class, depth, bound, ErrOverload)
 	}
 	a.tat[s] = tat + simnet.Time(interval)
@@ -199,15 +199,7 @@ func (a *AdmissionControl) admit(p *simnet.Proc, m *Master, from *simnet.Node, s
 	if depth > m.Serve.MaxQueueDepth {
 		m.Serve.MaxQueueDepth = depth
 	}
-	if t := m.Cl.Sim.Tracer(); t != nil {
-		ws := t.Begin(from.ID, from.Name, obs.KAdmit, "admit", p.TraceParent(),
-			obs.KV{K: "srv", V: fmt.Sprint(s)}, obs.KV{K: "class", V: class.String()})
-		p.Sleep(delay)
-		ws.End()
-		return nil
-	}
-	p.Sleep(delay)
-	return nil
+	return delay, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -370,43 +362,37 @@ func (ms *ModelSnapshot) ReadRowIndices(p *simnet.Proc, from *simnet.Node, row i
 			return nil, ms.fenced(s)
 		}
 	}
-	err := mat.fanOut(p, "serve-snapshot", func(s int) shardBody {
-		idx, sp := split[s], ms.pins[s]
-		if len(idx) == 0 {
-			return nil
+	spec := CallSpec{Name: "serve-snapshot", Class: ClassServe}
+	spec.Fn = func(s int, sh *Shard) error {
+		// Authoritative fence: the handler sees the live shard. A different
+		// incarnation (recovery swapped it in) or a moved epoch means the
+		// pin is dead — a non-retryable error, surfaced as-is by CallShard.
+		sp := ms.pins[s]
+		if sh != sp.sh || sp.invalid || mat.ShardEpoch(s) != sp.epoch {
+			return ms.fenced(s)
 		}
-		return mat.call(from, CallSpec{
-			Name:  "serve-snapshot",
-			Shard: s,
-			Class: ClassServe,
-			// Indices plus the pinned version stamp out, values back.
-			ReqBytes:  cost.RequestOverheadB + 4*float64(len(idx)) + 8,
-			RespBytes: cost.RequestOverheadB + 8*float64(len(idx)),
-			Fn: func(_ *simnet.Proc, sh *Shard) error {
-				// Authoritative fence: the handler sees the live shard. A
-				// different incarnation (recovery swapped it in) or a
-				// moved epoch means the pin is dead — a non-retryable
-				// error, surfaced as-is by CallShard.
-				if sh != sp.sh || sp.invalid || mat.ShardEpoch(s) != sp.epoch {
+		at := cursor{all: indices}
+		for _, col := range split[s] {
+			l := sh.Local(col)
+			k := at.pos(col)
+			if sh.elemVer[row][l] <= sp.ver {
+				out[k] = sh.Rows[row][l] // unchanged since the pin
+			} else {
+				v, ok := sp.old[snapKey{row: row, local: l}]
+				if !ok {
 					return ms.fenced(s)
 				}
-				at := cursor{all: indices}
-				for _, col := range idx {
-					l := sh.Local(col)
-					k := at.pos(col)
-					if sh.elemVer[row][l] <= sp.ver {
-						out[k] = sh.Rows[row][l] // unchanged since the pin
-					} else {
-						v, ok := sp.old[snapKey{row: row, local: l}]
-						if !ok {
-							return ms.fenced(s)
-						}
-						out[k] = v // overwritten since; serve the pre-image
-					}
-				}
-				return nil
-			},
-		})
+				out[k] = v // overwritten since; serve the pre-image
+			}
+		}
+		return nil
+	}
+	err := mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		// Indices plus the pinned version stamp out, values back.
+		n := float64(len(split[s]))
+		c.ReqBytes = cost.RequestOverheadB + 4*n + 8
+		c.RespBytes = cost.RequestOverheadB + 8*n
+		return n > 0
 	})
 	if err != nil {
 		return nil, err

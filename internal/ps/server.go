@@ -225,6 +225,9 @@ type Master struct {
 	// master's matrices (registerPolicy), for the report fold.
 	policies []consistency.Policy
 
+	// calls pools the records of finished CallShards (rpc.go).
+	calls []*call
+
 	// Admission, when installed (SetAdmission), gates every data-plane
 	// CallShard through a per-server token bucket with a bounded, class-aware
 	// queue. nil (the default) admits everything at zero cost.

@@ -47,7 +47,9 @@ func (n *Node) Restore() { n.down = false }
 // NIC); ErrNodeDown means a crashed endpoint, ErrMsgLost a chaos drop.
 // Receive-side counters only advance on delivery.
 func (n *Node) TrySend(p *Proc, dst *Node, bytes float64) error {
-	return n.transfer(p, dst, bytes, true)
+	n.transfer(p, dst, bytes, true, nil)
+	p.wait()
+	return p.err
 }
 
 // Chaos holds the simulation's link-fault configuration: a default

@@ -491,9 +491,10 @@ func TestKernelZeroAlloc(t *testing.T) {
 // BenchmarkKernel measures the kernel's host cost per delivered event, and
 // the share of events that resume a process (hand-offs), on three shapes: a
 // mailbox ping-pong between two processes; a 20-way fan-out in the shape of
-// ps.CallShard — per shard a child process sends a request, computes on the
-// server and sends the reply, while the parent waits on the group; and a
-// 20-to-1 in-cast, where every sender's message queues on one ingress NIC.
+// ps.CallShards — per shard a step child sends a request, computes on the
+// server and sends the reply, a chain over a record reused from round to
+// round, while the parent waits on the group; and a 20-to-1 in-cast, where
+// every sender's message queues on one ingress NIC.
 func BenchmarkKernel(b *testing.B) {
 	perEvent := func(b *testing.B, s *Sim) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EventsProcessed()), "ns/event")
@@ -528,15 +529,20 @@ func BenchmarkKernel(b *testing.B) {
 		for i := range servers {
 			servers[i] = s.NewNode(i+1, DefaultNodeConfig())
 		}
+		// Each call's steps are bound once, as ps binds them to a pooled
+		// record.
+		starts := make([]func(*Proc), len(servers))
+		for i, srv := range servers {
+			replied := func(*Proc) {}
+			computed := func(p *Proc) { srv.TrySendThen(p, client, 4096, replied) }
+			requested := func(p *Proc) { srv.ComputeThen(p, 1e4, computed) }
+			starts[i] = func(p *Proc) { client.TrySendThen(p, srv, 4096, requested) }
+		}
 		s.Spawn("driver", func(p *Proc) {
+			g := s.NewGroup()
 			for range b.N {
-				g := s.NewGroup()
-				for _, srv := range servers {
-					g.Go("call", func(cp *Proc) {
-						client.Send(cp, srv, 4096)
-						srv.Compute(cp, 1e4)
-						srv.Send(cp, client, 4096)
-					})
+				for _, start := range starts {
+					g.Step("call", start, nil)
 				}
 				g.Wait(p)
 			}

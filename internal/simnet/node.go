@@ -87,39 +87,38 @@ func (s *Sim) NewNode(id int, cfg NodeConfig) *Node {
 // then serialization on dst's ingress NIC. Plain Send ignores faults and
 // chaos.
 func (n *Node) Send(p *Proc, dst *Node, bytes float64) {
-	n.transfer(p, dst, bytes, false)
+	n.transfer(p, dst, bytes, false, nil)
+	p.wait()
 }
 
-// transfer is Send (try false) and TrySend (try true). A message between
-// two machines is a kernel-run operation: the egress hold, propagation, the
-// liveness and chaos-loss checks and the ingress hold run as steps in the
-// event loop (egressed, arrived, delivered), and the process is woken once,
-// when the transfer ends or fails.
-func (n *Node) transfer(p *Proc, dst *Node, bytes float64, try bool) error {
-	t := n.sim.tracer
-	if t == nil {
-		return n.move(p, dst, bytes, try)
-	}
-	sp := t.Begin(n.ID, n.Name, obs.KNetSend, "send "+dst.Name, p.span,
-		obs.KV{K: "bytes", V: strconv.FormatFloat(bytes, 'f', 0, 64)})
-	err := n.move(p, dst, bytes, try)
-	if err != nil {
-		sp.End(obs.KV{K: "err", V: err.Error()})
-		if err == ErrMsgLost {
-			t.Instant(n.ID, n.Name, obs.KMsgLost, "lost "+dst.Name)
-		}
-		return err
-	}
-	sp.End()
-	return nil
+// TrySendThen is TrySend as a step of a chain: next runs when the transfer
+// ends, with its result in p.Err().
+func (n *Node) TrySendThen(p *Proc, dst *Node, bytes float64, next func(*Proc)) {
+	n.transfer(p, dst, bytes, true, next)
 }
 
-func (n *Node) move(p *Proc, dst *Node, bytes float64, try bool) error {
+// Err returns the result of the process's last transfer.
+func (p *Proc) Err() error { return p.err }
+
+// transfer starts a Send (try false) or TrySend (try true), then next. A
+// message between two machines is a kernel-run operation: the egress hold,
+// propagation, the liveness and chaos-loss checks and the ingress hold run
+// as steps in the event loop (egressed, arrived, delivered), and
+// transferred ends it.
+func (n *Node) transfer(p *Proc, dst *Node, bytes float64, try bool, next func(*Proc)) {
+	p.src, p.dst, p.try, p.err, p.next = n, dst, try, nil, next
+	if t := n.sim.tracer; t != nil {
+		p.sendSpan = t.Begin(n.ID, n.Name, obs.KNetSend, "send "+dst.Name, p.span,
+			obs.KV{K: "bytes", V: strconv.FormatFloat(bytes, 'f', 0, 64)})
+	}
 	if bytes < 0 {
 		bytes = 0
 	}
+	p.size = bytes
 	if try && n.down {
-		return ErrNodeDown
+		p.err = ErrNodeDown
+		transferred(p)
+		return
 	}
 	n.BytesSent += bytes
 	if !try {
@@ -128,20 +127,23 @@ func (n *Node) move(p *Proc, dst *Node, bytes float64, try bool) error {
 	}
 	if n == dst {
 		// Local delivery costs nothing on the network.
-		p.Sleep(0)
-		if try {
-			if n.down {
-				return ErrNodeDown
-			}
-			n.BytesRecv += bytes
-		}
-		return nil
+		p.After(0, deliveredLocally)
+		return
 	}
-	p.checkStopped()
-	p.src, p.dst, p.size, p.try, p.err = n, dst, bytes, try, nil
 	p.use(n.out, bytes/n.outBW, egressed)
-	p.yield()
-	return p.err
+}
+
+// deliveredLocally: a message to the sender's own machine arrives at once;
+// for TrySend the machine must still be up.
+func deliveredLocally(p *Proc) {
+	if p.try {
+		if p.src.down {
+			p.err = ErrNodeDown
+		} else {
+			p.src.BytesRecv += p.size
+		}
+	}
+	transferred(p)
 }
 
 // egressed: the message has left the sender's NIC; it propagates for the
@@ -151,8 +153,7 @@ func egressed(p *Proc) {
 	if c := p.sim.chaos; c != nil && p.try {
 		extra = c.delay(p.src.ID, p.dst.ID)
 	}
-	p.step = arrived
-	p.sim.after(p, p.src.latency+extra)
+	p.After(p.src.latency+extra, arrived)
 }
 
 // arrived: the message reached the receiver. TrySend fails here if the
@@ -162,10 +163,12 @@ func arrived(p *Proc) {
 	if p.try {
 		if p.dst.down {
 			p.err = ErrNodeDown
+			transferred(p)
 			return
 		}
 		if c := p.sim.chaos; c != nil && c.lose(p.src.ID, p.dst.ID) {
 			p.err = ErrMsgLost
+			transferred(p)
 			return
 		}
 	}
@@ -175,14 +178,31 @@ func arrived(p *Proc) {
 // delivered: the ingress NIC has the whole message. For TrySend the
 // receiver must still be up, having possibly crashed while it serialized.
 func delivered(p *Proc) {
-	if !p.try {
-		return
+	if p.try {
+		if p.dst.down {
+			p.err = ErrNodeDown
+		} else {
+			p.dst.BytesRecv += p.size
+		}
 	}
-	if p.dst.down {
-		p.err = ErrNodeDown
-		return
+	transferred(p)
+}
+
+// transferred ends a transfer: its trace span closes with the result, and
+// the chain goes on.
+func transferred(p *Proc) {
+	if sp := p.sendSpan; sp.OK() {
+		p.sendSpan = obs.Span{}
+		if err := p.err; err != nil {
+			sp.End(obs.KV{K: "err", V: err.Error()})
+			if err == ErrMsgLost {
+				p.sim.tracer.Instant(p.src.ID, p.src.Name, obs.KMsgLost, "lost "+p.dst.Name)
+			}
+		} else {
+			sp.End()
+		}
 	}
-	p.dst.BytesRecv += p.size
+	endOp(p)
 }
 
 // Compute charges `work` abstract units against one of the node's cores,
@@ -193,6 +213,18 @@ func (n *Node) Compute(p *Proc, work float64) {
 	}
 	n.WorkDone += work
 	n.cpu.Use(p, work/n.rate)
+}
+
+// ComputeThen is Compute as a step of a chain: next runs once the work is
+// done (at once when there is none).
+func (n *Node) ComputeThen(p *Proc, work float64, next func(*Proc)) {
+	if work <= 0 {
+		next(p)
+		return
+	}
+	n.WorkDone += work
+	p.next = next
+	p.use(n.cpu, work/n.rate, endOp)
 }
 
 // SlowDown divides the node's compute rate by factor — straggler injection.

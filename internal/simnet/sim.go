@@ -21,6 +21,15 @@
 // event loop runs each step itself and resumes the process only when the
 // operation ends. An uncontended message is three events and one hand-off.
 //
+// Step chains: a longer operation (an RPC with its retries) is a chain of
+// such steps, each a function over the caller's record that starts the next
+// kernel-run operation (After, TrySendThen, ComputeThen) or ends the chain.
+// A process runs one with Chain and is resumed once, when it ends. A
+// Group.Step child is a chain with no coroutine at all: a pooled Proc the
+// group counts out when its chain ends. A step that must block (wait on a
+// signal, make a plain transfer) is a Block: it runs on the process's own
+// coroutine, or for a step child on a parked one lent for that step only.
+//
 // Determinism: events are ordered by (time, sequence number) and processes
 // run one at a time, each until it blocks, so a simulation with seeded
 // randomness produces bit-identical results on every run.
@@ -49,9 +58,10 @@ type Sim struct {
 	seq       uint64
 	deadline  Time      // RunUntil's: no event past it is delivered
 	handTo    *Proc     // set by a yielding process: the one the loop resumes next, nil to end the run
-	live      []*Proc   // spawned processes not yet finished, oldest first; exit leaves nil holes
+	live      []*Proc   // spawned processes and step children not yet finished, oldest first; exit leaves nil holes
 	holes     int       // nil entries in live
 	idle      []*worker // coroutines parked between processes
+	spare     []*Proc   // finished step children, for Group.Step to reuse
 	stopped   bool
 	processed uint64 // events delivered so far (observability)
 	handoffs  uint64 // events that resumed a process's own code
@@ -159,14 +169,50 @@ func (s *Sim) next() *Proc {
 		if p == nil {
 			return nil
 		}
-		if step := p.step; step != nil {
-			p.step = nil
-			if step(p); p.step != nil {
-				continue
-			}
+		if p.step != nil && !s.advance(p) {
+			continue
 		}
 		s.handoffs++
 		return p
+	}
+}
+
+// advance runs p's due step and reports whether p's coroutine is to be
+// resumed: p's operation ended and p is a process, or the chain reached a
+// Block, for which a step child borrows a parked coroutine. A step child
+// whose chain ended is retired here. A step that panics fails the run in
+// p's name.
+func (s *Sim) advance(p *Proc) (resume bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(p, r)
+			resume = false
+		}
+	}()
+	step := p.step
+	p.step = nil
+	step(p)
+	switch {
+	case p.step != nil:
+		return false
+	case p.w != nil:
+		return true
+	case p.block != nil:
+		w := s.worker()
+		w.p, p.w = p, w
+		return true
+	}
+	s.retire(p)
+	return false
+}
+
+// fail records the first panic of a process (or of one of its steps) as
+// the run's failure and stops the simulation; the unwinding of a stopped
+// process is not a failure.
+func (s *Sim) fail(p *Proc, r any) {
+	if _, unwind := r.(stopUnwind); r != nil && !unwind && s.failure == nil {
+		s.failure = fmt.Sprintf("simnet: process %q panicked: %v", p.name, r)
+		s.stopped = true
 	}
 }
 
@@ -200,32 +246,38 @@ func (s *Sim) pop() *Proc {
 // acquisition, mailbox receive, …) must be called from the process's own
 // goroutine, i.e. from inside the function passed to Spawn.
 type Proc struct {
-	sim  *Sim
-	name string
-	w    *worker // the coroutine running the process
-	slot int     // index in sim.live
-	done *Signal
-	span obs.Span // current trace context, see trace.go
+	sim   *Sim
+	name  string
+	w     *worker // the coroutine running the process; nil for a step child outside a Block
+	slot  int     // index in sim.live
+	group *Group  // counts the process out when it finishes, or nil
+	done  Signal
+	span  obs.Span // current trace context, see trace.go
 
 	// A kernel-run operation in progress (Resource.Use, a transfer). step,
 	// when set, runs in the event loop at the process's next event instead
-	// of resuming it; it sets the step after it, or leaves none to resume
-	// the process. Steps are top-level functions over this state, so an
+	// of resuming it; it sets the step after it, or leaves none to end the
+	// operation. Steps are top-level functions over this state, so an
 	// operation allocates nothing.
-	step func(*Proc)
-	res  *Resource   // the resource the operation waits for or holds
-	hold Time        // how long it holds res once granted
-	then func(*Proc) // runs when res is released; nil resumes the process
-	src  *Node       // a transfer's sender, receiver and size
-	dst  *Node
-	size float64
-	try  bool  // TrySend: a down endpoint or a chaos drop fails the transfer
-	err  error // the transfer's result
+	step     func(*Proc)
+	next     func(*Proc) // the chain's step after the operation; nil ends the chain
+	block    func(*Proc) // a Block's code, due to run on a coroutine before next
+	unwind   func(*Proc) // the chain's cleanup, run if the simulation stops mid-chain
+	res      *Resource   // the resource the operation waits for or holds
+	hold     Time        // how long it holds res once granted
+	then     func(*Proc) // runs when res is released
+	src      *Node       // a transfer's sender, receiver and size
+	dst      *Node
+	size     float64
+	try      bool     // TrySend: a down endpoint or a chaos drop fails the transfer
+	err      error    // the transfer's result
+	sendSpan obs.Span // the transfer's trace span
 }
 
 // worker is a coroutine that runs processes one after another: when a
 // process function returns, the worker parks on the simulation's idle list
-// and the next Spawn runs on it. newWorker creates one.
+// and the next Spawn runs on it. Lent to a step child (fn nil), it runs the
+// child's Blocks instead. newWorker creates one.
 type worker struct {
 	resume  func() (struct{}, bool) // run the coroutine until it yields or ends
 	suspend func(struct{}) bool     // yield back to the loop, from inside the coroutine
@@ -240,47 +292,66 @@ func (p *Proc) Sim() *Sim { return p.sim }
 func (p *Proc) Now() Time { return p.sim.now }
 
 // Done returns a signal fired when the process function returns.
-func (p *Proc) Done() *Signal { return p.done }
+func (p *Proc) Done() *Signal { return &p.done }
 
 // Spawn registers a new process that starts at the current virtual time,
 // after the currently running process (if any) next yields. The returned
 // Proc can be waited on via Done.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, done: s.NewSignal()}
+	return s.spawn(name, fn, nil)
+}
+
+// spawn is Spawn for a process that group g, if any, counts out when it
+// finishes.
+func (s *Sim) spawn(name string, fn func(p *Proc), g *Group) *Proc {
+	p := &Proc{sim: s, name: name, group: g, done: Signal{sim: s}}
 	if s.stopped {
 		// The simulation is unwinding: return an inert process that never
 		// runs. Its Done signal never fires, but nothing can wait on it
 		// anymore either.
 		return p
 	}
-	p.slot = len(s.live)
-	s.live = append(s.live, p)
-	var w *worker
-	if n := len(s.idle); n > 0 {
-		w = s.idle[n-1]
-		s.idle = s.idle[:n-1]
-	} else {
-		w = s.newWorker()
-	}
+	s.enter(p)
+	w := s.worker()
 	w.p, w.fn, p.w = p, fn, w
 	s.schedule(s.now, p)
 	return p
 }
 
-// work is a worker coroutine's body: run a process, park on the idle list
-// and yield, run the process Spawn gives it next. Resumed once the
-// simulation has stopped, it returns (stop resumes every parked worker); a
-// process that calls runtime.Goexit ends it too, and the loop with it (see
-// RunUntil).
+// enter adds p to the live set.
+func (s *Sim) enter(p *Proc) {
+	p.slot = len(s.live)
+	s.live = append(s.live, p)
+}
+
+// worker takes a parked coroutine, or makes one.
+func (s *Sim) worker() *worker {
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return w
+	}
+	return s.newWorker()
+}
+
+// work is a worker coroutine's body: run a process (or a lent step child's
+// Blocks), park on the idle list and yield, run what it is given next.
+// Resumed once the simulation has stopped, it returns (stop resumes every
+// parked worker); a process that calls runtime.Goexit ends it too, and the
+// loop with it (see RunUntil).
 func (s *Sim) work(w *worker) {
 	for !s.stopped {
-		s.run(w)
+		if w.fn != nil {
+			s.run(w)
+		} else {
+			s.runBlocks(w)
+		}
 		s.idle = append(s.idle, w)
 		s.handTo = s.next()
 		w.suspend(struct{}{})
 	}
 	if w.p != nil { // spawned, never started
-		s.exit(w)
+		s.exit(w.p)
 	}
 }
 
@@ -290,24 +361,48 @@ func (s *Sim) run(w *worker) {
 	p, returned := w.p, false
 	defer func() {
 		if !returned {
-			r := recover()
-			if _, unwind := r.(stopUnwind); r != nil && !unwind && s.failure == nil {
-				s.failure = fmt.Sprintf("simnet: process %q panicked: %v", p.name, r)
-				s.stopped = true
-			}
+			s.fail(p, recover())
+		}
+		if g := p.group; g != nil {
+			g.countOut()
 		}
 		p.done.fire()
-		s.exit(w)
+		s.exit(p)
+		w.p, w.fn = nil, nil
 	}()
 	w.fn(p)
 	returned = true
 }
 
-// exit retires w's process: it leaves the live set and w is free. Its slot
-// becomes a hole; once holes are the majority, live is compacted in order
-// (never while stop walks it).
-func (s *Sim) exit(w *worker) {
-	s.live[w.p.slot] = nil
+// runBlocks runs the Blocks of the step child lent w, and the steps after
+// each, until its chain waits for an event or ends; an ended chain retires
+// the child. A panic or the simulation's stop ends the chain where it is.
+func (s *Sim) runBlocks(w *worker) {
+	p := w.p
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(p, r)
+			if u := p.unwind; u != nil {
+				p.unwind = nil
+				u(p)
+			}
+			s.exit(p)
+		}
+		w.p = nil
+	}()
+	for p.block != nil {
+		p.runBlock()
+	}
+	p.w = nil
+	if p.step == nil {
+		s.retire(p)
+	}
+}
+
+// exit takes p out of the live set. Its slot becomes a hole; once holes are
+// the majority, live is compacted in order (never while stop walks it).
+func (s *Sim) exit(p *Proc) {
+	s.live[p.slot] = nil
 	s.holes++
 	if !s.stopped && 2*s.holes > len(s.live) {
 		k := 0
@@ -321,7 +416,16 @@ func (s *Sim) exit(w *worker) {
 		clear(s.live[k:])
 		s.live, s.holes = s.live[:k], 0
 	}
-	w.p, w.fn = nil, nil
+}
+
+// retire ends a step child whose chain has ended: its group counts it out,
+// and its Proc goes back to the pool.
+func (s *Sim) retire(p *Proc) {
+	g := p.group
+	g.countOut()
+	s.exit(p)
+	*p = Proc{sim: s}
+	s.spare = append(s.spare, p)
 }
 
 // yield blocks the process until it is resumed again. It must only be
@@ -335,8 +439,74 @@ func (p *Proc) yield() {
 		s.handTo = q
 		p.w.suspend(struct{}{})
 		if s.stopped { // resumed by stop to unwind
+			if u := p.unwind; u != nil {
+				p.unwind = nil
+				u(p)
+			}
 			panic(stopUnwind{})
 		}
+	}
+}
+
+// wait blocks the process until the kernel-run operation it started ends;
+// an operation that ended at once (a failed TrySend) does not yield.
+func (p *Proc) wait() {
+	if p.step != nil {
+		p.checkStopped()
+		p.yield()
+	}
+}
+
+// Chain runs a step chain from the calling process: first runs now, each
+// later step in the event loop at its event, and the process is resumed
+// once, when the chain ends, or to run a Block on its own coroutine. If the
+// simulation stops mid-chain, unwind (if not nil) runs as the process
+// unwinds.
+func (p *Proc) Chain(first, unwind func(*Proc)) {
+	p.checkStopped()
+	outer := p.unwind
+	p.unwind = unwind
+	first(p)
+	for p.step != nil || p.block != nil {
+		if p.block != nil {
+			p.runBlock()
+		} else {
+			p.yield()
+		}
+	}
+	p.unwind = outer
+}
+
+// After is a step: next runs in d seconds (a negative or NaN d means now).
+func (p *Proc) After(d Time, next func(*Proc)) {
+	p.step = next
+	p.sim.after(p, d)
+}
+
+// Block is a step that runs fn, which may block, on a coroutine: the
+// process's own, or for a step child a parked one lent for this step only.
+// It adds no event: next (nil ends the chain) runs as soon as fn returns.
+func (p *Proc) Block(fn, next func(*Proc)) {
+	p.block, p.next = fn, next
+}
+
+// runBlock runs the pending Block on the calling coroutine, then the step
+// after it.
+func (p *Proc) runBlock() {
+	fn, next := p.block, p.next
+	p.block, p.next = nil, nil
+	fn(p)
+	if next != nil {
+		next(p)
+	}
+}
+
+// endOp ends a kernel-run operation: the chain's next step runs now, or, with
+// none, the chain ends.
+func endOp(p *Proc) {
+	if next := p.next; next != nil {
+		p.next = nil
+		next(p)
 	}
 }
 
@@ -396,20 +566,27 @@ func (s *Sim) loop(ended chan<- bool) {
 	done = true
 }
 
-// stop unwinds all remaining live processes, oldest first, then ends the
-// parked coroutines: each is resumed once more, sees the simulation stopped
+// stop unwinds all remaining live processes, oldest first (a step child
+// waiting for an event runs its chain's unwind), then ends the parked
+// coroutines: each is resumed once more, sees the simulation stopped
 // and returns.
 func (s *Sim) stop() {
 	s.stopped = true
 	for _, p := range s.live {
-		if p != nil {
+		switch {
+		case p == nil:
+		case p.w != nil:
 			p.w.resume()
+		case p.unwind != nil:
+			u := p.unwind
+			p.unwind = nil
+			u(p)
 		}
 	}
 	for _, w := range s.idle {
 		w.resume()
 	}
-	s.live, s.holes, s.idle, s.events, s.due = nil, 0, nil, nil, fifo[*Proc]{}
+	s.live, s.holes, s.idle, s.spare, s.events, s.due = nil, 0, nil, nil, nil, fifo[*Proc]{}
 }
 
 // fifo is a queue that reuses its backing array: once warm, pushing and

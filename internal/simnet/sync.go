@@ -27,7 +27,8 @@ func (g *Signal) fire() {
 	for _, p := range g.waiters {
 		g.sim.schedule(g.sim.now, p)
 	}
-	g.waiters = nil
+	clear(g.waiters)
+	g.waiters = g.waiters[:0] // a re-armed Group waits again without allocating
 }
 
 // Wait blocks the calling process until the signal fires.
@@ -65,14 +66,13 @@ func (s *Sim) NewResource(capacity int) *Resource {
 // the end.
 func (r *Resource) Use(p *Proc, hold Time) {
 	p.checkStopped()
-	p.use(r, hold, nil)
+	p.use(r, hold, endOp)
 	p.yield()
 }
 
 // use starts a kernel-run hold of r for hold seconds: the grant (now, or at
-// an event when r is busy), the hold's end, the release, then the step then
-// (nil ends the operation). A busy grant and the hold's end are one event
-// each. The caller yields.
+// an event when r is busy), the hold's end, the release, then the step
+// then. A busy grant and the hold's end are one event each.
 func (p *Proc) use(r *Resource, hold Time, then func(*Proc)) {
 	p.res, p.hold, p.then = r, hold, then
 	if r.inUse < r.capacity && r.waiters.len() == 0 {
@@ -98,9 +98,7 @@ func held(p *Proc) {
 	} else {
 		r.inUse--
 	}
-	if p.then != nil {
-		p.then(p)
-	}
+	p.then(p)
 }
 
 // Mailbox is an unbounded FIFO message queue between processes. Put never
@@ -132,37 +130,66 @@ func (m *Mailbox) Get(p *Proc) any {
 	return m.queue.pop()
 }
 
-// Group runs a set of child processes and lets the parent wait for all of
-// them, mirroring sync.WaitGroup for simulated processes.
+// Group runs a set of children — processes (Go) or step chains (Step) — and
+// lets the parent wait for all of them, mirroring sync.WaitGroup for
+// simulated processes.
 type Group struct {
 	sim     *Sim
 	pending int
-	done    *Signal
+	done    Signal
 }
 
 // NewGroup creates an empty group.
-func (s *Sim) NewGroup() *Group { return &Group{sim: s, done: s.NewSignal()} }
+func (s *Sim) NewGroup() *Group { return &Group{sim: s, done: Signal{sim: s}} }
 
-// Go spawns fn as a child process tracked by the group. A group whose
-// children have all finished is re-armed, so a Wait after this Go waits.
-func (g *Group) Go(name string, fn func(p *Proc)) {
+// add counts a child in. A group whose children have all finished is
+// re-armed, so a Wait after this add waits.
+func (g *Group) add() {
 	if g.pending == 0 {
 		g.done.fired = false // its waiters, if any, are already scheduled
 	}
 	g.pending++
-	g.sim.Spawn(name, func(p *Proc) {
-		defer func() {
-			g.pending--
-			if g.pending == 0 {
-				g.done.fire()
-			}
-		}()
-		fn(p)
-	})
 }
 
-// Wait blocks the calling process until every child spawned with Go has
-// finished. Waiting on an empty group returns immediately.
+// countOut counts a finished child out, releasing the waiters with the last.
+func (g *Group) countOut() {
+	g.pending--
+	if g.pending == 0 {
+		g.done.fire()
+	}
+}
+
+// Go spawns fn as a child process tracked by the group.
+func (g *Group) Go(name string, fn func(p *Proc)) {
+	g.add()
+	g.sim.spawn(name, fn, g)
+}
+
+// Step starts a child with no coroutine of its own: a pooled Proc whose step
+// chain (see the package doc) begins with first at the current instant, in
+// the order a Go child would start, and which the kernel counts out of the
+// group when the chain ends. If the simulation stops mid-chain, unwind (if
+// not nil) runs in the child's place among the live processes.
+func (g *Group) Step(name string, first, unwind func(*Proc)) {
+	g.add()
+	s := g.sim
+	if s.stopped {
+		return // inert, as Spawn's
+	}
+	var p *Proc
+	if n := len(s.spare); n > 0 {
+		p = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+	} else {
+		p = &Proc{sim: s}
+	}
+	p.name, p.group, p.step, p.unwind = name, g, first, unwind
+	s.enter(p)
+	s.schedule(s.now, p)
+}
+
+// Wait blocks the calling process until every child started with Go or
+// Step has finished. Waiting on an empty group returns immediately.
 func (g *Group) Wait(p *Proc) {
 	if g.pending == 0 {
 		return

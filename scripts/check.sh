@@ -74,7 +74,14 @@ done
 # Hot-path allocation contract, re-run WITHOUT the race detector: the
 # zero-alloc guards promise exact counts in the instrumentation-free build
 # that production runs, and -race (above) measures the instrumented build.
-go test -count=1 -run 'ZeroAlloc|NoSortAllocs' ./internal/wire/ ./internal/linalg/ ./internal/ml/lr/ ./internal/simnet/
+# The step-run shard call's pins are of the same kind: a CallShard round trip
+# allocates nothing, a fan-out nothing per shard.
+go test -count=1 -run 'ZeroAlloc|NoSortAllocs|AllocatesNothing|AllocsIndependentOfShards' ./internal/wire/ ./internal/linalg/ ./internal/ml/lr/ ./internal/simnet/ ./internal/ps/
+
+# The simulator's layer probes, by name: the kernel's host ns per event and
+# hand-offs per event on its three shapes, and the sim-lr-adam job's
+# events and allocations per iteration (ROADMAP item 25).
+go test -run '^$' -bench 'BenchmarkKernel|BenchmarkSimLRAdamJob' -benchtime 1x ./internal/simnet/ .
 
 # The wire server's sparse fused executor against its dense reference, on
 # schedules the fuzzer generates beyond the seed corpus the suite above ran;
@@ -88,8 +95,6 @@ go test -run XXX -fuzz FuzzPullRangeResponse -fuzztime 10s ./internal/wire/
 
 # Benchmark smoke gate: every benchmark in the repo must still run to
 # completion (one iteration each) so `make bench` cannot rot unnoticed.
-# BenchmarkKernel's two shapes (mailbox ping-pong, a 20-way CallShard-like
-# fan-out) print the simulator's host ns per event here.
 # BenchmarkGenerateClassify (the three benchmark datasets) and
 # BenchmarkWideRowFirstTouch (a fresh 4 M-wide shard row's page faults) show
 # the two fixed costs of the dense TCP workload; BenchmarkPullRangeWide (one
