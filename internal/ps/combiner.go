@@ -7,11 +7,12 @@ package ps
 // element merge by addition before ever touching the wire — so n pushes into
 // a hot row cost one request framing per server instead of n.
 //
-// Flush rides Matrix.CallShard with Mutates set, so each per-server flush
-// carries a dedup request ID: a flush retried through message loss or a
-// server crash re-applies exactly once per server incarnation, never
-// double-applying a delta. The buffered deltas are snapshotted when Flush
-// starts; Adds issued while a flush is in flight land in the next batch.
+// Flush issues one call per server with Mutates set, as the plain operators
+// do, so each per-server flush carries a dedup request ID: a flush retried
+// through message loss or a server crash re-applies exactly once per server
+// incarnation, never double-applying a delta. The buffered deltas are
+// snapshotted when Flush starts; Adds issued while a flush is in flight land
+// in the next batch.
 //
 // Semantics: combining defers when deltas become visible (at flush, not at
 // Add) and changes the order contributions to one element are summed in, so
@@ -140,7 +141,7 @@ func (b *PushBuffer) Pending() int { return len(b.sparse) + len(b.dense) }
 // that has any, applying dense then sparse deltas in sorted row/column order
 // (deterministic regardless of accumulation order). Returns the first
 // shard's error when a server stays unreachable; the buffer is cleared
-// either way — retries happen inside CallShard, and each server call is
+// either way — retries happen inside each server's call, and each is
 // dedup'd, so no delta can be double-applied.
 func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 	if len(b.sparse) == 0 && len(b.dense) == 0 {
@@ -161,64 +162,58 @@ func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 	}
 
 	denseRows := sortedKeys(dense)
-	type sparsePart struct {
-		row  int
-		cols []int
+	// Each dirty row's columns split by server, already sorted (SplitIndices
+	// preserves the sorted column order).
+	rows := sortedKeys(sparse)
+	splits := make([][][]int, len(rows))
+	for i, row := range rows {
+		splits[i] = b.mat.Part.SplitIndices(sortedKeys(sparse[row]))
 	}
-	// Per-server sparse payload: each dirty row's columns within the shard,
-	// already sorted (SplitIndices preserves the sorted column order).
-	parts := make([][]sparsePart, b.mat.Part.NumServers())
-	nnz := make([]int, b.mat.Part.NumServers())
-	for _, row := range sortedKeys(sparse) {
-		split := b.mat.Part.SplitIndices(sortedKeys(sparse[row]))
-		for s, cols := range split {
-			if len(cols) > 0 {
-				parts[s] = append(parts[s], sparsePart{row: row, cols: cols})
-				nnz[s] += len(cols)
+	// Every shard's touched rows, in one array that never grows, so the
+	// slices handed to the calls stay put.
+	n := b.mat.Part.NumServers()
+	touched := make([]int, 0, n*(len(denseRows)+len(rows)))
+	nnz := make([]int, n)
+	spec := CallSpec{
+		Name:      "push-combined",
+		RespBytes: cost.RequestOverheadB, // ack
+		Work: func(s, _ int) float64 {
+			return cost.ElemWork(nnz[s] + len(denseRows)*b.mat.Part.Width(s))
+		},
+		Mutates: true,
+		Fn: func(s int, sh *Shard) error {
+			for _, row := range denseRows {
+				sh.GatherAdd(sh.Rows[row], dense[row])
+			}
+			for i, row := range rows {
+				out, deltas := sh.Rows[row], sparse[row]
+				for _, col := range splits[i][s] {
+					out[sh.Local(col)] += deltas[col]
+				}
+			}
+			return nil
+		},
+		delivered: func(c *CallSpec) { m.Cache.FlushedBytes += c.ReqBytes + cost.RequestOverheadB },
+	}
+	err := b.mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+		start := len(touched)
+		touched = append(touched, denseRows...)
+		for i, row := range rows {
+			if k := len(splits[i][s]); k > 0 {
+				touched = append(touched, row)
+				nnz[s] += k
 			}
 		}
-	}
-	err := b.mat.fanOutProcs(p, "flush", func(s int) shardBody {
-		if len(parts[s]) == 0 && len(denseRows) == 0 {
-			return nil
+		sparseRows := len(touched) - start - len(denseRows)
+		if sparseRows == 0 && len(denseRows) == 0 {
+			return false
 		}
 		width := b.mat.Part.Width(s)
-		touched := append([]int(nil), denseRows...)
-		for _, sp := range parts[s] {
-			touched = append(touched, sp.row)
-		}
-		elems := nnz[s] + len(denseRows)*width
-		reqBytes := cost.RequestOverheadB +
-			12*float64(nnz[s]) + 4*float64(len(parts[s])) + // sparse (col,val) pairs + row headers
+		c.ReqBytes = cost.RequestOverheadB +
+			12*float64(nnz[s]) + 4*float64(sparseRows) + // sparse (col,val) pairs + row headers
 			8*float64(len(denseRows)*width) + 4*float64(len(denseRows)) // dense stretches + row headers
-		return func(cp *simnet.Proc) error {
-			err := b.mat.CallShard(cp, from, CallSpec{
-				Name:      "push-combined",
-				Shard:     s,
-				ReqBytes:  reqBytes,
-				RespBytes: cost.RequestOverheadB, // ack
-				Work:      func(int, int) float64 { return cost.ElemWork(elems) },
-				Mutates:   true,
-				Touched:   touched,
-				Fn: func(_ int, sh *Shard) error {
-					for _, row := range denseRows {
-						sh.GatherAdd(sh.Rows[row], dense[row])
-					}
-					for _, sp := range parts[s] {
-						out := sh.Rows[sp.row]
-						deltas := sparse[sp.row]
-						for _, col := range sp.cols {
-							out[sh.Local(col)] += deltas[col]
-						}
-					}
-					return nil
-				},
-			})
-			if err == nil {
-				m.Cache.FlushedBytes += reqBytes + cost.RequestOverheadB
-			}
-			return err
-		}
+		c.Touched = touched[start:len(touched):len(touched)]
+		return true
 	})
 	m.Cache.Flushes++
 	return err

@@ -115,6 +115,11 @@ type CallSpec struct {
 	// has admission control installed (serve.go). The zero value is
 	// ClassTrain, so every pre-existing operator is training traffic.
 	Class Class
+
+	// delivered, if set, runs when the response is delivered, at the point
+	// where a process would go on after CallShard returned nil. It gets the
+	// spec the call ran.
+	delivered func(spec *CallSpec)
 }
 
 // NetStats counts data-plane RPC activity on a master. Calls is the number
@@ -434,6 +439,9 @@ func (c *call) responseSent(p *simnet.Proc) {
 	m.Load[c.srv.Index].Ops++
 	m.Load[c.srv.Index].Bytes += c.spec.ReqBytes + c.respBytes
 	c.finish(p, nil)
+	if d := c.spec.delivered; d != nil {
+		d(&c.spec)
+	}
 }
 
 // transferred counts a delivered message's bytes and reports true, or, for

@@ -69,6 +69,46 @@ func TestSparsePullAllocsIndependentOfShards(t *testing.T) {
 	}
 }
 
+// TestFlushAllocsIndependentOfShards: a write-combined round, one Add of
+// 200 columns spread over every shard and the Flush that ships it, allocates
+// the same, fixed number of objects on 20 servers as on 2: the buffer's
+// maps, the split, the flush's bookkeeping in one array each and the
+// fan-out's scaffolding, none of it per shard. Every shard's call counts its
+// request and ack in FlushedBytes once.
+func TestFlushAllocsIndependentOfShards(t *testing.T) {
+	const dim, want, rounds = 4000, 28, 50
+	measure := func(servers int) float64 {
+		sim, cl, m := testMaster(servers)
+		var allocs float64
+		run(sim, func(p *simnet.Proc) {
+			mat := Must(m.CreateMatrix(p, 1, dim))
+			w := cl.Executors[0]
+			indices := make([]int, 0, 200)
+			for c := 7; c < dim; c += 20 {
+				indices = append(indices, c)
+			}
+			delta := Must(linalg.NewSparse(indices, make([]float64, len(indices))))
+			b := NewPushBuffer(mat)
+			round := func() {
+				MustOK(b.Add(0, delta))
+				MustOK(b.Flush(p, w))
+			}
+			round()
+			allocs = testing.AllocsPerRun(rounds, round) // one more round to warm up
+		})
+		// Per shard: framing, 12 bytes a column and one row header, the ack.
+		overhead := m.Cl.Cost.RequestOverheadB
+		if got, want := m.Cache.FlushedBytes, float64(rounds+2)*(float64(servers)*(2*overhead+4)+12*200); got != want {
+			t.Errorf("%d servers: FlushedBytes %v, want %v", servers, got, want)
+		}
+		return allocs
+	}
+	two, twenty := measure(2), measure(20)
+	if two != twenty || twenty != want {
+		t.Fatalf("an Add and its Flush allocate %v times on 2 servers and %v on 20, want %d on both", two, twenty, want)
+	}
+}
+
 // TestStoppedCallsCloseTheirSpans: a RunUntil that cuts a traced, lossy run
 // mid-fan-out unwinds every call in flight — from a process or a step child
 // — as the process it replaced did: its RPC span ends at the cut and its

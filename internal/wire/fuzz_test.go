@@ -95,22 +95,30 @@ func FuzzReadResponseReuse(f *testing.F) {
 }
 
 // FuzzPullRangeResponse feeds raw response bytes through what the client
-// runs on a range pull: the header read, then the piecewise decode with the
-// header's buffer as the piece scratch. Beyond the common properties, the
-// decode must leave unread exactly the bytes after the frame, and must not
-// hold more than one piece or the text of an error in its scratch.
+// runs on a range pull: the header read, then the piecewise decode of
+// either layout with the header's buffer as the piece scratch. Beyond the
+// common properties, the decode must leave unread exactly the bytes after
+// the frame, and must not hold more than one piece or the text of an error
+// in its scratch. A sparse frame's row may be wider than its bytes, but no
+// wider than a shard can be; it re-encodes from the decoded row and the
+// columns the frame listed, so a pair the decoder let through out of order
+// or twice cannot re-encode to the same bytes.
 func FuzzPullRangeResponse(f *testing.F) {
-	var valid bytes.Buffer
-	if err := WriteResponse(&valid, appendPullRangeResp(nil, 40, []float64{1.5, -2.25, math.Inf(1)}), nil); err != nil {
-		f.Fatal(err)
+	frame := func(payload []byte) []byte {
+		var b bytes.Buffer
+		if err := WriteResponse(&b, payload, nil); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	seedVariants(f, valid.Bytes(), 4) // plen sits at header offset 4
+	valid := frame(appendPullRangeResp(nil, 40, []float64{1.5, -2.25, math.Inf(1)}))
+	seedVariants(f, valid, 4) // plen sits at header offset 4
 	for _, claim := range []uint32{4, MaxPayload / 8, math.MaxUint32} {
-		inflated := append([]byte{}, valid.Bytes()...)
+		inflated := append([]byte{}, valid...)
 		binary.LittleEndian.PutUint32(inflated[respHeaderLen+4:], claim) // the value count
 		f.Add(inflated)
 	}
-	failed := append([]byte{}, valid.Bytes()...)
+	failed := append([]byte{}, valid...)
 	failed[2] = 1 // status: application error
 	f.Add(failed)
 	// A row wider than one piece, whole and cut inside its second piece.
@@ -118,12 +126,30 @@ func FuzzPullRangeResponse(f *testing.F) {
 	for i := range wide {
 		wide[i] = float64(i) - 0.5
 	}
-	var long bytes.Buffer
-	if err := WriteResponse(&long, appendPullRangeResp(nil, 0, wide), nil); err != nil {
-		f.Fatal(err)
+	long := frame(appendPullRangeResp(nil, 0, wide))
+	f.Add(long)
+	f.Add(long[:len(long)-8])
+
+	// The sparse layout: a valid frame and its neighbours, then pairs the
+	// decoder must refuse.
+	negZero := math.Copysign(0, -1)
+	seedVariants(f, frame(sparseRangePayload(40, 10, []int{1, 4, 9}, []float64{1.5, negZero, math.Inf(1)})), 4)
+	for _, bad := range [][]byte{
+		sparseRangePayload(0, 2, []int{0, 1, 1}, []float64{1, 2, 3}),  // k > n
+		sparseRangePayload(0, 10, []int{2, 10}, []float64{1, 2}),      // a column ≥ n
+		sparseRangePayload(0, 10, []int{5, 3}, []float64{1, 2}),       // descending
+		sparseRangePayload(0, 10, []int{2, 3, 3}, []float64{1, 2, 3}), // duplicated
+	} {
+		f.Add(frame(bad))
 	}
-	f.Add(long.Bytes())
-	f.Add(long.Bytes()[:long.Len()-8])
+	// More pairs than one piece holds, whole and cut inside the second piece.
+	cols := make([]int, rangePiece/12+100)
+	for i := range cols {
+		cols[i] = 2*i + 1
+	}
+	longSparse := frame(sparseRangePayload(0, 2*len(cols), cols, wide[:len(cols)]))
+	f.Add(longSparse)
+	f.Add(longSparse[:len(longSparse)-8])
 
 	buf := []byte("stale scratch from the previous response")
 	vals := make([]float64, staleScratch)
@@ -136,20 +162,38 @@ func FuzzPullRangeResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		sparse := plen >= 8 && len(in) >= respHeaderLen+8 &&
+			binary.LittleEndian.Uint32(in[respHeaderLen+4:])&sparseRange != 0
 		nb, nv := cap(buf), cap(vals)
 		lo, got, err := readPullRangeResp(r, plen, &buf, &vals)
 		if cap(buf) > max(nb, rangePiece) {
 			t.Fatalf("the decode grew its scratch from %d to %d bytes, past one piece", nb, cap(buf))
 		}
-		grewWithin(t, "value", nv, cap(vals), len(in), 8)
+		if !sparse {
+			grewWithin(t, "value", nv, cap(vals), len(in), 8)
+		} else if cap(vals) > max(nv, maxRowWidth) {
+			t.Fatalf("value scratch grew from %d to %d elements, past the widest shard row", nv, cap(vals))
+		}
 		if err != nil {
 			return
 		}
 		if consumed := len(in) - r.Len(); consumed != respHeaderLen+plen {
 			t.Fatalf("decode consumed %d bytes of a %d-byte frame", consumed, respHeaderLen+plen)
 		}
+		var payload []byte
+		if sparse {
+			k := (plen - 12) / 12
+			words := make([]uint64, (len(got)+63)/64)
+			for i := range k {
+				c := binary.LittleEndian.Uint32(in[respHeaderLen+12+12*i:])
+				words[c>>6] |= 1 << (c & 63)
+			}
+			payload = appendSparseRange(nil, lo, got, words, k)
+		} else {
+			payload = appendPullRangeResp(nil, lo, got)
+		}
 		var out bytes.Buffer
-		if err := WriteResponse(&out, appendPullRangeResp(nil, lo, got), nil); err != nil {
+		if err := WriteResponse(&out, payload, nil); err != nil {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
 		want := append([]byte{}, in[:respHeaderLen+plen]...)
@@ -158,6 +202,21 @@ func FuzzPullRangeResponse(f *testing.F) {
 			t.Fatal("re-encoded response differs from the bytes consumed")
 		}
 	})
+}
+
+// sparseRangePayload is a sparse-layout PullRange response payload for an
+// n-wide row, listing cols in the order given, with vals: encoded pair by
+// pair, so it can also be one the decoder must refuse.
+func sparseRangePayload(lo, n int, cols []int, vals []float64) []byte {
+	var e enc
+	e.u32(uint32(lo))
+	e.u32(uint32(n) | sparseRange)
+	e.u32(uint32(len(cols)))
+	for i, c := range cols {
+		e.u32(uint32(c))
+		e.f64(vals[i])
+	}
+	return e.b
 }
 
 // grewWithin fails the test when a decode grew its scratch (from before to

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -348,7 +349,17 @@ func DecodeFusedInto(p []byte, opsBuf *[]FusedOp) (mat uint32, ops []FusedOp, er
 	return mat, ops, d.done()
 }
 
-// --- PullRange: request mat, row; response lo, vals (the shard's stretch) ---
+// --- PullRange: request mat, row; response lo, then the row's values ---
+//
+// A range response has one of two layouts, told apart by the sparseRange
+// bit of its second word:
+//
+//	dense:  u32 lo, u32 n,               n × f64            (8 + 8n bytes)
+//	sparse: u32 lo, u32 n | sparseRange, u32 k, k × (u32 c, f64 v)
+//	                                                        (12 + 12k bytes)
+//
+// n is the row's width. The sparse layout lists k local columns in strictly
+// ascending order with their values; every other column holds +0.
 
 // AppendPullRangeReq appends the PullRange request payload to dst.
 func AppendPullRangeReq(dst []byte, mat uint32, row int) []byte {
@@ -365,10 +376,14 @@ func decodePullRangeReq(p []byte) (mat uint32, row int, err error) {
 	return mat, row, d.done()
 }
 
-// appendRangePrefix appends a PullRange response payload's first 8 bytes,
-// the range's first column and its value count, to dst. The values follow
-// as 8 little-endian bytes each; the server writes them from the row itself
-// (writeRangeResp), so no encoder builds the whole payload.
+// sparseRange marks a range response's second word as the width of a row
+// sent in the sparse layout. No row is that wide (maxRowWidth < 2³¹).
+const sparseRange = 1 << 31
+
+// appendRangePrefix appends a dense PullRange response payload's first 8
+// bytes, the range's first column and its value count, to dst. The values
+// follow as 8 little-endian bytes each; the server writes them from the row
+// itself (writeRangeResp), so no encoder builds the whole payload.
 func appendRangePrefix(dst []byte, lo, n int) []byte {
 	e := enc{b: dst}
 	e.u32(uint32(lo))
@@ -376,14 +391,34 @@ func appendRangePrefix(dst []byte, lo, n int) []byte {
 	return e.b
 }
 
+// appendSparseRange appends a whole PullRange response payload in the
+// sparse layout to dst: row's k members, the set bits of the membership
+// bitmap words, in column order with their values.
+func appendSparseRange(dst []byte, lo int, row []float64, words []uint64, k int) []byte {
+	e := enc{b: dst}
+	e.reserve(12 + 12*k)
+	e.u32(uint32(lo))
+	e.u32(uint32(len(row)) | sparseRange)
+	e.u32(uint32(k))
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			c := i<<6 | bits.TrailingZeros64(w)
+			e.u32(uint32(c))
+			e.f64(row[c])
+		}
+	}
+	return e.b
+}
+
 // rangePiece is how many payload bytes writeRangeResp and readPullRangeResp
-// hold at a time on a big-endian host.
+// hold at a time on a big-endian host, and readPullRangeResp holds of a
+// sparse response's pairs on any host.
 const rangePiece = 64 << 10
 
-// writeRangeResp writes a whole PullRange response to w: the header, the
-// payload's 8-byte prefix and vals. On a little-endian host vals leave as
-// one block of their own memory; elsewhere they are encoded through piece,
-// a scratch buffer grown to at most rangePiece bytes. Either way the
+// writeRangeResp writes a whole dense PullRange response to w: the header,
+// the payload's 8-byte prefix and vals. On a little-endian host vals leave
+// as one block of their own memory; elsewhere they are encoded through
+// piece, a scratch buffer grown to at most rangePiece bytes. Either way the
 // response is never copied whole.
 func writeRangeResp(w io.Writer, prefix []byte, vals []float64, piece *[]byte) error {
 	if err := writeResponseHeader(w, 0, len(prefix)+8*len(vals)); err != nil {
@@ -411,14 +446,14 @@ func writeRangeResp(w io.Writer, prefix []byte, vals []float64, piece *[]byte) e
 }
 
 // readPullRangeResp reads a PullRange response payload of plen bytes from r,
-// decoding it into *valsBuf (grown as needed). The value count must account
-// for plen exactly before any value is read. On a little-endian host the
-// values are read straight into their memory; elsewhere they are decoded
-// through piece, a scratch buffer grown to at most rangePiece bytes. Either
-// way a range response, which runs to tens of megabytes, is never held
-// whole beside its values. Read errors come back as r returned them; on any
-// error an unknown part of the payload is left unread. The returned vals
-// alias *valsBuf.
+// in either layout, decoding it into *valsBuf (grown as needed). The payload
+// must account for plen exactly before any value is read. Dense values are
+// read straight into their memory on a little-endian host; elsewhere, and a
+// sparse response's pairs everywhere, go through piece, a scratch buffer
+// grown to at most rangePiece bytes. Either way a range response, which runs
+// to tens of megabytes, is never held whole beside its values. Read errors
+// come back as r returned them; on any error an unknown part of the payload
+// is left unread. The returned vals alias *valsBuf.
 func readPullRangeResp(r io.Reader, plen int, piece *[]byte, valsBuf *[]float64) (lo int, vals []float64, err error) {
 	if plen < 8 {
 		return 0, nil, errShortPayload
@@ -429,6 +464,10 @@ func readPullRangeResp(r io.Reader, plen int, piece *[]byte, valsBuf *[]float64)
 	}
 	lo = int(binary.LittleEndian.Uint32(h))
 	n := int(binary.LittleEndian.Uint32(h[4:]))
+	if n&sparseRange != 0 {
+		vals, err = readSparseRange(r, plen, n&^sparseRange, piece, valsBuf)
+		return lo, vals, err
+	}
 	if plen != 8+8*n {
 		return 0, nil, fmt.Errorf("wire: range response of %d bytes claims %d values", plen, n)
 	}
@@ -449,6 +488,48 @@ func readPullRangeResp(r io.Reader, plen int, piece *[]byte, valsBuf *[]float64)
 		rest = rest[k:]
 	}
 	return lo, vals, nil
+}
+
+// readSparseRange reads the rest of a sparse range response of plen bytes,
+// after its first 8, for a row n wide: the member count, then the pairs a
+// piece at a time, each scattered into place. The row's other columns are
+// +0: a buffer growFloats has just allocated is already, a reused one is
+// cleared.
+func readSparseRange(r io.Reader, plen, n int, piece *[]byte, valsBuf *[]float64) ([]float64, error) {
+	if plen < 12 {
+		return nil, errShortPayload
+	}
+	h := grow(piece, 4)
+	if _, err := io.ReadFull(r, h); err != nil {
+		return nil, err
+	}
+	k := int(binary.LittleEndian.Uint32(h))
+	if n > maxRowWidth || k > n || plen != 12+12*k {
+		return nil, fmt.Errorf("wire: sparse range response of %d bytes claims %d of %d columns", plen, k, n)
+	}
+	fresh := cap(*valsBuf) < n
+	vals := growFloats(valsBuf, n)
+	if !fresh {
+		clear(vals)
+	}
+	next := 0 // the lowest column the next pair may name
+	for rest := k; rest > 0; {
+		m := min(rest, rangePiece/12)
+		d := dec{b: grow(piece, 12*m)}
+		if _, err := io.ReadFull(r, d.b); err != nil {
+			return nil, err
+		}
+		for range m {
+			c := int(d.u32())
+			if c < next || c >= n {
+				return nil, fmt.Errorf("wire: sparse range response names column %d out of order or past the row's %d columns", c, n)
+			}
+			vals[c] = d.f64()
+			next = c + 1
+		}
+		rest -= m
+	}
+	return vals, nil
 }
 
 // --- Stats: empty request; response is the server's counters ---

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"net"
 	"runtime/debug"
@@ -220,9 +221,9 @@ func (w *cutWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRangePullLease: a range pull of any width lends its shard row instead
-// of copying it. handle answers with the payload's 8-byte prefix, counts the
-// whole response in BytesOut and leaves the row itself on lease. A PushAdd
+// TestRangePullLease: a range pull of a dense row of any width lends the row
+// instead of copying it. handle answers with the payload's 8-byte prefix,
+// counts the whole response in BytesOut and leaves the row itself on lease. A PushAdd
 // or a Fused step on the leased row leaves the lent bytes as they were at
 // the pull while the shard sees the write, and respond drops the lease once
 // the frame is written, also when the write fails. It replaces
@@ -243,6 +244,7 @@ func TestRangePullLease(t *testing.T) {
 	// connection buffer, plus one.
 	for mat, width := range map[uint32]int{1: 1 << 10, 2: arena.ReuseCap/8 + 1} {
 		mutate(OpCreateShard, AppendCreateShard(nil, mat, 2, 0, width))
+		fillRow(s, mat, 0) // a row with a tracked support would take the sparse layout
 		mutate(OpPushAdd, AppendPushAdd(nil, mat, 1, []int{0, width - 1}, []float64{2, 3}))
 		pull := func() []byte {
 			t.Helper()
@@ -307,6 +309,96 @@ func TestRangePullLease(t *testing.T) {
 		if l.n.Load() != 0 || sc.lease != nil || sc.lent != nil {
 			t.Fatalf("width %d: lease still held after the write failed", width)
 		}
+	}
+}
+
+// TestRangePullSparse: a range pull of a row whose support is tracked
+// answers with the support alone. The whole payload is built under the
+// mutex and no lease is taken; BytesOut counts header + 12 + 12k. The client
+// decodes the shard row bit for bit, a -0 inside the support included, into
+// a fresh buffer and into a dirty reused one. At the edges the layout is the
+// smaller one: a 0-wide shard answers dense, a row of width/16 members
+// sparse, and one member more turns the row dense.
+func TestRangePullSparse(t *testing.T) {
+	const lo, width = 100, 1 << 12
+	srv, addr := startServer(t)
+	c := NewClient([]string{addr}, fastRetry())
+	t.Cleanup(c.Close)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(c.CreateShard(0, 1, 1, lo, lo+width))
+	// -1e-300 scaled by 1e-300 underflows to -0; the members arrive out of
+	// column order, and two share a bitmap word.
+	must(c.PushAdd(0, 1, 0, []int{lo + 70}, []float64{-1e-300}))
+	must(c.Fused(0, 1, []FusedOp{{Kind: FScale, Row: 0, Scale: 1e-300}}))
+	must(c.PushAdd(0, 1, 0, []int{lo + 4000, lo + 7, lo + 64, lo + 63, lo + 3000}, []float64{1.5, -2, math.Pi, 1, math.Inf(-1)}))
+	const k = 6
+	shardRow := srv.mats[1].Rows[0]
+	if math.Float64bits(shardRow[70]) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("column 70 holds %v, want -0", shardRow[70])
+	}
+
+	var sc connScratch
+	before := srv.Stats().BytesOut
+	resp, err := srv.handle(Frame{Op: OpPullRange, Payload: AppendPullRangeReq(nil, 1, 0)}, &sc)
+	must(err)
+	if sc.lease != nil || sc.lent != nil || len(resp) != 12+12*k {
+		t.Fatalf("answered %d bytes, lease %v, %d values lent; want the %d-byte sparse payload and no lease", len(resp), sc.lease, len(sc.lent), 12+12*k)
+	}
+	if grew, want := srv.Stats().BytesOut-before, uint64(respHeaderLen+12+12*k); grew != want {
+		t.Fatalf("BytesOut grew by %d, want header + 12 + 12k = %d", grew, want)
+	}
+
+	dirty := make([]float64, width+5)
+	for i := range dirty {
+		dirty[i] = math.NaN()
+	}
+	for _, tc := range []struct {
+		name string
+		buf  []float64
+	}{{"fresh", nil}, {"reused", dirty}} {
+		before := c.Stats().BytesIn
+		var got int
+		buf := tc.buf
+		must(c.PullRangeInto(0, 1, 0, &got, &buf))
+		if got != lo || !equalFloats(buf, shardRow) {
+			t.Fatalf("%s buffer: got lo %d and a row unlike the shard's", tc.name, got)
+		}
+		if grew, want := c.Stats().BytesIn-before, uint64(respHeaderLen+12+12*k); grew != want {
+			t.Fatalf("%s buffer: BytesIn grew by %d, want %d", tc.name, grew, want)
+		}
+	}
+
+	// The edges: payload bytes, the lent row's included.
+	layout := func(mat uint32) int {
+		t.Helper()
+		resp, err := srv.handle(Frame{Op: OpPullRange, Payload: AppendPullRangeReq(nil, mat, 0)}, &sc)
+		must(err)
+		n := len(resp) + 8*len(sc.lent)
+		must(respond(io.Discard, resp, nil, &sc))
+		return n
+	}
+	must(c.CreateShard(0, 2, 1, 5, 5))
+	if n := layout(2); n != 8 {
+		t.Fatalf("a 0-wide shard answered %d payload bytes, want the 8 of the dense layout", n)
+	}
+	const w = 1 << 10
+	must(c.CreateShard(0, 3, 1, 0, w))
+	cols := make([]int, w/denseFraction)
+	for i := range cols {
+		cols[i] = 3*i + 1
+	}
+	must(c.PushAdd(0, 3, 0, cols, make([]float64, len(cols))))
+	if n := layout(3); n != 12+12*len(cols) {
+		t.Fatalf("a row of %d members in %d columns answered %d payload bytes, want %d", len(cols), w, n, 12+12*len(cols))
+	}
+	must(c.PushAdd(0, 3, 0, []int{w - 1}, []float64{1}))
+	if n := layout(3); n != 8+8*w {
+		t.Fatalf("a dense row of %d columns answered %d payload bytes, want %d", w, n, 8+8*w)
 	}
 }
 
@@ -411,54 +503,73 @@ func TestRangePullNeverTorn(t *testing.T) {
 }
 
 // BenchmarkPullRangeWide times one range pull of a 4 M-wide row over
-// loopback, from a fresh server and from a warm one. The row is lent to the
-// pull and written from its own memory, so a fresh server faults in no
-// response buffer; the client decodes into a buffer it reuses. The heap is
-// handed back to the OS before each fresh pull.
+// loopback, from a fresh server and from a warm one, for a dense row and for
+// a row whose support holds 20 617 columns, which is how tcp-lr-dense's
+// weight row ends. The dense row is lent to the pull and written from its
+// own memory, so a fresh server faults in no response buffer; the sparse
+// row ships its 20 617 pairs. The client decodes into a buffer it reuses.
+// The heap is handed back to the OS before each fresh pull.
 func BenchmarkPullRangeWide(b *testing.B) {
 	const width = 4000000
-	boot := func(b *testing.B) (*Server, *Client) {
-		srv := NewServer()
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
+	for _, shape := range []struct {
+		name    string
+		members int // 0: every column, the support dense
+	}{{"dense", 0}, {"sparse", 20617}} {
+		boot := func(b *testing.B) (*Server, *Client) {
+			srv := NewServer()
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go srv.Serve()
+			c := NewClient([]string{addr}, wideRetry())
+			if err := c.CreateShard(0, 1, 1, 0, width); err != nil {
+				b.Fatal(err)
+			}
+			if shape.members == 0 {
+				fillRow(srv, 1, 0)
+				return srv, c
+			}
+			cols := make([]int, shape.members)
+			vals := make([]float64, shape.members)
+			for i := range cols {
+				cols[i] = i * (width / shape.members)
+				vals[i] = math.Sin(float64(i))
+			}
+			if err := c.PushAdd(0, 1, 0, cols, vals); err != nil {
+				b.Fatal(err)
+			}
+			return srv, c
 		}
-		go srv.Serve()
-		c := NewClient([]string{addr}, wideRetry())
-		if err := c.CreateShard(0, 1, 1, 0, width); err != nil {
-			b.Fatal(err)
+		vals := make([]float64, 0, width)
+		var lo int
+		pull := func(b *testing.B, c *Client) {
+			if err := c.PullRangeInto(0, 1, 0, &lo, &vals); err != nil {
+				b.Fatal(err)
+			}
 		}
-		fillRow(srv, 1, 0)
-		return srv, c
-	}
-	vals := make([]float64, 0, width)
-	var lo int
-	pull := func(b *testing.B, c *Client) {
-		if err := c.PullRangeInto(0, 1, 0, &lo, &vals); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("fresh", func(b *testing.B) {
-		for range b.N {
-			b.StopTimer()
+		b.Run(shape.name+"/fresh", func(b *testing.B) {
+			for range b.N {
+				b.StopTimer()
+				srv, c := boot(b)
+				debug.FreeOSMemory()
+				b.StartTimer()
+				pull(b, c)
+				b.StopTimer()
+				c.Close()
+				srv.Close()
+				b.StartTimer()
+			}
+		})
+		b.Run(shape.name+"/warm", func(b *testing.B) {
 			srv, c := boot(b)
-			debug.FreeOSMemory()
-			b.StartTimer()
+			defer srv.Close()
+			defer c.Close()
 			pull(b, c)
-			b.StopTimer()
-			c.Close()
-			srv.Close()
-			b.StartTimer()
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		srv, c := boot(b)
-		defer srv.Close()
-		defer c.Close()
-		pull(b, c)
-		b.ResetTimer()
-		for range b.N {
-			pull(b, c)
-		}
-	})
+			b.ResetTimer()
+			for range b.N {
+				pull(b, c)
+			}
+		})
+	}
 }

@@ -14,12 +14,14 @@ package wire
 // its response is written, so a client that holds its answer finds the
 // frame in the next Stats reply, whichever connection carries it.
 //
-// A range pull copies nothing: under the mutex it puts a lease on the row,
-// and its connection writes the row's own memory to the socket after the
-// mutex is released, so a slow reader of a wide row holds up no other
-// connection. A write to a leased row copies the row first (support.go,
-// own), so the response is the row exactly as it was when the pull was
-// handled. The mutex is never held across a socket write.
+// A range pull of a row whose support is tracked answers with the support
+// alone, its (column, value) pairs encoded under the mutex (payload.go).
+// A range pull of a dense row copies nothing: under the mutex it puts a
+// lease on the row, and its connection writes the row's own memory to the
+// socket after the mutex is released, so a slow reader of a wide row holds
+// up no other connection. A write to a leased row copies the row first
+// (support.go, own), so the response is the row exactly as it was when the
+// pull was handled. The mutex is never held across a socket write.
 
 import (
 	"bufio"
@@ -220,9 +222,9 @@ func nextFrameBuffered(r *bufio.Reader) bool {
 	return err == nil && n-reqHeaderLen >= int(binary.LittleEndian.Uint32(h[20:]))
 }
 
-// respond writes one frame's answer to w. A range pull's answer is resp,
-// its 8-byte prefix, followed by the lent row's values; its lease is dropped
-// once the write returns, whether it succeeded or not.
+// respond writes one frame's answer to w. A lent range pull's answer is
+// resp, its 8-byte prefix, followed by the lent row's values; its lease is
+// dropped once the write returns, whether it succeeded or not.
 func respond(w io.Writer, resp []byte, appErr error, sc *connScratch) error {
 	if sc.lease == nil {
 		return WriteResponse(w, resp, appErr)
@@ -236,10 +238,10 @@ func respond(w io.Writer, resp []byte, appErr error, sc *connScratch) error {
 
 // handle executes one frame under the store mutex and returns the response
 // payload (possibly aliasing sc's scratch — valid until the next frame on
-// this connection). A range pull returns only the payload's 8-byte prefix
-// and leaves its row on lease in sc.lent for respond to write. The frame's
-// bytes in both directions, the lent row's included, are counted before the
-// mutex is released, so before the response is written.
+// this connection). A range pull of a dense row returns only the payload's
+// 8-byte prefix and leaves its row on lease in sc.lent for respond to write.
+// The frame's bytes in both directions, the lent row's included, are counted
+// before the mutex is released, so before the response is written.
 func (s *Server) handle(f Frame, sc *connScratch) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,8 +271,8 @@ func (s *Server) dedupApply(f Frame, sc *connScratch) (resp []byte, appErr error
 	}
 
 	resp, appErr = s.apply(f, sc)
-	// A range pull flagged as mutating is not recorded: its answer is not
-	// resp alone, and a read is answered afresh as safely.
+	// A lent range pull flagged as mutating is not recorded: its answer is
+	// not resp alone, and a read is answered afresh as safely.
 	if appErr == nil && f.Mutates() && f.ReqID != 0 && sc.lease == nil {
 		// The response may alias connection scratch that the next frame will
 		// overwrite; the dedup cache needs its own copy (arena rule: never
@@ -318,8 +320,8 @@ func (s *Server) shardRow(mat uint32, r int, cols []int) (sh *shard, lo int, err
 }
 
 // maxRowWidth is the widest shard row one PullRange response can carry:
-// the payload holds the row's first column and value count (4 bytes each)
-// and 8 bytes per value.
+// the dense layout holds the row's first column and value count (4 bytes
+// each) and 8 bytes per value.
 const maxRowWidth = (MaxPayload - 8) / 8
 
 func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
@@ -429,9 +431,16 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Lend the row instead of copying it: respond writes it out after
-		// the mutex is released.
-		sc.lent, sc.lease = sh.Rows[r], sh.borrow(r)
+		// A row with a tracked support ships its members alone, encoded
+		// here, whenever that is the smaller answer. A dense row is lent
+		// instead of copied: respond writes it out after the mutex is
+		// released.
+		row, sup := sh.Rows[r], &sh.sup[r]
+		if k := len(sup.cols); !sup.dense && 12+12*k < 8+8*len(row) {
+			sc.resp = appendSparseRange(sc.resp[:0], lo, row, sup.words, k)
+			return sc.resp, nil
+		}
+		sc.lent, sc.lease = row, sh.borrow(r)
 		sc.resp = appendRangePrefix(sc.resp[:0], lo, len(sc.lent))
 		return sc.resp, nil
 

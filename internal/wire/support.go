@@ -17,11 +17,13 @@ package wire
 // support is every column). A row is also dense once its support passes
 // 1/denseFraction of the width, and stays so until its next zero.
 //
-// A range pull's response is written from the row's own memory, outside the
-// server's mutex (server.go), so a row may be on lease while another
-// connection writes to it. Every mutating path therefore calls own first:
-// a leased row is copied once, the copy becomes the shard's row, and the
-// pulls keep writing the row exactly as it was when they were handled.
+// A range pull of a row with a tracked support answers with its members,
+// read off the bitmap under the server's mutex. A range pull of a dense row
+// is written from the row's own memory, outside the mutex (server.go), so
+// a row may be on lease while another connection writes to it. Every
+// mutating path therefore calls own first: a leased row is copied once, the
+// copy becomes the shard's row, and the pulls keep writing the row exactly
+// as it was when they were handled.
 
 import (
 	"math"

@@ -88,9 +88,10 @@ go test -run '^$' -bench 'BenchmarkKernel|BenchmarkSimLRAdamJob' -benchtime 1x .
 # bounded so the gate's run time stays fixed.
 go test -run XXX -fuzz FuzzFusedProgram -fuzztime 10s ./internal/wire/
 
-# The client's piecewise range-response decode on raw response bytes beyond
-# its seed corpus: truncated, inflated and misaligned frames must fail
-# cleanly, and a frame that decodes must re-encode to the bytes it consumed.
+# The client's piecewise range-response decode, of both layouts, on raw
+# response bytes beyond its seed corpus: truncated, inflated and misaligned
+# frames, and sparse pairs out of order, must fail cleanly, and a frame that
+# decodes must re-encode to the bytes it consumed.
 go test -run XXX -fuzz FuzzPullRangeResponse -fuzztime 10s ./internal/wire/
 
 # Benchmark smoke gate: every benchmark in the repo must still run to
@@ -99,5 +100,7 @@ go test -run XXX -fuzz FuzzPullRangeResponse -fuzztime 10s ./internal/wire/
 # BenchmarkWideRowFirstTouch (a fresh 4 M-wide shard row's page faults) show
 # the two fixed costs of the dense TCP workload; BenchmarkPullRangeWide (one
 # range pull of a 4 M-wide row over loopback, fresh server against warm)
-# shows its final pull, which the server writes from the lent row.
+# shows its final pull twice: a dense row, which the server writes from the
+# lent row, and a row with a 20 617-column support, how the workload's
+# weight row ends, which ships its (column, value) pairs.
 go test -run XXX -bench . -benchtime 1x ./...

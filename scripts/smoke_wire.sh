@@ -3,15 +3,18 @@
 # processes on loopback, train a bounded LR run with ps2worker, and assert
 # (a) the loss trajectory matches the in-process simnet reference arm,
 # (b) the final loss converged below a fixed bound and (c) no frame was sent
-# twice. Exercises the whole
-# wire stack — frame codec, connection pooling, dedup/watermark, retry —
-# across real process boundaries, which no in-process test can.
+# twice. Then a one-server arm whose weight row stays sparse, so its final
+# pull takes the sparse range layout, must match the simnet arm as well.
+# Exercises the whole wire stack — frame codec, connection pooling,
+# dedup/watermark, retry — across real process boundaries, which no
+# in-process test can.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
-trap 'kill $S1 $S2 2>/dev/null || true; rm -rf "$workdir"' EXIT
+S3=
+trap 'kill $S1 $S2 $S3 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/ps2serve" ./cmd/ps2serve
 go build -o "$workdir/ps2worker" ./cmd/ps2worker
@@ -56,3 +59,27 @@ if [ $# -ne 3 ] || [ "$1" != "$2" ] || [ "$3" != 0 ]; then
 fi
 
 echo "wire smoke: multi-process LR converged, matched the simnet trajectory and resent nothing"
+
+# One server, a 400 k-wide row and 5 steps of 64 rows: the support stays far
+# below width/16, so the final pull ships (column, value) pairs instead of
+# the row's 3.2 MB. The loss computed from the pulled weights must still
+# match the simnet arm, and the whole run must move less than the dense row
+# alone would.
+"$workdir/ps2serve" -addr 127.0.0.1:0 > "$workdir/s3.log" 2>&1 &
+S3=$!
+A3=$(pick_addr "$workdir/s3.log")
+if ! "$workdir/ps2worker" \
+	-servers "$A3" \
+	-iters 5 -batch 64 -dim 400000 \
+	-compare-simnet > "$workdir/sparse.log" 2>&1; then
+	cat "$workdir/sparse.log"
+	exit 1
+fi
+cat "$workdir/sparse.log"
+mb=$(sed -n 's/^rpc: .* calls (.*), \([0-9.]*\) MB moved.*/\1/p' "$workdir/sparse.log")
+if [ -z "$mb" ] || ! awk -v mb="$mb" 'BEGIN { exit !(mb < 3.2) }'; then
+	echo "wire smoke: the sparse arm moved '$mb' MB, want less than the 3.2 MB of its dense row" >&2
+	exit 1
+fi
+
+echo "wire smoke: the one-server arm's final pull shipped the row's support and matched the simnet trajectory"
