@@ -6,7 +6,9 @@
 //	ps2serve -addr 127.0.0.1:7070
 //
 // The bound address is printed on stdout (useful with -addr :0 to pick a
-// free port). SIGINT/SIGTERM shut the server down cleanly.
+// free port). SIGINT/SIGTERM shut the server down cleanly; its last line
+// counts what it served and, where /proc/self/status has it, its peak
+// resident set (VmHWM).
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"repro/internal/wire"
@@ -43,6 +46,21 @@ func main() {
 		os.Exit(1)
 	}
 	st := srv.Stats()
-	fmt.Printf("ps2serve served %d requests (%d dedup replays), %.2f MB in / %.2f MB out\n",
-		st.Requests, st.DedupHits, float64(st.BytesIn)/1e6, float64(st.BytesOut)/1e6)
+	fmt.Printf("ps2serve served %d requests (%d dedup replays), %.2f MB in / %.2f MB out%s\n",
+		st.Requests, st.DedupHits, float64(st.BytesIn)/1e6, float64(st.BytesOut)/1e6, peakRSS())
+}
+
+// peakRSS returns ", VmHWM <n> kB", this process's peak resident set as
+// /proc/self/status reports it, or "" where there is no such file.
+func peakRSS() string {
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			return ", VmHWM " + strings.TrimSpace(rest)
+		}
+	}
+	return ""
 }

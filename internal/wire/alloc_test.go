@@ -235,7 +235,7 @@ func raceBuild() bool {
 // TestSparseStepZeroAlloc: a warm PushAdd into the gradient row followed by
 // the LR step program (Axpy grad → weight, Zero grad), both applied through
 // Server.handle with request IDs and watermarks as a client sends them,
-// allocate nothing: the supports reuse their column lists.
+// allocate nothing: the rows reuse their pairs and indexes.
 func TestSparseStepZeroAlloc(t *testing.T) {
 	const width = 1 << 16
 	s := NewServer()
@@ -259,7 +259,7 @@ func TestSparseStepZeroAlloc(t *testing.T) {
 		{Kind: FAxpy, Dst: rowWeight, Src: rowGrad, Scale: -0.01},
 		{Kind: FZero, Row: rowGrad},
 	})
-	send(OpPushAdd, push) // warm: the supports grow their column lists once
+	send(OpPushAdd, push) // warm: the rows grow their pairs and indexes once
 	send(OpFused, step)
 	allocs := testing.AllocsPerRun(200, func() {
 		send(OpPushAdd, push)
@@ -268,8 +268,8 @@ func TestSparseStepZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("PushAdd + sparse step: %v allocs/op, want 0", allocs)
 	}
-	if sup := s.mats[1].sup; sup[rowWeight].dense || sup[rowGrad].dense || len(sup[rowGrad].cols) != 0 {
-		t.Fatalf("the step left the supports dense or the gradient's non-empty")
+	if rows := s.mats[1].rows; rows[rowWeight].dense || rows[rowGrad].dense || len(rows[rowGrad].cols) != 0 {
+		t.Fatalf("the step left the rows dense or the gradient's non-empty")
 	}
 }
 
@@ -320,8 +320,8 @@ func TestFusedShardParallelDeterministic(t *testing.T) {
 	par.MinParallel = old
 
 	for r := 0; r < 3; r++ {
-		a := serial.mats[1].Rows[r]
-		b := parallel.mats[1].Rows[r]
+		a := serial.mats[1].values(r)
+		b := parallel.mats[1].values(r)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("row %d col %d: serial %v != parallel %v", r, i, a[i], b[i])

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -183,12 +184,16 @@ func FuzzPullRangeResponse(f *testing.F) {
 		var payload []byte
 		if sparse {
 			k := (plen - 12) / 12
-			words := make([]uint64, (len(got)+63)/64)
+			keys := make([]uint64, k)
 			for i := range k {
-				c := binary.LittleEndian.Uint32(in[respHeaderLen+12+12*i:])
-				words[c>>6] |= 1 << (c & 63)
+				keys[i] = uint64(binary.LittleEndian.Uint32(in[respHeaderLen+12+12*i:])) << 32
 			}
-			payload = appendSparseRange(nil, lo, got, words, k)
+			slices.Sort(keys)
+			keys = slices.Compact(keys)
+			for i, c := range keys {
+				keys[i] = c | c>>32
+			}
+			payload = appendSparseRange(nil, lo, len(got), keys, got)
 		} else {
 			payload = appendPullRangeResp(nil, lo, got)
 		}
@@ -341,8 +346,8 @@ func FuzzFusedProgram(f *testing.F) {
 				t.Fatalf("step %d: %v", i, err)
 			}
 			ref.apply(st)
-			for r, row := range s.mats[1].Rows {
-				ref.checkRow(t, fmt.Sprintf("step %d", i), r, row)
+			for r := range s.mats[1].rows {
+				ref.checkRow(t, fmt.Sprintf("step %d", i), r, s.mats[1].values(r))
 			}
 		}
 	})

@@ -329,15 +329,23 @@ func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
 	return st.wait()
 }
 
-// weights decodes each server's range straight into its stretch of w, as
-// round does: the stretch's capacity is exactly the range, so a reply of the
-// right length lands in place and any other length is refused.
+// weights pulls each server's range. One server's range is the whole vector,
+// decoded into memory the decoder allocates, which it knows is +0, so a
+// sparse reply writes its pairs and clears nothing. Several servers' ranges
+// decode straight into their stretches of w, as round does: a stretch's
+// capacity is exactly its range, so a reply of the right length lands in
+// place and any other length is refused.
 func (st *wireStore) weights(mat uint32, dim int) ([]float64, error) {
-	w := linalg.Zeros(dim)
+	var w []float64
+	if len(st.pipes) > 1 {
+		w = linalg.Zeros(dim)
+	}
 	los := make([]int, len(st.pipes))
 	for s, p := range st.pipes {
-		lo, hi := st.pt.Range(s)
-		st.dst[s] = w[lo:hi:hi]
+		st.dst[s] = nil
+		if lo, hi := st.pt.Range(s); w != nil {
+			st.dst[s] = w[lo:hi:hi]
+		}
 		p.PullRangeInto(mat, rowWeight, &los[s], &st.dst[s])
 		p.Send()
 	}
@@ -350,6 +358,9 @@ func (st *wireStore) weights(mat uint32, dim int) ([]float64, error) {
 			return nil, fmt.Errorf("wire: server %d returned range [%d,+%d), want [%d,%d)",
 				s, los[s], len(st.dst[s]), lo, hi)
 		}
+	}
+	if w == nil {
+		w = st.dst[0]
 	}
 	return w, nil
 }

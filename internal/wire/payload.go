@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -392,20 +391,17 @@ func appendRangePrefix(dst []byte, lo, n int) []byte {
 }
 
 // appendSparseRange appends a whole PullRange response payload in the
-// sparse layout to dst: row's k members, the set bits of the membership
-// bitmap words, in column order with their values.
-func appendSparseRange(dst []byte, lo int, row []float64, words []uint64, k int) []byte {
+// sparse layout to dst: a width-wide row's members, keys column<<32 | i in
+// column order, each with its value vals[i].
+func appendSparseRange(dst []byte, lo, width int, keys []uint64, vals []float64) []byte {
 	e := enc{b: dst}
-	e.reserve(12 + 12*k)
+	e.reserve(12 + 12*len(keys))
 	e.u32(uint32(lo))
-	e.u32(uint32(len(row)) | sparseRange)
-	e.u32(uint32(k))
-	for i, w := range words {
-		for ; w != 0; w &= w - 1 {
-			c := i<<6 | bits.TrailingZeros64(w)
-			e.u32(uint32(c))
-			e.f64(row[c])
-		}
+	e.u32(uint32(width) | sparseRange)
+	e.u32(uint32(len(keys)))
+	for _, k := range keys {
+		e.u32(uint32(k >> 32))
+		e.f64(vals[uint32(k)])
 	}
 	return e.b
 }

@@ -123,7 +123,7 @@ func TestPullRangeStreamedDecode(t *testing.T) {
 	t.Run("wide row", func(t *testing.T) {
 		const width = 1 << 20
 		srv, c := startWideRow(t, width)
-		want := srv.mats[1].Rows[0]
+		want := srv.mats[1].values(0)
 		before := c.Stats()
 		buf := make([]float64, 0, width)
 		var lo int
@@ -194,16 +194,14 @@ func TestPullRangeStreamedDecode(t *testing.T) {
 }
 
 // fillRow gives row r of matrix mat on srv distinct values in every column
-// and marks its support dense, as a push of every column would, without
-// sending one.
+// and turns it dense, as a push of every column would, without sending one.
 func fillRow(srv *Server, mat uint32, r int) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	sh := srv.mats[mat]
-	for i := range sh.Rows[r] {
-		sh.Rows[r][i] = math.Sin(float64(i)) * math.Pow(10, float64(i%13)-6)
+	row := srv.mats[mat].spread(r)
+	for i := range row {
+		row[i] = math.Sin(float64(i)) * math.Pow(10, float64(i%13)-6)
 	}
-	sh.sup[r].dense = true
 }
 
 // cutWriter takes n bytes, then fails every write.
@@ -253,7 +251,7 @@ func TestRangePullLease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := s.mats[mat].Rows[0]
+			row := s.mats[mat].values(0)
 			if !bytes.Equal(resp, appendRangePrefix(nil, 0, width)) || sc.lease == nil || &sc.lent[0] != &row[0] || len(sc.lent) != width {
 				t.Fatalf("width %d: answered %d bytes, lease %v; want the 8-byte prefix and the shard's own row lent", width, len(resp), sc.lease)
 			}
@@ -281,7 +279,7 @@ func TestRangePullLease(t *testing.T) {
 			if !equalFloats(lent, at) {
 				t.Fatalf("width %d, %s: the lent row changed under the pull", width, w.name)
 			}
-			if row := s.mats[mat].Rows[0]; !equalFloats(row, want) {
+			if row := s.mats[mat].values(0); !equalFloats(row, want) {
 				t.Fatalf("width %d, %s: the shard does not hold the write", width, w.name)
 			}
 			var buf bytes.Buffer
@@ -296,9 +294,9 @@ func TestRangePullLease(t *testing.T) {
 			}
 		}
 		// Once the lease is dropped a write goes to the row in place.
-		row := s.mats[mat].Rows[0]
+		row := s.mats[mat].values(0)
 		mutate(OpPushAdd, AppendPushAdd(nil, mat, 0, []int{5}, []float64{1}))
-		if &s.mats[mat].Rows[0][0] != &row[0] {
+		if &s.mats[mat].values(0)[0] != &row[0] {
 			t.Fatalf("width %d: a write after the lease was dropped copied the row", width)
 		}
 		resp := pull()
@@ -337,7 +335,7 @@ func TestRangePullSparse(t *testing.T) {
 	must(c.Fused(0, 1, []FusedOp{{Kind: FScale, Row: 0, Scale: 1e-300}}))
 	must(c.PushAdd(0, 1, 0, []int{lo + 4000, lo + 7, lo + 64, lo + 63, lo + 3000}, []float64{1.5, -2, math.Pi, 1, math.Inf(-1)}))
 	const k = 6
-	shardRow := srv.mats[1].Rows[0]
+	shardRow := srv.mats[1].values(0)
 	if math.Float64bits(shardRow[70]) != math.Float64bits(math.Copysign(0, -1)) {
 		t.Fatalf("column 70 holds %v, want -0", shardRow[70])
 	}

@@ -6,22 +6,23 @@ package wire
 // contract of the simulated servers — the same ps.AppliedSet, replaying a
 // duplicate's cached response and retired by each client's watermark.
 //
-// Beside each shard row the server keeps its support, the columns that may
-// be non-zero (support.go). PushAdd grows it, and the fused program visits
-// only the supports when that gives the dense kernels' result bit for bit,
-// so a step after a few hundred pushed columns costs a few hundred columns,
-// not the shard's width. A frame's bytes are counted under the mutex before
+// A shard row is compact, (column, value) pairs of the columns written
+// since its last zero, or dense, width-long memory (support.go). PushAdd
+// adds to the pairs, and the fused program visits only the pairs when that
+// gives the dense kernels' result bit for bit, so a step after a few hundred
+// pushed columns costs a few hundred columns, and a row millions of columns
+// wide holds only them. A frame's bytes are counted under the mutex before
 // its response is written, so a client that holds its answer finds the
 // frame in the next Stats reply, whichever connection carries it.
 //
-// A range pull of a row whose support is tracked answers with the support
-// alone, its (column, value) pairs encoded under the mutex (payload.go).
-// A range pull of a dense row copies nothing: under the mutex it puts a
-// lease on the row, and its connection writes the row's own memory to the
-// socket after the mutex is released, so a slow reader of a wide row holds
-// up no other connection. A write to a leased row copies the row first
-// (support.go, own), so the response is the row exactly as it was when the
-// pull was handled. The mutex is never held across a socket write.
+// A range pull of a compact row answers with its pairs, encoded under the
+// mutex in column order (payload.go). A range pull of a dense row copies
+// nothing: under the mutex it puts a lease on the row, and its connection
+// writes the row's own memory to the socket after the mutex is released, so
+// a slow reader of a wide row holds up no other connection. A write to a
+// leased row copies the row first (support.go, own), so the response is the
+// row exactly as it was when the pull was handled. The mutex is never held
+// across a socket write.
 
 import (
 	"bufio"
@@ -48,6 +49,7 @@ type connScratch struct {
 	cols    []int     // decoded column lists
 	vals    []float64 // decoded / assembled value vectors
 	ops     []FusedOp // decoded fused programs
+	keys    []uint64  // a compact row's pairs in column order (row.sorted)
 	resp    []byte    // response payload encode buffer
 	piece   []byte    // a lent row's values encoded a piece at a time (big-endian hosts)
 
@@ -82,7 +84,7 @@ type ServerStats struct {
 // use NewServer.
 type Server struct {
 	mu      sync.Mutex
-	mats    map[uint32]*shard // contiguous views: Rows[r][c-Lo], with supports
+	mats    map[uint32]*shard
 	applied ps.AppliedSet
 	stats   ServerStats
 
@@ -184,7 +186,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	r := bufio.NewReaderSize(conn, burstBuf)
-	w := bufio.NewWriter(conn)
+	w := bufio.NewWriterSize(conn, burstBuf)
 	var sc connScratch
 	var f Frame
 	for {
@@ -292,31 +294,30 @@ func (s *Server) shard(mat uint32) (*shard, error) {
 
 // checkRow refuses a row index outside the shard.
 func (sh *shard) checkRow(r int) error {
-	if r < 0 || r >= len(sh.Rows) {
-		return fmt.Errorf("wire: row %d out of range [0,%d)", r, len(sh.Rows))
+	if r < 0 || r >= len(sh.rows) {
+		return fmt.Errorf("wire: row %d out of range [0,%d)", r, len(sh.rows))
 	}
 	return nil
 }
 
-// shardRow returns matrix mat's shard after checking it has row r, and the
-// shard's first column. It refuses a column list that leaves the shard's
-// range before any of it is applied: a ServerError is never retried, so a
-// push that failed at its k-th column with the first k-1 already added would
-// stay torn.
-func (s *Server) shardRow(mat uint32, r int, cols []int) (sh *shard, lo int, err error) {
-	if sh, err = s.shard(mat); err != nil {
-		return nil, 0, err
+// shardRow returns matrix mat's shard after checking it has row r. It
+// refuses a column list that leaves the shard's range before any of it is
+// applied: a ServerError is never retried, so a push that failed at its
+// k-th column with the first k-1 already added would stay torn.
+func (s *Server) shardRow(mat uint32, r int, cols []int) (*shard, error) {
+	sh, err := s.shard(mat)
+	if err != nil {
+		return nil, err
 	}
 	if err = sh.checkRow(r); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	v := sh.View()
 	for _, c := range cols {
-		if c < v.Lo || c >= v.Hi {
-			return nil, 0, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, v.Lo, v.Hi)
+		if c < sh.lo || c >= sh.lo+sh.width {
+			return nil, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, sh.lo, sh.lo+sh.width)
 		}
 	}
-	return sh, v.Lo, nil
+	return sh, nil
 }
 
 // maxRowWidth is the widest shard row one PullRange response can carry:
@@ -343,7 +344,7 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 			return nil, fmt.Errorf("wire: shard width %d exceeds %d, the widest row a PullRange response can carry", hi-lo, maxRowWidth)
 		}
 		if sh, ok := s.mats[mat]; ok {
-			if v := sh.View(); len(sh.Rows) == rows && v.Lo == lo && v.Hi == hi {
+			if len(sh.rows) == rows && sh.lo == lo && sh.width == hi-lo {
 				return nil, nil // idempotent re-create
 			}
 			return nil, fmt.Errorf("wire: matrix %d exists with different shape", mat)
@@ -356,15 +357,12 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh, lo, err := s.shardRow(mat, r, cols)
+		sh, err := s.shardRow(mat, r, cols)
 		if err != nil {
 			return nil, err
 		}
-		data := sh.Rows[r]
 		vals := growFloats(&sc.vals, len(cols))
-		for i, c := range cols {
-			vals[i] = data[c-lo]
-		}
+		sh.gather(r, cols, vals)
 		sc.resp = AppendVals(sc.resp[:0], vals)
 		return sc.resp, nil
 
@@ -373,16 +371,11 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh, lo, err := s.shardRow(mat, r, cols)
+		sh, err := s.shardRow(mat, r, cols)
 		if err != nil {
 			return nil, err
 		}
-		sh.own(r)
-		data := sh.Rows[r]
-		for i, c := range cols {
-			data[c-lo] += vals[i]
-		}
-		sh.sup[r].add(cols, lo)
+		sh.push(r, cols, vals)
 		return nil, nil
 
 	case OpFused:
@@ -408,8 +401,9 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 				return nil, err
 			}
 		}
-		// Each op visits the rows' supports, or runs the linalg kernel over
-		// the whole row where that could give a different result (support.go).
+		// Each op visits the compact rows' pairs, or runs the linalg kernel
+		// over the whole row where that could give a different result
+		// (support.go).
 		for _, op := range ops {
 			switch op.Kind {
 			case FAxpy:
@@ -427,21 +421,24 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh, lo, err := s.shardRow(mat, r, nil)
+		sh, err := s.shardRow(mat, r, nil)
 		if err != nil {
 			return nil, err
 		}
-		// A row with a tracked support ships its members alone, encoded
-		// here, whenever that is the smaller answer. A dense row is lent
-		// instead of copied: respond writes it out after the mutex is
-		// released.
-		row, sup := sh.Rows[r], &sh.sup[r]
-		if k := len(sup.cols); !sup.dense && 12+12*k < 8+8*len(row) {
-			sc.resp = appendSparseRange(sc.resp[:0], lo, row, sup.words, k)
-			return sc.resp, nil
+		// A compact row ships its pairs, encoded here, whenever that is the
+		// smaller answer; only a 0-wide row is not, and turns dense. A dense
+		// row is lent instead of copied: respond writes it out after the
+		// mutex is released.
+		x := &sh.rows[r]
+		if !x.dense {
+			if 12+12*len(x.cols) < 8+8*sh.width {
+				sc.resp = appendSparseRange(sc.resp[:0], sh.lo, sh.width, x.sorted(&sc.keys), x.vals)
+				return sc.resp, nil
+			}
+			sh.spread(r)
 		}
-		sc.lent, sc.lease = row, sh.borrow(r)
-		sc.resp = appendRangePrefix(sc.resp[:0], lo, len(sc.lent))
+		sc.lent, sc.lease = x.mem, sh.borrow(r)
+		sc.resp = appendRangePrefix(sc.resp[:0], sh.lo, sh.width)
 		return sc.resp, nil
 
 	case OpStats:

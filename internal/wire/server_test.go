@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -70,5 +74,66 @@ func TestStatsCountFrameBeforeReply(t *testing.T) {
 			t.Fatalf("round %d: server counted %d bytes in, %d out; the clients sent %d and received %d",
 				i, st.BytesIn, st.BytesOut, in, out)
 		}
+	}
+}
+
+// countingConn counts the writes made to a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestBurstAnswersLeaveInOneWrite: a push, a fused step and a 1200-column
+// sparse pull that arrive together get their three answers, the last one
+// 9.6 kB, in one write to the connection.
+func TestBurstAnswersLeaveInOneWrite(t *testing.T) {
+	s := NewServer()
+	var sc connScratch
+	if _, err := s.handle(Frame{Op: OpCreateShard, Payload: AppendCreateShard(nil, 1, 2, 0, 4096)}, &sc); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	conn := &countingConn{Conn: server}
+	s.mu.Lock()
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go s.serveConn(conn)
+	t.Cleanup(s.Close)
+
+	cols := make([]int, 1200)
+	for i := range cols {
+		cols[i] = 3 * i
+	}
+	var burst bytes.Buffer
+	for _, f := range []Frame{
+		{Op: OpPushAdd, Flags: FlagMutates, ReqID: 1, Payload: AppendPushAdd(nil, 1, 1, []int{3}, []float64{1})},
+		{Op: OpFused, Flags: FlagMutates, ReqID: 2, Payload: AppendFused(nil, 1, []FusedOp{{Kind: FAxpy, Dst: 0, Src: 1, Scale: 2}})},
+		{Op: OpPullSparse, Payload: AppendPullSparseReq(nil, 1, 0, cols)},
+	} {
+		if err := WriteFrame(&burst, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go client.Write(burst.Bytes())
+	want := make([]float64, len(cols))
+	want[1] = 2
+	r := bufio.NewReader(client)
+	for i, payload := range [][]byte{nil, nil, AppendVals(nil, want)} {
+		got, err := readRawResponse(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, rawResponse(0, len(payload), payload)) {
+			t.Fatalf("answer %d is not the one expected", i)
+		}
+	}
+	if n := conn.writes.Load(); n != 1 {
+		t.Fatalf("the burst's three answers took %d writes, want 1", n)
 	}
 }

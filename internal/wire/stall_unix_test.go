@@ -28,7 +28,7 @@ func TestStalledRangeReaderBlocksNoOne(t *testing.T) {
 	}
 	fillRow(srv, 1, 0)
 	srv.mu.Lock()
-	before := slices.Clone(srv.mats[1].Rows[0])
+	before := slices.Clone(srv.mats[1].values(0))
 	srv.mu.Unlock()
 
 	// A small receive buffer, set before the connection opens its window,
@@ -106,7 +106,7 @@ func heldLease(srv *Server, mat uint32, r int) *lease {
 		return nil
 	}
 	defer srv.mu.Unlock()
-	if l := srv.mats[mat].lent[r]; l != nil && l.n.Load() > 0 {
+	if l := srv.mats[mat].rows[r].lent; l != nil && l.n.Load() > 0 {
 		return l
 	}
 	return nil

@@ -136,6 +136,20 @@ func (d *denseRef) apply(st step) {
 	}
 }
 
+// values returns row r of sh at full width: a dense row's own memory, or a
+// compact row's pairs spread over fresh +0 memory.
+func (sh *shard) values(r int) []float64 {
+	x := &sh.rows[r]
+	if x.dense {
+		return x.mem
+	}
+	v := make([]float64, sh.width)
+	for p, c := range x.cols {
+		v[c] = x.vals[p]
+	}
+	return v
+}
+
 // checkRow fails the test at the first column of got that differs from the
 // reference's row r bit for bit.
 func (d *denseRef) checkRow(t *testing.T, what string, r int, got []float64) {

@@ -111,10 +111,9 @@ const (
 	respHeaderLen = 8
 )
 
-// burstBuf sizes the client's write buffer and the server's read buffer, so
-// a worker's burst of push and step leaves in one write and lands in one
-// read, and the server sees the step whole behind the push and answers both
-// at once.
+// burstBuf sizes the client's write buffer and the server's read and write
+// buffers, so a worker's burst of push, step and pull leaves in one write,
+// lands in one read, and its answers leave in one write too.
 const burstBuf = 64 << 10
 
 // Frame is one decoded request.

@@ -88,6 +88,17 @@ go test -run '^$' -bench 'BenchmarkKernel|BenchmarkSimLRAdamJob' -benchtime 1x .
 # bounded so the gate's run time stays fixed.
 go test -run XXX -fuzz FuzzFusedProgram -fuzztime 10s ./internal/wire/
 
+# The server's shard rows, compact and dense, against a reference that keeps
+# every row dense, on op sequences the fuzzer generates: pushes, sparse and
+# range pulls (some holding their lease), fused axpy/zero/scale.
+go test -run XXX -fuzz FuzzRowOps -fuzztime 10s ./internal/wire/
+
+# The fused step's three shapes, once each: serve (tcp-serve-mixed, 1 M
+# wide, 10 pushes of 4096 columns a step), dense (tcp-lr-dense, 4 M wide,
+# 500 columns into a 20 k weight support) and sparse (tcp-lr-sparse, 25 k
+# wide, 1000 columns).
+go test -run XXX -bench BenchmarkFusedStep -benchtime 1x ./internal/wire/
+
 # The client's piecewise range-response decode, of both layouts, on raw
 # response bytes beyond its seed corpus: truncated, inflated and misaligned
 # frames, and sparse pairs out of order, must fail cleanly, and a frame that

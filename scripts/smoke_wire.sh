@@ -4,7 +4,9 @@
 # (a) the loss trajectory matches the in-process simnet reference arm,
 # (b) the final loss converged below a fixed bound and (c) no frame was sent
 # twice. Then a one-server arm whose weight row stays sparse, so its final
-# pull takes the sparse range layout, must match the simnet arm as well.
+# pull takes the sparse range layout, must match the simnet arm as well, and
+# a one-server arm with a 4 M-wide row must leave the server's peak resident
+# set below that of one dense row.
 # Exercises the whole wire stack — frame codec, connection pooling,
 # dedup/watermark, retry — across real process boundaries, which no
 # in-process test can.
@@ -14,7 +16,8 @@ cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
 S3=
-trap 'kill $S1 $S2 $S3 2>/dev/null || true; rm -rf "$workdir"' EXIT
+S4=
+trap 'kill $S1 $S2 $S3 $S4 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/ps2serve" ./cmd/ps2serve
 go build -o "$workdir/ps2worker" ./cmd/ps2worker
@@ -83,3 +86,28 @@ if [ -z "$mb" ] || ! awk -v mb="$mb" 'BEGIN { exit !(mb < 3.2) }'; then
 fi
 
 echo "wire smoke: the one-server arm's final pull shipped the row's support and matched the simnet trajectory"
+
+# One server, a 4 M-wide row and 5 steps: the rows stay compact, so the
+# server never holds one dense row's 32 MB. ps2serve prints its peak
+# resident set (VmHWM) in its last line once stopped; where /proc gives it
+# none, the arm checks nothing.
+"$workdir/ps2serve" -addr 127.0.0.1:0 > "$workdir/s4.log" 2>&1 &
+S4=$!
+A4=$(pick_addr "$workdir/s4.log")
+if ! "$workdir/ps2worker" \
+	-servers "$A4" \
+	-iters 5 -batch 64 -dim 4000000 > "$workdir/wide.log" 2>&1; then
+	cat "$workdir/wide.log"
+	exit 1
+fi
+kill -TERM $S4
+wait $S4 || true
+S4=
+tail -1 "$workdir/s4.log"
+kb=$(sed -n 's/^ps2serve served .*, VmHWM \([0-9]*\) kB$/\1/p' "$workdir/s4.log")
+if [ -n "$kb" ] && ! [ "$kb" -lt 31250 ]; then
+	echo "wire smoke: the 4 M-wide arm's server peaked at $kb kB, want below one dense row's 31250 kB" >&2
+	exit 1
+fi
+
+echo "wire smoke: the 4 M-wide arm's server stayed below one dense row (VmHWM ${kb:-unknown} kB)"
