@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -47,20 +47,5 @@ func main() {
 	}
 	st := srv.Stats()
 	fmt.Printf("ps2serve served %d requests (%d dedup replays), %.2f MB in / %.2f MB out%s\n",
-		st.Requests, st.DedupHits, float64(st.BytesIn)/1e6, float64(st.BytesOut)/1e6, peakRSS())
-}
-
-// peakRSS returns ", VmHWM <n> kB", this process's peak resident set as
-// /proc/self/status reports it, or "" where there is no such file.
-func peakRSS() string {
-	raw, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-			return ", VmHWM " + strings.TrimSpace(rest)
-		}
-	}
-	return ""
+		st.Requests, st.DedupHits, float64(st.BytesIn)/1e6, float64(st.BytesOut)/1e6, obs.PeakRSS())
 }

@@ -9,7 +9,9 @@
 // With -compare-simnet the same job is replayed on the simulated cluster
 // and the two loss trajectories are checked against each other — the
 // acceptance gate for the real transport. -assert-loss bounds the final
-// full-dataset loss. Either check failing exits nonzero.
+// full-dataset loss. Either check failing exits nonzero. The "rpc:" summary
+// line ends with the process's peak resident set (VmHWM) where
+// /proc/self/status has it; it is printed before any replay.
 package main
 
 import (
@@ -21,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -78,9 +81,10 @@ func main() {
 	mb := float64(st.BytesIn+st.BytesOut) / 1e6
 	fmt.Printf("final full-dataset loss %.6f over %d servers in %.3fs wall\n",
 		res.FinalLoss, len(addrs), wall.Seconds())
-	fmt.Printf("rpc: %d calls (%d attempts, %d timeouts), %.2f MB moved, %.0f calls/s, %.2f MB/s\n",
+	// The peak resident set is the TCP run's: any simnet replay comes after.
+	fmt.Printf("rpc: %d calls (%d attempts, %d timeouts), %.2f MB moved, %.0f calls/s, %.2f MB/s%s\n",
 		st.Calls, st.Attempts, st.Timeouts, mb,
-		float64(st.Calls)/wall.Seconds(), mb/wall.Seconds())
+		float64(st.Calls)/wall.Seconds(), mb/wall.Seconds(), obs.PeakRSS())
 
 	if *compareSim {
 		simRun, err := wire.RunLRSimnet(cfg, len(addrs))

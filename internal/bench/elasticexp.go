@@ -65,7 +65,6 @@ func (w elasticWorkload) center(t int) int {
 // task's set), with the sign and magnitude both splitmix-derived so every
 // arm replays the same schedule.
 func (w elasticWorkload) cols(t, task int) []int {
-	seen := make(map[int]bool, w.K)
 	out := make([]int, 0, w.K)
 	c0 := w.center(t)
 	for j := 0; j < w.K; j++ {
@@ -85,35 +84,42 @@ func (w elasticWorkload) cols(t, task int) []int {
 		if c >= w.Dim {
 			c = w.Dim - 1
 		}
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
+		out = append(out, c)
 	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
+}
+
+// elasticSchedule is the whole run's access schedule, drawn once per
+// experiment: [t][k] is cols(t, k). Every arm and every profile replays it.
+type elasticSchedule [][][]int
+
+func (w elasticWorkload) schedule() elasticSchedule {
+	sched := make(elasticSchedule, w.Iters)
+	for t := range sched {
+		sched[t] = make([][]int, w.Tasks)
+		for k := range sched[t] {
+			sched[t][k] = w.cols(t, k)
+		}
+	}
+	return sched
 }
 
 // profile returns the exact per-column access counts of iterations
-// [from, to) — the load profile a production master would accumulate in
-// per-column counters; here the schedule is deterministic so the counts are
-// reproduced instead of sampled.
-func (w elasticWorkload) profile(from, to int) []float64 {
-	weight := make([]float64, w.Dim)
-	for t := from; t < to; t++ {
-		for k := 0; k < w.Tasks; k++ {
-			for _, c := range w.cols(t, k) {
+// [from, to) of a dim-wide matrix — the load profile a production master
+// would accumulate in per-column counters; here the schedule is
+// deterministic so the counts are reproduced instead of sampled.
+func (sched elasticSchedule) profile(dim, from, to int) []float64 {
+	weight := make([]float64, dim)
+	for _, tasks := range sched[from:to] {
+		for _, cols := range tasks {
+			for _, c := range cols {
 				weight[c]++
 			}
 		}
 	}
 	return weight
 }
-
-// oracle returns the expected final row: every push adds exactly 1 to each
-// of its columns, so the oracle is the whole run's access count — integral,
-// hence order-independent and bit-exact under any placement or migration.
-func (w elasticWorkload) oracle() []float64 { return w.profile(0, w.Iters) }
 
 // elasticArmResult is one arm's observations, consumed by the table renderer.
 type elasticArmResult struct {
@@ -133,7 +139,7 @@ type elasticHook func(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, boundary, 
 // runElasticArm replays the workload on one cluster/placement policy. All
 // pushes carry integer deltas, so final values are placement-independent and
 // the table's exact column compares them bit-wise against the oracle.
-func runElasticArm(o Opts, w elasticWorkload, name string, bootServers int,
+func runElasticArm(o Opts, w elasticWorkload, sched elasticSchedule, name string, bootServers int,
 	initial ps.Placement, hook elasticHook) elasticArmResult {
 	e := tracedEngine(o, 8, bootServers)
 	res := elasticArmResult{Name: name}
@@ -153,7 +159,7 @@ func runElasticArm(o Opts, w elasticWorkload, name string, bootServers int,
 				k := k
 				g.Go("task", func(cp *simnet.Proc) {
 					node := e.Cluster.Executors[k%len(e.Cluster.Executors)]
-					cols := w.cols(t, k)
+					cols := sched[t][k]
 					if _, err := mat.PullRowIndices(cp, node, 0, cols); err != nil {
 						panic(err)
 					}
@@ -195,10 +201,10 @@ func elasticLoadAware(w elasticWorkload, n int, weight []float64) ps.Placement {
 // onto a fresh load-aware placement over n servers. A no-op migration (the
 // packing did not change) is fine; a genuine failure, an abort included, is a
 // bench bug and panics the run.
-func rebalanceHook(w elasticWorkload, n int) elasticHook {
+func rebalanceHook(w elasticWorkload, sched elasticSchedule, n int) elasticHook {
 	perPhase := w.Iters / w.Phases
 	return func(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, _, firstIter int) {
-		target := elasticLoadAware(w, n, w.profile(firstIter, firstIter+perPhase))
+		target := elasticLoadAware(w, n, sched.profile(w.Dim, firstIter, firstIter+perPhase))
 		if err := e.PS.MigrateMatrix(p, mat, target, mat.Part.Fingerprint()); err != nil {
 			panic(err)
 		}
@@ -210,8 +216,13 @@ func rebalanceHook(w elasticWorkload, n int) elasticHook {
 // static placements vs live rebalancing, scale-out and scale-in.
 func runExtElastic(o Opts) *Result {
 	w := elasticScale(o)
+	sched := w.schedule()
 	perPhase := w.Iters / w.Phases
-	profile0 := w.profile(0, perPhase) // the "profiling prefix" statics key off
+	profile0 := sched.profile(w.Dim, 0, perPhase) // the "profiling prefix" statics key off
+	// The expected final row: every push adds exactly 1 to each of its
+	// columns, so the oracle is the whole run's access count — integral,
+	// hence order-independent and bit-exact under any placement or migration.
+	want := sched.profile(w.Dim, 0, w.Iters)
 
 	mustRange := func(n int) ps.Placement {
 		pl, err := ps.NewRangePlacement(w.Dim, n)
@@ -229,28 +240,28 @@ func runExtElastic(o Opts) *Result {
 	}
 
 	arms := []elasticArmResult{
-		runElasticArm(o, w, "static range ×4", 4, mustRange(4), nil),
-		runElasticArm(o, w, "static blockhash ×4", 4, mustBH(4), nil),
-		runElasticArm(o, w, "static loadaware ×4", 4, elasticLoadAware(w, 4, profile0), nil),
-		runElasticArm(o, w, "rebalance ×4", 4, elasticLoadAware(w, 4, profile0),
-			rebalanceHook(w, 4)),
+		runElasticArm(o, w, sched, "static range ×4", 4, mustRange(4), nil),
+		runElasticArm(o, w, sched, "static blockhash ×4", 4, mustBH(4), nil),
+		runElasticArm(o, w, sched, "static loadaware ×4", 4, elasticLoadAware(w, 4, profile0), nil),
+		runElasticArm(o, w, sched, "rebalance ×4", 4, elasticLoadAware(w, 4, profile0),
+			rebalanceHook(w, sched, 4)),
 		// Scale-out: join 4 servers at the first boundary, then rebalance onto
 		// all 8 each phase — the placement migration rides the same protocol
 		// whether or not membership changed.
-		runElasticArm(o, w, "elastic 4→8", 4, elasticLoadAware(w, 4, profile0),
+		runElasticArm(o, w, sched, "elastic 4→8", 4, elasticLoadAware(w, 4, profile0),
 			func(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, boundary, firstIter int) {
 				if boundary == 1 {
 					if err := e.PS.AddServers(p, 4); err != nil {
 						panic(err)
 					}
 				}
-				rebalanceHook(w, 8)(p, e, mat, boundary, firstIter)
+				rebalanceHook(w, sched, 8)(p, e, mat, boundary, firstIter)
 			}),
 		// Scale-in: shrink the placement at the first boundary, retire the
 		// emptied machines, keep rebalancing on the survivors.
-		runElasticArm(o, w, "elastic 8→4", 8, elasticLoadAware(w, 8, profile0),
+		runElasticArm(o, w, sched, "elastic 8→4", 8, elasticLoadAware(w, 8, profile0),
 			func(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, boundary, firstIter int) {
-				rebalanceHook(w, 4)(p, e, mat, boundary, firstIter)
+				rebalanceHook(w, sched, 4)(p, e, mat, boundary, firstIter)
 				if boundary == 1 {
 					if err := e.PS.RemoveServers(p, 4); err != nil {
 						panic(err)
@@ -263,18 +274,7 @@ func runExtElastic(o Opts) *Result {
 		Title:  "Elastic membership: drifting-Zipf workload under static placements vs live migration (rebalance, 4→8 scale-out, 8→4 scale-in)",
 		Header: []string{"arm", "time (s)", "bytes imb", "migrations", "moved MB", "gate closed (µs)", "exact"}}
 
-	exact := func(a elasticArmResult) bool {
-		want := w.oracle()
-		if len(a.Final) != len(want) {
-			return false
-		}
-		for c := range want {
-			if a.Final[c] != want[c] {
-				return false
-			}
-		}
-		return true
-	}
+	exact := func(a elasticArmResult) bool { return slices.Equal(a.Final, want) }
 	byName := map[string]elasticArmResult{}
 	for _, a := range arms {
 		byName[a.Name] = a

@@ -278,7 +278,7 @@ func (cc *CachedClient) creditStretches(nc *nodeCache, row int, mag float64) boo
 
 // PullRowIndices is the cached sparse pull: values within the staleness
 // bound are served locally; the rest are validated if-modified-since or
-// fetched, one coalesced RPC per shard that has work to do.
+// fetched, one coalesced call per shard that has work to do.
 func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
 	mat := cc.mat
 	mat.checkRow(row)
@@ -287,107 +287,112 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 	}
 	mat.enterOp(p)
 	defer mat.exitOp()
-	nc := cc.node(from)
-	out := make([]float64, len(indices))
-	split := mat.Part.SplitIndices(indices)
-	err := mat.fanOutProcs(p, "cache-pull", func(s int) shardBody {
-		idx := split[s]
-		if len(idx) == 0 {
-			return nil
-		}
-		return func(cp *simnet.Proc) error {
-			// Fill a shard-local buffer, then scatter to each column's global
-			// position: non-contiguous placements interleave server groups in
-			// the sorted request, so the groups do not concatenate in order.
-			// The buffer comes from the arena — this runs once per shard per
-			// pull, millions of times per training run.
-			sub := arena.Floats(len(idx))
-			err := cc.pullIndicesShard(cp, from, nc, row, s, idx, sub)
-			at := cursor{all: indices}
-			for k, col := range idx {
-				out[at.pos(col)] = sub[k]
-			}
-			arena.PutFloats(sub)
-			return err
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// pullIndicesShard serves one shard's slice of a sparse pull: the copy set
-// serves what the policy admits, and one validation+fetch RPC resolves the
-// rest.
-func (cc *CachedClient) pullIndicesShard(cp *simnet.Proc, from *simnet.Node, nc *nodeCache,
-	row, s int, idx []int, out []float64) error {
-	m := cc.mat.master
+	m, nc := mat.master, cc.node(from)
 	cost := m.Cl.Cost
-	// What the uncached sparse pull would have paid for this shard.
-	m.Cache.BaselineBytes += 2*cost.RequestOverheadB + 12*float64(len(idx))
-	key := cacheKey{copyKey: copyKey{row, s}}
-	for {
-		epoch := cc.mat.ShardEpoch(s)
-		e := nc.live(key, epoch, &m.Cache)
+	out := make([]float64, len(indices))
+	// Each shard reads into its stretch of one buffer, then scatters to each
+	// column's global position: non-contiguous placements interleave server
+	// groups in the sorted request, so the groups do not concatenate in
+	// order. The buffer comes from the arena — a training run makes millions
+	// of these pulls.
+	buf := arena.Floats(len(indices))
+	defer arena.PutFloats(buf)
+	split := mat.Part.SplitIndices(indices)
+	shards := make([]shardRead, len(split))
+	for s, idx := range split {
+		if len(idx) > 0 {
+			// What the uncached sparse pull would have paid for this shard.
+			m.Cache.BaselineBytes += 2*cost.RequestOverheadB + 12*float64(len(idx))
+		}
+		shards[s] = shardRead{read: copyRead{idx: idx, out: buf[:len(idx):len(idx)]}, todo: len(idx) > 0}
+		buf = buf[len(idx):]
+	}
+	scatter := func(r copyRead) {
+		at := cursor{all: indices}
+		for k, col := range r.idx {
+			out[at.pos(col)] = r.out[k]
+		}
+	}
+	// plan serves what shard s's copy set may serve and makes c the
+	// validation+fetch call for the rest, if any.
+	plan := func(s int, c *CallSpec) bool {
+		sp := &shards[s]
+		if !sp.todo {
+			return false
+		}
+		sp.todo = false
+		sp.epoch = mat.ShardEpoch(s)
+		e := nc.live(cacheKey{copyKey: copyKey{row, s}}, sp.epoch, &m.Cache)
 		var set *copySet
 		if e != nil {
 			set = &e.copySet
 		}
-		r := classify(m, cc.cfg.Policy, set, idx, nc.clock, out)
-		if r.pending() == 0 {
+		sp.read = classify(m, cc.cfg.Policy, set, sp.read.idx, nc.clock, sp.read.out)
+		if sp.read.pending() == 0 {
 			m.Cache.Hits++
 			nc.touch(e)
-			return nil
+			scatter(sp.read)
+			return false
 		}
 		// Validation request: the indices plus one 16-byte (version, count)
 		// stamp per distinct stored version among them.
 		verGroups := map[uint64]struct{}{}
-		for _, k := range r.stale {
-			verGroups[set.vals[idx[k]].ver] = struct{}{}
+		for _, k := range sp.read.stale {
+			verGroups[set.vals[sp.read.idx[k]].ver] = struct{}{}
 		}
-		reqBytes := cost.RequestOverheadB + 4*float64(r.pending()) + 16*float64(len(verGroups))
-		var rep copyReply
-		err := cc.mat.CallShard(cp, from, CallSpec{
-			Name:     "cache-pull",
-			Shard:    s,
-			ReqBytes: reqBytes,
-			// An unchanged validation responds with framing only; changed
-			// values ship as sparse (index, value) pairs, missing ones as
-			// plain values aligned with the request.
-			RespBytesFn: func(*Shard) float64 {
-				return cost.RequestOverheadB + 12*float64(len(rep.changed)) + 8*float64(len(r.missing))
-			},
-			Fn: func(_ int, sh *Shard) error {
-				rep = r.read(sh, row)
-				return nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		if cc.mat.ShardEpoch(s) != epoch {
-			// A recovery landed mid-call: the restored shard's stamps
-			// restart, so fence and redo against the new incarnation.
-			if cur := nc.get(key); cur != nil {
-				nc.remove(cur)
-			}
-			m.Cache.EpochFences++
-			continue
-		}
-		m.Cache.Misses++
-		m.Cache.Validations += uint64(len(r.stale))
-		m.Cache.ValidationHits += uint64(len(r.stale) - len(rep.changed))
-		m.Cache.PulledBytes += reqBytes + cost.RequestOverheadB + 12*float64(len(rep.changed)) + 8*float64(len(r.missing))
-		cur := nc.entry(key, epoch)
-		n := len(cur.vals)
-		r.merge(rep, &cur.copySet, nc.clock)
-		cur.bytes += sparseColBytes * float64(len(cur.vals)-n)
-		nc.bytes += sparseColBytes * float64(len(cur.vals)-n)
-		nc.touch(cur)
-		nc.evict(cc.cfg.CapacityBytes, &m.Cache)
-		return nil
+		c.ReqBytes = cost.RequestOverheadB + 4*float64(sp.read.pending()) + 16*float64(len(verGroups))
+		c.RespBytesFn = sp.respBytes
+		return true
 	}
+	todo := true // a shard is still to be read
+	spec := CallSpec{
+		Name: "cache-pull",
+		// An unchanged validation responds with framing only; changed values
+		// ship as sparse (index, value) pairs, missing ones as plain values
+		// aligned with the request.
+		Fn: func(s int, sh *Shard) error {
+			sp := &shards[s]
+			sp.rep = sp.read.read(sh, row)
+			sp.resp = cost.RequestOverheadB + 12*float64(len(sp.rep.changed)) + 8*float64(len(sp.read.missing))
+			return nil
+		},
+		delivered: func(c *CallSpec) {
+			sp := &shards[c.Shard]
+			key := cacheKey{copyKey: copyKey{row, c.Shard}}
+			if mat.ShardEpoch(c.Shard) != sp.epoch {
+				// A recovery landed mid-call: the restored shard's stamps
+				// restart, so fence and read it again from the new
+				// incarnation.
+				if cur := nc.get(key); cur != nil {
+					nc.remove(cur)
+				}
+				m.Cache.EpochFences++
+				sp.todo, todo = true, true
+				return
+			}
+			m.Cache.Misses++
+			m.Cache.Validations += uint64(len(sp.read.stale))
+			m.Cache.ValidationHits += uint64(len(sp.read.stale) - len(sp.rep.changed))
+			m.Cache.PulledBytes += c.ReqBytes + sp.resp
+			cur := nc.entry(key, sp.epoch)
+			n := len(cur.vals)
+			sp.read.merge(sp.rep, &cur.copySet, nc.clock)
+			cur.bytes += sparseColBytes * float64(len(cur.vals)-n)
+			nc.bytes += sparseColBytes * float64(len(cur.vals)-n)
+			nc.touch(cur)
+			nc.evict(cc.cfg.CapacityBytes, &m.Cache)
+			scatter(sp.read)
+		},
+	}
+	var err error
+	for err == nil && todo {
+		todo = false
+		err = mat.fanOut(p, from, spec, plan)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PullRows is the cached batched full-row pull (the embedding access
@@ -400,206 +405,230 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 	}
 	mat.enterOp(p)
 	defer mat.exitOp()
-	nc := cc.node(from)
-	out := make([][]float64, len(rows))
-	for i := range out {
-		out[i] = make([]float64, mat.Dim)
-	}
-	err := mat.fanOutProcs(p, "cache-pull-rows", func(s int) shardBody {
-		return func(cp *simnet.Proc) error { return cc.pullRowsShard(cp, from, nc, rows, s, out) }
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// pullRowsShard serves one shard's stretch of a batched row pull.
-func (cc *CachedClient) pullRowsShard(cp *simnet.Proc, from *simnet.Node, nc *nodeCache,
-	rows []int, s int, out [][]float64) error {
-	m := cc.mat.master
+	m, nc := mat.master, cc.node(from)
 	cost := m.Cl.Cost
-	v := cc.mat.Part.View(s)
-	width := v.Width()
-	m.Cache.BaselineBytes += 2*cost.RequestOverheadB + 4*float64(len(rows)) + 8*float64(len(rows)*width)
-	// Unique rows in first-appearance order; duplicates are served from the
-	// same fetch (the uncached operator ships them twice).
-	uniq := make([]int, 0, len(rows))
-	seen := map[int]bool{}
-	for _, r := range rows {
-		if !seen[r] {
-			seen[r] = true
+	// Unique rows in first-appearance order, and each row's position among
+	// them; duplicates are served from the same fetch (the uncached operator
+	// ships them twice).
+	uniq, pos := make([]int, 0, len(rows)), make(map[int]int, len(rows))
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		if _, ok := pos[r]; !ok {
+			pos[r] = len(uniq)
 			uniq = append(uniq, r)
 		}
+		out[i] = make([]float64, mat.Dim)
 	}
-	for {
-		epoch := cc.mat.ShardEpoch(s)
+	shards := make([]shardRead, mat.Part.NumServers())
+	// vals[s*len(uniq)+j] is shard s's stretch of row uniq[j] as served,
+	// validated or fetched.
+	vals := make([][]float64, len(shards)*len(uniq))
+	for s := range shards {
+		m.Cache.BaselineBytes += 2*cost.RequestOverheadB + 4*float64(len(rows)) + 8*float64(len(rows)*mat.Part.Width(s))
+		shards[s].todo = true
+	}
+	scatter := func(s int) {
+		v := mat.Part.View(s)
+		for i, r := range rows {
+			v.Scatter(vals[s*len(uniq)+pos[r]], out[i])
+		}
+	}
+	// plan serves what shard s's stretches may serve and makes c the
+	// validation+fetch call for the rest, if any.
+	plan := func(s int, c *CallSpec) bool {
+		sp := &shards[s]
+		if !sp.todo {
+			return false
+		}
+		*sp = shardRead{epoch: mat.ShardEpoch(s)}
 		var stale, missing []int
-		held := map[int]stretchHdr{} // each stale row's header, as classified
-		rowVals := map[int][]float64{}
-		for _, r := range uniq {
-			e := nc.live(cacheKey{copyKey{r, s}, true}, epoch, &m.Cache)
+		for j, r := range uniq {
+			e := nc.live(cacheKey{copyKey{r, s}, true}, sp.epoch, &m.Cache)
 			if e == nil || e.dense == nil {
-				missing = append(missing, r)
+				missing = append(missing, j)
 				continue
 			}
 			switch admit(m, cc.cfg.Policy, cc.deltas, e.stretch.copyVal, nc.clock) {
 			case consistency.ServeCached:
-				rowVals[r] = e.dense
+				vals[s*len(uniq)+j] = e.dense
 				nc.touch(e)
 			case consistency.HardPull:
 				// Local pushes alone bust the bound: skip the stamp and
 				// watermark bytes, refetch like a miss. The live entry stays
 				// put; merge observes the change against it after the call.
-				missing = append(missing, r)
+				missing = append(missing, j)
 			default:
-				stale = append(stale, r)
-				held[r] = e.stretch
-				rowVals[r] = e.dense // replaced wholesale on refresh, safe to hold
+				stale = append(stale, j)
+				sp.held = append(sp.held, e.stretch)
+				vals[s*len(uniq)+j] = e.dense // replaced wholesale on refresh, safe to hold
 			}
 		}
-		if len(stale) == 0 && len(missing) == 0 {
+		sp.rows, sp.stale = append(stale, missing...), len(stale)
+		if len(sp.rows) == 0 {
 			m.Cache.Hits++
-			for i, r := range rows {
-				v.Scatter(rowVals[r], out[i])
-			}
-			return nil
+			scatter(s)
+			return false
 		}
 		// Request: 4 bytes per row id, plus an 8-byte stamp per validated row.
-		reqBytes := cost.RequestOverheadB + 4*float64(len(stale)+len(missing)) + 8*float64(len(stale))
-		if cc.deltas && len(stale) > 0 {
+		c.ReqBytes = cost.RequestOverheadB + 4*float64(len(sp.rows)) + 8*float64(sp.stale)
+		if cc.deltas && sp.stale > 0 {
 			// Value-bounded validation also ships each stale row's drift
 			// watermark plus the bound, so the server can certify rows whose
 			// true drift stays within it instead of shipping them.
-			reqBytes += 8*float64(len(stale)) + 8
+			c.ReqBytes += 8*float64(sp.stale) + 8
 		}
-		var stamp, valGen uint64
-		fetched := map[int][]float64{}
-		var valDrift map[int]float64
+		sp.fetched = make([][]float64, len(sp.rows))
 		if cc.deltas {
-			valDrift = map[int]float64{}
+			sp.drift = make([]float64, len(sp.rows))
 		}
-		err := cc.mat.CallShard(cp, from, CallSpec{
-			Name:     "cache-pull-rows",
-			Shard:    s,
-			ReqBytes: reqBytes,
-			RespBytesFn: func(*Shard) float64 {
-				b := cost.RequestOverheadB + 8*float64(len(fetched)*width)
+		c.RespBytesFn = sp.respBytes
+		return true
+	}
+	todo := true // a shard is still to be read
+	spec := CallSpec{
+		Name: "cache-pull-rows",
+		Fn: func(s int, sh *Shard) error {
+			sp := &shards[s]
+			sp.stamp, sp.shipped = sh.Ver(), 0 // idempotent under retry
+			for k, j := range sp.rows {
+				r := uniq[j]
+				sp.fetched[k] = nil
 				if cc.deltas {
-					// Fresh drift watermarks ride back for every requested row.
-					b += 8 * float64(len(stale)+len(missing))
+					sp.drift[k] = sh.RowDrift(r)
 				}
-				return b
-			},
-			Fn: func(_ int, sh *Shard) error {
-				stamp = sh.Ver()
-				clear(fetched) // idempotent under retry
-				for _, r := range stale {
-					if sh.RowVer(r) <= held[r].ver {
+				if k < sp.stale {
+					if sh.RowVer(r) <= sp.held[k].ver {
 						continue // unchanged since the client's stamp
 					}
 					// The row changed, but versions.go knows its exact
 					// cumulative drift: certify instead of shipping when the
 					// change since the client's value-anchor watermark stays
 					// within the policy's bound.
-					if cc.deltas && sh.DriftGen() == held[r].gen && certified(cc.cfg.Policy, sh.RowDrift(r)-held[r].drift) {
+					if cc.deltas && sh.DriftGen() == sp.held[k].gen && certified(cc.cfg.Policy, sh.RowDrift(r)-sp.held[k].drift) {
 						continue
 					}
-					fetched[r] = append([]float64(nil), sh.Rows[r]...)
 				}
-				for _, r := range missing {
-					fetched[r] = append([]float64(nil), sh.Rows[r]...)
-				}
-				if cc.deltas {
-					clear(valDrift)
-					for _, r := range stale {
-						valDrift[r] = sh.RowDrift(r)
-					}
-					for _, r := range missing {
-						valDrift[r] = sh.RowDrift(r)
-					}
-					valGen = sh.DriftGen()
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		if cc.mat.ShardEpoch(s) != epoch {
-			for _, r := range uniq {
-				if cur := nc.get(cacheKey{copyKey{r, s}, true}); cur != nil {
-					nc.remove(cur)
-				}
+				// A copy, never nil (even zero-wide): nil marks a row not
+				// shipped.
+				sp.fetched[k] = append(make([]float64, 0, len(sh.Rows[r])), sh.Rows[r]...)
+				sp.shipped++
 			}
-			m.Cache.EpochFences++
-			continue
-		}
-		m.Cache.Misses++
-		m.Cache.Validations += uint64(len(stale))
-		m.Cache.ValidationHits += uint64(len(stale) - (len(fetched) - len(missing)))
-		m.Cache.PulledBytes += reqBytes + cost.RequestOverheadB + 8*float64(len(fetched)*width)
-		if cc.deltas {
-			m.Cache.PulledBytes += 8 * float64(len(stale)+len(missing))
-		}
-		merge := func(r int, vals []float64, shipped bool) {
-			cur := nc.entry(cacheKey{copyKey{r, s}, true}, epoch)
-			if cur.dense != nil && (cur.stretch.ver > stamp || (cur.stretch.ver == stamp && cur.stretch.clock >= nc.clock)) {
-				rowVals[r] = cur.dense // a concurrent task refreshed it further
+			sp.gen = sh.DriftGen()
+			sp.resp = cost.RequestOverheadB + 8*float64(sp.shipped*mat.Part.Width(s))
+			if cc.deltas {
+				// Fresh drift watermarks ride back for every requested row.
+				sp.resp += 8 * float64(len(sp.rows))
+			}
+			return nil
+		},
+		delivered: func(c *CallSpec) {
+			s := c.Shard
+			sp := &shards[s]
+			if mat.ShardEpoch(s) != sp.epoch {
+				for _, r := range uniq {
+					if cur := nc.get(cacheKey{copyKey{r, s}, true}); cur != nil {
+						nc.remove(cur)
+					}
+				}
+				m.Cache.EpochFences++
+				sp.todo, todo = true, true
 				return
 			}
-			if cur.dense == nil {
-				cur.bytes += 8 * float64(width)
-				nc.bytes += 8 * float64(width)
-			}
-			if cc.deltas {
-				if !shipped && valGen == held[r].gen {
-					// Unchanged or server-certified: the held value stands, so
-					// its drift anchor must stand too — re-anchoring at the
-					// current watermark would let certified chunks accumulate
-					// past the bound unseen. The exact drift-so-far is still
-					// an observation for the rate EWMA.
-					cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, valDrift[r]-held[r].drift, nc.clock-cur.stretch.clock)
-					cur.stretch.drift, cur.stretch.gen = held[r].drift, held[r].gen
-				} else {
-					// Observe a shipped row's change magnitude for the
-					// drift-rate EWMA, then re-anchor at the watermark read.
-					if shipped && cur.dense == nil {
-						cur.stretch.rate = consistency.UnknownRate()
-					} else if shipped {
-						var maxAbs float64
-						for i := range vals {
-							if d := math.Abs(vals[i] - cur.dense[i]); d > maxAbs {
-								maxAbs = d
-							}
-						}
-						cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, maxAbs, nc.clock-cur.stretch.clock)
-					}
-					cur.stretch.drift, cur.stretch.gen = valDrift[r], valGen
+			m.Cache.Misses++
+			m.Cache.Validations += uint64(sp.stale)
+			m.Cache.ValidationHits += uint64(sp.stale - (sp.shipped - (len(sp.rows) - sp.stale)))
+			m.Cache.PulledBytes += c.ReqBytes + sp.resp
+			width := mat.Part.Width(s)
+			for k, j := range sp.rows {
+				// A stale row not shipped was validated unchanged or
+				// certified: restamp the cached copy.
+				v, shipped := vals[s*len(uniq)+j], sp.fetched[k] != nil
+				if shipped {
+					v = sp.fetched[k]
 				}
-				// Any owner contact resets the local-push tally.
-				cur.stretch.pend = 0
+				cur := nc.entry(cacheKey{copyKey{uniq[j], s}, true}, sp.epoch)
+				if cur.dense != nil && (cur.stretch.ver > sp.stamp || (cur.stretch.ver == sp.stamp && cur.stretch.clock >= nc.clock)) {
+					vals[s*len(uniq)+j] = cur.dense // a concurrent task refreshed it further
+					continue
+				}
+				if cur.dense == nil {
+					cur.bytes += 8 * float64(width)
+					nc.bytes += 8 * float64(width)
+				}
+				if cc.deltas {
+					if !shipped && sp.gen == sp.held[k].gen {
+						// Unchanged or server-certified: the held value
+						// stands, so its drift anchor must stand too —
+						// re-anchoring at the current watermark would let
+						// certified chunks accumulate past the bound unseen.
+						// The exact drift-so-far is still an observation for
+						// the rate EWMA.
+						cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, sp.drift[k]-sp.held[k].drift, nc.clock-cur.stretch.clock)
+						cur.stretch.driftMark = sp.held[k].driftMark
+					} else {
+						// Observe a shipped row's change magnitude for the
+						// drift-rate EWMA, then re-anchor at the watermark
+						// read.
+						if shipped && cur.dense == nil {
+							cur.stretch.rate = consistency.UnknownRate()
+						} else if shipped {
+							var maxAbs float64
+							for i := range v {
+								if d := math.Abs(v[i] - cur.dense[i]); d > maxAbs {
+									maxAbs = d
+								}
+							}
+							cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, maxAbs, nc.clock-cur.stretch.clock)
+						}
+						cur.stretch.driftMark = driftMark{sp.drift[k], sp.gen}
+					}
+					// Any owner contact resets the local-push tally.
+					cur.stretch.pend = 0
+				}
+				cur.dense = v
+				cur.stretch.ver = sp.stamp
+				cur.stretch.clock = nc.clock
+				vals[s*len(uniq)+j] = v
+				nc.touch(cur)
 			}
-			cur.dense = vals
-			cur.stretch.ver = stamp
-			cur.stretch.clock = nc.clock
-			rowVals[r] = vals
-			nc.touch(cur)
-		}
-		for _, r := range stale {
-			if vals, ok := fetched[r]; ok {
-				merge(r, vals, true)
-			} else {
-				merge(r, rowVals[r], false) // validated unchanged: restamp the cached copy
-			}
-		}
-		for _, r := range missing {
-			merge(r, fetched[r], true)
-		}
-		nc.evict(cc.cfg.CapacityBytes, &m.Cache)
-		for i, r := range rows {
-			v.Scatter(rowVals[r], out[i])
-		}
-		return nil
+			nc.evict(cc.cfg.CapacityBytes, &m.Cache)
+			scatter(s)
+		},
 	}
+	var err error
+	for err == nil && todo {
+		todo = false
+		err = mat.fanOut(p, from, spec, plan)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
+
+// shardRead is one shard's part of a cached pull, in the sparse form or the
+// dense one: what the call asks the owner, and the reply.
+type shardRead struct {
+	epoch uint64  // the owner epoch the shard was classified under
+	todo  bool    // the shard is still to be read
+	resp  float64 // the call's response bytes
+
+	// Sparse: the read against the copy set and the owner's reply.
+	read copyRead
+	rep  copyReply
+
+	// Dense: the rows the call validates (the first stale of them) and
+	// fetches, as positions into the pull's unique rows; each stale row's
+	// header as classified; and the reply, aligned with rows: each row
+	// shipped (nil: not shipped) and, under a delta-consuming policy, its
+	// drift watermark, of generation gen, all at the owner's stamp.
+	rows       []int
+	stale      int
+	held       []stretchHdr
+	fetched    [][]float64
+	drift      []float64
+	shipped    int
+	stamp, gen uint64
+}
+
+func (sp *shardRead) respBytes(*Shard) float64 { return sp.resp }

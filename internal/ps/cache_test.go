@@ -171,6 +171,67 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 	})
 }
 
+// TestCacheEpochFencesRecoveryMidCall: a recovery that lands while a cached
+// pull's call to the server is in flight restarts the shard's stamps under
+// the call, so the reply's "unchanged" verdicts compare stamps of two
+// incarnations. The pull must fence the shard's entries and read the shard
+// again: it returns the restored values, counts one fence, and keeps no entry
+// of the old incarnation. Both the sparse and the dense form.
+func TestCacheEpochFencesRecoveryMidCall(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		sim, cl, m := testMaster(2)
+		run(sim, func(p *simnet.Proc) {
+			mat := Must(m.CreateMatrix(p, 1, 40))
+			worker := cl.Executors[0]
+			fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) })
+			m.Checkpoint(p, mat)
+			cc := NewCachedClient(mat, CacheConfig{})
+			idx := []int{1, 5, 25, 39}
+			pull := func() []float64 {
+				if !dense {
+					return Must(cc.PullRowIndices(p, worker, 0, idx))
+				}
+				row := Must(cc.PullRows(p, worker, []int{0}))[0]
+				vals := make([]float64, len(idx))
+				for k, c := range idx {
+					vals[k] = row[c]
+				}
+				return vals
+			}
+			// Cache values the restore will lose.
+			MustOK(mat.PushAdd(p, worker, 0, Must(linalg.NewSparse(idx, []float64{100, 100, 100, 100}))))
+			pull()
+			cc.Tick()
+			fences := m.Cache.EpochFences
+			// The next pull validates; its request to server 0 is on the wire
+			// when the server is lost and replaced.
+			p.Sim().Spawn("killer", func(kp *simnet.Proc) {
+				kp.Sleep(1e-6)
+				m.KillServer(0)
+				m.RecoverServer(kp, 0)
+			})
+			got := pull()
+			want := Must(mat.PullRowIndices(p, worker, 0, idx))
+			for k, c := range idx {
+				if got[k] != want[k] {
+					t.Fatalf("dense=%v: col %d = %v, want the restored %v", dense, c, got[k], want[k])
+				}
+			}
+			if got[0] != 1 || got[3] != 139 {
+				t.Fatalf("dense=%v: got %v, want shard 0 restored to the checkpoint (1) and shard 1 kept (139)", dense, got)
+			}
+			if n := m.Cache.EpochFences - fences; n != 1 {
+				t.Fatalf("dense=%v: %d epoch fences, want 1 (the call's)", dense, n)
+			}
+			for k, e := range cc.node(worker).entries {
+				if e.epoch != mat.ShardEpoch(k.shard) {
+					t.Fatalf("dense=%v: entry %+v kept epoch %d, shard's is %d", dense, k, e.epoch, mat.ShardEpoch(k.shard))
+				}
+			}
+		})
+	}
+}
+
 // TestCacheEpochFencesUnderChaosSoak hammers the cached pull path with
 // message loss and repeated crash/recovery cycles and checks every pull
 // agrees with the server's live state at read time.

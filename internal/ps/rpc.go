@@ -540,13 +540,14 @@ func (m *Master) reliableSend(p *simnet.Proc, from, to *simnet.Node, bytes float
 	return err
 }
 
-// fanOut is the per-server scaffold under every operator. It issues spec to
-// each logical shard in ascending order, as a step child named spec.Name (no
-// coroutine: the call's chain runs in the event loop); shard, if not nil,
-// first fills in shard s's part of its copy — false skips the shard: no
-// call, no traffic. It waits for all the calls and returns the
-// lowest-numbered shard's error. Callers hold the route gate, so the
-// placement cannot change underneath it.
+// fanOut is the one per-shard scaffold, under every operator and the cached
+// pulls alike. It issues spec to each logical shard in ascending order, as a
+// step child named spec.Name (no coroutine: the call's chain runs in the
+// event loop); shard, if not nil, first fills in shard s's part of its copy
+// — false skips the shard: no call, no child, no traffic. Work that follows
+// a call's reply runs in spec.delivered. It waits for all the calls and
+// returns the lowest-numbered shard's error. Callers hold the route gate, so
+// the placement cannot change underneath it.
 func (mat *Matrix) fanOut(p *simnet.Proc, from *simnet.Node, spec CallSpec, shard func(s int, c *CallSpec) bool) error {
 	m := mat.master
 	g := p.Sim().NewGroup()
@@ -578,31 +579,6 @@ func (mat *Matrix) fanOut(p *simnet.Proc, from *simnet.Node, spec CallSpec, shar
 		c = next
 	}
 	return err
-}
-
-// shardBody is one shard's share of a fan-out whose per-shard work is more
-// than one call, run in a child process of its own.
-type shardBody func(cp *simnet.Proc) error
-
-// fanOutProcs is fanOut for such work: it asks shard for each logical
-// shard's body in ascending order — nil skips the shard — spawns a child
-// process named name per body, waits for all of them and returns the
-// lowest-numbered shard's error.
-func (mat *Matrix) fanOutProcs(p *simnet.Proc, name string, shard func(s int) shardBody) error {
-	errs := make([]error, mat.Part.NumServers())
-	g := p.Sim().NewGroup()
-	for s := range errs {
-		if body := shard(s); body != nil {
-			g.Go(name, func(cp *simnet.Proc) { errs[s] = body(cp) })
-		}
-	}
-	g.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CallShards issues spec(s) to every logical shard s in parallel, as step

@@ -148,3 +148,42 @@ func TestStoppedCallsCloseTheirSpans(t *testing.T) {
 		t.Error("a request ID in flight at the cut never settled")
 	}
 }
+
+// TestCachedPullAllocsIndependentOfShards: a warm cached pull, every value
+// served from the worker's copies so no call is made, allocates the same,
+// fixed number of objects on 20 servers as on 2 — the result, the split and
+// one per-pull record, none of it per shard. Sparse: 200 columns over every
+// shard; dense: two rows.
+func TestCachedPullAllocsIndependentOfShards(t *testing.T) {
+	const dim, wantSparse, wantDense = 4000, 8, 13
+	measure := func(servers int) (sparse, dense float64) {
+		sim, cl, m := testMaster(servers)
+		run(sim, func(p *simnet.Proc) {
+			mat := Must(m.CreateMatrix(p, 2, dim))
+			w := cl.Executors[0]
+			cc := NewCachedClient(mat, CacheConfig{})
+			indices := make([]int, 0, 200)
+			for c := 7; c < dim; c += 20 {
+				indices = append(indices, c)
+			}
+			rows := []int{0, 1}
+			Must(cc.PullRowIndices(p, w, 0, indices))
+			Must(cc.PullRows(p, w, rows))
+			calls := m.Net.Calls
+			sparse = testing.AllocsPerRun(50, func() { Must(cc.PullRowIndices(p, w, 0, indices)) })
+			dense = testing.AllocsPerRun(50, func() { Must(cc.PullRows(p, w, rows)) })
+			if m.Net.Calls != calls {
+				t.Errorf("%d servers: warm pulls made %d calls", servers, m.Net.Calls-calls)
+			}
+		})
+		return sparse, dense
+	}
+	s2, d2 := measure(2)
+	s20, d20 := measure(20)
+	if s2 != s20 || s20 != wantSparse {
+		t.Errorf("a warm cached PullRowIndices allocates %v times on 2 servers and %v on 20, want %d on both", s2, s20, wantSparse)
+	}
+	if d2 != d20 || d20 != wantDense {
+		t.Errorf("a warm cached PullRows allocates %v times on 2 servers and %v on 20, want %d on both", d2, d20, wantDense)
+	}
+}

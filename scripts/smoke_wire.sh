@@ -6,7 +6,7 @@
 # twice. Then a one-server arm whose weight row stays sparse, so its final
 # pull takes the sparse range layout, must match the simnet arm as well, and
 # a one-server arm with a 4 M-wide row must leave the server's peak resident
-# set below that of one dense row.
+# set below that of one dense row, and its worker must report its own peak.
 # Exercises the whole wire stack — frame codec, connection pooling,
 # dedup/watermark, retry — across real process boundaries, which no
 # in-process test can.
@@ -90,7 +90,8 @@ echo "wire smoke: the one-server arm's final pull shipped the row's support and 
 # One server, a 4 M-wide row and 5 steps: the rows stay compact, so the
 # server never holds one dense row's 32 MB. ps2serve prints its peak
 # resident set (VmHWM) in its last line once stopped; where /proc gives it
-# none, the arm checks nothing.
+# none, the arm checks nothing. ps2worker ends its rpc: line with its own
+# peak, which the arm requires to be there (it bounds nothing).
 "$workdir/ps2serve" -addr 127.0.0.1:0 > "$workdir/s4.log" 2>&1 &
 S4=$!
 A4=$(pick_addr "$workdir/s4.log")
@@ -98,6 +99,12 @@ if ! "$workdir/ps2worker" \
 	-servers "$A4" \
 	-iters 5 -batch 64 -dim 4000000 > "$workdir/wide.log" 2>&1; then
 	cat "$workdir/wide.log"
+	exit 1
+fi
+cat "$workdir/wide.log"
+wkb=$(sed -n 's/^rpc: .*, VmHWM \([0-9]*\) kB$/\1/p' "$workdir/wide.log")
+if [ -z "$wkb" ]; then
+	echo "wire smoke: the 4 M-wide arm's worker printed no VmHWM on its rpc: line" >&2
 	exit 1
 fi
 kill -TERM $S4
@@ -110,4 +117,4 @@ if [ -n "$kb" ] && ! [ "$kb" -lt 31250 ]; then
 	exit 1
 fi
 
-echo "wire smoke: the 4 M-wide arm's server stayed below one dense row (VmHWM ${kb:-unknown} kB)"
+echo "wire smoke: the 4 M-wide arm's server stayed below one dense row (VmHWM ${kb:-unknown} kB; worker ${wkb} kB)"
