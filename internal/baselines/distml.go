@@ -71,7 +71,7 @@ func (s *distML) Barrier(*simnet.Proc, int, int) error {
 func hostRow(mat *ps.Matrix) []float64 {
 	out := make([]float64, mat.Dim)
 	for s := 0; s < mat.Part.NumServers(); s++ {
-		sh := mat.ShardOf(s)
+		sh := mat.HostShard(s)
 		sh.Scatter(sh.Rows[0], out)
 	}
 	return out

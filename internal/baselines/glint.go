@@ -55,45 +55,42 @@ func (s *glintLDA) Barrier(*simnet.Proc, int, int) error { return nil }
 // way).
 func (s *glintLDA) pull(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
 	cost, k := tc.Ctx.Cl.Cost, s.mat.Rows
-	return lda.PullWordCounts(tc, s.mat, words, func(cp *simnet.Proc, srv *simnet.Node, n int) {
+	return lda.PullWordCounts(tc, s.mat, words, func(n int) (req, work, resp float64) {
 		f := float64(n)
-		tc.Node.Send(cp, srv, f*cost.RequestOverheadB)
-		srv.Compute(cp, f*cost.RequestHandleWork+cost.ElemWork(n*k))
-		srv.Send(cp, tc.Node, f*(cost.RequestOverheadB+float64(k)*8))
+		return f * cost.RequestOverheadB,
+			f*cost.RequestHandleWork + cost.ElemWork(n*k),
+			f * (cost.RequestOverheadB + float64(k)*8)
 	}), s.totals
 }
 
-// push applies the pass, then pays for per-word delta pushes, uncompressed,
-// charged like the pulls. Every pulled word had its tokens resampled, so
+// push sends per-word delta pushes, uncompressed, charged like the pulls,
+// which the servers apply. Every pulled word had its tokens resampled, so
 // every one is pushed.
 func (s *glintLDA) push(tc *rdd.TaskContext, words []int, pass lda.Pass) {
-	s.add(pass)
+	s.addTotals(pass)
 	cost, k := tc.Ctx.Cl.Cost, s.mat.Rows
-	g := tc.P.Sim().NewGroup()
-	for i, idx := range s.mat.Part.SplitIndices(words) {
-		if len(idx) == 0 {
-			continue
-		}
-		g.Go("glint-push", func(cp *simnet.Proc) {
-			n := float64(len(idx))
-			srv := s.mat.ServerNode(i)
-			tc.Node.Send(cp, srv, n*(cost.RequestOverheadB+float64(k)*8))
-			srv.Compute(cp, n*cost.RequestHandleWork+cost.ElemWork(len(idx)*k))
-			srv.Send(cp, tc.Node, n*cost.RequestOverheadB)
-		})
-	}
-	g.Wait(tc.P)
+	lda.PushDeltas(tc, s.mat, words, pass, func(n, _ int) (req, work, resp float64) {
+		f := float64(n)
+		return f * (cost.RequestOverheadB + float64(k)*8),
+			f*cost.RequestHandleWork + cost.ElemWork(n*k),
+			f * cost.RequestOverheadB
+	})
 }
 
-// add applies one partition's count changes to shard memory and the topic
-// totals (the wire cost is charged by the surrounding pushes).
+// add applies one partition's count changes to shard memory from the host,
+// with the topic totals; the setup charges its wire cost separately.
 func (s *glintLDA) add(pass lda.Pass) {
 	for k, words := range pass.Deltas {
 		for w, v := range words {
-			sh := s.mat.ShardOf(s.mat.Part.ServerOf(w))
+			sh := s.mat.HostShard(s.mat.Part.ServerOf(w))
 			sh.Rows[k][sh.Local(w)] += v
 		}
 	}
+	s.addTotals(pass)
+}
+
+// addTotals folds one partition's topic-total changes into the totals.
+func (s *glintLDA) addTotals(pass lda.Pass) {
 	for k, v := range pass.Totals {
 		s.totals[k] += v
 	}

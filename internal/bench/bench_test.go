@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strconv"
@@ -43,12 +44,55 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				got, _ := json.Marshal(res.Entry())
 				want, _ := json.Marshal(snap[e.ID])
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s differs from %s; if the change is intended, run scripts/bench_snapshot.sh\ngot  %s\nwant %s",
-						e.ID, snapshotPath, got, want)
+					t.Fatalf("%s differs from %s; if the change is intended, run scripts/bench_snapshot.sh\n%s\ngot  %s\nwant %s",
+						e.ID, snapshotPath, strings.Join(snapshotDiff(snap[e.ID], res.Entry()), "\n"), got, want)
 				}
 			})
 		})
 	}
+}
+
+// snapshotDiff lists each field in which got differs from want, one a line
+// as "name: want → got": the title, the header and notes by position, and
+// each table cell as "row/column", the row named by its index and first cell
+// and the column by its header.
+func snapshotDiff(want, got SnapshotEntry) []string {
+	var out []string
+	diff := func(name, w, g string) {
+		if w != g {
+			out = append(out, fmt.Sprintf("  %s: %s → %s", name, w, g))
+		}
+	}
+	diffList := func(name string, w, g []string) {
+		for i := range max(len(w), len(g)) {
+			diff(fmt.Sprintf("%s %d", name, i), at(w, i), at(g, i))
+		}
+	}
+	diff("title", want.Title, got.Title)
+	diffList("header", want.Header, got.Header)
+	for r := range max(len(want.Rows), len(got.Rows)) {
+		var w, g []string
+		if r < len(want.Rows) {
+			w = want.Rows[r]
+		}
+		if r < len(got.Rows) {
+			g = got.Rows[r]
+		}
+		row := fmt.Sprintf("row %d (%s)", r, at(g, 0))
+		for c := range max(len(w), len(g)) {
+			diff(row+"/"+at(got.Header, c), at(w, c), at(g, c))
+		}
+	}
+	diffList("note", want.Notes, got.Notes)
+	return out
+}
+
+// at returns xs[i], or "(none)" past its end.
+func at(xs []string, i int) string {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return "(none)"
 }
 
 // snapshotPath is the quick-scale snapshot scripts/bench_snapshot.sh writes.

@@ -176,7 +176,7 @@ func hostRowOf(m *lr.AsyncModel) []float64 {
 	mat := m.Weights
 	out := make([]float64, mat.Dim)
 	for s := 0; s < mat.Part.NumServers(); s++ {
-		sh := mat.ShardOf(s)
+		sh := mat.HostShard(s)
 		sh.Scatter(sh.Rows[0], out)
 	}
 	return out

@@ -226,40 +226,40 @@ func (op colOp) shuffle(p *simnet.Proc, from *simnet.Node) ([]float64, error) {
 		touched = []int{v.row}
 	}
 	partials := make([]float64, v.mat.Part.NumServers())
-	err := v.mat.CallShards(p, from, "shuffle", func(s int) ps.CallSpec {
+	spec := ps.CallSpec{
+		Name:      "shuffle",
+		ReqBytes:  cost.RequestOverheadB + op.args,
+		RespBytes: cost.RequestOverheadB + op.result,
+		Mutates:   op.writes > 0,
+		Touched:   touched,
+	}
+	err := v.mat.CallShards(p, from, spec, func(s int, c *ps.CallSpec) bool {
 		// Allocated once per shard and reused across the retry loop: the
 		// rows table and the copies of shuffled operand slices.
 		rows := make([][]float64, len(op.vecs))
 		copies := make([][]float64, len(op.vecs))
-		return ps.CallSpec{
-			Name:      "shuffle",
-			Shard:     s,
-			ReqBytes:  cost.RequestOverheadB + op.args,
-			RespBytes: cost.RequestOverheadB + op.result,
-			Mutates:   op.writes > 0,
-			Touched:   touched,
-			BlockingFn: func(fp *simnet.Proc, _ int, sh *ps.Shard) error {
-				host := v.mat.ServerNode(s)
-				for i, ov := range op.vecs {
-					if ov.mat == v.mat {
-						rows[i] = sh.Rows[ov.row]
-						continue
-					}
-					osh, err := ov.mat.LiveShard(s)
-					if err != nil {
-						return err
-					}
-					if err := ov.mat.ServerNode(s).TrySend(fp, host, cost.DenseBytes(sh.Width())); err != nil {
-						return err
-					}
-					copies[i] = append(copies[i][:0], osh.Rows[ov.row]...)
-					rows[i] = copies[i]
+		c.BlockingFn = func(fp *simnet.Proc, _ int, sh *ps.Shard) error {
+			host := v.mat.ServerNode(s)
+			for i, ov := range op.vecs {
+				if ov.mat == v.mat {
+					rows[i] = sh.Rows[ov.row]
+					continue
 				}
-				host.Compute(fp, op.work*float64(sh.Width()))
-				partials[s] = op.kernel(spanOf(s, sh, rows))
-				return nil
-			},
+				osh, err := ov.mat.LiveShard(s)
+				if err != nil {
+					return err
+				}
+				if err := ov.mat.ServerNode(s).TrySend(fp, host, cost.DenseBytes(sh.Width())); err != nil {
+					return err
+				}
+				copies[i] = append(copies[i][:0], osh.Rows[ov.row]...)
+				rows[i] = copies[i]
+			}
+			host.Compute(fp, op.work*float64(sh.Width()))
+			partials[s] = op.kernel(spanOf(s, sh, rows))
+			return nil
 		}
+		return true
 	})
 	if err != nil {
 		return nil, err

@@ -110,7 +110,9 @@ func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices i
 	if err != nil {
 		return nil, err
 	}
-	initEmbeddings(p, e, mat, vertices, cfg)
+	if err := initEmbeddings(p, e, mat, cfg); err != nil {
+		return nil, err
+	}
 	// The mode picks the per-pair step once. The pull/push mode, which ships
 	// whole vectors and so has something to save, may read through a cache.
 	s := &deepWalk{mat: mat, cfg: cfg, vertices: vertices}
@@ -237,32 +239,25 @@ func buildNoiseSampler(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair]
 // counts than word2vec's zero-output convention). The initialization runs
 // server-side — the coordinator sends one seeded command per server and each
 // server fills its own shard — so setup costs one RPC per server instead of
-// 2V row writes, as production parameter servers do.
-func initEmbeddings(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, vertices int, cfg Config) {
+// 2V row writes, as production parameter servers do. The fill declares no
+// rows, so every row is marked written.
+func initEmbeddings(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, cfg Config) error {
 	scale := 1.0 / math.Sqrt(float64(cfg.K))
 	cost := e.Cluster.Cost
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("init-embeddings", func(cp *simnet.Proc) {
-			sh := mat.ShardOf(s)
-			srv := mat.ServerNode(s)
-			e.Driver().Send(cp, srv, cost.RequestOverheadB)
-			srv.Compute(cp, cost.ElemWork(len(sh.Rows)*sh.Width()))
+	_, err := mat.Invoke(p, e.Driver(), ps.InvokeOp{
+		Work:    func(width int) float64 { return cost.ElemWork(mat.Rows * width) },
+		Mutates: true,
+		Fn: func(s int, sh *ps.Shard) float64 {
 			rng := linalg.NewRNG(cfg.Seed*77 + 13 + uint64(s)*1_000_003)
-			for r := range sh.Rows {
-				row := sh.Rows[r]
+			for _, row := range sh.Rows {
 				for i := range row {
 					row[i] = (rng.Float64() - 0.5) * scale
 				}
 			}
-			// The fill bypassed CallShard, so mark every row mutated: delta
-			// checkpoints and cache version stamps must see the init values.
-			sh.TouchAll()
-			srv.Send(cp, e.Driver(), cost.RequestOverheadB)
-		})
-	}
-	g.Wait(p)
+			return 0
+		},
+	})
+	return err
 }
 
 // dcvWorker runs the server-side DeepWalk path for one partition. With fusion
@@ -559,7 +554,7 @@ func (m *Model) hostInputTable() [][]float64 {
 		table[v] = make([]float64, m.K)
 	}
 	for s := 0; s < m.Mat.Part.NumServers(); s++ {
-		sh := m.Mat.ShardOf(s)
+		sh := m.Mat.HostShard(s)
 		for v := 0; v < m.V; v++ {
 			sh.Scatter(sh.Rows[v], table[v])
 		}

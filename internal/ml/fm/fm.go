@@ -72,7 +72,9 @@ func Train(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim 
 			return nil, err
 		}
 	}
-	initFactors(p, e, m.factors, cfg)
+	if err := initFactors(p, e, m.factors, cfg); err != nil {
+		return nil, err
+	}
 	trace, err := core.Run(p, e, dataset, cfg.BatchFraction, cfg.Seed, cfg.Iterations, m)
 	if err != nil {
 		return nil, err
@@ -193,22 +195,19 @@ func (m *fm) Barrier(p *simnet.Proc, it, count int) error {
 	return nil
 }
 
-// initFactors gives the factor rows small random values, server-side.
-func initFactors(p *simnet.Proc, e *core.Engine, factors []*dcv.Vector, cfg Config) {
+// initFactors gives the factor rows small random values, server-side: one
+// seeded command per server, which fills its part of every factor row.
+func initFactors(p *simnet.Proc, e *core.Engine, factors []*dcv.Vector, cfg Config) error {
 	cost := e.Cluster.Cost
-	mat := factors[0].Matrix()
 	rows := make([]int, len(factors))
 	for f, v := range factors {
 		rows[f] = v.Row()
 	}
-	g := p.Sim().NewGroup()
-	for s := 0; s < mat.Part.NumServers(); s++ {
-		s := s
-		g.Go("init-factors", func(cp *simnet.Proc) {
-			sh := mat.ShardOf(s)
-			srv := mat.ServerNode(s)
-			e.Driver().Send(cp, srv, cost.RequestOverheadB)
-			srv.Compute(cp, cost.ElemWork(len(rows)*sh.Width()))
+	_, err := factors[0].Matrix().Invoke(p, e.Driver(), ps.InvokeOp{
+		Work:      func(width int) float64 { return cost.ElemWork(len(rows) * width) },
+		Mutates:   true,
+		DirtyRows: rows,
+		Fn: func(s int, sh *ps.Shard) float64 {
 			rng := linalg.NewRNG(cfg.Seed*131 + uint64(s))
 			for _, r := range rows {
 				row := sh.Rows[r]
@@ -216,10 +215,10 @@ func initFactors(p *simnet.Proc, e *core.Engine, factors []*dcv.Vector, cfg Conf
 					row[i] = rng.NormFloat64() * cfg.InitScale
 				}
 			}
-			srv.Send(cp, e.Driver(), cost.RequestOverheadB)
-		})
-	}
-	g.Wait(p)
+			return 0
+		},
+	})
+	return err
 }
 
 // Predict computes the FM margin for one instance against pulled model

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dcv"
 	"repro/internal/linalg"
 	"repro/internal/ml/lr"
+	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -169,4 +171,27 @@ func TestPredictMatchesManual(t *testing.T) {
 	if got := Predict(inst, w, factors); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Predict = %v, want %v", got, want)
 	}
+}
+
+// TestInitFactorsReachDeltaCheckpoint: the factor init declares the rows it
+// writes, so a delta checkpoint taken after it ships the new values.
+func TestInitFactorsReachDeltaCheckpoint(t *testing.T) {
+	e := newEngine()
+	cfg := DefaultConfig()
+	const dim = 200
+	e.Run(func(p *simnet.Proc) {
+		w := ps.Must(e.DCV.Dense(p, dim, 2+2*cfg.Factors)) // Train's rows
+		factors := make([]*dcv.Vector, cfg.Factors)
+		for f := range factors {
+			factors[f] = w.MustDerive()
+		}
+		e.PS.Checkpoint(p, w.Matrix())
+		before := e.PS.Recovery.CheckpointBytesWritten
+		ps.MustOK(initFactors(p, e, factors, cfg))
+		e.PS.Checkpoint(p, w.Matrix())
+		shipped := e.PS.Recovery.CheckpointBytesWritten - before
+		if want := e.Cluster.Cost.SparseBytes(cfg.Factors * dim); shipped < want {
+			t.Fatalf("delta checkpoint after init shipped %v bytes, want at least %v for the factor values", shipped, want)
+		}
+	})
 }

@@ -16,7 +16,7 @@ func (m *Model) Phi(beta float64) [][]float64 {
 	for k := 0; k < m.Topics; k++ {
 		row := make([]float64, m.Vocab)
 		for s := 0; s < m.WordTopic.Part.NumServers(); s++ {
-			sh := m.WordTopic.ShardOf(s)
+			sh := m.WordTopic.HostShard(s)
 			sh.Scatter(sh.Rows[k], row)
 		}
 		denom := m.Totals[k] + vb
@@ -148,7 +148,7 @@ func CoherenceUMass(docs []data.Document, topWords []int, n int) float64 {
 func (m *Model) TopWordsHost(topic, n int) []int {
 	row := make([]float64, m.Vocab)
 	for s := 0; s < m.WordTopic.Part.NumServers(); s++ {
-		sh := m.WordTopic.ShardOf(s)
+		sh := m.WordTopic.HostShard(s)
 		sh.Scatter(sh.Rows[topic], row)
 	}
 	type wc struct {

@@ -203,10 +203,10 @@ func (s *ps2) Barrier(*simnet.Proc, int, int) error {
 // 4-byte word ids, compressed counts back.
 func (s *ps2) pull(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
 	cost, k := tc.Ctx.Cl.Cost, s.mat.Rows
-	return PullWordCounts(tc, s.mat, words, func(cp *simnet.Proc, srv *simnet.Node, n int) {
-		tc.Node.Send(cp, srv, cost.RequestOverheadB+4*float64(n))
-		srv.Compute(cp, cost.RequestHandleWork+cost.ElemWork(n*k))
-		srv.Send(cp, tc.Node, cost.RequestOverheadB+float64(n*k)*countBytes)
+	return PullWordCounts(tc, s.mat, words, func(n int) (req, work, resp float64) {
+		return cost.RequestOverheadB + 4*float64(n),
+			cost.RequestHandleWork + cost.ElemWork(n*k),
+			cost.RequestOverheadB + float64(n*k)*countBytes
 	}), s.totals
 }
 
@@ -222,59 +222,30 @@ func addTotals(totals []float64, passes []Pass) {
 // push ships the pass's topic->word count deltas to the servers, which apply
 // them at once: one batched request per server carrying compressed (topic,
 // word, delta) triplets.
-func (s *ps2) push(tc *rdd.TaskContext, _ []int, pass Pass) {
-	cost, mat := tc.Ctx.Cl.Cost, s.mat
-	// Group triplets by owning server.
-	type triplet struct {
-		k, w int
-		v    float64
-	}
-	byServer := make([][]triplet, mat.Part.NumServers())
-	for k, words := range pass.Deltas {
-		for w, v := range words {
-			i := mat.Part.ServerOf(w)
-			byServer[i] = append(byServer[i], triplet{k, w, v})
-		}
-	}
-	g := tc.P.Sim().NewGroup()
-	for i, trips := range byServer {
-		if len(trips) == 0 {
-			continue
-		}
-		g.Go("lda-push", func(cp *simnet.Proc) {
-			// Deterministic application order.
-			sort.Slice(trips, func(a, b int) bool {
-				if trips[a].k != trips[b].k {
-					return trips[a].k < trips[b].k
-				}
-				return trips[a].w < trips[b].w
-			})
-			sh, srv := mat.ShardOf(i), mat.ServerNode(i)
-			tc.Node.Send(cp, srv, cost.RequestOverheadB+float64(len(trips))*(8+countBytes))
-			srv.Compute(cp, cost.RequestHandleWork+cost.ElemWork(len(trips)))
-			for _, tr := range trips {
-				sh.Rows[tr.k][sh.Local(tr.w)] += tr.v
-			}
-			srv.Send(cp, tc.Node, cost.RequestOverheadB)
-		})
-	}
-	g.Wait(tc.P)
+func (s *ps2) push(tc *rdd.TaskContext, words []int, pass Pass) {
+	cost := tc.Ctx.Cl.Cost
+	PushDeltas(tc, s.mat, words, pass, func(_, n int) (req, work, resp float64) {
+		return cost.RequestOverheadB + float64(n)*(8+countBytes),
+			cost.RequestHandleWork + cost.ElemWork(n),
+			cost.RequestOverheadB
+	})
 }
 
 // PullWordCounts reads the topic counts of the sorted distinct words from
-// mat's shards, one process per server that owns any of them: charge pays
-// that server's request and reply for its n words before they are read.
-func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, charge func(cp *simnet.Proc, srv *simnet.Node, n int)) map[int][]float64 {
+// mat: one request to each server that owns any of them, priced by price for
+// its n words, whose handler copies their counts into the reply.
+func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, price func(n int) (req, work, resp float64)) map[int][]float64 {
 	out := make(map[int][]float64, len(words))
 	split := mat.Part.SplitIndices(words)
-	g := tc.P.Sim().NewGroup()
-	for s, idx := range split {
+	ps.MustOK(mat.CallShards(tc.P, tc.Node, ps.CallSpec{Name: "lda-pull"}, func(s int, c *ps.CallSpec) bool {
+		idx := split[s]
 		if len(idx) == 0 {
-			continue
+			return false
 		}
-		g.Go("lda-pull", func(cp *simnet.Proc) {
-			sh := mat.ShardOf(s)
-			charge(cp, mat.ServerNode(s), len(idx))
+		req, work, resp := price(len(idx))
+		c.ReqBytes, c.RespBytes = req, resp
+		c.Work = func(int, int) float64 { return work }
+		c.Fn = func(_ int, sh *ps.Shard) error {
 			for _, w := range idx {
 				vec := make([]float64, mat.Rows)
 				for k := range vec {
@@ -282,10 +253,51 @@ func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, charge fun
 				}
 				out[w] = vec
 			}
-		})
-	}
-	g.Wait(tc.P)
+			return nil
+		}
+		return true
+	}))
 	return out
+}
+
+// PushDeltas applies the pass's count changes at mat's servers: one request
+// to each server that owns any changed word, carrying its (topic, word,
+// delta) triplets and priced by price for its pulled words (of words, the
+// sorted distinct words the pass resampled, nil for an initialisation) and
+// its triplets. The request declares the pass's topics as the rows it
+// writes.
+func PushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, words []int, pass Pass, price func(words, triplets int) (req, work, resp float64)) {
+	type triplet struct {
+		k, w int
+		v    float64
+	}
+	byServer := make([][]triplet, mat.Part.NumServers())
+	topics := make([]int, 0, len(pass.Deltas))
+	for k, changed := range pass.Deltas {
+		topics = append(topics, k)
+		for w, v := range changed {
+			i := mat.Part.ServerOf(w)
+			byServer[i] = append(byServer[i], triplet{k, w, v})
+		}
+	}
+	split := mat.Part.SplitIndices(words)
+	spec := ps.CallSpec{Name: "lda-push", Mutates: true, Touched: topics}
+	ps.MustOK(mat.CallShards(tc.P, tc.Node, spec, func(s int, c *ps.CallSpec) bool {
+		trips := byServer[s]
+		if len(trips) == 0 {
+			return false
+		}
+		req, work, resp := price(len(split[s]), len(trips))
+		c.ReqBytes, c.RespBytes = req, resp
+		c.Work = func(int, int) float64 { return work }
+		c.Fn = func(_ int, sh *ps.Shard) error {
+			for _, tr := range trips {
+				sh.Rows[tr.k][sh.Local(tr.w)] += tr.v
+			}
+			return nil
+		}
+		return true
+	}))
 }
 
 // TopWords returns the n highest-count words of one topic (pulled from the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -69,7 +70,7 @@ func TestCountsConservationInvariant(t *testing.T) {
 	for k := 0; k < model.Topics; k++ {
 		var rs float64
 		for s := 0; s < model.WordTopic.Part.NumServers(); s++ {
-			sh := model.WordTopic.ShardOf(s)
+			sh := model.WordTopic.HostShard(s)
 			for _, v := range sh.Rows[k] {
 				if v < -1e-9 {
 					t.Fatalf("negative count %v in topic %d", v, k)
@@ -86,6 +87,76 @@ func TestCountsConservationInvariant(t *testing.T) {
 	for k, rs := range rowSums {
 		if math.Abs(rs-model.Totals[k]) > 1e-6 {
 			t.Fatalf("topic %d: row sum %v != tracked total %v", k, rs, model.Totals[k])
+		}
+	}
+}
+
+// TestCountsConservedUnderMessageLoss: with messages lost at random, the
+// pulls and pushes are resent and the servers drop a push they already
+// applied, so the counts keep TestCountsConservationInvariant's three
+// properties.
+func TestCountsConservedUnderMessageLoss(t *testing.T) {
+	c := smallCorpus(t)
+	e := newEngine(4, 4)
+	e.Sim.EnableChaos(5, 0.05)
+	cfg := DefaultConfig()
+	cfg.Topics, cfg.Iterations = 8, 5
+	var model *Model
+	e.Run(func(p *simnet.Proc) {
+		docs := rdd.FromSlices(e.RDD, data.PartitionDocs(c.Docs, 4)).Cache()
+		var err error
+		if model, err = Train(p, e, docs, c.Config.Vocab, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if net := e.PS.Net; net.DedupHits == 0 {
+		t.Fatalf("no push was resent after a lost reply (%+v); the loss missed the pushes", net)
+	}
+	var total float64
+	for k := 0; k < model.Topics; k++ {
+		var rs float64
+		for s := 0; s < model.WordTopic.Part.NumServers(); s++ {
+			for _, v := range model.WordTopic.HostShard(s).Rows[k] {
+				if v < -1e-9 {
+					t.Fatalf("negative count %v in topic %d", v, k)
+				}
+				rs += v
+			}
+		}
+		if math.Abs(rs-model.Totals[k]) > 1e-6 {
+			t.Fatalf("topic %d: row sum %v != tracked total %v", k, rs, model.Totals[k])
+		}
+		total += rs
+	}
+	if math.Abs(total-float64(c.Tokens)) > 1e-6 {
+		t.Fatalf("matrix total %v != corpus tokens %d", total, c.Tokens)
+	}
+}
+
+// TestPullAndPushAreRPCs: a traced iteration of PS2-LDA shows its pull and
+// its push as RPC spans.
+func TestPullAndPushAreRPCs(t *testing.T) {
+	c := smallCorpus(t)
+	opt := core.DefaultOptions()
+	opt.Executors, opt.Servers, opt.Trace = 4, 4, true
+	e := core.NewEngine(opt)
+	cfg := DefaultConfig()
+	cfg.Topics, cfg.Iterations = 8, 1
+	e.Run(func(p *simnet.Proc) {
+		docs := rdd.FromSlices(e.RDD, data.PartitionDocs(c.Docs, 4)).Cache()
+		if _, err := Train(p, e, docs, c.Config.Vocab, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	calls := map[string]int{}
+	for _, ev := range e.Tracer().Events() {
+		if ev.Kind == obs.KRPC {
+			calls[ev.Name]++
+		}
+	}
+	for _, name := range []string{"lda-pull", "lda-push"} {
+		if calls[name] == 0 {
+			t.Errorf("no %s RPC span; RPC spans by name: %v", name, calls)
 		}
 	}
 }
@@ -122,7 +193,7 @@ func TestTopicsRecoverStructure(t *testing.T) {
 func topWordsHostSide(m *Model, topic, n int) []int {
 	row := make([]float64, m.Vocab)
 	for s := 0; s < m.WordTopic.Part.NumServers(); s++ {
-		sh := m.WordTopic.ShardOf(s)
+		sh := m.WordTopic.HostShard(s)
 		sh.Scatter(sh.Rows[topic], row)
 	}
 	out := make([]int, 0, n)
@@ -326,7 +397,7 @@ func TestSparseSamplerConservesCounts(t *testing.T) {
 	for k := 0; k < model.Topics; k++ {
 		var rs float64
 		for s := 0; s < model.WordTopic.Part.NumServers(); s++ {
-			sh := model.WordTopic.ShardOf(s)
+			sh := model.WordTopic.HostShard(s)
 			for _, v := range sh.Rows[k] {
 				if v < -1e-9 {
 					t.Fatalf("negative count %v in topic %d", v, k)

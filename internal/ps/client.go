@@ -129,10 +129,13 @@ func (mat *Matrix) PullRowCompressed(p *simnet.Proc, from *simnet.Node, row int)
 // DCV layer's shuffle path and for tests).
 func (mat *Matrix) ServerNode(s int) *simnet.Node { return mat.srv(s).Node }
 
-// ShardOf returns the shard data for logical shard s. It is exported for the
-// DCV layer, which implements server-side computation directly against shard
-// memory; ordinary clients should use the pull/push operators.
-func (mat *Matrix) ShardOf(s int) *Shard { return mat.shardOn(s) }
+// HostShard returns the shard data for logical shard s, read on the host: no
+// request, bytes or time, and none of a call's bookkeeping (retries, dedup,
+// dirty rows, version stamps). Trainers reach shard memory through an
+// operator, Invoke or CallShards; outside this package HostShard is for
+// evaluation after a run and the few host-side paths TestHostReadsListed
+// names.
+func (mat *Matrix) HostShard(s int) *Shard { return mat.shardOn(s) }
 
 // PullRowIndices fetches only the given (strictly increasing) columns of a
 // row — sparse pull, the optimization the paper credits for PS2's advantage

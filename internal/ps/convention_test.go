@@ -151,6 +151,69 @@ func TestColumnOpsDeclaredOnce(t *testing.T) {
 	}
 }
 
+// TestHostReadsListed pins the trainers to the RPC layer: every access to
+// model state outside this package is a request a server applies. In the
+// module's other non-test code, only the DCV shuffle, which fetches operand
+// slices between servers, names a server's machine (Matrix.ServerNode), and
+// shard memory is read on the host (Matrix.HostShard) only by the functions
+// listed here, each with its reason.
+func TestHostReadsListed(t *testing.T) {
+	allowed := map[string]map[string]string{
+		"ServerNode": {
+			"internal/dcv/columnops.go shuffle": "the shuffle copies an operand slice from its server to the target's",
+		},
+		"HostShard": {
+			"internal/ml/lda/eval.go Phi":                      "evaluation reads the trained counts after the run",
+			"internal/ml/lda/eval.go TopWordsHost":             "evaluation reads the trained counts after the run",
+			"internal/ml/embedding/deepwalk.go hostInputTable": "evaluation reads the trained embeddings after the run",
+			"internal/baselines/distml.go hostRow":             "DistML's stale view catches up at the barrier; its round charged the pulls",
+			"internal/bench/extexp.go hostRowOf":               "reads an async model after the simulation stopped",
+			"internal/baselines/glint.go add":                  "Glint's setup write, charged as one transfer to the first server",
+		},
+	}
+	root := filepath.Join("..", "..")
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == ".git" || d.Name() == "testdata" || path == filepath.Join(root, "internal", "ps") {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	sourceFiles(t, fset, dirs, func(_, path string, file *ast.File) {
+		rel, _ := filepath.Rel(root, path)
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			site := filepath.ToSlash(rel) + " " + fn.Name.Name
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if sites, ok := allowed[sel.Sel.Name]; ok && sites[site] == "" {
+					t.Errorf("%s: Matrix.%s in %s; reach the servers through an operator, Invoke or CallShards",
+						fset.Position(call.Pos()), sel.Sel.Name, fn.Name.Name)
+				}
+				return true
+			})
+		}
+	})
+}
+
 // sourceFiles parses the non-test Go files of each directory and calls fn
 // with every file's package name, path and syntax tree.
 func sourceFiles(t *testing.T, fset *token.FileSet, dirs []string, fn func(pkgName, path string, file *ast.File)) {

@@ -512,18 +512,16 @@ func TestDuplicateTouchedRowDriftsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		mat.EnableVersioning()
-		err = mat.CallShards(p, cl.Executors[0], "inc", func(s int) CallSpec {
-			return CallSpec{Shard: s, Mutates: true, Touched: []int{0, 1, 0},
-				Fn: func(_ int, sh *Shard) error {
-					linalg.Fill(sh.Rows[0], 1)
-					return nil
-				}}
-		})
+		err = mat.CallShards(p, cl.Executors[0], CallSpec{Name: "inc", Mutates: true, Touched: []int{0, 1, 0},
+			Fn: func(_ int, sh *Shard) error {
+				linalg.Fill(sh.Rows[0], 1)
+				return nil
+			}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < 2; s++ {
-			if got := mat.ShardOf(s).RowDrift(0); got != 1 {
+			if got := mat.HostShard(s).RowDrift(0); got != 1 {
 				t.Errorf("shard %d: RowDrift(0) = %v after one +1 write, want 1", s, got)
 			}
 		}

@@ -512,7 +512,7 @@ func (c *call) unwound(p *simnet.Proc) {
 
 // LiveShard returns logical shard s if its server is up and holds the data,
 // and an error wrapping ErrServerDown otherwise. It is the fallible sibling
-// of ShardOf, used by the DCV shuffle path to read operand slices.
+// of HostShard, used by the DCV shuffle path to read operand slices.
 func (mat *Matrix) LiveShard(s int) (*Shard, error) {
 	srv := mat.srv(s)
 	sh, ok := srv.shards[mat.ID]
@@ -581,15 +581,14 @@ func (mat *Matrix) fanOut(p *simnet.Proc, from *simnet.Node, spec CallSpec, shar
 	return err
 }
 
-// CallShards issues spec(s) to every logical shard s in parallel, as step
-// children named name, holding the matrix's route gate for the duration so
-// an elastic migration cutover cannot swap the placement mid-fan-out — the
-// entry point for operators implemented outside this package (the DCV layer).
-func (mat *Matrix) CallShards(p *simnet.Proc, from *simnet.Node, name string, spec func(s int) CallSpec) error {
+// CallShards is fanOut for code outside this package — the DCV layer's
+// operators and the trainers alike: spec goes to each logical shard in
+// parallel, as a step child named spec.Name, after shard, if not nil, fills
+// in shard s's part (false skips the shard: no call, no traffic). It holds the
+// matrix's route gate for the duration so an elastic migration cutover cannot
+// swap the placement mid-fan-out.
+func (mat *Matrix) CallShards(p *simnet.Proc, from *simnet.Node, spec CallSpec, shard func(s int, c *CallSpec) bool) error {
 	mat.enterOp(p)
 	defer mat.exitOp()
-	return mat.fanOut(p, from, CallSpec{Name: name}, func(s int, c *CallSpec) bool {
-		*c = spec(s)
-		return true
-	})
+	return mat.fanOut(p, from, spec, shard)
 }

@@ -169,8 +169,8 @@ func TestFencedSnapshotReadSpawnsNoRPCs(t *testing.T) {
 }
 
 // TestSnapshotInvalidatedByUndeclaredWrite: a bulk mutation that declares no
-// touched rows (TouchAll) has no pre-images to preserve, so active pins must
-// fence rather than risk a torn read.
+// touched rows (a mutating Invoke without DirtyRows) has no pre-images to
+// preserve, so active pins must fence rather than risk a torn read.
 func TestSnapshotInvalidatedByUndeclaredWrite(t *testing.T) {
 	sim, cl, m := testMaster(3)
 	run(sim, func(p *simnet.Proc) {
@@ -184,7 +184,9 @@ func TestSnapshotInvalidatedByUndeclaredWrite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pin: %v", err)
 		}
-		Must(mat.LiveShard(0)).TouchAll()
+		if _, err := mat.Invoke(p, worker, InvokeOp{Mutates: true}); err != nil {
+			t.Fatal(err)
+		}
 		if snap.Valid() {
 			t.Fatal("snapshot valid after undeclared bulk write")
 		}

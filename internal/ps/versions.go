@@ -174,10 +174,6 @@ func (sh *Shard) touchAll() {
 	}
 }
 
-// TouchAll is the exported conservative marker for code that writes shard
-// memory directly instead of through a mutating RPC (embedding init does).
-func (sh *Shard) TouchAll() { sh.touchAll() }
-
 // clearDirty resets the dirty flags, called when a checkpoint snapshot is
 // taken so the next delta ships only rows mutated since.
 func (sh *Shard) clearDirty() {
