@@ -157,7 +157,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 	res := elasticChaosResult{engine: engine}
 	engine.Run(func(p *Proc) {
 		m := engine.PS
-		start, err := ps.NewRangePlacement(dim, min(4, servers))
+		start, err := ps.NewPartitioner(dim, min(4, servers))
 		if err != nil {
 			panic(err)
 		}
@@ -189,7 +189,7 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 			g.Go("migrator", func(cp *Proc) {
 				cp.Sleep(0.002)
 				res.migStart = float64(cp.Now())
-				target, err := ps.NewRangePlacement(dim, 8)
+				target, err := ps.NewPartitioner(dim, 8)
 				if err != nil {
 					panic(err)
 				}

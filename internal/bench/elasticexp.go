@@ -225,7 +225,7 @@ func runExtElastic(o Opts) *Result {
 	want := sched.profile(w.Dim, 0, w.Iters)
 
 	mustRange := func(n int) ps.Placement {
-		pl, err := ps.NewRangePlacement(w.Dim, n)
+		pl, err := ps.NewPartitioner(w.Dim, n)
 		if err != nil {
 			panic(err)
 		}

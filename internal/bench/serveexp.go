@@ -32,7 +32,7 @@ type streamStats struct {
 }
 
 func serveStream(p *simnet.Proc, e *core.Engine, reader *ps.ModelReader, n int,
-	gap float64, opts ps.ReadOptions, mkReq func(i int) (row int, idx []int)) streamStats {
+	gap float64, mkReq func(i int) (row int, idx []int)) streamStats {
 	var st streamStats
 	// One spawned process per request, each waited on individually: a Group
 	// would fire its done-signal at any quiet instant between arrivals (its
@@ -46,9 +46,9 @@ func serveStream(p *simnet.Proc, e *core.Engine, reader *ps.ModelReader, n int,
 			t0 := cp.Now()
 			var err error
 			if idx == nil {
-				_, err = reader.ReadRow(cp, from, row, opts)
+				_, err = reader.ReadRow(cp, from, row)
 			} else {
-				_, err = reader.Read(cp, from, row, idx, opts)
+				_, err = reader.Read(cp, from, row, idx)
 			}
 			switch {
 			case err == nil:
@@ -176,7 +176,7 @@ func runExtServe(o Opts) *Result {
 		if err != nil {
 			panic(err)
 		}
-		st := serveStream(p, e, owner, nReq, gap, ps.ReadOptions{}, mkReq)
+		st := serveStream(p, e, owner, nReq, gap, mkReq)
 		r.AddRow("LR owner-routed", nReq, st.served, st.shed, "-", pctile(st.lats, 0.50), pctile(st.lats, 0.99))
 
 		// Arm 2: hot-replica fan-out. The model is frozen between storms, so
@@ -186,7 +186,7 @@ func runExtServe(o Opts) *Result {
 			panic(err)
 		}
 		before := m.Replica
-		st = serveStream(p, e, hotReader, nReq, gap, ps.ReadOptions{}, mkReq)
+		st = serveStream(p, e, hotReader, nReq, gap, mkReq)
 		rep := m.Replica
 		hotLocalPct = 100 * float64(rep.LocalHits-before.LocalHits) / float64(rep.Reads-before.Reads)
 		r.AddRow("LR hot-replicas", nReq, st.served, st.shed,
@@ -237,7 +237,7 @@ func runExtServe(o Opts) *Result {
 			g.Go("push-storm", func(sp *simnet.Proc) { storm(sp, &done) })
 			var st streamStats
 			g.Go("serve-stream", func(cp *simnet.Proc) {
-				st = serveStream(cp, e, hotReader, nReq, gap, ps.ReadOptions{}, mkReq)
+				st = serveStream(cp, e, hotReader, nReq, gap, mkReq)
 				done = true
 			})
 			if favor == ps.ClassServe {
@@ -332,7 +332,7 @@ func runExtServe(o Opts) *Result {
 		}
 		rng := linalg.NewRNG(41)
 		before := e2.PS.Replica
-		dwStats = serveStream(p, e2, reader, nDW, gap, ps.ReadOptions{},
+		dwStats = serveStream(p, e2, reader, nDW, gap,
 			func(int) (int, []int) { return rng.Zipf(model.V, 1.0), nil })
 		rep := e2.PS.Replica
 		dwLocalPct = 100 * float64(rep.LocalHits-before.LocalHits) / float64(rep.Reads-before.Reads)

@@ -3,17 +3,17 @@
 // tier keeps re-asking — "may this cached value be served, must it be
 // revalidated against its owner, or should it be refetched outright?"
 //
-// Before this package the decision was duplicated in four places with four
-// hand-rolled clock comparisons (worker cache, SSP slack gate, hot-replica
-// revalidation, serving ReadOptions). Each caller now builds a Meta — the
-// facts it knows about one cached value — and lets the policy decide. The
-// policies implement the consistency-model spectrum of Dai et al. (VLDB
-// 2015):
+// Its callers are the two copy stores, the worker cache and the hot-replica
+// set (which also answers serving reads); each takes one Policy as its one
+// freshness knob, builds a Meta — the facts it knows about one cached value
+// — and lets the policy decide. The SSP gate holds no copies and compares
+// its clocks directly. The policies implement the consistency-model
+// spectrum of Dai et al. (VLDB 2015):
 //
 //   - ClockBounded: Stale Synchronous Parallel. A value validated at clock c
-//     serves until clock c+staleness, then revalidates. This is the exact
-//     pre-existing behavior of every layer, bit-identical: it never consults
-//     delta magnitudes and never hard-pulls.
+//     serves until clock c+staleness, then revalidates. ClockBounded(0) is
+//     both copy stores' default (a nil Policy): it never consults delta
+//     magnitudes and never hard-pulls.
 //
 //   - ValueBounded: Value-bounded Asynchronous Parallel (VAP). A value
 //     serves until the accumulated |delta| against it plausibly exceeds a
@@ -111,14 +111,13 @@ type Policy interface {
 // ClockBounded
 
 // ClockBounded is SSP freshness: serve values at most Staleness clocks old,
-// revalidate everything older. It reproduces the pre-policy behavior of the
-// cache, replica and serving layers bit-identically and never hard-pulls.
+// revalidate everything older. It never hard-pulls.
 type ClockBounded struct {
 	Staleness int64
 }
 
 // NewClockBounded returns a clock-bounded policy; negative staleness clamps
-// to 0 (BSP-exact), matching the historic CacheConfig normalization.
+// to 0 (BSP-exact), as SSPClock's staleness does.
 func NewClockBounded(staleness int) *ClockBounded {
 	if staleness < 0 {
 		staleness = 0

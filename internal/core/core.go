@@ -66,6 +66,10 @@ type CrashEvent struct {
 	Index int
 }
 
+// chaosSeed drives the chaos layer's loss and delay draws, so a fault plan's
+// run is reproducible.
+const chaosSeed = 0xfa17
+
 // FaultPlan describes the environment's misbehaviour for a run: scheduled
 // PS-server and executor crashes, ambient per-message loss, and per-link
 // loss and delay.
@@ -73,8 +77,6 @@ type CrashEvent struct {
 // flight — and nothing in the job's code is told about them; detection and
 // recovery are the system's problem.
 type FaultPlan struct {
-	// Seed drives the chaos layer's loss/delay draws (0 picks a fixed seed).
-	Seed uint64
 	// LossProb is the probability that any single message is dropped.
 	LossProb float64
 
@@ -149,11 +151,7 @@ func NewEngine(opt Options) *Engine {
 		detector = ps.DefaultDetectorConfig()
 	}
 	if opt.Faults != nil {
-		seed := opt.Faults.Seed
-		if seed == 0 {
-			seed = 0xfa17
-		}
-		sim.EnableChaos(seed, opt.Faults.LossProb)
+		sim.EnableChaos(chaosSeed, opt.Faults.LossProb)
 		master.Unreliable = true
 	}
 	if opt.Trace {

@@ -3,7 +3,6 @@ package core
 import (
 	"strconv"
 
-	"repro/internal/consistency"
 	"repro/internal/obs"
 	"repro/internal/ps"
 	"repro/internal/rdd"
@@ -108,8 +107,7 @@ func (s *SSP) Wait(p *simnet.Proc) { s.group.Wait(p) }
 // A traced run records each worker's iterations, from admission to the end
 // of the task, as loop.iter spans on its executor's lane.
 func RunSSP(p *simnet.Proc, e *Engine, workers, staleness, iterations int, task func(tc *rdd.TaskContext, w, it int) Summary) *SSP {
-	s := &SSP{Clock: ps.NewSSPClock(p.Sim(), workers), Trace: &Trace{}, group: p.Sim().NewGroup()}
-	bound := consistency.NewClockBounded(staleness)
+	s := &SSP{Clock: ps.NewSSPClock(p.Sim(), workers, staleness), Trace: &Trace{}, group: p.Sim().NewGroup()}
 	var byClock []Summary
 	for w := 0; w < workers; w++ {
 		node := e.Cluster.Executors[w]
@@ -117,7 +115,7 @@ func RunSSP(p *simnet.Proc, e *Engine, workers, staleness, iterations int, task 
 			tc := &rdd.TaskContext{Ctx: e.RDD, P: wp, Node: node, Part: w, Attempt: 1}
 			spans := loopSpans{t: wp.Sim().Tracer(), lane: node}
 			for it := 0; it < iterations; it++ {
-				s.Clock.WaitPolicy(wp, bound, it)
+				s.Clock.Wait(wp, it)
 				spans.begin(wp, it)
 				st := task(tc, w, it)
 				spans.end(wp)

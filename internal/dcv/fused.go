@@ -17,7 +17,6 @@ package dcv
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/obs"
@@ -30,12 +29,11 @@ import (
 // RequestOverheadB per op per server; fused ops share one and pay only this.
 const OpCommandBytes = 24
 
-// Scalar is the deferred result of a reducing batch op (Dot, Sum, Norm2).
-// It becomes readable after the batch's Run returns nil.
+// Scalar is the deferred result of a reducing batch op (Dot). It becomes
+// readable after the batch's Run returns nil.
 type Scalar struct {
-	ready    bool
-	value    float64
-	finalize func(total float64) float64
+	ready bool
+	value float64
 }
 
 // Value returns the reduction result. It panics if the owning batch has not
@@ -66,9 +64,6 @@ func NewBatch(anchor *Vector) *Batch {
 	return &Batch{sess: anchor.sess, mat: anchor.mat}
 }
 
-// Len returns the number of ops recorded so far.
-func (b *Batch) Len() int { return len(b.ops) }
-
 // record appends op with its scalar after checking that every vector is
 // co-located with the batch's matrix; the first violation becomes the batch
 // error and nothing more is recorded.
@@ -91,40 +86,14 @@ func (b *Batch) record(op colOp, sc *Scalar) *Batch {
 	return b
 }
 
-// reduce records a reduction and returns the Scalar its total resolves to.
-func (b *Batch) reduce(op colOp, finalize func(float64) float64) *Scalar {
-	sc := &Scalar{finalize: finalize}
-	b.record(op, sc)
-	return sc
-}
-
-func identity(x float64) float64 { return x }
-
 // Fill records "set every element of v to c".
 func (b *Batch) Fill(v *Vector, c float64) *Batch { return b.record(b.sess.fill(v, c), nil) }
 
 // Zero records "reset v to zero".
 func (b *Batch) Zero(v *Vector) *Batch { return b.Fill(v, 0) }
 
-// Scale records "v *= alpha".
-func (b *Batch) Scale(v *Vector, alpha float64) *Batch { return b.record(b.sess.scale(v, alpha), nil) }
-
-// Axpy records "v += alpha * other".
-func (b *Batch) Axpy(v *Vector, alpha float64, other *Vector) *Batch {
-	return b.record(b.sess.axpy(v, alpha, other), nil)
-}
-
-// AddVec records "v += other".
-func (b *Batch) AddVec(v, other *Vector) *Batch { return b.record(b.sess.add(v, other), nil) }
-
 // SubVec records "v -= other".
 func (b *Batch) SubVec(v, other *Vector) *Batch { return b.record(b.sess.sub(v, other), nil) }
-
-// MulVec records "v *= other".
-func (b *Batch) MulVec(v, other *Vector) *Batch { return b.record(b.sess.mul(v, other), nil) }
-
-// DivVec records "v /= other".
-func (b *Batch) DivVec(v, other *Vector) *Batch { return b.record(b.sess.div(v, other), nil) }
 
 // CopyFrom records "v = other".
 func (b *Batch) CopyFrom(v, other *Vector) *Batch { return b.record(b.sess.copyFrom(v, other), nil) }
@@ -138,13 +107,11 @@ func (b *Batch) ZipMap(v *Vector, workPerElem float64, fn func(lo int, rows [][]
 }
 
 // Dot records "<v, other>", readable from the returned Scalar after Run.
-func (b *Batch) Dot(v, other *Vector) *Scalar { return b.reduce(b.sess.dot(v, other), identity) }
-
-// Sum records the element sum of v.
-func (b *Batch) Sum(v *Vector) *Scalar { return b.reduce(b.sess.sum(v), identity) }
-
-// Norm2 records the Euclidean norm of v.
-func (b *Batch) Norm2(v *Vector) *Scalar { return b.reduce(b.sess.sumSquares(v), math.Sqrt) }
+func (b *Batch) Dot(v, other *Vector) *Scalar {
+	sc := &Scalar{}
+	b.record(b.sess.dot(v, other), sc)
+	return sc
+}
 
 // Run executes the recorded program with one request per server and resolves
 // every reduction Scalar. It returns the first recording error (nil-vector,
@@ -181,7 +148,7 @@ func (b *Batch) Run(p *simnet.Proc, from *simnet.Node) error {
 	}
 	for i, sc := range b.scalars {
 		if sc != nil {
-			sc.value = sc.finalize(total(partials[i]))
+			sc.value = total(partials[i])
 			sc.ready = true
 		}
 	}

@@ -53,9 +53,6 @@ type Config struct {
 	Negatives    int
 	Iterations   int
 	Mode         Mode
-	// UniformNegatives draws negative samples uniformly instead of from the
-	// word2vec unigram^0.75 noise distribution (the default).
-	UniformNegatives bool
 	// CheckpointEvery, when positive, checkpoints the embedding matrix to
 	// the reliable store every that-many iterations, bounding what a server
 	// crash can lose (paper Section 5.3).
@@ -131,10 +128,8 @@ func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices i
 
 	// Negative-sample distribution: word2vec's unigram^0.75 over context
 	// frequencies, aggregated once across the partitions and broadcast.
-	if !cfg.UniformNegatives {
-		if s.negSampler, err = buildNoiseSampler(p, e, pairs, vertices); err != nil {
-			return nil, err
-		}
+	if s.negSampler, err = buildNoiseSampler(p, e, pairs, vertices); err != nil {
+		return nil, err
 	}
 	trace, err := core.Run(p, e, pairs, fraction, cfg.Seed, cfg.Iterations, s)
 	if err != nil {
@@ -152,7 +147,7 @@ type deepWalk struct {
 	cfg        Config
 	vertices   int
 	cache      *ps.CachedClient
-	negSampler *linalg.AliasSampler // nil: uniform negatives
+	negSampler *linalg.AliasSampler // unigram^0.75 noise over the contexts
 	worker     func() pairWorker    // one partition's per-pair step
 }
 
@@ -184,11 +179,7 @@ func (s *deepWalk) Round(p *simnet.Proc, batch *rdd.RDD[data.Pair], it int) []co
 			contexts[0] = s.vertices + int(pr.V) // positive context
 			labels[0] = 1
 			for n := 0; n < s.cfg.Negatives; n++ {
-				if s.negSampler != nil {
-					contexts[1+n] = s.vertices + s.negSampler.Sample(rng)
-				} else {
-					contexts[1+n] = s.vertices + rng.Intn(s.vertices)
-				}
+				contexts[1+n] = s.vertices + s.negSampler.Sample(rng)
 				labels[1+n] = 0
 			}
 			lossSum += worker.step(tc, int(pr.U), contexts, labels)

@@ -266,22 +266,6 @@ func TestCachedPullPush(t *testing.T) {
 	}
 }
 
-func TestUniformNegativesStillSupported(t *testing.T) {
-	_, pairs := testGraphPairs(t)
-	e := newEngine(2, 2)
-	cfg := DefaultConfig()
-	cfg.K = 8
-	cfg.Iterations = 2
-	cfg.BatchSize = 50
-	cfg.UniformNegatives = true
-	e.Run(func(p *simnet.Proc) {
-		prdd := rdd.FromSlices(e.RDD, data.PartitionPairs(pairs, 2)).Cache()
-		if _, err := Train(p, e, prdd, 300, cfg); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
 func TestLinkPredictionAUC(t *testing.T) {
 	g, pairs := testGraphPairs(t)
 	e := newEngine(4, 2)

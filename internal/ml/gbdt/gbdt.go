@@ -39,13 +39,7 @@ type Config struct {
 	// margin 0 one row contributes 0.25.
 	MinChildWeight float64
 	SampleRows     int // rows sampled to fit quantile bin edges
-	// Subsample, when in (0,1), trains each tree on a Bernoulli row sample
-	// (stochastic gradient boosting). 0 or 1 uses all rows.
-	Subsample float64
-	// ColsampleByTree, when in (0,1), restricts each tree's split search to
-	// a random feature subset (XGBoost's colsample_bytree).
-	ColsampleByTree float64
-	Seed            uint64
+	Seed           uint64
 }
 
 // DefaultConfig returns the Table 4 hyperparameters (scaled histogram size).

@@ -307,68 +307,3 @@ func TestEvaluateHeldOut(t *testing.T) {
 		t.Fatalf("test loss %v implausibly below train loss %v", testLoss, trainLoss)
 	}
 }
-
-func TestSubsampleStillLearns(t *testing.T) {
-	ds := smallTabular(t, 2500)
-	e := newEngine(4, 4)
-	cfg := DefaultConfig()
-	cfg.Trees = 10
-	cfg.MaxDepth = 4
-	cfg.Subsample = 0.6
-	cfg.ColsampleByTree = 0.7
-	var model *Model
-	e.Run(func(p *simnet.Proc) {
-		r, edges := prepare(p, e, ds, cfg)
-		m, err := Train(p, e, r, ds.Config.Features, edges, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		model = m
-	})
-	if model.Trace.Final() >= model.Trace.Values[0] {
-		t.Fatalf("stochastic GBDT loss did not fall: %v -> %v", model.Trace.Values[0], model.Trace.Final())
-	}
-	_, acc := model.Evaluate(ds.X, ds.Y)
-	if acc < 0.75 {
-		t.Fatalf("stochastic GBDT accuracy %v", acc)
-	}
-}
-
-func TestColsampleRestrictsSplits(t *testing.T) {
-	// With an aggressive column sample, different trees must split on
-	// different feature subsets (and never outside their masks). We verify
-	// indirectly: a colsample run uses strictly more distinct root features
-	// across trees than a deterministic full-feature run (which picks the
-	// single best feature every time until margins shift).
-	ds := smallTabular(t, 1500)
-	train := func(colsample float64) map[int]bool {
-		e := newEngine(3, 3)
-		cfg := DefaultConfig()
-		cfg.Trees = 8
-		cfg.MaxDepth = 2
-		cfg.ColsampleByTree = colsample
-		var model *Model
-		e.Run(func(p *simnet.Proc) {
-			r, edges := prepare(p, e, ds, cfg)
-			m, err := Train(p, e, r, ds.Config.Features, edges, cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			model = m
-		})
-		roots := map[int]bool{}
-		for _, tree := range model.Trees {
-			if tree.Nodes[0].Split != nil {
-				roots[tree.Nodes[0].Split.Feature] = true
-			}
-		}
-		return roots
-	}
-	full := train(0)
-	sampled := train(0.25)
-	if len(sampled) <= len(full) {
-		t.Fatalf("colsample did not diversify roots: full=%v sampled=%v", full, sampled)
-	}
-}

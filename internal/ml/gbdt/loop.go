@@ -27,24 +27,20 @@ type Strategy interface {
 type Ship func(tc *rdd.TaskContext, part int, g, h []float64)
 
 // Node is what the split scan knows of one tree node: the gradient and
-// hessian sums of its rows and the tree's feature sample.
+// hessian sums of its rows.
 type Node struct {
 	g, h float64
 	cfg  *Config
-	mask []bool // nil: every feature
 }
 
 // Scan is the one split scan: over the features f, f+1, … whose bins g and
-// h hold, Bins to a feature, it takes prefix sums of each sampled feature's
-// bins, skips a split that leaves either child under MinChildWeight of
-// hessian mass, and returns the better (Split.better) of best and every
-// remaining split by gain.
+// h hold, Bins to a feature, it takes prefix sums of each feature's bins,
+// skips a split that leaves either child under MinChildWeight of hessian
+// mass, and returns the better (Split.better) of best and every remaining
+// split by gain.
 func (n Node) Scan(best Split, f int, g, h []float64) Split {
 	c := n.cfg
 	for lo := 0; lo < len(g); lo, f = lo+c.Bins, f+1 {
-		if n.mask != nil && !n.mask[f] {
-			continue
-		}
 		var gl, hl float64
 		for b := 0; b < c.Bins-1; b++ {
 			gl += g[lo+b]
@@ -115,15 +111,15 @@ type booster struct {
 	nodeOf  [][]int32
 }
 
-// Round boosts tree t: gradients, then the tree, then its margins.
+// Round boosts one tree: gradients, then the tree, then its margins.
 // core.Strategy's Round returns no error, so a failure stops boosting here
 // and Run returns it.
-func (b *booster) Round(p *simnet.Proc, rows *rdd.RDD[Row], t int) []core.Summary {
+func (b *booster) Round(p *simnet.Proc, rows *rdd.RDD[Row], _ int) []core.Summary {
 	if b.err != nil {
 		return nil
 	}
-	b.gradients(p, rows, t)
-	tree, err := b.grow(p, rows, t)
+	b.gradients(p, rows)
+	tree, err := b.grow(p, rows)
 	if err != nil {
 		b.err = err
 		return nil
@@ -135,12 +131,10 @@ func (b *booster) Round(p *simnet.Proc, rows *rdd.RDD[Row], t int) []core.Summar
 func (*booster) Barrier(*simnet.Proc, int, int) error { return nil }
 
 // gradients refreshes g and h from the current margins (logistic objective:
-// g = p - y, h = p(1-p)) and draws the tree's row sample when stochastic
-// boosting is on: excluded rows get node -1 and never enter histograms or
-// routing. Pure worker-local computation.
-func (b *booster) gradients(p *simnet.Proc, dataset *rdd.RDD[Row], tree int) {
+// g = p - y, h = p(1-p)) and puts every row back at the root. Pure
+// worker-local computation.
+func (b *booster) gradients(p *simnet.Proc, dataset *rdd.RDD[Row]) {
 	cost := b.e.Cluster.Cost
-	subsample := b.cfg.Subsample
 	rdd.RunPartitions(p, dataset, 8, func(tc *rdd.TaskContext, part int, rows []Row) struct{} {
 		if b.margins[part] == nil {
 			b.margins[part] = make([]float64, len(rows))
@@ -148,18 +142,10 @@ func (b *booster) gradients(p *simnet.Proc, dataset *rdd.RDD[Row], tree int) {
 			b.hess[part] = make([]float64, len(rows))
 			b.nodeOf[part] = make([]int32, len(rows))
 		}
-		var rng *linalg.RNG
-		if subsample > 0 && subsample < 1 {
-			rng = linalg.NewRNG(b.cfg.Seed*1009 + uint64(part)*31 + uint64(tree))
-		}
 		for i := range rows {
 			prob := linalg.Sigmoid(b.margins[part][i])
 			b.grads[part][i] = prob - rows[i].Label
 			b.hess[part][i] = prob * (1 - prob)
-			if rng != nil && rng.Float64() >= subsample {
-				b.nodeOf[part][i] = -1 // excluded from this tree
-				continue
-			}
 			b.nodeOf[part][i] = 0
 		}
 		tc.Charge(cost.ElemWork(len(rows) * 2))
@@ -168,32 +154,10 @@ func (b *booster) gradients(p *simnet.Proc, dataset *rdd.RDD[Row], tree int) {
 	})
 }
 
-// featureMask returns the per-tree column sample (nil = all features).
-func (b *booster) featureMask(tree int) []bool {
-	cs := b.cfg.ColsampleByTree
-	if cs <= 0 || cs >= 1 {
-		return nil
-	}
-	rng := linalg.NewRNG(b.cfg.Seed*2003 + uint64(tree))
-	mask := make([]bool, b.features)
-	any := false
-	for f := range mask {
-		if rng.Float64() < cs {
-			mask[f] = true
-			any = true
-		}
-	}
-	if !any {
-		mask[rng.Intn(b.features)] = true
-	}
-	return mask
-}
-
 // grow builds one tree level by level, node by node (paper Figure 8's outer
 // loop).
-func (b *booster) grow(p *simnet.Proc, rows *rdd.RDD[Row], treeIdx int) (*Tree, error) {
+func (b *booster) grow(p *simnet.Proc, rows *rdd.RDD[Row]) (*Tree, error) {
 	cfg := b.cfg
-	mask := b.featureMask(treeIdx)
 	tree := &Tree{Nodes: []TreeNode{{Left: -1, Right: -1}}}
 	type work struct {
 		node  int32
@@ -207,7 +171,7 @@ func (b *booster) grow(p *simnet.Proc, rows *rdd.RDD[Row], treeIdx int) (*Tree, 
 		if err != nil {
 			return nil, err
 		}
-		n.cfg, n.mask = &b.cfg, mask
+		n.cfg = &b.cfg
 		leafValue := 0.0
 		if n.h+cfg.Lambda > 0 {
 			leafValue = -cfg.LearningRate * n.g / (n.h + cfg.Lambda)

@@ -85,10 +85,9 @@ func (s *ps2) Split(p *simnet.Proc, n Node) (Split, error) {
 			for f := sp.Lo / bins; f*bins < sp.Hi; f++ {
 				lo, hi := max(f*bins, sp.Lo), min((f+1)*bins, sp.Hi)
 				g, h := sp.Rows[0][lo-sp.Lo:hi-sp.Lo], sp.Rows[1][lo-sp.Lo:hi-sp.Lo]
-				switch {
-				case hi-lo == bins:
+				if hi-lo == bins {
 					res.Best = n.Scan(res.Best, f, g, h)
-				case n.mask == nil || n.mask[f]:
+				} else {
 					res.Boundary = append(res.Boundary, boundaryPiece{Feature: f, Offset: lo - f*bins,
 						G: slices.Clone(g), H: slices.Clone(h)})
 				}

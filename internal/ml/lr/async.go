@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/linalg"
@@ -19,7 +18,9 @@ import (
 type AsyncConfig struct {
 	Config
 	// Staleness bounds how many clocks apart the fastest and slowest worker
-	// may drift: 0 is BSP lockstep, large values approach fully async.
+	// may drift: 0 is BSP lockstep, large values approach fully async. It is
+	// SSP training's one freshness knob: every weight read goes to the
+	// servers, so no cache policy adds a second bound.
 	Staleness int
 }
 
@@ -68,27 +69,15 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 		return nil, errors.New("lr: SSP training has no optimizer step to fuse; unset Config.NoFusion")
 	case cfg.Replicas != nil:
 		return nil, errors.New("lr: SSP training does not replicate hot columns; unset Config.Replicas")
+	case cfg.Cache != nil:
+		return nil, errors.New("lr: SSP training reads its weights from the servers under the SSP bound; unset Config.Cache")
 	}
 	mat, err := e.PS.CreateMatrix(p, 1, dim)
 	if err != nil {
 		return nil, err
 	}
-	// Optional worker-side cache: each worker's cache clock ticks with its
-	// own SSP clock. Unless Config.Cache names a policy the cache rides the
-	// SSP bound — a weight cached at a worker's clock c may reflect updates
-	// no older than the clock gate already admits.
-	pull := mat.PullRowIndices
-	var cache *ps.CachedClient
-	if cfg.Cache != nil {
-		ccfg := *cfg.Cache
-		if ccfg.Policy == nil {
-			ccfg.Policy = consistency.NewClockBounded(cfg.Staleness)
-		}
-		cache = ps.NewCachedClient(mat, ccfg)
-		pull = cache.PullRowIndices
-	}
 	weights := func(tc *rdd.TaskContext, indices []int) []float64 {
-		return ps.Must(pull(tc.P, tc.Node, 0, indices))
+		return ps.Must(mat.PullRowIndices(tc.P, tc.Node, 0, indices))
 	}
 	rngs := make([]*linalg.RNG, len(parts))
 	for w := range parts {
@@ -98,20 +87,9 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 		push := func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) {
 			eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(len(rows)) / float64(len(parts))
 			linalg.Scale(-eta, grad.Values)
-			if cache != nil && cfg.Cache.CombinePushes {
-				// Flushed at once, a buffer holds nothing from one push to the next.
-				buf := cache.NewPushBuffer()
-				ps.MustOK(buf.Add(0, grad))
-				ps.MustOK(buf.Flush(tc.P, tc.Node))
-			} else {
-				ps.MustOK(mat.PushAdd(tc.P, tc.Node, 0, grad))
-			}
+			ps.MustOK(mat.PushAdd(tc.P, tc.Node, 0, grad))
 		}
-		s := gradientTask(tc, rdd.Bernoulli(parts[w], cfg.BatchFraction, rngs[w]), cfg.Objective, weights, push)
-		if cache != nil {
-			cache.TickNode(tc.Node)
-		}
-		return s
+		return gradientTask(tc, rdd.Bernoulli(parts[w], cfg.BatchFraction, rngs[w]), cfg.Objective, weights, push)
 	})
 	run.Trace.Name = fmt.Sprintf("SSP-%d", cfg.Staleness)
 	return &AsyncModel{Weights: mat, Clock: run.Clock, Trace: run.Trace, run: run}, nil

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/obs"
 	"repro/internal/ps"
 	"repro/internal/simnet"
 )
@@ -24,15 +22,9 @@ func asyncDataset(t *testing.T) *data.ClassifyDataset {
 	return ds
 }
 
+// runAsync trains at staleness (iterations and batch fraction fixed here) on
+// a 4+4 cluster and returns the final weights and the virtual end time.
 func runAsync(t *testing.T, ds *data.ClassifyDataset, staleness int, straggler bool) ([]float64, float64) {
-	t.Helper()
-	_, w, end := runAsyncCfg(t, ds, AsyncConfig{Config: DefaultConfig(), Staleness: staleness}, straggler)
-	return w, end
-}
-
-// runAsyncCfg trains cfg (iterations and batch fraction fixed here) on a 4+4
-// cluster and returns the engine, the final weights and the virtual end time.
-func runAsyncCfg(t *testing.T, ds *data.ClassifyDataset, cfg AsyncConfig, straggler bool) (*core.Engine, []float64, float64) {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Executors, opt.Servers = 4, 4
@@ -40,6 +32,7 @@ func runAsyncCfg(t *testing.T, ds *data.ClassifyDataset, cfg AsyncConfig, stragg
 	if straggler {
 		e.Cluster.Executors[0].SlowDown(20)
 	}
+	cfg := AsyncConfig{Config: DefaultConfig(), Staleness: staleness}
 	cfg.Iterations = 25
 	cfg.BatchFraction = 0.4
 	var w []float64
@@ -52,7 +45,7 @@ func runAsyncCfg(t *testing.T, ds *data.ClassifyDataset, cfg AsyncConfig, stragg
 		model.Wait(p)
 		w = ps.Must(model.FinalWeights(p, e.Driver()))
 	})
-	return e, w, end
+	return w, end
 }
 
 func TestTrainAsyncConverges(t *testing.T) {
@@ -108,6 +101,7 @@ func TestTrainAsyncValidation(t *testing.T) {
 			"CheckpointEvery": func(c *Config) { c.CheckpointEvery = 5 },
 			"NoFusion":        func(c *Config) { c.NoFusion = true },
 			"Replicas":        func(c *Config) { c.Replicas = &ps.ReplicaConfig{HotCols: []int{0}} },
+			"Cache":           func(c *Config) { c.Cache = &ps.CacheConfig{} },
 		} {
 			cfg := AsyncConfig{Config: DefaultConfig()}
 			set(&cfg.Config)
@@ -117,31 +111,4 @@ func TestTrainAsyncValidation(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestTrainAsyncCachePolicy pins how the SSP trainer picks the cache's
-// freshness policy: a nil Cache.Policy rides the SSP bound — the run is
-// identical, decision for decision, to one that names ClockBounded(Staleness)
-// — while an explicit policy wins, including ClockBounded(0), under which a
-// value pulled in one clock is never served in the next.
-func TestTrainAsyncCachePolicy(t *testing.T) {
-	ds := asyncDataset(t)
-	run := func(cache ps.CacheConfig) (obs.ConsistencySnapshot, float64) {
-		cfg := AsyncConfig{Config: DefaultConfig(), Staleness: 2}
-		cfg.Cache = &cache
-		e, _, end := runAsyncCfg(t, ds, cfg, false)
-		return e.PS.Consistency, end
-	}
-	inherited, inheritedEnd := run(ps.CacheConfig{})
-	named, namedEnd := run(ps.CacheConfig{Policy: consistency.NewClockBounded(2)})
-	if inherited != named || inheritedEnd != namedEnd {
-		t.Fatalf("nil policy did not ride the SSP bound: %+v ending %v, ClockBounded(2) gives %+v ending %v",
-			inherited, inheritedEnd, named, namedEnd)
-	}
-	if inherited.ServedCached == 0 {
-		t.Fatalf("bound 2 never served a cached weight: %+v", inherited)
-	}
-	if strict, _ := run(ps.CacheConfig{Policy: consistency.NewClockBounded(0)}); strict.ServedCached != 0 || strict.Revalidated == 0 {
-		t.Fatalf("explicit ClockBounded(0) not honoured under SSP bound 2: %+v", strict)
-	}
 }

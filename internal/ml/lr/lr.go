@@ -45,8 +45,8 @@ func (o Objective) Loss(z, label float64) (loss, dz float64, active bool) {
 }
 
 // Config holds the training hyperparameters; defaults follow the paper's
-// Table 4. CheckpointEvery, NoFusion and Replicas configure the PS2 strategy
-// (Train) only, and TrainAsync rejects them; Cache configures both.
+// Table 4. CheckpointEvery, NoFusion, Replicas and Cache configure the PS2
+// strategy (Train) only, and TrainAsync rejects them.
 type Config struct {
 	// LearningRate steps MLlib*, Petuum and DistML; PS2 and MLlib step with
 	// their optimizer's (PS2's value-bounded cache credit still reads it).

@@ -4,13 +4,12 @@ package ps
 // row ranges and sparse index sets, kept per executor machine, in front of a
 // matrix's pull operators. Its sparse form is the copy store (copies.go) on
 // each machine, which states the validity rule, drift learning,
-// if-modified-since and the epoch fence; this file adds the machine's worker
-// clock, the LRU byte budget, the dense row form and the pull's wire bytes.
+// if-modified-since and the epoch fence; this file adds the client's clock,
+// the LRU byte budget, the dense row form and the pull's wire bytes.
 //
-// Clock. Freshness is judged against a per-machine worker clock. The BSP
-// driver ticks every machine once per iteration (Tick); async workers tick
-// their own machine's clock via TickNode next to SSPClock.Tick, so cache
-// staleness rides the same clock as the SSP bound (ssp.go).
+// Clock. Freshness is judged against one clock per client, which the BSP
+// driver ticks once per iteration (Tick). CacheConfig.Policy is the cache's
+// one freshness knob; SSP training (ssp.go) reads through no cache.
 //
 // Dense rows. PullRows caches a shard's whole [Lo,Hi) stretch of a row under
 // one stamp, validated at row granularity. Under a delta-consuming policy the
@@ -94,10 +93,8 @@ type stretchHdr struct {
 }
 
 // nodeCache is the per-executor-machine cache: entries keyed by (row, shard,
-// form), an LRU list (root.next = most recent), a byte budget, and the
-// worker clock.
+// form), an LRU list (root.next = most recent) and a byte budget.
 type nodeCache struct {
-	clock   int64
 	entries map[cacheKey]*cacheEntry
 	root    cacheEntry
 	bytes   float64
@@ -185,12 +182,13 @@ type CachedClient struct {
 	mat    *Matrix
 	cfg    CacheConfig
 	deltas bool // cfg.Policy.UsesDeltas(): gate for all delta accounting
+	clock  int64
 	nodes  map[*simnet.Node]*nodeCache
 }
 
 // NewCachedClient attaches a cache to mat, enabling server-side version
 // stamps. Multiple clients (and PushBuffers) may share one master's
-// CacheStats; each machine gets its own entries and clock.
+// CacheStats; each machine gets its own entries.
 func NewCachedClient(mat *Matrix, cfg CacheConfig) *CachedClient {
 	if cfg.Policy == nil {
 		cfg.Policy = consistency.NewClockBounded(0)
@@ -217,20 +215,10 @@ func (cc *CachedClient) node(n *simnet.Node) *nodeCache {
 	return nc
 }
 
-// Tick advances every machine's worker clock by one — the BSP driver calls
-// it once per iteration, after the optimizer step, so "synced this clock"
-// means "read since the model last changed".
-func (cc *CachedClient) Tick() {
-	for _, nc := range cc.nodes {
-		nc.clock++
-	}
-}
-
-// TickNode advances one machine's clock — SSP workers call it next to
-// SSPClock.Tick, so cache staleness rides the same clock as the SSP bound.
-func (cc *CachedClient) TickNode(n *simnet.Node) {
-	cc.node(n).clock++
-}
+// Tick advances the client's clock by one — the BSP driver calls it once per
+// iteration, after the optimizer step, so "synced this clock" means "read
+// since the model last changed".
+func (cc *CachedClient) Tick() { cc.clock++ }
 
 // CreditPush records locally-issued write magnitudes against one row's
 // cached values on machine from, and feeds the policy's magnitude EWMA.
@@ -327,7 +315,7 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 		if e != nil {
 			set = &e.copySet
 		}
-		sp.read = classify(m, cc.cfg.Policy, set, sp.read.idx, nc.clock, sp.read.out)
+		sp.read = classify(m, cc.cfg.Policy, set, sp.read.idx, cc.clock, sp.read.out)
 		if sp.read.pending() == 0 {
 			m.Cache.Hits++
 			nc.touch(e)
@@ -376,7 +364,7 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 			m.Cache.PulledBytes += c.ReqBytes + sp.resp
 			cur := nc.entry(key, sp.epoch)
 			n := len(cur.vals)
-			sp.read.merge(sp.rep, &cur.copySet, nc.clock)
+			sp.read.merge(sp.rep, &cur.copySet, cc.clock)
 			cur.bytes += sparseColBytes * float64(len(cur.vals)-n)
 			nc.bytes += sparseColBytes * float64(len(cur.vals)-n)
 			nc.touch(cur)
@@ -448,7 +436,7 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 				missing = append(missing, j)
 				continue
 			}
-			switch admit(m, cc.cfg.Policy, cc.deltas, e.stretch.copyVal, nc.clock) {
+			switch admit(m, cc.cfg.Policy, cc.deltas, e.stretch.copyVal, cc.clock) {
 			case consistency.ServeCached:
 				vals[s*len(uniq)+j] = e.dense
 				nc.touch(e)
@@ -547,7 +535,7 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 					v = sp.fetched[k]
 				}
 				cur := nc.entry(cacheKey{copyKey{uniq[j], s}, true}, sp.epoch)
-				if cur.dense != nil && (cur.stretch.ver > sp.stamp || (cur.stretch.ver == sp.stamp && cur.stretch.clock >= nc.clock)) {
+				if cur.dense != nil && (cur.stretch.ver > sp.stamp || (cur.stretch.ver == sp.stamp && cur.stretch.clock >= cc.clock)) {
 					vals[s*len(uniq)+j] = cur.dense // a concurrent task refreshed it further
 					continue
 				}
@@ -563,7 +551,7 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 						// certified chunks accumulate past the bound unseen.
 						// The exact drift-so-far is still an observation for
 						// the rate EWMA.
-						cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, sp.drift[k]-sp.held[k].drift, nc.clock-cur.stretch.clock)
+						cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, sp.drift[k]-sp.held[k].drift, cc.clock-cur.stretch.clock)
 						cur.stretch.driftMark = sp.held[k].driftMark
 					} else {
 						// Observe a shipped row's change magnitude for the
@@ -578,7 +566,7 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 									maxAbs = d
 								}
 							}
-							cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, maxAbs, nc.clock-cur.stretch.clock)
+							cur.stretch.rate = consistency.BlendRate(cur.stretch.rate, maxAbs, cc.clock-cur.stretch.clock)
 						}
 						cur.stretch.driftMark = driftMark{sp.drift[k], sp.gen}
 					}
@@ -587,7 +575,7 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 				}
 				cur.dense = v
 				cur.stretch.ver = sp.stamp
-				cur.stretch.clock = nc.clock
+				cur.stretch.clock = cc.clock
 				vals[s*len(uniq)+j] = v
 				nc.touch(cur)
 			}

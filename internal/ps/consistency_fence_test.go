@@ -108,10 +108,10 @@ func TestValueBoundedCacheFencedByRecovery(t *testing.T) {
 	})
 }
 
-// legacySSP is a frozen copy of the pre-refactor SSP gate — waiters keyed by
+// legacySSP is a frozen copy of the original SSP gate — waiters keyed by
 // a plain integer target, released when MinClock() >= target, in insertion
-// order. The regression below runs it head-to-head against the policy-based
-// gate on identical worker schedules.
+// order. The regression below runs it head-to-head against SSPClock on
+// identical worker schedules.
 type legacySSP struct {
 	sim     *simnet.Sim
 	clocks  []int
@@ -157,9 +157,9 @@ func (c *legacySSP) waitTurn(p *simnet.Proc, iter, staleness int) {
 
 // TestSSPWaitReleaseSequencesMatchLegacy replays a heterogeneous 4-worker
 // schedule through both gates and requires the exact same start sequence
-// (worker, iteration, virtual time) and the same finish time: a ClockBounded
-// policy admission is behaviorally indistinguishable from the historic
-// integer comparison.
+// (worker, iteration, virtual time) and the same finish time: SSPClock's
+// admission (target - MinClock <= staleness) is behaviorally
+// indistinguishable from the historic MinClock >= target - staleness.
 func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 	type event struct {
 		w, it int
@@ -173,7 +173,7 @@ func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 		if useLegacy {
 			legacy = &legacySSP{sim: sim, clocks: make([]int, 4)}
 		} else {
-			clock = NewSSPClock(sim, 4)
+			clock = NewSSPClock(sim, 4, staleness)
 		}
 		for w := 0; w < 4; w++ {
 			w := w
@@ -183,7 +183,7 @@ func TestSSPWaitReleaseSequencesMatchLegacy(t *testing.T) {
 					if useLegacy {
 						legacy.waitTurn(p, it, staleness)
 					} else {
-						clock.WaitPolicy(p, consistency.NewClockBounded(staleness), it)
+						clock.Wait(p, it)
 					}
 					trace = append(trace, event{w: w, it: it, at: p.Now()})
 					p.Sleep(d)

@@ -63,13 +63,11 @@ func TestOneFormPerOperator(t *testing.T) {
 
 // TestPolicyConsultedInOnePlace pins the copy store as the one place a
 // consistency.Policy judges a copy: outside the consistency package, the
-// module's non-test code calls Admit only from the copy store (copies.go)
-// and the SSP wait gate (ssp.go).
+// module's non-test code calls Admit only from the copy store (copies.go).
 func TestPolicyConsultedInOnePlace(t *testing.T) {
 	root := filepath.Join("..", "..")
 	allowed := map[string]bool{
 		filepath.Join(root, "internal", "ps", "copies.go"): true,
-		filepath.Join(root, "internal", "ps", "ssp.go"):    true,
 	}
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

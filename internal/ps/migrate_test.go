@@ -26,7 +26,7 @@ func TestMigrateValidation(t *testing.T) {
 			panic(err)
 		}
 		MustOK(mat.SetRow(p, worker, 0, make([]float64, 16)))
-		good, _ := NewRangePlacement(16, 2)
+		good, _ := NewPartitioner(16, 2)
 
 		if err := m.MigrateMatrix(p, mat, nil, fp(mat)); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("nil target: got %v, want ErrBadMigration", err)
@@ -34,11 +34,11 @@ func TestMigrateValidation(t *testing.T) {
 		if err := m.MigrateMatrix(p, mat, good, "bogus-fingerprint"); !errors.Is(err, ErrStaleMigration) {
 			t.Fatalf("stale fingerprint: got %v, want ErrStaleMigration", err)
 		}
-		wrongCols, _ := NewRangePlacement(17, 2)
+		wrongCols, _ := NewPartitioner(17, 2)
 		if err := m.MigrateMatrix(p, mat, wrongCols, fp(mat)); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("wrong column count: got %v, want ErrBadMigration", err)
 		}
-		tooWide, _ := NewRangePlacement(16, 5)
+		tooWide, _ := NewPartitioner(16, 5)
 		if err := m.MigrateMatrix(p, mat, tooWide, fp(mat)); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("target wider than cluster: got %v, want ErrBadMigration", err)
 		}
@@ -47,7 +47,7 @@ func TestMigrateValidation(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		zero, _ := NewRangePlacement(3, 4)
+		zero, _ := NewPartitioner(3, 4)
 		if err := m.MigrateMatrix(p, small, zero, fp(small)); !errors.Is(err, ErrBadMigration) {
 			t.Fatalf("zero-width target shard: got %v, want ErrBadMigration", err)
 		}
@@ -55,7 +55,7 @@ func TestMigrateValidation(t *testing.T) {
 			t.Fatalf("validation errors must not count as migrations: %+v", m.Migration)
 		}
 		// A migration to an equivalent placement is a no-op, not an error.
-		same, _ := NewRangePlacement(16, 4)
+		same, _ := NewPartitioner(16, 4)
 		if err := m.MigrateMatrix(p, mat, same, fp(mat)); err != nil {
 			t.Fatalf("same-placement migration: %v", err)
 		}
@@ -175,7 +175,7 @@ func TestMigratePreservesValues(t *testing.T) {
 }
 
 func mustRange(dim, n int) Placement {
-	pl, err := NewRangePlacement(dim, n)
+	pl, err := NewPartitioner(dim, n)
 	if err != nil {
 		panic(err)
 	}

@@ -7,9 +7,7 @@ package ps
 // Placement interface captures exactly that contract, and three
 // implementations ship behind it:
 //
-//   - Partitioner (alias RangePlacement): the original contiguous range
-//     partitioner, still the default and bit-identical to the pre-placement
-//     code path;
+//   - Partitioner: contiguous column ranges, one per server, the default;
 //   - BlockHashPlacement: fixed-size column blocks hashed to servers —
 //     skew-resistant without any access profile, in the spirit of NuPS's
 //     relocation-free hashing (Renz-Wieland et al., VLDB 2022);
@@ -125,14 +123,6 @@ func SamePlacement(a, b Placement) bool {
 	}
 	return a == b || a.Fingerprint() == b.Fingerprint()
 }
-
-// RangePlacement is the default placement: contiguous column ranges, one per
-// server. It is an alias of Partitioner, the original concrete type, so the
-// pre-placement API keeps working unchanged.
-type RangePlacement = Partitioner
-
-// NewRangePlacement creates the default contiguous-range placement.
-func NewRangePlacement(dim, n int) (*RangePlacement, error) { return NewPartitioner(dim, n) }
 
 // NumCols returns the matrix dimension.
 func (pt *Partitioner) NumCols() int { return pt.Dim }

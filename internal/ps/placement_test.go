@@ -18,7 +18,7 @@ func testPlacements(t *testing.T, dim, n int) map[string]Placement {
 	for c := range weight {
 		weight[c] = float64((c*2654435761)%97) + 1
 	}
-	rp, err := NewRangePlacement(dim, n)
+	rp, err := NewPartitioner(dim, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestPlacementContract(t *testing.T) {
 // construction compares equal (cross-matrix zips allowed), anything that
 // changes the column→server map does not.
 func TestSamePlacementFingerprints(t *testing.T) {
-	r1, _ := NewRangePlacement(100, 4)
-	r2, _ := NewRangePlacement(100, 4)
-	r3, _ := NewRangePlacement(100, 5)
+	r1, _ := NewPartitioner(100, 4)
+	r2, _ := NewPartitioner(100, 4)
+	r3, _ := NewPartitioner(100, 5)
 	b1, _ := NewBlockHashPlacement(100, 4, 8, 1)
 	b2, _ := NewBlockHashPlacement(100, 4, 8, 1)
 	b3, _ := NewBlockHashPlacement(100, 4, 8, 2)
@@ -131,7 +131,7 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 	}
 	la, _ := NewLoadAwarePlacement(dim, 6, weight, 4)
 	bh, _ := NewBlockHashPlacement(dim, 6, 4, 9)
-	rp, _ := NewRangePlacement(dim, 6)
+	rp, _ := NewPartitioner(dim, 6)
 
 	// One simulation per arm keeps virtual-time bookkeeping independent.
 	runArm := func(pl Placement) [][]float64 {

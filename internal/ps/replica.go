@@ -49,7 +49,8 @@ type ReplicaConfig struct {
 	// means consistency.ClockBounded(0), revalidate anything not validated
 	// this clock (BSP-exact); delta-consuming policies serve copies until
 	// the owner's drift since they were read, plus a learned drift-rate
-	// estimate, may exceed the bound.
+	// estimate, may exceed the bound. It is the replica set's one freshness
+	// knob, for training pulls and ModelReader reads alike.
 	Policy consistency.Policy
 }
 
@@ -134,14 +135,12 @@ func TopKCols(weight []float64, k int) []int {
 // owners as the staleness bound requires) and the rest take the ordinary
 // owner-routed path. Output is aligned with indices, like the raw operator.
 func (rs *HotReplicaSet) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
-	return rs.pull(p, from, row, indices, rs.pol, ClassTrain)
+	return rs.pull(p, from, row, indices, ClassTrain)
 }
 
-// pull is PullRowIndices with an explicit consistency policy and
-// admission class — the serving tier (ModelReader) reads through it so a
-// per-request ReadOptions can tighten or relax the configured freshness and
-// tag the traffic ClassServe.
-func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indices []int, pol consistency.Policy, class Class) ([]float64, error) {
+// pull is PullRowIndices with an explicit admission class — the serving tier
+// (ModelReader) reads through it to tag its traffic ClassServe.
+func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indices []int, class Class) ([]float64, error) {
 	mat := rs.mat
 	mat.checkRow(row)
 	if err := validateIndices(indices, mat.Dim); err != nil {
@@ -192,7 +191,7 @@ func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indice
 				ReqBytes:  cost.RequestOverheadB + 4*float64(len(hotCols)),
 				RespBytes: cost.RequestOverheadB + 8*float64(len(hotCols)),
 				BlockingFn: func(fp *simnet.Proc, _ int, _ *Shard) error {
-					return rs.serveHot(fp, t, row, hotCols, hotPos, out, pol)
+					return rs.serveHot(fp, t, row, hotCols, hotPos, out)
 				},
 			})
 			if errHot == nil {
@@ -233,7 +232,7 @@ func (rs *HotReplicaSet) resync() {
 // from their owners (one round-trip per owner shard that has work). Each
 // column's value lands in out at its position in pos. Retryable errors
 // propagate to the enclosing CallShard loop.
-func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, out []float64, pol consistency.Policy) error {
+func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, out []float64) error {
 	mat := rs.mat
 	m := mat.master
 	cost := m.Cl.Cost
@@ -269,7 +268,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 			set = &copySet{epoch: mat.ShardEpoch(o), vals: map[int]copyVal{}}
 			store.sets[copyKey{row, o}] = set
 		}
-		if pol.UsesDeltas() {
+		if rs.pol.UsesDeltas() {
 			// Copies on the server tier take no local pushes, but every
 			// write lands on the owner, whose exact row drift the serving
 			// server reads host-side, like the model clock. While the owner
@@ -278,7 +277,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 				set.creditTo(driftMark{osh.RowDrift(row), osh.DriftGen()})
 			}
 		}
-		reads[o] = classify(m, pol, set, idx, mat.clock, buf[:len(idx)])
+		reads[o] = classify(m, rs.pol, set, idx, mat.clock, buf[:len(idx)])
 		buf = buf[len(idx):]
 		m.Replica.LocalHits += uint64(len(idx) - reads[o].pending())
 		lead = lead || reads[o].pending() > 0

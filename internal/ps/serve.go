@@ -22,8 +22,8 @@ package ps
 //     a HotReplicaSet (a rotating server answers from its replica store —
 //     the hot working set never hammers the owner) and cold columns fall
 //     through to their owners via the ordinary pull RPCs. Freshness rides
-//     the matrix's model clock (below), bounded per read by
-//     ReadOptions.Policy.
+//     the matrix's model clock (below), bounded by the replica set's
+//     ReplicaConfig.Policy, the reader's one freshness knob.
 //
 //   - AdmissionControl: a per-server token bucket (GCRA form) with a bounded
 //     virtual queue. A call that would queue past the bound is shed with the
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/consistency"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -413,24 +412,6 @@ type ServeConfig struct {
 	Replicas *ReplicaConfig
 }
 
-// ReadOptions selects the consistency point and freshness policy of one
-// ModelReader read; every read is admission-classed as serving traffic. The
-// zero value is the strictest read: live, exact (ClockBounded(0)).
-type ReadOptions struct {
-	// At pins the read to a ModelSnapshot (see ModelReader.Snapshot). nil
-	// reads the live model.
-	At *ModelSnapshot
-
-	// Policy decides how old a replica-served value may be, overriding the
-	// replica set's own policy for this read. nil means
-	// consistency.ClockBounded(0): serve only values validated against their
-	// owner this model clock — bit-identical to an owner read in a BSP loop;
-	// ClockBounded(s) trades s ticks of staleness for fewer owner
-	// round-trips. Owner-routed (cold or replica-less) reads are always
-	// current and ignore it.
-	Policy consistency.Policy
-}
-
 // ModelReader is the serving tier's read handle on one matrix: the one entry
 // point inference traffic goes through. It is pure host-side routing — the
 // virtual charges are its RPCs — and is safe to use while the matrix is
@@ -465,18 +446,17 @@ func (mr *ModelReader) Matrix() *Matrix { return mr.mat }
 func (mr *ModelReader) Replicas() *HotReplicaSet { return mr.rs }
 
 // Snapshot pins a consistent view of the served matrix at the current model
-// clock; pass it via ReadOptions.At to read against it. Close it when done.
+// clock; read against it with its ReadRowIndices. Close it when done.
 func (mr *ModelReader) Snapshot(p *simnet.Proc) (*ModelSnapshot, error) {
 	return mr.mat.PinSnapshot(p)
 }
 
-// Read returns the values of the given (strictly increasing) column indices
-// of one row, per the options: pinned-snapshot or live, replica-served (hot
-// columns, within the staleness bound) or owner-routed, admission-classed.
-// Errors are part of the serving contract: ErrOverload when shed,
-// ErrSnapshotInvalid when a pin was fenced, ErrServerDown past the retry
-// budget, ErrBadIndices for malformed requests.
-func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices []int, opts ReadOptions) ([]float64, error) {
+// Read returns the live values of the given (strictly increasing) column
+// indices of one row: replica-served (hot columns, within the replica set's
+// policy) or owner-routed, admission-classed as serving traffic. Errors are
+// part of the serving contract: ErrOverload when shed, ErrServerDown past the
+// retry budget, ErrBadIndices for malformed requests.
+func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
 	m := mr.mat.master
 	var span obs.Span
 	if t := m.Cl.Sim.Tracer(); t != nil {
@@ -490,21 +470,9 @@ func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices 
 	}
 	var out []float64
 	var err error
-	switch {
-	case opts.At != nil:
-		if opts.At.mat != mr.mat {
-			return nil, fmt.Errorf("ps: ReadOptions.At pins matrix %d, reader serves %d", opts.At.mat.ID, mr.mat.ID)
-		}
-		out, err = opts.At.ReadRowIndices(p, from, row, indices)
-	case mr.rs != nil:
-		pol := opts.Policy
-		if pol == nil {
-			pol = consistency.NewClockBounded(0)
-		} else {
-			m.registerPolicy(pol)
-		}
-		out, err = mr.rs.pull(p, from, row, indices, pol, ClassServe)
-	default:
+	if mr.rs != nil {
+		out, err = mr.rs.pull(p, from, row, indices, ClassServe)
+	} else {
 		mr.mat.checkRow(row)
 		if err = validateIndices(indices, mr.mat.Dim); err != nil {
 			return nil, err
@@ -523,12 +491,12 @@ func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices 
 
 // ReadRow reads one full row — the embedding-lookup shape (a vertex's
 // vector). Same semantics as Read with every column requested.
-func (mr *ModelReader) ReadRow(p *simnet.Proc, from *simnet.Node, row int, opts ReadOptions) ([]float64, error) {
+func (mr *ModelReader) ReadRow(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
 	if mr.allCols == nil {
 		mr.allCols = make([]int, mr.mat.Dim)
 		for i := range mr.allCols {
 			mr.allCols[i] = i
 		}
 	}
-	return mr.Read(p, from, row, mr.allCols, opts)
+	return mr.Read(p, from, row, mr.allCols)
 }

@@ -318,7 +318,7 @@ func TestAdmissionShedsTypedAndBounded(t *testing.T) {
 		for i := 0; i < each; i++ {
 			i := i
 			g.Go("serve-req", func(cp *simnet.Proc) {
-				_, serveErrs[i] = reader.Read(cp, worker, 0, idx, ReadOptions{})
+				_, serveErrs[i] = reader.Read(cp, worker, 0, idx)
 			})
 			g.Go("train-req", func(cp *simnet.Proc) {
 				_, trainErrs[i] = mat.PullRowIndices(cp, worker, 0, idx)
@@ -385,7 +385,7 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 		rs := reader.Replicas()
 		idx := []int{0, 1, 2, 3}
 		for i := 0; i < 8; i++ { // more reads than servers: warm every store
-			if _, err := reader.Read(p, worker, 0, idx, ReadOptions{}); err != nil {
+			if _, err := reader.Read(p, worker, 0, idx); err != nil {
 				t.Fatalf("warm read: %v", err)
 			}
 		}
@@ -398,7 +398,7 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 			t.Fatalf("replica clock %d detached from matrix clock %d", rs.Clock(), mat.Clock())
 		}
 		for i := 0; i < 8; i++ { // every store must revalidate, then serve locally
-			got, err := reader.Read(p, worker, 0, idx, ReadOptions{})
+			got, err := reader.Read(p, worker, 0, idx)
 			if err != nil {
 				t.Fatalf("post-tick read: %v", err)
 			}
@@ -415,9 +415,9 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 	})
 }
 
-// TestModelReaderOptions covers the reader's option surface: snapshot-pinned
-// reads via ReadOptions.At (including the matrix-mismatch error), the
-// full-row embedding shape, and bounded staleness through replicas.
+// TestModelReaderOptions covers the reader's configuration surface: the
+// full-row embedding shape, snapshot-pinned reads through the reader's
+// Snapshot, and the replica set's own policy bounding live reads.
 func TestModelReaderOptions(t *testing.T) {
 	sim, cl, m := testMaster(3)
 	run(sim, func(p *simnet.Proc) {
@@ -434,7 +434,7 @@ func TestModelReaderOptions(t *testing.T) {
 		if reader.Matrix() != mat || reader.Replicas() == nil {
 			t.Fatal("reader wiring wrong")
 		}
-		row, err := reader.ReadRow(p, worker, 1, ReadOptions{Policy: consistency.NewClockBounded(1)})
+		row, err := reader.ReadRow(p, worker, 1)
 		if err != nil {
 			t.Fatalf("ReadRow: %v", err)
 		}
@@ -446,7 +446,7 @@ func TestModelReaderOptions(t *testing.T) {
 			t.Fatalf("snapshot: %v", err)
 		}
 		defer snap.Close()
-		pinned, err := reader.Read(p, worker, 1, []int{2, 5}, ReadOptions{At: snap})
+		pinned, err := snap.ReadRowIndices(p, worker, 1, []int{2, 5})
 		if err != nil {
 			t.Fatalf("pinned read: %v", err)
 		}
@@ -457,13 +457,16 @@ func TestModelReaderOptions(t *testing.T) {
 		// Replica reads under a delta-consuming policy, on a frozen row. The
 		// serving store rotates per read, so each step reads once per store.
 		const bound = 0.5
-		vb := ReadOptions{Policy: consistency.NewValueBounded(bound)}
-		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) + 1 })
 		hot := []int{0, 1}
-		stores := len(reader.Replicas().stores)
+		vb, err := NewModelReader(mat, ServeConfig{Replicas: &ReplicaConfig{HotCols: hot, Policy: consistency.NewValueBounded(bound)}})
+		if err != nil {
+			panic(err)
+		}
+		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) + 1 })
+		stores := mat.Part.NumServers()
 		readAll := func(step string, want0 float64) {
 			for i := 0; i < stores; i++ {
-				got, err := reader.Read(p, worker, 0, hot, vb)
+				got, err := vb.Read(p, worker, 0, hot)
 				if err != nil {
 					t.Fatalf("%s: value-bounded replica read: %v", step, err)
 				}
@@ -474,7 +477,7 @@ func TestModelReaderOptions(t *testing.T) {
 		}
 		rates := func() []float64 {
 			var out []float64
-			for _, st := range reader.Replicas().stores {
+			for _, st := range vb.Replicas().stores {
 				for _, cv := range st.sets[copyKey{0, mat.Part.ServerOf(0)}].vals {
 					out = append(out, cv.rate)
 				}
@@ -519,19 +522,8 @@ func TestModelReaderOptions(t *testing.T) {
 		}
 		MustOK(mat.PushAdd(p, worker, 0, Must(linalg.NewSparse([]int{0}, []float64{2 * bound}))))
 		mat.TickClock()
-		if got := Must(reader.Read(p, worker, 0, hot, vb)); got[0] != 1+2*bound {
+		if got := Must(vb.Read(p, worker, 0, hot)); got[0] != 1+2*bound {
 			t.Fatalf("read after a push past the bound = %v, want the owner's %v", got, 1+2*bound)
-		}
-		other, err := m.CreateMatrix(p, 1, 12)
-		if err != nil {
-			panic(err)
-		}
-		otherReader, err := NewModelReader(other, ServeConfig{})
-		if err != nil {
-			panic(err)
-		}
-		if _, err := otherReader.Read(p, worker, 0, []int{0}, ReadOptions{At: snap}); err == nil {
-			t.Fatal("cross-matrix snapshot must be rejected")
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package ps
 
-import (
-	"repro/internal/consistency"
-	"repro/internal/simnet"
-)
+import "repro/internal/simnet"
 
 // SSPClock implements the Stale Synchronous Parallel consistency model
 // (Petuum's signature protocol) on the coordinator: every worker owns a
@@ -14,40 +11,35 @@ import (
 // the SSP extension quantifies what bounded staleness buys under stragglers
 // (experiment ext-ssp).
 //
-// The admission question SSP asks — "is the slowest clock close enough to
-// mine?" — is the same question the worker cache and replica layers ask of a
-// cached value, so the wait gate delegates to a consistency.Policy: a waiter
-// is admitted once Admit({CachedClock: MinClock, CurrentClock: target}) says
-// ServeCached. ClockBounded(s) is classic SSP — worker w about to run
-// iteration iter waits until iter - MinClock <= s — and waiters are released
-// in insertion order.
+// The staleness, fixed in NewSSPClock, is SSP training's one freshness knob:
+// the gate compares two clocks, and its workers read the model from the
+// servers, not through a cache with a policy of its own. Waiters are
+// released in insertion order.
 type SSPClock struct {
-	sim     *simnet.Sim
-	clocks  []int
-	waiters []*sspWaiter
+	sim       *simnet.Sim
+	staleness int
+	clocks    []int
+	waiters   []sspWaiter
 }
 
 type sspWaiter struct {
-	pol    consistency.Policy
 	target int
 	sig    *simnet.Signal
 }
 
-// admitted reports whether the policy clears a waiter for target given the
-// current minimum clock. Decision counters are deliberately not bumped here:
-// SSP admission is a scheduling gate, not a cached-value read.
-func (c *SSPClock) admitted(pol consistency.Policy, target int) bool {
-	m := consistency.Meta{CachedClock: int64(c.MinClock()), CurrentClock: int64(target)}
-	return pol.Admit(m) == consistency.ServeCached
-}
-
-// NewSSPClock creates a clock table for n workers, all at clock 0.
-func NewSSPClock(sim *simnet.Sim, n int) *SSPClock {
+// NewSSPClock creates a clock table for n workers, all at clock 0, under
+// which a worker runs at most staleness clocks ahead of the slowest; a
+// negative staleness clamps to 0 (BSP lockstep).
+func NewSSPClock(sim *simnet.Sim, n, staleness int) *SSPClock {
 	if n < 1 {
 		panic("ps: SSPClock needs at least one worker")
 	}
-	return &SSPClock{sim: sim, clocks: make([]int, n)}
+	return &SSPClock{sim: sim, staleness: max(staleness, 0), clocks: make([]int, n)}
 }
+
+// admitted reports whether a worker may start iteration target: no worker is
+// more than staleness clocks behind it.
+func (c *SSPClock) admitted(target int) bool { return target-c.MinClock() <= c.staleness }
 
 // Clock returns worker w's current clock.
 func (c *SSPClock) Clock(w int) int { return c.clocks[w] }
@@ -66,13 +58,13 @@ func (c *SSPClock) MinClock() int {
 	return min
 }
 
-// Tick advances worker w's clock by one and wakes any waiter whose policy now
-// admits it, in insertion order.
+// Tick advances worker w's clock by one and wakes every waiter now within
+// the bound, in insertion order.
 func (c *SSPClock) Tick(w int) {
 	c.clocks[w]++
 	kept := c.waiters[:0]
 	for _, wt := range c.waiters {
-		if c.admitted(wt.pol, wt.target) {
+		if c.admitted(wt.target) {
 			wt.sig.Fire()
 			continue
 		}
@@ -81,16 +73,13 @@ func (c *SSPClock) Tick(w int) {
 	c.waiters = kept
 }
 
-// WaitPolicy blocks the calling process until pol admits target against the
-// minimum clock — the policy-generalized SSP gate. A clock-bounded policy
-// reproduces classic SSP; note that value-bounded policies make the gate's
-// admission depend only on what they can see here (clocks), so Meta's delta
-// fields stay zero and a pure ValueBounded policy never blocks.
-func (c *SSPClock) WaitPolicy(p *simnet.Proc, pol consistency.Policy, target int) {
-	if c.admitted(pol, target) {
+// Wait blocks the calling process until a worker may start iteration target:
+// until the slowest clock is at least target - staleness.
+func (c *SSPClock) Wait(p *simnet.Proc, target int) {
+	if c.admitted(target) {
 		return
 	}
-	wt := &sspWaiter{pol: pol, target: target, sig: c.sim.NewSignal()}
+	wt := sspWaiter{target: target, sig: c.sim.NewSignal()}
 	c.waiters = append(c.waiters, wt)
 	wt.sig.Wait(p)
 }

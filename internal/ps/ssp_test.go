@@ -3,7 +3,6 @@ package ps
 import (
 	"testing"
 
-	"repro/internal/consistency"
 	"repro/internal/simnet"
 )
 
@@ -11,7 +10,7 @@ func TestSSPClockBSPLockstep(t *testing.T) {
 	// With staleness 0 every worker's iteration i only starts after all
 	// workers finished iteration i-1; a slow worker gates everyone.
 	sim := simnet.New()
-	clock := NewSSPClock(sim, 3)
+	clock := NewSSPClock(sim, 3, 0)
 	iters := 5
 	var trace []int // worker ids in start order, per iteration chunk
 	for w := 0; w < 3; w++ {
@@ -19,7 +18,7 @@ func TestSSPClockBSPLockstep(t *testing.T) {
 		d := simnet.Time(w+1) * 0.1
 		sim.Spawn("worker", func(p *simnet.Proc) {
 			for it := 0; it < iters; it++ {
-				clock.WaitPolicy(p, consistency.NewClockBounded(0), it)
+				clock.Wait(p, it)
 				trace = append(trace, it)
 				p.Sleep(d)
 				clock.Tick(w)
@@ -43,8 +42,8 @@ func TestSSPClockBoundedDrift(t *testing.T) {
 	// With staleness s, whenever a worker starts iteration i the minimum
 	// clock is at least i-s.
 	sim := simnet.New()
-	clock := NewSSPClock(sim, 4)
 	staleness := 2
+	clock := NewSSPClock(sim, 4, staleness)
 	iters := 12
 	violated := false
 	for w := 0; w < 4; w++ {
@@ -52,7 +51,7 @@ func TestSSPClockBoundedDrift(t *testing.T) {
 		d := simnet.Time(w*w+1) * 0.01 // heterogenous speeds
 		sim.Spawn("worker", func(p *simnet.Proc) {
 			for it := 0; it < iters; it++ {
-				clock.WaitPolicy(p, consistency.NewClockBounded(staleness), it)
+				clock.Wait(p, it)
 				if clock.MinClock() < it-staleness {
 					violated = true
 				}
@@ -75,7 +74,7 @@ func TestSSPFasterThanBSPUnderStraggler(t *testing.T) {
 	// with slack lets the fast workers overlap it.
 	elapsed := func(staleness int) float64 {
 		sim := simnet.New()
-		clock := NewSSPClock(sim, 4)
+		clock := NewSSPClock(sim, 4, staleness)
 		for w := 0; w < 4; w++ {
 			w := w
 			d := simnet.Time(0.01)
@@ -84,7 +83,7 @@ func TestSSPFasterThanBSPUnderStraggler(t *testing.T) {
 			}
 			sim.Spawn("worker", func(p *simnet.Proc) {
 				for it := 0; it < 10; it++ {
-					clock.WaitPolicy(p, consistency.NewClockBounded(staleness), it)
+					clock.Wait(p, it)
 					p.Sleep(d)
 					clock.Tick(w)
 				}
@@ -105,10 +104,36 @@ func TestSSPFasterThanBSPUnderStraggler(t *testing.T) {
 }
 
 func TestSSPClockValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero workers accepted")
+	t.Run("zero workers", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("zero workers accepted")
+			}
+		}()
+		NewSSPClock(simnet.New(), 0, 0)
+	})
+	t.Run("negative staleness clamps to 0", func(t *testing.T) {
+		// Unclamped, a bound of -1 would admit no worker at all; clamped, it
+		// is BSP lockstep.
+		sim := simnet.New()
+		clock := NewSSPClock(sim, 2, -1)
+		finished := 0
+		for w := 0; w < 2; w++ {
+			sim.Spawn("worker", func(p *simnet.Proc) {
+				for it := 0; it < 3; it++ {
+					clock.Wait(p, it)
+					if clock.MinClock() != it {
+						t.Errorf("worker %d started iteration %d at min clock %d, want lockstep", w, it, clock.MinClock())
+					}
+					p.Sleep(simnet.Time(w+1) * 0.01)
+					clock.Tick(w)
+				}
+				finished++
+			})
 		}
-	}()
-	NewSSPClock(simnet.New(), 0)
+		sim.Run()
+		if finished != 2 {
+			t.Fatalf("%d of 2 workers finished under staleness -1", finished)
+		}
+	})
 }

@@ -20,16 +20,16 @@
 //
 //		// Serve: one read entry point for inference traffic, safe while
 //		// training continues. Hot columns are answered from replicas, cold
-//		// ones by their owners; ReadOptions picks snapshot/policy.
+//		// ones by their owners, as fresh as ReplicaConfig.Policy allows.
 //		reader, err := ps2.Serve(model.Weights.Matrix(), ps2.ServeOptions{
 //			Replicas: &ps2.ReplicaConfig{HotCols: hot},
 //		})
-//		vals, err := reader.Read(p, node, model.Weights.Row(), indices, ps2.ReadOptions{})
+//		vals, err := reader.Read(p, node, model.Weights.Row(), indices)
 //
 //		// Snapshot-consistent reads: pin a clock, read bit-identical values
 //		// no matter how many pushes land meanwhile.
 //		snap, err := reader.Snapshot(p)
-//		pinned, err := reader.Read(p, node, row, indices, ps2.ReadOptions{At: snap})
+//		pinned, err := snap.ReadRowIndices(p, node, row, indices)
 //		snap.Close()
 //	})
 //	report := e.Snapshot() // the single reporting entry point
@@ -130,10 +130,11 @@ type CachedClient = ps.CachedClient
 
 // ConsistencyPolicy decides, per cached read, whether a cached value may be
 // served as-is, must be revalidated against its version stamp, or must be
-// hard-pulled from the owner. It is the one freshness knob: CacheConfig.Policy
-// (worker cache), ReplicaConfig.Policy (hot-replica rotation) and
-// ReadOptions.Policy (serving-tier reads) all accept one, and nil always
-// means ClockBoundedPolicy(0).
+// hard-pulled from the owner. It is the one freshness knob of each copy
+// store: CacheConfig.Policy for the worker cache and ReplicaConfig.Policy
+// for the hot replicas (which serve training pulls and ModelReader reads
+// alike); nil always means ClockBoundedPolicy(0). SSP training takes no
+// policy: its one knob is the staleness bound.
 type ConsistencyPolicy = consistency.Policy
 
 // ClockBoundedPolicy returns the classic bounded-staleness policy: a cached
@@ -181,11 +182,6 @@ type ModelReader = ps.ModelReader
 // through it are bit-identical to the moment of the pin no matter how many
 // pushes land meanwhile, with no bulk copy and without ever blocking pushes.
 type ModelSnapshot = ps.ModelSnapshot
-
-// ReadOptions selects the consistency point (ModelSnapshot or live) and the
-// consistency policy of one ModelReader read, which is always admitted as
-// serving traffic. The zero value is the strictest read: live, exact.
-type ReadOptions = ps.ReadOptions
 
 // ServeOptions configures a ModelReader: hot-column replication for the
 // serving fan-out (nil keeps reads owner-routed).

@@ -49,6 +49,15 @@ fi
 # events, trips here before any timing could show it).
 go test -race -count=1 -run 'TestNilTracer|TestTracerObservesWithoutPerturbing' ./internal/obs/ .
 
+# Convention guards, run by name so a diet regression fails on its own line
+# in seconds: no exported name under internal/ that only tests reach, and no
+# exported field that programs read but only tests set (surface_test.go); no
+# training loop outside the listed ones (loops_test.go); no host-side shard
+# access outside the listed sites and one form per operator
+# (internal/ps/convention_test.go).
+go test -count=1 -run 'TestInternalSurfaceIsReached|TestSurfaceGuardVerdicts|TestIterationLoopsAreListed' .
+go test -count=1 -run 'TestHostReadsListed|TestOneFormPerOperator' ./internal/ps/
+
 # The race detector makes the bench package's per-experiment runs take
 # minutes; keep headroom over go test's 10m default so slow CI runners don't
 # hit the per-package timeout.

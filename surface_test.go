@@ -55,21 +55,24 @@ var surfaceAllow = map[string]string{
 	"rdd.Context.KillExecutor":     "oracle",
 	"rdd.Context.ExecutorAlive":    "oracle",
 	"simnet.Node.Restore":          "oracle",
-	"dcv.Batch.Axpy":               "paper",
-	"dcv.Batch.AddVec":             "paper",
-	"dcv.Batch.MulVec":             "paper",
-	"dcv.Batch.DivVec":             "paper",
-	"dcv.Batch.Scale":              "paper",
-	"dcv.Batch.Sum":                "paper",
-	"dcv.Batch.Norm2":              "paper",
-	"dcv.Batch.Len":                "paper",
 	"lr.TrainLBFGS":                "paper",
 	"lr.DefaultLBFGSConfig":        "paper",
 }
 
+// fieldAllow is the only way an exported struct field under internal/ may be
+// read by non-test code while only tests set it. One reason is accepted:
+// "input" (tests set it to drive the system from outside, as a fault
+// schedule). TestInternalSurfaceIsReached fails on an entry whose field has
+// gained a non-test setter or names nothing, so the list can only shrink.
+var fieldAllow = map[string]string{
+	"core.FaultPlan.LinkFaults": "input",
+}
+
 // TestInternalSurfaceIsReached type-checks every package of the repository
 // (tests, cmd/, examples/ and the benchmarks module included) and fails on an
-// exported name under internal/ that only tests, or nothing, refer to.
+// exported name under internal/ that only tests, or nothing, refer to, and on
+// an exported field that non-test code reads but never sets: an option no
+// program sets is a branch no program takes.
 func TestInternalSurfaceIsReached(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := loadSurfaceTree(fset, ".")
@@ -77,7 +80,7 @@ func TestInternalSurfaceIsReached(t *testing.T) {
 		t.Fatal(err)
 	}
 	inScope := func(path string) bool { return strings.HasPrefix(path, "repro/internal/") }
-	problems, err := checkSurface(fset, pkgs, inScope, surfaceAllow)
+	problems, err := checkSurface(fset, pkgs, inScope, surfaceAllow, fieldAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +129,33 @@ type surfaceChecker struct {
 	done map[string]*types.Package // the importable (test-free) variant of each src package
 	std  types.Importer
 	uses map[string][2]int // name key → references from {non-test, test} files
+	// fields counts each struct field's references, keyed by the field's
+	// declaration, from {non-test, test} files.
+	fields map[token.Pos][2]fieldUse
+	// built holds the declarations of the named struct types a non-test
+	// file constructs: a composite literal, new(T) or var x T.
+	built map[token.Pos]bool
+}
+
+// fieldUse counts the references to one field that set it and those that
+// only read it.
+type fieldUse struct{ sets, reads int }
+
+func (c *surfaceChecker) countField(v *types.Var, at token.Pos, set bool) {
+	if !v.Exported() || v.Embedded() {
+		return
+	}
+	n := c.fields[v.Pos()]
+	u := &n[0]
+	if c.isTest(at) {
+		u = &n[1]
+	}
+	if set {
+		u.sets++
+	} else {
+		u.reads++
+	}
+	c.fields[v.Pos()] = n
 }
 
 func (c *surfaceChecker) Import(path string) (*types.Package, error) {
@@ -167,9 +197,14 @@ func (c *surfaceChecker) isTest(pos token.Pos) bool {
 }
 
 func (c *surfaceChecker) check(path string, imp types.Importer, files []*ast.File) (*types.Package, error) {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 	p, err := (&types.Config{Importer: imp}).Check(path, c.fset, files, info)
+	sets := c.fieldSets(info, files)
 	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			c.countField(v, id.Pos(), sets[id])
+			continue
+		}
 		if k := surfaceKey(obj); k != "" {
 			n := c.uses[k]
 			if c.isTest(id.Pos()) {
@@ -181,6 +216,88 @@ func (c *surfaceChecker) check(path string, imp types.Importer, files []*ast.Fil
 		}
 	}
 	return p, err
+}
+
+// fieldSets returns the identifiers in files that set a struct field: a
+// composite literal's key, the selected field of an assignment's or an
+// inc/dec statement's target, and the operand of &. An unkeyed struct literal
+// sets every field it lists; those are counted here directly, as are the
+// struct types non-test files construct.
+func (c *surfaceChecker) fieldSets(info *types.Info, files []*ast.File) map[*ast.Ident]bool {
+	sets := map[*ast.Ident]bool{}
+	// build records that the named struct type e denotes or has, through a
+	// pointer, is constructed at at, and returns the struct.
+	build := func(at token.Pos, e ast.Expr) *types.Struct {
+		t := info.Types[e].Type
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok {
+			return nil
+		}
+		if !c.isTest(at) {
+			c.built[named.Obj().Pos()] = true
+		}
+		st, _ := named.Underlying().(*types.Struct)
+		return st
+	}
+	// target marks every field on e's selector chain: writing x.A.B[i]
+	// writes into B and A as well.
+	target := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				sets[x.Sel] = true
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				st := build(n.Pos(), n)
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							sets[id] = true
+						}
+					} else if st != nil {
+						c.countField(st.Field(i), n.Pos(), true)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X)
+				}
+			case *ast.CallExpr:
+				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "new" && len(n.Args) == 1 {
+					if _, builtin := info.Uses[id].(*types.Builtin); builtin {
+						build(n.Pos(), n.Args[0])
+					}
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					build(n.Pos(), n.Type)
+				}
+			}
+			return true
+		})
+	}
+	return sets
 }
 
 // xtestImporter resolves the package under test to the variant that carries
@@ -225,18 +342,24 @@ func surfaceKey(obj types.Object) string {
 // checkSurface reports every exported func, method, type, const and var of
 // the inScope packages with no reference from a non-test file, unless allow
 // lists it, and every allow entry that has such a reference or names nothing.
-// Struct fields are not looked at, nor are methods that satisfy an interface
-// declared in pkgs, error, fmt.Stringer or sort.Interface: those are reached
-// through the interface. Allow keys drop the import path's directories
-// ("ps.Master.Alive" for repro/internal/ps).
-func checkSurface(fset *token.FileSet, pkgs map[string][]*ast.File, inScope func(string) bool, allow map[string]string) ([]string, error) {
+// Methods that satisfy an interface declared in pkgs, error, fmt.Stringer or
+// sort.Interface are not looked at: those are reached through the interface.
+// It also reports every exported, non-embedded field of the inScope packages'
+// struct types that a non-test file reads but none sets, unless fieldAllow
+// lists it, and every fieldAllow entry that names no such field. A struct
+// type that no non-test file constructs is the tests' input, not a program's
+// option, and its fields are not looked at. Allow keys drop the import
+// path's directories ("ps.Master.Alive" for repro/internal/ps).
+func checkSurface(fset *token.FileSet, pkgs map[string][]*ast.File, inScope func(string) bool, allow, fieldAllow map[string]string) ([]string, error) {
 	build.Default.CgoEnabled = false // the source importer would otherwise run cgo for net and os/user
 	c := &surfaceChecker{
-		fset: fset,
-		src:  pkgs,
-		done: map[string]*types.Package{},
-		std:  importer.ForCompiler(fset, "source", nil),
-		uses: map[string][2]int{},
+		fset:   fset,
+		src:    pkgs,
+		done:   map[string]*types.Package{},
+		std:    importer.ForCompiler(fset, "source", nil),
+		uses:   map[string][2]int{},
+		fields: map[token.Pos][2]fieldUse{},
+		built:  map[token.Pos]bool{},
 	}
 	for pkgPath, files := range pkgs {
 		under, err := c.Import(pkgPath)
@@ -277,6 +400,19 @@ func checkSurface(fset *token.FileSet, pkgs map[string][]*ast.File, inScope func
 				fset.Position(obj.Pos()), short, reason))
 		}
 	}
+	flagged := map[string]bool{} // field key → read by non-test code, set only in tests or nowhere
+	judgeField := func(tn *types.TypeName, f *types.Var) {
+		if !f.Exported() || f.Embedded() {
+			return
+		}
+		short := path.Base(tn.Pkg().Path()) + "." + tn.Name() + "." + f.Name()
+		n := c.fields[f.Pos()]
+		flagged[short] = n[0].reads > 0 && n[0].sets == 0
+		if _, allowed := fieldAllow[short]; flagged[short] && !allowed {
+			problems = append(problems, fmt.Sprintf("%s: field %s is read by non-test code but never set there (%d sets in tests): delete it with its branches, set it, or allow-list it with a reason",
+				fset.Position(f.Pos()), short, n[1].sets))
+		}
+	}
 	for pkgPath := range pkgs {
 		if !inScope(pkgPath) {
 			continue
@@ -293,6 +429,11 @@ func checkSurface(fset *token.FileSet, pkgs map[string][]*ast.File, inScope func
 			if !ok {
 				continue
 			}
+			if st, ok := named.Underlying().(*types.Struct); ok && c.built[tn.Pos()] {
+				for i := 0; i < st.NumFields(); i++ {
+					judgeField(tn, st.Field(i))
+				}
+			}
 			for i := 0; tn.Exported() && i < named.NumMethods(); i++ {
 				if m := named.Method(i); !satisfiesInterface(named, m, ifaces) {
 					judge(m)
@@ -303,6 +444,11 @@ func checkSurface(fset *token.FileSet, pkgs map[string][]*ast.File, inScope func
 	for short, reason := range allow {
 		if !declared[short] {
 			problems = append(problems, fmt.Sprintf("allow-list: %s (%s) names nothing the guard checks: stale entry, remove it from the allow-list", short, reason))
+		}
+	}
+	for short, reason := range fieldAllow {
+		if !flagged[short] {
+			problems = append(problems, fmt.Sprintf("field allow-list: %s (%s) names no field that non-test code reads and only tests set: stale entry, remove it from the allow-list", short, reason))
 		}
 	}
 	sort.Strings(problems)
@@ -377,8 +523,19 @@ type Impl struct{}
 func (Impl) Do() {}
 
 func (Impl) Idle() {}
+
+type Opts struct {
+	Set     int
+	Unset   int
+	TestSet int
+	Addr    int
+}
+
+type Input struct{ V int }
+
+func Use(in []Input) int { return in[0].V }
 `,
-			"lib_test.go": "package lib\n\nfunc helper() { OnlyTested() }\n",
+			"lib_test.go": "package lib\n\nfunc helper() { OnlyTested(); _ = Opts{TestSet: 1}; Use([]Input{{V: 1}}) }\n",
 		},
 		"m/internal/iface": {
 			"iface.go": "package iface\n\ntype Doer interface{ Do() }\n",
@@ -395,29 +552,53 @@ func main() {
 	lib.Called()
 	var d iface.Doer = lib.Impl{}
 	d.Do()
+	o := lib.Opts{Set: 1}
+	scan(&o.Addr)
+	println(o.Set, o.Unset, o.TestSet, o.Addr, lib.Use(nil))
 }
+
+func scan(p *int) { *p = 2 }
 `,
 		},
 	}
 	const (
 		untested = "internal/lib/lib.go:5:6: exported lib.OnlyTested has no non-test reference (1 in tests): delete it, call it, or allow-list it with a reason"
 		idle     = "internal/lib/lib.go:11:13: exported lib.Impl.Idle has no non-test reference (0 in tests): delete it, call it, or allow-list it with a reason"
+		unset    = "internal/lib/lib.go:15:2: field lib.Opts.Unset is read by non-test code but never set there (0 sets in tests): delete it with its branches, set it, or allow-list it with a reason"
+		testSet  = "internal/lib/lib.go:16:2: field lib.Opts.TestSet is read by non-test code but never set there (1 sets in tests): delete it with its branches, set it, or allow-list it with a reason"
 	)
+	namesOK := map[string]string{"lib.OnlyTested": "oracle", "lib.Impl.Idle": "paper"}
+	fieldsOK := map[string]string{"lib.Opts.Unset": "input", "lib.Opts.TestSet": "input"}
+	with := func(m map[string]string, k, v string) map[string]string {
+		out := map[string]string{k: v}
+		for k, v := range m {
+			out[k] = v
+		}
+		return out
+	}
 	for _, tc := range []struct {
-		name  string
-		allow map[string]string
-		want  []string
+		name              string
+		allow, fieldAllow map[string]string
+		want              []string
 	}{
 		{"called passes, test-only and unreached fail, interface method is out of scope",
-			nil, []string{idle, untested}}, // sorted as strings
+			nil, fieldsOK, []string{idle, untested}}, // sorted as strings
 		{"allow-listed names pass",
-			map[string]string{"lib.OnlyTested": "oracle", "lib.Impl.Idle": "paper"}, nil},
+			namesOK, fieldsOK, nil},
 		{"an allow-listed name with a non-test caller is stale",
-			map[string]string{"lib.OnlyTested": "oracle", "lib.Impl.Idle": "paper", "lib.Called": "oracle"},
+			with(namesOK, "lib.Called", "oracle"), fieldsOK,
 			[]string{"internal/lib/lib.go:3:6: lib.Called is allow-listed (oracle) but now has a non-test reference: stale entry, remove it from the allow-list"}},
 		{"an allow-listed name that is not declared is stale",
-			map[string]string{"lib.OnlyTested": "oracle", "lib.Impl.Idle": "paper", "lib.Gone": "oracle"},
+			with(namesOK, "lib.Gone", "oracle"), fieldsOK,
 			[]string{"allow-list: lib.Gone (oracle) names nothing the guard checks: stale entry, remove it from the allow-list"}},
+		{"a set field passes, &F sets F, a field read but set nowhere or only in tests fails, a struct only tests build is out of scope",
+			namesOK, nil, []string{unset, testSet}},
+		{"a field allow-list entry for a set field is stale",
+			namesOK, with(fieldsOK, "lib.Opts.Addr", "input"),
+			[]string{"field allow-list: lib.Opts.Addr (input) names no field that non-test code reads and only tests set: stale entry, remove it from the allow-list"}},
+		{"a field allow-list entry that names nothing is stale",
+			namesOK, with(fieldsOK, "lib.Opts.Gone", "input"),
+			[]string{"field allow-list: lib.Opts.Gone (input) names no field that non-test code reads and only tests set: stale entry, remove it from the allow-list"}},
 	} {
 		fset := token.NewFileSet()
 		pkgs := map[string][]*ast.File{}
@@ -431,7 +612,7 @@ func main() {
 			}
 		}
 		inScope := func(path string) bool { return strings.HasPrefix(path, "m/internal/") }
-		got, err := checkSurface(fset, pkgs, inScope, tc.allow)
+		got, err := checkSurface(fset, pkgs, inScope, tc.allow, tc.fieldAllow)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
