@@ -171,7 +171,9 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 			init[c] = math.Sin(float64(c)) // every column nonzero: copies must carry it
 		}
 		for r := 0; r < rows; r++ {
-			ps.MustOK(mat.SetRow(p, worker, r, init))
+			if err := mat.SetRow(p, worker, r, init); err != nil {
+				panic(err)
+			}
 		}
 		m.Checkpoint(p, mat)
 		g := p.Sim().NewGroup()
@@ -182,7 +184,9 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 				if err != nil {
 					panic(err)
 				}
-				ps.MustOK(mat.PushAdd(cp, engine.Cluster.Executors[1], 0, sv))
+				if err := mat.PushAdd(cp, engine.Cluster.Executors[1], 0, sv); err != nil {
+					panic(err)
+				}
 			}
 		})
 		if servers >= 8 {
@@ -216,7 +220,9 @@ func runElasticChaos(t *testing.T, servers int, faults *FaultPlan) elasticChaosR
 		g.Wait(p)
 		res.rows = make([][]float64, rows)
 		for r := 0; r < rows; r++ {
-			res.rows[r] = ps.Must(mat.PullRow(p, engine.Driver(), r))
+			if res.rows[r], err = mat.PullRow(p, engine.Driver(), r); err != nil {
+				panic(err)
+			}
 		}
 		res.settled = m.DedupSettled()
 	})

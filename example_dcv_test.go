@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	ps2 "repro"
-	"repro/internal/ps"
 )
 
 // Example_dcv mirrors the paper's Figure 3/4 code: a weight DCV is
@@ -21,15 +20,21 @@ func Example_dcv() {
 		if err != nil {
 			panic(err)
 		}
+		check := func(err error) {
+			if err != nil {
+				panic(err)
+			}
+		}
 		// val velocity = DCV.derive(weight).fill(0.0)  (and friends)
 		velocity, gradient := weight.MustDerive(), weight.MustDerive()
-		ps.MustOK(velocity.Fill(p, engine.Driver(), 0))
-		ps.MustOK(gradient.Fill(p, engine.Driver(), 1))
+		check(velocity.Fill(p, engine.Driver(), 0))
+		check(gradient.Fill(p, engine.Driver(), 1))
 		fmt.Println("derived co-located:", weight.Colocated(velocity))
 
 		// Server-side element-wise computation across co-located DCVs.
-		ps.MustOK(velocity.Axpy(p, engine.Driver(), 2, gradient))
-		sum := ps.Must(velocity.Sum(p, engine.Driver()))
+		check(velocity.Axpy(p, engine.Driver(), 2, gradient))
+		sum, err := velocity.Sum(p, engine.Driver())
+		check(err)
 		fmt.Println("velocity sum after axpy:", sum)
 
 		// Figure 4's "inefficient writing": independent DCVs are not
@@ -38,9 +43,10 @@ func Example_dcv() {
 		if err != nil {
 			panic(err)
 		}
-		ps.MustOK(other.Fill(p, engine.Driver(), 3))
+		check(other.Fill(p, engine.Driver(), 3))
 		fmt.Println("independent co-located:", weight.Colocated(other))
-		dot := ps.Must(gradient.Dot(p, engine.Driver(), other))
+		dot, err := gradient.Dot(p, engine.Driver(), other)
+		check(err)
 		fmt.Println("dot across placements:", dot)
 	})
 	// Output:

@@ -33,7 +33,10 @@ func Example() {
 		if err != nil {
 			panic(err)
 		}
-		metrics := lr.EvalOnCluster(p, engine, dataset, lr.Logistic, model.Weights)
+		metrics, err := lr.EvalOnCluster(p, engine, dataset, lr.Logistic, model.Weights)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("rows evaluated: %d\n", metrics.Rows)
 		fmt.Printf("accuracy above 90%%: %v\n", metrics.Accuracy > 0.9)
 		fmt.Printf("loss beat random guessing: %v\n", metrics.Loss < 0.6931)

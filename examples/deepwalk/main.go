@@ -49,7 +49,9 @@ func main() {
 				log.Fatal(err)
 			}
 			firstLoss, lastLoss = model.Trace.Values[0], model.Trace.Final()
-			score = embedding.EdgeScore(p, engine.Driver(), model, pairs[:300], 5)
+			if score, err = embedding.EdgeScore(p, engine.Driver(), model, pairs[:300], 5); err != nil {
+				log.Fatal(err)
+			}
 		})
 		fmt.Printf("%-13s %.2fs simulated  pair loss %.4f -> %.4f  edge-vs-random score %+.3f\n",
 			mode.String()+"-DeepWalk:", end, firstLoss, lastLoss, score)

@@ -47,7 +47,11 @@ func main() {
 		}
 		model = m
 		for k := 0; k < cfg.Topics; k++ {
-			tops = append(tops, lda.TopWords(p, engine.Driver(), m, k, 8))
+			top, err := lda.TopWords(p, engine.Driver(), m, k, 8)
+			if err != nil {
+				log.Fatal(err)
+			}
+			tops = append(tops, top)
 		}
 	})
 

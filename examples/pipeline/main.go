@@ -45,12 +45,18 @@ func main() {
 		// frequencies with a shuffle, and keep items seen at least 5 times
 		// (frequency pruning, the classic CTR-feature cleanup).
 		logRDD := rdd.FromSlices(engine.RDD, partitionEvents(events, 8)).Cache()
-		itemCounts := rdd.ReduceByKey(p,
+		itemCounts, err := rdd.ReduceByKey(p,
 			rdd.Map(logRDD, func(e event) rdd.Pair[int32, int] { return rdd.Pair[int32, int]{Key: e.Item, Value: 1} }),
 			8, 12,
 			func(k int32) int { return int(k) },
 			func(a, b int) int { return a + b })
-		counted := rdd.Collect(p, itemCounts, 12)
+		if err != nil {
+			log.Fatal(err)
+		}
+		counted, err := rdd.Collect(p, itemCounts, 12)
+		if err != nil {
+			log.Fatal(err)
+		}
 		vocab := map[int32]int{}
 		for _, kv := range counted {
 			if kv.Value >= 5 {
@@ -75,7 +81,7 @@ func main() {
 			items     map[int]float64
 			converted bool
 		}
-		perUser := rdd.ReduceByKey(p,
+		perUser, err := rdd.ReduceByKey(p,
 			rdd.Map(logRDD, func(e event) rdd.Pair[int32, userAgg] {
 				ua := userAgg{items: map[int]float64{}}
 				if col, ok := vocab[e.Item]; ok {
@@ -93,6 +99,9 @@ func main() {
 				a.converted = a.converted || b.converted
 				return a
 			})
+		if err != nil {
+			log.Fatal(err)
+		}
 		instances := rdd.Map(perUser, func(kv rdd.Pair[int32, userAgg]) data.Instance {
 			idx := make([]int, 0, len(kv.Value.items))
 			for c := range kv.Value.items {
@@ -124,7 +133,10 @@ func main() {
 			log.Fatal(err)
 		}
 		w := model.Weights.Pull(p, engine.Driver())
-		all := rdd.Collect(p, instances, 64)
+		all, err := rdd.Collect(p, instances, 64)
+		if err != nil {
+			log.Fatal(err)
+		}
 		acc = lr.Accuracy(all, w)
 	})
 

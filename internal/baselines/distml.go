@@ -39,15 +39,15 @@ func (s *distML) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance]
 // Round pulls the full model but computes against the stale view: other
 // workers' pushes land before the pull, yet DistML's async client gives no
 // consistency guarantee, which we model as one round of staleness.
-func (s *distML) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
+func (s *distML) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
 	return lr.GradientStage(p, batch, s.cfg.Objective,
-		func(tc *rdd.TaskContext, indices []int) []float64 {
-			ps.Must(s.mat.PullRow(tc.P, tc.Node, 0))
-			return gather(s.view, indices)
+		func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
+			_, err := s.mat.PullRow(tc.P, tc.Node, 0)
+			return gather(s.view, indices), err
 		},
-		func(tc *rdd.TaskContext, rows []data.Instance, g *linalg.SparseVector) {
+		func(tc *rdd.TaskContext, rows []data.Instance, g *linalg.SparseVector) error {
 			linalg.Scale(-s.cfg.LearningRate/float64(len(rows)), g.Values)
-			ps.MustOK(s.mat.PushAdd(tc.P, tc.Node, 0, g))
+			return s.mat.PushAdd(tc.P, tc.Node, 0, g)
 		})
 }
 

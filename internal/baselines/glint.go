@@ -35,14 +35,15 @@ func (s *glintLDA) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Docu
 	s.totals = make([]float64, cfg.Topics)
 	// Initialization with batched pushes (one-time setup is not the
 	// bottleneck in any system).
-	s.states, _ = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) {
+	s.states, _, err = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) error {
 		s.add(init)
 		tc.Node.Send(tc.P, e.Cluster.Servers[0], e.Cluster.Cost.SparseBytes(init.Tokens))
+		return nil
 	})
-	return nil
+	return err
 }
 
-func (s *glintLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) []core.Summary {
+func (s *glintLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) ([]core.Summary, error) {
 	return lda.Summaries(lda.SweepStage(p, docs, s.states, it, 16, s.pull, s.push))
 }
 
@@ -53,23 +54,24 @@ func (s *glintLDA) Barrier(*simnet.Proc, int, int) error { return nil }
 // to one server are charged as one stream whose size includes every
 // request's framing overhead (the transfers serialize on the NICs either
 // way).
-func (s *glintLDA) pull(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
+func (s *glintLDA) pull(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64, error) {
 	cost, k := tc.Ctx.Cl.Cost, s.mat.Rows
-	return lda.PullWordCounts(tc, s.mat, words, func(n int) (req, work, resp float64) {
+	counts, err := lda.PullWordCounts(tc, s.mat, words, func(n int) (req, work, resp float64) {
 		f := float64(n)
 		return f * cost.RequestOverheadB,
 			f*cost.RequestHandleWork + cost.ElemWork(n*k),
 			f * (cost.RequestOverheadB + float64(k)*8)
-	}), s.totals
+	})
+	return counts, s.totals, err
 }
 
 // push sends per-word delta pushes, uncompressed, charged like the pulls,
 // which the servers apply. Every pulled word had its tokens resampled, so
 // every one is pushed.
-func (s *glintLDA) push(tc *rdd.TaskContext, words []int, pass lda.Pass) {
+func (s *glintLDA) push(tc *rdd.TaskContext, words []int, pass lda.Pass) error {
 	s.addTotals(pass)
 	cost, k := tc.Ctx.Cl.Cost, s.mat.Rows
-	lda.PushDeltas(tc, s.mat, words, pass, func(n, _ int) (req, work, resp float64) {
+	return lda.PushDeltas(tc, s.mat, words, pass, func(n, _ int) (req, work, resp float64) {
 		f := float64(n)
 		return f * (cost.RequestOverheadB + float64(k)*8),
 			f*cost.RequestHandleWork + cost.ElemWork(n*k),

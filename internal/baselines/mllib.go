@@ -39,7 +39,7 @@ type mllibAgg struct {
 }
 
 type mllib struct {
-	aggregate func(*simnet.Proc, *rdd.RDD[data.Instance], rdd.AggSpec[data.Instance, *mllibAgg]) *mllibAgg
+	aggregate func(*simnet.Proc, *rdd.RDD[data.Instance], rdd.AggSpec[data.Instance, *mllibAgg]) (*mllibAgg, error)
 	opt       lr.Optimizer
 
 	e    *core.Engine
@@ -79,15 +79,18 @@ func (m *mllib) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance],
 	return nil
 }
 
-func (m *mllib) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
+func (m *mllib) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
 	// (1) Model broadcast: full dense model from the one driver to every
 	// executor, serializing on the driver's egress NIC.
 	m.e.RDD.Broadcast(p, m.e.Cluster.Cost.DenseBytes(len(m.rows[0])))
 	// (2)+(3) Gradient calculation and aggregation: every partition's
 	// full dense gradient travels to the driver.
-	agg := m.aggregate(p, batch, m.spec)
+	agg, err := m.aggregate(p, batch, m.spec)
+	if err != nil {
+		return nil, err
+	}
 	m.rows[len(m.rows)-1] = agg.Grad
-	return []core.Summary{{Sum: agg.Loss, Weight: agg.N}}
+	return []core.Summary{{Sum: agg.Loss, Weight: agg.N}}, nil
 }
 
 // Barrier is step (4), the model update on the driver.
@@ -153,17 +156,20 @@ func (m *mllibLDA) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Docu
 	}
 	m.e, m.nwt = e, newWordTopic(cfg.Topics, vocab)
 	// Init: random assignments, aggregated at the driver.
-	m.states, _ = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) {
+	var err error
+	m.states, _, err = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) error {
 		m.nwt.add(init)
 		tc.Node.Send(tc.P, e.Cluster.Driver, e.Cluster.Cost.DenseBytes(m.size))
+		return nil
 	})
-	return nil
+	return err
 }
 
-func (m *mllibLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) []core.Summary {
+func (m *mllibLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) ([]core.Summary, error) {
 	m.e.RDD.Broadcast(p, float64(m.size)*8)
-	m.passes = lda.SweepStage(p, docs, m.states, it, m.e.Cluster.Cost.DenseBytes(m.size), m.nwt.read, nil)
-	return lda.Summaries(m.passes)
+	var err error
+	m.passes, err = lda.SweepStage(p, docs, m.states, it, m.e.Cluster.Cost.DenseBytes(m.size), m.nwt.read, nil)
+	return lda.Summaries(m.passes, err)
 }
 
 func (m *mllibLDA) Barrier(p *simnet.Proc, _, _ int) error {
@@ -202,8 +208,8 @@ func (t *wordTopic) add(pass lda.Pass) {
 }
 
 // read copies out the topic counts of the words, a sampler's private
-// snapshot, and returns them with the totals.
-func (t *wordTopic) read(_ *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
+// snapshot, and returns them with the totals; it cannot fail.
+func (t *wordTopic) read(_ *rdd.TaskContext, words []int) (map[int][]float64, []float64, error) {
 	out := make(map[int][]float64, len(words))
 	for _, w := range words {
 		col := make([]float64, len(t.n))
@@ -212,5 +218,5 @@ func (t *wordTopic) read(_ *rdd.TaskContext, words []int) (map[int][]float64, []
 		}
 		out[w] = col
 	}
-	return out, t.totals
+	return out, t.totals, nil
 }

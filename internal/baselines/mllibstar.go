@@ -35,13 +35,13 @@ func (m *mllibStar) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.
 	return nil
 }
 
-func (m *mllibStar) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
+func (m *mllibStar) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
 	eta := m.cfg.LearningRate / math.Sqrt(float64(it+1))
 	cost := m.e.Cluster.Cost
-	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) core.Summary {
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) (core.Summary, error) {
 		tc.Commit()
 		if len(rows) == 0 {
-			return core.Summary{}
+			return core.Summary{}, nil
 		}
 		local := m.models[part]
 		var lossSum float64
@@ -56,7 +56,7 @@ func (m *mllibStar) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int)
 			}
 		}
 		tc.Charge(cost.GradWork(lr.TotalNnz(rows)))
-		return core.Summary{Sum: lossSum, Weight: len(rows)}
+		return core.Summary{Sum: lossSum, Weight: len(rows)}, nil
 	})
 }
 

@@ -41,21 +41,26 @@ func (s *petuum) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Ins
 	s.e, s.cfg = e, cfg
 	// Synchronous SGD with server-side increments needs the batch size up
 	// front; the expected global batch is fraction × |dataset|.
-	s.expected = float64(rdd.Count(p, dataset)) * min(cfg.BatchFraction, 1)
-	return nil
+	n, err := rdd.Count(p, dataset)
+	s.expected = float64(n) * min(cfg.BatchFraction, 1)
+	return err
 }
 
 // Round pulls the full model and pushes sparse increments, applied at the
 // servers.
-func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
+func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
 	eta := s.cfg.LearningRate / math.Sqrt(float64(it+1)) / s.expected
 	return lr.GradientStage(p, batch, s.cfg.Objective,
-		func(tc *rdd.TaskContext, indices []int) []float64 {
-			return gather(ps.Must(s.mat.PullRow(tc.P, tc.Node, 0)), indices)
+		func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
+			w, err := s.mat.PullRow(tc.P, tc.Node, 0)
+			if err != nil {
+				return nil, err
+			}
+			return gather(w, indices), nil
 		},
-		func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) {
+		func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) error {
 			linalg.Scale(-eta, g.Values)
-			ps.MustOK(s.mat.PushAdd(tc.P, tc.Node, 0, g))
+			return s.mat.PushAdd(tc.P, tc.Node, 0, g)
 		})
 }
 
@@ -82,13 +87,15 @@ func (s *petuumLDA) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Doc
 	}
 	cost := e.Cluster.Cost
 	s.nwt, s.hosts, s.rowBytes = newWordTopic(cfg.Topics, vocab), e.Cluster.Servers, cost.DenseBytes(vocab)
-	s.states, _ = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) {
+	var err error
+	s.states, _, err = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) error {
 		s.nwt.add(init)
 		for k := range cfg.Topics {
 			tc.Node.Send(tc.P, s.hostOf(k), cost.SparseBytes(init.Tokens/cfg.Topics))
 		}
+		return nil
 	})
-	return nil
+	return err
 }
 
 // hostOf is the server holding topic row k.
@@ -97,10 +104,10 @@ func (s *petuumLDA) hostOf(k int) *simnet.Node { return s.hosts[k%len(s.hosts)] 
 // Round samples against a full pulled snapshot (the same approximate
 // distributed-LDA consistency PS2 uses) and pushes the deltas sparse but
 // uncompressed (8-byte values): a removal and an insertion per token.
-func (s *petuumLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) []core.Summary {
+func (s *petuumLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) ([]core.Summary, error) {
 	topics := len(s.nwt.n)
 	return lda.Summaries(lda.SweepStage(p, docs, s.states, it, 16,
-		func(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
+		func(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64, error) {
 			g := tc.P.Sim().NewGroup()
 			for k := range topics {
 				g.Go("petuum-pull", func(cp *simnet.Proc) {
@@ -111,11 +118,12 @@ func (s *petuumLDA) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) 
 			g.Wait(tc.P)
 			return s.nwt.read(tc, words)
 		},
-		func(tc *rdd.TaskContext, _ []int, pass lda.Pass) {
+		func(tc *rdd.TaskContext, _ []int, pass lda.Pass) error {
 			s.nwt.add(pass)
 			for k := range topics {
 				tc.Node.Send(tc.P, s.hostOf(k), tc.Ctx.Cl.Cost.RequestOverheadB+float64(2*pass.Tokens/topics)*(8+8))
 			}
+			return nil
 		}))
 }
 

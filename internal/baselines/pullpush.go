@@ -1,10 +1,11 @@
 package baselines
 
 import (
+	"errors"
+
 	"repro/internal/core"
 	"repro/internal/dcv"
 	"repro/internal/ml/lr"
-	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -34,19 +35,24 @@ func (pp pullPush) Step(p *simnet.Proc, e *core.Engine, vecs []*dcv.Vector, iter
 	cost := e.Cluster.Cost
 
 	g := p.Sim().NewGroup()
-	for _, exec := range e.Cluster.Executors {
+	errs := make([]error, len(e.Cluster.Executors))
+	for x, exec := range e.Cluster.Executors {
 		g.Go("pullpush-update", func(cp *simnet.Proc) {
 			rows := make([][]float64, len(vecs))
 			for i, v := range vecs {
-				rows[i] = v.Pull(cp, exec)
+				if rows[i], errs[x] = v.Matrix().PullRow(cp, exec, v.Row()); errs[x] != nil {
+					return
+				}
 			}
 			exec.Compute(cp, cost.ElemWork((len(vecs)-1)*len(rows[0])))
 			update(0, rows)
 			for i, v := range vecs[:len(vecs)-1] {
-				ps.MustOK(v.Set(cp, exec, rows[i]))
+				if errs[x] = v.Set(cp, exec, rows[i]); errs[x] != nil {
+					return
+				}
 			}
 		})
 	}
 	g.Wait(p)
-	return nil
+	return errors.Join(errs...)
 }

@@ -30,8 +30,14 @@ func (s *xgboost) Setup(_ *simnet.Proc, e *core.Engine, parts, dim int) error {
 // and then holds the full sums. The sums themselves are computed once
 // host-side; the simulation charges the communication and the per-chunk
 // reduction compute.
-func (s *xgboost) Aggregate(p *simnet.Proc, stage func(gbdt.Ship)) error {
-	stage(func(_ *rdd.TaskContext, part int, g, h []float64) { s.g[part], s.h[part] = g, h })
+func (s *xgboost) Aggregate(p *simnet.Proc, stage func(gbdt.Ship) error) error {
+	err := stage(func(_ *rdd.TaskContext, part int, g, h []float64) error {
+		s.g[part], s.h[part] = g, h
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	execs := s.e.Cluster.Executors
 	w := len(execs)
 	chunk := float64(s.dim) * 8 * 2 / float64(w) // grad + hess

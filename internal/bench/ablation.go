@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcv"
 	"repro/internal/ml/lr"
-	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -45,8 +44,12 @@ func runAblationColocation(o Opts) *Result {
 			}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
-				ps.Must(a.Dot(p, e.Driver(), b))
-				ps.MustOK(a.Axpy(p, e.Driver(), 0.5, b))
+				if _, err := a.Dot(p, e.Driver(), b); err != nil {
+					panic(err)
+				}
+				if err := a.Axpy(p, e.Driver(), 0.5, b); err != nil {
+					panic(err)
+				}
 			}
 			elapsed = p.Now() - start
 		})
@@ -99,7 +102,9 @@ func runAblationSparsePull(o Opts) *Result {
 				for i := range idx {
 					idx[i] = i * (dim / nnz)
 				}
-				ps.Must(v.PullIndices(p, worker, idx))
+				if _, err := v.PullIndices(p, worker, idx); err != nil {
+					panic(err)
+				}
 			}
 			elapsed = p.Now() - start
 		})
@@ -140,7 +145,9 @@ func runAblationServers(o Opts) *Result {
 			worker := e.Cluster.Executors[0]
 			start := p.Now()
 			for i := 0; i < ops; i++ {
-				ps.Must(a.Dot(p, worker, b))
+				if _, err := a.Dot(p, worker, b); err != nil {
+					panic(err)
+				}
 			}
 			elapsed = p.Now() - start
 		})

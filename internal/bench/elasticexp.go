@@ -171,12 +171,16 @@ func runElasticArm(o Opts, w elasticWorkload, sched elasticSchedule, name string
 					if err != nil {
 						panic(err)
 					}
-					ps.MustOK(mat.PushAdd(cp, node, 0, sv))
+					if err := mat.PushAdd(cp, node, 0, sv); err != nil {
+						panic(err)
+					}
 				})
 			}
 			g.Wait(p)
 		}
-		res.Final = ps.Must(mat.PullRow(p, e.Driver(), 0))
+		if res.Final, err = mat.PullRow(p, e.Driver(), 0); err != nil {
+			panic(err)
+		}
 	})
 	snap := e.Snapshot()
 	res.EndSec = float64(end)

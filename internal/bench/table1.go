@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dcv"
 	"repro/internal/linalg"
-	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -28,70 +27,68 @@ func runTable1(o Opts) *Result {
 	e.Run(func(p *simnet.Proc) {
 		worker := e.Cluster.Executors[0]
 		driver := e.Driver()
-		measure := func(category, name string, fn func()) {
+		measure := func(category, name string, fn func() error) {
 			startBytes := e.Cluster.TotalBytesOnWire()
 			start := p.Now()
-			fn()
+			if err := fn(); err != nil {
+				panic(err)
+			}
 			r.AddRow(category, name,
 				fmt.Sprintf("%.3f", 1000*(p.Now()-start)),
 				fmt.Sprintf("%.1f", (e.Cluster.TotalBytesOnWire()-startBytes)/1000))
 		}
 
 		var v, w *dcv.Vector
-		measure("creation", "dense", func() {
-			var err error
+		measure("creation", "dense", func() (err error) {
 			v, err = e.DCV.Dense(p, dim, 4)
-			if err != nil {
-				panic(err)
-			}
+			return err
 		})
-		measure("creation", "derive", func() { w = v.MustDerive() })
-		var sp *dcv.Vector
-		measure("creation", "sparse", func() {
-			var err error
-			sp, err = e.DCV.Sparse(p, dim, 1)
-			if err != nil {
-				panic(err)
-			}
+		measure("creation", "derive", func() error { w = v.MustDerive(); return nil })
+		measure("creation", "sparse", func() error {
+			_, err := e.DCV.Sparse(p, dim, 1)
+			return err
 		})
-		_ = sp
 
 		vals := make([]float64, dim)
 		for i := range vals {
 			vals[i] = float64(i%100) / 100
 		}
-		ps.MustOK(v.Set(p, worker, vals))
-		ps.MustOK(w.Set(p, worker, vals))
+		if err := v.Set(p, worker, vals); err != nil {
+			panic(err)
+		}
+		if err := w.Set(p, worker, vals); err != nil {
+			panic(err)
+		}
 
-		measure("row access", "pull", func() { v.Pull(p, worker) })
+		measure("row access", "pull", func() error { v.Pull(p, worker); return nil })
 		idx := make([]int, 1000)
 		for i := range idx {
 			idx[i] = i * (dim / 1000)
 		}
-		measure("row access", "pull (sparse)", func() { ps.Must(v.PullIndices(p, worker, idx)) })
+		measure("row access", "pull (sparse)", func() error { _, err := v.PullIndices(p, worker, idx); return err })
 		delta, err := linalg.NewSparse(idx, make([]float64, len(idx)))
 		if err != nil {
 			panic(err)
 		}
-		measure("row access", "push (add)", func() { ps.MustOK(v.Add(p, worker, delta)) })
-		measure("row access", "sum", func() { ps.Must(v.Sum(p, worker)) })
-		measure("row access", "nnz", func() { ps.Must(v.Nnz(p, worker)) })
-		measure("row access", "norm2", func() { ps.Must(v.Norm2(p, worker)) })
+		measure("row access", "push (add)", func() error { return v.Add(p, worker, delta) })
+		measure("row access", "sum", func() error { _, err := v.Sum(p, worker); return err })
+		measure("row access", "nnz", func() error { _, err := v.Nnz(p, worker); return err })
+		measure("row access", "norm2", func() error { _, err := v.Norm2(p, worker); return err })
 
-		measure("column access", "dot", func() { ps.Must(v.Dot(p, worker, w)) })
-		measure("column access", "axpy", func() { ps.MustOK(v.Axpy(p, driver, 0.5, w)) })
-		measure("column access", "add", func() { ps.MustOK(v.AddVec(p, driver, w)) })
-		measure("column access", "sub", func() { ps.MustOK(v.SubVec(p, driver, w)) })
-		measure("column access", "mul", func() { ps.MustOK(v.MulVec(p, driver, w)) })
-		measure("column access", "div", func() { ps.MustOK(v.DivVec(p, driver, w)) })
-		measure("column access", "copy", func() { ps.MustOK(v.CopyFrom(p, driver, w)) })
-		measure("column access", "zip+mapPartition", func() {
-			ps.MustOK(v.ZipMap(p, driver, 2, func(lo int, rows [][]float64) {
+		measure("column access", "dot", func() error { _, err := v.Dot(p, worker, w); return err })
+		measure("column access", "axpy", func() error { return v.Axpy(p, driver, 0.5, w) })
+		measure("column access", "add", func() error { return v.AddVec(p, driver, w) })
+		measure("column access", "sub", func() error { return v.SubVec(p, driver, w) })
+		measure("column access", "mul", func() error { return v.MulVec(p, driver, w) })
+		measure("column access", "div", func() error { return v.DivVec(p, driver, w) })
+		measure("column access", "copy", func() error { return v.CopyFrom(p, driver, w) })
+		measure("column access", "zip+mapPartition", func() error {
+			return v.ZipMap(p, driver, 2, func(lo int, rows [][]float64) {
 				a, b := rows[0], rows[1]
 				for i := range a {
 					a[i] += 0.1 * b[i]
 				}
-			}, w))
+			}, w)
 		})
 	})
 	r.Note("column-access operators move only commands and scalars: compare their wire KB against the row-access pull")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/obs"
@@ -23,8 +24,9 @@ const SummaryBytes = 24
 // reads the model and returns its update, and the driver's work at the stage
 // barrier. The paper credits every speedup between systems to these choices.
 type Strategy[Row any] interface {
-	// Round runs iteration it over its mini-batch; one summary per task.
-	Round(p *simnet.Proc, batch *rdd.RDD[Row], it int) []Summary
+	// Round runs iteration it over its mini-batch; one summary per task, or
+	// the error of a failed stage, which ends the run.
+	Round(p *simnet.Proc, batch *rdd.RDD[Row], it int) ([]Summary, error)
 	// Barrier is the driver's work after a round whose summaries weigh
 	// weight in all (examples, tokens); Run skips it for an empty batch.
 	Barrier(p *simnet.Proc, it, weight int) error
@@ -41,7 +43,8 @@ type Epilogue interface {
 // Run is the one mini-batch training loop. Iteration it trains on
 // dataset.Sample(fraction, seed+it), so systems compared from one seed see the
 // same rows; Run sums the tasks' summaries, skips the barrier of an empty
-// batch, and records Sum over Weight after the barrier.
+// batch, and records Sum over Weight after the barrier. The first error of a
+// round or a barrier ends the run and is returned.
 //
 // A traced run records each iteration, up to its trace point, as a
 // driver-lane loop.iter span tiled by a "round" and a "barrier" loop.phase
@@ -54,22 +57,25 @@ func Run[Row any](p *simnet.Proc, e *Engine, dataset *rdd.RDD[Row], fraction flo
 	for it := 0; it < iterations; it++ {
 		spans.begin(p, it)
 		spans.phase(p, "round")
+		sums, err := s.Round(p, dataset.Sample(fraction, seed+uint64(it)), it)
 		sum, weight := 0.0, 0
-		for _, st := range s.Round(p, dataset.Sample(fraction, seed+uint64(it)), it) {
+		for _, st := range sums {
 			sum += st.Sum
 			weight += st.Weight
 		}
-		if weight == 0 {
-			spans.end(p)
-			continue
+		if err == nil && weight > 0 {
+			spans.phase(p, "barrier")
+			if err = s.Barrier(p, it, weight); err == nil {
+				trace.Add(p.Now(), sum/float64(weight))
+			}
 		}
-		spans.phase(p, "barrier")
-		if err := s.Barrier(p, it, weight); err != nil {
-			spans.end(p)
+		spans.end(p)
+		if err != nil {
 			return nil, err
 		}
-		trace.Add(p.Now(), sum/float64(weight))
-		spans.end(p)
+		if weight == 0 {
+			continue
+		}
 		if epilogue != nil {
 			mat, cache, every := epilogue.Epilogue()
 			mat.TickClock()
@@ -91,10 +97,20 @@ type SSP struct {
 	Trace *Trace
 
 	group *simnet.Group
+	errs  []error // by worker
 }
 
-// Wait blocks until every worker has run its iterations.
-func (s *SSP) Wait(p *simnet.Proc) { s.group.Wait(p) }
+// Wait blocks until every worker has run its iterations or failed, and
+// returns the error of the lowest-numbered worker that failed.
+func (s *SSP) Wait(p *simnet.Proc) error {
+	s.group.Wait(p)
+	for _, err := range s.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // RunSSP is the loop's second gate: the Stale Synchronous Parallel clock in
 // place of Run's stage barrier. Worker w, a process on executor w, runs
@@ -104,10 +120,14 @@ func (s *SSP) Wait(p *simnet.Proc) { s.group.Wait(p) }
 // point at clock it is the summed Sum over Weight of every worker's task at
 // it, recorded after the last worker finishes.
 //
+// A task's error ends its worker: the worker's clock runs out to iterations
+// at once, so no other worker waits on it, and Wait returns the error.
+//
 // A traced run records each worker's iterations, from admission to the end
 // of the task, as loop.iter spans on its executor's lane.
-func RunSSP(p *simnet.Proc, e *Engine, workers, staleness, iterations int, task func(tc *rdd.TaskContext, w, it int) Summary) *SSP {
-	s := &SSP{Clock: ps.NewSSPClock(p.Sim(), workers, staleness), Trace: &Trace{}, group: p.Sim().NewGroup()}
+func RunSSP(p *simnet.Proc, e *Engine, workers, staleness, iterations int, task func(tc *rdd.TaskContext, w, it int) (Summary, error)) *SSP {
+	s := &SSP{Clock: ps.NewSSPClock(p.Sim(), workers, staleness), Trace: &Trace{},
+		group: p.Sim().NewGroup(), errs: make([]error, workers)}
 	var byClock []Summary
 	for w := 0; w < workers; w++ {
 		node := e.Cluster.Executors[w]
@@ -117,8 +137,15 @@ func RunSSP(p *simnet.Proc, e *Engine, workers, staleness, iterations int, task 
 			for it := 0; it < iterations; it++ {
 				s.Clock.Wait(wp, it)
 				spans.begin(wp, it)
-				st := task(tc, w, it)
+				st, err := task(tc, w, it)
 				spans.end(wp)
+				if err != nil {
+					s.errs[w] = fmt.Errorf("core: SSP worker %d at clock %d: %w", w, it, err)
+					for ; it < iterations; it++ {
+						s.Clock.Tick(w)
+					}
+					return
+				}
 				if it == len(byClock) {
 					byClock = append(byClock, Summary{})
 				}

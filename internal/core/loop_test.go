@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -44,7 +45,7 @@ func (s *stub) pullHit(p *simnet.Proc, x int) bool {
 	return s.e.PS.Cache.Hits > hits
 }
 
-func (s *stub) Round(p *simnet.Proc, batch *rdd.RDD[int], it int) []Summary {
+func (s *stub) Round(p *simnet.Proc, batch *rdd.RDD[int], it int) ([]Summary, error) {
 	if got := s.mat.Clock(); got != int64(s.recorded) {
 		s.t.Errorf("iteration %d: model clock %d after %d recorded iterations", it, got, s.recorded)
 	}
@@ -53,9 +54,9 @@ func (s *stub) Round(p *simnet.Proc, batch *rdd.RDD[int], it int) []Summary {
 	}
 	s.ticked = false
 	s.rounds++
-	return rdd.RunPartitions(p, batch, SummaryBytes, func(tc *rdd.TaskContext, part int, rows []int) Summary {
+	return rdd.RunPartitions(p, batch, SummaryBytes, func(tc *rdd.TaskContext, part int, rows []int) (Summary, error) {
 		tc.Commit()
-		return Summary{Sum: float64(len(rows)), Weight: len(rows)}
+		return Summary{Sum: float64(len(rows)), Weight: len(rows)}, nil
 	})
 }
 
@@ -183,11 +184,13 @@ func TestRunSSPHoldsTheClockBound(t *testing.T) {
 		e.Cluster.Executors[0].SlowDown(5)
 		var run *SSP
 		e.Run(func(p *simnet.Proc) {
-			run = RunSSP(p, e, workers, staleness, iterations, func(tc *rdd.TaskContext, w, it int) Summary {
+			run = RunSSP(p, e, workers, staleness, iterations, func(tc *rdd.TaskContext, w, it int) (Summary, error) {
 				tc.Charge(e.Cluster.Cost.GradWork(1000))
-				return Summary{Sum: float64(w), Weight: 1}
+				return Summary{Sum: float64(w), Weight: 1}, nil
 			})
-			run.Wait(p)
+			if err := run.Wait(p); err != nil {
+				t.Error(err)
+			}
 		})
 		for w := 0; w < workers; w++ {
 			if got := run.Clock.Clock(w); got != iterations {
@@ -238,5 +241,42 @@ func TestRunSSPHoldsTheClockBound(t *testing.T) {
 		if ahead != (staleness > 0) {
 			t.Errorf("staleness %d: a worker ran ahead of the straggler = %v, want %v", staleness, ahead, staleness > 0)
 		}
+	}
+}
+
+// TestRunSSPFailedWorkerReleasesTheGate checks an SSP run's failure path
+// under BSP lockstep: a worker whose task fails stops, its clock runs out so
+// the others still finish every iteration, and Wait returns once all have
+// ended, with the error of the lowest-numbered failed worker.
+func TestRunSSPFailedWorkerReleasesTheGate(t *testing.T) {
+	const workers, iterations = 3, 8
+	opt := DefaultOptions()
+	opt.Executors, opt.Servers = workers, 1
+	e := NewEngine(opt)
+	failAt := map[int]int{1: 5, 2: 2} // worker → the iteration whose task fails
+	errs := map[int]error{1: errors.New("worker 1 failed"), 2: errors.New("worker 2 failed")}
+	ran := make([]int, workers)
+	var err error
+	returned := false
+	e.Run(func(p *simnet.Proc) {
+		run := RunSSP(p, e, workers, 0, iterations, func(tc *rdd.TaskContext, w, it int) (Summary, error) {
+			tc.Charge(e.Cluster.Cost.GradWork(1000))
+			if at, ok := failAt[w]; ok && it == at {
+				return Summary{}, errs[w]
+			}
+			ran[w]++
+			return Summary{Sum: 1, Weight: 1}, nil
+		})
+		err = run.Wait(p)
+		returned = true
+	})
+	if !returned {
+		t.Fatal("Wait never returned: a failed worker held the clock gate")
+	}
+	if !errors.Is(err, errs[1]) || errors.Is(err, errs[2]) {
+		t.Errorf("Wait returned %v, want worker 1's error", err)
+	}
+	if want := []int{iterations, 5, 2}; !slices.Equal(ran, want) {
+		t.Errorf("iterations run per worker = %v, want %v", ran, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
-	"repro/internal/ps"
 	"repro/internal/simnet"
 )
 
@@ -56,10 +55,10 @@ func measureOp(t *testing.T, op func(p *simnet.Proc, from *simnet.Node, v costVe
 			}
 			return out
 		}
-		ps.MustOK(v.w.Set(p, cl.Driver, vals(func(i float64) float64 { return math.Sin(i) })))
-		ps.MustOK(v.a.Set(p, cl.Driver, vals(func(i float64) float64 { return 1.5 + math.Cos(i) })))
-		ps.MustOK(v.b.Set(p, cl.Driver, vals(func(i float64) float64 { return i / 3 })))
-		ps.MustOK(v.far.Set(p, cl.Driver, vals(func(i float64) float64 { return 0.25 + float64(int(i)%7) })))
+		mustOK(v.w.Set(p, cl.Driver, vals(func(i float64) float64 { return math.Sin(i) })))
+		mustOK(v.a.Set(p, cl.Driver, vals(func(i float64) float64 { return 1.5 + math.Cos(i) })))
+		mustOK(v.b.Set(p, cl.Driver, vals(func(i float64) float64 { return i / 3 })))
+		mustOK(v.far.Set(p, cl.Driver, vals(func(i float64) float64 { return 0.25 + float64(int(i)%7) })))
 
 		serverRecv := func() float64 {
 			var total float64

@@ -138,19 +138,23 @@ func (v *Vector) MustDerive() *Vector {
 //
 // Operators follow the ps client's rule (ps/client.go): each returns a typed
 // error when a shard's server stays unreachable (wrapping ps.ErrServerDown) or
-// the calling machine is down (wrapping simnet.ErrNodeDown), callers that want
-// a panic instead wrap the call in ps.Must / ps.MustOK, and argument misuse
-// (wrong dimension) panics.
+// the calling machine is down (wrapping simnet.ErrNodeDown), and argument
+// misuse (wrong dimension) panics.
 
 // Pull fetches the whole vector to the caller's machine, panicking on
-// availability errors — the one Must-style operator, kept beside MustDerive
-// for the examples and experiments that read a trained model back. For sparse
+// availability errors — the one operator that does, kept for the examples
+// and experiments that read a trained model back after the run. For sparse
 // DCVs the transfer is charged by stored nonzeros.
 func (v *Vector) Pull(p *simnet.Proc, from *simnet.Node) []float64 {
+	pull := v.mat.PullRow
 	if v.sparse {
-		return ps.Must(v.mat.PullRowCompressed(p, from, v.row))
+		pull = v.mat.PullRowCompressed
 	}
-	return ps.Must(v.mat.PullRow(p, from, v.row))
+	row, err := pull(p, from, v.row)
+	if err != nil {
+		panic(err)
+	}
+	return row
 }
 
 // PullIndices fetches only the given strictly-increasing dimensions — the

@@ -11,6 +11,19 @@ import (
 	"repro/internal/simnet"
 )
 
+// must returns v, panicking with err, which fails the run, when it is not
+// nil; mustOK is must for operators that return only an error.
+func must[T any](v T, err error) T {
+	mustOK(err)
+	return v
+}
+
+func mustOK(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 func testSession(servers int) (*simnet.Sim, *cluster.Cluster, *Session) {
 	sim := simnet.New()
 	cfg := cluster.DefaultConfig()
@@ -92,22 +105,22 @@ func TestFillPullSetRoundTrip(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 50)
 		worker := cl.Executors[0]
-		ps.MustOK(v.Fill(p, cl.Driver, 2.5))
+		mustOK(v.Fill(p, cl.Driver, 2.5))
 		got := v.Pull(p, worker)
 		for i, x := range got {
 			if x != 2.5 {
 				t.Errorf("after fill, [%d] = %v", i, x)
 			}
 		}
-		ps.MustOK(v.Set(p, worker, seq(50)))
+		mustOK(v.Set(p, worker, seq(50)))
 		got = v.Pull(p, worker)
 		for i, x := range got {
 			if x != float64(i) {
 				t.Errorf("after set, [%d] = %v", i, x)
 			}
 		}
-		ps.MustOK(v.Zero(p, cl.Driver))
-		if ps.Must(v.Sum(p, worker)) != 0 {
+		mustOK(v.Zero(p, cl.Driver))
+		if must(v.Sum(p, worker)) != 0 {
 			t.Error("zero did not clear the vector")
 		}
 	})
@@ -118,14 +131,14 @@ func TestRowAggregatesViaDCV(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 10)
 		w := cl.Executors[0]
-		ps.MustOK(v.Set(p, w, []float64{3, 0, 4, 0, 0, 0, 0, 0, 0, 0}))
-		if got := ps.Must(v.Sum(p, w)); got != 7 {
+		mustOK(v.Set(p, w, []float64{3, 0, 4, 0, 0, 0, 0, 0, 0, 0}))
+		if got := must(v.Sum(p, w)); got != 7 {
 			t.Errorf("Sum = %v", got)
 		}
-		if got := ps.Must(v.Nnz(p, w)); got != 2 {
+		if got := must(v.Nnz(p, w)); got != 2 {
 			t.Errorf("Nnz = %v", got)
 		}
-		if got := ps.Must(v.Norm2(p, w)); math.Abs(got-5) > 1e-9 {
+		if got := must(v.Norm2(p, w)); math.Abs(got-5) > 1e-9 {
 			t.Errorf("Norm2 = %v", got)
 		}
 	})
@@ -137,10 +150,10 @@ func TestDotColocatedCorrect(t *testing.T) {
 		a, _ := sess.Dense(p, 64, 2)
 		b := a.MustDerive()
 		w := cl.Executors[0]
-		ps.MustOK(a.Set(p, w, seq(64)))
+		mustOK(a.Set(p, w, seq(64)))
 		ones := make([]float64, 64)
 		linalg.Fill(ones, 1)
-		ps.MustOK(b.Set(p, w, ones))
+		mustOK(b.Set(p, w, ones))
 		got, err := a.Dot(p, w, b)
 		if err != nil {
 			t.Error(err)
@@ -166,8 +179,8 @@ func TestDotNonColocatedCorrectButCostly(t *testing.T) {
 				b, _ = sess.Dense(p, 10000, 2)
 			}
 			w := cl.Executors[0]
-			ps.MustOK(a.Set(p, w, seq(10000)))
-			ps.MustOK(b.Set(p, w, seq(10000)))
+			mustOK(a.Set(p, w, seq(10000)))
+			mustOK(b.Set(p, w, seq(10000)))
 			before := serverBytes(cl)
 			got, _ = a.Dot(p, w, b)
 			_ = before
@@ -202,10 +215,10 @@ func TestAxpy(t *testing.T) {
 		a, _ := sess.Dense(p, 30, 2)
 		b := a.MustDerive()
 		w := cl.Executors[0]
-		ps.MustOK(a.Set(p, w, seq(30)))
+		mustOK(a.Set(p, w, seq(30)))
 		ones := make([]float64, 30)
 		linalg.Fill(ones, 2)
-		ps.MustOK(b.Set(p, w, ones))
+		mustOK(b.Set(p, w, ones))
 		if err := a.Axpy(p, w, 0.5, b); err != nil {
 			t.Error(err)
 		}
@@ -230,8 +243,8 @@ func TestElementwiseOps(t *testing.T) {
 			bv[i] = float64(i%4) + 1
 		}
 		reset := func() {
-			ps.MustOK(a.Set(p, w, av))
-			ps.MustOK(b.Set(p, w, bv))
+			mustOK(a.Set(p, w, av))
+			mustOK(b.Set(p, w, bv))
 		}
 		check := func(name string, got []float64, f func(x, y float64) float64) {
 			for i := range got {
@@ -273,8 +286,8 @@ func TestScale(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		v, _ := sess.Dense(p, 10)
 		w := cl.Executors[0]
-		ps.MustOK(v.Set(p, w, seq(10)))
-		ps.MustOK(v.Scale(p, w, -2))
+		mustOK(v.Set(p, w, seq(10)))
+		mustOK(v.Scale(p, w, -2))
 		got := v.Pull(p, w)
 		for i := range got {
 			if got[i] != -2*float64(i) {
@@ -305,13 +318,13 @@ func TestZipMapAdamStyleUpdate(t *testing.T) {
 	run(sim, func(p *simnet.Proc) {
 		w, _ := sess.Dense(p, 40, 4)
 		vel, sq := w.MustDerive(), w.MustDerive()
-		ps.MustOK(vel.Zero(p, cl.Driver))
-		ps.MustOK(sq.Zero(p, cl.Driver))
+		mustOK(vel.Zero(p, cl.Driver))
+		mustOK(sq.Zero(p, cl.Driver))
 		grad := w.MustDerive()
 		worker := cl.Executors[0]
 		gv := make([]float64, 40)
 		linalg.Fill(gv, 0.5)
-		ps.MustOK(grad.Set(p, worker, gv))
+		mustOK(grad.Set(p, worker, gv))
 
 		driverWorkBefore := cl.Driver.WorkDone
 		err := w.ZipMap(p, cl.Driver, 8, func(lo int, rows [][]float64) {
@@ -358,8 +371,8 @@ func TestZipReducePartials(t *testing.T) {
 		a, _ := sess.Dense(p, 40, 2)
 		b := a.MustDerive()
 		w := cl.Executors[0]
-		ps.MustOK(a.Set(p, w, seq(40)))
-		ps.MustOK(b.Set(p, w, seq(40)))
+		mustOK(a.Set(p, w, seq(40)))
+		mustOK(b.Set(p, w, seq(40)))
 		parts, err := ZipReduce(p, cl.Driver, a, 2, 16, func(sp ShardSpan) float64 {
 			var max float64 = math.Inf(-1)
 			for i := range sp.Rows[0] {
@@ -399,7 +412,7 @@ func TestSparseVectorCheaperPull(t *testing.T) {
 			}
 			w := cl.Executors[0]
 			delta, _ := linalg.NewSparse([]int{5, 500, 50000}, []float64{1, 2, 3})
-			ps.MustOK(v.Add(p, w, delta))
+			mustOK(v.Add(p, w, delta))
 			cl.Executors[1].BytesRecv = 0
 			v.Pull(p, cl.Executors[1])
 		})
@@ -418,7 +431,7 @@ func TestSparsePullValuesMatchDense(t *testing.T) {
 		v, _ := sess.Sparse(p, 1000)
 		w := cl.Executors[0]
 		delta, _ := linalg.NewSparse([]int{1, 999, 500}, []float64{-1, 7, 3})
-		ps.MustOK(v.Add(p, w, delta))
+		mustOK(v.Add(p, w, delta))
 		got := v.Pull(p, w)
 		if got[1] != -1 || got[500] != 3 || got[999] != 7 {
 			t.Errorf("sparse pull values wrong: %v %v %v", got[1], got[500], got[999])
@@ -468,8 +481,8 @@ func TestColumnOpsOracleProperty(t *testing.T) {
 			}
 			b := a.MustDerive()
 			w := cl.Executors[0]
-			ps.MustOK(a.Set(p, w, oa))
-			ps.MustOK(b.Set(p, w, ob))
+			mustOK(a.Set(p, w, oa))
+			mustOK(b.Set(p, w, ob))
 			for _, op := range ops {
 				switch op % 5 {
 				case 0:
@@ -501,7 +514,7 @@ func TestColumnOpsOracleProperty(t *testing.T) {
 						oa[i] += 0.5 * ob[i]
 					}
 				case 4:
-					ps.MustOK(a.Scale(p, w, 0.9))
+					mustOK(a.Scale(p, w, 0.9))
 					for i := range oa {
 						oa[i] *= 0.9
 					}
@@ -532,10 +545,10 @@ func TestElementwiseAcrossIndependentMatrices(t *testing.T) {
 		a, _ := sess.Dense(p, 40)
 		b, _ := sess.Dense(p, 40) // independent: rotated placement
 		w := cl.Executors[0]
-		ps.MustOK(a.Set(p, w, seq(40)))
+		mustOK(a.Set(p, w, seq(40)))
 		ones := make([]float64, 40)
 		linalg.Fill(ones, 3)
-		ps.MustOK(b.Set(p, w, ones))
+		mustOK(b.Set(p, w, ones))
 		if err := a.AddVec(p, w, b); err != nil {
 			t.Error(err)
 		}
@@ -576,8 +589,8 @@ func TestPullIndicesUnderRotatedPlacement(t *testing.T) {
 		v, _ := sess.Dense(p, 1000)
 		w := cl.Executors[0]
 		delta, _ := linalg.NewSparse([]int{0, 199, 200, 500, 999}, []float64{1, 2, 3, 4, 5})
-		ps.MustOK(v.Add(p, w, delta))
-		got := ps.Must(v.PullIndices(p, w, []int{0, 199, 200, 500, 999}))
+		mustOK(v.Add(p, w, delta))
+		got := must(v.PullIndices(p, w, []int{0, 199, 200, 500, 999}))
 		want := []float64{1, 2, 3, 4, 5}
 		for i := range want {
 			if got[i] != want[i] {
@@ -595,14 +608,14 @@ func TestSumNnzNorm2OnDerived(t *testing.T) {
 		w := cl.Executors[0]
 		vals := make([]float64, 30)
 		vals[7], vals[21] = 3, -4
-		ps.MustOK(b.Set(p, w, vals))
-		if got := ps.Must(b.Sum(p, w)); got != -1 {
+		mustOK(b.Set(p, w, vals))
+		if got := must(b.Sum(p, w)); got != -1 {
 			t.Errorf("derived Sum = %v", got)
 		}
-		if got := ps.Must(b.Nnz(p, w)); got != 2 {
+		if got := must(b.Nnz(p, w)); got != 2 {
 			t.Errorf("derived Nnz = %v", got)
 		}
-		if got := ps.Must(b.Norm2(p, w)); math.Abs(got-5) > 1e-9 {
+		if got := must(b.Norm2(p, w)); math.Abs(got-5) > 1e-9 {
 			t.Errorf("derived Norm2 = %v", got)
 		}
 	})
@@ -619,9 +632,9 @@ func TestReadsOutsideDedup(t *testing.T) {
 		b := a.MustDerive()
 		far, _ := sess.Dense(p, 30)
 		for i := 0; i < 3; i++ {
-			ps.Must(a.Dot(p, cl.Driver, b))
-			ps.Must(a.Dot(p, cl.Driver, far))
-			ps.Must(ZipReduce(p, cl.Driver, a, 1, 8, func(sp ShardSpan) float64 { return sp.Rows[1][0] }, b))
+			must(a.Dot(p, cl.Driver, b))
+			must(a.Dot(p, cl.Driver, far))
+			must(ZipReduce(p, cl.Driver, a, 1, 8, func(sp ShardSpan) float64 { return sp.Rows[1][0] }, b))
 		}
 		for s := range cl.Servers {
 			if n := sess.Master.Server(s).DedupSize(); n != 0 {

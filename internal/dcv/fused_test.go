@@ -26,7 +26,7 @@ func TestBatchMatchesUnfusedOps(t *testing.T) {
 		a := w.MustDerive()
 		g := w.MustDerive()
 		m := w.MustDerive()
-		ps.MustOK(w.Set(p, driver, seq(50)))
+		mustOK(w.Set(p, driver, seq(50)))
 
 		b := NewBatch(w)
 		b.Fill(a, 2)
@@ -160,8 +160,8 @@ func TestBatchExactlyOnceUnderChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		ones := w.MustDerive()
-		ps.MustOK(ones.Fill(p, cl.Driver, 1))
-		ps.MustOK(w.Set(p, cl.Driver, make([]float64, 30)))
+		mustOK(ones.Fill(p, cl.Driver, 1))
+		mustOK(w.Set(p, cl.Driver, make([]float64, 30)))
 		for r := 0; r < rounds; r++ {
 			if err := NewBatch(w).SubVec(w, ones).Run(p, cl.Driver); err != nil {
 				t.Fatal(err)
@@ -180,8 +180,8 @@ func TestBatchExactlyOnceUnderChaos(t *testing.T) {
 }
 
 // TestFillSurfacesExhaustedRetries pins the operator error contract: with a
-// dead shard and finite retries, Fill must return a typed error instead of
-// silently succeeding, and ps.MustOK must panic with that same error value.
+// dead shard and finite retries, Fill, Scale and Zero must return a typed
+// error instead of silently succeeding.
 func TestFillSurfacesExhaustedRetries(t *testing.T) {
 	sim, cl, sess := testSession(3)
 	sess.Master.Retry = ps.RetryConfig{TimeoutSec: 0.01, BackoffSec: 0.01, MaxBackoffSec: 0.02, MaxRetries: 3}
@@ -200,14 +200,6 @@ func TestFillSurfacesExhaustedRetries(t *testing.T) {
 		if err := w.Zero(p, cl.Driver); !errors.Is(err, ps.ErrServerDown) {
 			t.Fatalf("Zero err = %v, want ErrServerDown", err)
 		}
-		func() {
-			defer func() {
-				if err, _ := recover().(error); !errors.Is(err, ps.ErrServerDown) {
-					t.Errorf("MustOK(Fill) on a dead shard panicked with %v, want the ErrServerDown error", err)
-				}
-			}()
-			ps.MustOK(w.Fill(p, cl.Driver, 1))
-		}()
 	})
 }
 

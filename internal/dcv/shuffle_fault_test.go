@@ -42,8 +42,8 @@ func TestShuffleSurvivesCrashMidFetch(t *testing.T) {
 			if a.mat.ServerNode(0) == b.mat.ServerNode(0) {
 				t.Fatal("the operands are co-located: no shuffle")
 			}
-			ps.MustOK(a.Set(p, w, seq(dim)))
-			ps.MustOK(b.Set(p, w, seq(dim)))
+			mustOK(a.Set(p, w, seq(dim)))
+			mustOK(b.Set(p, w, seq(dim)))
 			if recover {
 				m.Checkpoint(p, a.mat)
 				m.Checkpoint(p, b.mat)

@@ -90,11 +90,6 @@ type Model struct {
 	Trace *core.Trace // mean pair loss per iteration
 }
 
-// InputVector pulls vertex u's embedding to the caller.
-func (m *Model) InputVector(p *simnet.Proc, from *simnet.Node, u int) []float64 {
-	return ps.Must(m.Mat.PullRows(p, from, []int{u}, nil))[0]
-}
-
 // Train embeds the graph behind the given skip-gram pair dataset, as a
 // strategy of the shared loop.
 func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices int, cfg Config) (*Model, error) {
@@ -120,7 +115,10 @@ func Train(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices i
 		}
 		s.worker = func() pairWorker { return &pullPushWorker{mat: mat, cache: s.cache, cfg: cfg} }
 	}
-	totalPairs := rdd.Count(p, pairs)
+	totalPairs, err := rdd.Count(p, pairs)
+	if err != nil {
+		return nil, err
+	}
 	if totalPairs == 0 {
 		return nil, fmt.Errorf("embedding: empty pair dataset")
 	}
@@ -154,12 +152,12 @@ type deepWalk struct {
 // pairWorker runs one partition's pairs: step updates the embeddings for one
 // pair and returns its loss, flush ships what the partition still holds back.
 type pairWorker interface {
-	step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) float64
-	flush(tc *rdd.TaskContext)
+	step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) (float64, error)
+	flush(tc *rdd.TaskContext) error
 }
 
-func (s *deepWalk) Round(p *simnet.Proc, batch *rdd.RDD[data.Pair], it int) []core.Summary {
-	return rdd.RunPartitions(p, batch, 16, func(tc *rdd.TaskContext, part int, rows []data.Pair) core.Summary {
+func (s *deepWalk) Round(p *simnet.Proc, batch *rdd.RDD[data.Pair], it int) ([]core.Summary, error) {
+	return rdd.RunPartitions(p, batch, 16, func(tc *rdd.TaskContext, part int, rows []data.Pair) (core.Summary, error) {
 		tc.Commit()
 		var lossSum float64
 		rng := tc.RNG()
@@ -182,10 +180,13 @@ func (s *deepWalk) Round(p *simnet.Proc, batch *rdd.RDD[data.Pair], it int) []co
 				contexts[1+n] = s.vertices + s.negSampler.Sample(rng)
 				labels[1+n] = 0
 			}
-			lossSum += worker.step(tc, int(pr.U), contexts, labels)
+			loss, err := worker.step(tc, int(pr.U), contexts, labels)
+			if err != nil {
+				return core.Summary{}, err
+			}
+			lossSum += loss
 		}
-		worker.flush(tc)
-		return core.Summary{Sum: lossSum, Weight: len(rows)}
+		return core.Summary{Sum: lossSum, Weight: len(rows)}, worker.flush(tc)
 	})
 }
 
@@ -202,7 +203,7 @@ func (s *deepWalk) Epilogue() (*ps.Matrix, *ps.CachedClient, int) {
 // builds the unigram^0.75 alias table.
 func buildNoiseSampler(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair], vertices int) (*linalg.AliasSampler, error) {
 	cost := e.Cluster.Cost
-	counts := rdd.Aggregate(p, pairs, rdd.AggSpec[data.Pair, []float64]{
+	counts, err := rdd.Aggregate(p, pairs, rdd.AggSpec[data.Pair, []float64]{
 		Zero: func() []float64 { return make([]float64, vertices) },
 		Seq: func(tc *rdd.TaskContext, acc []float64, pr data.Pair) []float64 {
 			acc[pr.V]++
@@ -217,6 +218,9 @@ func buildNoiseSampler(p *simnet.Proc, e *core.Engine, pairs *rdd.RDD[data.Pair]
 		Bytes:    func([]float64) float64 { return cost.DenseBytes(vertices) },
 		CombWork: cost.ElemWork(vertices),
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i := range counts {
 		counts[i] = math.Pow(counts[i]+1, 0.75) // +1 smoothing: every vertex samplable
 	}
@@ -310,7 +314,7 @@ func (dw *dcvWorker) ctxDelta(ctx, n int) []float64 {
 // a batched dot (one request per server, partial dots back) followed by a
 // batched axpy-style update (gradient scalars out, no vector data on the
 // wire). Matches the paper's Figure 5/6 flow with negative-sample batching.
-func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) float64 {
+func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) (float64, error) {
 	cost := tc.Ctx.Cl.Cost
 	mat, cfg := dw.mat, dw.cfg
 	nctx := len(contexts)
@@ -344,13 +348,17 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 			return 0
 		},
 	}
+	var err error
 	if dw.pending != nil {
 		dw.fused[0], dw.fused[1] = *dw.pending, dotOp
 		dw.pending = nil
-		ps.Must(mat.Invoke(tc.P, tc.Node, dw.fused...))
+		_, err = mat.Invoke(tc.P, tc.Node, dw.fused...)
 	} else {
 		// No held-back update: a pure read, outside dedup tracking.
-		ps.Must(mat.Invoke(tc.P, tc.Node, dotOp))
+		_, err = mat.Invoke(tc.P, tc.Node, dotOp)
+	}
+	if err != nil {
+		return 0, err
 	}
 	dots := dw.dots
 	linalg.Fill(dots, 0)
@@ -411,22 +419,23 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 			return 0
 		},
 	}
-	if cfg.NoFusion {
-		ps.Must(mat.Invoke(tc.P, tc.Node, *update))
-	} else {
+	if !cfg.NoFusion {
 		dw.pending = update
+		return loss, nil
 	}
-	return loss
+	_, err = mat.Invoke(tc.P, tc.Node, *update)
+	return loss, err
 }
 
 // flush ships the last held-back update at partition end.
-func (dw *dcvWorker) flush(tc *rdd.TaskContext) {
+func (dw *dcvWorker) flush(tc *rdd.TaskContext) error {
 	if dw.pending == nil {
-		return
+		return nil
 	}
 	up := *dw.pending
 	dw.pending = nil
-	ps.Must(dw.mat.Invoke(tc.P, tc.Node, up))
+	_, err := dw.mat.Invoke(tc.P, tc.Node, up)
+	return err
 }
 
 // pullPushWorker runs the PS-DeepWalk baseline for one partition. With a
@@ -452,7 +461,7 @@ type pullPushWorker struct {
 // step is one pair of the PS-DeepWalk baseline: pull all vectors, update
 // locally, push the deltas back — full vector data over the network in both
 // directions.
-func (w *pullPushWorker) step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) float64 {
+func (w *pullPushWorker) step(tc *rdd.TaskContext, center int, contexts []int, labels []float64) (float64, error) {
 	cost := tc.Ctx.Cl.Cost
 	cfg := w.cfg
 	n := 1 + len(contexts)
@@ -469,14 +478,17 @@ func (w *pullPushWorker) step(tc *rdd.TaskContext, center int, contexts []int, l
 	rows[0] = center
 	copy(rows[1:], contexts)
 	var vecs [][]float64
+	var err error
 	if w.cache != nil {
 		if w.buf == nil {
 			w.buf = w.cache.NewPushBuffer()
 		}
-		vecs = ps.Must(w.cache.PullRows(tc.P, tc.Node, rows))
+		if vecs, err = w.cache.PullRows(tc.P, tc.Node, rows); err != nil {
+			return 0, err
+		}
 		w.buf.ApplyPending(rows, vecs)
-	} else {
-		vecs = ps.Must(w.mat.PullRows(tc.P, tc.Node, rows, w.vecs))
+	} else if vecs, err = w.mat.PullRows(tc.P, tc.Node, rows, w.vecs); err != nil {
+		return 0, err
 	}
 	u := vecs[0]
 	deltas := w.deltas
@@ -498,17 +510,17 @@ func (w *pullPushWorker) step(tc *rdd.TaskContext, center int, contexts []int, l
 	tc.Charge(cost.ElemWork(cfg.K * len(contexts) * 2))
 	if w.buf != nil {
 		w.buf.AddRowsDelta(rows, deltas)
-	} else {
-		ps.MustOK(w.mat.PushRowsDelta(tc.P, tc.Node, rows, deltas))
+		return loss, nil
 	}
-	return loss
+	return loss, w.mat.PushRowsDelta(tc.P, tc.Node, rows, deltas)
 }
 
 // flush ships the partition's combined deltas.
-func (w *pullPushWorker) flush(tc *rdd.TaskContext) {
-	if w.buf != nil {
-		ps.MustOK(w.buf.Flush(tc.P, tc.Node))
+func (w *pullPushWorker) flush(tc *rdd.TaskContext) error {
+	if w.buf == nil {
+		return nil
 	}
+	return w.buf.Flush(tc.P, tc.Node)
 }
 
 // Similarity computes the cosine similarity between the input embeddings of
@@ -524,18 +536,21 @@ func Similarity(a, b []float64) float64 {
 // EdgeScore evaluates an embedding: the mean sigmoid(u·v') over the given
 // positive pairs minus the mean over random pairs; positive values mean the
 // embedding learned graph structure.
-func EdgeScore(p *simnet.Proc, from *simnet.Node, m *Model, pairs []data.Pair, seed uint64) float64 {
+func EdgeScore(p *simnet.Proc, from *simnet.Node, m *Model, pairs []data.Pair, seed uint64) (float64, error) {
 	if len(pairs) == 0 {
-		return math.NaN()
+		return math.NaN(), nil
 	}
 	rng := linalg.NewRNG(seed)
 	var pos, neg float64
 	for _, pr := range pairs {
-		vecs := ps.Must(m.Mat.PullRows(p, from, []int{int(pr.U), m.V + int(pr.V), m.V + rng.Intn(m.V)}, nil))
+		vecs, err := m.Mat.PullRows(p, from, []int{int(pr.U), m.V + int(pr.V), m.V + rng.Intn(m.V)}, nil)
+		if err != nil {
+			return 0, err
+		}
 		pos += linalg.Sigmoid(linalg.Dot(vecs[0], vecs[1]))
 		neg += linalg.Sigmoid(linalg.Dot(vecs[0], vecs[2]))
 	}
-	return (pos - neg) / float64(len(pairs))
+	return (pos - neg) / float64(len(pairs)), nil
 }
 
 // hostInputTable assembles all V input embeddings from shard memory.

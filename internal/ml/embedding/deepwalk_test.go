@@ -54,7 +54,9 @@ func trainMode(t *testing.T, mode Mode, servers int) (*Model, *core.Engine, []da
 			return
 		}
 		model = m
-		score = EdgeScore(p, e.Driver(), m, pairs[:200], 3)
+		if score, err = EdgeScore(p, e.Driver(), m, pairs[:200], 3); err != nil {
+			t.Error(err)
+		}
 	})
 	return model, e, pairs, score
 }
@@ -147,7 +149,9 @@ func TestModesComputeSameUpdateGivenSameDraws(t *testing.T) {
 			for i := range ids {
 				ids[i] = i
 			}
-			rows = ps.Must(m.Mat.PullRows(p, e.Driver(), ids, nil))
+			if rows, err = m.Mat.PullRows(p, e.Driver(), ids, nil); err != nil {
+				t.Fatal(err)
+			}
 		})
 		return rows
 	}

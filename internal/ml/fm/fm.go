@@ -93,12 +93,12 @@ type fm struct {
 	factors, gradV []*dcv.Vector
 }
 
-func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
+func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
 	cost := m.e.Cluster.Cost
 	k := m.cfg.Factors
-	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) core.Summary {
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) (core.Summary, error) {
 		if len(rows) == 0 {
-			return core.Summary{}
+			return core.Summary{}, nil
 		}
 		idx := lr.DistinctIndices(rows)
 		pos := make(map[int]int, len(idx))
@@ -107,10 +107,15 @@ func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core
 		}
 		// Sparse pulls: weights plus every factor row at the batch's
 		// feature indices.
-		wv := ps.Must(m.w.PullIndices(tc.P, tc.Node, idx))
+		wv, err := m.w.PullIndices(tc.P, tc.Node, idx)
+		if err != nil {
+			return core.Summary{}, err
+		}
 		vv := make([][]float64, k)
 		for f := 0; f < k; f++ {
-			vv[f] = ps.Must(m.factors[f].PullIndices(tc.P, tc.Node, idx))
+			if vv[f], err = m.factors[f].PullIndices(tc.P, tc.Node, idx); err != nil {
+				return core.Summary{}, err
+			}
 		}
 		dw := make([]float64, len(idx))
 		dv := make([][]float64, k)
@@ -151,7 +156,7 @@ func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core
 		tc.Charge(cost.GradWork(lr.TotalNnz(rows) * (k + 1)))
 		tc.Commit()
 		// Push gradients with DCV add; idx is sorted, and so are its nonzeros.
-		push := func(target *dcv.Vector, vals []float64) {
+		push := func(target *dcv.Vector, vals []float64) error {
 			gi := make([]int, 0, len(idx))
 			gv := make([]float64, 0, len(idx))
 			for i, ix := range idx {
@@ -161,15 +166,15 @@ func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core
 				}
 			}
 			if len(gi) == 0 {
-				return
+				return nil
 			}
-			ps.MustOK(target.Add(tc.P, tc.Node, &linalg.SparseVector{Indices: gi, Values: gv}))
+			return target.Add(tc.P, tc.Node, &linalg.SparseVector{Indices: gi, Values: gv})
 		}
-		push(m.gradW, dw)
-		for f := 0; f < k; f++ {
-			push(m.gradV[f], dv[f])
+		err = push(m.gradW, dw)
+		for f := 0; f < k && err == nil; f++ {
+			err = push(m.gradV[f], dv[f])
 		}
-		return core.Summary{Sum: lossSum, Weight: len(rows)}
+		return core.Summary{Sum: lossSum, Weight: len(rows)}, err
 	})
 }
 

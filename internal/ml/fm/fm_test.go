@@ -9,7 +9,6 @@ import (
 	"repro/internal/dcv"
 	"repro/internal/linalg"
 	"repro/internal/ml/lr"
-	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -180,14 +179,19 @@ func TestInitFactorsReachDeltaCheckpoint(t *testing.T) {
 	cfg := DefaultConfig()
 	const dim = 200
 	e.Run(func(p *simnet.Proc) {
-		w := ps.Must(e.DCV.Dense(p, dim, 2+2*cfg.Factors)) // Train's rows
+		w, err := e.DCV.Dense(p, dim, 2+2*cfg.Factors) // Train's rows
+		if err != nil {
+			t.Fatal(err)
+		}
 		factors := make([]*dcv.Vector, cfg.Factors)
 		for f := range factors {
 			factors[f] = w.MustDerive()
 		}
 		e.PS.Checkpoint(p, w.Matrix())
 		before := e.PS.Recovery.CheckpointBytesWritten
-		ps.MustOK(initFactors(p, e, factors, cfg))
+		if err := initFactors(p, e, factors, cfg); err != nil {
+			t.Fatal(err)
+		}
 		e.PS.Checkpoint(p, w.Matrix())
 		shipped := e.PS.Recovery.CheckpointBytesWritten - before
 		if want := e.Cluster.Cost.SparseBytes(cfg.Factors * dim); shipped < want {

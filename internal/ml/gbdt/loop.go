@@ -17,14 +17,15 @@ type Strategy interface {
 	Setup(p *simnet.Proc, e *core.Engine, parts, dim int) error
 	// Aggregate runs one node's histogram stage: stage builds every
 	// partition's local histograms and hands each to ship, and afterwards
-	// the node's summed histograms are where Split reads them.
-	Aggregate(p *simnet.Proc, stage func(ship Ship)) error
+	// the node's summed histograms are where Split reads them. It returns
+	// the stage's error.
+	Aggregate(p *simnet.Proc, stage func(ship Ship) error) error
 	// Split returns the best split of node n, or one with Feature -1.
 	Split(p *simnet.Proc, n Node) (Split, error)
 }
 
 // Ship moves one task's local histograms, g and h, to where they are summed.
-type Ship func(tc *rdd.TaskContext, part int, g, h []float64)
+type Ship func(tc *rdd.TaskContext, part int, g, h []float64) error
 
 // Node is what the split scan knows of one tree node: the gradient and
 // hessian sums of its rows.
@@ -74,9 +75,6 @@ func Run(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[Row], features int, ed
 		margins: make([][]float64, parts), grads: make([][]float64, parts),
 		hess: make([][]float64, parts), nodeOf: make([][]int32, parts)}
 	trace, err := core.Run(p, e, dataset, 1, cfg.Seed, cfg.Trees, b)
-	if err == nil {
-		err = b.err
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +101,6 @@ type booster struct {
 	s        Strategy
 	features int
 	trees    []Tree
-	err      error // the first failure; later rounds do nothing
 
 	margins [][]float64
 	grads   [][]float64
@@ -112,17 +109,13 @@ type booster struct {
 }
 
 // Round boosts one tree: gradients, then the tree, then its margins.
-// core.Strategy's Round returns no error, so a failure stops boosting here
-// and Run returns it.
-func (b *booster) Round(p *simnet.Proc, rows *rdd.RDD[Row], _ int) []core.Summary {
-	if b.err != nil {
-		return nil
+func (b *booster) Round(p *simnet.Proc, rows *rdd.RDD[Row], _ int) ([]core.Summary, error) {
+	if err := b.gradients(p, rows); err != nil {
+		return nil, err
 	}
-	b.gradients(p, rows)
 	tree, err := b.grow(p, rows)
 	if err != nil {
-		b.err = err
-		return nil
+		return nil, err
 	}
 	b.trees = append(b.trees, *tree)
 	return b.apply(p, rows, tree)
@@ -133,9 +126,9 @@ func (*booster) Barrier(*simnet.Proc, int, int) error { return nil }
 // gradients refreshes g and h from the current margins (logistic objective:
 // g = p - y, h = p(1-p)) and puts every row back at the root. Pure
 // worker-local computation.
-func (b *booster) gradients(p *simnet.Proc, dataset *rdd.RDD[Row]) {
+func (b *booster) gradients(p *simnet.Proc, dataset *rdd.RDD[Row]) error {
 	cost := b.e.Cluster.Cost
-	rdd.RunPartitions(p, dataset, 8, func(tc *rdd.TaskContext, part int, rows []Row) struct{} {
+	_, err := rdd.RunPartitions(p, dataset, 8, func(tc *rdd.TaskContext, part int, rows []Row) (struct{}, error) {
 		if b.margins[part] == nil {
 			b.margins[part] = make([]float64, len(rows))
 			b.grads[part] = make([]float64, len(rows))
@@ -150,8 +143,9 @@ func (b *booster) gradients(p *simnet.Proc, dataset *rdd.RDD[Row]) {
 		}
 		tc.Charge(cost.ElemWork(len(rows) * 2))
 		tc.Commit()
-		return struct{}{}
+		return struct{}{}, nil
 	})
+	return err
 }
 
 // grow builds one tree level by level, node by node (paper Figure 8's outer
@@ -195,7 +189,9 @@ func (b *booster) grow(p *simnet.Proc, rows *rdd.RDD[Row]) (*Tree, error) {
 		tree.Nodes = append(tree.Nodes, TreeNode{Left: -1, Right: -1}, TreeNode{Left: -1, Right: -1})
 		tree.Nodes[w.node].Split = &split
 		tree.Nodes[w.node].Left, tree.Nodes[w.node].Right = int(li), int(ri)
-		b.route(p, rows, w.node, li, ri, split)
+		if err := b.route(p, rows, w.node, li, ri, split); err != nil {
+			return nil, err
+		}
 		queue = append(queue, work{node: li, depth: w.depth + 1}, work{node: ri, depth: w.depth + 1})
 	}
 	return tree, nil
@@ -207,8 +203,8 @@ func (b *booster) grow(p *simnet.Proc, rows *rdd.RDD[Row]) (*Tree, error) {
 func (b *booster) histograms(p *simnet.Proc, dataset *rdd.RDD[Row], node int32) (Node, error) {
 	cost, bins, dim := b.e.Cluster.Cost, b.cfg.Bins, b.features*b.cfg.Bins
 	var n Node
-	err := b.s.Aggregate(p, func(ship Ship) {
-		sums := rdd.RunPartitions(p, dataset, 24, func(tc *rdd.TaskContext, part int, rows []Row) [2]float64 {
+	err := b.s.Aggregate(p, func(ship Ship) error {
+		sums, err := rdd.RunPartitions(p, dataset, 24, func(tc *rdd.TaskContext, part int, rows []Row) ([2]float64, error) {
 			g := make([]float64, dim)
 			h := make([]float64, dim)
 			var gs, hs float64
@@ -228,21 +224,21 @@ func (b *booster) histograms(p *simnet.Proc, dataset *rdd.RDD[Row], node int32) 
 			}
 			tc.Charge(cost.ElemWork(count * b.features))
 			tc.Commit()
-			ship(tc, part, g, h)
-			return [2]float64{gs, hs}
+			return [2]float64{gs, hs}, ship(tc, part, g, h)
 		})
 		for _, s := range sums {
 			n.g += s[0]
 			n.h += s[1]
 		}
+		return err
 	})
 	return n, err
 }
 
 // route reassigns a node's rows to its children.
-func (b *booster) route(p *simnet.Proc, dataset *rdd.RDD[Row], node, left, right int32, split Split) {
+func (b *booster) route(p *simnet.Proc, dataset *rdd.RDD[Row], node, left, right int32, split Split) error {
 	cost := b.e.Cluster.Cost
-	rdd.RunPartitions(p, dataset, 8, func(tc *rdd.TaskContext, part int, rows []Row) struct{} {
+	_, err := rdd.RunPartitions(p, dataset, 8, func(tc *rdd.TaskContext, part int, rows []Row) (struct{}, error) {
 		n := 0
 		for i := range rows {
 			if b.nodeOf[part][i] != node {
@@ -257,15 +253,16 @@ func (b *booster) route(p *simnet.Proc, dataset *rdd.RDD[Row], node, left, right
 		}
 		tc.Charge(cost.ElemWork(n))
 		tc.Commit()
-		return struct{}{}
+		return struct{}{}, nil
 	})
+	return err
 }
 
 // apply adds the new tree's predictions to every row's margin; each task's
 // summary is its rows' training logloss over its rows.
-func (b *booster) apply(p *simnet.Proc, dataset *rdd.RDD[Row], tree *Tree) []core.Summary {
+func (b *booster) apply(p *simnet.Proc, dataset *rdd.RDD[Row], tree *Tree) ([]core.Summary, error) {
 	cost := b.e.Cluster.Cost
-	return rdd.RunPartitions(p, dataset, 16, func(tc *rdd.TaskContext, part int, rows []Row) core.Summary {
+	return rdd.RunPartitions(p, dataset, 16, func(tc *rdd.TaskContext, part int, rows []Row) (core.Summary, error) {
 		var lossSum float64
 		for i := range rows {
 			b.margins[part][i] += tree.Predict(rows[i].Bins)
@@ -273,6 +270,6 @@ func (b *booster) apply(p *simnet.Proc, dataset *rdd.RDD[Row], tree *Tree) []cor
 		}
 		tc.Charge(cost.ElemWork(len(rows) * len(tree.Nodes)))
 		tc.Commit()
-		return core.Summary{Sum: lossSum, Weight: len(rows)}
+		return core.Summary{Sum: lossSum, Weight: len(rows)}, nil
 	})
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dcv"
-	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -37,19 +36,20 @@ func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _, dim int) error {
 	return s.hess.Fill(p, e.Driver(), 0)
 }
 
-func (s *ps2) Aggregate(p *simnet.Proc, stage func(Ship)) error {
+func (s *ps2) Aggregate(p *simnet.Proc, stage func(Ship) error) error {
 	if err := s.grad.Zero(p, s.e.Driver()); err != nil {
 		return err
 	}
 	if err := s.hess.Zero(p, s.e.Driver()); err != nil {
 		return err
 	}
-	stage(func(tc *rdd.TaskContext, _ int, g, h []float64) {
+	return stage(func(tc *rdd.TaskContext, _ int, g, h []float64) error {
 		// Paper Figure 8: gradHist.add(localGrad); hessHist.add(localHess).
-		ps.MustOK(s.grad.AddDense(tc.P, tc.Node, g))
-		ps.MustOK(s.hess.AddDense(tc.P, tc.Node, h))
+		if err := s.grad.AddDense(tc.P, tc.Node, g); err != nil {
+			return err
+		}
+		return s.hess.AddDense(tc.P, tc.Node, h)
 	})
-	return nil
 }
 
 // boundaryPiece carries a server's partial bins of a feature that straddles

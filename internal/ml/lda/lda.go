@@ -100,16 +100,15 @@ func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 // rows random topics (newState), commits, and place applies and pays for the
 // counts it assigned. It returns the sampler states and passes by partition.
 func InitStage(p *simnet.Proc, docs *rdd.RDD[data.Document], vocab int, cfg Config, resultBytes float64,
-	place func(tc *rdd.TaskContext, rows []data.Document, init Pass)) ([]*State, []Pass) {
+	place func(tc *rdd.TaskContext, rows []data.Document, init Pass) error) ([]*State, []Pass, error) {
 	states := make([]*State, docs.Partitions())
-	inits := rdd.RunPartitions(p, docs, resultBytes, func(tc *rdd.TaskContext, part int, rows []data.Document) Pass {
+	inits, err := rdd.RunPartitions(p, docs, resultBytes, func(tc *rdd.TaskContext, part int, rows []data.Document) (Pass, error) {
 		st, init := newState(rows, cfg, vocab, part)
 		tc.Commit()
 		states[part] = st
-		place(tc, rows, init)
-		return init
+		return init, place(tc, rows, init)
 	})
-	return states, inits
+	return states, inits, err
 }
 
 // SweepStage is the stage every strategy's Round runs: each task reads the
@@ -118,31 +117,34 @@ func InitStage(p *simnet.Proc, docs *rdd.RDD[data.Document], vocab int, cfg Conf
 // token once, pays for the sampling, and ship, unless nil, moves the pass's
 // count changes. It returns one pass per partition.
 func SweepStage(p *simnet.Proc, docs *rdd.RDD[data.Document], states []*State, it int, resultBytes float64,
-	read func(tc *rdd.TaskContext, words []int) (counts map[int][]float64, totals []float64),
-	ship func(tc *rdd.TaskContext, words []int, pass Pass)) []Pass {
-	return rdd.RunPartitions(p, docs, resultBytes, func(tc *rdd.TaskContext, part int, rows []data.Document) Pass {
+	read func(tc *rdd.TaskContext, words []int) (counts map[int][]float64, totals []float64, err error),
+	ship func(tc *rdd.TaskContext, words []int, pass Pass) error) ([]Pass, error) {
+	return rdd.RunPartitions(p, docs, resultBytes, func(tc *rdd.TaskContext, part int, rows []data.Document) (Pass, error) {
 		words := distinctWords(rows)
-		counts, totals := read(tc, words)
+		counts, totals, err := read(tc, words)
+		if err != nil {
+			return Pass{}, err
+		}
 		// Commit before mutating the worker-local sampler state: a doomed
 		// retry re-reads but must not double-apply assignment changes.
 		tc.Commit()
 		pass := states[part].sweep(rows, tc.Attempt, it, counts, totals)
 		tc.Charge(tc.Ctx.Cl.Cost.ElemWork(pass.Work))
 		if ship != nil {
-			ship(tc, words, pass)
+			err = ship(tc, words, pass)
 		}
-		return pass
+		return pass, err
 	})
 }
 
 // Summaries turns a sweep's passes into the loop's summaries: log-likelihood
-// over tokens.
-func Summaries(passes []Pass) []core.Summary {
+// over tokens. It passes a failed sweep's error through.
+func Summaries(passes []Pass, err error) ([]core.Summary, error) {
 	out := make([]core.Summary, len(passes))
 	for i, pass := range passes {
 		out[i] = core.Summary{Sum: pass.LogLik, Weight: pass.Tokens}
 	}
-	return out
+	return out, err
 }
 
 // Train runs collapsed Gibbs sampling over the document RDD on PS2.
@@ -178,20 +180,21 @@ func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Document]
 	}
 	s.e, s.totals = e, make([]float64, cfg.Topics)
 	var inits []Pass
-	s.states, inits = InitStage(p, docs, vocab, cfg, 8*float64(cfg.Topics),
-		func(tc *rdd.TaskContext, rows []data.Document, init Pass) {
+	s.states, inits, err = InitStage(p, docs, vocab, cfg, 8*float64(cfg.Topics),
+		func(tc *rdd.TaskContext, rows []data.Document, init Pass) error {
 			tc.Charge(e.Cluster.Cost.ElemWork(len(rows)))
-			s.push(tc, nil, init)
+			return s.push(tc, nil, init)
 		})
 	addTotals(s.totals, inits)
-	return nil
+	return err
 }
 
-func (s *ps2) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) []core.Summary {
+func (s *ps2) Round(p *simnet.Proc, docs *rdd.RDD[data.Document], it int) ([]core.Summary, error) {
 	// Broadcast the topic totals (tiny).
 	s.e.RDD.Broadcast(p, float64(len(s.totals))*countBytes)
-	s.passes = SweepStage(p, docs, s.states, it, 8*float64(len(s.totals))+16, s.pull, s.push)
-	return Summaries(s.passes)
+	var err error
+	s.passes, err = SweepStage(p, docs, s.states, it, 8*float64(len(s.totals))+16, s.pull, s.push)
+	return Summaries(s.passes, err)
 }
 
 func (s *ps2) Barrier(*simnet.Proc, int, int) error {
@@ -201,13 +204,14 @@ func (s *ps2) Barrier(*simnet.Proc, int, int) error {
 
 // pull batch-pulls the words' topic counts: one request per server carrying
 // 4-byte word ids, compressed counts back.
-func (s *ps2) pull(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64) {
+func (s *ps2) pull(tc *rdd.TaskContext, words []int) (map[int][]float64, []float64, error) {
 	cost, k := tc.Ctx.Cl.Cost, s.mat.Rows
-	return PullWordCounts(tc, s.mat, words, func(n int) (req, work, resp float64) {
+	counts, err := PullWordCounts(tc, s.mat, words, func(n int) (req, work, resp float64) {
 		return cost.RequestOverheadB + 4*float64(n),
 			cost.RequestHandleWork + cost.ElemWork(n*k),
 			cost.RequestOverheadB + float64(n*k)*countBytes
-	}), s.totals
+	})
+	return counts, s.totals, err
 }
 
 // addTotals folds every partition's topic-total changes into totals.
@@ -222,9 +226,9 @@ func addTotals(totals []float64, passes []Pass) {
 // push ships the pass's topic->word count deltas to the servers, which apply
 // them at once: one batched request per server carrying compressed (topic,
 // word, delta) triplets.
-func (s *ps2) push(tc *rdd.TaskContext, words []int, pass Pass) {
+func (s *ps2) push(tc *rdd.TaskContext, words []int, pass Pass) error {
 	cost := tc.Ctx.Cl.Cost
-	PushDeltas(tc, s.mat, words, pass, func(_, n int) (req, work, resp float64) {
+	return PushDeltas(tc, s.mat, words, pass, func(_, n int) (req, work, resp float64) {
 		return cost.RequestOverheadB + float64(n)*(8+countBytes),
 			cost.RequestHandleWork + cost.ElemWork(n),
 			cost.RequestOverheadB
@@ -234,10 +238,10 @@ func (s *ps2) push(tc *rdd.TaskContext, words []int, pass Pass) {
 // PullWordCounts reads the topic counts of the sorted distinct words from
 // mat: one request to each server that owns any of them, priced by price for
 // its n words, whose handler copies their counts into the reply.
-func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, price func(n int) (req, work, resp float64)) map[int][]float64 {
+func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, price func(n int) (req, work, resp float64)) (map[int][]float64, error) {
 	out := make(map[int][]float64, len(words))
 	split := mat.Part.SplitIndices(words)
-	ps.MustOK(mat.CallShards(tc.P, tc.Node, ps.CallSpec{Name: "lda-pull"}, func(s int, c *ps.CallSpec) bool {
+	err := mat.CallShards(tc.P, tc.Node, ps.CallSpec{Name: "lda-pull"}, func(s int, c *ps.CallSpec) bool {
 		idx := split[s]
 		if len(idx) == 0 {
 			return false
@@ -256,8 +260,8 @@ func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, price func
 			return nil
 		}
 		return true
-	}))
-	return out
+	})
+	return out, err
 }
 
 // PushDeltas applies the pass's count changes at mat's servers: one request
@@ -266,7 +270,7 @@ func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, price func
 // sorted distinct words the pass resampled, nil for an initialisation) and
 // its triplets. The request declares the pass's topics as the rows it
 // writes.
-func PushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, words []int, pass Pass, price func(words, triplets int) (req, work, resp float64)) {
+func PushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, words []int, pass Pass, price func(words, triplets int) (req, work, resp float64)) error {
 	type triplet struct {
 		k, w int
 		v    float64
@@ -282,7 +286,7 @@ func PushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, words []int, pass Pass, pri
 	}
 	split := mat.Part.SplitIndices(words)
 	spec := ps.CallSpec{Name: "lda-push", Mutates: true, Touched: topics}
-	ps.MustOK(mat.CallShards(tc.P, tc.Node, spec, func(s int, c *ps.CallSpec) bool {
+	return mat.CallShards(tc.P, tc.Node, spec, func(s int, c *ps.CallSpec) bool {
 		trips := byServer[s]
 		if len(trips) == 0 {
 			return false
@@ -297,13 +301,16 @@ func PushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, words []int, pass Pass, pri
 			return nil
 		}
 		return true
-	}))
+	})
 }
 
 // TopWords returns the n highest-count words of one topic (pulled from the
 // servers), for qualitative inspection.
-func TopWords(p *simnet.Proc, from *simnet.Node, m *Model, topic, n int) []int {
-	row := ps.Must(m.WordTopic.PullRow(p, from, topic))
+func TopWords(p *simnet.Proc, from *simnet.Node, m *Model, topic, n int) ([]int, error) {
+	row, err := m.WordTopic.PullRow(p, from, topic)
+	if err != nil {
+		return nil, err
+	}
 	type wc struct {
 		w int
 		c float64
@@ -317,5 +324,5 @@ func TopWords(p *simnet.Proc, from *simnet.Node, m *Model, topic, n int) []int {
 	for i := 0; i < n && i < len(all); i++ {
 		out = append(out, all[i].w)
 	}
-	return out
+	return out, nil
 }

@@ -37,8 +37,9 @@ type AsyncModel struct {
 	run *core.SSP
 }
 
-// Wait blocks until every worker has finished its iterations.
-func (m *AsyncModel) Wait(p *simnet.Proc) { m.run.Wait(p) }
+// Wait blocks until every worker has finished its iterations or failed, and
+// returns the error of the lowest-numbered worker that failed.
+func (m *AsyncModel) Wait(p *simnet.Proc) error { return m.run.Wait(p) }
 
 // UpdatesApplied returns the total number of worker iterations completed so
 // far (the sum of all SSP clocks).
@@ -76,18 +77,18 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 	if err != nil {
 		return nil, err
 	}
-	weights := func(tc *rdd.TaskContext, indices []int) []float64 {
-		return ps.Must(mat.PullRowIndices(tc.P, tc.Node, 0, indices))
+	weights := func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
+		return mat.PullRowIndices(tc.P, tc.Node, 0, indices)
 	}
 	rngs := make([]*linalg.RNG, len(parts))
 	for w := range parts {
 		rngs[w] = linalg.NewRNG(cfg.Seed*13 + uint64(w))
 	}
-	run := core.RunSSP(p, e, len(parts), cfg.Staleness, cfg.Iterations, func(tc *rdd.TaskContext, w, it int) core.Summary {
-		push := func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) {
+	run := core.RunSSP(p, e, len(parts), cfg.Staleness, cfg.Iterations, func(tc *rdd.TaskContext, w, it int) (core.Summary, error) {
+		push := func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) error {
 			eta := cfg.LearningRate / math.Sqrt(float64(it+1)) / float64(len(rows)) / float64(len(parts))
 			linalg.Scale(-eta, grad.Values)
-			ps.MustOK(mat.PushAdd(tc.P, tc.Node, 0, grad))
+			return mat.PushAdd(tc.P, tc.Node, 0, grad)
 		}
 		return gradientTask(tc, rdd.Bernoulli(parts[w], cfg.BatchFraction, rngs[w]), cfg.Objective, weights, push)
 	})

@@ -42,8 +42,12 @@ func runAsync(t *testing.T, ds *data.ClassifyDataset, staleness int, straggler b
 			t.Error(err)
 			return
 		}
-		model.Wait(p)
-		w = ps.Must(model.FinalWeights(p, e.Driver()))
+		if err := model.Wait(p); err != nil {
+			t.Fatal(err)
+		}
+		if w, err = model.FinalWeights(p, e.Driver()); err != nil {
+			t.Fatal(err)
+		}
 	})
 	return w, end
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/dcv"
 	"repro/internal/linalg"
-	"repro/internal/ps"
 	"repro/internal/rdd"
 	"repro/internal/simnet"
 )
@@ -75,11 +74,11 @@ type lbfgs struct {
 
 // Round sums the batch gradient into grad, which the previous barrier left
 // zero.
-func (s *lbfgs) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
-	return GradientStage(p, batch, Logistic, func(tc *rdd.TaskContext, indices []int) []float64 {
-		return ps.Must(s.w.PullIndices(tc.P, tc.Node, indices))
-	}, func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) {
-		ps.MustOK(s.grad.Add(tc.P, tc.Node, g))
+func (s *lbfgs) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
+	return GradientStage(p, batch, Logistic, func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
+		return s.w.PullIndices(tc.P, tc.Node, indices)
+	}, func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) error {
+		return s.grad.Add(tc.P, tc.Node, g)
 	})
 }
 

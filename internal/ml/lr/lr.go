@@ -187,9 +187,9 @@ func Run(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim in
 // GradientStage is the stage every parameter-server strategy runs: one
 // gradient task per partition of the batch.
 func GradientStage(p *simnet.Proc, batch *rdd.RDD[data.Instance], obj Objective,
-	weights func(tc *rdd.TaskContext, indices []int) []float64,
-	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector)) []core.Summary {
-	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, _ int, rows []data.Instance) core.Summary {
+	weights func(tc *rdd.TaskContext, indices []int) ([]float64, error),
+	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) error) ([]core.Summary, error) {
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, _ int, rows []data.Instance) (core.Summary, error) {
 		return gradientTask(tc, rows, obj, weights, ship)
 	})
 }
@@ -200,20 +200,23 @@ func GradientStage(p *simnet.Proc, batch *rdd.RDD[data.Instance], obj Objective,
 // ship owns grad. GradientStage runs it under the stage barrier, TrainAsync
 // under the SSP clock.
 func gradientTask(tc *rdd.TaskContext, rows []data.Instance, obj Objective,
-	weights func(tc *rdd.TaskContext, indices []int) []float64,
-	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector)) core.Summary {
+	weights func(tc *rdd.TaskContext, indices []int) ([]float64, error),
+	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) error) (core.Summary, error) {
 	if len(rows) == 0 {
-		return core.Summary{}
+		return core.Summary{}, nil
 	}
 	var b BatchIndex
 	b.Build(rows)
+	w, err := weights(tc, b.Indices)
+	if err != nil {
+		return core.Summary{}, err
+	}
 	g := make([]float64, len(b.Indices))
-	loss := b.Gradient(obj, rows, weights(tc, b.Indices), g)
+	loss := b.Gradient(obj, rows, w, g)
 	tc.Charge(tc.Ctx.Cl.Cost.GradWork(TotalNnz(rows)))
 	tc.Commit()
 	idx, vals := b.Sparse(g)
-	ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
-	return core.Summary{Sum: loss, Weight: len(rows)}
+	return core.Summary{Sum: loss, Weight: len(rows)}, ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
 }
 
 // Train runs mini-batch training of the configured objective on PS2: the
@@ -297,17 +300,17 @@ func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], d
 	return nil
 }
 
-func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) []core.Summary {
+func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
 	return GradientStage(p, batch, s.cfg.Objective, s.pull, s.push)
 }
 
 // pull is the model pull: a sparse pull of exactly the batch's features.
-func (s *ps2) pull(tc *rdd.TaskContext, indices []int) []float64 {
-	return ps.Must(s.pullRow(tc.P, tc.Node, s.weight.Row(), indices))
+func (s *ps2) pull(tc *rdd.TaskContext, indices []int) ([]float64, error) {
+	return s.pullRow(tc.P, tc.Node, s.weight.Row(), indices)
 }
 
 // push is the gradient push via the DCV add operator.
-func (s *ps2) push(tc *rdd.TaskContext, rows []data.Instance, sv *linalg.SparseVector) {
+func (s *ps2) push(tc *rdd.TaskContext, rows []data.Instance, sv *linalg.SparseVector) error {
 	// Value-bounded accounting: the push below targets the GRAD row, but the
 	// row the cache holds is the WEIGHT row, whose eventual change is the
 	// optimizer step over this gradient. Credit the cache with the
@@ -330,10 +333,9 @@ func (s *ps2) push(tc *rdd.TaskContext, rows []data.Instance, sv *linalg.SparseV
 			buf = s.cache.NewPushBuffer()
 			s.gradBufs[tc.Node] = buf
 		}
-		ps.MustOK(buf.Add(s.grad.Row(), sv))
-	} else {
-		ps.MustOK(s.grad.Add(tc.P, tc.Node, sv))
+		return buf.Add(s.grad.Row(), sv)
 	}
+	return s.grad.Add(tc.P, tc.Node, sv)
 }
 
 func (s *ps2) Barrier(p *simnet.Proc, it, count int) error {
@@ -467,21 +469,25 @@ type ClusterMetrics struct {
 // the data: every worker sparse-pulls just the weights its partition
 // touches, computes loss and accuracy locally, and only scalars travel to
 // the driver. This is the inference-side counterpart of the training loop.
-func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], obj Objective, weights *dcv.Vector) ClusterMetrics {
+func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], obj Objective, weights *dcv.Vector) (ClusterMetrics, error) {
 	cost := e.Cluster.Cost
 	type partial struct {
 		Loss    float64
 		Correct int
 		Rows    int
 	}
-	parts := rdd.RunPartitions(p, dataset, 24, func(tc *rdd.TaskContext, part int, rows []data.Instance) partial {
+	parts, err := rdd.RunPartitions(p, dataset, 24, func(tc *rdd.TaskContext, part int, rows []data.Instance) (partial, error) {
 		if len(rows) == 0 {
-			return partial{}
+			return partial{}, nil
 		}
 		var b BatchIndex
 		b.Build(rows)
+		w, err := weights.PullIndices(tc.P, tc.Node, b.Indices)
+		if err != nil {
+			return partial{}, err
+		}
 		z := make([]float64, len(rows))
-		b.margins(rows, ps.Must(weights.PullIndices(tc.P, tc.Node, b.Indices)), z)
+		b.margins(rows, w, z)
 		var out partial
 		for r, inst := range rows {
 			loss, _, _ := obj.Loss(z[r], inst.Label)
@@ -497,8 +503,11 @@ func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 		}
 		tc.Charge(cost.GradWork(TotalNnz(rows)))
 		tc.Commit()
-		return out
+		return out, nil
 	})
+	if err != nil {
+		return ClusterMetrics{}, err
+	}
 	var total partial
 	for _, pt := range parts {
 		total.Loss += pt.Loss
@@ -506,11 +515,11 @@ func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 		total.Rows += pt.Rows
 	}
 	if total.Rows == 0 {
-		return ClusterMetrics{Loss: math.NaN(), Accuracy: math.NaN()}
+		return ClusterMetrics{Loss: math.NaN(), Accuracy: math.NaN()}, nil
 	}
 	return ClusterMetrics{
 		Loss:     total.Loss / float64(total.Rows),
 		Accuracy: float64(total.Correct) / float64(total.Rows),
 		Rows:     total.Rows,
-	}
+	}, nil
 }

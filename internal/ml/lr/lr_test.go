@@ -383,7 +383,10 @@ func TestEvalOnClusterMatchesHostEval(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		metrics := EvalOnCluster(p, e, dataset, Logistic, model.Weights)
+		metrics, err := EvalOnCluster(p, e, dataset, Logistic, model.Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
 		w := model.Weights.Pull(p, e.Driver())
 		hostLoss := EvalLoss(Logistic, ds.Instances, w)
 		hostAcc := Accuracy(ds.Instances, w)

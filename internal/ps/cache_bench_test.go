@@ -63,7 +63,7 @@ func BenchmarkCachedPullWarm(b *testing.B) {
 			return func() error { _, err := cc.PullRows(p, node, rows); return err }
 		}},
 		{"replica-hot", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
-			rs := Must(NewHotReplicaSet(mat, ReplicaConfig{HotCols: idx, Policy: consistency.NewClockBounded(1)}))
+			rs := must(NewHotReplicaSet(mat, ReplicaConfig{HotCols: idx, Policy: consistency.NewClockBounded(1)}))
 			return func() error { _, err := rs.PullRowIndices(p, node, 0, idx); return err }
 		}},
 	}

@@ -15,7 +15,7 @@ func fillRow(p *simnet.Proc, mat *Matrix, from *simnet.Node, row int, f func(c i
 	for c := range vals {
 		vals[c] = f(c)
 	}
-	MustOK(mat.SetRow(p, from, row, vals))
+	mustOK(mat.SetRow(p, from, row, vals))
 }
 
 // TestCachedPullMatchesUncached asserts the cached sparse pull returns the
@@ -34,8 +34,8 @@ func TestCachedPullMatchesUncached(t *testing.T) {
 		idx := []int{0, 10, 30, 45, 60, 89}
 
 		check := func(label string) {
-			want := Must(mat.PullRowIndices(p, worker, 0, idx))
-			got := Must(cc.PullRowIndices(p, worker, 0, idx))
+			want := must(mat.PullRowIndices(p, worker, 0, idx))
+			got := must(cc.PullRowIndices(p, worker, 0, idx))
 			for k := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("%s: idx %d = %v, want %v", label, idx[k], got[k], want[k])
@@ -67,7 +67,7 @@ func TestCachedPullMatchesUncached(t *testing.T) {
 
 		// Mutate two indices; the next validation must ship exactly those.
 		sv, _ := linalg.NewSparse([]int{10, 60}, []float64{5, 7})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
 		cc.Tick()
 		before = m.Cache
 		check("validate changed")
@@ -92,15 +92,15 @@ func TestCachedPullClockBound(t *testing.T) {
 		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(2)})
 		idx := []int{3, 12}
 
-		Must(cc.PullRowIndices(p, worker, 0, idx)) // fill at clock 0
+		must(cc.PullRowIndices(p, worker, 0, idx)) // fill at clock 0
 		sv, _ := linalg.NewSparse(idx, []float64{10, 10})
-		MustOK(mat.PushAdd(p, worker, 0, sv)) // now server holds 11
+		mustOK(mat.PushAdd(p, worker, 0, sv)) // now server holds 11
 
 		// Clocks 1 and 2 are within the bound: served stale, zero RPC.
 		for tick := 1; tick <= 2; tick++ {
 			cc.Tick()
 			before := m.Cache
-			got := Must(cc.PullRowIndices(p, worker, 0, idx))
+			got := must(cc.PullRowIndices(p, worker, 0, idx))
 			if got[0] != 1 || got[1] != 1 {
 				t.Fatalf("clock %d: got %v, want stale value 1", tick, got)
 			}
@@ -110,7 +110,7 @@ func TestCachedPullClockBound(t *testing.T) {
 		}
 		// Clock 3 exceeds the bound: validated, new value fetched.
 		cc.Tick()
-		got := Must(cc.PullRowIndices(p, worker, 0, idx))
+		got := must(cc.PullRowIndices(p, worker, 0, idx))
 		if got[0] != 11 || got[1] != 11 {
 			t.Fatalf("beyond bound: got %v, want 11", got)
 		}
@@ -135,9 +135,9 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 		idx := []int{1, 5, 25, 39}
 		// Warm the cache with post-checkpoint updates, in both forms.
 		sv, _ := linalg.NewSparse(idx, []float64{100, 100, 100, 100})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
-		Must(cc.PullRowIndices(p, worker, 0, idx))
-		Must(cc.PullRows(p, worker, []int{1}))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
+		must(cc.PullRowIndices(p, worker, 0, idx))
+		must(cc.PullRows(p, worker, []int{1}))
 
 		// Lose server 0: the restore replays the checkpoint (the +100 update
 		// is lost) and starts fresh version counters.
@@ -146,10 +146,10 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 
 		cc.Tick()
 		fences := m.Cache.EpochFences
-		got := Must(cc.PullRowIndices(p, worker, 0, idx))
-		rows := Must(cc.PullRows(p, worker, []int{1}))
-		want := Must(mat.PullRowIndices(p, worker, 0, idx))
-		wantRow := Must(mat.PullRows(p, worker, []int{1}, nil))[0]
+		got := must(cc.PullRowIndices(p, worker, 0, idx))
+		rows := must(cc.PullRows(p, worker, []int{1}))
+		want := must(mat.PullRowIndices(p, worker, 0, idx))
+		wantRow := must(mat.PullRows(p, worker, []int{1}, nil))[0]
 		for k := range idx {
 			if got[k] != want[k] {
 				t.Fatalf("idx %d = %v after recovery, want restored %v (stale read crossed the epoch)",
@@ -181,7 +181,7 @@ func TestCacheEpochFencesRecoveryMidCall(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		sim, cl, m := testMaster(2)
 		run(sim, func(p *simnet.Proc) {
-			mat := Must(m.CreateMatrix(p, 1, 40))
+			mat := must(m.CreateMatrix(p, 1, 40))
 			worker := cl.Executors[0]
 			fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) })
 			m.Checkpoint(p, mat)
@@ -189,9 +189,9 @@ func TestCacheEpochFencesRecoveryMidCall(t *testing.T) {
 			idx := []int{1, 5, 25, 39}
 			pull := func() []float64 {
 				if !dense {
-					return Must(cc.PullRowIndices(p, worker, 0, idx))
+					return must(cc.PullRowIndices(p, worker, 0, idx))
 				}
-				row := Must(cc.PullRows(p, worker, []int{0}))[0]
+				row := must(cc.PullRows(p, worker, []int{0}))[0]
 				vals := make([]float64, len(idx))
 				for k, c := range idx {
 					vals[k] = row[c]
@@ -199,7 +199,7 @@ func TestCacheEpochFencesRecoveryMidCall(t *testing.T) {
 				return vals
 			}
 			// Cache values the restore will lose.
-			MustOK(mat.PushAdd(p, worker, 0, Must(linalg.NewSparse(idx, []float64{100, 100, 100, 100}))))
+			mustOK(mat.PushAdd(p, worker, 0, must(linalg.NewSparse(idx, []float64{100, 100, 100, 100}))))
 			pull()
 			cc.Tick()
 			fences := m.Cache.EpochFences
@@ -211,7 +211,7 @@ func TestCacheEpochFencesRecoveryMidCall(t *testing.T) {
 				m.RecoverServer(kp, 0)
 			})
 			got := pull()
-			want := Must(mat.PullRowIndices(p, worker, 0, idx))
+			want := must(mat.PullRowIndices(p, worker, 0, idx))
 			for k, c := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("dense=%v: col %d = %v, want the restored %v", dense, c, got[k], want[k])
@@ -249,15 +249,15 @@ func TestCacheEpochFencesUnderChaosSoak(t *testing.T) {
 		idx := []int{0, 7, 20, 33, 41, 59}
 		for round := 0; round < 30; round++ {
 			sv, _ := linalg.NewSparse([]int{idx[round%len(idx)]}, []float64{1})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 			if round%7 == 3 {
 				s := round % 3
 				m.KillServer(s)
 				m.RecoverServer(p, s)
 			}
 			cc.Tick()
-			got := Must(cc.PullRowIndices(p, worker, 0, idx))
-			want := Must(mat.PullRowIndices(p, worker, 0, idx))
+			got := must(cc.PullRowIndices(p, worker, 0, idx))
+			want := must(mat.PullRowIndices(p, worker, 0, idx))
 			for k := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("round %d: idx %d = %v, want %v", round, idx[k], got[k], want[k])
@@ -283,7 +283,7 @@ func TestCacheCapacityEvicts(t *testing.T) {
 		idx := []int{0, 5, 10, 15, 20, 25, 30, 35}
 		for round := 0; round < 3; round++ {
 			for r := 0; r < 8; r++ {
-				got := Must(cc.PullRowIndices(p, worker, r, idx))
+				got := must(cc.PullRowIndices(p, worker, r, idx))
 				for k, c := range idx {
 					if want := float64(100*r + c); got[k] != want {
 						t.Fatalf("round %d row %d idx %d = %v, want %v", round, r, c, got[k], want)
@@ -310,8 +310,8 @@ func TestCachedPullRowsHandlesDuplicates(t *testing.T) {
 		}
 		cc := NewCachedClient(mat, CacheConfig{})
 		rows := []int{2, 0, 2, 3, 0}
-		got := Must(cc.PullRows(p, worker, rows))
-		want := Must(mat.PullRows(p, worker, rows, nil))
+		got := must(cc.PullRows(p, worker, rows))
+		want := must(mat.PullRows(p, worker, rows, nil))
 		for i := range rows {
 			for c := range got[i] {
 				if got[i][c] != want[i][c] {
@@ -322,7 +322,7 @@ func TestCachedPullRowsHandlesDuplicates(t *testing.T) {
 		// Output slices must be private copies: mutating one must not corrupt
 		// the cache or the duplicate's slot.
 		got[0][0] += 1000
-		again := Must(cc.PullRows(p, worker, rows))
+		again := must(cc.PullRows(p, worker, rows))
 		if again[0][0] != want[0][0] || again[2][0] != want[2][0] {
 			t.Fatal("pulled rows alias cache memory")
 		}
@@ -362,7 +362,7 @@ func TestDirtySkipKeepsCheckpointSizes(t *testing.T) {
 		// Mutate 3 elements in row 2 (one per shard boundary side) and
 		// rewrite row 4 with identical values (dirty but zero diff).
 		sv, _ := linalg.NewSparse([]int{0, 49, 99}, []float64{1, 1, 1})
-		MustOK(mat.PushAdd(p, worker, 2, sv))
+		mustOK(mat.PushAdd(p, worker, 2, sv))
 		fillRow(p, mat, worker, 4, func(c int) float64 { return float64(4 + c) })
 
 		before := m.Recovery.CheckpointBytesWritten

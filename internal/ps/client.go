@@ -23,29 +23,15 @@ import (
 //
 // Every operator has one form: it returns a typed error (wrapping
 // ErrServerDown or simnet.ErrNodeDown) when a shard stays unreachable past the
-// retry budget, and nil values beside it. Callers for which that is fatal —
-// rdd task bodies, where the panic is what makes rdd retry the task on another
-// executor, and examples, experiments and tests — wrap the call in Must or
-// MustOK. Argument misuse (bad row, wrong dimension) is a programming error
-// and still panics, with one exception: a malformed index list (out of range
-// or not strictly increasing) is data, not code — sparse indices typically
-// come straight from parsed instances — so the index operators validate it up
+// retry budget, and nil values beside it. Every caller returns that error:
+// driver code to the caller of Train*, rdd task bodies to their stage, which
+// retries the task when its executor died and otherwise fails with it.
+// Argument misuse (bad row, wrong dimension) is a programming error and
+// panics, with one exception: a malformed index list (out of range or not
+// strictly increasing) is data, not code — sparse indices typically come
+// straight from parsed instances — so the index operators validate it up
 // front and return ErrBadIndices (wrapped) instead of panicking deep inside a
 // server handler.
-
-// Must returns v, panicking with err itself when it is non-nil, so a recover
-// that tests errors.Is(rec, simnet.ErrNodeDown) sees the operator's own error.
-func Must[T any](v T, err error) T {
-	MustOK(err)
-	return v
-}
-
-// MustOK is Must for operators that return only an error.
-func MustOK(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
 
 // ErrBadIndices is returned (wrapped) by the sparse index operators when the
 // index list is out of range or not strictly increasing.

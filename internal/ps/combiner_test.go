@@ -61,12 +61,12 @@ func TestPushBufferCombinesDeltas(t *testing.T) {
 				vecs[0][2], vecs[0][59], want[0][2], want[0][59])
 		}
 
-		MustOK(buf.Flush(p, worker))
+		mustOK(buf.Flush(p, worker))
 		if buf.Pending() != 0 {
 			t.Fatal("flush left deltas pending")
 		}
 		for row, cols := range want {
-			got := Must(mat.PullRow(p, worker, row))
+			got := must(mat.PullRow(p, worker, row))
 			for c := range got {
 				if got[c] != cols[c] {
 					t.Fatalf("row %d col %d = %v, want %v", row, c, got[c], cols[c])
@@ -119,11 +119,11 @@ func TestCombinedFlushExactlyOnceUnderChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			if round%4 == 3 {
-				MustOK(buf.Flush(p, worker))
+				mustOK(buf.Flush(p, worker))
 			}
 		}
-		MustOK(buf.Flush(p, worker))
-		got := Must(mat.PullRow(p, worker, 0))
+		mustOK(buf.Flush(p, worker))
+		got := must(mat.PullRow(p, worker, 0))
 		for c := range got {
 			if got[c] != total[c] {
 				t.Fatalf("col %d = %v, want exactly %v (loss rate forced retries; double-apply?)",
@@ -159,13 +159,13 @@ func TestFlushSnapshotsBufferAtStart(t *testing.T) {
 			}
 			close(done)
 		})
-		MustOK(buf.Flush(p, worker))
+		mustOK(buf.Flush(p, worker))
 		<-done
 		if buf.Pending() != 1 {
 			t.Fatalf("concurrent add lost: %d pending after flush", buf.Pending())
 		}
-		MustOK(buf.Flush(p, worker))
-		got := Must(mat.PullRow(p, worker, 0))
+		mustOK(buf.Flush(p, worker))
+		got := must(mat.PullRow(p, worker, 0))
 		if got[4] != 1 || got[9] != 5 {
 			t.Fatalf("got %v/%v at cols 4/9, want 1/5", got[4], got[9])
 		}

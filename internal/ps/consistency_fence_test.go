@@ -31,10 +31,10 @@ func TestValueBoundedCacheFencedByMigration(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) * 1.5
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
 		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewValueBounded(1e18)})
 		idx := []int{0, 5, 11, 17, 23}
-		Must(cc.PullRowIndices(p, worker, 0, idx)) // warm under placement A
+		must(cc.PullRowIndices(p, worker, 0, idx)) // warm under placement A
 		if err := m.MigrateMatrix(p, mat, mustRange(24, 6), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
@@ -42,10 +42,10 @@ func TestValueBoundedCacheFencedByMigration(t *testing.T) {
 		// cache client, so no delta is credited: a value-bounded entry without
 		// the fence would still claim ServeCached.
 		sv, _ := linalg.NewSparse([]int{5, 17}, []float64{100, 200})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
 		vals[5] += 100
 		vals[17] += 200
-		got := Must(cc.PullRowIndices(p, worker, 0, idx))
+		got := must(cc.PullRowIndices(p, worker, 0, idx))
 		for k, c := range idx {
 			if got[k] != vals[c] {
 				t.Fatalf("cached col %d = %v, want %v (value-bounded entry crossed the migration)",
@@ -76,9 +76,9 @@ func TestValueBoundedCacheFencedByRecovery(t *testing.T) {
 		idx := []int{1, 5, 25, 39}
 		// Warm the cache with post-checkpoint state, in both entry forms.
 		sv, _ := linalg.NewSparse(idx, []float64{100, 100, 100, 100})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
-		Must(cc.PullRowIndices(p, worker, 0, idx))
-		Must(cc.PullRows(p, worker, []int{1}))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
+		must(cc.PullRowIndices(p, worker, 0, idx))
+		must(cc.PullRows(p, worker, []int{1}))
 
 		// Lose server 0: the restore replays the checkpoint (the +100 update
 		// is lost) and starts fresh version counters and drift watermarks.
@@ -87,10 +87,10 @@ func TestValueBoundedCacheFencedByRecovery(t *testing.T) {
 
 		cc.Tick()
 		fences := m.Cache.EpochFences
-		got := Must(cc.PullRowIndices(p, worker, 0, idx))
-		rows := Must(cc.PullRows(p, worker, []int{1}))
-		want := Must(mat.PullRowIndices(p, worker, 0, idx))
-		wantRow := Must(mat.PullRows(p, worker, []int{1}, nil))[0]
+		got := must(cc.PullRowIndices(p, worker, 0, idx))
+		rows := must(cc.PullRows(p, worker, []int{1}))
+		want := must(mat.PullRowIndices(p, worker, 0, idx))
+		wantRow := must(mat.PullRows(p, worker, []int{1}, nil))[0]
 		for k := range idx {
 			if got[k] != want[k] {
 				t.Fatalf("idx %d = %v after recovery, want restored %v (value-bounded read crossed the epoch)",

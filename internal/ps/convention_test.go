@@ -11,17 +11,18 @@ import (
 	"testing"
 )
 
-// TestOneFormPerOperator pins the operator convention of this package and
-// the DCV layer over their non-test source: an operator is one exported
-// method that returns its error — no Try-prefixed twin — and the only places
-// that turn an error into a panic are the Must helpers.
+// TestOneFormPerOperator pins the operator convention: a ps or dcv operator
+// is one exported method that returns its error — no Try-prefixed twin — and
+// in the non-test source of every library package under internal/
+// (internal/bench, like cmd/ and examples/, is a program) no function turns
+// an error into a panic, apart from the two listed here.
 func TestOneFormPerOperator(t *testing.T) {
 	mayPanic := map[string]bool{
-		"ps.Must": true, "ps.MustOK": true,
-		"dcv.Vector.Pull": true, "dcv.Vector.MustDerive": true,
+		"dcv.Vector.Pull":       true, // reads a trained model back; a benchmark calls it
+		"dcv.Vector.MustDerive": true, // running out of rows is argument misuse
 	}
 	fset := token.NewFileSet()
-	sourceFiles(t, fset, []string{".", "../dcv"}, func(pkgName, _ string, file *ast.File) {
+	sourceFiles(t, fset, libraryDirs(t), func(pkgName, _ string, file *ast.File) {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -37,7 +38,8 @@ func TestOneFormPerOperator(t *testing.T) {
 					name = pkgName + "." + id.Name + "." + fn.Name.Name
 				}
 			}
-			if fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "Try") {
+			operators := pkgName == "ps" || pkgName == "dcv"
+			if operators && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "Try") {
 				t.Errorf("%s: %s has a Try prefix; operators have one error-returning form",
 					fset.Position(fn.Pos()), name)
 			}
@@ -52,13 +54,113 @@ func TestOneFormPerOperator(t *testing.T) {
 				f, isIdent := call.Fun.(*ast.Ident)
 				arg, argIdent := call.Args[0].(*ast.Ident)
 				if isIdent && argIdent && f.Name == "panic" && arg.Name == "err" {
-					t.Errorf("%s: panic(err) in %s; return the error, callers wrap in Must",
+					t.Errorf("%s: panic(err) in %s; return the error to the caller",
 						fset.Position(call.Pos()), name)
 				}
 				return true
 			})
 		}
 	})
+}
+
+// TestRecoverOnlyForTaskDeath pins the failure contract's last part: a panic
+// is a programming error, so nothing recovers one but the simulation kernel
+// (internal/simnet), which fails the run with it, and rdd's runAttempt, which
+// may test only for taskFailed, the attempt's own abrupt death.
+func TestRecoverOnlyForTaskDeath(t *testing.T) {
+	root := filepath.Join("..", "..")
+	simnetDir := filepath.Join(root, "internal", "simnet")
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == ".git" || d.Name() == "testdata" || d.Name() == "benchmarks" || path == simnetDir {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	runAttempts := 0
+	sourceFiles(t, fset, dirs, func(pkgName, _ string, file *ast.File) {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			if pkgName == "rdd" && fn.Name.Name == "runAttempt" {
+				runAttempts++
+				checkRunAttempt(t, fset, fn)
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "recover" {
+						t.Errorf("%s: recover() in %s.%s; only internal/simnet and rdd.runAttempt recover",
+							fset.Position(call.Pos()), pkgName, fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+	if runAttempts != 1 {
+		t.Errorf("found %d rdd.runAttempt functions, want 1", runAttempts)
+	}
+}
+
+// checkRunAttempt fails unless every type assertion in runAttempt is to
+// taskFailed, there is one, and it consults no error.
+func checkRunAttempt(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
+	t.Helper()
+	asserts := 0
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeAssertExpr:
+			asserts++
+			if n.Type == nil || types.ExprString(n.Type) != "taskFailed" {
+				t.Errorf("%s: runAttempt's recover tests for %s; it may test only for taskFailed",
+					fset.Position(n.Pos()), types.ExprString(n.Type))
+			}
+		case *ast.TypeSwitchStmt:
+			t.Errorf("%s: a type switch in runAttempt; its recover may test only for taskFailed", fset.Position(n.Pos()))
+		case *ast.SelectorExpr:
+			if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "errors" {
+				t.Errorf("%s: runAttempt calls errors.%s; its recover may test only for taskFailed",
+					fset.Position(n.Pos()), n.Sel.Name)
+			}
+		}
+		return true
+	})
+	if asserts == 0 {
+		t.Errorf("%s: runAttempt asserts no taskFailed", fset.Position(fn.Pos()))
+	}
+}
+
+// libraryDirs lists the directories of the library packages under internal/:
+// all of them but internal/bench.
+func libraryDirs(t *testing.T) []string {
+	t.Helper()
+	internal := filepath.Join("..")
+	var dirs []string
+	err := filepath.WalkDir(internal, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" || path == filepath.Join(internal, "bench") {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
 }
 
 // TestPolicyConsultedInOnePlace pins the copy store as the one place a

@@ -154,7 +154,7 @@ func TestDedupBoundedByWatermark(t *testing.T) {
 		peak := 0
 		for r := 0; r < rounds; r++ {
 			sv, _ := linalg.NewSparse([]int{r % 30}, []float64{1})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 			if n := maxDedupSize(m); n > peak {
 				peak = n
 			}
@@ -190,11 +190,11 @@ func TestReadOnlyCallsAllocateNoIDs(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i % 5)
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
 		seqAfterWrite := m.ledger.seq
 		sum := InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}
-		Must(mat.Invoke(p, worker, sum))
-		Must(mat.Invoke(p, worker, sum, sum))
+		must(mat.Invoke(p, worker, sum))
+		must(mat.Invoke(p, worker, sum, sum))
 		if _, err := mat.PullRow(p, worker, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestCrashResetsPruneWatermark(t *testing.T) {
 		worker := cl.Executors[0]
 		for r := 0; r < 10; r++ {
 			sv, _ := linalg.NewSparse([]int{r}, []float64{1})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 		}
 		m.CrashServer(0)
 		m.RecoverServer(p, 0)
@@ -230,7 +230,7 @@ func TestCrashResetsPruneWatermark(t *testing.T) {
 		}
 		for r := 0; r < 10; r++ {
 			sv, _ := linalg.NewSparse([]int{r}, []float64{1})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 		}
 		if n := maxDedupSize(m); n > 16 {
 			t.Fatalf("dedup set grew to %d entries after recovery", n)

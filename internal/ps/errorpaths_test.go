@@ -25,7 +25,7 @@ func lostServerMaster(t *testing.T) (*simnet.Sim, *Matrix, *simnet.Node) {
 		for c := range vals {
 			vals[c] = float64(c)
 		}
-		MustOK(mat.SetRow(p, cl.Executors[0], 0, vals))
+		mustOK(mat.SetRow(p, cl.Executors[0], 0, vals))
 		m.KillServer(0)
 	})
 	return sim, mat, cl.Executors[0]

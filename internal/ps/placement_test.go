@@ -156,17 +156,17 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			for c := range init {
 				init[c] = math.Sin(float64(c))
 			}
-			MustOK(mat.SetRow(p, worker, 0, init))
+			mustOK(mat.SetRow(p, worker, 0, init))
 			sv, _ := linalg.NewSparse([]int{1, 5, 17, 30, 36}, []float64{0.5, -2, 3.25, 1, -0.125})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 			dense := make([]float64, dim)
 			for c := range dense {
 				dense[c] = float64(c%5) * 0.25
 			}
-			MustOK(mat.PushAddDense(p, worker, 1, dense))
+			mustOK(mat.PushAddDense(p, worker, 1, dense))
 			part := make([]float64, dim)
 			copy(part[10:25], init[10:25])
-			MustOK(mat.SetRow(p, worker, 2, part))
+			mustOK(mat.SetRow(p, worker, 2, part))
 			// A fused program: scale row 0, then reduce its sum — exercises
 			// the per-shard program path under every placement.
 			partials, err := mat.Invoke(p, worker, []InvokeOp{
@@ -195,13 +195,13 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			for _, x := range partials[1] {
 				fusedSum += x
 			}
-			r0 := Must(mat.PullRow(p, worker, 0))
-			r1 := Must(mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36}))
+			r0 := must(mat.PullRow(p, worker, 0))
+			r1 := must(mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36}))
 			span := make([]int, 22)
 			for i := range span {
 				span[i] = 8 + i
 			}
-			r2 := Must(mat.PullRowIndices(p, worker, 2, span))
+			r2 := must(mat.PullRowIndices(p, worker, 2, span))
 			// A longer list whose columns interleave the server groups of
 			// the hashed placements: pushed, then pulled back.
 			var long []int
@@ -214,8 +214,8 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 			for i := range lv {
 				lv[i] = float64(i) - 7.5
 			}
-			MustOK(mat.PushAdd(p, worker, 1, Must(linalg.NewSparse(long, lv))))
-			r3 := Must(mat.PullRowIndices(p, worker, 1, long))
+			mustOK(mat.PushAdd(p, worker, 1, must(linalg.NewSparse(long, lv))))
+			r3 := must(mat.PullRowIndices(p, worker, 1, long))
 			out = [][]float64{r0, r1, r2, {fusedSum}, r3}
 		})
 		return out
@@ -257,9 +257,9 @@ func TestZeroWidthShards(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			MustOK(mat.SetRow(p, worker, 0, []float64{1, 2, 3}))
+			mustOK(mat.SetRow(p, worker, 0, []float64{1, 2, 3}))
 			sv, _ := linalg.NewSparse([]int{0, 2}, []float64{10, 30})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 			if _, err := mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, Mutates: true, DirtyRows: []int{0},
 				Work: func(w int) float64 { return float64(w) },
 				Fn: func(_ int, sh *Shard) float64 {
@@ -273,7 +273,7 @@ func TestZeroWidthShards(t *testing.T) {
 			m.Checkpoint(p, mat)
 			m.CrashServer(0)
 			m.RecoverServer(p, 0)
-			got := Must(mat.PullRow(p, worker, 0))
+			got := must(mat.PullRow(p, worker, 0))
 			want := []float64{12, 3, 34}
 			for c := range want {
 				if got[c] != want[c] {
@@ -301,11 +301,11 @@ func TestNonContiguousCheckpointRestore(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) + 0.5
 		}
-		MustOK(mat.SetRow(p, worker, 1, vals))
+		mustOK(mat.SetRow(p, worker, 1, vals))
 		m.Checkpoint(p, mat)
 		m.CrashServer(2)
 		m.RecoverServer(p, 2)
-		got := Must(mat.PullRow(p, worker, 1))
+		got := must(mat.PullRow(p, worker, 1))
 		for c := range vals {
 			if got[c] != vals[c] {
 				t.Fatalf("restored row[%d] = %v, want %v", c, got[c], vals[c])
@@ -332,13 +332,13 @@ func TestHotReplicaBitIdenticalAtClockBoundZero(t *testing.T) {
 		idx := []int{0, 2, 3, 7, 12, 15, 20, 31}
 		for round := 0; round < 6; round++ {
 			sv, _ := linalg.NewSparse([]int{3, 15, 20}, []float64{float64(round) + 0.25, -1, 2})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 			mat.TickClock()
 			// More pulls than servers: the round-robin rotation revisits
 			// stores within the clock, so later pulls must hit locally.
 			for rep := 0; rep < 8; rep++ {
-				got := Must(rs.PullRowIndices(p, worker, 0, idx))
-				want := Must(mat.PullRowIndices(p, worker, 0, idx))
+				got := must(rs.PullRowIndices(p, worker, 0, idx))
+				want := must(mat.PullRowIndices(p, worker, 0, idx))
 				for k := range want {
 					if got[k] != want[k] {
 						t.Fatalf("round %d rep %d: replica read col %d = %v, owner %v",
@@ -372,7 +372,7 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c) * 1.25
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}, Policy: consistency.NewClockBounded(1)})
 		if err != nil {
@@ -380,15 +380,15 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		idx := []int{0, 1, 2, 3, 10}
 		for i := 0; i < 4; i++ { // warm every rotating store
-			Must(rs.PullRowIndices(p, worker, 0, idx))
+			must(rs.PullRowIndices(p, worker, 0, idx))
 		}
 		m.CrashServer(0) // owner of the hot prefix under range placement
 		m.RecoverServer(p, 0)
 		mat.TickClock()
 		mat.TickClock()          // step past the staleness bound so copies revalidate
 		for i := 0; i < 4; i++ { // every store must refetch and agree
-			got := Must(rs.PullRowIndices(p, worker, 0, idx))
-			want := Must(mat.PullRowIndices(p, worker, 0, idx))
+			got := must(rs.PullRowIndices(p, worker, 0, idx))
+			want := must(mat.PullRowIndices(p, worker, 0, idx))
 			for k := range want {
 				if got[k] != want[k] {
 					t.Fatalf("post-recovery replica read col %d = %v, owner %v", idx[k], got[k], want[k])

@@ -25,6 +25,19 @@ func run(sim *simnet.Sim, fn func(p *simnet.Proc)) {
 	sim.Run()
 }
 
+// must returns v, panicking with err, which fails the run, when it is not
+// nil; mustOK is must for operators that return only an error.
+func must[T any](v T, err error) T {
+	mustOK(err)
+	return v
+}
+
+func mustOK(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 func TestPartitionerCoversDisjoint(t *testing.T) {
 	for _, tc := range []struct{ dim, n int }{{10, 3}, {1, 1}, {7, 7}, {100, 9}, {5, 8}} {
 		pt, err := NewPartitioner(tc.dim, tc.n)
@@ -167,18 +180,18 @@ func TestCreatePullPushRoundTrip(t *testing.T) {
 			return
 		}
 		worker := cl.Executors[0]
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		if len(row) != 100 || linalg.Sum(row) != 0 {
 			t.Errorf("fresh matrix row not zero: sum=%v", linalg.Sum(row))
 		}
 		sv, _ := linalg.NewSparse([]int{3, 26, 99}, []float64{1, 2, 3})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
-		MustOK(mat.PushAdd(p, worker, 0, sv))
-		row = Must(mat.PullRow(p, worker, 0))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
+		row = must(mat.PullRow(p, worker, 0))
 		if row[3] != 2 || row[26] != 4 || row[99] != 6 {
 			t.Errorf("push-add wrong: %v %v %v", row[3], row[26], row[99])
 		}
-		vals := Must(mat.PullRowIndices(p, worker, 0, []int{3, 26, 99}))
+		vals := must(mat.PullRowIndices(p, worker, 0, []int{3, 26, 99}))
 		if vals[0] != 2 || vals[1] != 4 || vals[2] != 6 {
 			t.Errorf("sparse pull wrong: %v", vals)
 		}
@@ -194,11 +207,11 @@ func TestPushAddDenseAndSetRow(t *testing.T) {
 		for i := range init {
 			init[i] = float64(i)
 		}
-		MustOK(mat.SetRow(p, worker, 0, init))
+		mustOK(mat.SetRow(p, worker, 0, init))
 		delta := make([]float64, 10)
 		linalg.Fill(delta, 1)
-		MustOK(mat.PushAddDense(p, worker, 0, delta))
-		row := Must(mat.PullRow(p, worker, 0))
+		mustOK(mat.PushAddDense(p, worker, 0, delta))
+		row := must(mat.PullRow(p, worker, 0))
 		for i := range row {
 			if row[i] != float64(i)+1 {
 				t.Errorf("row[%d] = %v, want %v", i, row[i], float64(i)+1)
@@ -215,11 +228,11 @@ func TestRowAggregates(t *testing.T) {
 		mat, _ := m.CreateMatrix(p, 1, 50)
 		worker := cl.Executors[1]
 		sv, _ := linalg.NewSparse([]int{0, 10, 30, 49}, []float64{3, 4, 0, -12})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
 		reduce := func(f func(x []float64) float64) InvokeOp {
 			return InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return f(sh.Rows[0]) }}
 		}
-		parts := Must(mat.Invoke(p, worker,
+		parts := must(mat.Invoke(p, worker,
 			reduce(linalg.Sum),
 			reduce(func(x []float64) float64 { return float64(linalg.NnzDense(x)) }),
 			reduce(linalg.SumSquares)))
@@ -246,9 +259,9 @@ func TestSparsePullCheaperThanFull(t *testing.T) {
 			worker := cl.Executors[0]
 			start := p.Now()
 			if sparse {
-				Must(mat.PullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999}))
+				must(mat.PullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999}))
 			} else {
-				Must(mat.PullRow(p, worker, 0))
+				must(mat.PullRow(p, worker, 0))
 			}
 			elapsed = p.Now() - start
 		})
@@ -276,7 +289,7 @@ func TestMoreServersServeRowPullFaster(t *testing.T) {
 			start := p.Now()
 			for _, w := range cl.Executors {
 				w := w
-				g.Go("puller", func(wp *simnet.Proc) { Must(mat.PullRow(wp, w, 0)) })
+				g.Go("puller", func(wp *simnet.Proc) { must(mat.PullRow(wp, w, 0)) })
 			}
 			g.Wait(p)
 			elapsed = p.Now() - start
@@ -297,8 +310,8 @@ func TestInvokePartials(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 40)
 		linalg.Fill(ones, 1)
-		MustOK(mat.SetRow(p, worker, 0, ones))
-		partials := Must(mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, RespBytes: 8, Mutates: true,
+		mustOK(mat.SetRow(p, worker, 0, ones))
+		partials := must(mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, RespBytes: 8, Mutates: true,
 			Fn: func(s int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}))[0]
 		if len(partials) != 4 {
 			t.Fatalf("partials = %v", partials)
@@ -318,13 +331,13 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i) * 0.5
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
-		MustOK(mat.SetRow(p, worker, 1, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 1, vals))
 		m.Checkpoint(p, mat)
 
 		// Mutate after the checkpoint, then crash a server.
 		sv, _ := linalg.NewSparse([]int{0, 29}, []float64{100, 100})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
 		m.KillServer(1)
 		if m.Alive(1) {
 			t.Error("killed server still alive")
@@ -334,7 +347,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 			t.Error("recovered server not alive")
 		}
 
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(1)
 		for c := lo; c < hi; c++ {
 			if row[c] != vals[c] {
@@ -355,10 +368,10 @@ func TestRecoverWithoutCheckpointZeroes(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 20)
 		linalg.Fill(ones, 1)
-		MustOK(mat.SetRow(p, worker, 0, ones))
+		mustOK(mat.SetRow(p, worker, 0, ones))
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(0)
 		for c := lo; c < hi; c++ {
 			if row[c] != 0 {
@@ -400,10 +413,10 @@ func TestPushPullProperty(t *testing.T) {
 				idx := int(r) % dim
 				val := float64(i%13) - 6
 				sv, _ := linalg.NewSparse([]int{idx}, []float64{val})
-				MustOK(mat.PushAdd(p, worker, 0, sv))
+				mustOK(mat.PushAdd(p, worker, 0, sv))
 				oracle[idx] += val
 			}
-			got := Must(mat.PullRow(p, worker, 0))
+			got := must(mat.PullRow(p, worker, 0))
 			for c := range oracle {
 				if math.Abs(got[c]-oracle[c]) > 1e-9 {
 					ok = false
@@ -428,9 +441,9 @@ func TestPullRowsBatched(t *testing.T) {
 			for c := range vals {
 				vals[c] = float64(r*100 + c)
 			}
-			MustOK(mat.SetRow(p, worker, r, vals))
+			mustOK(mat.SetRow(p, worker, r, vals))
 		}
-		rows := Must(mat.PullRows(p, worker, []int{3, 0, 2}, nil))
+		rows := must(mat.PullRows(p, worker, []int{3, 0, 2}, nil))
 		if rows[0][5] != 305 || rows[1][5] != 5 || rows[2][29] != 229 {
 			t.Errorf("PullRows wrong: %v %v %v", rows[0][5], rows[1][5], rows[2][29])
 		}
@@ -448,11 +461,11 @@ func TestPushRowsDelta(t *testing.T) {
 			d0[i] = 1
 			d2[i] = float64(i)
 		}
-		MustOK(mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
-		MustOK(mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
-		r0 := Must(mat.PullRow(p, worker, 0))
-		r1 := Must(mat.PullRow(p, worker, 1))
-		r2 := Must(mat.PullRow(p, worker, 2))
+		mustOK(mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
+		mustOK(mat.PushRowsDelta(p, worker, []int{0, 2}, [][]float64{d0, d2}))
+		r0 := must(mat.PullRow(p, worker, 0))
+		r1 := must(mat.PullRow(p, worker, 1))
+		r2 := must(mat.PullRow(p, worker, 2))
 		for i := range r0 {
 			if r0[i] != 2 || r1[i] != 0 || r2[i] != 2*float64(i) {
 				t.Fatalf("PushRowsDelta wrong at %d: %v %v %v", i, r0[i], r1[i], r2[i])
@@ -468,15 +481,15 @@ func TestPullRowCompressedCheaper(t *testing.T) {
 			mat, _ := m.CreateMatrix(p, 1, 100000)
 			worker := cl.Executors[0]
 			sv, _ := linalg.NewSparse([]int{3, 70000}, []float64{1, 2})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 			cl.Executors[1].BytesRecv = 0
 			if compressed {
-				got := Must(mat.PullRowCompressed(p, cl.Executors[1], 0))
+				got := must(mat.PullRowCompressed(p, cl.Executors[1], 0))
 				if got[3] != 1 || got[70000] != 2 {
 					t.Errorf("compressed pull values wrong")
 				}
 			} else {
-				Must(mat.PullRow(p, cl.Executors[1], 0))
+				must(mat.PullRow(p, cl.Executors[1], 0))
 			}
 		})
 		return cl.Executors[1].BytesRecv

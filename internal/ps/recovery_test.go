@@ -21,7 +21,7 @@ func TestDetectorDetectsAndAutoRecovers(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i)
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 
 		m.StartMonitor(DefaultDetectorConfig())
@@ -56,7 +56,7 @@ func TestDetectorDetectsAndAutoRecovers(t *testing.T) {
 		}
 		_ = crashAt
 
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		for c, v := range row {
 			if v != vals[c] {
 				t.Fatalf("col %d = %v after auto-recovery, want %v", c, v, vals[c])
@@ -77,7 +77,7 @@ func TestInFlightOpBlocksUntilRecovery(t *testing.T) {
 		for i := range vals {
 			vals[i] = 2 * float64(i)
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		m.StartMonitor(DefaultDetectorConfig())
 		defer m.StopMonitor()
@@ -123,17 +123,17 @@ func TestMatrixCreatedAfterCheckpointZeroRestores(t *testing.T) {
 		a, _ := m.CreateMatrix(p, 1, 20)
 		ones := make([]float64, 20)
 		linalg.Fill(ones, 1)
-		MustOK(a.SetRow(p, worker, 0, ones))
+		mustOK(a.SetRow(p, worker, 0, ones))
 		m.Checkpoint(p, a)
 
 		b, _ := m.CreateMatrix(p, 1, 20)
-		MustOK(b.SetRow(p, worker, 0, ones))
+		mustOK(b.SetRow(p, worker, 0, ones))
 
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
 
-		rowA := Must(a.PullRow(p, worker, 0))
-		rowB := Must(b.PullRow(p, worker, 0))
+		rowA := must(a.PullRow(p, worker, 0))
+		rowB := must(b.PullRow(p, worker, 0))
 		// Matrix a (Offset 0): logical shard 0 lives on server 0.
 		lo, hi := a.Part.(*Partitioner).Range(0)
 		for c := lo; c < hi; c++ {
@@ -165,7 +165,7 @@ func TestBackToBackServerFailures(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i) + 1
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		m.StartMonitor(DefaultDetectorConfig())
 		defer m.StopMonitor()
@@ -182,7 +182,7 @@ func TestBackToBackServerFailures(t *testing.T) {
 			t.Fatalf("detections/recoveries = %d/%d, want 2/2",
 				m.Recovery.Detections, m.Recovery.Recoveries)
 		}
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		for c, v := range row {
 			if v != vals[c] {
 				t.Fatalf("col %d = %v, want %v", c, v, vals[c])
@@ -201,7 +201,7 @@ func TestUpdatesBetweenCheckpointAndCrashAreLost(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 20)
 		linalg.Fill(ones, 1)
-		MustOK(mat.SetRow(p, worker, 0, ones))
+		mustOK(mat.SetRow(p, worker, 0, ones))
 		m.Checkpoint(p, mat)
 
 		idx := make([]int, 20)
@@ -210,12 +210,12 @@ func TestUpdatesBetweenCheckpointAndCrashAreLost(t *testing.T) {
 			idx[i], tens[i] = i, 10
 		}
 		sv, _ := linalg.NewSparse(idx, tens)
-		MustOK(mat.PushAdd(p, worker, 0, sv)) // now 11 everywhere
+		mustOK(mat.PushAdd(p, worker, 0, sv)) // now 11 everywhere
 
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
 
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(0)
 		for c := range row {
 			want := 11.0 // survivor kept the post-checkpoint push
@@ -238,7 +238,7 @@ func TestStatsMonotonicAcrossRecovery(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 20)
 		linalg.Fill(ones, 1)
-		MustOK(mat.SetRow(p, worker, 0, ones))
+		mustOK(mat.SetRow(p, worker, 0, ones))
 		m.Checkpoint(p, mat)
 
 		before := m.Stats()[0]
@@ -251,7 +251,7 @@ func TestStatsMonotonicAcrossRecovery(t *testing.T) {
 		if after.BytesSent < before.BytesSent || after.BytesRecv < before.BytesRecv {
 			t.Fatalf("stats went backwards across recovery: before %+v after %+v", before, after)
 		}
-		Must(mat.PullRow(p, worker, 0))
+		must(mat.PullRow(p, worker, 0))
 		final := m.Stats()[0]
 		if final.BytesSent <= after.BytesSent {
 			t.Fatalf("recovered server's traffic not accumulating: %v -> %v",
@@ -270,7 +270,7 @@ func TestDeltaCheckpointCheaperThanFull(t *testing.T) {
 			vals[i] = float64(i)
 		}
 		for r := 0; r < 4; r++ {
-			MustOK(mat.SetRow(p, worker, r, vals))
+			mustOK(mat.SetRow(p, worker, r, vals))
 		}
 		m.Checkpoint(p, mat) // base: full snapshot either way
 		base := m.Recovery.CheckpointBytesWritten
@@ -282,7 +282,7 @@ func TestDeltaCheckpointCheaperThanFull(t *testing.T) {
 		// Touch a handful of elements, re-checkpoint: the delta should be a
 		// small fraction of the snapshot.
 		sv, _ := linalg.NewSparse([]int{0, 100, 399}, []float64{1, 1, 1})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
 		m.Checkpoint(p, mat)
 		delta := m.Recovery.CheckpointBytesWritten - base
 		full := m.Recovery.CheckpointBytesFull - base
@@ -293,7 +293,7 @@ func TestDeltaCheckpointCheaperThanFull(t *testing.T) {
 		// And recovery still restores the full post-delta state.
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(0)
 		for c := lo; c < hi; c++ {
 			want := vals[c]
@@ -315,7 +315,7 @@ func TestFullCheckpointsWhenDeltaDisabled(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 100)
 		linalg.Fill(ones, 1)
-		MustOK(mat.SetRow(p, worker, 0, ones))
+		mustOK(mat.SetRow(p, worker, 0, ones))
 		m.Checkpoint(p, mat)
 		m.Checkpoint(p, mat) // unchanged, but ships full snapshots anyway
 		if m.Recovery.CheckpointBytesWritten != m.Recovery.CheckpointBytesFull {
@@ -334,14 +334,14 @@ func TestCheckpointSkipsDeadServer(t *testing.T) {
 		worker := cl.Executors[0]
 		ones := make([]float64, 20)
 		linalg.Fill(ones, 1)
-		MustOK(mat.SetRow(p, worker, 0, ones))
+		mustOK(mat.SetRow(p, worker, 0, ones))
 		m.Checkpoint(p, mat)
 
 		m.KillServer(0)
 		m.Checkpoint(p, mat) // server 0 is down: survivors checkpoint, 0 skipped
 		m.RecoverServer(p, 0)
 
-		row := Must(mat.PullRow(p, worker, 0))
+		row := must(mat.PullRow(p, worker, 0))
 		lo, hi := mat.Part.(*Partitioner).Range(0)
 		for c := lo; c < hi; c++ {
 			if row[c] != 1 {
@@ -387,7 +387,7 @@ func TestRecoveryUnderMessageLoss(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i)
 		}
-		MustOK(mat.SetRow(p, worker, 0, vals))
+		mustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
 		m.StartMonitor(DefaultDetectorConfig())
 		defer m.StopMonitor()

@@ -42,7 +42,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 		// Storm of pushes, repeatedly overwriting pinned elements.
 		for round := 0; round < 5; round++ {
 			sv, _ := linalg.NewSparse([]int{3, 9, 20, 31}, []float64{1, -2, 0.5, float64(round)})
-			MustOK(mat.PushAdd(p, worker, 0, sv))
+			mustOK(mat.PushAdd(p, worker, 0, sv))
 			got, err := snap.ReadRowIndices(p, worker, 0, idx)
 			if err != nil {
 				t.Fatalf("round %d snapshot read: %v", round, err)
@@ -55,7 +55,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 			}
 		}
 		// The live model must have moved where the pushes landed.
-		live := Must(mat.PullRowIndices(p, worker, 0, idx))
+		live := must(mat.PullRowIndices(p, worker, 0, idx))
 		if live[1] == base[1] || live[7] == base[7] {
 			t.Fatalf("live read did not see pushes: live %v, pinned %v", live, base)
 		}
@@ -100,7 +100,7 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 		// Push past the checkpoint, then lose and restore the first server:
 		// the restored shard no longer holds the pinned values.
 		sv, _ := linalg.NewSparse([]int{0, 5}, []float64{10, 10})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
 		m.KillServer(0)
 		m.RecoverServer(p, 0)
 
@@ -125,7 +125,7 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-pinned read: %v", err)
 		}
-		want := Must(mat.PullRowIndices(p, worker, 0, idx))
+		want := must(mat.PullRowIndices(p, worker, 0, idx))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("re-pinned col %d = %v, live %v", idx[k], got[k], want[k])
@@ -232,7 +232,7 @@ func TestSnapshotChaosMigration(t *testing.T) {
 		g.Go("pusher", func(cp *simnet.Proc) {
 			for i := 0; i < 20; i++ {
 				sv, _ := linalg.NewSparse([]int{4, 18, 31}, []float64{1, 1, 1})
-				MustOK(mat.PushAdd(cp, cl.Executors[1], 0, sv))
+				mustOK(mat.PushAdd(cp, cl.Executors[1], 0, sv))
 				cp.Sleep(0.005)
 			}
 		})
@@ -276,7 +276,7 @@ func TestSnapshotChaosMigration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-migration read: %v", err)
 		}
-		want := Must(mat.PullRowIndices(p, worker, 0, idx))
+		want := must(mat.PullRowIndices(p, worker, 0, idx))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("post-migration col %d = %v, live %v", idx[k], got[k], want[k])
@@ -392,7 +392,7 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 		// The model changes and the trainer ticks the matrix clock — exactly
 		// what lr/deepwalk do each iteration. No mat.TickClock() anywhere.
 		sv, _ := linalg.NewSparse([]int{1, 3}, []float64{100, 100})
-		MustOK(mat.PushAdd(p, worker, 0, sv))
+		mustOK(mat.PushAdd(p, worker, 0, sv))
 		mat.TickClock()
 		if rs.Clock() != mat.Clock() {
 			t.Fatalf("replica clock %d detached from matrix clock %d", rs.Clock(), mat.Clock())
@@ -520,9 +520,9 @@ func TestModelReaderOptions(t *testing.T) {
 		if m.Consistency.HardPulled != 0 {
 			t.Fatalf("a replica copy was hard-pulled: %+v", m.Consistency)
 		}
-		MustOK(mat.PushAdd(p, worker, 0, Must(linalg.NewSparse([]int{0}, []float64{2 * bound}))))
+		mustOK(mat.PushAdd(p, worker, 0, must(linalg.NewSparse([]int{0}, []float64{2 * bound}))))
 		mat.TickClock()
-		if got := Must(vb.Read(p, worker, 0, hot)); got[0] != 1+2*bound {
+		if got := must(vb.Read(p, worker, 0, hot)); got[0] != 1+2*bound {
 			t.Fatalf("read after a push past the bound = %v, want the owner's %v", got, 1+2*bound)
 		}
 	})

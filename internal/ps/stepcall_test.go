@@ -20,7 +20,7 @@ func TestCallShardRoundTripAllocatesNothing(t *testing.T) {
 	sim, cl, m := testMaster(2)
 	var allocs float64
 	run(sim, func(p *simnet.Proc) {
-		mat := Must(m.CreateMatrix(p, 1, 64))
+		mat := must(m.CreateMatrix(p, 1, 64))
 		w := cl.Executors[0]
 		var hits int
 		spec := CallSpec{
@@ -31,8 +31,8 @@ func TestCallShardRoundTripAllocatesNothing(t *testing.T) {
 				return nil
 			},
 		}
-		MustOK(mat.CallShard(p, w, spec))
-		allocs = testing.AllocsPerRun(100, func() { MustOK(mat.CallShard(p, w, spec)) })
+		mustOK(mat.CallShard(p, w, spec))
+		allocs = testing.AllocsPerRun(100, func() { mustOK(mat.CallShard(p, w, spec)) })
 		if hits != 102 {
 			t.Errorf("the handler ran %d times, want 102", hits)
 		}
@@ -52,14 +52,14 @@ func TestSparsePullAllocsIndependentOfShards(t *testing.T) {
 		sim, cl, m := testMaster(servers)
 		var allocs float64
 		run(sim, func(p *simnet.Proc) {
-			mat := Must(m.CreateMatrix(p, 1, dim))
+			mat := must(m.CreateMatrix(p, 1, dim))
 			w := cl.Executors[0]
 			indices := make([]int, 0, 200)
 			for c := 7; c < dim; c += 20 {
 				indices = append(indices, c)
 			}
-			Must(mat.PullRowIndices(p, w, 0, indices))
-			allocs = testing.AllocsPerRun(50, func() { Must(mat.PullRowIndices(p, w, 0, indices)) })
+			must(mat.PullRowIndices(p, w, 0, indices))
+			allocs = testing.AllocsPerRun(50, func() { must(mat.PullRowIndices(p, w, 0, indices)) })
 		})
 		return allocs
 	}
@@ -81,17 +81,17 @@ func TestFlushAllocsIndependentOfShards(t *testing.T) {
 		sim, cl, m := testMaster(servers)
 		var allocs float64
 		run(sim, func(p *simnet.Proc) {
-			mat := Must(m.CreateMatrix(p, 1, dim))
+			mat := must(m.CreateMatrix(p, 1, dim))
 			w := cl.Executors[0]
 			indices := make([]int, 0, 200)
 			for c := 7; c < dim; c += 20 {
 				indices = append(indices, c)
 			}
-			delta := Must(linalg.NewSparse(indices, make([]float64, len(indices))))
+			delta := must(linalg.NewSparse(indices, make([]float64, len(indices))))
 			b := NewPushBuffer(mat)
 			round := func() {
-				MustOK(b.Add(0, delta))
-				MustOK(b.Flush(p, w))
+				mustOK(b.Add(0, delta))
+				mustOK(b.Flush(p, w))
 			}
 			round()
 			allocs = testing.AllocsPerRun(rounds, round) // one more round to warm up
@@ -119,13 +119,13 @@ func TestStoppedCallsCloseTheirSpans(t *testing.T) {
 	sim.EnableChaos(3, 0.2)
 	for i, w := range cl.Executors {
 		sim.Spawn("pusher", func(p *simnet.Proc) {
-			mat := Must(m.CreateMatrix(p, 1, 40))
-			delta := Must(linalg.NewSparse([]int{1, 11, 21, 31}, []float64{1, 2, 3, 4}))
+			mat := must(m.CreateMatrix(p, 1, 40))
+			delta := must(linalg.NewSparse([]int{1, 11, 21, 31}, []float64{1, 2, 3, 4}))
 			for {
 				if i%2 == 0 {
-					MustOK(mat.PushAdd(p, w, 0, delta)) // a fan-out of step children
+					mustOK(mat.PushAdd(p, w, 0, delta)) // a fan-out of step children
 				} else {
-					MustOK(mat.CallShard(p, w, CallSpec{Shard: i % 4, Mutates: true, ReqBytes: 600, RespBytes: 300}))
+					mustOK(mat.CallShard(p, w, CallSpec{Shard: i % 4, Mutates: true, ReqBytes: 600, RespBytes: 300}))
 				}
 			}
 		})
@@ -159,7 +159,7 @@ func TestCachedPullAllocsIndependentOfShards(t *testing.T) {
 	measure := func(servers int) (sparse, dense float64) {
 		sim, cl, m := testMaster(servers)
 		run(sim, func(p *simnet.Proc) {
-			mat := Must(m.CreateMatrix(p, 2, dim))
+			mat := must(m.CreateMatrix(p, 2, dim))
 			w := cl.Executors[0]
 			cc := NewCachedClient(mat, CacheConfig{})
 			indices := make([]int, 0, 200)
@@ -167,11 +167,11 @@ func TestCachedPullAllocsIndependentOfShards(t *testing.T) {
 				indices = append(indices, c)
 			}
 			rows := []int{0, 1}
-			Must(cc.PullRowIndices(p, w, 0, indices))
-			Must(cc.PullRows(p, w, rows))
+			must(cc.PullRowIndices(p, w, 0, indices))
+			must(cc.PullRows(p, w, rows))
 			calls := m.Net.Calls
-			sparse = testing.AllocsPerRun(50, func() { Must(cc.PullRowIndices(p, w, 0, indices)) })
-			dense = testing.AllocsPerRun(50, func() { Must(cc.PullRows(p, w, rows)) })
+			sparse = testing.AllocsPerRun(50, func() { must(cc.PullRowIndices(p, w, 0, indices)) })
+			dense = testing.AllocsPerRun(50, func() { must(cc.PullRows(p, w, rows)) })
 			if m.Net.Calls != calls {
 				t.Errorf("%d servers: warm pulls made %d calls", servers, m.Net.Calls-calls)
 			}

@@ -16,7 +16,7 @@ func TestCrashExecutorReschedulesPartitions(t *testing.T) {
 	sim, ctx := testCluster(4)
 	r := FromSlices(ctx, intParts(40, 8)).Cache()
 	runJob(sim, func(p *simnet.Proc) {
-		before := Collect(p, r, 8)
+		before := must(Collect(p, r, 8))
 		ctx.CrashExecutor(1)
 		if ctx.ExecutorAlive(1) {
 			t.Error("crashed executor still schedulable")
@@ -28,7 +28,7 @@ func TestCrashExecutorReschedulesPartitions(t *testing.T) {
 				t.Errorf("partition %d still owned by the dead executor", part)
 			}
 		}
-		after := Collect(p, r, 8)
+		after := must(Collect(p, r, 8))
 		if len(after) != len(before) {
 			t.Fatalf("collect after crash: %d rows, want %d", len(after), len(before))
 		}
@@ -63,7 +63,7 @@ func TestCrashExecutorMidStage(t *testing.T) {
 	}}, stop)
 	runJob(sim, func(p *simnet.Proc) {
 		sum := 0
-		for _, v := range Collect(p, slow, 8) {
+		for _, v := range must(Collect(p, slow, 8)) {
 			sum += v
 		}
 		stop.Fire()
@@ -85,9 +85,9 @@ func TestCrashExecutorInvalidatesItsCache(t *testing.T) {
 		return []int{part}
 	}).Cache()
 	runJob(sim, func(p *simnet.Proc) {
-		Collect(p, base, 8)
+		must(Collect(p, base, 8))
 		ctx.CrashExecutor(0) // hosted partitions 0 and 3
-		Collect(p, base, 8)
+		must(Collect(p, base, 8))
 		for part := 0; part < 6; part++ {
 			want := 1
 			if part%3 == 0 {
@@ -167,11 +167,11 @@ func TestFailureInjectionStableWhenUnrelatedStagesAdded(t *testing.T) {
 		target := FromSlices(ctx, intParts(30, 6)) // same dataset id both runs
 		runJob(sim, func(p *simnet.Proc) {
 			if warmup {
-				Collect(p, extra, 8)
-				Collect(p, extra, 8)
+				must(Collect(p, extra, 8))
+				must(Collect(p, extra, 8))
 			}
 			before := ctx.TaskFailures
-			Collect(p, target, 8)
+			must(Collect(p, target, 8))
 			ctx.TaskFailures -= before // isolate the target stage's failures
 		})
 		return ctx.TaskFailures
@@ -182,11 +182,11 @@ func TestFailureInjectionStableWhenUnrelatedStagesAdded(t *testing.T) {
 }
 
 // TestTaskRetriedWhenExecutorDiesInsidePSPull covers the path every PS2
-// training stage relies on: a task body calls a parameter-server operator
-// through ps.Must, its executor dies while the pull is in flight, the
-// operator's ErrNodeDown error becomes a panic carrying that same error, and
-// runAttempt turns it into a retry on a survivor — the stage result is what
-// a fault-free run returns.
+// training stage relies on: a task body calls a parameter-server operator,
+// its executor dies while the pull is in flight, the body returns the
+// operator's ErrNodeDown error, and runTasks retries the attempt on a
+// survivor because its executor is down — the stage result is what a
+// fault-free run returns.
 func TestTaskRetriedWhenExecutorDiesInsidePSPull(t *testing.T) {
 	sim := simnet.New()
 	cfg := cluster.DefaultConfig()
@@ -205,16 +205,18 @@ func TestTaskRetriedWhenExecutorDiesInsidePSPull(t *testing.T) {
 		for c := range vals {
 			vals[c] = float64(c % 7)
 		}
-		ps.MustOK(mat.SetRow(p, cl.Driver, 0, vals))
+		if err := mat.SetRow(p, cl.Driver, 0, vals); err != nil {
+			t.Fatal(err)
+		}
 		// How long one pull from the doomed machine takes, so the crash can
 		// be timed to land halfway through the task's.
 		t0 := p.Now()
-		ps.Must(mat.PullRow(p, doomed, 0))
+		must(mat.PullRow(p, doomed, 0))
 		pullSec := p.Now() - t0
 
 		crashed := false
 		r := FromSlices(ctx, intParts(40, 8))
-		sums := RunPartitions(p, r, 8, func(tc *TaskContext, part int, rows []int) float64 {
+		sums := must(RunPartitions(p, r, 8, func(tc *TaskContext, part int, rows []int) (float64, error) {
 			if tc.Node == doomed && !crashed {
 				crashed = true
 				sim.Spawn("crash-exec-2", func(cp *simnet.Proc) {
@@ -222,14 +224,17 @@ func TestTaskRetriedWhenExecutorDiesInsidePSPull(t *testing.T) {
 					ctx.CrashExecutor(2)
 				})
 			}
-			w := ps.Must(mat.PullRow(tc.P, tc.Node, 0))
+			w, err := mat.PullRow(tc.P, tc.Node, 0)
+			if err != nil {
+				return 0, err
+			}
 			var sum float64
 			for _, i := range rows {
 				sum += w[i]
 			}
 			tc.Commit()
-			return sum
-		})
+			return sum, nil
+		}))
 		for part, rows := range intParts(40, 8) {
 			var want float64
 			for _, i := range rows {

@@ -11,6 +11,11 @@
 // -style training loops and PS2 jobs need (sources, map, sample, cache,
 // runPartitions, aggregate/treeAggregate/collect/count, reduceByKey,
 // broadcast).
+//
+// A stage returns every task's result or one error. An attempt lost to its
+// executor's death or to injected failure is retried, up to
+// Context.MaxAttempts; an error a task body returns fails the stage without a
+// retry (runTasks states the rule).
 package rdd
 
 import (
@@ -28,7 +33,10 @@ type Context struct {
 	// FailProb is the probability that any single task attempt fails at its
 	// commit point (used by the Fig 13(c) fault-tolerance experiment).
 	FailProb float64
-	// MaxAttempts bounds retries per task before the job is aborted.
+	// MaxAttempts is how many attempts a task gets, 4 as in Spark
+	// (spark.task.maxFailures), before its stage fails with ErrTaskAttempts.
+	// Only an attempt lost to its executor's death or to injected failure is
+	// retried; an error the task body returns fails the stage at once.
 	MaxAttempts int
 
 	failSeed    uint64

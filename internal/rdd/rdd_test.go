@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -26,6 +27,14 @@ func runJob(sim *simnet.Sim, fn func(p *simnet.Proc)) {
 	sim.Run()
 }
 
+// must returns v, panicking with err, which fails the run, when it is not nil.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func intParts(n, parts int) [][]int {
 	out := make([][]int, parts)
 	for i := 0; i < n; i++ {
@@ -39,7 +48,7 @@ func TestCollectRoundTrip(t *testing.T) {
 	var got []int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(20, 4))
-		got = Collect(p, r, 8)
+		got = must(Collect(p, r, 8))
 	})
 	if len(got) != 20 {
 		t.Fatalf("collected %d rows, want 20", len(got))
@@ -60,7 +69,7 @@ func TestMap(t *testing.T) {
 	var got []int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(10, 3))
-		got = Collect(p, Map(r, func(v int) int { return v * 2 }), 8)
+		got = must(Collect(p, Map(r, func(v int) int { return v * 2 }), 8))
 	})
 	sort.Ints(got)
 	for i, v := range got {
@@ -78,7 +87,7 @@ func TestCount(t *testing.T) {
 	var n int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(37, 4))
-		n = Count(p, r)
+		n = must(Count(p, r))
 	})
 	if n != 37 {
 		t.Fatalf("count = %d, want 37", n)
@@ -90,12 +99,12 @@ func TestAggregate(t *testing.T) {
 	var got int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(100, 4))
-		got = Aggregate(p, r, AggSpec[int, int]{
+		got = must(Aggregate(p, r, AggSpec[int, int]{
 			Zero:  func() int { return 0 },
 			Seq:   func(_ *TaskContext, acc, row int) int { return acc + row },
 			Comb:  func(a, b int) int { return a + b },
 			Bytes: func(int) float64 { return 8 },
-		})
+		}))
 	})
 	if got != 4950 {
 		t.Fatalf("aggregate = %d, want 4950", got)
@@ -107,9 +116,9 @@ func TestSampleDeterministicPerSeed(t *testing.T) {
 	var a, b, c []int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(1000, 2))
-		a = Collect(p, r.Sample(0.1, 7), 8)
-		b = Collect(p, r.Sample(0.1, 7), 8)
-		c = Collect(p, r.Sample(0.1, 8), 8)
+		a = must(Collect(p, r.Sample(0.1, 7), 8))
+		b = must(Collect(p, r.Sample(0.1, 7), 8))
+		c = must(Collect(p, r.Sample(0.1, 8), 8))
 	})
 	if len(a) != len(b) {
 		t.Fatalf("same seed gave different sample sizes: %d vs %d", len(a), len(b))
@@ -145,8 +154,8 @@ func TestCacheAvoidsRecompute(t *testing.T) {
 			return []int{part}
 		})
 		cached := Map(base, func(v int) int { return v }).Cache()
-		Count(p, cached)
-		Count(p, cached)
+		must(Count(p, cached))
+		must(Count(p, cached))
 	})
 	if computes != 2 {
 		t.Fatalf("source computed %d times, want 2 (once per partition)", computes)
@@ -161,8 +170,8 @@ func TestNoCacheRecomputes(t *testing.T) {
 			computes++
 			return []int{part}
 		})
-		Count(p, base)
-		Count(p, base)
+		must(Count(p, base))
+		must(Count(p, base))
 	})
 	if computes != 4 {
 		t.Fatalf("source computed %d times, want 4", computes)
@@ -177,11 +186,11 @@ func TestKillExecutorTriggersLineageRecompute(t *testing.T) {
 			computes[part]++
 			return []int{part * 10}
 		}).Cache()
-		if got := Count(p, base); got != 2 {
+		if got := must(Count(p, base)); got != 2 {
 			t.Errorf("count = %d, want 2", got)
 		}
 		ctx.KillExecutor(0) // partition 0 lives on executor 0
-		got := Collect(p, base, 8)
+		got := must(Collect(p, base, 8))
 		if len(got) != 2 {
 			t.Errorf("collect after kill = %v", got)
 		}
@@ -203,12 +212,12 @@ func TestTaskFailureRetriesAndConvergesToSameResult(t *testing.T) {
 		var got int
 		runJob(sim, func(p *simnet.Proc) {
 			r := FromSlices(ctx, intParts(50, 4))
-			got = Aggregate(p, r, AggSpec[int, int]{
+			got = must(Aggregate(p, r, AggSpec[int, int]{
 				Zero:  func() int { return 0 },
 				Seq:   func(_ *TaskContext, acc, row int) int { return acc + row },
 				Comb:  func(a, b int) int { return a + b },
 				Bytes: func(int) float64 { return 8 },
-			})
+			}))
 		})
 		return got, ctx.TaskFailures
 	}
@@ -225,6 +234,60 @@ func TestTaskFailureRetriesAndConvergesToSameResult(t *testing.T) {
 	}
 }
 
+// TestStageFailsAfterMaxAttempts checks the end of the retry rule: when every
+// attempt hits the injected failure, each task runs exactly MaxAttempts
+// attempts and the stage returns ErrTaskAttempts instead of a result.
+func TestStageFailsAfterMaxAttempts(t *testing.T) {
+	sim, ctx := testCluster(3)
+	ctx.FailProb = 1
+	const parts = 6
+	var rows []int
+	var err error
+	runJob(sim, func(p *simnet.Proc) {
+		rows, err = Collect(p, FromSlices(ctx, intParts(30, parts)), 8)
+	})
+	if !errors.Is(err, ErrTaskAttempts) {
+		t.Fatalf("Collect under FailProb 1 returned %v, want ErrTaskAttempts", err)
+	}
+	if rows != nil {
+		t.Errorf("a failed stage returned rows %v", rows)
+	}
+	if want := parts * ctx.MaxAttempts; ctx.TasksLaunched != want || ctx.TaskFailures != want {
+		t.Errorf("launched %d attempts, %d failed; want %d (%d parts × %d attempts)",
+			ctx.TasksLaunched, ctx.TaskFailures, want, parts, ctx.MaxAttempts)
+	}
+}
+
+// TestTaskErrorFailsStageWithoutRetry checks the other half of the rule: an
+// error a body returns on a live executor is not retried, every other task
+// still runs to its end, and the stage returns the lowest partition's error.
+func TestTaskErrorFailsStageWithoutRetry(t *testing.T) {
+	sim, ctx := testCluster(2)
+	errs := []error{errors.New("part 1"), errors.New("part 3")}
+	finished := 0
+	var err error
+	runJob(sim, func(p *simnet.Proc) {
+		_, err = RunPartitions(p, FromSlices(ctx, intParts(8, 4)), 8, func(tc *TaskContext, part int, rows []int) (int, error) {
+			tc.Charge(float64(4-part) * 1e6) // the later partitions fail first
+			tc.Commit()
+			finished++
+			switch part {
+			case 1:
+				return 0, errs[0]
+			case 3:
+				return 0, errs[1]
+			}
+			return len(rows), nil
+		})
+	})
+	if !errors.Is(err, errs[0]) || errors.Is(err, errs[1]) {
+		t.Errorf("stage returned %v, want partition 1's error", err)
+	}
+	if finished != 4 || ctx.TasksLaunched != 4 {
+		t.Errorf("%d bodies finished in %d attempts, want 4 in 4", finished, ctx.TasksLaunched)
+	}
+}
+
 func TestTaskFailureCostsTime(t *testing.T) {
 	elapsed := func(failProb float64) float64 {
 		sim, ctx := testCluster(4)
@@ -234,11 +297,11 @@ func TestTaskFailureCostsTime(t *testing.T) {
 		runJob(sim, func(p *simnet.Proc) {
 			r := FromSlices(ctx, intParts(40, 4))
 			for i := 0; i < 20; i++ {
-				RunPartitions(p, r, 0, func(tc *TaskContext, part int, rows []int) struct{} {
+				must(RunPartitions(p, r, 0, func(tc *TaskContext, part int, rows []int) (struct{}, error) {
 					tc.Charge(1e6)
 					tc.Commit()
-					return struct{}{}
-				})
+					return struct{}{}, nil
+				}))
 			}
 			end = p.Now()
 		})
@@ -259,12 +322,12 @@ func TestAggregateInCastSlowerThanForeach(t *testing.T) {
 		var end float64
 		runJob(sim, func(p *simnet.Proc) {
 			r := FromSlices(ctx, intParts(8, 8))
-			Aggregate(p, r, AggSpec[int, int]{
+			must(Aggregate(p, r, AggSpec[int, int]{
 				Zero:  func() int { return 0 },
 				Seq:   func(_ *TaskContext, acc, row int) int { return acc + row },
 				Comb:  func(a, b int) int { return a + b },
 				Bytes: func(int) float64 { return partialBytes },
-			})
+			}))
 			end = p.Now()
 		})
 		return end
@@ -297,7 +360,7 @@ func TestSourceChargesOwner(t *testing.T) {
 			tc.Charge(1e8) // 1 core-second
 			return parts[part]
 		})
-		Count(p, work)
+		must(Count(p, work))
 	})
 	if ctx.Cl.Executors[0].WorkDone == 0 || ctx.Cl.Executors[1].WorkDone == 0 {
 		t.Fatal("work was not charged to executors")
@@ -325,12 +388,12 @@ func TestAggregateSumProperty(t *testing.T) {
 		var got int
 		runJob(sim, func(p *simnet.Proc) {
 			r := FromSlices(ctx, data)
-			got = Aggregate(p, r, AggSpec[int, int]{
+			got = must(Aggregate(p, r, AggSpec[int, int]{
 				Zero:  func() int { return 0 },
 				Seq:   func(_ *TaskContext, acc, row int) int { return acc + row },
 				Comb:  func(a, b int) int { return a + b },
 				Bytes: func(int) float64 { return 8 },
-			})
+			}))
 		})
 		return got == want
 	}
@@ -344,7 +407,7 @@ func TestSampleFractionOneIsIdentity(t *testing.T) {
 	var n int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(10, 2))
-		n = Count(p, r.Sample(1.0, 3))
+		n = must(Count(p, r.Sample(1.0, 3)))
 	})
 	if n != 10 {
 		t.Fatalf("sample(1.0) count = %d, want 10", n)
@@ -358,7 +421,7 @@ func TestDeterministicTiming(t *testing.T) {
 		runJob(sim, func(p *simnet.Proc) {
 			r := FromSlices(ctx, intParts(40, 4))
 			for i := 0; i < 5; i++ {
-				Aggregate(p, r, AggSpec[int, []float64]{
+				must(Aggregate(p, r, AggSpec[int, []float64]{
 					Zero: func() []float64 { return make([]float64, 100) },
 					Seq: func(tc *TaskContext, acc []float64, row int) []float64 {
 						tc.Charge(1000)
@@ -373,7 +436,7 @@ func TestDeterministicTiming(t *testing.T) {
 					},
 					Bytes:    func([]float64) float64 { return 800 },
 					CombWork: 200,
-				})
+				}))
 			}
 			end = p.Now()
 		})

@@ -24,9 +24,9 @@ type Pair[K comparable, V any] struct {
 // It performs a real shuffle: every map-side partition sends each reduce
 // partition its share of the data (all-to-all executor traffic, charged at
 // bytesPerRecord per record), then reduce tasks combine locally. The result
-// has numParts partitions, keyed by hash.
+// has numParts partitions, keyed by hash; a failed map stage returns its error.
 func ReduceByKey[K comparable, V any](p *simnet.Proc, r *RDD[Pair[K, V]], numParts int,
-	bytesPerRecord float64, hash func(K) int, combine func(a, b V) V) *RDD[Pair[K, V]] {
+	bytesPerRecord float64, hash func(K) int, combine func(a, b V) V) (*RDD[Pair[K, V]], error) {
 	ctx := r.ctx
 	if numParts < 1 {
 		numParts = ctx.NumExecutors()
@@ -38,8 +38,8 @@ func ReduceByKey[K comparable, V any](p *simnet.Proc, r *RDD[Pair[K, V]], numPar
 		buckets[i] = map[K]V{}
 	}
 	type counts struct{ perBucket []int }
-	sent := runTasks(p, r, func(c counts) float64 { return 8 * float64(len(c.perBucket)) },
-		func(tc *TaskContext, part int, rows []Pair[K, V]) counts {
+	sent, err := runTasks(p, r, func(c counts) float64 { return 8 * float64(len(c.perBucket)) },
+		func(tc *TaskContext, part int, rows []Pair[K, V]) (counts, error) {
 			local := map[K]V{}
 			for _, kv := range rows {
 				if old, ok := local[kv.Key]; ok {
@@ -60,8 +60,11 @@ func ReduceByKey[K comparable, V any](p *simnet.Proc, r *RDD[Pair[K, V]], numPar
 				}
 				c.perBucket[b]++
 			}
-			return c
+			return c, nil
 		})
+	if err != nil {
+		return nil, err
+	}
 	// Shuffle: map partition i ships its bucket shares to each reduce
 	// partition's owner executor.
 	g := p.Sim().NewGroup()
@@ -94,7 +97,7 @@ func ReduceByKey[K comparable, V any](p *simnet.Proc, r *RDD[Pair[K, V]], numPar
 			out[part] = rows
 		}
 		return out[part]
-	})
+	}), nil
 }
 
 // lessAny gives a deterministic (not semantically meaningful) order over
@@ -124,15 +127,11 @@ func lessAny[K comparable](a, b K) bool {
 // evaluation compares against plain aggregation because that is what MLlib's
 // regression path used, but the extension experiment `ext-treeagg` shows how
 // far tree aggregation alone gets.
-func TreeAggregate[T, U any](p *simnet.Proc, r *RDD[T], spec AggSpec[T, U]) U {
-	partials := runTasks(p, r, func(U) float64 { return 8 }, func(tc *TaskContext, part int, rows []T) U {
-		acc := spec.Zero()
-		for _, row := range rows {
-			acc = spec.Seq(tc, acc, row)
-		}
-		tc.Commit()
-		return acc
-	})
+func TreeAggregate[T, U any](p *simnet.Proc, r *RDD[T], spec AggSpec[T, U]) (U, error) {
+	partials, err := fold(p, r, spec, func(U) float64 { return 8 })
+	if err != nil {
+		return spec.Zero(), err
+	}
 	ctx := r.ctx
 	// Holders: partial i currently lives on executor owner(i).
 	alive := make([]int, len(partials))
@@ -164,5 +163,5 @@ func TreeAggregate[T, U any](p *simnet.Proc, r *RDD[T], spec AggSpec[T, U]) U {
 		ctx.Owner(root).Send(cp, ctx.Cl.Driver, spec.Bytes(partials[root]))
 	})
 	g.Wait(p)
-	return partials[root]
+	return partials[root], nil
 }

@@ -18,8 +18,8 @@ func TestReduceByKeyCounts(t *testing.T) {
 			parts[i%3] = append(parts[i%3], Pair[int, int]{Key: i % 10, Value: 1})
 		}
 		r := FromSlices(ctx, parts)
-		reduced := ReduceByKey(p, r, 3, 16, func(k int) int { return k }, func(a, b int) int { return a + b })
-		got = Collect(p, reduced, 16)
+		reduced := must(ReduceByKey(p, r, 3, 16, func(k int) int { return k }, func(a, b int) int { return a + b }))
+		got = must(Collect(p, reduced, 16))
 	})
 	if len(got) != 10 {
 		t.Fatalf("reduce produced %d keys, want 10", len(got))
@@ -40,8 +40,8 @@ func TestReduceByKeyShuffleMovesBytes(t *testing.T) {
 			parts[i%4] = append(parts[i%4], Pair[int, int]{Key: i, Value: 1})
 		}
 		r := FromSlices(ctx, parts)
-		reduced := ReduceByKey(p, r, 4, 100, func(k int) int { return k }, func(a, b int) int { return a + b })
-		Count(p, reduced)
+		reduced := must(ReduceByKey(p, r, 4, 100, func(k int) int { return k }, func(a, b int) int { return a + b }))
+		must(Count(p, reduced))
 	})
 	var execBytes float64
 	for _, n := range ctx.Cl.Executors {
@@ -70,8 +70,8 @@ func TestReduceByKeyProperty(t *testing.T) {
 		var got []Pair[int, int]
 		runJob(sim, func(p *simnet.Proc) {
 			r := FromSlices(ctx, parts)
-			reduced := ReduceByKey(p, r, 2, 16, func(k int) int { return k * 7 }, func(a, b int) int { return a + b })
-			got = Collect(p, reduced, 16)
+			reduced := must(ReduceByKey(p, r, 2, 16, func(k int) int { return k * 7 }, func(a, b int) int { return a + b }))
+			got = must(Collect(p, reduced, 16))
 		})
 		if len(got) != len(want) {
 			return false
@@ -99,8 +99,8 @@ func TestTreeAggregateMatchesAggregate(t *testing.T) {
 			Comb:  func(a, b int) int { return a + b },
 			Bytes: func(int) float64 { return 8 },
 		}
-		flat = Aggregate(p, r, spec)
-		tree = TreeAggregate(p, r, spec)
+		flat = must(Aggregate(p, r, spec))
+		tree = must(TreeAggregate(p, r, spec))
 	})
 	if flat != tree || flat != 199*200/2 {
 		t.Fatalf("flat=%d tree=%d want %d", flat, tree, 199*200/2)
@@ -124,9 +124,9 @@ func TestTreeAggregateRelievesDriverIngress(t *testing.T) {
 				CombWork: 2000,
 			}
 			if tree {
-				TreeAggregate(p, r, spec)
+				must(TreeAggregate(p, r, spec))
 			} else {
-				Aggregate(p, r, spec)
+				must(Aggregate(p, r, spec))
 			}
 		})
 		return ctx.Cl.Driver.BytesRecv
@@ -143,12 +143,12 @@ func TestTreeAggregateSinglePartition(t *testing.T) {
 	var got int
 	runJob(sim, func(p *simnet.Proc) {
 		r := FromSlices(ctx, intParts(5, 1))
-		got = TreeAggregate(p, r, AggSpec[int, int]{
+		got = must(TreeAggregate(p, r, AggSpec[int, int]{
 			Zero:  func() int { return 0 },
 			Seq:   func(_ *TaskContext, acc, row int) int { return acc + row },
 			Comb:  func(a, b int) int { return a + b },
 			Bytes: func(int) float64 { return 8 },
-		})
+		}))
 	})
 	if got != 10 {
 		t.Fatalf("got %d, want 10", got)
@@ -176,8 +176,8 @@ func TestTreeAggregateProperty(t *testing.T) {
 				Comb:  func(a, b int) int { return a + b },
 				Bytes: func(int) float64 { return 8 },
 			}
-			flat = Aggregate(p, r, spec)
-			tree = TreeAggregate(p, r, spec)
+			flat = must(Aggregate(p, r, spec))
+			tree = must(TreeAggregate(p, r, spec))
 		})
 		return flat == want && tree == want
 	}

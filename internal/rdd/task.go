@@ -24,9 +24,15 @@ type TaskContext struct {
 	rng    *linalg.RNG
 }
 
-// taskFailed is the sentinel panic used to abort a doomed task attempt. It is
-// always recovered by the scheduler before it can escape the task process.
+// taskFailed is the sentinel panic that aborts an attempt at Commit or
+// Charge: the injected failure of a doomed attempt, or the abrupt death of its
+// executor. runAttempt recovers it, so it never leaves the attempt.
 type taskFailed struct{}
+
+// ErrTaskAttempts is returned (wrapped) by a stage one of whose tasks lost
+// every one of its MaxAttempts attempts to executor deaths or injected
+// failures.
+var ErrTaskAttempts = errors.New("rdd: task failed every attempt")
 
 // Charge blocks the task for work abstract units of computation on one of
 // its machine's cores. A task whose machine has crashed aborts instead — the
@@ -70,12 +76,20 @@ const statusBytes = 1024
 
 // runTasks launches one task per partition of r on its owner executor, runs
 // body inside each, applies failure injection, and blocks the calling driver
-// process until every task has succeeded (a global barrier, like the end of
-// a Spark stage). Results are delivered through the result callback, invoked
-// in partition order after the barrier.
-func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, body func(tc *TaskContext, part int, rows []T) U) []U {
+// process until every task has finished (a global barrier, like the end of
+// a Spark stage). It returns the results in partition order.
+//
+// The retry rule, Spark's: an attempt is retried only when its executor died
+// under it or it hit the injected failure (taskFailed), up to MaxAttempts
+// attempts, after which the task fails with ErrTaskAttempts. Any error a body
+// returns on a live executor fails its task at once: the RPC layer has
+// already spent its own retries, and a re-run whose pushes had landed on
+// other shards would apply them twice. A failed stage still waits for every
+// task, then returns the lowest partition's error.
+func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, body func(tc *TaskContext, part int, rows []T) (U, error)) ([]U, error) {
 	ctx := r.ctx
 	out := make([]U, r.parts)
+	errs := make([]error, r.parts)
 	t := p.Sim().Tracer()
 	var stage obs.Span
 	if t != nil {
@@ -92,7 +106,8 @@ func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, 
 			var node *simnet.Node
 			for attempt := 1; ; attempt++ {
 				if attempt > ctx.MaxAttempts {
-					panic(fmt.Sprintf("rdd: task %d of dataset %d failed %d attempts", part, r.id, ctx.MaxAttempts))
+					errs[part] = fmt.Errorf("rdd: task %d of dataset %d failed %d attempts: %w", part, r.id, ctx.MaxAttempts, ErrTaskAttempts)
+					return
 				}
 				// Resolve the owner per attempt: a crashed executor's
 				// partitions reschedule onto survivors.
@@ -110,12 +125,17 @@ func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, 
 						obs.KV{K: "attempt", V: strconv.Itoa(attempt)})
 				}
 				prevSpan := tp.SetTraceParent(ts)
-				res, ok := runAttempt(tc, part, r, body)
+				res, lost, err := runAttempt(tc, part, r, body)
 				tp.SetTraceParent(prevSpan)
-				if ok {
+				if !lost && err == nil {
 					ts.End()
 					out[part] = res
 					break
+				}
+				if !lost && node.Up() {
+					ts.End(obs.KV{K: "err", V: err.Error()})
+					errs[part] = fmt.Errorf("rdd: task %d of dataset %d: %w", part, r.id, err)
+					return
 				}
 				if !node.Up() {
 					ctx.ExecutorFailures++
@@ -143,40 +163,40 @@ func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, 
 		})
 	}
 	g.Wait(p)
-	return out
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// runAttempt executes one attempt of a task body, converting the taskFailed
-// sentinel — and the simnet.ErrNodeDown error a PS operator returns when the
-// task's machine crashes under it, which the body re-raises through ps.Must —
-// into a clean retry, while letting real panics (and the simulation's
-// shutdown unwind) propagate.
-func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *TaskContext, part int, rows []T) U) (res U, ok bool) {
+// runAttempt executes one attempt of a task body and returns what the body
+// returns, or lost when the attempt died at Commit or Charge (taskFailed).
+// Any other panic is a programming error and propagates, as does the
+// simulation's shutdown unwind.
+func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *TaskContext, part int, rows []T) (U, error)) (res U, lost bool, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if _, failed := rec.(taskFailed); failed {
-				ok = false
-				return
+			if _, ok := rec.(taskFailed); !ok {
+				panic(rec)
 			}
-			if err, isErr := rec.(error); isErr && errors.Is(err, simnet.ErrNodeDown) && !tc.Node.Up() {
-				ok = false
-				return
-			}
-			panic(rec)
+			lost = true
 		}
 	}()
-	rows := r.materialize(tc, part)
-	return body(tc, part, rows), true
+	res, err = body(tc, part, r.materialize(tc, part))
+	return res, false, err
 }
 
 // RunPartitions runs f over every partition and returns its per-partition
-// results at the driver (each costing resultBytes on the wire). Unlike
-// Aggregate it gives f the whole partition at once, so f can batch
-// parameter-server traffic — the shape of every PS2 training stage: pull
-// model, compute, Commit, push update, return a small summary. f must call
-// tc.Commit() before its side effects for failure injection to stay
-// exactly-once.
-func RunPartitions[T, U any](p *simnet.Proc, r *RDD[T], resultBytes float64, f func(tc *TaskContext, part int, rows []T) U) []U {
+// results at the driver (each costing resultBytes on the wire), or the
+// stage's error (runTasks). Unlike Aggregate it gives f the whole partition
+// at once, so f can batch parameter-server traffic — the shape of every PS2
+// training stage: pull model, compute, Commit, push update, return a small
+// summary. f must call tc.Commit() before its side effects for failure
+// injection to stay exactly-once, and returns the first error of a PS
+// operator.
+func RunPartitions[T, U any](p *simnet.Proc, r *RDD[T], resultBytes float64, f func(tc *TaskContext, part int, rows []T) (U, error)) ([]U, error) {
 	return runTasks(p, r, func(U) float64 { return resultBytes }, f)
 }
 
@@ -194,52 +214,61 @@ type AggSpec[T, U any] struct {
 
 // Aggregate folds the dataset with spec, sending every partition's partial to
 // the driver where they are combined serially. Returns the combined value.
-func Aggregate[T, U any](p *simnet.Proc, r *RDD[T], spec AggSpec[T, U]) U {
-	partials := runTasks(p, r, spec.Bytes, func(tc *TaskContext, part int, rows []T) U {
-		acc := spec.Zero()
-		for _, row := range rows {
-			acc = spec.Seq(tc, acc, row)
-		}
-		tc.Commit()
-		return acc
-	})
+func Aggregate[T, U any](p *simnet.Proc, r *RDD[T], spec AggSpec[T, U]) (U, error) {
 	acc := spec.Zero()
+	partials, err := fold(p, r, spec, spec.Bytes)
+	if err != nil {
+		return acc, err
+	}
 	driver := r.ctx.Cl.Driver
 	for _, partial := range partials {
 		driver.Compute(p, spec.CombWork)
 		acc = spec.Comb(acc, partial)
 	}
-	return acc
+	return acc, nil
+}
+
+// fold runs spec's fold over every partition, each partial costing bytes on
+// its way to the driver.
+func fold[T, U any](p *simnet.Proc, r *RDD[T], spec AggSpec[T, U], bytes func(U) float64) ([]U, error) {
+	return runTasks(p, r, bytes, func(tc *TaskContext, part int, rows []T) (U, error) {
+		acc := spec.Zero()
+		for _, row := range rows {
+			acc = spec.Seq(tc, acc, row)
+		}
+		tc.Commit()
+		return acc, nil
+	})
 }
 
 // Collect materializes the whole dataset at the driver. bytesPerRow sets the
 // wire size of each row; the rows of every partition travel to the driver's
 // ingress NIC.
-func Collect[T any](p *simnet.Proc, r *RDD[T], bytesPerRow float64) []T {
-	parts := runTasks(p, r, func(rows []T) float64 {
+func Collect[T any](p *simnet.Proc, r *RDD[T], bytesPerRow float64) ([]T, error) {
+	parts, err := runTasks(p, r, func(rows []T) float64 {
 		return float64(len(rows)) * bytesPerRow
-	}, func(tc *TaskContext, part int, rows []T) []T {
+	}, func(tc *TaskContext, part int, rows []T) ([]T, error) {
 		tc.Commit()
-		return rows
+		return rows, nil
 	})
 	var out []T
 	for _, rows := range parts {
 		out = append(out, rows...)
 	}
-	return out
+	return out, err
 }
 
 // Count returns the number of rows in the dataset.
-func Count[T any](p *simnet.Proc, r *RDD[T]) int {
-	counts := runTasks(p, r, func(int) float64 { return 8 }, func(tc *TaskContext, part int, rows []T) int {
+func Count[T any](p *simnet.Proc, r *RDD[T]) (int, error) {
+	counts, err := runTasks(p, r, func(int) float64 { return 8 }, func(tc *TaskContext, part int, rows []T) (int, error) {
 		tc.Commit()
-		return len(rows)
+		return len(rows), nil
 	})
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
-	return total
+	return total, err
 }
 
 // Broadcast models the driver shipping `bytes` of read-only state (e.g. the

@@ -48,12 +48,19 @@ func TestPreprocessThenTrainSingleSystem(t *testing.T) {
 		logRDD := rdd.FromSlices(e.RDD, parts).Cache()
 
 		// Frequency pruning with a shuffle.
-		counts := rdd.ReduceByKey(p,
+		counts, err := rdd.ReduceByKey(p,
 			rdd.Map(logRDD, func(ev event) rdd.Pair[int32, int] { return rdd.Pair[int32, int]{Key: ev.Item, Value: 1} }),
 			4, 12, func(k int32) int { return int(k) }, func(a, b int) int { return a + b })
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted, err := rdd.Collect(p, counts, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
 		kept := map[int32]int{}
 		var ids []int32
-		for _, kv := range rdd.Collect(p, counts, 12) {
+		for _, kv := range counted {
 			if kv.Value >= 3 {
 				ids = append(ids, kv.Key)
 			}
@@ -68,7 +75,7 @@ func TestPreprocessThenTrainSingleSystem(t *testing.T) {
 
 		// Per-user bag-of-items instances.
 		type bag struct{ items map[int]bool }
-		perUser := rdd.ReduceByKey(p,
+		perUser, err := rdd.ReduceByKey(p,
 			rdd.Map(logRDD, func(ev event) rdd.Pair[int32, bag] {
 				b := bag{items: map[int]bool{}}
 				if col, ok := kept[ev.Item]; ok {
@@ -112,7 +119,9 @@ func TestPreprocessThenTrainSingleSystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		metrics = lr.EvalOnCluster(p, e, instances, lr.Logistic, model.Weights)
+		if metrics, err = lr.EvalOnCluster(p, e, instances, lr.Logistic, model.Weights); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if metrics.Rows == 0 {
 		t.Fatal("no instances evaluated")

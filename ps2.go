@@ -36,7 +36,10 @@
 //
 // Reads and writes surface typed errors — ErrServerDown, ErrBadIndices,
 // ErrOverload (admission shed), ErrSnapshotInvalid (pin fenced by a recovery
-// or migration) — check them with errors.Is.
+// or migration) — check them with errors.Is. The Train* entry points return
+// them too: an error a task meets fails its stage and then the training run,
+// as a server that stays down past the retry budget fails it with
+// ErrServerDown.
 //
 // The sub-packages mirror the paper's architecture and are where the full
 // surface lives:
@@ -350,9 +353,12 @@ func TrainGBDT(p *Proc, e *Engine, ds *data.TabularDataset, cfg gbdt.Config, top
 // TrainLDA fits a topic model with collapsed Gibbs sampling, the topic-word
 // counts living on the parameter servers. Like TrainGBDT it rejects a
 // non-zero TrainOptions rather than silently ignoring it. CheckpointEvery in
-// particular stays refused although LDA runs on the shared loop: its count
-// pushes write shard memory directly without marking rows dirty, so a delta
-// checkpoint would skip them and a restore would silently lose counts.
+// particular stays refused although LDA runs on the shared loop and its count
+// pushes are requests that mark the rows they write: PS2-LDA hands the loop
+// no matrix to checkpoint (it implements no core.Epilogue), and no test yet
+// crashes a server under LDA and restores the counts. A server lost during
+// training, like under every trainer here, fails TrainLDA with an error
+// wrapping ErrServerDown.
 func TrainLDA(p *Proc, e *Engine, docs *rdd.RDD[data.Document], vocab int, cfg lda.Config, topts ...TrainOptions) (*lda.Model, error) {
 	to, err := one(topts)
 	if err != nil {

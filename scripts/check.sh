@@ -53,10 +53,17 @@ go test -race -count=1 -run 'TestNilTracer|TestTracerObservesWithoutPerturbing' 
 # in seconds: no exported name under internal/ that only tests reach, and no
 # exported field that programs read but only tests set (surface_test.go); no
 # training loop outside the listed ones (loops_test.go); no host-side shard
-# access outside the listed sites and one form per operator
-# (internal/ps/convention_test.go).
-go test -count=1 -run 'TestInternalSurfaceIsReached|TestSurfaceGuardVerdicts|TestIterationLoopsAreListed' .
-go test -count=1 -run 'TestHostReadsListed|TestOneFormPerOperator' ./internal/ps/
+# access outside the listed sites, one form per operator, no panic(err) in a
+# library package and no recover outside simnet and rdd's task attempt
+# (internal/ps/convention_test.go). The failure contract, by name: a server
+# lost mid-training comes back from every trainer as an error
+# (failure_test.go), a stage retries only lost attempts, up to MaxAttempts,
+# and fails on a task's error (internal/rdd), and a failed SSP worker
+# releases the clock gate (internal/core).
+go test -count=1 -run 'TestInternalSurfaceIsReached|TestSurfaceGuardVerdicts|TestIterationLoopsAreListed|TestServerLossFailsTrainingWithAnError' .
+go test -count=1 -run 'TestHostReadsListed|TestOneFormPerOperator|TestRecoverOnlyForTaskDeath' ./internal/ps/
+go test -count=1 -run 'TestStageFailsAfterMaxAttempts|TestTaskErrorFailsStageWithoutRetry|TestTaskRetriedWhenExecutorDiesInsidePSPull' ./internal/rdd/
+go test -count=1 -run 'TestRunSSPFailedWorkerReleasesTheGate' ./internal/core/
 
 # The race detector makes the bench package's per-experiment runs take
 # minutes; keep headroom over go test's 10m default so slow CI runners don't

@@ -51,7 +51,6 @@ var surfaceAllow = map[string]string{
 	"gbdt.Model.FeatureImportance": "oracle",
 	"lda.Model.Theta":              "oracle",
 	"lda.SamplerStandard":          "oracle",
-	"embedding.Model.InputVector":  "oracle",
 	"rdd.Context.KillExecutor":     "oracle",
 	"rdd.Context.ExecutorAlive":    "oracle",
 	"simnet.Node.Restore":          "oracle",
