@@ -33,12 +33,10 @@ func (s *glintLDA) Setup(p *simnet.Proc, e *core.Engine, docs *rdd.RDD[data.Docu
 		return err
 	}
 	s.totals = make([]float64, cfg.Topics)
-	// Initialization with batched pushes (one-time setup is not the
-	// bottleneck in any system).
+	// Initialization pushes each partition's counts through a round's push,
+	// which Glint prices per pulled word; an initialization pulled none.
 	s.states, _, err = lda.InitStage(p, docs, vocab, cfg, 8, func(tc *rdd.TaskContext, _ []data.Document, init lda.Pass) error {
-		s.add(init)
-		tc.Node.Send(tc.P, e.Cluster.Servers[0], e.Cluster.Cost.SparseBytes(init.Tokens))
-		return nil
+		return s.push(tc, nil, init)
 	})
 	return err
 }
@@ -77,18 +75,6 @@ func (s *glintLDA) push(tc *rdd.TaskContext, words []int, pass lda.Pass) error {
 			f*cost.RequestHandleWork + cost.ElemWork(n*k),
 			f * cost.RequestOverheadB
 	})
-}
-
-// add applies one partition's count changes to shard memory from the host,
-// with the topic totals; the setup charges its wire cost separately.
-func (s *glintLDA) add(pass lda.Pass) {
-	for k, words := range pass.Deltas {
-		for w, v := range words {
-			sh := s.mat.HostShard(s.mat.Part.ServerOf(w))
-			sh.Rows[k][sh.Local(w)] += v
-		}
-	}
-	s.addTotals(pass)
 }
 
 // addTotals folds one partition's topic-total changes into the totals.

@@ -268,7 +268,6 @@ func TestHostReadsListed(t *testing.T) {
 			"internal/ml/embedding/deepwalk.go hostInputTable": "evaluation reads the trained embeddings after the run",
 			"internal/baselines/distml.go hostRow":             "DistML's stale view catches up at the barrier; its round charged the pulls",
 			"internal/bench/extexp.go hostRowOf":               "reads an async model after the simulation stopped",
-			"internal/baselines/glint.go add":                  "Glint's setup write, charged as one transfer to the first server",
 		},
 	}
 	root := filepath.Join("..", "..")
