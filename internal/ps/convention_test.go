@@ -28,16 +28,7 @@ func TestOneFormPerOperator(t *testing.T) {
 			if !ok {
 				continue
 			}
-			name := pkgName + "." + fn.Name.Name
-			if fn.Recv != nil {
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					name = pkgName + "." + id.Name + "." + fn.Name.Name
-				}
-			}
+			name := funcName(pkgName, fn)
 			operators := pkgName == "ps" || pkgName == "dcv"
 			if operators && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "Try") {
 				t.Errorf("%s: %s has a Try prefix; operators have one error-returning form",
@@ -100,8 +91,8 @@ func TestRecoverOnlyForTaskDeath(t *testing.T) {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
 					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "recover" {
-						t.Errorf("%s: recover() in %s.%s; only internal/simnet and rdd.runAttempt recover",
-							fset.Position(call.Pos()), pkgName, fn.Name.Name)
+						t.Errorf("%s: recover() in %s; only internal/simnet and rdd.runAttempt recover",
+							fset.Position(call.Pos()), funcName(pkgName, fn))
 					}
 				}
 				return true
@@ -111,6 +102,20 @@ func TestRecoverOnlyForTaskDeath(t *testing.T) {
 	if runAttempts != 1 {
 		t.Errorf("found %d rdd.runAttempt functions, want 1", runAttempts)
 	}
+}
+
+// funcName names fn as pkg.Func, or pkg.Type.Method for a method.
+func funcName(pkgName string, fn *ast.FuncDecl) string {
+	if fn.Recv != nil {
+		recv := fn.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			return pkgName + "." + id.Name + "." + fn.Name.Name
+		}
+	}
+	return pkgName + "." + fn.Name.Name
 }
 
 // checkRunAttempt fails unless every type assertion in runAttempt is to
