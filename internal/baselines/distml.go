@@ -11,10 +11,11 @@ import (
 )
 
 type distML struct {
-	e    *core.Engine
-	cfg  lr.Config
-	mat  *ps.Matrix
-	view []float64 // the model tasks compute against, one round behind
+	e       *core.Engine
+	cfg     lr.Config
+	mat     *ps.Matrix
+	view    []float64 // the model tasks compute against, one round behind
+	scratch lr.Scratch
 }
 
 // DistML returns the DistML strategy: the model is column-partitioned like
@@ -40,10 +41,10 @@ func (s *distML) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance]
 // workers' pushes land before the pull, yet DistML's async client gives no
 // consistency guarantee, which we model as one round of staleness.
 func (s *distML) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
-	return lr.GradientStage(p, batch, s.cfg.Objective,
-		func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
+	return lr.GradientStage(p, batch, s.cfg.Objective, &s.scratch,
+		func(tc *rdd.TaskContext, indices []int, out []float64) ([]float64, error) {
 			_, err := s.mat.PullRow(tc.P, tc.Node, 0)
-			return gather(s.view, indices), err
+			return gather(s.view, indices, out), err
 		},
 		func(tc *rdd.TaskContext, rows []data.Instance, g *linalg.SparseVector) error {
 			linalg.Scale(-s.cfg.LearningRate/float64(len(rows)), g.Values)
@@ -51,9 +52,9 @@ func (s *distML) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([
 		})
 }
 
-// gather returns full's values at indices, aligned with them.
-func gather(full []float64, indices []int) []float64 {
-	out := make([]float64, len(indices))
+// gather sets out to full's values at indices, aligned with them, and
+// returns it.
+func gather(full []float64, indices []int, out []float64) []float64 {
 	for k, i := range indices {
 		out[k] = full[i]
 	}

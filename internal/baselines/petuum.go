@@ -19,6 +19,7 @@ type petuum struct {
 	cfg      lr.Config
 	mat      *ps.Matrix
 	expected float64 // the expected global batch
+	scratch  lr.Scratch
 }
 
 // Petuum returns the strategy of a Petuum-style parameter server. The weight
@@ -50,13 +51,13 @@ func (s *petuum) Setup(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Ins
 // servers.
 func (s *petuum) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
 	eta := s.cfg.LearningRate / math.Sqrt(float64(it+1)) / s.expected
-	return lr.GradientStage(p, batch, s.cfg.Objective,
-		func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
+	return lr.GradientStage(p, batch, s.cfg.Objective, &s.scratch,
+		func(tc *rdd.TaskContext, indices []int, out []float64) ([]float64, error) {
 			w, err := s.mat.PullRow(tc.P, tc.Node, 0)
 			if err != nil {
 				return nil, err
 			}
-			return gather(w, indices), nil
+			return gather(w, indices, out), nil
 		},
 		func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) error {
 			linalg.Scale(-eta, g.Values)

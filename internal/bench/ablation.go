@@ -102,7 +102,7 @@ func runAblationSparsePull(o Opts) *Result {
 				for i := range idx {
 					idx[i] = i * (dim / nnz)
 				}
-				if _, err := v.PullIndices(p, worker, idx); err != nil {
+				if _, err := v.PullIndices(p, worker, idx, nil); err != nil {
 					panic(err)
 				}
 			}

@@ -160,7 +160,7 @@ func runElasticArm(o Opts, w elasticWorkload, sched elasticSchedule, name string
 				g.Go("task", func(cp *simnet.Proc) {
 					node := e.Cluster.Executors[k%len(e.Cluster.Executors)]
 					cols := sched[t][k]
-					if _, err := mat.PullRowIndices(cp, node, 0, cols); err != nil {
+					if _, err := mat.PullRowIndices(cp, node, 0, cols, nil); err != nil {
 						panic(err)
 					}
 					ones := make([]float64, len(cols))

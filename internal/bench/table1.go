@@ -65,7 +65,7 @@ func runTable1(o Opts) *Result {
 		for i := range idx {
 			idx[i] = i * (dim / 1000)
 		}
-		measure("row access", "pull (sparse)", func() error { _, err := v.PullIndices(p, worker, idx); return err })
+		measure("row access", "pull (sparse)", func() error { _, err := v.PullIndices(p, worker, idx, nil); return err })
 		delta, err := linalg.NewSparse(idx, make([]float64, len(idx)))
 		if err != nil {
 			panic(err)

@@ -39,7 +39,7 @@ type stub struct {
 // reports whether the cache served it without a round trip.
 func (s *stub) pullHit(p *simnet.Proc, x int) bool {
 	hits := s.e.PS.Cache.Hits
-	if _, err := s.cache.PullRowIndices(p, s.e.Cluster.Executors[x], 0, []int{0, 1}); err != nil {
+	if _, err := s.cache.PullRowIndices(p, s.e.Cluster.Executors[x], 0, []int{0, 1}, nil); err != nil {
 		s.t.Error(err)
 	}
 	return s.e.PS.Cache.Hits > hits

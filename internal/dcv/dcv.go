@@ -158,9 +158,10 @@ func (v *Vector) Pull(p *simnet.Proc, from *simnet.Node) []float64 {
 }
 
 // PullIndices fetches only the given strictly-increasing dimensions — the
-// sparse pull used when a mini-batch touches a small feature subset.
-func (v *Vector) PullIndices(p *simnet.Proc, from *simnet.Node, indices []int) ([]float64, error) {
-	return v.mat.PullRowIndices(p, from, v.row, indices)
+// sparse pull used when a mini-batch touches a small feature subset — into
+// out or a fresh buffer, as ps.Matrix.PullRowIndices does.
+func (v *Vector) PullIndices(p *simnet.Proc, from *simnet.Node, indices []int, out []float64) ([]float64, error) {
+	return v.mat.PullRowIndices(p, from, v.row, indices, out)
 }
 
 // Add pushes a sparse delta into the vector (the DCV add used as the

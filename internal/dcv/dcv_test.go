@@ -590,7 +590,7 @@ func TestPullIndicesUnderRotatedPlacement(t *testing.T) {
 		w := cl.Executors[0]
 		delta, _ := linalg.NewSparse([]int{0, 199, 200, 500, 999}, []float64{1, 2, 3, 4, 5})
 		mustOK(v.Add(p, w, delta))
-		got := must(v.PullIndices(p, w, []int{0, 199, 200, 500, 999}))
+		got := must(v.PullIndices(p, w, []int{0, 199, 200, 500, 999}, nil))
 		want := []float64{1, 2, 3, 4, 5}
 		for i := range want {
 			if got[i] != want[i] {

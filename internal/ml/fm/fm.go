@@ -107,13 +107,13 @@ func (m *fm) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]cor
 		}
 		// Sparse pulls: weights plus every factor row at the batch's
 		// feature indices.
-		wv, err := m.w.PullIndices(tc.P, tc.Node, idx)
+		wv, err := m.w.PullIndices(tc.P, tc.Node, idx, nil)
 		if err != nil {
 			return core.Summary{}, err
 		}
 		vv := make([][]float64, k)
 		for f := 0; f < k; f++ {
-			if vv[f], err = m.factors[f].PullIndices(tc.P, tc.Node, idx); err != nil {
+			if vv[f], err = m.factors[f].PullIndices(tc.P, tc.Node, idx, nil); err != nil {
 				return core.Summary{}, err
 			}
 		}

@@ -77,9 +77,10 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 	if err != nil {
 		return nil, err
 	}
-	weights := func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
-		return mat.PullRowIndices(tc.P, tc.Node, 0, indices)
+	weights := func(tc *rdd.TaskContext, indices []int, out []float64) ([]float64, error) {
+		return mat.PullRowIndices(tc.P, tc.Node, 0, indices, out)
 	}
+	var scratch Scratch
 	rngs := make([]*linalg.RNG, len(parts))
 	for w := range parts {
 		rngs[w] = linalg.NewRNG(cfg.Seed*13 + uint64(w))
@@ -90,7 +91,7 @@ func TrainAsync(p *simnet.Proc, e *core.Engine, parts [][]data.Instance, dim int
 			linalg.Scale(-eta, grad.Values)
 			return mat.PushAdd(tc.P, tc.Node, 0, grad)
 		}
-		return gradientTask(tc, rdd.Bernoulli(parts[w], cfg.BatchFraction, rngs[w]), cfg.Objective, weights, push)
+		return gradientTask(tc, rdd.Bernoulli(parts[w], cfg.BatchFraction, rngs[w]), cfg.Objective, &scratch, w, weights, push)
 	})
 	run.Trace.Name = fmt.Sprintf("SSP-%d", cfg.Staleness)
 	return &AsyncModel{Weights: mat, Clock: run.Clock, Trace: run.Trace, run: run}, nil

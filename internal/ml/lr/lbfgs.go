@@ -70,13 +70,14 @@ type lbfgs struct {
 	sHist, yHist             []*dcv.Vector
 	rho, alpha               []float64
 	pairs, next              int // valid history pairs, ring-buffer position
+	scratch                  Scratch
 }
 
 // Round sums the batch gradient into grad, which the previous barrier left
 // zero.
 func (s *lbfgs) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
-	return GradientStage(p, batch, Logistic, func(tc *rdd.TaskContext, indices []int) ([]float64, error) {
-		return s.w.PullIndices(tc.P, tc.Node, indices)
+	return GradientStage(p, batch, Logistic, &s.scratch, func(tc *rdd.TaskContext, indices []int, out []float64) ([]float64, error) {
+		return s.w.PullIndices(tc.P, tc.Node, indices, out)
 	}, func(tc *rdd.TaskContext, _ []data.Instance, g *linalg.SparseVector) error {
 		return s.grad.Add(tc.P, tc.Node, g)
 	})

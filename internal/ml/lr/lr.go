@@ -185,38 +185,84 @@ func Run(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instance], dim in
 }
 
 // GradientStage is the stage every parameter-server strategy runs: one
-// gradient task per partition of the batch.
-func GradientStage(p *simnet.Proc, batch *rdd.RDD[data.Instance], obj Objective,
-	weights func(tc *rdd.TaskContext, indices []int) ([]float64, error),
+// gradient task per partition of the batch, each on its partition's scratch.
+// weights returns the values of indices, aligned with them, in out (len
+// indices) or in memory of its own; ship pushes grad. indices, out and grad
+// are the scratch, so neither function may retain them past its return: a
+// later iteration's task rewrites them. PushBuffer.Add copies its input, and a
+// push may scale grad in place first, as SSP's and the baselines' do.
+func GradientStage(p *simnet.Proc, batch *rdd.RDD[data.Instance], obj Objective, scratch *Scratch,
+	weights func(tc *rdd.TaskContext, indices []int, out []float64) ([]float64, error),
 	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) error) ([]core.Summary, error) {
-	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, _ int, rows []data.Instance) (core.Summary, error) {
-		return gradientTask(tc, rows, obj, weights, ship)
+	return rdd.RunPartitions(p, batch, core.SummaryBytes, func(tc *rdd.TaskContext, part int, rows []data.Instance) (core.Summary, error) {
+		return gradientTask(tc, rows, obj, scratch, part, weights, ship)
 	})
 }
 
+// Scratch is the memory a strategy's gradient tasks keep across iterations,
+// one taskScratch per partition. A task takes its partition's and puts it
+// back only when it returns without error: an attempt that dies or fails
+// drops what it held, since a call it left unfinished may still read it, and
+// its retry starts on fresh memory.
+type Scratch struct {
+	parts []*taskScratch
+}
+
+// taskScratch is one partition's: the batch index, the weights pulled for it
+// and the gradient, both aligned with the index, and the pushed vector.
+type taskScratch struct {
+	index BatchIndex
+	w, g  []float64
+	sv    linalg.SparseVector
+}
+
+// take hands out partition part's scratch, leaving none behind.
+func (s *Scratch) take(part int) *taskScratch {
+	if part < len(s.parts) && s.parts[part] != nil {
+		t := s.parts[part]
+		s.parts[part] = nil
+		return t
+	}
+	return new(taskScratch)
+}
+
+// put keeps t as partition part's scratch.
+func (s *Scratch) put(part int, t *taskScratch) {
+	if part >= len(s.parts) {
+		s.parts = append(s.parts, make([]*taskScratch, part+1-len(s.parts))...)
+	}
+	s.parts[part] = t
+}
+
 // gradientTask is the one parameter-server task: it indexes its rows, reads
-// the weights of the index's features (weights returns them aligned with
-// indices), computes the batch gradient, pays for it, commits and ships it.
-// ship owns grad. GradientStage runs it under the stage barrier, TrainAsync
-// under the SSP clock.
-func gradientTask(tc *rdd.TaskContext, rows []data.Instance, obj Objective,
-	weights func(tc *rdd.TaskContext, indices []int) ([]float64, error),
+// the weights of the index's features, computes the batch gradient, pays for
+// it, commits and ships it, all in partition part's scratch, under
+// GradientStage's rule for weights and ship. GradientStage runs it under the
+// stage barrier, TrainAsync under the SSP clock.
+func gradientTask(tc *rdd.TaskContext, rows []data.Instance, obj Objective, scratch *Scratch, part int,
+	weights func(tc *rdd.TaskContext, indices []int, out []float64) ([]float64, error),
 	ship func(tc *rdd.TaskContext, rows []data.Instance, grad *linalg.SparseVector) error) (core.Summary, error) {
 	if len(rows) == 0 {
 		return core.Summary{}, nil
 	}
-	var b BatchIndex
+	t := scratch.take(part)
+	b := &t.index
 	b.Build(rows)
-	w, err := weights(tc, b.Indices)
+	t.w = fit(t.w, len(b.Indices))
+	w, err := weights(tc, b.Indices, t.w)
 	if err != nil {
 		return core.Summary{}, err
 	}
-	g := make([]float64, len(b.Indices))
-	loss := b.Gradient(obj, rows, w, g)
+	t.g = fit(t.g, len(b.Indices))
+	loss := b.Gradient(obj, rows, w, t.g)
 	tc.Charge(tc.Ctx.Cl.Cost.GradWork(TotalNnz(rows)))
 	tc.Commit()
-	idx, vals := b.Sparse(g)
-	return core.Summary{Sum: loss, Weight: len(rows)}, ship(tc, rows, &linalg.SparseVector{Indices: idx, Values: vals})
+	t.sv.Indices, t.sv.Values = b.Sparse(t.g)
+	if err := ship(tc, rows, &t.sv); err != nil {
+		return core.Summary{}, err
+	}
+	scratch.put(part, t)
+	return core.Summary{Sum: loss, Weight: len(rows)}, nil
 }
 
 // Train runs mini-batch training of the configured objective on PS2: the
@@ -247,9 +293,10 @@ type ps2 struct {
 	// DCVs; weight and grad name the ends.
 	vecs         []*dcv.Vector
 	weight, grad *dcv.Vector
-	pullRow      func(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error)
+	pullRow      func(p *simnet.Proc, from *simnet.Node, row int, indices []int, out []float64) ([]float64, error)
 	cache        *ps.CachedClient
 	gradBufs     map[*simnet.Node]*ps.PushBuffer
+	scratch      Scratch
 }
 
 func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], dim int, cfg Config) error {
@@ -301,12 +348,13 @@ func (s *ps2) Setup(p *simnet.Proc, e *core.Engine, _ *rdd.RDD[data.Instance], d
 }
 
 func (s *ps2) Round(p *simnet.Proc, batch *rdd.RDD[data.Instance], it int) ([]core.Summary, error) {
-	return GradientStage(p, batch, s.cfg.Objective, s.pull, s.push)
+	return GradientStage(p, batch, s.cfg.Objective, &s.scratch, s.pull, s.push)
 }
 
-// pull is the model pull: a sparse pull of exactly the batch's features.
-func (s *ps2) pull(tc *rdd.TaskContext, indices []int) ([]float64, error) {
-	return s.pullRow(tc.P, tc.Node, s.weight.Row(), indices)
+// pull is the model pull: a sparse pull of exactly the batch's features, into
+// out through whichever reader the run configured.
+func (s *ps2) pull(tc *rdd.TaskContext, indices []int, out []float64) ([]float64, error) {
+	return s.pullRow(tc.P, tc.Node, s.weight.Row(), indices, out)
 }
 
 // push is the gradient push via the DCV add operator.
@@ -482,7 +530,7 @@ func EvalOnCluster(p *simnet.Proc, e *core.Engine, dataset *rdd.RDD[data.Instanc
 		}
 		var b BatchIndex
 		b.Build(rows)
-		w, err := weights.PullIndices(tc.P, tc.Node, b.Indices)
+		w, err := weights.PullIndices(tc.P, tc.Node, b.Indices, nil)
 		if err != nil {
 			return partial{}, err
 		}

@@ -32,7 +32,6 @@ package ps
 import (
 	"math"
 
-	"repro/internal/arena"
 	"repro/internal/consistency"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -266,40 +265,30 @@ func (cc *CachedClient) creditStretches(nc *nodeCache, row int, mag float64) boo
 
 // PullRowIndices is the cached sparse pull: values within the staleness
 // bound are served locally; the rest are validated if-modified-since or
-// fetched, one coalesced call per shard that has work to do.
-func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
+// fetched, one coalesced call per shard that has work to do. It assembles
+// into out or a fresh buffer, as Matrix.PullRowIndices does.
+func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, out []float64) ([]float64, error) {
 	mat := cc.mat
 	mat.checkRow(row)
 	if err := validateIndices(indices, mat.Dim); err != nil {
 		return nil, err
 	}
+	out = sparseOut(out, len(indices))
 	mat.enterOp(p)
 	defer mat.exitOp()
 	m, nc := mat.master, cc.node(from)
 	cost := m.Cl.Cost
-	out := make([]float64, len(indices))
-	// Each shard reads into its stretch of one buffer, then scatters to each
-	// column's global position: non-contiguous placements interleave server
-	// groups in the sorted request, so the groups do not concatenate in
-	// order. The buffer comes from the arena — a training run makes millions
-	// of these pulls.
-	buf := arena.Floats(len(indices))
-	defer arena.PutFloats(buf)
-	split := mat.Part.SplitIndices(indices)
-	shards := make([]shardRead, len(split))
-	for s, idx := range split {
+	// Each shard reads into its run's stretch of one buffer in split order:
+	// out itself, unless the placement interleaves servers in the request.
+	split := splitRuns(mat.Part, indices)
+	buf := split.buffer(out)
+	shards := make([]shardRead, len(split.of))
+	for s, idx := range split.of {
 		if len(idx) > 0 {
 			// What the uncached sparse pull would have paid for this shard.
 			m.Cache.BaselineBytes += 2*cost.RequestOverheadB + 12*float64(len(idx))
 		}
-		shards[s] = shardRead{read: copyRead{idx: idx, out: buf[:len(idx):len(idx)]}, todo: len(idx) > 0}
-		buf = buf[len(idx):]
-	}
-	scatter := func(r copyRead) {
-		at := cursor{all: indices}
-		for k, col := range r.idx {
-			out[at.pos(col)] = r.out[k]
-		}
+		shards[s] = shardRead{read: copyRead{idx: idx, out: split.vals(s, buf)}, todo: len(idx) > 0}
 	}
 	// plan serves what shard s's copy set may serve and makes c the
 	// validation+fetch call for the rest, if any.
@@ -319,7 +308,6 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 		if sp.read.pending() == 0 {
 			m.Cache.Hits++
 			nc.touch(e)
-			scatter(sp.read)
 			return false
 		}
 		// Validation request: the indices plus one 16-byte (version, count)
@@ -369,7 +357,6 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 			nc.bytes += sparseColBytes * float64(len(cur.vals)-n)
 			nc.touch(cur)
 			nc.evict(cc.cfg.CapacityBytes, &m.Cache)
-			scatter(sp.read)
 		},
 	}
 	var err error
@@ -380,6 +367,7 @@ func (cc *CachedClient) PullRowIndices(p *simnet.Proc, from *simnet.Node, row in
 	if err != nil {
 		return nil, err
 	}
+	split.restore(buf, out)
 	return out, nil
 }
 

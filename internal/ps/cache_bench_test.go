@@ -56,7 +56,7 @@ func BenchmarkCachedPullWarm(b *testing.B) {
 	}{
 		{"cache-sparse", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
 			cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(1)})
-			return func() error { _, err := cc.PullRowIndices(p, node, 0, idx); return err }
+			return func() error { _, err := cc.PullRowIndices(p, node, 0, idx, nil); return err }
 		}},
 		{"cache-rows", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
 			cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(1)})
@@ -64,7 +64,7 @@ func BenchmarkCachedPullWarm(b *testing.B) {
 		}},
 		{"replica-hot", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
 			rs := must(NewHotReplicaSet(mat, ReplicaConfig{HotCols: idx, Policy: consistency.NewClockBounded(1)}))
-			return func() error { _, err := rs.PullRowIndices(p, node, 0, idx); return err }
+			return func() error { _, err := rs.PullRowIndices(p, node, 0, idx, nil); return err }
 		}},
 	}
 	for _, c := range cases {

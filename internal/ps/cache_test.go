@@ -34,8 +34,8 @@ func TestCachedPullMatchesUncached(t *testing.T) {
 		idx := []int{0, 10, 30, 45, 60, 89}
 
 		check := func(label string) {
-			want := must(mat.PullRowIndices(p, worker, 0, idx))
-			got := must(cc.PullRowIndices(p, worker, 0, idx))
+			want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
+			got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 			for k := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("%s: idx %d = %v, want %v", label, idx[k], got[k], want[k])
@@ -92,7 +92,7 @@ func TestCachedPullClockBound(t *testing.T) {
 		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(2)})
 		idx := []int{3, 12}
 
-		must(cc.PullRowIndices(p, worker, 0, idx)) // fill at clock 0
+		must(cc.PullRowIndices(p, worker, 0, idx, nil)) // fill at clock 0
 		sv, _ := linalg.NewSparse(idx, []float64{10, 10})
 		mustOK(mat.PushAdd(p, worker, 0, sv)) // now server holds 11
 
@@ -100,7 +100,7 @@ func TestCachedPullClockBound(t *testing.T) {
 		for tick := 1; tick <= 2; tick++ {
 			cc.Tick()
 			before := m.Cache
-			got := must(cc.PullRowIndices(p, worker, 0, idx))
+			got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 			if got[0] != 1 || got[1] != 1 {
 				t.Fatalf("clock %d: got %v, want stale value 1", tick, got)
 			}
@@ -110,7 +110,7 @@ func TestCachedPullClockBound(t *testing.T) {
 		}
 		// Clock 3 exceeds the bound: validated, new value fetched.
 		cc.Tick()
-		got := must(cc.PullRowIndices(p, worker, 0, idx))
+		got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		if got[0] != 11 || got[1] != 11 {
 			t.Fatalf("beyond bound: got %v, want 11", got)
 		}
@@ -136,7 +136,7 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 		// Warm the cache with post-checkpoint updates, in both forms.
 		sv, _ := linalg.NewSparse(idx, []float64{100, 100, 100, 100})
 		mustOK(mat.PushAdd(p, worker, 0, sv))
-		must(cc.PullRowIndices(p, worker, 0, idx))
+		must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		must(cc.PullRows(p, worker, []int{1}))
 
 		// Lose server 0: the restore replays the checkpoint (the +100 update
@@ -146,9 +146,9 @@ func TestCacheEpochFencesStaleEntriesAfterRecovery(t *testing.T) {
 
 		cc.Tick()
 		fences := m.Cache.EpochFences
-		got := must(cc.PullRowIndices(p, worker, 0, idx))
+		got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		rows := must(cc.PullRows(p, worker, []int{1}))
-		want := must(mat.PullRowIndices(p, worker, 0, idx))
+		want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 		wantRow := must(mat.PullRows(p, worker, []int{1}, nil))[0]
 		for k := range idx {
 			if got[k] != want[k] {
@@ -189,7 +189,7 @@ func TestCacheEpochFencesRecoveryMidCall(t *testing.T) {
 			idx := []int{1, 5, 25, 39}
 			pull := func() []float64 {
 				if !dense {
-					return must(cc.PullRowIndices(p, worker, 0, idx))
+					return must(cc.PullRowIndices(p, worker, 0, idx, nil))
 				}
 				row := must(cc.PullRows(p, worker, []int{0}))[0]
 				vals := make([]float64, len(idx))
@@ -211,7 +211,7 @@ func TestCacheEpochFencesRecoveryMidCall(t *testing.T) {
 				m.RecoverServer(kp, 0)
 			})
 			got := pull()
-			want := must(mat.PullRowIndices(p, worker, 0, idx))
+			want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 			for k, c := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("dense=%v: col %d = %v, want the restored %v", dense, c, got[k], want[k])
@@ -256,8 +256,8 @@ func TestCacheEpochFencesUnderChaosSoak(t *testing.T) {
 				m.RecoverServer(p, s)
 			}
 			cc.Tick()
-			got := must(cc.PullRowIndices(p, worker, 0, idx))
-			want := must(mat.PullRowIndices(p, worker, 0, idx))
+			got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
+			want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 			for k := range idx {
 				if got[k] != want[k] {
 					t.Fatalf("round %d: idx %d = %v, want %v", round, idx[k], got[k], want[k])
@@ -283,7 +283,7 @@ func TestCacheCapacityEvicts(t *testing.T) {
 		idx := []int{0, 5, 10, 15, 20, 25, 30, 35}
 		for round := 0; round < 3; round++ {
 			for r := 0; r < 8; r++ {
-				got := must(cc.PullRowIndices(p, worker, r, idx))
+				got := must(cc.PullRowIndices(p, worker, r, idx, nil))
 				for k, c := range idx {
 					if want := float64(100*r + c); got[k] != want {
 						t.Fatalf("round %d row %d idx %d = %v, want %v", round, r, c, got[k], want)
@@ -338,7 +338,7 @@ func TestCachedClientRejectsBadIndices(t *testing.T) {
 		cc := NewCachedClient(mat, CacheConfig{})
 		worker := cl.Executors[0]
 		for _, bad := range [][]int{{3, 1}, {2, 2}, {-1}, {10}} {
-			if _, err := cc.PullRowIndices(p, worker, 0, bad); !errors.Is(err, ErrBadIndices) {
+			if _, err := cc.PullRowIndices(p, worker, 0, bad, nil); !errors.Is(err, ErrBadIndices) {
 				t.Fatalf("indices %v: got %v, want ErrBadIndices", bad, err)
 			}
 		}

@@ -126,45 +126,59 @@ func (mat *Matrix) HostShard(s int) *Shard { return mat.shardOn(s) }
 // PullRowIndices fetches only the given (strictly increasing) columns of a
 // row — sparse pull, the optimization the paper credits for PS2's advantage
 // over Petuum ("PS2 supports sparse communication and only pulls the needed
-// model parameters"). Returns values aligned with indices.
-func (mat *Matrix) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
+// model parameters"). It assembles the values, aligned with indices, into
+// out — len(indices) values, each overwritten on success, so a hot loop
+// reuses its scratch — or into a fresh buffer when out is nil, and returns
+// the buffer.
+func (mat *Matrix) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, out []float64) ([]float64, error) {
 	mat.checkRow(row)
 	if err := validateIndices(indices, mat.Dim); err != nil {
 		return nil, err
 	}
+	out = sparseOut(out, len(indices))
 	mat.enterOp(p)
 	defer mat.exitOp()
-	return mat.pullRowIndices(p, from, row, indices, ClassTrain)
+	return mat.pullRowIndices(p, from, row, indices, out, ClassTrain)
 }
 
-// pullRowIndices is the ungated core of PullRowIndices: validation and
-// gate registration already done by the caller. The HotReplicaSet's cold path
-// calls it from a child of an operator that already holds the gate — going
-// through the gated wrapper there would deadlock a migration cutover (the
-// parent can't drain until the child finishes, the child can't enter while
-// the gate is closing). class tags the calls for admission control — the
-// serving tier reads through here with ClassServe.
-func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, class Class) ([]float64, error) {
+// sparseOut returns out, or a fresh buffer when it is nil, for a sparse pull
+// of n columns.
+func sparseOut(out []float64, n int) []float64 {
+	if out == nil {
+		return make([]float64, n)
+	}
+	if len(out) != n {
+		panic(fmt.Sprintf("ps: sparse pull of %d columns got a buffer of %d", n, len(out)))
+	}
+	return out
+}
+
+// pullRowIndices is the ungated core of PullRowIndices: validation, the
+// buffer and gate registration already done by the caller. The
+// HotReplicaSet's cold path calls it from a child of an operator that already
+// holds the gate — going through the gated wrapper there would deadlock a
+// migration cutover (the parent can't drain until the child finishes, the
+// child can't enter while the gate is closing). class tags the calls for
+// admission control — the serving tier reads through here with ClassServe.
+func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, out []float64, class Class) ([]float64, error) {
 	cost := mat.master.Cl.Cost
-	split := mat.Part.SplitIndices(indices)
-	out := make([]float64, len(indices))
+	split := splitRuns(mat.Part, indices)
+	buf := split.buffer(out)
 	spec := CallSpec{
 		Name:  "pull-sparse",
 		Class: class,
 		Fn: func(s int, sh *Shard) error {
-			// Non-contiguous placements interleave server groups in the
-			// sorted request, so map each column back to its global
-			// position rather than assuming the groups concatenate in order.
-			at := cursor{all: indices}
-			for _, col := range split[s] {
-				out[at.pos(col)] = sh.Rows[row][sh.Local(col)]
+			lo, run := sh.locate(split.of[s])
+			src, dst := sh.Rows[row], split.vals(s, buf)
+			for k, col := range run {
+				dst[k] = src[col-lo]
 			}
 			return nil
 		},
 	}
 	err := mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
 		// Request carries the indices; response carries the values.
-		n := float64(len(split[s]))
+		n := float64(len(split.of[s]))
 		c.ReqBytes = cost.RequestOverheadB + 4*n
 		c.RespBytes = cost.RequestOverheadB + 8*n
 		return n > 0
@@ -172,6 +186,7 @@ func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, in
 	if err != nil {
 		return nil, err
 	}
+	split.restore(buf, out)
 	return out, nil
 }
 
@@ -187,27 +202,26 @@ func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *li
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	split := mat.Part.SplitIndices(delta.Indices)
+	split := splitRuns(mat.Part, delta.Indices)
+	vals := split.order(delta.Values)
 	spec := CallSpec{
 		Name:      "push-add",
 		RespBytes: cost.RequestOverheadB, // ack
-		Work:      func(s, _ int) float64 { return cost.ElemWork(len(split[s])) },
+		Work:      func(s, _ int) float64 { return cost.ElemWork(len(split.of[s])) },
 		Mutates:   true,
 		Touched:   []int{row},
 		Fn: func(s int, sh *Shard) error {
-			// As in PullRowIndices: look up each column's global position,
-			// since non-contiguous placements interleave server groups in
-			// the sorted delta.
-			at := cursor{all: delta.Indices}
-			for _, col := range split[s] {
-				sh.Rows[row][sh.Local(col)] += delta.Values[at.pos(col)]
+			lo, run := sh.locate(split.of[s])
+			dst, src := sh.Rows[row], split.vals(s, vals)
+			for k, col := range run {
+				dst[col-lo] += src[k]
 			}
 			return nil
 		},
 	}
 	return mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
-		c.ReqBytes = cost.SparseBytes(len(split[s]))
-		return len(split[s]) > 0
+		c.ReqBytes = cost.SparseBytes(len(split.of[s]))
+		return len(split.of[s]) > 0
 	})
 }
 

@@ -34,7 +34,7 @@ func TestValueBoundedCacheFencedByMigration(t *testing.T) {
 		mustOK(mat.SetRow(p, worker, 0, vals))
 		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewValueBounded(1e18)})
 		idx := []int{0, 5, 11, 17, 23}
-		must(cc.PullRowIndices(p, worker, 0, idx)) // warm under placement A
+		must(cc.PullRowIndices(p, worker, 0, idx, nil)) // warm under placement A
 		if err := m.MigrateMatrix(p, mat, mustRange(24, 6), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestValueBoundedCacheFencedByMigration(t *testing.T) {
 		mustOK(mat.PushAdd(p, worker, 0, sv))
 		vals[5] += 100
 		vals[17] += 200
-		got := must(cc.PullRowIndices(p, worker, 0, idx))
+		got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		for k, c := range idx {
 			if got[k] != vals[c] {
 				t.Fatalf("cached col %d = %v, want %v (value-bounded entry crossed the migration)",
@@ -77,7 +77,7 @@ func TestValueBoundedCacheFencedByRecovery(t *testing.T) {
 		// Warm the cache with post-checkpoint state, in both entry forms.
 		sv, _ := linalg.NewSparse(idx, []float64{100, 100, 100, 100})
 		mustOK(mat.PushAdd(p, worker, 0, sv))
-		must(cc.PullRowIndices(p, worker, 0, idx))
+		must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		must(cc.PullRows(p, worker, []int{1}))
 
 		// Lose server 0: the restore replays the checkpoint (the +100 update
@@ -87,9 +87,9 @@ func TestValueBoundedCacheFencedByRecovery(t *testing.T) {
 
 		cc.Tick()
 		fences := m.Cache.EpochFences
-		got := must(cc.PullRowIndices(p, worker, 0, idx))
+		got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		rows := must(cc.PullRows(p, worker, []int{1}))
-		want := must(mat.PullRowIndices(p, worker, 0, idx))
+		want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 		wantRow := must(mat.PullRows(p, worker, []int{1}, nil))[0]
 		for k := range idx {
 			if got[k] != want[k] {

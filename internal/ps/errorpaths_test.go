@@ -52,14 +52,14 @@ func TestOpsReturnServerDownOnLostShard(t *testing.T) {
 		}
 		wantDown[float64](t, "Matrix.PullRow")(mat.PullRow(p, worker, 0))
 		wantDown[float64](t, "Matrix.PullRowCompressed")(mat.PullRowCompressed(p, worker, 0))
-		wantDown[float64](t, "Matrix.PullRowIndices")(mat.PullRowIndices(p, worker, 0, dead))
+		wantDown[float64](t, "Matrix.PullRowIndices")(mat.PullRowIndices(p, worker, 0, dead, nil))
 		wantDown[[]float64](t, "Matrix.PullRows")(mat.PullRows(p, worker, []int{0, 1}, nil))
-		wantDown[float64](t, "CachedClient.PullRowIndices")(cc.PullRowIndices(p, worker, 0, both))
+		wantDown[float64](t, "CachedClient.PullRowIndices")(cc.PullRowIndices(p, worker, 0, both, nil))
 		wantDown[[]float64](t, "CachedClient.PullRows")(cc.PullRows(p, worker, []int{0, 1}))
 		// The first replica read is served by (dead) server 0 — the hot path;
 		// the second asks only for cold columns the dead server owns.
-		wantDown[float64](t, "HotReplicaSet.PullRowIndices hot")(rs.PullRowIndices(p, worker, 0, []int{mat.Dim - 1}))
-		wantDown[float64](t, "HotReplicaSet.PullRowIndices cold")(rs.PullRowIndices(p, worker, 0, dead))
+		wantDown[float64](t, "HotReplicaSet.PullRowIndices hot")(rs.PullRowIndices(p, worker, 0, []int{mat.Dim - 1}, nil))
+		wantDown[float64](t, "HotReplicaSet.PullRowIndices cold")(rs.PullRowIndices(p, worker, 0, dead, nil))
 		if err := mat.SetRow(p, worker, 0, make([]float64, mat.Dim)); !errors.Is(err, ErrServerDown) {
 			t.Fatalf("SetRow: got %v, want ErrServerDown", err)
 		}
@@ -91,7 +91,7 @@ func TestSparseOpsOnLiveShardSucceedDespiteDeadNeighbor(t *testing.T) {
 		for k := range cols {
 			cols[k] = lo + k
 		}
-		got, err := mat.PullRowIndices(p, worker, 0, cols)
+		got, err := mat.PullRowIndices(p, worker, 0, cols, nil)
 		if err != nil {
 			t.Fatalf("live-shard sparse pull failed: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestPullRowIndicesRejectsBadLists(t *testing.T) {
 		worker := cl.Executors[0]
 		calls := m.Net.Calls
 		for _, bad := range [][]int{{5, 3}, {4, 4}, {-2}, {10}, {0, 3, 3}} {
-			if _, err := mat.PullRowIndices(p, worker, 0, bad); !errors.Is(err, ErrBadIndices) {
+			if _, err := mat.PullRowIndices(p, worker, 0, bad, nil); !errors.Is(err, ErrBadIndices) {
 				t.Fatalf("indices %v: got %v, want ErrBadIndices", bad, err)
 			}
 		}
@@ -125,7 +125,7 @@ func TestPullRowIndicesRejectsBadLists(t *testing.T) {
 			t.Fatalf("invalid index lists reached the RPC layer (%d calls)", m.Net.Calls-calls)
 		}
 		// And a valid list still works.
-		if _, err := mat.PullRowIndices(p, worker, 0, []int{0, 9}); err != nil {
+		if _, err := mat.PullRowIndices(p, worker, 0, []int{0, 9}, nil); err != nil {
 			t.Fatalf("valid list failed: %v", err)
 		}
 	})

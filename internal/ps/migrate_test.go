@@ -91,7 +91,7 @@ func TestMigrateDeadServerErrors(t *testing.T) {
 		}
 		// Old placement still serves reads of the surviving shards: column 0
 		// lives on server 0 under range placement.
-		if got := must(mat.PullRowIndices(p, worker, 0, []int{0, 1}))[0]; got != vals[0] {
+		if got := must(mat.PullRowIndices(p, worker, 0, []int{0, 1}, nil))[0]; got != vals[0] {
 			t.Fatalf("old placement read = %v, want %v", got, vals[0])
 		}
 		m.RecoverServer(p, 2)
@@ -147,7 +147,7 @@ func TestMigratePreservesValues(t *testing.T) {
 						t.Fatalf("hop %d row %d col %d = %v, want %v", h, r, c, got[c], oracle[r][c])
 					}
 				}
-				sp := must(mat.PullRowIndices(p, worker, r, sparseIdx))
+				sp := must(mat.PullRowIndices(p, worker, r, sparseIdx, nil))
 				for k, c := range sparseIdx {
 					if sp[k] != oracle[r][c] {
 						t.Fatalf("hop %d sparse row %d col %d = %v, want %v", h, r, c, sp[k], oracle[r][c])
@@ -318,7 +318,7 @@ func TestCachedClientSurvivesMigration(t *testing.T) {
 		mustOK(mat.SetRow(p, worker, 0, vals))
 		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewClockBounded(2)})
 		idx := []int{0, 5, 11, 17, 23}
-		must(cc.PullRowIndices(p, worker, 0, idx)) // warm the cache under placement A
+		must(cc.PullRowIndices(p, worker, 0, idx, nil)) // warm the cache under placement A
 		if err := m.MigrateMatrix(p, mat, mustRange(24, 6), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestCachedClientSurvivesMigration(t *testing.T) {
 		mustOK(mat.PushAdd(p, worker, 0, sv))
 		vals[5] += 100
 		vals[17] += 200
-		got := must(cc.PullRowIndices(p, worker, 0, idx))
+		got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		for k, c := range idx {
 			if got[k] != vals[c] {
 				t.Fatalf("cached col %d = %v, want %v (stale cross-placement entry served)", c, got[k], vals[c])
@@ -363,7 +363,7 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 		}
 		idx := []int{0, 1, 2, 3, 9, 16, 17, 30}
 		for i := 0; i < 4; i++ { // warm every rotating store under placement A
-			must(rs.PullRowIndices(p, worker, 0, idx))
+			must(rs.PullRowIndices(p, worker, 0, idx, nil))
 		}
 		if err := m.MigrateMatrix(p, mat, mustRange(32, 8), fp(mat)); err != nil {
 			t.Fatal(err)
@@ -375,8 +375,8 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 		vals[1] += 50
 		vals[16] -= 50
 		for i := 0; i < 8; i++ { // hit every post-migration store
-			got := must(rs.PullRowIndices(p, worker, 0, idx))
-			want := must(mat.PullRowIndices(p, worker, 0, idx))
+			got := must(rs.PullRowIndices(p, worker, 0, idx, nil))
+			want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 			for k, c := range idx {
 				if got[k] != want[k] || got[k] != vals[c] {
 					t.Fatalf("replica col %d = %v, owner %v, oracle %v", c, got[k], want[k], vals[c])

@@ -9,10 +9,7 @@
 // not "hack the core of Spark".
 package ps
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partitioner maps the columns (dimensions) of a matrix onto servers using
 // contiguous ranges. Every row of a matrix shares the one partitioner, which
@@ -73,24 +70,84 @@ func (pt *Partitioner) ServerOf(col int) int {
 	return extra + (col-boundary)/base
 }
 
-// cursor maps the columns of one SplitIndices group back to their positions
-// in the sorted list the group was split from. A group keeps the list's
-// order, so each lookup resumes at the last hit and, on a miss, binary
-// searches only the remaining suffix: a range partition's contiguous group
-// maps in O(n), and interleaved groups cost no more than one search per
-// column.
-type cursor struct {
-	all []int
-	at  int
+// runs is a strictly increasing column list split by owning server: of[s]
+// lists server s's columns, in order, and their values travel at vals(s, buf)
+// of one buffer in split order, the runs end to end. Where the runs
+// concatenate in the list's own order (the range partitioner's always do)
+// that buffer is aligned with the list and perm is nil. Where a placement
+// interleaves servers in the list, perm[j] is the list position of the
+// split's j-th column, computed once per call, and order and restore move
+// values between the two orders.
+type runs struct {
+	of   [][]int
+	perm []int
 }
 
-// pos returns col's position in all; cols must come in increasing order.
-func (c *cursor) pos(col int) int {
-	if c.at < len(c.all) && c.all[c.at] != col {
-		c.at += sort.SearchInts(c.all[c.at:], col)
+// splitRuns splits indices (strictly increasing) by pl's owning server.
+func splitRuns(pl Placement, indices []int) runs {
+	r := runs{of: pl.SplitIndices(indices)}
+	at := 0
+	for _, run := range r.of {
+		if n := len(run); n > 0 && (run[0] != indices[at] || run[n-1] != indices[at+n-1]) {
+			break
+		}
+		at += len(run)
 	}
-	c.at++
-	return c.at - 1
+	if at == len(indices) {
+		return r
+	}
+	// The runs interleave: each column goes to its server's next place.
+	r.perm = make([]int, len(indices))
+	next := make([]int, len(r.of))
+	for s := 1; s < len(next); s++ {
+		next[s] = next[s-1] + len(r.of[s-1])
+	}
+	for k, col := range indices {
+		s := pl.ServerOf(col)
+		r.perm[next[s]] = k
+		next[s]++
+	}
+	return r
+}
+
+// vals returns server s's stretch of a buffer in split order.
+func (r runs) vals(s int, buf []float64) []float64 {
+	at := 0
+	for _, run := range r.of[:s] {
+		at += len(run)
+	}
+	end := at + len(r.of[s])
+	return buf[at:end:end]
+}
+
+// order returns vals, aligned with the list, in split order: vals itself
+// unless the runs interleave.
+func (r runs) order(vals []float64) []float64 {
+	if r.perm == nil {
+		return vals
+	}
+	out := make([]float64, len(vals))
+	for j, k := range r.perm {
+		out[j] = vals[k]
+	}
+	return out
+}
+
+// buffer returns the split-order buffer whose values restore moves into
+// out: out itself unless the runs interleave.
+func (r runs) buffer(out []float64) []float64 {
+	if r.perm == nil {
+		return out
+	}
+	return make([]float64, len(out))
+}
+
+// restore moves buf, in split order, into out, aligned with the list; a
+// no-op when buffer returned out itself.
+func (r runs) restore(buf, out []float64) {
+	for j, k := range r.perm {
+		out[k] = buf[j]
+	}
 }
 
 // SplitIndices groups sorted column indices by owning server, returning for

@@ -3,6 +3,8 @@ package ps
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/consistency"
@@ -134,7 +136,9 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 	rp, _ := NewPartitioner(dim, 6)
 
 	// One simulation per arm keeps virtual-time bookkeeping independent.
-	runArm := func(pl Placement) [][]float64 {
+	// Each of lists is pushed into row 2 and pulled back after the fixed
+	// sequence, its reads appended to the results.
+	runArm := func(pl Placement, lists ...[]int) [][]float64 {
 		sim, cl, m := testMaster(6)
 		if pl == nil {
 			sim, cl, m = testMaster(1)
@@ -196,12 +200,12 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 				fusedSum += x
 			}
 			r0 := must(mat.PullRow(p, worker, 0))
-			r1 := must(mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36}))
+			r1 := must(mat.PullRowIndices(p, worker, 1, []int{0, 4, 9, 20, 36}, nil))
 			span := make([]int, 22)
 			for i := range span {
 				span[i] = 8 + i
 			}
-			r2 := must(mat.PullRowIndices(p, worker, 2, span))
+			r2 := must(mat.PullRowIndices(p, worker, 2, span, nil))
 			// A longer list whose columns interleave the server groups of
 			// the hashed placements: pushed, then pulled back.
 			var long []int
@@ -215,8 +219,16 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 				lv[i] = float64(i) - 7.5
 			}
 			mustOK(mat.PushAdd(p, worker, 1, must(linalg.NewSparse(long, lv))))
-			r3 := must(mat.PullRowIndices(p, worker, 1, long))
+			r3 := must(mat.PullRowIndices(p, worker, 1, long, nil))
 			out = [][]float64{r0, r1, r2, {fusedSum}, r3}
+			for _, cols := range lists {
+				vals := make([]float64, len(cols))
+				for i, c := range cols {
+					vals[i] = 0.75*float64(c) - 3
+				}
+				mustOK(mat.PushAdd(p, worker, 2, must(linalg.NewSparse(cols, vals))))
+				out = append(out, must(mat.PullRowIndices(p, worker, 2, cols, nil)))
+			}
 		})
 		return out
 	}
@@ -242,6 +254,41 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 		// across server counts.
 		if diff := math.Abs(got[3][0] - oracle[3][0]); diff > 1e-9*math.Abs(oracle[3][0]) {
 			t.Fatalf("%s: fused sum %v vs oracle %v", a.name, got[3][0], oracle[3][0])
+		}
+	}
+
+	// Sparse pushes and pulls whose columns all land on one server of the
+	// placement (every server's own columns in turn), and one that spans all
+	// six servers (each server's first and last two columns): exact against
+	// the oracle on the same lists. bh leaves server 0 without columns at
+	// this width; seed 16 gives every server some.
+	bhAll, _ := NewBlockHashPlacement(dim, 6, 4, 16)
+	for _, a := range []struct {
+		name string
+		pl   Placement
+	}{{"range", rp}, {"blockhash", bhAll}, {"loadaware", la}} {
+		var lists [][]int
+		var spanning []int
+		for s := 0; s < a.pl.NumServers(); s++ {
+			v := a.pl.View(s)
+			if v.Width() < 2 {
+				t.Fatalf("%s: server %d owns %d columns, want at least 2", a.name, s, v.Width())
+			}
+			own := make([]int, v.Width())
+			for i := range own {
+				own[i] = v.At(i)
+			}
+			lists = append(lists, own)
+			spanning = append(spanning, own[:2]...)
+			spanning = append(spanning, own[len(own)-2:]...)
+		}
+		sort.Ints(spanning)
+		lists = append(lists, slices.Compact(spanning))
+		want, got := runArm(nil, lists...), runArm(a.pl, lists...)
+		for i := 5; i < len(want); i++ {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: columns %v read back %v, oracle %v", a.name, lists[i-5], got[i], want[i])
+			}
 		}
 	}
 }
@@ -337,8 +384,8 @@ func TestHotReplicaBitIdenticalAtClockBoundZero(t *testing.T) {
 			// More pulls than servers: the round-robin rotation revisits
 			// stores within the clock, so later pulls must hit locally.
 			for rep := 0; rep < 8; rep++ {
-				got := must(rs.PullRowIndices(p, worker, 0, idx))
-				want := must(mat.PullRowIndices(p, worker, 0, idx))
+				got := must(rs.PullRowIndices(p, worker, 0, idx, nil))
+				want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 				for k := range want {
 					if got[k] != want[k] {
 						t.Fatalf("round %d rep %d: replica read col %d = %v, owner %v",
@@ -380,15 +427,15 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		idx := []int{0, 1, 2, 3, 10}
 		for i := 0; i < 4; i++ { // warm every rotating store
-			must(rs.PullRowIndices(p, worker, 0, idx))
+			must(rs.PullRowIndices(p, worker, 0, idx, nil))
 		}
 		m.CrashServer(0) // owner of the hot prefix under range placement
 		m.RecoverServer(p, 0)
 		mat.TickClock()
 		mat.TickClock()          // step past the staleness bound so copies revalidate
 		for i := 0; i < 4; i++ { // every store must refetch and agree
-			got := must(rs.PullRowIndices(p, worker, 0, idx))
-			want := must(mat.PullRowIndices(p, worker, 0, idx))
+			got := must(rs.PullRowIndices(p, worker, 0, idx, nil))
+			want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 			for k := range want {
 				if got[k] != want[k] {
 					t.Fatalf("post-recovery replica read col %d = %v, owner %v", idx[k], got[k], want[k])

@@ -191,7 +191,7 @@ func TestCreatePullPushRoundTrip(t *testing.T) {
 		if row[3] != 2 || row[26] != 4 || row[99] != 6 {
 			t.Errorf("push-add wrong: %v %v %v", row[3], row[26], row[99])
 		}
-		vals := must(mat.PullRowIndices(p, worker, 0, []int{3, 26, 99}))
+		vals := must(mat.PullRowIndices(p, worker, 0, []int{3, 26, 99}, nil))
 		if vals[0] != 2 || vals[1] != 4 || vals[2] != 6 {
 			t.Errorf("sparse pull wrong: %v", vals)
 		}
@@ -259,7 +259,7 @@ func TestSparsePullCheaperThanFull(t *testing.T) {
 			worker := cl.Executors[0]
 			start := p.Now()
 			if sparse {
-				must(mat.PullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999}))
+				must(mat.PullRowIndices(p, worker, 0, []int{1, 5, 100, 5000, 10000, 250000, 400000, 700000, 900000, 999999}, nil))
 			} else {
 				must(mat.PullRow(p, worker, 0))
 			}

@@ -133,23 +133,24 @@ func TopKCols(weight []float64, k int) []int {
 // PullRowIndices is the replica-aware sparse pull: replicated columns are
 // served by a rotating server from its replica store (revalidating against
 // owners as the staleness bound requires) and the rest take the ordinary
-// owner-routed path. Output is aligned with indices, like the raw operator.
-func (rs *HotReplicaSet) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int) ([]float64, error) {
-	return rs.pull(p, from, row, indices, ClassTrain)
+// owner-routed path. It assembles into out or a fresh buffer, aligned with
+// indices, as Matrix.PullRowIndices does.
+func (rs *HotReplicaSet) PullRowIndices(p *simnet.Proc, from *simnet.Node, row int, indices []int, out []float64) ([]float64, error) {
+	return rs.pull(p, from, row, indices, out, ClassTrain)
 }
 
 // pull is PullRowIndices with an explicit admission class — the serving tier
 // (ModelReader) reads through it to tag its traffic ClassServe.
-func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indices []int, class Class) ([]float64, error) {
+func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indices []int, out []float64, class Class) ([]float64, error) {
 	mat := rs.mat
 	mat.checkRow(row)
 	if err := validateIndices(indices, mat.Dim); err != nil {
 		return nil, err
 	}
+	out = sparseOut(out, len(indices))
 	mat.enterOp(p)
 	defer mat.exitOp()
 	rs.resync()
-	out := make([]float64, len(indices))
 	hotCols, hotPos := make([]int, 0, len(indices)), make([]int, 0, len(indices))
 	var coldCols, coldPos []int
 	for k, col := range indices {
@@ -167,7 +168,7 @@ func (rs *HotReplicaSet) pull(p *simnet.Proc, from *simnet.Node, row int, indice
 		g.Go("replica-cold", func(cp *simnet.Proc) {
 			// The ungated core: this child runs under the gate the parent
 			// already holds, so the gated wrapper would deadlock a cutover.
-			vals, err := mat.pullRowIndices(cp, from, row, coldCols, class)
+			vals, err := mat.pullRowIndices(cp, from, row, coldCols, make([]float64, len(coldCols)), class)
 			if err != nil {
 				errCold = err
 				return
@@ -251,12 +252,13 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 	}
 	// Classify every owner's columns before any owner traffic, in owner
 	// order for determinism.
-	split := mat.Part.SplitIndices(cols)
-	reads := make([]copyRead, len(split))
-	buf := arena.Floats(len(cols)) // each owner's values, in owner order
-	defer arena.PutFloats(buf)
+	split := splitRuns(mat.Part, cols)
+	reads := make([]copyRead, len(split.of))
+	vals := arena.Floats(len(cols)) // the values, aligned with cols
+	defer arena.PutFloats(vals)
+	buf := split.buffer(vals) // each owner's values, in split order
 	lead := false
-	for o, idx := range split {
+	for o, idx := range split.of {
 		if len(idx) == 0 {
 			continue
 		}
@@ -277,8 +279,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 				set.creditTo(driftMark{osh.RowDrift(row), osh.DriftGen()})
 			}
 		}
-		reads[o] = classify(m, rs.pol, set, idx, mat.clock, buf[:len(idx)])
-		buf = buf[len(idx):]
+		reads[o] = classify(m, rs.pol, set, idx, mat.clock, split.vals(o, buf))
 		m.Replica.LocalHits += uint64(len(idx) - reads[o].pending())
 		lead = lead || reads[o].pending() > 0
 	}
@@ -296,7 +297,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 		}()
 	}
 	servingNode := mat.srv(t).Node
-	for o, idx := range split {
+	for o := range split.of {
 		r := reads[o]
 		if need := r.pending(); need > 0 {
 			osh, err := mat.LiveShard(o)
@@ -332,10 +333,10 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 			m.Replica.OwnerFetches++
 			m.Replica.ChangedVals += uint64(changed)
 		}
-		at := cursor{all: cols}
-		for k, col := range idx {
-			out[pos[at.pos(col)]] = r.out[k]
-		}
+	}
+	split.restore(buf, vals)
+	for k, v := range vals {
+		out[pos[k]] = v
 	}
 	return nil
 }

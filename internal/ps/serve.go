@@ -351,13 +351,14 @@ func (ms *ModelSnapshot) ReadRowIndices(p *simnet.Proc, from *simnet.Node, row i
 	}
 	cost := m.Cl.Cost
 	out := make([]float64, len(indices))
-	split := mat.Part.SplitIndices(indices)
+	split := splitRuns(mat.Part, indices)
+	buf := split.buffer(out)
 	// Check every pin before any child is spawned: a fence found mid-fan-out
 	// would return while lower-numbered shards' children are still issuing
 	// RPCs — past the caller's exitOp, which breaks the route gate's "no
 	// in-flight op during cutover" invariant.
 	for s, sp := range ms.pins {
-		if len(split[s]) > 0 && (sp.invalid || mat.ShardEpoch(s) != sp.epoch) {
+		if len(split.of[s]) > 0 && (sp.invalid || mat.ShardEpoch(s) != sp.epoch) {
 			return nil, ms.fenced(s)
 		}
 	}
@@ -370,25 +371,25 @@ func (ms *ModelSnapshot) ReadRowIndices(p *simnet.Proc, from *simnet.Node, row i
 		if sh != sp.sh || sp.invalid || mat.ShardEpoch(s) != sp.epoch {
 			return ms.fenced(s)
 		}
-		at := cursor{all: indices}
-		for _, col := range split[s] {
-			l := sh.Local(col)
-			k := at.pos(col)
+		lo, run := sh.locate(split.of[s])
+		dst := split.vals(s, buf)
+		for k, col := range run {
+			l := col - lo
 			if sh.elemVer[row][l] <= sp.ver {
-				out[k] = sh.Rows[row][l] // unchanged since the pin
+				dst[k] = sh.Rows[row][l] // unchanged since the pin
 			} else {
 				v, ok := sp.old[snapKey{row: row, local: l}]
 				if !ok {
 					return ms.fenced(s)
 				}
-				out[k] = v // overwritten since; serve the pre-image
+				dst[k] = v // overwritten since; serve the pre-image
 			}
 		}
 		return nil
 	}
 	err := mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
 		// Indices plus the pinned version stamp out, values back.
-		n := float64(len(split[s]))
+		n := float64(len(split.of[s]))
 		c.ReqBytes = cost.RequestOverheadB + 4*n + 8
 		c.RespBytes = cost.RequestOverheadB + 8*n
 		return n > 0
@@ -396,6 +397,7 @@ func (ms *ModelSnapshot) ReadRowIndices(p *simnet.Proc, from *simnet.Node, row i
 	if err != nil {
 		return nil, err
 	}
+	split.restore(buf, out)
 	m.Serve.SnapshotReads++
 	return out, nil
 }
@@ -471,14 +473,14 @@ func (mr *ModelReader) Read(p *simnet.Proc, from *simnet.Node, row int, indices 
 	var out []float64
 	var err error
 	if mr.rs != nil {
-		out, err = mr.rs.pull(p, from, row, indices, ClassServe)
+		out, err = mr.rs.pull(p, from, row, indices, nil, ClassServe)
 	} else {
 		mr.mat.checkRow(row)
 		if err = validateIndices(indices, mr.mat.Dim); err != nil {
 			return nil, err
 		}
 		mr.mat.enterOp(p)
-		out, err = mr.mat.pullRowIndices(p, from, row, indices, ClassServe)
+		out, err = mr.mat.pullRowIndices(p, from, row, indices, make([]float64, len(indices)), ClassServe)
 		mr.mat.exitOp()
 	}
 	if err != nil {

@@ -55,7 +55,7 @@ func TestSnapshotBitIdenticalUnderPushes(t *testing.T) {
 			}
 		}
 		// The live model must have moved where the pushes landed.
-		live := must(mat.PullRowIndices(p, worker, 0, idx))
+		live := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 		if live[1] == base[1] || live[7] == base[7] {
 			t.Fatalf("live read did not see pushes: live %v, pinned %v", live, base)
 		}
@@ -125,7 +125,7 @@ func TestSnapshotFencedByRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-pinned read: %v", err)
 		}
-		want := must(mat.PullRowIndices(p, worker, 0, idx))
+		want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("re-pinned col %d = %v, live %v", idx[k], got[k], want[k])
@@ -276,7 +276,7 @@ func TestSnapshotChaosMigration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-migration read: %v", err)
 		}
-		want := must(mat.PullRowIndices(p, worker, 0, idx))
+		want := must(mat.PullRowIndices(p, worker, 0, idx, nil))
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("post-migration col %d = %v, live %v", idx[k], got[k], want[k])
@@ -321,7 +321,7 @@ func TestAdmissionShedsTypedAndBounded(t *testing.T) {
 				_, serveErrs[i] = reader.Read(cp, worker, 0, idx)
 			})
 			g.Go("train-req", func(cp *simnet.Proc) {
-				_, trainErrs[i] = mat.PullRowIndices(cp, worker, 0, idx)
+				_, trainErrs[i] = mat.PullRowIndices(cp, worker, 0, idx, nil)
 			})
 		}
 		g.Wait(p)

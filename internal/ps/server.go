@@ -90,6 +90,24 @@ func (sh *Shard) Local(col int) int {
 	return col - sh.view.Lo
 }
 
+// locate returns where the shard stores a run of its columns (strictly
+// increasing): column cols[k] at local position run[k]-lo. A contiguous shard
+// checks once that the run lies in its range and returns its Lo and the run
+// itself; an interleaved one returns 0 and each column's local position.
+func (sh *Shard) locate(cols []int) (lo int, run []int) {
+	if sh.off != nil {
+		run = make([]int, len(cols))
+		for k, col := range cols {
+			run[k] = sh.Local(col)
+		}
+		return 0, run
+	}
+	if n := len(cols); n > 0 && (cols[0] < sh.view.Lo || cols[n-1] >= sh.view.Hi) {
+		panic(fmt.Sprintf("ps: columns [%d..%d] outside shard range [%d,%d)", cols[0], cols[n-1], sh.view.Lo, sh.view.Hi))
+	}
+	return sh.view.Lo, cols
+}
+
 // Scatter writes local-order values into their absolute positions of a
 // full-dimension vector (full[ColAt(i)] = local[i]).
 func (sh *Shard) Scatter(local, full []float64) { sh.view.Scatter(local, full) }

@@ -58,8 +58,8 @@ func TestSparsePullAllocsIndependentOfShards(t *testing.T) {
 			for c := 7; c < dim; c += 20 {
 				indices = append(indices, c)
 			}
-			must(mat.PullRowIndices(p, w, 0, indices))
-			allocs = testing.AllocsPerRun(50, func() { must(mat.PullRowIndices(p, w, 0, indices)) })
+			must(mat.PullRowIndices(p, w, 0, indices, nil))
+			allocs = testing.AllocsPerRun(50, func() { must(mat.PullRowIndices(p, w, 0, indices, nil)) })
 		})
 		return allocs
 	}
@@ -155,7 +155,7 @@ func TestStoppedCallsCloseTheirSpans(t *testing.T) {
 // one per-pull record, none of it per shard. Sparse: 200 columns over every
 // shard; dense: two rows.
 func TestCachedPullAllocsIndependentOfShards(t *testing.T) {
-	const dim, wantSparse, wantDense = 4000, 8, 13
+	const dim, wantSparse, wantDense = 4000, 7, 13
 	measure := func(servers int) (sparse, dense float64) {
 		sim, cl, m := testMaster(servers)
 		run(sim, func(p *simnet.Proc) {
@@ -167,10 +167,10 @@ func TestCachedPullAllocsIndependentOfShards(t *testing.T) {
 				indices = append(indices, c)
 			}
 			rows := []int{0, 1}
-			must(cc.PullRowIndices(p, w, 0, indices))
+			must(cc.PullRowIndices(p, w, 0, indices, nil))
 			must(cc.PullRows(p, w, rows))
 			calls := m.Net.Calls
-			sparse = testing.AllocsPerRun(50, func() { must(cc.PullRowIndices(p, w, 0, indices)) })
+			sparse = testing.AllocsPerRun(50, func() { must(cc.PullRowIndices(p, w, 0, indices, nil)) })
 			dense = testing.AllocsPerRun(50, func() { must(cc.PullRows(p, w, rows)) })
 			if m.Net.Calls != calls {
 				t.Errorf("%d servers: warm pulls made %d calls", servers, m.Net.Calls-calls)

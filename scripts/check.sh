@@ -95,9 +95,10 @@ done
 go test -count=1 -run 'ZeroAlloc|NoSortAllocs|AllocatesNothing|AllocsIndependentOfShards' ./internal/wire/ ./internal/linalg/ ./internal/ml/lr/ ./internal/simnet/ ./internal/ps/
 
 # The simulator's layer probes, by name: the kernel's host ns per event and
-# hand-offs per event on its three shapes, and the sim-lr-adam job's
-# events and allocations per iteration (ROADMAP item 25).
-go test -run '^$' -bench 'BenchmarkKernel|BenchmarkSimLRAdamJob' -benchtime 1x ./internal/simnet/ .
+# hand-offs per event on its three shapes, the LR batch index's ns per entry
+# on cold batches of sim-lr-adam's and tcp-lr-sparse's shapes, and the
+# sim-lr-adam job's events and allocations per iteration (ROADMAP item 25).
+go test -run '^$' -bench 'BenchmarkKernel|BenchmarkBatchIndexBuild|BenchmarkSimLRAdamJob' -benchtime 1x ./internal/simnet/ ./internal/ml/lr/ .
 
 # The wire server's sparse fused executor against its dense reference, on
 # schedules the fuzzer generates beyond the seed corpus the suite above ran;
