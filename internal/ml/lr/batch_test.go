@@ -132,6 +132,40 @@ func TestBatchIndexMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestBatchIndexLossMatchesEvalLoss: the loss read through an index over a
+// whole dataset, from the weights at its features only, is bit for bit
+// EvalLoss of the dense model that holds them there and 0 elsewhere, with
+// some of the indexed weights exactly 0.
+func TestBatchIndexLossMatchesEvalLoss(t *testing.T) {
+	const dim = 40_000
+	ds, err := data.GenerateClassify(data.ClassifyConfig{
+		Rows: 3000, Dim: dim, NnzPerRow: 8, Skew: 1.0, NoiseRate: 0.02, WeightNnz: dim / 10, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b BatchIndex
+	b.Build(ds.Instances)
+	rng := linalg.NewRNG(11)
+	dense := make([]float64, dim)
+	w := make([]float64, len(b.Indices))
+	for k, i := range b.Indices {
+		if k%5 != 0 {
+			w[k] = 2*rng.Float64() - 1
+		}
+		dense[i] = w[k]
+	}
+	for _, obj := range []Objective{Logistic, Hinge} {
+		want := EvalLoss(obj, ds.Instances, dense)
+		if got := b.Loss(obj, ds.Instances, w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("objective %d: index loss %v, EvalLoss %v", obj, got, want)
+		}
+	}
+	if got := b.Loss(Logistic, nil, nil); !math.IsNaN(got) {
+		t.Fatalf("loss over no rows %v, want NaN as EvalLoss", got)
+	}
+}
+
 func TestBatchIndexReuseZeroAlloc(t *testing.T) {
 	if raceBuild() {
 		t.Skip("under -race sync.Pool drops a random share of Puts, so Build's pooled scratch is reallocated now and then; scripts/check.sh runs this gate without -race")

@@ -213,13 +213,14 @@ func (c *Client) release(ep *endpoint, pc *poolConn) {
 
 // call is one request of a pipeline and where its answer goes: a sparse
 // pull's values into *vals (want of them); a range pull's values streamed
-// into *vals and its first column into *lo; any other payload copied into
-// *out when out is set.
+// into *vals and its first column into *lo, or its nonzero values into
+// *nz; any other payload copied into *out when out is set.
 type call struct {
 	f    Frame
 	vals *[]float64
 	want int
 	lo   *int
+	nz   *RangeNonzero
 	out  *[]byte
 }
 
@@ -446,7 +447,7 @@ func (e *appError) Error() string { return e.err.Error() }
 // consumed, so the next answer on the connection reads from its start.
 func (p *Pipeline) answer(cl *call) (uint64, error) {
 	pc := p.pc
-	if cl.lo != nil {
+	if cl.lo != nil || cl.nz != nil {
 		return p.answerRange(cl)
 	}
 	resp, err := ReadResponseReuse(pc.br, &pc.rbuf)
@@ -480,9 +481,15 @@ func (p *Pipeline) answerRange(cl *call) (uint64, error) {
 	}
 	n := uint64(respHeaderLen + plen)
 	pc.lr = io.LimitedReader{R: pc.br, N: int64(plen)}
-	lo, _, err := readPullRangeResp(&pc.lr, plen, &pc.rbuf, cl.vals)
+	if cl.nz != nil {
+		err = readPullRangeNonzero(&pc.lr, plen, &pc.rbuf, cl.nz)
+	} else {
+		var lo int
+		if lo, _, err = readPullRangeResp(&pc.lr, plen, &pc.rbuf, cl.vals); err == nil {
+			*cl.lo = lo
+		}
+	}
 	if err == nil {
-		*cl.lo = lo
 		return n, nil
 	}
 	if readFailure(err) {
@@ -549,6 +556,14 @@ func (p *Pipeline) Fused(mat uint32, ops []FusedOp) {
 // nothing and the pooled connection keeps no buffer the size of the row.
 func (p *Pipeline) PullRangeInto(mat uint32, row int, lo *int, valsBuf *[]float64) {
 	p.queue(OpPullRange, false, AppendPullRangeReq(arena.Bytes(0), mat, row), call{vals: valsBuf, lo: lo})
+}
+
+// PullRangeNonzero queues a read of the server's whole stretch of one row
+// that keeps only its nonzero values, into *dst (its slices reused): the
+// same request and answer as PullRangeInto, for a caller that wants what a
+// wide, mostly zero row holds without memory of its width.
+func (p *Pipeline) PullRangeNonzero(mat uint32, row int, dst *RangeNonzero) {
+	p.queue(OpPullRange, false, AppendPullRangeReq(arena.Bytes(0), mat, row), call{nz: dst})
 }
 
 // --- Single calls: one-frame pipelines ---

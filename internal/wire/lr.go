@@ -21,7 +21,10 @@ package wire
 // three calls in sequence and indexes the same batches in the same order.
 // The TCP store cuts each list into per-server runs along the range
 // partition and decodes each server's values straight into its stretch of
-// the weight slice, so neither backend builds a per-batch map.
+// the weight slice, so neither backend builds a per-batch map. The final
+// loss is evaluated from the weights at the dataset's features, the only
+// columns training pushes to; the TCP store reads each server's row as its
+// nonzero values, so nothing as wide as the model is held.
 
 import (
 	"fmt"
@@ -90,7 +93,9 @@ func (c LRConfig) withDefaults() LRConfig {
 type LRResult struct {
 	Losses    []float64 // mean mini-batch loss per iteration
 	FinalLoss float64   // full-dataset loss of the final weights
-	Weights   []float64
+	// Weights is the final model at every feature of the dataset, by column.
+	// Training pushes to no other column, so every other weight is 0.
+	Weights linalg.SparseVector
 }
 
 // lrStore abstracts the parameter store the shared loop trains against:
@@ -107,8 +112,9 @@ type lrStore interface {
 	// current batch's buffers, which the turn overwrites: the gradient must be
 	// sent (or encoded) before it.
 	round(mat uint32, step *lrStep, b *lrBatches) error
-	// weights reads the full weight vector.
-	weights(mat uint32, dim int) ([]float64, error)
+	// weights reads the weights at cols (sorted, distinct) into w, aligned
+	// with them.
+	weights(mat uint32, cols []int, w []float64) error
 }
 
 // lrStep is the end of one iteration: the sparse gradient (sorted, distinct
@@ -207,8 +213,7 @@ func (b *lrBatches) draw(bt *lrBatch) {
 // pulls the first batch's weights, and each iteration's round pushes its
 // gradient and pulls the next batch's.
 func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, error) {
-	dim := ds.Config.Dim
-	if err := st.create(cfg.Mat, 2, dim); err != nil {
+	if err := st.create(cfg.Mat, 2, ds.Config.Dim); err != nil {
 		return nil, fmt.Errorf("create shards: %w", err)
 	}
 	b := newLRBatches(ds.Instances, cfg.BatchSize, ds.Config.Seed, cfg.Iterations)
@@ -225,12 +230,14 @@ func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, e
 			return nil, fmt.Errorf("iteration %d: %w", it, err)
 		}
 	}
-	wFull, err := st.weights(cfg.Mat, dim)
-	if err != nil {
+	var all lr.BatchIndex
+	all.Build(ds.Instances)
+	w := make([]float64, len(all.Indices))
+	if err := st.weights(cfg.Mat, all.Indices, w); err != nil {
 		return nil, fmt.Errorf("final pull: %w", err)
 	}
-	res.Weights = wFull
-	res.FinalLoss = lr.EvalLoss(lr.Logistic, ds.Instances, wFull)
+	res.Weights = linalg.SparseVector{Indices: all.Indices, Values: w}
+	res.FinalLoss = all.Loss(lr.Logistic, ds.Instances, w)
 	return res, nil
 }
 
@@ -329,40 +336,37 @@ func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
 	return st.wait()
 }
 
-// weights pulls each server's range. One server's range is the whole vector,
-// decoded into memory the decoder allocates, which it knows is +0, so a
-// sparse reply writes its pairs and clears nothing. Several servers' ranges
-// decode straight into their stretches of w, as round does: a stretch's
-// capacity is exactly its range, so a reply of the right length lands in
-// place and any other length is refused.
-func (st *wireStore) weights(mat uint32, dim int) ([]float64, error) {
-	var w []float64
-	if len(st.pipes) > 1 {
-		w = linalg.Zeros(dim)
-	}
-	los := make([]int, len(st.pipes))
+// weights reads each server's stretch of the weight row, keeping its
+// nonzero values only: the range pulls of a full-row read, without memory of
+// the row's width. It sets w at cols from them and leaves out a weight at a
+// column cols lacks, which no row of the dataset reads (a column the servers
+// held from before the run).
+func (st *wireStore) weights(mat uint32, cols []int, w []float64) error {
+	got := make([]RangeNonzero, len(st.pipes))
 	for s, p := range st.pipes {
-		st.dst[s] = nil
-		if lo, hi := st.pt.Range(s); w != nil {
-			st.dst[s] = w[lo:hi:hi]
-		}
-		p.PullRangeInto(mat, rowWeight, &los[s], &st.dst[s])
+		p.PullRangeNonzero(mat, rowWeight, &got[s])
 		p.Send()
 	}
 	if err := st.wait(); err != nil {
-		return nil, err
+		return err
 	}
-	for s := range st.pipes {
+	clear(w)
+	k := 0 // cols[k] is the first column not below the next nonzero's
+	for s, g := range got {
 		lo, hi := st.pt.Range(s)
-		if los[s] != lo || len(st.dst[s]) != hi-lo {
-			return nil, fmt.Errorf("wire: server %d returned range [%d,+%d), want [%d,%d)",
-				s, los[s], len(st.dst[s]), lo, hi)
+		if g.Lo != lo || g.Width != hi-lo {
+			return fmt.Errorf("wire: server %d returned range [%d,+%d), want [%d,%d)", s, g.Lo, g.Width, lo, hi)
+		}
+		for i, c := range g.Cols {
+			for k < len(cols) && cols[k] < lo+c {
+				k++
+			}
+			if k < len(cols) && cols[k] == lo+c {
+				w[k] = g.Vals[i]
+			}
 		}
 	}
-	if w == nil {
-		w = st.dst[0]
-	}
-	return w, nil
+	return nil
 }
 
 // RunLR trains LR over the wire client against live ps2serve endpoints and

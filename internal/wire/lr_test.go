@@ -83,11 +83,11 @@ func TestLRSingleServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Weights) != 800 {
-		t.Fatalf("weights dim %d", len(res.Weights))
+	if idx := res.Weights.Indices; len(idx) == 0 || idx[len(idx)-1] >= 800 {
+		t.Fatalf("weights at columns %v of 800", idx)
 	}
 	var nonzero int
-	for _, w := range res.Weights {
+	for _, w := range res.Weights.Values {
 		if w != 0 {
 			nonzero++
 		}

@@ -492,40 +492,116 @@ func readPullRangeResp(r io.Reader, plen int, piece *[]byte, valsBuf *[]float64)
 // +0: a buffer growFloats has just allocated is already, a reused one is
 // cleared.
 func readSparseRange(r io.Reader, plen, n int, piece *[]byte, valsBuf *[]float64) ([]float64, error) {
-	if plen < 12 {
-		return nil, errShortPayload
-	}
-	h := grow(piece, 4)
-	if _, err := io.ReadFull(r, h); err != nil {
+	k, err := readSparseCount(r, plen, n, piece)
+	if err != nil {
 		return nil, err
-	}
-	k := int(binary.LittleEndian.Uint32(h))
-	if n > maxRowWidth || k > n || plen != 12+12*k {
-		return nil, fmt.Errorf("wire: sparse range response of %d bytes claims %d of %d columns", plen, k, n)
 	}
 	fresh := cap(*valsBuf) < n
 	vals := growFloats(valsBuf, n)
 	if !fresh {
 		clear(vals)
 	}
+	return vals, eachSparsePair(r, k, n, piece, func(c int, v float64) { vals[c] = v })
+}
+
+// readSparseCount reads a sparse range response's member count, after its
+// first 8 bytes, and checks it against the payload's plen bytes and the
+// row's width n.
+func readSparseCount(r io.Reader, plen, n int, piece *[]byte) (int, error) {
+	if plen < 12 {
+		return 0, errShortPayload
+	}
+	h := grow(piece, 4)
+	if _, err := io.ReadFull(r, h); err != nil {
+		return 0, err
+	}
+	k := int(binary.LittleEndian.Uint32(h))
+	if n > maxRowWidth || k > n || plen != 12+12*k {
+		return 0, fmt.Errorf("wire: sparse range response of %d bytes claims %d of %d columns", plen, k, n)
+	}
+	return k, nil
+}
+
+// eachSparsePair reads a sparse range response's k pairs, a piece at a
+// time, and calls fn with each column and value. The columns must be
+// strictly ascending and below the row's width n.
+func eachSparsePair(r io.Reader, k, n int, piece *[]byte, fn func(c int, v float64)) error {
 	next := 0 // the lowest column the next pair may name
 	for rest := k; rest > 0; {
 		m := min(rest, rangePiece/12)
 		d := dec{b: grow(piece, 12*m)}
 		if _, err := io.ReadFull(r, d.b); err != nil {
-			return nil, err
+			return err
 		}
 		for range m {
 			c := int(d.u32())
 			if c < next || c >= n {
-				return nil, fmt.Errorf("wire: sparse range response names column %d out of order or past the row's %d columns", c, n)
+				return fmt.Errorf("wire: sparse range response names column %d out of order or past the row's %d columns", c, n)
 			}
-			vals[c] = d.f64()
+			fn(c, d.f64())
 			next = c + 1
 		}
 		rest -= m
 	}
-	return vals, nil
+	return nil
+}
+
+// RangeNonzero is a range pull's answer kept as the row's nonzero columns
+// only, so that it takes memory for what the row holds, not for its width.
+type RangeNonzero struct {
+	Lo, Width int       // the server's stretch of the row: first column, width
+	Cols      []int     // the nonzero columns, as offsets from Lo, ascending
+	Vals      []float64 // their values
+}
+
+// readPullRangeNonzero reads a PullRange response payload of plen bytes
+// from r, in either layout, into dst, keeping only the nonzero values. Both
+// layouts pass through piece, at most rangePiece bytes at a time, so nothing
+// the row's width is allocated. Errors are as readPullRangeResp's.
+func readPullRangeNonzero(r io.Reader, plen int, piece *[]byte, dst *RangeNonzero) error {
+	if plen < 8 {
+		return errShortPayload
+	}
+	h := grow(piece, 8)
+	if _, err := io.ReadFull(r, h); err != nil {
+		return err
+	}
+	lo := int(binary.LittleEndian.Uint32(h))
+	n := int(binary.LittleEndian.Uint32(h[4:]))
+	dst.Cols, dst.Vals = dst.Cols[:0], dst.Vals[:0]
+	keep := func(c int, v float64) {
+		if v != 0 {
+			dst.Cols = append(dst.Cols, c)
+			dst.Vals = append(dst.Vals, v)
+		}
+	}
+	if n&sparseRange != 0 {
+		n &^= sparseRange
+		k, err := readSparseCount(r, plen, n, piece)
+		if err != nil {
+			return err
+		}
+		if err := eachSparsePair(r, k, n, piece, keep); err != nil {
+			return err
+		}
+	} else {
+		if plen != 8+8*n {
+			return fmt.Errorf("wire: range response of %d bytes claims %d values", plen, n)
+		}
+		for c := 0; c < n; {
+			m := min(n-c, rangePiece/8)
+			d := dec{b: grow(piece, 8*m)}
+			if _, err := io.ReadFull(r, d.b); err != nil {
+				return err
+			}
+			for range m {
+				keep(c, d.f64())
+				c++
+			}
+		}
+	}
+	dst.Lo, dst.Width = lo, n
+	return nil
 }
 
 // --- Stats: empty request; response is the server's counters ---

@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -569,5 +570,78 @@ func BenchmarkPullRangeWide(b *testing.B) {
 				pull(b, c)
 			}
 		})
+	}
+}
+
+// TestPullRangeNonzeroKeepsWhatTheRowHolds: the nonzero decode of a range
+// response gives, in either layout and across piece boundaries, exactly the
+// columns and bits of the full decode's nonzero values (a NaN is nonzero, a
+// −0 is not), reuses its slices, refuses what the full decode refuses, and
+// allocates nothing near the row's width.
+func TestPullRangeNonzeroKeepsWhatTheRowHolds(t *testing.T) {
+	width := 3*rangePiece/8 + 5
+	row := make([]float64, width)
+	for c := 0; c < width; c += 7 {
+		row[c] = float64(c%13) - 6 // some exact zeros among them
+	}
+	row[1], row[2], row[width-1] = math.NaN(), math.Copysign(0, -1), 1.5
+	var keys []uint64
+	for c, v := range row {
+		if c%3 == 0 || v != 0 { // members include zeros, as a compact row's may
+			keys = append(keys, uint64(c)<<32|uint64(c))
+		}
+	}
+	if len(keys) <= rangePiece/12 {
+		t.Fatalf("%d pairs fit one piece; the test wants several", len(keys))
+	}
+	dst := RangeNonzero{Cols: []int{99}, Vals: []float64{99}} // stale, must go
+	for _, layout := range []struct {
+		name string
+		p    []byte
+	}{
+		{"dense", appendPullRangeResp(nil, 40, row)},
+		{"sparse", appendSparseRange(nil, 40, width, keys, row)},
+	} {
+		_, full, err := readPullRangeResp(bytes.NewReader(layout.p), len(layout.p), new([]byte), new([]float64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantCols []int
+		var wantBits []uint64
+		for c, v := range full {
+			if v != 0 {
+				wantCols = append(wantCols, c)
+				wantBits = append(wantBits, math.Float64bits(v))
+			}
+		}
+		if err := readPullRangeNonzero(bytes.NewReader(layout.p), len(layout.p), new([]byte), &dst); err != nil {
+			t.Fatalf("%s: %v", layout.name, err)
+		}
+		gotBits := make([]uint64, len(dst.Vals))
+		for i, v := range dst.Vals {
+			gotBits[i] = math.Float64bits(v)
+		}
+		if dst.Lo != 40 || dst.Width != width || !slices.Equal(dst.Cols, wantCols) || !slices.Equal(gotBits, wantBits) {
+			t.Fatalf("%s: lo %d width %d, %d nonzeros; want 40, %d, %d", layout.name, dst.Lo, dst.Width, len(dst.Cols), width, len(wantCols))
+		}
+		cut := layout.p[:len(layout.p)-1]
+		if err := readPullRangeNonzero(bytes.NewReader(cut), len(cut), new([]byte), &dst); err == nil {
+			t.Fatalf("%s: a payload one byte short decoded", layout.name)
+		}
+	}
+	backwards := appendSparseRange(nil, 0, 10, []uint64{5<<32 | 0, 3<<32 | 1}, []float64{1, 2})
+	if err := readPullRangeNonzero(bytes.NewReader(backwards), len(backwards), new([]byte), &dst); err == nil {
+		t.Fatal("a sparse response with columns out of order decoded")
+	}
+
+	wide := appendSparseRange(nil, 0, 4_000_000, []uint64{17 << 32, 3_999_999<<32 | 1}, []float64{2, 3})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := readPullRangeNonzero(bytes.NewReader(wide), len(wide), new([]byte), &dst); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding two values of a 4M-wide row allocated %d bytes", grew)
 	}
 }
