@@ -11,6 +11,7 @@ import (
 	"repro/internal/ml/lda"
 	"repro/internal/ml/lr"
 	"repro/internal/rdd"
+	"repro/internal/simnet"
 )
 
 // TestServerLossFailsTrainingWithAnError kills one parameter server partway
@@ -121,5 +122,63 @@ func TestServerLossFailsTrainingWithAnError(t *testing.T) {
 				t.Errorf("the server loss surfaced outside a task body: %v", err)
 			}
 		})
+	}
+}
+
+// TestExecutorLossFailsSSPWithAnError crashes one SSP worker's executor at
+// times spread over a run of lr.TrainAsync, 50 µs apart. A worker whose
+// machine dies under its task (inside Charge or Commit, or on its next RPC)
+// must end with an error that wraps simnet.ErrNodeDown and names the worker,
+// never with a panic; a crash after the worker's last iteration leaves the
+// run to finish. At 0.9 ms the task meets its dead machine at Charge or
+// Commit, the case rdd.RunTask turns into an error.
+func TestExecutorLossFailsSSPWithAnError(t *testing.T) {
+	classify, err := data.GenerateClassify(data.ClassifyConfig{
+		Rows: 800, Dim: 2000, NnzPerRow: 10, Skew: 1.0, WeightNnz: 200, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := lr.AsyncConfig{Config: lr.DefaultConfig(), Staleness: 2}
+	cfg.Iterations = 30
+	failed := 0
+	for i := 1; i <= 40; i++ {
+		crashAt := float64(i) * 50e-6
+		opt := DefaultOptions()
+		opt.Executors, opt.Servers = 4, 2
+		e := NewEngine(opt)
+		e.Sim.Spawn("crash-executor-1", func(p *Proc) {
+			p.Sleep(crashAt)
+			e.RDD.CrashExecutor(1)
+		})
+		var err error
+		returned := false
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("crash at %.5f s: Run panicked: %v", crashAt, r)
+				}
+			}()
+			e.Run(func(p *Proc) {
+				var model *lr.AsyncModel
+				if model, err = lr.TrainAsync(p, e, data.Partition(classify.Instances, 4), classify.Config.Dim, cfg); err == nil {
+					err = model.Wait(p)
+				}
+				returned = true
+			})
+		}()
+		if !returned {
+			t.Fatalf("crash at %.5f s: the trainer never returned to the driver", crashAt)
+		}
+		if err == nil {
+			continue
+		}
+		failed++
+		if !errors.Is(err, simnet.ErrNodeDown) || !strings.Contains(err.Error(), "SSP worker 1") {
+			t.Errorf("crash at %.5f s: trainer returned %v, want SSP worker 1's error wrapping simnet.ErrNodeDown", crashAt, err)
+		}
+	}
+	if failed == 0 {
+		t.Error("no crash time failed the run: the sweep missed every worker iteration")
 	}
 }

@@ -4,16 +4,17 @@
 // revalidated against its owner, or should it be refetched outright?"
 //
 // Its callers are the two copy stores, the worker cache and the hot-replica
-// set (which also answers serving reads); each takes one Policy as its one
-// freshness knob, builds a Meta — the facts it knows about one cached value
-// — and lets the policy decide. The SSP gate holds no copies and compares
+// set (which also answers serving reads); each builds a Meta — the facts it
+// knows about one cached value — and lets a policy decide. The worker cache
+// takes its Policy as its one freshness knob; the replica set always runs
+// ClockBounded(0). The SSP gate holds no copies and compares
 // its clocks directly. The policies implement the consistency-model
 // spectrum of Dai et al. (VLDB 2015):
 //
 //   - ClockBounded: Stale Synchronous Parallel. A value validated at clock c
 //     serves until clock c+staleness, then revalidates. ClockBounded(0) is
-//     both copy stores' default (a nil Policy): it never consults delta
-//     magnitudes and never hard-pulls.
+//     the worker cache's default (a nil Policy) and the hot replicas' fixed
+//     policy: it never consults delta magnitudes and never hard-pulls.
 //
 //   - ValueBounded: Value-bounded Asynchronous Parallel (VAP). A value
 //     serves until the accumulated |delta| against it plausibly exceeds a

@@ -115,13 +115,15 @@ func (s *SSP) Wait(p *simnet.Proc) error {
 // RunSSP is the loop's second gate: the Stale Synchronous Parallel clock in
 // place of Run's stage barrier. Worker w, a process on executor w, runs
 // iteration it once no worker is more than staleness clocks behind it (0 is
-// BSP lockstep); it then runs task with a TaskContext for its executor and
-// ticks its clock. RunSSP returns at once, while the workers run; the trace's
-// point at clock it is the summed Sum over Weight of every worker's task at
-// it, recorded after the last worker finishes.
+// BSP lockstep); it then runs task as one attempt on its executor
+// (rdd.RunTask) and ticks its clock. RunSSP returns at once, while the
+// workers run; the trace's point at clock it is the summed Sum over Weight of
+// every worker's task at it, recorded after the last worker finishes.
 //
-// A task's error ends its worker: the worker's clock runs out to iterations
-// at once, so no other worker waits on it, and Wait returns the error.
+// A task's error ends its worker, as does the loss of its executor, which
+// comes back as an error wrapping simnet.ErrNodeDown: the worker's clock runs
+// out to iterations at once, so no other worker waits on it, and Wait returns
+// the error.
 //
 // A traced run records each worker's iterations, from admission to the end
 // of the task, as loop.iter spans on its executor's lane.
@@ -132,12 +134,13 @@ func RunSSP(p *simnet.Proc, e *Engine, workers, staleness, iterations int, task 
 	for w := 0; w < workers; w++ {
 		node := e.Cluster.Executors[w]
 		s.group.Go("ssp-worker-"+strconv.Itoa(w), func(wp *simnet.Proc) {
-			tc := &rdd.TaskContext{Ctx: e.RDD, P: wp, Node: node, Part: w, Attempt: 1}
 			spans := loopSpans{t: wp.Sim().Tracer(), lane: node}
 			for it := 0; it < iterations; it++ {
 				s.Clock.Wait(wp, it)
 				spans.begin(wp, it)
-				st, err := task(tc, w, it)
+				st, err := rdd.RunTask(wp, e.RDD, node, w, func(tc *rdd.TaskContext) (Summary, error) {
+					return task(tc, w, it)
+				})
 				spans.end(wp)
 				if err != nil {
 					s.errs[w] = fmt.Errorf("core: SSP worker %d at clock %d: %w", w, it, err)

@@ -91,6 +91,13 @@ type stretchHdr struct {
 	driftMark
 }
 
+// driftMark is an owner's exact cumulative drift watermark on a row
+// (versions.go) and the drift generation it belongs to.
+type driftMark struct {
+	drift float64
+	gen   uint64
+}
+
 // nodeCache is the per-executor-machine cache: entries keyed by (row, shard,
 // form), an LRU list (root.next = most recent) and a byte budget.
 type nodeCache struct {

@@ -40,10 +40,11 @@ func BenchmarkPushBufferCombine(b *testing.B) {
 }
 
 // BenchmarkCachedPullWarm measures reads answered entirely from warm,
-// clock-fresh copies: the fast path every repeated read takes under a
-// staleness bound. The two cache forms never touch the simulated network;
-// the replica read pays its one RPC to the rotating serving server, whose
-// copies answer without an owner round trip.
+// clock-fresh copies: the fast path every repeated read takes within one
+// model clock, or a cache's staleness bound. The two cache forms never touch
+// the simulated network; the replica read pays its one RPC to the rotating
+// serving server, whose copies, validated this clock, answer without an owner
+// round trip.
 func BenchmarkCachedPullWarm(b *testing.B) {
 	idx := make([]int, 256)
 	for k := range idx {
@@ -63,7 +64,7 @@ func BenchmarkCachedPullWarm(b *testing.B) {
 			return func() error { _, err := cc.PullRows(p, node, rows); return err }
 		}},
 		{"replica-hot", func(mat *Matrix, p *simnet.Proc, node *simnet.Node) func() error {
-			rs := must(NewHotReplicaSet(mat, ReplicaConfig{HotCols: idx, Policy: consistency.NewClockBounded(1)}))
+			rs := must(NewHotReplicaSet(mat, ReplicaConfig{HotCols: idx}))
 			return func() error { _, err := rs.PullRowIndices(p, node, 0, idx, nil); return err }
 		}},
 	}

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/consistency"
@@ -113,6 +114,81 @@ func TestCachedPullClockBound(t *testing.T) {
 		got := must(cc.PullRowIndices(p, worker, 0, idx, nil))
 		if got[0] != 11 || got[1] != 11 {
 			t.Fatalf("beyond bound: got %v, want 11", got)
+		}
+	})
+}
+
+// TestCachedPullLearnsDriftRate pins the copy store's rate learning under a
+// delta-consuming policy, on a frozen row read through the worker cache: a
+// fetched copy starts with an unknown rate, a revalidation one clock later
+// that finds no change learns rate 0, the row is then served from copies
+// with no revalidation and no hard pull, and a local push past the bound,
+// credited with CreditPush, is refetched.
+func TestCachedPullLearnsDriftRate(t *testing.T) {
+	sim, cl, m := testMaster(3)
+	run(sim, func(p *simnet.Proc) {
+		worker := cl.Executors[0]
+		mat := must(m.CreateMatrix(p, 1, 12))
+		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) + 1 })
+		const bound = 0.5
+		cc := NewCachedClient(mat, CacheConfig{Policy: consistency.NewValueBounded(bound)})
+		hot := []int{0, 1}
+		read := func(step string, want0 float64) {
+			got := must(cc.PullRowIndices(p, worker, 0, hot, nil))
+			if got[0] != want0 || got[1] != 2 {
+				t.Fatalf("%s: value-bounded cached read = %v, want [%v 2]", step, got, want0)
+			}
+		}
+		rates := func() []float64 {
+			e := cc.node(worker).get(cacheKey{copyKey: copyKey{0, mat.Part.ServerOf(0)}})
+			if e == nil || len(e.vals) != len(hot) {
+				t.Fatalf("cache holds %v, want copies of columns %v", e, hot)
+			}
+			var out []float64
+			for _, col := range hot {
+				out = append(out, e.vals[col].rate)
+			}
+			return out
+		}
+		before := m.Consistency
+		read("first read", 1) // no copies: fetched
+		if m.Consistency != before {
+			t.Fatalf("first read decided on copies it does not hold: %+v", m.Consistency)
+		}
+		for _, r := range rates() {
+			if !math.IsInf(r, 1) {
+				t.Fatalf("a fetched copy starts with rate %v, want unknown", r)
+			}
+		}
+		cc.Tick()
+		before, current := m.Consistency, m.Cache.ValidationHits
+		read("after a tick", 1) // unknown rate over one clock: revalidate
+		if got := m.Consistency.Revalidated - before.Revalidated; got != uint64(len(hot)) {
+			t.Fatalf("revalidated %d copies after the tick, want %d", got, len(hot))
+		}
+		if got := m.Cache.ValidationHits - current; got != uint64(len(hot)) {
+			t.Fatalf("%d of %d revalidations of a frozen row found the copy current", got, len(hot))
+		}
+		for _, r := range rates() {
+			if r != 0 {
+				t.Fatalf("unchanged revalidation learned rate %v, want 0", r)
+			}
+		}
+		cc.Tick()
+		before = m.Consistency
+		read("frozen", 1) // zero drift: served from copies
+		if got := m.Consistency.ServedCached - before.ServedCached; got != uint64(len(hot)) || m.Consistency.Revalidated != before.Revalidated {
+			t.Fatalf("frozen row served %d copies, want %d with no revalidation: %+v", got, len(hot), m.Consistency)
+		}
+		if m.Consistency.HardPulled != 0 {
+			t.Fatalf("a cached copy was hard-pulled: %+v", m.Consistency)
+		}
+		mustOK(mat.PushAdd(p, worker, 0, must(linalg.NewSparse([]int{0}, []float64{2 * bound}))))
+		cc.CreditPush(worker, 0, []int{0}, []float64{2 * bound})
+		cc.Tick()
+		read("after a credited push past the bound", 1+2*bound)
+		if m.Consistency.HardPulled != 1 {
+			t.Fatalf("a credited push past the bound hard-pulled %d copies, want 1", m.Consistency.HardPulled)
 		}
 	})
 }

@@ -104,6 +104,48 @@ func TestRecoverOnlyForTaskDeath(t *testing.T) {
 	}
 }
 
+// TestTaskContextBuiltOnlyByRdd pins where taskFailed can be raised: only
+// rdd builds a TaskContext, and only for runAttempt, so a Charge or Commit on
+// a dead machine always lands in the recover that turns it into a lost
+// attempt. Outside internal/rdd, non-test code builds none, neither as a
+// literal nor with new.
+func TestTaskContextBuiltOnlyByRdd(t *testing.T) {
+	root := filepath.Join("..", "..")
+	rddDir := filepath.Join(root, "internal", "rdd")
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == ".git" || d.Name() == "testdata" || path == rddDir {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	sourceFiles(t, fset, dirs, func(_, _ string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			var typ ast.Expr
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ = n.Type
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "new" && len(n.Args) == 1 {
+					typ = n.Args[0]
+				}
+			}
+			if typ != nil && types.ExprString(typ) == "rdd.TaskContext" {
+				t.Errorf("%s: builds an rdd.TaskContext outside internal/rdd; run the body through rdd.RunTask", fset.Position(n.Pos()))
+			}
+			return true
+		})
+	})
+}
+
 // funcName names fn as pkg.Func, or pkg.Type.Method for a method.
 func funcName(pkgName string, fn *ast.FuncDecl) string {
 	if fn.Recv != nil {

@@ -3,7 +3,10 @@ package ps
 // The copy store: the one implementation of a versioned copy of server values
 // held away from its owner shard. Two layers keep such copies — the worker
 // cache (cache.go) on each executor machine and hot-column replicas
-// (replica.go) on every server — and both decide here.
+// (replica.go) on every server — and both decide here. The one freshness
+// knob is the worker cache's CacheConfig.Policy; replicas, and the
+// ModelReader reads served from them, always run ClockBounded(0), exact as of
+// the model clock.
 //
 // Validity. Every copy carries the owner's shard version stamp it was read at
 // and the clock at which it was last known current. Whether a copy may be
@@ -13,18 +16,18 @@ package ps
 // between barriers and the clock ticks once per iteration) is exact: reads are
 // bit-identical to the owner's.
 //
-// Drift learning. A delta-consuming policy (ValueBounded, Adaptive) ignores
-// age and serves a copy until the accumulated |delta| against it plausibly
-// exceeds a bound. A copy tracks two delta signals: pend, the exact magnitude
-// of writes its holder knows of since the copy's last validation, and rate,
-// an EWMA of other change per clock learned at revalidation (merge), seeded
-// unknown, which forces revalidation until the first observation. A worker
-// knows its own flushed pushes (credit); a server holding a replica knows
-// the owner's exact row drift (creditTo). When known writes alone bust the
-// bound the copy is hard-pulled: refetched like a missing one, skipping the
-// stamp bytes a doomed validation would pay, with its old value kept for rate
-// learning. Delta accounting is gated on Policy.UsesDeltas(), so
-// clock-bounded runs do no extra work.
+// Drift learning. A delta-consuming policy (ValueBounded, Adaptive), which
+// only the worker cache runs, ignores age and serves a copy until the
+// accumulated |delta| against it plausibly exceeds a bound. A copy tracks two
+// delta signals: pend, the exact magnitude of writes its holder knows of
+// since the copy's last validation, and rate, an EWMA of other change per
+// clock learned at revalidation (merge), seeded unknown, which forces
+// revalidation until the first observation. A worker knows its own flushed
+// pushes (credit). When known writes alone bust the bound the copy is
+// hard-pulled: refetched like a missing one, skipping the stamp bytes a
+// doomed validation would pay, with its old value kept for rate learning.
+// Delta accounting is gated on Policy.UsesDeltas(), so clock-bounded runs do
+// no extra work.
 //
 // If-modified-since. A copy outside the bound is not refetched: the reader
 // sends its column and stamp, and the owner (read) ships only the columns
@@ -41,11 +44,7 @@ package ps
 // All of it is host-side bookkeeping: the only virtual charges are the
 // adaptors' own messages.
 
-import (
-	"math"
-
-	"repro/internal/consistency"
-)
+import "repro/internal/consistency"
 
 // copyVal is one copy: the value, the owner stamp it was read at, the clock
 // at which it was last known current, and its two delta signals (zero, and
@@ -62,19 +61,10 @@ type copyVal struct {
 type copyKey struct{ row, shard int }
 
 // copySet is the copies of one row held from one owner shard, fenced as a
-// unit by the owner epoch they were filled under. mark is the owner's row
-// drift its copies were last credited to (replicas only).
+// unit by the owner epoch they were filled under.
 type copySet struct {
 	epoch uint64
 	vals  map[int]copyVal
-	mark  driftMark
-}
-
-// driftMark is an owner's exact cumulative drift watermark on a row
-// (versions.go) and the drift generation it belongs to.
-type driftMark struct {
-	drift float64
-	gen   uint64
 }
 
 // admit asks pol whether cv may be served at clock now and counts the
@@ -113,20 +103,6 @@ func (s *copySet) credit(col int, mag float64) bool {
 		s.vals[col] = cv
 	}
 	return ok
-}
-
-// creditTo credits every copy with the owner's drift since the set was last
-// credited, up to watermark now. Across a new drift generation the magnitude
-// is unknown, so every copy hard-pulls.
-func (s *copySet) creditTo(now driftMark) {
-	d := now.drift - s.mark.drift
-	if now.gen != s.mark.gen {
-		d = math.Inf(1)
-	}
-	for col := range s.vals {
-		s.credit(col, d)
-	}
-	s.mark = now
 }
 
 // copyRead is one read of a row's columns against one copy set: classify

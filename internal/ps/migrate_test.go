@@ -357,7 +357,7 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 			vals[c] = float64(c) + 0.125
 		}
 		mustOK(mat.SetRow(p, worker, 0, vals))
-		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3, 16, 17}, Policy: consistency.NewClockBounded(3)})
+		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3, 16, 17}})
 		if err != nil {
 			panic(err)
 		}
@@ -368,8 +368,9 @@ func TestHotReplicaSurvivesMigration(t *testing.T) {
 		if err := m.MigrateMatrix(p, mat, mustRange(32, 8), fp(mat)); err != nil {
 			t.Fatal(err)
 		}
-		// Write through the new owners, then read via replicas while the old
-		// copies would still be inside the staleness bound.
+		// Write through the new owners, then read via replicas at the same
+		// model clock, where the old copies, validated this clock, would be
+		// served with no RPC had the placement fence not dropped them.
 		sv, _ := linalg.NewSparse([]int{1, 16}, []float64{50, -50})
 		mustOK(mat.PushAdd(p, worker, 0, sv))
 		vals[1] += 50

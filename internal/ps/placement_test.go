@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/consistency"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
@@ -406,7 +405,10 @@ func TestHotReplicaBitIdenticalAtClockBoundZero(t *testing.T) {
 
 // TestHotReplicaSurvivesRecovery fences replica state across a server crash:
 // reads after the owner (and a serving store) die and recover must still
-// match the owner-routed values.
+// match the owner-routed values. The recovery rolls the owner back past a
+// write the copies hold, and the reads come at the same model clock as the
+// copies' validation, so only the epoch fence keeps the copies from being
+// served.
 func TestHotReplicaSurvivesRecovery(t *testing.T) {
 	sim, cl, m := testMaster(4)
 	run(sim, func(p *simnet.Proc) {
@@ -421,7 +423,9 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		mustOK(mat.SetRow(p, worker, 0, vals))
 		m.Checkpoint(p, mat)
-		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}, Policy: consistency.NewClockBounded(1)})
+		sv, _ := linalg.NewSparse([]int{0, 1, 2, 3}, []float64{1, 1, 1, 1})
+		mustOK(mat.PushAdd(p, worker, 0, sv)) // lost with the owner: after the checkpoint
+		rs, err := NewHotReplicaSet(mat, ReplicaConfig{HotCols: []int{0, 1, 2, 3}})
 		if err != nil {
 			panic(err)
 		}
@@ -431,8 +435,6 @@ func TestHotReplicaSurvivesRecovery(t *testing.T) {
 		}
 		m.CrashServer(0) // owner of the hot prefix under range placement
 		m.RecoverServer(p, 0)
-		mat.TickClock()
-		mat.TickClock()          // step past the staleness bound so copies revalidate
 		for i := 0; i < 4; i++ { // every store must refetch and agree
 			got := must(rs.PullRowIndices(p, worker, 0, idx, nil))
 			want := must(mat.PullRowIndices(p, worker, 0, idx, nil))

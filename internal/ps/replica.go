@@ -7,16 +7,14 @@ package ps
 // management layered on top of whatever placement the matrix uses.
 //
 // Consistency. Each server holds its replicas in the copy store (copies.go),
-// which states the validity rule, drift learning, if-modified-since against
-// the owner's element versions, and the owner-epoch fence. Freshness rides the
-// matrix's model clock (Matrix.TickClock, serve.go), which trainers advance
-// once per iteration after the optimizer step, so under the default
-// ClockBounded(0) replica reads in a BSP loop are bit-identical to owner
-// reads: the first read of a clock revalidates every column against the
-// owner's live value, and the row cannot change again until the next tick.
-// Under a delta-consuming policy the writes a replica knows of are the
-// owner's: every read first credits its copies with the owner's exact row
-// drift since they were read (copySet.creditTo).
+// which states the validity rule, if-modified-since against the owner's
+// element versions, and the owner-epoch fence. Replicas have no freshness
+// knob: every copy is judged by ClockBounded(0) against the matrix's model
+// clock (Matrix.TickClock, serve.go), which trainers advance once per
+// iteration after the optimizer step, so replica reads in a BSP loop are
+// bit-identical to owner reads: the first read of a clock revalidates every
+// column against the owner's live value, and the row cannot change again
+// until the next tick.
 //
 // Load shedding. A hot read costs the client one RPC to a rotating serving
 // server; the serving server answers from its replica store and only the
@@ -45,14 +43,12 @@ type ReplicaConfig struct {
 	// HotCols lists the replicated columns, strictly increasing. Callers
 	// typically pick the top-K of a sampled column-access profile (TopKCols).
 	HotCols []int
-	// Policy decides replica-copy freshness, like CacheConfig.Policy: nil
-	// means consistency.ClockBounded(0), revalidate anything not validated
-	// this clock (BSP-exact); delta-consuming policies serve copies until
-	// the owner's drift since they were read, plus a learned drift-rate
-	// estimate, may exceed the bound. It is the replica set's one freshness
-	// knob, for training pulls and ModelReader reads alike.
-	Policy consistency.Policy
 }
+
+// replicaPolicy judges every replica copy: revalidate anything not validated
+// this model clock, so replica reads, for training pulls and ModelReader
+// reads alike, are exact as of the clock.
+var replicaPolicy = consistency.NewClockBounded(0)
 
 // ReplicaStats accumulates hot-replication counters on the Master.
 type ReplicaStats struct {
@@ -81,7 +77,6 @@ type replicaStore struct {
 // charges are its RPCs.
 type HotReplicaSet struct {
 	mat    *Matrix
-	pol    consistency.Policy
 	hot    map[int]bool
 	rr     int
 	stores []*replicaStore
@@ -94,12 +89,8 @@ func NewHotReplicaSet(mat *Matrix, cfg ReplicaConfig) (*HotReplicaSet, error) {
 	if err := validateIndices(cfg.HotCols, mat.Dim); err != nil {
 		return nil, err
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = consistency.NewClockBounded(0)
-	}
 	mat.EnableVersioning()
-	mat.master.registerPolicy(cfg.Policy)
-	rs := &HotReplicaSet{mat: mat, pol: cfg.Policy, hot: make(map[int]bool, len(cfg.HotCols))}
+	rs := &HotReplicaSet{mat: mat, hot: make(map[int]bool, len(cfg.HotCols))}
 	for _, c := range cfg.HotCols {
 		rs.hot[c] = true
 	}
@@ -270,16 +261,7 @@ func (rs *HotReplicaSet) serveHot(fp *simnet.Proc, t, row int, cols, pos []int, 
 			set = &copySet{epoch: mat.ShardEpoch(o), vals: map[int]copyVal{}}
 			store.sets[copyKey{row, o}] = set
 		}
-		if rs.pol.UsesDeltas() {
-			// Copies on the server tier take no local pushes, but every
-			// write lands on the owner, whose exact row drift the serving
-			// server reads host-side, like the model clock. While the owner
-			// is down the copies serve on what was last credited.
-			if osh, err := mat.LiveShard(o); err == nil {
-				set.creditTo(driftMark{osh.RowDrift(row), osh.DriftGen()})
-			}
-		}
-		reads[o] = classify(m, rs.pol, set, idx, mat.clock, split.vals(o, buf))
+		reads[o] = classify(m, replicaPolicy, set, idx, mat.clock, split.vals(o, buf))
 		m.Replica.LocalHits += uint64(len(idx) - reads[o].pending())
 		lead = lead || reads[o].pending() > 0
 	}

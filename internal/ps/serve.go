@@ -21,9 +21,9 @@ package ps
 //   - ModelReader: the serving fan-out. Live reads route hot columns through
 //     a HotReplicaSet (a rotating server answers from its replica store —
 //     the hot working set never hammers the owner) and cold columns fall
-//     through to their owners via the ordinary pull RPCs. Freshness rides
-//     the matrix's model clock (below), bounded by the replica set's
-//     ReplicaConfig.Policy, the reader's one freshness knob.
+//     through to their owners via the ordinary pull RPCs. Reads are exact
+//     as of the matrix's model clock (below): replicas revalidate once per
+//     clock and take no freshness knob.
 //
 //   - AdmissionControl: a per-server token bucket (GCRA form) with a bounded
 //     virtual queue. A call that would queue past the bound is shed with the

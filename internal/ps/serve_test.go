@@ -2,10 +2,8 @@ package ps
 
 import (
 	"errors"
-	"math"
 	"testing"
 
-	"repro/internal/consistency"
 	"repro/internal/linalg"
 	"repro/internal/simnet"
 )
@@ -416,8 +414,8 @@ func TestReplicaFreshAfterTrainerTick(t *testing.T) {
 }
 
 // TestModelReaderOptions covers the reader's configuration surface: the
-// full-row embedding shape, snapshot-pinned reads through the reader's
-// Snapshot, and the replica set's own policy bounding live reads.
+// full-row embedding shape through a replica set and snapshot-pinned reads
+// through the reader's Snapshot.
 func TestModelReaderOptions(t *testing.T) {
 	sim, cl, m := testMaster(3)
 	run(sim, func(p *simnet.Proc) {
@@ -427,7 +425,7 @@ func TestModelReaderOptions(t *testing.T) {
 			panic(err)
 		}
 		fillRow(p, mat, worker, 1, func(c int) float64 { return float64(c) * 3 })
-		reader, err := NewModelReader(mat, ServeConfig{Replicas: &ReplicaConfig{HotCols: []int{0, 1}, Policy: consistency.NewClockBounded(2)}})
+		reader, err := NewModelReader(mat, ServeConfig{Replicas: &ReplicaConfig{HotCols: []int{0, 1}}})
 		if err != nil {
 			panic(err)
 		}
@@ -452,78 +450,6 @@ func TestModelReaderOptions(t *testing.T) {
 		}
 		if pinned[0] != 6 || pinned[1] != 15 {
 			t.Fatalf("pinned read = %v", pinned)
-		}
-
-		// Replica reads under a delta-consuming policy, on a frozen row. The
-		// serving store rotates per read, so each step reads once per store.
-		const bound = 0.5
-		hot := []int{0, 1}
-		vb, err := NewModelReader(mat, ServeConfig{Replicas: &ReplicaConfig{HotCols: hot, Policy: consistency.NewValueBounded(bound)}})
-		if err != nil {
-			panic(err)
-		}
-		fillRow(p, mat, worker, 0, func(c int) float64 { return float64(c) + 1 })
-		stores := mat.Part.NumServers()
-		readAll := func(step string, want0 float64) {
-			for i := 0; i < stores; i++ {
-				got, err := vb.Read(p, worker, 0, hot)
-				if err != nil {
-					t.Fatalf("%s: value-bounded replica read: %v", step, err)
-				}
-				if got[0] != want0 || got[1] != 2 {
-					t.Fatalf("%s: value-bounded replica read = %v, want [%v 2]", step, got, want0)
-				}
-			}
-		}
-		rates := func() []float64 {
-			var out []float64
-			for _, st := range vb.Replicas().stores {
-				for _, cv := range st.sets[copyKey{0, mat.Part.ServerOf(0)}].vals {
-					out = append(out, cv.rate)
-				}
-			}
-			if len(out) != stores*len(hot) {
-				t.Fatalf("found %d replica copies, want %d", len(out), stores*len(hot))
-			}
-			return out
-		}
-		before := m.Consistency
-		readAll("first read", 1) // no copies: every store fetches
-		if m.Consistency.ServedCached != before.ServedCached || m.Consistency.Revalidated != before.Revalidated {
-			t.Fatalf("first read decided on copies it does not hold: %+v", m.Consistency)
-		}
-		for _, r := range rates() {
-			if !math.IsInf(r, 1) {
-				t.Fatalf("a fetched copy starts with rate %v, want unknown", r)
-			}
-		}
-		mat.TickClock()
-		before, changed := m.Consistency, m.Replica.ChangedVals
-		readAll("after a tick", 1) // unknown rate over one clock: revalidate
-		if got := m.Consistency.Revalidated - before.Revalidated; got != uint64(stores*len(hot)) {
-			t.Fatalf("revalidated %d copies after the tick, want %d", got, stores*len(hot))
-		}
-		if m.Replica.ChangedVals != changed {
-			t.Fatal("a frozen row shipped values on revalidation")
-		}
-		for _, r := range rates() {
-			if r != 0 {
-				t.Fatalf("unchanged revalidation learned rate %v, want 0", r)
-			}
-		}
-		mat.TickClock()
-		before = m.Consistency
-		readAll("frozen", 1) // zero drift: served from copies
-		if got := m.Consistency.ServedCached - before.ServedCached; got != uint64(stores*len(hot)) || m.Consistency.Revalidated != before.Revalidated {
-			t.Fatalf("frozen row served %d copies, want %d with no revalidation: %+v", got, stores*len(hot), m.Consistency)
-		}
-		if m.Consistency.HardPulled != 0 {
-			t.Fatalf("a replica copy was hard-pulled: %+v", m.Consistency)
-		}
-		mustOK(mat.PushAdd(p, worker, 0, must(linalg.NewSparse([]int{0}, []float64{2 * bound}))))
-		mat.TickClock()
-		if got := must(vb.Read(p, worker, 0, hot)); got[0] != 1+2*bound {
-			t.Fatalf("read after a push past the bound = %v, want the owner's %v", got, 1+2*bound)
 		}
 	})
 }

@@ -125,7 +125,9 @@ func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, 
 						obs.KV{K: "attempt", V: strconv.Itoa(attempt)})
 				}
 				prevSpan := tp.SetTraceParent(ts)
-				res, lost, err := runAttempt(tc, part, r, body)
+				res, lost, err := runAttempt(tc, func(tc *TaskContext) (U, error) {
+					return body(tc, part, r.materialize(tc, part))
+				})
 				tp.SetTraceParent(prevSpan)
 				if !lost && err == nil {
 					ts.End()
@@ -175,7 +177,7 @@ func runTasks[T, U any](p *simnet.Proc, r *RDD[T], resultBytes func(U) float64, 
 // returns, or lost when the attempt died at Commit or Charge (taskFailed).
 // Any other panic is a programming error and propagates, as does the
 // simulation's shutdown unwind.
-func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *TaskContext, part int, rows []T) (U, error)) (res U, lost bool, err error) {
+func runAttempt[U any](tc *TaskContext, body func(tc *TaskContext) (U, error)) (res U, lost bool, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if _, ok := rec.(taskFailed); !ok {
@@ -184,8 +186,21 @@ func runAttempt[T, U any](tc *TaskContext, part int, r *RDD[T], body func(tc *Ta
 			lost = true
 		}
 	}()
-	res, err = body(tc, part, r.materialize(tc, part))
+	res, err = body(tc)
 	return res, false, err
+}
+
+// RunTask runs body once as task part on node, in process p, outside any
+// stage: the entry of a loop that schedules its own tasks (core.RunSSP). It
+// does not retry. An attempt whose machine dies under it, at Charge or
+// Commit, returns an error wrapping simnet.ErrNodeDown; any other error is
+// body's own.
+func RunTask[U any](p *simnet.Proc, ctx *Context, node *simnet.Node, part int, body func(tc *TaskContext) (U, error)) (U, error) {
+	res, lost, err := runAttempt(&TaskContext{Ctx: ctx, P: p, Node: node, Part: part, Attempt: 1}, body)
+	if lost {
+		return res, fmt.Errorf("rdd: task %d lost its executor %s: %w", part, node.Name, simnet.ErrNodeDown)
+	}
+	return res, err
 }
 
 // RunPartitions runs f over every partition and returns its per-partition

@@ -36,9 +36,10 @@ import (
 	"repro/internal/ps"
 )
 
-// Weight and gradient live as two rows of one matrix, mirroring how the
-// fused update program addresses them server-side.
+// Weight and gradient live as two rows of one matrix, lrMat on the servers,
+// mirroring how the fused update program addresses them server-side.
 const (
+	lrMat     = 1
 	rowWeight = 0
 	rowGrad   = 1
 )
@@ -49,7 +50,6 @@ type LRConfig struct {
 	Iterations   int
 	BatchSize    int
 	LearningRate float64
-	Mat          uint32 // matrix id on the servers
 }
 
 func (c LRConfig) withDefaults() LRConfig {
@@ -83,9 +83,6 @@ func (c LRConfig) withDefaults() LRConfig {
 	if c.LearningRate <= 0 {
 		c.LearningRate = 0.5
 	}
-	if c.Mat == 0 {
-		c.Mat = 1
-	}
 	return c
 }
 
@@ -102,7 +99,7 @@ type LRResult struct {
 // the wire client over TCP, or the simulated matrix. Rows are rowWeight and
 // rowGrad of one dim-column matrix.
 type lrStore interface {
-	create(mat uint32, rows, dim int) error
+	create(rows, dim int) error
 	// round ends one iteration and starts the next. Unless step is nil (the
 	// first round), it adds step's sparse gradient into the grad row, then
 	// applies w += scale·grad and zeroes grad, atomically per server. Then it
@@ -111,10 +108,10 @@ type lrStore interface {
 	// batch current and indexes the one after it. step's slices alias the
 	// current batch's buffers, which the turn overwrites: the gradient must be
 	// sent (or encoded) before it.
-	round(mat uint32, step *lrStep, b *lrBatches) error
+	round(step *lrStep, b *lrBatches) error
 	// weights reads the weights at cols (sorted, distinct) into w, aligned
 	// with them.
-	weights(mat uint32, cols []int, w []float64) error
+	weights(cols []int, w []float64) error
 }
 
 // lrStep is the end of one iteration: the sparse gradient (sorted, distinct
@@ -213,11 +210,11 @@ func (b *lrBatches) draw(bt *lrBatch) {
 // pulls the first batch's weights, and each iteration's round pushes its
 // gradient and pulls the next batch's.
 func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, error) {
-	if err := st.create(cfg.Mat, 2, ds.Config.Dim); err != nil {
+	if err := st.create(2, ds.Config.Dim); err != nil {
 		return nil, fmt.Errorf("create shards: %w", err)
 	}
 	b := newLRBatches(ds.Instances, cfg.BatchSize, ds.Config.Seed, cfg.Iterations)
-	if err := st.round(cfg.Mat, nil, b); err != nil {
+	if err := st.round(nil, b); err != nil {
 		return nil, fmt.Errorf("first pull: %w", err)
 	}
 	res := &LRResult{}
@@ -226,14 +223,14 @@ func runLRLoop(st lrStore, ds *data.ClassifyDataset, cfg LRConfig) (*LRResult, e
 		lossSum := b.bi.Gradient(lr.Logistic, b.rows, b.w, b.grad)
 		res.Losses = append(res.Losses, lossSum/float64(len(b.rows)))
 		step.cols, step.vals = b.bi.Sparse(b.grad)
-		if err := st.round(cfg.Mat, step, b); err != nil {
+		if err := st.round(step, b); err != nil {
 			return nil, fmt.Errorf("iteration %d: %w", it, err)
 		}
 	}
 	var all lr.BatchIndex
 	all.Build(ds.Instances)
 	w := make([]float64, len(all.Indices))
-	if err := st.weights(cfg.Mat, all.Indices, w); err != nil {
+	if err := st.weights(all.Indices, w); err != nil {
 		return nil, fmt.Errorf("final pull: %w", err)
 	}
 	res.Weights = linalg.SparseVector{Indices: all.Indices, Values: w}
@@ -299,10 +296,10 @@ func (st *wireStore) eachRun(cols []int, fn func(s, lo int, run []int)) {
 	}
 }
 
-func (st *wireStore) create(mat uint32, rows, dim int) error {
+func (st *wireStore) create(rows, dim int) error {
 	for s, p := range st.pipes {
 		lo, hi := st.pt.Range(s)
-		p.CreateShard(mat, rows, lo, hi)
+		p.CreateShard(lrMat, rows, lo, hi)
 		p.Send()
 	}
 	return st.wait()
@@ -313,20 +310,20 @@ func (st *wireStore) create(mat uint32, rows, dim int) error {
 // after while the servers apply them; then it reads all the answers. Each
 // server's pulled values decode straight into its stretch of the next
 // batch's w.
-func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
+func (st *wireStore) round(step *lrStep, b *lrBatches) error {
 	if step != nil {
 		st.eachRun(step.cols, func(s, lo int, run []int) {
-			st.pipes[s].PushAdd(mat, rowGrad, run, step.vals[lo:lo+len(run)])
+			st.pipes[s].PushAdd(lrMat, rowGrad, run, step.vals[lo:lo+len(run)])
 		})
 		st.ops[0].Scale = step.scale
 		for _, p := range st.pipes {
-			p.Fused(mat, st.ops)
+			p.Fused(lrMat, st.ops)
 		}
 	}
 	if cols, w, ok := b.ahead(); ok {
 		st.eachRun(cols, func(s, lo int, run []int) {
 			st.dst[s] = w[lo : lo+len(run) : lo+len(run)]
-			st.pipes[s].PullSparseInto(mat, rowWeight, run, &st.dst[s])
+			st.pipes[s].PullSparseInto(lrMat, rowWeight, run, &st.dst[s])
 		})
 	}
 	for _, p := range st.pipes {
@@ -341,10 +338,10 @@ func (st *wireStore) round(mat uint32, step *lrStep, b *lrBatches) error {
 // the row's width. It sets w at cols from them and leaves out a weight at a
 // column cols lacks, which no row of the dataset reads (a column the servers
 // held from before the run).
-func (st *wireStore) weights(mat uint32, cols []int, w []float64) error {
+func (st *wireStore) weights(cols []int, w []float64) error {
 	got := make([]RangeNonzero, len(st.pipes))
 	for s, p := range st.pipes {
-		p.PullRangeNonzero(mat, rowWeight, &got[s])
+		p.PullRangeNonzero(lrMat, rowWeight, &got[s])
 		p.Send()
 	}
 	if err := st.wait(); err != nil {

@@ -24,7 +24,7 @@ type simnetStore struct {
 	mat    *ps.Matrix
 }
 
-func (st *simnetStore) create(_ uint32, rows, dim int) error {
+func (st *simnetStore) create(rows, dim int) error {
 	mat, err := st.m.CreateMatrix(st.p, rows, dim)
 	if err != nil {
 		return err
@@ -36,7 +36,7 @@ func (st *simnetStore) create(_ uint32, rows, dim int) error {
 // round makes the wire round's three calls in sequence: push, step, then
 // the next batch's pull, copied into its aligned weight slice; then it turns
 // b, as the wire round does.
-func (st *simnetStore) round(_ uint32, step *lrStep, b *lrBatches) error {
+func (st *simnetStore) round(step *lrStep, b *lrBatches) error {
 	if step != nil {
 		sv, err := linalg.NewSparse(step.cols, step.vals)
 		if err != nil {
@@ -99,7 +99,7 @@ func (st *simnetStore) step(scale float64) error {
 
 // weights pulls the whole row, as the reference arm always has, so its
 // virtual time and call counts stay those of a full-row read.
-func (st *simnetStore) weights(_ uint32, cols []int, w []float64) error {
+func (st *simnetStore) weights(cols []int, w []float64) error {
 	row, err := st.mat.PullRow(st.p, st.worker, rowWeight)
 	if err != nil {
 		return err

@@ -373,7 +373,7 @@ func TestPipelinedRoundZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.create(cfg.Mat, 2, cfg.Dataset.Dim); err != nil {
+	if err := st.create(2, cfg.Dataset.Dim); err != nil {
 		t.Fatal(err)
 	}
 	b := newLRBatches(ds.Instances, cfg.BatchSize, 0, math.MaxInt)
@@ -385,12 +385,12 @@ func TestPipelinedRoundZeroAlloc(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			b.bi.Gradient(lr.Logistic, b.rows, b.w, b.grad)
 			step.cols, step.vals = b.bi.Sparse(b.grad)
-			if err := st.round(cfg.Mat, step, b); err != nil {
+			if err := st.round(step, b); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := st.round(cfg.Mat, nil, b); err != nil {
+	if err := st.round(nil, b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -422,12 +422,12 @@ func TestRoundOneWritePerServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.create(cfg.Mat, 2, cfg.Dataset.Dim); err != nil {
+	if err := st.create(2, cfg.Dataset.Dim); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 8
 	b := newLRBatches(ds.Instances, cfg.BatchSize, 5, rounds+2)
-	if err := st.round(cfg.Mat, nil, b); err != nil {
+	if err := st.round(nil, b); err != nil {
 		t.Fatal(err)
 	}
 	step := &lrStep{scale: -0.01}
@@ -435,7 +435,7 @@ func TestRoundOneWritePerServer(t *testing.T) {
 	for k := 0; k < rounds; k++ {
 		b.bi.Gradient(lr.Logistic, b.rows, b.w, b.grad)
 		step.cols, step.vals = b.bi.Sparse(b.grad)
-		if err := st.round(cfg.Mat, step, b); err != nil {
+		if err := st.round(step, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@
 //
 //		// Serve: one read entry point for inference traffic, safe while
 //		// training continues. Hot columns are answered from replicas, cold
-//		// ones by their owners, as fresh as ReplicaConfig.Policy allows.
+//		// ones by their owners, exact as of the model clock.
 //		reader, err := ps2.Serve(model.Weights.Matrix(), ps2.ServeOptions{
 //			Replicas: &ps2.ReplicaConfig{HotCols: hot},
 //		})
@@ -133,11 +133,11 @@ type CachedClient = ps.CachedClient
 
 // ConsistencyPolicy decides, per cached read, whether a cached value may be
 // served as-is, must be revalidated against its version stamp, or must be
-// hard-pulled from the owner. It is the one freshness knob of each copy
-// store: CacheConfig.Policy for the worker cache and ReplicaConfig.Policy
-// for the hot replicas (which serve training pulls and ModelReader reads
-// alike); nil always means ClockBoundedPolicy(0). SSP training takes no
-// policy: its one knob is the staleness bound.
+// hard-pulled from the owner. It is the worker cache's one freshness knob,
+// CacheConfig.Policy; nil means ClockBoundedPolicy(0). The hot replicas,
+// which serve training pulls and ModelReader reads alike, take no policy:
+// their reads are always exact as of the model clock. SSP training takes no
+// policy either: its one knob is the staleness bound.
 type ConsistencyPolicy = consistency.Policy
 
 // ClockBoundedPolicy returns the classic bounded-staleness policy: a cached
@@ -168,9 +168,9 @@ func AdaptivePolicy(base float64) ConsistencyPolicy {
 // Vector.Matrix exposes a vector's matrix for serving and low-level use.
 type Matrix = ps.Matrix
 
-// ReplicaConfig selects the hot columns replicated to every server and the
-// consistency policy replica-served reads follow (TrainOptions.Replicas,
-// ServeOptions.Replicas).
+// ReplicaConfig selects the hot columns replicated to every server
+// (TrainOptions.Replicas, ServeOptions.Replicas); replica-served reads are
+// exact as of the model clock.
 type ReplicaConfig = ps.ReplicaConfig
 
 // TopKCols returns the k highest-weight column indices, ascending — the

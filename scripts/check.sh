@@ -54,14 +54,15 @@ go test -race -count=1 -run 'TestNilTracer|TestTracerObservesWithoutPerturbing' 
 # exported field that programs read but only tests set (surface_test.go); no
 # training loop outside the listed ones (loops_test.go); no host-side shard
 # access outside the listed sites, one form per operator, no panic(err) in a
-# library package and no recover outside simnet and rdd's task attempt
-# (internal/ps/convention_test.go). The failure contract, by name: a server
-# lost mid-training comes back from every trainer as an error
+# library package, no recover outside simnet and rdd's task attempt, and no
+# rdd.TaskContext built outside rdd (internal/ps/convention_test.go). The failure contract, by name: a server
+# lost mid-training comes back from every trainer as an error, and so does an
+# SSP worker's executor lost under its task, never as a panic
 # (failure_test.go), a stage retries only lost attempts, up to MaxAttempts,
 # and fails on a task's error (internal/rdd), and a failed SSP worker
 # releases the clock gate (internal/core).
-go test -count=1 -run 'TestInternalSurfaceIsReached|TestSurfaceGuardVerdicts|TestIterationLoopsAreListed|TestServerLossFailsTrainingWithAnError' .
-go test -count=1 -run 'TestHostReadsListed|TestOneFormPerOperator|TestRecoverOnlyForTaskDeath' ./internal/ps/
+go test -count=1 -run 'TestInternalSurfaceIsReached|TestSurfaceGuardVerdicts|TestIterationLoopsAreListed|TestServerLossFailsTrainingWithAnError|TestExecutorLossFailsSSPWithAnError' .
+go test -count=1 -run 'TestHostReadsListed|TestOneFormPerOperator|TestRecoverOnlyForTaskDeath|TestTaskContextBuiltOnlyByRdd' ./internal/ps/
 go test -count=1 -run 'TestStageFailsAfterMaxAttempts|TestTaskErrorFailsStageWithoutRetry|TestTaskRetriedWhenExecutorDiesInsidePSPull' ./internal/rdd/
 go test -count=1 -run 'TestRunSSPFailedWorkerReleasesTheGate' ./internal/core/
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -219,11 +220,15 @@ func (c *surfaceChecker) check(path string, imp types.Importer, files []*ast.Fil
 
 // fieldSets returns the identifiers in files that set a struct field: a
 // composite literal's key, the selected field of an assignment's or an
-// inc/dec statement's target, and the operand of &. An unkeyed struct literal
-// sets every field it lists; those are counted here directly, as are the
-// struct types non-test files construct.
+// inc/dec statement's target, and the operand of &. An assignment that only
+// fills a default, x.F = v directly inside if x.F == nil (or == 0, <= 0,
+// < 0), sets nothing: a field no program sets but its own default is an
+// option no program takes. An unkeyed struct literal sets every field it
+// lists; those are counted here directly, as are the struct types non-test
+// files construct.
 func (c *surfaceChecker) fieldSets(info *types.Info, files []*ast.File) map[*ast.Ident]bool {
 	sets := map[*ast.Ident]bool{}
+	fills := map[ast.Expr]bool{} // the targets of default-filling assignments
 	// build records that the named struct type e denotes or has, through a
 	// pointer, is constructed at at, and returns the struct.
 	build := func(at token.Pos, e ast.Expr) *types.Struct {
@@ -272,9 +277,19 @@ func (c *surfaceChecker) fieldSets(info *types.Info, files []*ast.File) map[*ast
 						c.countField(st.Field(i), n.Pos(), true)
 					}
 				}
+			case *ast.IfStmt:
+				if sel := defaultTest(info, n.Cond); sel != nil {
+					for _, s := range n.Body.List {
+						if as, ok := s.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && types.ExprString(as.Lhs[0]) == types.ExprString(sel) {
+							fills[as.Lhs[0]] = true
+						}
+					}
+				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					target(lhs)
+					if !fills[lhs] {
+						target(lhs)
+					}
 				}
 			case *ast.IncDecStmt:
 				target(n.X)
@@ -297,6 +312,30 @@ func (c *surfaceChecker) fieldSets(info *types.Info, files []*ast.File) map[*ast
 		})
 	}
 	return sets
+}
+
+// defaultTest returns the field selector x.F when cond tests it against its
+// zero value: x.F == nil, x.F == 0, x.F <= 0 or x.F < 0.
+func defaultTest(info *types.Info, cond ast.Expr) *ast.SelectorExpr {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || (b.Op != token.EQL && b.Op != token.LEQ && b.Op != token.LSS) {
+		return nil
+	}
+	sel, ok := ast.Unparen(b.X).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if v, ok := info.Uses[sel.Sel].(*types.Var); !ok || !v.IsField() {
+		return nil
+	}
+	zero := info.Types[b.Y]
+	if zero.IsNil() && b.Op == token.EQL {
+		return sel
+	}
+	if v := zero.Value; v != nil && (v.Kind() == constant.Int || v.Kind() == constant.Float) && constant.Sign(v) == 0 {
+		return sel
+	}
+	return nil
 }
 
 // xtestImporter resolves the package under test to the variant that carries
@@ -528,11 +567,22 @@ type Opts struct {
 	Unset   int
 	TestSet int
 	Addr    int
+	Dflt    *int
+	Both    *int
 }
 
 type Input struct{ V int }
 
 func Use(in []Input) int { return in[0].V }
+
+func (o *Opts) Fill() {
+	if o.Dflt == nil {
+		o.Dflt = new(int)
+	}
+	if o.Both == nil {
+		o.Both = new(int)
+	}
+}
 `,
 			"lib_test.go": "package lib\n\nfunc helper() { OnlyTested(); _ = Opts{TestSet: 1}; Use([]Input{{V: 1}}) }\n",
 		},
@@ -551,7 +601,8 @@ func main() {
 	lib.Called()
 	var d iface.Doer = lib.Impl{}
 	d.Do()
-	o := lib.Opts{Set: 1}
+	o := lib.Opts{Set: 1, Both: new(int)}
+	o.Fill()
 	scan(&o.Addr)
 	println(o.Set, o.Unset, o.TestSet, o.Addr, lib.Use(nil))
 }
@@ -565,9 +616,11 @@ func scan(p *int) { *p = 2 }
 		idle     = "internal/lib/lib.go:11:13: exported lib.Impl.Idle has no non-test reference (0 in tests): delete it, call it, or allow-list it with a reason"
 		unset    = "internal/lib/lib.go:15:2: field lib.Opts.Unset is read by non-test code but never set there (0 sets in tests): delete it with its branches, set it, or allow-list it with a reason"
 		testSet  = "internal/lib/lib.go:16:2: field lib.Opts.TestSet is read by non-test code but never set there (1 sets in tests): delete it with its branches, set it, or allow-list it with a reason"
+		dflt     = "internal/lib/lib.go:18:2: field lib.Opts.Dflt is read by non-test code but never set there (0 sets in tests): delete it with its branches, set it, or allow-list it with a reason"
 	)
 	namesOK := map[string]string{"lib.OnlyTested": "oracle", "lib.Impl.Idle": "paper"}
-	fieldsOK := map[string]string{"lib.Opts.Unset": "input", "lib.Opts.TestSet": "input"}
+	setNowhere := map[string]string{"lib.Opts.Unset": "input", "lib.Opts.TestSet": "input"}
+	fieldsOK := map[string]string{"lib.Opts.Unset": "input", "lib.Opts.TestSet": "input", "lib.Opts.Dflt": "input"}
 	with := func(m map[string]string, k, v string) map[string]string {
 		out := map[string]string{k: v}
 		for k, v := range m {
@@ -591,7 +644,12 @@ func scan(p *int) { *p = 2 }
 			with(namesOK, "lib.Gone", "oracle"), fieldsOK,
 			[]string{"allow-list: lib.Gone (oracle) names nothing the guard checks: stale entry, remove it from the allow-list"}},
 		{"a set field passes, &F sets F, a field read but set nowhere or only in tests fails, a struct only tests build is out of scope",
-			namesOK, nil, []string{unset, testSet}},
+			namesOK, map[string]string{"lib.Opts.Dflt": "input"}, []string{unset, testSet}},
+		{"a field only its own default fill sets fails, one a program also sets passes",
+			namesOK, setNowhere, []string{dflt}},
+		{"a field allow-list entry for a default-filled field a program also sets is stale",
+			namesOK, with(fieldsOK, "lib.Opts.Both", "input"),
+			[]string{"field allow-list: lib.Opts.Both (input) names no field that non-test code reads and only tests set: stale entry, remove it from the allow-list"}},
 		{"a field allow-list entry for a set field is stale",
 			namesOK, with(fieldsOK, "lib.Opts.Addr", "input"),
 			[]string{"field allow-list: lib.Opts.Addr (input) names no field that non-test code reads and only tests set: stale entry, remove it from the allow-list"}},
