@@ -73,7 +73,7 @@ func hostRow(mat *ps.Matrix) []float64 {
 	out := make([]float64, mat.Dim)
 	for s := 0; s < mat.Part.NumServers(); s++ {
 		sh := mat.HostShard(s)
-		sh.Scatter(sh.Rows[0], out)
+		sh.ReadRow(0, out)
 	}
 	return out
 }

@@ -177,7 +177,7 @@ func hostRowOf(m *lr.AsyncModel) []float64 {
 	out := make([]float64, mat.Dim)
 	for s := 0; s < mat.Part.NumServers(); s++ {
 		sh := mat.HostShard(s)
-		sh.Scatter(sh.Rows[0], out)
+		sh.ReadRow(0, out)
 	}
 	return out
 }

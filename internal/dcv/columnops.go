@@ -25,8 +25,9 @@ import (
 // the default contiguous placement the dimensions are the range [Lo, Hi) and
 // Cols is nil; under a non-contiguous placement Cols lists the absolute
 // dimensions in local storage order and Lo/Hi are 0. Rows[0] is the target
-// vector's slice and is always live server memory; Rows[i>0] are live memory
-// for co-located operands and fetched copies for shuffled ones.
+// vector's slice and is always live server memory, the row's dense view;
+// Rows[i>0] are live memory for co-located operands and fetched copies for
+// shuffled ones.
 type ShardSpan struct {
 	Shard  int
 	Lo, Hi int
@@ -168,7 +169,7 @@ func (op colOp) invoke(reqBytes float64) ps.InvokeOp {
 		Fn: func(s int, sh *ps.Shard) float64 {
 			live := make([][]float64, len(rows))
 			for i, r := range rows {
-				live[i] = sh.Rows[r]
+				live[i] = sh.Dense(r)
 			}
 			return op.kernel(spanOf(s, sh, live))
 		},
@@ -242,7 +243,7 @@ func (op colOp) shuffle(p *simnet.Proc, from *simnet.Node) ([]float64, error) {
 			host := v.mat.ServerNode(s)
 			for i, ov := range op.vecs {
 				if ov.mat == v.mat {
-					rows[i] = sh.Rows[ov.row]
+					rows[i] = sh.Dense(ov.row)
 					continue
 				}
 				osh, err := ov.mat.LiveShard(s)
@@ -252,7 +253,7 @@ func (op colOp) shuffle(p *simnet.Proc, from *simnet.Node) ([]float64, error) {
 				if err := ov.mat.ServerNode(s).TrySend(fp, host, cost.DenseBytes(sh.Width())); err != nil {
 					return err
 				}
-				copies[i] = append(copies[i][:0], osh.Rows[ov.row]...)
+				copies[i] = append(copies[i][:0], osh.Dense(ov.row)...)
 				rows[i] = copies[i]
 			}
 			host.Compute(fp, op.work*float64(sh.Width()))

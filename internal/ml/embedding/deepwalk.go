@@ -244,7 +244,8 @@ func initEmbeddings(p *simnet.Proc, e *core.Engine, mat *ps.Matrix, cfg Config) 
 		Mutates: true,
 		Fn: func(s int, sh *ps.Shard) float64 {
 			rng := linalg.NewRNG(cfg.Seed*77 + 13 + uint64(s)*1_000_003)
-			for _, row := range sh.Rows {
+			for r := range sh.NumRows() {
+				row := sh.Dense(r)
 				for i := range row {
 					row[i] = (rng.Float64() - 0.5) * scale
 				}
@@ -341,9 +342,9 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 		Work:      func(w int) float64 { return cost.ElemWork(w * nctx) },
 		Fn: func(s int, sh *ps.Shard) float64 {
 			part := partsByServer[s]
-			u := sh.Rows[center]
+			u := sh.Dense(center)
 			for j, ctx := range contexts {
-				part[j] = linalg.Dot(u, sh.Rows[ctx])
+				part[j] = linalg.Dot(u, sh.Dense(ctx))
 			}
 			return 0
 		},
@@ -395,7 +396,7 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 			// reset on entry; Fn bodies run start to finish with no
 			// scheduler yield, so one buffer set serves every server's
 			// invocation of this op.
-			u := sh.Rows[center]
+			u := sh.Dense(center)
 			if cap(dw.du) < len(u) {
 				dw.du = make([]float64, len(u))
 			}
@@ -403,7 +404,7 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 			linalg.Fill(du, 0)
 			dw.dcIdx = dw.dcIdx[:0]
 			for j, ctx := range contexts {
-				c := sh.Rows[ctx]
+				c := sh.Dense(ctx)
 				d := dw.ctxDelta(ctx, len(u))
 				for i := range u {
 					du[i] += gs[j] * c[i]
@@ -413,7 +414,7 @@ func (dw *dcvWorker) step(tc *rdd.TaskContext, center int, contexts []int, label
 			// Apply in first-seen (deterministic) order; distinct rows, so
 			// the order cannot perturb any element's summation.
 			for k, ctx := range dw.dcIdx {
-				linalg.Add(sh.Rows[ctx], dw.dcVal[k])
+				linalg.Add(sh.Dense(ctx), dw.dcVal[k])
 			}
 			linalg.Add(u, du)
 			return 0
@@ -562,7 +563,7 @@ func (m *Model) hostInputTable() [][]float64 {
 	for s := 0; s < m.Mat.Part.NumServers(); s++ {
 		sh := m.Mat.HostShard(s)
 		for v := 0; v < m.V; v++ {
-			sh.Scatter(sh.Rows[v], table[v])
+			sh.ReadRow(v, table[v])
 		}
 	}
 	return table

@@ -215,7 +215,7 @@ func initFactors(p *simnet.Proc, e *core.Engine, factors []*dcv.Vector, cfg Conf
 		Fn: func(s int, sh *ps.Shard) float64 {
 			rng := linalg.NewRNG(cfg.Seed*131 + uint64(s))
 			for _, r := range rows {
-				row := sh.Rows[r]
+				row := sh.Dense(r)
 				for i := range row {
 					row[i] = rng.NormFloat64() * cfg.InitScale
 				}

@@ -17,7 +17,7 @@ func (m *Model) Phi(beta float64) [][]float64 {
 		row := make([]float64, m.Vocab)
 		for s := 0; s < m.WordTopic.Part.NumServers(); s++ {
 			sh := m.WordTopic.HostShard(s)
-			sh.Scatter(sh.Rows[k], row)
+			sh.ReadRow(k, row)
 		}
 		denom := m.Totals[k] + vb
 		for w := range row {
@@ -149,7 +149,7 @@ func (m *Model) TopWordsHost(topic, n int) []int {
 	row := make([]float64, m.Vocab)
 	for s := 0; s < m.WordTopic.Part.NumServers(); s++ {
 		sh := m.WordTopic.HostShard(s)
-		sh.Scatter(sh.Rows[topic], row)
+		sh.ReadRow(topic, row)
 	}
 	type wc struct {
 		w int

@@ -253,7 +253,7 @@ func PullWordCounts(tc *rdd.TaskContext, mat *ps.Matrix, words []int, price func
 			for _, w := range idx {
 				vec := make([]float64, mat.Rows)
 				for k := range vec {
-					vec[k] = sh.Rows[k][sh.Local(w)]
+					vec[k] = sh.Dense(k)[sh.Local(w)]
 				}
 				out[w] = vec
 			}
@@ -296,7 +296,7 @@ func PushDeltas(tc *rdd.TaskContext, mat *ps.Matrix, words []int, pass Pass, pri
 		c.Work = func(int, int) float64 { return work }
 		c.Fn = func(_ int, sh *ps.Shard) error {
 			for _, tr := range trips {
-				sh.Rows[tr.k][sh.Local(tr.w)] += tr.v
+				sh.Dense(tr.k)[sh.Local(tr.w)] += tr.v
 			}
 			return nil
 		}

@@ -71,7 +71,7 @@ func TestCountsConservationInvariant(t *testing.T) {
 		var rs float64
 		for s := 0; s < model.WordTopic.Part.NumServers(); s++ {
 			sh := model.WordTopic.HostShard(s)
-			for _, v := range sh.Rows[k] {
+			for _, v := range sh.Dense(k) {
 				if v < -1e-9 {
 					t.Fatalf("negative count %v in topic %d", v, k)
 				}
@@ -116,7 +116,7 @@ func TestCountsConservedUnderMessageLoss(t *testing.T) {
 	for k := 0; k < model.Topics; k++ {
 		var rs float64
 		for s := 0; s < model.WordTopic.Part.NumServers(); s++ {
-			for _, v := range model.WordTopic.HostShard(s).Rows[k] {
+			for _, v := range model.WordTopic.HostShard(s).Dense(k) {
 				if v < -1e-9 {
 					t.Fatalf("negative count %v in topic %d", v, k)
 				}
@@ -194,7 +194,7 @@ func topWordsHostSide(m *Model, topic, n int) []int {
 	row := make([]float64, m.Vocab)
 	for s := 0; s < m.WordTopic.Part.NumServers(); s++ {
 		sh := m.WordTopic.HostShard(s)
-		sh.Scatter(sh.Rows[topic], row)
+		sh.ReadRow(topic, row)
 	}
 	out := make([]int, 0, n)
 	for len(out) < n {
@@ -398,7 +398,7 @@ func TestSparseSamplerConservesCounts(t *testing.T) {
 		var rs float64
 		for s := 0; s < model.WordTopic.Part.NumServers(); s++ {
 			sh := model.WordTopic.HostShard(s)
-			for _, v := range sh.Rows[k] {
+			for _, v := range sh.Dense(k) {
 				if v < -1e-9 {
 					t.Fatalf("negative count %v in topic %d", v, k)
 				}

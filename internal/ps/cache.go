@@ -472,31 +472,33 @@ func (cc *CachedClient) PullRows(p *simnet.Proc, from *simnet.Node, rows []int) 
 		Name: "cache-pull-rows",
 		Fn: func(s int, sh *Shard) error {
 			sp := &shards[s]
-			sp.stamp, sp.shipped = sh.Ver(), 0 // idempotent under retry
+			sp.stamp, sp.shipped = sh.ver, 0 // idempotent under retry
 			for k, j := range sp.rows {
 				r := uniq[j]
 				sp.fetched[k] = nil
 				if cc.deltas {
-					sp.drift[k] = sh.RowDrift(r)
+					sp.drift[k] = sh.rowDrift[r]
 				}
 				if k < sp.stale {
-					if sh.RowVer(r) <= sp.held[k].ver {
+					if sh.rowVer[r] <= sp.held[k].ver {
 						continue // unchanged since the client's stamp
 					}
 					// The row changed, but versions.go knows its exact
 					// cumulative drift: certify instead of shipping when the
 					// change since the client's value-anchor watermark stays
 					// within the policy's bound.
-					if cc.deltas && sh.DriftGen() == sp.held[k].gen && certified(cc.cfg.Policy, sh.RowDrift(r)-sp.held[k].drift) {
+					if cc.deltas && sh.driftGen == sp.held[k].gen && certified(cc.cfg.Policy, sh.rowDrift[r]-sp.held[k].drift) {
 						continue
 					}
 				}
 				// A copy, never nil (even zero-wide): nil marks a row not
-				// shipped.
-				sp.fetched[k] = append(make([]float64, 0, len(sh.Rows[r])), sh.Rows[r]...)
+				// shipped. A compact row is spread straight into it.
+				v := make([]float64, sh.Width())
+				copy(v, sh.values(r, &v))
+				sp.fetched[k] = v
 				sp.shipped++
 			}
-			sp.gen = sh.DriftGen()
+			sp.gen = sh.driftGen
 			sp.resp = cost.RequestOverheadB + 8*float64(sp.shipped*mat.Part.Width(s))
 			if cc.deltas {
 				// Fresh drift watermarks ride back for every requested row.

@@ -3,7 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/linalg"
 	"repro/internal/simnet"
@@ -58,54 +58,42 @@ func validateIndices(indices []int, dim int) error {
 // transfer parallelizes over servers — the "multiple servers replace the
 // single-node driver" effect.
 func (mat *Matrix) PullRow(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
-	mat.checkRow(row)
-	mat.enterOp(p)
-	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	// The shard views partition the column space, so every element of out is
-	// written on success.
-	out := make([]float64, mat.Dim)
-	spec := CallSpec{
-		Name:     "pull",
-		ReqBytes: cost.RequestOverheadB,
-		Fn: func(_ int, sh *Shard) error {
-			sh.Scatter(sh.Rows[row], out)
-			return nil
-		},
-	}
-	err := mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
+	return mat.pullRow(p, from, row, CallSpec{Name: "pull"}, func(s int, c *CallSpec) bool {
 		c.RespBytes = cost.DenseBytes(mat.Part.Width(s))
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // PullRowCompressed fetches a full row but ships only the stored nonzeros of
 // each shard as (index, value) pairs — the transfer a sparse server-side
 // representation would cost. Used by sparse DCVs.
 func (mat *Matrix) PullRowCompressed(p *simnet.Proc, from *simnet.Node, row int) ([]float64, error) {
+	cost := mat.master.Cl.Cost
+	return mat.pullRow(p, from, row, CallSpec{
+		Name: "pull-compressed",
+		Work: func(_, w int) float64 { return cost.ElemWork(w) },
+		RespBytesFn: func(sh *Shard) float64 {
+			var scratch []float64
+			return cost.SparseBytes(linalg.NnzDense(sh.values(row, &scratch)))
+		},
+	}, nil)
+}
+
+// pullRow assembles row at the caller from every shard's stretch, each
+// shipped as spec and shard price it. The shard views partition the column
+// space, so every element of the row is written on success.
+func (mat *Matrix) pullRow(p *simnet.Proc, from *simnet.Node, row int, spec CallSpec, shard func(s int, c *CallSpec) bool) ([]float64, error) {
 	mat.checkRow(row)
 	mat.enterOp(p)
 	defer mat.exitOp()
-	cost := mat.master.Cl.Cost
 	out := make([]float64, mat.Dim)
-	spec := CallSpec{
-		Name:     "pull-compressed",
-		ReqBytes: cost.RequestOverheadB,
-		Work:     func(_, w int) float64 { return cost.ElemWork(w) },
-		RespBytesFn: func(sh *Shard) float64 {
-			return cost.SparseBytes(linalg.NnzDense(sh.Rows[row]))
-		},
-		Fn: func(_ int, sh *Shard) error {
-			sh.Scatter(sh.Rows[row], out)
-			return nil
-		},
+	spec.ReqBytes = mat.master.Cl.Cost.RequestOverheadB
+	spec.Fn = func(_ int, sh *Shard) error {
+		sh.ReadRow(row, out)
+		return nil
 	}
-	err := mat.fanOut(p, from, spec, nil)
-	if err != nil {
+	if err := mat.fanOut(p, from, spec, shard); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -168,11 +156,7 @@ func (mat *Matrix) pullRowIndices(p *simnet.Proc, from *simnet.Node, row int, in
 		Name:  "pull-sparse",
 		Class: class,
 		Fn: func(s int, sh *Shard) error {
-			lo, run := sh.locate(split.of[s])
-			src, dst := sh.Rows[row], split.vals(s, buf)
-			for k, col := range run {
-				dst[k] = src[col-lo]
-			}
+			sh.Get(row, split.of[s], split.vals(s, buf))
 			return nil
 		},
 	}
@@ -211,11 +195,7 @@ func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *li
 		Mutates:   true,
 		Touched:   []int{row},
 		Fn: func(s int, sh *Shard) error {
-			lo, run := sh.locate(split.of[s])
-			dst, src := sh.Rows[row], split.vals(s, vals)
-			for k, col := range run {
-				dst[col-lo] += src[k]
-			}
+			sh.Add(row, split.of[s], split.vals(s, vals))
 			return nil
 		},
 	}
@@ -228,48 +208,32 @@ func (mat *Matrix) PushAdd(p *simnet.Proc, from *simnet.Node, row int, delta *li
 // PushAddDense adds a dense delta into a row, shipping each server its full
 // column range.
 func (mat *Matrix) PushAddDense(p *simnet.Proc, from *simnet.Node, row int, delta []float64) error {
-	mat.checkRow(row)
-	if len(delta) != mat.Dim {
-		panic(fmt.Sprintf("ps: PushAddDense got %d values for dim %d", len(delta), mat.Dim))
-	}
-	mat.enterOp(p)
-	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	spec := CallSpec{
-		Name:      "push-dense",
-		RespBytes: cost.RequestOverheadB, // ack
-		Work:      func(_, w int) float64 { return cost.ElemWork(w) },
-		Mutates:   true,
-		Touched:   []int{row},
-		Fn: func(_ int, sh *Shard) error {
-			sh.GatherAdd(sh.Rows[row], delta)
-			return nil
-		},
-	}
-	return mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
-		c.ReqBytes = cost.DenseBytes(mat.Part.Width(s))
-		return true
-	})
+	work := func(_, w int) float64 { return cost.ElemWork(w) }
+	return mat.writeRow(p, from, CallSpec{Name: "push-dense", Work: work}, row, delta, ColView.GatherAdd)
 }
 
 // SetRow overwrites a row (used to initialize models).
 func (mat *Matrix) SetRow(p *simnet.Proc, from *simnet.Node, row int, values []float64) error {
+	return mat.writeRow(p, from, CallSpec{Name: "set-row"}, row, values, ColView.Gather)
+}
+
+// writeRow ships each server its stretch of the full-dimension vector full
+// and applies it to the row's dense view with apply (ColView.Gather or
+// GatherAdd), acknowledged as spec names and prices it.
+func (mat *Matrix) writeRow(p *simnet.Proc, from *simnet.Node, spec CallSpec, row int, full []float64, apply func(ColView, []float64, []float64)) error {
 	mat.checkRow(row)
-	if len(values) != mat.Dim {
-		panic(fmt.Sprintf("ps: SetRow got %d values for dim %d", len(values), mat.Dim))
+	if len(full) != mat.Dim {
+		panic(fmt.Sprintf("ps: %s got %d values for dim %d", spec.Name, len(full), mat.Dim))
 	}
 	mat.enterOp(p)
 	defer mat.exitOp()
 	cost := mat.master.Cl.Cost
-	spec := CallSpec{
-		Name:      "set-row",
-		RespBytes: cost.RequestOverheadB,
-		Mutates:   true,
-		Touched:   []int{row},
-		Fn: func(_ int, sh *Shard) error {
-			sh.Gather(sh.Rows[row], values)
-			return nil
-		},
+	spec.RespBytes = cost.RequestOverheadB // ack
+	spec.Mutates, spec.Touched = true, []int{row}
+	spec.Fn = func(_ int, sh *Shard) error {
+		apply(sh.view, sh.Dense(row), full)
+		return nil
 	}
 	return mat.fanOut(p, from, spec, func(s int, c *CallSpec) bool {
 		c.ReqBytes = cost.DenseBytes(mat.Part.Width(s))
@@ -307,7 +271,7 @@ func (mat *Matrix) PullRows(p *simnet.Proc, from *simnet.Node, rows []int, out [
 		ReqBytes: cost.RequestOverheadB + 4*float64(len(rows)),
 		Fn: func(_ int, sh *Shard) error {
 			for i, r := range rows {
-				sh.Scatter(sh.Rows[r], out[i])
+				sh.ReadRow(r, out[i])
 			}
 			return nil
 		},
@@ -345,7 +309,7 @@ func (mat *Matrix) PushRowsDelta(p *simnet.Proc, from *simnet.Node, rows []int, 
 		Touched:   rows,
 		Fn: func(_ int, sh *Shard) error {
 			for i, r := range rows {
-				sh.GatherAdd(sh.Rows[r], deltas[i])
+				sh.view.GatherAdd(sh.Dense(r), deltas[i])
 			}
 			return nil
 		},
@@ -457,16 +421,9 @@ func (mat *Matrix) checkRow(row int) {
 func sortedUniqueInts(xs []int) []int {
 	for i := 1; i < len(xs); i++ {
 		if xs[i] <= xs[i-1] {
-			out := append([]int(nil), xs...)
-			sort.Ints(out)
-			n := 0
-			for i, x := range out {
-				if i == 0 || x != out[n-1] {
-					out[n] = x
-					n++
-				}
-			}
-			return out[:n]
+			out := slices.Clone(xs)
+			slices.Sort(out)
+			return slices.Compact(out)
 		}
 	}
 	return xs

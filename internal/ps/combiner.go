@@ -183,10 +183,10 @@ func (b *PushBuffer) Flush(p *simnet.Proc, from *simnet.Node) error {
 		Mutates: true,
 		Fn: func(s int, sh *Shard) error {
 			for _, row := range denseRows {
-				sh.GatherAdd(sh.Rows[row], dense[row])
+				sh.view.GatherAdd(sh.Dense(row), dense[row])
 			}
 			for i, row := range rows {
-				out, deltas := sh.Rows[row], sparse[row]
+				out, deltas := sh.Dense(row), sparse[row]
 				for _, col := range splits[i][s] {
 					out[sh.Local(col)] += deltas[col]
 				}

@@ -163,14 +163,15 @@ func (r copyRead) pending() int { return len(r.stale) + len(r.missing) }
 // ship each stale column whose element changed since its copy's stamp, and
 // every missing one.
 func (r copyRead) read(sh *Shard, row int) copyReply {
-	rep := copyReply{stamp: sh.Ver(), changed: map[int]float64{}, fetched: make([]float64, len(r.missing))}
+	rep := copyReply{stamp: sh.ver, changed: map[int]float64{}, fetched: make([]float64, len(r.missing))}
 	for _, k := range r.stale {
-		if col := r.idx[k]; sh.ElemVer(row, col) > r.set.vals[col].ver {
-			rep.changed[col] = sh.Rows[row][sh.Local(col)]
+		col := r.idx[k]
+		if l := sh.Local(col); sh.elemVer[row][l] > r.set.vals[col].ver {
+			rep.changed[col] = sh.at(row, l)
 		}
 	}
 	for j, k := range r.missing {
-		rep.fetched[j] = sh.Rows[row][sh.Local(r.idx[k])]
+		rep.fetched[j] = sh.at(row, sh.Local(r.idx[k]))
 	}
 	return rep
 }

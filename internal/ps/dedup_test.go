@@ -192,7 +192,7 @@ func TestReadOnlyCallsAllocateNoIDs(t *testing.T) {
 		}
 		mustOK(mat.SetRow(p, worker, 0, vals))
 		seqAfterWrite := m.ledger.seq
-		sum := InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}
+		sum := InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return linalg.Sum(sh.Dense(0)) }}
 		must(mat.Invoke(p, worker, sum))
 		must(mat.Invoke(p, worker, sum, sum))
 		if _, err := mat.PullRow(p, worker, 0); err != nil {

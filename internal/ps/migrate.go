@@ -304,7 +304,7 @@ func (m *Master) MigrateMatrix(p *simnet.Proc, mat *Matrix, target Placement, ex
 		sh := m.servers[(sl+oldOffset)%pOld].shards[mat.ID]
 		byTarget := make([][]int, pNew)
 		for i := 0; i < sh.Width(); i++ {
-			c := sh.ColAt(i)
+			c := sh.view.At(i)
 			tl := target.ServerOf(c)
 			byTarget[tl] = append(byTarget[tl], c)
 		}
@@ -346,12 +346,12 @@ func (m *Master) MigrateMatrix(p *simnet.Proc, mat *Matrix, target Placement, ex
 			dsh := staged[pr.tl]
 			for _, c := range pr.cols {
 				si, di := sh.Local(c), dsh.Local(c)
-				for r := range sh.Rows {
-					dsh.Rows[r][di] = sh.Rows[r][si]
+				for r := range sh.rows {
+					dsh.Dense(r)[di] = sh.at(r, si)
 					dsh.elemVer[r][di] = sh.elemVer[r][si]
 				}
 			}
-			pr.ver = sh.Ver()
+			pr.ver = sh.ver
 			m.Migration.BulkBytes += wire
 		})
 	}
@@ -391,7 +391,7 @@ func (m *Master) MigrateMatrix(p *simnet.Proc, mat *Matrix, target Placement, ex
 		var changed int
 		for _, c := range pr.cols {
 			si := sh.Local(c)
-			for r := range sh.Rows {
+			for r := range sh.rows {
 				if sh.elemVer[r][si] > pr.ver {
 					changed++
 				}
@@ -409,9 +409,9 @@ func (m *Master) MigrateMatrix(p *simnet.Proc, mat *Matrix, target Placement, ex
 			}
 			for _, c := range pr.cols {
 				si, di := sh.Local(c), dsh.Local(c)
-				for r := range sh.Rows {
+				for r := range sh.rows {
 					if sh.elemVer[r][si] > pr.ver {
-						dsh.Rows[r][di] = sh.Rows[r][si]
+						dsh.Dense(r)[di] = sh.at(r, si)
 						dsh.elemVer[r][di] = sh.elemVer[r][si]
 					}
 				}

@@ -64,9 +64,7 @@ func (pt *Partitioner) ServerOf(col int) int {
 	if col < boundary {
 		return col / (base + 1)
 	}
-	if base == 0 {
-		return extra - 1 // unreachable when col < Dim, kept for safety
-	}
+	// base > 0 here: with base 0 the boundary is Dim, past every column.
 	return extra + (col-boundary)/base
 }
 

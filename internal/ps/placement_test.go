@@ -176,8 +176,9 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 				{ReqBytes: 16, Mutates: true, DirtyRows: []int{0},
 					Work: func(w int) float64 { return float64(w) },
 					Fn: func(_ int, sh *Shard) float64 {
-						for i := range sh.Rows[0] {
-							sh.Rows[0][i] *= 1.5
+						row := sh.Dense(0)
+						for i := range row {
+							row[i] *= 1.5
 						}
 						return 0
 					}},
@@ -185,7 +186,7 @@ func TestPlacementOpsMatchOracle(t *testing.T) {
 					Work: func(w int) float64 { return float64(w) },
 					Fn: func(_ int, sh *Shard) float64 {
 						var s float64
-						for _, x := range sh.Rows[0] {
+						for _, x := range sh.Dense(0) {
 							s += x
 						}
 						return s
@@ -309,8 +310,9 @@ func TestZeroWidthShards(t *testing.T) {
 			if _, err := mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, Mutates: true, DirtyRows: []int{0},
 				Work: func(w int) float64 { return float64(w) },
 				Fn: func(_ int, sh *Shard) float64 {
-					for i := range sh.Rows[0] {
-						sh.Rows[0][i] += 1
+					row := sh.Dense(0)
+					for i := range row {
+						row[i] += 1
 					}
 					return 0
 				}}); err != nil {

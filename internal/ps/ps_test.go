@@ -230,7 +230,7 @@ func TestRowAggregates(t *testing.T) {
 		sv, _ := linalg.NewSparse([]int{0, 10, 30, 49}, []float64{3, 4, 0, -12})
 		mustOK(mat.PushAdd(p, worker, 0, sv))
 		reduce := func(f func(x []float64) float64) InvokeOp {
-			return InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return f(sh.Rows[0]) }}
+			return InvokeOp{RespBytes: 8, Fn: func(_ int, sh *Shard) float64 { return f(sh.Dense(0)) }}
 		}
 		parts := must(mat.Invoke(p, worker,
 			reduce(linalg.Sum),
@@ -312,7 +312,7 @@ func TestInvokePartials(t *testing.T) {
 		linalg.Fill(ones, 1)
 		mustOK(mat.SetRow(p, worker, 0, ones))
 		partials := must(mat.Invoke(p, worker, InvokeOp{ReqBytes: 8, RespBytes: 8, Mutates: true,
-			Fn: func(s int, sh *Shard) float64 { return linalg.Sum(sh.Rows[0]) }}))[0]
+			Fn: func(s int, sh *Shard) float64 { return linalg.Sum(sh.Dense(0)) }}))[0]
 		if len(partials) != 4 {
 			t.Fatalf("partials = %v", partials)
 		}
@@ -527,15 +527,15 @@ func TestDuplicateTouchedRowDriftsOnce(t *testing.T) {
 		mat.EnableVersioning()
 		err = mat.CallShards(p, cl.Executors[0], CallSpec{Name: "inc", Mutates: true, Touched: []int{0, 1, 0},
 			Fn: func(_ int, sh *Shard) error {
-				linalg.Fill(sh.Rows[0], 1)
+				linalg.Fill(sh.Dense(0), 1)
 				return nil
 			}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < 2; s++ {
-			if got := mat.HostShard(s).RowDrift(0); got != 1 {
-				t.Errorf("shard %d: RowDrift(0) = %v after one +1 write, want 1", s, got)
+			if got := mat.HostShard(s).rowDrift[0]; got != 1 {
+				t.Errorf("shard %d: rowDrift[0] = %v after one +1 write, want 1", s, got)
 			}
 		}
 	})

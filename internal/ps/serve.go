@@ -376,7 +376,7 @@ func (ms *ModelSnapshot) ReadRowIndices(p *simnet.Proc, from *simnet.Node, row i
 		for k, col := range run {
 			l := col - lo
 			if sh.elemVer[row][l] <= sp.ver {
-				dst[k] = sh.Rows[row][l] // unchanged since the pin
+				dst[k] = sh.at(row, l) // unchanged since the pin
 			} else {
 				v, ok := sp.old[snapKey{row: row, local: l}]
 				if !ok {

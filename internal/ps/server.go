@@ -7,22 +7,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consistency"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
 // Shard is one server's slice of a matrix: all rows, restricted to the
-// columns the placement assigns this server. Columns are stored densely in
-// the local order of the shard's ColView — for the default range placement
-// that is the contiguous stretch [view.Lo, view.Hi) and Rows[r][c-Lo] stores
-// element (r, c) exactly as before; for non-contiguous placements Rows[r][i]
-// stores element (r, view.At(i)) and the off map translates absolute columns
-// to local positions.
+// columns the placement assigns this server. A row stores its columns in the
+// local order of the shard's ColView, compact or dense (row.go): for the
+// default range placement local column c-Lo is element (r, c); for
+// non-contiguous placements local column i is element (r, view.At(i)) and
+// the off map translates absolute columns to local positions.
 type Shard struct {
 	view ColView
 	off  map[int]int // absolute column → local position; nil when contiguous
-	Rows [][]float64 // Rows[r][i] stores element (r, view.At(i))
+	rows []row
 
 	// dirty[r] is set by every mutating RPC that lands on row r and cleared
 	// when a checkpoint snapshot is taken, so delta checkpoints skip rows
@@ -39,8 +37,10 @@ type Shard struct {
 
 	// Cumulative per-row drift watermarks for value-bounded cache
 	// validation (versions.go): rowDrift[r] sums each declared mutation's
-	// max-|delta| on row r; driftGen is bumped (and the watermarks reset)
-	// by touchAll, whose magnitude is unknowable.
+	// max-|delta| on row r, so within one driftGen the drift a row gathered
+	// between two reads is the difference of the watermarks. touchAll,
+	// whose magnitude is unknowable, bumps driftGen and resets them: an
+	// anchor from an older generation must treat the row as changed.
 	rowDrift []float64
 	driftGen uint64
 
@@ -50,29 +50,26 @@ type Shard struct {
 	snaps []*shardSnap
 }
 
-// NewShard allocates a zeroed rows × v shard.
+// NewShard returns a rows × v shard, every row compact and empty (+0).
 func NewShard(rows int, v ColView) *Shard {
-	sh := &Shard{view: v, Rows: make([][]float64, rows), dirty: make([]bool, rows)}
+	sh := &Shard{view: v, rows: make([]row, rows), dirty: make([]bool, rows)}
 	if !v.Contiguous() {
 		sh.off = make(map[int]int, len(v.Cols))
 		for i, c := range v.Cols {
 			sh.off[c] = i
 		}
 	}
-	for r := range sh.Rows {
-		sh.Rows[r] = linalg.Zeros(v.Width())
-	}
 	return sh
 }
+
+// NumRows returns the shard's row count.
+func (sh *Shard) NumRows() int { return len(sh.rows) }
 
 // View returns the shard's owned-column view.
 func (sh *Shard) View() ColView { return sh.view }
 
 // Width returns the shard's column count.
 func (sh *Shard) Width() int { return sh.view.Width() }
-
-// ColAt returns the absolute column stored at local position i.
-func (sh *Shard) ColAt(i int) int { return sh.view.At(i) }
 
 // Local translates an absolute column index to the shard's local storage
 // position, panicking when the shard does not own the column (routing bug).
@@ -90,10 +87,11 @@ func (sh *Shard) Local(col int) int {
 	return col - sh.view.Lo
 }
 
-// locate returns where the shard stores a run of its columns (strictly
-// increasing): column cols[k] at local position run[k]-lo. A contiguous shard
-// checks once that the run lies in its range and returns its Lo and the run
-// itself; an interleaved one returns 0 and each column's local position.
+// locate returns where the shard stores a list of its columns: column
+// cols[k] at local position run[k]-lo. A contiguous shard checks once that
+// the list's ends lie in its range (all of it, when it is increasing) and
+// returns its Lo and the list itself; an interleaved one returns 0 and each
+// column's local position.
 func (sh *Shard) locate(cols []int) (lo int, run []int) {
 	if sh.off != nil {
 		run = make([]int, len(cols))
@@ -108,18 +106,6 @@ func (sh *Shard) locate(cols []int) (lo int, run []int) {
 	return sh.view.Lo, cols
 }
 
-// Scatter writes local-order values into their absolute positions of a
-// full-dimension vector (full[ColAt(i)] = local[i]).
-func (sh *Shard) Scatter(local, full []float64) { sh.view.Scatter(local, full) }
-
-// Gather fills local from the shard's absolute positions of a full-dimension
-// vector (local[i] = full[ColAt(i)]).
-func (sh *Shard) Gather(local, full []float64) { sh.view.Gather(local, full) }
-
-// GatherAdd accumulates the shard's absolute positions of a full-dimension
-// vector into local (local[i] += full[ColAt(i)]).
-func (sh *Shard) GatherAdd(local, full []float64) { sh.view.GatherAdd(local, full) }
-
 // clone deep-copies a shard's data (used by checkpointing). The clone gets
 // fresh metadata: snapshots never need dirty flags or version stamps, and a
 // clone installed by recovery starts clean — it is bit-identical to the store
@@ -127,16 +113,16 @@ func (sh *Shard) GatherAdd(local, full []float64) { sh.view.GatherAdd(local, ful
 // epoch bump fences any cache entry stamped under the old version counters.
 // The view and offset map are immutable and shared.
 func (sh *Shard) clone() *Shard {
-	c := &Shard{view: sh.view, off: sh.off, Rows: make([][]float64, len(sh.Rows)), dirty: make([]bool, len(sh.Rows))}
-	for r := range sh.Rows {
-		c.Rows[r] = append([]float64(nil), sh.Rows[r]...)
+	c := &Shard{view: sh.view, off: sh.off, rows: make([]row, len(sh.rows)), dirty: make([]bool, len(sh.rows))}
+	for r := range sh.rows {
+		c.rows[r] = sh.rows[r].clone()
 	}
 	return c
 }
 
 // bytes returns the checkpoint wire size of the shard.
 func (sh *Shard) bytes(cost cluster.CostModel) float64 {
-	return cost.DenseBytes(len(sh.Rows) * sh.Width())
+	return cost.DenseBytes(len(sh.rows) * sh.Width())
 }
 
 // diffCount returns how many elements differ between the live shard cur and
@@ -147,12 +133,13 @@ func (sh *Shard) bytes(cost cluster.CostModel) float64 {
 // size) is exactly what a full scan would produce.
 func diffCount(prev, cur *Shard) int {
 	n := 0
-	for r := range cur.Rows {
+	var ps, cs []float64
+	for r := range cur.rows {
 		if cur.dirty != nil && !cur.dirty[r] {
 			continue
 		}
-		pr := prev.Rows[r]
-		for c, v := range cur.Rows[r] {
+		pr := prev.values(r, &ps)
+		for c, v := range cur.values(r, &cs) {
 			if pr[c] != v {
 				n++
 			}
@@ -629,7 +616,7 @@ func (m *Master) Stats() []ServerStats {
 		}
 		for _, sh := range srv.shards {
 			st.Shards++
-			st.Elements += int64(len(sh.Rows) * sh.Width())
+			st.Elements += int64(len(sh.rows) * sh.Width())
 		}
 		st.Bytes = float64(st.Elements) * 8
 		out[i] = st

@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkWideRowFirstTouch times what a fresh server's first iterations
-// of a wide dense model pay: a new 4 M-wide shard row touched at 70 k
-// scattered columns. Nearly every 4 KiB page of the 32 MB row is touched,
+// of a wide dense model pay: a new 4 M-wide shard row's dense view touched
+// at 70 k scattered columns. Nearly every 4 KiB page of the 32 MB row is touched,
 // so the cost is the row's page faults, which linalg.Zeros lets the kernel
 // take in 2 MiB pages. The heap is handed back to the OS before each
 // iteration, so every iteration faults its row in afresh.
@@ -22,7 +22,7 @@ func BenchmarkWideRowFirstTouch(b *testing.B) {
 		b.StopTimer()
 		debug.FreeOSMemory()
 		b.StartTimer()
-		row := NewShard(1, ColView{Lo: 0, Hi: width}).Rows[0]
+		row := NewShard(1, ColView{Lo: 0, Hi: width}).Dense(0)
 		for _, c := range cols {
 			row[c]++
 		}

@@ -27,57 +27,13 @@ func (sh *Shard) enableVersions() {
 	if sh.rowVer != nil {
 		return
 	}
-	sh.rowVer = make([]uint64, len(sh.Rows))
-	sh.elemVer = make([][]uint64, len(sh.Rows))
+	sh.rowVer = make([]uint64, len(sh.rows))
+	sh.elemVer = make([][]uint64, len(sh.rows))
 	for r := range sh.elemVer {
 		sh.elemVer[r] = make([]uint64, sh.Width())
 	}
-	sh.rowDrift = make([]float64, len(sh.Rows))
+	sh.rowDrift = make([]float64, len(sh.rows))
 }
-
-// Ver returns the shard's current version stamp: the version of the most
-// recent mutation that changed at least one element. Zero until versioning is
-// enabled.
-func (sh *Shard) Ver() uint64 { return sh.ver }
-
-// RowVer returns the version of the last change to row r (0 = unchanged
-// since versioning was enabled).
-func (sh *Shard) RowVer(r int) uint64 {
-	if sh.rowVer == nil {
-		return 0
-	}
-	return sh.rowVer[r]
-}
-
-// ElemVer returns the version of the last change to element (r, col), with
-// col an absolute column index the shard owns.
-func (sh *Shard) ElemVer(r, col int) uint64 {
-	if sh.elemVer == nil {
-		return 0
-	}
-	return sh.elemVer[r][sh.Local(col)]
-}
-
-// RowDrift returns row r's cumulative drift watermark: the running sum of
-// each declared mutation's max-|delta| on the row since versioning was
-// enabled. Monotone non-decreasing within one DriftGen, so the drift a row
-// accumulated between two points in time is the difference of the watermarks
-// — the exact quantity value-bounded cache validation certifies against.
-// Exact because mutating RPCs declare their rows (dcv DirtyRows) and
-// commitMutate diffs pre-images; undeclared mutations fall to touchAll,
-// which bumps DriftGen instead of faking a magnitude.
-func (sh *Shard) RowDrift(r int) float64 {
-	if sh.rowDrift == nil {
-		return 0
-	}
-	return sh.rowDrift[r]
-}
-
-// DriftGen returns the shard's drift generation. touchAll (an undeclared
-// mutation — unknown magnitude) bumps it and resets the watermarks; a client
-// holding an anchor from an older generation cannot difference watermarks
-// and must treat the row as changed.
-func (sh *Shard) DriftGen() uint64 { return sh.driftGen }
 
 // preMutate snapshots the declared rows' values so commitMutate can stamp
 // exactly the elements the handler changed. Returns nil (snapshot-free) when
@@ -89,7 +45,7 @@ func (sh *Shard) preMutate(rows []int) [][]float64 {
 	}
 	snap := make([][]float64, len(rows))
 	for i, r := range rows {
-		snap[i] = append([]float64(nil), sh.Rows[r]...)
+		snap[i] = append([]float64(nil), sh.Dense(r)...)
 	}
 	return snap
 }
@@ -112,7 +68,7 @@ func (sh *Shard) commitMutate(rows []int, snap [][]float64) {
 	}
 	var v uint64
 	for i, r := range rows {
-		old, cur := snap[i], sh.Rows[r]
+		old, cur := snap[i], sh.Dense(r)
 		rowChanged := false
 		var maxAbs float64
 		for c := range cur {

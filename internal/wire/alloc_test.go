@@ -268,7 +268,7 @@ func TestSparseStepZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("PushAdd + sparse step: %v allocs/op, want 0", allocs)
 	}
-	if rows := s.mats[1].rows; rows[rowWeight].dense || rows[rowGrad].dense || len(rows[rowGrad].cols) != 0 {
+	if sh := s.mats[1]; sh.Form(rowWeight).Dense || sh.Form(rowGrad).Dense || len(sh.Form(rowGrad).Cols) != 0 {
 		t.Fatalf("the step left the rows dense or the gradient's non-empty")
 	}
 }
@@ -320,8 +320,8 @@ func TestFusedShardParallelDeterministic(t *testing.T) {
 	par.MinParallel = old
 
 	for r := 0; r < 3; r++ {
-		a := serial.mats[1].values(r)
-		b := parallel.mats[1].values(r)
+		a := values(serial.mats[1], r)
+		b := values(parallel.mats[1], r)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("row %d col %d: serial %v != parallel %v", r, i, a[i], b[i])

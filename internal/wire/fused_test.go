@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/ps"
 )
 
 // step is one request of a schedule: a PushAdd into row, or (ops non-nil)
@@ -138,14 +139,14 @@ func (d *denseRef) apply(st step) {
 
 // values returns row r of sh at full width: a dense row's own memory, or a
 // compact row's pairs spread over fresh +0 memory.
-func (sh *shard) values(r int) []float64 {
-	x := &sh.rows[r]
-	if x.dense {
-		return x.mem
+func values(sh *ps.Shard, r int) []float64 {
+	x := sh.Form(r)
+	if x.Dense {
+		return x.Mem
 	}
-	v := make([]float64, sh.width)
-	for p, c := range x.cols {
-		v[c] = x.vals[p]
+	v := make([]float64, sh.Width())
+	for p, c := range x.Cols {
+		v[c] = x.Vals[p]
 	}
 	return v
 }

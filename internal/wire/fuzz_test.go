@@ -346,8 +346,8 @@ func FuzzFusedProgram(f *testing.F) {
 				t.Fatalf("step %d: %v", i, err)
 			}
 			ref.apply(st)
-			for r := range s.mats[1].rows {
-				ref.checkRow(t, fmt.Sprintf("step %d", i), r, s.mats[1].values(r))
+			for r := range s.mats[1].NumRows() {
+				ref.checkRow(t, fmt.Sprintf("step %d", i), r, values(s.mats[1], r))
 			}
 		}
 	})

@@ -72,10 +72,7 @@ func (st *simnetStore) step(scale float64) error {
 			Mutates:   true,
 			DirtyRows: []int{rowWeight},
 			Fn: func(_ int, sh *ps.Shard) float64 {
-				dst, src := sh.Rows[rowWeight], sh.Rows[rowGrad]
-				for i := range dst {
-					dst[i] += scale * src[i]
-				}
+				sh.Axpy(scale, rowGrad, rowWeight)
 				return 0
 			},
 		},
@@ -85,10 +82,7 @@ func (st *simnetStore) step(scale float64) error {
 			Mutates:   true,
 			DirtyRows: []int{rowGrad},
 			Fn: func(_ int, sh *ps.Shard) float64 {
-				row := sh.Rows[rowGrad]
-				for i := range row {
-					row[i] = 0
-				}
+				sh.Zero(rowGrad)
 				return 0
 			},
 		},

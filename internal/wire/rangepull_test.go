@@ -124,7 +124,7 @@ func TestPullRangeStreamedDecode(t *testing.T) {
 	t.Run("wide row", func(t *testing.T) {
 		const width = 1 << 20
 		srv, c := startWideRow(t, width)
-		want := srv.mats[1].values(0)
+		want := values(srv.mats[1], 0)
 		before := c.Stats()
 		buf := make([]float64, 0, width)
 		var lo int
@@ -199,7 +199,7 @@ func TestPullRangeStreamedDecode(t *testing.T) {
 func fillRow(srv *Server, mat uint32, r int) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	row := srv.mats[mat].spread(r)
+	row := srv.mats[mat].Dense(r)
 	for i := range row {
 		row[i] = math.Sin(float64(i)) * math.Pow(10, float64(i%13)-6)
 	}
@@ -252,7 +252,7 @@ func TestRangePullLease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := s.mats[mat].values(0)
+			row := values(s.mats[mat], 0)
 			if !bytes.Equal(resp, appendRangePrefix(nil, 0, width)) || sc.lease == nil || &sc.lent[0] != &row[0] || len(sc.lent) != width {
 				t.Fatalf("width %d: answered %d bytes, lease %v; want the 8-byte prefix and the shard's own row lent", width, len(resp), sc.lease)
 			}
@@ -280,14 +280,14 @@ func TestRangePullLease(t *testing.T) {
 			if !equalFloats(lent, at) {
 				t.Fatalf("width %d, %s: the lent row changed under the pull", width, w.name)
 			}
-			if row := s.mats[mat].values(0); !equalFloats(row, want) {
+			if row := values(s.mats[mat], 0); !equalFloats(row, want) {
 				t.Fatalf("width %d, %s: the shard does not hold the write", width, w.name)
 			}
 			var buf bytes.Buffer
 			if err := respond(&buf, resp, nil, &sc); err != nil {
 				t.Fatal(err)
 			}
-			if l.n.Load() != 0 || sc.lease != nil || sc.lent != nil {
+			if l.Load() != 0 || sc.lease != nil || sc.lent != nil {
 				t.Fatalf("width %d, %s: lease still held after the frame was written", width, w.name)
 			}
 			if want := rawResponse(0, 8+8*width, appendPullRangeResp(nil, 0, at)); !bytes.Equal(buf.Bytes(), want) {
@@ -295,9 +295,9 @@ func TestRangePullLease(t *testing.T) {
 			}
 		}
 		// Once the lease is dropped a write goes to the row in place.
-		row := s.mats[mat].values(0)
+		row := values(s.mats[mat], 0)
 		mutate(OpPushAdd, AppendPushAdd(nil, mat, 0, []int{5}, []float64{1}))
-		if &s.mats[mat].values(0)[0] != &row[0] {
+		if &values(s.mats[mat], 0)[0] != &row[0] {
 			t.Fatalf("width %d: a write after the lease was dropped copied the row", width)
 		}
 		resp := pull()
@@ -305,7 +305,7 @@ func TestRangePullLease(t *testing.T) {
 		if err := respond(&cutWriter{n: respHeaderLen + 16}, resp, nil, &sc); !errors.Is(err, errCut) {
 			t.Fatalf("width %d: write through a cut connection returned %v", width, err)
 		}
-		if l.n.Load() != 0 || sc.lease != nil || sc.lent != nil {
+		if l.Load() != 0 || sc.lease != nil || sc.lent != nil {
 			t.Fatalf("width %d: lease still held after the write failed", width)
 		}
 	}
@@ -336,7 +336,7 @@ func TestRangePullSparse(t *testing.T) {
 	must(c.Fused(0, 1, []FusedOp{{Kind: FScale, Row: 0, Scale: 1e-300}}))
 	must(c.PushAdd(0, 1, 0, []int{lo + 4000, lo + 7, lo + 64, lo + 63, lo + 3000}, []float64{1.5, -2, math.Pi, 1, math.Inf(-1)}))
 	const k = 6
-	shardRow := srv.mats[1].values(0)
+	shardRow := values(srv.mats[1], 0)
 	if math.Float64bits(shardRow[70]) != math.Float64bits(math.Copysign(0, -1)) {
 		t.Fatalf("column 70 holds %v, want -0", shardRow[70])
 	}

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/ps"
 )
 
 // Values and scales an op sequence draws from: signed zeros, underflowing
@@ -35,6 +36,13 @@ var (
 )
 
 func infTimes(z float64) float64 { return math.Inf(1) * z }
+
+// The server's row rules (ps/row.go), restated for the reference: a row
+// with more than width/denseFraction members is dense, and alpha·(+0) is a
+// zero exactly when alpha is finite.
+const denseFraction = 16
+
+func finite(alpha float64) bool { return !math.IsInf(alpha, 0) && !math.IsNaN(alpha) }
 
 // refRows is the reference: each row's values, dense, and its membership by
 // the rules: a column written by a push, or by an axpy from a member, is a
@@ -127,21 +135,21 @@ func (d *refRows) rangeResp(r int) []byte {
 
 // check fails the test at the first row of sh that differs from the
 // reference in form, members or bits.
-func (d *refRows) check(t *testing.T, what string, sh *shard) {
+func (d *refRows) check(t *testing.T, what string, sh *ps.Shard) {
 	t.Helper()
 	for r := range d.vals {
-		x := &sh.rows[r]
-		if x.dense != d.dense[r] {
-			t.Fatalf("%s: row %d dense %v, the reference's %v", what, r, x.dense, d.dense[r])
+		x := sh.Form(r)
+		if x.Dense != d.dense[r] {
+			t.Fatalf("%s: row %d dense %v, the reference's %v", what, r, x.Dense, d.dense[r])
 		}
-		members := slices.Clone(x.cols)
-		if slices.Sort(members); !x.dense && !slices.Equal(members, d.members(r)) {
+		members := slices.Clone(x.Cols)
+		if slices.Sort(members); !x.Dense && !slices.Equal(members, d.members(r)) {
 			t.Fatalf("%s: row %d holds members %v, the reference %v", what, r, members, d.members(r))
 		}
-		if x.dense && len(x.cols) != 0 {
-			t.Fatalf("%s: dense row %d still holds %d pairs", what, r, len(x.cols))
+		if x.Dense && len(x.Cols) != 0 {
+			t.Fatalf("%s: dense row %d still holds %d pairs", what, r, len(x.Cols))
 		}
-		got := sh.values(r)
+		got := values(sh, r)
 		for c, v := range d.vals[r] {
 			if math.Float64bits(got[c]) != math.Float64bits(v) {
 				t.Fatalf("%s: row %d col %d = %v (%#x), the reference %v (%#x)", what, r, d.lo+c,
@@ -250,7 +258,7 @@ func runRowOps(t *testing.T, p picker, rows, lo, width, n int) {
 			}
 		case 8: // range pull, its lease held across later ops or let go at once
 			h := &heldPull{row: r, want: ref.rangeResp(r)}
-			mem := s.mats[1].rows[r].mem
+			mem := s.mats[1].Form(r).Mem
 			resp, err := s.handle(Frame{Op: OpPullRange, Payload: AppendPullRangeReq(nil, 1, r)}, &h.sc)
 			if err != nil {
 				t.Fatal(err)
@@ -380,14 +388,14 @@ func TestDenseWorkloadHoldsNoWideRow(t *testing.T) {
 		l.send(t, OpPullSparse, AppendPullSparseReq(nil, 1, rowWeight, cols))
 	}
 	sh := l.s.mats[1]
-	for r, x := range sh.rows {
-		if x.dense || x.mem != nil {
-			t.Fatalf("row %d: dense %v, holds %d values of width-long memory", r, x.dense, len(x.mem))
+	for r := range sh.NumRows() {
+		if x := sh.Form(r); x.Dense || x.Mem != nil {
+			t.Fatalf("row %d: dense %v, holds %d values of width-long memory", r, x.Dense, len(x.Mem))
 		}
 	}
-	k := len(sh.rows[rowWeight].cols)
-	if k == 0 || k > features || len(sh.rows[rowGrad].cols) != 0 {
-		t.Fatalf("weight row holds %d pairs of a %d-column feature set, gradient %d", k, features, len(sh.rows[rowGrad].cols))
+	k := len(sh.Form(rowWeight).Cols)
+	if k == 0 || k > features || len(sh.Form(rowGrad).Cols) != 0 {
+		t.Fatalf("weight row holds %d pairs of a %d-column feature set, gradient %d", k, features, len(sh.Form(rowGrad).Cols))
 	}
 	resp := l.send(t, OpPullRange, AppendPullRangeReq(nil, 1, rowWeight))
 	if l.sc.lease != nil || len(resp) != 12+12*k {

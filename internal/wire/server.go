@@ -2,27 +2,23 @@ package wire
 
 // Server is the real-socket counterpart of a ps server process: a TCP
 // listener owning a set of column-range ps.Shards, applying the decoded
-// operators against local memory under one mutex, with the exactly-once
-// contract of the simulated servers — the same ps.AppliedSet, replaying a
+// operators to their rows under one mutex, with the exactly-once contract
+// of the simulated servers — the same ps.AppliedSet, replaying a
 // duplicate's cached response and retired by each client's watermark.
 //
-// A shard row is compact, (column, value) pairs of the columns written
-// since its last zero, or dense, width-long memory (support.go). PushAdd
-// adds to the pairs, and the fused program visits only the pairs when that
-// gives the dense kernels' result bit for bit, so a step after a few hundred
-// pushed columns costs a few hundred columns, and a row millions of columns
-// wide holds only them. A frame's bytes are counted under the mutex before
-// its response is written, so a client that holds its answer finds the
-// frame in the next Stats reply, whichever connection carries it.
+// The rows are the simulated servers' own (ps/row.go): compact or dense, so
+// a step after a few hundred pushed columns costs a few hundred columns,
+// and a row millions of columns wide holds only them. A frame's bytes are
+// counted under the mutex before its response is written, so a client that
+// holds its answer finds the frame in the next Stats reply, whichever
+// connection carries it.
 //
 // A range pull of a compact row answers with its pairs, encoded under the
 // mutex in column order (payload.go). A range pull of a dense row copies
-// nothing: under the mutex it puts a lease on the row, and its connection
-// writes the row's own memory to the socket after the mutex is released, so
-// a slow reader of a wide row holds up no other connection. A write to a
-// leased row copies the row first (support.go, own), so the response is the
-// row exactly as it was when the pull was handled. The mutex is never held
-// across a socket write.
+// nothing: under the mutex it leases the row (ps.Shard.Lend), and its
+// connection writes the row's own memory to the socket after the mutex is
+// released, so a slow reader of a wide row holds up no other connection.
+// The mutex is never held across a socket write.
 
 import (
 	"bufio"
@@ -49,14 +45,14 @@ type connScratch struct {
 	cols    []int     // decoded column lists
 	vals    []float64 // decoded / assembled value vectors
 	ops     []FusedOp // decoded fused programs
-	keys    []uint64  // a compact row's pairs in column order (row.sorted)
+	keys    []uint64  // a compact row's pairs in column order (ps.Form.Sorted)
 	resp    []byte    // response payload encode buffer
 	piece   []byte    // a lent row's values encoded a piece at a time (big-endian hosts)
 
 	// A range pull's row, borrowed from its shard until the response is
 	// written, and the lease that keeps it unchanged until then.
 	lent  []float64
-	lease *lease
+	lease *ps.Lease
 }
 
 // release lets go of scratch wider than arena.ReuseCap once its frame is
@@ -84,7 +80,7 @@ type ServerStats struct {
 // use NewServer.
 type Server struct {
 	mu      sync.Mutex
-	mats    map[uint32]*shard
+	mats    map[uint32]*ps.Shard
 	applied ps.AppliedSet
 	stats   ServerStats
 
@@ -97,7 +93,7 @@ type Server struct {
 // NewServer returns a server with no shards; CreateShard allocates them.
 func NewServer() *Server {
 	return &Server{
-		mats:  make(map[uint32]*shard),
+		mats:  make(map[uint32]*ps.Shard),
 		conns: make(map[net.Conn]struct{}),
 	}
 }
@@ -232,7 +228,7 @@ func respond(w io.Writer, resp []byte, appErr error, sc *connScratch) error {
 		return WriteResponse(w, resp, appErr)
 	}
 	defer func() {
-		sc.lease.n.Add(-1)
+		sc.lease.Add(-1)
 		sc.lent, sc.lease = nil, nil
 	}()
 	return writeRangeResp(w, resp, sc.lent, &sc.piece)
@@ -284,7 +280,7 @@ func (s *Server) dedupApply(f Frame, sc *connScratch) (resp []byte, appErr error
 	return resp, appErr
 }
 
-func (s *Server) shard(mat uint32) (*shard, error) {
+func (s *Server) shard(mat uint32) (*ps.Shard, error) {
 	sh, ok := s.mats[mat]
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown matrix %d", mat)
@@ -292,10 +288,12 @@ func (s *Server) shard(mat uint32) (*shard, error) {
 	return sh, nil
 }
 
-// checkRow refuses a row index outside the shard.
-func (sh *shard) checkRow(r int) error {
-	if r < 0 || r >= len(sh.rows) {
-		return fmt.Errorf("wire: row %d out of range [0,%d)", r, len(sh.rows))
+// checkRows refuses a row index outside the shard.
+func checkRows(sh *ps.Shard, rows ...int) error {
+	for _, r := range rows {
+		if r < 0 || r >= sh.NumRows() {
+			return fmt.Errorf("wire: row %d out of range [0,%d)", r, sh.NumRows())
+		}
 	}
 	return nil
 }
@@ -304,17 +302,18 @@ func (sh *shard) checkRow(r int) error {
 // refuses a column list that leaves the shard's range before any of it is
 // applied: a ServerError is never retried, so a push that failed at its
 // k-th column with the first k-1 already added would stay torn.
-func (s *Server) shardRow(mat uint32, r int, cols []int) (*shard, error) {
+func (s *Server) shardRow(mat uint32, r int, cols []int) (*ps.Shard, error) {
 	sh, err := s.shard(mat)
 	if err != nil {
 		return nil, err
 	}
-	if err = sh.checkRow(r); err != nil {
+	if err = checkRows(sh, r); err != nil {
 		return nil, err
 	}
+	v := sh.View()
 	for _, c := range cols {
-		if c < sh.lo || c >= sh.lo+sh.width {
-			return nil, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, sh.lo, sh.lo+sh.width)
+		if c < v.Lo || c >= v.Hi {
+			return nil, fmt.Errorf("wire: column %d outside shard [%d,%d)", c, v.Lo, v.Hi)
 		}
 	}
 	return sh, nil
@@ -344,12 +343,12 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 			return nil, fmt.Errorf("wire: shard width %d exceeds %d, the widest row a PullRange response can carry", hi-lo, maxRowWidth)
 		}
 		if sh, ok := s.mats[mat]; ok {
-			if len(sh.rows) == rows && sh.lo == lo && sh.width == hi-lo {
+			if v := sh.View(); sh.NumRows() == rows && v.Lo == lo && v.Hi == hi {
 				return nil, nil // idempotent re-create
 			}
 			return nil, fmt.Errorf("wire: matrix %d exists with different shape", mat)
 		}
-		s.mats[mat] = newShard(rows, lo, hi)
+		s.mats[mat] = ps.NewShard(rows, ps.ColView{Lo: lo, Hi: hi})
 		return nil, nil
 
 	case OpPullSparse:
@@ -362,7 +361,7 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 			return nil, err
 		}
 		vals := growFloats(&sc.vals, len(cols))
-		sh.gather(r, cols, vals)
+		sh.Get(r, cols, vals)
 		sc.resp = AppendVals(sc.resp[:0], vals)
 		return sc.resp, nil
 
@@ -375,7 +374,7 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh.push(r, cols, vals)
+		sh.Add(r, cols, vals)
 		return nil, nil
 
 	case OpFused:
@@ -394,24 +393,21 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 			if op.Kind == FAxpy {
 				a, b = op.Dst, op.Src
 			}
-			if err := sh.checkRow(a); err != nil {
-				return nil, err
-			}
-			if err := sh.checkRow(b); err != nil {
+			if err := checkRows(sh, a, b); err != nil {
 				return nil, err
 			}
 		}
 		// Each op visits the compact rows' pairs, or runs the linalg kernel
 		// over the whole row where that could give a different result
-		// (support.go).
+		// (ps/row.go).
 		for _, op := range ops {
 			switch op.Kind {
 			case FAxpy:
-				sh.axpy(op.Scale, op.Src, op.Dst)
+				sh.Axpy(op.Scale, op.Src, op.Dst)
 			case FZero:
-				sh.zero(op.Row)
+				sh.Zero(op.Row)
 			case FScale:
-				sh.scale(op.Scale, op.Row)
+				sh.Scale(op.Scale, op.Row)
 			}
 		}
 		return nil, nil
@@ -429,16 +425,13 @@ func (s *Server) apply(f Frame, sc *connScratch) ([]byte, error) {
 		// smaller answer; only a 0-wide row is not, and turns dense. A dense
 		// row is lent instead of copied: respond writes it out after the
 		// mutex is released.
-		x := &sh.rows[r]
-		if !x.dense {
-			if 12+12*len(x.cols) < 8+8*sh.width {
-				sc.resp = appendSparseRange(sc.resp[:0], sh.lo, sh.width, x.sorted(&sc.keys), x.vals)
-				return sc.resp, nil
-			}
-			sh.spread(r)
+		lo, width := sh.View().Lo, sh.Width()
+		if x := sh.Form(r); !x.Dense && 12+12*len(x.Cols) < 8+8*width {
+			sc.resp = appendSparseRange(sc.resp[:0], lo, width, x.Sorted(&sc.keys), x.Vals)
+			return sc.resp, nil
 		}
-		sc.lent, sc.lease = x.mem, sh.borrow(r)
-		sc.resp = appendRangePrefix(sc.resp[:0], sh.lo, sh.width)
+		sc.lent, sc.lease = sh.Lend(r)
+		sc.resp = appendRangePrefix(sc.resp[:0], lo, width)
 		return sc.resp, nil
 
 	case OpStats:

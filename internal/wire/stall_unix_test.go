@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/ps"
 )
 
 // TestStalledRangeReaderBlocksNoOne: one connection asks for a 2 M-wide
@@ -28,7 +30,7 @@ func TestStalledRangeReaderBlocksNoOne(t *testing.T) {
 	}
 	fillRow(srv, 1, 0)
 	srv.mu.Lock()
-	before := slices.Clone(srv.mats[1].values(0))
+	before := slices.Clone(values(srv.mats[1], 0))
 	srv.mu.Unlock()
 
 	// A small receive buffer, set before the connection opens its window,
@@ -51,7 +53,7 @@ func TestStalledRangeReaderBlocksNoOne(t *testing.T) {
 	if err := WriteFrame(conn, Frame{Op: OpPullRange, Payload: AppendPullRangeReq(nil, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	var l *lease
+	var l *ps.Lease
 	for deadline := time.Now().Add(5 * time.Second); l == nil; l = heldLease(srv, 1, 0) {
 		if time.Now().After(deadline) {
 			t.Fatal("no lease on the row within 5 s: the pull was not handled, or the server's mutex stayed held")
@@ -84,7 +86,7 @@ func TestStalledRangeReaderBlocksNoOne(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("push, step and pull on another connection still waiting after 1 s behind a stalled reader")
 	}
-	if l.n.Load() == 0 {
+	if l.Load() == 0 {
 		t.Fatal("the stalled write finished before the other connection's calls: the sockets buffered the whole row, so nothing stalled")
 	}
 
@@ -101,12 +103,12 @@ func TestStalledRangeReaderBlocksNoOne(t *testing.T) {
 // still writing the row, or nil. It only tries the server's mutex, so a
 // server that holds it across a stalled write fails the test instead of
 // hanging it.
-func heldLease(srv *Server, mat uint32, r int) *lease {
+func heldLease(srv *Server, mat uint32, r int) *ps.Lease {
 	if !srv.mu.TryLock() {
 		return nil
 	}
 	defer srv.mu.Unlock()
-	if l := srv.mats[mat].rows[r].lent; l != nil && l.n.Load() > 0 {
+	if l := srv.mats[mat].Form(r).Lent; l != nil && l.Load() > 0 {
 		return l
 	}
 	return nil
